@@ -229,10 +229,40 @@ func BenchmarkRAID5Write(b *testing.B) {
 	}
 	buf := make([]byte, 1<<20)
 	b.SetBytes(1 << 20)
+	b.ReportAllocs()
 	b.ResetTimer()
 	env.Go("writer", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
 			off := (int64(i) % 512) << 20
+			if err := arr.WriteAt(p, buf, off); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	env.Run()
+}
+
+// BenchmarkRAID5WriteSmall measures the hot case the 1 MB benchmark never
+// hits: a 4 KB sub-stripe write on the 7-disk buffer array, which reads the
+// stripe's six chunks and rewrites all seven.
+func BenchmarkRAID5WriteSmall(b *testing.B) {
+	env := sim.NewEnv()
+	devs := make([]blockdev.Device, 7)
+	for i := range devs {
+		devs[i] = blockdev.New(env, 1<<30, blockdev.HDDProfile())
+	}
+	arr, err := raid.New(env, raid.RAID5, devs, 64<<10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, 4<<10)
+	b.SetBytes(4 << 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.Go("writer", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			off := (int64(i)%512)*(6*64<<10) + 8<<10
 			if err := arr.WriteAt(p, buf, off); err != nil {
 				b.Error(err)
 				return
@@ -248,6 +278,7 @@ func BenchmarkUDFWriteFile(b *testing.B) {
 	disk := blockdev.New(env, 1<<31, blockdev.SSDProfile())
 	data := make([]byte, 64<<10)
 	b.SetBytes(64 << 10)
+	b.ReportAllocs()
 	b.ResetTimer()
 	env.Go("writer", func(p *sim.Proc) {
 		vol, err := udf.Format(p, disk, [16]byte{1}, "bench")
@@ -293,10 +324,38 @@ func BenchmarkOLFSWriteSmall(b *testing.B) {
 	}
 	data := make([]byte, 4<<10)
 	b.SetBytes(4 << 10)
+	b.ReportAllocs()
 	b.ResetTimer()
 	err = sys.Do(func(p *Proc) error {
 		for i := 0; i < b.N; i++ {
 			if err := sys.FS.WriteFile(p, fmt.Sprintf("/bench/f%07d", i), data); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkOLFSReadSmall measures the full OLFS read path for an 8 KB file
+// served from the buffer (stat, one read request, close).
+func BenchmarkOLFSReadSmall(b *testing.B) {
+	sys, err := New(Options{BucketBytes: 64 << 20, DisableAutoBurn: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := make([]byte, 8<<10)
+	b.SetBytes(8 << 10)
+	b.ReportAllocs()
+	err = sys.Do(func(p *Proc) error {
+		if err := sys.FS.WriteFile(p, "/bench/small", data); err != nil {
+			return err
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sys.FS.ReadFile(p, "/bench/small"); err != nil {
 				return err
 			}
 		}

@@ -23,6 +23,11 @@ var (
 
 // Device is the interface ROS tiers are built on. Read/Write charge virtual
 // time on the calling process and move real bytes.
+//
+// Buffer ownership: a WriteAt callee must copy buf before it returns and may
+// not retain it, so the caller may reuse buf once WriteAt returns; a ReadAt
+// callee fills all of buf or returns an error. The layers above keep and
+// reuse their scratch buffers on the strength of this.
 type Device interface {
 	// ReadAt fills buf from the device starting at off.
 	ReadAt(p *sim.Proc, buf []byte, off int64) error
@@ -211,9 +216,7 @@ func (d *Disk) copyOut(buf []byte, off int64) {
 		if c, ok := d.chunks[ci]; ok {
 			copy(buf[n:n+run], c[co:co+run])
 		} else {
-			for i := n; i < n+run; i++ {
-				buf[i] = 0
-			}
+			clear(buf[n : n+run])
 		}
 		n += run
 	}

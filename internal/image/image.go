@@ -9,6 +9,7 @@
 package image
 
 import (
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -189,7 +190,10 @@ func UnmarshalCatalog(b []byte) (*Catalog, error) {
 	return c, nil
 }
 
-// Backend is a readable/writable byte range (udf.Backend shape).
+// Backend is a readable/writable byte range (udf.Backend shape, and its
+// buffer-ownership rules: WriteAt copies buf before returning and does not
+// retain it, ReadAt fills all of buf or returns an error), which is what lets
+// the parity code below reuse its strips from one call to the next.
 type Backend interface {
 	ReadAt(p *sim.Proc, buf []byte, off int64) error
 	WriteAt(p *sim.Proc, buf []byte, off int64) error
@@ -204,42 +208,87 @@ var (
 
 const parityChunk = 1 << 20
 
+// Strips is a free list of the 1 MB strip buffers GenerateParity and
+// VerifyParity work in, for a caller that runs them again and again (olfs
+// keeps one per FS). The zero value is ready to use. Calls on one sim.Env may
+// overlap — exactly one process runs at a time, and a buffer goes back on the
+// list only when its call is done with it (see Backend for why that is at
+// return) — but a Strips must not be shared between environments.
+type Strips struct{ free [][]byte }
+
+func (s *Strips) get() []byte {
+	if n := len(s.free); n > 0 {
+		b := s.free[n-1]
+		s.free = s.free[:n-1]
+		return b
+	}
+	return make([]byte, parityChunk)
+}
+
+// put takes strips back; a nil one (the Q accumulator of a RAID-5 call) is
+// skipped.
+func (s *Strips) put(strips ...[]byte) {
+	for _, b := range strips {
+		if b != nil {
+			s.free = append(s.free, b)
+		}
+	}
+}
+
+// accumulate reads strip [off, off+n) of every data image and leaves P in
+// pAcc and, when qAcc is non-nil, Q in qAcc. Column 0 is read straight into
+// pAcc and seeds both accumulators (its Q coefficient is g^0 = 1); buf takes
+// the other columns. It returns the column whose read failed.
+func accumulate(p *sim.Proc, data []Backend, off int64, n int, buf, pAcc, qAcc []byte) (int, error) {
+	if len(data) == 0 { // parity over nothing is zeros, not a reused strip's leftovers
+		clear(pAcc[:n])
+		if qAcc != nil {
+			clear(qAcc[:n])
+		}
+	}
+	for col, d := range data {
+		if col == 0 {
+			if err := d.ReadAt(p, pAcc[:n], off); err != nil {
+				return col, err
+			}
+			if qAcc != nil {
+				copy(qAcc[:n], pAcc[:n])
+			}
+			continue
+		}
+		if err := d.ReadAt(p, buf[:n], off); err != nil {
+			return col, err
+		}
+		raid.XorSlice(buf[:n], pAcc[:n])
+		if qAcc != nil {
+			raid.MulXorSlice(raid.Pow2(col), buf[:n], qAcc[:n])
+		}
+	}
+	return 0, nil
+}
+
 // GenerateParity builds parity image(s) from data images (§4.7, delayed
 // parity generation). One parity image gives RAID-5 (P = XOR); two give
 // RAID-6 (P + Q with GF(2^8) coefficients g^col). length is the image size;
 // the data backends are read and parity backends written in 1 MB strips,
 // charging real I/O time on both (the four-stream interference of §4.7).
-func GenerateParity(p *sim.Proc, data []Backend, parity []Backend, length int64) error {
+func (s *Strips) GenerateParity(p *sim.Proc, data []Backend, parity []Backend, length int64) error {
 	if len(parity) < 1 || len(parity) > 2 {
 		return ErrParityCount
 	}
-	buf := make([]byte, parityChunk)
-	pAcc := make([]byte, parityChunk)
+	buf, pAcc := s.get(), s.get()
 	var qAcc []byte
 	if len(parity) == 2 {
-		qAcc = make([]byte, parityChunk)
+		qAcc = s.get()
 	}
+	defer s.put(buf, pAcc, qAcc)
 	for off := int64(0); off < length; off += parityChunk {
 		n := parityChunk
 		if off+int64(n) > length {
 			n = int(length - off)
 		}
-		for i := range pAcc[:n] {
-			pAcc[i] = 0
-		}
-		if qAcc != nil {
-			for i := range qAcc[:n] {
-				qAcc[i] = 0
-			}
-		}
-		for col, d := range data {
-			if err := d.ReadAt(p, buf[:n], off); err != nil {
-				return fmt.Errorf("image: parity read col %d: %w", col, err)
-			}
-			raid.XorSlice(buf[:n], pAcc[:n])
-			if qAcc != nil {
-				raid.MulXorSlice(raid.Pow2(col), buf[:n], qAcc[:n])
-			}
+		if col, err := accumulate(p, data, off, n, buf, pAcc, qAcc); err != nil {
+			return fmt.Errorf("image: parity read col %d: %w", col, err)
 		}
 		if err := parity[0].WriteAt(p, pAcc[:n], off); err != nil {
 			return fmt.Errorf("image: parity write P: %w", err)
@@ -253,78 +302,51 @@ func GenerateParity(p *sim.Proc, data []Backend, parity []Backend, length int64)
 	return nil
 }
 
+// GenerateParity is Strips.GenerateParity on one-shot strip buffers.
+func GenerateParity(p *sim.Proc, data []Backend, parity []Backend, length int64) error {
+	return new(Strips).GenerateParity(p, data, parity, length)
+}
+
 // VerifyParity re-reads all images and checks P (and Q) consistency,
 // returning the offsets (strip starts) that mismatch — the §4.7 idle-time
 // sector-error scan at image granularity.
-func VerifyParity(p *sim.Proc, data []Backend, parity []Backend, length int64) ([]int64, error) {
+func (s *Strips) VerifyParity(p *sim.Proc, data []Backend, parity []Backend, length int64) ([]int64, error) {
 	if len(parity) < 1 || len(parity) > 2 {
 		return nil, ErrParityCount
 	}
 	var bad []int64
-	buf := make([]byte, parityChunk)
-	pAcc := make([]byte, parityChunk)
-	pGot := make([]byte, parityChunk)
-	var qAcc, qGot []byte
+	buf, pAcc := s.get(), s.get()
+	var qAcc []byte
 	if len(parity) == 2 {
-		qAcc = make([]byte, parityChunk)
-		qGot = make([]byte, parityChunk)
+		qAcc = s.get()
 	}
+	defer s.put(buf, pAcc, qAcc)
 	for off := int64(0); off < length; off += parityChunk {
 		n := parityChunk
 		if off+int64(n) > length {
 			n = int(length - off)
 		}
-		for i := range pAcc[:n] {
-			pAcc[i] = 0
+		// A strip is bad when any column fails to read or a stored parity
+		// differs; buf is free again once the data columns are folded in.
+		_, err := accumulate(p, data, off, n, buf, pAcc, qAcc)
+		if err == nil {
+			err = parity[0].ReadAt(p, buf[:n], off)
 		}
-		if qAcc != nil {
-			for i := range qAcc[:n] {
-				qAcc[i] = 0
-			}
-		}
-		readFailed := false
-		for col, d := range data {
-			if err := d.ReadAt(p, buf[:n], off); err != nil {
-				readFailed = true
-				break
-			}
-			raid.XorSlice(buf[:n], pAcc[:n])
-			if qAcc != nil {
-				raid.MulXorSlice(raid.Pow2(col), buf[:n], qAcc[:n])
-			}
-		}
-		if readFailed {
-			bad = append(bad, off)
-			continue
-		}
-		if err := parity[0].ReadAt(p, pGot[:n], off); err != nil {
-			bad = append(bad, off)
-			continue
-		}
-		mismatch := false
-		for i := 0; i < n; i++ {
-			if pAcc[i] != pGot[i] {
-				mismatch = true
-				break
-			}
-		}
+		mismatch := err != nil || !bytes.Equal(pAcc[:n], buf[:n])
 		if !mismatch && qAcc != nil {
-			if err := parity[1].ReadAt(p, qGot[:n], off); err != nil {
-				bad = append(bad, off)
-				continue
-			}
-			for i := 0; i < n; i++ {
-				if qAcc[i] != qGot[i] {
-					mismatch = true
-					break
-				}
-			}
+			err = parity[1].ReadAt(p, buf[:n], off)
+			mismatch = err != nil || !bytes.Equal(qAcc[:n], buf[:n])
 		}
 		if mismatch {
 			bad = append(bad, off)
 		}
 	}
 	return bad, nil
+}
+
+// VerifyParity is Strips.VerifyParity on one-shot strip buffers.
+func VerifyParity(p *sim.Proc, data []Backend, parity []Backend, length int64) ([]int64, error) {
+	return new(Strips).VerifyParity(p, data, parity, length)
 }
 
 // Recover reconstructs up to two lost data columns from the survivors.

@@ -179,11 +179,12 @@ type FS struct {
 	curMu *sim.Resource  // serializes bucket writes (one PBW stream)
 
 	burnQ      *sim.Queue[*burnTask]
-	sched      *sched.Scheduler     // arbitrates drive groups and arm demand
+	sched      *sched.Scheduler      // arbitrates drive groups and arm demand
 	wp         *writepath.Controller // admission control + burn-group planning
 	fetches    map[string]*sim.Completion[int]
 	fetchJoins map[string]int // waiters coalesced onto an in-flight fetch
 	mounted    map[*optical.Drive]*udf.Volume
+	strips     image.Strips // parity strip buffers, reused from burn set to burn set
 
 	// groupEpoch[gi] increments every time group gi's tray is unloaded.
 	// fileReader sources and fs.mounted entries record the epoch they were

@@ -491,24 +491,23 @@ func (fs *FS) ReadFileClass(p *sim.Proc, path string, class sched.Class) (data [
 		return nil, err
 	}
 	fr.class = class
-	out := make([]byte, 0, fr.Size())
-	buf := make([]byte, 1<<20)
-	// The size is known from the index, so reads stop at EOF without an
-	// extra zero-length probe (keeps the Fig 7 trace at stat, read*, close).
-	for int64(len(out)) < fr.Size() {
-		n, err := fr.Read(p, buf)
-		if n > 0 {
-			out = append(out, buf[:n]...)
-		}
+	// The size is known from the index, so the result is read in place, one
+	// request per 1 MB window, and reads stop at EOF without an extra
+	// zero-length probe (keeps the Fig 7 trace at stat, read*, close).
+	out := make([]byte, fr.Size())
+	got := 0
+	for got < len(out) {
+		n, err := fr.Read(p, out[got:min(got+1<<20, len(out))])
+		got += n
 		if err != nil {
 			fr.Close(p)
-			return out, err
+			return out[:got], err
 		}
 		if n == 0 {
 			break
 		}
 	}
-	return out, fr.Close(p)
+	return out[:got], fr.Close(p)
 }
 
 // ReadFirstByte returns the latency-to-first-byte for path, serving from the

@@ -2,9 +2,12 @@ package olfs
 
 import (
 	"bytes"
+	"errors"
 	"testing"
+	"time"
 
 	"ros/internal/faultinject"
+	"ros/internal/optical"
 	"ros/internal/rack"
 	"ros/internal/sim"
 )
@@ -177,5 +180,85 @@ func TestJoinedFetchRetriesAfterWinnerFails(t *testing.T) {
 	}
 	if got := tb.fs.m.joinRetries.Value(); got != 1 {
 		t.Errorf("olfs.join_retries = %d, want 1", got)
+	}
+}
+
+// TestSplitReadSurvivesEvictionDuringSpinUp: a cold read of a split file fans
+// one process out per part, and each spins its drive up before the first
+// transfer. When the maintenance interface swaps the tray out in that window
+// the arm takes the discs from under the sleeping readers. The read must
+// return the bytes or a typed no-disc error — never panic, which on a part
+// reader's own process killed the program — and the next read must succeed.
+//
+// The scenario runs twice on identical beds: once without a reader to learn
+// when the eviction ejects the discs, then with a reader started so that its
+// spin-up straddles that instant.
+func TestSplitReadSurvivesEvictionDuringSpinUp(t *testing.T) {
+	data := pat(1500*1024, 21)
+	// scenario evicts the cold tray holding the split file from group 0. A
+	// non-negative readAfter starts a whole-file read that long after the
+	// eviction begins. It returns how long the eviction took to eject.
+	scenario := func(readAfter time.Duration) (ejectAfter time.Duration, got []byte, readErr error) {
+		tb := newBed(t, func(c *Config) {
+			c.AutoBurn = false
+			c.RecycleAfterBurn = true // no buffer copies: reads must go to disc
+		})
+		tb.run(t, func(p *sim.Proc) {
+			trayA := burnOne(t, tb, p, "/sp/split.bin", data)
+			trayB := burnOne(t, tb, p, "/sp/other.bin", pat(50*1024, 22))
+			ix, err := tb.fs.MV.Stat(p, "/sp/split.bin")
+			if err != nil || len(ix.Current().Parts) < 2 {
+				t.Fatalf("split.bin: parts=%v err=%v, want a split file", ix.Current().Parts, err)
+			}
+			// Arm-load trayA afresh so its drives are cold.
+			for _, tray := range []rack.TrayID{trayB, trayA} {
+				if err := tb.fs.PrefetchTray(p, tray, 0); err != nil {
+					t.Fatalf("PrefetchTray(%v): %v", tray, err)
+				}
+			}
+			t0 := p.Now()
+			evicted := sim.NewCompletion[error](tb.env)
+			tb.env.Go("evictor", func(ep *sim.Proc) {
+				evicted.Resolve(tb.fs.PrefetchTray(ep, trayB, 0), nil)
+			})
+			read := sim.NewCompletion[error](tb.env)
+			if readAfter >= 0 {
+				tb.env.Go("reader", func(rp *sim.Proc) {
+					rp.Sleep(readAfter)
+					got, readErr = tb.fs.ReadFile(rp, "/sp/split.bin")
+					read.Resolve(nil, nil)
+				})
+			} else {
+				read.Resolve(nil, nil)
+			}
+			for tb.lib.Groups[0].Drives[0].Loaded() {
+				p.Sleep(10 * time.Millisecond)
+			}
+			ejectAfter = p.Now() - t0
+			if err, _ := evicted.Wait(p); err != nil {
+				t.Fatalf("evicting PrefetchTray: %v", err)
+			}
+			read.Wait(p)
+			again, err := tb.fs.ReadFile(p, "/sp/split.bin")
+			if err != nil || !bytes.Equal(again, data) {
+				t.Errorf("read after the eviction settled: %d bytes, err=%v", len(again), err)
+			}
+		})
+		return ejectAfter, got, readErr
+	}
+	ejectAfter, _, _ := scenario(-1)
+	if ejectAfter < optical.SpinUpTime {
+		t.Fatalf("eviction ejected after %v, too soon to start a reader before it", ejectAfter)
+	}
+	_, got, err := scenario(ejectAfter - optical.SpinUpTime/2)
+	switch {
+	case err == nil:
+		if !bytes.Equal(got, data) {
+			t.Error("read across the eviction returned wrong bytes")
+		}
+	case !errors.Is(err, optical.ErrNoDisc) && !errors.Is(err, errStaleSource):
+		t.Errorf("read across the eviction failed with an untyped error: %v", err)
+	default:
+		t.Logf("read across the eviction: %v", err)
 	}
 }

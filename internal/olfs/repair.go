@@ -124,7 +124,7 @@ func (fs *FS) ScrubTray(p *sim.Proc, tray rack.TrayID) (rep ScrubReport, err err
 	}
 	var bad []int64
 	if fs.cfg.SerialRead {
-		bad, err = image.VerifyParity(p, data, parity, length)
+		bad, err = fs.strips.VerifyParity(p, data, parity, length)
 	} else {
 		bad, err = image.VerifyParityParallel(p, data, parity, length,
 			readGate{s: fs.sched, class: sched.Scrub, gi: gi})
@@ -298,7 +298,7 @@ func (fs *FS) RegenerateParity(p *sim.Proc, tray rack.TrayID) ([]*bucket.Bucket,
 		out = append(out, nb)
 		pbs = append(pbs, nb.Backend())
 	}
-	if err := image.GenerateParity(p, backends[:dataN], pbs, length); err != nil {
+	if err := fs.strips.GenerateParity(p, backends[:dataN], pbs, length); err != nil {
 		discard()
 		return nil, err
 	}

@@ -18,12 +18,12 @@ import (
 // lazily generated parity images, burned onto the 12 discs of one empty
 // tray (BTM + DB + MC).
 type burnSet struct {
-	images   []*bucket.Bucket // data images
-	parity   []*bucket.Bucket // generated on first run (delayed parity, §4.7)
-	tray     *rack.TrayID
-	progress []burnProg // per-position progress for append-mode resume
-	resumed  bool
-	attempts int
+	images    []*bucket.Bucket // data images
+	parity    []*bucket.Bucket // generated on first run (delayed parity, §4.7)
+	tray      *rack.TrayID
+	progress  []burnProg // per-position progress for append-mode resume
+	resumed   bool
+	attempts  int
 	burned    bool // finished successfully
 	abandoned bool // failed hard; images returned to the filled state
 }
@@ -100,9 +100,7 @@ func (z zeroTail) ReadAt(p *sim.Proc, buf []byte, off int64) error {
 			return err
 		}
 	}
-	for i := keep; i < n; i++ {
-		buf[i] = 0
-	}
+	clear(buf[keep:])
 	return nil
 }
 
@@ -422,7 +420,7 @@ func (fs *FS) generateParity(p *sim.Proc, s *burnSet) (err error) {
 	for i, b := range s.parity {
 		par[i] = b.Backend()
 	}
-	if err := image.GenerateParity(p, data, par, length); err != nil {
+	if err := fs.strips.GenerateParity(p, data, par, length); err != nil {
 		discard()
 		return err
 	}

@@ -155,6 +155,11 @@ type Drive struct {
 	// interrupt is set by InterruptBurn and checked at chunk boundaries.
 	interrupt bool
 
+	// burnBuf stages payload between the burn source and the disc. Burns
+	// hold the busy resource, so one buffer per drive is enough; it is kept
+	// between burns unless it grew past maxKeptBurnBuf.
+	burnBuf []byte
+
 	// Stats.
 	BytesBurned int64
 	BytesRead   int64
@@ -300,8 +305,11 @@ func (dr *Drive) ArmEject() (*Disc, error) {
 	return d, nil
 }
 
-// warmUp charges the lazy spin-up for arm-loaded discs.
-func (dr *Drive) warmUp(p *sim.Proc) {
+// warmUp charges the lazy spin-up for arm-loaded discs. The robotic arm
+// ejects mechanically, without taking the drive's busy lock, so a tray swap
+// can land while the drive spins up: the caller then gets a typed error
+// instead of a vanished disc.
+func (dr *Drive) warmUp(p *sim.Proc) error {
 	if dr.cold {
 		sp := obs.StartChild(p, "optical.spinup")
 		sp.Annotate("drive", dr.ID)
@@ -309,6 +317,10 @@ func (dr *Drive) warmUp(p *sim.Proc) {
 		dr.cold = false
 		sp.End(p)
 	}
+	if dr.disc == nil {
+		return fmt.Errorf("%w: %s (disc ejected during spin-up)", ErrNoDisc, dr.ID)
+	}
+	return nil
 }
 
 // Eject removes and returns the disc.
@@ -372,7 +384,9 @@ func (dr *Drive) Erase(p *sim.Proc) error {
 	if dr.disc == nil {
 		return fmt.Errorf("%w: %s", ErrNoDisc, dr.ID)
 	}
-	dr.warmUp(p)
+	if err := dr.warmUp(p); err != nil {
+		return err
+	}
 	if !dr.disc.Type.Rewritable() {
 		return fmt.Errorf("%w: %s", ErrNotRewritable, dr.disc.Type)
 	}
@@ -387,6 +401,11 @@ const dipProbability = 0.034
 // burnChunks is the number of quanta a burn is divided into; each quantum
 // re-samples speed, the group throttle and the interrupt flag.
 const burnChunks = 500
+
+// maxKeptBurnBuf bounds the staging buffer a drive keeps between burns. A
+// burn quantum is 1/burnChunks of the image — 50 MB for a full 25 GB disc —
+// and an idle drive must not pin that.
+const maxKeptBurnBuf = 4 << 20
 
 // shortSeekWindow is the head-travel distance served by a short hop instead
 // of a full-stroke seek.
@@ -426,7 +445,9 @@ func (dr *Drive) Burn(p *sim.Proc, src BurnSource, opts BurnOptions) (rep BurnRe
 	if dr.disc == nil {
 		return rep, fmt.Errorf("%w: %s", ErrNoDisc, dr.ID)
 	}
-	dr.warmUp(p)
+	if err = dr.warmUp(p); err != nil {
+		return rep, err
+	}
 	if dr.disc.Blank() == false && !opts.Append {
 		return rep, fmt.Errorf("%w: disc %s already burned (use Append)", ErrWORMViolation, dr.disc.ID)
 	}
@@ -465,7 +486,11 @@ func (dr *Drive) Burn(p *sim.Proc, src BurnSource, opts BurnOptions) (rep BurnRe
 	if chunkLogical < 1 {
 		chunkLogical = 1
 	}
-	buf := make([]byte, 0)
+	defer func() {
+		if len(dr.burnBuf) > maxKeptBurnBuf {
+			dr.burnBuf = nil
+		}
+	}()
 	var burnedLogical, copied int64
 	rng := dr.env.Rand()
 	for burnedLogical < logical {
@@ -499,13 +524,14 @@ func (dr *Drive) Burn(p *sim.Proc, src BurnSource, opts BurnOptions) (rep BurnRe
 			if copied+cn > payload {
 				cn = payload - copied
 			}
-			if int64(len(buf)) < cn {
-				buf = make([]byte, cn)
+			if int64(len(dr.burnBuf)) < cn {
+				dr.burnBuf = make([]byte, cn)
 			}
-			if err := src.ReadAt(p, buf[:cn], copied); err != nil {
+			buf := dr.burnBuf[:cn]
+			if err := src.ReadAt(p, buf, copied); err != nil {
 				return rep, fmt.Errorf("optical: burn source read: %w", err)
 			}
-			if err := dr.disc.burnBytes(buf[:cn]); err != nil {
+			if err := dr.disc.burnBytes(buf); err != nil {
 				return rep, err
 			}
 			if cn < n {
@@ -556,7 +582,9 @@ func (dr *Drive) ReadAt(p *sim.Proc, buf []byte, off int64) error {
 	if dr.disc == nil {
 		return fmt.Errorf("%w: %s", ErrNoDisc, dr.ID)
 	}
-	dr.warmUp(p)
+	if err := dr.warmUp(p); err != nil {
+		return err
+	}
 	prev := dr.state
 	dr.state = StateReading
 	defer func() { dr.state = prev }()
@@ -581,8 +609,7 @@ func (dr *Drive) ReadAt(p *sim.Proc, buf []byte, off int64) error {
 	p.Sleep(t)
 	dr.sharer.activeRead--
 	if dr.disc == nil {
-		// The robotic arm ejects mechanically, without taking the drive's
-		// busy lock, so a tray swap can land mid-transfer. Surface a typed
+		// As in warmUp, a tray swap can land mid-transfer. Surface a typed
 		// error instead of dereferencing the vanished disc; the mount layer
 		// re-resolves the handle against the tray's new location.
 		err := fmt.Errorf("%w: %s (disc ejected mid-read)", ErrNoDisc, dr.ID)
@@ -668,9 +695,7 @@ func (v ImageView) ReadAt(p *sim.Proc, buf []byte, off int64) error {
 		logical += tr.Len
 	}
 	// Anything beyond the burned tracks reads as zero (sparse image tail).
-	for i := read; i < len(buf); i++ {
-		buf[i] = 0
-	}
+	clear(buf[read:])
 	return nil
 }
 

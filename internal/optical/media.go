@@ -243,9 +243,7 @@ func (d *Disc) readAt(buf []byte, off int64) error {
 		if c, ok := d.chunks[ci]; ok {
 			copy(buf[n:n+run], c[co:co+run])
 		} else {
-			for i := n; i < n+run; i++ {
-				buf[i] = 0
-			}
+			clear(buf[n : n+run])
 		}
 		n += run
 	}

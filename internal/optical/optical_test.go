@@ -470,3 +470,76 @@ func TestDiscFullOnOversizedBurn(t *testing.T) {
 		}
 	})
 }
+
+// TestReadSurvivesEjectDuringSpinUp: the arm ejects without taking the
+// drive's busy lock, so a tray swap can land while a reader sleeps through
+// the lazy spin-up of an arm-loaded disc. The read must come back with the
+// typed no-disc error the mount layer retries on; it used to dereference the
+// vanished disc on the reader's process.
+func TestReadSurvivesEjectDuringSpinUp(t *testing.T) {
+	env := sim.NewEnv()
+	dr := NewDrive(env, "d0", nil)
+	if err := dr.ArmLoad(NewDisc("disc0", Media25)); err != nil {
+		t.Fatalf("ArmLoad: %v", err)
+	}
+	env.Go("arm", func(p *sim.Proc) {
+		p.Sleep(SpinUpTime / 2)
+		if _, err := dr.ArmEject(); err != nil {
+			t.Errorf("ArmEject: %v", err)
+		}
+	})
+	inSim(t, env, func(p *sim.Proc) {
+		err := dr.ReadAt(p, make([]byte, SectorSize), 0)
+		if !errors.Is(err, ErrNoDisc) {
+			t.Fatalf("ReadAt across an eject = %v, want ErrNoDisc", err)
+		}
+		if p.Now() != SpinUpTime {
+			t.Errorf("read returned at %v, want right after the %v spin-up", p.Now(), SpinUpTime)
+		}
+	})
+	if dr.State() != StateEmpty {
+		t.Errorf("drive state = %v after the eject, want %v", dr.State(), StateEmpty)
+	}
+}
+
+// TestBurnStagingBufferIsKeptOnlyWhenSmall: a drive reuses its staging buffer
+// from burn to burn, but lets go of one grown past maxKeptBurnBuf (a full
+// 25 GB image stages 50 MB per quantum).
+func TestBurnStagingBufferIsKeptOnlyWhenSmall(t *testing.T) {
+	env := sim.NewEnv()
+	dr := NewDrive(env, "d0", nil)
+	burn := func(p *sim.Proc, id string, payload int) {
+		t.Helper()
+		if err := dr.Load(p, NewDisc(id, Media25)); err != nil {
+			t.Fatalf("Load: %v", err)
+		}
+		src := memSource(bytes.Repeat([]byte{0xA5}, payload))
+		// A write-all-once burn of the whole disc stages the payload in its
+		// first quantum (1/burnChunks of 25 GB).
+		if _, err := dr.Burn(p, src, BurnOptions{}); err != nil {
+			t.Fatalf("Burn: %v", err)
+		}
+		got := make([]byte, payload)
+		if err := dr.ReadAt(p, got, 0); err != nil || !bytes.Equal(got, src) {
+			t.Fatalf("read-back of %s differs (err=%v)", id, err)
+		}
+		if _, err := dr.Eject(p); err != nil {
+			t.Fatalf("Eject: %v", err)
+		}
+	}
+	inSim(t, env, func(p *sim.Proc) {
+		burn(p, "small", 1<<20)
+		kept := len(dr.burnBuf)
+		if kept == 0 {
+			t.Error("no staging buffer kept after a 1 MB burn")
+		}
+		burn(p, "small2", 1<<20)
+		if len(dr.burnBuf) != kept {
+			t.Errorf("staging buffer went from %d to %d bytes between equal burns", kept, len(dr.burnBuf))
+		}
+		burn(p, "large", maxKeptBurnBuf+1)
+		if dr.burnBuf != nil {
+			t.Errorf("drive kept a %d-byte staging buffer, over the %d limit", len(dr.burnBuf), maxKeptBurnBuf)
+		}
+	})
+}

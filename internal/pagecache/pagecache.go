@@ -13,6 +13,7 @@
 package pagecache
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -20,7 +21,10 @@ import (
 	"ros/internal/sim"
 )
 
-// Backend is the backing store (same contract as udf.Backend).
+// Backend is the backing store (same contract as udf.Backend, including its
+// buffer-ownership rules: WriteAt copies buf before returning and does not
+// retain it, ReadAt fills all of buf or returns an error). The flusher relies
+// on the first to reuse one flush buffer for every backend write.
 type Backend interface {
 	ReadAt(p *sim.Proc, buf []byte, off int64) error
 	WriteAt(p *sim.Proc, buf []byte, off int64) error
@@ -146,6 +150,9 @@ func (v *Volume) WriteAt(p *sim.Proc, buf []byte, off int64) error {
 // flusher drains dirty chunks to the backend, coalescing adjacent chunks
 // into one sequential backend write.
 func (v *Volume) flusher(p *sim.Proc) {
+	// The flusher is the only writer to the backend, one write at a time, so
+	// it owns a single staging buffer that only ever grows (to at most seg).
+	var flushBuf []byte
 	for {
 		ci, ok := v.flushQ.Pop(p)
 		if !ok {
@@ -168,14 +175,16 @@ func (v *Volume) flusher(p *sim.Proc) {
 			if start+length > v.size {
 				length = v.size - start
 			}
-			// Bounded segments keep host allocations small for huge runs.
+			// Bounded segments keep the flush buffer small for huge runs.
 			const seg = 8 << 20
-			buf := make([]byte, minI64(length, seg))
+			if want := minI64(length, seg); int64(len(flushBuf)) < want {
+				flushBuf = make([]byte, want)
+			}
 			for done := int64(0); done < length; {
 				n := minI64(seg, length-done)
-				v.copyOut(buf[:n], start+done)
+				v.copyOut(flushBuf[:n], start+done)
 				// Best effort: a failed backend is detected by Sync/scrub.
-				_ = v.backend.WriteAt(p, buf[:n], start+done)
+				_ = v.backend.WriteAt(p, flushBuf[:n], start+done)
 				done += n
 			}
 			v.BytesFlushed += length
@@ -221,9 +230,7 @@ func (v *Volume) copyOut(buf []byte, off int64) {
 		if c, ok := v.chunks[ci]; ok {
 			copy(buf[n:n+run], c[co:co+run])
 		} else {
-			for i := n; i < n+run; i++ {
-				buf[i] = 0
-			}
+			clear(buf[n : n+run])
 		}
 		n += run
 	}
@@ -279,5 +286,5 @@ type rangeError struct {
 func errRange(off int64, n int, size int64) error { return &rangeError{off, n, size} }
 
 func (e *rangeError) Error() string {
-	return "pagecache: access out of range"
+	return fmt.Sprintf("pagecache: access out of range: off=%d len=%d size=%d", e.off, e.n, e.size)
 }

@@ -2,10 +2,12 @@ package pagecache
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
 	"ros/internal/blockdev"
+	"ros/internal/raid"
 	"ros/internal/sim"
 )
 
@@ -104,8 +106,13 @@ func TestOutOfRange(t *testing.T) {
 	disk := blockdev.New(env, 1024, blockdev.SSDProfile())
 	v := New(env, disk, Ext4Rates())
 	env.Go("t", func(p *sim.Proc) {
-		if err := v.WriteAt(p, make([]byte, 10), 1020); err == nil {
-			t.Error("write past end succeeded")
+		err := v.WriteAt(p, make([]byte, 10), 1020)
+		if err == nil {
+			t.Fatal("write past end succeeded")
+		}
+		// The error must say which access it was, as raid's and blockdev's do.
+		if want := "off=1020 len=10 size=1024"; !strings.Contains(err.Error(), want) {
+			t.Errorf("range error %q does not carry %q", err, want)
 		}
 		if err := v.ReadAt(p, make([]byte, 10), -1); err == nil {
 			t.Error("negative read succeeded")
@@ -145,5 +152,47 @@ func TestFlusherInterferesWithForegroundArrayUse(t *testing.T) {
 	env.Run()
 	if contendedRead <= soloRead {
 		t.Errorf("no interference: solo %v vs contended %v", soloRead, contendedRead)
+	}
+}
+
+// TestWriteFlushAllocBudget holds the steady-state host cost of a 64 KB
+// cached write and its flush to the paper's 7-disk RAID-5: the flusher stages
+// every backend write in the one buffer it owns and the array reuses its
+// stripe scratch, so per-op allocation is bookkeeping, not data.
+func TestWriteFlushAllocBudget(t *testing.T) {
+	const span = 32 * chunkSize
+	res := testing.Benchmark(func(b *testing.B) {
+		env := sim.NewEnv()
+		devs := make([]blockdev.Device, 7)
+		for i := range devs {
+			devs[i] = blockdev.New(env, 16<<20, blockdev.HDDProfile())
+		}
+		arr, err := raid.New(env, raid.RAID5, devs, 64<<10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		v := New(env, arr, Ext4Rates())
+		buf := bytes.Repeat([]byte{0x5A}, chunkSize)
+		env.Go("writer", func(p *sim.Proc) {
+			write := func(i int) {
+				if err := v.WriteAt(p, buf, int64(i)*chunkSize%span); err != nil {
+					b.Error(err)
+				}
+				v.Sync(p)
+			}
+			for i := 0; i < span/chunkSize; i++ { // materialize cache and disk chunks
+				write(i)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				write(i)
+			}
+		})
+		env.Run()
+	})
+	if got := res.AllocedBytesPerOp(); got > 16<<10 {
+		t.Errorf("64 KB cached write + flush allocates %d B/op, budget is %d", got, 16<<10)
+	} else {
+		t.Logf("64 KB cached write + flush: %d B/op, %d allocs/op", got, res.AllocsPerOp())
 	}
 }

@@ -1,14 +1,17 @@
 package raid
 
+import "crypto/subtle"
+
 // Exported GF(2^8) helpers used by internal/image to compute RAID-5/6 parity
 // *across disc images* (§4.7 of the paper: 11+1 or 10+2 redundancy within a
 // 12-disc tray), reusing the same field arithmetic as the block-level RAID.
 
-// XorSlice computes dst[i] ^= src[i] (the P parity accumulate).
+// XorSlice computes dst[i] ^= src[i] (the P parity accumulate) a machine word
+// at a time. It is the one XOR kernel of the block-level RAID and the
+// disc-image parity code. dst must be at least as long as src and may be the
+// same slice, but may not overlap it otherwise.
 func XorSlice(src, dst []byte) {
-	for i := range src {
-		dst[i] ^= src[i]
-	}
+	subtle.XORBytes(dst, src, dst[:len(src)])
 }
 
 // MulXorSlice computes dst[i] ^= c*src[i] in GF(2^8) (the Q parity

@@ -64,15 +64,13 @@ func gfPow2(n int) byte { return gfExp[n%255] }
 // gfInv returns the multiplicative inverse.
 func gfInv(a byte) byte { return gfDiv(1, a) }
 
-// mulSlice computes dst[i] ^= c * src[i] for all i.
+// mulSliceXor computes dst[i] ^= c * src[i] for all i.
 func mulSliceXor(c byte, src, dst []byte) {
 	if c == 0 {
 		return
 	}
 	if c == 1 {
-		for i := range src {
-			dst[i] ^= src[i]
-		}
+		XorSlice(src, dst)
 		return
 	}
 	lc := int(gfLog[c])

@@ -11,6 +11,7 @@
 package raid
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -59,12 +60,45 @@ type Array struct {
 	devs       []blockdev.Device
 	stripeUnit int
 	devSize    int64
+
+	// Scratch for parity, reconstruct-write and reconstruction. Member
+	// devices copy a WriteAt buffer before returning (blockdev.Device), so a
+	// buffer goes back on its list as soon as the I/O that used it is done.
+	chunks  bufList // stripeUnit bytes each
+	stripes bufList // stripeUnit * dataPerStripe bytes each
 }
+
+// bufList is a free list of equally sized scratch buffers. Exactly one
+// simulation process runs at a time, so it needs no lock; buffers come back
+// with unspecified contents.
+type bufList struct {
+	size int
+	free [][]byte
+}
+
+func (l *bufList) get() []byte {
+	if n := len(l.free); n > 0 {
+		b := l.free[n-1]
+		l.free = l.free[:n-1]
+		return b
+	}
+	return make([]byte, l.size)
+}
+
+func (l *bufList) put(b []byte) { l.free = append(l.free, b) }
 
 // New assembles an array. stripeUnit is the per-device chunk size (ignored
 // for RAID-1); 64 KB if zero.
 func New(env *sim.Env, level Level, devs []blockdev.Device, stripeUnit int) (*Array, error) {
-	min := map[Level]int{RAID0: 1, RAID1: 2, RAID5: 3, RAID6: 4}[level]
+	min := 1
+	switch level {
+	case RAID1:
+		min = 2
+	case RAID5:
+		min = 3
+	case RAID6:
+		min = 4
+	}
 	if len(devs) < min {
 		return nil, fmt.Errorf("%w: %s needs >= %d, got %d", ErrTooFewDevices, level, min, len(devs))
 	}
@@ -77,7 +111,10 @@ func New(env *sim.Env, level Level, devs []blockdev.Device, stripeUnit int) (*Ar
 	if stripeUnit <= 0 {
 		stripeUnit = 64 << 10
 	}
-	return &Array{env: env, level: level, devs: devs, stripeUnit: stripeUnit, devSize: size}, nil
+	a := &Array{env: env, level: level, devs: devs, stripeUnit: stripeUnit, devSize: size}
+	a.chunks.size = stripeUnit
+	a.stripes.size = stripeUnit * a.dataPerStripe()
+	return a, nil
 }
 
 // Level returns the array's RAID level.
@@ -214,7 +251,8 @@ func (a *Array) readChunk(p *sim.Proc, stripe int64, col int, dst []byte, coff i
 		return err
 	}
 	// Degraded path: reconstruct the whole chunk.
-	full := make([]byte, a.stripeUnit)
+	full := a.chunks.get()
+	defer a.chunks.put(full)
 	// Wrap the reconstruction error (not the device error) so callers can
 	// match ErrTooManyFailed on beyond-bound loss.
 	if rerr := a.reconstructChunk(p, stripe, col, full); rerr != nil {
@@ -310,19 +348,24 @@ func (a *Array) writeParity(p *sim.Proc, buf []byte, off int64) error {
 func (a *Array) writeFullStripe(p *sim.Proc, stripe int64, data []byte) error {
 	su := a.stripeUnit
 	k := a.dataPerStripe()
-	pbuf := make([]byte, su)
+	// Column 0 seeds both parities (its Q coefficient is g^0 = 1).
+	pbuf := a.chunks.get()
+	defer a.chunks.put(pbuf)
+	copy(pbuf, data[:su])
 	var qbuf []byte
 	if a.level == RAID6 {
-		qbuf = make([]byte, su)
+		qbuf = a.chunks.get()
+		defer a.chunks.put(qbuf)
+		copy(qbuf, data[:su])
 	}
 	jobs := make([]func(sp *sim.Proc) error, 0, k+2)
 	for col := 0; col < k; col++ {
 		chunk := data[col*su : (col+1)*su]
-		for i := range chunk {
-			pbuf[i] ^= chunk[i]
-		}
-		if qbuf != nil {
-			mulSliceXor(gfPow2(col), chunk, qbuf)
+		if col > 0 {
+			XorSlice(chunk, pbuf)
+			if qbuf != nil {
+				mulSliceXor(gfPow2(col), chunk, qbuf)
+			}
 		}
 		dev := a.devs[a.dataDev(stripe, col)]
 		c := chunk
@@ -342,7 +385,8 @@ func (a *Array) writeFullStripe(p *sim.Proc, stripe int64, data []byte) error {
 func (a *Array) writePartialStripe(p *sim.Proc, stripe int64, so int64, src []byte) error {
 	su := a.stripeUnit
 	k := a.dataPerStripe()
-	stripeData := make([]byte, su*k)
+	stripeData := a.stripes.get()
+	defer a.stripes.put(stripeData)
 	// Read current stripe data (reconstructing if degraded).
 	jobs := make([]func(sp *sim.Proc) error, k)
 	for col := 0; col < k; col++ {
@@ -375,13 +419,18 @@ func (a *Array) reconstructChunk(p *sim.Proc, stripe int64, col int, out []byte)
 	jobs := make([]func(sp *sim.Proc) error, len(chunks))
 	for i := range chunks {
 		i := i
-		chunks[i].data = make([]byte, su)
+		chunks[i].data = a.chunks.get()
 		jobs[i] = func(sp *sim.Proc) error {
 			err := a.devs[chunks[i].dev].ReadAt(sp, chunks[i].data, soff)
 			chunks[i].ok = err == nil
 			return nil // failures handled by erasure decode below
 		}
 	}
+	defer func() {
+		for i := range chunks {
+			a.chunks.put(chunks[i].data)
+		}
+	}()
 	if err := parallel(p, jobs...); err != nil {
 		return err
 	}
@@ -398,7 +447,7 @@ func (a *Array) reconstructChunk(p *sim.Proc, stripe int64, col int, out []byte)
 	if len(lost) > maxLost {
 		return fmt.Errorf("%w: %d chunks lost in stripe %d", ErrTooManyFailed, len(lost), stripe)
 	}
-	if err := decodeStripe(chunks, k, su); err != nil {
+	if err := decodeStripe(chunks, k); err != nil {
 		return err
 	}
 	for i := range chunks {
@@ -420,8 +469,10 @@ type stripeChunk struct {
 }
 
 // decodeStripe fills in the missing chunks (marked !ok) using P/Q. chunks
-// holds k data columns followed by P (col=-1) and optionally Q (col=-2).
-func decodeStripe(chunks []stripeChunk, k, su int) error {
+// holds k data columns followed by P (col=-1) and optionally Q (col=-2). A
+// lost chunk's buffer has unspecified contents on entry; every case computes
+// in place, seeding the accumulator by copy instead of clearing it.
+func decodeStripe(chunks []stripeChunk, k int) error {
 	var lostData []int
 	lostP, lostQ := false, false
 	for i := range chunks {
@@ -446,47 +497,43 @@ func decodeStripe(chunks []stripeChunk, k, su int) error {
 		return nil
 	}
 	pbuf, qbuf := find(-1), find(-2)
+	// xorCols accumulates data columns first..k-1, except x and y, into dst;
+	// mulCols does the same with each column's Q coefficient g^c.
+	xorCols := func(dst []byte, first, x, y int) {
+		for c := first; c < k; c++ {
+			if c != x && c != y {
+				XorSlice(find(c), dst)
+			}
+		}
+	}
+	mulCols := func(dst []byte, first, x, y int) {
+		for c := first; c < k; c++ {
+			if c != x && c != y {
+				mulSliceXor(gfPow2(c), find(c), dst)
+			}
+		}
+	}
+	// Column 0 seeds a recomputed parity (its Q coefficient is g^0 = 1).
+	recomputeP := func() {
+		copy(pbuf, find(0))
+		xorCols(pbuf, 1, -1, -1)
+	}
 
 	switch {
 	case len(lostData) == 0:
 		// Only parity lost: recompute (needed for scrub/rebuild paths).
 		if lostP {
-			for i := range pbuf {
-				pbuf[i] = 0
-			}
-			for c := 0; c < k; c++ {
-				d := find(c)
-				for i := range d {
-					pbuf[i] ^= d[i]
-				}
-			}
+			recomputeP()
 		}
 		if lostQ && qbuf != nil {
-			for i := range qbuf {
-				qbuf[i] = 0
-			}
-			for c := 0; c < k; c++ {
-				mulSliceXor(gfPow2(c), find(c), qbuf)
-			}
+			copy(qbuf, find(0))
+			mulCols(qbuf, 1, -1, -1)
 		}
 	case len(lostData) == 1 && !lostP:
 		// Single data loss with P available: XOR of everything else.
 		d := chunks[lostData[0]].data
-		for i := range d {
-			d[i] = 0
-		}
-		for c := 0; c < k; c++ {
-			if c == chunks[lostData[0]].col {
-				continue
-			}
-			s := find(c)
-			for i := range d {
-				d[i] ^= s[i]
-			}
-		}
-		for i := range d {
-			d[i] ^= pbuf[i]
-		}
+		copy(d, pbuf)
+		xorCols(d, 0, chunks[lostData[0]].col, -1)
 	case len(lostData) == 1 && lostP:
 		// Data + P lost: recover data via Q, then recompute P.
 		if qbuf == nil {
@@ -495,27 +542,13 @@ func decodeStripe(chunks []stripeChunk, k, su int) error {
 		x := chunks[lostData[0]].col
 		d := chunks[lostData[0]].data
 		// Qx = Q ^ sum_{c != x} g^c * Dc ; Dx = Qx / g^x
-		tmp := make([]byte, su)
-		copy(tmp, qbuf)
-		for c := 0; c < k; c++ {
-			if c == x {
-				continue
-			}
-			mulSliceXor(gfPow2(c), find(c), tmp)
-		}
+		copy(d, qbuf)
+		mulCols(d, 0, x, -1)
 		inv := gfInv(gfPow2(x))
 		for i := range d {
-			d[i] = gfMul(tmp[i], inv)
+			d[i] = gfMul(d[i], inv)
 		}
-		for i := range pbuf {
-			pbuf[i] = 0
-		}
-		for c := 0; c < k; c++ {
-			s := find(c)
-			for i := range pbuf {
-				pbuf[i] ^= s[i]
-			}
-		}
+		recomputeP()
 	case len(lostData) == 2:
 		// Two data chunks lost: solve 2x2 system with P and Q.
 		if qbuf == nil || lostP || lostQ {
@@ -523,28 +556,20 @@ func decodeStripe(chunks []stripeChunk, k, su int) error {
 		}
 		x, y := chunks[lostData[0]].col, chunks[lostData[1]].col
 		dx, dy := chunks[lostData[0]].data, chunks[lostData[1]].data
-		// Pxy = P ^ sum_{c!=x,y} Dc ; Qxy = Q ^ sum_{c!=x,y} g^c Dc
-		pxy := make([]byte, su)
-		qxy := make([]byte, su)
-		copy(pxy, pbuf)
-		copy(qxy, qbuf)
-		for c := 0; c < k; c++ {
-			if c == x || c == y {
-				continue
-			}
-			s := find(c)
-			for i := range pxy {
-				pxy[i] ^= s[i]
-			}
-			mulSliceXor(gfPow2(c), s, qxy)
-		}
+		// Pxy = P ^ sum_{c!=x,y} Dc is built in dy and
+		// Qxy = Q ^ sum_{c!=x,y} g^c Dc in dx; the solve is element-wise, so it
+		// runs in place.
+		copy(dy, pbuf)
+		xorCols(dy, 0, x, y)
+		copy(dx, qbuf)
+		mulCols(dx, 0, x, y)
 		// Dx = (g^y * Pxy ^ Qxy) / (g^x ^ g^y) ; Dy = Pxy ^ Dx
 		gx, gy := gfPow2(x), gfPow2(y)
 		denom := gfInv(gx ^ gy)
 		for i := range dx {
-			dx[i] = gfMul(gfMul(gy, pxy[i])^qxy[i], denom)
-			dy[i] = pxy[i] ^ dx[i]
+			dx[i] = gfMul(gfMul(gy, dy[i])^dx[i], denom)
 		}
+		XorSlice(dx, dy)
 	default:
 		return ErrTooManyFailed
 	}
@@ -580,7 +605,8 @@ func (a *Array) Rebuild(p *sim.Proc, idx int, replacement blockdev.Device) error
 	su := int64(a.stripeUnit)
 	stripes := a.devSize / su
 	k := a.dataPerStripe()
-	buf := make([]byte, su)
+	buf := a.chunks.get()
+	defer a.chunks.put(buf)
 	for s := int64(0); s < stripes; s++ {
 		// What does device idx hold in stripe s?
 		role := -3
@@ -610,55 +636,49 @@ func (a *Array) Rebuild(p *sim.Proc, idx int, replacement blockdev.Device) error
 // reconstructInto rebuilds the chunk with the given role (data column, -1=P,
 // -2=Q) of a stripe, reading from all other devices.
 func (a *Array) reconstructInto(p *sim.Proc, stripe int64, role int, out []byte) error {
-	su := a.stripeUnit
 	k := a.dataPerStripe()
-	soff := stripe * int64(su)
+	soff := stripe * int64(a.stripeUnit)
 	data := make([][]byte, k)
 	jobs := make([]func(sp *sim.Proc) error, 0, k)
 	for c := 0; c < k; c++ {
-		c := c
-		data[c] = make([]byte, su)
 		if c == role {
 			continue
 		}
+		buf := a.chunks.get()
+		data[c] = buf
 		dev := a.devs[a.dataDev(stripe, c)]
-		jobs = append(jobs, func(sp *sim.Proc) error { return dev.ReadAt(sp, data[c], soff) })
+		jobs = append(jobs, func(sp *sim.Proc) error { return dev.ReadAt(sp, buf, soff) })
 	}
-	var pBuf []byte
+	defer func() {
+		for _, buf := range data {
+			if buf != nil {
+				a.chunks.put(buf)
+			}
+		}
+	}()
 	if role >= 0 {
-		// Need P to rebuild a data chunk.
-		pBuf = make([]byte, su)
+		// A data chunk is P XOR the other data chunks: read P straight into out.
 		pd := a.devs[a.pDev(stripe)]
-		jobs = append(jobs, func(sp *sim.Proc) error { return pd.ReadAt(sp, pBuf, soff) })
+		jobs = append(jobs, func(sp *sim.Proc) error { return pd.ReadAt(sp, out, soff) })
 	}
 	if err := parallel(p, jobs...); err != nil {
 		return err
 	}
 	switch {
 	case role == -1: // P = XOR of data
-		for i := range out {
-			out[i] = 0
+		copy(out, data[0])
+		for c := 1; c < k; c++ {
+			XorSlice(data[c], out)
 		}
-		for c := 0; c < k; c++ {
-			for i := range out {
-				out[i] ^= data[c][i]
-			}
-		}
-	case role == -2: // Q = sum g^c Dc
-		for i := range out {
-			out[i] = 0
-		}
-		for c := 0; c < k; c++ {
+	case role == -2: // Q = sum g^c Dc, and g^0 = 1
+		copy(out, data[0])
+		for c := 1; c < k; c++ {
 			mulSliceXor(gfPow2(c), data[c], out)
 		}
 	default: // data chunk via P
-		copy(out, pBuf)
 		for c := 0; c < k; c++ {
-			if c == role {
-				continue
-			}
-			for i := range out {
-				out[i] ^= data[c][i]
+			if c != role {
+				XorSlice(data[c], out)
 			}
 		}
 	}
@@ -680,21 +700,27 @@ func (a *Array) Scrub(p *sim.Proc) (ScrubResult, error) {
 	su := a.stripeUnit
 	k := a.dataPerStripe()
 	stripes := a.devSize / int64(su)
-	data := make([]byte, su)
-	acc := make([]byte, su)
-	qacc := make([]byte, su)
+	data, acc, qacc := a.chunks.get(), a.chunks.get(), a.chunks.get()
+	defer func() {
+		a.chunks.put(data)
+		a.chunks.put(acc)
+		a.chunks.put(qacc)
+	}()
 	for s := int64(0); s < stripes; s++ {
 		soff := s * int64(su)
-		for i := range acc {
-			acc[i], qacc[i] = 0, 0
-		}
 		for c := 0; c < k; c++ {
 			if err := a.devs[a.dataDev(s, c)].ReadAt(p, data, soff); err != nil {
 				return res, err
 			}
-			for i := range acc {
-				acc[i] ^= data[i]
+			if c == 0 {
+				// Column 0 seeds both accumulators (its Q coefficient is 1).
+				copy(acc, data)
+				if a.level == RAID6 {
+					copy(qacc, data)
+				}
+				continue
 			}
+			XorSlice(data, acc)
 			if a.level == RAID6 {
 				mulSliceXor(gfPow2(c), data, qacc)
 			}
@@ -702,23 +728,12 @@ func (a *Array) Scrub(p *sim.Proc) (ScrubResult, error) {
 		if err := a.devs[a.pDev(s)].ReadAt(p, data, soff); err != nil {
 			return res, err
 		}
-		bad := false
-		for i := range acc {
-			if acc[i] != data[i] {
-				bad = true
-				break
-			}
-		}
+		bad := !bytes.Equal(acc, data)
 		if !bad && a.level == RAID6 {
 			if err := a.devs[a.qDev(s)].ReadAt(p, data, soff); err != nil {
 				return res, err
 			}
-			for i := range qacc {
-				if qacc[i] != data[i] {
-					bad = true
-					break
-				}
-			}
+			bad = !bytes.Equal(qacc, data)
 		}
 		res.StripesChecked++
 		if bad {

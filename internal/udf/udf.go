@@ -45,6 +45,10 @@ var (
 
 // Backend is the byte store a volume lives on: a slice of a RAID array (a
 // bucket "loop device"), an optical disc through a drive, or a raw Disk.
+//
+// Buffer ownership is blockdev.Device's: a WriteAt callee must copy buf
+// before it returns and may not retain it, so the caller may reuse buf once
+// WriteAt returns; a ReadAt callee fills all of buf or returns an error.
 type Backend interface {
 	ReadAt(p *sim.Proc, buf []byte, off int64) error
 	WriteAt(p *sim.Proc, buf []byte, off int64) error
