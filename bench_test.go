@@ -204,14 +204,52 @@ func BenchmarkSustainedIngest(b *testing.B) {
 
 // --- Substrate micro-benchmarks (host-time performance of the library) ---
 
-// BenchmarkSimEngine measures raw DES event throughput.
-func BenchmarkSimEngine(b *testing.B) {
+// BenchmarkSimSleep is the engine's unit cost: one process, one timed wakeup
+// per iteration (a switch into the process and a switch back).
+func BenchmarkSimSleep(b *testing.B) {
 	env := sim.NewEnv()
+	defer env.Close()
 	env.Go("ticker", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Sleep(1)
 		}
 	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.Run()
+}
+
+// BenchmarkSimSleep12Interleaved is the same with a drive group's worth of
+// processes taking turns, so every wakeup switches to a different process
+// and the event heap is 12 deep.
+func BenchmarkSimSleep12Interleaved(b *testing.B) {
+	env := sim.NewEnv()
+	defer env.Close()
+	for d := 0; d < 12; d++ {
+		env.Go(fmt.Sprintf("drive-%d", d), func(p *sim.Proc) {
+			for i := d; i < b.N; i += 12 {
+				p.Sleep(12)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.Run()
+}
+
+// BenchmarkSimSpawnFinish is one leg of a raid.parallel fan-out: spawn a
+// child, wait for its Completion, let it finish.
+func BenchmarkSimSpawnFinish(b *testing.B) {
+	env := sim.NewEnv()
+	defer env.Close()
+	env.Go("parent", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			c := sim.NewCompletion[struct{}](env)
+			env.Go("child", func(cp *sim.Proc) { c.Resolve(struct{}{}, nil) })
+			c.Wait(p)
+		}
+	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	env.Run()
 }
@@ -219,6 +257,7 @@ func BenchmarkSimEngine(b *testing.B) {
 // BenchmarkRAID5Write measures host cost of parity-maintaining writes.
 func BenchmarkRAID5Write(b *testing.B) {
 	env := sim.NewEnv()
+	defer env.Close()
 	devs := make([]blockdev.Device, 5)
 	for i := range devs {
 		devs[i] = blockdev.New(env, 1<<30, blockdev.SSDProfile())
@@ -248,6 +287,7 @@ func BenchmarkRAID5Write(b *testing.B) {
 // stripe's six chunks and rewrites all seven.
 func BenchmarkRAID5WriteSmall(b *testing.B) {
 	env := sim.NewEnv()
+	defer env.Close()
 	devs := make([]blockdev.Device, 7)
 	for i := range devs {
 		devs[i] = blockdev.New(env, 1<<30, blockdev.HDDProfile())
@@ -275,6 +315,7 @@ func BenchmarkRAID5WriteSmall(b *testing.B) {
 // BenchmarkUDFWriteFile measures host cost of UDF file creation.
 func BenchmarkUDFWriteFile(b *testing.B) {
 	env := sim.NewEnv()
+	defer env.Close()
 	disk := blockdev.New(env, 1<<31, blockdev.SSDProfile())
 	data := make([]byte, 64<<10)
 	b.SetBytes(64 << 10)
@@ -313,6 +354,7 @@ func BenchmarkBurn25GB(b *testing.B) {
 			}
 		})
 		env.Run()
+		env.Close()
 	}
 }
 
@@ -322,6 +364,7 @@ func BenchmarkOLFSWriteSmall(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer sys.Close()
 	data := make([]byte, 4<<10)
 	b.SetBytes(4 << 10)
 	b.ReportAllocs()
@@ -346,6 +389,7 @@ func BenchmarkOLFSReadSmall(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer sys.Close()
 	data := make([]byte, 8<<10)
 	b.SetBytes(8 << 10)
 	b.ReportAllocs()

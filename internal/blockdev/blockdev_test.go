@@ -13,6 +13,7 @@ import (
 func run(t *testing.T, fn func(p *sim.Proc)) *sim.Env {
 	t.Helper()
 	env := sim.NewEnv()
+	t.Cleanup(env.Close)
 	env.Go("test", fn)
 	env.Run()
 	if env.Deadlocked() {

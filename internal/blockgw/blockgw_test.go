@@ -21,6 +21,7 @@ import (
 func newFS(t *testing.T) (*sim.Env, *olfs.FS) {
 	t.Helper()
 	env := sim.NewEnv()
+	t.Cleanup(env.Close)
 	lib, err := rack.New(env, rack.Config{Rollers: 1, DriveGroups: 2, Media: optical.Media25, PopulateAll: true})
 	if err != nil {
 		t.Fatal(err)

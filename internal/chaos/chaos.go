@@ -234,6 +234,7 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer sys.Close()
 	sys.Env.Seed(cfg.Seed)
 
 	rep := &Report{

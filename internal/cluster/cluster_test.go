@@ -23,6 +23,7 @@ type testBed struct {
 func newBed(t *testing.T, racks, replicas int, mutate func(*Config)) *testBed {
 	t.Helper()
 	env := sim.NewEnv()
+	t.Cleanup(env.Close)
 	plane := faultinject.New(env, 1)
 	reg := obs.New(env)
 	plane.AttachObs(reg)

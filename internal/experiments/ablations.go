@@ -29,6 +29,7 @@ func AblationTieredBuffer() (Result, error) {
 	if err != nil {
 		return res, err
 	}
+	defer bed.Env.Close()
 	fs := bed.FS
 	var buffered, synchronous time.Duration
 	err = bed.Run(func(p *sim.Proc) error {
@@ -69,6 +70,7 @@ func AblationFuseChunk() (Result, error) {
 	res := Result{ID: "ablate-fusechunk", Title: "FUSE big_writes (128KB) vs default 4KB flush (§4.8)"}
 	measure := func(opts fuse.Options) (float64, error) {
 		env := sim.NewEnv()
+		defer env.Close()
 		disk := blockdev.New(env, 2<<30, blockdev.HDDProfile())
 		inner := extfs.New(env, pagecache.New(env, disk, pagecache.Ext4Rates()))
 		fs := fuse.Wrap(inner, opts)
@@ -112,6 +114,7 @@ func AblationReadPolicy() (Result, error) {
 		if err != nil {
 			return 0, 0, err
 		}
+		defer bed.Env.Close()
 		fs := bed.FS
 		err = bed.Run(func(p *sim.Proc) error {
 			// Burn an array holding the target file.
@@ -183,6 +186,7 @@ func AblationForepart() (Result, error) {
 		if err != nil {
 			return 0, err
 		}
+		defer bed.Env.Close()
 		fs := bed.FS
 		var lat float64
 		err = bed.Run(func(p *sim.Proc) error {
@@ -233,6 +237,7 @@ func AblationReadCache() (Result, error) {
 		if err != nil {
 			return 0, err
 		}
+		defer bed.Env.Close()
 		fs := bed.FS
 		var lat float64
 		err = bed.Run(func(p *sim.Proc) error {
@@ -276,6 +281,7 @@ func AblationReadCache() (Result, error) {
 func AblationUniquePath() (Result, error) {
 	res := Result{ID: "ablate-uniquepath", Title: "Unique file path directory redundancy (§4.4)"}
 	env := sim.NewEnv()
+	defer env.Close()
 	store1 := blockdev.New(env, 64<<20, blockdev.SSDProfile())
 	store2 := blockdev.New(env, 64<<20, blockdev.SSDProfile())
 	var deepUsed, flatUsed int64
@@ -324,6 +330,7 @@ func AblationOverlapScheduling() (Result, error) {
 	res := Result{ID: "ablate-overlap", Title: "Parallel roller/arm scheduling (§3.2)"}
 	measure := func(overlap bool) (float64, error) {
 		env := sim.NewEnv()
+		defer env.Close()
 		lib, err := rack.New(env, rack.Config{
 			Rollers: 1, DriveGroups: 1, Media: optical.Media25,
 			PopulateAll: true, Overlap: overlap,
@@ -374,6 +381,7 @@ func AblationStreamIsolation() (Result, error) {
 	// has its own array.
 	measure := func(isolated bool) (float64, error) {
 		env := sim.NewEnv()
+		defer env.Close()
 		mk := func() *pagecache.Volume {
 			hdds := make([]blockdev.Device, 7)
 			for i := range hdds {

@@ -137,6 +137,7 @@ func ClusterFailover() (Result, error) {
 		rows = append(rows, r)
 		cl.Stop()
 		env.Run()
+		env.Close()
 	}
 	for _, r := range rows {
 		pre := fmt.Sprintf("%d rack(s)", r.racks)

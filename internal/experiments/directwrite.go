@@ -29,6 +29,7 @@ func AblationDirectWrite() (Result, error) {
 	if err != nil {
 		return res, err
 	}
+	defer bedA.Env.Close()
 	stack := samba.Wrap(bedA.Env, fuse.Wrap(bedA.FS, fuse.DefaultOptions()), samba.DefaultOptions())
 	var nasMBps float64
 	err = bedA.Run(func(p *sim.Proc) error {
@@ -57,6 +58,7 @@ func AblationDirectWrite() (Result, error) {
 	if err != nil {
 		return res, err
 	}
+	defer bedB.Env.Close()
 	var directMBps float64
 	var drainLag time.Duration
 	err = bedB.Run(func(p *sim.Proc) error {

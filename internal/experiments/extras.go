@@ -68,6 +68,7 @@ func MVRecovery() (Result, error) {
 	if err != nil {
 		return res, err
 	}
+	defer bed.Env.Close()
 	fs := bed.FS
 	const arrays = 3
 	var recoverTime time.Duration

@@ -140,6 +140,7 @@ func Fig6() (Result, error) {
 			return res, err
 		}
 		sr, err := measureStack(env, fs, c.name)
+		env.Close()
 		if err != nil {
 			return res, err
 		}

@@ -30,6 +30,7 @@ func Fig7() (Result, error) {
 	if err != nil {
 		return res, err
 	}
+	defer bed.Env.Close()
 	fs := bed.FS
 	smb := samba.Wrap(bed.Env, fs, samba.DefaultOptions())
 

@@ -13,6 +13,7 @@ import (
 func Fig8() (Result, error) {
 	res := Result{ID: "fig8", Title: "Single-drive 25GB recording curve (§5.4)"}
 	env := sim.NewEnv()
+	defer env.Close()
 	dr := optical.NewDrive(env, "d0", nil)
 	disc := optical.NewDisc("x", optical.Media25)
 	var rep optical.BurnReport
@@ -48,6 +49,7 @@ func Fig8() (Result, error) {
 func Fig9() (Result, error) {
 	res := Result{ID: "fig9", Title: "Aggregate 12-drive 25GB array burn (§5.4)"}
 	env := sim.NewEnv()
+	defer env.Close()
 	sharer := optical.NewSharer(env, 380e6)
 	const stagger = 38 * time.Second
 	perDrive := make([][]tsample, 12)
@@ -132,6 +134,7 @@ func rateAt(s []tsample, t time.Duration) float64 {
 func Fig10() (Result, error) {
 	res := Result{ID: "fig10", Title: "Single-drive 100GB recording curve (§5.4)"}
 	env := sim.NewEnv()
+	defer env.Close()
 	env.Seed(17)
 	dr := optical.NewDrive(env, "d0", nil)
 	disc := optical.NewDisc("x", optical.Media100)

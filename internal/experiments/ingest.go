@@ -130,6 +130,7 @@ func runIngest(batch writepath.BatchConfig, horizon time.Duration) (ingestRun, e
 	if err != nil {
 		return ingestRun{}, err
 	}
+	defer bed.Env.Close()
 	fs := bed.FS
 	type workerOut struct {
 		lats  []time.Duration

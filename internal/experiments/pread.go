@@ -32,6 +32,7 @@ func AblationParallelRead() (Result, error) {
 		if err != nil {
 			return 0, 0, err
 		}
+		defer bed.Env.Close()
 		fs := bed.FS
 		err = bed.Run(func(p *sim.Proc) error {
 			// One bucket per data disc: an 11+1 tray burns in one batch.

@@ -51,6 +51,7 @@ func AblationScheduler() (Result, error) {
 		if err != nil {
 			return out, err
 		}
+		defer bed.Env.Close()
 		fs := bed.FS
 		travelCtr := fs.Obs().Counter("sched.arm_travel_layers")
 		var lats []time.Duration

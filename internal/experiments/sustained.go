@@ -93,6 +93,7 @@ func runSustained(rate float64, horizon time.Duration) ([]Point, float64, error)
 	if err != nil {
 		return nil, 0, err
 	}
+	defer bed.Env.Close()
 	fs := bed.FS
 	const discBytes = 25e9
 	interval := time.Duration(discBytes / rate * float64(time.Second))

@@ -34,6 +34,7 @@ func Table1() (Result, error) {
 	if err != nil {
 		return res, err
 	}
+	defer bed.Env.Close()
 	fs := bed.FS
 	var latBucket, latImage, latDrive, latFree, latSwap, latBusy time.Duration
 	err = bed.Run(func(p *sim.Proc) error {

@@ -16,6 +16,7 @@ func Table2() (Result, error) {
 	res := Result{ID: "table2", Title: "Optical drive read speeds (§5.4)"}
 	single := func(m optical.MediaType) (float64, error) {
 		env := sim.NewEnv()
+		defer env.Close()
 		dr := optical.NewDrive(env, "d0", nil)
 		disc := optical.NewDisc("x", m)
 		var rate float64
@@ -39,6 +40,7 @@ func Table2() (Result, error) {
 	}
 	aggregate := func(m optical.MediaType) (float64, error) {
 		env := sim.NewEnv()
+		defer env.Close()
 		sharer := optical.NewSharer(env, 0)
 		const perDrive = 100 << 20
 		var firstErr error
@@ -100,6 +102,7 @@ func Table3() (Result, error) {
 	res := Result{ID: "table3", Title: "Mechanical load/unload latency (§5.5)"}
 	measure := func(layer int) (load, unload float64, err error) {
 		env := sim.NewEnv()
+		defer env.Close()
 		lib, e := rack.New(env, rack.Config{
 			Rollers: 1, DriveGroups: 1, Media: optical.Media25, PopulateAll: true,
 		})

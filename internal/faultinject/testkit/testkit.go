@@ -49,6 +49,7 @@ type Options struct {
 func New(t *testing.T, opt Options) *Bed {
 	t.Helper()
 	env := sim.NewEnv()
+	t.Cleanup(env.Close)
 	seed := opt.Seed
 	if seed == 0 {
 		seed = 1

@@ -13,6 +13,7 @@ import (
 func newFS(t *testing.T) (*sim.Env, *extfs.FS) {
 	t.Helper()
 	env := sim.NewEnv()
+	t.Cleanup(env.Close)
 	disk := blockdev.New(env, 2<<30, blockdev.HDDProfile())
 	return env, extfs.New(env, pagecache.New(env, disk, pagecache.Ext4Rates()))
 }

@@ -20,6 +20,7 @@ import (
 func newStore(t *testing.T) (*sim.Env, *Store, *olfs.FS) {
 	t.Helper()
 	env := sim.NewEnv()
+	t.Cleanup(env.Close)
 	lib, err := rack.New(env, rack.Config{Rollers: 1, DriveGroups: 2, Media: optical.Media25, PopulateAll: true})
 	if err != nil {
 		t.Fatal(err)

@@ -64,6 +64,7 @@ func TestParseRules(t *testing.T) {
 func alertHarness(t *testing.T, rules string) (*sim.Env, *Registry, *Sampler, *AlertEngine) {
 	t.Helper()
 	env := sim.NewEnv()
+	t.Cleanup(env.Close)
 	reg := New(env)
 	s := NewSampler(env, SamplerConfig{Interval: 10 * time.Second, Window: 30 * time.Second})
 	s.AddSource("", reg)

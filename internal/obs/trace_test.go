@@ -13,6 +13,7 @@ import (
 func traceBed(t *testing.T, cfg TracerConfig, fn func(p *sim.Proc, tr *Tracer)) *Tracer {
 	t.Helper()
 	env := sim.NewEnv()
+	t.Cleanup(env.Close)
 	tr := NewTracer(env, cfg)
 	env.Go("req", func(p *sim.Proc) { fn(p, tr) })
 	env.Run()

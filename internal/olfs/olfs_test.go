@@ -31,6 +31,7 @@ type testbed struct {
 func newBed(t *testing.T, mod func(*Config)) *testbed {
 	t.Helper()
 	env := sim.NewEnv()
+	t.Cleanup(env.Close)
 	lib, err := rack.New(env, rack.Config{
 		Rollers: 1, DriveGroups: 2, Media: optical.Media25, PopulateAll: true,
 	})

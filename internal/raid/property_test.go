@@ -51,6 +51,7 @@ func runSweepCase(t *testing.T, c sweepCase, withinBound bool) {
 	t.Helper()
 	const su = 4 << 10
 	env := sim.NewEnv()
+	t.Cleanup(env.Close)
 	a, disks := newArray(t, env, c.level, c.n, 256<<10, su)
 	// Enough rotations that every device serves data and parity roles, plus
 	// a partial trailing stripe to cover the short-read path.

@@ -33,6 +33,7 @@ func (c *countingFS) Create(p *sim.Proc, path string) (vfs.File, error) {
 func newStack(t *testing.T, opts Options) (*sim.Env, *FS, *countingFS) {
 	t.Helper()
 	env := sim.NewEnv()
+	t.Cleanup(env.Close)
 	disk := blockdev.New(env, 1<<30, blockdev.HDDProfile())
 	inner := &countingFS{FileSystem: extfs.New(env, pagecache.New(env, disk, pagecache.Ext4Rates()))}
 	return env, Wrap(env, inner, opts), inner

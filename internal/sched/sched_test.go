@@ -12,6 +12,7 @@ import (
 func newLib(t *testing.T, groups int) (*sim.Env, *rack.Library) {
 	t.Helper()
 	env := sim.NewEnv()
+	t.Cleanup(env.Close)
 	lib, err := rack.New(env, rack.Config{
 		Rollers: 1, DriveGroups: groups, Media: optical.Media25, PopulateAll: true,
 	})

@@ -1,14 +1,32 @@
 // Package sim implements a deterministic discrete-event simulation engine.
 //
-// The engine drives "processes" — ordinary goroutines that cooperate with a
-// central scheduler so that exactly one process runs at a time. Virtual time
-// advances instantly between events, which lets ROS model minute-scale
-// mechanical and disc-burning delays in microseconds of host time while
-// preserving ordering, contention and FIFO fairness.
+// The engine drives "processes": functions that run one at a time, each on a
+// coroutine (iter.Pull), so a switch between the dispatch loop and a process
+// is a direct transfer of control with no channel and no scheduler wakeup.
+// Virtual time advances instantly between events, which lets ROS model
+// minute-scale mechanical and disc-burning delays in microseconds of host
+// time while preserving ordering, contention and FIFO fairness. A finished
+// process hands its coroutine to the next one that starts, so a short-lived
+// child (one leg of a RAID fan-out) costs a Proc and a closure, not a
+// goroutine.
+//
+// Run, RunUntil and Step may be called from any goroutine, one at a time —
+// but from one locked to an OS thread only if every earlier call on the Env
+// was made under that lock (the runtime ties a coroutine to the thread-lock
+// state it was created in). A panic in a process surfaces from that call as a
+// *ProcPanic; runtime.Goexit in a process — t.Fatal inside the simulation —
+// ends the calling goroutine. Processes still parked when the event queue
+// drains keep their coroutines until Close unwinds them, after which the Env
+// is collectable.
+//
+// go.mod says "go 1.22" because the out-of-tree bench module pins it;
+// worker.go imports iter under //go:build go1.23, so building needs a
+// Go >= 1.23 toolchain.
 //
 // Typical use:
 //
 //	env := sim.NewEnv()
+//	defer env.Close()
 //	env.Go("burner", func(p *sim.Proc) {
 //	    p.Sleep(675 * time.Second) // burn a 25GB disc
 //	})
@@ -17,7 +35,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -31,14 +48,30 @@ type Env struct {
 	events eventHeap
 	seq    int64
 	strong int // queued events that keep Run alive (everything but weak timers)
-	yield  chan struct{}
 	live   int // processes started and not yet finished
-	parked int // processes blocked on a primitive (not in the event heap)
 	rng    *rand.Rand
 	trace  func(t time.Duration, name, msg string)
 	sinks  []func(TraceEvent)
 	faults any // environment-wide fault plane (owned by internal/faultinject)
+
+	running *Proc     // process executing now; nil between events
+	workers []*worker // every coroutine started on this Env
+	idle    []*worker // those with no tenant; the last one freed is reused first
+	closed  bool
+	stats   Stats
 }
+
+// Stats are the engine's own counters (plain fields: sim cannot import obs).
+type Stats struct {
+	Events      int64 // wakeups delivered to a process
+	Spawned     int64 // processes created by Go and GoDaemon
+	Workers     int   // coroutines alive now, tenanted or idle
+	PeakWorkers int   // most alive at once: the peak of started, unfinished processes
+	PeakPending int   // deepest the event queue has been
+}
+
+// Stats returns the engine's counters.
+func (e *Env) Stats() Stats { return e.stats }
 
 // TraceEvent is one structured simulation event: Logf lines (KindLog) and
 // subsystem events published with Emit. Sinks receive events in emission
@@ -72,10 +105,7 @@ const (
 // NewEnv returns a fresh environment with virtual time zero and a
 // deterministic random source.
 func NewEnv() *Env {
-	return &Env{
-		yield: make(chan struct{}),
-		rng:   rand.New(rand.NewSource(1)),
-	}
+	return &Env{rng: rand.New(rand.NewSource(1))}
 }
 
 // Seed reseeds the environment's deterministic random source.
@@ -139,54 +169,42 @@ func (e *Env) GoDaemon(name string, fn func(p *Proc)) *Proc {
 }
 
 func (e *Env) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan struct{}), daemon: daemon}
+	e.mustBeOpen()
+	p := &Proc{env: e, name: name, fn: fn, daemon: daemon}
 	if !daemon {
 		e.live++
 	}
-	go func() {
-		// The completion handshake runs in a defer so that a process which
-		// exits abnormally — e.g. a test calling t.Fatal (runtime.Goexit)
-		// from inside the simulation — still hands control back to the
-		// scheduler instead of deadlocking it.
-		defer func() {
-			p.finished = true
-			if !daemon {
-				e.live--
-			}
-			e.yield <- struct{}{}
-		}()
-		<-p.resume
-		fn(p)
-	}()
+	e.stats.Spawned++
 	e.schedule(e.now, p)
 	return p
 }
 
 // schedule enqueues a wakeup for p at virtual time t.
 func (e *Env) schedule(t time.Duration, p *Proc) {
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
 	e.strong++
-	heap.Push(&e.events, &event{t: t, seq: e.seq, p: p})
+	e.push(t, p, false)
 }
 
 // scheduleWeak enqueues a weak wakeup: it fires in time order like any other
 // event while the simulation has work, but does not by itself keep Run alive.
 // Periodic observers (the telemetry sampler) use it so that a forever-ticking
 // daemon never prevents a workload from draining to quiescence.
-func (e *Env) scheduleWeak(t time.Duration, p *Proc) {
+func (e *Env) scheduleWeak(t time.Duration, p *Proc) { e.push(t, p, true) }
+
+func (e *Env) push(t time.Duration, p *Proc, weak bool) {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	heap.Push(&e.events, &event{t: t, seq: e.seq, p: p, weak: true})
+	e.events.push(event{t: t, seq: e.seq, p: p, weak: weak})
+	if n := len(e.events); n > e.stats.PeakPending {
+		e.stats.PeakPending = n
+	}
 }
 
 // Run executes events until the event queue is empty. Processes that remain
-// parked on a Resource, Signal or Queue when the queue drains are abandoned
-// (their goroutines stay blocked); Deadlocked reports whether that happened.
+// parked on a Resource, Signal or Queue when the queue drains stay suspended
+// (Close unwinds them); Deadlocked reports whether that happened.
 func (e *Env) Run() {
 	e.RunUntil(-1)
 }
@@ -199,44 +217,47 @@ func (e *Env) Run() {
 // return the virtual clock rests at the time of the last executed event (Run)
 // or at limit (RunUntil with pending later events).
 func (e *Env) RunUntil(limit time.Duration) {
+	e.mustBeOpen()
 	for len(e.events) > 0 {
-		ev := e.events[0]
-		if limit >= 0 && ev.t > limit {
+		if limit >= 0 && e.events[0].t > limit {
 			e.now = limit
 			return
 		}
 		if limit < 0 && e.strong == 0 {
 			return // only weak timer wakeups remain: quiescent
 		}
-		heap.Pop(&e.events)
-		if !ev.weak {
-			e.strong--
-		}
-		if ev.p.finished {
-			continue // stale wakeup for a process that already exited
-		}
-		e.now = ev.t
-		ev.p.resume <- struct{}{}
-		<-e.yield
+		e.step()
 	}
 }
 
 // Step executes a single event and reports whether one was available.
 func (e *Env) Step() bool {
+	e.mustBeOpen()
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(*event)
+	e.step()
+	return true
+}
+
+// step pops the earliest event and runs its process until it parks or ends.
+func (e *Env) step() {
+	ev := e.events.pop()
 	if !ev.weak {
 		e.strong--
 	}
 	if ev.p.finished {
-		return true
+		return // stale wakeup for a process that already exited
 	}
 	e.now = ev.t
-	ev.p.resume <- struct{}{}
-	<-e.yield
-	return true
+	e.stats.Events++
+	e.dispatch(ev.p)
+}
+
+func (e *Env) mustBeOpen() {
+	if e.closed {
+		panic("sim: use of a closed Env")
+	}
 }
 
 // Deadlocked reports whether live processes remain parked with no pending
@@ -263,33 +284,68 @@ type event struct {
 	weak bool
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+func (a event) before(b event) bool {
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	return a.seq < b.seq
 }
 
-// Proc is a simulation process: a goroutine scheduled cooperatively by its
-// Env. All blocking methods (Sleep, Resource.Acquire, ...) must be called
-// from the process's own goroutine.
+// eventHeap is a binary min-heap of events held by value: pushing and popping
+// allocate nothing once the slice has grown to the simulation's depth.
+type eventHeap []event
+
+func (h *eventHeap) push(ev event) {
+	s := append(*h, ev)
+	i := len(s) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !ev.before(s[up]) {
+			break
+		}
+		s[i] = s[up]
+		i = up
+	}
+	s[i] = ev
+	*h = s
+}
+
+func (h *eventHeap) pop() event {
+	s := *h
+	top, n := s[0], len(s)-1
+	ev := s[n]
+	s[n] = event{} // drop the *Proc so a finished process is collectable
+	s = s[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s[c+1].before(s[c]) {
+			c++
+		}
+		if !s[c].before(ev) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	if n > 0 {
+		s[i] = ev
+	}
+	*h = s
+	return top
+}
+
+// Proc is a simulation process: a function run cooperatively by its Env on a
+// coroutine. All blocking methods (Sleep, Resource.Acquire, ...) must be
+// called from within the process's own function.
 type Proc struct {
 	env      *Env
 	name     string
-	resume   chan struct{}
+	fn       func(p *Proc) // the body; nil once finished
+	w        *worker       // its coroutine, from first dispatch until it finishes
 	finished bool
 	daemon   bool
 	tctx     any // request-scoped trace context (owned by internal/obs)
@@ -355,16 +411,6 @@ func (p *Proc) Logf(format string, args ...interface{}) {
 		p.env.trace(p.env.now, p.name, msg)
 	}
 	p.env.Emit(KindLog, p.name, msg)
-}
-
-// park hands control back to the scheduler and blocks until resumed. The
-// caller must have arranged a future wakeup (a scheduled event or membership
-// in some wait queue).
-func (p *Proc) park() {
-	p.env.parked++
-	p.env.yield <- struct{}{}
-	<-p.resume
-	p.env.parked--
 }
 
 // wake schedules an immediate resumption of a parked process.

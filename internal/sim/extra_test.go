@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -113,23 +112,4 @@ func TestResourceWaitingCount(t *testing.T) {
 		})
 	}
 	env.Run()
-}
-
-func TestGoexitDuringProcessDoesNotHangScheduler(t *testing.T) {
-	// Simulates t.Fatal inside a simulation process: the goroutine exits via
-	// runtime.Goexit; the scheduler must keep running other processes.
-	env := NewEnv()
-	other := false
-	env.Go("fataler", func(p *Proc) {
-		p.Sleep(time.Second)
-		runtime.Goexit()
-	})
-	env.Go("other", func(p *Proc) {
-		p.Sleep(2 * time.Second)
-		other = true
-	})
-	env.Run()
-	if !other {
-		t.Fatal("other process starved after a Goexit")
-	}
 }

@@ -100,6 +100,7 @@ func (f *memFile) Close(p *sim.Proc) error {
 func inSim(t *testing.T, fn func(p *sim.Proc)) {
 	t.Helper()
 	env := sim.NewEnv()
+	t.Cleanup(env.Close)
 	env.Go("t", fn)
 	env.Run()
 	if env.Deadlocked() {

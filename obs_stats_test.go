@@ -19,6 +19,7 @@ func runObsWorkload(t *testing.T) (Stats, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(sys.Close)
 	err = sys.Do(func(p *Proc) error {
 		for i := 0; i < 3; i++ {
 			name := "/data/part-" + string(rune('a'+i))

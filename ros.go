@@ -12,6 +12,7 @@
 // Quick start:
 //
 //	sys, _ := ros.New(ros.Options{})
+//	defer sys.Close()
 //	sys.Do(func(p *sim.Proc) error {
 //	    if err := sys.FS.WriteFile(p, "/archive/report.pdf", data); err != nil {
 //	        return err
@@ -358,6 +359,12 @@ func (s *System) Do(fn func(p *Proc) error) error {
 	return err
 }
 
+// Close ends every simulation process of the System (sim.Env.Close) so that
+// the System and the buffers its daemons hold can be garbage-collected. Call
+// it from outside the simulation when done with the System; nothing calls it
+// implicitly, and the System cannot run again afterwards.
+func (s *System) Close() { s.Env.Close() }
+
 // Stats is a snapshot of system counters.
 type Stats struct {
 	FilesWritten  int64
@@ -380,6 +387,11 @@ type Stats struct {
 	// histogram (p50/p95/p99) across sim, rack, optical, mv, pagecache and
 	// olfs, sorted by name for deterministic serialization.
 	Obs obs.Snapshot
+
+	// Sim is the simulation engine's own counters (events dispatched,
+	// processes spawned, coroutines alive and at peak, peak event-queue
+	// depth). They are host-side facts, so they stay out of the Obs registry.
+	Sim sim.Stats
 }
 
 // Stats returns the current counters. In cluster mode the Obs snapshot is
@@ -404,6 +416,7 @@ func (s *System) Stats() Stats {
 		Unloads:       s.Library.Unloads,
 		TotalDiscs:    s.Library.TotalDiscs(),
 		Obs:           s.MergedObs(),
+		Sim:           s.Env.Stats(),
 	}
 }
 

@@ -2,6 +2,8 @@ package ros
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -11,6 +13,7 @@ func TestSystemQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(sys.Close)
 	data := bytes.Repeat([]byte{0xA5}, 100<<10)
 	err = sys.Do(func(p *Proc) error {
 		if err := sys.FS.WriteFile(p, "/docs/hello.bin", data); err != nil {
@@ -39,6 +42,7 @@ func TestSystemAutoBurnPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(sys.Close)
 	err = sys.Do(func(p *Proc) error {
 		// ~3 MB across 1 MB buckets seals enough images for an auto burn.
 		for i := 0; i < 3; i++ {
@@ -88,6 +92,7 @@ func TestDisableAutoBurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(sys.Close)
 	err = sys.Do(func(p *Proc) error {
 		for i := 0; i < 3; i++ {
 			if err := sys.FS.WriteFile(p, "/d/f"+string(rune('0'+i)), bytes.Repeat([]byte{1}, 900<<10)); err != nil {
@@ -102,5 +107,51 @@ func TestDisableAutoBurn(t *testing.T) {
 	}
 	if sys.Stats().BurnTasks != 0 {
 		t.Error("burn ran despite DisableAutoBurn")
+	}
+}
+
+// TestClosedSystemIsFreed builds, runs and closes six default Systems that
+// each write 50 MB and burn it. Close must end every coroutine, so nothing
+// pins a finished System: the goroutine count returns to where it started and
+// the heap after a collection does not grow from one System to the next.
+func TestClosedSystemIsFreed(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	var first uint64
+	for i := 0; i < 6; i++ {
+		sys, err := New(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = sys.Do(func(p *Proc) error {
+			for f := 0; f < 50; f++ {
+				if err := sys.FS.WriteFile(p, fmt.Sprintf("/freed/f%02d", f), bytes.Repeat([]byte{byte(f + 1)}, 1<<20)); err != nil {
+					return err
+				}
+			}
+			p.Sleep(3 * time.Hour) // drain the burn pipeline
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := sys.Stats()
+		if st.BurnTasks == 0 || st.Sim.Events == 0 || st.Sim.PeakWorkers == 0 || st.Sim.Workers > st.Sim.PeakWorkers {
+			t.Fatalf("system %d: BurnTasks = %d, Sim = %+v", i, st.BurnTasks, st.Sim)
+		}
+		sys.Close()
+		sys = nil
+
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		if i == 0 {
+			first = m.HeapAlloc
+		} else if m.HeapAlloc > first+64<<20 {
+			t.Fatalf("heap after closing system %d is %d MB, %d MB after the first: closed Systems are still pinned",
+				i+1, m.HeapAlloc>>20, first>>20)
+		}
+		if n := runtime.NumGoroutine(); n != goroutines {
+			t.Fatalf("%d goroutines after closing system %d, %d before the first was built", n, i+1, goroutines)
+		}
 	}
 }

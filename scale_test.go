@@ -21,6 +21,7 @@ func TestPrototypeScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(sys.Close)
 	if got := sys.Stats().TotalDiscs; got != 12240 {
 		t.Fatalf("TotalDiscs = %d, want 12240 (§5.1)", got)
 	}
@@ -91,6 +92,7 @@ func TestCrossRollerBurnAndFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(sys.Close)
 	// Exhaust roller 0: mark every tray Used so FindEmptyTray must go to
 	// roller 1.
 	for l := 0; l < rack.LayersPerRoller; l++ {

@@ -25,6 +25,7 @@ func telemetryWorkload(t *testing.T, seed int64) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(sys.Close)
 	sys.Faults.Arm(faultinject.Rule{Point: faultinject.PointDriveDead, Count: 1})
 	err = sys.Do(func(p *Proc) error {
 		for i := 0; i < 6; i++ {
@@ -124,6 +125,7 @@ func TestClusterTelemetryLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(sys.Close)
 	err = sys.Do(func(p *sim.Proc) error {
 		for i := 0; i < 9; i++ {
 			if err := sys.Cluster.WriteFile(p, fmt.Sprintf("/f%d", i), []byte("x")); err != nil {

@@ -24,6 +24,7 @@ func TestColdReadTraceChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(sys.Close)
 	err = sys.Do(func(p *Proc) error {
 		for i := 0; i < 3; i++ {
 			name := "/data/part-" + string(rune('a'+i))

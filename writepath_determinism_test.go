@@ -27,6 +27,7 @@ func TestWritepathDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer sys.Close()
 		outs, _, err := driveOverload(sys, 6*time.Hour)
 		if err != nil {
 			t.Fatal(err)

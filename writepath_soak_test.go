@@ -60,12 +60,30 @@ func soakOptions() Options {
 	}
 }
 
+// soakPayload returns n bytes of b[i] = seed + byte(i*7). The pattern repeats
+// every 256 bytes, so one period is computed and the rest is copied.
 func soakPayload(n int, seed byte) []byte {
 	b := make([]byte, n)
-	for i := range b {
+	period := min(n, 256)
+	for i := 0; i < period; i++ {
 		b[i] = seed + byte(i*7)
 	}
+	for filled := period; filled < n; filled *= 2 {
+		copy(b[filled:], b[:filled])
+	}
 	return b
+}
+
+func TestSoakPayloadPattern(t *testing.T) {
+	for _, n := range []int{0, 1, 255, 256, 257, 1000, soakWriteSize} {
+		for _, seed := range []byte{0, 37, 255} {
+			for i, got := range soakPayload(n, seed) {
+				if want := seed + byte(i*7); got != want {
+					t.Fatalf("soakPayload(%d, %d)[%d] = %d, want %d", n, seed, i, got, want)
+				}
+			}
+		}
+	}
 }
 
 // driveOverload runs the closed-loop ingest for horizon, then drains the
@@ -136,6 +154,7 @@ func TestOverloadSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(sys.Close)
 	outs, burned, err := driveOverload(sys, horizon)
 	if err != nil {
 		t.Fatal(err)
