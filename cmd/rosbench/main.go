@@ -23,7 +23,7 @@
 // racks, degraded-rack and offline-primary read p95):
 //
 //	rosbench -cluster
-//	rosbench -cluster -json BENCH_PR8.json
+//	rosbench -cluster -json cluster.json
 package main
 
 import (

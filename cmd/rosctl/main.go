@@ -361,15 +361,14 @@ func dispatch(sys *ros.System, p *sim.Proc, fields []string) error {
 		d := fs.Sched().Depths()
 		fmt.Printf("  sched (%s): queued %d interactive, %d prefetch, %d burn, %d scrub\n",
 			fs.Sched().Config().Policy, d[sched.Interactive], d[sched.Prefetch], d[sched.Burn], d[sched.Scrub])
-		wp := fs.WritePath()
-		adm := wp.Admission()
+		adm := fs.WritePath().Admission()
 		congested := ""
 		if adm.Congested() {
 			congested = " CONGESTED"
 		}
 		cap := adm.Config().CapacityBytes
-		fmt.Printf("  writepath: batch=%s, groups=%d; admission %d/%d bytes inflight (%d%%)%s\n",
-			wp.BatchMode(), wp.Groups(),
+		fmt.Printf("  writepath: burns=%d; admission %d/%d bytes inflight (%d%%)%s\n",
+			st.BurnTasks,
 			adm.InflightBytes(), cap,
 			adm.InflightBytes()*100/max64(cap, 1), congested)
 		fmt.Printf("  writepath: queued %d, shed %d (peak inflight %d)\n",

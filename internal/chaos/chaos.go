@@ -17,9 +17,9 @@
 //     pipeline).
 //  3. Oracle: every acknowledged write must read back byte-for-byte, every
 //     parity group must verify clean, the catalog must be consistent (every
-//     placed image lives on a Used tray), the observability layer must have
-//     no open spans, and stopping the system must leave no live or
-//     deadlocked simulation processes.
+//     placed image lives on a Used tray and every Used tray holds a placed
+//     image), the observability layer must have no open spans, and stopping
+//     the system must leave no live or deadlocked simulation processes.
 //
 // With Opts.Racks > 1 the campaign targets the multi-rack federation instead:
 // writes, reads and handles route through the cluster namespace, the worker
@@ -774,6 +774,15 @@ func oracle(sys *ros.System, p *sim.Proc, acked []ackedFile, rep *Report) {
 					fmt.Sprintf("catalog: rack %d image %s placed on %v tray %v", ri, k, st, addr.Tray))
 			}
 		}
+		// ...and conversely every Used tray holds a placed image: with the
+		// burn queue drained, an empty one is a blank array that an
+		// abandoned burn reserved and never gave back.
+		for _, tray := range reservedTrays(fs.Cat) {
+			if len(fs.Cat.ImagesOnTray(tray)) == 0 {
+				rep.Violations = append(rep.Violations,
+					fmt.Sprintf("catalog: rack %d tray %v is Used with no placed image", ri, tray))
+			}
+		}
 	}
 }
 
@@ -903,11 +912,24 @@ func fileSystems(sys *ros.System) []*olfs.FS {
 	return out
 }
 
-// usedTrays returns the catalog's Used trays in deterministic order,
-// skipping trays with no placed images: a burn task reserves its tray as
-// Used before burning (§4.1), so an in-flight tray is Used but empty and
-// cannot be scrubbed yet.
+// usedTrays returns the catalog's Used trays that hold placed images, in
+// deterministic order. A burn task reserves its tray as Used before burning
+// (§4.1), so while burns are in flight a tray can be Used but empty, and
+// cannot be scrubbed yet; once the queue has drained the oracle counts an
+// empty one as leaked.
 func usedTrays(cat *image.Catalog) []rack.TrayID {
+	var out []rack.TrayID
+	for _, id := range reservedTrays(cat) {
+		if len(cat.ImagesOnTray(id)) > 0 {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// reservedTrays returns every tray the catalog marks Used, burned or only
+// reserved, in deterministic order.
+func reservedTrays(cat *image.Catalog) []rack.TrayID {
 	keys := make([]string, 0, len(cat.DA))
 	for k, st := range cat.DA {
 		if st == image.DAUsed {
@@ -919,9 +941,6 @@ func usedTrays(cat *image.Catalog) []rack.TrayID {
 	for _, k := range keys {
 		var id rack.TrayID
 		if _, err := fmt.Sscanf(k, "r%d/L%d/S%d", &id.Roller, &id.Layer, &id.Slot); err != nil {
-			continue
-		}
-		if len(cat.ImagesOnTray(id)) == 0 {
 			continue
 		}
 		out = append(out, id)

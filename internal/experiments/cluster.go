@@ -14,11 +14,11 @@ import (
 
 // ClusterFailover measures the multi-rack federation (internal/cluster): read
 // latency scaling over 1/2/4 racks, the cost of serving from a degraded rack,
-// and failover behaviour with the primary rack offline. It is the PR's
-// BENCH_PR8 scaling run: the interesting shape is that degraded-rack reads
-// stay close to healthy reads whenever a second replica exists (selection
-// steers around the sick rack), and that an offline primary costs zero failed
-// reads — only failovers.
+// and failover behaviour with the primary rack offline. The interesting
+// shape of this scaling run is that degraded-rack reads stay close to healthy
+// reads whenever a second replica exists (selection steers around the sick
+// rack), and that an offline primary costs zero failed reads — only
+// failovers.
 func ClusterFailover() (Result, error) {
 	res := Result{
 		ID:     "cluster-failover",

@@ -11,19 +11,18 @@ import (
 	"ros/internal/writepath"
 )
 
-// IngestBench is the PR-10 write-path benchmark: a closed-loop ingest
-// workload driven against the three burn-batching disciplines —
+// IngestBench is the write-path benchmark: a closed-loop ingest workload
+// driven against the burn pipeline at its two set sizes —
 //
-//	single-image   one data image per tray trip (ablation baseline)
-//	per-set        one full image set per trip (the legacy pipeline)
-//	group-commit   several sets back-to-back under one scheduler claim
+//	single-image   one data image per tray trip (sensitivity baseline)
+//	per-set        one full image set per trip (the shipped pipeline)
 //
 // The closed loop offers far more than the burners can drain (each worker
 // issues its next write the moment the previous one is acknowledged, and
 // the disk buffer absorbs writes orders of magnitude faster than the
-// optical drain), so every leg runs in sustained overload — the regime
+// optical drain), so both legs run in sustained overload — the regime
 // where admission control must keep the buffer bounded and ack latency
-// finite. The headline comparisons: batched burn throughput vs the
+// finite. The headline comparisons: per-set burn throughput vs the
 // single-image baseline (mechanical amortization), and the p99 ack latency
 // bound under ≥2x overload (deadline-aware shedding).
 func IngestBench() (Result, error) { return ingestBench(4 * time.Hour) }
@@ -34,62 +33,51 @@ func IngestSmoke() (Result, error) { return ingestBench(45 * time.Minute) }
 func ingestBench(horizon time.Duration) (Result, error) {
 	res := Result{
 		ID:    "ingest",
-		Title: "Closed-loop ingest: burn batching x admission control (PR-10)",
+		Title: "Closed-loop ingest: per-set burns x admission control",
 	}
-	modes := []struct {
-		name  string
-		batch writepath.BatchConfig
-	}{
-		{"single-image", writepath.BatchConfig{SingleImage: true}},
-		{"per-set", writepath.BatchConfig{}},
-		{"group-commit", writepath.BatchConfig{
-			BurnBatchBytes:  16 << 20, // 4 sets of 2 x 2 MB data images
-			BurnBatchLinger: 5 * time.Minute,
-		}},
+	single, err := runIngest(writepath.BatchConfig{SingleImage: true}, horizon)
+	if err != nil {
+		return res, fmt.Errorf("single-image: %w", err)
 	}
-	runs := map[string]ingestRun{}
-	series := map[string][]Point{}
-	for _, m := range modes {
-		r, err := runIngest(m.batch, horizon)
-		if err != nil {
-			return res, fmt.Errorf("%s: %w", m.name, err)
-		}
-		runs[m.name] = r
-		series["ack p99 ms "+m.name] = []Point{{X: 0, Y: float64(r.ackP99.Milliseconds())}}
-		series["burned MB "+m.name] = []Point{{X: 0, Y: r.burnedBytes / 1e6}}
+	set, err := runIngest(writepath.BatchConfig{}, horizon)
+	if err != nil {
+		return res, fmt.Errorf("per-set: %w", err)
 	}
-	res.Series = series
+	res.Series = map[string][]Point{
+		"ack p99 ms single-image": {{X: 0, Y: float64(single.ackP99.Milliseconds())}},
+		"burned MB single-image":  {{X: 0, Y: single.burnedBytes / 1e6}},
+		"ack p99 ms per-set":      {{X: 0, Y: float64(set.ackP99.Milliseconds())}},
+		"burned MB per-set":       {{X: 0, Y: set.burnedBytes / 1e6}},
+	}
 
-	single, batch := runs["single-image"], runs["group-commit"]
-	drainBatch := batch.burnedBytes / horizon.Seconds()
+	drainSet := set.burnedBytes / horizon.Seconds()
 	drainSingle := single.burnedBytes / horizon.Seconds()
 	speedup := 0.0
 	if drainSingle > 0 {
-		speedup = drainBatch / drainSingle
+		speedup = drainSet / drainSingle
 	}
-	offered := batch.offeredBytes / horizon.Seconds()
+	offered := set.offeredBytes / horizon.Seconds()
 	overload := 0.0
-	if drainBatch > 0 {
-		overload = offered / drainBatch
+	if drainSet > 0 {
+		overload = offered / drainSet
 	}
 	res.Metrics = []Metric{
 		{Name: "burn throughput, single-image", Paper: 0, Measured: drainSingle / 1e6, Unit: "MB/s (ablation baseline)"},
-		{Name: "burn throughput, per-set", Paper: 0, Measured: runs["per-set"].burnedBytes / horizon.Seconds() / 1e6, Unit: "MB/s"},
-		{Name: "burn throughput, group-commit", Paper: 0, Measured: drainBatch / 1e6, Unit: "MB/s"},
-		{Name: "batching speedup vs single-image", Paper: 1.5, Measured: speedup, Unit: "x (acceptance: >= 1.5)"},
+		{Name: "burn throughput, per-set", Paper: 0, Measured: drainSet / 1e6, Unit: "MB/s"},
+		{Name: "per-set speedup vs single-image", Paper: 1.5, Measured: speedup, Unit: "x (acceptance: >= 1.5)"},
 		{Name: "offered/drain overload factor", Paper: 2, Measured: overload, Unit: "x (closed loop; acceptance: >= 2)"},
-		{Name: "p99 ack latency under overload", Paper: 0, Measured: batch.ackP99.Seconds(), Unit: "s (bounded by admission MaxWait)"},
-		{Name: "max ack latency under overload", Paper: 0, Measured: batch.ackMax.Seconds(), Unit: "s"},
-		{Name: "acked writes (group-commit)", Paper: 0, Measured: float64(batch.acked), Unit: "writes"},
-		{Name: "shed writes (group-commit)", Paper: 0, Measured: float64(batch.shed), Unit: "writes (all ErrOverload)"},
-		{Name: "peak buffer inflight / capacity", Paper: 0, Measured: batch.peakPct, Unit: "% (never exceeds 100)"},
+		{Name: "p99 ack latency under overload", Paper: 0, Measured: set.ackP99.Seconds(), Unit: "s (bounded by admission MaxWait)"},
+		{Name: "max ack latency under overload", Paper: 0, Measured: set.ackMax.Seconds(), Unit: "s"},
+		{Name: "acked writes (per-set)", Paper: 0, Measured: float64(set.acked), Unit: "writes"},
+		{Name: "shed writes (per-set)", Paper: 0, Measured: float64(set.shed), Unit: "writes (all ErrOverload)"},
+		{Name: "peak buffer inflight / capacity", Paper: 0, Measured: set.peakPct, Unit: "% (never exceeds 100)"},
 	}
 	res.Notes = "closed loop: 4 workers, 256KB writes, next write issued on ack; " +
 		"admission 64MB capacity, deadline shedding at MaxWait; burns fully mechanical"
 	return res, nil
 }
 
-// ingestRun is one mode's measured outcome.
+// ingestRun is one leg's measured outcome.
 type ingestRun struct {
 	acked        int
 	shed         int
@@ -100,7 +88,7 @@ type ingestRun struct {
 	peakPct      float64
 }
 
-// runIngest drives the closed loop against one batching discipline.
+// runIngest drives the closed loop against one burn set size.
 func runIngest(batch writepath.BatchConfig, horizon time.Duration) (ingestRun, error) {
 	const (
 		workers   = 4

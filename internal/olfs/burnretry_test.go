@@ -41,6 +41,24 @@ func burningGroup(bed *testkit.Bed) *rack.DriveGroup {
 	return nil
 }
 
+// interruptFirstBurn starts a process that waits for the first drive group to
+// start burning and interrupts its drive 0 fifty seconds later — mid-track,
+// while the other discs run to completion.
+func interruptFirstBurn(bed *testkit.Bed) {
+	bed.Env.Go("interrupter", func(ip *sim.Proc) {
+		for i := 0; i < 10000; i++ {
+			if g := burningGroup(bed); g != nil {
+				ip.Sleep(50 * time.Second)
+				if g.Drives[0].State() == optical.StateBurning {
+					g.Drives[0].InterruptBurn()
+				}
+				return
+			}
+			ip.Sleep(time.Second)
+		}
+	})
+}
+
 // failedTrays counts catalog trays in the Failed state.
 func failedTrays(bed *testkit.Bed) int {
 	n := 0
@@ -70,18 +88,7 @@ func TestBurnResumeAfterInterrupt(t *testing.T) {
 
 		// Interrupt drive 0 fifty seconds into its burn; the other two discs
 		// run to completion so the resume only has position 0 left.
-		bed.Env.Go("interrupter", func(ip *sim.Proc) {
-			for i := 0; i < 10000; i++ {
-				if g := burningGroup(bed); g != nil {
-					ip.Sleep(50 * time.Second)
-					if g.Drives[0].State() == optical.StateBurning {
-						g.Drives[0].InterruptBurn()
-					}
-					return
-				}
-				ip.Sleep(time.Second)
-			}
-		})
+		interruptFirstBurn(bed)
 
 		_, burnErr = c.Wait(p)
 		if burnErr != nil {
@@ -209,18 +216,7 @@ func TestBurnResumeRunHardFailure(t *testing.T) {
 		c := writeBurnSet(t, bed, p)
 
 		// Phase 1: interrupt drive 0 mid-burn.
-		bed.Env.Go("interrupter", func(ip *sim.Proc) {
-			for i := 0; i < 10000; i++ {
-				if g := burningGroup(bed); g != nil {
-					ip.Sleep(50 * time.Second)
-					if g.Drives[0].State() == optical.StateBurning {
-						g.Drives[0].InterruptBurn()
-					}
-					return
-				}
-				ip.Sleep(time.Second)
-			}
-		})
+		interruptFirstBurn(bed)
 		// Phase 2: once the resume run is burning, occupy its source tray so
 		// the resume's unload hard-fails.
 		bed.Env.Go("saboteur", func(ip *sim.Proc) {
@@ -270,5 +266,86 @@ func TestBurnResumeRunHardFailure(t *testing.T) {
 	}
 	if open := bed.FS.Obs().OpenSpans(); open != 0 {
 		t.Errorf("open spans = %d, want 0", open)
+	}
+}
+
+// usedWithoutImages lists catalog trays that are Used yet hold no placed
+// image — the footprint of a blank array leaked by an abandoned burn.
+func usedWithoutImages(bed *testkit.Bed) []string {
+	var out []string
+	for l := 0; l < rack.LayersPerRoller; l++ {
+		for s := 0; s < rack.SlotsPerLayer; s++ {
+			id := rack.TrayID{Layer: l, Slot: s}
+			if bed.FS.Cat.DAState(id) == image.DAUsed && len(bed.FS.Cat.ImagesOnTray(id)) == 0 {
+				out = append(out, id.String())
+			}
+		}
+	}
+	return out
+}
+
+// TestAbandonedBurnReleasesTray: a burn reserves its blank tray as Used
+// before it claims a drive group. When the tray's load then fails the task is
+// abandoned, and the reservation used to stay behind for ever: a whole blank
+// array lost to FindEmptyTray, and a tray the scrubber revisits every pass.
+// The load fails before any disc moves, so the tray must go back to Empty and
+// the next burn must reuse it.
+func TestAbandonedBurnReleasesTray(t *testing.T) {
+	bed := testkit.New(t, testkit.Options{Faults: "rack.tray.load:once", Config: noAutoBurn})
+	bed.Run(t, func(p *sim.Proc) {
+		reserved, ok := bed.FS.Cat.FindEmptyTray(bed.Lib)
+		if !ok {
+			t.Fatal("no blank tray")
+		}
+		c := writeBurnSet(t, bed, p)
+		if _, err := c.Wait(p); err == nil {
+			t.Fatal("burn whose tray load failed reported success")
+		}
+		if leaked := usedWithoutImages(bed); len(leaked) != 0 {
+			t.Errorf("trays left Used with no images after the abandoned burn: %v", leaked)
+		}
+		if n := len(bed.FS.Buckets.FilledUnburned()); n != 2 {
+			t.Errorf("filled unburned images = %d, want 2 (back in the buffer)", n)
+		}
+		c, err := bed.FS.FlushAndBurn(p)
+		if err != nil {
+			t.Fatalf("second FlushAndBurn: %v", err)
+		}
+		if _, err := c.Wait(p); err != nil {
+			t.Fatalf("second burn: %v", err)
+		}
+		if n := len(bed.FS.Cat.ImagesOnTray(reserved)); n != 3 {
+			t.Errorf("images on the released tray %v = %d, want 3 (2 data + 1 parity)", reserved, n)
+		}
+	})
+	if n := failedTrays(bed); n != 0 {
+		t.Errorf("failed trays = %d, want 0 (nothing was burned)", n)
+	}
+}
+
+// TestAbandonedResumeFailsTray: the same abandon path, but the load that
+// fails is the reload of an interrupted burn. That tray carries partial
+// tracks, so it must end Failed — neither leaked as Used nor handed out again
+// as blank.
+func TestAbandonedResumeFailsTray(t *testing.T) {
+	bed := testkit.New(t, testkit.Options{Faults: "rack.tray.load:once,after=1", Config: noAutoBurn})
+	bed.Run(t, func(p *sim.Proc) {
+		c := writeBurnSet(t, bed, p)
+		interruptFirstBurn(bed)
+		if _, err := c.Wait(p); err == nil {
+			t.Fatal("burn whose resume reload failed reported success")
+		}
+	})
+	if bed.FS.InterruptedBs != 1 || bed.FS.BurnResumes != 1 {
+		t.Errorf("interrupted=%d resumes=%d, want 1/1", bed.FS.InterruptedBs, bed.FS.BurnResumes)
+	}
+	if leaked := usedWithoutImages(bed); len(leaked) != 0 {
+		t.Errorf("trays left Used with no images: %v", leaked)
+	}
+	if n := failedTrays(bed); n != 1 {
+		t.Errorf("failed trays = %d, want 1 (the partially burned one)", n)
+	}
+	if n := len(bed.FS.Buckets.FilledUnburned()); n != 2 {
+		t.Errorf("filled unburned images = %d, want 2", n)
 	}
 }

@@ -105,11 +105,11 @@ type Config struct {
 	// aging, SCAN fetch ordering and LRU+demand victim selection.
 	Sched sched.Config
 
-	// Write configures the write-path group-commit burn batching and the
-	// admission token bucket (internal/writepath). The zero value keeps
-	// the legacy discipline: one burn group per full set, byte accounting
-	// on, blocking admission off. A zero Admission.CapacityBytes defaults
-	// to the write buffer's total bucket capacity.
+	// Write configures the admission token bucket (internal/writepath).
+	// The zero value keeps byte accounting on and blocking admission off; a
+	// zero Admission.CapacityBytes defaults to the write buffer's total
+	// bucket capacity. Write.Batch.SingleImage is the bench's one-image-
+	// per-tray sensitivity switch.
 	Write writepath.Config
 
 	// Obs is the metrics registry to record into. Nil falls back to the
@@ -180,11 +180,11 @@ type FS struct {
 
 	burnQ      *sim.Queue[*burnTask]
 	sched      *sched.Scheduler      // arbitrates drive groups and arm demand
-	wp         *writepath.Controller // admission control + burn-group planning
+	wp         *writepath.Controller // admission control + charge ledger
 	fetches    map[string]*sim.Completion[int]
 	fetchJoins map[string]int // waiters coalesced onto an in-flight fetch
 	mounted    map[*optical.Drive]*udf.Volume
-	strips     image.Strips // parity strip buffers, reused from burn set to burn set
+	strips     image.Strips // parity strip buffers, reused from burn task to burn task
 
 	// groupEpoch[gi] increments every time group gi's tray is unloaded.
 	// fileReader sources and fs.mounted entries record the epoch they were
@@ -254,6 +254,13 @@ type fsMetrics struct {
 	mvCharges     *obs.Counter   // MV index-op costs charged (DirectIO data path)
 	staleSources  *obs.Counter   // read-handle sources invalidated by tray eviction
 	joinRetries   *obs.Counter   // joined fetches retried after the winner failed
+
+	// One task is one set under one claim, so writepath.burn_sets and
+	// writepath.burn_groups always equal burn_tasks. They stay because
+	// bench/layers.go divides one by the other (writepath.sets_per_group);
+	// the pair goes when a benchmark PR drops that metric.
+	burnSets   *obs.Counter
+	burnGroups *obs.Counter
 }
 
 // bindMetrics registers every stats field as an olfs.* counter whose storage
@@ -284,6 +291,8 @@ func (fs *FS) bindMetrics(r *obs.Registry) {
 		mvCharges:     r.Counter("olfs.mv_charges"),
 		staleSources:  r.Counter("olfs.stale_sources"),
 		joinRetries:   r.Counter("olfs.join_retries"),
+		burnSets:      r.Counter("writepath.burn_sets"),
+		burnGroups:    r.Counter("writepath.burn_groups"),
 	}
 	r.Histogram("olfs.burn.latency")
 	r.Histogram("olfs.fetch.latency")
@@ -342,7 +351,6 @@ func New(env *sim.Env, cfg Config, lib *rack.Library, mvBackend mv.Backend, buff
 		wcfg.Admission.CapacityBytes = int64(slots) * discCap
 	}
 	fs.wp = writepath.New(env, wcfg, scfg, reg)
-	fs.wp.OnFlush(fs.maybeEnqueueBurn)
 	// The §4.8 interrupt-burn read policy: when a fetch is starved because
 	// every group is claimed or burning, abort one burning array at its
 	// next chunk boundary; the burn task unloads, requeues itself in
@@ -370,8 +378,8 @@ func New(env *sim.Env, cfg Config, lib *rack.Library, mvBackend mv.Backend, buff
 // queue depths, per-class waits).
 func (fs *FS) Sched() *sched.Scheduler { return fs.sched }
 
-// WritePath returns the write-path controller: admission token bucket,
-// burn-group planner, verify pipeline (operational visibility + tests).
+// WritePath returns the write-path controller: the admission token bucket
+// and its charge ledger (operational visibility + tests).
 func (fs *FS) WritePath() *writepath.Controller { return fs.wp }
 
 // Config returns the effective configuration.
@@ -496,20 +504,11 @@ func (fs *FS) FlushAndBurn(p *sim.Proc) (*sim.Completion[error], error) {
 		return nil, err
 	}
 	fs.curMu.Release()
-	imgs := fs.Buckets.FilledUnburned()
+	tasks := fs.enqueueSets(fs.Buckets.FilledUnburned(), fs.cfg.DataDiscs, true)
 	all := sim.NewCompletion[error](fs.env)
-	if len(imgs) == 0 {
+	if len(tasks) == 0 {
 		all.Resolve(nil, nil)
 		return all, nil
-	}
-	var tasks []*sim.Completion[error]
-	for len(imgs) > 0 {
-		n := fs.cfg.DataDiscs
-		if n > len(imgs) {
-			n = len(imgs)
-		}
-		tasks = append(tasks, fs.enqueueBurn(imgs[:n]))
-		imgs = imgs[n:]
 	}
 	fs.env.Go("flush-join", func(jp *sim.Proc) {
 		var firstErr error
@@ -523,43 +522,43 @@ func (fs *FS) FlushAndBurn(p *sim.Proc) (*sim.Completion[error], error) {
 	return all, nil
 }
 
-// maybeEnqueueBurn asks the write-path planner for burn groups while it
-// has any to give. In the legacy discipline each full data set comes back
-// as its own single-set group (so multiple drive groups still burn
-// concurrently); under group commit several sets return as one group that
-// shares a single sched claim.
+// maybeEnqueueBurn queues a burn task for every full set of sealed images;
+// each is its own task, so several drive groups burn concurrently. A
+// trailing partial set waits for more images or for FlushAndBurn.
 func (fs *FS) maybeEnqueueBurn() {
 	if !fs.cfg.AutoBurn {
 		return
 	}
-	for {
-		ready := fs.Buckets.FilledUnburned()
-		sets := fs.wp.PlanBurn(ready, fs.cfg.DataDiscs)
-		if len(sets) == 0 {
-			return
-		}
-		fs.enqueueBurnGroup(sets)
+	n := fs.cfg.DataDiscs
+	if fs.cfg.Write.Batch.SingleImage {
+		n = 1
 	}
+	fs.enqueueSets(fs.Buckets.FilledUnburned(), n, false)
 }
 
-// enqueueBurn queues one image set as a single-set burn group (the
-// FlushAndBurn path, which bypasses the batching planner).
+// enqueueSets chunks imgs (oldest first) into sets of n data images and
+// queues one burn task per set; a trailing set of fewer than n is queued
+// only when partial is set.
+func (fs *FS) enqueueSets(imgs []*bucket.Bucket, n int, partial bool) []*sim.Completion[error] {
+	var tasks []*sim.Completion[error]
+	for len(imgs) >= n || (partial && len(imgs) > 0) {
+		k := min(n, len(imgs))
+		tasks = append(tasks, fs.enqueueBurn(imgs[:k]))
+		imgs = imgs[k:]
+	}
+	return tasks
+}
+
+// enqueueBurn marks one set's images burning and queues its task.
 func (fs *FS) enqueueBurn(imgs []*bucket.Bucket) *sim.Completion[error] {
-	return fs.enqueueBurnGroup([][]*bucket.Bucket{imgs})
-}
-
-// enqueueBurnGroup marks the group's images burning and queues the task.
-func (fs *FS) enqueueBurnGroup(sets [][]*bucket.Bucket) *sim.Completion[error] {
-	t := &burnTask{done: sim.NewCompletion[error](fs.env)}
-	for _, imgs := range sets {
-		for _, b := range imgs {
-			// Ignore errors: FilledUnburned guarantees the filled state.
-			_ = fs.Buckets.MarkBurning(b)
-		}
-		t.sets = append(t.sets, &burnSet{images: imgs})
+	for _, b := range imgs {
+		// Ignore errors: FilledUnburned guarantees the filled state.
+		_ = fs.Buckets.MarkBurning(b)
 	}
-	fs.m.burnTasks.Add(int64(len(sets)))
-	fs.wp.NoteGroup(sets)
+	t := &burnTask{images: imgs, done: sim.NewCompletion[error](fs.env)}
+	fs.m.burnTasks.Add(1)
+	fs.m.burnSets.Add(1)
+	fs.m.burnGroups.Add(1)
 	fs.burnQ.Push(t)
 	return t.done
 }

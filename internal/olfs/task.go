@@ -14,49 +14,17 @@ import (
 	"ros/internal/udf"
 )
 
-// burnSet is one disc array's worth of a burn group: k data images plus
-// lazily generated parity images, burned onto the 12 discs of one empty
-// tray (BTM + DB + MC).
-type burnSet struct {
-	images    []*bucket.Bucket // data images
-	parity    []*bucket.Bucket // generated on first run (delayed parity, §4.7)
-	tray      *rack.TrayID
-	progress  []burnProg // per-position progress for append-mode resume
-	resumed   bool
-	attempts  int
-	burned    bool // finished successfully
-	abandoned bool // failed hard; images returned to the filled state
-}
-
-// burnTask is one burn group: one or more sets burned back-to-back under a
-// single drive-group claim, so one arm trip and spin-up amortize across
-// the whole group (the writepath group-commit discipline). The legacy
-// pipeline is the single-set case.
+// burnTask is one disc array's worth of burning (BTM + DB + MC): k data
+// images plus lazily generated parity images, burned onto the 12 discs of
+// one empty tray under one drive-group claim.
 type burnTask struct {
-	sets     []*burnSet
+	images   []*bucket.Bucket // data images
+	parity   []*bucket.Bucket // generated on first run (delayed parity, §4.7)
+	tray     *rack.TrayID
+	progress []burnProg // per-position progress for append-mode resume
+	resumed  bool
+	attempts int
 	done     *sim.Completion[error]
-	firstErr error // first permanent per-set failure in the group
-}
-
-// pending returns the sets still awaiting a successful burn.
-func (t *burnTask) pending() []*burnSet {
-	var out []*burnSet
-	for _, s := range t.sets {
-		if !s.burned && !s.abandoned {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// pendingAfter reports whether any set after index i still awaits burning.
-func (t *burnTask) pendingAfter(i int) bool {
-	for _, s := range t.sets[i+1:] {
-		if !s.burned && !s.abandoned {
-			return true
-		}
-	}
-	return false
 }
 
 type burnProg struct {
@@ -134,13 +102,10 @@ func (fs *FS) burnDaemon(p *sim.Proc) {
 	}
 }
 
-// runBurnTask drives one burn group to completion (or failure),
-// re-queueing itself after an interrupt. Each run segment (initial,
-// resumed, retried) is one olfs.burn.latency span, so the histogram
-// records real drive-group occupancy rather than end-to-end task age. The
-// group claims its drive group ONCE and burns its sets back-to-back; for
-// single-set groups (the legacy and default discipline) the pipeline is
-// event-for-event the pre-batching behavior.
+// runBurnTask drives one burn task to completion (or failure), re-queueing
+// itself after an interrupt. Each run segment (initial, resumed, retried) is
+// one olfs.burn.latency span, so the histogram records real drive-group
+// occupancy rather than end-to-end task age.
 func (fs *FS) runBurnTask(p *sim.Proc, t *burnTask) {
 	sp := fs.obs.StartSpan("olfs.burn.latency")
 	defer sp.End()
@@ -148,170 +113,112 @@ func (fs *FS) runBurnTask(p *sim.Proc, t *burnTask) {
 	// (interrupt resume, hard-fail retry) are marked as retried so tail
 	// sampling always captures them.
 	op := fs.tracer.StartOp(p, "olfs.burn", "burn")
-	pending := t.pending()
-	nimg := 0
-	for _, s := range pending {
-		nimg += len(s.images)
-	}
-	op.Annotate("images", fmt.Sprintf("%d", nimg))
-	if len(t.sets) > 1 {
-		op.Annotate("sets", fmt.Sprintf("%d", len(pending)))
-	}
-	resumedAny := false
-	for _, s := range pending {
-		if s.resumed {
-			// This run continues an interrupted burn in append mode. Clear
-			// the flag now: if this run hard-fails, the retry restarts from
-			// scratch on a fresh tray and must not inherit resume bookkeeping.
-			s.resumed = false
-			fs.m.burnResumes.Add(1)
-			resumedAny = true
-		}
-	}
-	if resumedAny {
+	op.Annotate("images", fmt.Sprintf("%d", len(t.images)))
+	if t.resumed {
+		// This run continues an interrupted burn in append mode. Clear the
+		// flag now: if this run hard-fails, the retry restarts from scratch
+		// on a fresh tray and must not inherit resume bookkeeping.
+		t.resumed = false
+		fs.m.burnResumes.Add(1)
 		op.Annotate("resumed", "true")
 	}
 	var opErr error
 	defer func() { op.Finish(p, opErr) }()
+	abandon := func(err error) {
+		opErr = err
+		fs.abandonBurn(t, err)
+	}
 
-	// Parity + blank-tray reservation for every pending set, before any
-	// drive-group claim (legacy order). A set that cannot get parity or a
-	// tray is abandoned; the rest of the group still burns.
-	for _, s := range pending {
-		if s.parity == nil && fs.cfg.ParityDiscs > 0 {
-			if err := fs.generateParity(p, s); err != nil {
-				fs.failBurnSet(t, s, err)
-				continue
-			}
-		}
-		if s.tray == nil {
-			tray, ok := fs.Cat.FindEmptyTray(fs.lib)
-			if !ok {
-				fs.failBurnSet(t, s, ErrNoBlankTray)
-				continue
-			}
-			s.tray = &tray
-			// Reserve immediately ("DAindex_i will be modified to Used when
-			// disc array i is used", §4.1) so a concurrent task can't pick
-			// it too.
-			fs.Cat.SetDAState(tray, image.DAUsed)
+	// Parity and the blank-tray reservation come before the drive-group
+	// claim, so a task waiting for a group holds everything else it needs.
+	if t.parity == nil && fs.cfg.ParityDiscs > 0 {
+		if err := fs.generateParity(p, t); err != nil {
+			abandon(err)
+			return
 		}
 	}
-	pending = t.pending()
-	if len(pending) == 0 {
-		opErr = t.firstErr
-		t.done.Resolve(opErr, opErr)
-		return
+	if t.tray == nil {
+		tray, ok := fs.Cat.FindEmptyTray(fs.lib)
+		if !ok {
+			abandon(ErrNoBlankTray)
+			return
+		}
+		t.tray = &tray
+		// Reserve immediately ("DAindex_i will be modified to Used when
+		// disc array i is used", §4.1) so a concurrent task can't pick
+		// it too.
+		fs.Cat.SetDAState(tray, image.DAUsed)
 	}
-	op.Annotate("tray", pending[0].tray.String())
+	op.Annotate("tray", t.tray.String())
 
-	// One drive-group claim for the whole group.
-	g := fs.sched.AcquireBurn(p, *pending[0].tray)
+	g := fs.sched.AcquireBurn(p, *t.tray)
 	gi := g.Group
+	var err error
 	if g.Evict {
 		fs.unmountGroup(gi)
-		if err := fs.lib.UnloadArray(p, gi, nil); err != nil {
-			fs.sched.Release(gi)
-			opErr = err
-			fs.failPending(t, err)
-			return
-		}
+		err = fs.lib.UnloadArray(p, gi, nil)
 	}
-
-	for si, s := range t.sets {
-		if s.burned || s.abandoned {
-			continue
-		}
-		last := !t.pendingAfter(si)
-		if err := fs.lib.LoadArray(p, *s.tray, gi); err != nil {
-			fs.sched.Release(gi)
-			opErr = err
-			fs.failPending(t, err)
-			return
-		}
-		interrupted, firstErr := fs.burnSetDiscs(p, s, gi)
-		fs.unmountGroup(gi)
-		unloadErr := fs.lib.UnloadArray(p, gi, nil)
-		released := false
-		if last {
-			// Legacy release point: immediately after the final unload,
-			// before outcome handling. Non-final sets keep the claim so the
-			// group's remaining trays burn without re-arbitration.
-			fs.sched.Release(gi)
-			released = true
-		}
-		if unloadErr != nil && firstErr == nil {
-			firstErr = unloadErr
-		}
-		switch {
-		case firstErr != nil:
-			// Hard failure: mark the tray Failed and retry the whole
-			// remaining group once on a new tray. An interrupt observed in
-			// the same run still counts (the preemption happened), but
-			// resume bookkeeping must not leak into the retry: the fresh
-			// tray restarts every disc from scratch.
-			if interrupted {
-				fs.m.interruptedBs.Add(1)
-			}
-			fs.Cat.SetDAState(*s.tray, image.DAFailed)
-			fs.env.Emit(sim.KindBurnFail, p.Name(), s.tray.String())
-			s.tray = nil
-			s.progress = nil
-			s.resumed = false
-			s.attempts++
-			if s.attempts < 2 {
-				op.Retry()
-				if !released {
-					fs.sched.Release(gi)
-				}
-				fs.burnQ.Push(t)
-				return
-			}
-			fs.failBurnSet(t, s, firstErr)
-			if last {
-				opErr = t.firstErr
-				t.done.Resolve(opErr, opErr)
-				return
-			}
-		case interrupted:
-			// A fetch preempted us (§4.8 interrupt policy): requeue to
-			// resume with append-mode burning on the same tray.
+	if err == nil {
+		err = fs.lib.LoadArray(p, *t.tray, gi)
+	}
+	if err != nil {
+		fs.sched.Release(gi)
+		abandon(err)
+		return
+	}
+	interrupted, burnErr := fs.burnDiscs(p, t, gi)
+	fs.unmountGroup(gi)
+	unloadErr := fs.lib.UnloadArray(p, gi, nil)
+	// The claim goes back right after the unload, before the outcome is
+	// handled: the next claimant need not wait out finishBurn's catalog
+	// save, and a requeued task arbitrates for a group like any other.
+	fs.sched.Release(gi)
+	if burnErr == nil {
+		burnErr = unloadErr
+	}
+	switch {
+	case burnErr != nil:
+		// Hard failure: mark the tray Failed and retry once on a new tray.
+		// An interrupt observed in the same run still counts (the
+		// preemption happened), but the fresh tray restarts every disc
+		// from scratch.
+		if interrupted {
 			fs.m.interruptedBs.Add(1)
-			fs.env.Emit(sim.KindBurnInterrupt, p.Name(), s.tray.String())
+		}
+		fs.Cat.SetDAState(*t.tray, image.DAFailed)
+		fs.env.Emit(sim.KindBurnFail, p.Name(), t.tray.String())
+		t.tray = nil
+		t.progress = nil
+		t.attempts++
+		if t.attempts < 2 {
 			op.Retry()
-			s.resumed = true
-			if !released {
-				fs.sched.Release(gi)
-			}
 			fs.burnQ.Push(t)
 			return
-		default:
-			fs.env.Emit(sim.KindBurnFinish, p.Name(), s.tray.String())
-			fs.finishBurnSet(p, s)
-			s.burned = true
-			if fs.wp.VerifyEnabled() {
-				tray := *s.tray
-				fs.env.Go("olfs-burn-verify", func(vp *sim.Proc) {
-					fs.verifyBurn(vp, tray)
-				})
-			}
-			if last {
-				opErr = t.firstErr
-				t.done.Resolve(opErr, opErr)
-				return
-			}
 		}
+		abandon(burnErr)
+	case interrupted:
+		// A fetch preempted us (§4.8 interrupt policy): requeue to
+		// resume with append-mode burning on the same tray.
+		fs.m.interruptedBs.Add(1)
+		fs.env.Emit(sim.KindBurnInterrupt, p.Name(), t.tray.String())
+		op.Retry()
+		t.resumed = true
+		fs.burnQ.Push(t)
+	default:
+		fs.env.Emit(sim.KindBurnFinish, p.Name(), t.tray.String())
+		fs.finishBurn(p, t)
+		t.done.Resolve(nil, nil)
 	}
 }
 
-// burnSetDiscs burns one set's images onto the tray loaded in group gi:
-// all discs in parallel with staggered starts (Fig 9). It reports whether
-// the burn was interrupted and the first hard error.
-func (fs *FS) burnSetDiscs(p *sim.Proc, s *burnSet, gi int) (bool, error) {
+// burnDiscs burns the task's images onto the tray loaded in group gi: all
+// discs in parallel with staggered starts (Fig 9). It reports whether the
+// burn was interrupted and the first hard error.
+func (fs *FS) burnDiscs(p *sim.Proc, t *burnTask, gi int) (bool, error) {
 	g := fs.lib.Groups[gi]
-	all := append(append([]*bucket.Bucket(nil), s.images...), s.parity...)
-	if s.progress == nil {
-		s.progress = make([]burnProg, len(all))
+	all := append(append([]*bucket.Bucket(nil), t.images...), t.parity...)
+	if t.progress == nil {
+		t.progress = make([]burnProg, len(all))
 	}
 	type result struct {
 		rep optical.BurnReport
@@ -327,11 +234,11 @@ func (fs *FS) burnSetDiscs(p *sim.Proc, s *burnSet, gi int) (bool, error) {
 		// spans nest under this task's olfs.burn span, and every per-disc
 		// process is awaited below, so no span outlives the trace.
 		tctx := p.TraceContext()
-		fs.env.Go(fmt.Sprintf("burn-%s-d%d", s.tray, i), func(bp *sim.Proc) {
+		fs.env.Go(fmt.Sprintf("burn-%s-d%d", t.tray, i), func(bp *sim.Proc) {
 			bp.SetTraceContext(tctx)
 			defer bp.SetTraceContext(nil)
 			bp.Sleep(time.Duration(i) * fs.cfg.BurnStagger)
-			pr := &s.progress[i]
+			pr := &t.progress[i]
 			if pr.done {
 				c.Resolve(result{}, nil) // this disc already finished pre-interrupt
 				return
@@ -371,27 +278,16 @@ func (fs *FS) burnSetDiscs(p *sim.Proc, s *burnSet, gi int) (bool, error) {
 	return interrupted, firstErr
 }
 
-// verifyBurn read-back-scrubs a freshly burned tray on the depth-1 verify
-// pipeline, so verification of group k overlaps the burn of group k+1 on
-// idle drives without verify jobs piling up.
-func (fs *FS) verifyBurn(p *sim.Proc, tray rack.TrayID) {
-	fs.wp.AcquireVerify(p)
-	defer fs.wp.ReleaseVerify()
-	start := p.Now()
-	rep, err := fs.ScrubTray(p, tray)
-	fs.wp.NoteVerify(start, p.Now(), err == nil && len(rep.BadStrips) == 0, err)
-}
-
 // generateParity allocates parity slots and computes P (and Q) across the
 // data images (DIM, §4.7).
-func (fs *FS) generateParity(p *sim.Proc, s *burnSet) (err error) {
+func (fs *FS) generateParity(p *sim.Proc, t *burnTask) (err error) {
 	sp := fs.obs.StartSpan("olfs.parity.latency")
 	defer sp.End()
 	op := fs.tracer.StartOp(p, "olfs.parity", "burn")
 	defer func() { op.Finish(p, err) }()
 	length := int64(0)
-	data := make([]image.Backend, len(s.images))
-	for i, b := range s.images {
+	data := make([]image.Backend, len(t.images))
+	for i, b := range t.images {
 		data[i] = zeroTail{b: b.Backend(), limit: usedBytes(b)}
 		if u := usedBytes(b); u > length {
 			length = u
@@ -403,10 +299,10 @@ func (fs *FS) generateParity(p *sim.Proc, s *burnSet) (err error) {
 	// On any failure the half-built parity buckets are regenerable: discard
 	// them so the slots return to the pool instead of leaking as Open.
 	discard := func() {
-		for _, b := range s.parity {
+		for _, b := range t.parity {
 			_ = fs.Buckets.Discard(b)
 		}
-		s.parity = nil
+		t.parity = nil
 	}
 	for i := 0; i < fs.cfg.ParityDiscs; i++ {
 		pb, err := fs.Buckets.OpenRaw(p, length)
@@ -414,17 +310,17 @@ func (fs *FS) generateParity(p *sim.Proc, s *burnSet) (err error) {
 			discard()
 			return err
 		}
-		s.parity = append(s.parity, pb)
+		t.parity = append(t.parity, pb)
 	}
-	par := make([]image.Backend, len(s.parity))
-	for i, b := range s.parity {
+	par := make([]image.Backend, len(t.parity))
+	for i, b := range t.parity {
 		par[i] = b.Backend()
 	}
 	if err := fs.strips.GenerateParity(p, data, par, length); err != nil {
 		discard()
 		return err
 	}
-	for _, b := range s.parity {
+	for _, b := range t.parity {
 		if err := fs.Buckets.Seal(p, b); err != nil {
 			discard()
 			return err
@@ -437,14 +333,14 @@ func (fs *FS) generateParity(p *sim.Proc, s *burnSet) (err error) {
 	return nil
 }
 
-// finishBurnSet records catalog state, returns the set's admission charges
-// to the write-path token bucket, and releases buffer copies.
-func (fs *FS) finishBurnSet(p *sim.Proc, s *burnSet) {
-	all := append(append([]*bucket.Bucket(nil), s.images...), s.parity...)
+// finishBurn records catalog state, returns the task's admission charges to
+// the write-path token bucket, and releases buffer copies.
+func (fs *FS) finishBurn(p *sim.Proc, t *burnTask) {
+	all := append(append([]*bucket.Bucket(nil), t.images...), t.parity...)
 	for i, b := range all {
 		fs.Cat.Place(b.ID, image.DiscAddr{
-			Tray: *s.tray, Pos: i, Len: usedBytes(b),
-			Parity: i >= len(s.images),
+			Tray: *t.tray, Pos: i, Len: usedBytes(b),
+			Parity: i >= len(t.images),
 		})
 		_ = fs.Buckets.MarkBurned(b)
 		// Release charges before Recycle: recycling clears the bucket's ID.
@@ -453,41 +349,42 @@ func (fs *FS) finishBurnSet(p *sim.Proc, s *burnSet) {
 			_ = fs.Buckets.Recycle(p, b)
 		}
 	}
-	fs.Cat.SetDAState(*s.tray, image.DAUsed)
+	fs.Cat.SetDAState(*t.tray, image.DAUsed)
 	_ = fs.MV.SaveState(p, "catalog", fs.Cat)
 }
 
-// failBurnSet returns a set's data images to the filled state (they hold
-// the only copy of user data and stay readable from the buffer — their
-// admission charges stay held, since they still occupy the buffer) and
-// records the group's first error. Parity buckets are discarded, not kept:
+// abandonBurn gives a task up: its data images return to the filled state
+// (they hold the only copy of user data and stay readable from the buffer —
+// their admission charges stay held, since they still occupy the buffer)
+// and the task resolves with err. Parity buckets are discarded, not kept:
 // they are regenerated on any later burn, and leaving them Filled would
-// leak buffer slots that no flush ever collects.
-func (fs *FS) failBurnSet(t *burnTask, s *burnSet, err error) {
-	for _, b := range s.images {
+// leak buffer slots that no flush ever collects. A tray the task still
+// holds reserved is given up too, or it would stay Used and empty for ever.
+func (fs *FS) abandonBurn(t *burnTask, err error) {
+	for _, b := range t.images {
 		if b.State() == bucket.StateBurning {
 			_ = fs.Buckets.MarkBurnFailed(b)
 		}
 	}
-	for _, b := range s.parity {
+	for _, b := range t.parity {
 		_ = fs.Buckets.Discard(b)
 	}
-	s.parity = nil
-	s.abandoned = true
-	if t.firstErr == nil {
-		t.firstErr = err
-	}
-}
-
-// failPending abandons every not-yet-burned set (a claim or mechanical
-// load failed mid-group) and resolves the task.
-func (fs *FS) failPending(t *burnTask, err error) {
-	for _, s := range t.sets {
-		if !s.burned && !s.abandoned {
-			fs.failBurnSet(t, s, err)
+	t.parity = nil
+	if t.tray != nil {
+		// The claim or the load failed, and rack's load and unload fail
+		// before any disc moves, so the reserved tray is physically as it
+		// was: blank again if nothing was burned, unusable for a new set if
+		// it carries partial tracks (a resumed task whose reload failed).
+		st := image.DAEmpty
+		for _, pr := range t.progress {
+			if pr.logical > 0 {
+				st = image.DAFailed
+			}
 		}
+		fs.Cat.SetDAState(*t.tray, st)
+		t.tray = nil
 	}
-	t.done.Resolve(t.firstErr, t.firstErr)
+	t.done.Resolve(err, err)
 }
 
 // PrefetchTray explicitly loads a tray into drive group gi (maintenance

@@ -2,20 +2,17 @@ package writepath
 
 import (
 	"fmt"
-	"time"
 
-	"ros/internal/bucket"
 	"ros/internal/image"
 	"ros/internal/obs"
 	"ros/internal/sched"
 	"ros/internal/sim"
 )
 
-// Controller is the per-rack write-path brain: it owns the admission token
-// bucket, attributes admitted bytes to the buckets that absorbed them (so
-// the burn pipeline can return them), and plans burn groups.
+// Controller is the per-rack write-path gate: it owns the admission token
+// bucket and attributes admitted bytes to the buckets that absorbed them, so
+// the burn pipeline can return them.
 type Controller struct {
-	env *sim.Env
 	cfg Config
 	adm *Admission
 
@@ -23,55 +20,16 @@ type Controller struct {
 	// class. The burn pipeline calls ReleaseBucket when the image reaches
 	// the optical tier, returning the tokens.
 	charges map[image.ID]*[NumClasses]int64
-
-	// onFlush re-runs the burn planner when the linger timer fires (olfs
-	// hooks maybeEnqueueBurn here).
-	onFlush     func()
-	lingerArmed bool
-	flushNow    bool
-
-	// verifySlot serializes post-burn verification at pipeline depth 1:
-	// verify of group k overlaps the burn of group k+1 but verify jobs
-	// never pile up on the drives.
-	verifySlot *sim.Resource
-
-	m ctlMetrics
-}
-
-type ctlMetrics struct {
-	groups        *obs.Counter
-	sets          *obs.Counter
-	batchImages   *obs.Histogram
-	batchBytes    *obs.Histogram
-	lingerFlushes *obs.Counter
-	staged        *obs.Gauge
-	verifyClean   *obs.Counter
-	verifyDirty   *obs.Counter
-	verifyErrors  *obs.Counter
-	verifyLat     *obs.Histogram
 }
 
 // New creates a write-path controller. schedCfg supplies the QoS weights
 // for admission drain order; r receives the writepath.* metrics.
 func New(env *sim.Env, cfg Config, schedCfg sched.Config, r *obs.Registry) *Controller {
-	c := &Controller{
-		env:        env,
-		cfg:        cfg,
-		adm:        NewAdmission(env, cfg.Admission, schedCfg, r),
-		charges:    make(map[image.ID]*[NumClasses]int64),
-		verifySlot: sim.NewResource(env, 1),
+	return &Controller{
+		cfg:     cfg,
+		adm:     NewAdmission(env, cfg.Admission, schedCfg, r),
+		charges: make(map[image.ID]*[NumClasses]int64),
 	}
-	c.m.groups = r.Counter("writepath.burn_groups")
-	c.m.sets = r.Counter("writepath.burn_sets")
-	c.m.batchImages = r.Histogram("writepath.batch_images")
-	c.m.batchBytes = r.Histogram("writepath.batch_bytes")
-	c.m.lingerFlushes = r.Counter("writepath.linger_flushes")
-	c.m.staged = r.Gauge("writepath.staged_bytes")
-	c.m.verifyClean = r.Counter("writepath.verify_clean")
-	c.m.verifyDirty = r.Counter("writepath.verify_dirty")
-	c.m.verifyErrors = r.Counter("writepath.verify_errors")
-	c.m.verifyLat = r.Histogram("writepath.verify.latency")
-	return c
 }
 
 // Admission returns the token bucket (status, tests).
@@ -135,152 +93,5 @@ func (c *Controller) ReleaseBucket(id image.ID) {
 		if e[cl] > 0 {
 			c.adm.Release(cl, e[cl])
 		}
-	}
-}
-
-// OnFlush installs the callback invoked when the linger timer expires with
-// a partial batch staged (olfs wires its burn planner here).
-func (c *Controller) OnFlush(fn func()) { c.onFlush = fn }
-
-// PlanBurn decides which sealed-but-unburned images to submit as the next
-// burn group. ready is the staged image list (oldest first) and setSize
-// the per-tray data-disc count. The return value is one group: a list of
-// image sets burned back-to-back under a single sched claim. nil means
-// "keep accumulating". Callers loop until PlanBurn returns nil, so the
-// legacy mode (BurnBatchBytes 0) still submits every full set — each as
-// its own single-set group, preserving the pre-batching pipeline exactly.
-func (c *Controller) PlanBurn(ready []*bucket.Bucket, setSize int) [][]*bucket.Bucket {
-	if setSize <= 0 {
-		setSize = 1
-	}
-	var staged int64
-	for _, b := range ready {
-		staged += b.Used()
-	}
-	c.m.staged.Set(staged)
-	if len(ready) == 0 {
-		c.flushNow = false
-		return nil
-	}
-	if c.cfg.Batch.SingleImage {
-		c.flushNow = false
-		return [][]*bucket.Bucket{ready[:1]}
-	}
-	if bb := c.cfg.Batch.BurnBatchBytes; bb > 0 {
-		if staged >= bb {
-			c.flushNow = false
-			if full := len(ready) / setSize; full > 0 {
-				return chunkSets(ready[:full*setSize], setSize)
-			}
-			// Degenerate config: threshold below one set's payload.
-			return chunkSets(ready, setSize)
-		}
-		if c.flushNow {
-			c.flushNow = false
-			c.m.lingerFlushes.Add(1)
-			return chunkSets(ready, setSize)
-		}
-		c.armLinger()
-		return nil
-	}
-	// Legacy discipline: one full set per group, as soon as it exists.
-	if len(ready) >= setSize {
-		c.flushNow = false
-		return [][]*bucket.Bucket{ready[:setSize]}
-	}
-	if c.flushNow {
-		c.flushNow = false
-		c.m.lingerFlushes.Add(1)
-		return chunkSets(ready, setSize)
-	}
-	c.armLinger()
-	return nil
-}
-
-// chunkSets splits imgs into sets of at most setSize (the last may be
-// partial).
-func chunkSets(imgs []*bucket.Bucket, setSize int) [][]*bucket.Bucket {
-	var out [][]*bucket.Bucket
-	for len(imgs) > 0 {
-		n := setSize
-		if n > len(imgs) {
-			n = len(imgs)
-		}
-		out = append(out, imgs[:n])
-		imgs = imgs[n:]
-	}
-	return out
-}
-
-// armLinger starts the flush timer for a staged partial batch. The timer
-// is strong: a partial set must reach the planner even if the workload
-// goes quiet, otherwise staged data would strand until the next write.
-func (c *Controller) armLinger() {
-	d := c.cfg.Batch.BurnBatchLinger
-	if d <= 0 || c.lingerArmed {
-		return
-	}
-	c.lingerArmed = true
-	c.env.GoDaemon("writepath-linger", func(p *sim.Proc) {
-		p.Sleep(d)
-		c.lingerArmed = false
-		c.flushNow = true
-		if c.onFlush != nil {
-			c.onFlush()
-		}
-	})
-}
-
-// NoteGroup records batch-shape metrics for one submitted burn group.
-func (c *Controller) NoteGroup(sets [][]*bucket.Bucket) {
-	c.m.groups.Add(1)
-	c.m.sets.Add(int64(len(sets)))
-	images := 0
-	var bytes int64
-	for _, set := range sets {
-		images += len(set)
-		for _, b := range set {
-			bytes += b.Used()
-		}
-	}
-	c.m.batchImages.Observe(int64(images))
-	c.m.batchBytes.Observe(bytes)
-}
-
-// Groups returns the number of burn groups submitted.
-func (c *Controller) Groups() int64 { return c.m.groups.Value() }
-
-// VerifyEnabled reports whether post-burn verification is configured.
-func (c *Controller) VerifyEnabled() bool { return c.cfg.Batch.VerifyAfterBurn }
-
-// AcquireVerify claims the depth-1 verify pipeline slot.
-func (c *Controller) AcquireVerify(p *sim.Proc) { c.verifySlot.Acquire(p) }
-
-// ReleaseVerify returns the verify pipeline slot.
-func (c *Controller) ReleaseVerify() { c.verifySlot.Release() }
-
-// NoteVerify records one post-burn verification outcome.
-func (c *Controller) NoteVerify(start, now time.Duration, clean bool, err error) {
-	switch {
-	case err != nil:
-		c.m.verifyErrors.Add(1)
-	case clean:
-		c.m.verifyClean.Add(1)
-	default:
-		c.m.verifyDirty.Add(1)
-	}
-	c.m.verifyLat.ObserveSince(start, now)
-}
-
-// BatchMode returns the human-readable batching discipline for status
-// output.
-func (c *Controller) BatchMode() string {
-	switch {
-	case c.cfg.Batch.SingleImage:
-		return "single-image"
-	case c.cfg.Batch.BurnBatchBytes > 0:
-		return fmt.Sprintf("group-commit(%dB)", c.cfg.Batch.BurnBatchBytes)
-	default:
-		return "per-set"
 	}
 }

@@ -1,27 +1,21 @@
-// Package writepath implements the group-commit burn pipeline and the
-// class-aware admission control in front of the HDD write buffer.
+// Package writepath implements the class-aware admission control in front
+// of the HDD write buffer.
 //
 // ROS's structural bottleneck is the optical tier: a 25 GB disc burns in
 // ~675 s (Table 1/2), so sustained ingest above the burn rate must either
-// fill the write buffer without bound or be shed explicitly. This package
-// supplies the two disciplines that keep the write path stable under
-// overload:
-//
-//   - Burn batching (group commit). Sealed images accumulate into burn
-//     groups (BurnBatchBytes / BurnBatchLinger on the sim clock); one sched
-//     burn request is submitted per group, so a single arm trip and drive
-//     spin-up amortize across N image sets, and verify of group k can
-//     pipeline with the burn of group k+1 on idle drives.
-//   - Admission control. A token bucket over write-buffer bytes-in-flight
-//     with per-class (interactive/archival) reservations. Above a
-//     high-water mark new writes block on a bounded admission queue with
-//     deadline-aware shedding (ErrOverload); acked data is never dropped,
-//     and the queue drains in sched QoS-class order.
+// fill the write buffer without bound or be shed explicitly. Admission is a
+// token bucket over write-buffer bytes-in-flight with per-class
+// (interactive/archival) reservations. Above a high-water mark new writes
+// block on a bounded admission queue with deadline-aware shedding
+// (ErrOverload); acked data is never dropped, and the queue drains in sched
+// QoS-class order. The Controller's charge ledger follows each admitted
+// byte from Admit through the bucket that absorbed it to the burn that
+// returns it.
 //
 // Byte accounting is always on (it feeds the writepath.* gauges and the
 // write-buffer-full alert rule); blocking admission engages only when
-// AdmissionConfig.Enabled is set, so the default write path keeps its
-// legacy error semantics (bucket.ErrNoFreeSlot on a full buffer).
+// AdmissionConfig.Enabled is set, so by default a full buffer still
+// surfaces as bucket.ErrNoFreeSlot.
 package writepath
 
 import (
@@ -138,27 +132,12 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	return c
 }
 
-// BatchConfig tunes burn-group commit.
+// BatchConfig selects how many data images one burn task takes.
 type BatchConfig struct {
-	// BurnBatchBytes switches on byte-threshold group commit: sealed
-	// images accumulate until their payload reaches this many bytes, then
-	// every full data set is submitted as ONE burn group under a single
-	// sched claim. Zero keeps the legacy discipline — each full set is
-	// its own group, submitted as soon as it exists (bit-compatible with
-	// the pre-batching write path).
-	BurnBatchBytes int64
-	// BurnBatchLinger bounds how long a partial batch may wait for more
-	// data on the sim clock; when it expires everything staged (including
-	// a trailing partial set) is flushed as one group. Zero disables the
-	// linger timer.
-	BurnBatchLinger time.Duration
-	// SingleImage burns one image per group (one arm trip and spin-up per
-	// image) — the ablation baseline for the batching experiment.
+	// SingleImage burns one data image (plus parity) per tray instead of a
+	// full set of DataDiscs: one arm trip and spin-up per image. It is the
+	// standing bench's sensitivity case for the burn drain rate.
 	SingleImage bool
-	// VerifyAfterBurn schedules a read-back scrub of each burned tray on
-	// a depth-1 verify pipeline, overlapping verification of group k with
-	// the burn of group k+1 on idle drives.
-	VerifyAfterBurn bool
 }
 
 // Config is the write-path configuration carried by olfs.Config.Write and

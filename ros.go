@@ -51,12 +51,12 @@ type (
 	Env = sim.Env
 	// FSConfig tunes OLFS (redundancy, policies, overheads).
 	FSConfig = olfs.Config
-	// WriteConfig tunes the write path: burn-group batching and admission
-	// control (see Options.Write).
+	// WriteConfig tunes the write path: admission control in front of the
+	// write buffer (see Options.Write).
 	WriteConfig = writepath.Config
 	// AdmissionConfig is the write-buffer token bucket (WriteConfig.Admission).
 	AdmissionConfig = writepath.AdmissionConfig
-	// BatchConfig is the burn group-commit policy (WriteConfig.Batch).
+	// BatchConfig is the burn set-size switch (WriteConfig.Batch).
 	BatchConfig = writepath.BatchConfig
 	// TrayID addresses a 12-disc tray in a roller.
 	TrayID = rack.TrayID
@@ -115,6 +115,7 @@ type Options struct {
 	// 380e6 reproduces the paper's Fig 9 pipeline. 0 = uncapped.
 	BurnCap float64
 	// FS tunes OLFS; zero fields take the paper-calibrated defaults.
+	// FS.AutoBurn is ignored here: New sets it from DisableAutoBurn.
 	FS FSConfig
 	// SchedPolicy selects the mechanical scheduler policy: "fifo" (legacy
 	// arrival-order arbitration, the default) or "qos-scan" (QoS classes with
@@ -123,11 +124,10 @@ type Options struct {
 	// DisableAutoBurn turns off automatic burning (burn explicitly with
 	// FS.FlushAndBurn). By default full image sets burn as they form.
 	DisableAutoBurn bool
-	// Write tunes the write path: burn-group batching (Write.Batch) and
-	// write-buffer admission control (Write.Admission). The zero value keeps
-	// the legacy pipeline: one full set per burn, admission accounting on but
-	// never blocking. Equivalent to setting FS.Write directly; a non-zero
-	// Options.Write wins.
+	// Write tunes the write path: write-buffer admission control
+	// (Write.Admission). The zero value keeps admission accounting on but
+	// never blocking; every burn takes one full image set either way.
+	// Equivalent to setting FS.Write directly; a non-zero Options.Write wins.
 	Write WriteConfig
 
 	// Racks federates this many identical rack stacks behind one namespace
@@ -188,7 +188,7 @@ func PrototypeOptions() Options {
 		BufferSlots: 24,
 		BucketBytes: Media100GB.Capacity(),
 		BurnCap:     380e6,
-		FS:          FSConfig{DataDiscs: 11, ParityDiscs: 1, AutoBurn: true},
+		FS:          FSConfig{DataDiscs: 11, ParityDiscs: 1},
 	}
 }
 

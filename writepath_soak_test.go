@@ -43,14 +43,9 @@ func soakOptions() Options {
 		FS: FSConfig{
 			DataDiscs:        2,
 			ParityDiscs:      1,
-			AutoBurn:         true,
 			RecycleAfterBurn: true,
 		},
 		Write: WriteConfig{
-			Batch: BatchConfig{
-				BurnBatchBytes:  16 << 20,
-				BurnBatchLinger: 5 * time.Minute,
-			},
 			Admission: AdmissionConfig{
 				Enabled:       true,
 				CapacityBytes: soakCapacity,
@@ -134,7 +129,7 @@ func driveOverload(sys *System, horizon time.Duration) (outs []soakOut, burnedAt
 				burnedAtHorizon += int64(addr.Len)
 			}
 		}
-		p.Sleep(8 * time.Hour) // drain: linger flush, burn queue, verify
+		p.Sleep(8 * time.Hour) // drain the burn queue
 		return nil
 	})
 	return outs, burnedAtHorizon, err
