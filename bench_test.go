@@ -16,6 +16,7 @@ import (
 	"ros/internal/blockdev"
 	"ros/internal/experiments"
 	"ros/internal/optical"
+	"ros/internal/pagecache"
 	"ros/internal/raid"
 	"ros/internal/sim"
 	"ros/internal/udf"
@@ -282,20 +283,40 @@ func BenchmarkRAID5Write(b *testing.B) {
 	env.Run()
 }
 
-// BenchmarkRAID5WriteSmall measures the hot case the 1 MB benchmark never
-// hits: a 4 KB sub-stripe write on the 7-disk buffer array, which reads the
-// stripe's six chunks and rewrites all seven.
-func BenchmarkRAID5WriteSmall(b *testing.B) {
-	env := sim.NewEnv()
-	defer env.Close()
+// bufferArray is the write buffer's shape in a rack stack: RAID-5 over seven
+// HDDs with 64 KB stripe units.
+func bufferArray(b *testing.B, env *sim.Env) (*raid.Array, []*blockdev.Disk) {
+	disks := make([]*blockdev.Disk, 7)
 	devs := make([]blockdev.Device, 7)
 	for i := range devs {
-		devs[i] = blockdev.New(env, 1<<30, blockdev.HDDProfile())
+		disks[i] = blockdev.New(env, 1<<30, blockdev.HDDProfile())
+		devs[i] = disks[i]
 	}
 	arr, err := raid.New(env, raid.RAID5, devs, 64<<10)
 	if err != nil {
 		b.Fatal(err)
 	}
+	return arr, disks
+}
+
+// reportMemberBytes publishes what the array's members read and wrote per op.
+func reportMemberBytes(b *testing.B, disks []*blockdev.Disk) {
+	var read, written int64
+	for _, d := range disks {
+		read += d.BytesRead
+		written += d.BytesWritten
+	}
+	b.ReportMetric(float64(read)/float64(b.N), "member_read_B/op")
+	b.ReportMetric(float64(written)/float64(b.N), "member_written_B/op")
+}
+
+// BenchmarkRAID5WriteSmall measures the hot case the 1 MB benchmark never
+// hits: a 4 KB sub-stripe write on the 7-disk buffer array, a
+// read-modify-write of the 4 KB and its parity.
+func BenchmarkRAID5WriteSmall(b *testing.B) {
+	env := sim.NewEnv()
+	defer env.Close()
+	arr, disks := bufferArray(b, env)
 	buf := make([]byte, 4<<10)
 	b.SetBytes(4 << 10)
 	b.ReportAllocs()
@@ -310,6 +331,40 @@ func BenchmarkRAID5WriteSmall(b *testing.B) {
 		}
 	})
 	env.Run()
+	reportMemberBytes(b, disks)
+}
+
+// BenchmarkBufferedSmallWritesFlushed measures write-back: one op fills a
+// bucket-sized region of the page cache over the buffer array with 8 KB
+// writes and Syncs it.
+func BenchmarkBufferedSmallWritesFlushed(b *testing.B) {
+	const bucket = 8 << 20
+	env := sim.NewEnv()
+	defer env.Close()
+	arr, disks := bufferArray(b, env)
+	v := pagecache.New(env, arr, pagecache.Ext4Rates())
+	buf := make([]byte, 8<<10)
+	for i := range buf {
+		buf[i] = byte(i*131 + 7) // zeros written to a fresh chunk stay sparse
+	}
+	b.SetBytes(bucket)
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.Go("writer", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			base := int64(i%16) * bucket
+			for off := int64(0); off < bucket; off += int64(len(buf)) {
+				if err := v.WriteAt(p, buf, base+off); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+			v.Sync(p)
+		}
+	})
+	env.Run()
+	reportMemberBytes(b, disks)
+	b.ReportMetric(float64(v.BytesFlushed)/float64(b.N), "flushed_B/op")
 }
 
 // BenchmarkUDFWriteFile measures host cost of UDF file creation.

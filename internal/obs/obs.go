@@ -35,6 +35,7 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	gen      int     // bumped whenever a name is registered or rebound (the sampler's cache key)
 	open     int     // spans started and not yet ended/cancelled
 	tracer   *Tracer // optional causal request tracer (see trace.go)
 }
@@ -85,6 +86,7 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	c := &Counter{v: new(int64)}
 	r.counters[name] = c
+	r.gen++
 	return c
 }
 
@@ -98,6 +100,7 @@ func (r *Registry) CounterAt(name string, ptr *int64) *Counter {
 	}
 	c := &Counter{v: ptr}
 	r.counters[name] = c
+	r.gen++
 	return c
 }
 
@@ -111,6 +114,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	g := &Gauge{}
 	r.gauges[name] = g
+	r.gen++
 	return g
 }
 
@@ -125,6 +129,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	}
 	h := NewHistogram(name)
 	r.hists[name] = h
+	r.gen++
 	return h
 }
 

@@ -8,7 +8,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -69,13 +68,8 @@ func PrometheusText(snaps ...LabeledSnapshot) string {
 			})
 		}
 	}
-	names := make([]string, 0, len(families))
-	for name := range families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var b strings.Builder
-	for _, name := range names {
+	for _, name := range sortedKeys(families) {
 		f := families[name]
 		fmt.Fprintf(&b, "# TYPE %s %s\n", name, f.typ)
 		for _, s := range f.samples {

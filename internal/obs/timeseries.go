@@ -253,6 +253,29 @@ type source struct {
 	reg    *Registry
 	series map[string]*Series
 	hists  map[string]*histTrack
+
+	// What a scrape reads and the series it feeds, resolved once per registry
+	// generation, each list in name order.
+	gen      int
+	counters []counterFeed
+	gauges   []gaugeFeed
+	histos   []histFeed
+}
+
+type counterFeed struct {
+	c *Counter
+	s *Series
+}
+
+type gaugeFeed struct {
+	g *Gauge
+	s *Series
+}
+
+type histFeed struct {
+	h                    *Histogram
+	track                *histTrack
+	count, p50, p95, p99 *Series
 }
 
 // SamplerConfig tunes a Sampler. The zero value samples every 30 virtual
@@ -372,29 +395,47 @@ func (s *Sampler) SampleNow() {
 }
 
 func (s *Sampler) scrape(src *source, t int64) {
-	names := make([]string, 0, len(src.reg.counters))
-	for name := range src.reg.counters {
-		names = append(names, name)
+	if src.gen != src.reg.gen {
+		s.resolve(src)
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		s.seriesFor(src, name, KindCounter).Append(t, float64(src.reg.counters[name].Value()))
+	for _, f := range src.counters {
+		f.s.Append(t, float64(f.c.Value()))
 	}
-	names = names[:0]
-	for name := range src.reg.gauges {
-		names = append(names, name)
+	for _, f := range src.gauges {
+		f.s.Append(t, float64(f.g.Value()))
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		s.seriesFor(src, name, KindGauge).Append(t, float64(src.reg.gauges[name].Value()))
+	for _, f := range src.histos {
+		f.track.push(t, f.h.BucketCounts(), f.h.Count())
+		buckets, count := f.track.windowDelta(s.cfg.Window)
+		f.count.Append(t, float64(count))
+		for _, q := range [...]struct {
+			s *Series
+			q float64
+		}{{f.p50, 0.50}, {f.p95, 0.95}, {f.p99, 0.99}} {
+			v := int64(0)
+			if count > 0 {
+				v = min(BucketQuantile(buckets, count, q.q), f.h.Max())
+			}
+			q.s.Append(t, float64(v))
+		}
 	}
-	names = names[:0]
-	for name := range src.reg.hists {
-		names = append(names, name)
+}
+
+// resolve rebuilds src's feed lists from its registry. A name can be rebound
+// to another cell (CounterAt), so the lists are keyed on the registry's
+// generation, not on how many names it holds.
+func (s *Sampler) resolve(src *source) {
+	src.gen = src.reg.gen
+	src.counters = src.counters[:0]
+	for _, name := range sortedKeys(src.reg.counters) {
+		src.counters = append(src.counters, counterFeed{src.reg.counters[name], s.seriesFor(src, name, KindCounter)})
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		h := src.reg.hists[name]
+	src.gauges = src.gauges[:0]
+	for _, name := range sortedKeys(src.reg.gauges) {
+		src.gauges = append(src.gauges, gaugeFeed{src.reg.gauges[name], s.seriesFor(src, name, KindGauge)})
+	}
+	src.histos = src.histos[:0]
+	for _, name := range sortedKeys(src.reg.hists) {
 		ht, ok := src.hists[name]
 		if !ok {
 			depth := int(s.cfg.Window/s.cfg.Interval) + 2
@@ -404,23 +445,23 @@ func (s *Sampler) scrape(src *source, t int64) {
 			ht = &histTrack{cap: depth, entries: make([]histEntry, depth)}
 			src.hists[name] = ht
 		}
-		ht.push(t, h.BucketCounts(), h.Count())
-		buckets, count := ht.windowDelta(s.cfg.Window)
-		s.seriesFor(src, name+".count", KindDerived).Append(t, float64(count))
-		for _, q := range [...]struct {
-			suffix string
-			q      float64
-		}{{".p50", 0.50}, {".p95", 0.95}, {".p99", 0.99}} {
-			v := int64(0)
-			if count > 0 {
-				v = BucketQuantile(buckets, count, q.q)
-				if v > h.Max() {
-					v = h.Max()
-				}
-			}
-			s.seriesFor(src, name+q.suffix, KindDerived).Append(t, float64(v))
-		}
+		src.histos = append(src.histos, histFeed{
+			h: src.reg.hists[name], track: ht,
+			count: s.seriesFor(src, name+".count", KindDerived),
+			p50:   s.seriesFor(src, name+".p50", KindDerived),
+			p95:   s.seriesFor(src, name+".p95", KindDerived),
+			p99:   s.seriesFor(src, name+".p99", KindDerived),
+		})
 	}
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 func (s *Sampler) seriesFor(src *source, name string, kind SeriesKind) *Series {
@@ -464,12 +505,7 @@ func (s *Sampler) Each(fn func(sr *Series)) {
 		return
 	}
 	for _, src := range s.sources {
-		names := make([]string, 0, len(src.series))
-		for name := range src.series {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
+		for _, name := range sortedKeys(src.series) {
 			fn(src.series[name])
 		}
 	}

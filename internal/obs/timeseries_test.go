@@ -126,6 +126,38 @@ func TestSamplerDeterministicDump(t *testing.T) {
 	}
 }
 
+// TestSamplerFollowsRegistry: the sampler resolves a source's metrics once and
+// again only when the registry changes, and that includes a name rebound to
+// another cell, which leaves the number of names as it was.
+func TestSamplerFollowsRegistry(t *testing.T) {
+	reg := New(nil)
+	s := NewSampler(nil, SamplerConfig{})
+	s.AddSource("", reg)
+	reg.Counter("a").Add(1)
+	s.SampleNow()
+	if got := s.Get("", "a").Last().V; got != 1 {
+		t.Fatalf("a = %v, want 1", got)
+	}
+	cell := int64(42)
+	reg.CounterAt("a", &cell)
+	s.SampleNow()
+	if got := s.Get("", "a").Last().V; got != 42 {
+		t.Errorf("a = %v after CounterAt rebound it, want 42", got)
+	}
+	cell++
+	reg.Gauge("g").Set(5)
+	reg.Histogram("h").Observe(10)
+	s.SampleNow()
+	for name, want := range map[string]float64{"a": 43, "g": 5, "h.count": 1, "h.p50": 10, "h.p99": 10} {
+		if sr := s.Get("", name); sr.Len() == 0 || sr.Last().V != want {
+			t.Errorf("%s = %v (%d points), want %v", name, sr.Last().V, sr.Len(), want)
+		}
+	}
+	if n := s.Get("", "a").Len(); n != 3 {
+		t.Errorf("a has %d points after three passes", n)
+	}
+}
+
 func TestSamplerWeakTickerDoesNotBlockRun(t *testing.T) {
 	env := sim.NewEnv()
 	reg := New(env)

@@ -155,11 +155,6 @@ type Drive struct {
 	// interrupt is set by InterruptBurn and checked at chunk boundaries.
 	interrupt bool
 
-	// burnBuf stages payload between the burn source and the disc. Burns
-	// hold the busy resource, so one buffer per drive is enough; it is kept
-	// between burns unless it grew past maxKeptBurnBuf.
-	burnBuf []byte
-
 	// Stats.
 	BytesBurned int64
 	BytesRead   int64
@@ -402,11 +397,6 @@ const dipProbability = 0.034
 // re-samples speed, the group throttle and the interrupt flag.
 const burnChunks = 500
 
-// maxKeptBurnBuf bounds the staging buffer a drive keeps between burns. A
-// burn quantum is 1/burnChunks of the image — 50 MB for a full 25 GB disc —
-// and an idle drive must not pin that.
-const maxKeptBurnBuf = 4 << 20
-
 // shortSeekWindow is the head-travel distance served by a short hop instead
 // of a full-stroke seek.
 const shortSeekWindow = 16 << 20
@@ -486,11 +476,6 @@ func (dr *Drive) Burn(p *sim.Proc, src BurnSource, opts BurnOptions) (rep BurnRe
 	if chunkLogical < 1 {
 		chunkLogical = 1
 	}
-	defer func() {
-		if len(dr.burnBuf) > maxKeptBurnBuf {
-			dr.burnBuf = nil
-		}
-	}()
 	var burnedLogical, copied int64
 	rng := dr.env.Rand()
 	for burnedLogical < logical {
@@ -524,10 +509,9 @@ func (dr *Drive) Burn(p *sim.Proc, src BurnSource, opts BurnOptions) (rep BurnRe
 			if copied+cn > payload {
 				cn = payload - copied
 			}
-			if int64(len(dr.burnBuf)) < cn {
-				dr.burnBuf = make([]byte, cn)
-			}
-			buf := dr.burnBuf[:cn]
+			// The disc keeps the slice it is handed, so each quantum's payload
+			// is read into one of its own.
+			buf := make([]byte, cn)
 			if err := src.ReadAt(p, buf, copied); err != nil {
 				return rep, fmt.Errorf("optical: burn source read: %w", err)
 			}

@@ -12,6 +12,8 @@ package optical
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 )
 
 // MediaType selects the disc generation.
@@ -87,14 +89,22 @@ type Track struct {
 // area when the pseudo-overwrite / append-burn mode is used (§2.1, §4.8).
 const TrackMetaZone = 64 << 20
 
-const storeChunk = 256 << 10
+// extent is one run of stored payload: data sits at byte offset off.
+type extent struct {
+	off  int64
+	data []byte
+}
+
+func (e extent) end() int64 { return e.off + int64(len(e.data)) }
 
 // Disc is a write-once optical disc. Payload storage is sparse; the logical
-// capacity drives all timing.
+// capacity drives all timing. A disc is append-only, so the payload is kept as
+// the slices the burns handed over, in ascending order: nothing is copied into
+// a store of the disc's own.
 type Disc struct {
 	ID      string
 	Type    MediaType
-	chunks  map[int64][]byte
+	extents []extent // ascending, not overlapping
 	tracks  []Track
 	written int64 // high-water mark including metadata zones
 	failed  bool
@@ -107,7 +117,6 @@ func NewDisc(id string, m MediaType) *Disc {
 	return &Disc{
 		ID:      id,
 		Type:    m,
-		chunks:  make(map[int64][]byte),
 		badSecs: make(map[int64]bool),
 	}
 }
@@ -146,13 +155,19 @@ func (d *Disc) BadSectors() int { return len(d.badSecs) }
 // the sector still reads without error, so only parity verification can
 // detect the damage (bit rot below the drive's error correction).
 func (d *Disc) FlipByte(off int64) {
-	ci := off / storeChunk
-	c, ok := d.chunks[ci]
-	if !ok {
-		c = make([]byte, storeChunk)
-		d.chunks[ci] = c
+	i := d.extentAt(off)
+	if i < len(d.extents) && d.extents[i].off <= off {
+		d.extents[i].data[off-d.extents[i].off] ^= 0xFF
+		return
 	}
-	c[off%storeChunk] ^= 0xFF
+	// Never stored, so it reads as zero: the flipped byte is an extent of its own.
+	d.extents = slices.Insert(d.extents, i, extent{off: off, data: []byte{0xFF}})
+}
+
+// extentAt returns the index of the first extent that ends beyond off: the
+// one holding off, or else the next one up.
+func (d *Disc) extentAt(off int64) int {
+	return sort.Search(len(d.extents), func(i int) bool { return d.extents[i].end() > off })
 }
 
 // EraseCycles returns the number of completed erases (RW media).
@@ -167,7 +182,7 @@ func (d *Disc) erase() error {
 	if d.erases >= MaxEraseCycles {
 		return fmt.Errorf("%w: %s after %d cycles", ErrEraseCycles, d.ID, d.erases)
 	}
-	d.chunks = make(map[int64][]byte)
+	d.extents = nil
 	d.tracks = nil
 	d.written = 0
 	d.badSecs = make(map[int64]bool)
@@ -192,13 +207,18 @@ func (d *Disc) beginTrack(dataLen int64) (int64, error) {
 	return start, nil
 }
 
-// burnBytes appends data at the current watermark. Only the Drive calls
-// this; WORM is enforced by construction (no overwrite API exists).
+// burnBytes appends data at the current watermark and keeps the slice: the
+// caller hands it over. Only the Drive calls this; WORM is enforced by
+// construction (no overwrite API exists).
 func (d *Disc) burnBytes(data []byte) error {
 	if d.written+int64(len(data)) > d.Capacity() {
 		return ErrDiscFull
 	}
-	d.storeAt(data, d.written)
+	// Burning over blank media leaves no trace of a byte flipped on it.
+	for n := len(d.extents); n > 0 && d.extents[n-1].off >= d.written; n-- {
+		d.extents = d.extents[:n-1]
+	}
+	d.extents = append(d.extents, extent{off: d.written, data: data})
 	d.written += int64(len(data))
 	if n := len(d.tracks); n > 0 {
 		d.tracks[n-1].Len += int64(len(data))
@@ -233,38 +253,15 @@ func (d *Disc) readAt(buf []byte, off int64) error {
 			return fmt.Errorf("%w: disc %s offset %d", ErrBadSector, d.ID, s)
 		}
 	}
-	for n := 0; n < len(buf); {
-		ci := (off + int64(n)) / storeChunk
-		co := int((off + int64(n)) % storeChunk)
-		run := storeChunk - co
-		if run > len(buf)-n {
-			run = len(buf) - n
+	pos, end := off, off+int64(len(buf))
+	for i := d.extentAt(off); i < len(d.extents) && d.extents[i].off < end; i++ {
+		e := d.extents[i]
+		if e.off > pos {
+			clear(buf[pos-off : e.off-off])
+			pos = e.off
 		}
-		if c, ok := d.chunks[ci]; ok {
-			copy(buf[n:n+run], c[co:co+run])
-		} else {
-			clear(buf[n : n+run])
-		}
-		n += run
+		pos += int64(copy(buf[pos-off:], e.data[pos-e.off:]))
 	}
+	clear(buf[pos-off:])
 	return nil
-}
-
-// storeAt writes payload into the sparse store.
-func (d *Disc) storeAt(data []byte, off int64) {
-	for n := 0; n < len(data); {
-		ci := (off + int64(n)) / storeChunk
-		co := int((off + int64(n)) % storeChunk)
-		run := storeChunk - co
-		if run > len(data)-n {
-			run = len(data) - n
-		}
-		c, ok := d.chunks[ci]
-		if !ok {
-			c = make([]byte, storeChunk)
-			d.chunks[ci] = c
-		}
-		copy(c[co:co+run], data[n:n+run])
-		n += run
-	}
 }

@@ -3,7 +3,9 @@ package optical
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -13,6 +15,14 @@ import (
 
 // memSource is a BurnSource backed by a byte slice with no time cost.
 type memSource []byte
+
+func patterned(n int, seed byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i)*7 + byte(i>>8) + seed
+	}
+	return b
+}
 
 func (m memSource) ReadAt(p *sim.Proc, buf []byte, off int64) error {
 	if off+int64(len(buf)) > int64(len(m)) {
@@ -502,44 +512,94 @@ func TestReadSurvivesEjectDuringSpinUp(t *testing.T) {
 	}
 }
 
-// TestBurnStagingBufferIsKeptOnlyWhenSmall: a drive reuses its staging buffer
-// from burn to burn, but lets go of one grown past maxKeptBurnBuf (a full
-// 25 GB image stages 50 MB per quantum).
-func TestBurnStagingBufferIsKeptOnlyWhenSmall(t *testing.T) {
+// TestDiscAdoptsBurnPayload: a burn reads each quantum's payload into a slice
+// the disc then keeps, so a burn allocates the payload once and nothing is
+// copied into a store of the disc's own; reads find the extents again, across
+// their borders and past them, flipped bytes included.
+func TestDiscAdoptsBurnPayload(t *testing.T) {
 	env := sim.NewEnv()
+	t.Cleanup(env.Close)
 	dr := NewDrive(env, "d0", nil)
-	burn := func(p *sim.Proc, id string, payload int) {
+	check := func(p *sim.Proc, what string, want []byte, off int64) {
 		t.Helper()
-		if err := dr.Load(p, NewDisc(id, Media25)); err != nil {
-			t.Fatalf("Load: %v", err)
-		}
-		src := memSource(bytes.Repeat([]byte{0xA5}, payload))
-		// A write-all-once burn of the whole disc stages the payload in its
-		// first quantum (1/burnChunks of 25 GB).
-		if _, err := dr.Burn(p, src, BurnOptions{}); err != nil {
-			t.Fatalf("Burn: %v", err)
-		}
-		got := make([]byte, payload)
-		if err := dr.ReadAt(p, got, 0); err != nil || !bytes.Equal(got, src) {
-			t.Fatalf("read-back of %s differs (err=%v)", id, err)
-		}
-		if _, err := dr.Eject(p); err != nil {
-			t.Fatalf("Eject: %v", err)
+		got := make([]byte, len(want))
+		if err := dr.ReadAt(p, got, off); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: read of %d bytes at %d differs (err=%v)", what, len(want), off, err)
 		}
 	}
 	inSim(t, env, func(p *sim.Proc) {
-		burn(p, "small", 1<<20)
-		kept := len(dr.burnBuf)
-		if kept == 0 {
-			t.Error("no staging buffer kept after a 1 MB burn")
+		for _, payload := range []int{1 << 20, 6 << 20} {
+			src := memSource(patterned(payload, byte(payload>>20)))
+			// Write-all-once: the payload sits in the first quantum
+			// (1/burnChunks of 25 GB) and becomes one extent.
+			if err := dr.Load(p, NewDisc(fmt.Sprintf("whole-%d", payload), Media25)); err != nil {
+				t.Fatalf("Load: %v", err)
+			}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			if _, err := dr.Burn(p, src, BurnOptions{}); err != nil {
+				t.Fatalf("Burn: %v", err)
+			}
+			runtime.ReadMemStats(&m1)
+			if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(payload+64<<10); got > limit {
+				t.Errorf("burning %d bytes allocated %d, want <= %d", payload, got, limit)
+			}
+			check(p, "whole image", src, 0)
+			if _, err := dr.Eject(p); err != nil {
+				t.Fatalf("Eject: %v", err)
+			}
+
+			// A short image burns in burnChunks quanta: as many extents.
+			d := NewDisc(fmt.Sprintf("quanta-%d", payload), Media25)
+			if err := dr.Load(p, d); err != nil {
+				t.Fatalf("Load: %v", err)
+			}
+			if _, err := dr.Burn(p, src, BurnOptions{LogicalBytes: int64(payload) + 1<<20}); err != nil {
+				t.Fatalf("Burn: %v", err)
+			}
+			if len(d.extents) < burnChunks/4 {
+				t.Fatalf("%d extents after a burn in quanta, want hundreds", len(d.extents))
+			}
+			check(p, "across every extent border", src, 0)
+			border := d.extents[1].off
+			check(p, "across one extent border", src[border-100:border+100], border-100)
+			check(p, "from inside an extent into the zeros past the payload",
+				append(append([]byte(nil), src[payload-1000:]...), make([]byte, 5000)...), int64(payload-1000))
+			check(p, "zeros past the payload", make([]byte, 4096), int64(payload)+8192)
+
+			// A flip of a stored byte lands in the extent; one of a byte never
+			// stored becomes an extent of its own, among the others or past them.
+			want := append(append([]byte(nil), src...), make([]byte, 4096)...)
+			for _, off := range []int{0, int(border), payload - 1, payload + 100, payload + 100, payload + 7} {
+				d.FlipByte(int64(off))
+				want[off] ^= 0xFF
+			}
+			check(p, "after FlipByte", want, 0)
+			if _, err := dr.Eject(p); err != nil {
+				t.Fatalf("Eject: %v", err)
+			}
 		}
-		burn(p, "small2", 1<<20)
-		if len(dr.burnBuf) != kept {
-			t.Errorf("staging buffer went from %d to %d bytes between equal burns", kept, len(dr.burnBuf))
+
+		// Rewritable media: a byte flipped on the blank disc is burned over, an
+		// erase forgets every extent, and the next burn starts afresh.
+		rw := NewDisc("rw", Media25RW)
+		if err := dr.Load(p, rw); err != nil {
+			t.Fatalf("Load: %v", err)
 		}
-		burn(p, "large", maxKeptBurnBuf+1)
-		if dr.burnBuf != nil {
-			t.Errorf("drive kept a %d-byte staging buffer, over the %d limit", len(dr.burnBuf), maxKeptBurnBuf)
+		rw.FlipByte(500)
+		rw.FlipByte(3 << 20)
+		first, second := memSource(patterned(1<<20, 3)), memSource(patterned(2<<20, 4))
+		if _, err := dr.Burn(p, first, BurnOptions{LogicalBytes: 2 << 20}); err != nil {
+			t.Fatalf("Burn: %v", err)
 		}
+		check(p, "burn over a flipped blank", append(append([]byte(nil), first...), make([]byte, 3<<20)...), 0)
+		if err := dr.Erase(p); err != nil {
+			t.Fatalf("Erase: %v", err)
+		}
+		check(p, "after Erase", make([]byte, 2<<20), 0)
+		if _, err := dr.Burn(p, second, BurnOptions{LogicalBytes: 2 << 20}); err != nil {
+			t.Fatalf("Burn: %v", err)
+		}
+		check(p, "after the second burn", second, 0)
 	})
 }

@@ -10,11 +10,19 @@
 // flusher is what makes the §4.7 four-stream interference ablation real:
 // flush traffic competes with parity generation and burn reads on the same
 // array.
+//
+// Write-back happens when Linux would do it: when the oldest dirty chunk is
+// one write-back interval old, when a flush segment's worth of data is dirty,
+// or when Sync asks. A drain then writes everything dirty in ascending order,
+// so a region filled by small sequential writes reaches a RAID backend as
+// full stripes, each byte once. The interval is a strong sleep: Env.Run does
+// not return while data is dirty, so a simulation that has run to quiescence
+// has an array that holds what the cache holds.
 package pagecache
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"ros/internal/obs"
@@ -47,6 +55,15 @@ func Ext4Rates() Rates {
 
 const chunkSize = 64 << 10
 
+const (
+	// writebackInterval is how old a dirty chunk may get before the flusher
+	// writes it back (Linux's dirty_writeback_centisecs, 5 s).
+	writebackInterval = 5 * time.Second
+	// flushSegment bounds one backend write, and so the flush buffer; this much
+	// dirty data starts write-back without waiting for the interval.
+	flushSegment = 8 << 20
+)
+
 // Volume is a cached view of a backend. All data lives in a sparse in-memory
 // store (the "cache", which in this model never evicts — ROS buffers are
 // sized for that); writes are mirrored asynchronously to the backend by a
@@ -58,10 +75,17 @@ type Volume struct {
 	chunks  map[int64][]byte
 	size    int64
 
-	dirty     map[int64]bool // chunk indices awaiting flush
-	flushQ    *sim.Queue[int64]
-	flushIdle *sim.Signal
-	inflight  int
+	// Write-back state. A chunk is dirty from the write that marks it until the
+	// flusher has copied it for a backend write; a write that lands after the
+	// copy marks it again. flushIdle is set while nothing is dirty and no
+	// backend write is in flight.
+	dirty      map[int64]bool
+	oldest     time.Duration // when the first chunk no drain has taken was marked; -1 if none
+	wake       *sim.Signal   // set to have the flusher look at the triggers
+	flushIdle  *sim.Signal
+	syncing    int  // processes waiting in Sync
+	timerArmed bool // a process is sleeping towards oldest + writebackInterval
+	closed     bool
 
 	// Stats. The fields double as the storage cells of the <prefix>.* obs
 	// counters once AttachObs is called.
@@ -92,7 +116,8 @@ func New(env *sim.Env, backend Backend, rates Rates) *Volume {
 		chunks:    make(map[int64][]byte),
 		size:      backend.Size(),
 		dirty:     make(map[int64]bool),
-		flushQ:    sim.NewQueue[int64](env),
+		oldest:    -1,
+		wake:      sim.NewSignal(env),
 		flushIdle: sim.NewSignal(env),
 	}
 	v.flushIdle.Broadcast()
@@ -121,8 +146,8 @@ func (v *Volume) ReadAt(p *sim.Proc, buf []byte, off int64) error {
 	return nil
 }
 
-// WriteAt stores into cache at the calibrated write rate and queues the
-// dirtied chunks for background flush.
+// WriteAt stores into cache at the calibrated write rate and marks the
+// chunks it touches dirty for write-back.
 func (v *Volume) WriteAt(p *sim.Proc, buf []byte, off int64) error {
 	if off < 0 || off+int64(len(buf)) > v.size {
 		return errRange(off, len(buf), v.size)
@@ -140,84 +165,117 @@ func (v *Volume) WriteAt(p *sim.Proc, buf []byte, off int64) error {
 		if !v.dirty[ci] {
 			v.dirty[ci] = true
 			v.flushIdle.Clear()
-			v.flushQ.Push(ci)
+			if v.oldest < 0 {
+				v.oldest = p.Now()
+			}
 		}
 	}
 	v.dirtyGauge.Set(int64(len(v.dirty)))
+	if len(v.dirty)*chunkSize >= flushSegment {
+		v.wake.Broadcast()
+	}
+	v.armTimer(p.Now())
 	return nil
 }
 
-// flusher drains dirty chunks to the backend, coalescing adjacent chunks
-// into one sequential backend write.
+// armTimer has the flusher woken when the oldest dirty chunk comes of age.
+// One timer is out at a time; it may have been set for a chunk a drain has
+// since taken and so fire early, upon which the flusher arms the next.
+func (v *Volume) armTimer(now time.Duration) {
+	if v.timerArmed || v.oldest < 0 {
+		return
+	}
+	v.timerArmed = true
+	wait := v.oldest + writebackInterval - now
+	v.env.GoDaemon("pagecache-writeback-timer", func(p *sim.Proc) {
+		p.Sleep(wait)
+		v.timerArmed = false
+		v.wake.Broadcast()
+	})
+}
+
+// due reports whether one of the write-back triggers holds.
+func (v *Volume) due(now time.Duration) bool {
+	if len(v.dirty) == 0 {
+		return false
+	}
+	return v.syncing > 0 || v.closed ||
+		len(v.dirty)*chunkSize >= flushSegment || now-v.oldest >= writebackInterval
+}
+
+// flusher writes dirty chunks back whenever a trigger holds.
 func (v *Volume) flusher(p *sim.Proc) {
 	// The flusher is the only writer to the backend, one write at a time, so
-	// it owns a single staging buffer that only ever grows (to at most seg).
+	// it owns a single staging buffer that only ever grows (to at most
+	// flushSegment), and the list of chunks a drain works through.
 	var flushBuf []byte
+	var batch []int64
 	for {
-		ci, ok := v.flushQ.Pop(p)
-		if !ok {
-			return
-		}
-		// Coalesce: grab everything queued right now, sort, write runs.
-		batch := []int64{ci}
-		for {
-			c, ok := v.flushQ.TryPop()
-			if !ok {
-				break
+		v.wake.Wait(p)
+		v.wake.Clear()
+		for v.due(p.Now()) {
+			// Everything dirty now, in ascending order. What is marked from
+			// here on is the next drain's, and its age counts from then.
+			batch = batch[:0]
+			for c := range v.dirty {
+				batch = append(batch, c)
 			}
-			batch = append(batch, c)
-		}
-		sort.Slice(batch, func(i, j int) bool { return batch[i] < batch[j] })
-		run := []int64{batch[0]}
-		flushRun := func(run []int64) {
-			start := run[0] * chunkSize
-			length := int64(len(run)) * chunkSize
-			if start+length > v.size {
-				length = v.size - start
-			}
-			// Bounded segments keep the flush buffer small for huge runs.
-			const seg = 8 << 20
-			if want := minI64(length, seg); int64(len(flushBuf)) < want {
-				flushBuf = make([]byte, want)
-			}
-			for done := int64(0); done < length; {
-				n := minI64(seg, length-done)
-				v.copyOut(flushBuf[:n], start+done)
+			slices.Sort(batch)
+			v.oldest = -1
+			for i := 0; i < len(batch); {
+				// One backend write per run of adjacent chunks, a segment at most.
+				first, n := batch[i], 1
+				for i+n < len(batch) && batch[i+n] == first+int64(n) && (n+1)*chunkSize <= flushSegment {
+					n++
+				}
+				i += n
+				start := first * chunkSize
+				length := min(int64(n)*chunkSize, v.size-start)
+				if int64(len(flushBuf)) < length {
+					flushBuf = make([]byte, length)
+				}
+				// The copy is what gets written: the chunks are clean from here,
+				// and a write that lands while the backend is busy marks them again.
+				v.copyOut(flushBuf[:length], start)
+				for c := first; c < first+int64(n); c++ {
+					delete(v.dirty, c)
+				}
+				v.dirtyGauge.Set(int64(len(v.dirty)))
 				// Best effort: a failed backend is detected by Sync/scrub.
-				_ = v.backend.WriteAt(p, flushBuf[:n], start+done)
-				done += n
+				_ = v.backend.WriteAt(p, flushBuf[:length], start)
+				v.BytesFlushed += length
 			}
-			v.BytesFlushed += length
-			for _, c := range run {
-				delete(v.dirty, c)
-			}
-			v.dirtyGauge.Set(int64(len(v.dirty)))
 		}
-		for _, c := range batch[1:] {
-			if c == run[len(run)-1]+1 {
-				run = append(run, c)
-				continue
-			}
-			flushRun(run)
-			run = []int64{c}
-		}
-		flushRun(run)
-		if len(v.dirty) == 0 && v.flushQ.Len() == 0 {
+		if len(v.dirty) == 0 {
 			v.flushIdle.Broadcast()
+			if v.closed {
+				return
+			}
 		}
+		v.armTimer(p.Now())
 	}
 }
 
-// Sync blocks until all dirty data has reached the backend.
+// Sync blocks until all dirty data has reached the backend, starting
+// write-back at once if there is any.
 func (v *Volume) Sync(p *sim.Proc) {
+	if v.flushIdle.IsSet() {
+		return
+	}
+	v.syncing++
+	v.wake.Broadcast()
 	v.flushIdle.Wait(p)
+	v.syncing--
 }
 
 // DirtyChunks returns the number of chunks awaiting flush.
 func (v *Volume) DirtyChunks() int { return len(v.dirty) }
 
 // Close stops the flusher after draining (call Sync first for durability).
-func (v *Volume) Close() { v.flushQ.Close() }
+func (v *Volume) Close() {
+	v.closed = true
+	v.wake.Broadcast()
+}
 
 func (v *Volume) copyOut(buf []byte, off int64) {
 	for n := 0; n < len(buf); {
@@ -259,13 +317,6 @@ func (v *Volume) copyIn(buf []byte, off int64) {
 		copy(c[co:co+run], buf[n:n+run])
 		n += run
 	}
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func allZero(b []byte) bool {

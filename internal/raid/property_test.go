@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"ros/internal/blockdev"
 	"ros/internal/sim"
 )
 
@@ -161,6 +162,96 @@ func TestRAID6SweepBeyondBound(t *testing.T) {
 					modes: []faultMode{modeFail, modeCorrupt, modeFail},
 				}
 				t.Run(c.name(), func(t *testing.T) { runSweepCase(t, c, false) })
+			}
+		}
+	}
+}
+
+// TestPropertyPartialWriteDegraded runs both partial-stripe plans on every
+// rotation of a degraded array, with the lost member holding the stripe's
+// parity, a data column the write touches, or one it does not: the write must
+// store everything but the lost member's part and report exactly that member's
+// error, so that the array reads back as the reference does, degraded, and
+// rebuilds to clean parity. The "unreadable" cases make the read-modify-write
+// reads fail on a latent sector error instead, which a write does not report.
+func TestPropertyPartialWriteDegraded(t *testing.T) {
+	const (
+		su = 4096
+		// Both arrays have four data columns. The narrow write sits in column 1
+		// (read-modify-write); the wide one runs from column 0 into column 2
+		// (reconstruct-write) and leaves column 3 alone.
+		touchedCol, untouchedCol = 1, 3
+	)
+	plans := []struct {
+		name     string
+		off, len int
+	}{
+		{"rmw", su + 100, 1000},
+		{"rcw", 100, 3*su - 300},
+	}
+	for _, lv := range []struct {
+		level Level
+		n     int
+		roles []string
+	}{
+		{RAID5, 5, []string{"P", "touched", "untouched", "unreadable"}},
+		{RAID6, 6, []string{"P", "Q", "touched", "untouched", "unreadable"}},
+	} {
+		for _, role := range lv.roles {
+			for _, plan := range plans {
+				t.Run(fmt.Sprintf("%s/%s/%s", lv.level, role, plan.name), func(t *testing.T) {
+					for stripe := 0; stripe < lv.n; stripe++ {
+						env := sim.NewEnv()
+						a, disks := newArray(t, env, lv.level, lv.n, int64(lv.n*su), su)
+						ref := patterned(int(a.Size()), byte(stripe))
+						victim := map[string]int{
+							"P": a.pDev(int64(stripe)), "Q": a.qDev(int64(stripe)),
+							"touched":    a.dataDev(int64(stripe), touchedCol),
+							"unreadable": a.dataDev(int64(stripe), touchedCol),
+							"untouched":  a.dataDev(int64(stripe), untouchedCol),
+						}[role]
+						inSim(t, env, func(p *sim.Proc) {
+							if err := a.WriteAt(p, ref, 0); err != nil {
+								t.Fatalf("fill: %v", err)
+							}
+							lse := int64(stripe*su + su/2) // inside both writes' span of column 1
+							if role == "unreadable" {
+								disks[victim].CorruptSector(lse)
+							} else {
+								disks[victim].Fail()
+							}
+							off := stripe*su*a.dataPerStripe() + plan.off
+							data := patterned(plan.len, 0xA5)
+							err := a.WriteAt(p, data, int64(off))
+							copy(ref[off:], data)
+							// Only a write to the lost member fails: parity and the
+							// touched column are written, the untouched one is not.
+							if role == "P" || role == "Q" || role == "touched" {
+								if !errors.Is(err, blockdev.ErrFailed) {
+									t.Fatalf("stripe %d: WriteAt = %v, want the failed member's error", stripe, err)
+								}
+							} else if err != nil {
+								t.Fatalf("stripe %d: WriteAt: %v", stripe, err)
+							}
+							got := make([]byte, len(ref))
+							if err := a.ReadAt(p, got, 0); err != nil || !bytes.Equal(got, ref) {
+								t.Fatalf("stripe %d: degraded content differs from the reference (err=%v)", stripe, err)
+							}
+							if role == "unreadable" {
+								disks[victim].HealSector(lse)
+							} else if err := a.Rebuild(p, victim, blockdev.New(env, disks[victim].Size(), blockdev.SSDProfile())); err != nil {
+								t.Fatalf("stripe %d: Rebuild: %v", stripe, err)
+							}
+							if res, err := a.Scrub(p); err != nil || len(res.Mismatches) != 0 {
+								t.Fatalf("stripe %d: Scrub: err=%v, bad stripes %v", stripe, err, res.Mismatches)
+							}
+							if err := a.ReadAt(p, got, 0); err != nil || !bytes.Equal(got, ref) {
+								t.Fatalf("stripe %d: content differs from the reference after rebuild (err=%v)", stripe, err)
+							}
+						})
+						env.Close()
+					}
+				})
 			}
 		}
 	}

@@ -61,7 +61,7 @@ type Array struct {
 	stripeUnit int
 	devSize    int64
 
-	// Scratch for parity, reconstruct-write and reconstruction. Member
+	// Scratch for parity, partial-stripe writes and reconstruction. Member
 	// devices copy a WriteAt buffer before returning (blockdev.Device), so a
 	// buffer goes back on its list as soon as the I/O that used it is done.
 	chunks  bufList // stripeUnit bytes each
@@ -317,7 +317,8 @@ func (a *Array) writeStriped(p *sim.Proc, buf []byte, off int64) error {
 }
 
 // writeParity handles RAID-5/6 writes stripe by stripe: full-stripe writes
-// compute parity directly; partial writes do read-modify-write.
+// compute parity directly; partial writes read only what their plan needs
+// (writePartialStripe).
 func (a *Array) writeParity(p *sim.Proc, buf []byte, off int64) error {
 	su := int64(a.stripeUnit)
 	k := int64(a.dataPerStripe())
@@ -380,26 +381,157 @@ func (a *Array) writeFullStripe(p *sim.Proc, stripe int64, data []byte) error {
 	return parallel(p, jobs...)
 }
 
-// writePartialStripe performs a reconstruct-write: read the untouched data
-// chunks of the stripe, merge the new data, recompute parity, write back.
+// writePartialStripe stores a sub-stripe write and brings parity up to date
+// over the in-chunk range the write touches, moving only the member bytes the
+// request's geometry calls for. Two plans, chosen by which reads fewer
+// members:
+//
+//   - read-modify-write: read the old data the request overwrites and the old
+//     parity over the same range, then P ^= old ^ new and Q ^= g^col (old ^ new);
+//   - reconstruct-write: read what the request does not overwrite and compute
+//     parity afresh.
+//
+// Both write only the touched data ranges and the parity range. The
+// read-modify-write reads go straight to the members; when one of them is
+// failed or unreadable the write falls back to reconstruct-write, whose reads
+// go through readChunk and so reconstruct. A write to a failed member then
+// fails and is reported, while everything else is stored.
 func (a *Array) writePartialStripe(p *sim.Proc, stripe int64, so int64, src []byte) error {
 	su := a.stripeUnit
 	k := a.dataPerStripe()
-	stripeData := a.stripes.get()
-	defer a.stripes.put(stripeData)
-	// Read current stripe data (reconstructing if degraded).
-	jobs := make([]func(sp *sim.Proc) error, k)
-	for col := 0; col < k; col++ {
-		col := col
-		jobs[col] = func(sp *sim.Proc) error {
-			return a.readChunk(sp, stripe, col, stripeData[col*su:(col+1)*su], 0)
+	soff := stripe * int64(su)
+	end := int(so) + len(src)
+	first, last := int(so)/su, (end-1)/su
+	// The request starts at head in its first column and ends at tail in its
+	// last; span is the in-chunk range [lo, hi) it covers in touched column c.
+	head, tail := int(so)%su, (end-1)%su+1
+	span := func(c int) (lo, hi int) {
+		lo, hi = 0, su
+		if c == first {
+			lo = head
+		}
+		if c == last {
+			hi = tail
+		}
+		return lo, hi
+	}
+	// Parity changes over the hull of the touched spans: the span itself for a
+	// single column, else the whole chunk (the first column runs to the chunk's
+	// end, the last starts at its beginning).
+	plo, phi := 0, su
+	if first == last {
+		plo, phi = head, tail
+	}
+	// Member reads of each plan. Read-modify-write: the touched spans and the
+	// parities. Reconstruct-write: the untouched columns, plus what the first
+	// and last columns keep inside the hull.
+	rmwReads := last - first + 1 + len(a.devs) - k
+	rcwReads := k - (last - first + 1)
+	if first != last && head > 0 {
+		rcwReads++
+	}
+	if first != last && tail < su {
+		rcwReads++
+	}
+
+	// old receives what is read of the data columns, column c at c*su; the
+	// parity ranges are read into (or built in) pbuf and qbuf.
+	old := a.stripes.get()
+	defer a.stripes.put(old)
+	pbuf := a.chunks.get()
+	defer a.chunks.put(pbuf)
+	var qbuf []byte
+	if a.level == RAID6 {
+		qbuf = a.chunks.get()
+		defer a.chunks.put(qbuf)
+	}
+	// fresh is src's part for touched column c.
+	fresh := func(c int) []byte {
+		lo, hi := span(c)
+		return src[c*su+lo-int(so) : c*su+hi-int(so)]
+	}
+	// fold accumulates data, which sits at in-chunk offset at of column col,
+	// into both parities.
+	fold := func(col, at int, data []byte) {
+		XorSlice(data, pbuf[at:at+len(data)])
+		if qbuf != nil {
+			mulSliceXor(gfPow2(col), data, qbuf[at:at+len(data)])
 		}
 	}
-	if err := parallel(p, jobs...); err != nil {
-		return err
+	jobs := make([]func(sp *sim.Proc) error, 0, k+2)
+	// parityJobs queues one access (a Device method) of the parity range per
+	// parity member.
+	parityJobs := func(access func(d blockdev.Device, sp *sim.Proc, buf []byte, off int64) error) {
+		pd := a.devs[a.pDev(stripe)]
+		jobs = append(jobs, func(sp *sim.Proc) error { return access(pd, sp, pbuf[plo:phi], soff+int64(plo)) })
+		if qbuf != nil {
+			qd := a.devs[a.qDev(stripe)]
+			jobs = append(jobs, func(sp *sim.Proc) error { return access(qd, sp, qbuf[plo:phi], soff+int64(plo)) })
+		}
 	}
-	copy(stripeData[so:], src)
-	return a.writeFullStripe(p, stripe, stripeData)
+
+	rmw := rmwReads <= rcwReads
+	if rmw {
+		for c := first; c <= last; c++ {
+			lo, hi := span(c)
+			dev, dst := a.devs[a.dataDev(stripe, c)], old[c*su+lo:c*su+hi]
+			jobs = append(jobs, func(sp *sim.Proc) error { return dev.ReadAt(sp, dst, soff+int64(lo)) })
+		}
+		parityJobs(blockdev.Device.ReadAt)
+		// A member this plan needs is failed or unreadable: reconstruct instead.
+		rmw = parallel(p, jobs...) == nil
+		jobs = jobs[:0]
+	}
+	if rmw {
+		for c := first; c <= last; c++ {
+			lo, hi := span(c)
+			delta := old[c*su+lo : c*su+hi]
+			XorSlice(fresh(c), delta)
+			fold(c, lo, delta)
+		}
+	} else {
+		// kept visits the ranges inside the hull that the request leaves as
+		// they are; parity is rebuilt from them and the fresh data.
+		kept := func(visit func(c, lo, hi int)) {
+			for c := 0; c < k; c++ {
+				lo, hi := plo, plo
+				if first <= c && c <= last {
+					lo, hi = span(c)
+				}
+				if plo < lo {
+					visit(c, plo, lo)
+				}
+				if hi < phi {
+					visit(c, hi, phi)
+				}
+			}
+		}
+		kept(func(c, lo, hi int) {
+			dst := old[c*su+lo : c*su+hi]
+			jobs = append(jobs, func(sp *sim.Proc) error { return a.readChunk(sp, stripe, c, dst, int64(lo)) })
+		})
+		if err := parallel(p, jobs...); err != nil {
+			return err
+		}
+		jobs = jobs[:0]
+		clear(pbuf[plo:phi])
+		if qbuf != nil {
+			clear(qbuf[plo:phi])
+		}
+		kept(func(c, lo, hi int) { fold(c, lo, old[c*su+lo:c*su+hi]) })
+		for c := first; c <= last; c++ {
+			lo, _ := span(c)
+			fold(c, lo, fresh(c))
+		}
+	}
+
+	for c := first; c <= last; c++ {
+		lo, _ := span(c)
+		dev, data := a.devs[a.dataDev(stripe, c)], fresh(c)
+		jobs = append(jobs, func(sp *sim.Proc) error { return dev.WriteAt(sp, data, soff+int64(lo)) })
+	}
+	parityJobs(blockdev.Device.WriteAt)
+	return parallel(p, jobs...)
 }
 
 // reconstructChunk rebuilds the data chunk at (stripe, col) from surviving

@@ -439,3 +439,81 @@ func TestParallelThroughputBeatsSingleDisk(t *testing.T) {
 		t.Fatalf("RAID-5 of 7 disks not at least 3x faster: single=%.3fs array=%.3fs", single, array)
 	}
 }
+
+// TestPartialWriteMemberTraffic pins, exactly, what a sub-stripe write moves on
+// the members: the plan is whichever reads fewer of them (read-modify-write on
+// a tie), and only the touched data ranges and the parity range are written.
+func TestPartialWriteMemberTraffic(t *testing.T) {
+	const su = 64 << 10
+	type traffic struct{ ops, read, written int64 }
+	type write struct {
+		name     string
+		off, len int // within a stripe of its own
+		want     traffic
+	}
+	for _, tc := range []struct {
+		level Level
+		disks int
+		cases []write
+	}{
+		{RAID5, 7, []write{
+			{"4K: rmw, 2 reads + 2 writes", 8192, 4096, traffic{4, 2 * 4096, 2 * 4096}},
+			{"one aligned chunk: rmw, 2 + 2", 2 * su, su, traffic{4, 2 * su, 2 * su}},
+			{"8K across a chunk border: rmw, parity over the hull", su - 4096, 8192, traffic{6, 8192 + su, 8192 + su}},
+			{"3 chunks: reconstruct, 3 + 4", su, 3 * su, traffic{7, 3 * su, 4 * su}},
+			{"5 chunks: reconstruct, 1 + 6", 0, 5 * su, traffic{7, su, 6 * su}},
+			{"5 chunks less 4K at each end: reconstruct, 3 + 6", 4096, 5*su - 8192, traffic{9, su + 8192, 6*su - 8192}},
+			{"full stripe: 0 + 7", 0, 6 * su, traffic{7, 0, 7 * su}},
+		}},
+		{RAID6, 6, []write{
+			{"4K: rmw on the tie, 3 + 3", 8192, 4096, traffic{6, 3 * 4096, 3 * 4096}},
+			{"one aligned chunk: rmw, 3 + 3", su, su, traffic{6, 3 * su, 3 * su}},
+			{"2 chunks: reconstruct, 2 + 4", 0, 2 * su, traffic{6, 2 * su, 4 * su}},
+			{"3 chunks: reconstruct, 1 + 5", su, 3 * su, traffic{6, su, 5 * su}},
+			{"full stripe: 0 + 6", 0, 4 * su, traffic{6, 0, 6 * su}},
+		}},
+	} {
+		t.Run(tc.level.String(), func(t *testing.T) {
+			env := sim.NewEnv()
+			t.Cleanup(env.Close)
+			a, disks := newArray(t, env, tc.level, tc.disks, 8*su, su)
+			stripeBytes := su * a.dataPerStripe()
+			ref := patterned(int(a.Size()), 1)
+			sum := func() (s traffic) {
+				for _, d := range disks {
+					s.ops += d.Ops
+					s.read += d.BytesRead
+					s.written += d.BytesWritten
+				}
+				return s
+			}
+			inSim(t, env, func(p *sim.Proc) {
+				if err := a.WriteAt(p, ref, 0); err != nil {
+					t.Fatalf("fill: %v", err)
+				}
+				for i, c := range tc.cases {
+					// A stripe per case, so that the parity member rotates too.
+					off := (i+1)*stripeBytes + c.off
+					data := patterned(c.len, byte(100+i))
+					before := sum()
+					if err := a.WriteAt(p, data, int64(off)); err != nil {
+						t.Fatalf("%s: %v", c.name, err)
+					}
+					after := sum()
+					got := traffic{after.ops - before.ops, after.read - before.read, after.written - before.written}
+					if got != c.want {
+						t.Errorf("%s: member traffic {ops read written} = %v, want %v", c.name, got, c.want)
+					}
+					copy(ref[off:], data)
+				}
+				got := make([]byte, len(ref))
+				if err := a.ReadAt(p, got, 0); err != nil || !bytes.Equal(got, ref) {
+					t.Fatalf("content differs from the reference (err=%v)", err)
+				}
+				if res, err := a.Scrub(p); err != nil || len(res.Mismatches) != 0 {
+					t.Fatalf("Scrub: err=%v, bad stripes %v", err, res.Mismatches)
+				}
+			})
+		})
+	}
+}

@@ -11,9 +11,10 @@ import (
 	"ros/internal/sim"
 )
 
-// TestConcurrentWritersShareScratch interleaves partial- and full-stripe
-// writes from several processes with readers, on healthy and degraded RAID-5
-// and RAID-6. Every writer owns whole stripes (the array has no stripe lock),
+// TestConcurrentWritersShareScratch interleaves full-stripe writes and partial
+// ones of both plans from several processes with readers, on healthy and
+// degraded RAID-5 and RAID-6 (the lost member is parity in some stripes and a
+// touched or untouched data column in others). Every writer owns whole stripes (the array has no stripe lock),
 // so the final content is known exactly. A scratch buffer handed to two
 // stripes at once, or put back before the device writes that use it have
 // copied it, corrupts data or parity and fails the read-back or the scrub.
@@ -55,10 +56,14 @@ func TestConcurrentWritersShareScratch(t *testing.T) {
 					base := w * region
 					for i := 0; i < rounds; i++ {
 						var off, n int
-						if i%3 == 0 { // whole stripes
+						switch i % 3 {
+						case 0: // whole stripes
 							n = (1 + rng.Intn(2)) * stripeBytes
 							off = rng.Intn((region-n)/stripeBytes+1) * stripeBytes
-						} else { // sub-stripe, or a ragged run across stripes
+						case 1: // within a chunk or two: read-modify-write
+							n = 1 + rng.Intn(su)
+							off = rng.Intn(region - n + 1)
+						default: // a ragged run across stripes: mostly reconstruct-write
 							n = 1 + rng.Intn(2*stripeBytes)
 							off = rng.Intn(region - n + 1)
 						}
@@ -172,7 +177,7 @@ func TestXorKernelMatchesByteLoop(t *testing.T) {
 // TestSmallWriteAllocBudget holds the steady-state host cost of the hot case,
 // a 4 KB sub-stripe write on the paper's 7-disk RAID-5 buffer: stripe and
 // parity scratch come off the array's free lists, so what is left is the
-// per-job bookkeeping of the 6 reads and 7 writes (it was ~450 KB/op when
+// per-job bookkeeping of the 2 reads and 2 writes (it was ~450 KB/op when
 // every write allocated its stripe).
 func TestSmallWriteAllocBudget(t *testing.T) {
 	const stripes = 32
