@@ -17,6 +17,10 @@ var sparkGlyphs = []rune("▁▂▃▄▅▆▇█")
 // sparkTail is how many trailing samples a dashboard sparkline shows.
 const sparkTail = 30
 
+// rateWindow is the trailing window of the dashboard's rate column, the same
+// 5 minutes the sampler's quantiles and alert rules look back over.
+const rateWindow = 5 * time.Minute
+
 // dashSeries is the curated series set `top` shows without a filter: one
 // headline per layer (namespace, scheduler, optical mechanics, federation,
 // alerting). Missing series (e.g. cluster.* on a single rack) are skipped.
@@ -77,9 +81,8 @@ func fmtValue(name string, v float64) string {
 func dashboard(sys *ros.System, p *sim.Proc, filter string) string {
 	var b strings.Builder
 	tele, alerts := sys.Telemetry, sys.Alerts
-	window := tele.Config().Window
 	fmt.Fprintf(&b, "ROS fleet — t=%v  sample every %v, window %v, %d passes\n",
-		p.Now(), tele.Config().Interval, window, tele.Passes())
+		p.Now(), tele.Config().Interval, rateWindow, tele.Passes())
 
 	firing := alerts.Firing()
 	if len(firing) == 0 {
@@ -134,7 +137,7 @@ func dashboard(sys *ros.System, p *sim.Proc, filter string) string {
 		last := r.sr.Last()
 		rate := ""
 		if r.sr.Kind == obs.KindCounter {
-			rate = fmt.Sprintf("%.3f", r.sr.Rate(window))
+			rate = fmt.Sprintf("%.3f", r.sr.Rate(rateWindow))
 		}
 		fmt.Fprintf(&b, "%-8s %-26s %12s %12s  %s\n",
 			label, r.sr.Name, fmtValue(r.sr.Name, last.V), rate, sparkline(r.sr.Points(sparkTail)))

@@ -53,7 +53,7 @@
 // replica-aware reads) and the cluster command group appears:
 //
 //	cluster status [--json]   health, loads and backlog per rack
-//	cluster placement [<path>] placement policy and per-rack loads, or one
+//	cluster placement [<path>] per-rack placement loads, or one
 //	                          file's replica set
 //	cluster kill <i>          mark rack i offline (triggers re-replication)
 //	cluster revive <i>        mark rack i up again
@@ -89,7 +89,6 @@ import (
 func main() {
 	racks := flag.Int("racks", 1, "federate this many racks (>1 enables the cluster layer)")
 	replicas := flag.Int("replicas", 0, "replicas per file in cluster mode (default min(2, racks))")
-	place := flag.String("place", "", "cluster placement policy: seqcheck (default) or hash")
 	sampleEvery := flag.Duration("sample-every", 30*time.Second,
 		"telemetry sampling interval in virtual time (0 disables metrics/alerts/top)")
 	flag.Parse()
@@ -103,7 +102,6 @@ func main() {
 		FS:              ros.FSConfig{RecycleAfterBurn: true},
 		Racks:           *racks,
 		Replicas:        *replicas,
-		PlacePolicy:     *place,
 		SampleEvery:     *sampleEvery,
 	})
 	if err != nil {
@@ -116,8 +114,8 @@ func main() {
 		return
 	}
 	if sys.Cluster != nil {
-		fmt.Printf("ROS maintenance interface — %d-rack federation, %d replica(s), %s placement. 'help' for commands.\n",
-			*racks, sys.Cluster.Replicas(), sys.Cluster.Policy())
+		fmt.Printf("ROS maintenance interface — %d-rack federation, %d replica(s). 'help' for commands.\n",
+			*racks, sys.Cluster.Replicas())
 	} else {
 		fmt.Println("ROS maintenance interface — 1 roller, 6120 discs, 24 drives. 'help' for commands.")
 	}
@@ -458,8 +456,8 @@ func clusterCommand(sys *ros.System, p *sim.Proc, args []string) error {
 			fmt.Println(string(js))
 			return nil
 		}
-		fmt.Printf("  policy=%s replicas=%d entries=%d backlog=%d imbalance=%.1f%%\n",
-			st.Policy, st.Replicas, st.Entries, st.Backlog, st.ImbalancePct)
+		fmt.Printf("  replicas=%d entries=%d backlog=%d imbalance=%.1f%%\n",
+			st.Replicas, st.Entries, st.Backlog, st.ImbalancePct)
 		for _, rs := range st.Racks {
 			fmt.Printf("  %-8s %-9s load=%-6d discs=%-5d tray-loads=%-4d burns=%d\n",
 				rs.Name, rs.Health, rs.Load, rs.Discs, rs.Loads, rs.Burns)
@@ -473,7 +471,7 @@ func clusterCommand(sys *ros.System, p *sim.Proc, args []string) error {
 			fmt.Printf("  %s -> racks %v (primary rack%d)\n", args[1], set, set[0])
 			return nil
 		}
-		fmt.Printf("  policy=%s (reallocation-free: growth never moves an image)\n", cl.Policy())
+		fmt.Println("  sequential checking (reallocation-free: growth never moves an image)")
 		for ri, load := range cl.Loads() {
 			fmt.Printf("  rack%d: %d replica(s) placed\n", ri, load)
 		}

@@ -91,7 +91,7 @@ func main() {
 
 		// Ultimate disaster: the metadata volume is wiped. Rebuild the
 		// namespace by scanning the self-descriptive discs.
-		sys.FS.MV = mv.New(sys.Env, freshMVStore(sys), sys.FS.Config().MVOpCost)
+		sys.FS.MV = mv.New(sys.Env, freshMVStore(sys), mv.DefaultOpCost)
 		sys.FS.Cat = image.NewCatalog()
 		start = p.Now()
 		if err := sys.FS.RecoverNamespace(p, []rack.TrayID{tray}); err != nil {

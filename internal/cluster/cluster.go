@@ -47,8 +47,6 @@ type Config struct {
 	Racks int
 	// Replicas is the copies kept per file (clamped to Racks).
 	Replicas int
-	// Policy selects the placement algorithm (default Sequential Checking).
-	Policy PlacePolicy
 	// Stack sizes every member rack. Stack.Obs is the system registry: the
 	// cluster.* metrics record there, while every member rack gets a private
 	// registry so its olfs.*/rack.* counters don't collide and per-rack
@@ -125,7 +123,7 @@ func New(env *sim.Env, cfg Config) (*Cluster, error) {
 		env:      env,
 		cfg:      cfg,
 		replicas: cfg.Replicas,
-		placer:   newPlacer(cfg.Policy, 0),
+		placer:   newPlacer(0),
 		entries:  make(map[string]*entry),
 		rereplQ:  sim.NewQueue[string](env),
 		queued:   make(map[string]bool),
@@ -202,9 +200,6 @@ func (c *Cluster) Racks() []*Rack { return c.racks }
 
 // Replicas returns the configured replica count.
 func (c *Cluster) Replicas() int { return c.replicas }
-
-// Policy returns the active placement policy.
-func (c *Cluster) Policy() PlacePolicy { return c.cfg.Policy }
 
 // Loads returns the per-rack replica counts the placer tracks.
 func (c *Cluster) Loads() []int64 {
@@ -914,7 +909,6 @@ type RackStatus struct {
 
 // Status is the operational snapshot rosctl cluster status renders.
 type Status struct {
-	Policy       string       `json:"policy"`
 	Replicas     int          `json:"replicas"`
 	Entries      int          `json:"entries"`
 	Backlog      int          `json:"rerepl_backlog"`
@@ -955,7 +949,6 @@ func (c *Cluster) LabeledSnapshots() []obs.LabeledSnapshot {
 // Status assembles the operational snapshot.
 func (c *Cluster) Status() Status {
 	st := Status{
-		Policy:       c.cfg.Policy.String(),
 		Replicas:     c.replicas,
 		Entries:      len(c.entries),
 		Backlog:      c.rereplQ.Len(),

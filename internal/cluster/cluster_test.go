@@ -471,8 +471,8 @@ func TestClusterStatus(t *testing.T) {
 	})
 	tb.cl.SetHealth(2, HealthDegraded)
 	st := tb.cl.Status()
-	if st.Policy != "seqcheck" || st.Replicas != 2 || st.Entries != 6 {
-		t.Errorf("status header = %q/%d/%d, want seqcheck/2/6", st.Policy, st.Replicas, st.Entries)
+	if st.Replicas != 2 || st.Entries != 6 {
+		t.Errorf("status header = %d/%d, want 2/6", st.Replicas, st.Entries)
 	}
 	if len(st.Racks) != 3 {
 		t.Fatalf("status lists %d racks, want 3", len(st.Racks))

@@ -9,65 +9,26 @@
 // probing over the larger rack set, and the load check steers them toward
 // the empty newcomer until the federation rebalances. That is exactly the
 // property cold optical media need: migration means physically re-burning
-// write-once discs.
-//
-// The stateless "hash" policy (key modulo rack count) is kept as an ablation
-// baseline: it balances perfectly but would relocate ~n/(n+1) of all images
-// on every growth step.
+// write-once discs. A stateless modulo placer (key mod rack count) would
+// balance as well but relocate ~n/(n+1) of all images on every growth step;
+// TestHashPolicyRelocatesOnGrowth measures that on keyHash alone.
 package cluster
 
-import (
-	"fmt"
-	"hash/fnv"
-)
-
-// PlacePolicy selects the placement algorithm.
-type PlacePolicy int
-
-const (
-	// PlaceSeqCheck is the Sequential Checking reallocation-free placer
-	// (the default).
-	PlaceSeqCheck PlacePolicy = iota
-	// PlaceHash is the stateless modulo placer (ablation baseline; relocates
-	// on growth).
-	PlaceHash
-)
-
-// ParsePlacePolicy parses a policy name ("" and "seqcheck" mean Sequential
-// Checking, "hash" the modulo baseline).
-func ParsePlacePolicy(s string) (PlacePolicy, error) {
-	switch s {
-	case "", "seqcheck":
-		return PlaceSeqCheck, nil
-	case "hash":
-		return PlaceHash, nil
-	}
-	return 0, fmt.Errorf("cluster: unknown placement policy %q (want seqcheck or hash)", s)
-}
-
-// String returns the flag-friendly policy name.
-func (pp PlacePolicy) String() string {
-	if pp == PlaceHash {
-		return "hash"
-	}
-	return "seqcheck"
-}
+import "hash/fnv"
 
 // placer assigns replica sets to keys and tracks per-rack replica counts.
 // It is pure bookkeeping on the host side — placement costs no virtual time.
 type placer struct {
-	policy PlacePolicy
-	loads  []int64 // replicas currently placed per rack
-	total  int64
+	loads []int64 // replicas currently placed per rack
+	total int64
 }
 
-func newPlacer(policy PlacePolicy, racks int) *placer {
-	return &placer{policy: policy, loads: make([]int64, racks)}
+func newPlacer(racks int) *placer {
+	return &placer{loads: make([]int64, racks)}
 }
 
 // grow extends the placer by one empty rack. Existing assignments are
-// untouched: under seqcheck that is the whole point, under hash the caller
-// inherits the relocation debt (measured by the ablation test, not paid).
+// untouched: that is the whole point of recording placements.
 func (pl *placer) grow() { pl.loads = append(pl.loads, 0) }
 
 // keyHash is the 64-bit FNV-1a of the key, the seed of its probe sequence.
@@ -114,16 +75,6 @@ func (pl *placer) place(key string, want int, eligible []bool) []int {
 	used := make([]bool, n)
 	ok := func(c int) bool {
 		return !used[c] && (eligible == nil || eligible[c])
-	}
-	if pl.policy == PlaceHash {
-		h := keyHash(key)
-		for j := 0; len(chosen) < want; j++ {
-			if c := int((h + uint64(j)) % uint64(n)); ok(c) {
-				chosen = append(chosen, c)
-				used[c] = true
-			}
-		}
-		return pl.commit(chosen)
 	}
 	// Sequential Checking: walk the probe sequence and accept a candidate iff
 	// its load is at or below the eligible-rack average. Over-average racks

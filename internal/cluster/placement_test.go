@@ -14,7 +14,7 @@ func TestPlacementBalanceAndZeroMigrationOnGrowth(t *testing.T) {
 	stages := []int{3, 4, 5, 6} // rack count per stage
 	perStage := total / len(stages)
 
-	pl := newPlacer(PlaceSeqCheck, stages[0])
+	pl := newPlacer(stages[0])
 	assigned := make(map[string]int, total)
 	next := 0
 	for si, racks := range stages {
@@ -72,8 +72,8 @@ func TestPlacementBalanceAndZeroMigrationOnGrowth(t *testing.T) {
 	}
 }
 
-// TestHashPolicyRelocatesOnGrowth documents why the federation defaults to
-// Sequential Checking: the stateless modulo baseline recomputes placement
+// TestHashPolicyRelocatesOnGrowth documents why the federation places by
+// Sequential Checking: a stateless modulo baseline recomputes placement
 // from the rack count, so growing 3->4 racks would move most images — the
 // recorded-placement design is what avoids physically re-burning them.
 func TestHashPolicyRelocatesOnGrowth(t *testing.T) {
@@ -96,7 +96,7 @@ func TestHashPolicyRelocatesOnGrowth(t *testing.T) {
 // TestPlacementReplicaSetsDistinct: replica sets never repeat a rack and
 // honor eligibility.
 func TestPlacementReplicaSetsDistinct(t *testing.T) {
-	pl := newPlacer(PlaceSeqCheck, 5)
+	pl := newPlacer(5)
 	elig := []bool{true, true, false, true, true} // rack 2 offline
 	for i := 0; i < 500; i++ {
 		set := pl.place(fmt.Sprintf("k%04d", i), 3, elig)
@@ -123,7 +123,7 @@ func TestPlacementReplicaSetsDistinct(t *testing.T) {
 // assignments — the property that makes cluster campaigns replayable.
 func TestPlacementDeterministic(t *testing.T) {
 	run := func() []int {
-		pl := newPlacer(PlaceSeqCheck, 4)
+		pl := newPlacer(4)
 		var out []int
 		for i := 0; i < 300; i++ {
 			out = append(out, pl.place(fmt.Sprintf("f%04d", i), 2, nil)...)
@@ -134,28 +134,6 @@ func TestPlacementDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("assignment %d differs: %d vs %d", i, a[i], b[i])
-		}
-	}
-}
-
-func TestParsePlacePolicy(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want PlacePolicy
-		err  bool
-	}{
-		{"", PlaceSeqCheck, false},
-		{"seqcheck", PlaceSeqCheck, false},
-		{"hash", PlaceHash, false},
-		{"rendezvous", 0, true},
-	} {
-		got, err := ParsePlacePolicy(tc.in)
-		if (err != nil) != tc.err {
-			t.Errorf("ParsePlacePolicy(%q) error = %v, want err=%v", tc.in, err, tc.err)
-			continue
-		}
-		if err == nil && got != tc.want {
-			t.Errorf("ParsePlacePolicy(%q) = %v, want %v", tc.in, got, tc.want)
 		}
 	}
 }

@@ -21,10 +21,15 @@ type StackConfig struct {
 	Rollers     int
 	DriveGroups int
 	Media       optical.MediaType
+	// BufferSlots sizes the write buffer's seven RAID-5 HDDs at
+	// (BufferSlots·BucketBytes/6 + 64 KB)·2 bytes each, which holds about
+	// twice BufferSlots buckets: 30 gives 60 slots, 120 gives 240 and 108
+	// gives 217 (TestBufferSlotsMapping pins this).
 	BufferSlots int
 	BucketBytes int64
 	BurnCap     float64
-	FS          olfs.Config
+	// FS configures OLFS; NewRackStack sets its BucketBytes and Obs.
+	FS olfs.Config
 
 	// Obs is the registry this rack's stack records into. Racks must not
 	// share a registry (CounterAt rebinds duplicate names), so the federation
@@ -66,6 +71,8 @@ type Rack struct {
 	Lib    *rack.Library
 	FS     *olfs.FS
 	Buffer *pagecache.Volume
+	// MVArr is the RAID-1 SSD pair the MV namespace lives on.
+	MVArr *raid.Array
 	// Reg is the registry this rack's stack records into — private per rack
 	// in a federation, so per-rack series stay separable and merge correctly.
 	Reg *obs.Registry
@@ -128,6 +135,7 @@ func NewRackStack(env *sim.Env, idx int, cfg StackConfig) (*Rack, error) {
 		Lib:    lib,
 		FS:     fs,
 		Buffer: buffer,
+		MVArr:  mvArr,
 		Reg:    reg,
 	}, nil
 }

@@ -10,12 +10,9 @@ import (
 	"strings"
 	"time"
 
-	"ros/internal/blockdev"
+	"ros/internal/cluster"
 	"ros/internal/olfs"
 	"ros/internal/optical"
-	"ros/internal/pagecache"
-	"ros/internal/rack"
-	"ros/internal/raid"
 	"ros/internal/sim"
 )
 
@@ -83,13 +80,11 @@ func (r Result) String() string {
 	return b.String()
 }
 
-// Bed is a fully assembled ROS instance on a fresh simulation environment.
+// Bed is a fully assembled ROS instance on a fresh simulation environment:
+// one rack stack (library, RAID-1 MV, page-cached RAID-5 buffer, OLFS).
 type Bed struct {
-	Env    *sim.Env
-	Lib    *rack.Library
-	FS     *olfs.FS
-	Buffer *pagecache.Volume
-	MVArr  *raid.Array
+	Env *sim.Env
+	*cluster.Rack
 }
 
 // BedOptions size a Bed. Zero values take the listed defaults.
@@ -97,13 +92,13 @@ type BedOptions struct {
 	Media       optical.MediaType // default Media25
 	Rollers     int               // default 1
 	Groups      int               // default 2
-	BufferSlots int               // default 30
+	BufferSlots int               // default 30 (see cluster.StackConfig)
 	BucketBytes int64             // default 8 MB
 	BurnCap     float64           // aggregate per-group burn cap (0 = uncapped)
 	OLFS        olfs.Config       // DataDiscs etc. default 2+1 for speed
 }
 
-// NewBed assembles a rack + tiers + OLFS.
+// NewBed assembles a rack + tiers + OLFS through cluster.NewRackStack.
 func NewBed(o BedOptions) (*Bed, error) {
 	env := sim.NewEnv()
 	if o.Rollers == 0 {
@@ -118,47 +113,24 @@ func NewBed(o BedOptions) (*Bed, error) {
 	if o.BucketBytes == 0 {
 		o.BucketBytes = 8 << 20
 	}
-	lib, err := rack.New(env, rack.Config{
-		Rollers:     o.Rollers,
-		DriveGroups: o.Groups,
-		Media:       o.Media,
-		PopulateAll: true,
-		BurnCap:     o.BurnCap,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// MV: RAID-1 over two SSDs (§3.3).
-	ssds := []blockdev.Device{
-		blockdev.New(env, 64<<30, blockdev.SSDProfile()),
-		blockdev.New(env, 64<<30, blockdev.SSDProfile()),
-	}
-	mvArr, err := raid.New(env, raid.RAID1, ssds, 0)
-	if err != nil {
-		return nil, err
-	}
-	// Buffer: page-cached RAID-5 over 7 HDDs (§3.3/§5.1).
-	hdds := make([]blockdev.Device, 7)
-	perDisk := (int64(o.BufferSlots)*o.BucketBytes/6 + (64 << 10)) * 2
-	for i := range hdds {
-		hdds[i] = blockdev.New(env, perDisk, blockdev.HDDProfile())
-	}
-	bufArr, err := raid.New(env, raid.RAID5, hdds, 64<<10)
-	if err != nil {
-		return nil, err
-	}
-	buffer := pagecache.New(env, bufArr, pagecache.Ext4Rates())
 	cfg := o.OLFS
 	if cfg.DataDiscs == 0 {
 		cfg.DataDiscs = 2
 		cfg.ParityDiscs = 1
 	}
-	cfg.BucketBytes = o.BucketBytes
-	fs, err := olfs.New(env, cfg, lib, mvArr, buffer)
+	r, err := cluster.NewRackStack(env, 0, cluster.StackConfig{
+		Rollers:     o.Rollers,
+		DriveGroups: o.Groups,
+		Media:       o.Media,
+		BufferSlots: o.BufferSlots,
+		BucketBytes: o.BucketBytes,
+		BurnCap:     o.BurnCap,
+		FS:          cfg,
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &Bed{Env: env, Lib: lib, FS: fs, Buffer: buffer, MVArr: mvArr}, nil
+	return &Bed{Env: env, Rack: r}, nil
 }
 
 // Run executes fn as a simulation process and drains the environment.

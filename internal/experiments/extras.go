@@ -97,7 +97,7 @@ func MVRecovery() (Result, error) {
 			return fmt.Errorf("expected >= %d used trays, got %d", arrays, len(trays))
 		}
 		// Total MV loss: fresh namespace + catalog.
-		fs.MV = mv.New(bed.Env, bed.MVArr, fs.Config().MVOpCost)
+		fs.MV = mv.New(bed.Env, bed.MVArr, mv.DefaultOpCost)
 		fs.Cat = image.NewCatalog()
 		start := p.Now()
 		if err := fs.RecoverNamespace(p, trays[:arrays]); err != nil {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"time"
 
+	"ros/internal/obs"
 	"ros/internal/olfs"
 	"ros/internal/samba"
 	"ros/internal/sim"
@@ -44,27 +45,23 @@ func Fig7() (Result, error) {
 		var wSum, rSum time.Duration
 		for i := 0; i < reps; i++ {
 			name := "/fig7/olfs-" + string(rune('a'+i%26)) + string(rune('a'+i/26))
-			fs.StartTrace()
 			start := p.Now()
-			if err := fs.WriteFile(p, name, payload); err != nil {
+			ops, err := opTrace(p, fs.Tracer(), func() error { return fs.WriteFile(p, name, payload) })
+			if err != nil {
 				return err
 			}
 			wSum += p.Now() - start
-			if i == 0 {
-				writeTrace = traceNames(fs.StopTrace())
-			} else {
-				fs.StopTrace()
-			}
-			fs.StartTrace()
 			start = p.Now()
-			if _, err := fs.ReadFile(p, name); err != nil {
+			rops, err := opTrace(p, fs.Tracer(), func() error {
+				_, err := fs.ReadFile(p, name)
+				return err
+			})
+			if err != nil {
 				return err
 			}
 			rSum += p.Now() - start
 			if i == 0 {
-				readTrace = traceNames(fs.StopTrace())
-			} else {
-				fs.StopTrace()
+				writeTrace, readTrace = ops, rops
 			}
 		}
 		olfsWrite = wSum / reps
@@ -73,16 +70,14 @@ func Fig7() (Result, error) {
 		var swSum, srSum time.Duration
 		for i := 0; i < reps; i++ {
 			name := "/fig7/smb-" + string(rune('a'+i%26)) + string(rune('a'+i/26))
-			fs.StartTrace()
 			start := p.Now()
-			if err := vfs.WriteFile(p, smb, name, payload, 0); err != nil {
+			ops, err := opTrace(p, fs.Tracer(), func() error { return vfs.WriteFile(p, smb, name, payload, 0) })
+			if err != nil {
 				return err
 			}
 			swSum += p.Now() - start
 			if i == 0 {
-				smbWriteTrace = traceNames(fs.StopTrace())
-			} else {
-				fs.StopTrace()
+				smbWriteTrace = ops
 			}
 			start = p.Now()
 			// Sized read (stat told the client the length): open, one read,
@@ -134,10 +129,20 @@ func Fig7() (Result, error) {
 	return res, nil
 }
 
-func traceNames(tr []olfs.OpTrace) []string {
-	out := make([]string, len(tr))
-	for i, op := range tr {
-		out[i] = op.Name
+// opTrace runs call inside a trace of its own and returns the internal
+// operations it made: the olfs.op.* spans of that trace, in start order. The
+// wrapper trace is what collects the ops of a call that enters OLFS through
+// samba's metadata requests rather than an OLFS entry point; an OLFS entry
+// point nests under it.
+func opTrace(p *sim.Proc, tr *obs.Tracer, call func() error) ([]string, error) {
+	op := tr.StartOp(p, "fig7", "interactive")
+	err := call()
+	op.Finish(p, err)
+	var names []string
+	for _, sp := range op.Trace().Spans() {
+		if name, ok := strings.CutPrefix(sp.Name, "olfs.op."); ok {
+			names = append(names, name)
+		}
 	}
-	return out
+	return names, err
 }

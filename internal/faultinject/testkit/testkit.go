@@ -10,25 +10,20 @@ import (
 	"testing"
 	"time"
 
-	"ros/internal/blockdev"
+	"ros/internal/cluster"
 	"ros/internal/faultinject"
 	"ros/internal/obs"
 	"ros/internal/olfs"
 	"ros/internal/optical"
-	"ros/internal/pagecache"
-	"ros/internal/rack"
-	"ros/internal/raid"
 	"ros/internal/sim"
 )
 
-// Bed is one assembled test stack.
+// Bed is one assembled test stack: a cluster.Rack (library, MV array, write
+// buffer, OLFS) on its own environment, with the fault plane.
 type Bed struct {
-	Env    *sim.Env
-	Lib    *rack.Library
-	FS     *olfs.FS
-	MVDisk *blockdev.Disk    // first MV SSD, for metadata fault scenarios
-	Buffer *pagecache.Volume // the tiered write buffer / read cache
-	Plane  *faultinject.Plane
+	Env *sim.Env
+	*cluster.Rack
+	Plane *faultinject.Plane
 }
 
 // Options tune the bed away from the standard small configuration.
@@ -39,13 +34,16 @@ type Options struct {
 	// Faults is a fault-rule spec (faultinject.ParseSpec grammar) armed
 	// before the test body runs.
 	Faults string
-	// BufferBytes overrides the per-HDD buffer-disk size (default 16 MB).
-	BufferBytes int64
-	// Config mutates the olfs.Config after defaults are applied.
+	// BufferSlots sizes the write buffer as cluster.StackConfig does
+	// (default 48, which holds 96 one-megabyte buckets).
+	BufferSlots int
+	// Config mutates the olfs.Config after defaults are applied. The bucket
+	// size is the bed's (1 MB) and the registry the rack's.
 	Config func(*olfs.Config)
 }
 
-// New assembles a Bed. Failures during assembly abort the test.
+// New assembles a Bed through cluster.NewRackStack. Failures during assembly
+// abort the test.
 func New(t *testing.T, opt Options) *Bed {
 	t.Helper()
 	env := sim.NewEnv()
@@ -56,55 +54,37 @@ func New(t *testing.T, opt Options) *Bed {
 	}
 	env.Seed(seed)
 	plane := faultinject.New(env, seed)
-	lib, err := rack.New(env, rack.Config{
-		Rollers: 1, DriveGroups: 2, Media: optical.Media25, PopulateAll: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	slots := opt.BufferSlots
+	if slots == 0 {
+		slots = 48
 	}
-	ssds := []blockdev.Device{
-		blockdev.New(env, 1<<30, blockdev.SSDProfile()),
-		blockdev.New(env, 1<<30, blockdev.SSDProfile()),
-	}
-	mvArr, err := raid.New(env, raid.RAID1, ssds, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perDisk := opt.BufferBytes
-	if perDisk == 0 {
-		perDisk = 16 << 20
-	}
-	hdds := make([]blockdev.Device, 7)
-	for i := range hdds {
-		hdds[i] = blockdev.New(env, perDisk, blockdev.HDDProfile())
-	}
-	bufArr, err := raid.New(env, raid.RAID5, hdds, 64<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := pagecache.New(env, bufArr, pagecache.Ext4Rates())
 	cfg := olfs.Config{
 		DataDiscs:   2,
 		ParityDiscs: 1,
 		AutoBurn:    true,
-		BucketBytes: 1 << 20,
 		BurnStagger: time.Second, // keep multi-disc tests quick in virtual time
 	}
 	if opt.Config != nil {
 		opt.Config(&cfg)
 	}
-	fs, err := olfs.New(env, cfg, lib, mvArr, buf)
+	r, err := cluster.NewRackStack(env, 0, cluster.StackConfig{
+		Rollers:     1,
+		DriveGroups: 2,
+		Media:       optical.Media25,
+		BufferSlots: slots,
+		BucketBytes: 1 << 20,
+		FS:          cfg,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plane.AttachObs(fs.Obs())
+	plane.AttachObs(r.Reg)
 	if opt.Faults != "" {
 		if _, err := plane.ArmSpec(opt.Faults); err != nil {
 			t.Fatalf("testkit: arming faults %q: %v", opt.Faults, err)
 		}
 	}
-	mvDisk, _ := ssds[0].(*blockdev.Disk)
-	return &Bed{Env: env, Lib: lib, FS: fs, MVDisk: mvDisk, Buffer: buf, Plane: plane}
+	return &Bed{Env: env, Rack: r, Plane: plane}
 }
 
 // Run executes fn as a simulation process and drains the environment. A

@@ -208,12 +208,12 @@ var (
 
 const parityChunk = 1 << 20
 
-// Strips is a free list of the 1 MB strip buffers GenerateParity and
-// VerifyParity work in, for a caller that runs them again and again (olfs
-// keeps one per FS). The zero value is ready to use. Calls on one sim.Env may
-// overlap — exactly one process runs at a time, and a buffer goes back on the
-// list only when its call is done with it (see Backend for why that is at
-// return) — but a Strips must not be shared between environments.
+// Strips is a free list of the 1 MB strip buffers GenerateParity works in,
+// for a caller that runs it again and again (olfs keeps one per FS). The zero
+// value is ready to use. Calls on one sim.Env may overlap — exactly one
+// process runs at a time, and a buffer goes back on the list only when its
+// call is done with it (see Backend for why that is at return) — but a Strips
+// must not be shared between environments.
 type Strips struct{ free [][]byte }
 
 func (s *Strips) get() []byte {
@@ -307,20 +307,20 @@ func GenerateParity(p *sim.Proc, data []Backend, parity []Backend, length int64)
 	return new(Strips).GenerateParity(p, data, parity, length)
 }
 
-// VerifyParity re-reads all images and checks P (and Q) consistency,
-// returning the offsets (strip starts) that mismatch — the §4.7 idle-time
-// sector-error scan at image granularity.
-func (s *Strips) VerifyParity(p *sim.Proc, data []Backend, parity []Backend, length int64) ([]int64, error) {
+// VerifyParity re-reads all images one column at a time and checks P (and
+// Q) consistency, returning the offsets (strip starts) that mismatch — the
+// §4.7 idle-time sector-error scan at image granularity, and the serial
+// reference for VerifyParityParallel.
+func VerifyParity(p *sim.Proc, data []Backend, parity []Backend, length int64) ([]int64, error) {
 	if len(parity) < 1 || len(parity) > 2 {
 		return nil, ErrParityCount
 	}
 	var bad []int64
-	buf, pAcc := s.get(), s.get()
+	buf, pAcc := make([]byte, parityChunk), make([]byte, parityChunk)
 	var qAcc []byte
 	if len(parity) == 2 {
-		qAcc = s.get()
+		qAcc = make([]byte, parityChunk)
 	}
-	defer s.put(buf, pAcc, qAcc)
 	for off := int64(0); off < length; off += parityChunk {
 		n := parityChunk
 		if off+int64(n) > length {
@@ -342,11 +342,6 @@ func (s *Strips) VerifyParity(p *sim.Proc, data []Backend, parity []Backend, len
 		}
 	}
 	return bad, nil
-}
-
-// VerifyParity is Strips.VerifyParity on one-shot strip buffers.
-func VerifyParity(p *sim.Proc, data []Backend, parity []Backend, length int64) ([]int64, error) {
-	return new(Strips).VerifyParity(p, data, parity, length)
 }
 
 // Recover reconstructs up to two lost data columns from the survivors.

@@ -396,7 +396,7 @@ func (e *AlertEngine) Eval(t time.Duration) {
 func (e *AlertEngine) check(r *Rule, sr *Series) (bad bool, val float64) {
 	window := r.Window
 	if window <= 0 {
-		window = e.sampler.cfg.Window
+		window = sampleWindow
 	}
 	switch r.Kind {
 	case RuleThreshold:
@@ -470,7 +470,7 @@ func (e *AlertEngine) step(r *Rule, label string, t time.Duration, bad bool, val
 		clearFor = r.Window
 	}
 	if clearFor <= 0 {
-		clearFor = e.sampler.cfg.Window
+		clearFor = sampleWindow
 	}
 	switch st.phase {
 	case phaseIdle:

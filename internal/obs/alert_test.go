@@ -59,14 +59,14 @@ func TestParseRules(t *testing.T) {
 	}
 }
 
-// harness builds an env + registry + sampler + engine ticking every 10s with
-// a 30s window.
+// harness builds an env + registry + sampler + engine ticking every 10s (the
+// default 5m window; rules that need a shorter one say "window").
 func alertHarness(t *testing.T, rules string) (*sim.Env, *Registry, *Sampler, *AlertEngine) {
 	t.Helper()
 	env := sim.NewEnv()
 	t.Cleanup(env.Close)
 	reg := New(env)
-	s := NewSampler(env, SamplerConfig{Interval: 10 * time.Second, Window: 30 * time.Second})
+	s := NewSampler(env, SamplerConfig{Interval: 10 * time.Second})
 	s.AddSource("", reg)
 	e := NewAlertEngine(env, s, reg)
 	rs, err := ParseRules(rules)

@@ -279,27 +279,24 @@ type histFeed struct {
 }
 
 // SamplerConfig tunes a Sampler. The zero value samples every 30 virtual
-// seconds into 360-point series with 5-minute sliding windows.
+// seconds.
 type SamplerConfig struct {
 	// Interval is the virtual-time sampling period (default 30s).
 	Interval time.Duration
-	// Window is the trailing window for derived quantiles and the default
-	// window for rate/delta aggregations and alert rules (default 5m).
-	Window time.Duration
-	// Capacity bounds each series' retained points (default 360 — three
-	// hours of history at the default interval).
-	Capacity int
 }
+
+const (
+	// sampleWindow is the trailing window for derived quantiles and the
+	// default window for rate/delta aggregations and alert rules.
+	sampleWindow = 5 * time.Minute
+	// seriesCapacity bounds each series' retained points: three hours of
+	// history at the default interval.
+	seriesCapacity = 360
+)
 
 func (c SamplerConfig) withDefaults() SamplerConfig {
 	if c.Interval <= 0 {
 		c.Interval = 30 * time.Second
-	}
-	if c.Window <= 0 {
-		c.Window = 5 * time.Minute
-	}
-	if c.Capacity <= 0 {
-		c.Capacity = 360
 	}
 	return c
 }
@@ -406,7 +403,7 @@ func (s *Sampler) scrape(src *source, t int64) {
 	}
 	for _, f := range src.histos {
 		f.track.push(t, f.h.BucketCounts(), f.h.Count())
-		buckets, count := f.track.windowDelta(s.cfg.Window)
+		buckets, count := f.track.windowDelta(sampleWindow)
 		f.count.Append(t, float64(count))
 		for _, q := range [...]struct {
 			s *Series
@@ -438,7 +435,7 @@ func (s *Sampler) resolve(src *source) {
 	for _, name := range sortedKeys(src.reg.hists) {
 		ht, ok := src.hists[name]
 		if !ok {
-			depth := int(s.cfg.Window/s.cfg.Interval) + 2
+			depth := int(sampleWindow/s.cfg.Interval) + 2
 			if depth < 4 {
 				depth = 4
 			}
@@ -468,7 +465,7 @@ func (s *Sampler) seriesFor(src *source, name string, kind SeriesKind) *Series {
 	if sr, ok := src.series[name]; ok {
 		return sr
 	}
-	sr := newSeries(src.label, name, kind, s.cfg.Capacity)
+	sr := newSeries(src.label, name, kind, seriesCapacity)
 	src.series[name] = sr
 	return sr
 }
@@ -566,5 +563,5 @@ func (s *Sampler) String() string {
 	total := 0
 	s.Each(func(*Series) { total++ })
 	return fmt.Sprintf("sampler: every=%s window=%s sources=%d series=%d passes=%d",
-		s.cfg.Interval, s.cfg.Window, len(s.sources), total, s.passes)
+		s.cfg.Interval, sampleWindow, len(s.sources), total, s.passes)
 }

@@ -61,7 +61,7 @@ func TestSeriesRateAndDelta(t *testing.T) {
 func TestSamplerWindowedQuantilesDecay(t *testing.T) {
 	env := sim.NewEnv()
 	reg := New(env)
-	s := NewSampler(env, SamplerConfig{Interval: 10 * time.Second, Window: 30 * time.Second})
+	s := NewSampler(env, SamplerConfig{Interval: 10 * time.Second})
 	s.AddSource("", reg)
 	s.Start()
 	h := reg.Histogram("op.lat")
@@ -71,7 +71,7 @@ func TestSamplerWindowedQuantilesDecay(t *testing.T) {
 			p.Sleep(10 * time.Second)
 		}
 		reg.Counter("ops").Add(7)
-		p.Sleep(2 * time.Minute) // quiet tail: window slides past the slow ops
+		p.Sleep(6 * time.Minute) // quiet tail: the 5m window slides past the slow ops
 	})
 	env.Run()
 	p99 := s.Get("", "op.lat.p99")

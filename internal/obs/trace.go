@@ -13,7 +13,7 @@
 // Completed traces land in a bounded journal with tail-based capture: the
 // keep/drop decision happens at Finish, when the trace's duration and error
 // state are known. Error/retry traces and the N slowest per QoS class are
-// always retained; clean fast traces are down-sampled and evicted first.
+// always retained; clean traces are down-sampled and evicted first.
 package obs
 
 import (
@@ -32,24 +32,19 @@ type TracerConfig struct {
 	// Capacity bounds the completed-trace journal. 0 means the default
 	// (256); negative disables tracing (NewTracer returns nil).
 	Capacity int
-	// KeepSlowest is how many of the slowest traces per QoS class are
-	// protected from journal eviction (tail-based capture). 0 means 8.
-	KeepSlowest int
-	// SlowThreshold, when positive, marks traces at least this slow as
-	// always-captured regardless of sampling.
-	SlowThreshold time.Duration
-	// SampleEvery keeps 1 of every N fast, error-free traces (<=1 keeps
-	// all). Slow and error/retry traces bypass sampling: the decision is
-	// made at Finish time, tail-style.
+	// SampleEvery keeps 1 of every N error-free traces (<=1 keeps all).
+	// Error/retry traces bypass sampling: the decision is made at Finish
+	// time, tail-style.
 	SampleEvery int
 }
+
+// keepSlowest is how many of the slowest traces per QoS class are protected
+// from journal eviction (tail-based capture).
+const keepSlowest = 8
 
 func (c TracerConfig) withDefaults() TracerConfig {
 	if c.Capacity == 0 {
 		c.Capacity = 256
-	}
-	if c.KeepSlowest <= 0 {
-		c.KeepSlowest = 8
 	}
 	if c.SampleEvery < 1 {
 		c.SampleEvery = 1
@@ -192,8 +187,8 @@ type Tracer struct {
 	active    int
 	openSpans int
 
-	journal []*Trace // completed, captured traces in finish order
-	fastSeq int64    // sampling counter over clean fast traces
+	journal  []*Trace // completed, captured traces in finish order
+	cleanSeq int64    // sampling counter over clean traces
 
 	// Stats, bound as trace.* counters when the tracer is attached to a
 	// Registry (the fields are the counters' storage).
@@ -211,14 +206,6 @@ func NewTracer(env *sim.Env, cfg TracerConfig) *Tracer {
 		return nil
 	}
 	return &Tracer{env: env, cfg: cfg.withDefaults()}
-}
-
-// Config returns the effective configuration.
-func (t *Tracer) Config() TracerConfig {
-	if t == nil {
-		return TracerConfig{Capacity: -1}
-	}
-	return t.cfg
 }
 
 func (t *Tracer) now() time.Duration {
@@ -358,11 +345,9 @@ func (t *Trace) finish(p *sim.Proc, err error) {
 
 // commit applies the tail-sampling keep/drop decision and journal eviction.
 func (tr *Tracer) commit(t *Trace) {
-	keep := t.Faulty() ||
-		(tr.cfg.SlowThreshold > 0 && t.Duration() >= tr.cfg.SlowThreshold)
-	if !keep {
-		tr.fastSeq++
-		if tr.cfg.SampleEvery > 1 && tr.fastSeq%int64(tr.cfg.SampleEvery) != 1 {
+	if !t.Faulty() {
+		tr.cleanSeq++
+		if tr.cfg.SampleEvery > 1 && tr.cleanSeq%int64(tr.cfg.SampleEvery) != 1 {
 			tr.Sampled++
 			return
 		}
@@ -375,7 +360,7 @@ func (tr *Tracer) commit(t *Trace) {
 }
 
 // evictOne removes the oldest journal entry that is neither faulty nor among
-// the KeepSlowest slowest of its class; if every entry is protected the
+// the keepSlowest slowest of its class; if every entry is protected the
 // oldest overall goes, keeping the journal bounded.
 func (tr *Tracer) evictOne() {
 	protected := tr.protectedSet()
@@ -395,7 +380,7 @@ func (tr *Tracer) evictOne() {
 	tr.Evicted++
 }
 
-// protectedSet returns the IDs of the KeepSlowest slowest traces per class.
+// protectedSet returns the IDs of the keepSlowest slowest traces per class.
 func (tr *Tracer) protectedSet() map[int64]bool {
 	byClass := make(map[string][]*Trace)
 	for _, t := range tr.journal {
@@ -409,11 +394,7 @@ func (tr *Tracer) protectedSet() map[int64]bool {
 			}
 			return ts[i].ID < ts[j].ID
 		})
-		n := tr.cfg.KeepSlowest
-		if n > len(ts) {
-			n = len(ts)
-		}
-		for _, t := range ts[:n] {
+		for _, t := range ts[:min(keepSlowest, len(ts))] {
 			out[t.ID] = true
 		}
 	}

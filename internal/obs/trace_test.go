@@ -123,24 +123,21 @@ func TestTraceNilSafety(t *testing.T) {
 }
 
 func TestTailSampling(t *testing.T) {
-	// 1-in-3 sampling: of 9 clean fast traces the 1st, 4th and 7th survive.
-	// A failed trace and a slow trace bypass sampling entirely.
-	tr := traceBed(t, TracerConfig{SampleEvery: 3, SlowThreshold: time.Minute},
+	// 1-in-3 sampling: of 9 clean traces the 1st, 4th and 7th survive. A
+	// failed trace bypasses sampling entirely.
+	tr := traceBed(t, TracerConfig{SampleEvery: 3},
 		func(p *sim.Proc, tr *Tracer) {
 			for i := 0; i < 9; i++ {
-				op := tr.StartOp(p, "fast", "interactive")
+				op := tr.StartOp(p, "clean", "interactive")
 				p.Sleep(time.Second)
 				op.Finish(p, nil)
 			}
 			op := tr.StartOp(p, "broken", "interactive")
 			op.Finish(p, errors.New("boom"))
-			op = tr.StartOp(p, "slow", "interactive")
-			p.Sleep(2 * time.Minute)
-			op.Finish(p, nil)
 		})
 
-	if tr.Started != 11 || tr.Finished != 11 {
-		t.Errorf("started/finished = %d/%d, want 11/11", tr.Started, tr.Finished)
+	if tr.Started != 10 || tr.Finished != 10 {
+		t.Errorf("started/finished = %d/%d, want 10/10", tr.Started, tr.Finished)
 	}
 	if tr.Sampled != 6 {
 		t.Errorf("sampled-out = %d, want 6", tr.Sampled)
@@ -149,48 +146,41 @@ func TestTailSampling(t *testing.T) {
 	for _, trc := range tr.Traces() {
 		counts[trc.Name]++
 	}
-	if counts["fast"] != 3 || counts["broken"] != 1 || counts["slow"] != 1 {
-		t.Errorf("journal composition = %v, want fast:3 broken:1 slow:1", counts)
+	if counts["clean"] != 3 || counts["broken"] != 1 {
+		t.Errorf("journal composition = %v, want clean:3 broken:1", counts)
 	}
 }
 
 func TestJournalEvictionProtectsFaultyAndSlowest(t *testing.T) {
-	// Capacity 3, protect the single slowest per class. Committing clean
-	// traces of increasing duration plus one faulty trace must evict the
-	// fast clean ones and retain the faulty + slowest.
-	tr := traceBed(t, TracerConfig{Capacity: 3, KeepSlowest: 1},
+	// Capacity 9: one faulty trace, then nine clean traces each slower than
+	// the next (9 s down to 1 s). The tenth commit evicts exactly one entry:
+	// the faulty trace and the 8 slowest clean ones are protected, so the
+	// victim is the 1 s trace, although it is the newest.
+	tr := traceBed(t, TracerConfig{Capacity: 9},
 		func(p *sim.Proc, tr *Tracer) {
 			op := tr.StartOp(p, "faulty", "interactive")
 			op.Finish(p, errors.New("boom"))
-			for _, d := range []time.Duration{time.Second, 2 * time.Second,
-				5 * time.Second, 3 * time.Second, 4 * time.Second} {
+			for d := 9; d >= 1; d-- {
 				op := tr.StartOp(p, "clean", "interactive")
-				p.Sleep(d)
+				p.Sleep(time.Duration(d) * time.Second)
 				op.Finish(p, nil)
 			}
 		})
 
 	traces := tr.Traces()
-	if len(traces) != 3 {
-		t.Fatalf("journal holds %d traces, want capacity 3", len(traces))
+	if len(traces) != 9 {
+		t.Fatalf("journal holds %d traces, want capacity 9", len(traces))
 	}
-	haveFaulty, haveSlowest := false, false
-	for _, trc := range traces {
-		if trc.Faulty() {
-			haveFaulty = true
-		}
-		if trc.Duration() == 5*time.Second {
-			haveSlowest = true
-		}
-	}
-	if !haveFaulty {
+	if !traces[0].Faulty() {
 		t.Error("eviction dropped the faulty trace")
 	}
-	if !haveSlowest {
-		t.Error("eviction dropped the slowest trace")
+	for i, trc := range traces[1:] {
+		if want := time.Duration(9-i) * time.Second; trc.Duration() != want {
+			t.Errorf("journal[%d] lasted %v, want %v (the 8 slowest kept in order)", i+1, trc.Duration(), want)
+		}
 	}
-	if tr.Evicted != 3 {
-		t.Errorf("evicted = %d, want 3", tr.Evicted)
+	if tr.Evicted != 1 {
+		t.Errorf("evicted = %d, want 1", tr.Evicted)
 	}
 }
 

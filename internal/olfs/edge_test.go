@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -133,9 +134,10 @@ func TestPartMissingAfterCatalogLoss(t *testing.T) {
 func TestBufferExhaustion(t *testing.T) {
 	// A buffer with very few slots: filling them all with unburned images
 	// must produce a clean "buffer full" error rather than corruption or a
-	// deadlock. 768 KB per RAID-5 disk = 4.5 MB usable = 4 slots of 1 MB.
+	// deadlock. Two buffer slots per cluster.StackConfig size each RAID-5
+	// disk at 768 KB: 4.5 MB usable = 4 slots of 1 MB.
 	bed := testkit.New(t, testkit.Options{
-		BufferBytes: 768 << 10,
+		BufferSlots: 2,
 		Config:      noAutoBurn,
 	})
 	bed.Run(t, func(p *sim.Proc) {
@@ -219,30 +221,36 @@ func TestStopWithPendingMoverRejectsIngest(t *testing.T) {
 func TestTraceCapturesDurations(t *testing.T) {
 	bed := testkit.New(t, testkit.Options{Config: noAutoBurn})
 	bed.Run(t, func(p *sim.Proc) {
-		bed.FS.StartTrace()
-		if err := bed.FS.WriteFile(p, "/tr/f", testkit.Pat(1024, 1)); err != nil {
-			t.Fatal(err)
-		}
-		trace := bed.FS.StopTrace()
-		if len(trace) == 0 {
-			t.Fatal("no trace entries")
-		}
-		var total time.Duration
-		for _, op := range trace {
-			if op.Dur < 0 {
-				t.Errorf("negative duration for %s", op.Name)
+		for _, path := range []string{"/tr/f", "/tr/g"} {
+			if err := bed.FS.WriteFile(p, path, testkit.Pat(1024, 1)); err != nil {
+				t.Fatal(err)
 			}
-			total += op.Dur
 		}
-		if total <= 0 {
-			t.Error("trace durations sum to zero")
+		trs := bed.FS.Tracer().Traces()
+		if len(trs) != 2 {
+			t.Fatalf("captured %d traces, want one per WriteFile", len(trs))
 		}
-		// Trace stops recording after StopTrace.
-		if err := bed.FS.WriteFile(p, "/tr/g", testkit.Pat(10, 2)); err != nil {
-			t.Fatal(err)
-		}
-		if got := bed.FS.StopTrace(); len(got) != 0 {
-			t.Errorf("trace continued after stop: %d entries", len(got))
+		// Each request's trace holds its own internal ops, and only those.
+		for _, tr := range trs {
+			ops := 0
+			var total time.Duration
+			for _, sp := range tr.Spans() {
+				if !strings.HasPrefix(sp.Name, "olfs.op.") {
+					continue
+				}
+				ops++
+				if sp.Stop < sp.Start || sp.Start < tr.Start || sp.Stop > tr.Stop {
+					t.Errorf("trace %d: span %s [%v, %v] outside its request [%v, %v]",
+						tr.ID, sp.Name, sp.Start, sp.Stop, tr.Start, tr.Stop)
+				}
+				total += sp.Stop - sp.Start
+			}
+			if ops != 5 {
+				t.Errorf("trace %d: %d olfs.op spans, want 5 (stat,mknod,stat,write,close)", tr.ID, ops)
+			}
+			if total <= 0 {
+				t.Errorf("trace %d: op span durations sum to zero", tr.ID)
+			}
 		}
 	})
 }

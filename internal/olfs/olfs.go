@@ -58,22 +58,9 @@ type Config struct {
 	DataDiscs   int
 	ParityDiscs int
 
-	// MVOpCost is the per-index-file-operation cost (Fig 7: ~2.5 ms).
-	MVOpCost time.Duration
-	// SwitchCost is the FUSE kernel-user mode switch charged per internal
-	// operation (§4.8).
-	SwitchCost time.Duration
-	// ReadReqOverhead/WriteReqOverhead are the OLFS data-path costs per
-	// request as delivered by the kernel (128 KB FUSE chunks), calibrated
-	// from Fig 6 (ext4+OLFS vs ext4+FUSE).
-	ReadReqOverhead  time.Duration
-	WriteReqOverhead time.Duration
 	// DirectIO makes every data write/read also charge an MV op (journal
 	// sync), the §5.2 tracing configuration for Fig 7.
 	DirectIO bool
-
-	// VFSMountTime is the §5.4 "mounting disc into local VFS" delay.
-	VFSMountTime time.Duration
 
 	// AutoBurn enqueues a burn task whenever DataDiscs images are sealed.
 	AutoBurn bool
@@ -93,12 +80,6 @@ type Config struct {
 	// capacity). Smaller buckets are useful in tests; burned discs still
 	// charge full write-all-once time.
 	BucketBytes int64
-
-	// SerialRead disables the tray-wide parallel read plane (multi-part
-	// fan-out, concurrent scrub/recover strips) and walks discs one at a
-	// time on the calling proc — the pre-parallel behaviour, kept as an
-	// ablation knob for Table 2 style comparisons.
-	SerialRead bool
 
 	// Sched configures the mechanical request scheduler: fifo reproduces
 	// the legacy reactive arbitration; qos-scan enables QoS classes with
@@ -122,27 +103,27 @@ type Config struct {
 	Trace obs.TracerConfig
 }
 
+// Calibrated OLFS costs. Every index-file operation costs mv.DefaultOpCost
+// (Fig 7: ~2.5 ms).
+const (
+	// switchCost is the FUSE kernel-user mode switch charged per internal
+	// operation (§4.8).
+	switchCost = 600 * time.Microsecond
+	// readReqCost/writeReqCost are the OLFS data-path costs per
+	// request as delivered by the kernel (128 KB FUSE chunks), calibrated
+	// from Fig 6 (ext4+OLFS vs ext4+FUSE).
+	readReqCost  = 55 * time.Microsecond // 0.443 ms per 1 MB / 8 chunks
+	writeReqCost = 29 * time.Microsecond // 0.234 ms per 1 MB / 8 chunks
+	// vfsMountTime is the §5.4 "mounting disc into local VFS" delay.
+	vfsMountTime = 220 * time.Millisecond
+)
+
 func (c Config) withDefaults() Config {
 	if c.DataDiscs == 0 {
 		c.DataDiscs = 11
 	}
 	if c.ParityDiscs == 0 {
 		c.ParityDiscs = 1
-	}
-	if c.MVOpCost == 0 {
-		c.MVOpCost = mv.DefaultOpCost
-	}
-	if c.SwitchCost == 0 {
-		c.SwitchCost = 600 * time.Microsecond
-	}
-	if c.ReadReqOverhead == 0 {
-		c.ReadReqOverhead = 55 * time.Microsecond // 0.443 ms per 1 MB / 8 chunks
-	}
-	if c.WriteReqOverhead == 0 {
-		c.WriteReqOverhead = 29 * time.Microsecond // 0.234 ms per 1 MB / 8 chunks
-	}
-	if c.VFSMountTime == 0 {
-		c.VFSMountTime = 220 * time.Millisecond
 	}
 	if c.BurnStagger == 0 {
 		c.BurnStagger = 43 * time.Second
@@ -156,13 +137,6 @@ var (
 	ErrPartMissing = errors.New("olfs: image holding file part is unavailable")
 	ErrStopped     = errors.New("olfs: filesystem stopped")
 )
-
-// OpTrace records one internal operation for Fig 7 style breakdowns.
-type OpTrace struct {
-	Name  string
-	Start time.Duration
-	Dur   time.Duration
-}
 
 // FS is the optical library file system.
 type FS struct {
@@ -192,8 +166,6 @@ type FS struct {
 	// re-resolve (via fetchTray) instead of reading the swapped-in tray.
 	groupEpoch []uint64
 
-	tracing bool
-	trace   []OpTrace
 	stopped bool
 
 	// Direct-writing mode staging (§4.8).
@@ -321,7 +293,7 @@ func New(env *sim.Env, cfg Config, lib *rack.Library, mvBackend mv.Backend, buff
 		env:        env,
 		cfg:        cfg,
 		lib:        lib,
-		MV:         mv.New(env, mvBackend, cfg.MVOpCost),
+		MV:         mv.New(env, mvBackend, mv.DefaultOpCost),
 		mvStore:    mvBackend,
 		Buckets:    mgr,
 		Cat:        image.NewCatalog(),
@@ -405,30 +377,12 @@ func (fs *FS) Stop() {
 	}
 }
 
-// StartTrace begins recording internal operations (Fig 7).
-func (fs *FS) StartTrace() { fs.tracing = true; fs.trace = nil }
-
-// StopTrace stops recording and returns the trace.
-func (fs *FS) StopTrace() []OpTrace {
-	fs.tracing = false
-	t := fs.trace
-	fs.trace = nil
-	return t
-}
-
 // op runs one internal OLFS operation: a kernel-user mode switch followed by
-// the operation body, recorded in the trace and the per-op histogram.
+// the operation body, recorded as an olfs.op.<name> child span of the
+// request's trace and in the per-op histogram.
 func (fs *FS) op(p *sim.Proc, name string, fn func() error) error {
-	p.Sleep(fs.cfg.SwitchCost)
-	start := p.Now()
-	sp := obs.StartChild(p, "olfs.op."+name)
-	err := fn()
-	sp.Fail(p, err)
-	if fs.tracing {
-		fs.trace = append(fs.trace, OpTrace{Name: name, Start: start, Dur: p.Now() - start})
-	}
-	fs.obs.Histogram("olfs.op."+name).ObserveSince(start, p.Now())
-	return err
+	p.Sleep(switchCost)
+	return fs.timedOp(p, name, fn)
 }
 
 // dataOp runs a data (read/write) request. Buffered requests arrive through
@@ -437,15 +391,17 @@ func (fs *FS) op(p *sim.Proc, name string, fn func() error) error {
 // op) pay the metadata-grade switch here.
 func (fs *FS) dataOp(p *sim.Proc, name string, fn func() error) error {
 	if fs.cfg.DirectIO {
-		return fs.op(p, name, fn)
+		p.Sleep(switchCost)
 	}
+	return fs.timedOp(p, name, fn)
+}
+
+// timedOp is the body op and dataOp share: the span and the histogram.
+func (fs *FS) timedOp(p *sim.Proc, name string, fn func() error) error {
 	start := p.Now()
 	sp := obs.StartChild(p, "olfs.op."+name)
 	err := fn()
 	sp.Fail(p, err)
-	if fs.tracing {
-		fs.trace = append(fs.trace, OpTrace{Name: name, Start: start, Dur: p.Now() - start})
-	}
 	fs.obs.Histogram("olfs.op."+name).ObserveSince(start, p.Now())
 	return err
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"ros/internal/bucket"
 	"ros/internal/image"
 	"ros/internal/mv"
+	"ros/internal/obs"
 	"ros/internal/optical"
 	"ros/internal/pagecache"
 	"ros/internal/rack"
@@ -112,30 +114,46 @@ func TestWriteReadInBucket(t *testing.T) {
 	}
 }
 
+// opNames returns the olfs.op.* child spans of tr in start order, prefix
+// stripped: Fig 7's internal-operation sequence for one request.
+func opNames(tr *obs.Trace) []string {
+	var names []string
+	for _, sp := range tr.Spans() {
+		if name, ok := strings.CutPrefix(sp.Name, "olfs.op."); ok {
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+// lastTrace returns the most recently finished trace in fs's journal.
+func lastTrace(t *testing.T, fs *FS) *obs.Trace {
+	t.Helper()
+	trs := fs.Tracer().Traces()
+	if len(trs) == 0 {
+		t.Fatal("no trace captured")
+	}
+	return trs[len(trs)-1]
+}
+
 func TestFig7WriteTraceSequence(t *testing.T) {
 	tb := newBed(t, func(c *Config) { c.DirectIO = true; c.AutoBurn = false })
 	var elapsed time.Duration
 	tb.run(t, func(p *sim.Proc) {
-		tb.fs.StartTrace()
 		start := p.Now()
 		if err := tb.fs.WriteFile(p, "/t/file", pat(1024, 2)); err != nil {
 			t.Fatalf("WriteFile: %v", err)
 		}
 		elapsed = p.Now() - start
 	})
-	trace := tb.fs.StopTrace()
-	var names []string
-	for _, op := range trace {
-		names = append(names, op.Name)
+	tr := lastTrace(t, tb.fs)
+	if tr.Name != "olfs.write" {
+		t.Fatalf("last trace is %s, want olfs.write", tr.Name)
 	}
+	names := opNames(tr)
 	want := []string{"stat", "mknod", "stat", "write", "close"}
-	if len(names) != len(want) {
-		t.Fatalf("trace = %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("trace = %v, want %v (Fig 7)", names, want)
-		}
+	if strings.Join(names, ",") != strings.Join(want, ",") {
+		t.Fatalf("trace = %v, want %v (Fig 7)", names, want)
 	}
 	// Fig 7: ~16 ms for a 1 KB direct-I/O write.
 	if elapsed < 13*time.Millisecond || elapsed > 19*time.Millisecond {
@@ -150,21 +168,19 @@ func TestFig7ReadTraceSequence(t *testing.T) {
 		if err := tb.fs.WriteFile(p, "/t/file", pat(1024, 3)); err != nil {
 			t.Fatalf("WriteFile: %v", err)
 		}
-		tb.fs.StartTrace()
 		start := p.Now()
 		if _, err := tb.fs.ReadFile(p, "/t/file"); err != nil {
 			t.Fatalf("ReadFile: %v", err)
 		}
 		elapsed = p.Now() - start
 	})
-	trace := tb.fs.StopTrace()
-	// stat, read (1KB fits one request), final zero-read, close — the zero
-	// read is the EOF probe; the paper's trace shows stat, read, close.
-	if len(trace) < 3 {
-		t.Fatalf("trace too short: %+v", trace)
+	tr := lastTrace(t, tb.fs)
+	if tr.Name != "olfs.read" {
+		t.Fatalf("last trace is %s, want olfs.read", tr.Name)
 	}
-	if trace[0].Name != "stat" || trace[1].Name != "read" || trace[len(trace)-1].Name != "close" {
-		t.Errorf("trace order: %+v", trace)
+	// A 1 KB file is one read request: the paper's stat, read, close.
+	if got := strings.Join(opNames(tr), ","); got != "stat,read,close" {
+		t.Errorf("trace = %s, want stat,read,close (Fig 7)", got)
 	}
 	// Fig 7: ~9 ms for a 1 KB direct-I/O read.
 	if elapsed < 7*time.Millisecond || elapsed > 13*time.Millisecond {
@@ -621,7 +637,7 @@ func TestNamespaceRecoveryFromDiscs(t *testing.T) {
 				trays = append(trays, id)
 			}
 		}
-		tb.fs.MV = mv.New(tb.env, tb.mvS, tb.fs.cfg.MVOpCost)
+		tb.fs.MV = mv.New(tb.env, tb.mvS, mv.DefaultOpCost)
 		tb.fs.Cat = image.NewCatalog()
 		if err := tb.fs.RecoverNamespace(p, trays); err != nil {
 			t.Fatalf("RecoverNamespace: %v", err)

@@ -107,7 +107,7 @@ func (fr *fileReader) Read(p *sim.Proc, buf []byte) (int, error) {
 	fs := fr.fs
 	var n int
 	err := fs.dataOp(p, "read", func() error {
-		p.Sleep(fs.cfg.ReadReqOverhead)
+		p.Sleep(readReqCost)
 		if fs.cfg.DirectIO {
 			fs.chargeMVOp(p)
 		}
@@ -125,7 +125,7 @@ func (fr *fileReader) ReadAt(p *sim.Proc, buf []byte, off int64) (int, error) {
 	fs := fr.fs
 	var n int
 	err := fs.dataOp(p, "read", func() error {
-		p.Sleep(fs.cfg.ReadReqOverhead)
+		p.Sleep(readReqCost)
 		if fs.cfg.DirectIO {
 			fs.chargeMVOp(p)
 		}
@@ -177,46 +177,28 @@ func (fr *fileReader) segments(buf []byte, off int64) []partSeg {
 
 // readAt maps a logical file offset across the version's parts. Requests
 // spanning several parts resolve and read them concurrently (split files land
-// on distinct discs, so the group aggregates their bandwidth) unless
-// SerialRead pins the legacy one-at-a-time walk.
+// on distinct discs, so the group aggregates their bandwidth); a request
+// inside one part is read inline on the calling proc.
 func (fr *fileReader) readAt(p *sim.Proc, buf []byte, off int64) (int, error) {
 	if off >= fr.entry.Size || len(buf) == 0 {
 		return 0, nil
 	}
 	segs := fr.segments(buf, off)
-	if len(segs) == 0 {
+	switch len(segs) {
+	case 0:
 		return 0, nil
-	}
-	if len(segs) == 1 || fr.fs.cfg.SerialRead {
-		return fr.readSegsSerial(p, buf, segs)
+	case 1:
+		n, err := fr.readSeg(p, buf, segs[0])
+		return segs[0].lo + n, err
 	}
 	return fr.readSegsParallel(p, buf, segs)
 }
 
-// readSegsSerial reads the segments in order on the calling proc. A short
-// read on any segment but the last under-fills the buffer, which is an error,
-// not an EOF (the index said the bytes exist).
-func (fr *fileReader) readSegsSerial(p *sim.Proc, buf []byte, segs []partSeg) (int, error) {
-	read := 0
-	for k, s := range segs {
-		n, err := fr.readSeg(p, buf, s)
-		read = s.lo + n
-		if err != nil {
-			return read, err
-		}
-		if s.lo+n < s.hi {
-			if k < len(segs)-1 {
-				return read, io.ErrUnexpectedEOF
-			}
-			break
-		}
-	}
-	return read, nil
-}
-
 // readSegsParallel fans one child proc out per segment, bounded by the drive
 // group width. The returned count is the contiguous prefix filled from
-// buf[segs[0].lo:], with the first in-order error.
+// buf[segs[0].lo:], with the first in-order error. A short read on any
+// segment but the last under-fills the buffer, which is an error, not an EOF
+// (the index said the bytes exist).
 func (fr *fileReader) readSegsParallel(p *sim.Proc, buf []byte, segs []partSeg) (int, error) {
 	fs := fr.fs
 	env := fs.env
@@ -452,7 +434,7 @@ func (fs *FS) mountDrive(p *sim.Proc, gi int, drv *optical.Drive) (*udf.Volume, 
 		return v, nil
 	}
 	epoch := fs.groupEpoch[gi]
-	p.Sleep(fs.cfg.VFSMountTime)
+	p.Sleep(vfsMountTime)
 	vol, err := udf.Open(p, optical.ImageView{Drive: drv})
 	if err != nil {
 		return nil, err

@@ -126,7 +126,7 @@ func (fs *FS) RecoverNamespace(p *sim.Proc, trays []rack.TrayID) error {
 		for _, n := range names {
 			body = append(body, snapParts[n]...)
 		}
-		restored, err := mv.Restore(fs.env, fs.mvStore, fs.cfg.MVOpCost, body)
+		restored, err := mv.Restore(fs.env, fs.mvStore, mv.DefaultOpCost, body)
 		if err == nil {
 			fs.restoreFromMV(restored)
 			return nil
@@ -356,7 +356,7 @@ func Reopen(env *sim.Env, p *sim.Proc, cfg Config, lib *rack.Library, mvBackend 
 	if err != nil {
 		return nil, err
 	}
-	vol, err := mv.Load(env, p, mvBackend, fs.cfg.MVOpCost)
+	vol, err := mv.Load(env, p, mvBackend, mv.DefaultOpCost)
 	if err != nil {
 		return nil, err
 	}

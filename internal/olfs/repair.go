@@ -122,13 +122,8 @@ func (fs *FS) ScrubTray(p *sim.Proc, tray rack.TrayID) (rep ScrubReport, err err
 		vsp.Fail(p, ferr)
 		return rep, ferr
 	}
-	var bad []int64
-	if fs.cfg.SerialRead {
-		bad, err = fs.strips.VerifyParity(p, data, parity, length)
-	} else {
-		bad, err = image.VerifyParityParallel(p, data, parity, length,
-			readGate{s: fs.sched, class: sched.Scrub, gi: gi})
-	}
+	bad, err := image.VerifyParityParallel(p, data, parity, length,
+		readGate{s: fs.sched, class: sched.Scrub, gi: gi})
 	if err != nil {
 		vsp.Fail(p, err)
 		return rep, err
@@ -184,17 +179,13 @@ func (fs *FS) RecoverImage(p *sim.Proc, id image.ID) (nb *bucket.Bucket, err err
 	}
 	out := make([]image.Backend, dataN)
 	out[addr.Pos] = nb.Backend()
-	if fs.cfg.SerialRead {
-		err = image.Recover(p, data, parity, out, length)
-	} else {
-		// The lost disc is usually readable outside its failed sectors:
-		// hand its direct view to the sector-granular fallback so stripes
-		// with non-aligned LSEs across discs still recover.
-		shadow := make([]image.Backend, dataN)
-		shadow[addr.Pos] = backends[addr.Pos]
-		err = image.RecoverParallel(p, data, shadow, parity, out, length,
-			readGate{s: fs.sched, class: sched.Scrub, gi: gi})
-	}
+	// The lost disc is usually readable outside its failed sectors: hand its
+	// direct view to the sector-granular fallback so stripes with non-aligned
+	// LSEs across discs still recover.
+	shadow := make([]image.Backend, dataN)
+	shadow[addr.Pos] = backends[addr.Pos]
+	err = image.RecoverParallel(p, data, shadow, parity, out, length,
+		readGate{s: fs.sched, class: sched.Scrub, gi: gi})
 	if err != nil {
 		_ = fs.Buckets.Discard(nb)
 		return nil, err

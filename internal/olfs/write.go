@@ -104,7 +104,7 @@ func (fw *fileWriter) Write(p *sim.Proc, data []byte) (int, error) {
 	}
 	var landed int64
 	if err := fs.dataOp(p, "write", func() error {
-		p.Sleep(fs.cfg.WriteReqOverhead)
+		p.Sleep(writeReqCost)
 		if fs.cfg.DirectIO {
 			fs.chargeMVOp(p) // per-write journal sync (§5.2 tracing setup)
 		}

@@ -111,7 +111,6 @@ type Config struct {
 	Rollers     int               // 1 or 2
 	DriveGroups int               // 1-4 groups of 12
 	Media       optical.MediaType // disc generation to populate with
-	Timing      plc.Timing        // zero value -> plc.DefaultTiming()
 	BurnCap     float64           // aggregate burn throughput cap per group (bytes/s); 0 = uncapped
 	PopulateAll bool              // fill every tray with blank discs
 	Overlap     bool              // overlap roller ops with arm ops during unload (§3.2 optimization, ~10 s saving)
@@ -156,10 +155,7 @@ func New(env *sim.Env, cfg Config) (*Library, error) {
 	if cfg.DriveGroups < 1 || cfg.DriveGroups > 4 {
 		return nil, fmt.Errorf("rack: drive groups must be 1-4, got %d", cfg.DriveGroups)
 	}
-	timing := cfg.Timing
-	if timing == (plc.Timing{}) {
-		timing = plc.DefaultTiming()
-	}
+	timing := plc.DefaultTiming()
 	reg := cfg.Obs
 	if reg == nil {
 		reg = obs.New(env)

@@ -154,7 +154,7 @@ type file struct {
 	s     *FS
 	inner vfs.File
 	// Write-behind machinery.
-	q       *sim.Queue[[]byte]
+	q       *sim.Queue[queuedWrite]
 	drained *sim.Signal
 	pending int
 	werr    error
@@ -163,7 +163,7 @@ type file struct {
 func (s *FS) newFile(inner vfs.File) *file {
 	f := &file{s: s, inner: inner}
 	if s.opts.Pipeline {
-		f.q = sim.NewQueue[[]byte](s.env)
+		f.q = sim.NewQueue[queuedWrite](s.env)
 		f.drained = sim.NewSignal(s.env)
 		f.drained.Broadcast()
 		s.env.GoDaemon("smb-writeback", f.writeback)
@@ -171,16 +171,26 @@ func (s *FS) newFile(inner vfs.File) *file {
 	return f
 }
 
+// queuedWrite is one write-behind request and the trace context of the
+// client call that queued it, so the server-side write is attributed to
+// that request.
+type queuedWrite struct {
+	data []byte
+	tctx any
+}
+
 // writeback drains queued writes into the server filesystem.
 func (f *file) writeback(p *sim.Proc) {
 	for {
-		data, ok := f.q.Pop(p)
+		w, ok := f.q.Pop(p)
 		if !ok {
 			return
 		}
-		if _, err := f.inner.Write(p, data); err != nil && f.werr == nil {
+		p.SetTraceContext(w.tctx)
+		if _, err := f.inner.Write(p, w.data); err != nil && f.werr == nil {
 			f.werr = err
 		}
+		p.SetTraceContext(nil)
 		f.pending--
 		if f.pending == 0 && f.q.Len() == 0 {
 			f.drained.Broadcast()
@@ -204,7 +214,7 @@ func (f *file) Write(p *sim.Proc, data []byte) (int, error) {
 	cp := append([]byte(nil), data...)
 	f.pending++
 	f.drained.Clear()
-	f.q.Push(cp)
+	f.q.Push(queuedWrite{data: cp, tctx: p.TraceContext()})
 	return len(data), nil
 }
 

@@ -147,7 +147,7 @@ func (a *Admission) Begin(c Class, n int64) *Ticket {
 		a.m.waitBy[c].Observe(0)
 		return t
 	}
-	if n > a.maxAdmissible(c) || len(a.queue) >= a.cfg.MaxQueue {
+	if n > a.maxAdmissible(c) || len(a.queue) >= maxQueue {
 		t.state = ticketShed
 		t.err = ErrOverload
 		a.noteShed(n)
@@ -234,8 +234,8 @@ func (a *Admission) afterChange() {
 		a.maxInflight = total
 	}
 	if cap := a.cfg.CapacityBytes; cap > 0 {
-		hw := int64(a.cfg.HighWater * float64(cap))
-		lw := int64(a.cfg.LowWater * float64(cap))
+		hw := int64(highWater * float64(cap))
+		lw := int64(lowWater * float64(cap))
 		if !a.congested && total >= hw {
 			a.congested = true
 		} else if a.congested && total <= lw {
@@ -255,7 +255,7 @@ func (a *Admission) afterChange() {
 }
 
 func (a *Admission) reserveBytes(c Class) int64 {
-	return int64(a.cfg.Reserve[c] * float64(a.cfg.CapacityBytes))
+	return int64(reserve[c] * float64(a.cfg.CapacityBytes))
 }
 
 // withinFloor reports whether granting n more bytes keeps class c inside

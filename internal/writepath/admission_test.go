@@ -106,67 +106,80 @@ func TestAdmissionGrantReleaseBalance(t *testing.T) {
 	}
 }
 
-// TestAdmissionReservationFloors: a class's reservation admits it even while
-// the bucket is congested, and the uncongested path never hands another
-// class's unused reservation away.
+// TestAdmissionReservationFloors pins the per-class floors at 10 %
+// (interactive) and 5 % (archival) of capacity: a class is admitted up to
+// its floor even while the bucket is congested, and the uncongested path
+// never hands another class's unused reservation away.
 func TestAdmissionReservationFloors(t *testing.T) {
-	cfg := AdmissionConfig{
-		Enabled:       true,
-		CapacityBytes: 1000,
-		HighWater:     0.90,
-		LowWater:      0.75,
-		Reserve:       [NumClasses]float64{Interactive: 0.10, Archival: 0.20},
-		MaxWait:       -1,
-	}
+	cfg := AdmissionConfig{Enabled: true, CapacityBytes: 1000, MaxWait: -1}
 	t.Run("floor grant under congestion", func(t *testing.T) {
 		env, a := newAdm(cfg)
 		run(t, env, func(p *sim.Proc) {
-			// Interactive claims everything net of archival's reserve (800),
-			// then archival's first floor grant pushes total to 950 >= HW.
-			if err := a.Acquire(p, Interactive, 800); err != nil {
-				t.Fatalf("fill: %v", err)
-			}
-			if tk := a.Begin(Archival, 150); !tk.Granted() {
-				t.Fatal("archival floor grant (150 <= 200 reserve) denied")
+			// Interactive claims everything net of archival's 50-byte reserve;
+			// 950 >= the 900-byte high-water mark.
+			if err := a.Acquire(p, Interactive, 950); err != nil {
+				t.Fatalf("interactive 950 (capacity net of a 5%% archival floor): %v", err)
 			}
 			if !a.Congested() {
-				t.Fatal("bucket not congested at 950/1000 with HW 0.9")
+				t.Fatal("bucket not congested at 950/1000")
 			}
 			// Congested: interactive (above its floor) must queue...
 			ti := a.Begin(Interactive, 10)
 			if ti.Granted() {
 				t.Error("interactive granted while congested and above its floor")
 			}
-			// ...but archival still admits instantly within its floor.
+			// ...but archival still admits instantly up to its floor, and no
+			// further.
 			if tk := a.Begin(Archival, 50); !tk.Granted() {
-				t.Error("archival denied within its 200-byte floor while congested")
+				t.Error("archival denied within its 50-byte floor while congested")
+			}
+			ta := a.Begin(Archival, 1)
+			if ta.Granted() {
+				t.Error("archival granted past its 50-byte floor while congested")
 			}
 			if got := a.InflightBytes(); got != 1000 {
 				t.Errorf("InflightBytes = %d, want 1000", got)
 			}
 			a.Cancel(ti)
+			a.Cancel(ta)
+		})
+	})
+	t.Run("interactive floor grant under congestion", func(t *testing.T) {
+		env, a := newAdm(cfg)
+		run(t, env, func(p *sim.Proc) {
+			// Archival claims everything net of interactive's 100-byte reserve.
+			if err := a.Acquire(p, Archival, 900); err != nil {
+				t.Fatalf("archival 900 (capacity net of a 10%% interactive floor): %v", err)
+			}
+			if !a.Congested() {
+				t.Fatal("bucket not congested at 900/1000")
+			}
+			if tk := a.Begin(Interactive, 100); !tk.Granted() {
+				t.Error("interactive denied within its 100-byte floor while congested")
+			}
 		})
 	})
 	t.Run("unused reserves protected while uncongested", func(t *testing.T) {
 		env, a := newAdm(cfg)
 		run(t, env, func(p *sim.Proc) {
 			// Empty bucket, not congested: interactive may only claim
-			// capacity net of archival's unused 200-byte reserve.
-			if tk := a.Begin(Interactive, 801); tk.Granted() {
-				t.Error("interactive 801 granted; only 800 available net of archival reserve")
+			// capacity net of archival's unused 50-byte reserve.
+			if tk := a.Begin(Interactive, 951); tk.Granted() {
+				t.Error("interactive 951 granted; only 950 available net of archival reserve")
 			} else if err := tk.Wait(p); !errors.Is(err, ErrOverload) {
 				t.Errorf("impossible-size request got %v, want ErrOverload", err)
 			}
-			if tk := a.Begin(Interactive, 800); !tk.Granted() {
-				t.Error("interactive 800 denied; fits net of archival reserve")
+			if tk := a.Begin(Interactive, 950); !tk.Granted() {
+				t.Error("interactive 950 denied; fits net of archival reserve")
 			}
 		})
 	})
 	t.Run("total never exceeds capacity", func(t *testing.T) {
 		env, a := newAdm(cfg)
 		run(t, env, func(p *sim.Proc) {
-			_ = a.Acquire(p, Interactive, 800)
-			_ = a.Begin(Archival, 200) // full reserve
+			_ = a.Acquire(p, Interactive, 950)
+			_ = a.Begin(Archival, 50) // full reserve
+			_ = a.Begin(Archival, 50) // past it: queued, not granted
 			if got := a.InflightBytes(); got > 1000 {
 				t.Errorf("InflightBytes = %d exceeds capacity 1000", got)
 			}
@@ -177,30 +190,24 @@ func TestAdmissionReservationFloors(t *testing.T) {
 	})
 }
 
-// TestAdmissionHysteresis: congestion sets at the high-water mark and only
-// clears back below the low-water mark, so the admission state does not
-// flap around a single threshold.
+// TestAdmissionHysteresis: congestion sets at the 90 % high-water mark and
+// only clears back at the 75 % low-water mark, so the admission state does
+// not flap around a single threshold. Each threshold is pinned to the byte.
 func TestAdmissionHysteresis(t *testing.T) {
-	env, a := newAdm(AdmissionConfig{
-		Enabled:       true,
-		CapacityBytes: 1000,
-		HighWater:     0.90,
-		LowWater:      0.75,
-		MaxWait:       -1,
-	})
+	env, a := newAdm(AdmissionConfig{Enabled: true, CapacityBytes: 1000, MaxWait: -1})
 	run(t, env, func(p *sim.Proc) {
 		steps := []struct {
 			op        string
 			bytes     int64
 			congested bool
 		}{
-			{"acquire", 850, false}, // below HW
-			{"acquire", 50, true},   // 900 >= HW: set
+			{"acquire", 899, false}, // one byte below HW
+			{"acquire", 1, true},    // 900 = HW: set
 			{"release", 100, true},  // 800 > LW: still set (hysteresis)
-			{"release", 40, true},   // 760 > LW: still set
-			{"release", 20, false},  // 740 <= LW: clear
-			{"acquire", 100, false}, // 840 < HW: stays clear
-			{"acquire", 60, true},   // 900: set again
+			{"release", 49, true},   // 751: one byte above LW, still set
+			{"release", 1, false},   // 750 = LW: clear
+			{"acquire", 149, false}, // 899 < HW: stays clear
+			{"acquire", 1, true},    // 900: set again
 		}
 		for i, s := range steps {
 			if s.op == "acquire" {
@@ -223,7 +230,7 @@ func TestAdmissionHysteresis(t *testing.T) {
 func fill(t *testing.T, p *sim.Proc, a *Admission) {
 	t.Helper()
 	cap := a.Config().CapacityBytes
-	arch := int64(a.Config().Reserve[Archival] * float64(cap))
+	arch := int64(reserve[Archival] * float64(cap))
 	if err := a.Acquire(p, Interactive, cap-arch); err != nil {
 		t.Fatalf("fill interactive %d: %v", cap-arch, err)
 	}
@@ -297,29 +304,36 @@ func TestAdmissionDeadlineShed(t *testing.T) {
 	}
 }
 
-// TestAdmissionQueueBound: a full admission queue sheds new arrivals
-// immediately instead of queueing without bound.
+// TestAdmissionQueueBound: the admission queue holds 64 writes; the next
+// arrival is shed immediately instead of queueing without bound.
 func TestAdmissionQueueBound(t *testing.T) {
-	env, a := newAdm(AdmissionConfig{Enabled: true, CapacityBytes: 100, MaxQueue: 2, MaxWait: -1})
+	env, a := newAdm(AdmissionConfig{Enabled: true, CapacityBytes: 100, MaxWait: -1})
 	run(t, env, func(p *sim.Proc) {
 		fill(t, p, a)
-		t1 := a.Begin(Interactive, 10)
-		t2 := a.Begin(Interactive, 10)
-		if t1.Granted() || t2.Granted() {
-			t.Fatal("tickets granted with a full bucket")
+		var queued []*Ticket
+		for i := 0; i < 64; i++ {
+			tk := a.Begin(Interactive, 1)
+			if tk.Granted() {
+				t.Fatal("ticket granted with a full bucket")
+			}
+			if err := tk.err; err != nil {
+				t.Fatalf("ticket %d shed with %v; the queue holds 64", i, err)
+			}
+			queued = append(queued, tk)
 		}
-		if a.QueueLen() != 2 {
-			t.Fatalf("queue length %d, want 2", a.QueueLen())
+		if a.QueueLen() != 64 {
+			t.Fatalf("queue length %d, want 64", a.QueueLen())
 		}
-		t3 := a.Begin(Interactive, 10)
-		if err := t3.Wait(p); !errors.Is(err, ErrOverload) {
-			t.Errorf("overflow ticket got %v, want immediate ErrOverload", err)
+		over := a.Begin(Interactive, 1)
+		if err := over.Wait(p); !errors.Is(err, ErrOverload) {
+			t.Errorf("65th ticket got %v, want immediate ErrOverload", err)
 		}
-		if a.QueueLen() != 2 {
-			t.Errorf("queue length %d after overflow shed, want 2", a.QueueLen())
+		if a.QueueLen() != 64 {
+			t.Errorf("queue length %d after overflow shed, want 64", a.QueueLen())
 		}
-		a.Cancel(t1)
-		a.Cancel(t2)
+		for _, tk := range queued {
+			a.Cancel(tk)
+		}
 	})
 }
 

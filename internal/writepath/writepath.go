@@ -87,45 +87,34 @@ type AdmissionConfig struct {
 	// CapacityBytes is the token-bucket capacity. olfs defaults it to the
 	// write buffer's bucket-slot capacity (slots x disc capacity).
 	CapacityBytes int64
-	// HighWater is the buffer fill fraction above which the bucket turns
-	// congested: new writes (beyond class reservation floors) queue
-	// instead of being granted (default 0.90).
-	HighWater float64
-	// LowWater is the fill fraction at which a congested bucket clears
-	// (default 0.75). The gap is hysteresis: without it the boundary
-	// oscillates on every grant/release pair.
-	LowWater float64
-	// Reserve is the per-class guaranteed buffer share (fraction of
-	// CapacityBytes). A class is always admitted up to its floor, even
-	// while congested, so bulk traffic cannot lock interactive writes out
-	// of the buffer or vice versa. Defaults: interactive 0.10, archival
-	// 0.05. The fractions must sum to <= 1.
-	Reserve [NumClasses]float64
-	// MaxQueue bounds the admission queue; writes arriving beyond it are
-	// shed immediately (default 64).
-	MaxQueue int
 	// MaxWait is the queue-wait deadline: a write still queued after
 	// MaxWait is shed with ErrOverload (default 5 min; 0 keeps the
 	// default, negative disables deadline shedding).
 	MaxWait time.Duration
 }
 
+// The token bucket's fixed shape.
+const (
+	// highWater is the buffer fill fraction above which the bucket turns
+	// congested: new writes (beyond class reservation floors) queue instead
+	// of being granted.
+	highWater = 0.90
+	// lowWater is the fill fraction at which a congested bucket clears. The
+	// gap is hysteresis: without it the boundary oscillates on every
+	// grant/release pair.
+	lowWater = 0.75
+	// maxQueue bounds the admission queue; writes arriving beyond it are
+	// shed immediately.
+	maxQueue = 64
+)
+
+// reserve is the per-class guaranteed buffer share (fraction of
+// CapacityBytes). A class is always admitted up to its floor, even while
+// congested, so bulk traffic cannot lock interactive writes out of the
+// buffer or vice versa.
+var reserve = [NumClasses]float64{Interactive: 0.10, Archival: 0.05}
+
 func (c AdmissionConfig) withDefaults() AdmissionConfig {
-	if c.HighWater == 0 {
-		c.HighWater = 0.90
-	}
-	if c.LowWater == 0 {
-		c.LowWater = 0.75
-	}
-	if c.Reserve[Interactive] == 0 {
-		c.Reserve[Interactive] = 0.10
-	}
-	if c.Reserve[Archival] == 0 {
-		c.Reserve[Archival] = 0.05
-	}
-	if c.MaxQueue == 0 {
-		c.MaxQueue = 64
-	}
 	if c.MaxWait == 0 {
 		c.MaxWait = 5 * time.Minute
 	}

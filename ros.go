@@ -109,13 +109,18 @@ type Options struct {
 	// Media selects the disc generation (default Media25GB).
 	Media MediaType
 	// BufferSlots and BucketBytes size the disk write buffer / read cache.
+	// The buffer holds about twice BufferSlots buckets (the default 30
+	// gives 60 slots; see cluster.StackConfig).
 	BufferSlots int
 	BucketBytes int64
 	// BurnCap caps a drive group's aggregate burn throughput (bytes/s);
 	// 380e6 reproduces the paper's Fig 9 pipeline. 0 = uncapped.
 	BurnCap float64
-	// FS tunes OLFS; zero fields take the paper-calibrated defaults.
-	// FS.AutoBurn is ignored here: New sets it from DisableAutoBurn.
+	// FS tunes OLFS; zero fields take the paper-calibrated defaults. New
+	// owns FS.AutoBurn, FS.Sched.Policy, FS.Trace, FS.BucketBytes, FS.Write
+	// and the registries FS.Obs and FS.Sched.Obs, and rejects a value set
+	// there: set DisableAutoBurn, SchedPolicy, TraceCapacity/TraceSampleEvery,
+	// BucketBytes and Write instead (New builds the registries itself).
 	FS FSConfig
 	// SchedPolicy selects the mechanical scheduler policy: "fifo" (legacy
 	// arrival-order arbitration, the default) or "qos-scan" (QoS classes with
@@ -127,7 +132,6 @@ type Options struct {
 	// Write tunes the write path: write-buffer admission control
 	// (Write.Admission). The zero value keeps admission accounting on but
 	// never blocking; every burn takes one full image set either way.
-	// Equivalent to setting FS.Write directly; a non-zero Options.Write wins.
 	Write WriteConfig
 
 	// Racks federates this many identical rack stacks behind one namespace
@@ -137,10 +141,6 @@ type Options struct {
 	// Replicas is the copies the federation keeps per file (default
 	// min(2, Racks); clamped to Racks). Ignored for single-rack systems.
 	Replicas int
-	// PlacePolicy selects the cluster placement algorithm: "seqcheck" (the
-	// Sequential Checking reallocation-free distribution, default) or "hash"
-	// (stateless modulo baseline that relocates on growth; ablation only).
-	PlacePolicy string
 
 	// FaultSeed seeds the deterministic fault plane's random source (0 uses
 	// seed 1). The plane is always registered; with no rules armed it is
@@ -155,25 +155,16 @@ type Options struct {
 	// engine evaluates its rules after each pass. 0 disables telemetry and
 	// alerting (System.Telemetry and System.Alerts are then nil).
 	SampleEvery time.Duration
-	// SampleWindow is the sliding window for derived quantiles, rates and
-	// alert evaluation (default 5m).
-	SampleWindow time.Duration
 	// Rules appends alert rules in the obs.ParseRules grammar, e.g.
-	// "deep: threshold sched.queue_depth > 64 for 5m". Only meaningful with
-	// SampleEvery > 0.
+	// "deep: threshold sched.queue_depth > 64 for 5m", to the built-in
+	// DefaultRules pack. Only meaningful with SampleEvery > 0.
 	Rules string
-	// DisableDefaultRules drops the built-in DefaultRules pack, leaving only
-	// Options.Rules.
-	DisableDefaultRules bool
 
 	// TraceCapacity bounds the causal-trace journal (0 = default 256;
 	// negative disables request tracing entirely).
 	TraceCapacity int
-	// SlowTraceThreshold marks traces at least this slow as always captured
-	// by the tail-based sampler (0 = off).
-	SlowTraceThreshold time.Duration
-	// TraceSampleEvery keeps 1 of every N fast, error-free traces (<=1
-	// keeps all). Slow and error/retry traces are always captured.
+	// TraceSampleEvery keeps 1 of every N error-free traces (<=1 keeps
+	// all). Error/retry traces are always captured.
 	TraceSampleEvery int
 }
 
@@ -240,6 +231,9 @@ func DefaultRules() []obs.Rule {
 
 // New assembles a System on a fresh simulation environment.
 func New(o Options) (*System, error) {
+	if err := checkOwnedFS(o.FS); err != nil {
+		return nil, err
+	}
 	env := sim.NewEnv()
 	if o.Rollers == 0 {
 		o.Rollers = 1
@@ -267,29 +261,20 @@ func New(o Options) (*System, error) {
 		cfg.ParityDiscs = 1
 	}
 	cfg.AutoBurn = !o.DisableAutoBurn
-	if o.Write != (WriteConfig{}) {
-		cfg.Write = o.Write
-	}
+	cfg.Write = o.Write
 	pol, err := sched.ParsePolicy(o.SchedPolicy)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Sched.Policy = pol
-	cfg.Trace.Capacity = o.TraceCapacity
-	cfg.Trace.SlowThreshold = o.SlowTraceThreshold
-	cfg.Trace.SampleEvery = o.TraceSampleEvery
+	cfg.Trace = obs.TracerConfig{Capacity: o.TraceCapacity, SampleEvery: o.TraceSampleEvery}
 	var sampler *obs.Sampler
 	var alerts *obs.AlertEngine
 	if o.SampleEvery > 0 {
-		sampler = obs.NewSampler(env, obs.SamplerConfig{
-			Interval: o.SampleEvery,
-			Window:   o.SampleWindow,
-		})
+		sampler = obs.NewSampler(env, obs.SamplerConfig{Interval: o.SampleEvery})
 		sampler.AddSource("", reg)
 		alerts = obs.NewAlertEngine(env, sampler, reg)
-		if !o.DisableDefaultRules {
-			alerts.AddRules(DefaultRules()...)
-		}
+		alerts.AddRules(DefaultRules()...)
 		if o.Rules != "" {
 			rules, err := obs.ParseRules(o.Rules)
 			if err != nil {
@@ -311,10 +296,6 @@ func New(o Options) (*System, error) {
 		Obs:         reg,
 	}
 	if o.Racks > 1 {
-		pp, err := cluster.ParsePlacePolicy(o.PlacePolicy)
-		if err != nil {
-			return nil, err
-		}
 		replicas := o.Replicas
 		if replicas == 0 {
 			replicas = 2
@@ -322,7 +303,6 @@ func New(o Options) (*System, error) {
 		cl, err := cluster.New(env, cluster.Config{
 			Racks:    o.Racks,
 			Replicas: replicas,
-			Policy:   pp,
 			Stack:    stack,
 			Sampler:  sampler,
 		})
@@ -343,6 +323,29 @@ func New(o Options) (*System, error) {
 		Env: env, Library: r0.Lib, FS: r0.FS, Buffer: r0.Buffer,
 		Obs: reg, Faults: plane, Telemetry: sampler, Alerts: alerts,
 	}, nil
+}
+
+// checkOwnedFS rejects an Options.FS that sets a field New fills in itself,
+// naming the Options field that carries the value instead.
+func checkOwnedFS(fs FSConfig) error {
+	for _, c := range []struct {
+		set  bool
+		name string
+		use  string
+	}{
+		{fs.AutoBurn, "AutoBurn", "Options.DisableAutoBurn"},
+		{fs.Sched.Policy != 0, "Sched.Policy", "Options.SchedPolicy"},
+		{fs.Sched.Obs != nil, "Sched.Obs", "System.Obs, the registry New builds"},
+		{fs.Trace != (obs.TracerConfig{}), "Trace", "Options.TraceCapacity and Options.TraceSampleEvery"},
+		{fs.BucketBytes != 0, "BucketBytes", "Options.BucketBytes"},
+		{fs.Obs != nil, "Obs", "System.Obs, the registry New builds"},
+		{fs.Write != (WriteConfig{}), "Write", "Options.Write"},
+	} {
+		if c.set {
+			return fmt.Errorf("ros: Options.FS.%s is set by New; use %s", c.name, c.use)
+		}
+	}
+	return nil
 }
 
 // Do runs fn as a simulation process and drains the environment to

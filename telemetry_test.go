@@ -18,9 +18,8 @@ import (
 func telemetryWorkload(t *testing.T, seed int64) *System {
 	t.Helper()
 	sys, err := New(Options{
-		SampleEvery:  30 * time.Second,
-		SampleWindow: 2 * time.Minute,
-		FaultSeed:    seed,
+		SampleEvery: 30 * time.Second,
+		FaultSeed:   seed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +42,7 @@ func telemetryWorkload(t *testing.T, seed int64) *System {
 				d.Replace()
 			}
 		}
-		p.Sleep(10 * time.Minute) // let it clear (ClearFor = window)
+		p.Sleep(10 * time.Minute) // let it clear (ClearFor = the 5m window)
 		return nil
 	})
 	if err != nil {
@@ -187,5 +186,40 @@ func TestClusterTelemetryLabels(t *testing.T) {
 		if !strings.Contains(prom, wantLabel) {
 			t.Errorf("exposition missing %s", wantLabel)
 		}
+	}
+}
+
+// TestOptionsRulesFire: a rule passed through Options.Rules joins the
+// default pack and fires like one of its own.
+func TestOptionsRulesFire(t *testing.T) {
+	sys, err := New(Options{
+		SampleEvery: 30 * time.Second,
+		Rules:       "wrote-files: threshold olfs.files_written > 2",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	err = sys.Do(func(p *Proc) error {
+		for i := 0; i < 3; i++ {
+			if err := sys.FS.WriteFile(p, fmt.Sprintf("/r/f%d", i), []byte("x")); err != nil {
+				return err
+			}
+		}
+		p.Sleep(time.Minute)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fired := false
+	for _, in := range sys.Alerts.Incidents() {
+		fired = fired || in.Rule == "wrote-files"
+	}
+	if !fired {
+		t.Fatalf("Options.Rules rule never fired; incidents: %+v", sys.Alerts.Incidents())
+	}
+	if len(sys.Alerts.Rules()) <= len(DefaultRules()) {
+		t.Errorf("engine holds %d rules, want the %d defaults plus Options.Rules", len(sys.Alerts.Rules()), len(DefaultRules()))
 	}
 }
