@@ -2,8 +2,10 @@
 // §4.3): preliminary bucket writing into updatable UDF volumes carved out of
 // the disk write buffer, the bucket lifecycle (free -> open -> filled ->
 // burning -> burned/cached -> recycled), and buffer-slot accounting with LRU
-// eviction of burned images (the read cache RC keeps recently used images
-// resident, §4.1).
+// eviction of burned images. The same slots are the read cache (RC, §4.1): a
+// burned image stays resident after its burn, and Cache copies an image
+// fetched from a disc back into a slot, so recently used images are served
+// from the buffer until the LRU reclaims them.
 package bucket
 
 import (
@@ -174,9 +176,11 @@ func (m *Manager) takeSlot(p *sim.Proc) (*Bucket, error) {
 	return victim, nil
 }
 
-// release clears a bucket back to free.
+// release clears a bucket back to free. The ID index entry goes only if it
+// points at b: a superseded copy of an image must not unregister its
+// successor.
 func (m *Manager) release(b *Bucket) {
-	if !b.ID.IsZero() {
+	if !b.ID.IsZero() && m.byID[b.ID] == b {
 		delete(m.byID, b.ID)
 	}
 	b.ID = image.ID{}
@@ -303,11 +307,45 @@ func (m *Manager) Discard(b *Bucket) error {
 	return nil
 }
 
+// Cache copies a burned image back into the buffer as read cache (RC's fill
+// half, §4.1). It takes a slot in takeSlot's order — a free one, else the
+// least recently used burned image — so it never displaces an open, filled
+// or burning bucket, the only copy of unburned user data. fill writes the
+// image into the slot's backend and returns the volume it parsed there; the
+// slot stays Open (invisible to readers, never a victim) until fill returns.
+// On success the copy is published as a burned image with a fresh access
+// time; if fill fails, or another copy of the image became resident
+// meanwhile, the slot is freed and an error returned.
+func (m *Manager) Cache(p *sim.Proc, fill func(udf.Backend) (*udf.Volume, error)) (*Bucket, error) {
+	b, err := m.takeSlot(p)
+	if err != nil {
+		return nil, err
+	}
+	vol, err := fill(b.backend)
+	if err != nil {
+		m.release(b)
+		return nil, err
+	}
+	id := image.ID(vol.ImageID())
+	if _, ok := m.byID[id]; ok {
+		m.release(b)
+		return nil, fmt.Errorf("%w: image %s already resident", ErrBadState, id)
+	}
+	b.ID = id
+	b.Vol = vol
+	b.state = StateBurned
+	b.lastAccess = p.Now()
+	m.byID[id] = b
+	m.debugf("cache slot=%d id=%s t=%v", b.Slot, id, p.Now())
+	return b, nil
+}
+
 // Adopt re-binds a probed slot to a UDF volume rediscovered on the buffer
-// after a controller crash (olfs.Reopen). The bucket becomes Open or Filled
-// depending on whether the volume was finalized.
+// after a controller crash (olfs.Reopen) or rebuilt from disc by repair. The
+// bucket becomes Open or Filled depending on whether the volume was
+// finalized.
 func (m *Manager) Adopt(b *Bucket, v *udf.Volume) {
-	if !b.ID.IsZero() {
+	if !b.ID.IsZero() && m.byID[b.ID] == b {
 		delete(m.byID, b.ID)
 	}
 	b.ID = image.ID(v.ImageID())

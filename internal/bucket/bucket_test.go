@@ -6,6 +6,7 @@ import (
 
 	"ros/internal/blockdev"
 	"ros/internal/sim"
+	"ros/internal/udf"
 )
 
 const cap1 = 1 << 20 // 1 MB buckets for tests
@@ -299,4 +300,127 @@ func TestConcurrentOpenReservesSlot(t *testing.T) {
 		}
 		seen[s] = true
 	}
+}
+
+// copyImageInto returns a Cache fill that copies src's bytes into the slot:
+// a stand-in for reading the image back off its disc.
+func copyImageInto(p *sim.Proc, src *Bucket) func(udf.Backend) (*udf.Volume, error) {
+	return func(dst udf.Backend) (*udf.Volume, error) {
+		buf := make([]byte, cap1)
+		if err := src.Backend().ReadAt(p, buf, 0); err != nil {
+			return nil, err
+		}
+		if err := dst.WriteAt(p, buf, 0); err != nil {
+			return nil, err
+		}
+		return udf.Open(p, dst)
+	}
+}
+
+// TestCacheTakesOnlyFreeOrBurnedSlots: a read-cache fill publishes the copy as
+// a burned, resident image; under slot pressure it evicts a burned image but
+// never an open, filled or burning bucket, and the write path reclaims cached
+// slots rather than failing.
+func TestCacheTakesOnlyFreeOrBurnedSlots(t *testing.T) {
+	env := sim.NewEnv()
+	m := newMgr(t, env, 4)
+	inSim(t, env, func(p *sim.Proc) {
+		// The image to cache: written, sealed, burned, and dropped.
+		img, _ := m.Open(p)
+		_ = img.Vol.WriteFile(p, "/f", []byte("cached payload"))
+		_ = m.Seal(p, img)
+		_ = m.MarkBurning(img)
+		_ = m.MarkBurned(img)
+		id := img.ID
+		b, err := m.Cache(p, func(dst udf.Backend) (*udf.Volume, error) { return nil, ErrBadState })
+		if err == nil || b != nil || m.FreeSlots() != 3 {
+			t.Fatalf("failed fill: b=%v err=%v free=%d, want its slot back", b, err, m.FreeSlots())
+		}
+		if _, err := m.Cache(p, copyImageInto(p, img)); err == nil || m.FreeSlots() != 3 {
+			t.Fatalf("caching an image that is already resident: err=%v free=%d", err, m.FreeSlots())
+		}
+		// Park the image's bytes in a raw slot so they outlive Recycle.
+		holder, _ := m.OpenRaw(p, cap1)
+		buf := make([]byte, cap1)
+		_ = img.Backend().ReadAt(p, buf, 0)
+		_ = holder.Backend().WriteAt(p, buf, 0)
+		_ = m.Recycle(p, img)
+		// Fill the remaining slots with unburned states.
+		open, _ := m.Open(p)
+		filled, _ := m.Open(p)
+		_ = m.Seal(p, filled)
+		burning, _ := m.Open(p)
+		_ = m.Seal(p, burning)
+		_ = m.MarkBurning(burning)
+		if _, err := m.Cache(p, copyImageInto(p, holder)); !errors.Is(err, ErrNoFreeSlot) {
+			t.Fatalf("Cache with only unburned slots: %v, want ErrNoFreeSlot", err)
+		}
+		for _, u := range []*Bucket{open, filled, burning} {
+			if _, ok := m.Resident(u.ID); !ok {
+				t.Errorf("slot %d (%v) lost its image to a fill", u.Slot, u.State())
+			}
+		}
+		// Free the burning slot: the fill lands there as a burned image.
+		_ = m.MarkBurned(burning)
+		c, err := m.Cache(p, copyImageInto(p, holder))
+		if err != nil {
+			t.Fatalf("Cache with a burned victim: %v", err)
+		}
+		if c.Slot != burning.Slot || c.State() != StateBurned || c.ID != id {
+			t.Fatalf("cached bucket: slot=%d state=%v id=%s", c.Slot, c.State(), c.ID)
+		}
+		if got, ok := m.Resident(id); !ok || got != c {
+			t.Fatal("cached image not resident")
+		}
+		if data, err := c.Vol.ReadFile(p, "/f"); err != nil || string(data) != "cached payload" {
+			t.Errorf("cached read: %q %v", data, err)
+		}
+		// The write path reclaims the cached slot rather than failing.
+		nb, err := m.Open(p)
+		if err != nil || nb.Slot != c.Slot {
+			t.Fatalf("Open under pressure: slot=%v err=%v, want the cached slot", nb, err)
+		}
+		if _, ok := m.Resident(id); ok {
+			t.Error("reclaimed cached image still resident")
+		}
+	})
+}
+
+// TestSupersededCacheCopyKeepsSuccessorResident: repair adopts a rebuilt copy
+// of an image that is also cached; evicting the superseded cached copy must
+// not unregister the adopted one.
+func TestSupersededCacheCopyKeepsSuccessorResident(t *testing.T) {
+	env := sim.NewEnv()
+	m := newMgr(t, env, 3)
+	inSim(t, env, func(p *sim.Proc) {
+		img, _ := m.Open(p)
+		_ = img.Vol.WriteFile(p, "/f", []byte("payload"))
+		_ = m.Seal(p, img)
+		_ = m.MarkBurning(img)
+		_ = m.MarkBurned(img)
+		holder, _ := m.OpenRaw(p, cap1)
+		buf := make([]byte, cap1)
+		_ = img.Backend().ReadAt(p, buf, 0)
+		_ = holder.Backend().WriteAt(p, buf, 0)
+		id := img.ID
+		_ = m.Recycle(p, img)
+		cached, err := m.Cache(p, copyImageInto(p, holder))
+		if err != nil {
+			t.Fatalf("Cache: %v", err)
+		}
+		vol, err := udf.Open(p, holder.Backend())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Adopt(holder, vol)
+		if got, _ := m.Resident(id); got != holder {
+			t.Fatal("adopted copy not resident")
+		}
+		if err := m.Recycle(p, cached); err != nil {
+			t.Fatalf("Recycle cached copy: %v", err)
+		}
+		if got, ok := m.Resident(id); !ok || got != holder {
+			t.Error("dropping the superseded cached copy unregistered the adopted one")
+		}
+	})
 }

@@ -9,14 +9,18 @@
 //     open-handle / sync / flush-burn / scrub-repair workload while fault
 //     rules fire. Operation errors are expected and tolerated here — but a
 //     read that *succeeds* must return byte-exact data, including reads
-//     through handles held open across tray churn.
+//     through handles held open across tray churn, and no read may fail with
+//     optical.ErrNoDisc (a read that reached a drive whose tray was in
+//     transit).
 //  2. Heal: the fault plane is cleared, dirty buckets are flushed and burned,
 //     and every used tray is scrubbed and repaired until a full pass comes
 //     back clean (latent sector errors and aged discs injected during the
 //     chaos phase are ground out of the system through the normal repair
 //     pipeline).
-//  3. Oracle: every acknowledged write must read back byte-for-byte, every
-//     parity group must verify clean, the catalog must be consistent (every
+//  3. Oracle: every acknowledged write must read back byte-for-byte — from
+//     disc before its image is cached, from the read cache once it is, and
+//     from disc again after the cached copy is dropped — every parity group
+//     must verify clean, the catalog must be consistent (every
 //     placed image lives on a Used tray and every Used tray holds a placed
 //     image), the observability layer must have no open spans, and stopping
 //     the system must leave no live or deadlocked simulation processes.
@@ -39,11 +43,13 @@ import (
 	"time"
 
 	"ros"
+	"ros/internal/bucket"
 	"ros/internal/cluster"
 	"ros/internal/faultinject"
 	"ros/internal/image"
 	"ros/internal/obs"
 	"ros/internal/olfs"
+	"ros/internal/optical"
 	"ros/internal/rack"
 	"ros/internal/sim"
 	"ros/internal/writepath"
@@ -356,6 +362,7 @@ func worker(sys *ros.System, p *sim.Proc, cfg Config, wi int, rep *Report) []ack
 			got, err := sys.FS.ReadFile(p, f.path)
 			if err != nil {
 				rep.OpErrors["read"]++ // faults make reads fail; that is fine
+				noDisc(rep, "read", f.path, err)
 				continue
 			}
 			if !bytes.Equal(got, f.data) {
@@ -388,6 +395,8 @@ func worker(sys *ros.System, p *sim.Proc, cfg Config, wi int, rep *Report) []ack
 			_, _ = sys.FS.ReadFile(p, churn.path) // churn errors are irrelevant
 			n2, err2 := fr.ReadAt(p, buf[h:], int64(h))
 			fr.Close(p)
+			noDisc(rep, "handle read", f.path, err1)
+			noDisc(rep, "handle read", f.path, err2)
 			if err1 != nil || err2 != nil || n1 < h || n2 < len(buf)-h {
 				rep.OpErrors["handle"]++
 				continue
@@ -466,6 +475,7 @@ func clusterWorker(sys *ros.System, p *sim.Proc, cfg Config, wi int, rep *Report
 			got, err := cl.ReadFile(p, f.path)
 			if err != nil {
 				rep.OpErrors["read"]++
+				noDisc(rep, "cluster read", f.path, err)
 				continue
 			}
 			if !bytes.Equal(got, f.data) {
@@ -674,11 +684,7 @@ func heal(sys *ros.System, p *sim.Proc, rep *Report) {
 		cl.RequeueUnderReplicated()
 	}
 	for _, fs := range fileSystems(sys) {
-		if c, err := fs.FlushAndBurn(p); err != nil {
-			rep.Violations = append(rep.Violations, fmt.Sprintf("heal: flush: %v", err))
-		} else if _, err := c.Wait(p); err != nil {
-			rep.Violations = append(rep.Violations, fmt.Sprintf("heal: final burn: %v", err))
-		}
+		drainBurns(fs, p, rep)
 	}
 	for round := 1; ; round++ {
 		rep.HealRounds = round
@@ -724,28 +730,82 @@ func heal(sys *ros.System, p *sim.Proc, rep *Report) {
 	}
 }
 
+// drainBurns flushes fs until no sealed image is left unburned. One flush
+// is not enough: a burn task already in flight when the heal began can still
+// hard-fail afterwards and hand its images back as filled.
+func drainBurns(fs *olfs.FS, p *sim.Proc, rep *Report) {
+	for waited := time.Duration(0); ; waited += time.Minute {
+		if c, err := fs.FlushAndBurn(p); err != nil {
+			rep.Violations = append(rep.Violations, fmt.Sprintf("heal: flush: %v", err))
+			return
+		} else if _, err := c.Wait(p); err != nil {
+			rep.Violations = append(rep.Violations, fmt.Sprintf("heal: final burn: %v", err))
+			return
+		}
+		if !burnsPending(fs) {
+			return
+		}
+		if waited >= burnDrainLimit {
+			rep.Violations = append(rep.Violations,
+				fmt.Sprintf("heal: burns still pending after %v", burnDrainLimit))
+			return
+		}
+		p.Sleep(time.Minute)
+	}
+}
+
+// burnDrainLimit bounds how long the heal waits for in-flight burns.
+const burnDrainLimit = 12 * time.Hour
+
+// burnsPending reports whether any bucket is sealed but unburned, or burning.
+func burnsPending(fs *olfs.FS) bool {
+	for _, b := range fs.Buckets.Slots() {
+		if st := b.State(); st == bucket.StateFilled || st == bucket.StateBurning {
+			return true
+		}
+	}
+	return false
+}
+
 // oracle checks the post-heal invariants across every rack.
 func oracle(sys *ros.System, p *sim.Proc, acked []ackedFile, rep *Report) {
 	// 1. Durability: every acknowledged write reads back byte-for-byte —
 	// through the federation namespace when there is one, so replica
-	// selection and failover are part of the contract being checked.
+	// selection and failover are part of the contract being checked — at
+	// three points of the read cache's life: with no cached copy (the read
+	// comes off a disc and starts a fill), once the fill has landed, and
+	// after the cached copy is dropped again.
 	readBack := func(path string) ([]byte, error) {
 		if sys.Cluster != nil {
 			return sys.Cluster.ReadFile(p, path)
 		}
 		return sys.FS.ReadFile(p, path)
 	}
-	for _, f := range acked {
+	check := func(f ackedFile, stage string) bool {
 		got, err := readBack(f.path)
 		if err != nil {
 			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("acked write %s unreadable: %v", f.path, err))
-			continue
+				fmt.Sprintf("acked write %s unreadable (%s): %v", f.path, stage, err))
+			return false
 		}
 		if !bytes.Equal(got, f.data) {
 			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("acked write %s corrupt (%d bytes, want %d)", f.path, len(got), len(f.data)))
+				fmt.Sprintf("acked write %s corrupt (%s, %d bytes, want %d)", f.path, stage, len(got), len(f.data)))
+			return false
 		}
+		return true
+	}
+	for _, f := range acked {
+		dropCached(sys, p, f.path)
+		if !check(f, "uncached") {
+			continue
+		}
+		p.Sleep(fillSettle)
+		if !check(f, "cached") {
+			continue
+		}
+		dropCached(sys, p, f.path)
+		check(f, "evicted")
 	}
 	for ri, fs := range fileSystems(sys) {
 		// 2. Redundancy: every used tray's parity groups verify clean.
@@ -783,6 +843,35 @@ func oracle(sys *ros.System, p *sim.Proc, acked []ackedFile, rep *Report) {
 					fmt.Sprintf("catalog: rack %d tray %v is Used with no placed image", ri, tray))
 			}
 		}
+	}
+}
+
+// fillSettle is how long the oracle lets a read-cache fill land: a 1 MB
+// image copies off its disc in well under a second.
+const fillSettle = 5 * time.Second
+
+// dropCached recycles every rack's buffer copy of path's images that is
+// already on disc (burned or cached), so the next read comes off a disc.
+func dropCached(sys *ros.System, p *sim.Proc, path string) {
+	for _, fs := range fileSystems(sys) {
+		ix, ok := fs.MV.Lookup(path)
+		if !ok || ix.Current() == nil {
+			continue
+		}
+		for _, id := range ix.Current().Parts {
+			if b, ok := fs.Buckets.Resident(id); ok && b.State() == bucket.StateBurned {
+				_ = fs.Buckets.Recycle(p, b)
+			}
+		}
+	}
+}
+
+// noDisc records a violation when a read failed because it reached a drive
+// with no disc: a group whose tray is in transit must never serve a read.
+func noDisc(rep *Report, what, path string, err error) {
+	if errors.Is(err, optical.ErrNoDisc) {
+		rep.Violations = append(rep.Violations,
+			fmt.Sprintf("%s of %s reached an empty drive: %v", what, path, err))
 	}
 }
 

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"ros/internal/faultinject"
 	"ros/internal/obs"
 	"ros/internal/olfs"
+	"ros/internal/sched"
 	"ros/internal/sim"
 )
 
@@ -487,4 +489,74 @@ func TestClusterStatus(t *testing.T) {
 	if load != 12 {
 		t.Errorf("total placed load = %d, want 12 (6 files x 2 replicas)", load)
 	}
+}
+
+// TestClusterRoutesToCachedReplica: once one replica's rack has copied a
+// burned image back into its read cache, reads route there (a buffer hit)
+// rather than to a replica whose rack must fetch the tray. mechCost prices
+// buffer residency at zero, so no routing code is involved beyond that.
+func TestClusterRoutesToCachedReplica(t *testing.T) {
+	tb := newBed(t, 2, 2, func(c *Config) {
+		c.Stack.FS.AutoBurn = false
+		c.Stack.FS.RecycleAfterBurn = true
+	})
+	defer tb.cl.Stop()
+	const path = "/rc/f"
+	data := pat(200<<10, 7)
+	var cached *Rack
+	tb.run(t, func(p *sim.Proc) error {
+		if err := tb.cl.WriteFile(p, path, data); err != nil {
+			return err
+		}
+		for _, r := range tb.cl.Racks() {
+			c, err := r.FS.FlushAndBurn(p)
+			if err != nil {
+				return err
+			}
+			if _, err := c.Wait(p); err != nil {
+				return err
+			}
+		}
+		set := tb.cl.ReplicasOf(path)
+		if len(set) != 2 {
+			return fmt.Errorf("replica set %v, want 2 racks", set)
+		}
+		// Warm the higher-index replica's read cache with a direct read, and
+		// load the lower one's tray with a background read (which does not
+		// fill). Both trays now sit in a drive, so without the residency term
+		// the tie would go to the lower rack index.
+		cached = tb.cl.Racks()[max(set[0], set[1])]
+		if _, err := cached.FS.ReadFile(p, path); err != nil {
+			return err
+		}
+		if _, err := tb.cl.Racks()[min(set[0], set[1])].FS.ReadFileClass(p, path, sched.Prefetch); err != nil {
+			return err
+		}
+		p.Sleep(5 * time.Second) // let the fill land
+		ix, _ := cached.FS.MV.Lookup(path)
+		if _, ok := cached.FS.Buckets.Resident(ix.Current().Parts[0]); !ok {
+			return fmt.Errorf("rack %d did not cache the image", cached.Index)
+		}
+		fetches := map[*Rack]int64{}
+		for _, r := range tb.cl.Racks() {
+			fetches[r] = r.FS.FetchTasks
+		}
+		hits := cached.FS.CacheHits
+		got, err := tb.cl.ReadFile(p, path)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(got, data) {
+			return fmt.Errorf("routed read returned wrong bytes")
+		}
+		for _, r := range tb.cl.Racks() {
+			if r.FS.FetchTasks != fetches[r] {
+				t.Errorf("rack %d fetched a tray for a read its peer had cached", r.Index)
+			}
+		}
+		if cached.FS.CacheHits != hits+1 {
+			t.Errorf("cached rack served no buffer hit (cache_hits %d -> %d)", hits, cached.FS.CacheHits)
+		}
+		return nil
+	})
 }

@@ -226,9 +226,15 @@ func AblationForepart() (Result, error) {
 
 // AblationReadCache quantifies the RC design (§4.1): keeping burned images
 // resident in the buffer turns re-reads into millisecond buffer hits instead
-// of mechanical fetches.
+// of mechanical fetches. RC has two halves, retention after a burn and a fill
+// on fetch; the ablation switches the first off, and the fetch it then pays
+// is the one that fills the cache for every later read of the image.
 func AblationReadCache() (Result, error) {
-	res := Result{ID: "ablate-readcache", Title: "Read cache of burned images (§4.1)"}
+	res := Result{
+		ID:    "ablate-readcache",
+		Title: "Read cache of burned images (§4.1)",
+		Notes: "without RC the first re-read fetches the tray; that read copies the image back into the buffer, so later re-reads are buffer hits again",
+	}
 	measure := func(recycle bool) (float64, error) {
 		bed, err := NewBed(BedOptions{OLFS: olfs.Config{
 			DataDiscs: 2, ParityDiscs: 1, AutoBurn: false,

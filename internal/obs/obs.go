@@ -287,17 +287,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return v
 }
 
-// BucketCounts returns a copy of the histogram's power-of-two bucket counts:
-// bucket i holds samples v with bits.Len64(v) == i, i.e. v in [2^(i-1), 2^i).
-func (h *Histogram) BucketCounts() []int64 {
-	if h == nil {
-		return nil
-	}
-	out := make([]int64, histBuckets)
-	copy(out, h.buckets[:])
-	return out
-}
-
 // BucketBound returns the exclusive upper bound of power-of-two bucket i
 // (the le= boundary for Prometheus exposition).
 func BucketBound(i int) int64 {

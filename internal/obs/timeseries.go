@@ -190,35 +190,40 @@ func (s *Series) Agg(fn string, window time.Duration) float64 {
 }
 
 // histTrack retains cumulative histogram states so windowed quantiles can be
-// computed from bucket-count deltas between now and the window start.
+// computed from bucket-count deltas between now and the window start. The
+// ring's entries hold their bucket counts by value, so a scrape copies into
+// them and allocates nothing.
 type histTrack struct {
 	cap     int
 	entries []histEntry
 	head, n int
+	delta   [histBuckets]int64 // windowDelta's result, reused scrape to scrape
 }
 
 type histEntry struct {
 	t       int64
 	count   int64
-	buckets []int64
+	buckets [histBuckets]int64
 }
 
-func (ht *histTrack) push(t int64, buckets []int64, count int64) {
-	e := histEntry{t: t, count: count, buckets: buckets}
+// push records h's current cumulative state at time t.
+func (ht *histTrack) push(t int64, h *Histogram) {
+	var e *histEntry
 	if ht.n < ht.cap {
-		ht.entries[(ht.head+ht.n)%ht.cap] = e
+		e = &ht.entries[(ht.head+ht.n)%ht.cap]
 		ht.n++
-		return
+	} else {
+		e = &ht.entries[ht.head]
+		ht.head = (ht.head + 1) % ht.cap
 	}
-	ht.entries[ht.head] = e
-	ht.head = (ht.head + 1) % ht.cap
+	e.t, e.count, e.buckets = t, h.count, h.buckets
 }
 
-func (ht *histTrack) at(i int) histEntry { return ht.entries[(ht.head+i)%ht.cap] }
+func (ht *histTrack) at(i int) *histEntry { return &ht.entries[(ht.head+i)%ht.cap] }
 
 // windowDelta returns the bucket-count delta between the newest entry and the
 // newest entry at or before the window start (zero baseline when the window
-// covers all retained history).
+// covers all retained history). The slice is valid until the next call.
 func (ht *histTrack) windowDelta(window time.Duration) (buckets []int64, count int64) {
 	if ht.n == 0 {
 		return nil, 0
@@ -227,24 +232,20 @@ func (ht *histTrack) windowDelta(window time.Duration) (buckets []int64, count i
 	cut := cur.t - int64(window)
 	var base *histEntry
 	for i := ht.n - 2; i >= 0; i-- {
-		e := ht.at(i)
-		if e.t <= cut {
-			base = &e
+		if e := ht.at(i); e.t <= cut {
+			base = e
 			break
 		}
 	}
-	buckets = make([]int64, len(cur.buckets))
-	copy(buckets, cur.buckets)
+	ht.delta = cur.buckets
 	count = cur.count
 	if base != nil {
-		for i := range buckets {
-			if i < len(base.buckets) {
-				buckets[i] -= base.buckets[i]
-			}
+		for i := range ht.delta {
+			ht.delta[i] -= base.buckets[i]
 		}
 		count -= base.count
 	}
-	return buckets, count
+	return ht.delta[:], count
 }
 
 // source is one labeled registry being scraped.
@@ -402,7 +403,7 @@ func (s *Sampler) scrape(src *source, t int64) {
 		f.s.Append(t, float64(f.g.Value()))
 	}
 	for _, f := range src.histos {
-		f.track.push(t, f.h.BucketCounts(), f.h.Count())
+		f.track.push(t, f.h)
 		buckets, count := f.track.windowDelta(sampleWindow)
 		f.count.Append(t, float64(count))
 		for _, q := range [...]struct {

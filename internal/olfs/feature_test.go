@@ -147,8 +147,7 @@ func TestScrubberDaemonRepairsInBackground(t *testing.T) {
 		// Put the array back in the roller so the scrubber fetches it.
 		for gi, g := range tb.lib.Groups {
 			if g.Source != nil && *g.Source == tray {
-				tb.fs.unmountGroup(gi)
-				if err := tb.lib.UnloadArray(p, gi, nil); err != nil {
+				if err := tb.fs.unloadGroup(p, gi); err != nil {
 					t.Fatalf("unload: %v", err)
 				}
 			}

@@ -10,7 +10,7 @@
 //   - FTM (Fetching Task Management)  — task.go fetch logic
 //   - MC  (Mechanical Controller)     — internal/rack composites
 //   - DB  (Disc Burning)              — internal/optical drives
-//   - RC  (Read Cache)                — bucket manager LRU residency
+//   - RC  (Read Cache)                — cache.go fill on fetch + bucket LRU
 //   - MI  (Maintenance Interface)     — recover.go + stats accessors
 //
 // Files enter updatable UDF buckets on the disk write buffer (preliminary
@@ -165,6 +165,14 @@ type FS struct {
 	// resolved under; a mismatch marks them stale so reads transparently
 	// re-resolve (via fetchTray) instead of reading the swapped-in tray.
 	groupEpoch []uint64
+	// unloading[gi] is set from the epoch bump until group gi's unload
+	// returns: the tray is in transit and the group is no source.
+	unloading []bool
+
+	// Read-cache fills in flight, by image, and the 1 MB copy buffers they
+	// share (one per concurrent fill, reused from fill to fill).
+	fills    map[image.ID]bool
+	fillBufs [][]byte
 
 	stopped bool
 
@@ -226,6 +234,9 @@ type fsMetrics struct {
 	mvCharges     *obs.Counter   // MV index-op costs charged (DirectIO data path)
 	staleSources  *obs.Counter   // read-handle sources invalidated by tray eviction
 	joinRetries   *obs.Counter   // joined fetches retried after the winner failed
+	cacheFills    *obs.Counter   // images copied from disc into the read cache
+	fillAborts    *obs.Counter   // fills given up (tray evicted, read error, no slot)
+	fillLatency   *obs.Histogram // fill start to publication
 
 	// One task is one set under one claim, so writepath.burn_sets and
 	// writepath.burn_groups always equal burn_tasks. They stay because
@@ -263,6 +274,9 @@ func (fs *FS) bindMetrics(r *obs.Registry) {
 		mvCharges:     r.Counter("olfs.mv_charges"),
 		staleSources:  r.Counter("olfs.stale_sources"),
 		joinRetries:   r.Counter("olfs.join_retries"),
+		cacheFills:    r.Counter("olfs.cache_fills"),
+		fillAborts:    r.Counter("olfs.cache_fill_aborts"),
+		fillLatency:   r.Histogram("olfs.cache_fill.latency"),
 		burnSets:      r.Counter("writepath.burn_sets"),
 		burnGroups:    r.Counter("writepath.burn_groups"),
 	}
@@ -303,6 +317,8 @@ func New(env *sim.Env, cfg Config, lib *rack.Library, mvBackend mv.Backend, buff
 		fetchJoins: make(map[string]int),
 		mounted:    make(map[*optical.Drive]*udf.Volume),
 		groupEpoch: make([]uint64, len(lib.Groups)),
+		unloading:  make([]bool, len(lib.Groups)),
+		fills:      make(map[image.ID]bool),
 	}
 	reg := cfg.Obs
 	if reg == nil {

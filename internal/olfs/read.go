@@ -39,13 +39,17 @@ type partSource struct {
 
 // fileReader is an open-for-read OLFS file handle. class is the QoS class
 // mechanical work (tray fetches, read slots) is admitted at; the zero value
-// is sched.Interactive, so foreground handles need no explicit setup.
+// is sched.Interactive, so foreground handles need no explicit setup. fill
+// marks a client handle: when it is Interactive, every image it reads off a
+// disc is copied into the read cache. Probes (ReadLocated, ReadFirstByte)
+// leave it unset and so measure the tier ladder without moving it.
 type fileReader struct {
 	fs      *FS
 	path    string
 	entry   mv.VersionEntry
 	off     int64
 	class   sched.Class
+	fill    bool
 	sources []*partSource // resolved lazily per part
 }
 
@@ -73,6 +77,7 @@ func (fs *FS) OpenFile(p *sim.Proc, path string) (*fileReader, error) {
 		fs:      fs,
 		path:    path,
 		entry:   *cur,
+		fill:    true,
 		sources: make([]*partSource, len(cur.Parts)),
 	}, nil
 }
@@ -95,6 +100,7 @@ func (fs *FS) OpenFileVersion(p *sim.Proc, path string, version int) (*fileReade
 		fs:      fs,
 		path:    path,
 		entry:   *ve,
+		fill:    true,
 		sources: make([]*partSource, len(ve.Parts)),
 	}, nil
 }
@@ -252,21 +258,37 @@ func (fr *fileReader) readSegsParallel(p *sim.Proc, buf []byte, segs []partSeg) 
 // readSeg resolves one segment's source and reads it. Disc-backed reads pin
 // the tray (so the slot wait cannot race an eviction of the very tray the
 // validated source points at) and pass through the scheduler's per-group
-// read slots.
-func (fr *fileReader) readSeg(p *sim.Proc, buf []byte, s partSeg) (int, error) {
-	src, err := fr.source(p, s.part)
-	if err != nil {
-		return 0, err
+// read slots. A source can die during the read. A buffer read whose slot was
+// reclaimed may have copied another image's bytes; a disc read whose tray
+// began unloading (an eviction granted before the pin) fails with a no-disc
+// error if the disc left mid-transfer, and otherwise read the right disc.
+// Either failure re-resolves the segment and reads it again.
+func (fr *fileReader) readSeg(p *sim.Proc, buf []byte, s partSeg) (n int, err error) {
+	for try := 0; ; try++ {
+		var src *partSource
+		src, err = fr.source(p, s.part)
+		if err != nil {
+			return 0, err
+		}
+		n, err = fr.readSource(p, src, buf[s.lo:s.hi], s.inOff)
+		discOK := src.group >= 0 && err == nil
+		if discOK || fr.fs.sourceValid(src) || try == maxSourceRetries {
+			return n, err
+		}
 	}
+}
+
+// readSource reads one resolved source at off.
+func (fr *fileReader) readSource(p *sim.Proc, src *partSource, buf []byte, off int64) (int, error) {
 	if src.group < 0 {
-		return src.rd.ReadAt(p, buf[s.lo:s.hi], s.inOff)
+		return src.rd.ReadAt(p, buf, off)
 	}
 	fs := fr.fs
 	fs.sched.Pin(src.tray)
 	defer fs.sched.Unpin(src.tray)
 	fs.sched.AcquireReadSlot(p, fr.class, src.group)
 	defer fs.sched.ReleaseReadSlot(src.group)
-	return src.rd.ReadAt(p, buf[s.lo:s.hi], s.inOff)
+	return src.rd.ReadAt(p, buf, off)
 }
 
 // partLen returns part i's byte length.
@@ -319,6 +341,9 @@ func (fr *fileReader) source(p *sim.Proc, i int) (*partSource, error) {
 			continue
 		}
 		fr.sources[i] = src
+		if src.group >= 0 && fr.fill && fr.class == sched.Interactive {
+			fs.startFill(src)
+		}
 		return src, nil
 	}
 	if err == nil {
@@ -382,12 +407,20 @@ func (fs *FS) resolveSource(p *sim.Proc, id image.ID, name string, plen int64, c
 // groupHolding returns the index of the group whose loaded tray is tray, or
 // -1 (Table 1 row 3: "disc in optical drive", 0.223 s).
 func (fs *FS) groupHolding(tray rack.TrayID) int {
-	for gi, g := range fs.lib.Groups {
-		if g.Source != nil && *g.Source == tray {
+	for gi := range fs.lib.Groups {
+		if fs.holds(gi, tray) {
 			return gi
 		}
 	}
 	return -1
+}
+
+// holds reports whether group gi has tray loaded and readable. A group whose
+// unload has begun is not a source even though rack still names the tray as
+// its Source: the arm may already have collected the discs.
+func (fs *FS) holds(gi int, tray rack.TrayID) bool {
+	g := fs.lib.Groups[gi]
+	return !fs.unloading[gi] && g.Source != nil && *g.Source == tray
 }
 
 // mountImage makes image id readable: from the buffer (RC hit) or from a
@@ -428,7 +461,7 @@ func (fs *FS) driveForDisc(p *sim.Proc, addr image.DiscAddr) (int, *optical.Driv
 // mountDrive mounts the disc in drv into the local VFS (§5.4: ~220 ms,
 // charged once per inserted disc). The mount is cached only if the group's
 // epoch is unchanged across the mount delay, so an eviction racing the sleep
-// cannot resurrect a stale fs.mounted entry after unmountGroup cleared it.
+// cannot resurrect a stale fs.mounted entry after unloadGroup cleared it.
 func (fs *FS) mountDrive(p *sim.Proc, gi int, drv *optical.Drive) (*udf.Volume, error) {
 	if v, ok := fs.mounted[drv]; ok {
 		return v, nil
@@ -445,14 +478,19 @@ func (fs *FS) mountDrive(p *sim.Proc, gi int, drv *optical.Drive) (*udf.Volume, 
 	return vol, nil
 }
 
-// unmountGroup forgets mounts for all drives of a group and advances its
-// validity epoch, invalidating every fileReader source resolved against the
-// outgoing tray (called before the array is unloaded).
-func (fs *FS) unmountGroup(gi int) {
+// unloadGroup puts group gi's array back in its tray. It first forgets the
+// group's mounts and advances its validity epoch, invalidating every
+// fileReader source resolved against the outgoing tray, and marks the group
+// in transit until the unload returns, so no reader resolves a new source on
+// it meanwhile; such a reader fetches the tray instead.
+func (fs *FS) unloadGroup(p *sim.Proc, gi int) error {
 	fs.groupEpoch[gi]++
 	for _, d := range fs.lib.Groups[gi].Drives {
 		delete(fs.mounted, d)
 	}
+	fs.unloading[gi] = true
+	defer func() { fs.unloading[gi] = false }()
+	return fs.lib.UnloadArray(p, gi, nil)
 }
 
 // ReadFile reads the whole current version of path (stat + reads + close).

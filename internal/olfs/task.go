@@ -155,8 +155,7 @@ func (fs *FS) runBurnTask(p *sim.Proc, t *burnTask) {
 	gi := g.Group
 	var err error
 	if g.Evict {
-		fs.unmountGroup(gi)
-		err = fs.lib.UnloadArray(p, gi, nil)
+		err = fs.unloadGroup(p, gi)
 	}
 	if err == nil {
 		err = fs.lib.LoadArray(p, *t.tray, gi)
@@ -167,8 +166,7 @@ func (fs *FS) runBurnTask(p *sim.Proc, t *burnTask) {
 		return
 	}
 	interrupted, burnErr := fs.burnDiscs(p, t, gi)
-	fs.unmountGroup(gi)
-	unloadErr := fs.lib.UnloadArray(p, gi, nil)
+	unloadErr := fs.unloadGroup(p, gi)
 	// The claim goes back right after the unload, before the outcome is
 	// handled: the next claimant need not wait out finishBurn's catalog
 	// save, and a requeued task arbitrates for a group like any other.
@@ -410,16 +408,14 @@ func (fs *FS) PrefetchTray(p *sim.Proc, tray rack.TrayID, gi int) error {
 		if og.AnyBurning() || !fs.sched.TryClaim(ogi) {
 			return fmt.Errorf("olfs: tray %v pinned in busy group %d", tray, ogi)
 		}
-		fs.unmountGroup(ogi)
-		err := fs.lib.UnloadArray(p, ogi, nil)
+		err := fs.unloadGroup(p, ogi)
 		fs.sched.Release(ogi)
 		if err != nil {
 			return err
 		}
 	}
 	if g.Loaded() {
-		fs.unmountGroup(gi)
-		if err := fs.lib.UnloadArray(p, gi, nil); err != nil {
+		if err := fs.unloadGroup(p, gi); err != nil {
 			return err
 		}
 	}
@@ -441,11 +437,9 @@ func (fs *FS) fetchTray(p *sim.Proc, tray rack.TrayID, class sched.Class) (gi in
 	defer fs.sched.Unpin(tray)
 	joinFails := 0
 	for {
-		// Already loaded?
-		for gi, g := range fs.lib.Groups {
-			if g.Source != nil && *g.Source == tray {
-				return gi, nil
-			}
+		// Already loaded (and not on its way out)?
+		if gi := fs.groupHolding(tray); gi >= 0 {
+			return gi, nil
 		}
 		if c, ok := fs.fetches[key]; ok {
 			// Coalesce with the in-flight fetch, then re-verify.
@@ -493,8 +487,7 @@ func (fs *FS) runFetch(p *sim.Proc, tray rack.TrayID, class sched.Class) (int, e
 	var err error
 	if g.Evict {
 		// Table 1 row 5, ~155 s: unload the victim, then load.
-		fs.unmountGroup(gi)
-		err = fs.lib.UnloadArray(p, gi, nil)
+		err = fs.unloadGroup(p, gi)
 	}
 	if err == nil {
 		// Table 1 row 4, ~70 s: plain load into the (now) empty group.
