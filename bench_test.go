@@ -15,6 +15,7 @@ import (
 
 	"ros/internal/blockdev"
 	"ros/internal/experiments"
+	"ros/internal/obs"
 	"ros/internal/optical"
 	"ros/internal/pagecache"
 	"ros/internal/raid"
@@ -343,6 +344,8 @@ func BenchmarkBufferedSmallWritesFlushed(b *testing.B) {
 	defer env.Close()
 	arr, disks := bufferArray(b, env)
 	v := pagecache.New(env, arr, pagecache.Ext4Rates())
+	reg := obs.New(env)
+	v.AttachObs(reg, "buffer")
 	buf := make([]byte, 8<<10)
 	for i := range buf {
 		buf[i] = byte(i*131 + 7) // zeros written to a fresh chunk stay sparse
@@ -364,7 +367,7 @@ func BenchmarkBufferedSmallWritesFlushed(b *testing.B) {
 	})
 	env.Run()
 	reportMemberBytes(b, disks)
-	b.ReportMetric(float64(v.BytesFlushed)/float64(b.N), "flushed_B/op")
+	b.ReportMetric(float64(reg.Counter("buffer.bytes_flushed").Value())/float64(b.N), "flushed_B/op")
 }
 
 // BenchmarkUDFWriteFile measures host cost of UDF file creation.

@@ -336,13 +336,16 @@ func dispatch(sys *ros.System, p *sim.Proc, fields []string) error {
 		}
 		fmt.Printf("  %d used, %d failed, %d images on disc\n", used, failed, len(fs.Cat.DIL))
 	case "status":
+		// The summary lines count the whole system (every rack of a
+		// federation); the lines after them describe rack 0.
 		st := sys.Stats()
+		c := st.Obs.Counter
 		fmt.Printf("  files: %d written, %d read; bytes: %d written, %d read\n",
-			st.FilesWritten, st.FilesRead, st.BytesWritten, st.BytesRead)
+			c("olfs.files_written"), c("olfs.files_read"), c("olfs.bytes_written"), c("olfs.bytes_read"))
 		fmt.Printf("  burns: %d tasks; fetches: %d; cache: %d hits / %d misses\n",
-			st.BurnTasks, st.FetchTasks, st.CacheHits, st.CacheMisses)
+			c("olfs.burn_tasks"), c("olfs.fetch_tasks"), c("olfs.cache_hits"), c("olfs.cache_misses"))
 		fmt.Printf("  mechanics: %d loads, %d unloads; discs resident: %d\n",
-			st.Loads, st.Unloads, st.TotalDiscs)
+			c("rack.loads"), c("rack.unloads"), st.TotalDiscs)
 		for gi, g := range sys.Library.Groups {
 			src := "empty"
 			if g.Source != nil {
@@ -366,7 +369,7 @@ func dispatch(sys *ros.System, p *sim.Proc, fields []string) error {
 		}
 		cap := adm.Config().CapacityBytes
 		fmt.Printf("  writepath: burns=%d; admission %d/%d bytes inflight (%d%%)%s\n",
-			st.BurnTasks,
+			fs.Obs().Counter("olfs.burn_tasks").Value(),
 			adm.InflightBytes(), cap,
 			adm.InflightBytes()*100/max64(cap, 1), congested)
 		fmt.Printf("  writepath: queued %d, shed %d (peak inflight %d)\n",

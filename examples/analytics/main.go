@@ -51,9 +51,9 @@ func main() {
 		if _, err := c.Wait(p); err != nil {
 			return err
 		}
-		st := sys.Stats()
+		snap := sys.Stats().Obs
 		fmt.Printf("ingested %d files, %d burn tasks, %d arm loads; archive on disc\n",
-			st.FilesWritten, st.BurnTasks, st.Loads)
+			snap.Counter("olfs.files_written"), snap.Counter("olfs.burn_tasks"), snap.Counter("rack.loads"))
 
 		// Phase 2: an analyst asks "total bytes matching a predicate across
 		// all of 2016" — a full historical scan.
@@ -97,9 +97,9 @@ func main() {
 		}
 		fmt.Printf("first byte of %s in %v\n", target, p.Now()-t0)
 
-		st = sys.Stats()
+		snap = sys.Stats().Obs
 		fmt.Printf("\ncache: %d hits / %d misses, %d mechanical fetches, %d cold month(s)\n",
-			st.CacheHits, st.CacheMisses, st.FetchTasks, coldReads)
+			snap.Counter("olfs.cache_hits"), snap.Counter("olfs.cache_misses"), snap.Counter("olfs.fetch_tasks"), coldReads)
 		return nil
 	})
 	if err != nil {

@@ -88,9 +88,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	st := sys.Stats()
+	snap := sys.Stats().Obs
 	fmt.Printf("\nstats: %d files written, %d read, %d burn task(s), %d arm load(s), virtual time %v\n",
-		st.FilesWritten, st.FilesRead, st.BurnTasks, st.Loads, sys.Env.Now().Round(time.Second))
+		snap.Counter("olfs.files_written"), snap.Counter("olfs.files_read"), snap.Counter("olfs.burn_tasks"),
+		snap.Counter("rack.loads"), sys.Env.Now().Round(time.Second))
 }
 
 func min(a, b int) int {

@@ -122,9 +122,6 @@ func NewManager(env *sim.Env, buffer udf.Backend, bucketCap int64, nSlots int) (
 	return m, nil
 }
 
-// BucketCapacity returns the per-bucket byte capacity (the disc capacity).
-func (m *Manager) BucketCapacity() int64 { return m.bucketCap }
-
 // Slots returns all buckets (diagnostics / maintenance interface).
 func (m *Manager) Slots() []*Bucket { return m.slots }
 

@@ -165,9 +165,9 @@ func (c *Cluster) bindMetrics(r *obs.Registry) {
 }
 
 // addRack builds one more member on the shared clock. Every member gets a
-// private registry (racks must not share one: CounterAt rebinds duplicate
-// names), which is also what gives the sampler its rack-labeled series; the
-// configured system registry carries only federation-level cluster.* metrics.
+// private registry, which is what gives the sampler its rack-labeled series
+// and Status its per-rack counts; the configured system registry carries only
+// federation-level cluster.* metrics.
 func (c *Cluster) addRack() (*Rack, error) {
 	scfg := c.cfg.Stack
 	scfg.Obs = nil
@@ -925,17 +925,6 @@ func (c *Cluster) RackSnapshot(ri int) obs.Snapshot {
 	return c.racks[ri].Reg.Snapshot()
 }
 
-// MergedSnapshot combines every rack's snapshot into one cluster-wide view:
-// counters sum and histograms merge by bucket counts (never by averaging
-// percentiles — see obs.MergeSnapshots).
-func (c *Cluster) MergedSnapshot() obs.Snapshot {
-	snaps := make([]obs.Snapshot, len(c.racks))
-	for i, r := range c.racks {
-		snaps[i] = r.Reg.Snapshot()
-	}
-	return obs.MergeSnapshots(snaps...)
-}
-
 // LabeledSnapshots returns each rack's snapshot tagged with its name, the
 // input shape Prometheus exposition wants for rack="..." labels.
 func (c *Cluster) LabeledSnapshots() []obs.LabeledSnapshot {
@@ -962,8 +951,8 @@ func (c *Cluster) Status() Status {
 			Health:        r.health.String(),
 			Load:          c.placer.loads[i],
 			Discs:         r.Lib.TotalDiscs(),
-			Loads:         r.Lib.Loads,
-			Burns:         r.FS.BurnTasks,
+			Loads:         r.Reg.Counter("rack.loads").Value(),
+			Burns:         r.Reg.Counter("olfs.burn_tasks").Value(),
 			WriteInflight: adm.InflightBytes(),
 			WriteShed:     adm.Sheds(),
 			WriteQueued:   adm.QueueLen(),

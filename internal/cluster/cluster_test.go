@@ -74,6 +74,9 @@ func pat(n int, seed byte) []byte {
 	return b
 }
 
+// count reads one of rack r's counters from its registry.
+func count(r *Rack, name string) int64 { return r.Reg.Counter(name).Value() }
+
 // TestClusterReplicatedWriteRead: writes land on Replicas distinct racks and
 // read back byte-identical through the federation namespace.
 func TestClusterReplicatedWriteRead(t *testing.T) {
@@ -272,7 +275,7 @@ func TestClusterAddRackNoRelocation(t *testing.T) {
 	}
 	oldWrites := make([]int64, 3)
 	for ri, r := range tb.cl.Racks() {
-		oldWrites[ri] = r.FS.FilesWritten
+		oldWrites[ri] = count(r, "olfs.files_written")
 	}
 	if _, err := tb.cl.AddRack(); err != nil {
 		t.Fatalf("AddRack: %v", err)
@@ -303,7 +306,7 @@ func TestClusterAddRackNoRelocation(t *testing.T) {
 	// file it didn't already have.
 	for ri := 0; ri < 3; ri++ {
 		r := tb.cl.Racks()[ri]
-		extra := r.FS.FilesWritten - oldWrites[ri]
+		extra := count(r, "olfs.files_written") - oldWrites[ri]
 		placed := int64(0)
 		for i := 0; i < 20; i++ {
 			for _, m := range tb.cl.ReplicasOf(fmt.Sprintf("/grow/g%03d", i)) {
@@ -539,9 +542,9 @@ func TestClusterRoutesToCachedReplica(t *testing.T) {
 		}
 		fetches := map[*Rack]int64{}
 		for _, r := range tb.cl.Racks() {
-			fetches[r] = r.FS.FetchTasks
+			fetches[r] = count(r, "olfs.fetch_tasks")
 		}
-		hits := cached.FS.CacheHits
+		hits := count(cached, "olfs.cache_hits")
 		got, err := tb.cl.ReadFile(p, path)
 		if err != nil {
 			return err
@@ -550,12 +553,12 @@ func TestClusterRoutesToCachedReplica(t *testing.T) {
 			return fmt.Errorf("routed read returned wrong bytes")
 		}
 		for _, r := range tb.cl.Racks() {
-			if r.FS.FetchTasks != fetches[r] {
+			if count(r, "olfs.fetch_tasks") != fetches[r] {
 				t.Errorf("rack %d fetched a tray for a read its peer had cached", r.Index)
 			}
 		}
-		if cached.FS.CacheHits != hits+1 {
-			t.Errorf("cached rack served no buffer hit (cache_hits %d -> %d)", hits, cached.FS.CacheHits)
+		if count(cached, "olfs.cache_hits") != hits+1 {
+			t.Errorf("cached rack served no buffer hit (cache_hits %d -> %d)", hits, count(cached, "olfs.cache_hits"))
 		}
 		return nil
 	})

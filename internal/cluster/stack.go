@@ -31,9 +31,10 @@ type StackConfig struct {
 	// FS configures OLFS; NewRackStack sets its BucketBytes and Obs.
 	FS olfs.Config
 
-	// Obs is the registry this rack's stack records into. Racks must not
-	// share a registry (CounterAt rebinds duplicate names), so the federation
-	// gives rack 0 the system registry and every later rack its own.
+	// Obs is the registry this rack's stack records into; nil gives the rack
+	// a private one. A single-rack system passes its system registry; a
+	// federation leaves it nil for every rack, rack 0 included, so each rack's
+	// counts stay separable (see Cluster.addRack).
 	Obs *obs.Registry
 }
 

@@ -155,7 +155,7 @@ func AblationReadPolicy() (Result, error) {
 			}
 			return nil
 		})
-		return readLat, fs.BurnResumes, err
+		return readLat, fs.Obs().Counter("olfs.burn_resumes").Value(), err
 	}
 	waitLat, _, err := measure(olfs.WaitForBurn)
 	if err != nil {

@@ -232,6 +232,3 @@ func allGroupsBurning(lib *rack.Library) bool {
 	}
 	return true
 }
-
-// UsedTraysForTest exposes usedTrays for diagnostic tests.
-func UsedTraysForTest(fs *olfs.FS) []rack.TrayID { return usedTrays(fs) }

@@ -12,7 +12,6 @@ import (
 
 	"ros/internal/cluster"
 	"ros/internal/faultinject"
-	"ros/internal/obs"
 	"ros/internal/olfs"
 	"ros/internal/optical"
 	"ros/internal/sim"
@@ -113,14 +112,4 @@ func Pat(n int, seed byte) []byte {
 		b[i] = byte(i)*3 + seed
 	}
 	return b
-}
-
-// Counters flattens the registry snapshot's counters into a map for
-// assertions on fault.* and subsystem counters.
-func Counters(r *obs.Registry) map[string]int64 {
-	out := make(map[string]int64)
-	for _, c := range r.Snapshot().Counters {
-		out[c.Name] = c.Value
-	}
-	return out
 }

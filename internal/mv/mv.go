@@ -140,18 +140,16 @@ type Volume struct {
 	children map[string]map[string]bool
 	state    map[string]json.RawMessage
 
-	// Ops counts index-file operations (stat/mknod/update/...). It is the
-	// storage cell of the mv.ops obs counter once AttachObs is called.
-	Ops int64
-
-	opLatency *obs.Histogram // nil until AttachObs
+	// Metric handles, nil (and inert) until AttachObs.
+	ops       *obs.Counter
+	opLatency *obs.Histogram
 }
 
 // AttachObs connects the volume to a metrics registry: mv.ops counts index
-// operations (bound to the Ops field) and mv.op.latency records the per-op
+// operations (stat/mknod/update/...) and mv.op.latency records the per-op
 // charge distribution.
 func (v *Volume) AttachObs(r *obs.Registry) {
-	r.CounterAt("mv.ops", &v.Ops)
+	v.ops = r.Counter("mv.ops")
 	v.opLatency = r.Histogram("mv.op.latency")
 }
 
@@ -179,7 +177,7 @@ func (v *Volume) OpCost() time.Duration { return v.opCost }
 
 // charge sleeps one index-op cost.
 func (v *Volume) charge(p *sim.Proc) {
-	v.Ops++
+	v.ops.Add(1)
 	v.opLatency.Observe(int64(v.opCost))
 	p.Sleep(v.opCost)
 }

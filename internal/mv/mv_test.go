@@ -10,6 +10,7 @@ import (
 
 	"ros/internal/blockdev"
 	"ros/internal/image"
+	"ros/internal/obs"
 	"ros/internal/sim"
 )
 
@@ -67,6 +68,8 @@ func TestStatMissing(t *testing.T) {
 func TestOpCostCharged(t *testing.T) {
 	env := sim.NewEnv()
 	v := newVol(env)
+	reg := obs.New(env)
+	v.AttachObs(reg)
 	inSim(t, env, func(p *sim.Proc) {
 		start := p.Now()
 		_, _ = v.Stat(p, "/x") // 2.5 ms even on miss (index lookup I/O)
@@ -78,8 +81,8 @@ func TestOpCostCharged(t *testing.T) {
 			t.Errorf("3 ops took %v, want %v (2.5ms each, Fig 7)", elapsed, want)
 		}
 	})
-	if v.Ops != 3 {
-		t.Errorf("Ops = %d", v.Ops)
+	if ops := reg.Counter("mv.ops").Value(); ops != 3 {
+		t.Errorf("mv.ops = %d", ops)
 	}
 }
 

@@ -11,10 +11,10 @@
 //  2. Zero-cost opt-out. Every handle method is nil-safe: a subsystem that
 //     was never attached to a Registry can call Counter.Add or Span.End on
 //     nil handles freely. Unit tests of leaf packages need no obs setup.
-//  3. Compatibility. CounterAt binds a counter to an existing int64 field,
-//     making the legacy field the counter's storage. Code that still does
-//     `fs.FilesWritten++` and code that calls `c.Add(1)` observe the same
-//     cell, and old tests that read the struct field keep working unchanged.
+//
+// The registry is the only store of a count: components hold *Counter
+// handles and keep no copy of their own, and readers go through a handle's
+// Value or Snapshot.Counter.
 package obs
 
 import (
@@ -35,7 +35,7 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	gen      int     // bumped whenever a name is registered or rebound (the sampler's cache key)
+	gen      int     // bumped whenever a name is registered (the sampler's cache key)
 	open     int     // spans started and not yet ended/cancelled
 	tracer   *Tracer // optional causal request tracer (see trace.go)
 }
@@ -84,21 +84,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if c, ok := r.counters[name]; ok {
 		return c
 	}
-	c := &Counter{v: new(int64)}
-	r.counters[name] = c
-	r.gen++
-	return c
-}
-
-// CounterAt returns the counter with the given name bound to an existing
-// int64 cell: the field *is* the counter's storage, so legacy `field++`
-// updates and Counter.Add both hit the same value and snapshots see either.
-// Re-registering an existing name rebinds it to ptr.
-func (r *Registry) CounterAt(name string, ptr *int64) *Counter {
-	if r == nil || ptr == nil {
-		return nil
-	}
-	c := &Counter{v: ptr}
+	c := &Counter{}
 	r.counters[name] = c
 	r.gen++
 	return c
@@ -136,22 +122,22 @@ func (r *Registry) Histogram(name string) *Histogram {
 // Counter is a monotonically increasing (by convention) int64 metric. The
 // zero of a nil handle is inert: Add is a no-op and Value returns 0.
 type Counter struct {
-	v *int64
+	v int64
 }
 
 // Add increments the counter by n.
 func (c *Counter) Add(n int64) {
-	if c != nil && c.v != nil {
-		*c.v += n
+	if c != nil {
+		c.v += n
 	}
 }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 {
-	if c == nil || c.v == nil {
+	if c == nil {
 		return 0
 	}
-	return *c.v
+	return c.v
 }
 
 // Gauge is an instantaneous int64 level (queue depths, dirty chunks).
@@ -390,18 +376,18 @@ func (r *Registry) OpenSpans() int {
 
 // AttachTracer binds a Tracer to the registry: its open trace spans count
 // toward OpenSpans (and the span-leak warning in Snapshot), and its lifecycle
-// stats surface as trace.* counters. A nil tracer detaches.
+// stats count into trace.* counters. A nil tracer detaches.
 func (r *Registry) AttachTracer(t *Tracer) {
 	if r == nil {
 		return
 	}
 	r.tracer = t
 	if t != nil {
-		r.CounterAt("trace.started", &t.Started)
-		r.CounterAt("trace.finished", &t.Finished)
-		r.CounterAt("trace.captured", &t.Captured)
-		r.CounterAt("trace.sampled_out", &t.Sampled)
-		r.CounterAt("trace.evicted", &t.Evicted)
+		t.started = r.Counter("trace.started")
+		t.finished = r.Counter("trace.finished")
+		t.captured = r.Counter("trace.captured")
+		t.sampled = r.Counter("trace.sampled_out")
+		t.evicted = r.Counter("trace.evicted")
 	}
 }
 
@@ -495,6 +481,16 @@ func (r *Registry) Snapshot() Snapshot {
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
+}
+
+// Counter returns the value of the named counter, or 0 when the snapshot has
+// none by that name.
+func (s Snapshot) Counter(name string) int64 {
+	i := sort.Search(len(s.Counters), func(i int) bool { return s.Counters[i].Name >= name })
+	if i < len(s.Counters) && s.Counters[i].Name == name {
+		return s.Counters[i].Value
+	}
+	return 0
 }
 
 // JSON renders the snapshot as indented, deterministic JSON.

@@ -21,21 +21,29 @@ func TestCounterOwnStorage(t *testing.T) {
 	}
 }
 
-func TestCounterAtBindsLegacyField(t *testing.T) {
-	r := New(sim.NewEnv())
-	var field int64 = 10
-	c := r.CounterAt("legacy", &field)
-	c.Add(5)
-	if field != 15 {
-		t.Fatalf("field = %d, want 15 (Add must write through to the bound cell)", field)
-	}
-	field += 2 // legacy increment site
-	if got := c.Value(); got != 17 {
-		t.Fatalf("counter = %d, want 17 (legacy ++ must be visible)", got)
-	}
-	snap := r.Snapshot()
-	if len(snap.Counters) != 1 || snap.Counters[0].Value != 17 {
-		t.Fatalf("snapshot = %+v, want single counter value 17", snap.Counters)
+func TestSnapshotCounter(t *testing.T) {
+	a, b := New(nil), New(nil)
+	a.Counter("x").Add(3)
+	a.Counter("z").Add(1)
+	b.Counter("x").Add(4)
+	b.Counter("y").Add(2)
+	for _, tc := range []struct {
+		name string
+		snap Snapshot
+		key  string
+		want int64
+	}{
+		{"present", a.Snapshot(), "x", 3},
+		{"present last", a.Snapshot(), "z", 1},
+		{"absent between", a.Snapshot(), "y", 0},
+		{"absent past end", a.Snapshot(), "zz", 0},
+		{"empty snapshot", Snapshot{}, "x", 0},
+		{"merged sum", MergeSnapshots(a.Snapshot(), b.Snapshot()), "x", 7},
+		{"merged one side", MergeSnapshots(a.Snapshot(), b.Snapshot()), "y", 2},
+	} {
+		if got := tc.snap.Counter(tc.key); got != tc.want {
+			t.Errorf("%s: Counter(%q) = %d, want %d", tc.name, tc.key, got, tc.want)
+		}
 	}
 }
 

@@ -419,9 +419,8 @@ func (s *Sampler) scrape(src *source, t int64) {
 	}
 }
 
-// resolve rebuilds src's feed lists from its registry. A name can be rebound
-// to another cell (CounterAt), so the lists are keyed on the registry's
-// generation, not on how many names it holds.
+// resolve rebuilds src's feed lists from its registry. The lists are keyed on
+// the registry's generation, which moves whenever a name is registered.
 func (s *Sampler) resolve(src *source) {
 	src.gen = src.reg.gen
 	src.counters = src.counters[:0]

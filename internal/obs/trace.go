@@ -190,13 +190,13 @@ type Tracer struct {
 	journal  []*Trace // completed, captured traces in finish order
 	cleanSeq int64    // sampling counter over clean traces
 
-	// Stats, bound as trace.* counters when the tracer is attached to a
-	// Registry (the fields are the counters' storage).
-	Started  int64
-	Finished int64
-	Captured int64
-	Sampled  int64 // dropped by sampling at Finish
-	Evicted  int64 // pushed out of the journal by capacity
+	// trace.* counters, set by Registry.AttachTracer (nil, and inert, until
+	// then).
+	started  *Counter
+	finished *Counter
+	captured *Counter
+	sampled  *Counter // dropped by sampling at Finish
+	evicted  *Counter // pushed out of the journal by capacity
 }
 
 // NewTracer creates a tracer bound to env, or nil when cfg disables tracing
@@ -273,7 +273,7 @@ func (t *Tracer) StartOp(p *sim.Proc, name, class string) *Op {
 		return nil
 	}
 	t.nextTrace++
-	t.Started++
+	t.started.Add(1)
 	t.active++
 	tr := &Trace{ID: t.nextTrace, Name: name, Class: class, Start: t.now(), tracer: t}
 	tr.root = tr.newSpan(name, 0)
@@ -339,7 +339,7 @@ func (t *Trace) finish(p *sim.Proc, err error) {
 	}
 	tr := t.tracer
 	tr.active--
-	tr.Finished++
+	tr.finished.Add(1)
 	tr.commit(t)
 }
 
@@ -348,11 +348,11 @@ func (tr *Tracer) commit(t *Trace) {
 	if !t.Faulty() {
 		tr.cleanSeq++
 		if tr.cfg.SampleEvery > 1 && tr.cleanSeq%int64(tr.cfg.SampleEvery) != 1 {
-			tr.Sampled++
+			tr.sampled.Add(1)
 			return
 		}
 	}
-	tr.Captured++
+	tr.captured.Add(1)
 	tr.journal = append(tr.journal, t)
 	for len(tr.journal) > tr.cfg.Capacity {
 		tr.evictOne()
@@ -377,7 +377,7 @@ func (tr *Tracer) evictOne() {
 		victim = 0
 	}
 	tr.journal = append(tr.journal[:victim], tr.journal[victim+1:]...)
-	tr.Evicted++
+	tr.evicted.Add(1)
 }
 
 // protectedSet returns the IDs of the keepSlowest slowest traces per class.

@@ -9,12 +9,14 @@ import (
 	"ros/internal/sim"
 )
 
-// traceBed runs fn inside a simulation process against a fresh tracer.
+// traceBed runs fn inside a simulation process against a fresh tracer
+// attached to a fresh registry.
 func traceBed(t *testing.T, cfg TracerConfig, fn func(p *sim.Proc, tr *Tracer)) *Tracer {
 	t.Helper()
 	env := sim.NewEnv()
 	t.Cleanup(env.Close)
 	tr := NewTracer(env, cfg)
+	New(env).AttachTracer(tr)
 	env.Go("req", func(p *sim.Proc) { fn(p, tr) })
 	env.Run()
 	if env.Deadlocked() {
@@ -136,11 +138,11 @@ func TestTailSampling(t *testing.T) {
 			op.Finish(p, errors.New("boom"))
 		})
 
-	if tr.Started != 10 || tr.Finished != 10 {
-		t.Errorf("started/finished = %d/%d, want 10/10", tr.Started, tr.Finished)
+	if tr.started.Value() != 10 || tr.finished.Value() != 10 {
+		t.Errorf("started/finished = %d/%d, want 10/10", tr.started.Value(), tr.finished.Value())
 	}
-	if tr.Sampled != 6 {
-		t.Errorf("sampled-out = %d, want 6", tr.Sampled)
+	if tr.sampled.Value() != 6 {
+		t.Errorf("sampled-out = %d, want 6", tr.sampled.Value())
 	}
 	counts := map[string]int{}
 	for _, trc := range tr.Traces() {
@@ -179,8 +181,8 @@ func TestJournalEvictionProtectsFaultyAndSlowest(t *testing.T) {
 			t.Errorf("journal[%d] lasted %v, want %v (the 8 slowest kept in order)", i+1, trc.Duration(), want)
 		}
 	}
-	if tr.Evicted != 1 {
-		t.Errorf("evicted = %d, want 1", tr.Evicted)
+	if tr.evicted.Value() != 1 {
+		t.Errorf("evicted = %d, want 1", tr.evicted.Value())
 	}
 }
 

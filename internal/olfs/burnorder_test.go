@@ -42,7 +42,7 @@ func burnOrderRun(t *testing.T) string {
 	})
 	fs := bed.FS
 	fmt.Fprintf(&b, "end\tnow=%d tasks=%d interrupted=%d resumes=%d failed_trays=%d unburned=%d\n",
-		int64(bed.Env.Now()), fs.BurnTasks, fs.InterruptedBs, fs.BurnResumes,
+		int64(bed.Env.Now()), count(fs, "olfs.burn_tasks"), count(fs, "olfs.interrupted_burns"), count(fs, "olfs.burn_resumes"),
 		failedTrays(bed), len(fs.Buckets.FilledUnburned()))
 	for _, tr := range fs.Tracer().Traces() {
 		if tr.Class == "burn" {
@@ -110,7 +110,7 @@ func TestBurnSetSize(t *testing.T) {
 						t.Fatalf("Sync: %v", err)
 					}
 				}
-				if got := int(bed.FS.BurnTasks); got != tc.autoTasks {
+				if got := int(count(bed.FS, "olfs.burn_tasks")); got != tc.autoTasks {
 					t.Errorf("tasks enqueued by %d seals = %d, want %d", images, got, tc.autoTasks)
 				}
 				if got := len(bed.FS.Buckets.FilledUnburned()); got != tc.trailing {
@@ -128,9 +128,8 @@ func TestBurnSetSize(t *testing.T) {
 			if tc.trailing > 0 {
 				tasks++
 			}
-			cnt := testkit.Counters(bed.FS.Obs())
 			for _, name := range []string{"olfs.burn_tasks", "writepath.burn_sets", "writepath.burn_groups"} {
-				if got := int(cnt[name]); got != tasks {
+				if got := int(count(bed.FS, name)); got != tasks {
 					t.Errorf("%s = %d, want %d", name, got, tasks)
 				}
 			}

@@ -105,8 +105,8 @@ func TestBurnResumeAfterInterrupt(t *testing.T) {
 		}
 	})
 
-	if bed.FS.InterruptedBs != 1 || bed.FS.BurnResumes != 1 {
-		t.Errorf("interrupted=%d resumes=%d, want 1/1", bed.FS.InterruptedBs, bed.FS.BurnResumes)
+	if count(bed.FS, "olfs.interrupted_burns") != 1 || count(bed.FS, "olfs.burn_resumes") != 1 {
+		t.Errorf("interrupted=%d resumes=%d, want 1/1", count(bed.FS, "olfs.interrupted_burns"), count(bed.FS, "olfs.burn_resumes"))
 	}
 	if n := failedTrays(bed); n != 0 {
 		t.Errorf("failed trays = %d, want 0 (resume must not hard-fail)", n)
@@ -190,12 +190,12 @@ func TestBurnInterruptThenHardFailure(t *testing.T) {
 	}
 	// Pre-fix the interrupted+failed run counted neither interrupt nor
 	// resume; the interrupt really happened and must show up.
-	if bed.FS.InterruptedBs != 1 {
-		t.Errorf("InterruptedBs = %d, want 1 (interrupt-then-fail must count)", bed.FS.InterruptedBs)
+	if count(bed.FS, "olfs.interrupted_burns") != 1 {
+		t.Errorf("olfs.interrupted_burns = %d, want 1 (interrupt-then-fail must count)", count(bed.FS, "olfs.interrupted_burns"))
 	}
 	// No resume ever ran: the retry restarted from scratch on a new tray.
-	if bed.FS.BurnResumes != 0 {
-		t.Errorf("BurnResumes = %d, want 0 (fresh-tray retry is not a resume)", bed.FS.BurnResumes)
+	if count(bed.FS, "olfs.burn_resumes") != 0 {
+		t.Errorf("olfs.burn_resumes = %d, want 0 (fresh-tray retry is not a resume)", count(bed.FS, "olfs.burn_resumes"))
 	}
 	if n := failedTrays(bed); n != 1 {
 		t.Errorf("failed trays = %d, want 1 (the sabotaged one)", n)
@@ -222,7 +222,7 @@ func TestBurnResumeRunHardFailure(t *testing.T) {
 		bed.Env.Go("saboteur", func(ip *sim.Proc) {
 			for i := 0; i < 20000; i++ {
 				g := burningGroup(bed)
-				if bed.FS.BurnResumes >= 1 && g != nil {
+				if count(bed.FS, "olfs.burn_resumes") >= 1 && g != nil {
 					tr, err := bed.Lib.Tray(*g.Source)
 					if err != nil {
 						t.Errorf("source tray: %v", err)
@@ -240,11 +240,11 @@ func TestBurnResumeRunHardFailure(t *testing.T) {
 	if burnErr != nil {
 		t.Fatalf("retry after failed resume should have succeeded: %v", burnErr)
 	}
-	if bed.FS.InterruptedBs != 1 {
-		t.Errorf("InterruptedBs = %d, want 1", bed.FS.InterruptedBs)
+	if count(bed.FS, "olfs.interrupted_burns") != 1 {
+		t.Errorf("olfs.interrupted_burns = %d, want 1", count(bed.FS, "olfs.interrupted_burns"))
 	}
-	if bed.FS.BurnResumes != 1 {
-		t.Errorf("BurnResumes = %d, want 1 (stale resumed flag must not leak into the retry)", bed.FS.BurnResumes)
+	if count(bed.FS, "olfs.burn_resumes") != 1 {
+		t.Errorf("olfs.burn_resumes = %d, want 1 (stale resumed flag must not leak into the retry)", count(bed.FS, "olfs.burn_resumes"))
 	}
 	if n := failedTrays(bed); n != 1 {
 		t.Errorf("failed trays = %d, want 1", n)
@@ -336,8 +336,8 @@ func TestAbandonedResumeFailsTray(t *testing.T) {
 			t.Fatal("burn whose resume reload failed reported success")
 		}
 	})
-	if bed.FS.InterruptedBs != 1 || bed.FS.BurnResumes != 1 {
-		t.Errorf("interrupted=%d resumes=%d, want 1/1", bed.FS.InterruptedBs, bed.FS.BurnResumes)
+	if count(bed.FS, "olfs.interrupted_burns") != 1 || count(bed.FS, "olfs.burn_resumes") != 1 {
+		t.Errorf("interrupted=%d resumes=%d, want 1/1", count(bed.FS, "olfs.interrupted_burns"), count(bed.FS, "olfs.burn_resumes"))
 	}
 	if leaked := usedWithoutImages(bed); len(leaked) != 0 {
 		t.Errorf("trays left Used with no images: %v", leaked)

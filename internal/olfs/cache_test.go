@@ -62,14 +62,14 @@ func TestCacheFillMakesRereadABufferHit(t *testing.T) {
 		if !ok || b.State() != bucket.StateBurned {
 			t.Fatalf("image not cached after a disc read (resident=%v)", ok)
 		}
-		fetches, hits := tb.fs.FetchTasks, tb.fs.CacheHits
+		fetches, hits := tb.fs.m.fetchTasks.Value(), tb.fs.m.cacheHits.Value()
 		start := p.Now()
 		readCheck(t, tb, p, "/c/a", data)
-		if tb.fs.FetchTasks != fetches {
-			t.Errorf("re-read fetched a tray: fetch_tasks %d -> %d", fetches, tb.fs.FetchTasks)
+		if tb.fs.m.fetchTasks.Value() != fetches {
+			t.Errorf("re-read fetched a tray: fetch_tasks %d -> %d", fetches, tb.fs.m.fetchTasks.Value())
 		}
-		if tb.fs.CacheHits != hits+1 {
-			t.Errorf("cache_hits %d -> %d, want +1", hits, tb.fs.CacheHits)
+		if tb.fs.m.cacheHits.Value() != hits+1 {
+			t.Errorf("cache_hits %d -> %d, want +1", hits, tb.fs.m.cacheHits.Value())
 		}
 		if lat := p.Now() - start; lat > time.Second {
 			t.Errorf("cached re-read took %v", lat)

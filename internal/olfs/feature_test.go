@@ -38,8 +38,8 @@ func TestDirectIngestMode(t *testing.T) {
 	if ackLatency > 20*time.Millisecond {
 		t.Errorf("direct ack = %v, want wire-speed (~7ms)", ackLatency)
 	}
-	if tb.fs.DirectIngests != 1 || tb.fs.DirectBytes != int64(len(data)) {
-		t.Errorf("stats: ingests=%d bytes=%d", tb.fs.DirectIngests, tb.fs.DirectBytes)
+	if tb.fs.m.directIngests.Value() != 1 || tb.fs.m.directBytes.Value() != int64(len(data)) {
+		t.Errorf("stats: ingests=%d bytes=%d", tb.fs.m.directIngests.Value(), tb.fs.m.directBytes.Value())
 	}
 }
 
@@ -132,8 +132,8 @@ func TestScrubAndRepairSectorError(t *testing.T) {
 			t.Error("repaired data mismatch")
 		}
 	})
-	if tb.fs.Repairs == 0 {
-		t.Error("Repairs counter is zero")
+	if tb.fs.m.repairs.Value() == 0 {
+		t.Error("olfs.repairs is zero")
 	}
 }
 
@@ -159,7 +159,7 @@ func TestScrubberDaemonRepairsInBackground(t *testing.T) {
 		defer stop()
 		// Let a few scrub cycles pass.
 		p.Sleep(90 * time.Minute)
-		if tb.fs.Scrubs == 0 {
+		if tb.fs.m.scrubs.Value() == 0 {
 			t.Fatal("scrubber never ran")
 		}
 	})
@@ -174,8 +174,8 @@ func TestMVSnapshotDaemon(t *testing.T) {
 		stop := tb.fs.StartMVSnapshots(time.Hour)
 		defer stop()
 		p.Sleep(3*time.Hour + time.Minute)
-		if tb.fs.MVSnapshots < 2 {
-			t.Fatalf("MVSnapshots = %d after 3h with 1h interval", tb.fs.MVSnapshots)
+		if tb.fs.m.mvSnapshots.Value() < 2 {
+			t.Fatalf("olfs.mv_snapshots = %d after 3h with 1h interval", tb.fs.m.mvSnapshots.Value())
 		}
 		// Snapshot files exist in the namespace.
 		des, err := tb.fs.MV.ReadDir(p, MVSnapshotDir)

@@ -182,28 +182,6 @@ type FS struct {
 	moverPending int
 	moverErr     error
 
-	// Stats (maintenance interface). Each field is the storage cell of the
-	// corresponding olfs.* counter in the obs registry (bound via CounterAt
-	// in New), so these direct reads stay exact while all increments go
-	// through the registry handles in m.
-	FilesWritten  int64
-	FilesRead     int64
-	BytesWritten  int64
-	BytesRead     int64
-	BurnTasks     int64
-	FetchTasks    int64
-	BurnResumes   int64
-	SplitFiles    int64
-	ForepartHits  int64
-	CacheHits     int64
-	CacheMisses   int64
-	InterruptedBs int64
-	DirectIngests int64
-	DirectBytes   int64
-	Scrubs        int64
-	Repairs       int64
-	MVSnapshots   int64
-
 	obs    *obs.Registry
 	tracer *obs.Tracer
 	m      fsMetrics
@@ -246,29 +224,29 @@ type fsMetrics struct {
 	burnGroups *obs.Counter
 }
 
-// bindMetrics registers every stats field as an olfs.* counter whose storage
-// is the field itself, and creates the task-latency histograms eagerly so
-// they appear in snapshots even before the first task completes.
+// bindMetrics takes the registry handles for OLFS's counters and creates the
+// task-latency histograms eagerly so they appear in snapshots even before
+// the first task completes.
 func (fs *FS) bindMetrics(r *obs.Registry) {
 	fs.obs = r
 	fs.m = fsMetrics{
-		filesWritten:  r.CounterAt("olfs.files_written", &fs.FilesWritten),
-		filesRead:     r.CounterAt("olfs.files_read", &fs.FilesRead),
-		bytesWritten:  r.CounterAt("olfs.bytes_written", &fs.BytesWritten),
-		bytesRead:     r.CounterAt("olfs.bytes_read", &fs.BytesRead),
-		burnTasks:     r.CounterAt("olfs.burn_tasks", &fs.BurnTasks),
-		fetchTasks:    r.CounterAt("olfs.fetch_tasks", &fs.FetchTasks),
-		burnResumes:   r.CounterAt("olfs.burn_resumes", &fs.BurnResumes),
-		splitFiles:    r.CounterAt("olfs.split_files", &fs.SplitFiles),
-		forepartHits:  r.CounterAt("olfs.forepart_hits", &fs.ForepartHits),
-		cacheHits:     r.CounterAt("olfs.cache_hits", &fs.CacheHits),
-		cacheMisses:   r.CounterAt("olfs.cache_misses", &fs.CacheMisses),
-		interruptedBs: r.CounterAt("olfs.interrupted_burns", &fs.InterruptedBs),
-		directIngests: r.CounterAt("olfs.direct_ingests", &fs.DirectIngests),
-		directBytes:   r.CounterAt("olfs.direct_bytes", &fs.DirectBytes),
-		scrubs:        r.CounterAt("olfs.scrubs", &fs.Scrubs),
-		repairs:       r.CounterAt("olfs.repairs", &fs.Repairs),
-		mvSnapshots:   r.CounterAt("olfs.mv_snapshots", &fs.MVSnapshots),
+		filesWritten:  r.Counter("olfs.files_written"),
+		filesRead:     r.Counter("olfs.files_read"),
+		bytesWritten:  r.Counter("olfs.bytes_written"),
+		bytesRead:     r.Counter("olfs.bytes_read"),
+		burnTasks:     r.Counter("olfs.burn_tasks"),
+		fetchTasks:    r.Counter("olfs.fetch_tasks"),
+		burnResumes:   r.Counter("olfs.burn_resumes"),
+		splitFiles:    r.Counter("olfs.split_files"),
+		forepartHits:  r.Counter("olfs.forepart_hits"),
+		cacheHits:     r.Counter("olfs.cache_hits"),
+		cacheMisses:   r.Counter("olfs.cache_misses"),
+		interruptedBs: r.Counter("olfs.interrupted_burns"),
+		directIngests: r.Counter("olfs.direct_ingests"),
+		directBytes:   r.Counter("olfs.direct_bytes"),
+		scrubs:        r.Counter("olfs.scrubs"),
+		repairs:       r.Counter("olfs.repairs"),
+		mvSnapshots:   r.Counter("olfs.mv_snapshots"),
 		coalesced:     r.Counter("sched.coalesced_fetches"),
 		batchSize:     r.Histogram("sched.batch_size"),
 		mvCharges:     r.Counter("olfs.mv_charges"),
@@ -338,7 +316,7 @@ func New(env *sim.Env, cfg Config, lib *rack.Library, mvBackend mv.Backend, buff
 	if wcfg.Admission.CapacityBytes <= 0 {
 		wcfg.Admission.CapacityBytes = int64(slots) * discCap
 	}
-	fs.wp = writepath.New(env, wcfg, scfg, reg)
+	fs.wp = writepath.New(env, wcfg, reg)
 	// The §4.8 interrupt-burn read policy: when a fetch is starved because
 	// every group is claimed or burning, abort one burning array at its
 	// next chunk boundary; the burn task unloads, requeues itself in

@@ -59,6 +59,7 @@ func newBed(t *testing.T, mod func(*Config)) *testbed {
 		t.Fatal(err)
 	}
 	buf := pagecache.New(env, bufArr, pagecache.Ext4Rates())
+	buf.AttachObs(lib.Obs(), "buffer")
 	cfg := Config{
 		DataDiscs:   2,
 		ParityDiscs: 1,
@@ -109,8 +110,8 @@ func TestWriteReadInBucket(t *testing.T) {
 			t.Error("round trip mismatch")
 		}
 	})
-	if tb.fs.FilesWritten != 1 || tb.fs.FilesRead != 1 {
-		t.Errorf("counters: written=%d read=%d", tb.fs.FilesWritten, tb.fs.FilesRead)
+	if tb.fs.m.filesWritten.Value() != 1 || tb.fs.m.filesRead.Value() != 1 {
+		t.Errorf("counters: written=%d read=%d", tb.fs.m.filesWritten.Value(), tb.fs.m.filesRead.Value())
 	}
 }
 
@@ -244,8 +245,8 @@ func TestFileSplitsAcrossBuckets(t *testing.T) {
 			t.Error("split file reassembly mismatch")
 		}
 	})
-	if tb.fs.SplitFiles == 0 {
-		t.Error("SplitFiles counter is zero")
+	if tb.fs.m.splitFiles.Value() == 0 {
+		t.Error("olfs.split_files is zero")
 	}
 }
 
@@ -328,8 +329,8 @@ func TestReadFromDiscAfterEviction(t *testing.T) {
 			t.Error("disc read mismatch")
 		}
 	})
-	if tb.fs.CacheMisses == 0 || tb.fs.FetchTasks == 0 {
-		t.Errorf("misses=%d fetches=%d", tb.fs.CacheMisses, tb.fs.FetchTasks)
+	if tb.fs.m.cacheMisses.Value() == 0 || tb.fs.m.fetchTasks.Value() == 0 {
+		t.Errorf("misses=%d fetches=%d", tb.fs.m.cacheMisses.Value(), tb.fs.m.fetchTasks.Value())
 	}
 	// Mechanical fetch dominates: ~70 s load + spin-up + mount + read.
 	if fetchLatency < 69*time.Second || fetchLatency > 110*time.Second {
@@ -378,7 +379,7 @@ func TestAutoBurnTriggers(t *testing.T) {
 		// Let the burn pipeline drain.
 		p.Sleep(4 * time.Hour)
 	})
-	if tb.fs.BurnTasks == 0 {
+	if tb.fs.m.burnTasks.Value() == 0 {
 		t.Fatal("auto burn never triggered")
 	}
 	used := 0
@@ -410,7 +411,7 @@ func TestReadCacheHitAfterBurn(t *testing.T) {
 			t.Errorf("cached read took %v — should hit the buffer copy", d)
 		}
 	})
-	if tb.fs.CacheHits == 0 {
+	if tb.fs.m.cacheHits.Value() == 0 {
 		t.Error("no cache hit recorded")
 	}
 }
@@ -556,8 +557,8 @@ func TestForepartFirstByte(t *testing.T) {
 			t.Errorf("first byte latency = %v, want ms-scale (forepart)", d)
 		}
 	})
-	if tb.fs.ForepartHits != 1 {
-		t.Errorf("ForepartHits = %d", tb.fs.ForepartHits)
+	if tb.fs.m.forepartHits.Value() != 1 {
+		t.Errorf("olfs.forepart_hits = %d", tb.fs.m.forepartHits.Value())
 	}
 }
 
@@ -605,6 +606,61 @@ func TestCrashReopen(t *testing.T) {
 	env.Run()
 	if env.Deadlocked() {
 		t.Fatal("deadlocked")
+	}
+}
+
+// TestReopenKeepsCounting: a controller restart through Reopen on the same
+// registry continues every count rather than restarting it, and the MV
+// volume Reopen loads records its index operations like the one it replaces.
+func TestReopenKeepsCounting(t *testing.T) {
+	env := sim.NewEnv()
+	t.Cleanup(env.Close)
+	lib, _ := rack.New(env, rack.Config{Rollers: 1, DriveGroups: 2, Media: optical.Media25, PopulateAll: true})
+	mvStore := blockdev.New(env, 1<<30, blockdev.SSDProfile())
+	bufStore := blockdev.New(env, 64<<20, blockdev.SSDProfile())
+	cfg := Config{DataDiscs: 2, ParityDiscs: 1, BucketBytes: 1 << 20, BurnStagger: time.Second}
+	fs1, err := New(env, cfg, lib, mvStore, bufStore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := lib.Obs()
+	var opsAtCrash int64
+	env.Go("test", func(p *sim.Proc) {
+		if err := fs1.WriteFile(p, "/persist/f", pat(64<<10, 2)); err != nil {
+			t.Errorf("WriteFile: %v", err)
+			return
+		}
+		if err := fs1.Checkpoint(p); err != nil {
+			t.Errorf("Checkpoint: %v", err)
+			return
+		}
+		fs1.Stop()
+		opsAtCrash = reg.Counter("mv.ops").Value()
+		fs2, err := Reopen(env, p, cfg, lib, mvStore, bufStore)
+		if err != nil {
+			t.Errorf("Reopen: %v", err)
+			return
+		}
+		for i := 0; i < 5; i++ {
+			if _, err := fs2.ReadFile(p, "/persist/f"); err != nil {
+				t.Errorf("read after reopen: %v", err)
+				return
+			}
+		}
+	})
+	env.Run()
+	if got := reg.Counter("olfs.files_written").Value(); got != 1 {
+		t.Errorf("olfs.files_written = %d after Reopen, want 1", got)
+	}
+	if got := reg.Counter("olfs.files_read").Value(); got != 5 {
+		t.Errorf("olfs.files_read = %d, want 5", got)
+	}
+	ops, samples := reg.Counter("mv.ops").Value(), reg.Histogram("mv.op.latency").Count()
+	if ops <= opsAtCrash {
+		t.Errorf("mv.ops = %d after five reads on the reopened volume, was %d at the crash", ops, opsAtCrash)
+	}
+	if ops != samples {
+		t.Errorf("mv.ops = %d but mv.op.latency holds %d samples: one op, one sample", ops, samples)
 	}
 }
 

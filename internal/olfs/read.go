@@ -423,41 +423,6 @@ func (fs *FS) holds(gi int, tray rack.TrayID) bool {
 	return !fs.unloading[gi] && g.Source != nil && *g.Source == tray
 }
 
-// mountImage makes image id readable: from the buffer (RC hit) or from a
-// disc, fetching its array mechanically if necessary (RC miss -> FTM).
-func (fs *FS) mountImage(p *sim.Proc, id image.ID) (*udf.Volume, error) {
-	// Tier 1/2: buffer-resident bucket or image (Table 1 rows 1-2).
-	if b, ok := fs.Buckets.Resident(id); ok && !b.Raw {
-		fs.Buckets.Touch(b)
-		fs.m.cacheHits.Add(1)
-		return b.Vol, nil
-	}
-	fs.m.cacheMisses.Add(1)
-	// Tier 3/4: on disc.
-	addr, ok := fs.Cat.Locate(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: image %s", ErrPartMissing, id)
-	}
-	gi, drv, err := fs.driveForDisc(p, addr)
-	if err != nil {
-		return nil, err
-	}
-	return fs.mountDrive(p, gi, drv)
-}
-
-// driveForDisc returns a drive holding the disc at addr, invoking the FTM
-// when the array is still in the roller.
-func (fs *FS) driveForDisc(p *sim.Proc, addr image.DiscAddr) (int, *optical.Drive, error) {
-	if gi := fs.groupHolding(addr.Tray); gi >= 0 {
-		return gi, fs.lib.Groups[gi].Drives[addr.Pos], nil
-	}
-	gi, err := fs.fetchTray(p, addr.Tray, sched.Interactive)
-	if err != nil {
-		return 0, nil, err
-	}
-	return gi, fs.lib.Groups[gi].Drives[addr.Pos], nil
-}
-
 // mountDrive mounts the disc in drv into the local VFS (§5.4: ~220 ms,
 // charged once per inserted disc). The mount is cached only if the group's
 // epoch is unchanged across the mount delay, so an eviction racing the sleep

@@ -34,6 +34,7 @@ func TestReadFileWindows(t *testing.T) {
 		c.DirectIO = true // every read request charges an MV op, so the count shows
 		c.BucketBytes = 4 * mb
 	})
+	bufRead := tb.fs.obs.Counter("buffer.bytes_read")
 	tb.run(t, func(p *sim.Proc) {
 		for i, tc := range cases {
 			path := "/w/f" + string(rune('a'+i))
@@ -42,7 +43,7 @@ func TestReadFileWindows(t *testing.T) {
 				t.Fatalf("WriteFile(%d bytes): %v", tc.size, err)
 			}
 			tb.buf.Sync(p)
-			mv0, buf0, t0 := tb.fs.m.mvCharges.Value(), tb.buf.BytesRead, p.Now()
+			mv0, buf0, t0 := tb.fs.m.mvCharges.Value(), bufRead.Value(), p.Now()
 			got, err := tb.fs.ReadFile(p, path)
 			if err != nil {
 				t.Fatalf("ReadFile(%d bytes): %v", tc.size, err)
@@ -50,14 +51,14 @@ func TestReadFileWindows(t *testing.T) {
 			if got == nil || !bytes.Equal(got, data) {
 				t.Errorf("ReadFile(%d bytes) returned %d bytes that differ (nil=%v)", tc.size, len(got), got == nil)
 			}
-			mvC, bufB, el := tb.fs.m.mvCharges.Value()-mv0, tb.buf.BytesRead-buf0, p.Now()-t0
+			mvC, bufB, el := tb.fs.m.mvCharges.Value()-mv0, bufRead.Value()-buf0, p.Now()-t0
 			if mvC != tc.mvCharges || bufB != tc.bufBytes || el != tc.elapsed {
 				t.Errorf("ReadFile(%d bytes): mv_charges=%d bytes_read=%d elapsed=%d, pinned %d / %d / %d",
 					tc.size, mvC, bufB, el, tc.mvCharges, tc.bufBytes, tc.elapsed)
 			}
 		}
 	})
-	if tb.fs.SplitFiles == 0 {
+	if tb.fs.m.splitFiles.Value() == 0 {
 		t.Error("no file was split: the 12 MB case did not cross a bucket")
 	}
 }

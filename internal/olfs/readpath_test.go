@@ -86,8 +86,8 @@ func TestStaleHandleAfterEviction(t *testing.T) {
 	if got := tb.fs.m.staleSources.Value(); got < 1 {
 		t.Errorf("olfs.stale_sources = %d, want >= 1", got)
 	}
-	if tb.fs.FetchTasks < 2 {
-		t.Errorf("FetchTasks = %d, want >= 2 (initial load + re-resolve)", tb.fs.FetchTasks)
+	if tb.fs.m.fetchTasks.Value() < 2 {
+		t.Errorf("olfs.fetch_tasks = %d, want >= 2 (initial load + re-resolve)", tb.fs.m.fetchTasks.Value())
 	}
 }
 

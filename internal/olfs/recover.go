@@ -360,6 +360,7 @@ func Reopen(env *sim.Env, p *sim.Proc, cfg Config, lib *rack.Library, mvBackend 
 	if err != nil {
 		return nil, err
 	}
+	vol.AttachObs(fs.obs)
 	fs.MV = vol
 	var cat image.Catalog
 	if err := vol.LoadState(p, "catalog", &cat); err == nil {

@@ -259,45 +259,3 @@ func (fs *FS) migrateImage(p *sim.Proc, id image.ID) (nb *bucket.Bucket, err err
 	fs.Cat.Forget(id)
 	return nb, nil
 }
-
-// RegenerateParity rebuilds a tray's parity image(s) in the buffer from its
-// surviving data discs (for re-burning after parity-disc loss).
-func (fs *FS) RegenerateParity(p *sim.Proc, tray rack.TrayID) ([]*bucket.Bucket, error) {
-	fs.sched.Pin(tray)
-	defer fs.sched.Unpin(tray)
-	_, backends, onTray, length, err := fs.trayBackends(p, tray)
-	if err != nil {
-		return nil, err
-	}
-	dataN, _ := fs.trayLayout(onTray)
-	if dataN < 1 {
-		return nil, fmt.Errorf("olfs: tray %v has no data images", tray)
-	}
-	var out []*bucket.Bucket
-	var pbs []image.Backend
-	discard := func() {
-		for _, nb := range out {
-			_ = fs.Buckets.Discard(nb)
-		}
-	}
-	for i := 0; i < fs.cfg.ParityDiscs; i++ {
-		nb, err := fs.Buckets.OpenRaw(p, length)
-		if err != nil {
-			discard()
-			return nil, err
-		}
-		out = append(out, nb)
-		pbs = append(pbs, nb.Backend())
-	}
-	if err := fs.strips.GenerateParity(p, backends[:dataN], pbs, length); err != nil {
-		discard()
-		return nil, err
-	}
-	for _, nb := range out {
-		if err := fs.Buckets.Seal(p, nb); err != nil {
-			discard()
-			return nil, err
-		}
-	}
-	return out, nil
-}

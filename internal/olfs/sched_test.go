@@ -109,8 +109,8 @@ func TestEvictionSkipsTrayWithQueuedWaiters(t *testing.T) {
 		// 2 setup burns + 1 background burn + trayA fetch + trayB fetch.
 		// The legacy victim choice evicted trayA for trayB and paid a 6th
 		// load to fetch trayA back for A2.
-		if tb.lib.Loads != 5 {
-			t.Errorf("total array loads = %d, want 5 (no double fetch of %v)", tb.lib.Loads, trayA)
+		if loads := tb.lib.Obs().Counter("rack.loads").Value(); loads != 5 {
+			t.Errorf("total array loads = %d, want 5 (no double fetch of %v)", loads, trayA)
 		}
 	})
 }
@@ -225,8 +225,8 @@ func TestCoalescingUnderConcurrentMixedLoad(t *testing.T) {
 		if _, err := prefetched.Wait(p); err != nil {
 			t.Error(err)
 		}
-		if fs.BurnResumes < 1 {
-			t.Errorf("burn resumes = %d, want >=1 (interrupt-burn policy should have preempted a burn)", fs.BurnResumes)
+		if fs.m.burnResumes.Value() < 1 {
+			t.Errorf("burn resumes = %d, want >=1 (interrupt-burn policy should have preempted a burn)", fs.m.burnResumes.Value())
 		}
 		if got := fs.Obs().Counter("sched.coalesced_fetches").Value(); got < 1 {
 			t.Errorf("coalesced fetches = %d, want >=1 (same-tray readers should share one fetch)", got)

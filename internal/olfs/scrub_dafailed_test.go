@@ -12,6 +12,9 @@ import (
 	"ros/internal/sim"
 )
 
+// count reads one of fs's counters from its registry.
+func count(fs *olfs.FS, name string) int64 { return fs.Obs().Counter(name).Value() }
+
 // usedTrays scans the catalog for trays in the Used state.
 func usedTrays(fs *olfs.FS) []rack.TrayID {
 	var out []rack.TrayID
@@ -132,7 +135,7 @@ func TestDAFailedTrayExcludedAndMigrated(t *testing.T) {
 			}
 		}
 	})
-	if bed.FS.Repairs == 0 {
+	if count(bed.FS, "olfs.repairs") == 0 {
 		t.Error("repair counter not bumped")
 	}
 	if open := bed.FS.Obs().OpenSpans(); open != 0 {

@@ -3,7 +3,6 @@ package olfs
 import (
 	"fmt"
 
-	"ros/internal/bucket"
 	"ros/internal/image"
 	"ros/internal/mv"
 	"ros/internal/sim"
@@ -268,7 +267,3 @@ func (fs *FS) WriteFileClass(p *sim.Proc, path string, data []byte, cl writepath
 	}
 	return fw.Close(p)
 }
-
-// openBucketFor reports which bucket currently holds an unsealed writer —
-// exposed for tests.
-func (fs *FS) CurrentBucket() *bucket.Bucket { return fs.cur }

@@ -87,23 +87,20 @@ type Volume struct {
 	timerArmed bool // a process is sleeping towards oldest + writebackInterval
 	closed     bool
 
-	// Stats. The fields double as the storage cells of the <prefix>.* obs
-	// counters once AttachObs is called.
-	BytesRead    int64
-	BytesWritten int64
-	BytesFlushed int64
-
-	dirtyGauge *obs.Gauge // nil until AttachObs
+	// Metric handles, nil (and inert) until AttachObs.
+	bytesRead    *obs.Counter
+	bytesWritten *obs.Counter
+	bytesFlushed *obs.Counter
+	dirtyGauge   *obs.Gauge
 }
 
 // AttachObs connects the volume to a metrics registry under the given name
 // prefix (e.g. "buffer"): <prefix>.bytes_read / bytes_written / bytes_flushed
-// counters bound to the stats fields, plus a <prefix>.dirty_chunks gauge
-// tracking the flush backlog.
+// counters, plus a <prefix>.dirty_chunks gauge tracking the flush backlog.
 func (v *Volume) AttachObs(r *obs.Registry, prefix string) {
-	r.CounterAt(prefix+".bytes_read", &v.BytesRead)
-	r.CounterAt(prefix+".bytes_written", &v.BytesWritten)
-	r.CounterAt(prefix+".bytes_flushed", &v.BytesFlushed)
+	v.bytesRead = r.Counter(prefix + ".bytes_read")
+	v.bytesWritten = r.Counter(prefix + ".bytes_written")
+	v.bytesFlushed = r.Counter(prefix + ".bytes_flushed")
 	v.dirtyGauge = r.Gauge(prefix + ".dirty_chunks")
 }
 
@@ -142,7 +139,7 @@ func (v *Volume) ReadAt(p *sim.Proc, buf []byte, off int64) error {
 	}
 	p.Sleep(t)
 	v.copyOut(buf, off)
-	v.BytesRead += int64(len(buf))
+	v.bytesRead.Add(int64(len(buf)))
 	return nil
 }
 
@@ -158,7 +155,7 @@ func (v *Volume) WriteAt(p *sim.Proc, buf []byte, off int64) error {
 	}
 	p.Sleep(t)
 	v.copyIn(buf, off)
-	v.BytesWritten += int64(len(buf))
+	v.bytesWritten.Add(int64(len(buf)))
 	first := off / chunkSize
 	last := (off + int64(len(buf)) - 1) / chunkSize
 	for ci := first; ci <= last; ci++ {
@@ -243,7 +240,7 @@ func (v *Volume) flusher(p *sim.Proc) {
 				v.dirtyGauge.Set(int64(len(v.dirty)))
 				// Best effort: a failed backend is detected by Sync/scrub.
 				_ = v.backend.WriteAt(p, flushBuf[:length], start)
-				v.BytesFlushed += length
+				v.bytesFlushed.Add(length)
 			}
 		}
 		if len(v.dirty) == 0 {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ros/internal/blockdev"
+	"ros/internal/obs"
 	"ros/internal/raid"
 	"ros/internal/sim"
 )
@@ -339,6 +340,8 @@ func TestSequentialFillReachesArrayAsFullStripes(t *testing.T) {
 	}
 	rec := &recordingBackend{Backend: arr}
 	v := New(env, rec, Ext4Rates())
+	reg := obs.New(env)
+	v.AttachObs(reg, "buffer")
 	env.Go("t", func(p *sim.Proc) {
 		buf := bytes.Repeat([]byte{0xB7}, 8<<10)
 		for off := int64(0); off < fill; off += int64(len(buf)) {
@@ -361,8 +364,8 @@ func TestSequentialFillReachesArrayAsFullStripes(t *testing.T) {
 	if fullStripes < 7 {
 		t.Errorf("%d full-stripe writes reached the array (backend writes %v), want >= 7", fullStripes, rec.writes)
 	}
-	if limit := int64(fill * 11 / 10); v.BytesFlushed > limit {
-		t.Errorf("flushed %d bytes for %d written, want <= %d", v.BytesFlushed, fill, limit)
+	if flushed, limit := reg.Counter("buffer.bytes_flushed").Value(), int64(fill*11/10); flushed > limit {
+		t.Errorf("flushed %d bytes for %d written, want <= %d", flushed, fill, limit)
 	}
 	var read, written int64
 	for _, d := range disks {

@@ -137,13 +137,8 @@ type Library struct {
 	Rollers []*Roller
 	Groups  []*DriveGroup
 
-	// Stats. Loads/Unloads are the storage cells of the rack.loads /
-	// rack.unloads obs counters, so direct reads stay exact.
-	Loads       int64
-	Unloads     int64
-	LoadTime    time.Duration
-	UnloadTime  time.Duration
-	nextDiscSeq int
+	loads   *obs.Counter // rack.loads
+	unloads *obs.Counter // rack.unloads
 }
 
 // New assembles a library. With cfg.PopulateAll, every tray is filled with
@@ -160,9 +155,8 @@ func New(env *sim.Env, cfg Config) (*Library, error) {
 	if reg == nil {
 		reg = obs.New(env)
 	}
-	lib := &Library{env: env, cfg: cfg, timing: timing, obs: reg}
-	reg.CounterAt("rack.loads", &lib.Loads)
-	reg.CounterAt("rack.unloads", &lib.Unloads)
+	lib := &Library{env: env, cfg: cfg, timing: timing, obs: reg,
+		loads: reg.Counter("rack.loads"), unloads: reg.Counter("rack.unloads")}
 	for ri := 0; ri < cfg.Rollers; ri++ {
 		r := &Roller{
 			Index: ri,
@@ -235,20 +229,6 @@ func (lib *Library) ArmLayer(ri int) int {
 		l = 0
 	}
 	return l
-}
-
-// LayerDistance returns the vertical arm travel, in layers, between two
-// trays. Trays on different rollers cost nothing relative to each other:
-// each roller has its own arm.
-func LayerDistance(a, b TrayID) int {
-	if a.Roller != b.Roller {
-		return 0
-	}
-	d := a.Layer - b.Layer
-	if d < 0 {
-		d = -d
-	}
-	return d
 }
 
 // TravelCost estimates the empty-arm time to move from layer `from` to tray
@@ -331,7 +311,6 @@ func (lib *Library) LoadArray(p *sim.Proc, id TrayID, gi int) (err error) {
 		return err
 	}
 	r := lib.Rollers[id.Roller]
-	start := p.Now()
 	sp := lib.obs.StartSpan("rack.load.latency")
 	tsp := obs.StartChild(p, "rack.tray_load")
 	tsp.Annotate("tray", id.String())
@@ -403,8 +382,7 @@ func (lib *Library) LoadArray(p *sim.Proc, id TrayID, gi int) (err error) {
 	}
 	src := id
 	g.Source = &src
-	lib.Loads++
-	lib.LoadTime += p.Now() - start
+	lib.loads.Add(1)
 	return nil
 }
 
@@ -438,7 +416,6 @@ func (lib *Library) UnloadArray(p *sim.Proc, gi int, into *TrayID) (err error) {
 		return fmt.Errorf("%w: %v", ErrTrayOccupied, dest)
 	}
 	r := lib.Rollers[dest.Roller]
-	start := p.Now()
 	sp := lib.obs.StartSpan("rack.unload.latency")
 	tsp := obs.StartChild(p, "rack.tray_unload")
 	tsp.Annotate("tray", dest.String())
@@ -520,8 +497,7 @@ func (lib *Library) UnloadArray(p *sim.Proc, gi int, into *TrayID) (err error) {
 	}
 	tray.Discs = discs
 	g.Source = nil
-	lib.Unloads++
-	lib.UnloadTime += p.Now() - start
+	lib.unloads.Add(1)
 	// The arm returns to its start position atop the drives overlapped with
 	// whatever follows (§5.2: the arm's start position is the uppermost
 	// layer); a subsequent COLLECT queues behind this motion on the arm

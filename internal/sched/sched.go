@@ -96,47 +96,30 @@ func (p Policy) String() string {
 	return "fifo"
 }
 
-// Config tunes a Scheduler. The zero value is PolicyFIFO with default
-// weights and aging.
+// Config tunes a Scheduler. The zero value is PolicyFIFO.
 type Config struct {
 	// Policy selects fifo (legacy order) or qos-scan.
 	Policy Policy
-	// Weights are the per-class base priorities under qos-scan (higher is
-	// served first). Zero fields take the defaults 8/4/2/1.
-	Weights [NumClasses]int
-	// AgingStep is the waiting time that raises a request's effective
-	// priority by one, so background classes cannot starve (default 2 min:
-	// a burn outranks a fresh interactive read after ~12 min queued).
-	AgingStep time.Duration
 	// Obs is the metrics registry for sched.* metrics (nil disables).
 	Obs *obs.Registry
 }
 
-func (c Config) withDefaults() Config {
-	def := [NumClasses]int{Interactive: 8, Prefetch: 4, Burn: 2, Scrub: 1}
-	for i := range c.Weights {
-		if c.Weights[i] == 0 {
-			c.Weights[i] = def[i]
-		}
-	}
-	if c.AgingStep == 0 {
-		c.AgingStep = 2 * time.Minute
-	}
-	return c
-}
+// classWeight is each class's base priority under qos-scan (higher is
+// served first).
+var classWeight = [NumClasses]int{Interactive: 8, Prefetch: 4, Burn: 2, Scrub: 1}
 
-// EffectiveWeight returns the defaulted base weight of class cl — exported
-// so admission control (internal/writepath) drains its queue in the same
-// priority order the mechanical scheduler uses.
-func (c Config) EffectiveWeight(cl Class) int {
-	if cl < 0 || cl >= NumClasses {
-		return 0
-	}
-	return c.withDefaults().Weights[cl]
-}
+// agingStep is the waiting time that raises a request's priority by one, so
+// background classes cannot starve: a burn outranks a fresh interactive
+// read after ~12 min queued.
+const agingStep = 2 * time.Minute
 
-// EffectiveAging returns the defaulted aging step (see AgingStep).
-func (c Config) EffectiveAging() time.Duration { return c.withDefaults().AgingStep }
+// Priority is the effective priority of a class-cl request that has waited
+// waited: its class weight plus one per aging step. Admission control
+// (internal/writepath) drains its queue by it too, so backpressure and drive
+// arbitration agree on who goes first.
+func Priority(cl Class, waited time.Duration) int {
+	return classWeight[cl] + int(waited/agingStep)
+}
 
 // Grant is the scheduler's answer to an Acquire: which drive group to use
 // and what mechanical work the caller owes before using it.
@@ -230,7 +213,6 @@ type readWaiter struct {
 // New creates a scheduler over lib. Metrics are registered under sched.*
 // in cfg.Obs when non-nil.
 func New(env *sim.Env, cfg Config, lib *rack.Library) *Scheduler {
-	cfg = cfg.withDefaults()
 	s := &Scheduler{
 		env:       env,
 		cfg:       cfg,
@@ -320,13 +302,7 @@ func (s *Scheduler) takeReadWaiter(gi int) *readWaiter {
 	best := 0
 	if s.cfg.Policy != PolicyFIFO {
 		now := s.env.Now()
-		prio := func(w *readWaiter) int {
-			pr := s.cfg.Weights[w.class]
-			if s.cfg.AgingStep > 0 {
-				pr += int((now - w.enq) / s.cfg.AgingStep)
-			}
-			return pr
-		}
+		prio := func(w *readWaiter) int { return Priority(w.class, now-w.enq) }
 		for i := 1; i < len(q); i++ {
 			if prio(q[i]) > prio(q[best]) {
 				best = i
@@ -486,13 +462,7 @@ func (s *Scheduler) serviceOrder() []*request {
 		return out // pending is already in arrival order
 	}
 	now := s.env.Now()
-	prio := func(r *request) int {
-		p := s.cfg.Weights[r.class]
-		if s.cfg.AgingStep > 0 {
-			p += int((now - r.enq) / s.cfg.AgingStep)
-		}
-		return p
-	}
+	prio := func(r *request) int { return Priority(r.class, now-r.enq) }
 	// Insertion sort: n is tiny and stability keeps ties in arrival order.
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0; j-- {

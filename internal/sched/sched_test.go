@@ -102,11 +102,11 @@ func TestQoSScanOrdersByLayer(t *testing.T) {
 }
 
 // Deadline aging: a burn that has waited long enough overtakes a fresh
-// interactive read (weights 8 vs 2, AgingStep 100s -> after 700s the burn's
+// interactive read (weights 8 vs 2: after seven aging steps the burn's
 // effective priority is 9).
 func TestAgingPromotesStarvedBurn(t *testing.T) {
 	env, lib := newLib(t, 1)
-	s := New(env, Config{Policy: PolicyQoSScan, AgingStep: 100 * time.Second}, lib)
+	s := New(env, Config{Policy: PolicyQoSScan}, lib)
 	var order []string
 	env.Go("burn", func(p *sim.Proc) {
 		g := s.AcquireBurn(p, tray(9, 0))
@@ -114,14 +114,14 @@ func TestAgingPromotesStarvedBurn(t *testing.T) {
 		s.Release(g.Group)
 	})
 	env.Go("read", func(p *sim.Proc) {
-		p.Sleep(700 * time.Second)
+		p.Sleep(7 * agingStep)
 		g := s.AcquireFetch(p, Interactive, tray(80, 0))
 		order = append(order, "read")
 		s.Release(g.Group)
 	})
 	env.Go("ctl", func(p *sim.Proc) {
 		s.TryClaim(0)
-		p.Sleep(701 * time.Second)
+		p.Sleep(7*agingStep + time.Second)
 		s.Release(0)
 	})
 	run(t, env)

@@ -158,17 +158,6 @@ func (q *Queue[T]) Pop(p *Proc) (v T, ok bool) {
 	return v, true
 }
 
-// TryPop removes the head item without blocking.
-func (q *Queue[T]) TryPop() (v T, ok bool) {
-	if len(q.items) == 0 {
-		return v, false
-	}
-	v = q.items[0]
-	copy(q.items, q.items[1:])
-	q.items = q.items[:len(q.items)-1]
-	return v, true
-}
-
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return len(q.items) }
 

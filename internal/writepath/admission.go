@@ -53,11 +53,6 @@ type Admission struct {
 	env *sim.Env
 	cfg AdmissionConfig
 
-	// Drain priorities mirror the mechanical scheduler's QoS weights so
-	// backpressure and drive arbitration agree on who goes first.
-	weights [sched.NumClasses]int
-	aging   time.Duration
-
 	inflight    [NumClasses]int64
 	maxInflight int64 // high-tide watermark (soak-test observability)
 	congested   bool
@@ -81,18 +76,15 @@ type admMetrics struct {
 	waitBy     [NumClasses]*obs.Histogram
 }
 
-// NewAdmission creates the token bucket. schedCfg supplies the QoS weights
-// that order the admission-queue drain; r receives the writepath.* metrics
-// (nil disables them).
-func NewAdmission(env *sim.Env, cfg AdmissionConfig, schedCfg sched.Config, r *obs.Registry) *Admission {
+// NewAdmission creates the token bucket, which drains its queue in
+// sched.Priority order; r receives the writepath.* metrics (nil disables
+// them). The sched.Config argument is unused: the priorities are the
+// scheduler's constants.
+func NewAdmission(env *sim.Env, cfg AdmissionConfig, _ sched.Config, r *obs.Registry) *Admission {
 	a := &Admission{
-		env:   env,
-		cfg:   cfg.withDefaults(),
-		aging: schedCfg.EffectiveAging(),
-		wake:  sim.NewSignal(env),
-	}
-	for cl := sched.Class(0); cl < sched.NumClasses; cl++ {
-		a.weights[cl] = schedCfg.EffectiveWeight(cl)
+		env:  env,
+		cfg:  cfg.withDefaults(),
+		wake: sim.NewSignal(env),
 	}
 	a.m.inflight = r.Gauge("writepath.inflight_bytes")
 	a.m.pct = r.Gauge("writepath.buffer_pct")
@@ -346,11 +338,7 @@ func (a *Admission) best() int {
 }
 
 func (a *Admission) prio(t *Ticket, now time.Duration) int {
-	pr := a.weights[t.class.SchedClass()]
-	if a.aging > 0 {
-		pr += int((now - t.enq) / a.aging)
-	}
-	return pr
+	return sched.Priority(t.class.SchedClass(), now-t.enq)
 }
 
 func (a *Admission) remove(t *Ticket) {

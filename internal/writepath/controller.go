@@ -22,12 +22,11 @@ type Controller struct {
 	charges map[image.ID]*[NumClasses]int64
 }
 
-// New creates a write-path controller. schedCfg supplies the QoS weights
-// for admission drain order; r receives the writepath.* metrics.
-func New(env *sim.Env, cfg Config, schedCfg sched.Config, r *obs.Registry) *Controller {
+// New creates a write-path controller; r receives the writepath.* metrics.
+func New(env *sim.Env, cfg Config, r *obs.Registry) *Controller {
 	return &Controller{
 		cfg:     cfg,
-		adm:     NewAdmission(env, cfg.Admission, schedCfg, r),
+		adm:     NewAdmission(env, cfg.Admission, sched.Config{}, r),
 		charges: make(map[image.ID]*[NumClasses]int64),
 	}
 }

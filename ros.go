@@ -368,23 +368,12 @@ func (s *System) Do(fn func(p *Proc) error) error {
 // implicitly, and the System cannot run again afterwards.
 func (s *System) Close() { s.Env.Close() }
 
-// Stats is a snapshot of system counters.
+// Stats is a snapshot of system counters. Every count (files, bytes, burns,
+// fetches, cache hits, tray loads, ...) is in Obs; read one with
+// Obs.Counter(name), e.g. Obs.Counter("olfs.files_written").
 type Stats struct {
-	FilesWritten  int64
-	FilesRead     int64
-	BytesWritten  int64
-	BytesRead     int64
-	BurnTasks     int64
-	FetchTasks    int64
-	CacheHits     int64
-	CacheMisses   int64
-	DirectIngests int64
-	Scrubs        int64
-	Repairs       int64
-	MVSnapshots   int64
-	Loads         int64
-	Unloads       int64
-	TotalDiscs    int
+	// TotalDiscs is the disc count over every rack's library.
+	TotalDiscs int
 
 	// Obs is the unified metrics snapshot: every counter, gauge and latency
 	// histogram (p50/p95/p99) across sim, rack, optical, mv, pagecache and
@@ -402,24 +391,17 @@ type Stats struct {
 // combined with every rack's private registry, histograms merged by bucket
 // counts. MergedObs/RackObs give the same views directly.
 func (s *System) Stats() Stats {
+	discs := s.Library.TotalDiscs()
+	if s.Cluster != nil {
+		discs = 0
+		for _, r := range s.Cluster.Racks() {
+			discs += r.Lib.TotalDiscs()
+		}
+	}
 	return Stats{
-		FilesWritten:  s.FS.FilesWritten,
-		FilesRead:     s.FS.FilesRead,
-		BytesWritten:  s.FS.BytesWritten,
-		BytesRead:     s.FS.BytesRead,
-		BurnTasks:     s.FS.BurnTasks,
-		FetchTasks:    s.FS.FetchTasks,
-		CacheHits:     s.FS.CacheHits,
-		CacheMisses:   s.FS.CacheMisses,
-		DirectIngests: s.FS.DirectIngests,
-		Scrubs:        s.FS.Scrubs,
-		Repairs:       s.FS.Repairs,
-		MVSnapshots:   s.FS.MVSnapshots,
-		Loads:         s.Library.Loads,
-		Unloads:       s.Library.Unloads,
-		TotalDiscs:    s.Library.TotalDiscs(),
-		Obs:           s.MergedObs(),
-		Sim:           s.Env.Stats(),
+		TotalDiscs: discs,
+		Obs:        s.MergedObs(),
+		Sim:        s.Env.Stats(),
 	}
 }
 

@@ -31,9 +31,9 @@ func TestSystemQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := sys.Stats()
-	if st.FilesWritten != 1 || st.FilesRead != 1 {
-		t.Errorf("stats: %+v", st)
+	st := sys.Stats().Obs
+	if w, r := st.Counter("olfs.files_written"), st.Counter("olfs.files_read"); w != 1 || r != 1 {
+		t.Errorf("files written/read = %d/%d, want 1/1", w, r)
 	}
 }
 
@@ -57,7 +57,7 @@ func TestSystemAutoBurnPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Stats().BurnTasks == 0 {
+	if sys.Stats().Obs.Counter("olfs.burn_tasks") == 0 {
 		t.Error("auto burn never triggered")
 	}
 	// Discs physically hold data now.
@@ -105,8 +105,47 @@ func TestDisableAutoBurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Stats().BurnTasks != 0 {
+	if sys.Stats().Obs.Counter("olfs.burn_tasks") != 0 {
 		t.Error("burn ran despite DisableAutoBurn")
+	}
+}
+
+// TestStatsCountEveryRack: a federation's Stats counts the whole system, not
+// rack 0 — its discs are every library's, and its counts sum every rack.
+func TestStatsCountEveryRack(t *testing.T) {
+	sys, err := New(Options{Racks: 3, Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	err = sys.Do(func(p *Proc) error {
+		for i := 0; i < 30; i++ {
+			if err := sys.Cluster.WriteFile(p, fmt.Sprintf("/every/f%02d", i), []byte("x")); err != nil {
+				return err
+			}
+		}
+		for i := 0; i < 30; i++ {
+			if _, err := sys.Cluster.ReadFile(p, fmt.Sprintf("/every/f%02d", i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := sys.Stats()
+	discs := 0
+	for _, r := range sys.Cluster.Racks() {
+		discs += r.Lib.TotalDiscs()
+	}
+	if st.TotalDiscs != discs {
+		t.Errorf("TotalDiscs = %d, want %d (three libraries)", st.TotalDiscs, discs)
+	}
+	for _, name := range []string{"olfs.files_written", "olfs.files_read"} {
+		if got := st.Obs.Counter(name); got != 30 {
+			t.Errorf("%s = %d, want 30", name, got)
+		}
 	}
 }
 
@@ -135,8 +174,8 @@ func TestClosedSystemIsFreed(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := sys.Stats()
-		if st.BurnTasks == 0 || st.Sim.Events == 0 || st.Sim.PeakWorkers == 0 || st.Sim.Workers > st.Sim.PeakWorkers {
-			t.Fatalf("system %d: BurnTasks = %d, Sim = %+v", i, st.BurnTasks, st.Sim)
+		if burns := st.Obs.Counter("olfs.burn_tasks"); burns == 0 || st.Sim.Events == 0 || st.Sim.PeakWorkers == 0 || st.Sim.Workers > st.Sim.PeakWorkers {
+			t.Fatalf("system %d: olfs.burn_tasks = %d, Sim = %+v", i, burns, st.Sim)
 		}
 		sys.Close()
 		sys = nil
