@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"time"
 
+	"ros/internal/chunk"
 	"ros/internal/sim"
 )
 
@@ -28,6 +29,14 @@ var (
 // not retain it, so the caller may reuse buf once WriteAt returns; a ReadAt
 // callee fills all of buf or returns an error. The layers above keep and
 // reuse their scratch buffers on the strength of this.
+//
+// Bytes that should not be copied at all move by reference instead, through
+// a Lend method where a tier has one (Disk, pagecache.Volume, optical.Drive):
+// it charges what ReadAt would and hands out read-only pieces of the tier's
+// chunk store, which the receiver may keep — an optical.Disc burning them, or
+// a buffer slot adopting them (pagecache.Volume.Adopt, charged as WriteAt).
+// Both sides copy a shared chunk before they write to it (chunk.Store), so
+// neither ever sees the other's later writes.
 type Device interface {
 	// ReadAt fills buf from the device starting at off.
 	ReadAt(p *sim.Proc, buf []byte, off int64) error
@@ -69,8 +78,6 @@ func SSDProfile() Profile {
 	}
 }
 
-const chunkSize = 64 << 10 // sparse allocation granularity
-
 // Disk is an in-memory sparse block device with a performance model. It also
 // supports fault injection: whole-device failure and per-sector latent
 // errors, which the RAID layer and the disc scrubber exercise.
@@ -78,7 +85,7 @@ type Disk struct {
 	env     *sim.Env
 	profile Profile
 	size    int64
-	chunks  map[int64][]byte
+	store   chunk.Store
 	svc     *sim.Resource // serializes access per QueueDepth
 	lastEnd int64         // detects sequential access
 	failed  bool
@@ -100,7 +107,6 @@ func New(env *sim.Env, size int64, profile Profile) *Disk {
 		env:     env,
 		profile: profile,
 		size:    size,
-		chunks:  make(map[int64][]byte),
 		svc:     sim.NewResource(env, qd),
 		badSecs: make(map[int64]bool),
 		lastEnd: -1,
@@ -156,90 +162,80 @@ func (d *Disk) transferTime(off int64, n int) time.Duration {
 	return t
 }
 
-func (d *Disk) checkRange(buf []byte, off int64) error {
-	if off < 0 || off+int64(len(buf)) > d.size {
-		return fmt.Errorf("%w: off=%d len=%d size=%d", ErrOutOfRange, off, len(buf), d.size)
+func (d *Disk) checkRange(off, n int64) error {
+	if off < 0 || off+n > d.size {
+		return fmt.Errorf("%w: off=%d len=%d size=%d", ErrOutOfRange, off, n, d.size)
 	}
+	return nil
+}
+
+// transfer charges one access of n bytes at off, for a caller holding the
+// service slot: the device and sector checks, the transfer time, and the
+// head position and counters.
+func (d *Disk) transfer(p *sim.Proc, off int64, n int, write bool) error {
+	if d.failed {
+		return ErrFailed
+	}
+	if !write {
+		for s := off &^ 4095; s < off+int64(n); s += 4096 {
+			if d.badSecs[s] {
+				return fmt.Errorf("%w: offset %d", ErrBadSector, s)
+			}
+		}
+	}
+	p.Sleep(d.transferTime(off, n))
+	d.lastEnd = off + int64(n)
+	if write {
+		d.BytesWritten += int64(n)
+	} else {
+		d.BytesRead += int64(n)
+	}
+	d.Ops++
 	return nil
 }
 
 // ReadAt implements Device.
 func (d *Disk) ReadAt(p *sim.Proc, buf []byte, off int64) error {
-	if err := d.checkRange(buf, off); err != nil {
+	if err := d.checkRange(off, int64(len(buf))); err != nil {
 		return err
 	}
 	d.svc.Acquire(p)
 	defer d.svc.Release()
-	if d.failed {
-		return ErrFailed
+	if err := d.transfer(p, off, len(buf), false); err != nil {
+		return err
 	}
-	for s := off &^ 4095; s < off+int64(len(buf)); s += 4096 {
-		if d.badSecs[s] {
-			return fmt.Errorf("%w: offset %d", ErrBadSector, s)
-		}
-	}
-	p.Sleep(d.transferTime(off, len(buf)))
-	d.lastEnd = off + int64(len(buf))
-	d.BytesRead += int64(len(buf))
-	d.Ops++
-	d.copyOut(buf, off)
+	d.store.ReadAt(buf, off)
 	return nil
+}
+
+// Lend is ReadAt without the copy: it charges the same read of [off, off+n)
+// and appends read-only pieces of the stored bytes to dst (chunk.Store.Lend),
+// so a disc can burn straight from the disk.
+func (d *Disk) Lend(p *sim.Proc, off, n int64, dst [][]byte) ([][]byte, error) {
+	if err := d.checkRange(off, n); err != nil {
+		return dst, err
+	}
+	d.svc.Acquire(p)
+	defer d.svc.Release()
+	if err := d.transfer(p, off, int(n), false); err != nil {
+		return dst, err
+	}
+	return d.store.Lend(dst, off, n), nil
 }
 
 // WriteAt implements Device.
 func (d *Disk) WriteAt(p *sim.Proc, buf []byte, off int64) error {
-	if err := d.checkRange(buf, off); err != nil {
+	if err := d.checkRange(off, int64(len(buf))); err != nil {
 		return err
 	}
 	d.svc.Acquire(p)
 	defer d.svc.Release()
-	if d.failed {
-		return ErrFailed
+	if err := d.transfer(p, off, len(buf), true); err != nil {
+		return err
 	}
-	p.Sleep(d.transferTime(off, len(buf)))
-	d.lastEnd = off + int64(len(buf))
-	d.BytesWritten += int64(len(buf))
-	d.Ops++
-	d.copyIn(buf, off)
+	d.store.WriteAt(buf, off)
 	return nil
 }
 
-// copyOut copies stored bytes (zero for never-written chunks) into buf.
-func (d *Disk) copyOut(buf []byte, off int64) {
-	for n := 0; n < len(buf); {
-		ci := (off + int64(n)) / chunkSize
-		co := int((off + int64(n)) % chunkSize)
-		run := chunkSize - co
-		if run > len(buf)-n {
-			run = len(buf) - n
-		}
-		if c, ok := d.chunks[ci]; ok {
-			copy(buf[n:n+run], c[co:co+run])
-		} else {
-			clear(buf[n : n+run])
-		}
-		n += run
-	}
-}
-
-// copyIn stores buf into the sparse chunk map.
-func (d *Disk) copyIn(buf []byte, off int64) {
-	for n := 0; n < len(buf); {
-		ci := (off + int64(n)) / chunkSize
-		co := int((off + int64(n)) % chunkSize)
-		run := chunkSize - co
-		if run > len(buf)-n {
-			run = len(buf) - n
-		}
-		c, ok := d.chunks[ci]
-		if !ok {
-			c = make([]byte, chunkSize)
-			d.chunks[ci] = c
-		}
-		copy(c[co:co+run], buf[n:n+run])
-		n += run
-	}
-}
-
 // AllocatedBytes returns the host memory actually backing this sparse disk.
-func (d *Disk) AllocatedBytes() int64 { return int64(len(d.chunks)) * chunkSize }
+func (d *Disk) AllocatedBytes() int64 { return d.store.Bytes() }

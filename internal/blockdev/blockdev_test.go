@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"ros/internal/chunk"
 	"ros/internal/sim"
 )
 
@@ -257,11 +258,11 @@ func TestChunkBoundarySpanningWrite(t *testing.T) {
 	env := sim.NewEnv()
 	d := New(env, 1<<20, SSDProfile())
 	env.Go("t", func(p *sim.Proc) {
-		data := make([]byte, 3*chunkSize)
+		data := make([]byte, 3*chunk.Size)
 		for i := range data {
 			data[i] = byte(i % 251)
 		}
-		off := int64(chunkSize - 100) // spans 4 chunks
+		off := int64(chunk.Size - 100) // spans 4 chunks
 		if err := d.WriteAt(p, data, off); err != nil {
 			t.Errorf("WriteAt: %v", err)
 		}

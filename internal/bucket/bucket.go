@@ -3,9 +3,10 @@
 // the disk write buffer, the bucket lifecycle (free -> open -> filled ->
 // burning -> burned/cached -> recycled), and buffer-slot accounting with LRU
 // eviction of burned images. The same slots are the read cache (RC, §4.1): a
-// burned image stays resident after its burn, and Cache copies an image
-// fetched from a disc back into a slot, so recently used images are served
-// from the buffer until the LRU reclaims them.
+// burned image stays resident after its burn, and Cache lands an image
+// fetched from a disc back in a slot, so recently used images are served
+// from the buffer until the LRU reclaims them. A slot's bytes move to and
+// from discs by reference (Lend, Adopt), not by copy.
 package bucket
 
 import (
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"ros/internal/image"
+	"ros/internal/pagecache"
 	"ros/internal/sim"
 	"ros/internal/udf"
 )
@@ -60,7 +62,8 @@ type Bucket struct {
 	Vol        *udf.Volume // nil for raw (parity) slots
 	Raw        bool
 	state      State
-	backend    udf.Backend
+	buffer     *pagecache.Volume
+	backend    *udf.Slice // the slot's window of buffer
 	lastAccess time.Duration
 	// PayloadBytes for raw slots (parity length); UDF slots use Vol.UsedBytes.
 	PayloadBytes int64
@@ -72,6 +75,29 @@ func (b *Bucket) State() State { return b.state }
 // Backend returns the buffer byte range backing this bucket — the burn
 // source and parity I/O target.
 func (b *Bucket) Backend() udf.Backend { return b.backend }
+
+// Lend hands out the slot's bytes [off, off+n) by reference
+// (pagecache.Volume.Lend), charged as a read: the burn source.
+func (b *Bucket) Lend(p *sim.Proc, off, n int64, dst [][]byte) ([][]byte, error) {
+	if off < 0 || off+n > b.backend.Len {
+		return dst, fmt.Errorf("bucket: lend out of range (off=%d len=%d size=%d)", off, n, b.backend.Len)
+	}
+	return b.buffer.Lend(p, b.backend.Off+off, n, dst)
+}
+
+// Adopt stores pieces another store lent at slot offset off, keeping whole
+// chunks by reference (pagecache.Volume.Adopt), charged as a write: how a
+// cache fill lands a disc image.
+func (b *Bucket) Adopt(p *sim.Proc, off int64, pieces [][]byte) error {
+	n := int64(0)
+	for _, pc := range pieces {
+		n += int64(len(pc))
+	}
+	if off < 0 || off+n > b.backend.Len {
+		return fmt.Errorf("bucket: adopt out of range (off=%d len=%d size=%d)", off, n, b.backend.Len)
+	}
+	return b.buffer.Adopt(p, b.backend.Off+off, pieces)
+}
 
 // Used returns the meaningful bytes in the bucket (burn payload size).
 func (b *Bucket) Used() int64 {
@@ -87,7 +113,6 @@ func (b *Bucket) Used() int64 {
 // Manager owns the buffer slots.
 type Manager struct {
 	env       *sim.Env
-	buffer    udf.Backend
 	bucketCap int64
 	slots     []*Bucket
 	nextSeq   uint64
@@ -101,14 +126,13 @@ type Manager struct {
 }
 
 // NewManager carves nSlots buckets of bucketCap bytes out of buffer.
-func NewManager(env *sim.Env, buffer udf.Backend, bucketCap int64, nSlots int) (*Manager, error) {
+func NewManager(env *sim.Env, buffer *pagecache.Volume, bucketCap int64, nSlots int) (*Manager, error) {
 	if int64(nSlots)*bucketCap > buffer.Size() {
 		return nil, fmt.Errorf("bucket: buffer %d too small for %d x %d slots",
 			buffer.Size(), nSlots, bucketCap)
 	}
 	m := &Manager{
 		env:       env,
-		buffer:    buffer,
 		bucketCap: bucketCap,
 		byID:      make(map[image.ID]*Bucket),
 	}
@@ -116,6 +140,7 @@ func NewManager(env *sim.Env, buffer udf.Backend, bucketCap int64, nSlots int) (
 		m.slots = append(m.slots, &Bucket{
 			Slot:    i,
 			state:   StateFree,
+			buffer:  buffer,
 			backend: udf.NewSlice(buffer, int64(i)*bucketCap, bucketCap),
 		})
 	}
@@ -304,21 +329,21 @@ func (m *Manager) Discard(b *Bucket) error {
 	return nil
 }
 
-// Cache copies a burned image back into the buffer as read cache (RC's fill
+// Cache brings a burned image back into the buffer as read cache (RC's fill
 // half, §4.1). It takes a slot in takeSlot's order — a free one, else the
 // least recently used burned image — so it never displaces an open, filled
-// or burning bucket, the only copy of unburned user data. fill writes the
-// image into the slot's backend and returns the volume it parsed there; the
+// or burning bucket, the only copy of unburned user data. fill lands the
+// image in the slot (Adopt) and returns the volume it parsed there; the
 // slot stays Open (invisible to readers, never a victim) until fill returns.
 // On success the copy is published as a burned image with a fresh access
 // time; if fill fails, or another copy of the image became resident
 // meanwhile, the slot is freed and an error returned.
-func (m *Manager) Cache(p *sim.Proc, fill func(udf.Backend) (*udf.Volume, error)) (*Bucket, error) {
+func (m *Manager) Cache(p *sim.Proc, fill func(*Bucket) (*udf.Volume, error)) (*Bucket, error) {
 	b, err := m.takeSlot(p)
 	if err != nil {
 		return nil, err
 	}
-	vol, err := fill(b.backend)
+	vol, err := fill(b)
 	if err != nil {
 		m.release(b)
 		return nil, err

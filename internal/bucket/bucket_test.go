@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ros/internal/blockdev"
+	"ros/internal/pagecache"
 	"ros/internal/sim"
 	"ros/internal/udf"
 )
@@ -13,12 +14,16 @@ const cap1 = 1 << 20 // 1 MB buckets for tests
 
 func newMgr(t *testing.T, env *sim.Env, slots int) *Manager {
 	t.Helper()
-	buf := blockdev.New(env, int64(slots)*cap1, blockdev.SSDProfile())
-	m, err := NewManager(env, buf, cap1, slots)
+	m, err := NewManager(env, newBuffer(env, int64(slots)*cap1), cap1, slots)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// newBuffer is a page-cached buffer of size bytes.
+func newBuffer(env *sim.Env, size int64) *pagecache.Volume {
+	return pagecache.New(env, blockdev.New(env, size, blockdev.SSDProfile()), pagecache.Ext4Rates())
 }
 
 func inSim(t *testing.T, env *sim.Env, fn func(p *sim.Proc)) {
@@ -195,8 +200,7 @@ func TestDistinctIDs(t *testing.T) {
 
 func TestBufferTooSmall(t *testing.T) {
 	env := sim.NewEnv()
-	buf := blockdev.New(env, cap1, blockdev.SSDProfile())
-	if _, err := NewManager(env, buf, cap1, 2); err == nil {
+	if _, err := NewManager(env, newBuffer(env, cap1), cap1, 2); err == nil {
 		t.Error("NewManager accepted oversubscribed buffer")
 	}
 }
@@ -302,18 +306,18 @@ func TestConcurrentOpenReservesSlot(t *testing.T) {
 	}
 }
 
-// copyImageInto returns a Cache fill that copies src's bytes into the slot:
-// a stand-in for reading the image back off its disc.
-func copyImageInto(p *sim.Proc, src *Bucket) func(udf.Backend) (*udf.Volume, error) {
-	return func(dst udf.Backend) (*udf.Volume, error) {
-		buf := make([]byte, cap1)
-		if err := src.Backend().ReadAt(p, buf, 0); err != nil {
+// copyImageInto returns a Cache fill that lands src's bytes in the slot: a
+// stand-in for lending the image off its disc.
+func copyImageInto(p *sim.Proc, src *Bucket) func(*Bucket) (*udf.Volume, error) {
+	return func(dst *Bucket) (*udf.Volume, error) {
+		pieces, err := src.Lend(p, 0, cap1, nil)
+		if err != nil {
 			return nil, err
 		}
-		if err := dst.WriteAt(p, buf, 0); err != nil {
+		if err := dst.Adopt(p, 0, pieces); err != nil {
 			return nil, err
 		}
-		return udf.Open(p, dst)
+		return udf.Open(p, dst.Backend())
 	}
 }
 
@@ -332,7 +336,7 @@ func TestCacheTakesOnlyFreeOrBurnedSlots(t *testing.T) {
 		_ = m.MarkBurning(img)
 		_ = m.MarkBurned(img)
 		id := img.ID
-		b, err := m.Cache(p, func(dst udf.Backend) (*udf.Volume, error) { return nil, ErrBadState })
+		b, err := m.Cache(p, func(*Bucket) (*udf.Volume, error) { return nil, ErrBadState })
 		if err == nil || b != nil || m.FreeSlots() != 3 {
 			t.Fatalf("failed fill: b=%v err=%v free=%d, want its slot back", b, err, m.FreeSlots())
 		}

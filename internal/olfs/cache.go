@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"ros/internal/bucket"
 	"ros/internal/image"
 	"ros/internal/optical"
 	"ros/internal/sched"
@@ -13,17 +14,19 @@ import (
 
 // Read-cache fill (RC, §4.1). The buffer slots already serve as read cache
 // for images written here until the LRU reclaims them; this is the other
-// half: an image an interactive read had to fetch from a disc is copied back
+// half: an image an interactive read had to fetch from a disc is brought back
 // into a slot, so the next read of any file in it is a buffer hit (Table 1
 // row 2, ~2 ms) instead of a tray swap (row 5, ~155 s). Whole images, not
 // files: a burned image is immutable, the hit path (Buckets.Resident ->
 // Vol.OpenReader) already exists, and files cluster in images — a Zipf
 // population of 448 files in 64 images pays 64 first-touch misses, not 448.
+// The disc lends the image's chunks and the slot adopts them, so a fill is
+// charged as a disc read and a buffer write but copies no bytes.
 
-// fillChunk is the copy unit. The fill pins the tray and holds a prefetch-
-// class read slot for one chunk at a time, so an interactive reader of the
-// same group waits out at most one chunk, and an eviction between chunks
-// aborts the fill instead of queueing behind it.
+// fillChunk is the transfer unit. The fill pins the tray and holds a
+// prefetch-class read slot for one chunk at a time, so an interactive reader
+// of the same group waits out at most one chunk, and an eviction between
+// chunks aborts the fill instead of queueing behind it.
 const fillChunk = 1 << 20
 
 // errFillEvicted aborts a fill whose tray started unloading mid-copy.
@@ -47,7 +50,7 @@ func (fs *FS) startFill(src *partSource) {
 	fs.env.Go("olfs-fill", func(p *sim.Proc) {
 		defer delete(fs.fills, src.id)
 		start := p.Now()
-		if _, err := fs.Buckets.Cache(p, func(dst udf.Backend) (*udf.Volume, error) {
+		if _, err := fs.Buckets.Cache(p, func(dst *bucket.Bucket) (*udf.Volume, error) {
 			return fs.copyImage(p, src, addr, dst)
 		}); err != nil {
 			fs.m.fillAborts.Add(1)
@@ -58,18 +61,16 @@ func (fs *FS) startFill(src *partSource) {
 	})
 }
 
-// copyImage copies the image at addr from the disc that src's group holds
-// into dst, chunk by chunk, and parses the copy. It gives up as soon as the
-// group's epoch moves or its tray starts unloading (the same predicate that
-// keeps readers off a tray in transit).
-func (fs *FS) copyImage(p *sim.Proc, src *partSource, addr image.DiscAddr, dst udf.Backend) (*udf.Volume, error) {
+// copyImage lands the image at addr, which the disc in src's group holds, in
+// dst chunk by chunk (the disc lends, the slot adopts), and parses the copy.
+// It gives up as soon as the group's epoch moves or its tray starts unloading
+// (the same predicate that keeps readers off a tray in transit).
+func (fs *FS) copyImage(p *sim.Proc, src *partSource, addr image.DiscAddr, dst *bucket.Bucket) (*udf.Volume, error) {
 	gi := src.group
 	live := func() bool { return fs.groupEpoch[gi] == src.epoch && fs.holds(gi, addr.Tray) }
 	view := optical.ImageView{Drive: fs.lib.Groups[gi].Drives[addr.Pos]}
-	buf := fs.takeFillBuf()
-	defer fs.putFillBuf(buf)
+	var pieces [][]byte
 	for off := int64(0); off < addr.Len; off += fillChunk {
-		chunk := buf[:min(fillChunk, addr.Len-off)]
 		if !live() {
 			// Gone already: do not queue for a read slot on its group.
 			return nil, errFillEvicted
@@ -78,7 +79,7 @@ func (fs *FS) copyImage(p *sim.Proc, src *partSource, addr image.DiscAddr, dst u
 		fs.sched.AcquireReadSlot(p, sched.Prefetch, gi)
 		err := errFillEvicted
 		if live() {
-			err = view.ReadAt(p, chunk, off)
+			pieces, err = view.Lend(p, off, min(fillChunk, addr.Len-off), pieces[:0])
 		}
 		fs.sched.ReleaseReadSlot(gi)
 		fs.sched.Unpin(addr.Tray)
@@ -88,11 +89,11 @@ func (fs *FS) copyImage(p *sim.Proc, src *partSource, addr image.DiscAddr, dst u
 		if err != nil {
 			return nil, err
 		}
-		if err := dst.WriteAt(p, chunk, off); err != nil {
+		if err := dst.Adopt(p, off, pieces); err != nil {
 			return nil, err
 		}
 	}
-	vol, err := udf.Open(p, dst)
+	vol, err := udf.Open(p, dst.Backend())
 	if err != nil {
 		return nil, err
 	}
@@ -102,16 +103,3 @@ func (fs *FS) copyImage(p *sim.Proc, src *partSource, addr image.DiscAddr, dst u
 	}
 	return vol, nil
 }
-
-// takeFillBuf hands a fill its copy buffer: a returned one when available,
-// so sequential fills share one allocation.
-func (fs *FS) takeFillBuf() []byte {
-	if n := len(fs.fillBufs); n > 0 {
-		b := fs.fillBufs[n-1]
-		fs.fillBufs = fs.fillBufs[:n-1]
-		return b
-	}
-	return make([]byte, fillChunk)
-}
-
-func (fs *FS) putFillBuf(b []byte) { fs.fillBufs = append(fs.fillBufs, b) }

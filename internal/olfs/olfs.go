@@ -31,6 +31,7 @@ import (
 	"ros/internal/mv"
 	"ros/internal/obs"
 	"ros/internal/optical"
+	"ros/internal/pagecache"
 	"ros/internal/rack"
 	"ros/internal/sched"
 	"ros/internal/sim"
@@ -169,10 +170,8 @@ type FS struct {
 	// returns: the tray is in transit and the group is no source.
 	unloading []bool
 
-	// Read-cache fills in flight, by image, and the 1 MB copy buffers they
-	// share (one per concurrent fill, reused from fill to fill).
-	fills    map[image.ID]bool
-	fillBufs [][]byte
+	// Read-cache fills in flight, by image.
+	fills map[image.ID]bool
 
 	stopped bool
 
@@ -264,9 +263,9 @@ func (fs *FS) bindMetrics(r *obs.Registry) {
 }
 
 // New assembles OLFS over a rack library, an MV backend (RAID-1 SSDs) and a
-// disk write buffer (cached RAID-5 volumes). The bucket capacity equals the
-// library's disc capacity.
-func New(env *sim.Env, cfg Config, lib *rack.Library, mvBackend mv.Backend, buffer udf.Backend) (*FS, error) {
+// disk write buffer (the page cache over RAID-5 volumes). The bucket capacity
+// equals the library's disc capacity.
+func New(env *sim.Env, cfg Config, lib *rack.Library, mvBackend mv.Backend, buffer *pagecache.Volume) (*FS, error) {
 	cfg = cfg.withDefaults()
 	discCap := cfg.BucketBytes
 	if discCap <= 0 {

@@ -566,7 +566,7 @@ func TestCrashReopen(t *testing.T) {
 	env := sim.NewEnv()
 	lib, _ := rack.New(env, rack.Config{Rollers: 1, DriveGroups: 2, Media: optical.Media25, PopulateAll: true})
 	mvStore := blockdev.New(env, 1<<30, blockdev.SSDProfile())
-	bufStore := blockdev.New(env, 64<<20, blockdev.SSDProfile())
+	bufStore := pagecache.New(env, blockdev.New(env, 64<<20, blockdev.SSDProfile()), pagecache.Ext4Rates())
 	cfg := Config{DataDiscs: 2, ParityDiscs: 1, AutoBurn: false, BucketBytes: 1 << 20, BurnStagger: time.Second}
 	fs1, err := New(env, cfg, lib, mvStore, bufStore)
 	if err != nil {
@@ -617,7 +617,7 @@ func TestReopenKeepsCounting(t *testing.T) {
 	t.Cleanup(env.Close)
 	lib, _ := rack.New(env, rack.Config{Rollers: 1, DriveGroups: 2, Media: optical.Media25, PopulateAll: true})
 	mvStore := blockdev.New(env, 1<<30, blockdev.SSDProfile())
-	bufStore := blockdev.New(env, 64<<20, blockdev.SSDProfile())
+	bufStore := pagecache.New(env, blockdev.New(env, 64<<20, blockdev.SSDProfile()), pagecache.Ext4Rates())
 	cfg := Config{DataDiscs: 2, ParityDiscs: 1, BucketBytes: 1 << 20, BurnStagger: time.Second}
 	fs1, err := New(env, cfg, lib, mvStore, bufStore)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"ros/internal/image"
 	"ros/internal/mv"
 	"ros/internal/optical"
+	"ros/internal/pagecache"
 	"ros/internal/rack"
 	"ros/internal/sched"
 	"ros/internal/sim"
@@ -351,7 +352,7 @@ func assembleParts(imgs map[string]*scannedFile) mv.VersionEntry {
 // loaded from its checkpoint on the RAID-1 backend, the catalog from MV
 // system state, and buffer-resident buckets are rediscovered by probing the
 // buffer slots for UDF volumes (§4.2 crash recovery).
-func Reopen(env *sim.Env, p *sim.Proc, cfg Config, lib *rack.Library, mvBackend mv.Backend, buffer udf.Backend) (*FS, error) {
+func Reopen(env *sim.Env, p *sim.Proc, cfg Config, lib *rack.Library, mvBackend mv.Backend, buffer *pagecache.Volume) (*FS, error) {
 	fs, err := New(env, cfg, lib, mvBackend, buffer)
 	if err != nil {
 		return nil, err

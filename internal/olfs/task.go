@@ -33,15 +33,15 @@ type burnProg struct {
 	done    bool  // this position's burn completed
 }
 
-// offsetSource adapts an image backend into a BurnSource continuing at base.
+// offsetSource lends a bucket's payload to a burn, continuing at base.
 type offsetSource struct {
-	b    udf.Backend
+	b    *bucket.Bucket
 	base int64
 	size int64
 }
 
-func (s offsetSource) ReadAt(p *sim.Proc, buf []byte, off int64) error {
-	return s.b.ReadAt(p, buf, s.base+off)
+func (s offsetSource) Lend(p *sim.Proc, off, n int64, dst [][]byte) ([][]byte, error) {
+	return s.b.Lend(p, s.base+off, n, dst)
 }
 func (s offsetSource) Size() int64 { return s.size }
 
@@ -242,7 +242,7 @@ func (fs *FS) burnDiscs(p *sim.Proc, t *burnTask, gi int) (bool, error) {
 				return
 			}
 			payload := usedBytes(img)
-			src := offsetSource{b: img.Backend(), base: pr.payload, size: maxI64(0, payload-pr.payload)}
+			src := offsetSource{b: img, base: pr.payload, size: maxI64(0, payload-pr.payload)}
 			// LogicalBytes 0 lets the drive size the track itself: the full
 			// capacity for a fresh disc, or the remaining capacity net of the
 			// append-mode track-metadata zone when resuming. (Requesting

@@ -131,11 +131,12 @@ type BurnReport struct {
 	Interrupted  bool
 }
 
-// BurnSource supplies image payload to the drive in sequential chunks,
-// charging its own (buffer-side) virtual time. Read must fill buf from image
-// offset off.
+// BurnSource lends image payload to the drive in sequential ranges, charging
+// its own (buffer-side) virtual time. Lend appends to dst read-only pieces
+// that cover image bytes [off, off+n) in order; the disc keeps them
+// (chunk.Store.Adopt), and the source must not write to them afterwards.
 type BurnSource interface {
-	ReadAt(p *sim.Proc, buf []byte, off int64) error
+	Lend(p *sim.Proc, off, n int64, dst [][]byte) ([][]byte, error)
 	Size() int64
 }
 
@@ -154,6 +155,9 @@ type Drive struct {
 
 	// interrupt is set by InterruptBurn and checked at chunk boundaries.
 	interrupt bool
+	// lent collects the pieces one burn quantum borrows from its source;
+	// reused from quantum to quantum.
+	lent [][]byte
 
 	// Stats.
 	BytesBurned int64
@@ -509,13 +513,14 @@ func (dr *Drive) Burn(p *sim.Proc, src BurnSource, opts BurnOptions) (rep BurnRe
 			if copied+cn > payload {
 				cn = payload - copied
 			}
-			// The disc keeps the slice it is handed, so each quantum's payload
-			// is read into one of its own.
-			buf := make([]byte, cn)
-			if err := src.ReadAt(p, buf, copied); err != nil {
+			// The disc keeps what the source lends: nothing is copied.
+			dr.lent, err = src.Lend(p, copied, cn, dr.lent[:0])
+			if err != nil {
 				return rep, fmt.Errorf("optical: burn source read: %w", err)
 			}
-			if err := dr.disc.burnBytes(buf); err != nil {
+			err = dr.disc.burnBytes(dr.lent, cn)
+			clear(dr.lent)
+			if err != nil {
 				return rep, err
 			}
 			if cn < n {
@@ -558,6 +563,23 @@ func (dr *Drive) InterruptBurn() { dr.interrupt = true }
 // ReadAt reads from the loaded disc at the media's sustained rate, charging
 // a head seek for non-sequential access and the group contention factor.
 func (dr *Drive) ReadAt(p *sim.Proc, buf []byte, off int64) error {
+	return dr.read(p, off, int64(len(buf)), func(d *Disc) error { return d.readAt(buf, off) })
+}
+
+// Lend is ReadAt without the copy: the same charges and fault points, then
+// read-only pieces of the disc's bytes [off, off+n) are appended to dst
+// (chunk.Store.Lend). A cache fill lends a disc image into a buffer slot.
+func (dr *Drive) Lend(p *sim.Proc, off, n int64, dst [][]byte) ([][]byte, error) {
+	err := dr.read(p, off, n, func(d *Disc) (err error) {
+		dst, err = d.lend(dst, off, n)
+		return err
+	})
+	return dst, err
+}
+
+// read charges one read of n bytes at off and then has move take the bytes
+// off the disc.
+func (dr *Drive) read(p *sim.Proc, off, n int64, move func(*Disc) error) error {
 	dr.busy.Acquire(p)
 	defer dr.busy.Release()
 	if err := dr.health(p); err != nil {
@@ -574,7 +596,7 @@ func (dr *Drive) ReadAt(p *sim.Proc, buf []byte, off int64) error {
 	defer func() { dr.state = prev }()
 	sp := obs.StartChild(p, "optical.read")
 	sp.Annotate("drive", dr.ID)
-	sp.Annotate("bytes", fmt.Sprintf("%d", len(buf)))
+	sp.Annotate("bytes", fmt.Sprintf("%d", n))
 	t := time.Duration(0)
 	if off != dr.head {
 		dist := off - dr.head
@@ -589,7 +611,7 @@ func (dr *Drive) ReadAt(p *sim.Proc, buf []byte, off int64) error {
 	}
 	dr.sharer.activeRead++
 	rate := readSpeed(dr.disc.Type) * dr.sharer.readFactor()
-	t += time.Duration(float64(len(buf)) / rate * float64(time.Second))
+	t += time.Duration(float64(n) / rate * float64(time.Second))
 	p.Sleep(t)
 	dr.sharer.activeRead--
 	if dr.disc == nil {
@@ -600,9 +622,9 @@ func (dr *Drive) ReadAt(p *sim.Proc, buf []byte, off int64) error {
 		sp.Fail(p, err)
 		return err
 	}
-	dr.head = off + int64(len(buf))
-	dr.BytesRead += int64(len(buf))
-	dr.m.bytesRead.Add(int64(len(buf)))
+	dr.head = off + n
+	dr.BytesRead += n
+	dr.m.bytesRead.Add(n)
 	dr.m.readLatency.Observe(int64(t))
 	// Media fault points mutate the disc and let its read path surface the
 	// typed error (ErrDiscFailed / ErrBadSector); optical.read injects a
@@ -617,11 +639,11 @@ func (dr *Drive) ReadAt(p *sim.Proc, buf []byte, off int64) error {
 		// column at once, and anchoring the LSE to the read's start would make
 		// concurrent injections land on the same sector of different discs —
 		// manufacturing beyond-redundancy loss out of independent faults.
-		dr.disc.CorruptSector(off + lseOffset(dr.disc.ID, len(buf)))
+		dr.disc.CorruptSector(off + lseOffset(dr.disc.ID, int(n)))
 	}
 	err := faultinject.Check(p, faultinject.PointOpticalRead, dr.ID)
 	if err == nil {
-		err = dr.disc.readAt(buf, off)
+		err = move(dr.disc)
 	}
 	sp.Fail(p, err)
 	return err
@@ -650,37 +672,56 @@ func lseOffset(id string, n int) int64 {
 // offsets are mapped across the concatenated track data areas.
 type ImageView struct{ Drive *Drive }
 
-// ReadAt implements udf.Backend over the concatenated tracks.
-func (v ImageView) ReadAt(p *sim.Proc, buf []byte, off int64) error {
+// tracks calls fn for each piece of image bytes [off, off+n) that lies on a
+// burned track, in order: its disc offset, its position in the range and its
+// length. It returns how much of the range the tracks cover.
+func (v ImageView) tracks(off, n int64, fn func(discOff, pos, m int64) error) (int64, error) {
 	d := v.Drive.Disc()
 	if d == nil {
-		return fmt.Errorf("%w: %s", ErrNoDisc, v.Drive.ID)
+		return 0, fmt.Errorf("%w: %s", ErrNoDisc, v.Drive.ID)
 	}
-	logical := int64(0)
-	read := 0
+	logical, done := int64(0), int64(0)
 	for _, tr := range d.Tracks() {
-		if read == len(buf) {
+		if done == n {
 			break
 		}
-		if off+int64(read) < logical+tr.Len {
-			inOff := off + int64(read) - logical
-			if inOff < 0 {
-				inOff = 0
+		if off+done < logical+tr.Len {
+			inOff := max(off+done-logical, 0)
+			m := min(tr.Len-inOff, n-done)
+			if err := fn(tr.Start+inOff, done, m); err != nil {
+				return done, err
 			}
-			n := tr.Len - inOff
-			if n > int64(len(buf)-read) {
-				n = int64(len(buf) - read)
-			}
-			if err := v.Drive.ReadAt(p, buf[read:read+int(n)], tr.Start+inOff); err != nil {
-				return err
-			}
-			read += int(n)
+			done += m
 		}
 		logical += tr.Len
 	}
+	return done, nil
+}
+
+// ReadAt implements udf.Backend over the concatenated tracks.
+func (v ImageView) ReadAt(p *sim.Proc, buf []byte, off int64) error {
+	done, err := v.tracks(off, int64(len(buf)), func(discOff, pos, m int64) error {
+		return v.Drive.ReadAt(p, buf[pos:pos+m], discOff)
+	})
+	if err != nil {
+		return err
+	}
 	// Anything beyond the burned tracks reads as zero (sparse image tail).
-	clear(buf[read:])
+	clear(buf[done:])
 	return nil
+}
+
+// Lend lends image bytes [off, off+n) through Drive.Lend, track by track.
+// The range must lie on burned tracks.
+func (v ImageView) Lend(p *sim.Proc, off, n int64, dst [][]byte) ([][]byte, error) {
+	done, err := v.tracks(off, n, func(discOff, _, m int64) (err error) {
+		dst, err = v.Drive.Lend(p, discOff, m, dst)
+		return err
+	})
+	if err == nil && done < n {
+		err = fmt.Errorf("optical: lend of image bytes [%d, %d) past the burned tracks", off, off+n)
+	}
+	return dst, err
 }
 
 // WriteAt implements udf.Backend and always fails: WORM media.

@@ -12,8 +12,8 @@ package optical
 import (
 	"errors"
 	"fmt"
-	"slices"
-	"sort"
+
+	"ros/internal/chunk"
 )
 
 // MediaType selects the disc generation.
@@ -89,22 +89,14 @@ type Track struct {
 // area when the pseudo-overwrite / append-burn mode is used (§2.1, §4.8).
 const TrackMetaZone = 64 << 20
 
-// extent is one run of stored payload: data sits at byte offset off.
-type extent struct {
-	off  int64
-	data []byte
-}
-
-func (e extent) end() int64 { return e.off + int64(len(e.data)) }
-
 // Disc is a write-once optical disc. Payload storage is sparse; the logical
-// capacity drives all timing. A disc is append-only, so the payload is kept as
-// the slices the burns handed over, in ascending order: nothing is copied into
-// a store of the disc's own.
+// capacity drives all timing. A burn adopts the chunks its source lends
+// (chunk.Store), so a burned image shares its bytes with the buffer slot it
+// came from instead of copying them.
 type Disc struct {
 	ID      string
 	Type    MediaType
-	extents []extent // ascending, not overlapping
+	store   chunk.Store
 	tracks  []Track
 	written int64 // high-water mark including metadata zones
 	failed  bool
@@ -153,22 +145,10 @@ func (d *Disc) BadSectors() int { return len(d.badSecs) }
 
 // FlipByte silently corrupts the stored byte at off: unlike CorruptSector
 // the sector still reads without error, so only parity verification can
-// detect the damage (bit rot below the drive's error correction).
-func (d *Disc) FlipByte(off int64) {
-	i := d.extentAt(off)
-	if i < len(d.extents) && d.extents[i].off <= off {
-		d.extents[i].data[off-d.extents[i].off] ^= 0xFF
-		return
-	}
-	// Never stored, so it reads as zero: the flipped byte is an extent of its own.
-	d.extents = slices.Insert(d.extents, i, extent{off: off, data: []byte{0xFF}})
-}
-
-// extentAt returns the index of the first extent that ends beyond off: the
-// one holding off, or else the next one up.
-func (d *Disc) extentAt(off int64) int {
-	return sort.Search(len(d.extents), func(i int) bool { return d.extents[i].end() > off })
-}
+// detect the damage (bit rot below the drive's error correction). A chunk
+// the disc shares with a buffer slot is copied first, so the fault stays on
+// the disc.
+func (d *Disc) FlipByte(off int64) { d.store.FlipByte(off) }
 
 // EraseCycles returns the number of completed erases (RW media).
 func (d *Disc) EraseCycles() int { return d.erases }
@@ -182,7 +162,7 @@ func (d *Disc) erase() error {
 	if d.erases >= MaxEraseCycles {
 		return fmt.Errorf("%w: %s after %d cycles", ErrEraseCycles, d.ID, d.erases)
 	}
-	d.extents = nil
+	d.store = chunk.Store{}
 	d.tracks = nil
 	d.written = 0
 	d.badSecs = make(map[int64]bool)
@@ -207,21 +187,19 @@ func (d *Disc) beginTrack(dataLen int64) (int64, error) {
 	return start, nil
 }
 
-// burnBytes appends data at the current watermark and keeps the slice: the
-// caller hands it over. Only the Drive calls this; WORM is enforced by
-// construction (no overwrite API exists).
-func (d *Disc) burnBytes(data []byte) error {
-	if d.written+int64(len(data)) > d.Capacity() {
+// burnBytes appends n bytes of lent pieces at the current watermark and
+// keeps them (chunk.Store.Adopt). Only the Drive calls this; WORM is enforced
+// by construction (no overwrite API exists).
+func (d *Disc) burnBytes(pieces [][]byte, n int64) error {
+	if d.written+n > d.Capacity() {
 		return ErrDiscFull
 	}
 	// Burning over blank media leaves no trace of a byte flipped on it.
-	for n := len(d.extents); n > 0 && d.extents[n-1].off >= d.written; n-- {
-		d.extents = d.extents[:n-1]
-	}
-	d.extents = append(d.extents, extent{off: d.written, data: data})
-	d.written += int64(len(data))
-	if n := len(d.tracks); n > 0 {
-		d.tracks[n-1].Len += int64(len(data))
+	d.store.Truncate(d.written)
+	d.store.Adopt(d.written, pieces)
+	d.written += n
+	if t := len(d.tracks); t > 0 {
+		d.tracks[t-1].Len += n
 	}
 	return nil
 }
@@ -240,28 +218,36 @@ func (d *Disc) extendWatermark(n int64) error {
 	return nil
 }
 
-// readAt copies stored bytes into buf; unwritten regions read as zero.
-func (d *Disc) readAt(buf []byte, off int64) error {
+// readable checks that [off, off+n) can be read: the disc is intact, the
+// range lies on it and no sector in it is bad.
+func (d *Disc) readable(off, n int64) error {
 	if d.failed {
 		return ErrDiscFailed
 	}
-	if off < 0 || off+int64(len(buf)) > d.Capacity() {
-		return fmt.Errorf("optical: read out of range (off=%d len=%d)", off, len(buf))
+	if off < 0 || off+n > d.Capacity() {
+		return fmt.Errorf("optical: read out of range (off=%d len=%d)", off, n)
 	}
-	for s := off &^ (SectorSize - 1); s < off+int64(len(buf)); s += SectorSize {
+	for s := off &^ (SectorSize - 1); s < off+n; s += SectorSize {
 		if d.badSecs[s] {
 			return fmt.Errorf("%w: disc %s offset %d", ErrBadSector, d.ID, s)
 		}
 	}
-	pos, end := off, off+int64(len(buf))
-	for i := d.extentAt(off); i < len(d.extents) && d.extents[i].off < end; i++ {
-		e := d.extents[i]
-		if e.off > pos {
-			clear(buf[pos-off : e.off-off])
-			pos = e.off
-		}
-		pos += int64(copy(buf[pos-off:], e.data[pos-e.off:]))
-	}
-	clear(buf[pos-off:])
 	return nil
+}
+
+// readAt copies stored bytes into buf; unwritten regions read as zero.
+func (d *Disc) readAt(buf []byte, off int64) error {
+	if err := d.readable(off, int64(len(buf))); err != nil {
+		return err
+	}
+	d.store.ReadAt(buf, off)
+	return nil
+}
+
+// lend appends read-only pieces of [off, off+n) to dst, under readAt's checks.
+func (d *Disc) lend(dst [][]byte, off, n int64) ([][]byte, error) {
+	if err := d.readable(off, n); err != nil {
+		return dst, err
+	}
+	return d.store.Lend(dst, off, n), nil
 }

@@ -10,10 +10,13 @@ import (
 	"time"
 
 	"ros/internal/blockdev"
+	"ros/internal/chunk"
 	"ros/internal/sim"
 )
 
-// memSource is a BurnSource backed by a byte slice with no time cost.
+// memSource is a BurnSource backed by a byte slice with no time cost. It
+// lends one piece per chunk.Size-aligned chunk of the slice, as a chunk store
+// does.
 type memSource []byte
 
 func patterned(n int, seed byte) []byte {
@@ -24,12 +27,16 @@ func patterned(n int, seed byte) []byte {
 	return b
 }
 
-func (m memSource) ReadAt(p *sim.Proc, buf []byte, off int64) error {
-	if off+int64(len(buf)) > int64(len(m)) {
-		return errors.New("memSource: out of range")
+func (m memSource) Lend(p *sim.Proc, off, n int64, dst [][]byte) ([][]byte, error) {
+	if off+n > int64(len(m)) {
+		return dst, errors.New("memSource: out of range")
 	}
-	copy(buf, m[off:])
-	return nil
+	for end := off + n; off < end; {
+		next := min((off/chunk.Size+1)*chunk.Size, end)
+		dst = append(dst, m[off:next:next])
+		off = next
+	}
+	return dst, nil
 }
 func (m memSource) Size() int64 { return int64(len(m)) }
 
@@ -461,8 +468,8 @@ type diskSource struct {
 	n int64
 }
 
-func (s diskSource) ReadAt(p *sim.Proc, buf []byte, off int64) error {
-	return s.d.ReadAt(p, buf, off)
+func (s diskSource) Lend(p *sim.Proc, off, n int64, dst [][]byte) ([][]byte, error) {
+	return s.d.Lend(p, off, n, dst)
 }
 func (s diskSource) Size() int64 { return s.n }
 
@@ -512,10 +519,11 @@ func TestReadSurvivesEjectDuringSpinUp(t *testing.T) {
 	}
 }
 
-// TestDiscAdoptsBurnPayload: a burn reads each quantum's payload into a slice
-// the disc then keeps, so a burn allocates the payload once and nothing is
-// copied into a store of the disc's own; reads find the extents again, across
-// their borders and past them, flipped bytes included.
+// TestDiscAdoptsBurnPayload: a disc keeps the chunks its burn source lends,
+// so burning whole chunks allocates next to nothing, while a burn in quanta
+// smaller than a chunk copies them in. Reads find the payload across quantum
+// borders and past its end, flipped bytes included, and a flip never reaches
+// the source's bytes.
 func TestDiscAdoptsBurnPayload(t *testing.T) {
 	env := sim.NewEnv()
 	t.Cleanup(env.Close)
@@ -529,10 +537,12 @@ func TestDiscAdoptsBurnPayload(t *testing.T) {
 	}
 	inSim(t, env, func(p *sim.Proc) {
 		for _, payload := range []int{1 << 20, 6 << 20} {
-			src := memSource(patterned(payload, byte(payload>>20)))
-			// Write-all-once: the payload sits in the first quantum
-			// (1/burnChunks of 25 GB) and becomes one extent.
-			if err := dr.Load(p, NewDisc(fmt.Sprintf("whole-%d", payload), Media25)); err != nil {
+			pristine := patterned(payload, byte(payload>>20))
+			src := memSource(append([]byte(nil), pristine...))
+			// Write-all-once: the payload sits in the first quantum (1/burnChunks
+			// of 25 GB), lent whole chunk by whole chunk.
+			whole := NewDisc(fmt.Sprintf("whole-%d", payload), Media25)
+			if err := dr.Load(p, whole); err != nil {
 				t.Fatalf("Load: %v", err)
 			}
 			var m0, m1 runtime.MemStats
@@ -541,7 +551,7 @@ func TestDiscAdoptsBurnPayload(t *testing.T) {
 				t.Fatalf("Burn: %v", err)
 			}
 			runtime.ReadMemStats(&m1)
-			if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(payload+64<<10); got > limit {
+			if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(chunk.Size); got > limit {
 				t.Errorf("burning %d bytes allocated %d, want <= %d", payload, got, limit)
 			}
 			check(p, "whole image", src, 0)
@@ -549,26 +559,24 @@ func TestDiscAdoptsBurnPayload(t *testing.T) {
 				t.Fatalf("Eject: %v", err)
 			}
 
-			// A short image burns in burnChunks quanta: as many extents.
+			// A short image burns in burnChunks quanta, each a few KB.
 			d := NewDisc(fmt.Sprintf("quanta-%d", payload), Media25)
 			if err := dr.Load(p, d); err != nil {
 				t.Fatalf("Load: %v", err)
 			}
-			if _, err := dr.Burn(p, src, BurnOptions{LogicalBytes: int64(payload) + 1<<20}); err != nil {
+			logical := int64(payload) + 1<<20
+			if _, err := dr.Burn(p, src, BurnOptions{LogicalBytes: logical}); err != nil {
 				t.Fatalf("Burn: %v", err)
 			}
-			if len(d.extents) < burnChunks/4 {
-				t.Fatalf("%d extents after a burn in quanta, want hundreds", len(d.extents))
-			}
-			check(p, "across every extent border", src, 0)
-			border := d.extents[1].off
-			check(p, "across one extent border", src[border-100:border+100], border-100)
-			check(p, "from inside an extent into the zeros past the payload",
+			check(p, "across every quantum border", src, 0)
+			border := 3 * (logical / burnChunks)
+			check(p, "across one quantum border", src[border-100:border+100], border-100)
+			check(p, "from inside the payload into the zeros past it",
 				append(append([]byte(nil), src[payload-1000:]...), make([]byte, 5000)...), int64(payload-1000))
 			check(p, "zeros past the payload", make([]byte, 4096), int64(payload)+8192)
 
-			// A flip of a stored byte lands in the extent; one of a byte never
-			// stored becomes an extent of its own, among the others or past them.
+			// A flip of a stored byte or of one never stored reads back flipped,
+			// on this disc only.
 			want := append(append([]byte(nil), src...), make([]byte, 4096)...)
 			for _, off := range []int{0, int(border), payload - 1, payload + 100, payload + 100, payload + 7} {
 				d.FlipByte(int64(off))
@@ -578,10 +586,19 @@ func TestDiscAdoptsBurnPayload(t *testing.T) {
 			if _, err := dr.Eject(p); err != nil {
 				t.Fatalf("Eject: %v", err)
 			}
+			// The whole-image disc holds src's own chunks: a flip copies one.
+			whole.FlipByte(chunk.Size + 1)
+			got := make([]byte, 1)
+			if err := whole.readAt(got, chunk.Size+1); err != nil || got[0] != ^src[chunk.Size+1] {
+				t.Errorf("flipped byte reads %#x (err=%v), want %#x", got[0], err, ^src[chunk.Size+1])
+			}
+			if !bytes.Equal(src, pristine) {
+				t.Fatal("a flip on a disc reached the burn source's bytes")
+			}
 		}
 
 		// Rewritable media: a byte flipped on the blank disc is burned over, an
-		// erase forgets every extent, and the next burn starts afresh.
+		// erase forgets every byte, and the next burn starts afresh.
 		rw := NewDisc("rw", Media25RW)
 		if err := dr.Load(p, rw); err != nil {
 			t.Fatalf("Load: %v", err)

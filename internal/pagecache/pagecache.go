@@ -25,6 +25,7 @@ import (
 	"slices"
 	"time"
 
+	"ros/internal/chunk"
 	"ros/internal/obs"
 	"ros/internal/sim"
 )
@@ -53,7 +54,8 @@ func Ext4Rates() Rates {
 	return Rates{Read: 1.2e9, Write: 1.0e9, PerOp: 10 * time.Microsecond}
 }
 
-const chunkSize = 64 << 10
+// chunkSize is the write-back granularity: one chunk of the store.
+const chunkSize = chunk.Size
 
 const (
 	// writebackInterval is how old a dirty chunk may get before the flusher
@@ -72,7 +74,7 @@ type Volume struct {
 	env     *sim.Env
 	backend Backend
 	rates   Rates
-	chunks  map[int64][]byte
+	store   chunk.Store
 	size    int64
 
 	// Write-back state. A chunk is dirty from the write that marks it until the
@@ -110,7 +112,6 @@ func New(env *sim.Env, backend Backend, rates Rates) *Volume {
 		env:       env,
 		backend:   backend,
 		rates:     rates,
-		chunks:    make(map[int64][]byte),
 		size:      backend.Size(),
 		dirty:     make(map[int64]bool),
 		oldest:    -1,
@@ -128,36 +129,76 @@ func (v *Volume) Size() int64 { return v.size }
 // Backend returns the backing store.
 func (v *Volume) Backend() Backend { return v.backend }
 
-// ReadAt serves from cache at the calibrated read rate.
-func (v *Volume) ReadAt(p *sim.Proc, buf []byte, off int64) error {
-	if off < 0 || off+int64(len(buf)) > v.size {
-		return errRange(off, len(buf), v.size)
+// charge checks that [off, off+n) lies in the volume and sleeps for an
+// access of n bytes at rate bytes/second.
+func (v *Volume) charge(p *sim.Proc, off, n int64, rate float64) error {
+	if off < 0 || off+n > v.size {
+		return errRange(off, n, v.size)
 	}
 	t := v.rates.PerOp
-	if v.rates.Read > 0 {
-		t += time.Duration(float64(len(buf)) / v.rates.Read * float64(time.Second))
+	if rate > 0 {
+		t += time.Duration(float64(n) / rate * float64(time.Second))
 	}
 	p.Sleep(t)
-	v.copyOut(buf, off)
+	return nil
+}
+
+// ReadAt serves from cache at the calibrated read rate.
+func (v *Volume) ReadAt(p *sim.Proc, buf []byte, off int64) error {
+	if err := v.charge(p, off, int64(len(buf)), v.rates.Read); err != nil {
+		return err
+	}
+	v.store.ReadAt(buf, off)
 	v.bytesRead.Add(int64(len(buf)))
 	return nil
+}
+
+// Lend is ReadAt without the copy: it charges the same read of [off, off+n)
+// and appends read-only pieces of the cached bytes to dst
+// (chunk.Store.Lend). A burn lends its bucket slot to the disc this way.
+func (v *Volume) Lend(p *sim.Proc, off, n int64, dst [][]byte) ([][]byte, error) {
+	if err := v.charge(p, off, n, v.rates.Read); err != nil {
+		return dst, err
+	}
+	dst = v.store.Lend(dst, off, n)
+	v.bytesRead.Add(n)
+	return dst, nil
 }
 
 // WriteAt stores into cache at the calibrated write rate and marks the
 // chunks it touches dirty for write-back.
 func (v *Volume) WriteAt(p *sim.Proc, buf []byte, off int64) error {
-	if off < 0 || off+int64(len(buf)) > v.size {
-		return errRange(off, len(buf), v.size)
+	if err := v.charge(p, off, int64(len(buf)), v.rates.Write); err != nil {
+		return err
 	}
-	t := v.rates.PerOp
-	if v.rates.Write > 0 {
-		t += time.Duration(float64(len(buf)) / v.rates.Write * float64(time.Second))
+	v.store.WriteAt(buf, off)
+	v.markDirty(p, off, int64(len(buf)))
+	return nil
+}
+
+// Adopt is WriteAt for pieces lent by another store: it charges the same
+// write of their total length at off and marks the chunks dirty, but keeps
+// whole chunks by reference (chunk.Store.Adopt). A cache fill adopts what a
+// disc lends.
+func (v *Volume) Adopt(p *sim.Proc, off int64, pieces [][]byte) error {
+	n := int64(0)
+	for _, pc := range pieces {
+		n += int64(len(pc))
 	}
-	p.Sleep(t)
-	v.copyIn(buf, off)
-	v.bytesWritten.Add(int64(len(buf)))
+	if err := v.charge(p, off, n, v.rates.Write); err != nil {
+		return err
+	}
+	v.store.Adopt(off, pieces)
+	v.markDirty(p, off, n)
+	return nil
+}
+
+// markDirty counts n bytes written at off and marks their chunks dirty,
+// waking the flusher when a segment's worth is dirty.
+func (v *Volume) markDirty(p *sim.Proc, off, n int64) {
+	v.bytesWritten.Add(n)
 	first := off / chunkSize
-	last := (off + int64(len(buf)) - 1) / chunkSize
+	last := (off + n - 1) / chunkSize
 	for ci := first; ci <= last; ci++ {
 		if !v.dirty[ci] {
 			v.dirty[ci] = true
@@ -172,7 +213,6 @@ func (v *Volume) WriteAt(p *sim.Proc, buf []byte, off int64) error {
 		v.wake.Broadcast()
 	}
 	v.armTimer(p.Now())
-	return nil
 }
 
 // armTimer has the flusher woken when the oldest dirty chunk comes of age.
@@ -233,7 +273,7 @@ func (v *Volume) flusher(p *sim.Proc) {
 				}
 				// The copy is what gets written: the chunks are clean from here,
 				// and a write that lands while the backend is busy marks them again.
-				v.copyOut(flushBuf[:length], start)
+				v.store.ReadAt(flushBuf[:length], start)
 				for c := first; c < first+int64(n); c++ {
 					delete(v.dirty, c)
 				}
@@ -274,64 +314,13 @@ func (v *Volume) Close() {
 	v.wake.Broadcast()
 }
 
-func (v *Volume) copyOut(buf []byte, off int64) {
-	for n := 0; n < len(buf); {
-		ci := (off + int64(n)) / chunkSize
-		co := int((off + int64(n)) % chunkSize)
-		run := chunkSize - co
-		if run > len(buf)-n {
-			run = len(buf) - n
-		}
-		if c, ok := v.chunks[ci]; ok {
-			copy(buf[n:n+run], c[co:co+run])
-		} else {
-			clear(buf[n : n+run])
-		}
-		n += run
-	}
-}
-
-func (v *Volume) copyIn(buf []byte, off int64) {
-	for n := 0; n < len(buf); {
-		ci := (off + int64(n)) / chunkSize
-		co := int((off + int64(n)) % chunkSize)
-		run := chunkSize - co
-		if run > len(buf)-n {
-			run = len(buf) - n
-		}
-		c, ok := v.chunks[ci]
-		if !ok {
-			if allZero(buf[n : n+run]) {
-				// Writing zeros to a never-touched chunk: stay sparse. This
-				// keeps parity streams over mostly-empty images from
-				// materializing disc-sized allocations.
-				n += run
-				continue
-			}
-			c = make([]byte, chunkSize)
-			v.chunks[ci] = c
-		}
-		copy(c[co:co+run], buf[n:n+run])
-		n += run
-	}
-}
-
-func allZero(b []byte) bool {
-	for _, x := range b {
-		if x != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 type rangeError struct {
 	off  int64
-	n    int
+	n    int64
 	size int64
 }
 
-func errRange(off int64, n int, size int64) error { return &rangeError{off, n, size} }
+func errRange(off, n, size int64) error { return &rangeError{off, n, size} }
 
 func (e *rangeError) Error() string {
 	return fmt.Sprintf("pagecache: access out of range: off=%d len=%d size=%d", e.off, e.n, e.size)

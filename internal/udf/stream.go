@@ -116,7 +116,7 @@ func (w *Writer) Write(p *sim.Proc, data []byte) (int, error) {
 	for len(data) >= BlockSize {
 		nblocks := uint32(len(data) / BlockSize)
 		// Reserve one spare block for the final entry rewrite.
-		if avail := w.v.totalBlocks - w.v.nextFree; avail <= 1 {
+		if avail := w.v.room(); avail <= 1 {
 			return written, ErrNoSpace
 		} else if nblocks > avail-1 {
 			nblocks = avail - 1
@@ -134,11 +134,14 @@ func (w *Writer) Write(p *sim.Proc, data []byte) (int, error) {
 		written += n
 		w.size += int64(n)
 	}
-	// Stash the remainder in the tail.
+	// Stash the remainder in the tail, reserving the block Close will write
+	// it to (the tail is empty here, so it holds no reservation yet): another
+	// writer's stash or blocks must not take that room meanwhile.
 	if len(data) > 0 {
-		if w.v.totalBlocks-w.v.nextFree <= 1 {
+		if w.v.room() <= 1 {
 			return written, ErrNoSpace
 		}
+		w.v.reserved++
 		w.tail = append(w.tail, data...)
 		written += len(data)
 		w.size += int64(len(data))
@@ -146,16 +149,20 @@ func (w *Writer) Write(p *sim.Proc, data []byte) (int, error) {
 	return written, nil
 }
 
-// flushTail writes the buffered partial block.
+// flushTail writes the buffered partial block into the block its stash
+// reserved.
 func (w *Writer) flushTail(p *sim.Proc) error {
 	if len(w.tail) == 0 {
 		return nil
 	}
+	w.v.reserved--
 	start, err := w.v.alloc(1)
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, BlockSize)
+	buf := w.v.getBlock()
+	defer w.v.putBlock(buf)
+	clear(buf)
 	copy(buf, w.tail)
 	if err := w.v.backend.WriteAt(p, buf, int64(start)*BlockSize); err != nil {
 		return err

@@ -49,6 +49,10 @@ var (
 // Buffer ownership is blockdev.Device's: a WriteAt callee must copy buf
 // before it returns and may not retain it, so the caller may reuse buf once
 // WriteAt returns; a ReadAt callee fills all of buf or returns an error.
+// Whole images move between a bucket slot and a disc without either: the
+// lender's Lend hands out read-only chunk pieces that the receiver keeps
+// (Drive.Burn, bucket.Bucket.Adopt), and each side copies a shared chunk
+// before writing to it, so a volume never sees another owner's writes.
 type Backend interface {
 	ReadAt(p *sim.Proc, buf []byte, off int64) error
 	WriteAt(p *sim.Proc, buf []byte, off int64) error
@@ -144,7 +148,27 @@ type Volume struct {
 	imageID     [16]byte
 	label       string
 	dirty       bool
+	// reserved counts blocks promised to writers' stashed partial tails
+	// (Writer.Write): allocatable to nobody else, but not yet used.
+	reserved uint32
+	// blocks is a free list of BlockSize scratch blocks for entry and
+	// descriptor I/O. Every call takes its own, because a backend access can
+	// yield to another process using the volume; blocks come back with
+	// unspecified contents.
+	blocks [][]byte
 }
+
+// getBlock takes a scratch block off the free list, or makes one.
+func (v *Volume) getBlock() []byte {
+	if n := len(v.blocks); n > 0 {
+		b := v.blocks[n-1]
+		v.blocks = v.blocks[:n-1]
+		return b
+	}
+	return make([]byte, BlockSize)
+}
+
+func (v *Volume) putBlock(b []byte) { v.blocks = append(v.blocks, b) }
 
 // Format initializes a fresh volume on backend with the given image ID and
 // label, creating an empty root directory.
@@ -199,7 +223,9 @@ func Open(p *sim.Proc, backend Backend) (*Volume, error) {
 
 // flushDescriptor persists the volume descriptor block.
 func (v *Volume) flushDescriptor(p *sim.Proc) error {
-	buf := make([]byte, BlockSize)
+	buf := v.getBlock()
+	defer v.putBlock(buf)
+	clear(buf)
 	copy(buf, magicVol)
 	binary.LittleEndian.PutUint32(buf[8:], v.totalBlocks)
 	binary.LittleEndian.PutUint32(buf[12:], v.nextFree)
@@ -237,7 +263,7 @@ func (v *Volume) Finalize(p *sim.Proc) error {
 	return v.flushDescriptor(p)
 }
 
-// FreeBytes returns the space still allocatable.
+// FreeBytes returns the space not yet allocated.
 func (v *Volume) FreeBytes() int64 {
 	return int64(v.totalBlocks-v.nextFree) * BlockSize
 }
@@ -258,9 +284,12 @@ type entry struct {
 	next    uint32 // continuation entry block (extent chaining), 0 = none
 }
 
+// room returns the blocks still allocatable: free and not reserved.
+func (v *Volume) room() uint32 { return v.totalBlocks - v.nextFree - v.reserved }
+
 // alloc reserves n contiguous blocks, returning the first block number.
 func (v *Volume) alloc(n uint32) (uint32, error) {
-	if v.nextFree+n > v.totalBlocks {
+	if n > v.room() {
 		return 0, ErrNoSpace
 	}
 	b := v.nextFree
@@ -272,6 +301,8 @@ func (v *Volume) alloc(n uint32) (uint32, error) {
 // writeEntry encodes and writes a file-entry block (and its continuation
 // chain for large extent lists).
 func (v *Volume) writeEntry(p *sim.Proc, block uint32, e *entry) error {
+	buf := v.getBlock()
+	defer v.putBlock(buf)
 	extents := e.extents
 	first := true
 	name := e.name
@@ -293,7 +324,7 @@ func (v *Volume) writeEntry(p *sim.Proc, block uint32, e *entry) error {
 				}
 			}
 		}
-		buf := make([]byte, BlockSize)
+		clear(buf)
 		buf[0] = magicEntry
 		buf[1] = e.typ
 		if len(name) > 255 || len(target) > 1024 {
@@ -331,7 +362,8 @@ func (v *Volume) writeEntry(p *sim.Proc, block uint32, e *entry) error {
 func (v *Volume) readEntry(p *sim.Proc, block uint32) (*entry, error) {
 	e := &entry{}
 	first := true
-	buf := make([]byte, BlockSize)
+	buf := v.getBlock()
+	defer v.putBlock(buf)
 	for {
 		if err := v.backend.ReadAt(p, buf, int64(block)*BlockSize); err != nil {
 			return nil, err
@@ -422,13 +454,15 @@ func (v *Volume) readDirents(p *sim.Proc, e *entry) ([]dirent, error) {
 
 // encodeDirents serializes directory records.
 func encodeDirents(des []dirent) []byte {
-	var out []byte
+	n := 0
 	for _, de := range des {
-		rec := make([]byte, 6+len(de.name))
-		binary.LittleEndian.PutUint32(rec, de.block)
-		binary.LittleEndian.PutUint16(rec[4:], uint16(len(de.name)))
-		copy(rec[6:], de.name)
-		out = append(out, rec...)
+		n += 6 + len(de.name)
+	}
+	out := make([]byte, 0, n)
+	for _, de := range des {
+		out = binary.LittleEndian.AppendUint32(out, de.block)
+		out = binary.LittleEndian.AppendUint16(out, uint16(len(de.name)))
+		out = append(out, de.name...)
 	}
 	return out
 }
