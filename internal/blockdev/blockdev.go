@@ -33,8 +33,9 @@ var (
 // Bytes that should not be copied at all move by reference instead, through
 // a Lend method where a tier has one (Disk, pagecache.Volume, optical.Drive):
 // it charges what ReadAt would and hands out read-only pieces of the tier's
-// chunk store, which the receiver may keep — an optical.Disc burning them, or
-// a buffer slot adopting them (pagecache.Volume.Adopt, charged as WriteAt).
+// chunk store, which the receiver may keep — an optical.Disc burning them, a
+// buffer slot adopting them (pagecache.Volume.Adopt), or a RAID member
+// adopting the columns of a flushed full stripe (Adopt, charged as WriteAt).
 // Both sides copy a shared chunk before they write to it (chunk.Store), so
 // neither ever sees the other's later writes.
 type Device interface {
@@ -42,6 +43,9 @@ type Device interface {
 	ReadAt(p *sim.Proc, buf []byte, off int64) error
 	// WriteAt stores buf to the device starting at off.
 	WriteAt(p *sim.Proc, buf []byte, off int64) error
+	// Adopt stores lent pieces back to back from off, keeping whole aligned
+	// chunks by reference (chunk.Store.Adopt).
+	Adopt(p *sim.Proc, off int64, pieces [][]byte) error
 	// Size returns the device capacity in bytes.
 	Size() int64
 }
@@ -162,79 +166,68 @@ func (d *Disk) transferTime(off int64, n int) time.Duration {
 	return t
 }
 
-func (d *Disk) checkRange(off, n int64) error {
+// access charges one access of n bytes at off and, if it succeeds, runs move,
+// the store side of it: the range, device and sector checks, a service slot
+// for the transfer time, and the head position and counters.
+func (d *Disk) access(p *sim.Proc, off, n int64, write bool, move func()) error {
 	if off < 0 || off+n > d.size {
 		return fmt.Errorf("%w: off=%d len=%d size=%d", ErrOutOfRange, off, n, d.size)
 	}
-	return nil
-}
-
-// transfer charges one access of n bytes at off, for a caller holding the
-// service slot: the device and sector checks, the transfer time, and the
-// head position and counters.
-func (d *Disk) transfer(p *sim.Proc, off int64, n int, write bool) error {
+	d.svc.Acquire(p)
+	defer d.svc.Release()
 	if d.failed {
 		return ErrFailed
 	}
 	if !write {
-		for s := off &^ 4095; s < off+int64(n); s += 4096 {
+		for s := off &^ 4095; s < off+n; s += 4096 {
 			if d.badSecs[s] {
 				return fmt.Errorf("%w: offset %d", ErrBadSector, s)
 			}
 		}
 	}
-	p.Sleep(d.transferTime(off, n))
-	d.lastEnd = off + int64(n)
+	p.Sleep(d.transferTime(off, int(n)))
+	d.lastEnd = off + n
 	if write {
-		d.BytesWritten += int64(n)
+		d.BytesWritten += n
 	} else {
-		d.BytesRead += int64(n)
+		d.BytesRead += n
 	}
 	d.Ops++
+	move()
 	return nil
 }
 
 // ReadAt implements Device.
 func (d *Disk) ReadAt(p *sim.Proc, buf []byte, off int64) error {
-	if err := d.checkRange(off, int64(len(buf))); err != nil {
-		return err
-	}
-	d.svc.Acquire(p)
-	defer d.svc.Release()
-	if err := d.transfer(p, off, len(buf), false); err != nil {
-		return err
-	}
-	d.store.ReadAt(buf, off)
-	return nil
+	return d.access(p, off, int64(len(buf)), false, func() { d.store.ReadAt(buf, off) })
 }
 
 // Lend is ReadAt without the copy: it charges the same read of [off, off+n)
 // and appends read-only pieces of the stored bytes to dst (chunk.Store.Lend),
 // so a disc can burn straight from the disk.
 func (d *Disk) Lend(p *sim.Proc, off, n int64, dst [][]byte) ([][]byte, error) {
-	if err := d.checkRange(off, n); err != nil {
-		return dst, err
-	}
-	d.svc.Acquire(p)
-	defer d.svc.Release()
-	if err := d.transfer(p, off, int(n), false); err != nil {
-		return dst, err
-	}
-	return d.store.Lend(dst, off, n), nil
+	err := d.access(p, off, n, false, func() { dst = d.store.Lend(dst, off, n) })
+	return dst, err
 }
 
 // WriteAt implements Device.
 func (d *Disk) WriteAt(p *sim.Proc, buf []byte, off int64) error {
-	if err := d.checkRange(off, int64(len(buf))); err != nil {
-		return err
+	return d.access(p, off, int64(len(buf)), true, func() { d.store.WriteAt(buf, off) })
+}
+
+// Adopt implements Device.
+func (d *Disk) Adopt(p *sim.Proc, off int64, pieces [][]byte) error {
+	n := int64(0)
+	for _, pc := range pieces {
+		n += int64(len(pc))
 	}
-	d.svc.Acquire(p)
-	defer d.svc.Release()
-	if err := d.transfer(p, off, len(buf), true); err != nil {
-		return err
-	}
-	d.store.WriteAt(buf, off)
-	return nil
+	return d.access(p, off, n, true, func() { d.store.Adopt(off, pieces) })
+}
+
+// WriteFrom implements pagecache.Backend for a cache straight over one disk:
+// the disk adopts everything it is handed, lent before the first yield.
+func (d *Disk) WriteFrom(p *sim.Proc, s *chunk.Store, off, n int64) error {
+	return d.Adopt(p, off, s.Lend(nil, off, n))
 }
 
 // AllocatedBytes returns the host memory actually backing this sparse disk.

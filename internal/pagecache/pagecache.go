@@ -30,13 +30,17 @@ import (
 	"ros/internal/sim"
 )
 
-// Backend is the backing store (same contract as udf.Backend, including its
-// buffer-ownership rules: WriteAt copies buf before returning and does not
-// retain it, ReadAt fills all of buf or returns an error). The flusher relies
-// on the first to reuse one flush buffer for every backend write.
+// Backend is the backing store. ReadAt fills all of buf or returns an error.
+// WriteFrom stores the cache's bytes [off, off+n) at off, pulling them from
+// its chunk store: it copies or borrows (chunk.Store.Lend) every byte before
+// it first yields, so the flusher can clear the dirty marks before the call
+// and a write that lands while the backend is busy changes nothing it writes
+// (the cache copies a lent chunk before writing it). raid.Array lends a full
+// stripe's columns to its members and copies partial stripes; a blockdev.Disk
+// adopts everything.
 type Backend interface {
 	ReadAt(p *sim.Proc, buf []byte, off int64) error
-	WriteAt(p *sim.Proc, buf []byte, off int64) error
+	WriteFrom(p *sim.Proc, s *chunk.Store, off, n int64) error
 	Size() int64
 }
 
@@ -61,8 +65,8 @@ const (
 	// writebackInterval is how old a dirty chunk may get before the flusher
 	// writes it back (Linux's dirty_writeback_centisecs, 5 s).
 	writebackInterval = 5 * time.Second
-	// flushSegment bounds one backend write, and so the flush buffer; this much
-	// dirty data starts write-back without waiting for the interval.
+	// flushSegment bounds one backend write; this much dirty data starts
+	// write-back without waiting for the interval.
 	flushSegment = 8 << 20
 )
 
@@ -78,9 +82,9 @@ type Volume struct {
 	size    int64
 
 	// Write-back state. A chunk is dirty from the write that marks it until the
-	// flusher has copied it for a backend write; a write that lands after the
-	// copy marks it again. flushIdle is set while nothing is dirty and no
-	// backend write is in flight.
+	// flusher hands it to a backend write; a write that lands after that marks
+	// it again. flushIdle is set while nothing is dirty and no backend write is
+	// in flight.
 	dirty      map[int64]bool
 	oldest     time.Duration // when the first chunk no drain has taken was marked; -1 if none
 	wake       *sim.Signal   // set to have the flusher look at the triggers
@@ -242,10 +246,7 @@ func (v *Volume) due(now time.Duration) bool {
 
 // flusher writes dirty chunks back whenever a trigger holds.
 func (v *Volume) flusher(p *sim.Proc) {
-	// The flusher is the only writer to the backend, one write at a time, so
-	// it owns a single staging buffer that only ever grows (to at most
-	// flushSegment), and the list of chunks a drain works through.
-	var flushBuf []byte
+	// The list of chunks a drain works through, reused from drain to drain.
 	var batch []int64
 	for {
 		v.wake.Wait(p)
@@ -268,18 +269,18 @@ func (v *Volume) flusher(p *sim.Proc) {
 				i += n
 				start := first * chunkSize
 				length := min(int64(n)*chunkSize, v.size-start)
-				if int64(len(flushBuf)) < length {
-					flushBuf = make([]byte, length)
-				}
-				// The copy is what gets written: the chunks are clean from here,
-				// and a write that lands while the backend is busy marks them again.
-				v.store.ReadAt(flushBuf[:length], start)
+				// The chunks are clean from here: the backend takes their bytes
+				// before it first yields, and a write that lands while it is busy
+				// marks them again.
 				for c := first; c < first+int64(n); c++ {
 					delete(v.dirty, c)
 				}
 				v.dirtyGauge.Set(int64(len(v.dirty)))
-				// Best effort: a failed backend is detected by Sync/scrub.
-				_ = v.backend.WriteAt(p, flushBuf[:length], start)
+				// A failed write-back is not retried or reported: Sync has no
+				// error path and the marks are gone, so the bytes live on only in
+				// this never-evicting cache and the backend's copy is stale
+				// (the ack-durability point, ROADMAP.md item 5(b)).
+				_ = v.backend.WriteFrom(p, &v.store, start, length)
 				v.bytesFlushed.Add(length)
 			}
 		}

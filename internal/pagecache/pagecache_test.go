@@ -3,11 +3,13 @@ package pagecache
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"ros/internal/blockdev"
+	"ros/internal/chunk"
 	"ros/internal/obs"
 	"ros/internal/raid"
 	"ros/internal/sim"
@@ -158,9 +160,10 @@ func TestFlusherInterferesWithForegroundArrayUse(t *testing.T) {
 }
 
 // TestWriteFlushAllocBudget holds the steady-state host cost of a 64 KB
-// cached write and its flush to the paper's 7-disk RAID-5: the flusher stages
-// every backend write in the one buffer it owns and the array reuses its
-// stripe scratch, so per-op allocation is bookkeeping, not data.
+// cached write and its flush to the paper's 7-disk RAID-5: the flush is a
+// partial stripe, which the array copies out of the cache into its reused
+// stripe scratch and writes over member chunks it already owns, so per-op
+// allocation is bookkeeping, not data.
 func TestWriteFlushAllocBudget(t *testing.T) {
 	const span = 32 * chunkSize
 	res := testing.Benchmark(func(b *testing.B) {
@@ -196,6 +199,51 @@ func TestWriteFlushAllocBudget(t *testing.T) {
 		t.Errorf("64 KB cached write + flush allocates %d B/op, budget is %d", got, 16<<10)
 	} else {
 		t.Logf("64 KB cached write + flush: %d B/op, %d allocs/op", got, res.AllocsPerOp())
+	}
+}
+
+// TestFlushFullStripesAllocBudget flushes whole stripes that the paper's
+// 7-disk RAID-5 has never stored: the data members keep the cache's chunks by
+// reference, so once the array's scratch lists are warm the flush allocates
+// one chunk per stripe, for its parity, plus bookkeeping. Staging the data
+// and copying it into the members cost seven chunks per stripe and more.
+func TestFlushFullStripesAllocBudget(t *testing.T) {
+	const (
+		stripes = 16
+		region  = stripes * 6 * chunkSize
+	)
+	env := sim.NewEnv()
+	t.Cleanup(env.Close)
+	devs := make([]blockdev.Device, 7)
+	for i := range devs {
+		devs[i] = blockdev.New(env, 16<<20, blockdev.HDDProfile())
+	}
+	arr, err := raid.New(env, raid.RAID5, devs, chunkSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := New(env, arr, Ext4Rates())
+	data := make([]byte, region)
+	rand.New(rand.NewSource(1)).Read(data) // parity of equal columns would be zero, and not stored
+	var before, after runtime.MemStats
+	env.Go("t", func(p *sim.Proc) {
+		for i, off := range []int64{0, region} { // the first flush warms the scratch lists
+			if err := v.WriteAt(p, data, off); err != nil {
+				t.Errorf("WriteAt: %v", err)
+			}
+			if i == 1 {
+				runtime.ReadMemStats(&before)
+			}
+			v.Sync(p)
+		}
+		runtime.ReadMemStats(&after)
+	})
+	env.Run()
+	got, budget := after.TotalAlloc-before.TotalAlloc, uint64(stripes*(chunkSize+8<<10))
+	if got > budget {
+		t.Errorf("flushing %d fresh full stripes allocated %d B, budget is %d (one chunk and 8 KB a stripe)", stripes, got, budget)
+	} else {
+		t.Logf("flushing %d fresh full stripes: %d B", stripes, got)
 	}
 }
 
@@ -313,9 +361,9 @@ type recordingBackend struct {
 	writes [][2]int64 // off, len
 }
 
-func (r *recordingBackend) WriteAt(p *sim.Proc, buf []byte, off int64) error {
-	r.writes = append(r.writes, [2]int64{off, int64(len(buf))})
-	return r.Backend.WriteAt(p, buf, off)
+func (r *recordingBackend) WriteFrom(p *sim.Proc, s *chunk.Store, off, n int64) error {
+	r.writes = append(r.writes, [2]int64{off, n})
+	return r.Backend.WriteFrom(p, s, off, n)
 }
 
 // TestSequentialFillReachesArrayAsFullStripes fills a region the way a bucket

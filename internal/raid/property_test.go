@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"ros/internal/blockdev"
+	"ros/internal/chunk"
 	"ros/internal/sim"
 )
 
@@ -165,6 +167,158 @@ func TestRAID6SweepBeyondBound(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPropertyWriteFromMatchesWriteAt feeds random writes, with partial head
+// and tail stripes, through WriteFrom from a chunk store on one array and
+// through WriteAt on a twin. After every write the two must agree on the
+// virtual time and on every member's ops and bytes; at the end the members
+// must hold the same bytes, although the source store was overwritten while
+// each WriteFrom was in flight and again after it. Then one member of the
+// WriteFrom array fails: degraded reads, a rebuild and a scrub must go as on
+// any array.
+func TestPropertyWriteFromMatchesWriteAt(t *testing.T) {
+	for _, tc := range []struct {
+		level Level
+		n, su int
+	}{
+		// A column is one chunk (kept by reference), part of one (copied), or
+		// two chunks (two pieces).
+		{RAID5, 5, chunk.Size}, {RAID5, 5, chunk.Size / 4}, {RAID5, 4, 2 * chunk.Size},
+		{RAID6, 6, chunk.Size},
+	} {
+		t.Run(fmt.Sprintf("%s/su=%dK", tc.level, tc.su>>10), func(t *testing.T) {
+			for seed := int64(1); seed <= 4; seed++ {
+				runWriteFromTwins(t, tc.level, tc.n, tc.su, seed)
+			}
+		})
+	}
+}
+
+func runWriteFromTwins(t *testing.T, level Level, n, su int, seed int64) {
+	t.Helper()
+	const stripes = 6
+	type twin struct {
+		env   *sim.Env
+		a     *Array
+		disks []*blockdev.Disk
+		trace []string // virtual time and member traffic after each write
+		mem   [][]byte // member contents at the end
+	}
+	var tw [2]*twin
+	for i := range tw {
+		env := sim.NewEnv()
+		t.Cleanup(env.Close)
+		a, disks := newArray(t, env, level, n, int64(stripes*su), su)
+		tw[i] = &twin{env: env, a: a, disks: disks}
+	}
+	size := tw[0].a.Size()
+	stripeBytes := int64(su * tw[0].a.dataPerStripe())
+	type write struct {
+		off  int64
+		data []byte
+		zero bool // an all-zero write from a fresh store: every piece lent is the zero chunk
+	}
+	rng := rand.New(rand.NewSource(seed))
+	ref := make([]byte, size)
+	writes := make([]write, 24)
+	for i := range writes {
+		off := rng.Int63n(size)
+		if rng.Intn(2) == 0 {
+			off -= off % int64(su)
+		}
+		l := 1 + rng.Int63n(min(2*stripeBytes, size-off))
+		if rng.Intn(2) == 0 {
+			l = min((l+int64(su)-1)/int64(su)*int64(su), size-off)
+		}
+		w := write{off: off, data: make([]byte, l), zero: rng.Intn(4) == 0}
+		if !w.zero {
+			rng.Read(w.data)
+		}
+		copy(ref[off:], w.data)
+		writes[i] = w
+	}
+	for i, tw := range tw {
+		fromStore := i == 0
+		inSim(t, tw.env, func(p *sim.Proc) {
+			// src is the source store and srcRef what it must hold. A scribbler
+			// overwrites the first half of each write's range as soon as the
+			// write first yields (on both twins alike); the other half stays
+			// lent, and nothing the array does may write into it.
+			var src chunk.Store
+			srcRef := make([]byte, size)
+			for _, w := range writes {
+				if w.zero {
+					src = chunk.Store{}
+					clear(srcRef)
+				}
+				src.WriteAt(w.data, w.off)
+				copy(srcRef[w.off:], w.data)
+				junk := bytes.Repeat([]byte{0xEE}, len(w.data)/2)
+				tw.env.Go("scribble", func(*sim.Proc) {
+					src.WriteAt(junk, w.off)
+					copy(srcRef[w.off:], junk)
+				})
+				var err error
+				if fromStore {
+					err = tw.a.WriteFrom(p, &src, w.off, int64(len(w.data)))
+				} else {
+					err = tw.a.WriteAt(p, w.data, w.off)
+				}
+				if err != nil {
+					t.Fatalf("seed %d: write(off=%d len=%d): %v", seed, w.off, len(w.data), err)
+				}
+				line := fmt.Sprint(p.Now())
+				for _, d := range tw.disks {
+					line += fmt.Sprintf(" %d/%d/%d", d.Ops, d.BytesRead, d.BytesWritten)
+				}
+				tw.trace = append(tw.trace, line)
+			}
+			got := make([]byte, size)
+			if src.ReadAt(got, 0); !bytes.Equal(got, srcRef) {
+				t.Fatalf("seed %d: the source store changed under the chunks it lent", seed)
+			}
+			for _, d := range tw.disks {
+				b := make([]byte, d.Size())
+				if err := d.ReadAt(p, b, 0); err != nil {
+					t.Fatalf("seed %d: member ReadAt: %v", seed, err)
+				}
+				tw.mem = append(tw.mem, b)
+			}
+		})
+	}
+	for i := range tw[0].trace {
+		if tw[0].trace[i] != tw[1].trace[i] {
+			t.Fatalf("seed %d, write %d (off=%d len=%d): WriteFrom left %q, WriteAt %q",
+				seed, i, writes[i].off, len(writes[i].data), tw[0].trace[i], tw[1].trace[i])
+		}
+	}
+	for m := range tw[0].mem {
+		if !bytes.Equal(tw[0].mem[m], tw[1].mem[m]) {
+			t.Fatalf("seed %d: member %d differs between the WriteFrom and WriteAt arrays", seed, m)
+		}
+	}
+	a, disks := tw[0].a, tw[0].disks
+	victim := rng.Intn(n)
+	inSim(t, tw[0].env, func(p *sim.Proc) {
+		got := make([]byte, size)
+		if err := a.ReadAt(p, got, 0); err != nil || !bytes.Equal(got, ref) {
+			t.Fatalf("seed %d: content differs from the reference (err=%v)", seed, err)
+		}
+		disks[victim].Fail()
+		if err := a.ReadAt(p, got, 0); err != nil || !bytes.Equal(got, ref) {
+			t.Fatalf("seed %d: degraded content differs from the reference (err=%v)", seed, err)
+		}
+		if err := a.Rebuild(p, victim, blockdev.New(tw[0].env, disks[victim].Size(), blockdev.SSDProfile())); err != nil {
+			t.Fatalf("seed %d: Rebuild: %v", seed, err)
+		}
+		if res, err := a.Scrub(p); err != nil || len(res.Mismatches) != 0 {
+			t.Fatalf("seed %d: Scrub: err=%v, bad stripes %v", seed, err, res.Mismatches)
+		}
+		if err := a.ReadAt(p, got, 0); err != nil || !bytes.Equal(got, ref) {
+			t.Fatalf("seed %d: content differs from the reference after rebuild (err=%v)", seed, err)
+		}
+	})
 }
 
 // TestPropertyPartialWriteDegraded runs both partial-stripe plans on every

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"ros/internal/blockdev"
+	"ros/internal/chunk"
 	"ros/internal/sim"
 )
 
@@ -61,9 +62,10 @@ type Array struct {
 	stripeUnit int
 	devSize    int64
 
-	// Scratch for parity, partial-stripe writes and reconstruction. Member
-	// devices copy a WriteAt buffer before returning (blockdev.Device), so a
-	// buffer goes back on its list as soon as the I/O that used it is done.
+	// Scratch for parity, partial-stripe writes (and what WriteFrom copies for
+	// them) and reconstruction. Member devices copy a WriteAt buffer before
+	// returning (blockdev.Device), so a buffer goes back on its list as soon
+	// as the I/O that used it is done.
 	chunks  bufList // stripeUnit bytes each
 	stripes bufList // stripeUnit * dataPerStripe bytes each
 }
@@ -277,22 +279,40 @@ func (a *Array) readMirror(p *sim.Proc, buf []byte, off int64) error {
 
 // WriteAt writes buf at logical offset off, updating parity.
 func (a *Array) WriteAt(p *sim.Proc, buf []byte, off int64) error {
-	if off < 0 || off+int64(len(buf)) > a.Size() {
-		return fmt.Errorf("%w: off=%d len=%d size=%d", blockdev.ErrOutOfRange, off, len(buf), a.Size())
+	return a.write(p, buf, nil, off, int64(len(buf)))
+}
+
+// WriteFrom writes s's bytes [off, off+n) at logical offset off, for a page
+// cache flushing its store (pagecache.Backend). It takes every byte before it
+// first yields: a full stripe's columns are lent by s to the data members,
+// which keep them (blockdev.Device.Adopt), and everything else is copied out
+// of s. A partial stripe is never lent, because it is a region still being
+// written, and a lent chunk makes each later small write to it copy the whole
+// chunk.
+func (a *Array) WriteFrom(p *sim.Proc, s *chunk.Store, off, n int64) error {
+	return a.write(p, nil, s, off, n)
+}
+
+// write stores [off, off+n) from buf, or from s if s is set.
+func (a *Array) write(p *sim.Proc, buf []byte, s *chunk.Store, off, n int64) error {
+	if off < 0 || off+n > a.Size() {
+		return fmt.Errorf("%w: off=%d len=%d size=%d", blockdev.ErrOutOfRange, off, n, a.Size())
 	}
-	switch a.level {
-	case RAID0:
+	if a.level >= RAID5 {
+		return a.writeParity(p, buf, s, off, n)
+	}
+	if s != nil {
+		buf = make([]byte, n)
+		s.ReadAt(buf, off)
+	}
+	if a.level == RAID0 {
 		return a.writeStriped(p, buf, off)
-	case RAID1:
-		jobs := make([]func(sp *sim.Proc) error, len(a.devs))
-		for i, d := range a.devs {
-			d := d
-			jobs[i] = func(sp *sim.Proc) error { return d.WriteAt(sp, buf, off) }
-		}
-		return parallel(p, jobs...)
-	default:
-		return a.writeParity(p, buf, off)
 	}
+	jobs := make([]func(sp *sim.Proc) error, len(a.devs))
+	for i, d := range a.devs {
+		jobs[i] = func(sp *sim.Proc) error { return d.WriteAt(sp, buf, off) }
+	}
+	return parallel(p, jobs...)
 }
 
 // writeStriped handles RAID-0.
@@ -316,67 +336,97 @@ func (a *Array) writeStriped(p *sim.Proc, buf []byte, off int64) error {
 	return parallel(p, jobs...)
 }
 
-// writeParity handles RAID-5/6 writes stripe by stripe: full-stripe writes
-// compute parity directly; partial writes read only what their plan needs
-// (writePartialStripe).
-func (a *Array) writeParity(p *sim.Proc, buf []byte, off int64) error {
+// writeParity handles RAID-5/6 writes of [off, off+n) from buf or s stripe
+// by stripe: full-stripe writes compute parity directly; partial writes read
+// only what their plan needs (writePartialStripe). From s, a full stripe's
+// columns are lent and a partial stripe is copied into stripe scratch, all
+// before the first yield.
+func (a *Array) writeParity(p *sim.Proc, buf []byte, s *chunk.Store, off, n int64) error {
 	su := int64(a.stripeUnit)
 	k := int64(a.dataPerStripe())
 	stripeBytes := su * k
 	var jobs []func(sp *sim.Proc) error
-	for n := 0; n < len(buf); {
-		loff := off + int64(n)
-		stripe := loff / stripeBytes
-		so := loff % stripeBytes
-		run := int(stripeBytes - so)
-		if run > len(buf)-n {
-			run = len(buf) - n
+	var pieces [][]byte // the full stripes' columns, back to back
+	for pos := int64(0); pos < n; {
+		loff := off + pos
+		stripe, so := loff/stripeBytes, loff%stripeBytes
+		run := min(stripeBytes-so, n-pos)
+		switch {
+		case run == stripeBytes:
+			first := len(pieces)
+			for c := int64(0); c < k; c++ {
+				if s != nil {
+					pieces = s.Lend(pieces, loff+c*su, su)
+				} else {
+					pieces = append(pieces, buf[pos+c*su:pos+(c+1)*su])
+				}
+			}
+			cols := pieces[first:len(pieces):len(pieces)]
+			jobs = append(jobs, func(sp *sim.Proc) error { return a.writeFullStripe(sp, stripe, cols, s != nil) })
+		case s != nil:
+			scratch := a.stripes.get()
+			s.ReadAt(scratch[:run], loff)
+			jobs = append(jobs, func(sp *sim.Proc) error {
+				defer a.stripes.put(scratch)
+				return a.writePartialStripe(sp, stripe, so, scratch[:run])
+			})
+		default:
+			src := buf[pos : pos+run]
+			jobs = append(jobs, func(sp *sim.Proc) error { return a.writePartialStripe(sp, stripe, so, src) })
 		}
-		src := buf[n : n+run]
-		stripeOff := so
-		s := stripe
-		if stripeOff == 0 && run == int(stripeBytes) {
-			jobs = append(jobs, func(sp *sim.Proc) error { return a.writeFullStripe(sp, s, src) })
-		} else {
-			jobs = append(jobs, func(sp *sim.Proc) error { return a.writePartialStripe(sp, s, stripeOff, src) })
-		}
-		n += run
+		pos += run
 	}
 	return parallel(p, jobs...)
 }
 
-// writeFullStripe writes k data chunks and computes fresh parity.
-func (a *Array) writeFullStripe(p *sim.Proc, stripe int64, data []byte) error {
+// writeFullStripe writes a whole stripe and computes fresh parity. pieces are
+// the stripe's bytes back to back, none crossing a column boundary: one slice
+// of a WriteAt caller's buffer per column, which the data members copy, or,
+// if lent, pieces lent by a chunk store, which they keep
+// (blockdev.Device.Adopt).
+func (a *Array) writeFullStripe(p *sim.Proc, stripe int64, pieces [][]byte, lent bool) error {
 	su := a.stripeUnit
-	k := a.dataPerStripe()
-	// Column 0 seeds both parities (its Q coefficient is g^0 = 1).
+	soff := stripe * int64(su)
 	pbuf := a.chunks.get()
 	defer a.chunks.put(pbuf)
-	copy(pbuf, data[:su])
 	var qbuf []byte
 	if a.level == RAID6 {
 		qbuf = a.chunks.get()
 		defer a.chunks.put(qbuf)
-		copy(qbuf, data[:su])
 	}
-	jobs := make([]func(sp *sim.Proc) error, 0, k+2)
-	for col := 0; col < k; col++ {
-		chunk := data[col*su : (col+1)*su]
-		if col > 0 {
-			XorSlice(chunk, pbuf)
-			if qbuf != nil {
-				mulSliceXor(gfPow2(col), chunk, qbuf)
+	jobs := make([]func(sp *sim.Proc) error, 0, a.dataPerStripe()+2)
+	for col := 0; len(pieces) > 0; col++ {
+		// Column col is pieces[:i]. Column 0 seeds both parities (its Q
+		// coefficient is g^0 = 1).
+		i := 0
+		for at := 0; at < su; i++ {
+			pc := pieces[i]
+			if col == 0 {
+				copy(pbuf[at:], pc)
+				if qbuf != nil {
+					copy(qbuf[at:], pc)
+				}
+			} else {
+				XorSlice(pc, pbuf[at:])
+				if qbuf != nil {
+					mulSliceXor(gfPow2(col), pc, qbuf[at:])
+				}
 			}
+			at += len(pc)
 		}
-		dev := a.devs[a.dataDev(stripe, col)]
-		c := chunk
-		jobs = append(jobs, func(sp *sim.Proc) error { return dev.WriteAt(sp, c, stripe*int64(su)) })
+		dev, cp := a.devs[a.dataDev(stripe, col)], pieces[:i]
+		if lent {
+			jobs = append(jobs, func(sp *sim.Proc) error { return dev.Adopt(sp, soff, cp) })
+		} else {
+			jobs = append(jobs, func(sp *sim.Proc) error { return dev.WriteAt(sp, cp[0], soff) })
+		}
+		pieces = pieces[i:]
 	}
 	pd := a.devs[a.pDev(stripe)]
-	jobs = append(jobs, func(sp *sim.Proc) error { return pd.WriteAt(sp, pbuf, stripe*int64(su)) })
+	jobs = append(jobs, func(sp *sim.Proc) error { return pd.WriteAt(sp, pbuf, soff) })
 	if qbuf != nil {
 		qd := a.devs[a.qDev(stripe)]
-		jobs = append(jobs, func(sp *sim.Proc) error { return qd.WriteAt(sp, qbuf, stripe*int64(su)) })
+		jobs = append(jobs, func(sp *sim.Proc) error { return qd.WriteAt(sp, qbuf, soff) })
 	}
 	return parallel(p, jobs...)
 }
