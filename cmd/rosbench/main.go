@@ -89,7 +89,7 @@ func main() {
 	workers := flag.Int("workers", 0, "chaos: concurrent workload processes (default 3)")
 	ops := flag.Int("ops", 0, "chaos: operations per worker (default 40)")
 	clusterMode := flag.Bool("cluster", false, "shorthand for -exp cluster-failover (multi-rack scaling run)")
-	clusterRacks := flag.Int("racks", 0, "chaos: federate this many racks (cluster campaign)")
+	clusterRacks := flag.Int("racks", 1, "chaos: federate this many racks")
 	ingestMode := flag.Bool("ingest", false, "shorthand for -exp ingest (closed-loop write-path benchmark)")
 	overload := flag.Bool("overload", false, "chaos: add an overload phase (closed-loop ingest vs admission control)")
 	flag.Parse()
@@ -101,14 +101,9 @@ func main() {
 	}
 
 	if *chaosMode {
-		var opts ros.Options
-		if *clusterRacks > 1 {
-			opts.Racks = *clusterRacks
-			opts.Replicas = 2
-		}
 		rep, err := chaos.Run(chaos.Config{
-			Seed: *seed, Faults: *faults, Workers: *workers, Ops: *ops, Opts: opts,
-			Overload: *overload,
+			Seed: *seed, Faults: *faults, Workers: *workers, Ops: *ops,
+			Opts: ros.Options{Racks: *clusterRacks}, Overload: *overload,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "chaos:", err)

@@ -23,7 +23,7 @@ const rateWindow = 5 * time.Minute
 
 // dashSeries is the curated series set `top` shows without a filter: one
 // headline per layer (namespace, scheduler, optical mechanics, federation,
-// alerting). Missing series (e.g. cluster.* on a single rack) are skipped.
+// alerting). Series not sampled yet are skipped.
 var dashSeries = []string{
 	"olfs.files_written",
 	"olfs.op.read.p99",

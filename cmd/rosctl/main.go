@@ -14,21 +14,23 @@
 // Commands:
 //
 //	write <path> <size>     write a file of synthetic data (size like 4KB, 2MB)
-//	read <path>             read a file and report latency
+//	                        through the federation namespace
+//	read <path>             read a file from its cheapest replica, report latency
 //	stat <path>             show index metadata (size, version, parts)
 //	ls <path>               list a directory
 //	rm <path>               unlink a namespace entry
-//	sync                    seal the current bucket
-//	burn                    seal + burn all sealed images, wait for completion
+//	sync                    seal every rack's current bucket
+//	burn                    seal + burn every rack's sealed images, wait for all
 //	scrub <tray>            verify cross-disc parity of a burned tray (r0/L84/S0)
 //	trays                   show used/failed trays
-//	status                  counters, drive states, buffer occupancy
-//	stats [--json] [--rack <i> | --merged]
+//	status                  system counters, then one row per rack: health,
+//	                        buffer, scheduler queues, admission, drive states
+//	stats [--json] [--rack <i>]
 //	                        unified obs snapshot (counters, gauges, latency
-//	                        histograms with p50/p95/p99); --json for machines;
-//	                        in cluster mode --merged combines every rack
-//	                        (histogram buckets summed, quantiles re-derived)
-//	                        and --rack <i> drills into one rack
+//	                        histograms with p50/p95/p99) merged over every
+//	                        rack (histogram buckets summed, quantiles
+//	                        re-derived); --rack <i> drills into one rack;
+//	                        --json for machines
 //	metrics                 Prometheus text exposition (system + per-rack
 //	                        rack="rackN" labels)
 //	alerts [--json]         loaded rules, active alert states, incident log
@@ -48,9 +50,10 @@
 //	clock                   virtual time
 //	help / quit
 //
-// With -racks N (N > 1) the shell drives a multi-rack federation instead:
-// write/read route through the cluster namespace (replicated placement,
-// replica-aware reads) and the cluster command group appears:
+// The system is a federation of -racks racks (default 1): write/read route
+// through its namespace (replicated placement, replica-aware reads), the
+// other file commands act on rack 0, and the cluster command group manages
+// the federation:
 //
 //	cluster status [--json]   health, loads and backlog per rack
 //	cluster placement [<path>] per-rack placement loads, or one
@@ -87,8 +90,8 @@ import (
 )
 
 func main() {
-	racks := flag.Int("racks", 1, "federate this many racks (>1 enables the cluster layer)")
-	replicas := flag.Int("replicas", 0, "replicas per file in cluster mode (default min(2, racks))")
+	racks := flag.Int("racks", 1, "federate this many racks")
+	replicas := flag.Int("replicas", 0, "replicas per file (default min(2, racks))")
 	sampleEvery := flag.Duration("sample-every", 30*time.Second,
 		"telemetry sampling interval in virtual time (0 disables metrics/alerts/top)")
 	flag.Parse()
@@ -113,12 +116,8 @@ func main() {
 		runCommand(sys, args)
 		return
 	}
-	if sys.Cluster != nil {
-		fmt.Printf("ROS maintenance interface — %d-rack federation, %d replica(s). 'help' for commands.\n",
-			*racks, sys.Cluster.Replicas())
-	} else {
-		fmt.Println("ROS maintenance interface — 1 roller, 6120 discs, 24 drives. 'help' for commands.")
-	}
+	fmt.Printf("ROS maintenance interface — %d-rack federation, %d replica(s). 'help' for commands.\n",
+		len(sys.Cluster.Racks()), sys.Cluster.Replicas())
 	sc := bufio.NewScanner(os.Stdin)
 	for {
 		fmt.Print("ros> ")
@@ -153,9 +152,7 @@ func dispatch(sys *ros.System, p *sim.Proc, fields []string) error {
 	switch fields[0] {
 	case "help":
 		fmt.Println("write read stat ls rm sync burn ingest drain scrub repair snapshot trays status stats metrics alerts top watch trace faults power clock quit")
-		if sys.Cluster != nil {
-			fmt.Println("cluster status|placement|kill|revive|addrack")
-		}
+		fmt.Println("cluster status|placement|kill|revive|addrack")
 	case "cluster":
 		return clusterCommand(sys, p, fields[1:])
 	case "ingest":
@@ -224,32 +221,17 @@ func dispatch(sys *ros.System, p *sim.Proc, fields []string) error {
 			data[i] = byte(i*7 + 1)
 		}
 		start := p.Now()
-		if cl := sys.Cluster; cl != nil {
-			if err := cl.WriteFile(p, fields[1], data); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s (%d bytes) to racks %v in %v\n",
-				fields[1], n, cl.ReplicasOf(fields[1]), p.Now()-start)
-			return nil
-		}
-		if err := fs.WriteFile(p, fields[1], data); err != nil {
+		if err := sys.Cluster.WriteFile(p, fields[1], data); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s (%d bytes) in %v\n", fields[1], n, p.Now()-start)
+		fmt.Printf("wrote %s (%d bytes) to racks %v in %v\n",
+			fields[1], n, sys.Cluster.ReplicasOf(fields[1]), p.Now()-start)
 	case "read":
 		if len(fields) != 2 {
 			return fmt.Errorf("usage: read <path>")
 		}
 		start := p.Now()
-		var (
-			data []byte
-			err  error
-		)
-		if sys.Cluster != nil {
-			data, err = sys.Cluster.ReadFile(p, fields[1])
-		} else {
-			data, err = fs.ReadFile(p, fields[1])
-		}
+		data, err := sys.Cluster.ReadFile(p, fields[1])
 		if err != nil {
 			return err
 		}
@@ -297,15 +279,27 @@ func dispatch(sys *ros.System, p *sim.Proc, fields []string) error {
 		}
 		return fs.Unlink(p, fields[1])
 	case "sync":
-		return fs.Sync(p)
-	case "burn":
-		start := p.Now()
-		c, err := fs.FlushAndBurn(p)
-		if err != nil {
-			return err
+		for _, r := range sys.Cluster.Racks() {
+			if err := r.FS.Sync(p); err != nil {
+				return fmt.Errorf("%s: %w", r.Name, err)
+			}
 		}
-		if _, err := c.Wait(p); err != nil {
-			return err
+	case "burn":
+		// Start every rack's burn before waiting on any, so the racks burn
+		// side by side.
+		start := p.Now()
+		var waits []*sim.Completion[error]
+		for _, r := range sys.Cluster.Racks() {
+			c, err := r.FS.FlushAndBurn(p)
+			if err != nil {
+				return fmt.Errorf("%s: %w", r.Name, err)
+			}
+			waits = append(waits, c)
+		}
+		for i, c := range waits {
+			if _, err := c.Wait(p); err != nil {
+				return fmt.Errorf("%s: %w", sys.Cluster.Racks()[i].Name, err)
+			}
 		}
 		fmt.Printf("burned in %v (virtual)\n", p.Now()-start)
 	case "scrub":
@@ -336,8 +330,8 @@ func dispatch(sys *ros.System, p *sim.Proc, fields []string) error {
 		}
 		fmt.Printf("  %d used, %d failed, %d images on disc\n", used, failed, len(fs.Cat.DIL))
 	case "status":
-		// The summary lines count the whole system (every rack of a
-		// federation); the lines after them describe rack 0.
+		// The summary lines count the whole system; the table has one row
+		// per rack.
 		st := sys.Stats()
 		c := st.Obs.Counter
 		fmt.Printf("  files: %d written, %d read; bytes: %d written, %d read\n",
@@ -346,46 +340,46 @@ func dispatch(sys *ros.System, p *sim.Proc, fields []string) error {
 			c("olfs.burn_tasks"), c("olfs.fetch_tasks"), c("olfs.cache_hits"), c("olfs.cache_misses"))
 		fmt.Printf("  mechanics: %d loads, %d unloads; discs resident: %d\n",
 			c("rack.loads"), c("rack.unloads"), st.TotalDiscs)
-		for gi, g := range sys.Library.Groups {
-			src := "empty"
-			if g.Source != nil {
-				src = g.Source.String()
+		fmt.Printf("  scheduler: %s (sched queue: interactive/prefetch/burn/scrub)\n",
+			fs.Sched().Config().Policy)
+		fmt.Printf("  %-6s %-8s %-10s %-12s %-6s %-26s %-6s %-5s %-10s %s\n", "rack", "health",
+			"free slots", "sched queue", "burns", "admission inflight", "queued", "shed", "peak", "drive groups")
+		for _, r := range sys.Cluster.Racks() {
+			d := r.FS.Sched().Depths()
+			adm := r.FS.WritePath().Admission()
+			cap := adm.Config().CapacityBytes
+			inflight := fmt.Sprintf("%d/%d (%d%%)", adm.InflightBytes(), cap, adm.InflightBytes()*100/max64(cap, 1))
+			if adm.Congested() {
+				inflight += " CONGESTED"
 			}
-			states := make([]string, 0, len(g.Drives))
-			for _, d := range g.Drives {
-				states = append(states, d.State().String()[:1])
+			groups := make([]string, 0, len(r.Lib.Groups))
+			for _, g := range r.Lib.Groups {
+				src := "empty"
+				if g.Source != nil {
+					src = g.Source.String()
+				}
+				states := make([]byte, 0, len(g.Drives))
+				for _, dr := range g.Drives {
+					states = append(states, dr.State().String()[0])
+				}
+				groups = append(groups, "["+src+"]"+string(states))
 			}
-			fmt.Printf("  group %d [%s]: %s\n", gi, src, strings.Join(states, ""))
+			fmt.Printf("  %-6s %-8s %-10s %-12s %-6d %-26s %-6d %-5d %-10d %s\n", r.Name, r.Health(),
+				fmt.Sprintf("%d/%d", r.FS.Buckets.FreeSlots(), len(r.FS.Buckets.Slots())),
+				fmt.Sprintf("%d/%d/%d/%d", d[sched.Interactive], d[sched.Prefetch], d[sched.Burn], d[sched.Scrub]),
+				r.Reg.Counter("olfs.burn_tasks").Value(), inflight,
+				adm.QueueLen(), adm.Sheds(), adm.MaxInflightBytes(), strings.Join(groups, " "))
 		}
-		free := sys.FS.Buckets.FreeSlots()
-		fmt.Printf("  buffer: %d/%d slots free\n", free, len(sys.FS.Buckets.Slots()))
-		d := fs.Sched().Depths()
-		fmt.Printf("  sched (%s): queued %d interactive, %d prefetch, %d burn, %d scrub\n",
-			fs.Sched().Config().Policy, d[sched.Interactive], d[sched.Prefetch], d[sched.Burn], d[sched.Scrub])
-		adm := fs.WritePath().Admission()
-		congested := ""
-		if adm.Congested() {
-			congested = " CONGESTED"
-		}
-		cap := adm.Config().CapacityBytes
-		fmt.Printf("  writepath: burns=%d; admission %d/%d bytes inflight (%d%%)%s\n",
-			fs.Obs().Counter("olfs.burn_tasks").Value(),
-			adm.InflightBytes(), cap,
-			adm.InflightBytes()*100/max64(cap, 1), congested)
-		fmt.Printf("  writepath: queued %d, shed %d (peak inflight %d)\n",
-			adm.QueueLen(), adm.Sheds(), adm.MaxInflightBytes())
 	case "stats":
 		asJSON := false
-		snap := sys.Obs.Snapshot()
+		snap := sys.MergedObs()
 		for i := 1; i < len(fields); i++ {
 			switch fields[i] {
 			case "--json":
 				asJSON = true
-			case "--merged":
-				snap = sys.MergedObs()
 			case "--rack":
 				if i+1 >= len(fields) {
-					return fmt.Errorf("usage: stats [--json] [--rack <i> | --merged]")
+					return fmt.Errorf("usage: stats [--json] [--rack <i>]")
 				}
 				i++
 				ri, err := strconv.Atoi(fields[i])
@@ -394,7 +388,7 @@ func dispatch(sys *ros.System, p *sim.Proc, fields []string) error {
 				}
 				snap = sys.RackObs(ri)
 			default:
-				return fmt.Errorf("usage: stats [--json] [--rack <i> | --merged]")
+				return fmt.Errorf("usage: stats [--json] [--rack <i>]")
 			}
 		}
 		if asJSON {
@@ -442,9 +436,6 @@ func dispatch(sys *ros.System, p *sim.Proc, fields []string) error {
 // clusterCommand implements the `cluster` group over the federation layer.
 func clusterCommand(sys *ros.System, p *sim.Proc, args []string) error {
 	cl := sys.Cluster
-	if cl == nil {
-		return fmt.Errorf("not a federation (rerun with -racks N, N > 1)")
-	}
 	if len(args) == 0 {
 		return fmt.Errorf("usage: cluster status [--json] | placement [<path>] | kill <i> | revive <i> | addrack")
 	}

@@ -67,16 +67,17 @@ func (s *server) do(fn func(p *sim.Proc) error) error {
 	err := s.sys.Do(fn)
 	s.requests++
 	if s.statsEvery > 0 && s.requests%s.statsEvery == 0 {
-		fmt.Printf("stats after %d requests:\n%s", s.requests, s.sys.Obs.Snapshot())
+		fmt.Printf("stats after %d requests:\n%s", s.requests, s.sys.Stats().Obs)
 	}
 	return err
 }
 
-// snapshotJSON serializes the unified obs snapshot under the sim lock.
+// snapshotJSON serializes the unified obs snapshot, every rack merged, under
+// the sim lock.
 func (s *server) snapshotJSON() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.sys.Obs.Snapshot().JSON()
+	return s.sys.Stats().Obs.JSON()
 }
 
 // metricsText renders the Prometheus exposition under the sim lock.

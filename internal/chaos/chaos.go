@@ -7,30 +7,29 @@
 //
 //  1. Chaos: N concurrent workers issue a mixed write / read-verify /
 //     open-handle / sync / flush-burn / scrub-repair workload while fault
-//     rules fire. Operation errors are expected and tolerated here — but a
-//     read that *succeeds* must return byte-exact data, including reads
-//     through handles held open across tray churn, and no read may fail with
-//     optical.ErrNoDisc (a read that reached a drive whose tray was in
-//     transit).
-//  2. Heal: the fault plane is cleared, dirty buckets are flushed and burned,
-//     and every used tray is scrubbed and repaired until a full pass comes
-//     back clean (latent sector errors and aged discs injected during the
-//     chaos phase are ground out of the system through the normal repair
-//     pipeline).
-//  3. Oracle: every acknowledged write must read back byte-for-byte — from
-//     disc before its image is cached, from the read cache once it is, and
-//     from disc again after the cached copy is dropped — every parity group
-//     must verify clean, the catalog must be consistent (every
-//     placed image lives on a Used tray and every Used tray holds a placed
-//     image), the observability layer must have no open spans, and stopping
-//     the system must leave no live or deadlocked simulation processes.
-//
-// With Opts.Racks > 1 the campaign targets the multi-rack federation instead:
-// writes, reads and handles route through the cluster namespace, the worker
-// mix gains a cross-rack failover op (write, kill the primary rack, read via
-// a replica, byte-compare), the heal phase probes rack health and drains the
-// re-replication backlog, and the oracle sweeps every rack's trays, catalog
-// and span ledger.
+//     rules fire. Writes, reads and handles route through the federation
+//     namespace (System.Cluster), so they land on replica sets and fail
+//     over; sync, burn and repair target a random rack. With more than one
+//     rack the mix gains a cross-rack failover op (write, kill the primary
+//     rack, read via a replica, byte-compare). Operation errors are expected
+//     and tolerated here — but a read that *succeeds* must return byte-exact
+//     data, including reads through handles held open across tray churn, and
+//     no read may fail with optical.ErrNoDisc (a read that reached a drive
+//     whose tray was in transit).
+//  2. Heal: the fault plane is cleared, rack health is re-probed and
+//     under-replicated files are requeued, dirty buckets are flushed and
+//     burned, every used tray is scrubbed and repaired until a full pass
+//     comes back clean (latent sector errors and aged discs injected during
+//     the chaos phase are ground out of the system through the normal repair
+//     pipeline), and the re-replication backlog drains.
+//  3. Oracle: every acknowledged write must read back byte-for-byte through
+//     the federation — from disc before its image is cached, from the read
+//     cache once it is, and from disc again after the cached copy is dropped
+//     — and on every rack every parity group must verify clean, the catalog
+//     must be consistent (every placed image lives on a Used tray and every
+//     Used tray holds a placed image), the observability layer must have no
+//     open spans, and stopping the system must leave no live or deadlocked
+//     simulation processes.
 package chaos
 
 import (
@@ -277,13 +276,9 @@ func Run(cfg Config) (*Report, error) {
 		rep.Violations = append(rep.Violations, fmt.Sprintf("campaign process failed: %v", campaignErr))
 	}
 
-	// Shutdown invariant: stopping the system (every rack of a federation)
-	// and draining must leave a quiet, leak-free simulation.
-	if sys.Cluster != nil {
-		sys.Cluster.Stop()
-	} else {
-		sys.FS.Stop()
-	}
+	// Shutdown invariant: stopping every rack and draining must leave a
+	// quiet, leak-free simulation.
+	sys.Cluster.Stop()
 	sys.Env.Run()
 	if sys.Env.Deadlocked() {
 		rep.Violations = append(rep.Violations, fmt.Sprintf("simulation deadlocked after stop (%d live procs)", sys.Env.Live()))
@@ -292,8 +287,8 @@ func Run(cfg Config) (*Report, error) {
 	}
 	// Every rack has its own private registry, so the span-leak check sweeps
 	// them all.
-	for ri, fs := range fileSystems(sys) {
-		if open := fs.Obs().OpenSpans(); open != 0 {
+	for ri, r := range sys.Cluster.Racks() {
+		if open := r.FS.Obs().OpenSpans(); open != 0 {
 			rep.Violations = append(rep.Violations, fmt.Sprintf("span leak: %d open spans after stop (rack %d)", open, ri))
 		}
 	}
@@ -318,11 +313,7 @@ func runWorkers(sys *ros.System, p *sim.Proc, cfg Config, rep *Report) [][]acked
 		wi := wi
 		done[wi] = sim.NewCompletion[int](sys.Env)
 		sys.Env.Go(fmt.Sprintf("chaos.w%d", wi), func(wp *sim.Proc) {
-			if sys.Cluster != nil {
-				acked[wi] = clusterWorker(sys, wp, cfg, wi, rep)
-			} else {
-				acked[wi] = worker(sys, wp, cfg, wi, rep)
-			}
+			acked[wi] = worker(sys, wp, cfg, wi, rep)
 			done[wi].Resolve(wi, nil)
 		})
 	}
@@ -335,119 +326,11 @@ func runWorkers(sys *ros.System, p *sim.Proc, cfg Config, rep *Report) [][]acked
 // worker runs one op stream. Each worker owns a rand stream derived from the
 // campaign seed, writes only its own namespace and verifies only its own
 // acked files, so no cross-worker coordination is needed and the op sequence
-// is a pure function of (seed, worker index).
+// is a pure function of (seed, worker index). Writes, reads and handles route
+// through the federation namespace; sync/burn/repair target a random rack;
+// the cross-rack op kills a file's primary rack to prove the read survives
+// on a replica, and is skipped when there is no other rack.
 func worker(sys *ros.System, p *sim.Proc, cfg Config, wi int, rep *Report) []ackedFile {
-	rng := rand.New(rand.NewSource(cfg.Seed*7919 + int64(wi)*104729 + 1))
-	var mine []ackedFile
-	seq := 0
-	for op := 0; op < cfg.Ops; op++ {
-		switch pick := rng.Intn(100); {
-		case pick < 45: // write a fresh file
-			rep.Ops["write"]++
-			path := fmt.Sprintf("/chaos/w%d/f%04d", wi, seq)
-			n := 1024 + rng.Intn(cfg.FileBytes-1023)
-			data := payload(n, cfg.Seed, wi, seq)
-			seq++
-			if err := sys.FS.WriteFile(p, path, data); err != nil {
-				rep.OpErrors["write"]++
-				continue
-			}
-			mine = append(mine, ackedFile{path: path, data: data})
-		case pick < 70: // read back a random acked file and verify
-			rep.Ops["read"]++
-			if len(mine) == 0 {
-				continue
-			}
-			f := mine[rng.Intn(len(mine))]
-			got, err := sys.FS.ReadFile(p, f.path)
-			if err != nil {
-				rep.OpErrors["read"]++ // faults make reads fail; that is fine
-				noDisc(rep, "read", f.path, err)
-				continue
-			}
-			if !bytes.Equal(got, f.data) {
-				// A read that succeeds must never return wrong bytes, even
-				// mid-chaos: errors are acceptable, silent corruption is not.
-				rep.Violations = append(rep.Violations,
-					fmt.Sprintf("mid-chaos corrupt read of %s (%d bytes)", f.path, len(got)))
-			}
-		case pick < 78: // long-lived handle straddling tray churn
-			// The eviction-vs-open-handle invariant: read half a file through
-			// a handle, churn another file (possibly swapping the handle's
-			// tray out of its drive group), then read the second half through
-			// the same handle. A successful read must return the original
-			// bytes — a source silently left pointing at the swapped-in tray
-			// is exactly the stale-handle bug.
-			rep.Ops["handle"]++
-			if len(mine) == 0 {
-				continue
-			}
-			f := mine[rng.Intn(len(mine))]
-			churn := mine[rng.Intn(len(mine))]
-			fr, err := sys.FS.OpenFile(p, f.path)
-			if err != nil {
-				rep.OpErrors["handle"]++
-				continue
-			}
-			buf := make([]byte, len(f.data))
-			h := len(buf) / 2
-			n1, err1 := fr.ReadAt(p, buf[:h], 0)
-			_, _ = sys.FS.ReadFile(p, churn.path) // churn errors are irrelevant
-			n2, err2 := fr.ReadAt(p, buf[h:], int64(h))
-			fr.Close(p)
-			noDisc(rep, "handle read", f.path, err1)
-			noDisc(rep, "handle read", f.path, err2)
-			if err1 != nil || err2 != nil || n1 < h || n2 < len(buf)-h {
-				rep.OpErrors["handle"]++
-				continue
-			}
-			if !bytes.Equal(buf, f.data) {
-				rep.Violations = append(rep.Violations,
-					fmt.Sprintf("stale-handle read of %s returned wrong bytes after tray churn", f.path))
-			}
-		case pick < 86: // metadata sync
-			rep.Ops["sync"]++
-			if err := sys.FS.Sync(p); err != nil {
-				rep.OpErrors["sync"]++
-			}
-		case pick < 93: // force dirty buckets out to disc
-			rep.Ops["burn"]++
-			c, err := sys.FS.FlushAndBurn(p)
-			if err != nil {
-				rep.OpErrors["burn"]++
-				continue
-			}
-			if _, err := c.Wait(p); err != nil {
-				rep.OpErrors["burn"]++
-			}
-		default: // scrub-and-repair a random used tray
-			rep.Ops["repair"]++
-			trays := usedTrays(sys.FS.Cat)
-			if len(trays) == 0 {
-				continue
-			}
-			rr, err := sys.FS.ScrubAndRepair(p, trays[rng.Intn(len(trays))])
-			if err != nil {
-				rep.OpErrors["repair"]++
-				continue
-			}
-			if rr.ReBurn != nil {
-				if _, err := rr.ReBurn.Wait(p); err != nil {
-					rep.OpErrors["repair"]++
-				}
-			}
-		}
-	}
-	return mine
-}
-
-// clusterWorker is the federation op stream: the same invariants as worker,
-// but writes, reads and handles route through the cluster namespace (so they
-// land on replica sets and fail over), sync/burn/repair target a random rack,
-// and a cross-rack op deliberately kills a file's primary rack to prove the
-// read survives on a replica. The single-rack mix is untouched — cluster
-// campaigns have their own seeds.
-func clusterWorker(sys *ros.System, p *sim.Proc, cfg Config, wi int, rep *Report) []ackedFile {
 	cl := sys.Cluster
 	racks := cl.Racks()
 	rng := rand.New(rand.NewSource(cfg.Seed*7919 + int64(wi)*104729 + 1))
@@ -479,10 +362,18 @@ func clusterWorker(sys *ros.System, p *sim.Proc, cfg Config, wi int, rep *Report
 				continue
 			}
 			if !bytes.Equal(got, f.data) {
+				// A read that succeeds must never return wrong bytes, even
+				// mid-chaos: errors are acceptable, silent corruption is not.
 				rep.Violations = append(rep.Violations,
 					fmt.Sprintf("mid-chaos corrupt cluster read of %s (%d bytes)", f.path, len(got)))
 			}
 		case pick < 70: // replica-aware handle straddling churn
+			// The eviction-vs-open-handle invariant: read half a file through
+			// a handle, churn another file (possibly swapping the handle's
+			// tray out of its drive group), then read the second half through
+			// the same handle. A successful read must return the original
+			// bytes — a source silently left pointing at the swapped-in tray
+			// is exactly the stale-handle bug.
 			rep.Ops["handle"]++
 			if len(mine) == 0 {
 				continue
@@ -500,6 +391,8 @@ func clusterWorker(sys *ros.System, p *sim.Proc, cfg Config, wi int, rep *Report
 			_, _ = cl.ReadFile(p, churn.path) // churn errors are irrelevant
 			n2, err2 := fr.ReadAt(p, buf[h:], int64(h))
 			fr.Close(p)
+			noDisc(rep, "handle read", f.path, err1)
+			noDisc(rep, "handle read", f.path, err2)
 			if err1 != nil || err2 != nil || n1 < h || n2 < len(buf)-h {
 				rep.OpErrors["handle"]++
 				continue
@@ -509,6 +402,9 @@ func clusterWorker(sys *ros.System, p *sim.Proc, cfg Config, wi int, rep *Report
 					fmt.Sprintf("stale cluster handle read of %s returned wrong bytes", f.path))
 			}
 		case pick < 78: // cross-rack failover: write, kill primary, read replica
+			if len(racks) == 1 {
+				continue
+			}
 			rep.Ops["xrack"]++
 			path := fmt.Sprintf("/chaos/w%d/x%04d", wi, seq)
 			n := 1024 + rng.Intn(cfg.FileBytes-1023)
@@ -612,12 +508,7 @@ func overloadWorker(sys *ros.System, p *sim.Proc, cfg Config, wi int, rep *Repor
 		path := fmt.Sprintf("/overload/w%d/f%04d", wi, op)
 		n := 1024 + rng.Intn(cfg.FileBytes-1023)
 		data := payload(n, cfg.Seed*3+1, wi, op)
-		var err error
-		if sys.Cluster != nil {
-			err = sys.Cluster.WriteFile(p, path, data)
-		} else {
-			err = sys.FS.WriteFile(p, path, data)
-		}
+		err := sys.Cluster.WriteFile(p, path, data)
 		switch {
 		case err == nil:
 			mine = append(mine, ackedFile{path: path, data: data})
@@ -638,8 +529,8 @@ func overloadWorker(sys *ros.System, p *sim.Proc, cfg Config, wi int, rep *Repor
 // returned once the heal burned the buffer down (an imbalance means a
 // grant/release accounting leak).
 func overloadOracle(sys *ros.System, rep *Report) {
-	for ri, fs := range fileSystems(sys) {
-		adm := fs.WritePath().Admission()
+	for ri, r := range sys.Cluster.Racks() {
+		adm := r.FS.WritePath().Admission()
 		if cap := adm.Config().CapacityBytes; adm.MaxInflightBytes() > cap {
 			rep.Violations = append(rep.Violations,
 				fmt.Sprintf("overload: rack %d peak inflight %d exceeded capacity %d",
@@ -657,11 +548,11 @@ func overloadOracle(sys *ros.System, rep *Report) {
 // fast — failing to converge is itself a violation.
 const maxHealRounds = 6
 
-// heal clears the fault plane, flushes everything to disc, and scrubs and
-// repairs used trays until a full pass finds no damage. In cluster mode it
-// first probes rack health (fault-driven offline states clear with the
-// plane), requeues under-replicated files, and drains the re-replication
-// backlog before the oracle holds reads to the durability contract.
+// heal clears the fault plane, probes rack health (fault-driven offline
+// states clear with the plane), requeues under-replicated files, flushes
+// everything to disc, scrubs and repairs used trays until a full pass finds
+// no damage, and drains the re-replication backlog before the oracle holds
+// reads to the durability contract.
 func heal(sys *ros.System, p *sim.Proc, rep *Report) {
 	// Hold the damage visible for one sampling pass before repairing it: a
 	// fault injected in the campaign's last moments must still be scraped (and
@@ -672,24 +563,24 @@ func heal(sys *ros.System, p *sim.Proc, rep *Report) {
 	sys.Faults.Clear()
 	// FRU-swap drives killed by the fault plane; a dead drive is permanent
 	// hardware loss, not something scrubbing can repair around forever.
-	for _, lib := range libraries(sys) {
-		for _, g := range lib.Groups {
+	cl := sys.Cluster
+	for _, r := range cl.Racks() {
+		for _, g := range r.Lib.Groups {
 			for _, d := range g.Drives {
 				d.Replace()
 			}
 		}
 	}
-	if cl := sys.Cluster; cl != nil {
-		cl.Probe(p)
-		cl.RequeueUnderReplicated()
-	}
-	for _, fs := range fileSystems(sys) {
-		drainBurns(fs, p, rep)
+	cl.Probe(p)
+	cl.RequeueUnderReplicated()
+	for _, r := range cl.Racks() {
+		drainBurns(r.FS, p, rep)
 	}
 	for round := 1; ; round++ {
 		rep.HealRounds = round
 		clean := true
-		for _, fs := range fileSystems(sys) {
+		for _, r := range cl.Racks() {
+			fs := r.FS
 			for _, tray := range usedTrays(fs.Cat) {
 				rr, err := fs.ScrubAndRepair(p, tray)
 				if err != nil {
@@ -718,15 +609,13 @@ func heal(sys *ros.System, p *sim.Proc, rep *Report) {
 			return
 		}
 	}
-	if cl := sys.Cluster; cl != nil {
-		// The daemon drains the backlog whenever this proc yields virtual time.
-		for i := 0; cl.Backlog() > 0 && i < 4096; i++ {
-			p.Sleep(time.Second)
-		}
-		if n := cl.Backlog(); n > 0 {
-			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("heal: re-replication backlog did not drain (%d left)", n))
-		}
+	// The daemon drains the backlog whenever this proc yields virtual time.
+	for i := 0; cl.Backlog() > 0 && i < 4096; i++ {
+		p.Sleep(time.Second)
+	}
+	if n := cl.Backlog(); n > 0 {
+		rep.Violations = append(rep.Violations,
+			fmt.Sprintf("heal: re-replication backlog did not drain (%d left)", n))
 	}
 }
 
@@ -770,19 +659,13 @@ func burnsPending(fs *olfs.FS) bool {
 // oracle checks the post-heal invariants across every rack.
 func oracle(sys *ros.System, p *sim.Proc, acked []ackedFile, rep *Report) {
 	// 1. Durability: every acknowledged write reads back byte-for-byte —
-	// through the federation namespace when there is one, so replica
-	// selection and failover are part of the contract being checked — at
-	// three points of the read cache's life: with no cached copy (the read
-	// comes off a disc and starts a fill), once the fill has landed, and
-	// after the cached copy is dropped again.
-	readBack := func(path string) ([]byte, error) {
-		if sys.Cluster != nil {
-			return sys.Cluster.ReadFile(p, path)
-		}
-		return sys.FS.ReadFile(p, path)
-	}
+	// through the federation namespace, so replica selection and failover
+	// are part of the contract being checked — at three points of the read
+	// cache's life: with no cached copy (the read comes off a disc and starts
+	// a fill), once the fill has landed, and after the cached copy is dropped
+	// again.
 	check := func(f ackedFile, stage string) bool {
-		got, err := readBack(f.path)
+		got, err := sys.Cluster.ReadFile(p, f.path)
 		if err != nil {
 			rep.Violations = append(rep.Violations,
 				fmt.Sprintf("acked write %s unreadable (%s): %v", f.path, stage, err))
@@ -807,7 +690,8 @@ func oracle(sys *ros.System, p *sim.Proc, acked []ackedFile, rep *Report) {
 		dropCached(sys, p, f.path)
 		check(f, "evicted")
 	}
-	for ri, fs := range fileSystems(sys) {
+	for ri, r := range sys.Cluster.Racks() {
+		fs := r.FS
 		// 2. Redundancy: every used tray's parity groups verify clean.
 		for _, tray := range usedTrays(fs.Cat) {
 			sr, err := fs.ScrubTray(p, tray)
@@ -853,7 +737,8 @@ const fillSettle = 5 * time.Second
 // dropCached recycles every rack's buffer copy of path's images that is
 // already on disc (burned or cached), so the next read comes off a disc.
 func dropCached(sys *ros.System, p *sim.Proc, path string) {
-	for _, fs := range fileSystems(sys) {
+	for _, r := range sys.Cluster.Racks() {
+		fs := r.FS
 		ix, ok := fs.MV.Lookup(path)
 		if !ok || ix.Current() == nil {
 			continue
@@ -913,9 +798,6 @@ func alertOracle(sys *ros.System, p *sim.Proc, rep *Report) {
 
 	for _, point := range sortedKeysS(faultAlerts) {
 		rule := faultAlerts[point]
-		if point == faultinject.PointRackOffline && sys.Cluster == nil {
-			continue // cluster rules cannot fire without a federation
-		}
 		// First injection of this point, if any.
 		t0 := time.Duration(-1)
 		for _, ev := range sys.Faults.Events() {
@@ -973,32 +855,6 @@ func alertOracle(sys *ros.System, p *sim.Proc, rep *Report) {
 				fmt.Sprintf("alert oracle: incident %s[%s] (fired %v) never resolved", in.Rule, in.Label, time.Duration(in.FiredNS)))
 		}
 	}
-}
-
-// libraries returns every rack's drive library (one for the single-rack
-// system).
-func libraries(sys *ros.System) []*rack.Library {
-	if sys.Cluster == nil {
-		return []*rack.Library{sys.Library}
-	}
-	out := make([]*rack.Library, 0, len(sys.Cluster.Racks()))
-	for _, r := range sys.Cluster.Racks() {
-		out = append(out, r.Lib)
-	}
-	return out
-}
-
-// fileSystems returns every rack's OLFS in index order (a single entry for
-// the classic single-rack system).
-func fileSystems(sys *ros.System) []*olfs.FS {
-	if sys.Cluster == nil {
-		return []*olfs.FS{sys.FS}
-	}
-	out := make([]*olfs.FS, 0, len(sys.Cluster.Racks()))
-	for _, r := range sys.Cluster.Racks() {
-		out = append(out, r.FS)
-	}
-	return out
 }
 
 // usedTrays returns the catalog's Used trays that hold placed images, in

@@ -179,8 +179,8 @@ func TestChaosOverloadDeterministicReplay(t *testing.T) {
 	}
 }
 
-// clusterSeeds drive the federation campaigns; they are disjoint from the
-// single-rack smoke seeds because the cluster worker has its own op mix.
+// clusterSeeds drive the three-rack campaigns, whose mix includes the
+// cross-rack op that one-rack campaigns skip.
 var clusterSeeds = []int64{11, 12, 13}
 
 // clusterOpts is the 3-rack / 2-replica federation the cluster campaigns run

@@ -83,10 +83,11 @@ func TelemetryExperiment() (experiments.Result, error) {
 	}
 
 	// Embed the series that tell the story: the fault gauge rising and the
-	// alert gauge tracking it, from each campaign's final tail.
+	// alert gauge tracking it, from each campaign's final tail. alert.* and
+	// cluster.* are the system registry's (label ""); optical.* is rack 0's.
 	embed := func(prefix string, tail []obs.SeriesDump, names ...string) {
 		for _, sd := range tail {
-			if sd.Label != "" {
+			if sd.Label != "" && sd.Label != "rack0" {
 				continue
 			}
 			for _, name := range names {

@@ -1,7 +1,7 @@
 // Package cluster federates N independent simulated ROS racks behind one
 // namespace. Each rack is a full rack+optical+olfs stack on the shared
-// simulation clock; the federation owns three concerns the single-rack
-// system cannot express:
+// simulation clock; every ros.System is a federation of one or more racks,
+// and the federation owns three concerns no single rack can express:
 //
 //   - Placement: the Sequential Checking reallocation-free distribution
 //     (placement.go) assigns every file a replica set of racks. Adding a
@@ -21,9 +21,10 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"ros/internal/faultinject"
@@ -333,24 +334,16 @@ func (c *Cluster) noteFailover(p *sim.Proc, opName string, from, to int, cause e
 	c.env.Emit("cluster.failover", opName, c.racks[from].Name+"->"+c.racks[to].Name)
 }
 
-// eligible returns the placement-eligible racks: the Up ones, or — when the
-// whole federation is limping — anything not offline.
-func (c *Cluster) eligible() []bool {
-	out := make([]bool, len(c.racks))
-	anyUp := false
-	for i, r := range c.racks {
+// placeLimit is the worst health a rack may have to receive a new replica:
+// Up while any rack is up, else — the whole federation is limping —
+// Degraded, so anything not offline.
+func (c *Cluster) placeLimit() Health {
+	for _, r := range c.racks {
 		if r.health == HealthUp {
-			out[i] = true
-			anyUp = true
+			return HealthUp
 		}
 	}
-	if anyUp {
-		return out
-	}
-	for i, r := range c.racks {
-		out[i] = r.health != HealthOffline
-	}
-	return out
+	return HealthDegraded
 }
 
 // ---------------------------------------------------------------------------
@@ -359,7 +352,9 @@ func (c *Cluster) eligible() []bool {
 // WriteFile stores path on its replica set (placing it on first write),
 // failing over to substitute racks when a member drops mid-write. The write
 // is acknowledged when at least one replica holds it; a short set is
-// enqueued for background re-replication.
+// enqueued for background re-replication. When every target fails, the
+// error wraps the last rack's, so a write shed by admission control still
+// matches writepath.ErrOverload.
 func (c *Cluster) WriteFile(p *sim.Proc, path string, data []byte) (err error) {
 	if c.stopped {
 		return ErrStopped
@@ -369,60 +364,61 @@ func (c *Cluster) WriteFile(p *sim.Proc, path string, data []byte) (err error) {
 	defer func() { op.Finish(p, err) }()
 	c.m.writes.Add(1)
 
-	e, fresh := c.entries[path], false
+	e := c.entries[path]
 	var targets []int
 	if e == nil {
-		fresh = true
-		targets = c.placer.place(path, c.replicas, c.eligible())
+		limit := c.placeLimit()
+		targets = c.placer.place(path, c.replicas, func(i int) bool { return c.racks[i].health <= limit })
 		if len(targets) == 0 {
 			return fmt.Errorf("%w for write of %s", ErrNoReplica, path)
 		}
 	} else {
-		targets = append([]int(nil), e.replicas...)
+		targets = e.replicas
 	}
 
-	involved := make([]bool, len(c.racks))
-	for _, ri := range targets {
-		involved[ri] = true
-	}
-	var written []int
-	queue := targets
-	for len(queue) > 0 {
-		ri := queue[0]
-		queue = queue[1:]
+	// involved is every rack this write has tried or queued, in order. Its
+	// capacity is capped so that a substitute's append copies rather than
+	// writing into e.replicas.
+	involved := targets[:len(targets):len(targets)]
+	var lost []int // involved racks whose write failed
+	var lastErr error
+	for i := 0; i < len(involved); i++ {
+		ri := involved[i]
 		werr := c.routeTo(p, "write", ri, func(r *Rack) error {
 			return r.FS.WriteFile(p, path, data)
 		})
 		if werr == nil {
-			written = append(written, ri)
 			c.m.replicaWrites.Add(1)
 			continue
 		}
+		lastErr = werr
+		lost = append(lost, ri)
 		// The target dropped out: release its load and try to move the
 		// replica to a live rack not yet involved in this write.
 		c.placer.unplace(ri)
-		elig := c.eligible()
-		for i := range elig {
-			if involved[i] {
-				elig[i] = false
-			}
-		}
-		if sub := c.placer.place(path, 1, elig); len(sub) == 1 {
+		limit := c.placeLimit()
+		sub := c.placer.place(path, 1, func(j int) bool {
+			return c.racks[j].health <= limit && !slices.Contains(involved, j)
+		})
+		if len(sub) == 1 {
 			c.noteFailover(p, "write", ri, sub[0], werr)
-			involved[sub[0]] = true
-			queue = append(queue, sub[0])
+			involved = append(involved, sub[0])
 		}
 	}
+	written := involved
+	if len(lost) > 0 {
+		written = slices.DeleteFunc(slices.Clone(involved), func(ri int) bool { return slices.Contains(lost, ri) })
+	}
 	if len(written) == 0 {
-		if fresh {
+		if e == nil {
 			// Nothing durable; the placement was already released per target.
-			return fmt.Errorf("cluster: write of %s failed on every rack", path)
+			return fmt.Errorf("cluster: write of %s failed on every rack: %w", path, lastErr)
 		}
 		// The old replica set stays authoritative; restore its loads.
 		for _, ri := range e.replicas {
 			c.placer.claim(ri)
 		}
-		return fmt.Errorf("cluster: overwrite of %s failed on every replica", path)
+		return fmt.Errorf("cluster: overwrite of %s failed on every replica: %w", path, lastErr)
 	}
 	if e == nil {
 		e = &entry{}
@@ -472,6 +468,10 @@ const (
 	degradedPenalty = time.Hour
 	loadedCost      = 250 * time.Millisecond // tray already in a drive group
 	trayLoadCost    = 70 * time.Second       // pick+place+load on top of travel
+	// failedTrayCost ranks a copy on a DAFailed tray after every healthy
+	// copy (which costs under two hours): olfs still reads it, rebuilding
+	// lost discs from parity, so it is the last resort rather than none.
+	failedTrayCost = 1000 * time.Hour
 )
 
 // candidate is one readable replica, ordered by (cost, rack index).
@@ -483,8 +483,8 @@ type candidate struct {
 // mechCost estimates the mechanical cost of reading path from rack r using
 // the sched travel model: free for buffer-resident data, near-free when the
 // tray is already in a drive, else arm travel plus tray load, plus penalties
-// for busy groups and degraded health. ok=false means the replica is
-// unreadable there (catalog miss or failed tray) and must be skipped.
+// for busy groups, degraded health and a failed tray. ok=false means the
+// rack cannot locate the copy (catalog miss) and must be skipped.
 func (c *Cluster) mechCost(r *Rack, path string) (time.Duration, bool) {
 	var cost time.Duration
 	if r.health == HealthDegraded {
@@ -507,7 +507,7 @@ func (c *Cluster) mechCost(r *Rack, path string) (time.Duration, bool) {
 		return 0, false
 	}
 	if r.FS.Cat.DAState(addr.Tray) == image.DAFailed {
-		return 0, false // tray unhealthy: fail over rather than repair inline
+		return cost + failedTrayCost, true
 	}
 	loaded := false
 	idle := false
@@ -529,27 +529,39 @@ func (c *Cluster) mechCost(r *Rack, path string) (time.Duration, bool) {
 	return cost, true
 }
 
-// readPlan orders path's live replicas by mechanical cost (offline racks and
-// failed-tray copies are dropped).
-func (c *Cluster) readPlan(e *entry, path string) []candidate {
-	var cands []candidate
+// readPlan appends path's live replicas to cands, ordered by mechanical
+// cost. Offline racks and copies a rack cannot locate are dropped, and copies
+// on failed trays go last; both count as cluster.skipped_unhealthy. A lone
+// live replica is appended without costing: there is nothing to rank it
+// against. Callers pass a stack buffer, so a plan costs no allocation.
+func (c *Cluster) readPlan(cands []candidate, e *entry, path string) []candidate {
+	live := 0
+	for _, ri := range e.replicas {
+		if c.racks[ri].health != HealthOffline {
+			live++
+		}
+	}
 	for _, ri := range e.replicas {
 		r := c.racks[ri]
 		if r.health == HealthOffline {
 			continue
 		}
+		if live == 1 {
+			return append(cands, candidate{ri: ri})
+		}
 		cost, ok := c.mechCost(r, path)
-		if !ok {
+		if !ok || cost >= failedTrayCost {
 			c.m.skipUnhealthy.Add(1)
-			continue
 		}
-		cands = append(cands, candidate{ri: ri, cost: cost})
+		if ok {
+			cands = append(cands, candidate{ri: ri, cost: cost})
+		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].cost != cands[j].cost {
-			return cands[i].cost < cands[j].cost
+	slices.SortFunc(cands, func(a, b candidate) int {
+		if a.cost != b.cost {
+			return cmp.Compare(a.cost, b.cost)
 		}
-		return cands[i].ri < cands[j].ri
+		return a.ri - b.ri
 	})
 	return cands
 }
@@ -580,7 +592,8 @@ func (c *Cluster) ReadFile(p *sim.Proc, path string) (data []byte, err error) {
 	if e == nil {
 		return nil, mv.ErrNotFound
 	}
-	cands := c.readPlan(e, path)
+	var buf [4]candidate
+	cands := c.readPlan(buf[:0], e, path)
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("%w for %s", ErrNoReplica, path)
 	}
@@ -650,7 +663,8 @@ func (f *File) reopen(p *sim.Proc, cause error) error {
 	}
 	failed := f.ri
 	var lastErr error
-	for _, cand := range c.readPlan(e, f.path) {
+	var buf [4]candidate
+	for _, cand := range c.readPlan(buf[:0], e, f.path) {
 		if cand.ri == failed {
 			continue
 		}
@@ -832,7 +846,8 @@ func (c *Cluster) rereplicate(p *sim.Proc, path string) {
 
 	// Source: cheapest live replica; read admitted at scrub priority so the
 	// copy never competes with interactive traffic on the donor rack.
-	cands := c.readPlan(e, path)
+	var buf [4]candidate
+	cands := c.readPlan(buf[:0], e, path)
 	var data []byte
 	err = fmt.Errorf("%w for %s", ErrNoReplica, path)
 	for _, cand := range cands {
@@ -846,11 +861,10 @@ func (c *Cluster) rereplicate(p *sim.Proc, path string) {
 		return
 	}
 	// Target: a fresh Up rack outside the current set.
-	elig := c.eligible()
-	for _, m := range e.replicas {
-		elig[m] = false
-	}
-	target := c.placer.place(path, 1, elig)
+	limit := c.placeLimit()
+	target := c.placer.place(path, 1, func(i int) bool {
+		return c.racks[i].health <= limit && !slices.Contains(e.replicas, i)
+	})
 	if len(target) == 0 {
 		err = fmt.Errorf("cluster: no eligible target rack for %s", path)
 		c.m.rereplFailed.Add(1)

@@ -2,15 +2,18 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"ros/internal/faultinject"
+	"ros/internal/image"
 	"ros/internal/obs"
 	"ros/internal/olfs"
 	"ros/internal/sched"
 	"ros/internal/sim"
+	"ros/internal/writepath"
 )
 
 // testBed is a small federation on a fresh simulation: 3 racks of one roller
@@ -562,4 +565,106 @@ func TestClusterRoutesToCachedReplica(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestClusterShedWriteKeepsOverloadCause: a write that admission control
+// sheds on every target fails with an error that still matches
+// writepath.ErrOverload, so callers can tell "retry later" from a hard
+// failure.
+func TestClusterShedWriteKeepsOverloadCause(t *testing.T) {
+	tb := newBed(t, 1, 1, func(c *Config) {
+		c.Stack.FS.AutoBurn = false
+		c.Stack.FS.Write.Admission = writepath.AdmissionConfig{
+			Enabled:       true,
+			CapacityBytes: 2 << 20,
+			MaxWait:       time.Second,
+		}
+	})
+	defer tb.cl.Stop()
+	const writers = 96
+	var failed, acked, lostCause int
+	tb.run(t, func(p *sim.Proc) error {
+		done := sim.NewQueue[error](tb.env)
+		for i := 0; i < writers; i++ {
+			path := fmt.Sprintf("/flood/f%03d", i)
+			tb.env.Go(path, func(wp *sim.Proc) {
+				done.Push(tb.cl.WriteFile(wp, path, pat(256<<10, byte(i))))
+			})
+		}
+		for i := 0; i < writers; i++ {
+			err, _ := done.Pop(p)
+			switch {
+			case err == nil:
+				acked++
+			case errors.Is(err, writepath.ErrOverload):
+				failed++
+			default:
+				failed++
+				if lostCause++; lostCause == 1 {
+					t.Errorf("failed write does not match writepath.ErrOverload: %v", err)
+				}
+			}
+		}
+		return nil
+	})
+	if failed == 0 || acked == 0 {
+		t.Fatalf("test premise broken: %d acked, %d failed of %d flooded writes", acked, failed, writers)
+	}
+	if lostCause > 0 {
+		t.Errorf("%d of %d failed writes lost their ErrOverload cause", lostCause, failed)
+	}
+}
+
+// TestClusterReadsFromFailedTrays: when every replica sits on a tray marked
+// DAFailed, the read still goes to a replica (olfs rebuilds what it cannot
+// read from parity) instead of failing with ErrNoReplica, and each failed
+// copy counts as skipped-unhealthy.
+func TestClusterReadsFromFailedTrays(t *testing.T) {
+	tb := newBed(t, 2, 2, func(c *Config) {
+		c.Stack.FS.AutoBurn = false
+		c.Stack.FS.RecycleAfterBurn = true
+	})
+	defer tb.cl.Stop()
+	const path = "/failed/f"
+	data := pat(200<<10, 11)
+	tb.run(t, func(p *sim.Proc) error {
+		if err := tb.cl.WriteFile(p, path, data); err != nil {
+			return err
+		}
+		for _, r := range tb.cl.Racks() {
+			c, err := r.FS.FlushAndBurn(p)
+			if err != nil {
+				return err
+			}
+			if _, err := c.Wait(p); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	for _, ri := range tb.cl.ReplicasOf(path) {
+		fs := tb.cl.Racks()[ri].FS
+		ix, ok := fs.MV.Lookup(path)
+		if !ok {
+			t.Fatalf("rack %d has no index for %s", ri, path)
+		}
+		addr, ok := fs.Cat.Locate(ix.Current().Parts[0])
+		if !ok {
+			t.Fatalf("rack %d: image of %s not on disc", ri, path)
+		}
+		fs.Cat.SetDAState(addr.Tray, image.DAFailed)
+	}
+	tb.run(t, func(p *sim.Proc) error {
+		got, err := tb.cl.ReadFile(p, path)
+		if err != nil {
+			return fmt.Errorf("read with every replica on a failed tray: %w", err)
+		}
+		if !bytes.Equal(got, data) {
+			return fmt.Errorf("payload mismatch")
+		}
+		return nil
+	})
+	if got := tb.cl.m.skipUnhealthy.Value(); got != 2 {
+		t.Errorf("skipped_unhealthy = %d, want 2 (both copies on failed trays)", got)
+	}
 }

@@ -14,7 +14,7 @@
 // TestHashPolicyRelocatesOnGrowth measures that on keyHash alone.
 package cluster
 
-import "hash/fnv"
+import "slices"
 
 // placer assigns replica sets to keys and tracks per-rack replica counts.
 // It is pure bookkeeping on the host side — placement costs no virtual time.
@@ -33,9 +33,12 @@ func (pl *placer) grow() { pl.loads = append(pl.loads, 0) }
 
 // keyHash is the 64-bit FNV-1a of the key, the seed of its probe sequence.
 func keyHash(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return h.Sum64()
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211
+	}
+	return h
 }
 
 // probe returns the j-th candidate rack of key's probe sequence over n racks
@@ -54,15 +57,17 @@ func probe(h uint64, j, n int) int {
 // place assigns want distinct racks to key among the eligible ones (nil
 // eligible means all racks) and commits the loads. Fewer than want racks
 // come back when not enough are eligible; zero when none are.
-func (pl *placer) place(key string, want int, eligible []bool) []int {
+func (pl *placer) place(key string, want int, eligible func(int) bool) []int {
 	n := len(pl.loads)
 	if n == 0 || want <= 0 {
 		return nil
 	}
 	live := 0
+	liveLoad := int64(0)
 	for i := 0; i < n; i++ {
-		if eligible == nil || eligible[i] {
+		if eligible == nil || eligible(i) {
 			live++
+			liveLoad += pl.loads[i]
 		}
 	}
 	if live == 0 {
@@ -72,9 +77,8 @@ func (pl *placer) place(key string, want int, eligible []bool) []int {
 		want = live
 	}
 	chosen := make([]int, 0, want)
-	used := make([]bool, n)
 	ok := func(c int) bool {
-		return !used[c] && (eligible == nil || eligible[c])
+		return (eligible == nil || eligible(c)) && !slices.Contains(chosen, c)
 	}
 	// Sequential Checking: walk the probe sequence and accept a candidate iff
 	// its load is at or below the eligible-rack average. Over-average racks
@@ -82,12 +86,6 @@ func (pl *placer) place(key string, want int, eligible []bool) []int {
 	// new placements until it has fully caught up — that is what keeps every
 	// rack within the balance budget without ever moving an old image.
 	h := keyHash(key)
-	liveLoad := int64(0)
-	for i := 0; i < n; i++ {
-		if eligible == nil || eligible[i] {
-			liveLoad += pl.loads[i]
-		}
-	}
 	for j := 0; len(chosen) < want && j < 4*n+8; j++ {
 		c := probe(h, j, n)
 		if !ok(c) {
@@ -96,7 +94,6 @@ func (pl *placer) place(key string, want int, eligible []bool) []int {
 		// loads[c] <= liveLoad/live, in overflow-safe integer form.
 		if pl.loads[c]*int64(live) <= liveLoad {
 			chosen = append(chosen, c)
-			used[c] = true
 			liveLoad++
 		}
 	}
@@ -110,7 +107,6 @@ func (pl *placer) place(key string, want int, eligible []bool) []int {
 			}
 		}
 		chosen = append(chosen, best)
-		used[best] = true
 	}
 	return pl.commit(chosen)
 }

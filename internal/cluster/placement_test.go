@@ -97,7 +97,7 @@ func TestHashPolicyRelocatesOnGrowth(t *testing.T) {
 // honor eligibility.
 func TestPlacementReplicaSetsDistinct(t *testing.T) {
 	pl := newPlacer(5)
-	elig := []bool{true, true, false, true, true} // rack 2 offline
+	elig := func(ri int) bool { return ri != 2 } // rack 2 offline
 	for i := 0; i < 500; i++ {
 		set := pl.place(fmt.Sprintf("k%04d", i), 3, elig)
 		if len(set) != 3 {

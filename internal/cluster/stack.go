@@ -32,9 +32,9 @@ type StackConfig struct {
 	FS olfs.Config
 
 	// Obs is the registry this rack's stack records into; nil gives the rack
-	// a private one. A single-rack system passes its system registry; a
-	// federation leaves it nil for every rack, rack 0 included, so each rack's
-	// counts stay separable (see Cluster.addRack).
+	// a private one. Cluster.New takes Obs as the federation's own registry
+	// (cluster.*) and builds every rack, rack 0 included, with a private one,
+	// so each rack's counts stay separable (see Cluster.addRack).
 	Obs *obs.Registry
 }
 
@@ -86,8 +86,8 @@ func (r *Rack) Health() Health { return r.health }
 
 // NewRackStack assembles one rack's full stack on env: the mechanical
 // library, the RAID-1 SSD pair backing MV, the RAID-5 HDD write buffer, the
-// page cache and OLFS. ros.New uses it for the classic single-rack system
-// too, so a one-rack federation member behaves exactly like that system.
+// page cache and OLFS. Cluster.New builds every member with it, and the
+// experiment and fault-injection test beds build a lone stack with it.
 func NewRackStack(env *sim.Env, idx int, cfg StackConfig) (*Rack, error) {
 	reg := cfg.Obs
 	if reg == nil {

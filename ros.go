@@ -90,8 +90,8 @@ const (
 	WriteArchival = writepath.Archival
 )
 
-// Rack health states for the federation layer (Options.Racks > 1), usable
-// with System.Cluster.SetHealth.
+// Rack health states of the federation layer, usable with
+// System.Cluster.SetHealth.
 const (
 	RackUp       = cluster.HealthUp
 	RackDegraded = cluster.HealthDegraded
@@ -135,11 +135,11 @@ type Options struct {
 	Write WriteConfig
 
 	// Racks federates this many identical rack stacks behind one namespace
-	// (internal/cluster). 0 or 1 builds the classic single-rack system with
-	// no federation layer (System.Cluster is nil).
+	// (internal/cluster); 0 means 1. A one-rack system is a federation too
+	// and can grow with System.Cluster.AddRack.
 	Racks int
-	// Replicas is the copies the federation keeps per file (default
-	// min(2, Racks); clamped to Racks). Ignored for single-rack systems.
+	// Replicas is the copies the federation keeps per file (default 2),
+	// clamped to Racks; a later AddRack does not raise it.
 	Replicas int
 
 	// FaultSeed seeds the deterministic fault plane's random source (0 uses
@@ -185,20 +185,27 @@ func PrototypeOptions() Options {
 
 // System is an assembled ROS instance.
 type System struct {
-	Env     *Env
+	Env *Env
+	// Library, FS and Buffer are rack 0's stack. Files written through FS
+	// live on rack 0 only and bypass the federation catalog, so
+	// Cluster.ReadFile and the re-replication daemon do not see them.
 	Library *rack.Library
 	FS      *olfs.FS
 	Buffer  *pagecache.Volume
-	Obs     *obs.Registry
+	// Obs is the system registry: the federation's cluster.* metrics, the
+	// fault plane's fault.* and the alert engine's alert.*. Every rack
+	// records into its own registry; Stats, MergedObs and RackObs read them.
+	Obs *obs.Registry
 	// Faults is the deterministic fault-injection plane. Always present;
 	// inert until rules are armed (Options.Faults or Faults.ArmSpec).
 	Faults *faultinject.Plane
-	// Cluster is the multi-rack federation layer, non-nil only when
-	// Options.Racks > 1. Library/FS/Buffer then alias rack 0's stack; routed
-	// namespace operations go through Cluster.WriteFile/ReadFile/OpenFile.
+	// Cluster is the federation of Options.Racks racks (at least one); never
+	// nil. Routed namespace operations go through
+	// Cluster.WriteFile/ReadFile/OpenFile.
 	Cluster *cluster.Cluster
 	// Telemetry is the time-series sampler, non-nil when Options.SampleEvery
-	// is set. In cluster mode every rack's registry is a labeled source.
+	// is set. The system registry is its "" source and every rack's registry
+	// a source labeled with the rack's name ("rack0", ...).
 	Telemetry *obs.Sampler
 	// Alerts is the SLO alert engine evaluated after every sampling pass,
 	// non-nil when Options.SampleEvery is set.
@@ -208,8 +215,7 @@ type System struct {
 // DefaultRuleSpec is the built-in alert pack in the obs.ParseRules grammar,
 // covering every layer: olfs read latency, scheduler queueing, optical drive
 // health, and the federation (rack availability, stuck re-replication, and a
-// write-SLO burn rate). Rules naming series a configuration never produces
-// (e.g. cluster.* on a single-rack system) are inert.
+// write-SLO burn rate). Per-rack rules evaluate once per rack-labeled series.
 const DefaultRuleSpec = `
 	olfs-read-p99: threshold olfs.op.read.p99 > 15m for 5m
 	sched-queue-deep: threshold sched.queue_depth avg > 64 for 5m
@@ -295,33 +301,22 @@ func New(o Options) (*System, error) {
 		FS:          cfg,
 		Obs:         reg,
 	}
-	if o.Racks > 1 {
-		replicas := o.Replicas
-		if replicas == 0 {
-			replicas = 2
-		}
-		cl, err := cluster.New(env, cluster.Config{
-			Racks:    o.Racks,
-			Replicas: replicas,
-			Stack:    stack,
-			Sampler:  sampler,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r0 := cl.Racks()[0]
-		return &System{
-			Env: env, Library: r0.Lib, FS: r0.FS, Buffer: r0.Buffer,
-			Obs: reg, Faults: plane, Cluster: cl, Telemetry: sampler, Alerts: alerts,
-		}, nil
+	if o.Replicas == 0 {
+		o.Replicas = 2
 	}
-	r0, err := cluster.NewRackStack(env, 0, stack)
+	cl, err := cluster.New(env, cluster.Config{
+		Racks:    o.Racks, // cluster.New builds at least one
+		Replicas: o.Replicas,
+		Stack:    stack,
+		Sampler:  sampler,
+	})
 	if err != nil {
 		return nil, err
 	}
+	r0 := cl.Racks()[0]
 	return &System{
 		Env: env, Library: r0.Lib, FS: r0.FS, Buffer: r0.Buffer,
-		Obs: reg, Faults: plane, Telemetry: sampler, Alerts: alerts,
+		Obs: reg, Faults: plane, Cluster: cl, Telemetry: sampler, Alerts: alerts,
 	}, nil
 }
 
@@ -335,10 +330,10 @@ func checkOwnedFS(fs FSConfig) error {
 	}{
 		{fs.AutoBurn, "AutoBurn", "Options.DisableAutoBurn"},
 		{fs.Sched.Policy != 0, "Sched.Policy", "Options.SchedPolicy"},
-		{fs.Sched.Obs != nil, "Sched.Obs", "System.Obs, the registry New builds"},
+		{fs.Sched.Obs != nil, "Sched.Obs", "the registries New builds (System.Obs and each rack's Reg)"},
 		{fs.Trace != (obs.TracerConfig{}), "Trace", "Options.TraceCapacity and Options.TraceSampleEvery"},
 		{fs.BucketBytes != 0, "BucketBytes", "Options.BucketBytes"},
-		{fs.Obs != nil, "Obs", "System.Obs, the registry New builds"},
+		{fs.Obs != nil, "Obs", "the registries New builds (System.Obs and each rack's Reg)"},
 		{fs.Write != (WriteConfig{}), "Write", "Options.Write"},
 	} {
 		if c.set {
@@ -386,17 +381,14 @@ type Stats struct {
 	Sim sim.Stats
 }
 
-// Stats returns the current counters. In cluster mode the Obs snapshot is
-// the cluster-wide merge: the system registry (cluster.*, fault.*, alert.*)
-// combined with every rack's private registry, histograms merged by bucket
-// counts. MergedObs/RackObs give the same views directly.
+// Stats returns the current counters. The Obs snapshot is the system-wide
+// merge: the system registry (cluster.*, fault.*, alert.*) combined with
+// every rack's registry, histograms merged by bucket counts. MergedObs and
+// RackObs give the same views directly.
 func (s *System) Stats() Stats {
-	discs := s.Library.TotalDiscs()
-	if s.Cluster != nil {
-		discs = 0
-		for _, r := range s.Cluster.Racks() {
-			discs += r.Lib.TotalDiscs()
-		}
+	discs := 0
+	for _, r := range s.Cluster.Racks() {
+		discs += r.Lib.TotalDiscs()
 	}
 	return Stats{
 		TotalDiscs: discs,
@@ -405,13 +397,9 @@ func (s *System) Stats() Stats {
 	}
 }
 
-// MergedObs returns the full metrics view: the system registry alone for a
-// single-rack system, or the system registry merged with every rack's
-// private registry for a federation.
+// MergedObs returns the full metrics view: the system registry merged with
+// every rack's registry.
 func (s *System) MergedObs() obs.Snapshot {
-	if s.Cluster == nil {
-		return s.Obs.Snapshot()
-	}
 	snaps := []obs.Snapshot{s.Obs.Snapshot()}
 	for _, r := range s.Cluster.Racks() {
 		snaps = append(snaps, r.Reg.Snapshot())
@@ -419,25 +407,14 @@ func (s *System) MergedObs() obs.Snapshot {
 	return obs.MergeSnapshots(snaps...)
 }
 
-// RackObs returns rack ri's private metrics snapshot (the per-rack
-// drill-down); for a single-rack system, rack 0 is the system registry.
-func (s *System) RackObs(ri int) obs.Snapshot {
-	if s.Cluster == nil {
-		if ri == 0 {
-			return s.Obs.Snapshot()
-		}
-		return obs.Snapshot{}
-	}
-	return s.Cluster.RackSnapshot(ri)
-}
+// RackObs returns rack ri's metrics snapshot (the per-rack drill-down); the
+// zero snapshot when ri is out of range.
+func (s *System) RackObs(ri int) obs.Snapshot { return s.Cluster.RackSnapshot(ri) }
 
 // PrometheusText renders every metric in the Prometheus text exposition
 // format: the system registry unlabeled plus one rack="rackN" labeled sample
-// set per federation member.
+// set per rack.
 func (s *System) PrometheusText() string {
 	snaps := []obs.LabeledSnapshot{{Label: "", Snap: s.Obs.Snapshot()}}
-	if s.Cluster != nil {
-		snaps = append(snaps, s.Cluster.LabeledSnapshots()...)
-	}
-	return obs.PrometheusText(snaps...)
+	return obs.PrometheusText(append(snaps, s.Cluster.LabeledSnapshots()...)...)
 }

@@ -194,3 +194,77 @@ func TestClosedSystemIsFreed(t *testing.T) {
 		}
 	}
 }
+
+// TestOneRackSystemGrows: the default System is a one-rack federation that
+// grows by AddRack. Files written and burned before the growth keep their
+// replica sets (nothing is relocated), new writes reach the newcomer, and
+// every file reads back through the federation.
+func TestOneRackSystemGrows(t *testing.T) {
+	sys, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	const n = 12
+	path := func(i int) string { return fmt.Sprintf("/grow/f%02d", i) }
+	data := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 64<<10) }
+	err = sys.Do(func(p *Proc) error {
+		for i := 0; i < n; i++ {
+			if err := sys.Cluster.WriteFile(p, path(i), data(i)); err != nil {
+				return err
+			}
+		}
+		c, err := sys.FS.FlushAndBurn(p)
+		if err != nil {
+			return err
+		}
+		_, err = c.Wait(p)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := make([][]int, n)
+	for i := range before {
+		before[i] = sys.Cluster.ReplicasOf(path(i))
+	}
+	if _, err := sys.Cluster.AddRack(); err != nil {
+		t.Fatal(err)
+	}
+	err = sys.Do(func(p *Proc) error {
+		for i := n; i < 2*n; i++ {
+			if err := sys.Cluster.WriteFile(p, path(i), data(i)); err != nil {
+				return err
+			}
+		}
+		for i := 0; i < 2*n; i++ {
+			got, err := sys.Cluster.ReadFile(p, path(i))
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(got, data(i)) {
+				return fmt.Errorf("%s: wrong bytes", path(i))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range before {
+		if got := sys.Cluster.ReplicasOf(path(i)); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: replica set %v became %v after AddRack", path(i), want, got)
+		}
+	}
+	onNew := 0
+	for i := n; i < 2*n; i++ {
+		for _, ri := range sys.Cluster.ReplicasOf(path(i)) {
+			if ri == 1 {
+				onNew++
+			}
+		}
+	}
+	if onNew == 0 {
+		t.Errorf("no file written after AddRack landed on rack 1")
+	}
+}

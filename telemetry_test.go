@@ -78,11 +78,15 @@ func TestTelemetryAlertLifecycle(t *testing.T) {
 	if firing := sys.Alerts.Firing(); len(firing) != 0 {
 		t.Errorf("alerts still active at quiescence: %+v", firing)
 	}
-	// Sampled series exist for every layer.
+	// Sampled series exist for every layer, labeled with the rack that
+	// recorded them.
 	for _, name := range []string{"olfs.files_written", "optical.drives_dead", "olfs.op.write.p99"} {
-		if sys.Telemetry.Get("", name) == nil {
-			t.Errorf("series %q missing from sampler", name)
+		if sys.Telemetry.Get("rack0", name) == nil {
+			t.Errorf("series %q missing from sampler under rack0", name)
 		}
+	}
+	if incident.Label != "rack0" {
+		t.Errorf("optical-drive-dead fired for %q, want rack0", incident.Label)
 	}
 	// Prometheus exposition carries the alert counters.
 	prom := sys.PrometheusText()
