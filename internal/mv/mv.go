@@ -182,7 +182,35 @@ func (v *Volume) charge(p *sim.Proc) {
 	p.Sleep(v.opCost)
 }
 
-func clean(name string) string { return path.Clean("/" + name) }
+// clean returns path.Clean("/"+name). A name that is already clean and
+// absolute, as every caller's is, comes back as it is, without allocating.
+func clean(name string) string {
+	if isClean(name) {
+		return name
+	}
+	return path.Clean("/" + name)
+}
+
+// isClean reports whether name is absolute and in path.Clean's form: no
+// empty, "." or ".." component and no trailing slash.
+func isClean(name string) bool {
+	if name == "/" {
+		return true
+	}
+	if name == "" || name[0] != '/' {
+		return false
+	}
+	for rest := name[1:]; ; {
+		comp, after, more := strings.Cut(rest, "/")
+		if comp == "" || comp == "." || comp == ".." {
+			return false
+		}
+		if !more {
+			return true
+		}
+		rest = after
+	}
+}
 
 // Stat loads the index file for name. Cost: one op. The returned index is a
 // deep copy: mutating it does not change the volume (a real MV re-reads the

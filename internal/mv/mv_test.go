@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"path"
 	"testing"
 	"testing/quick"
 	"time"
@@ -366,6 +367,27 @@ func TestPropertyVersionRing(t *testing.T) {
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: clean's fast path agrees with path.Clean("/"+s), on the edge
+// cases and on random strings over "ab./".
+func TestCleanMatchesPathClean(t *testing.T) {
+	for _, s := range []string{"", "/", "//", ".", "..", "/.", "/..", "a/", "/a/", "/./", "/a/./b", "/a/../b",
+		"a//b", "/bench/d0001/f000001.__v1", "//bench/d0001/f000001.__v1", "/.a/..b/..."} {
+		if got := clean(s); got != path.Clean("/"+s) {
+			t.Errorf("clean(%q) = %q, path.Clean gives %q", s, got, path.Clean("/"+s))
+		}
+	}
+	f := func(raw []uint8) bool {
+		b := make([]byte, len(raw)%16)
+		for i := range b {
+			b[i] = "ab./"[raw[i]%4]
+		}
+		return clean(string(b)) == path.Clean("/"+string(b))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
 		t.Fatal(err)
 	}
 }

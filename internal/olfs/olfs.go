@@ -181,9 +181,10 @@ type FS struct {
 	moverPending int
 	moverErr     error
 
-	obs    *obs.Registry
-	tracer *obs.Tracer
-	m      fsMetrics
+	obs     *obs.Registry
+	tracer  *obs.Tracer
+	m       fsMetrics
+	opNames map[string]string // op name -> "olfs.op." + name, built once
 }
 
 // fsMetrics caches the registry handles for OLFS's counters and the latency
@@ -296,6 +297,7 @@ func New(env *sim.Env, cfg Config, lib *rack.Library, mvBackend mv.Backend, buff
 		groupEpoch: make([]uint64, len(lib.Groups)),
 		unloading:  make([]bool, len(lib.Groups)),
 		fills:      make(map[image.ID]bool),
+		opNames:    make(map[string]string),
 	}
 	reg := cfg.Obs
 	if reg == nil {
@@ -392,10 +394,15 @@ func (fs *FS) dataOp(p *sim.Proc, name string, fn func() error) error {
 // timedOp is the body op and dataOp share: the span and the histogram.
 func (fs *FS) timedOp(p *sim.Proc, name string, fn func() error) error {
 	start := p.Now()
-	sp := obs.StartChild(p, "olfs.op."+name)
+	full, ok := fs.opNames[name]
+	if !ok {
+		full = "olfs.op." + name
+		fs.opNames[name] = full
+	}
+	sp := obs.StartChild(p, full)
 	err := fn()
 	sp.Fail(p, err)
-	fs.obs.Histogram("olfs.op."+name).ObserveSince(start, p.Now())
+	fs.obs.Histogram(full).ObserveSince(start, p.Now())
 	return err
 }
 

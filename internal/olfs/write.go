@@ -2,6 +2,7 @@ package olfs
 
 import (
 	"fmt"
+	"strconv"
 
 	"ros/internal/image"
 	"ros/internal/mv"
@@ -37,7 +38,7 @@ func internalName(path string, version int) string {
 	if version <= 1 {
 		return path
 	}
-	return fmt.Sprintf("%s.__v%d", path, version)
+	return path + ".__v" + strconv.Itoa(version)
 }
 
 // Create opens path for writing. Fig 7's write prologue: stat (lookup index

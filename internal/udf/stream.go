@@ -2,7 +2,6 @@ package udf
 
 import (
 	"fmt"
-	"strings"
 
 	"ros/internal/sim"
 )
@@ -30,58 +29,16 @@ type Writer struct {
 // file can be simply updated"). The entry block is allocated immediately so
 // the file is visible (size 0) from the start.
 func (v *Volume) CreateWriter(p *sim.Proc, name string) (*Writer, error) {
-	if v.finalized {
-		return nil, ErrFinalized
+	var pa parent
+	if err := v.openParent(p, name, &pa); err != nil {
+		return nil, err
 	}
-	parts, err := splitPath(name)
+	defer func() { v.putBlock(pa.data) }()
+	block, err := v.placeFile(p, &pa, &entry{typ: typeFile, name: pa.base}, name)
 	if err != nil {
 		return nil, err
 	}
-	if len(parts) == 0 {
-		return nil, ErrIsDir
-	}
-	dir := "/" + strings.Join(parts[:len(parts)-1], "/")
-	base := parts[len(parts)-1]
-	if err := v.MkdirAll(p, dir); err != nil {
-		return nil, err
-	}
-	dirBlock, dirEnt, err := v.lookup(p, dir)
-	if err != nil {
-		return nil, err
-	}
-	des, err := v.readDirents(p, dirEnt)
-	if err != nil {
-		return nil, err
-	}
-	for _, de := range des {
-		if de.name == base {
-			old, err := v.readEntry(p, de.block)
-			if err != nil {
-				return nil, err
-			}
-			if old.typ == typeDir {
-				return nil, fmt.Errorf("%w: %s", ErrIsDir, name)
-			}
-			// Reuse the entry block; the old extents are abandoned (the
-			// bucket is recycled wholesale, §4.3).
-			if err := v.writeEntry(p, de.block, &entry{typ: typeFile, name: base}); err != nil {
-				return nil, err
-			}
-			return &Writer{v: v, block: de.block, name: base}, nil
-		}
-	}
-	nb, err := v.alloc(1)
-	if err != nil {
-		return nil, err
-	}
-	if err := v.writeEntry(p, nb, &entry{typ: typeFile, name: base}); err != nil {
-		return nil, err
-	}
-	des = append(des, dirent{block: nb, name: base})
-	if err := v.rewriteDir(p, dirBlock, dirEnt, des); err != nil {
-		return nil, err
-	}
-	return &Writer{v: v, block: nb, name: base}, nil
+	return &Writer{v: v, block: block, name: pa.base}, nil
 }
 
 // Written returns the bytes accepted so far.
@@ -205,19 +162,19 @@ func (w *Writer) Close(p *sim.Proc) error {
 // once (so repeated ReadAts don't re-walk the directory tree).
 type Reader struct {
 	v *Volume
-	e *entry
+	e entry
 }
 
 // OpenReader resolves name and returns a random-access reader.
 func (v *Volume) OpenReader(p *sim.Proc, name string) (*Reader, error) {
-	_, e, err := v.lookup(p, name)
-	if err != nil {
+	r := &Reader{v: v}
+	if _, err := v.lookup(p, name, &r.e); err != nil {
 		return nil, err
 	}
-	if e.typ == typeDir {
+	if r.e.typ == typeDir {
 		return nil, fmt.Errorf("%w: %s", ErrIsDir, name)
 	}
-	return &Reader{v: v, e: e}, nil
+	return r, nil
 }
 
 // Size returns the file size.

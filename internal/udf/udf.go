@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 
@@ -151,10 +152,10 @@ type Volume struct {
 	// reserved counts blocks promised to writers' stashed partial tails
 	// (Writer.Write): allocatable to nobody else, but not yet used.
 	reserved uint32
-	// blocks is a free list of BlockSize scratch blocks for entry and
-	// descriptor I/O. Every call takes its own, because a backend access can
-	// yield to another process using the volume; blocks come back with
-	// unspecified contents.
+	// blocks is a free list of scratch buffers, at least BlockSize long, for
+	// entry and descriptor I/O and for a directory's records. Every call
+	// takes its own, because a backend access can yield to another process
+	// using the volume; buffers come back with unspecified contents.
 	blocks [][]byte
 }
 
@@ -163,7 +164,7 @@ func (v *Volume) getBlock() []byte {
 	if n := len(v.blocks); n > 0 {
 		b := v.blocks[n-1]
 		v.blocks = v.blocks[:n-1]
-		return b
+		return b[:BlockSize]
 	}
 	return make([]byte, BlockSize)
 }
@@ -212,6 +213,11 @@ func Open(p *sim.Proc, backend Backend) (*Volume, error) {
 	v.nextFree = binary.LittleEndian.Uint32(buf[12:])
 	v.rootEntry = binary.LittleEndian.Uint32(buf[16:])
 	v.finalized = buf[20] == 1
+	// Every block an entry names lies below nextFree (allocation is
+	// append-only), so bounding nextFree by the backend bounds them all.
+	if v.nextFree > v.totalBlocks || int64(v.nextFree)*BlockSize > backend.Size() {
+		return nil, fmt.Errorf("%w: %d blocks in use of %d", ErrCorrupt, v.nextFree, v.totalBlocks)
+	}
 	copy(v.imageID[:], buf[21:37])
 	ll := int(buf[37])
 	if 38+ll > BlockSize {
@@ -358,146 +364,165 @@ func (v *Volume) writeEntry(p *sim.Proc, block uint32, e *entry) error {
 	}
 }
 
-// readEntry loads a file-entry block (following continuation chains).
-func (v *Volume) readEntry(p *sim.Proc, block uint32) (*entry, error) {
-	e := &entry{}
-	first := true
+// readEntry decodes the file-entry block at block, following its
+// continuation chain, into e, reusing e's extent list. It leaves e.name
+// alone: no reader needs it, and a directory rewrite names the entry from
+// its path. Every length is bounded by the block or the blocks in use, so a
+// corrupt entry is ErrCorrupt, never a panic or an allocation it sized.
+func (v *Volume) readEntry(p *sim.Proc, block uint32, e *entry) error {
+	e.extents, e.target, e.next = e.extents[:0], "", 0
 	buf := v.getBlock()
 	defer v.putBlock(buf)
-	for {
+	for hops := uint32(0); ; hops++ {
+		if block >= v.nextFree || hops >= v.nextFree {
+			return fmt.Errorf("%w: entry block %d out of range or looping", ErrCorrupt, block)
+		}
 		if err := v.backend.ReadAt(p, buf, int64(block)*BlockSize); err != nil {
-			return nil, err
+			return err
 		}
 		if buf[0] != magicEntry {
-			return nil, fmt.Errorf("%w: bad entry magic at block %d", ErrCorrupt, block)
+			return fmt.Errorf("%w: bad entry magic at block %d", ErrCorrupt, block)
 		}
-		if first {
+		off := 20
+		if hops == 0 {
+			nameLen, targetLen := int(buf[2]), int(binary.LittleEndian.Uint16(buf[18:]))
 			e.typ = buf[1]
-			nameLen := int(buf[2])
 			e.size = int64(binary.LittleEndian.Uint64(buf[4:]))
-			targetLen := int(binary.LittleEndian.Uint16(buf[18:]))
-			off := 20
-			e.name = string(buf[off : off+nameLen])
-			off += nameLen
-			e.target = string(buf[off : off+targetLen])
+			if off += nameLen + targetLen; off > BlockSize || e.size < 0 || e.size > int64(v.nextFree)*BlockSize {
+				return fmt.Errorf("%w: bad name, target or size in entry block %d", ErrCorrupt, block)
+			}
+			e.target = string(buf[20+nameLen : off])
 		}
 		n := int(binary.LittleEndian.Uint16(buf[12:]))
-		next := binary.LittleEndian.Uint32(buf[14:])
-		off := 20
-		if first {
-			off += int(buf[2]) + int(binary.LittleEndian.Uint16(buf[18:]))
+		if off+8*n > BlockSize {
+			return fmt.Errorf("%w: %d extents overrun entry block %d", ErrCorrupt, n, block)
 		}
-		for i := 0; i < n; i++ {
-			e.extents = append(e.extents, extent{
-				start: binary.LittleEndian.Uint32(buf[off:]),
-				count: binary.LittleEndian.Uint32(buf[off+4:]),
-			})
+		for ; n > 0; n-- {
+			ext := extent{start: binary.LittleEndian.Uint32(buf[off:]), count: binary.LittleEndian.Uint32(buf[off+4:])}
+			if uint64(ext.start)+uint64(ext.count) > uint64(v.nextFree) {
+				return fmt.Errorf("%w: extent past the blocks in use in entry block %d", ErrCorrupt, block)
+			}
+			e.extents = append(e.extents, ext)
 			off += 8
 		}
+		next := binary.LittleEndian.Uint32(buf[14:])
 		if next == 0 {
-			return e, nil
+			return nil
 		}
-		if first {
+		if hops == 0 {
 			e.next = next
 		}
 		block = next
-		first = false
 	}
 }
 
-// splitPath cleans and splits an absolute path into components.
-func splitPath(name string) ([]string, error) {
-	name = path.Clean("/" + name)
-	if name == "/" {
-		return nil, nil
+// cleanPath returns path.Clean("/"+name), checking that no component is
+// longer than 255 bytes. A name that is already clean and absolute, as
+// every caller's is, comes back as it is, without allocating.
+func cleanPath(name string) (string, error) {
+	if !isClean(name) {
+		name = path.Clean("/" + name)
 	}
-	parts := strings.Split(name[1:], "/")
-	for _, c := range parts {
-		if len(c) > 255 {
-			return nil, ErrNameTooLong
+	for rest := name[1:]; rest != ""; {
+		var comp string
+		if comp, rest, _ = strings.Cut(rest, "/"); len(comp) > 255 {
+			return "", ErrNameTooLong
 		}
 	}
-	return parts, nil
+	return name, nil
 }
 
-// dirent is a directory record: child name -> entry block.
-type dirent struct {
-	block uint32
-	name  string
+// isClean reports whether name is absolute and in path.Clean's form: no
+// empty, "." or ".." component and no trailing slash.
+func isClean(name string) bool {
+	if name == "/" {
+		return true
+	}
+	if name == "" || name[0] != '/' {
+		return false
+	}
+	for rest := name[1:]; ; {
+		comp, after, more := strings.Cut(rest, "/")
+		if comp == "" || comp == "." || comp == ".." {
+			return false
+		}
+		if !more {
+			return true
+		}
+		rest = after
+	}
 }
 
-// readDirents decodes a directory's content.
-func (v *Volume) readDirents(p *sim.Proc, e *entry) ([]dirent, error) {
+// nextDirent decodes the directory record at data[off:]: the child's entry
+// block (uint32), its name (uint16 length, then the bytes; the result aliases
+// data) and the offset of the next record. Block 0 marks the end of the
+// records. Records are scanned in place; nothing decodes them into a list.
+func nextDirent(data []byte, off int) (block uint32, name []byte, next int, err error) {
+	if off+6 > len(data) {
+		return 0, nil, off, nil
+	}
+	if block = binary.LittleEndian.Uint32(data[off:]); block == 0 {
+		return 0, nil, off, nil // padding
+	}
+	next = off + 6 + int(binary.LittleEndian.Uint16(data[off+4:]))
+	if next > len(data) {
+		return 0, nil, off, fmt.Errorf("%w: truncated dirent", ErrCorrupt)
+	}
+	return block, data[off+6 : next], next, nil
+}
+
+// findDirent returns the entry block of the record named name (0 if there
+// is none) and, when there is none, where the records end.
+func findDirent(data []byte, name string) (block uint32, end int, err error) {
+	for off := 0; ; {
+		b, nm, next, err := nextDirent(data, off)
+		if err != nil || b == 0 {
+			return 0, off, err
+		}
+		if string(nm) == name {
+			return b, next, nil
+		}
+		off = next
+	}
+}
+
+// readDir reads directory e's records into a buffer from the volume's free
+// list. The caller puts the buffer back after its last use.
+func (v *Volume) readDir(p *sim.Proc, e *entry) ([]byte, error) {
 	if e.typ != typeDir {
 		return nil, ErrNotDir
 	}
-	data, err := v.readData(p, e)
-	if err != nil {
-		return nil, err
-	}
-	var des []dirent
-	for off := 0; off+6 <= len(data); {
-		block := binary.LittleEndian.Uint32(data[off:])
-		nl := int(binary.LittleEndian.Uint16(data[off+4:]))
-		off += 6
-		if block == 0 {
-			break // padding
-		}
-		if off+nl > len(data) {
-			return nil, fmt.Errorf("%w: truncated dirent", ErrCorrupt)
-		}
-		des = append(des, dirent{block: block, name: string(data[off : off+nl])})
-		off += nl
-	}
-	return des, nil
+	return v.readData(p, e, v.getBlock()[:0])
 }
 
-// encodeDirents serializes directory records.
-func encodeDirents(des []dirent) []byte {
-	n := 0
-	for _, de := range des {
-		n += 6 + len(de.name)
-	}
-	out := make([]byte, 0, n)
-	for _, de := range des {
-		out = binary.LittleEndian.AppendUint32(out, de.block)
-		out = binary.LittleEndian.AppendUint16(out, uint16(len(de.name)))
-		out = append(out, de.name...)
-	}
-	return out
-}
-
-// readData reads a file's full content by walking its extents.
-func (v *Volume) readData(p *sim.Proc, e *entry) ([]byte, error) {
-	out := make([]byte, 0, e.size)
+// readData appends the content of e to out, one backend read per extent.
+func (v *Volume) readData(p *sim.Proc, e *entry, out []byte) ([]byte, error) {
+	out = slices.Grow(out, int(e.size))
 	remaining := e.size
 	for _, ext := range e.extents {
-		n := int64(ext.count) * BlockSize
-		if n > remaining {
-			n = remaining
-		}
-		buf := make([]byte, n)
-		if err := v.backend.ReadAt(p, buf, int64(ext.start)*BlockSize); err != nil {
+		n := min(int64(ext.count)*BlockSize, remaining)
+		at := len(out)
+		out = out[:at+int(n)]
+		if err := v.backend.ReadAt(p, out[at:], int64(ext.start)*BlockSize); err != nil {
 			return nil, err
 		}
-		out = append(out, buf...)
-		remaining -= n
-		if remaining <= 0 {
+		if remaining -= n; remaining <= 0 {
 			break
 		}
 	}
 	return out, nil
 }
 
-// writeData allocates blocks for data and returns the extent list.
-func (v *Volume) writeData(p *sim.Proc, data []byte) ([]extent, error) {
+// writeData allocates blocks for data, writes it and appends its extent to
+// exts. A short final block is written zero-padded.
+func (v *Volume) writeData(p *sim.Proc, data []byte, exts []extent) ([]extent, error) {
 	if len(data) == 0 {
-		return nil, nil
+		return exts, nil
 	}
 	nblocks := uint32((int64(len(data)) + BlockSize - 1) / BlockSize)
 	start, err := v.alloc(nblocks)
 	if err != nil {
-		return nil, err
+		return exts, err
 	}
 	padded := data
 	if rem := len(data) % BlockSize; rem != 0 {
@@ -505,176 +530,193 @@ func (v *Volume) writeData(p *sim.Proc, data []byte) ([]extent, error) {
 		copy(padded, data)
 	}
 	if err := v.backend.WriteAt(p, padded, int64(start)*BlockSize); err != nil {
-		return nil, err
+		return exts, err
 	}
-	return []extent{{start: start, count: nblocks}}, nil
+	return append(exts, extent{start: start, count: nblocks}), nil
 }
 
-// lookup resolves a path to (entry block, entry). Returns ErrNotFound with
-// the deepest existing ancestor's block if the full path does not exist.
-func (v *Volume) lookup(p *sim.Proc, name string) (uint32, *entry, error) {
-	parts, err := splitPath(name)
+// lookup resolves name, decoding its entry into e, and returns the entry
+// block. Each directory on the way is decoded into e as well.
+func (v *Volume) lookup(p *sim.Proc, name string, e *entry) (uint32, error) {
+	name, err := cleanPath(name)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	block := v.rootEntry
-	e, err := v.readEntry(p, block)
-	if err != nil {
-		return 0, nil, err
+	if err := v.readEntry(p, block, e); err != nil {
+		return 0, err
 	}
-	for _, comp := range parts {
-		des, err := v.readDirents(p, e)
+	for rest := name[1:]; rest != ""; {
+		var comp string
+		comp, rest, _ = strings.Cut(rest, "/")
+		data, err := v.readDir(p, e)
 		if err != nil {
-			return 0, nil, err
+			return 0, err
 		}
-		found := uint32(0)
-		for _, de := range des {
-			if de.name == comp {
-				found = de.block
-				break
-			}
+		block, _, err = findDirent(data, comp)
+		v.putBlock(data)
+		if err != nil {
+			return 0, err
 		}
-		if found == 0 {
-			return 0, nil, fmt.Errorf("%w: %s", ErrNotFound, name)
+		if block == 0 {
+			return 0, fmt.Errorf("%w: %s", ErrNotFound, name)
 		}
-		block = found
-		if e, err = v.readEntry(p, block); err != nil {
-			return 0, nil, err
+		if err := v.readEntry(p, block, e); err != nil {
+			return 0, err
 		}
 	}
-	return block, e, nil
+	return block, nil
 }
 
 // MkdirAll creates the directory path and all missing ancestors — the
 // "unique file path" redundant-directory mechanism (§4.4).
 func (v *Volume) MkdirAll(p *sim.Proc, name string) error {
+	var pa parent
+	return v.mkdirAll(p, name, &pa)
+}
+
+// parent is a directory that gains an entry: the parent of a new file, as
+// openParent finds it, or each directory on a path mkdirAll walks.
+type parent struct {
+	block    uint32 // the directory's entry block
+	e        entry  // its entry, named for a rewrite
+	data     []byte // its records, in a buffer from the free list
+	base     string // the new file's name in it
+	existing uint32 // base's entry block, 0 if absent
+}
+
+// mkdirAll is MkdirAll, working in pa: each directory on the path is decoded
+// into pa.e and its records read into pa.data in turn. It leaves pa.e named
+// for the last one.
+func (v *Volume) mkdirAll(p *sim.Proc, name string, pa *parent) error {
 	if v.finalized {
 		return ErrFinalized
 	}
-	parts, err := splitPath(name)
+	name, err := cleanPath(name)
 	if err != nil {
 		return err
 	}
-	block := v.rootEntry
-	for _, comp := range parts {
-		e, err := v.readEntry(p, block)
+	pa.block, pa.e.name = v.rootEntry, "/"
+	for rest := name[1:]; rest != ""; {
+		var comp string
+		comp, rest, _ = strings.Cut(rest, "/")
+		if err := v.readEntry(p, pa.block, &pa.e); err != nil {
+			return err
+		}
+		if pa.data, err = v.readDir(p, &pa.e); err != nil {
+			return err
+		}
+		next, end, err := findDirent(pa.data, comp)
+		if err == nil && next == 0 {
+			pa.data = pa.data[:end]
+			next, err = v.addChild(p, pa, &entry{typ: typeDir, name: comp})
+		} else if err == nil {
+			if err = v.readEntry(p, next, &pa.e); err == nil && pa.e.typ != typeDir {
+				err = fmt.Errorf("%w: %s", ErrNotDir, comp)
+			}
+		}
+		v.putBlock(pa.data)
 		if err != nil {
 			return err
 		}
-		des, err := v.readDirents(p, e)
-		if err != nil {
-			return err
-		}
-		next := uint32(0)
-		for _, de := range des {
-			if de.name == comp {
-				next = de.block
-				break
-			}
-		}
-		if next == 0 {
-			nb, err := v.alloc(1)
-			if err != nil {
-				return err
-			}
-			if err := v.writeEntry(p, nb, &entry{typ: typeDir, name: comp}); err != nil {
-				return err
-			}
-			des = append(des, dirent{block: nb, name: comp})
-			if err := v.rewriteDir(p, block, e, des); err != nil {
-				return err
-			}
-			next = nb
-		} else {
-			ce, err := v.readEntry(p, next)
-			if err != nil {
-				return err
-			}
-			if ce.typ != typeDir {
-				return fmt.Errorf("%w: %s", ErrNotDir, comp)
-			}
-		}
-		block = next
+		pa.block, pa.e.name = next, comp
 	}
 	return v.flushDescriptor(p)
 }
 
-// rewriteDir replaces a directory's content with the encoded dirents.
-// Because allocation is append-only, the old content blocks are abandoned —
-// acceptable for a bucket (recycled wholesale) and impossible after
-// finalization anyway.
-func (v *Volume) rewriteDir(p *sim.Proc, block uint32, e *entry, des []dirent) error {
-	data := encodeDirents(des)
-	exts, err := v.writeData(p, data)
+// addChild allocates and writes child's entry block, then rewrites directory
+// pa with its records plus one for child, growing pa.data. The old content
+// blocks are abandoned: allocation is append-only, which suits a bucket
+// (recycled wholesale) and cannot arise after finalization. It returns the
+// child's block.
+func (v *Volume) addChild(p *sim.Proc, pa *parent, child *entry) (uint32, error) {
+	cb, err := v.alloc(1)
+	if err != nil {
+		return 0, err
+	}
+	if err := v.writeEntry(p, cb, child); err != nil {
+		return 0, err
+	}
+	pa.data = binary.LittleEndian.AppendUint32(pa.data, cb)
+	pa.data = binary.LittleEndian.AppendUint16(pa.data, uint16(len(child.name)))
+	pa.data = append(pa.data, child.name...)
+	pa.e.size = int64(len(pa.data))
+	// Pad here, in the buffer, so writeData writes the records from it.
+	if rem := len(pa.data) % BlockSize; rem != 0 {
+		pa.data = append(pa.data, make([]byte, BlockSize-rem)...)
+	}
+	if pa.e.extents, err = v.writeData(p, pa.data, pa.e.extents[:0]); err != nil {
+		return 0, err
+	}
+	return cb, v.writeEntry(p, pa.block, &pa.e)
+}
+
+// placeFile writes file entry fe for pa.base: over base's entry block if it
+// exists (its old extents are abandoned; the bucket is recycled wholesale,
+// §4.3), else in a new block added to pa. It returns the entry block.
+func (v *Volume) placeFile(p *sim.Proc, pa *parent, fe *entry, name string) (uint32, error) {
+	if pa.existing == 0 {
+		return v.addChild(p, pa, fe)
+	}
+	if err := v.readEntry(p, pa.existing, &pa.e); err != nil {
+		return 0, err
+	}
+	if pa.e.typ == typeDir {
+		return 0, fmt.Errorf("%w: %s", ErrIsDir, name)
+	}
+	return pa.existing, v.writeEntry(p, pa.existing, fe)
+}
+
+// openParent creates the parent directories of name, looks the parent up
+// and finds name's base in its records. Unless it fails, the caller puts
+// pa.data back.
+func (v *Volume) openParent(p *sim.Proc, name string, pa *parent) error {
+	if v.finalized {
+		return ErrFinalized
+	}
+	name, err := cleanPath(name)
 	if err != nil {
 		return err
 	}
-	e.extents = exts
-	e.size = int64(len(data))
-	return v.writeEntry(p, block, e)
+	if name == "/" {
+		return ErrIsDir
+	}
+	i := strings.LastIndexByte(name, '/')
+	dir := name[:max(i, 1)]
+	if err := v.mkdirAll(p, dir, pa); err != nil {
+		return err
+	}
+	pa.base = name[i+1:]
+	if pa.block, err = v.lookup(p, dir, &pa.e); err != nil {
+		return err
+	}
+	if pa.data, err = v.readDir(p, &pa.e); err != nil {
+		return err
+	}
+	var end int
+	if pa.existing, end, err = findDirent(pa.data, pa.base); err != nil {
+		v.putBlock(pa.data)
+		return err
+	}
+	pa.data = pa.data[:end]
+	return nil
 }
 
 // WriteFile creates or replaces the file at name with data, creating parent
 // directories as needed. Replacement is how bucket-resident files are
 // updated (§4.6).
 func (v *Volume) WriteFile(p *sim.Proc, name string, data []byte) error {
-	if v.finalized {
-		return ErrFinalized
-	}
-	parts, err := splitPath(name)
-	if err != nil {
+	var pa parent
+	if err := v.openParent(p, name, &pa); err != nil {
 		return err
 	}
-	if len(parts) == 0 {
-		return ErrIsDir
-	}
-	dir := "/" + strings.Join(parts[:len(parts)-1], "/")
-	base := parts[len(parts)-1]
-	if err := v.MkdirAll(p, dir); err != nil {
+	defer func() { v.putBlock(pa.data) }()
+	fe := entry{typ: typeFile, name: pa.base, size: int64(len(data))}
+	var err error
+	if fe.extents, err = v.writeData(p, data, nil); err != nil {
 		return err
 	}
-	dirBlock, dirEnt, err := v.lookup(p, dir)
-	if err != nil {
-		return err
-	}
-	des, err := v.readDirents(p, dirEnt)
-	if err != nil {
-		return err
-	}
-	exts, err := v.writeData(p, data)
-	if err != nil {
-		return err
-	}
-	fe := &entry{typ: typeFile, name: base, size: int64(len(data)), extents: exts}
-	existing := uint32(0)
-	for _, de := range des {
-		if de.name == base {
-			existing = de.block
-			break
-		}
-	}
-	if existing != 0 {
-		old, err := v.readEntry(p, existing)
-		if err != nil {
-			return err
-		}
-		if old.typ == typeDir {
-			return fmt.Errorf("%w: %s", ErrIsDir, name)
-		}
-		if err := v.writeEntry(p, existing, fe); err != nil {
-			return err
-		}
-		return v.flushDescriptor(p)
-	}
-	nb, err := v.alloc(1)
-	if err != nil {
-		return err
-	}
-	if err := v.writeEntry(p, nb, fe); err != nil {
-		return err
-	}
-	des = append(des, dirent{block: nb, name: base})
-	if err := v.rewriteDir(p, dirBlock, dirEnt, des); err != nil {
+	if _, err = v.placeFile(p, &pa, &fe, name); err != nil {
 		return err
 	}
 	return v.flushDescriptor(p)
@@ -684,43 +726,15 @@ func (v *Volume) WriteFile(p *sim.Proc, name string, data []byte) error {
 // used on the continuation image of a split file to reference the first
 // subfile (§4.5).
 func (v *Volume) WriteLink(p *sim.Proc, name, target string) error {
-	if v.finalized {
-		return ErrFinalized
-	}
-	parts, err := splitPath(name)
-	if err != nil {
+	var pa parent
+	if err := v.openParent(p, name, &pa); err != nil {
 		return err
 	}
-	if len(parts) == 0 {
-		return ErrIsDir
+	defer func() { v.putBlock(pa.data) }()
+	if pa.existing != 0 {
+		return fmt.Errorf("%w: %s", ErrExist, name)
 	}
-	dir := "/" + strings.Join(parts[:len(parts)-1], "/")
-	base := parts[len(parts)-1]
-	if err := v.MkdirAll(p, dir); err != nil {
-		return err
-	}
-	dirBlock, dirEnt, err := v.lookup(p, dir)
-	if err != nil {
-		return err
-	}
-	des, err := v.readDirents(p, dirEnt)
-	if err != nil {
-		return err
-	}
-	for _, de := range des {
-		if de.name == base {
-			return fmt.Errorf("%w: %s", ErrExist, name)
-		}
-	}
-	nb, err := v.alloc(1)
-	if err != nil {
-		return err
-	}
-	if err := v.writeEntry(p, nb, &entry{typ: typeLink, name: base, target: target}); err != nil {
-		return err
-	}
-	des = append(des, dirent{block: nb, name: base})
-	if err := v.rewriteDir(p, dirBlock, dirEnt, des); err != nil {
+	if _, err := v.addChild(p, &pa, &entry{typ: typeLink, name: pa.base, target: target}); err != nil {
 		return err
 	}
 	return v.flushDescriptor(p)
@@ -728,14 +742,14 @@ func (v *Volume) WriteLink(p *sim.Proc, name, target string) error {
 
 // ReadFile returns the content of the file at name.
 func (v *Volume) ReadFile(p *sim.Proc, name string) ([]byte, error) {
-	_, e, err := v.lookup(p, name)
-	if err != nil {
+	var e entry
+	if _, err := v.lookup(p, name, &e); err != nil {
 		return nil, err
 	}
 	if e.typ == typeDir {
 		return nil, fmt.Errorf("%w: %s", ErrIsDir, name)
 	}
-	return v.readData(p, e)
+	return v.readData(p, &e, make([]byte, 0, e.size))
 }
 
 // ReadFileAt reads up to len(buf) bytes of the file at offset off, returning
@@ -753,12 +767,13 @@ func (v *Volume) ReadFileAt(p *sim.Proc, name string, buf []byte, off int64) (in
 
 // Stat describes the entry at name.
 func (v *Volume) Stat(p *sim.Proc, name string) (Info, error) {
-	_, e, err := v.lookup(p, name)
-	if err != nil {
+	var e entry
+	if _, err := v.lookup(p, name, &e); err != nil {
 		return Info{}, err
 	}
+	clean, _ := cleanPath(name)
 	return Info{
-		Path:       path.Clean("/" + name),
+		Path:       clean,
 		IsDir:      e.typ == typeDir,
 		IsLink:     e.typ == typeLink,
 		Size:       e.size,
@@ -766,28 +781,43 @@ func (v *Volume) Stat(p *sim.Proc, name string) (Info, error) {
 	}, nil
 }
 
+// children reads directory e's records and, for each in turn, decodes the
+// child's entry into e and calls fn with the child's name and entry block.
+// The name aliases the records buffer, which is put back on return.
+func (v *Volume) children(p *sim.Proc, e *entry, fn func(name []byte, block uint32) error) error {
+	data, err := v.readDir(p, e)
+	if err != nil {
+		return err
+	}
+	defer v.putBlock(data)
+	for off := 0; ; {
+		block, name, next, err := nextDirent(data, off)
+		if err != nil || block == 0 {
+			return err
+		}
+		off = next
+		if err := v.readEntry(p, block, e); err != nil {
+			return err
+		}
+		if err := fn(name, block); err != nil {
+			return err
+		}
+	}
+}
+
 // ReadDir lists the directory at name, sorted by entry name.
 func (v *Volume) ReadDir(p *sim.Proc, name string) ([]DirEntry, error) {
-	_, e, err := v.lookup(p, name)
-	if err != nil {
+	var e entry
+	if _, err := v.lookup(p, name, &e); err != nil {
 		return nil, err
 	}
-	des, err := v.readDirents(p, e)
+	var out []DirEntry
+	err := v.children(p, &e, func(name []byte, _ uint32) error {
+		out = append(out, DirEntry{Name: string(name), IsDir: e.typ == typeDir, Size: e.size, LinkTarget: e.target})
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	out := make([]DirEntry, 0, len(des))
-	for _, de := range des {
-		ce, err := v.readEntry(p, de.block)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, DirEntry{
-			Name:       de.name,
-			IsDir:      ce.typ == typeDir,
-			Size:       ce.size,
-			LinkTarget: ce.target,
-		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
@@ -796,42 +826,36 @@ func (v *Volume) ReadDir(p *sim.Proc, name string) ([]DirEntry, error) {
 // Walk visits every entry in the volume depth-first, calling fn with the
 // absolute path and info. It is the basis of disc-level recovery (§4.4: "all
 // or partial data can be reconstructed by scanning all survived discs").
+// A directory reached a second time (a corrupt record pointing back up the
+// tree) is ErrCorrupt, not a loop.
 func (v *Volume) Walk(p *sim.Proc, fn func(info Info) error) error {
-	return v.walk(p, v.rootEntry, "/", fn)
+	return v.walk(p, v.rootEntry, "/", map[uint32]bool{v.rootEntry: true}, fn)
 }
 
-func (v *Volume) walk(p *sim.Proc, block uint32, dir string, fn func(info Info) error) error {
-	e, err := v.readEntry(p, block)
-	if err != nil {
+// walk visits the directory at block; seen holds every directory block
+// visited so far.
+func (v *Volume) walk(p *sim.Proc, block uint32, dir string, seen map[uint32]bool, fn func(info Info) error) error {
+	var e entry
+	if err := v.readEntry(p, block, &e); err != nil {
 		return err
 	}
-	des, err := v.readDirents(p, e)
-	if err != nil {
-		return err
-	}
-	for _, de := range des {
-		ce, err := v.readEntry(p, de.block)
-		if err != nil {
-			return err
-		}
-		full := path.Join(dir, de.name)
+	return v.children(p, &e, func(name []byte, child uint32) error {
 		info := Info{
-			Path:       full,
-			IsDir:      ce.typ == typeDir,
-			IsLink:     ce.typ == typeLink,
-			Size:       ce.size,
-			LinkTarget: ce.target,
+			Path:       path.Join(dir, string(name)),
+			IsDir:      e.typ == typeDir,
+			IsLink:     e.typ == typeLink,
+			Size:       e.size,
+			LinkTarget: e.target,
 		}
-		if err := fn(info); err != nil {
+		if err := fn(info); err != nil || !info.IsDir {
 			return err
 		}
-		if ce.typ == typeDir {
-			if err := v.walk(p, de.block, full, fn); err != nil {
-				return err
-			}
+		if seen[child] {
+			return fmt.Errorf("%w: %s is directory block %d, reached before", ErrCorrupt, info.Path, child)
 		}
-	}
-	return nil
+		seen[child] = true
+		return v.walk(p, child, info.Path, seen, fn)
+	})
 }
 
 // FitBytes returns the volume space a file of the given size and path needs:
