@@ -239,8 +239,8 @@ func BenchmarkSimSleep12Interleaved(b *testing.B) {
 	env.Run()
 }
 
-// BenchmarkSimSpawnFinish is one leg of a raid.parallel fan-out: spawn a
-// child, wait for its Completion, let it finish.
+// BenchmarkSimSpawnFinish is a child started with Go: spawn it, wait for
+// its Completion, let it finish.
 func BenchmarkSimSpawnFinish(b *testing.B) {
 	env := sim.NewEnv()
 	defer env.Close()
@@ -249,6 +249,22 @@ func BenchmarkSimSpawnFinish(b *testing.B) {
 			c := sim.NewCompletion[struct{}](env)
 			env.Go("child", func(cp *sim.Proc) { c.Resolve(struct{}{}, nil) })
 			c.Wait(p)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.Run()
+}
+
+// BenchmarkSimFork5 is one RAID-5 member fan-out's engine cost: a 5-way
+// Proc.Fork and join, its record and children reused from the last one.
+func BenchmarkSimFork5(b *testing.B) {
+	env := sim.NewEnv()
+	defer env.Close()
+	leg := func(sp *sim.Proc, i int) error { return nil }
+	env.Go("parent", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Fork("leg", 5, leg)
 		}
 	})
 	b.ReportAllocs()

@@ -65,12 +65,12 @@ func startCrew(p *sim.Proc, name string, backends []Backend, gate Gate) *stripCr
 			rp.SetTraceContext(tctx)
 			defer rp.SetTraceContext(nil)
 			sp := obs.StartChild(rp, "image.strip_reader")
-			sp.Annotate("col", fmt.Sprintf("%d", i))
+			sp.AnnotateInt("col", int64(i))
 			read := int64(0)
 			for {
 				j, ok := col.jobs.Pop(rp)
 				if !ok {
-					sp.Annotate("bytes", fmt.Sprintf("%d", read))
+					sp.AnnotateInt("bytes", read)
 					sp.End(rp)
 					return
 				}

@@ -236,8 +236,11 @@ func (v *Volume) Lookup(name string) (*Index, bool) {
 	return ix.Clone(), true
 }
 
-// Exists reports presence without charging (internal planning helper).
-func (v *Volume) Exists(name string) bool {
+// Exists reports whether name has an index file. Cost: one op, the Stat it
+// stands for when a caller needs only presence; it copies nothing and, on a
+// miss, builds no error.
+func (v *Volume) Exists(p *sim.Proc, name string) bool {
+	v.charge(p)
 	_, ok := v.nodes[clean(name)]
 	return ok
 }

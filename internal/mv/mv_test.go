@@ -172,7 +172,7 @@ func TestReadDirAndRemove(t *testing.T) {
 		if err := v.Remove(p, "/d/sub"); err != nil {
 			t.Fatalf("remove empty dir: %v", err)
 		}
-		if v.Exists("/d/sub") {
+		if v.Exists(p, "/d/sub") {
 			t.Error("removed dir still exists")
 		}
 	})

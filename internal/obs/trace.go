@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -79,6 +80,14 @@ type TraceSpan struct {
 func (s *TraceSpan) Annotate(key, value string) {
 	if s != nil {
 		s.Annots = append(s.Annots, Annotation{Key: key, Value: value})
+	}
+}
+
+// AnnotateInt attaches key=v in decimal. Nil-safe, and it formats v only for
+// a live span, so an untraced request pays nothing for it.
+func (s *TraceSpan) AnnotateInt(key string, v int64) {
+	if s != nil {
+		s.Annotate(key, strconv.FormatInt(v, 10))
 	}
 }
 
@@ -286,6 +295,14 @@ func (t *Tracer) StartOp(p *sim.Proc, name, class string) *Op {
 func (o *Op) Annotate(key, value string) {
 	if o != nil {
 		o.sp.Annotate(key, value)
+	}
+}
+
+// AnnotateInt attaches key=v in decimal to the op's span. Nil-safe; it
+// formats v only for a live span.
+func (o *Op) AnnotateInt(key string, v int64) {
+	if o != nil {
+		o.sp.AnnotateInt(key, v)
 	}
 }
 

@@ -99,6 +99,7 @@ func TestTraceNilSafety(t *testing.T) {
 			t.Error("disabled tracer StartOp should return nil")
 		}
 		op.Annotate("k", "v")
+		op.AnnotateInt("n", 1)
 		op.Retry()
 		if op.Trace() != nil {
 			t.Error("nil op Trace() should be nil")
@@ -110,6 +111,9 @@ func TestTraceNilSafety(t *testing.T) {
 			t.Error("StartChild without an active trace should return nil")
 		}
 		sp.Annotate("k", "v")
+		if n := testing.AllocsPerRun(100, func() { sp.AnnotateInt("n", 1<<40) }); n != 0 {
+			t.Errorf("AnnotateInt on a nil span allocates %v times", n)
+		}
 		sp.End(p)
 		sp.Fail(p, errors.New("boom"))
 	})
@@ -239,7 +243,7 @@ func TestPerfettoJSONShape(t *testing.T) {
 	tr := traceBed(t, TracerConfig{}, func(p *sim.Proc, tr *Tracer) {
 		op := tr.StartOp(p, "olfs.read", "interactive")
 		sp := StartChild(p, "optical.read")
-		sp.Annotate("bytes", "4096")
+		sp.AnnotateInt("bytes", 4096)
 		p.Sleep(time.Second)
 		sp.End(p)
 		op.Finish(p, nil)

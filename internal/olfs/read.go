@@ -227,7 +227,7 @@ func (fr *fileReader) readSegsParallel(p *sim.Proc, buf []byte, segs []partSeg) 
 			sem.Acquire(cp)
 			defer sem.Release()
 			sp := obs.StartChild(cp, "olfs.read.part")
-			sp.Annotate("part", fmt.Sprintf("%d", s.part))
+			sp.AnnotateInt("part", int64(s.part))
 			n, err := fr.readSeg(cp, buf, s)
 			sp.Fail(cp, err)
 			c.Resolve(segRes{n: n, err: err}, nil)

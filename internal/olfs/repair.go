@@ -117,7 +117,7 @@ func (fs *FS) ScrubTray(p *sim.Proc, tray rack.TrayID) (rep ScrubReport, err err
 		parity = backends[dataN : dataN+fs.cfg.ParityDiscs]
 	}
 	vsp := obs.StartChild(p, "optical.verify")
-	vsp.Annotate("bytes", fmt.Sprintf("%d", length))
+	vsp.AnnotateInt("bytes", length)
 	if ferr := faultinject.Check(p, faultinject.PointOpticalVerify, tray.String()); ferr != nil {
 		vsp.Fail(p, ferr)
 		return rep, ferr
@@ -128,7 +128,7 @@ func (fs *FS) ScrubTray(p *sim.Proc, tray rack.TrayID) (rep ScrubReport, err err
 		vsp.Fail(p, err)
 		return rep, err
 	}
-	vsp.Annotate("bad_strips", fmt.Sprintf("%d", len(bad)))
+	vsp.AnnotateInt("bad_strips", int64(len(bad)))
 	vsp.End(p)
 	rep.Checked = length
 	rep.BadStrips = bad

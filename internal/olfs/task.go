@@ -113,7 +113,7 @@ func (fs *FS) runBurnTask(p *sim.Proc, t *burnTask) {
 	// (interrupt resume, hard-fail retry) are marked as retried so tail
 	// sampling always captures them.
 	op := fs.tracer.StartOp(p, "olfs.burn", "burn")
-	op.Annotate("images", fmt.Sprintf("%d", len(t.images)))
+	op.AnnotateInt("images", int64(len(t.images)))
 	if t.resumed {
 		// This run continues an interrupted burn in append mode. Clear the
 		// flag now: if this run hard-fails, the retry restarts from scratch

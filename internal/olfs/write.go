@@ -56,8 +56,7 @@ func (fs *FS) CreateFileClass(p *sim.Proc, path string, cl writepath.Class) (*fi
 	}
 	var exists bool
 	_ = fs.op(p, "stat", func() error {
-		_, err := fs.MV.Stat(p, path)
-		exists = err == nil
+		exists = fs.MV.Exists(p, path)
 		return nil
 	})
 	if !exists {
@@ -254,7 +253,7 @@ func (fs *FS) WriteFile(p *sim.Proc, path string, data []byte) error {
 func (fs *FS) WriteFileClass(p *sim.Proc, path string, data []byte, cl writepath.Class) (err error) {
 	op := fs.tracer.StartOp(p, "olfs.write", cl.String())
 	op.Annotate("path", path)
-	op.Annotate("bytes", fmt.Sprintf("%d", len(data)))
+	op.AnnotateInt("bytes", int64(len(data)))
 	defer func() { op.Finish(p, err) }()
 	fw, err := fs.CreateFileClass(p, path, cl)
 	if err != nil {

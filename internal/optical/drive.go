@@ -426,8 +426,8 @@ func (dr *Drive) Burn(p *sim.Proc, src BurnSource, opts BurnOptions) (rep BurnRe
 	sp := obs.StartChild(p, "optical.burn")
 	sp.Annotate("drive", dr.ID)
 	defer func() {
-		sp.Annotate("logical", fmt.Sprintf("%d", rep.LogicalBytes))
-		sp.Annotate("payload", fmt.Sprintf("%d", rep.PayloadBytes))
+		sp.AnnotateInt("logical", rep.LogicalBytes)
+		sp.AnnotateInt("payload", rep.PayloadBytes)
 		if rep.Interrupted {
 			sp.Annotate("interrupted", "true")
 		}
@@ -596,7 +596,7 @@ func (dr *Drive) read(p *sim.Proc, off, n int64, move func(*Disc) error) error {
 	defer func() { dr.state = prev }()
 	sp := obs.StartChild(p, "optical.read")
 	sp.Annotate("drive", dr.ID)
-	sp.Annotate("bytes", fmt.Sprintf("%d", n))
+	sp.AnnotateInt("bytes", n)
 	t := time.Duration(0)
 	if off != dr.head {
 		dist := off - dr.head

@@ -279,7 +279,7 @@ func (lib *Library) exec(p *sim.Proc, ctl *plc.Controller, cmd plc.Command) erro
 		sp = lib.obs.StartSpan("rack.arm.move.latency")
 		tsp = obs.StartChild(p, "rack.arm_move")
 		if cmd.Op == plc.OpArm && len(cmd.Args) > 0 {
-			tsp.Annotate("layer", fmt.Sprintf("%d", cmd.Args[0]))
+			tsp.AnnotateInt("layer", int64(cmd.Args[0]))
 		} else if cmd.Op == plc.OpArmTop {
 			tsp.Annotate("layer", "top")
 		}
@@ -314,7 +314,7 @@ func (lib *Library) LoadArray(p *sim.Proc, id TrayID, gi int) (err error) {
 	sp := lib.obs.StartSpan("rack.load.latency")
 	tsp := obs.StartChild(p, "rack.tray_load")
 	tsp.Annotate("tray", id.String())
-	tsp.Annotate("group", fmt.Sprintf("%d", gi))
+	tsp.AnnotateInt("group", int64(gi))
 	defer func() {
 		if err != nil {
 			sp.Cancel() // failed composites don't pollute the latency distribution
@@ -419,7 +419,7 @@ func (lib *Library) UnloadArray(p *sim.Proc, gi int, into *TrayID) (err error) {
 	sp := lib.obs.StartSpan("rack.unload.latency")
 	tsp := obs.StartChild(p, "rack.tray_unload")
 	tsp.Annotate("tray", dest.String())
-	tsp.Annotate("group", fmt.Sprintf("%d", gi))
+	tsp.AnnotateInt("group", int64(gi))
 	defer func() {
 		if err != nil {
 			sp.Cancel()

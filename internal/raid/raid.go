@@ -68,6 +68,8 @@ type Array struct {
 	// as the I/O that used it is done.
 	chunks  bufList // stripeUnit bytes each
 	stripes bufList // stripeUnit * dataPerStripe bytes each
+
+	fanouts []*fanout // member-request tables not in use
 }
 
 // bufList is a free list of equally sized scratch buffers. Exactly one
@@ -88,6 +90,118 @@ func (l *bufList) get() []byte {
 }
 
 func (l *bufList) put(b []byte) { l.free = append(l.free, b) }
+
+// memberOp is what one request of a fan-out does.
+type memberOp uint8
+
+const (
+	opRead          memberOp = iota // dev.ReadAt(buf, off)
+	opWrite                         // dev.WriteAt(buf, off)
+	opAdopt                         // dev.Adopt(off, pieces)
+	opReadChunk                     // readChunk(stripe, col, buf, off): a data chunk read that reconstructs
+	opFullStripe                    // writeFullStripe(stripe, pieces, lent), a fan-out of its own
+	opPartialStripe                 // writePartialStripe(stripe, off, buf), a fan-out of its own
+)
+
+// memberIO is one request of a fan-out, held by value: an I/O on one member,
+// or a whole- or part-stripe write that fans out to the members in turn.
+type memberIO struct {
+	op     memberOp
+	lent   bool // opFullStripe: pieces are lent by a chunk store
+	owned  bool // opPartialStripe: buf is stripe scratch, put back when done
+	col    int
+	stripe int64
+	off    int64 // device offset; opReadChunk: offset in the chunk; opPartialStripe: offset in the stripe
+	dev    blockdev.Device
+	buf    []byte
+	pieces [][]byte
+	err    error // what the request returned
+}
+
+// fanout is a table of member requests that one sim.Proc.Fork runs
+// concurrently, request i on child i. Tables come from the array's free list,
+// like its buffers, so a fan-out allocates nothing once the list has grown to
+// the peak number in flight.
+type fanout struct {
+	a      *Array
+	reqs   []memberIO
+	pieces [][]byte                        // the full stripes' columns of one write, back to back
+	run    func(sp *sim.Proc, i int) error // do, bound once
+}
+
+func (a *Array) fanout() *fanout {
+	if n := len(a.fanouts); n > 0 {
+		f := a.fanouts[n-1]
+		a.fanouts = a.fanouts[:n-1]
+		return f
+	}
+	f := &fanout{a: a}
+	f.run = f.do
+	return f
+}
+
+func (f *fanout) add(r memberIO) { f.reqs = append(f.reqs, r) }
+
+// wait runs every request and returns the error of the lowest-index one that
+// failed; each request's own error stays in its err.
+func (f *fanout) wait(p *sim.Proc) error { return p.Fork("raid-io", len(f.reqs), f.run) }
+
+// reset empties the table for another fan-out.
+func (f *fanout) reset() {
+	clear(f.reqs)
+	f.reqs = f.reqs[:0]
+}
+
+// release empties the table and puts it back on the array's list. Nothing it
+// referenced stays reachable from it.
+func (f *fanout) release() {
+	f.reset()
+	clear(f.pieces)
+	f.pieces = f.pieces[:0]
+	f.a.fanouts = append(f.a.fanouts, f)
+}
+
+// do runs request i on sp.
+func (f *fanout) do(sp *sim.Proc, i int) error {
+	a, r := f.a, &f.reqs[i]
+	switch r.op {
+	case opRead:
+		r.err = r.dev.ReadAt(sp, r.buf, r.off)
+	case opWrite:
+		r.err = r.dev.WriteAt(sp, r.buf, r.off)
+	case opAdopt:
+		r.err = r.dev.Adopt(sp, r.off, r.pieces)
+	case opReadChunk:
+		r.err = a.readChunk(sp, r.stripe, r.col, r.buf, r.off)
+	case opFullStripe:
+		r.err = a.writeFullStripe(sp, r.stripe, r.pieces, r.lent)
+	case opPartialStripe:
+		r.err = a.writePartialStripe(sp, r.stripe, r.off, r.buf)
+		if r.owned {
+			a.stripes.put(r.buf[:cap(r.buf)])
+		}
+	}
+	return r.err
+}
+
+// addChunks adds one request per data chunk that [off, off+len(buf)) touches,
+// for that chunk's piece of buf: opReadChunk, or for RAID-0, opWrite to the
+// chunk's member.
+func (f *fanout) addChunks(op memberOp, buf []byte, off int64) {
+	a := f.a
+	su := int64(a.stripeUnit)
+	for n := 0; n < len(buf); {
+		co := (off + int64(n)) % su
+		run := int(min(su-co, int64(len(buf)-n)))
+		stripe, col := a.chunkLoc((off + int64(n)) / su)
+		r := memberIO{op: op, stripe: stripe, col: col, off: co, buf: buf[n : n+run]}
+		if op == opWrite {
+			r.dev, r.off = a.devs[a.dataDev(stripe, col)], stripe*su+co
+		}
+		f.add(r)
+		n += run
+	}
+}
 
 // New assembles an array. stripeUnit is the per-device chunk size (ignored
 // for RAID-1); 64 KB if zero.
@@ -188,31 +302,6 @@ func (a *Array) chunkLoc(chunk int64) (stripe int64, col int) {
 	return chunk / k, int(chunk % k)
 }
 
-// parallel runs the fns as concurrent simulation processes and waits for all
-// of them, returning the first error.
-func parallel(p *sim.Proc, fns ...func(sp *sim.Proc) error) error {
-	if len(fns) == 1 {
-		return fns[0](p)
-	}
-	env := p.Env()
-	comps := make([]*sim.Completion[struct{}], len(fns))
-	for i, fn := range fns {
-		fn := fn
-		comps[i] = sim.NewCompletion[struct{}](env)
-		c := comps[i]
-		env.Go("raid-io", func(sp *sim.Proc) {
-			c.Resolve(struct{}{}, fn(sp))
-		})
-	}
-	var first error
-	for _, c := range comps {
-		if _, err := c.Wait(p); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // ReadAt reads len(buf) bytes at logical offset off, reconstructing through
 // parity when member devices have failed.
 func (a *Array) ReadAt(p *sim.Proc, buf []byte, off int64) error {
@@ -222,24 +311,10 @@ func (a *Array) ReadAt(p *sim.Proc, buf []byte, off int64) error {
 	if a.level == RAID1 {
 		return a.readMirror(p, buf, off)
 	}
-	su := int64(a.stripeUnit)
-	var jobs []func(sp *sim.Proc) error
-	for n := 0; n < len(buf); {
-		chunk := (off + int64(n)) / su
-		co := (off + int64(n)) % su
-		run := int(su - co)
-		if run > len(buf)-n {
-			run = len(buf) - n
-		}
-		stripe, col := a.chunkLoc(chunk)
-		dst := buf[n : n+run]
-		coff := co
-		jobs = append(jobs, func(sp *sim.Proc) error {
-			return a.readChunk(sp, stripe, col, dst, coff)
-		})
-		n += run
-	}
-	return parallel(p, jobs...)
+	f := a.fanout()
+	defer f.release()
+	f.addChunks(opReadChunk, buf, off)
+	return f.wait(p)
 }
 
 // readChunk reads part of one data chunk, falling back to reconstruction.
@@ -305,35 +380,16 @@ func (a *Array) write(p *sim.Proc, buf []byte, s *chunk.Store, off, n int64) err
 		buf = make([]byte, n)
 		s.ReadAt(buf, off)
 	}
+	f := a.fanout()
+	defer f.release()
 	if a.level == RAID0 {
-		return a.writeStriped(p, buf, off)
-	}
-	jobs := make([]func(sp *sim.Proc) error, len(a.devs))
-	for i, d := range a.devs {
-		jobs[i] = func(sp *sim.Proc) error { return d.WriteAt(sp, buf, off) }
-	}
-	return parallel(p, jobs...)
-}
-
-// writeStriped handles RAID-0.
-func (a *Array) writeStriped(p *sim.Proc, buf []byte, off int64) error {
-	su := int64(a.stripeUnit)
-	var jobs []func(sp *sim.Proc) error
-	for n := 0; n < len(buf); {
-		chunk := (off + int64(n)) / su
-		co := (off + int64(n)) % su
-		run := int(su - co)
-		if run > len(buf)-n {
-			run = len(buf) - n
+		f.addChunks(opWrite, buf, off)
+	} else {
+		for _, d := range a.devs {
+			f.add(memberIO{op: opWrite, dev: d, buf: buf, off: off})
 		}
-		stripe, col := a.chunkLoc(chunk)
-		dev := a.devs[a.dataDev(stripe, col)]
-		src := buf[n : n+run]
-		doff := stripe*su + co
-		jobs = append(jobs, func(sp *sim.Proc) error { return dev.WriteAt(sp, src, doff) })
-		n += run
 	}
-	return parallel(p, jobs...)
+	return f.wait(p)
 }
 
 // writeParity handles RAID-5/6 writes of [off, off+n) from buf or s stripe
@@ -345,38 +401,34 @@ func (a *Array) writeParity(p *sim.Proc, buf []byte, s *chunk.Store, off, n int6
 	su := int64(a.stripeUnit)
 	k := int64(a.dataPerStripe())
 	stripeBytes := su * k
-	var jobs []func(sp *sim.Proc) error
-	var pieces [][]byte // the full stripes' columns, back to back
+	f := a.fanout()
+	defer f.release()
 	for pos := int64(0); pos < n; {
 		loff := off + pos
 		stripe, so := loff/stripeBytes, loff%stripeBytes
 		run := min(stripeBytes-so, n-pos)
 		switch {
 		case run == stripeBytes:
-			first := len(pieces)
+			first := len(f.pieces)
 			for c := int64(0); c < k; c++ {
 				if s != nil {
-					pieces = s.Lend(pieces, loff+c*su, su)
+					f.pieces = s.Lend(f.pieces, loff+c*su, su)
 				} else {
-					pieces = append(pieces, buf[pos+c*su:pos+(c+1)*su])
+					f.pieces = append(f.pieces, buf[pos+c*su:pos+(c+1)*su])
 				}
 			}
-			cols := pieces[first:len(pieces):len(pieces)]
-			jobs = append(jobs, func(sp *sim.Proc) error { return a.writeFullStripe(sp, stripe, cols, s != nil) })
+			cols := f.pieces[first:len(f.pieces):len(f.pieces)]
+			f.add(memberIO{op: opFullStripe, stripe: stripe, pieces: cols, lent: s != nil})
 		case s != nil:
-			scratch := a.stripes.get()
-			s.ReadAt(scratch[:run], loff)
-			jobs = append(jobs, func(sp *sim.Proc) error {
-				defer a.stripes.put(scratch)
-				return a.writePartialStripe(sp, stripe, so, scratch[:run])
-			})
+			scratch := a.stripes.get()[:run]
+			s.ReadAt(scratch, loff)
+			f.add(memberIO{op: opPartialStripe, stripe: stripe, off: so, buf: scratch, owned: true})
 		default:
-			src := buf[pos : pos+run]
-			jobs = append(jobs, func(sp *sim.Proc) error { return a.writePartialStripe(sp, stripe, so, src) })
+			f.add(memberIO{op: opPartialStripe, stripe: stripe, off: so, buf: buf[pos : pos+run]})
 		}
 		pos += run
 	}
-	return parallel(p, jobs...)
+	return f.wait(p)
 }
 
 // writeFullStripe writes a whole stripe and computes fresh parity. pieces are
@@ -394,7 +446,8 @@ func (a *Array) writeFullStripe(p *sim.Proc, stripe int64, pieces [][]byte, lent
 		qbuf = a.chunks.get()
 		defer a.chunks.put(qbuf)
 	}
-	jobs := make([]func(sp *sim.Proc) error, 0, a.dataPerStripe()+2)
+	f := a.fanout()
+	defer f.release()
 	for col := 0; len(pieces) > 0; col++ {
 		// Column col is pieces[:i]. Column 0 seeds both parities (its Q
 		// coefficient is g^0 = 1).
@@ -414,21 +467,18 @@ func (a *Array) writeFullStripe(p *sim.Proc, stripe int64, pieces [][]byte, lent
 			}
 			at += len(pc)
 		}
-		dev, cp := a.devs[a.dataDev(stripe, col)], pieces[:i]
+		r := memberIO{op: opWrite, dev: a.devs[a.dataDev(stripe, col)], buf: pieces[0], off: soff}
 		if lent {
-			jobs = append(jobs, func(sp *sim.Proc) error { return dev.Adopt(sp, soff, cp) })
-		} else {
-			jobs = append(jobs, func(sp *sim.Proc) error { return dev.WriteAt(sp, cp[0], soff) })
+			r.op, r.buf, r.pieces = opAdopt, nil, pieces[:i]
 		}
+		f.add(r)
 		pieces = pieces[i:]
 	}
-	pd := a.devs[a.pDev(stripe)]
-	jobs = append(jobs, func(sp *sim.Proc) error { return pd.WriteAt(sp, pbuf, soff) })
+	f.add(memberIO{op: opWrite, dev: a.devs[a.pDev(stripe)], buf: pbuf, off: soff})
 	if qbuf != nil {
-		qd := a.devs[a.qDev(stripe)]
-		jobs = append(jobs, func(sp *sim.Proc) error { return qd.WriteAt(sp, qbuf, soff) })
+		f.add(memberIO{op: opWrite, dev: a.devs[a.qDev(stripe)], buf: qbuf, off: soff})
 	}
-	return parallel(p, jobs...)
+	return f.wait(p)
 }
 
 // writePartialStripe stores a sub-stripe write and brings parity up to date
@@ -508,15 +558,14 @@ func (a *Array) writePartialStripe(p *sim.Proc, stripe int64, so int64, src []by
 			mulSliceXor(gfPow2(col), data, qbuf[at:at+len(data)])
 		}
 	}
-	jobs := make([]func(sp *sim.Proc) error, 0, k+2)
-	// parityJobs queues one access (a Device method) of the parity range per
-	// parity member.
-	parityJobs := func(access func(d blockdev.Device, sp *sim.Proc, buf []byte, off int64) error) {
-		pd := a.devs[a.pDev(stripe)]
-		jobs = append(jobs, func(sp *sim.Proc) error { return access(pd, sp, pbuf[plo:phi], soff+int64(plo)) })
+	f := a.fanout()
+	defer f.release()
+	// parityIO adds one op (opRead or opWrite) of the parity range per parity
+	// member.
+	parityIO := func(op memberOp) {
+		f.add(memberIO{op: op, dev: a.devs[a.pDev(stripe)], buf: pbuf[plo:phi], off: soff + int64(plo)})
 		if qbuf != nil {
-			qd := a.devs[a.qDev(stripe)]
-			jobs = append(jobs, func(sp *sim.Proc) error { return access(qd, sp, qbuf[plo:phi], soff+int64(plo)) })
+			f.add(memberIO{op: op, dev: a.devs[a.qDev(stripe)], buf: qbuf[plo:phi], off: soff + int64(plo)})
 		}
 	}
 
@@ -524,13 +573,12 @@ func (a *Array) writePartialStripe(p *sim.Proc, stripe int64, so int64, src []by
 	if rmw {
 		for c := first; c <= last; c++ {
 			lo, hi := span(c)
-			dev, dst := a.devs[a.dataDev(stripe, c)], old[c*su+lo:c*su+hi]
-			jobs = append(jobs, func(sp *sim.Proc) error { return dev.ReadAt(sp, dst, soff+int64(lo)) })
+			f.add(memberIO{op: opRead, dev: a.devs[a.dataDev(stripe, c)], buf: old[c*su+lo : c*su+hi], off: soff + int64(lo)})
 		}
-		parityJobs(blockdev.Device.ReadAt)
+		parityIO(opRead)
 		// A member this plan needs is failed or unreadable: reconstruct instead.
-		rmw = parallel(p, jobs...) == nil
-		jobs = jobs[:0]
+		rmw = f.wait(p) == nil
+		f.reset()
 	}
 	if rmw {
 		for c := first; c <= last; c++ {
@@ -540,35 +588,34 @@ func (a *Array) writePartialStripe(p *sim.Proc, stripe int64, so int64, src []by
 			fold(c, lo, delta)
 		}
 	} else {
-		// kept visits the ranges inside the hull that the request leaves as
-		// they are; parity is rebuilt from them and the fresh data.
-		kept := func(visit func(c, lo, hi int)) {
-			for c := 0; c < k; c++ {
-				lo, hi := plo, plo
-				if first <= c && c <= last {
-					lo, hi = span(c)
-				}
-				if plo < lo {
-					visit(c, plo, lo)
-				}
-				if hi < phi {
-					visit(c, hi, phi)
-				}
+		// Read the ranges inside the hull that the request leaves as they are;
+		// parity is rebuilt from them and the fresh data.
+		keep := func(c, lo, hi int) {
+			f.add(memberIO{op: opReadChunk, stripe: stripe, col: c, off: int64(lo), buf: old[c*su+lo : c*su+hi]})
+		}
+		for c := 0; c < k; c++ {
+			lo, hi := plo, plo
+			if first <= c && c <= last {
+				lo, hi = span(c)
+			}
+			if plo < lo {
+				keep(c, plo, lo)
+			}
+			if hi < phi {
+				keep(c, hi, phi)
 			}
 		}
-		kept(func(c, lo, hi int) {
-			dst := old[c*su+lo : c*su+hi]
-			jobs = append(jobs, func(sp *sim.Proc) error { return a.readChunk(sp, stripe, c, dst, int64(lo)) })
-		})
-		if err := parallel(p, jobs...); err != nil {
+		if err := f.wait(p); err != nil {
 			return err
 		}
-		jobs = jobs[:0]
 		clear(pbuf[plo:phi])
 		if qbuf != nil {
 			clear(qbuf[plo:phi])
 		}
-		kept(func(c, lo, hi int) { fold(c, lo, old[c*su+lo:c*su+hi]) })
+		for _, r := range f.reqs {
+			fold(r.col, int(r.off), r.buf)
+		}
+		f.reset()
 		for c := first; c <= last; c++ {
 			lo, _ := span(c)
 			fold(c, lo, fresh(c))
@@ -577,11 +624,10 @@ func (a *Array) writePartialStripe(p *sim.Proc, stripe int64, so int64, src []by
 
 	for c := first; c <= last; c++ {
 		lo, _ := span(c)
-		dev, data := a.devs[a.dataDev(stripe, c)], fresh(c)
-		jobs = append(jobs, func(sp *sim.Proc) error { return dev.WriteAt(sp, data, soff+int64(lo)) })
+		f.add(memberIO{op: opWrite, dev: a.devs[a.dataDev(stripe, c)], buf: fresh(c), off: soff + int64(lo)})
 	}
-	parityJobs(blockdev.Device.WriteAt)
-	return parallel(p, jobs...)
+	parityIO(opWrite)
+	return f.wait(p)
 }
 
 // reconstructChunk rebuilds the data chunk at (stripe, col) from surviving
@@ -598,23 +644,20 @@ func (a *Array) reconstructChunk(p *sim.Proc, stripe int64, col int, out []byte)
 	if a.level == RAID6 {
 		chunks = append(chunks, stripeChunk{col: -2, dev: a.qDev(stripe)})
 	}
-	jobs := make([]func(sp *sim.Proc) error, len(chunks))
+	f := a.fanout()
+	defer f.release()
 	for i := range chunks {
-		i := i
 		chunks[i].data = a.chunks.get()
-		jobs[i] = func(sp *sim.Proc) error {
-			err := a.devs[chunks[i].dev].ReadAt(sp, chunks[i].data, soff)
-			chunks[i].ok = err == nil
-			return nil // failures handled by erasure decode below
-		}
+		f.add(memberIO{op: opRead, dev: a.devs[chunks[i].dev], buf: chunks[i].data, off: soff})
 	}
 	defer func() {
 		for i := range chunks {
 			a.chunks.put(chunks[i].data)
 		}
 	}()
-	if err := parallel(p, jobs...); err != nil {
-		return err
+	f.wait(p) // a failed read is an erasure, decoded below
+	for i := range chunks {
+		chunks[i].ok = f.reqs[i].err == nil
 	}
 	var lost []int // indices into chunks
 	for i := range chunks {
@@ -820,48 +863,40 @@ func (a *Array) Rebuild(p *sim.Proc, idx int, replacement blockdev.Device) error
 func (a *Array) reconstructInto(p *sim.Proc, stripe int64, role int, out []byte) error {
 	k := a.dataPerStripe()
 	soff := stripe * int64(a.stripeUnit)
-	data := make([][]byte, k)
-	jobs := make([]func(sp *sim.Proc) error, 0, k)
+	f := a.fanout()
+	defer f.release()
 	for c := 0; c < k; c++ {
-		if c == role {
-			continue
+		if c != role {
+			f.add(memberIO{op: opRead, dev: a.devs[a.dataDev(stripe, c)], buf: a.chunks.get(), off: soff, col: c})
 		}
-		buf := a.chunks.get()
-		data[c] = buf
-		dev := a.devs[a.dataDev(stripe, c)]
-		jobs = append(jobs, func(sp *sim.Proc) error { return dev.ReadAt(sp, buf, soff) })
 	}
+	data := f.reqs[:len(f.reqs):len(f.reqs)] // the data columns read, in column order
 	defer func() {
-		for _, buf := range data {
-			if buf != nil {
-				a.chunks.put(buf)
-			}
+		for _, r := range data {
+			a.chunks.put(r.buf)
 		}
 	}()
 	if role >= 0 {
 		// A data chunk is P XOR the other data chunks: read P straight into out.
-		pd := a.devs[a.pDev(stripe)]
-		jobs = append(jobs, func(sp *sim.Proc) error { return pd.ReadAt(sp, out, soff) })
+		f.add(memberIO{op: opRead, dev: a.devs[a.pDev(stripe)], buf: out, off: soff})
 	}
-	if err := parallel(p, jobs...); err != nil {
+	if err := f.wait(p); err != nil {
 		return err
 	}
 	switch {
 	case role == -1: // P = XOR of data
-		copy(out, data[0])
-		for c := 1; c < k; c++ {
-			XorSlice(data[c], out)
+		copy(out, data[0].buf)
+		for _, r := range data[1:] {
+			XorSlice(r.buf, out)
 		}
 	case role == -2: // Q = sum g^c Dc, and g^0 = 1
-		copy(out, data[0])
-		for c := 1; c < k; c++ {
-			mulSliceXor(gfPow2(c), data[c], out)
+		copy(out, data[0].buf)
+		for _, r := range data[1:] {
+			mulSliceXor(gfPow2(r.col), r.buf, out)
 		}
 	default: // data chunk via P
-		for c := 0; c < k; c++ {
-			if c != role {
-				XorSlice(data[c], out)
-			}
+		for _, r := range data {
+			XorSlice(r.buf, out)
 		}
 	}
 	return nil

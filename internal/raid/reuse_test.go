@@ -174,16 +174,19 @@ func TestXorKernelMatchesByteLoop(t *testing.T) {
 	}
 }
 
-// TestSmallWriteAllocBudget holds the steady-state host cost of the hot case,
-// a 4 KB sub-stripe write on the paper's 7-disk RAID-5 buffer: stripe and
-// parity scratch come off the array's free lists, so what is left is the
-// per-job bookkeeping of the 2 reads and 2 writes (it was ~450 KB/op when
-// every write allocated its stripe).
-func TestSmallWriteAllocBudget(t *testing.T) {
-	const stripes = 32
+// writeAllocBudget holds the steady-state host cost of one repeated write
+// shape: len(buf) bytes at off(i) for i = 0, 1, ..., on a RAID-5 array of
+// disks 16 MB HDDs with a 64 KB stripe unit. Stripe and parity scratch and
+// the member-request tables come off the array's free lists, and the fan-out
+// children's Procs off the Env's, so a write allocates nothing once warm:
+// the first rounds (which materialize the sparse disks' chunks) are not
+// counted.
+func writeAllocBudget(t *testing.T, what string, disks int, buf []byte, off func(i int) int64, warm int) {
+	t.Helper()
 	res := testing.Benchmark(func(b *testing.B) {
 		env := sim.NewEnv()
-		devs := make([]blockdev.Device, 7)
+		defer env.Close()
+		devs := make([]blockdev.Device, disks)
 		for i := range devs {
 			devs[i] = blockdev.New(env, 16<<20, blockdev.HDDProfile())
 		}
@@ -191,15 +194,13 @@ func TestSmallWriteAllocBudget(t *testing.T) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		stripeBytes := int64(6 * 64 << 10)
-		buf := patterned(4096, 9)
 		env.Go("writer", func(p *sim.Proc) {
 			write := func(i int) {
-				if err := a.WriteAt(p, buf, int64(i%stripes)*stripeBytes+8192); err != nil {
+				if err := a.WriteAt(p, buf, off(i)); err != nil {
 					b.Error(err)
 				}
 			}
-			for i := 0; i < stripes; i++ { // materialize the sparse disks' chunks
+			for i := 0; i < warm; i++ {
 				write(i)
 			}
 			b.ResetTimer()
@@ -209,9 +210,31 @@ func TestSmallWriteAllocBudget(t *testing.T) {
 		})
 		env.Run()
 	})
-	if got := res.AllocedBytesPerOp(); got > 16<<10 {
-		t.Errorf("4 KB RAID-5 write allocates %d B/op, budget is %d", got, 16<<10)
+	const maxBytes, maxAllocs = 16 << 10, 2
+	if got, n := res.AllocedBytesPerOp(), res.AllocsPerOp(); got > maxBytes || n > maxAllocs {
+		t.Errorf("%s allocates %d B/op in %d allocs/op, budget is %d B in %d", what, got, n, maxBytes, maxAllocs)
 	} else {
-		t.Logf("4 KB RAID-5 write: %d B/op, %d allocs/op", got, res.AllocsPerOp())
+		t.Logf("%s: %d B/op, %d allocs/op", what, got, n)
 	}
+}
+
+// TestSmallWriteAllocBudget is the hot case, a 4 KB sub-stripe write (a
+// read-modify-write: 2 reads and 2 writes) on the paper's 7-disk RAID-5
+// buffer. It was ~450 KB/op when every write allocated its stripe, and 28
+// allocs/op when every member I/O was a process with its own closure and
+// Completion.
+func TestSmallWriteAllocBudget(t *testing.T) {
+	const stripes = 32
+	stripeBytes := int64(6 * 64 << 10)
+	writeAllocBudget(t, "4 KB RAID-5 write", 7, patterned(4096, 9),
+		func(i int) int64 { return int64(i%stripes)*stripeBytes + 8192 }, stripes)
+}
+
+// TestFullStripeWriteAllocBudget is a 1 MB write of four full stripes on a
+// 5-disk RAID-5: a stripe-level fan-out over member-level ones, 20 member
+// writes, with parity computed from the caller's buffer.
+func TestFullStripeWriteAllocBudget(t *testing.T) {
+	const slots = 8
+	writeAllocBudget(t, "1 MB full-stripe RAID-5 write", 5, patterned(1<<20, 3),
+		func(i int) int64 { return int64(i%slots) << 20 }, slots)
 }

@@ -355,7 +355,7 @@ func (s *Scheduler) acquire(p *sim.Proc, r *request) Grant {
 	s.depthBy[r.class].Add(1)
 	s.dispatch()
 	g, _ := r.c.Wait(p)
-	sp.Annotate("group", fmt.Sprintf("%d", g.Group))
+	sp.AnnotateInt("group", int64(g.Group))
 	if g.Hit {
 		sp.Annotate("hit", "true")
 	}

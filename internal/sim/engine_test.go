@@ -143,8 +143,40 @@ func TestStaleWakeupDoesNotResumeNextTenant(t *testing.T) {
 	if resumed != 0 {
 		t.Fatalf("a stale wakeup for the finished process resumed its worker's next tenant %d time(s)", resumed)
 	}
-	if !first.finished || first.w != nil {
+	if first.fn != nil || first.w != nil {
 		t.Fatal("finished process still holds a worker")
+	}
+
+	// A Fork child's Proc is itself reused: a wakeup addressed to its first
+	// life, still queued when that life ends, must not reach its second.
+	fenv := NewEnv()
+	defer fenv.Close()
+	var lives []*Proc
+	resumed = 0
+	fenv.Go("parent", func(p *Proc) {
+		p.Fork("child", 2, func(sp *Proc, i int) error {
+			lives = append(lives, sp)
+			if i == 0 {
+				fenv.schedule(fenv.now+2*time.Second, sp) // fires after this life ends
+			}
+			sp.Sleep(time.Second)
+			return nil
+		})
+		p.Fork("child", 2, func(sp *Proc, i int) error {
+			lives = append(lives, sp)
+			for i == 0 {
+				sp.park() // no wakeup is due to this life
+				resumed++
+			}
+			return nil
+		})
+	})
+	fenv.Run()
+	if len(lives) != 4 || lives[2] != lives[0] {
+		t.Fatalf("the second Fork's child 0 did not reuse the first's Proc (%d lives)", len(lives))
+	}
+	if resumed != 0 {
+		t.Fatalf("a wakeup for a Fork child's finished life resumed its next life %d time(s)", resumed)
 	}
 }
 
@@ -341,8 +373,9 @@ func TestAllocBudget(t *testing.T) {
 	})
 
 	t.Run("SpawnFinish", func(t *testing.T) {
-		// One leg of a raid.parallel fan-out: a Completion (and its Signal and
-		// waiter list), a closure and a Proc — but no goroutine and no event box.
+		// A child started with Go and joined through a Completion: the
+		// Completion (and its Signal and waiter list), a closure and a Proc —
+		// but no goroutine and no event box.
 		env := NewEnv()
 		defer env.Close()
 		turns := 0
@@ -367,6 +400,36 @@ func TestAllocBudget(t *testing.T) {
 		}
 		if st := env.Stats(); st.PeakWorkers != 2 {
 			t.Errorf("PeakWorkers = %d, want 2", st.PeakWorkers)
+		}
+	})
+
+	t.Run("Fork", func(t *testing.T) {
+		// A 5-way fork and join: the record and its children's Procs come back
+		// to the Env and are reused, so nothing is allocated.
+		env := NewEnv()
+		defer env.Close()
+		turns := 0
+		body := func(sp *Proc, i int) error {
+			sp.Sleep(time.Duration(i) * time.Millisecond)
+			return nil
+		}
+		env.Go("parent", func(p *Proc) {
+			for {
+				p.Fork("leg", 5, body)
+				turns++
+			}
+		})
+		turn := func() {
+			for was := turns; turns == was; {
+				env.Step()
+			}
+		}
+		turn()
+		if n := testing.AllocsPerRun(1000, turn); n != 0 {
+			t.Errorf("%v allocs per 5-way fork and join, want 0", n)
+		}
+		if st := env.Stats(); st.PeakWorkers != 6 {
+			t.Errorf("PeakWorkers = %d, want 6", st.PeakWorkers)
 		}
 	})
 }

@@ -7,8 +7,9 @@
 // minute-scale mechanical and disc-burning delays in microseconds of host
 // time while preserving ordering, contention and FIFO fairness. A finished
 // process hands its coroutine to the next one that starts, so a short-lived
-// child (one leg of a RAID fan-out) costs a Proc and a closure, not a
-// goroutine.
+// child costs a Proc and a closure, not a goroutine; the children of
+// Proc.Fork (every leg of a RAID fan-out) reuse their join record's Procs and
+// cost nothing at all.
 //
 // Run, RunUntil and Step may be called from any goroutine, one at a time —
 // but from one locked to an OS thread only if every earlier call on the Env
@@ -57,6 +58,7 @@ type Env struct {
 	running *Proc     // process executing now; nil between events
 	workers []*worker // every coroutine started on this Env
 	idle    []*worker // those with no tenant; the last one freed is reused first
+	joins   []*join   // Fork records not in use; the last one freed is reused first
 	closed  bool
 	stats   Stats
 }
@@ -169,14 +171,22 @@ func (e *Env) GoDaemon(name string, fn func(p *Proc)) *Proc {
 }
 
 func (e *Env) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
+	p := &Proc{env: e}
+	e.start(p, name, fn, daemon)
+	return p
+}
+
+// start begins a new life of p, fresh or finished, running fn. Its
+// generation moves on, so a wakeup addressed to an earlier life is dropped.
+func (e *Env) start(p *Proc, name string, fn func(p *Proc), daemon bool) {
 	e.mustBeOpen()
-	p := &Proc{env: e, name: name, fn: fn, daemon: daemon}
+	p.name, p.fn, p.daemon, p.tctx = name, fn, daemon, nil
+	p.gen++
 	if !daemon {
 		e.live++
 	}
 	e.stats.Spawned++
 	e.schedule(e.now, p)
-	return p
 }
 
 // schedule enqueues a wakeup for p at virtual time t.
@@ -196,7 +206,7 @@ func (e *Env) push(t time.Duration, p *Proc, weak bool) {
 		t = e.now
 	}
 	e.seq++
-	e.events.push(event{t: t, seq: e.seq, p: p, weak: weak})
+	e.events.push(event{t: t, seq: e.seq, p: p, gen: p.gen, weak: weak})
 	if n := len(e.events); n > e.stats.PeakPending {
 		e.stats.PeakPending = n
 	}
@@ -246,8 +256,8 @@ func (e *Env) step() {
 	if !ev.weak {
 		e.strong--
 	}
-	if ev.p.finished {
-		return // stale wakeup for a process that already exited
+	if ev.p.fn == nil || ev.gen != ev.p.gen {
+		return // stale wakeup: the process has exited, or exited and started again
 	}
 	e.now = ev.t
 	e.stats.Events++
@@ -275,12 +285,14 @@ func (e *Env) Live() int { return e.live }
 func (e *Env) Pending() int { return len(e.events) }
 
 // event is a scheduled process wakeup. seq breaks ties so that events at the
-// same virtual time fire in schedule order (FIFO, deterministic). weak marks
+// same virtual time fire in schedule order (FIFO, deterministic). gen is the
+// life of p it is addressed to (a Fork child's Proc runs many). weak marks
 // idle-exempt timer wakeups (see scheduleWeak).
 type event struct {
 	t    time.Duration
 	seq  int64
 	p    *Proc
+	gen  uint32
 	weak bool
 }
 
@@ -342,13 +354,15 @@ func (h *eventHeap) pop() event {
 // coroutine. All blocking methods (Sleep, Resource.Acquire, ...) must be
 // called from within the process's own function.
 type Proc struct {
-	env      *Env
-	name     string
-	fn       func(p *Proc) // the body; nil once finished
-	w        *worker       // its coroutine, from first dispatch until it finishes
-	finished bool
-	daemon   bool
-	tctx     any // request-scoped trace context (owned by internal/obs)
+	env     *Env
+	name    string
+	fn      func(p *Proc) // the body; nil once finished
+	w       *worker       // its coroutine, from first dispatch until it finishes
+	gen     uint32        // the life it is in: bumped by every start
+	daemon  bool
+	tctx    any   // request-scoped trace context (owned by internal/obs)
+	fork    *join // the Fork whose child it is; nil for Go and GoDaemon
+	forkIdx int   // its index in that Fork
 }
 
 // TraceContext returns the process's request-scoped trace context (nil when

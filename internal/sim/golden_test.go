@@ -59,7 +59,7 @@ func goldenRun() string {
 	}
 
 	// Consumers pop jobs, contend for 3 drives and 1 arm, and fan each job
-	// out into children the way raid.parallel and the burners do.
+	// out into children the way the burners do.
 	for i := 0; i < 4; i++ {
 		env.Go(fmt.Sprintf("cons%d", i), func(p *Proc) {
 			for {

@@ -96,18 +96,21 @@ func (s *Signal) Wait(p *Proc) {
 // Broadcast sets the signal and wakes all waiters.
 func (s *Signal) Broadcast() {
 	s.set = true
-	for _, w := range s.waiters {
-		w.wake()
-	}
-	s.waiters = nil
+	s.waiters = wakeAll(s.waiters)
 }
 
 // Pulse wakes all current waiters without leaving the signal set.
-func (s *Signal) Pulse() {
-	for _, w := range s.waiters {
+func (s *Signal) Pulse() { s.waiters = wakeAll(s.waiters) }
+
+// wakeAll wakes every process in ws and returns ws emptied. It keeps the
+// capacity, so the next wait does not allocate, and drops the pointers, so a
+// finished process stays collectable.
+func wakeAll(ws []*Proc) []*Proc {
+	for _, w := range ws {
 		w.wake()
 	}
-	s.waiters = nil
+	clear(ws)
+	return ws[:0]
 }
 
 // Clear resets the signal to unset.
@@ -165,10 +168,7 @@ func (q *Queue[T]) Len() int { return len(q.items) }
 // observe ok=false once the queue drains.
 func (q *Queue[T]) Close() {
 	q.closed = true
-	for _, w := range q.waiters {
-		w.wake()
-	}
-	q.waiters = nil
+	q.waiters = wakeAll(q.waiters)
 }
 
 // Completion is a one-shot event carrying a result value, used to hand a

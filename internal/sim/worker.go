@@ -83,7 +83,7 @@ func (w *worker) loop(yield func(struct{}) bool) {
 func (w *worker) run() {
 	p, e := w.p, w.env
 	defer func() {
-		p.finished, p.fn, p.w, w.p, e.running = true, nil, nil, nil, nil
+		p.fn, p.w, w.p, e.running = nil, nil, nil, nil
 		if !p.daemon {
 			e.live--
 		}

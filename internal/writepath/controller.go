@@ -1,8 +1,6 @@
 package writepath
 
 import (
-	"fmt"
-
 	"ros/internal/image"
 	"ros/internal/obs"
 	"ros/internal/sched"
@@ -54,7 +52,7 @@ func (c *Controller) Admit(p *sim.Proc, cl Class, n int64) error {
 	}
 	sp := obs.StartChild(p, "writepath.admit")
 	sp.Annotate("class", cl.String())
-	sp.Annotate("bytes", fmt.Sprintf("%d", n))
+	sp.AnnotateInt("bytes", n)
 	err := c.adm.Acquire(p, cl, n)
 	sp.Fail(p, err)
 	return err
