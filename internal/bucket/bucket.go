@@ -192,7 +192,6 @@ func (m *Manager) takeSlot(p *sim.Proc) (*Bucket, error) {
 		return nil, ErrNoFreeSlot
 	}
 	m.Evicts++
-	m.debugf("evict slot=%d id=%s", victim.Slot, victim.ID)
 	m.release(victim)
 	victim.state = StateOpen
 	return victim, nil
@@ -233,7 +232,6 @@ func (m *Manager) Open(p *sim.Proc) (*Bucket, error) {
 	b.lastAccess = p.Now()
 	m.byID[id] = b
 	m.Opens++
-	m.debugf("Open slot=%d id=%s t=%v", b.Slot, id, p.Now())
 	return b, nil
 }
 
@@ -254,7 +252,6 @@ func (m *Manager) OpenRaw(p *sim.Proc, length int64) (*Bucket, error) {
 	b.lastAccess = p.Now()
 	m.byID[b.ID] = b
 	m.Opens++
-	m.debugf("OpenRaw slot=%d id=%s len=%d t=%v", b.Slot, b.ID, length, p.Now())
 	return b, nil
 }
 
@@ -310,7 +307,6 @@ func (m *Manager) Recycle(p *sim.Proc, b *Bucket) error {
 	if b.state != StateBurned {
 		return fmt.Errorf("%w: recycle from %v", ErrBadState, b.state)
 	}
-	m.debugf("recycle slot=%d id=%s", b.Slot, b.ID)
 	m.release(b)
 	m.Recycles++
 	return nil
@@ -324,7 +320,6 @@ func (m *Manager) Discard(b *Bucket) error {
 	if b.state == StateFree {
 		return fmt.Errorf("%w: discard from %v", ErrBadState, b.state)
 	}
-	m.debugf("discard slot=%d id=%s state=%v", b.Slot, b.ID, b.state)
 	m.release(b)
 	return nil
 }
@@ -358,7 +353,6 @@ func (m *Manager) Cache(p *sim.Proc, fill func(*Bucket) (*udf.Volume, error)) (*
 	b.state = StateBurned
 	b.lastAccess = p.Now()
 	m.byID[id] = b
-	m.debugf("cache slot=%d id=%s t=%v", b.Slot, id, p.Now())
 	return b, nil
 }
 
@@ -419,13 +413,4 @@ func (m *Manager) BytesByState() map[State]int64 {
 		out[b.state] += b.Used()
 	}
 	return out
-}
-
-// Debug, when set, prints slot state transitions (temporary diagnostics).
-var Debug bool
-
-func (m *Manager) debugf(format string, args ...interface{}) {
-	if Debug {
-		fmt.Printf("[bucket] "+format+"\n", args...)
-	}
 }

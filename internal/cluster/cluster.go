@@ -78,6 +78,7 @@ type Cluster struct {
 	paths   []string // insertion order — deterministic scan order
 
 	rereplQ *sim.Queue[string]
+	rerepl  *sim.Daemon // drains rereplQ
 	queued  map[string]bool
 	stopped bool
 
@@ -137,7 +138,7 @@ func New(env *sim.Env, cfg Config) (*Cluster, error) {
 		}
 	}
 	c.tracer = c.racks[0].FS.Tracer()
-	env.GoDaemon("cluster-rerepl", c.rereplDaemon)
+	c.rerepl = sim.NewDaemon(env, "cluster-rerepl", c.drainRerepl)
 	return c, nil
 }
 
@@ -747,6 +748,7 @@ func (c *Cluster) enqueue(path string) {
 	c.queued[path] = true
 	c.m.backlog.Add(1)
 	c.rereplQ.Push(path)
+	c.rerepl.Wake()
 }
 
 // enqueueScan queues every file whose replica set includes rack ri and is
@@ -799,16 +801,14 @@ func (c *Cluster) RequeueUnderReplicated() int {
 // Backlog returns the re-replication queue depth.
 func (c *Cluster) Backlog() int { return c.rereplQ.Len() }
 
-// rereplDaemon drains the under-replication queue: for each file it copies
-// the current version from the cheapest live replica — read at scrub
-// priority through that rack's QoS scheduler — onto a freshly placed rack,
-// then drops one offline member from the set.
-func (c *Cluster) rereplDaemon(p *sim.Proc) {
-	for {
-		path, ok := c.rereplQ.Pop(p)
-		if !ok {
-			return
-		}
+// drainRerepl is the re-replication daemon's body: it empties the
+// under-replication queue. For each file it copies the current version from
+// the cheapest live replica — read at scrub priority through that rack's QoS
+// scheduler — onto a freshly placed rack, then drops one offline member from
+// the set.
+func (c *Cluster) drainRerepl(p *sim.Proc) {
+	for c.rereplQ.Len() > 0 {
+		path, _ := c.rereplQ.Pop(p)
 		c.m.backlog.Add(-1)
 		delete(c.queued, path)
 		c.rereplicate(p, path)

@@ -180,19 +180,17 @@ func TestSpanBalanceUnderRequeue(t *testing.T) {
 	env := sim.NewEnv()
 	r := New(env)
 	q := sim.NewQueue[int](env)
-	q.Push(0) // attempt number
 	done := false
-	env.GoDaemon("runner", func(p *sim.Proc) {
-		for {
-			attempt, ok := q.Pop(p)
-			if !ok {
-				return
-			}
+	var runner *sim.Daemon
+	runner = sim.NewDaemon(env, "runner", func(p *sim.Proc) {
+		for q.Len() > 0 {
+			attempt, _ := q.Pop(p)
 			sp := r.StartSpan("task.latency")
 			p.Sleep(10 * time.Second)
 			if attempt == 0 {
 				sp.End() // interrupted: partial run still measured
 				q.Push(attempt + 1)
+				runner.Wake()
 				continue
 			}
 			p.Sleep(5 * time.Second)
@@ -200,6 +198,8 @@ func TestSpanBalanceUnderRequeue(t *testing.T) {
 			done = true
 		}
 	})
+	q.Push(0) // attempt number
+	runner.Wake()
 	env.Run()
 	if !done {
 		t.Fatal("task did not finish")

@@ -6,11 +6,12 @@
 // deltas, so a burst of slow reads shows up — and decays — in p99 instead of
 // being diluted by the full run history.
 //
-// The sampler daemon ticks on Proc.SleepWeak, so it samples whenever the
+// The sampler ticks on Env.AfterWeak callbacks, so it samples whenever the
 // workload advances virtual time but never keeps Env.Run from returning once
-// only the ticker remains. Everything is deterministic: sources are scraped in
-// registration order, metric names in sorted order, and all timestamps are
-// virtual — two same-seed runs produce byte-identical series dumps.
+// only the ticker remains, and parks no process between ticks. Everything is
+// deterministic: sources are scraped in registration order, metric names in
+// sorted order, and all timestamps are virtual — two same-seed runs produce
+// byte-identical series dumps.
 package obs
 
 import (
@@ -311,6 +312,7 @@ type Sampler struct {
 	stopped  bool
 	started  bool
 	passes   int64
+	tickFn   func() // s.tick, bound once so that re-arming allocates nothing
 }
 
 // NewSampler creates a sampler bound to env. Add sources with AddSource and
@@ -345,24 +347,26 @@ func (s *Sampler) OnSample(fn func(t time.Duration)) {
 	}
 }
 
-// Start launches the sampling daemon, ticking every Interval of virtual time
-// on a weak timer: it samples while the workload runs but never keeps
-// Env.Run from returning. Returns a stop function. Idempotent.
+// Start begins sampling every Interval of virtual time on a weak timer: it
+// samples while the workload runs but never keeps Env.Run from returning.
+// Returns a stop function. Idempotent.
 func (s *Sampler) Start() (stop func()) {
 	if s == nil || s.env == nil || s.started {
 		return func() {}
 	}
 	s.started = true
-	s.env.GoDaemon("obs.sampler", func(p *sim.Proc) {
-		for {
-			p.SleepWeak(s.cfg.Interval)
-			if s.stopped {
-				return
-			}
-			s.SampleNow()
-		}
-	})
+	s.tickFn = s.tick
+	s.env.AfterWeak(s.cfg.Interval, s.tickFn)
 	return func() { s.stopped = true }
+}
+
+// tick is one timer firing: a sampling pass, then the next tick.
+func (s *Sampler) tick() {
+	if s.stopped {
+		return
+	}
+	s.SampleNow()
+	s.env.AfterWeak(s.cfg.Interval, s.tickFn)
 }
 
 // Passes returns the number of completed sampling passes.

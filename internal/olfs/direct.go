@@ -26,7 +26,7 @@ type directItem struct {
 	data []byte
 }
 
-// ensureMover starts the staging mover daemon on first use.
+// ensureMover sets up the staging queue and its mover daemon on first use.
 func (fs *FS) ensureMover() {
 	if fs.moverQ != nil {
 		return
@@ -34,7 +34,7 @@ func (fs *FS) ensureMover() {
 	fs.moverQ = sim.NewQueue[directItem](fs.env)
 	fs.moverIdle = sim.NewSignal(fs.env)
 	fs.moverIdle.Broadcast()
-	fs.env.GoDaemon("olfs-direct-mover", fs.moverDaemon)
+	fs.mover = sim.NewDaemon(fs.env, "olfs-direct-mover", fs.moveStaged)
 }
 
 // DirectIngest accepts a whole file at full external bandwidth and queues it
@@ -51,6 +51,7 @@ func (fs *FS) DirectIngest(p *sim.Proc, path string, data []byte) error {
 	fs.moverPending++
 	fs.moverIdle.Clear()
 	fs.moverQ.Push(directItem{path: path, data: cp})
+	fs.mover.Wake()
 	fs.m.directIngests.Add(1)
 	fs.m.directBytes.Add(int64(len(data)))
 	return nil
@@ -65,13 +66,11 @@ func (fs *FS) DirectDrain(p *sim.Proc) error {
 	return fs.moverErr
 }
 
-// moverDaemon replays staged files through the normal write path.
-func (fs *FS) moverDaemon(p *sim.Proc) {
-	for {
-		it, ok := fs.moverQ.Pop(p)
-		if !ok {
-			return
-		}
+// moveStaged is the mover's body: it replays staged files through the
+// normal write path until the staging queue is empty.
+func (fs *FS) moveStaged(p *sim.Proc) {
+	for fs.moverQ.Len() > 0 {
+		it, _ := fs.moverQ.Pop(p)
 		if err := fs.WriteFileClass(p, it.path, it.data, writepath.Archival); err != nil && fs.moverErr == nil {
 			fs.moverErr = fmt.Errorf("olfs: direct mover %s: %w", it.path, err)
 		}

@@ -185,6 +185,59 @@ func TestMVSnapshotDaemon(t *testing.T) {
 	})
 }
 
+// TestMVSnapshotNamesArePerFS: snapshot names depend only on the FS's own
+// history. Two identical filesystems in one process name their snapshots
+// identically, and a filesystem reopened from its checkpoint continues its
+// sequence instead of reusing a name.
+func TestMVSnapshotNamesArePerFS(t *testing.T) {
+	snapshots := func(tb *testbed, p *sim.Proc, n int) []int {
+		var seqs []int
+		for i := 0; i < n; i++ {
+			seq, err := tb.fs.BurnMVSnapshot(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqs = append(seqs, seq)
+		}
+		return seqs
+	}
+	var first, second []int
+	for _, seqs := range []*[]int{&first, &second} {
+		tb := newBed(t, func(c *Config) { c.AutoBurn = false })
+		tb.run(t, func(p *sim.Proc) {
+			if err := tb.fs.WriteFile(p, "/snap/f", pat(4096, 9)); err != nil {
+				t.Fatal(err)
+			}
+			*seqs = snapshots(tb, p, 2)
+		})
+	}
+	if fmt.Sprint(first) != "[1 2]" || fmt.Sprint(second) != fmt.Sprint(first) {
+		t.Fatalf("two identical filesystems numbered their snapshots %v and %v, want [1 2] both", first, second)
+	}
+
+	tb := newBed(t, func(c *Config) { c.AutoBurn = false })
+	var after []int
+	tb.run(t, func(p *sim.Proc) {
+		snapshots(tb, p, 3)
+		if err := tb.fs.Checkpoint(p); err != nil {
+			t.Fatal(err)
+		}
+		tb.fs.Stop()
+		fs2, err := Reopen(tb.env, p, tb.fs.Config(), tb.lib, tb.fs.mvStore, tb.buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb.fs = fs2
+		after = snapshots(tb, p, 1)
+	})
+	if fmt.Sprint(after) != "[4]" {
+		t.Fatalf("the reopened filesystem numbered its next snapshot %v, want [4]", after)
+	}
+	if _, ok := tb.fs.MV.Lookup(fmt.Sprintf("%s/snap-%06d/part-0000", MVSnapshotDir, 4)); !ok {
+		t.Fatal("snapshot 4 is not in the namespace")
+	}
+}
+
 func TestBurnFailureRetriesOnFreshTray(t *testing.T) {
 	tb := newBed(t, func(c *Config) {
 		c.AutoBurn = false

@@ -154,6 +154,7 @@ type FS struct {
 	curMu *sim.Resource  // serializes bucket writes (one PBW stream)
 
 	burnQ      *sim.Queue[*burnTask]
+	btm        *sim.Daemon           // starts a process per queued burn task
 	sched      *sched.Scheduler      // arbitrates drive groups and arm demand
 	wp         *writepath.Controller // admission control + charge ledger
 	fetches    map[string]*sim.Completion[int]
@@ -174,9 +175,11 @@ type FS struct {
 	fills map[image.ID]bool
 
 	stopped bool
+	snapSeq int64 // the last MV snapshot's number (snap-NNNNNN); see seedMVSnapSeq
 
 	// Direct-writing mode staging (§4.8).
 	moverQ       *sim.Queue[directItem]
+	mover        *sim.Daemon
 	moverIdle    *sim.Signal
 	moverPending int
 	moverErr     error
@@ -337,7 +340,7 @@ func New(env *sim.Env, cfg Config, lib *rack.Library, mvBackend mv.Backend, buff
 			}
 		}
 	})
-	env.GoDaemon("olfs-btm", fs.burnDaemon)
+	fs.btm = sim.NewDaemon(env, "olfs-btm", fs.startBurns)
 	return fs, nil
 }
 
@@ -361,7 +364,9 @@ func (fs *FS) Obs() *obs.Registry { return fs.obs }
 // Tracer returns the causal request tracer (nil when tracing is disabled).
 func (fs *FS) Tracer() *obs.Tracer { return fs.tracer }
 
-// Stop shuts down background daemons (after draining, for tests).
+// Stop refuses new work (for tests, after draining): writes and direct
+// ingests fail with ErrStopped and queueing a burn panics. Work already
+// queued still runs.
 func (fs *FS) Stop() {
 	if !fs.stopped {
 		fs.stopped = true
@@ -515,6 +520,6 @@ func (fs *FS) enqueueBurn(imgs []*bucket.Bucket) *sim.Completion[error] {
 	fs.m.burnTasks.Add(1)
 	fs.m.burnSets.Add(1)
 	fs.m.burnGroups.Add(1)
-	fs.burnQ.Push(t)
+	fs.queueBurn(t)
 	return t.done
 }

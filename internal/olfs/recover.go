@@ -3,6 +3,7 @@ package olfs
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"ros/internal/image"
@@ -47,11 +48,29 @@ func (fs *FS) BurnMVSnapshot(p *sim.Proc) (int, error) {
 	return seq, nil
 }
 
-var mvSnapCounter int64
-
+// mvSnapSeq returns the next MV snapshot sequence number.
 func (fs *FS) mvSnapSeq() int64 {
-	mvSnapCounter++
-	return mvSnapCounter
+	fs.snapSeq++
+	return fs.snapSeq
+}
+
+// seedMVSnapSeq sets the snapshot count to the highest snap-NNNNNN already
+// under MVSnapshotDir, so the next snapshot never reuses a name. Reopen calls
+// it on the MV it loads; New starts from an empty MV, and so from 0.
+func (fs *FS) seedMVSnapSeq() {
+	fs.snapSeq = 0
+	prefix := MVSnapshotDir + "/snap-"
+	_ = fs.MV.Walk(func(ix *mv.Index) error {
+		rest, ok := strings.CutPrefix(ix.Path, prefix)
+		if !ok {
+			return nil
+		}
+		digits, _, _ := strings.Cut(rest, "/")
+		if n, err := strconv.ParseInt(digits, 10, 64); err == nil && n > fs.snapSeq {
+			fs.snapSeq = n
+		}
+		return nil
+	})
 }
 
 // scanResult accumulates namespace facts discovered on one image.
@@ -363,6 +382,7 @@ func Reopen(env *sim.Env, p *sim.Proc, cfg Config, lib *rack.Library, mvBackend 
 	}
 	vol.AttachObs(fs.obs)
 	fs.MV = vol
+	fs.seedMVSnapSeq()
 	var cat image.Catalog
 	if err := vol.LoadState(p, "catalog", &cat); err == nil {
 		if cat.DA != nil {

@@ -193,7 +193,7 @@ func (fs *FS) StartScrubber(interval time.Duration) func() {
 		interval = time.Hour
 	}
 	stop := false
-	fs.env.GoDaemon("olfs-scrubber", func(p *sim.Proc) {
+	sim.NewDaemon(fs.env, "olfs-scrubber", func(p *sim.Proc) {
 		next := 0
 		for !stop {
 			p.Sleep(interval)
@@ -222,7 +222,7 @@ func (fs *FS) StartScrubber(interval time.Duration) func() {
 			}
 			fs.m.scrubs.Add(1)
 		}
-	})
+	}).Wake()
 	return func() { stop = true }
 }
 
@@ -265,7 +265,7 @@ func (fs *FS) StartMVSnapshots(interval time.Duration) func() {
 		interval = 24 * time.Hour
 	}
 	stop := false
-	fs.env.GoDaemon("olfs-mvsnap", func(p *sim.Proc) {
+	sim.NewDaemon(fs.env, "olfs-mvsnap", func(p *sim.Proc) {
 		for !stop {
 			p.Sleep(interval)
 			if stop || fs.stopped {
@@ -279,6 +279,6 @@ func (fs *FS) StartMVSnapshots(interval time.Duration) func() {
 			}
 			fs.m.mvSnapshots.Add(1)
 		}
-	})
+	}).Wake()
 	return func() { stop = true }
 }

@@ -87,15 +87,17 @@ func usedBytes(b *bucket.Bucket) int64 {
 	return u
 }
 
-// burnDaemon consumes the burn queue; each task runs as its own process so
-// multiple drive groups can burn concurrently.
-func (fs *FS) burnDaemon(p *sim.Proc) {
-	for {
-		t, ok := fs.burnQ.Pop(p)
-		if !ok {
-			return
-		}
-		task := t
+// queueBurn hands t to the BTM.
+func (fs *FS) queueBurn(t *burnTask) {
+	fs.burnQ.Push(t)
+	fs.btm.Wake()
+}
+
+// startBurns is the BTM's body: it empties the burn queue, starting each task
+// as its own process so multiple drive groups can burn concurrently.
+func (fs *FS) startBurns(p *sim.Proc) {
+	for fs.burnQ.Len() > 0 {
+		task, _ := fs.burnQ.Pop(p)
 		fs.env.Go("olfs-burn", func(tp *sim.Proc) {
 			fs.runBurnTask(tp, task)
 		})
@@ -190,7 +192,7 @@ func (fs *FS) runBurnTask(p *sim.Proc, t *burnTask) {
 		t.attempts++
 		if t.attempts < 2 {
 			op.Retry()
-			fs.burnQ.Push(t)
+			fs.queueBurn(t)
 			return
 		}
 		abandon(burnErr)
@@ -201,7 +203,7 @@ func (fs *FS) runBurnTask(p *sim.Proc, t *burnTask) {
 		fs.env.Emit(sim.KindBurnInterrupt, p.Name(), t.tray.String())
 		op.Retry()
 		t.resumed = true
-		fs.burnQ.Push(t)
+		fs.queueBurn(t)
 	default:
 		fs.env.Emit(sim.KindBurnFinish, p.Name(), t.tray.String())
 		fs.finishBurn(p, t)

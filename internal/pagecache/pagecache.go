@@ -87,10 +87,13 @@ type Volume struct {
 	// in flight.
 	dirty      map[int64]bool
 	oldest     time.Duration // when the first chunk no drain has taken was marked; -1 if none
-	wake       *sim.Signal   // set to have the flusher look at the triggers
+	flusher    *sim.Daemon   // woken to look at the triggers
+	timer      *sim.Daemon   // sleeps towards oldest + writebackInterval while timerArmed
+	timerWait  time.Duration // the sleep the armed timer takes
 	flushIdle  *sim.Signal
-	syncing    int  // processes waiting in Sync
-	timerArmed bool // a process is sleeping towards oldest + writebackInterval
+	syncing    int     // processes waiting in Sync
+	timerArmed bool    // the timer is out
+	batch      []int64 // the chunks a drain works through, reused from drain to drain
 	closed     bool
 
 	// Metric handles, nil (and inert) until AttachObs.
@@ -110,7 +113,8 @@ func (v *Volume) AttachObs(r *obs.Registry, prefix string) {
 	v.dirtyGauge = r.Gauge(prefix + ".dirty_chunks")
 }
 
-// New creates a cached volume over backend and starts its flusher process.
+// New creates a cached volume over backend. Its flusher runs when a
+// write-back trigger may hold, and parks nothing in between.
 func New(env *sim.Env, backend Backend, rates Rates) *Volume {
 	v := &Volume{
 		env:       env,
@@ -119,11 +123,11 @@ func New(env *sim.Env, backend Backend, rates Rates) *Volume {
 		size:      backend.Size(),
 		dirty:     make(map[int64]bool),
 		oldest:    -1,
-		wake:      sim.NewSignal(env),
 		flushIdle: sim.NewSignal(env),
 	}
+	v.flusher = sim.NewDaemon(env, "pagecache-flusher", v.flush)
+	v.timer = sim.NewDaemon(env, "pagecache-writeback-timer", v.writebackTimer)
 	v.flushIdle.Broadcast()
-	env.GoDaemon("pagecache-flusher", v.flusher)
 	return v
 }
 
@@ -214,7 +218,7 @@ func (v *Volume) markDirty(p *sim.Proc, off, n int64) {
 	}
 	v.dirtyGauge.Set(int64(len(v.dirty)))
 	if len(v.dirty)*chunkSize >= flushSegment {
-		v.wake.Broadcast()
+		v.flusher.Wake()
 	}
 	v.armTimer(p.Now())
 }
@@ -227,12 +231,16 @@ func (v *Volume) armTimer(now time.Duration) {
 		return
 	}
 	v.timerArmed = true
-	wait := v.oldest + writebackInterval - now
-	v.env.GoDaemon("pagecache-writeback-timer", func(p *sim.Proc) {
-		p.Sleep(wait)
-		v.timerArmed = false
-		v.wake.Broadcast()
-	})
+	v.timerWait = v.oldest + writebackInterval - now
+	v.timer.Wake()
+}
+
+// writebackTimer is the timer's body: sleep out the armed wait, then have the
+// flusher look at the triggers.
+func (v *Volume) writebackTimer(p *sim.Proc) {
+	p.Sleep(v.timerWait)
+	v.timerArmed = false
+	v.flusher.Wake()
 }
 
 // due reports whether one of the write-back triggers holds.
@@ -244,54 +252,50 @@ func (v *Volume) due(now time.Duration) bool {
 		len(v.dirty)*chunkSize >= flushSegment || now-v.oldest >= writebackInterval
 }
 
-// flusher writes dirty chunks back whenever a trigger holds.
-func (v *Volume) flusher(p *sim.Proc) {
-	// The list of chunks a drain works through, reused from drain to drain.
-	var batch []int64
-	for {
-		v.wake.Wait(p)
-		v.wake.Clear()
-		for v.due(p.Now()) {
-			// Everything dirty now, in ascending order. What is marked from
-			// here on is the next drain's, and its age counts from then.
-			batch = batch[:0]
-			for c := range v.dirty {
-				batch = append(batch, c)
-			}
-			slices.Sort(batch)
-			v.oldest = -1
-			for i := 0; i < len(batch); {
-				// One backend write per run of adjacent chunks, a segment at most.
-				first, n := batch[i], 1
-				for i+n < len(batch) && batch[i+n] == first+int64(n) && (n+1)*chunkSize <= flushSegment {
-					n++
-				}
-				i += n
-				start := first * chunkSize
-				length := min(int64(n)*chunkSize, v.size-start)
-				// The chunks are clean from here: the backend takes their bytes
-				// before it first yields, and a write that lands while it is busy
-				// marks them again.
-				for c := first; c < first+int64(n); c++ {
-					delete(v.dirty, c)
-				}
-				v.dirtyGauge.Set(int64(len(v.dirty)))
-				// A failed write-back is not retried or reported: Sync has no
-				// error path and the marks are gone, so the bytes live on only in
-				// this never-evicting cache and the backend's copy is stale
-				// (the ack-durability point, ROADMAP.md item 5(b)).
-				_ = v.backend.WriteFrom(p, &v.store, start, length)
-				v.bytesFlushed.Add(length)
-			}
+// flush is the flusher's body: it writes dirty chunks back while a trigger
+// holds, then arms the timer for what is left.
+func (v *Volume) flush(p *sim.Proc) {
+	for v.due(p.Now()) {
+		// Everything dirty now, in ascending order. What is marked from here
+		// on is the next drain's, and its age counts from then.
+		batch := v.batch[:0]
+		for c := range v.dirty {
+			batch = append(batch, c)
 		}
-		if len(v.dirty) == 0 {
-			v.flushIdle.Broadcast()
-			if v.closed {
-				return
+		slices.Sort(batch)
+		v.batch = batch
+		v.oldest = -1
+		for i := 0; i < len(batch); {
+			// One backend write per run of adjacent chunks, a segment at most.
+			first, n := batch[i], 1
+			for i+n < len(batch) && batch[i+n] == first+int64(n) && (n+1)*chunkSize <= flushSegment {
+				n++
 			}
+			i += n
+			start := first * chunkSize
+			length := min(int64(n)*chunkSize, v.size-start)
+			// The chunks are clean from here: the backend takes their bytes
+			// before it first yields, and a write that lands while it is busy
+			// marks them again.
+			for c := first; c < first+int64(n); c++ {
+				delete(v.dirty, c)
+			}
+			v.dirtyGauge.Set(int64(len(v.dirty)))
+			// A failed write-back is not retried or reported: Sync has no
+			// error path and the marks are gone, so the bytes live on only in
+			// this never-evicting cache and the backend's copy is stale (the
+			// ack-durability point, ROADMAP.md item 5(b)).
+			_ = v.backend.WriteFrom(p, &v.store, start, length)
+			v.bytesFlushed.Add(length)
 		}
-		v.armTimer(p.Now())
 	}
+	if len(v.dirty) == 0 {
+		v.flushIdle.Broadcast()
+		if v.closed {
+			return
+		}
+	}
+	v.armTimer(p.Now())
 }
 
 // Sync blocks until all dirty data has reached the backend, starting
@@ -301,7 +305,7 @@ func (v *Volume) Sync(p *sim.Proc) {
 		return
 	}
 	v.syncing++
-	v.wake.Broadcast()
+	v.flusher.Wake()
 	v.flushIdle.Wait(p)
 	v.syncing--
 }
@@ -309,10 +313,11 @@ func (v *Volume) Sync(p *sim.Proc) {
 // DirtyChunks returns the number of chunks awaiting flush.
 func (v *Volume) DirtyChunks() int { return len(v.dirty) }
 
-// Close stops the flusher after draining (call Sync first for durability).
+// Close has the flusher drain everything dirty now, whatever its age (call
+// Sync first to wait for it).
 func (v *Volume) Close() {
 	v.closed = true
-	v.wake.Broadcast()
+	v.flusher.Wake()
 }
 
 type rangeError struct {

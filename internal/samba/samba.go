@@ -155,6 +155,7 @@ type file struct {
 	inner vfs.File
 	// Write-behind machinery.
 	q       *sim.Queue[queuedWrite]
+	wb      *sim.Daemon // drains q into the server filesystem
 	drained *sim.Signal
 	pending int
 	werr    error
@@ -166,7 +167,7 @@ func (s *FS) newFile(inner vfs.File) *file {
 		f.q = sim.NewQueue[queuedWrite](s.env)
 		f.drained = sim.NewSignal(s.env)
 		f.drained.Broadcast()
-		s.env.GoDaemon("smb-writeback", f.writeback)
+		f.wb = sim.NewDaemon(s.env, "smb-writeback", f.writeback)
 	}
 	return f
 }
@@ -179,13 +180,11 @@ type queuedWrite struct {
 	tctx any
 }
 
-// writeback drains queued writes into the server filesystem.
+// writeback is the write-behind daemon's body: it drains queued writes into
+// the server filesystem.
 func (f *file) writeback(p *sim.Proc) {
-	for {
-		w, ok := f.q.Pop(p)
-		if !ok {
-			return
-		}
+	for f.q.Len() > 0 {
+		w, _ := f.q.Pop(p)
 		p.SetTraceContext(w.tctx)
 		if _, err := f.inner.Write(p, w.data); err != nil && f.werr == nil {
 			f.werr = err
@@ -215,6 +214,7 @@ func (f *file) Write(p *sim.Proc, data []byte) (int, error) {
 	f.pending++
 	f.drained.Clear()
 	f.q.Push(queuedWrite{data: cp, tctx: p.TraceContext()})
+	f.wb.Wake()
 	return len(data), nil
 }
 

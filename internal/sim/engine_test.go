@@ -191,7 +191,9 @@ func TestFinishedProcessReturnsWorkerWhileSiblingsParked(t *testing.T) {
 	}
 	var quitter, heir *worker
 	env.Go("quitter", func(p *Proc) { quitter = p.w })
-	env.Run()
+	// Step, unlike a quiescent Run, keeps idle coroutines for the next tenant.
+	for env.Step() {
+	}
 	for i, s := range siblings {
 		if held[i] = s.w; held[i] == nil || held[i] == quitter {
 			t.Fatalf("sibling %d has worker %p (quitter's is %p)", i, held[i], quitter)
@@ -201,7 +203,8 @@ func TestFinishedProcessReturnsWorkerWhileSiblingsParked(t *testing.T) {
 		t.Fatalf("Stats = %+v, idle = %d; want 12 workers, the quitter's idle", st, len(env.idle))
 	}
 	env.Go("heir", func(p *Proc) { heir = p.w })
-	env.Run()
+	for env.Step() {
+	}
 	if heir != quitter {
 		t.Fatalf("heir ran on %p, want the quitter's worker %p", heir, quitter)
 	}
@@ -215,8 +218,9 @@ func TestFinishedProcessReturnsWorkerWhileSiblingsParked(t *testing.T) {
 	}
 	gate.Broadcast()
 	env.Run()
-	if env.Live() != 0 || len(env.idle) != 12 {
-		t.Fatalf("Live = %d, idle = %d after the gate opened; want 0 and 12", env.Live(), len(env.idle))
+	if st := env.Stats(); env.Live() != 0 || len(env.idle) != 0 || st.Workers != 0 {
+		t.Fatalf("Live = %d, idle = %d, Stats = %+v after the gate opened and Run quiesced; want no process and no worker",
+			env.Live(), len(env.idle), st)
 	}
 }
 
@@ -400,6 +404,49 @@ func TestAllocBudget(t *testing.T) {
 		}
 		if st := env.Stats(); st.PeakWorkers != 2 {
 			t.Errorf("PeakWorkers = %d, want 2", st.PeakWorkers)
+		}
+	})
+
+	t.Run("Daemon", func(t *testing.T) {
+		// A Daemon woken, run and finished, woken again while running: its
+		// Proc and bound body are reused, so nothing is allocated.
+		env := NewEnv()
+		defer env.Close()
+		runs := 0
+		var d *Daemon
+		d = NewDaemon(env, "svc", func(p *Proc) {
+			p.Sleep(time.Millisecond)
+			if runs++; runs%2 == 1 {
+				d.Wake() // once more, straight after this run
+			}
+		})
+		env.Go("waker", func(p *Proc) {
+			for {
+				d.Wake()
+				p.Sleep(time.Second)
+			}
+		})
+		env.RunUntil(time.Minute)
+		if n := testing.AllocsPerRun(1000, step(env)); n != 0 {
+			t.Errorf("%v allocs per Daemon wake and run, want 0", n)
+		}
+	})
+
+	t.Run("AfterWeak", func(t *testing.T) {
+		// A callback that re-arms itself reuses its slot: no allocation per tick.
+		env := NewEnv()
+		defer env.Close()
+		var tick func()
+		tick = func() { env.AfterWeak(time.Second, tick) }
+		env.AfterWeak(time.Second, tick)
+		env.Go("clock", func(p *Proc) {
+			for {
+				p.Sleep(time.Hour)
+			}
+		})
+		env.RunUntil(time.Minute)
+		if n := testing.AllocsPerRun(1000, step(env)); n != 0 {
+			t.Errorf("%v allocs per AfterWeak tick, want 0", n)
 		}
 	})
 

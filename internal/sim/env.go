@@ -11,14 +11,21 @@
 // Proc.Fork (every leg of a RAID fan-out) reuse their join record's Procs and
 // cost nothing at all.
 //
+// No goroutine outlives a quiescent Run: when Run or RunUntil returns with no
+// strong event queued, every coroutine without a parked process ends, and the
+// next process to start gets a fresh one. Background services do not park
+// between jobs: a Daemon runs its body only when woken, and a periodic
+// observer ticks on an AfterWeak callback, which needs no process at all. So
+// a drained Env is plain data, collected like any other once its owner drops
+// it. Close is needed only after a Run that stopped with processes still
+// blocked — a deadlock, or a simulation abandoned mid-flight — to unwind them.
+//
 // Run, RunUntil and Step may be called from any goroutine, one at a time —
 // but from one locked to an OS thread only if every earlier call on the Env
 // was made under that lock (the runtime ties a coroutine to the thread-lock
 // state it was created in). A panic in a process surfaces from that call as a
 // *ProcPanic; runtime.Goexit in a process — t.Fatal inside the simulation —
-// ends the calling goroutine. Processes still parked when the event queue
-// drains keep their coroutines until Close unwinds them, after which the Env
-// is collectable.
+// ends the calling goroutine.
 //
 // go.mod says "go 1.22" because the out-of-tree bench module pins it;
 // worker.go imports iter under //go:build go1.23, so building needs a
@@ -27,7 +34,6 @@
 // Typical use:
 //
 //	env := sim.NewEnv()
-//	defer env.Close()
 //	env.Go("burner", func(p *sim.Proc) {
 //	    p.Sleep(675 * time.Second) // burn a 25GB disc
 //	})
@@ -56,17 +62,19 @@ type Env struct {
 	faults any // environment-wide fault plane (owned by internal/faultinject)
 
 	running *Proc     // process executing now; nil between events
-	workers []*worker // every coroutine started on this Env
+	workers []*worker // every coroutine started on this Env and not yet ended
 	idle    []*worker // those with no tenant; the last one freed is reused first
 	joins   []*join   // Fork records not in use; the last one freed is reused first
+	calls   []func()  // AfterWeak callbacks, indexed by their events' gen
+	free    []uint32  // unused slots of calls
 	closed  bool
 	stats   Stats
 }
 
 // Stats are the engine's own counters (plain fields: sim cannot import obs).
 type Stats struct {
-	Events      int64 // wakeups delivered to a process
-	Spawned     int64 // processes created by Go and GoDaemon
+	Events      int64 // wakeups delivered to a process, and AfterWeak callbacks run
+	Spawned     int64 // process lives started: by Go, GoDaemon, Fork and Daemon.Wake
 	Workers     int   // coroutines alive now, tenanted or idle
 	PeakWorkers int   // most alive at once: the peak of started, unfinished processes
 	PeakPending int   // deepest the event queue has been
@@ -162,10 +170,12 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	return e.spawn(name, fn, false)
 }
 
-// GoDaemon spawns a background service process (cache flushers, schedulers)
-// that is expected to outlive the workload: it is excluded from Live and
-// Deadlocked accounting, so a simulation that quiesces with only daemons
-// parked is considered cleanly finished.
+// GoDaemon spawns a background service process that is expected to outlive
+// the workload: it is excluded from Live and Deadlocked accounting, so a
+// simulation that quiesces with only daemons parked is considered cleanly
+// finished. A daemon parked at quiescence keeps its coroutine, and so the
+// Env, alive until Close; services outside this package use Daemon and
+// AfterWeak instead, which park nothing between jobs.
 func (e *Env) GoDaemon(name string, fn func(p *Proc)) *Proc {
 	return e.spawn(name, fn, true)
 }
@@ -192,21 +202,45 @@ func (e *Env) start(p *Proc, name string, fn func(p *Proc), daemon bool) {
 // schedule enqueues a wakeup for p at virtual time t.
 func (e *Env) schedule(t time.Duration, p *Proc) {
 	e.strong++
-	e.push(t, p, false)
+	e.push(event{t: t, p: p, gen: p.gen})
 }
 
 // scheduleWeak enqueues a weak wakeup: it fires in time order like any other
-// event while the simulation has work, but does not by itself keep Run alive.
-// Periodic observers (the telemetry sampler) use it so that a forever-ticking
-// daemon never prevents a workload from draining to quiescence.
-func (e *Env) scheduleWeak(t time.Duration, p *Proc) { e.push(t, p, true) }
+// event while the simulation has work, but does not by itself keep Run alive,
+// so a forever-ticking observer never prevents a workload from draining to
+// quiescence.
+func (e *Env) scheduleWeak(t time.Duration, p *Proc) {
+	e.push(event{t: t, p: p, gen: p.gen, weak: true})
+}
 
-func (e *Env) push(t time.Duration, p *Proc, weak bool) {
-	if t < e.now {
-		t = e.now
+// AfterWeak calls fn at d from now on a weak timer: the call comes in (time,
+// schedule order) like a SleepWeak wakeup, while the simulation has other
+// work, but it never keeps Run alive by itself. fn runs outside any process,
+// on the goroutine driving the Env, so it must not block; it may start
+// processes, wake daemons and call AfterWeak again — a periodic observer
+// re-arms itself this way and parks no coroutine between ticks. A callback
+// still queued when the Env is closed is dropped.
+func (e *Env) AfterWeak(d time.Duration, fn func()) {
+	e.mustBeOpen()
+	var slot uint32
+	if n := len(e.free); n > 0 {
+		slot, e.free = e.free[n-1], e.free[:n-1]
+		e.calls[slot] = fn
+	} else {
+		slot = uint32(len(e.calls))
+		e.calls = append(e.calls, fn)
+	}
+	e.push(event{t: e.now + max(d, 0), gen: slot, weak: true})
+}
+
+// push stamps ev with the next sequence number and queues it.
+func (e *Env) push(ev event) {
+	if ev.t < e.now {
+		ev.t = e.now
 	}
 	e.seq++
-	e.events.push(event{t: t, seq: e.seq, p: p, gen: p.gen, weak: weak})
+	ev.seq = e.seq
+	e.events.push(ev)
 	if n := len(e.events); n > e.stats.PeakPending {
 		e.stats.PeakPending = n
 	}
@@ -214,7 +248,8 @@ func (e *Env) push(t time.Duration, p *Proc, weak bool) {
 
 // Run executes events until the event queue is empty. Processes that remain
 // parked on a Resource, Signal or Queue when the queue drains stay suspended
-// (Close unwinds them); Deadlocked reports whether that happened.
+// (Close unwinds them); Deadlocked reports whether that happened. Every other
+// coroutine ends before Run returns.
 func (e *Env) Run() {
 	e.RunUntil(-1)
 }
@@ -225,18 +260,23 @@ func (e *Env) Run() {
 // spin the clock forever). With a non-negative limit, weak events up to the
 // limit do fire — the caller explicitly asked for that much time to pass. On
 // return the virtual clock rests at the time of the last executed event (Run)
-// or at limit (RunUntil with pending later events).
+// or at limit (RunUntil with pending later events). If no strong event is
+// left queued, the Env is quiescent and the coroutines of finished processes
+// end (see releaseIdle).
 func (e *Env) RunUntil(limit time.Duration) {
 	e.mustBeOpen()
 	for len(e.events) > 0 {
 		if limit >= 0 && e.events[0].t > limit {
 			e.now = limit
-			return
+			break
 		}
 		if limit < 0 && e.strong == 0 {
-			return // only weak timer wakeups remain: quiescent
+			break // only weak timer wakeups remain: quiescent
 		}
 		e.step()
+	}
+	if e.strong == 0 {
+		e.releaseIdle()
 	}
 }
 
@@ -250,11 +290,21 @@ func (e *Env) Step() bool {
 	return true
 }
 
-// step pops the earliest event and runs its process until it parks or ends.
+// step pops the earliest event and runs its callback, or its process until it
+// parks or ends.
 func (e *Env) step() {
 	ev := e.events.pop()
 	if !ev.weak {
 		e.strong--
+	}
+	if ev.p == nil {
+		e.now = ev.t
+		e.stats.Events++
+		fn := e.calls[ev.gen]
+		e.calls[ev.gen] = nil
+		e.free = append(e.free, ev.gen)
+		fn()
+		return
 	}
 	if ev.p.fn == nil || ev.gen != ev.p.gen {
 		return // stale wakeup: the process has exited, or exited and started again
@@ -284,10 +334,11 @@ func (e *Env) Live() int { return e.live }
 // Pending returns the number of queued events.
 func (e *Env) Pending() int { return len(e.events) }
 
-// event is a scheduled process wakeup. seq breaks ties so that events at the
-// same virtual time fire in schedule order (FIFO, deterministic). gen is the
-// life of p it is addressed to (a Fork child's Proc runs many). weak marks
-// idle-exempt timer wakeups (see scheduleWeak).
+// event is a scheduled process wakeup, or an AfterWeak callback when p is
+// nil. seq breaks ties so that events at the same virtual time fire in
+// schedule order (FIFO, deterministic). gen is the life of p it is addressed
+// to (a Fork or Daemon Proc runs many), or a callback's slot in Env.calls.
+// weak marks idle-exempt timer events (see scheduleWeak).
 type event struct {
 	t    time.Duration
 	seq  int64
@@ -361,7 +412,7 @@ type Proc struct {
 	gen     uint32        // the life it is in: bumped by every start
 	daemon  bool
 	tctx    any   // request-scoped trace context (owned by internal/obs)
-	fork    *join // the Fork whose child it is; nil for Go and GoDaemon
+	fork    *join // the Fork whose child it is; nil otherwise
 	forkIdx int   // its index in that Fork
 }
 
@@ -375,7 +426,8 @@ func (p *Proc) TraceContext() any { return p.tctx }
 // SetTraceContext installs (or clears, with nil) the trace context.
 func (p *Proc) SetTraceContext(v any) { p.tctx = v }
 
-// Daemon reports whether the process was spawned with GoDaemon.
+// Daemon reports whether the process is a background service: spawned with
+// GoDaemon, or the body of a Daemon.
 func (p *Proc) Daemon() bool { return p.daemon }
 
 // Name returns the process name given to Env.Go.
@@ -399,9 +451,9 @@ func (p *Proc) Sleep(d time.Duration) {
 
 // SleepWeak suspends the process for d of virtual time on a weak timer: the
 // wakeup fires in order while the simulation has other work, but does not by
-// itself keep Run alive or make an otherwise-stuck simulation look live. Use
-// it for periodic background observers (metric samplers, watchdogs) that
-// should tick as long as time is advancing and go quiet when it stops.
+// itself keep Run alive or make an otherwise-stuck simulation look live. A
+// process parked on it still holds its coroutine at quiescence; a periodic
+// observer that needs no process ticks on AfterWeak instead.
 func (p *Proc) SleepWeak(d time.Duration) {
 	if d < 0 {
 		d = 0

@@ -6,11 +6,12 @@ import (
 	"fmt"
 	"iter"
 	"runtime/debug"
+	"slices"
 )
 
 // worker is one coroutine. It runs one process (its tenant) at a time and
 // outlives it: when the tenant finishes the worker joins Env.idle and the
-// next process to start takes it over.
+// next process to start takes it over, until the Env quiesces.
 type worker struct {
 	env   *Env
 	p     *Proc                   // tenant; nil while idle
@@ -59,9 +60,9 @@ func (e *Env) dispatch(p *Proc) {
 }
 
 // loop is the coroutine body: run the tenant, join the idle list, yield until
-// the next tenant arrives. It ends when Close makes yield report false, or
-// when a tenant panics or calls runtime.Goexit — iter.Pull re-raises either
-// from next, on the goroutine that called Run.
+// the next tenant arrives. It ends when releaseIdle or Close makes yield
+// report false, or when a tenant panics or calls runtime.Goexit — iter.Pull
+// re-raises either from next, on the goroutine that called Run.
 func (w *worker) loop(yield func(struct{}) bool) {
 	e := w.env
 	w.yield = yield
@@ -103,13 +104,31 @@ func (p *Proc) park() {
 	}
 }
 
-// Close ends every coroutine of the Env so that it, and whatever its
-// processes reference, can be collected. Each parked process is unwound: its
+// releaseIdle ends every coroutine without a tenant. RunUntil calls it at
+// quiescence, so an Env whose processes have all finished holds no goroutine
+// and is collected once unreferenced; the next process started gets a new
+// coroutine. It runs on the goroutine that drives the Env, which keeps the
+// thread-lock rule in the package comment.
+func (e *Env) releaseIdle() {
+	if len(e.idle) == 0 {
+		return
+	}
+	for _, w := range e.idle {
+		w.stop()
+	}
+	clear(e.idle)
+	e.idle = e.idle[:0]
+	e.workers = slices.DeleteFunc(e.workers, func(w *worker) bool { return w.p == nil })
+}
+
+// Close ends every coroutine of the Env. Only processes still parked need it
+// — after a deadlock, or a Run abandoned mid-flight: a quiescent Run has
+// already ended every other coroutine. Each parked process is unwound: its
 // blocking call panics with a private value, its deferred functions run (one
 // that blocks again is unwound again) and its coroutine exits; when Close
 // returns no goroutine started by the Env remains. Close must be called from
 // outside the simulation and is never implicit; a second call is a no-op;
-// Go, Run, RunUntil and Step panic afterwards.
+// Go, Run, RunUntil, Step and AfterWeak panic afterwards.
 func (e *Env) Close() {
 	if e.closed {
 		return
@@ -122,4 +141,5 @@ func (e *Env) Close() {
 		w.stop()
 	}
 	e.workers, e.idle, e.events, e.strong = nil, nil, nil, 0
+	e.calls, e.free = nil, nil
 }

@@ -58,7 +58,7 @@ type Admission struct {
 	congested   bool
 	queue       []*Ticket
 	seq         int64
-	wake        *sim.Signal // prods the deadline watchdog on enqueue
+	watch       *sim.Daemon // sheds tickets past their deadline; nil without MaxWait
 
 	m admMetrics
 }
@@ -82,9 +82,8 @@ type admMetrics struct {
 // scheduler's constants.
 func NewAdmission(env *sim.Env, cfg AdmissionConfig, _ sched.Config, r *obs.Registry) *Admission {
 	a := &Admission{
-		env:  env,
-		cfg:  cfg.withDefaults(),
-		wake: sim.NewSignal(env),
+		env: env,
+		cfg: cfg.withDefaults(),
 	}
 	a.m.inflight = r.Gauge("writepath.inflight_bytes")
 	a.m.pct = r.Gauge("writepath.buffer_pct")
@@ -99,7 +98,7 @@ func NewAdmission(env *sim.Env, cfg AdmissionConfig, _ sched.Config, r *obs.Regi
 		a.m.waitBy[cl] = r.Histogram("writepath.admit_wait." + cl.String())
 	}
 	if a.cfg.Enabled && a.cfg.MaxWait > 0 {
-		env.GoDaemon("writepath-admission-watchdog", a.watchdog)
+		a.watch = sim.NewDaemon(env, "writepath-admission-watchdog", a.watchdog)
 	}
 	return a
 }
@@ -154,7 +153,9 @@ func (a *Admission) Begin(c Class, n int64) *Ticket {
 	t.c = sim.NewCompletion[struct{}](a.env)
 	a.queue = append(a.queue, t)
 	a.m.queue.Set(int64(len(a.queue)))
-	a.wake.Pulse()
+	if a.watch != nil {
+		a.watch.Wake()
+	}
 	return t
 }
 
@@ -356,15 +357,11 @@ func (a *Admission) noteShed(n int64) {
 	a.m.shedB.Add(n)
 }
 
-// watchdog sheds queued tickets whose deadline has passed. It parks on the
-// wake signal while the queue is empty so a drained simulation carries no
-// stray timers.
+// watchdog is the deadline daemon's body: it sheds queued tickets whose
+// deadline has passed and returns once the queue is empty, so a drained
+// simulation carries no stray timers.
 func (a *Admission) watchdog(p *sim.Proc) {
-	for {
-		if len(a.queue) == 0 {
-			a.wake.Wait(p)
-			continue
-		}
+	for len(a.queue) > 0 {
 		earliest := a.queue[0].deadline
 		for _, t := range a.queue[1:] {
 			if t.deadline < earliest {

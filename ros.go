@@ -12,7 +12,6 @@
 // Quick start:
 //
 //	sys, _ := ros.New(ros.Options{})
-//	defer sys.Close()
 //	sys.Do(func(p *sim.Proc) error {
 //	    if err := sys.FS.WriteFile(p, "/archive/report.pdf", data); err != nil {
 //	        return err
@@ -357,9 +356,11 @@ func (s *System) Do(fn func(p *Proc) error) error {
 	return err
 }
 
-// Close ends every simulation process of the System (sim.Env.Close) so that
-// the System and the buffers its daemons hold can be garbage-collected. Call
-// it from outside the simulation when done with the System; nothing calls it
+// Close ends every simulation process of the System (sim.Env.Close). Only a
+// System left with processes blocked needs it — after Do reported a deadlock,
+// or when a process never finished: once Do returns on a drained System no
+// goroutine of it remains, and it is garbage-collected like any other value
+// when dropped. Call Close from outside the simulation; nothing calls it
 // implicitly, and the System cannot run again afterwards.
 func (s *System) Close() { s.Env.Close() }
 

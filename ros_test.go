@@ -2,10 +2,13 @@ package ros
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
 	"time"
+
+	"ros/internal/sim"
 )
 
 func TestSystemQuickstart(t *testing.T) {
@@ -193,6 +196,166 @@ func TestClosedSystemIsFreed(t *testing.T) {
 			t.Fatalf("%d goroutines after closing system %d, %d before the first was built", n, i+1, goroutines)
 		}
 	}
+}
+
+// TestDroppedSystemIsFreed is TestClosedSystemIsFreed without Close, plus a
+// four-rack replicated System with telemetry and blocking admission, so every
+// background service takes part. No goroutine outlives a quiescent Run, so a
+// drained System its caller drops is plain garbage: after each one the
+// goroutine count is back at its baseline and the heap, after a collection,
+// within 64 MB of where it started.
+func TestDroppedSystemIsFreed(t *testing.T) {
+	runtime.GC()
+	goroutines := settledGoroutines()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	base := m.HeapAlloc
+	check := func(what string) {
+		t.Helper()
+		if n := runtime.NumGoroutine(); n != goroutines {
+			t.Fatalf("%d goroutines after dropping %s, %d before the first System was built", n, what, goroutines)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		if m.HeapAlloc > base+64<<20 {
+			t.Fatalf("heap after dropping %s is %d MB, %d MB before the first System: a drained System is still pinned",
+				what, m.HeapAlloc>>20, base>>20)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		sys, err := New(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = sys.Do(func(p *Proc) error {
+			for f := 0; f < 50; f++ {
+				if err := sys.FS.WriteFile(p, fmt.Sprintf("/dropped/f%02d", f), bytes.Repeat([]byte{byte(f + 1)}, 1<<20)); err != nil {
+					return err
+				}
+			}
+			p.Sleep(3 * time.Hour) // drain the burn pipeline
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if burns := sys.Stats().Obs.Counter("olfs.burn_tasks"); burns == 0 {
+			t.Fatalf("system %d burned nothing", i)
+		}
+		sys = nil
+		check(fmt.Sprintf("system %d", i+1))
+	}
+
+	sys, err := New(Options{
+		Racks: 4, Replicas: 2, BucketBytes: 512 << 10, SampleEvery: time.Minute,
+		Write: WriteConfig{Admission: AdmissionConfig{Enabled: true, MaxWait: time.Minute}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = sys.Do(func(p *Proc) error {
+		for f := 0; f < 40; f++ {
+			err := sys.Cluster.WriteFile(p, fmt.Sprintf("/fleet/f%02d", f), bytes.Repeat([]byte{byte(f + 1)}, 256<<10))
+			if err != nil && !errors.Is(err, ErrOverload) {
+				return err
+			}
+		}
+		if _, err := sys.Cluster.ReadFile(p, "/fleet/f00"); err != nil {
+			return err
+		}
+		// The direct-writing mode's mover, too.
+		if err := sys.FS.DirectIngest(p, "/fleet/direct", bytes.Repeat([]byte{7}, 64<<10)); err != nil {
+			return err
+		}
+		if err := sys.FS.DirectDrain(p); err != nil {
+			return err
+		}
+		p.Sleep(3 * time.Hour)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := sys.Stats().Obs
+	if st.Counter("olfs.burn_tasks") == 0 || sys.Telemetry.Passes() == 0 {
+		t.Fatalf("fleet system: olfs.burn_tasks = %d, sampler passes = %d", st.Counter("olfs.burn_tasks"), sys.Telemetry.Passes())
+	}
+	sys = nil
+	check("the fleet system")
+}
+
+// TestDrainedSystemHoldsNoGoroutine: in each of the four standing benchmark
+// configurations, once Do returns on a drained System — writes acknowledged,
+// read back, burned — the process runs exactly the goroutines it ran before
+// New.
+func TestDrainedSystemHoldsNoGoroutine(t *testing.T) {
+	const kb, mb = 1 << 10, 1 << 20
+	for _, c := range []struct {
+		name string
+		o    Options
+	}{
+		{"ingest-steady", Options{BucketBytes: 2 * mb, BufferSlots: 120, FS: FSConfig{RecycleAfterBurn: true}}},
+		{"ingest-overload", Options{BucketBytes: 2 * mb, BufferSlots: 60, BurnCap: 380e6,
+			Write: WriteConfig{Admission: AdmissionConfig{Enabled: true, CapacityBytes: 64 * mb, MaxWait: 2 * time.Minute}}}},
+		{"cold-read", Options{BucketBytes: 512 * kb, BufferSlots: 108, FS: FSConfig{RecycleAfterBurn: true}}},
+		{"fleet-mix", Options{Racks: 4, Replicas: 2, BucketBytes: 512 * kb, SampleEvery: time.Minute,
+			FS: FSConfig{RecycleAfterBurn: true}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := settledGoroutines()
+			c.o.TraceCapacity = -1
+			sys, err := New(c.o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = sys.Do(func(p *Proc) error {
+				for f := 0; f < 24; f++ {
+					path := fmt.Sprintf("/drained/f%02d", f)
+					if err := sys.Cluster.WriteFile(p, path, bytes.Repeat([]byte{byte(f + 1)}, 192*kb)); err != nil {
+						return err
+					}
+					if _, err := sys.Cluster.ReadFile(p, path); err != nil {
+						return err
+					}
+				}
+				var burns []*sim.Completion[error]
+				for _, r := range sys.Cluster.Racks() {
+					c, err := r.FS.FlushAndBurn(p)
+					if err != nil {
+						return err
+					}
+					burns = append(burns, c)
+				}
+				for _, c := range burns {
+					if _, err := c.Wait(p); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := runtime.NumGoroutine(); n != before {
+				t.Fatalf("%d goroutines after Do returned on a drained System, %d before New", n, before)
+			}
+		})
+	}
+}
+
+// settledGoroutines returns runtime.NumGoroutine once the goroutines earlier
+// tests left behind have exited: when the count has held for 10 ms.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(10 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
 }
 
 // TestOneRackSystemGrows: the default System is a one-rack federation that
