@@ -304,22 +304,14 @@ func Run(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// runWorkers launches the concurrent workload and joins it, returning each
-// worker's acknowledged writes.
+// runWorkers runs the concurrent workload, one Fork child per worker, and
+// returns each worker's acknowledged writes.
 func runWorkers(sys *ros.System, p *sim.Proc, cfg Config, rep *Report) [][]ackedFile {
 	acked := make([][]ackedFile, cfg.Workers)
-	done := make([]*sim.Completion[int], cfg.Workers)
-	for wi := 0; wi < cfg.Workers; wi++ {
-		wi := wi
-		done[wi] = sim.NewCompletion[int](sys.Env)
-		sys.Env.Go(fmt.Sprintf("chaos.w%d", wi), func(wp *sim.Proc) {
-			acked[wi] = worker(sys, wp, cfg, wi, rep)
-			done[wi].Resolve(wi, nil)
-		})
-	}
-	for _, c := range done {
-		c.Wait(p)
-	}
+	_ = p.Fork("chaos.w", cfg.Workers, func(wp *sim.Proc, wi int) error {
+		acked[wi] = worker(sys, wp, cfg, wi, rep)
+		return nil
+	})
 	return acked
 }
 
@@ -477,21 +469,12 @@ func worker(sys *ros.System, p *sim.Proc, cfg Config, wi int, rep *Report) []ack
 // are separate from the chaos mix — their rand streams never touch the
 // shared worker streams, so pre-existing seeds replay unchanged.
 func runOverload(sys *ros.System, p *sim.Proc, cfg Config, rep *Report) []ackedFile {
-	workers := cfg.Workers
+	perWorker := make([][]ackedFile, cfg.Workers)
+	_ = p.Fork("chaos.overload", cfg.Workers, func(wp *sim.Proc, wi int) error {
+		perWorker[wi] = overloadWorker(sys, wp, cfg, wi, rep)
+		return nil
+	})
 	var acked []ackedFile
-	done := make([]*sim.Completion[int], workers)
-	perWorker := make([][]ackedFile, workers)
-	for wi := 0; wi < workers; wi++ {
-		wi := wi
-		done[wi] = sim.NewCompletion[int](sys.Env)
-		sys.Env.Go(fmt.Sprintf("chaos.overload%d", wi), func(wp *sim.Proc) {
-			perWorker[wi] = overloadWorker(sys, wp, cfg, wi, rep)
-			done[wi].Resolve(wi, nil)
-		})
-	}
-	for _, c := range done {
-		c.Wait(p)
-	}
 	for _, fs := range perWorker {
 		acked = append(acked, fs...)
 	}

@@ -131,7 +131,9 @@ func runIngest(batch writepath.BatchConfig, horizon time.Duration) (ingestRun, e
 		done := sim.NewQueue[workerOut](bed.Env)
 		for w := 0; w < workers; w++ {
 			w := w
-			bed.Env.Go(fmt.Sprintf("ingest-%d", w), func(wp *sim.Proc) {
+			// Drained from a queue in completion order, not joined by index:
+			// a plain Go under one name.
+			bed.Env.Go("ingest", func(wp *sim.Proc) {
 				var out workerOut
 				seq := 0
 				for wp.Now() < horizon {

@@ -107,23 +107,14 @@ func AblationScheduler() (Result, error) {
 			start := p.Now()
 			travel0 := travelCtr.Value()
 			arm0 := fs.Library().ArmTime()
-			readers := make([]*sim.Completion[struct{}], len(arrival))
-			for k, idx := range arrival {
-				k, idx := k, idx
-				c := sim.NewCompletion[struct{}](bed.Env)
-				readers[k] = c
-				bed.Env.Go(fmt.Sprintf("reader%d", idx), func(rp *sim.Proc) {
-					rp.Sleep(time.Duration(k) * 2 * time.Second) // staggered arrivals
-					t0 := rp.Now()
-					_, e := fs.ReadFile(rp, fmt.Sprintf("/sc/read%d.dat", idx))
-					lats = append(lats, rp.Now()-t0)
-					c.Resolve(struct{}{}, e)
-				})
-			}
-			for _, c := range readers {
-				if _, e := c.Wait(p); e != nil {
-					return e
-				}
+			if err := p.Fork("reader", len(arrival), func(rp *sim.Proc, k int) error {
+				rp.Sleep(time.Duration(k) * 2 * time.Second) // staggered arrivals
+				t0 := rp.Now()
+				_, e := fs.ReadFile(rp, fmt.Sprintf("/sc/read%d.dat", arrival[k]))
+				lats = append(lats, rp.Now()-t0)
+				return e
+			}); err != nil {
+				return err
 			}
 			if _, e := burnsDone.Wait(p); e != nil {
 				return e

@@ -214,29 +214,23 @@ func SmallFileRead(p *sim.Proc, fs vfs.FileSystem, dir string, count, size int) 
 	return res, nil
 }
 
-// MultiStreamWrite runs n concurrent single-stream writers and returns the
-// aggregate result (drives the multi-RAID stream-isolation ablation).
-func MultiStreamWrite(env *sim.Env, p *sim.Proc, fs vfs.FileSystem, dir string, n int, perStream int64, ioSize int) (Result, error) {
+// MultiStreamWrite runs n concurrent single-stream writers, one Fork child
+// per stream, and returns the aggregate result (drives the multi-RAID
+// stream-isolation ablation). It returns once every stream has ended, with
+// the error of the lowest-numbered stream that failed.
+func MultiStreamWrite(p *sim.Proc, fs vfs.FileSystem, dir string, n int, perStream int64, ioSize int) (Result, error) {
 	start := p.Now()
-	comps := make([]*sim.Completion[Result], n)
-	for i := 0; i < n; i++ {
-		i := i
-		comps[i] = sim.NewCompletion[Result](env)
-		c := comps[i]
-		env.Go(fmt.Sprintf("stream-%d", i), func(sp *sim.Proc) {
-			r, err := SingleStreamWrite(sp, fs, fmt.Sprintf("%s/stream-%d", dir, i), perStream, ioSize)
-			c.Resolve(r, err)
-		})
-	}
+	res := make([]Result, n)
+	err := p.Fork("stream-", n, func(sp *sim.Proc, i int) error {
+		var err error
+		res[i], err = SingleStreamWrite(sp, fs, fmt.Sprintf("%s/stream-%d", dir, i), perStream, ioSize)
+		return err
+	})
 	var agg Result
-	for _, c := range comps {
-		r, err := c.Wait(p)
-		if err != nil {
-			return agg, err
-		}
+	for _, r := range res {
 		agg.Bytes += r.Bytes
 		agg.Ops += r.Ops
 	}
 	agg.Elapsed = p.Now() - start
-	return agg, nil
+	return agg, err
 }

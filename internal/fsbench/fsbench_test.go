@@ -1,6 +1,7 @@
 package fsbench
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"ros/internal/extfs"
 	"ros/internal/pagecache"
 	"ros/internal/sim"
+	"ros/internal/vfs"
 )
 
 func newFS(t *testing.T) (*sim.Env, *extfs.FS) {
@@ -109,7 +111,7 @@ func TestMultiStreamAggregates(t *testing.T) {
 	var agg Result
 	inSim(t, env, func(p *sim.Proc) {
 		var err error
-		agg, err = MultiStreamWrite(env, p, fs, "/multi", 4, 4<<20, 1<<20)
+		agg, err = MultiStreamWrite(p, fs, "/multi", 4, 4<<20, 1<<20)
 		if err != nil {
 			t.Fatalf("MultiStreamWrite: %v", err)
 		}
@@ -129,4 +131,50 @@ func TestMeanLatencyEmpty(t *testing.T) {
 	if r.MeanLatency() != 0 || r.ThroughputMBps() != 0 {
 		t.Error("zero-value Result math wrong")
 	}
+}
+
+// refusingFS refuses to create one path and counts the files being created
+// or written and not yet closed.
+type refusingFS struct {
+	vfs.FileSystem
+	refuse string
+	open   int
+}
+
+func (f *refusingFS) Create(p *sim.Proc, path string) (vfs.File, error) {
+	if path == f.refuse {
+		return nil, errors.New("create refused")
+	}
+	f.open++
+	file, err := f.FileSystem.Create(p, path)
+	if err != nil {
+		f.open--
+		return nil, err
+	}
+	return closeCounter{File: file, fs: f}, nil
+}
+
+type closeCounter struct {
+	vfs.File
+	fs *refusingFS
+}
+
+func (c closeCounter) Close(p *sim.Proc) error {
+	c.fs.open--
+	return c.File.Close(p)
+}
+
+// TestMultiStreamWriteWaitsForEveryStream: a stream that fails at once must
+// not end the call while the other streams are still writing.
+func TestMultiStreamWriteWaitsForEveryStream(t *testing.T) {
+	env, fs := newFS(t)
+	rfs := &refusingFS{FileSystem: fs, refuse: "/multi/stream-0"}
+	inSim(t, env, func(p *sim.Proc) {
+		if _, err := MultiStreamWrite(p, rfs, "/multi", 4, 4<<20, 1<<20); err == nil {
+			t.Error("MultiStreamWrite with a refused stream returned no error")
+		}
+		if rfs.open != 0 {
+			t.Errorf("MultiStreamWrite returned with %d streams still writing", rfs.open)
+		}
+	})
 }

@@ -139,9 +139,8 @@ func (c *Catalog) Forget(id ID) { delete(c.DIL, id.String()) }
 // given tray.
 func (c *Catalog) ImagesOnTray(tray rack.TrayID) map[int]ID {
 	out := make(map[int]ID)
-	key := tray.String()
 	for idStr, addr := range c.DIL {
-		if addr.Tray.String() != key {
+		if addr.Tray != tray {
 			continue
 		}
 		if id, err := Parse(idStr); err == nil {

@@ -1,128 +1,78 @@
 // Parallel strip reading: a tray's discs sit in twelve independent drives,
 // so parity verification and erasure recovery can read all columns
 // concurrently and aggregate close to Table 2's 282.5 MB/s instead of the
-// 24.1 MB/s a single drive sustains. The parallel variants below spawn one
-// long-lived reader process per column and drive them in lockstep
-// chunk-rounds: the parent hands every column its 1 MB strip, waits for the
-// round, then does the (time-free) XOR/GF math serially. Memory stays
-// bounded at one chunk per column, and each column read is admitted through
-// a Gate so a background crew cannot starve interactive readers.
+// 24.1 MB/s a single drive sustains. The parallel variants below read in
+// 1 MB chunk rounds: each round is one Proc.Fork with a child per live
+// column, and the (time-free) XOR/GF math then runs serially on the caller.
+// Memory stays bounded at one chunk buffer per column, reused from round to
+// round, and each column read is admitted through a Gate so a background
+// scan cannot starve interactive readers.
 package image
 
 import (
 	"bytes"
 	"fmt"
 
-	"ros/internal/obs"
 	"ros/internal/raid"
 	"ros/internal/sim"
 )
 
 // Gate admits one column read at a time per Acquire/Release pair. olfs backs
 // it with the mechanical scheduler's per-group read slots so parallel
-// scrub/recover crews yield to interactive requests between chunks; a nil
+// scrub/recover scans yield to interactive requests between chunks; a nil
 // Gate admits everything immediately.
 type Gate interface {
 	Acquire(p *sim.Proc)
 	Release()
 }
 
-// stripJob asks a column reader for one chunk at off into its buffer.
-type stripJob struct {
-	off int64
-	n   int
-	c   *sim.Completion[error]
+// columns reads the non-nil backends of a parallel scan one chunk round at a
+// time, each into its own chunk buffer.
+type columns struct {
+	name string    // Fork name of the column readers
+	cols []Backend // nil where a column is absent
+	live []int     // indices of the non-nil columns, in order
+	buf  [][]byte  // a chunk buffer per live column, reused from round to round
+	err  []error   // each column's read error in the latest round
+	gate Gate
 }
 
-// stripCol is one column's reader process handle plus its round buffer.
-type stripCol struct {
-	jobs *sim.Queue[stripJob]
-	buf  []byte
-}
-
-// stripCrew runs one reader process per non-nil backend.
-type stripCrew struct {
-	env  *sim.Env
-	cols []*stripCol
-}
-
-// startCrew spawns a reader process per non-nil backend. Every process ends
-// when the crew is stopped; the caller must defer stop() so an error return
-// cannot strand parked readers (a stranded reader deadlocks the drain).
-func startCrew(p *sim.Proc, name string, backends []Backend, gate Gate) *stripCrew {
-	env := p.Env()
-	tctx := p.TraceContext()
-	crew := &stripCrew{env: env, cols: make([]*stripCol, len(backends))}
-	for i, b := range backends {
-		if b == nil {
-			continue
-		}
-		col := &stripCol{jobs: sim.NewQueue[stripJob](env), buf: make([]byte, parityChunk)}
-		crew.cols[i] = col
-		b := b
-		i := i
-		env.Go(fmt.Sprintf("%s-col%d", name, i), func(rp *sim.Proc) {
-			rp.SetTraceContext(tctx)
-			defer rp.SetTraceContext(nil)
-			sp := obs.StartChild(rp, "image.strip_reader")
-			sp.AnnotateInt("col", int64(i))
-			read := int64(0)
-			for {
-				j, ok := col.jobs.Pop(rp)
-				if !ok {
-					sp.AnnotateInt("bytes", read)
-					sp.End(rp)
-					return
-				}
-				if gate != nil {
-					gate.Acquire(rp)
-				}
-				err := b.ReadAt(rp, col.buf[:j.n], j.off)
-				if gate != nil {
-					gate.Release()
-				}
-				if err == nil {
-					read += int64(j.n)
-				}
-				j.c.Resolve(err, nil)
-			}
-		})
+func newColumns(name string, cols []Backend, gate Gate) *columns {
+	c := &columns{
+		name: name + "-col",
+		cols: cols,
+		buf:  make([][]byte, len(cols)),
+		err:  make([]error, len(cols)),
+		gate: gate,
 	}
-	return crew
-}
-
-// round reads one chunk from every live column concurrently and returns the
-// per-column read errors (nil entries for absent columns).
-func (crew *stripCrew) round(p *sim.Proc, off int64, n int) []error {
-	comps := make([]*sim.Completion[error], len(crew.cols))
-	for i, col := range crew.cols {
-		if col == nil {
-			continue
-		}
-		comps[i] = sim.NewCompletion[error](crew.env)
-		col.jobs.Push(stripJob{off: off, n: n, c: comps[i]})
-	}
-	errs := make([]error, len(crew.cols))
-	for i, c := range comps {
-		if c == nil {
-			continue
-		}
-		errs[i], _ = c.Wait(p)
-	}
-	return errs
-}
-
-// stop terminates every column reader.
-func (crew *stripCrew) stop() {
-	for _, col := range crew.cols {
-		if col != nil {
-			col.jobs.Close()
+	for i, b := range cols {
+		if b != nil {
+			c.live = append(c.live, i)
+			c.buf[i] = make([]byte, parityChunk)
 		}
 	}
+	return c
+}
+
+// readChunk reads [off, off+n) of every live column into its buffer at once,
+// one Fork child per live column in column order, each admitted through the
+// gate, and reports whether any read failed.
+func (c *columns) readChunk(p *sim.Proc, off int64, n int) (failed bool) {
+	return p.Fork(c.name, len(c.live), func(sp *sim.Proc, k int) error {
+		i := c.live[k]
+		if c.gate != nil {
+			c.gate.Acquire(sp)
+		}
+		c.err[i] = c.cols[i].ReadAt(sp, c.buf[i][:n], off)
+		if c.gate != nil {
+			c.gate.Release()
+		}
+		return c.err[i]
+	}) != nil
 }
 
 // VerifyParityParallel is VerifyParity with all data and parity columns read
-// concurrently (one reader per disc, lockstep 1 MB rounds). Results match
+// concurrently (one Fork child per disc in each 1 MB round). Results match
 // the serial scan: a strip is bad when any column fails to read or the
 // recomputed P (and Q) mismatches the stored parity.
 func VerifyParityParallel(p *sim.Proc, data []Backend, parity []Backend, length int64, gate Gate) ([]int64, error) {
@@ -132,8 +82,7 @@ func VerifyParityParallel(p *sim.Proc, data []Backend, parity []Backend, length 
 	cols := make([]Backend, 0, len(data)+len(parity))
 	cols = append(cols, data...)
 	cols = append(cols, parity...)
-	crew := startCrew(p, "verify", cols, gate)
-	defer crew.stop()
+	rd := newColumns("verify", cols, gate)
 	var bad []int64
 	pAcc := make([]byte, parityChunk)
 	var qAcc []byte
@@ -145,15 +94,7 @@ func VerifyParityParallel(p *sim.Proc, data []Backend, parity []Backend, length 
 		if off+int64(n) > length {
 			n = int(length - off)
 		}
-		errs := crew.round(p, off, n)
-		failed := false
-		for _, e := range errs {
-			if e != nil {
-				failed = true
-				break
-			}
-		}
-		if failed {
+		if rd.readChunk(p, off, n) {
 			bad = append(bad, off)
 			continue
 		}
@@ -166,15 +107,15 @@ func VerifyParityParallel(p *sim.Proc, data []Backend, parity []Backend, length 
 			}
 		}
 		for col := range data {
-			b := crew.cols[col].buf
+			b := rd.buf[col]
 			raid.XorSlice(b[:n], pAcc[:n])
 			if qAcc != nil {
 				raid.MulXorSlice(raid.Pow2(col), b[:n], qAcc[:n])
 			}
 		}
-		mismatch := !bytes.Equal(pAcc[:n], crew.cols[len(data)].buf[:n])
+		mismatch := !bytes.Equal(pAcc[:n], rd.buf[len(data)][:n])
 		if !mismatch && qAcc != nil {
-			mismatch = !bytes.Equal(qAcc[:n], crew.cols[len(data)+1].buf[:n])
+			mismatch = !bytes.Equal(qAcc[:n], rd.buf[len(data)+1][:n])
 		}
 		if mismatch {
 			bad = append(bad, off)
@@ -234,8 +175,7 @@ func RecoverParallel(p *sim.Proc, data, shadow, parity []Backend, out []Backend,
 		qIdx = len(cols)
 		cols = append(cols, parity[1])
 	}
-	crew := startCrew(p, "recover", cols, gate)
-	defer crew.stop()
+	rd := newColumns("recover", cols, gate)
 	acc := make([]byte, parityChunk)
 	var qxy, dx, dy []byte
 	if len(lost) == 2 {
@@ -248,29 +188,22 @@ func RecoverParallel(p *sim.Proc, data, shadow, parity []Backend, out []Backend,
 		if off+int64(n) > length {
 			n = int(length - off)
 		}
-		errs := crew.round(p, off, n)
-		failed := overCap
-		for _, e := range errs {
-			if e != nil {
-				failed = true
-			}
-		}
-		if failed {
+		if rd.readChunk(p, off, n) || overCap {
 			// A failed bulk read (or an over-capability stripe) drops to
 			// sector granularity: non-aligned sector errors across columns
 			// are individually coverable by the same parity.
 			haveData := make([][]byte, len(data))
 			for i := range data {
-				if data[i] != nil && errs[i] == nil {
-					haveData[i] = crew.cols[i].buf
+				if data[i] != nil && rd.err[i] == nil {
+					haveData[i] = rd.buf[i]
 				}
 			}
 			var haveP, haveQ []byte
-			if pIdx >= 0 && errs[pIdx] == nil {
-				haveP = crew.cols[pIdx].buf
+			if pIdx >= 0 && rd.err[pIdx] == nil {
+				haveP = rd.buf[pIdx]
 			}
-			if qIdx >= 0 && errs[qIdx] == nil {
-				haveQ = crew.cols[qIdx].buf
+			if qIdx >= 0 && rd.err[qIdx] == nil {
+				haveQ = rd.buf[qIdx]
 			}
 			if err := recoverChunkSectors(p, data, shadow, parity, out, gate, off, n, haveData, haveP, haveQ); err != nil {
 				return err
@@ -279,23 +212,23 @@ func RecoverParallel(p *sim.Proc, data, shadow, parity []Backend, out []Backend,
 		}
 		switch {
 		case len(lost) == 1 && useP:
-			copy(acc[:n], crew.cols[pIdx].buf[:n])
+			copy(acc[:n], rd.buf[pIdx][:n])
 			for col := range data {
 				if col == lost[0] {
 					continue
 				}
-				raid.XorSlice(crew.cols[col].buf[:n], acc[:n])
+				raid.XorSlice(rd.buf[col][:n], acc[:n])
 			}
 			if err := out[lost[0]].WriteAt(p, acc[:n], off); err != nil {
 				return err
 			}
 		case len(lost) == 1: // Q-only reconstruction
-			copy(acc[:n], crew.cols[qIdx].buf[:n])
+			copy(acc[:n], rd.buf[qIdx][:n])
 			for col := range data {
 				if col == lost[0] {
 					continue
 				}
-				raid.MulXorSlice(raid.Pow2(col), crew.cols[col].buf[:n], acc[:n])
+				raid.MulXorSlice(raid.Pow2(col), rd.buf[col][:n], acc[:n])
 			}
 			inv := raid.Inv(raid.Pow2(lost[0]))
 			for i := 0; i < n; i++ {
@@ -305,14 +238,14 @@ func RecoverParallel(p *sim.Proc, data, shadow, parity []Backend, out []Backend,
 				return err
 			}
 		default: // two erasures with P+Q
-			copy(acc[:n], crew.cols[pIdx].buf[:n])
-			copy(qxy[:n], crew.cols[qIdx].buf[:n])
+			copy(acc[:n], rd.buf[pIdx][:n])
+			copy(qxy[:n], rd.buf[qIdx][:n])
 			for col := range data {
 				if col == lost[0] || col == lost[1] {
 					continue
 				}
-				raid.XorSlice(crew.cols[col].buf[:n], acc[:n])
-				raid.MulXorSlice(raid.Pow2(col), crew.cols[col].buf[:n], qxy[:n])
+				raid.XorSlice(rd.buf[col][:n], acc[:n])
+				raid.MulXorSlice(raid.Pow2(col), rd.buf[col][:n], qxy[:n])
 			}
 			raid.SolveTwoErasures(lost[0], lost[1], acc[:n], qxy[:n], dx[:n], dy[:n])
 			if err := out[lost[0]].WriteAt(p, dx[:n], off); err != nil {

@@ -206,3 +206,42 @@ func TestRecoverParallelSameSectorCollision(t *testing.T) {
 		t.Fatal("deadlocked")
 	}
 }
+
+// TestParallelReadsLeaveNoProcess holds the parallel scans to the engine's
+// quiescence rule: once Run returns after VerifyParityParallel, and after a
+// RecoverParallel that fails in its second chunk round with a round still to
+// read, no process is live and no coroutine is left.
+func TestParallelReadsLeaveNoProcess(t *testing.T) {
+	env := sim.NewEnv()
+	const size = int64(3 * parityChunk)
+	data, parity, _ := buildSet(t, env, 3, 1, size)
+	drained := func(after string) {
+		t.Helper()
+		if live, workers := env.Live(), env.Stats().Workers; live != 0 || workers != 0 {
+			t.Errorf("after %s: %d live processes and %d coroutines, want none", after, live, workers)
+		}
+	}
+	env.Go("verify", func(p *sim.Proc) {
+		if bad, err := VerifyParityParallel(p, data, parity, size, nil); err != nil || len(bad) != 0 {
+			t.Errorf("VerifyParityParallel: bad=%v err=%v", bad, err)
+		}
+	})
+	env.Run()
+	drained("VerifyParityParallel")
+
+	// The lost column's shadow and a survivor are unreadable at the same
+	// sector of the second chunk: recovery fails there, a round before the end.
+	at := int64(parityChunk + 5*repairSector)
+	live := append([]Backend(nil), data...)
+	live[0] = nil
+	live[1] = &lseBackend{Backend: data[1], bad: map[int64]bool{at: true}}
+	shadow := []Backend{&lseBackend{Backend: data[0], bad: map[int64]bool{at: true}}, nil, nil}
+	out := []Backend{mem(env, size), nil, nil}
+	env.Go("recover", func(p *sim.Proc) {
+		if err := RecoverParallel(p, live, shadow, parity, out, size, nil); !errors.Is(err, ErrTooManyLost) {
+			t.Errorf("RecoverParallel: err=%v, want ErrTooManyLost", err)
+		}
+	})
+	env.Run()
+	drained("a RecoverParallel that failed mid-scan")
+}

@@ -200,45 +200,28 @@ func (fr *fileReader) readAt(p *sim.Proc, buf []byte, off int64) (int, error) {
 	return fr.readSegsParallel(p, buf, segs)
 }
 
-// readSegsParallel fans one child proc out per segment, bounded by the drive
-// group width. The returned count is the contiguous prefix filled from
-// buf[segs[0].lo:], with the first in-order error. A short read on any
-// segment but the last under-fills the buffer, which is an error, not an EOF
-// (the index said the bytes exist).
+// readSegsParallel reads the segments concurrently, one Fork child per
+// segment, bounded by the drive group width. The returned count is the
+// contiguous prefix filled from buf[segs[0].lo:], with the first in-order
+// error. A short read on any segment but the last under-fills the buffer,
+// which is an error, not an EOF (the index said the bytes exist).
 func (fr *fileReader) readSegsParallel(p *sim.Proc, buf []byte, segs []partSeg) (int, error) {
-	fs := fr.fs
-	env := fs.env
-	tctx := p.TraceContext()
 	// The per-group read slots meter drive access; this semaphore only keeps
 	// the proc fan-out itself bounded for requests spanning many trays.
-	sem := sim.NewResource(env, rack.DrivesPerGroup)
-	type segRes struct {
-		n   int
-		err error
-	}
-	comps := make([]*sim.Completion[segRes], len(segs))
-	for k := range segs {
-		s := segs[k]
-		c := sim.NewCompletion[segRes](env)
-		comps[k] = c
-		env.Go(fmt.Sprintf("olfs-pread-p%d", s.part), func(cp *sim.Proc) {
-			cp.SetTraceContext(tctx)
-			defer cp.SetTraceContext(nil)
-			sem.Acquire(cp)
-			defer sem.Release()
-			sp := obs.StartChild(cp, "olfs.read.part")
-			sp.AnnotateInt("part", int64(s.part))
-			n, err := fr.readSeg(cp, buf, s)
-			sp.Fail(cp, err)
-			c.Resolve(segRes{n: n, err: err}, nil)
-		})
-	}
+	sem := sim.NewResource(fr.fs.env, rack.DrivesPerGroup)
+	// Every segment's count and error land in its slot: the prefix below
+	// weighs them all in order, not only the first error.
 	ns := make([]int, len(segs))
 	errs := make([]error, len(segs))
-	for k, c := range comps {
-		r, _ := c.Wait(p)
-		ns[k], errs[k] = r.n, r.err
-	}
+	_ = p.Fork("olfs-pread-p", len(segs), func(cp *sim.Proc, k int) error {
+		sem.Acquire(cp)
+		defer sem.Release()
+		sp := obs.StartChild(cp, "olfs.read.part")
+		sp.AnnotateInt("part", int64(segs[k].part))
+		ns[k], errs[k] = fr.readSeg(cp, buf, segs[k])
+		sp.Fail(cp, errs[k])
+		return nil
+	})
 	read := 0
 	for k, s := range segs {
 		read = s.lo + ns[k]

@@ -103,24 +103,17 @@ func (fs *FS) RecoverNamespace(p *sim.Proc, trays []rack.TrayID) error {
 		}
 		g := fs.lib.Groups[gi]
 		// Scan the 12 discs in parallel.
-		comps := make([]*sim.Completion[error], 0, len(g.Drives))
+		var scanned []int
 		for pos, drv := range g.Drives {
-			if !drv.Loaded() || drv.Disc().Blank() {
-				continue
-			}
-			pos, drv := pos, drv
-			c := sim.NewCompletion[error](fs.env)
-			comps = append(comps, c)
-			fs.env.Go("scan", func(sp *sim.Proc) {
-				c.Resolve(nil, fs.scanDisc(sp, gi, drv, image.DiscAddr{Tray: tray, Pos: pos}, files, dirs, snapParts, &bestSnap))
-			})
-		}
-		for _, c := range comps {
-			if _, err := c.Wait(p); err != nil {
-				// Unreadable discs are skipped: partial recovery is the point.
-				continue
+			if drv.Loaded() && !drv.Disc().Blank() {
+				scanned = append(scanned, pos)
 			}
 		}
+		// Unreadable discs are skipped: partial recovery is the point.
+		_ = p.Fork("scan", len(scanned), func(sp *sim.Proc, k int) error {
+			pos := scanned[k]
+			return fs.scanDisc(sp, gi, g.Drives[pos], image.DiscAddr{Tray: tray, Pos: pos}, files, dirs, snapParts, &bestSnap)
+		})
 		fs.Cat.SetDAState(tray, image.DAUsed)
 	}
 

@@ -45,7 +45,7 @@ func (fs *FS) trayLayout(onTray map[int]image.ID) (dataN int, parityPos []int) {
 }
 
 // readGate adapts the scheduler's per-group read slots to image.Gate, so
-// parallel scrub/recover strip crews are admitted chunk-by-chunk and cannot
+// parallel scrub/recover column reads are admitted chunk-by-chunk and cannot
 // starve interactive readers of the same drive group.
 type readGate struct {
 	s     *sched.Scheduler

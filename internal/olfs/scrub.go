@@ -60,43 +60,35 @@ func (fs *FS) ScrubAndRepair(p *sim.Proc, tray rack.TrayID) (rep RepairReport, e
 	// (their discs sit in distinct drives), each admitted through the
 	// group's read slots at scrub class.
 	const stripLen = 1 << 20
-	badAt := make([]bool, len(g.Drives))
-	tctx := p.TraceContext()
-	var comps []*sim.Completion[struct{}]
-	for pos := 0; pos < len(g.Drives); pos++ {
-		if _, ok := onTray[pos]; !ok {
-			continue
+	var probed []int // positions holding a cataloged image
+	for pos := range g.Drives {
+		if _, ok := onTray[pos]; ok {
+			probed = append(probed, pos)
 		}
-		pos := pos
-		c := sim.NewCompletion[struct{}](fs.env)
-		comps = append(comps, c)
-		fs.env.Go(fmt.Sprintf("scrub-probe-d%d", pos), func(pp *sim.Proc) {
-			pp.SetTraceContext(tctx)
-			defer pp.SetTraceContext(nil)
-			view := optical.ImageView{Drive: g.Drives[pos]}
-			probe := make([]byte, stripLen)
-			for _, off := range scrub.BadStrips {
-				n := int64(stripLen)
-				if off+n > rep.Scrub.Checked {
-					n = rep.Scrub.Checked - off
-				}
-				if n <= 0 {
-					continue
-				}
-				fs.sched.AcquireReadSlot(pp, sched.Scrub, gi)
-				rerr := view.ReadAt(pp, probe[:n], off)
-				fs.sched.ReleaseReadSlot(gi)
-				if rerr != nil {
-					badAt[pos] = true
-					break
-				}
+	}
+	badAt := make([]bool, len(g.Drives))
+	_ = p.Fork("scrub-probe-d", len(probed), func(pp *sim.Proc, k int) error {
+		pos := probed[k]
+		view := optical.ImageView{Drive: g.Drives[pos]}
+		probe := make([]byte, stripLen)
+		for _, off := range scrub.BadStrips {
+			n := int64(stripLen)
+			if off+n > rep.Scrub.Checked {
+				n = rep.Scrub.Checked - off
 			}
-			c.Resolve(struct{}{}, nil)
-		})
-	}
-	for _, c := range comps {
-		c.Wait(p)
-	}
+			if n <= 0 {
+				continue
+			}
+			fs.sched.AcquireReadSlot(pp, sched.Scrub, gi)
+			rerr := view.ReadAt(pp, probe[:n], off)
+			fs.sched.ReleaseReadSlot(gi)
+			if rerr != nil {
+				badAt[pos] = true
+				break
+			}
+		}
+		return nil
+	})
 	for pos, bad := range badAt {
 		if bad {
 			rep.BadDiscs = append(rep.BadDiscs, pos)

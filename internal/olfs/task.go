@@ -220,53 +220,41 @@ func (fs *FS) burnDiscs(p *sim.Proc, t *burnTask, gi int) (bool, error) {
 	if t.progress == nil {
 		t.progress = make([]burnProg, len(all))
 	}
-	type result struct {
-		rep optical.BurnReport
-		err error
-	}
-	comps := make([]*sim.Completion[result], len(all))
-	for i := range all {
-		i := i
+	// Each disc's outcome lands in its own slot: an interrupt on one disc and
+	// a hard error on another must both be seen.
+	errs := make([]error, len(all))
+	// The per-disc processes start with the burn trace: their optical.burn
+	// spans nest under this task's olfs.burn span, and Fork awaits every one
+	// of them, so no span outlives the trace.
+	_ = p.Fork("burn-"+t.tray.String()+"-d", len(all), func(bp *sim.Proc, i int) error {
+		bp.Sleep(time.Duration(i) * fs.cfg.BurnStagger)
+		pr := &t.progress[i]
+		if pr.done {
+			return nil // this disc already finished pre-interrupt
+		}
 		img := all[i]
-		comps[i] = sim.NewCompletion[result](fs.env)
-		c := comps[i]
-		// Hand the burn trace to each per-disc process: their optical.burn
-		// spans nest under this task's olfs.burn span, and every per-disc
-		// process is awaited below, so no span outlives the trace.
-		tctx := p.TraceContext()
-		fs.env.Go(fmt.Sprintf("burn-%s-d%d", t.tray, i), func(bp *sim.Proc) {
-			bp.SetTraceContext(tctx)
-			defer bp.SetTraceContext(nil)
-			bp.Sleep(time.Duration(i) * fs.cfg.BurnStagger)
-			pr := &t.progress[i]
-			if pr.done {
-				c.Resolve(result{}, nil) // this disc already finished pre-interrupt
-				return
-			}
-			payload := usedBytes(img)
-			src := offsetSource{b: img, base: pr.payload, size: maxI64(0, payload-pr.payload)}
-			// LogicalBytes 0 lets the drive size the track itself: the full
-			// capacity for a fresh disc, or the remaining capacity net of the
-			// append-mode track-metadata zone when resuming. (Requesting
-			// discCap-pr.logical here used to overshoot the disc by exactly
-			// TrackMetaZone on every resume, turning each §4.8 resume into an
-			// ErrDiscFull hard failure.)
-			rep, err := g.Drives[i].Burn(bp, src, optical.BurnOptions{
-				Append: pr.logical > 0,
-			})
-			pr.logical += rep.LogicalBytes
-			pr.payload += rep.PayloadBytes
-			if err == nil {
-				pr.done = true
-			}
-			c.Resolve(result{rep: rep}, err)
+		payload := usedBytes(img)
+		src := offsetSource{b: img, base: pr.payload, size: max(0, payload-pr.payload)}
+		// LogicalBytes 0 lets the drive size the track itself: the full
+		// capacity for a fresh disc, or the remaining capacity net of the
+		// append-mode track-metadata zone when resuming. (Requesting
+		// discCap-pr.logical here used to overshoot the disc by exactly
+		// TrackMetaZone on every resume, turning each §4.8 resume into an
+		// ErrDiscFull hard failure.)
+		rep, err := g.Drives[i].Burn(bp, src, optical.BurnOptions{
+			Append: pr.logical > 0,
 		})
-	}
+		pr.logical += rep.LogicalBytes
+		pr.payload += rep.PayloadBytes
+		if err == nil {
+			pr.done = true
+		}
+		errs[i] = err
+		return nil
+	})
 	interrupted := false
 	var firstErr error
-	for _, c := range comps {
-		r, err := c.Wait(p)
-		_ = r
+	for _, err := range errs {
 		if err != nil {
 			if errors.Is(err, optical.ErrBurnAborted) {
 				interrupted = true
@@ -500,11 +488,4 @@ func (fs *FS) runFetch(p *sim.Proc, tray rack.TrayID, class sched.Class) (int, e
 		return 0, err
 	}
 	return gi, nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

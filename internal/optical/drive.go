@@ -635,7 +635,7 @@ func (dr *Drive) read(p *sim.Proc, off, n int64, move func(*Disc) error) error {
 	if err := faultinject.Check(p, faultinject.PointMediaLSE, dr.disc.ID); err != nil {
 		// The head sweeps [off, off+len) during the transfer, so the latent
 		// error can develop anywhere in the range. Derive the sector from the
-		// disc identity: lockstep parity crews read identical offsets on every
+		// disc identity: parallel parity scans read identical offsets on every
 		// column at once, and anchoring the LSE to the read's start would make
 		// concurrent injections land on the same sector of different discs —
 		// manufacturing beyond-redundancy loss out of independent faults.

@@ -144,7 +144,12 @@ type request struct {
 	c     *sim.Completion[Grant]
 }
 
-func trayKey(id rack.TrayID) string { return id.String() }
+// demandKey packs a tray's coordinates into its key in Scheduler.demand, so
+// counting demand formats nothing. An integer key also keeps the runtime's
+// variable-length struct hash out of the binary.
+func demandKey(id rack.TrayID) uint64 {
+	return uint64(uint32(id.Roller))<<32 | uint64(uint16(id.Layer))<<16 | uint64(uint16(id.Slot))
+}
 
 // Scheduler arbitrates drive groups and (through grant ordering) the
 // robotic arm for one rack library. It is driven entirely by the
@@ -163,7 +168,7 @@ type Scheduler struct {
 	// plus explicit Pin holds (olfs pins a tray for the lifetime of a
 	// coalesced fetch, covering waiters between grant and consumption).
 	// Victim selection never evicts a tray with demand.
-	demand map[string]int
+	demand map[uint64]int // by demandKey
 
 	// scanDir is the per-roller elevator direction (+1 up, -1 down).
 	scanDir []int
@@ -178,12 +183,12 @@ type Scheduler struct {
 	starved func()
 
 	// Read-slot admission: per-group concurrent strip-reader capacity (one
-	// slot per drive). Parallel scrub/recover crews acquire a slot per chunk
+	// slot per drive). Parallel scrub/recover column reads take a slot per chunk
 	// and release it between chunks, so a queued interactive reader is
 	// granted within about one chunk instead of waiting out a whole tray
 	// scan. Under qos-scan, waiting readers are granted by class priority
 	// with aging; under fifo, in arrival order (which still bounds the wait
-	// to one chunk, since crews re-enqueue behind earlier waiters).
+	// to one chunk, since each round re-enqueues behind earlier waiters).
 	readUsed []int
 	readCap  []int
 	readWait [][]*readWaiter
@@ -219,7 +224,7 @@ func New(env *sim.Env, cfg Config, lib *rack.Library) *Scheduler {
 		lib:       lib,
 		busy:      make([]bool, len(lib.Groups)),
 		lastUse:   make([]time.Duration, len(lib.Groups)),
-		demand:    make(map[string]int),
+		demand:    make(map[uint64]int),
 		scanDir:   make([]int, len(lib.Rollers)),
 		lastLayer: make([]int, len(lib.Rollers)),
 		readUsed:  make([]int, len(lib.Groups)),
@@ -340,8 +345,9 @@ func (s *Scheduler) AcquireBurn(p *sim.Proc, tray rack.TrayID) Grant {
 func (s *Scheduler) acquire(p *sim.Proc, r *request) Grant {
 	sp := obs.StartChild(p, "sched.wait")
 	sp.Annotate("class", r.class.String())
-	if r.tray != nil {
-		sp.Annotate("tray", trayKey(*r.tray))
+	// Only a live span pays for formatting the tray.
+	if r.tray != nil && sp != nil {
+		sp.Annotate("tray", r.tray.String())
 	}
 	s.seq++
 	r.seq = s.seq
@@ -349,7 +355,7 @@ func (s *Scheduler) acquire(p *sim.Proc, r *request) Grant {
 	r.c = sim.NewCompletion[Grant](s.env)
 	s.pending = append(s.pending, r)
 	if r.tray != nil && !r.burn {
-		s.demand[trayKey(*r.tray)]++
+		s.demand[demandKey(*r.tray)]++
 	}
 	s.depthGauge.Add(1)
 	s.depthBy[r.class].Add(1)
@@ -390,14 +396,14 @@ func (s *Scheduler) Release(gi int) {
 // Pin registers outstanding interest in a tray beyond the queued request —
 // olfs holds a pin for the lifetime of a coalesced fetch so the tray cannot
 // be victimized between the mechanical load and the waiters' reads.
-func (s *Scheduler) Pin(tray rack.TrayID) { s.demand[trayKey(tray)]++ }
+func (s *Scheduler) Pin(tray rack.TrayID) { s.demand[demandKey(tray)]++ }
 
 // Unpin drops a Pin hold and re-dispatches (a victim-seeker may have been
 // waiting for the demand to clear).
 func (s *Scheduler) Unpin(tray rack.TrayID) {
-	k := trayKey(tray)
+	k := demandKey(tray)
 	if s.demand[k] <= 0 {
-		panic("sched: Unpin without Pin for " + k)
+		panic("sched: Unpin without Pin for " + tray.String())
 	}
 	s.demand[k]--
 	if s.demand[k] == 0 {
@@ -523,7 +529,7 @@ func (s *Scheduler) groupFor(r *request) (Grant, bool) {
 		if s.busy[gi] || !g.Loaded() || g.AnyBurning() {
 			continue
 		}
-		if s.demand[trayKey(*g.Source)] > 0 {
+		if s.demand[demandKey(*g.Source)] > 0 {
 			s.evictSkips.Add(1)
 			continue
 		}
@@ -553,7 +559,7 @@ func (s *Scheduler) grant(r *request, g Grant) {
 		}
 	}
 	if r.tray != nil && !r.burn {
-		k := trayKey(*r.tray)
+		k := demandKey(*r.tray)
 		s.demand[k]--
 		if s.demand[k] <= 0 {
 			delete(s.demand, k)

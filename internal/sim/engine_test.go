@@ -242,7 +242,7 @@ func mustPanic(t *testing.T, what, want string, fn func()) {
 }
 
 func TestCloseUnwindsEveryProcess(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	env := NewEnv()
 	res := NewResource(env, 1)
 	q := NewQueue[int](env)

@@ -7,8 +7,9 @@
 // minute-scale mechanical and disc-burning delays in microseconds of host
 // time while preserving ordering, contention and FIFO fairness. A finished
 // process hands its coroutine to the next one that starts, so a short-lived
-// child costs a Proc and a closure, not a goroutine; the children of
-// Proc.Fork (every leg of a RAID fan-out) reuse their join record's Procs and
+// child costs a Proc and a closure, not a goroutine. Proc.Fork is the one
+// fan-out and join — a RAID stripe's member I/Os, a burn's discs, a parallel
+// scan's columns — and its children reuse their join record's Procs, so they
 // cost nothing at all.
 //
 // No goroutine outlives a quiescent Run: when Run or RunUntil returns with no
@@ -44,6 +45,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 )
 
@@ -430,8 +432,15 @@ func (p *Proc) SetTraceContext(v any) { p.tctx = v }
 // GoDaemon, or the body of a Daemon.
 func (p *Proc) Daemon() bool { return p.daemon }
 
-// Name returns the process name given to Env.Go.
-func (p *Proc) Name() string { return p.name }
+// Name returns the process name given to Env.Go. A Fork child's is Fork's
+// name followed by the child's index, formatted here so that a fan-out whose
+// children are never asked their name allocates nothing for it.
+func (p *Proc) Name() string {
+	if p.fork != nil {
+		return p.name + strconv.Itoa(p.forkIdx)
+	}
+	return p.name
+}
 
 // Env returns the owning environment.
 func (p *Proc) Env() *Env { return p.env }
@@ -473,10 +482,11 @@ func (p *Proc) Logf(format string, args ...interface{}) {
 		return
 	}
 	msg := fmt.Sprintf(format, args...)
+	name := p.Name()
 	if p.env.trace != nil {
-		p.env.trace(p.env.now, p.name, msg)
+		p.env.trace(p.env.now, name, msg)
 	}
-	p.env.Emit(KindLog, p.name, msg)
+	p.env.Emit(KindLog, name, msg)
 }
 
 // wake schedules an immediate resumption of a parked process.

@@ -19,17 +19,24 @@ type forkKid struct {
 	done bool
 }
 
-// Fork runs body(sp, i) for every i in [0, n) as n child processes named
-// name, waits for all of them and returns the error of the lowest index that
-// failed. The children start in index order, exactly as n calls to Env.Go
-// would. The parent waits in index order: it parks on the lowest unfinished
-// child and only that child wakes it, so the engine queues exactly the events
-// of waiting on one Completion per child in turn. n == 1 runs body on the
+// Fork runs body(sp, i) for every i in [0, n) as n child processes, waits for
+// all of them and returns the error of the lowest index that failed. It is
+// the engine's one fan-out and join: work that runs on several drives, discs
+// or streams at once goes through it.
+//
+// The children start in index order, exactly as n calls to Env.Go would. The
+// parent waits in index order: it parks on the lowest unfinished child and
+// only that child wakes it, so the engine queues exactly the events of
+// waiting on one Completion per child in turn. n == 1 runs body on the
 // caller, and n <= 0 returns nil at once.
 //
+// Child i's Name is name followed by i ("burn-r0/L84/S1-d" gives
+// "burn-r0/L84/S1-d1"), formatted only when Name is called. A child starts
+// with the caller's trace context, as a body run on the caller sees it.
+//
 // A child's Proc goes back to the Env when Fork returns and runs a later
-// Fork's child, so body must not keep it; a reused child starts with a nil
-// trace context, and a wakeup addressed to its earlier life is dropped.
+// Fork's child, so body must not keep it; a wakeup addressed to its earlier
+// life is dropped.
 func (p *Proc) Fork(name string, n int, body func(sp *Proc, i int) error) error {
 	switch {
 	case n == 1:
@@ -44,6 +51,7 @@ func (p *Proc) Fork(name string, n int, body func(sp *Proc, i int) error) error 
 		c := j.kids[i].p
 		c.fork, c.forkIdx = j, i
 		e.start(c, name, runForkChild, false)
+		c.tctx = p.tctx
 	}
 	var first error
 	for i := range j.kids[:n] {
@@ -66,10 +74,12 @@ func (p *Proc) Fork(name string, n int, body func(sp *Proc, i int) error) error 
 
 // runForkChild is the body of every Fork child: it runs its index of the
 // join's body, records the outcome and wakes the parent if the parent is
-// parked on it.
+// parked on it. It drops the child's trace context, so a Proc back on the
+// free list keeps no finished trace alive.
 func runForkChild(c *Proc) {
 	j, i := c.fork, c.forkIdx
 	err := j.body(c, i)
+	c.tctx = nil
 	j.kids[i].err, j.kids[i].done = err, true
 	if j.parked == i {
 		j.parked = -1

@@ -196,3 +196,45 @@ func TestNestedForksShareNoRecord(t *testing.T) {
 		t.Errorf("children still marked running: %v", procOwner)
 	}
 }
+
+// TestForkChildrenInheritTraceAndName pins what a Fork body sees of its
+// caller. Every body sees the caller's trace context: a 1-way Fork runs its
+// body on the caller, and the children of a wider one start with the
+// caller's context. A child is named Fork's name followed by its index. A
+// child Proc that a later Fork reuses starts with that Fork's context, not
+// the one its previous body left on it.
+func TestForkChildrenInheritTraceAndName(t *testing.T) {
+	env := NewEnv()
+	defer env.Close()
+	kids := map[*Proc]bool{}
+	env.Go("parent", func(p *Proc) {
+		for round, n := range []int{1, 3, 3} {
+			ctx := fmt.Sprint("trace ", round)
+			p.SetTraceContext(ctx)
+			names := make([]string, n)
+			_ = p.Fork("kid", n, func(sp *Proc, i int) error {
+				if got := sp.TraceContext(); got != ctx {
+					t.Errorf("round %d: child %d of %d sees trace context %v, want %q", round, i, n, got, ctx)
+				}
+				names[i] = sp.Name()
+				if sp != p {
+					kids[sp] = true
+					sp.SetTraceContext("left behind")
+				}
+				sp.Sleep(time.Millisecond)
+				return nil
+			})
+			want := "[parent]"
+			if n > 1 {
+				want = "[kid0 kid1 kid2]"
+			}
+			if got := fmt.Sprint(names); got != want {
+				t.Errorf("round %d: bodies named %s, want %s", round, got, want)
+			}
+		}
+	})
+	env.Run()
+	if len(kids) != 3 {
+		t.Errorf("two 3-way Forks ran on %d distinct child Procs, want 3 (the second reuses the first's)", len(kids))
+	}
+}

@@ -89,7 +89,7 @@ func (w *worker) run() {
 			e.live--
 		}
 		if r := recover(); r != nil && r != (unwind{}) {
-			panic(&ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()})
+			panic(&ProcPanic{Proc: p.Name(), Value: r, Stack: debug.Stack()})
 		}
 	}()
 	p.fn(p)
@@ -134,7 +134,7 @@ func (e *Env) Close() {
 		return
 	}
 	if e.running != nil {
-		panic("sim: Close called from inside process " + e.running.name)
+		panic("sim: Close called from inside process " + e.running.Name())
 	}
 	e.closed = true
 	for _, w := range e.workers {
