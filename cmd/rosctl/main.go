@@ -184,9 +184,9 @@ func dispatch(sys *ros.System, p *sim.Proc, fields []string) error {
 		if len(fields) != 2 {
 			return fmt.Errorf("usage: repair r<r>/L<l>/S<s>")
 		}
-		var id rack.TrayID
-		if _, err := fmt.Sscanf(fields[1], "r%d/L%d/S%d", &id.Roller, &id.Layer, &id.Slot); err != nil {
-			return fmt.Errorf("bad tray id %q", fields[1])
+		id, err := rack.ParseTrayID(fields[1])
+		if err != nil {
+			return err
 		}
 		rep, err := fs.ScrubAndRepair(p, id)
 		if err != nil {
@@ -306,9 +306,9 @@ func dispatch(sys *ros.System, p *sim.Proc, fields []string) error {
 		if len(fields) != 2 {
 			return fmt.Errorf("usage: scrub r<r>/L<l>/S<s>")
 		}
-		var id rack.TrayID
-		if _, err := fmt.Sscanf(fields[1], "r%d/L%d/S%d", &id.Roller, &id.Layer, &id.Slot); err != nil {
-			return fmt.Errorf("bad tray id %q", fields[1])
+		id, err := rack.ParseTrayID(fields[1])
+		if err != nil {
+			return err
 		}
 		rep, err := fs.ScrubTray(p, id)
 		if err != nil {

@@ -116,12 +116,8 @@ func main() {
 }
 
 func firstUsedTray(sys *ros.System) rack.TrayID {
-	for k, st := range sys.FS.Cat.DA {
-		if st == image.DAUsed {
-			var id rack.TrayID
-			fmt.Sscanf(k, "r%d/L%d/S%d", &id.Roller, &id.Layer, &id.Slot)
-			return id
-		}
+	if trays := sys.FS.Cat.UsedTrays(); len(trays) > 0 {
+		return trays[0]
 	}
 	return rack.TrayID{}
 }

@@ -161,7 +161,7 @@ func (d *Disk) transferTime(off int64, n int) time.Duration {
 		}
 	}
 	if d.profile.SeqThroughput > 0 {
-		t += time.Duration(float64(n) / d.profile.SeqThroughput * float64(time.Second))
+		t += sim.ByteTime(float64(n), d.profile.SeqThroughput)
 	}
 	return t
 }

@@ -867,11 +867,9 @@ func reservedTrays(cat *image.Catalog) []rack.TrayID {
 	sort.Strings(keys)
 	out := make([]rack.TrayID, 0, len(keys))
 	for _, k := range keys {
-		var id rack.TrayID
-		if _, err := fmt.Sscanf(k, "r%d/L%d/S%d", &id.Roller, &id.Layer, &id.Slot); err != nil {
-			continue
+		if id, err := rack.ParseTrayID(k); err == nil {
+			out = append(out, id)
 		}
-		out = append(out, id)
 	}
 	return out
 }

@@ -92,7 +92,7 @@ func MVRecovery() (Result, error) {
 				return err
 			}
 		}
-		trays := usedTrays(fs)
+		trays := fs.Cat.UsedTrays()
 		if len(trays) < arrays {
 			return fmt.Errorf("expected >= %d used trays, got %d", arrays, len(trays))
 		}

@@ -54,17 +54,11 @@ func AblationParallelRead() (Result, error) {
 			if _, err := c.Wait(p); err != nil {
 				return err
 			}
-			var tray rack.TrayID
-			found := false
-			for k, st := range fs.Cat.DA {
-				if st == image.DAUsed {
-					fmt.Sscanf(k, "r%d/L%d/S%d", &tray.Roller, &tray.Layer, &tray.Slot)
-					found = true
-				}
-			}
-			if !found {
+			trays := fs.Cat.UsedTrays()
+			if len(trays) == 0 {
 				return fmt.Errorf("ablate-pread: no burned tray")
 			}
+			tray := trays[0]
 			if err := fs.PrefetchTray(p, tray, 0); err != nil {
 				return err
 			}

@@ -96,7 +96,7 @@ func runSustained(rate float64, horizon time.Duration) ([]Point, float64, error)
 	defer bed.Env.Close()
 	fs := bed.FS
 	const discBytes = 25e9
-	interval := time.Duration(discBytes / rate * float64(time.Second))
+	interval := sim.ByteTime(discBytes, rate)
 	var pts []Point
 	var placedAtHorizon int
 	err = bed.Run(func(p *sim.Proc) error {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"ros/internal/image"
 	"ros/internal/olfs"
 	"ros/internal/rack"
 	"ros/internal/sim"
@@ -125,7 +124,7 @@ func Table1() (Result, error) {
 			return fmt.Errorf("discA not burned")
 		}
 		var others []rack.TrayID
-		for _, tr := range usedTrays(fs) {
+		for _, tr := range fs.Cat.UsedTrays() {
 			if tr != addrA.Tray {
 				others = append(others, tr)
 			}
@@ -189,39 +188,6 @@ func Table1() (Result, error) {
 		{Name: "array in roller, all drives burning", Paper: 300, Measured: seconds(latBusy), Unit: "s (paper: minutes)"},
 	}
 	return res, nil
-}
-
-// usedTrays lists trays marked Used, in deterministic order.
-func usedTrays(fs *olfs.FS) []rack.TrayID {
-	var out []rack.TrayID
-	for k, st := range fs.Cat.DA {
-		if st != image.DAUsed {
-			continue
-		}
-		var id rack.TrayID
-		fmt.Sscanf(k, "r%d/L%d/S%d", &id.Roller, &id.Layer, &id.Slot)
-		out = append(out, id)
-	}
-	sortTrays(out)
-	return out
-}
-
-func sortTrays(ids []rack.TrayID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && less(ids[j], ids[j-1]); j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-}
-
-func less(a, b rack.TrayID) bool {
-	if a.Roller != b.Roller {
-		return a.Roller < b.Roller
-	}
-	if a.Layer != b.Layer {
-		return a.Layer > b.Layer // top-down, matching allocation order
-	}
-	return a.Slot < b.Slot
 }
 
 func allGroupsBurning(lib *rack.Library) bool {

@@ -10,10 +10,12 @@ package image
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 
 	"ros/internal/rack"
 	"ros/internal/raid"
@@ -171,6 +173,24 @@ func (c *Catalog) FindEmptyTray(lib *rack.Library) (rack.TrayID, bool) {
 	return rack.TrayID{}, false
 }
 
+// UsedTrays returns the trays marked Used in FindEmptyTray's (roller, layer
+// descending, slot) order, the order they fill in and the scrubber's rotation.
+func (c *Catalog) UsedTrays() []rack.TrayID {
+	var out []rack.TrayID
+	for k, st := range c.DA {
+		if st != DAUsed {
+			continue
+		}
+		if id, err := rack.ParseTrayID(k); err == nil {
+			out = append(out, id)
+		}
+	}
+	slices.SortFunc(out, func(a, b rack.TrayID) int {
+		return cmp.Or(cmp.Compare(a.Roller, b.Roller), cmp.Compare(b.Layer, a.Layer), cmp.Compare(a.Slot, b.Slot))
+	})
+	return out
+}
+
 // MarshalJSON/Unmarshal round-trip the catalog for MV state storage.
 func (c *Catalog) Marshal() ([]byte, error) { return json.Marshal(c) }
 
@@ -239,29 +259,26 @@ func (s *Strips) put(strips ...[]byte) {
 // pAcc and seeds both accumulators (its Q coefficient is g^0 = 1); buf takes
 // the other columns. It returns the column whose read failed.
 func accumulate(p *sim.Proc, data []Backend, off int64, n int, buf, pAcc, qAcc []byte) (int, error) {
+	pAcc = pAcc[:n]
+	if qAcc != nil {
+		qAcc = qAcc[:n]
+	}
 	if len(data) == 0 { // parity over nothing is zeros, not a reused strip's leftovers
-		clear(pAcc[:n])
-		if qAcc != nil {
-			clear(qAcc[:n])
-		}
+		clear(pAcc)
+		clear(qAcc)
 	}
 	for col, d := range data {
 		if col == 0 {
-			if err := d.ReadAt(p, pAcc[:n], off); err != nil {
+			if err := d.ReadAt(p, pAcc, off); err != nil {
 				return col, err
 			}
-			if qAcc != nil {
-				copy(qAcc[:n], pAcc[:n])
-			}
+			copy(qAcc, pAcc)
 			continue
 		}
 		if err := d.ReadAt(p, buf[:n], off); err != nil {
 			return col, err
 		}
-		raid.XorSlice(buf[:n], pAcc[:n])
-		if qAcc != nil {
-			raid.MulXorSlice(raid.Pow2(col), buf[:n], qAcc[:n])
-		}
+		raid.Fold(col, buf[:n], pAcc, qAcc)
 	}
 	return 0, nil
 }
@@ -282,10 +299,7 @@ func (s *Strips) GenerateParity(p *sim.Proc, data []Backend, parity []Backend, l
 	}
 	defer s.put(buf, pAcc, qAcc)
 	for off := int64(0); off < length; off += parityChunk {
-		n := parityChunk
-		if off+int64(n) > length {
-			n = int(length - off)
-		}
+		n := int(min(parityChunk, length-off))
 		if col, err := accumulate(p, data, off, n, buf, pAcc, qAcc); err != nil {
 			return fmt.Errorf("image: parity read col %d: %w", col, err)
 		}
@@ -321,10 +335,7 @@ func VerifyParity(p *sim.Proc, data []Backend, parity []Backend, length int64) (
 		qAcc = make([]byte, parityChunk)
 	}
 	for off := int64(0); off < length; off += parityChunk {
-		n := parityChunk
-		if off+int64(n) > length {
-			n = int(length - off)
-		}
+		n := int(min(parityChunk, length-off))
 		// A strip is bad when any column fails to read or a stored parity
 		// differs; buf is free again once the data columns are folded in.
 		_, err := accumulate(p, data, off, n, buf, pAcc, qAcc)
@@ -343,123 +354,87 @@ func VerifyParity(p *sim.Proc, data []Backend, parity []Backend, length int64) (
 	return bad, nil
 }
 
-// Recover reconstructs up to two lost data columns from the survivors.
-// data[i] == nil marks column i lost; parity[0] is P, parity[1] (optional)
-// is Q, either may be nil if lost. Reconstructed columns are written to the
-// corresponding out backends (out[i] must be non-nil where data[i] is nil).
-func Recover(p *sim.Proc, data []Backend, parity []Backend, out []Backend, length int64) error {
-	var lost []int
+// plan finds the lost (nil) data columns and the parity that recovers them
+// (raid.Plan). parity[0] is P and parity[1], if any, Q; either may be nil if
+// lost. On an error, useP and useQ report which parity there is.
+func plan(data, parity []Backend) (lost []int, useP, useQ bool, err error) {
 	for i, d := range data {
 		if d == nil {
 			lost = append(lost, i)
 		}
 	}
-	pLost := len(parity) < 1 || parity[0] == nil
-	qAvail := len(parity) == 2 && parity[1] != nil
-	switch {
-	case len(lost) == 0:
-		return nil
-	case len(lost) == 1 && !pLost:
-		return recoverOneWithP(p, data, parity[0], out[lost[0]], lost[0], length)
-	case len(lost) == 1 && qAvail:
-		return recoverOneWithQ(p, data, parity[1], out[lost[0]], lost[0], length)
-	case len(lost) == 2 && !pLost && qAvail:
-		return recoverTwo(p, data, parity[0], parity[1], out[lost[0]], out[lost[1]], lost[0], lost[1], length)
-	default:
-		return fmt.Errorf("%w: %d data lost, P lost=%v, Q avail=%v", ErrTooManyLost, len(lost), pLost, qAvail)
+	haveP := len(parity) > 0 && parity[0] != nil
+	haveQ := len(parity) == 2 && parity[1] != nil
+	if useP, useQ, err = raid.Plan(lost, haveP, haveQ); err != nil {
+		return lost, haveP, haveQ, fmt.Errorf("%w: %d data lost, P lost=%v, Q avail=%v", ErrTooManyLost, len(lost), !haveP, haveQ)
 	}
+	return lost, useP, useQ, nil
 }
 
-func recoverOneWithP(p *sim.Proc, data []Backend, pty, out Backend, lost int, length int64) error {
-	buf := make([]byte, parityChunk)
-	acc := make([]byte, parityChunk)
-	for off := int64(0); off < length; off += parityChunk {
-		n := parityChunk
-		if off+int64(n) > length {
-			n = int(length - off)
+// solve turns the syndromes of one strip into the lost columns in place
+// (raid.Solve) and writes lost column lost[i] to out[lost[i]] at off. pSyn
+// and qSyn are the strip's syndromes, nil where plan did not pick the parity.
+func solve(p *sim.Proc, lost []int, pSyn, qSyn []byte, out []Backend, off int64) error {
+	var res [2][]byte
+	got := res[:0]
+	for _, b := range [2][]byte{pSyn, qSyn} {
+		if b != nil {
+			got = append(got, b)
 		}
-		if err := pty.ReadAt(p, acc[:n], off); err != nil {
-			return err
-		}
-		for col, d := range data {
-			if col == lost {
-				continue
-			}
-			if err := d.ReadAt(p, buf[:n], off); err != nil {
-				return err
-			}
-			raid.XorSlice(buf[:n], acc[:n])
-		}
-		if err := out.WriteAt(p, acc[:n], off); err != nil {
+	}
+	raid.Solve(lost, pSyn, qSyn, got)
+	for i, c := range lost {
+		if err := out[c].WriteAt(p, got[i], off); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func recoverOneWithQ(p *sim.Proc, data []Backend, qty, out Backend, lost int, length int64) error {
-	buf := make([]byte, parityChunk)
-	acc := make([]byte, parityChunk)
-	inv := raid.Inv(raid.Pow2(lost))
-	for off := int64(0); off < length; off += parityChunk {
-		n := parityChunk
-		if off+int64(n) > length {
-			n = int(length - off)
-		}
-		if err := qty.ReadAt(p, acc[:n], off); err != nil {
-			return err
-		}
-		for col, d := range data {
-			if col == lost {
-				continue
-			}
-			if err := d.ReadAt(p, buf[:n], off); err != nil {
-				return err
-			}
-			raid.MulXorSlice(raid.Pow2(col), buf[:n], acc[:n])
-		}
-		for i := 0; i < n; i++ {
-			acc[i] = raid.Mul(acc[i], inv)
-		}
-		if err := out.WriteAt(p, acc[:n], off); err != nil {
-			return err
-		}
+// Recover reconstructs up to two lost data columns from the survivors, one
+// column at a time: for each 1 MB strip it reads the parity plan picks (P,
+// then Q), then the surviving columns in order, and writes the lost columns.
+// data[i] == nil marks column i lost; parity[0] is P, parity[1] (optional)
+// is Q, either may be nil if lost. Reconstructed columns are written to the
+// corresponding out backends (out[i] must be non-nil where data[i] is nil).
+func Recover(p *sim.Proc, data []Backend, parity []Backend, out []Backend, length int64) error {
+	lost, useP, useQ, err := plan(data, parity)
+	if err != nil || len(lost) == 0 {
+		return err
 	}
-	return nil
-}
-
-func recoverTwo(p *sim.Proc, data []Backend, pty, qty, outX, outY Backend, x, y int, length int64) error {
 	buf := make([]byte, parityChunk)
-	pxy := make([]byte, parityChunk)
-	qxy := make([]byte, parityChunk)
-	dx := make([]byte, parityChunk)
-	dy := make([]byte, parityChunk)
+	var pAcc, qAcc []byte
+	if useP {
+		pAcc = make([]byte, parityChunk)
+	}
+	if useQ {
+		qAcc = make([]byte, parityChunk)
+	}
 	for off := int64(0); off < length; off += parityChunk {
-		n := parityChunk
-		if off+int64(n) > length {
-			n = int(length - off)
+		n := int(min(parityChunk, length-off))
+		var pSyn, qSyn []byte
+		if useP {
+			pSyn = pAcc[:n]
+			if err := parity[0].ReadAt(p, pSyn, off); err != nil {
+				return err
+			}
 		}
-		if err := pty.ReadAt(p, pxy[:n], off); err != nil {
-			return err
-		}
-		if err := qty.ReadAt(p, qxy[:n], off); err != nil {
-			return err
+		if useQ {
+			qSyn = qAcc[:n]
+			if err := parity[1].ReadAt(p, qSyn, off); err != nil {
+				return err
+			}
 		}
 		for col, d := range data {
-			if col == x || col == y {
+			if d == nil {
 				continue
 			}
 			if err := d.ReadAt(p, buf[:n], off); err != nil {
 				return err
 			}
-			raid.XorSlice(buf[:n], pxy[:n])
-			raid.MulXorSlice(raid.Pow2(col), buf[:n], qxy[:n])
+			raid.Fold(col, buf[:n], pSyn, qSyn)
 		}
-		raid.SolveTwoErasures(x, y, pxy[:n], qxy[:n], dx[:n], dy[:n])
-		if err := outX.WriteAt(p, dx[:n], off); err != nil {
-			return err
-		}
-		if err := outY.WriteAt(p, dy[:n], off); err != nil {
+		if err := solve(p, lost, pSyn, qSyn, out, off); err != nil {
 			return err
 		}
 	}

@@ -3,6 +3,7 @@ package image
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -421,5 +422,26 @@ func TestImagesOnTray(t *testing.T) {
 	c.Forget(NewID(2))
 	if len(c.ImagesOnTray(tray)) != 1 {
 		t.Error("Forget did not remove the entry")
+	}
+}
+
+// TestUsedTraysOrder checks that UsedTrays lists only Used trays, in
+// (roller, layer descending, slot) order.
+func TestUsedTraysOrder(t *testing.T) {
+	c := NewCatalog()
+	want := []rack.TrayID{
+		{Roller: 0, Layer: 84, Slot: 0},
+		{Roller: 0, Layer: 84, Slot: 5},
+		{Roller: 0, Layer: 9, Slot: 1},
+		{Roller: 1, Layer: 70, Slot: 0},
+		{Roller: 1, Layer: 3, Slot: 2},
+	}
+	for _, i := range []int{3, 1, 4, 0, 2} {
+		c.SetDAState(want[i], DAUsed)
+	}
+	c.SetDAState(rack.TrayID{Roller: 0, Layer: 50, Slot: 0}, DAFailed)
+	c.SetDAState(rack.TrayID{Roller: 0, Layer: 40, Slot: 0}, DAEmpty)
+	if got := c.UsedTrays(); !slices.Equal(got, want) {
+		t.Errorf("UsedTrays = %v, want %v", got, want)
 	}
 }

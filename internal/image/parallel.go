@@ -11,7 +11,6 @@ package image
 
 import (
 	"bytes"
-	"fmt"
 
 	"ros/internal/raid"
 	"ros/internal/sim"
@@ -90,28 +89,15 @@ func VerifyParityParallel(p *sim.Proc, data []Backend, parity []Backend, length 
 		qAcc = make([]byte, parityChunk)
 	}
 	for off := int64(0); off < length; off += parityChunk {
-		n := parityChunk
-		if off+int64(n) > length {
-			n = int(length - off)
-		}
+		n := int(min(parityChunk, length-off))
 		if rd.readChunk(p, off, n) {
 			bad = append(bad, off)
 			continue
 		}
-		for i := range pAcc[:n] {
-			pAcc[i] = 0
-		}
-		if qAcc != nil {
-			for i := range qAcc[:n] {
-				qAcc[i] = 0
-			}
-		}
+		clear(pAcc)
+		clear(qAcc)
 		for col := range data {
-			b := rd.buf[col]
-			raid.XorSlice(b[:n], pAcc[:n])
-			if qAcc != nil {
-				raid.MulXorSlice(raid.Pow2(col), b[:n], qAcc[:n])
-			}
+			raid.Fold(col, rd.buf[col][:n], pAcc, qAcc)
 		}
 		mismatch := !bytes.Equal(pAcc[:n], rd.buf[len(data)][:n])
 		if !mismatch && qAcc != nil {
@@ -134,36 +120,19 @@ func VerifyParityParallel(p *sim.Proc, data []Backend, parity []Backend, length 
 // looks doubly-erased at bulk granularity re-resolves per sector against
 // the shadows instead of failing (see recoverChunkSectors).
 func RecoverParallel(p *sim.Proc, data, shadow, parity []Backend, out []Backend, length int64, gate Gate) error {
-	var lost []int
-	for i, d := range data {
-		if d == nil {
-			lost = append(lost, i)
-		}
-	}
-	pLost := len(parity) < 1 || parity[0] == nil
-	qAvail := len(parity) == 2 && parity[1] != nil
-	var useP, useQ bool
-	overCap := false
-	switch {
-	case len(lost) == 0:
+	lost, useP, useQ, err := plan(data, parity)
+	if len(lost) == 0 {
 		return nil
-	case len(lost) == 1 && !pLost:
-		useP = true
-	case len(lost) == 1 && qAvail:
-		useQ = true
-	case len(lost) == 2 && !pLost && qAvail:
-		useP, useQ = true, true
-	default:
+	}
+	overCap := err != nil
+	if overCap {
 		// Beyond the static parity capability — still recoverable per sector
 		// when every lost column has a readable-outside-its-LSEs shadow.
 		for _, l := range lost {
 			if l >= len(shadow) || shadow[l] == nil {
-				return fmt.Errorf("%w: %d data lost, P lost=%v, Q avail=%v", ErrTooManyLost, len(lost), pLost, qAvail)
+				return err
 			}
 		}
-		overCap = true
-		useP = !pLost
-		useQ = qAvail
 	}
 	cols := append([]Backend(nil), data...)
 	pIdx, qIdx := -1, -1
@@ -176,18 +145,15 @@ func RecoverParallel(p *sim.Proc, data, shadow, parity []Backend, out []Backend,
 		cols = append(cols, parity[1])
 	}
 	rd := newColumns("recover", cols, gate)
-	acc := make([]byte, parityChunk)
-	var qxy, dx, dy []byte
-	if len(lost) == 2 {
-		qxy = make([]byte, parityChunk)
-		dx = make([]byte, parityChunk)
-		dy = make([]byte, parityChunk)
+	// syndrome is the chunk just read of parity column i, or nil.
+	syndrome := func(i, n int) []byte {
+		if i < 0 || rd.err[i] != nil {
+			return nil
+		}
+		return rd.buf[i][:n]
 	}
 	for off := int64(0); off < length; off += parityChunk {
-		n := parityChunk
-		if off+int64(n) > length {
-			n = int(length - off)
-		}
+		n := int(min(parityChunk, length-off))
 		if rd.readChunk(p, off, n) || overCap {
 			// A failed bulk read (or an over-capability stripe) drops to
 			// sector granularity: non-aligned sector errors across columns
@@ -198,62 +164,21 @@ func RecoverParallel(p *sim.Proc, data, shadow, parity []Backend, out []Backend,
 					haveData[i] = rd.buf[i]
 				}
 			}
-			var haveP, haveQ []byte
-			if pIdx >= 0 && rd.err[pIdx] == nil {
-				haveP = rd.buf[pIdx]
-			}
-			if qIdx >= 0 && rd.err[qIdx] == nil {
-				haveQ = rd.buf[qIdx]
-			}
-			if err := recoverChunkSectors(p, data, shadow, parity, out, gate, off, n, haveData, haveP, haveQ); err != nil {
+			if err := recoverChunkSectors(p, data, shadow, parity, out, gate, off, n, haveData, syndrome(pIdx, n), syndrome(qIdx, n)); err != nil {
 				return err
 			}
 			continue
 		}
-		switch {
-		case len(lost) == 1 && useP:
-			copy(acc[:n], rd.buf[pIdx][:n])
-			for col := range data {
-				if col == lost[0] {
-					continue
-				}
-				raid.XorSlice(rd.buf[col][:n], acc[:n])
+		// The syndromes build in the parity columns' own read buffers, which
+		// the next round reads into afresh.
+		pSyn, qSyn := syndrome(pIdx, n), syndrome(qIdx, n)
+		for col := range data {
+			if data[col] != nil {
+				raid.Fold(col, rd.buf[col][:n], pSyn, qSyn)
 			}
-			if err := out[lost[0]].WriteAt(p, acc[:n], off); err != nil {
-				return err
-			}
-		case len(lost) == 1: // Q-only reconstruction
-			copy(acc[:n], rd.buf[qIdx][:n])
-			for col := range data {
-				if col == lost[0] {
-					continue
-				}
-				raid.MulXorSlice(raid.Pow2(col), rd.buf[col][:n], acc[:n])
-			}
-			inv := raid.Inv(raid.Pow2(lost[0]))
-			for i := 0; i < n; i++ {
-				acc[i] = raid.Mul(acc[i], inv)
-			}
-			if err := out[lost[0]].WriteAt(p, acc[:n], off); err != nil {
-				return err
-			}
-		default: // two erasures with P+Q
-			copy(acc[:n], rd.buf[pIdx][:n])
-			copy(qxy[:n], rd.buf[qIdx][:n])
-			for col := range data {
-				if col == lost[0] || col == lost[1] {
-					continue
-				}
-				raid.XorSlice(rd.buf[col][:n], acc[:n])
-				raid.MulXorSlice(raid.Pow2(col), rd.buf[col][:n], qxy[:n])
-			}
-			raid.SolveTwoErasures(lost[0], lost[1], acc[:n], qxy[:n], dx[:n], dy[:n])
-			if err := out[lost[0]].WriteAt(p, dx[:n], off); err != nil {
-				return err
-			}
-			if err := out[lost[1]].WriteAt(p, dy[:n], off); err != nil {
-				return err
-			}
+		}
+		if err := solve(p, lost, pSyn, qSyn, out, off); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -78,103 +78,65 @@ func scanColumn(p *sim.Proc, b Backend, gate Gate, off int64, n int, sb *sectorB
 // written to its out backend.
 func recoverChunkSectors(p *sim.Proc, data, shadow, parity []Backend, out []Backend,
 	gate Gate, off int64, n int, haveData [][]byte, haveP, haveQ []byte) error {
-	ns := nSectors(n)
-	cols := make([]*sectorBuf, len(data))
-	for i := range data {
-		sb := &sectorBuf{buf: make([]byte, n), ok: make([]bool, ns)}
-		cols[i] = sb
+	// load takes a column's bulk bytes, else scans b per sector; a column
+	// with neither has no valid sector.
+	load := func(have []byte, b Backend) *sectorBuf {
+		sb := &sectorBuf{buf: make([]byte, n), ok: make([]bool, nSectors(n))}
 		switch {
-		case haveData[i] != nil:
-			copy(sb.buf, haveData[i][:n])
-			for s := range sb.ok {
-				sb.ok[s] = true
-			}
-		case data[i] != nil:
-			scanColumn(p, data[i], gate, off, n, sb)
-		case i < len(shadow) && shadow[i] != nil:
-			scanColumn(p, shadow[i], gate, off, n, sb)
-		}
-	}
-	loadParity := func(have []byte, b Backend) *sectorBuf {
-		if have == nil && b == nil {
-			return nil
-		}
-		sb := &sectorBuf{buf: make([]byte, n), ok: make([]bool, ns)}
-		if have != nil {
+		case have != nil:
 			copy(sb.buf, have[:n])
 			for s := range sb.ok {
 				sb.ok[s] = true
 			}
-		} else {
+		case b != nil:
 			scanColumn(p, b, gate, off, n, sb)
 		}
 		return sb
 	}
-	var pb, qb *sectorBuf
-	if len(parity) > 0 {
-		pb = loadParity(haveP, parity[0])
+	cols := make([]*sectorBuf, len(data))
+	for i, b := range data {
+		if b == nil && i < len(shadow) {
+			b = shadow[i]
+		}
+		cols[i] = load(haveData[i], b)
 	}
-	if len(parity) > 1 {
-		qb = loadParity(haveQ, parity[1])
-	}
+	var pq [2]Backend
+	copy(pq[:], parity)
+	pb, qb := load(haveP, pq[0]), load(haveQ, pq[1])
 
-	for s := 0; s < ns; s++ {
+	var missing []int
+	var res [2][]byte
+	for s := range pb.ok {
 		blo, bhi := secSpan(s, s+1, n)
-		var missing []int
+		missing = missing[:0]
 		for i, sb := range cols {
 			if !sb.ok[s] {
 				missing = append(missing, i)
 			}
 		}
-		pOK := pb != nil && pb.ok[s]
-		qOK := qb != nil && qb.ok[s]
-		switch {
-		case len(missing) == 0:
-			continue
-		case len(missing) == 1 && pOK:
-			m := missing[0]
-			dst := cols[m].buf[blo:bhi]
-			copy(dst, pb.buf[blo:bhi])
-			for i, sb := range cols {
-				if i != m {
-					raid.XorSlice(sb.buf[blo:bhi], dst)
-				}
-			}
-			cols[m].ok[s] = true
-		case len(missing) == 1 && qOK:
-			m := missing[0]
-			dst := cols[m].buf[blo:bhi]
-			copy(dst, qb.buf[blo:bhi])
-			for i, sb := range cols {
-				if i != m {
-					raid.MulXorSlice(raid.Pow2(i), sb.buf[blo:bhi], dst)
-				}
-			}
-			inv := raid.Inv(raid.Pow2(m))
-			for i := range dst {
-				dst[i] = raid.Mul(dst[i], inv)
-			}
-			cols[m].ok[s] = true
-		case len(missing) == 2 && pOK && qOK:
-			x, y := missing[0], missing[1]
-			pxy := make([]byte, bhi-blo)
-			qxy := make([]byte, bhi-blo)
-			copy(pxy, pb.buf[blo:bhi])
-			copy(qxy, qb.buf[blo:bhi])
-			for i, sb := range cols {
-				if i == x || i == y {
-					continue
-				}
-				raid.XorSlice(sb.buf[blo:bhi], pxy)
-				raid.MulXorSlice(raid.Pow2(i), sb.buf[blo:bhi], qxy)
-			}
-			raid.SolveTwoErasures(x, y, pxy, qxy, cols[x].buf[blo:bhi], cols[y].buf[blo:bhi])
-			cols[x].ok[s] = true
-			cols[y].ok[s] = true
-		default:
+		useP, useQ, err := raid.Plan(missing, pb.ok[s], qb.ok[s])
+		if err != nil {
 			return fmt.Errorf("%w: %d columns with only %d parity readable at offset %d",
-				ErrTooManyLost, len(missing), boolCount(pOK, qOK), off+int64(blo))
+				ErrTooManyLost, len(missing), boolCount(pb.ok[s], qb.ok[s]), off+int64(blo))
 		}
+		// Each sector's parity is used once, so its syndromes build in place.
+		var pSyn, qSyn []byte
+		if useP {
+			pSyn = pb.buf[blo:bhi]
+		}
+		if useQ {
+			qSyn = qb.buf[blo:bhi]
+		}
+		for i, sb := range cols {
+			if sb.ok[s] {
+				raid.Fold(i, sb.buf[blo:bhi], pSyn, qSyn)
+			}
+		}
+		for i, m := range missing {
+			res[i] = cols[m].buf[blo:bhi]
+			cols[m].ok[s] = true
+		}
+		raid.Solve(missing, pSyn, qSyn, res[:len(missing)])
 	}
 
 	for i := range data {

@@ -2,7 +2,6 @@ package olfs
 
 import (
 	"fmt"
-	"time"
 
 	"ros/internal/sim"
 	"ros/internal/writepath"
@@ -46,7 +45,7 @@ func (fs *FS) DirectIngest(p *sim.Proc, path string, data []byte) error {
 	}
 	fs.ensureMover()
 	// Wire + staging write at line rate.
-	p.Sleep(time.Duration(float64(len(data)) / directStageRate * float64(time.Second)))
+	p.Sleep(sim.ByteTime(float64(len(data)), directStageRate))
 	cp := append([]byte(nil), data...)
 	fs.moverPending++
 	fs.moverIdle.Clear()

@@ -81,7 +81,7 @@ func burnOneTray(t *testing.T, tb *testbed, p *sim.Proc, seed byte) rack.TrayID 
 	if _, err := c.Wait(p); err != nil {
 		t.Fatalf("burn: %v", err)
 	}
-	trays := usedTrayList(tb.fs)
+	trays := tb.fs.Cat.UsedTrays()
 	return trays[len(trays)-1]
 }
 

@@ -44,6 +44,19 @@ func (fs *FS) trayLayout(onTray map[int]image.ID) (dataN int, parityPos []int) {
 	return len(onTray) - fs.cfg.ParityDiscs, nil
 }
 
+// parityColumns returns the views of a tray's parity images, P first: the
+// cataloged parity positions, else the ParityDiscs positions after the data.
+func (fs *FS) parityColumns(backends []image.Backend, dataN int, parityPos []int) []image.Backend {
+	if len(parityPos) == 0 {
+		return backends[dataN : dataN+fs.cfg.ParityDiscs]
+	}
+	parity := make([]image.Backend, len(parityPos))
+	for i, pos := range parityPos {
+		parity[i] = backends[pos]
+	}
+	return parity
+}
+
 // readGate adapts the scheduler's per-group read slots to image.Gate, so
 // parallel scrub/recover column reads are admitted chunk-by-chunk and cannot
 // starve interactive readers of the same drive group.
@@ -108,14 +121,7 @@ func (fs *FS) ScrubTray(p *sim.Proc, tray rack.TrayID) (rep ScrubReport, err err
 	// burn-time data width regardless of which entries the catalog still
 	// tracks (parity was computed over those very bits).
 	data := backends[:dataN]
-	var parity []image.Backend
-	if len(parityPos) > 0 {
-		for _, pos := range parityPos {
-			parity = append(parity, backends[pos])
-		}
-	} else {
-		parity = backends[dataN : dataN+fs.cfg.ParityDiscs]
-	}
+	parity := fs.parityColumns(backends, dataN, parityPos)
 	vsp := obs.StartChild(p, "optical.verify")
 	vsp.AnnotateInt("bytes", length)
 	if ferr := faultinject.Check(p, faultinject.PointOpticalVerify, tray.String()); ferr != nil {
@@ -165,14 +171,7 @@ func (fs *FS) RecoverImage(p *sim.Proc, id image.ID) (nb *bucket.Bucket, err err
 			data[i] = backends[i]
 		}
 	}
-	var parity []image.Backend
-	if len(parityPos) > 0 {
-		for _, pos := range parityPos {
-			parity = append(parity, backends[pos])
-		}
-	} else {
-		parity = backends[dataN : dataN+fs.cfg.ParityDiscs]
-	}
+	parity := fs.parityColumns(backends, dataN, parityPos)
 	nb, err = fs.Buckets.OpenRaw(p, length)
 	if err != nil {
 		return nil, err
@@ -186,20 +185,26 @@ func (fs *FS) RecoverImage(p *sim.Proc, id image.ID) (nb *bucket.Bucket, err err
 	shadow[addr.Pos] = backends[addr.Pos]
 	err = image.RecoverParallel(p, data, shadow, parity, out, length,
 		readGate{s: fs.sched, class: sched.Scrub, gi: gi})
+	return fs.adoptCopy(p, nb, id, "recovered", err)
+}
+
+// adoptCopy finishes copying image id into nb, by recovery or migration (how
+// names which, for errors). If the copy failed (err), or nb's bytes do not
+// parse as the UDF image id, nb is discarded. Otherwise nb serves the image's
+// reads from now on and the old disc location is forgotten.
+func (fs *FS) adoptCopy(p *sim.Proc, nb *bucket.Bucket, id image.ID, how string, err error) (*bucket.Bucket, error) {
+	var vol *udf.Volume
+	if err == nil {
+		vol, err = udf.Open(p, nb.Backend())
+		if err != nil {
+			err = fmt.Errorf("olfs: %s image does not parse: %w", how, err)
+		} else if got := image.ID(vol.ImageID()); got != id {
+			err = fmt.Errorf("olfs: %s image identity mismatch: got %s want %s", how, got, id)
+		}
+	}
 	if err != nil {
 		_ = fs.Buckets.Discard(nb)
 		return nil, err
-	}
-	// The recovered bytes are a UDF image: adopt them so reads resolve.
-	vol, err := udf.Open(p, nb.Backend())
-	if err != nil {
-		_ = fs.Buckets.Discard(nb)
-		return nil, fmt.Errorf("olfs: recovered image does not parse: %w", err)
-	}
-	if image.ID(vol.ImageID()) != id {
-		_ = fs.Buckets.Discard(nb)
-		return nil, fmt.Errorf("olfs: recovered image identity mismatch: got %s want %s",
-			image.ID(vol.ImageID()), id)
 	}
 	fs.Buckets.Adopt(nb, vol)
 	fs.Cat.Forget(id)
@@ -231,31 +236,11 @@ func (fs *FS) migrateImage(p *sim.Proc, id image.ID) (nb *bucket.Bucket, err err
 	}
 	buf := make([]byte, 1<<20)
 	dst := nb.Backend()
-	for off := int64(0); off < addr.Len; off += int64(len(buf)) {
-		n := int64(len(buf))
-		if off+n > addr.Len {
-			n = addr.Len - off
-		}
-		if err := view.ReadAt(p, buf[:n], off); err != nil {
-			_ = fs.Buckets.Discard(nb)
-			return nil, err
-		}
-		if err := dst.WriteAt(p, buf[:n], off); err != nil {
-			_ = fs.Buckets.Discard(nb)
-			return nil, err
+	for off := int64(0); off < addr.Len && err == nil; off += int64(len(buf)) {
+		n := min(int64(len(buf)), addr.Len-off)
+		if err = view.ReadAt(p, buf[:n], off); err == nil {
+			err = dst.WriteAt(p, buf[:n], off)
 		}
 	}
-	vol, err := udf.Open(p, nb.Backend())
-	if err != nil {
-		_ = fs.Buckets.Discard(nb)
-		return nil, fmt.Errorf("olfs: migrated image does not parse: %w", err)
-	}
-	if image.ID(vol.ImageID()) != id {
-		_ = fs.Buckets.Discard(nb)
-		return nil, fmt.Errorf("olfs: migrated image identity mismatch: got %s want %s",
-			image.ID(vol.ImageID()), id)
-	}
-	fs.Buckets.Adopt(nb, vol)
-	fs.Cat.Forget(id)
-	return nb, nil
+	return fs.adoptCopy(p, nb, id, "migrated", err)
 }

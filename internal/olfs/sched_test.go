@@ -38,7 +38,7 @@ func TestEvictionSkipsTrayWithQueuedWaiters(t *testing.T) {
 				return
 			}
 		}
-		trays := usedTrayList(fs)
+		trays := fs.Cat.UsedTrays()
 		if len(trays) != 2 {
 			t.Errorf("expected 2 burned trays, got %v", trays)
 			return
@@ -148,7 +148,7 @@ func TestCoalescingUnderConcurrentMixedLoad(t *testing.T) {
 				return
 			}
 		}
-		trays := usedTrayList(fs)
+		trays := fs.Cat.UsedTrays()
 		if len(trays) != 2 {
 			t.Errorf("expected 2 burned trays, got %v", trays)
 			return

@@ -203,7 +203,7 @@ func (fs *FS) StartScrubber(interval time.Duration) func() {
 			if !idle {
 				continue
 			}
-			trays := usedTrayList(fs)
+			trays := fs.Cat.UsedTrays()
 			if len(trays) == 0 {
 				continue
 			}
@@ -216,37 +216,6 @@ func (fs *FS) StartScrubber(interval time.Duration) func() {
 		}
 	}).Wake()
 	return func() { stop = true }
-}
-
-// usedTrayList returns trays in Used state, deterministically ordered.
-func usedTrayList(fs *FS) []rack.TrayID {
-	var out []rack.TrayID
-	for k, st := range fs.Cat.DA {
-		if st != image.DAUsed {
-			continue
-		}
-		var id rack.TrayID
-		if _, err := fmt.Sscanf(k, "r%d/L%d/S%d", &id.Roller, &id.Layer, &id.Slot); err == nil {
-			out = append(out, id)
-		}
-	}
-	// Insertion sort by (roller, layer desc, slot) for determinism.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && trayLess(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-func trayLess(a, b rack.TrayID) bool {
-	if a.Roller != b.Roller {
-		return a.Roller < b.Roller
-	}
-	if a.Layer != b.Layer {
-		return a.Layer > b.Layer
-	}
-	return a.Slot < b.Slot
 }
 
 // StartMVSnapshots launches the periodic MV-to-disc checkpoint daemon

@@ -78,7 +78,7 @@ func TestTraceSpanBalanceMixedWorkload(t *testing.T) {
 		}
 
 		// Scrub a burned tray (verify spans, nested scrub ops).
-		trays := usedTrayList(tb.fs)
+		trays := tb.fs.Cat.UsedTrays()
 		if len(trays) == 0 {
 			t.Fatal("no burned trays to scrub")
 		}

@@ -389,7 +389,7 @@ func (dr *Drive) Erase(p *sim.Proc) error {
 	if !dr.disc.Type.Rewritable() {
 		return fmt.Errorf("%w: %s", ErrNotRewritable, dr.disc.Type)
 	}
-	p.Sleep(time.Duration(float64(dr.disc.Capacity()) / (2.0 * BluRay1X) * float64(time.Second)))
+	p.Sleep(sim.ByteTime(float64(dr.disc.Capacity()), 2.0*BluRay1X))
 	return dr.disc.erase()
 }
 
@@ -534,7 +534,7 @@ func (dr *Drive) Burn(p *sim.Proc, src BurnSource, opts BurnOptions) (rep BurnRe
 				return rep, err
 			}
 		}
-		p.Sleep(time.Duration(float64(n) / eff * float64(time.Second)))
+		p.Sleep(sim.ByteTime(float64(n), eff))
 		burnedLogical += n
 		dr.BytesBurned += n
 	}
@@ -611,7 +611,7 @@ func (dr *Drive) read(p *sim.Proc, off, n int64, move func(*Disc) error) error {
 	}
 	dr.sharer.activeRead++
 	rate := readSpeed(dr.disc.Type) * dr.sharer.readFactor()
-	t += time.Duration(float64(n) / rate * float64(time.Second))
+	t += sim.ByteTime(float64(n), rate)
 	p.Sleep(t)
 	dr.sharer.activeRead--
 	if dr.disc == nil {

@@ -145,7 +145,7 @@ func (v *Volume) charge(p *sim.Proc, off, n int64, rate float64) error {
 	}
 	t := v.rates.PerOp
 	if rate > 0 {
-		t += time.Duration(float64(n) / rate * float64(time.Second))
+		t += sim.ByteTime(float64(n), rate)
 	}
 	p.Sleep(t)
 	return nil

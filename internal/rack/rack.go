@@ -54,6 +54,18 @@ func (id TrayID) String() string {
 	return fmt.Sprintf("r%d/L%02d/S%d", id.Roller, id.Layer, id.Slot)
 }
 
+// ParseTrayID is the inverse of TrayID.String: it reads "r<roller>/L<layer>/
+// S<slot>" with non-negative coordinates and nothing after them.
+func ParseTrayID(s string) (TrayID, error) {
+	var id TrayID
+	var rest string
+	n, _ := fmt.Sscanf(s, "r%d/L%d/S%d%s", &id.Roller, &id.Layer, &id.Slot, &rest)
+	if n != 3 || id.Roller < 0 || id.Layer < 0 || id.Slot < 0 {
+		return TrayID{}, fmt.Errorf("rack: bad tray id %q", s)
+	}
+	return id, nil
+}
+
 // Tray holds up to 12 discs (a disc array).
 type Tray struct {
 	ID    TrayID

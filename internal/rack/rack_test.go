@@ -375,3 +375,28 @@ func TestColdDiscSpinUpOnFirstRead(t *testing.T) {
 		}
 	})
 }
+
+// TestParseTrayIDRoundTrip checks that ParseTrayID inverts TrayID.String over
+// the whole geometry and rejects what String never prints.
+func TestParseTrayIDRoundTrip(t *testing.T) {
+	for r := 0; r < 2; r++ {
+		for l := 0; l < LayersPerRoller; l++ {
+			for s := 0; s < SlotsPerLayer; s++ {
+				id := TrayID{Roller: r, Layer: l, Slot: s}
+				got, err := ParseTrayID(id.String())
+				if err != nil || got != id {
+					t.Fatalf("ParseTrayID(%q) = %v, %v; want %v", id.String(), got, err, id)
+				}
+			}
+		}
+	}
+	if got, err := ParseTrayID("r0/L7/S2"); err != nil || got != (TrayID{Layer: 7, Slot: 2}) {
+		t.Errorf("ParseTrayID without the zero pad = %v, %v", got, err)
+	}
+	for _, bad := range []string{"", "r0/L07", "r0/L07/S1/x", "0/L07/S1", "r0/l07/S1",
+		"r0/L07/S", "r0/L07/S1x", "r-1/L07/S1", "r0/L07/S1 x", "L07/r0/S1"} {
+		if id, err := ParseTrayID(bad); err == nil {
+			t.Errorf("ParseTrayID(%q) = %v, want an error", bad, id)
+		}
+	}
+}

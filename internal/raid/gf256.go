@@ -70,7 +70,7 @@ func mulSliceXor(c byte, src, dst []byte) {
 		return
 	}
 	if c == 1 {
-		XorSlice(src, dst)
+		xorSlice(src, dst)
 		return
 	}
 	lc := int(gfLog[c])

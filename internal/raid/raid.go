@@ -460,10 +460,7 @@ func (a *Array) writeFullStripe(p *sim.Proc, stripe int64, pieces [][]byte, lent
 					copy(qbuf[at:], pc)
 				}
 			} else {
-				XorSlice(pc, pbuf[at:])
-				if qbuf != nil {
-					mulSliceXor(gfPow2(col), pc, qbuf[at:])
-				}
+				fold(col, at, pc, pbuf, qbuf)
 			}
 			at += len(pc)
 		}
@@ -550,14 +547,6 @@ func (a *Array) writePartialStripe(p *sim.Proc, stripe int64, so int64, src []by
 		lo, hi := span(c)
 		return src[c*su+lo-int(so) : c*su+hi-int(so)]
 	}
-	// fold accumulates data, which sits at in-chunk offset at of column col,
-	// into both parities.
-	fold := func(col, at int, data []byte) {
-		XorSlice(data, pbuf[at:at+len(data)])
-		if qbuf != nil {
-			mulSliceXor(gfPow2(col), data, qbuf[at:at+len(data)])
-		}
-	}
 	f := a.fanout()
 	defer f.release()
 	// parityIO adds one op (opRead or opWrite) of the parity range per parity
@@ -584,8 +573,8 @@ func (a *Array) writePartialStripe(p *sim.Proc, stripe int64, so int64, src []by
 		for c := first; c <= last; c++ {
 			lo, hi := span(c)
 			delta := old[c*su+lo : c*su+hi]
-			XorSlice(fresh(c), delta)
-			fold(c, lo, delta)
+			xorSlice(fresh(c), delta)
+			fold(c, lo, delta, pbuf, qbuf)
 		}
 	} else {
 		// Read the ranges inside the hull that the request leaves as they are;
@@ -613,12 +602,12 @@ func (a *Array) writePartialStripe(p *sim.Proc, stripe int64, so int64, src []by
 			clear(qbuf[plo:phi])
 		}
 		for _, r := range f.reqs {
-			fold(r.col, int(r.off), r.buf)
+			fold(r.col, int(r.off), r.buf, pbuf, qbuf)
 		}
 		f.reset()
 		for c := first; c <= last; c++ {
 			lo, _ := span(c)
-			fold(c, lo, fresh(c))
+			fold(c, lo, fresh(c), pbuf, qbuf)
 		}
 	}
 
@@ -630,174 +619,63 @@ func (a *Array) writePartialStripe(p *sim.Proc, stripe int64, so int64, src []by
 	return f.wait(p)
 }
 
-// reconstructChunk rebuilds the data chunk at (stripe, col) from surviving
-// devices into out (len = stripeUnit).
+// reconstructChunk rebuilds the data chunk at (stripe, col) from the surviving
+// devices into out (len = stripeUnit). It reads the whole stripe, treats a
+// failed read as an erasure, and decodes in the read buffers with the parity
+// Plan picks.
 func (a *Array) reconstructChunk(p *sim.Proc, stripe int64, col int, out []byte) error {
-	su := a.stripeUnit
-	soff := stripe * int64(su)
+	soff := stripe * int64(a.stripeUnit)
 	k := a.dataPerStripe()
-	chunks := make([]stripeChunk, 0, len(a.devs))
-	for c := 0; c < k; c++ {
-		chunks = append(chunks, stripeChunk{col: c, dev: a.dataDev(stripe, c)})
-	}
-	chunks = append(chunks, stripeChunk{col: -1, dev: a.pDev(stripe)})
-	if a.level == RAID6 {
-		chunks = append(chunks, stripeChunk{col: -2, dev: a.qDev(stripe)})
-	}
 	f := a.fanout()
 	defer f.release()
-	for i := range chunks {
-		chunks[i].data = a.chunks.get()
-		f.add(memberIO{op: opRead, dev: a.devs[chunks[i].dev], buf: chunks[i].data, off: soff})
+	for c := 0; c < k; c++ {
+		f.add(memberIO{op: opRead, dev: a.devs[a.dataDev(stripe, c)]})
+	}
+	f.add(memberIO{op: opRead, dev: a.devs[a.pDev(stripe)]})
+	if a.level == RAID6 {
+		f.add(memberIO{op: opRead, dev: a.devs[a.qDev(stripe)]})
+	}
+	for i := range f.reqs {
+		f.reqs[i].buf, f.reqs[i].off = a.chunks.get(), soff
 	}
 	defer func() {
-		for i := range chunks {
-			a.chunks.put(chunks[i].data)
+		for _, r := range f.reqs {
+			a.chunks.put(r.buf)
 		}
 	}()
 	f.wait(p) // a failed read is an erasure, decoded below
-	for i := range chunks {
-		chunks[i].ok = f.reqs[i].err == nil
-	}
-	var lost []int // indices into chunks
-	for i := range chunks {
-		if !chunks[i].ok {
-			lost = append(lost, i)
-		}
-	}
-	maxLost := 1
-	if a.level == RAID6 {
-		maxLost = 2
-	}
-	if len(lost) > maxLost {
-		return fmt.Errorf("%w: %d chunks lost in stripe %d", ErrTooManyFailed, len(lost), stripe)
-	}
-	if err := decodeStripe(chunks, k); err != nil {
-		return err
-	}
-	for i := range chunks {
-		if chunks[i].col == col {
-			copy(out, chunks[i].data)
-			return nil
-		}
-	}
-	return fmt.Errorf("raid: column %d not found", col)
-}
-
-// stripeChunk is one chunk of a stripe during reconstruction: a data column
-// (col >= 0), the P chunk (col = -1) or the Q chunk (col = -2).
-type stripeChunk struct {
-	col  int
-	dev  int
-	data []byte
-	ok   bool
-}
-
-// decodeStripe fills in the missing chunks (marked !ok) using P/Q. chunks
-// holds k data columns followed by P (col=-1) and optionally Q (col=-2). A
-// lost chunk's buffer has unspecified contents on entry; every case computes
-// in place, seeding the accumulator by copy instead of clearing it.
-func decodeStripe(chunks []stripeChunk, k int) error {
-	var lostData []int
-	lostP, lostQ := false, false
-	for i := range chunks {
-		if chunks[i].ok {
-			continue
-		}
-		switch chunks[i].col {
-		case -1:
-			lostP = true
-		case -2:
-			lostQ = true
-		default:
-			lostData = append(lostData, i)
-		}
-	}
-	find := func(col int) []byte {
-		for i := range chunks {
-			if chunks[i].col == col {
-				return chunks[i].data
-			}
-		}
-		return nil
-	}
-	pbuf, qbuf := find(-1), find(-2)
-	// xorCols accumulates data columns first..k-1, except x and y, into dst;
-	// mulCols does the same with each column's Q coefficient g^c.
-	xorCols := func(dst []byte, first, x, y int) {
-		for c := first; c < k; c++ {
-			if c != x && c != y {
-				XorSlice(find(c), dst)
+	var lost []int
+	failed := 0
+	for i, r := range f.reqs {
+		if r.err != nil {
+			failed++
+			if i < k {
+				lost = append(lost, i)
 			}
 		}
 	}
-	mulCols := func(dst []byte, first, x, y int) {
-		for c := first; c < k; c++ {
-			if c != x && c != y {
-				mulSliceXor(gfPow2(c), find(c), dst)
-			}
+	useP, useQ, err := Plan(lost, f.reqs[k].err == nil, a.level == RAID6 && f.reqs[k+1].err == nil)
+	if err != nil {
+		return fmt.Errorf("%w: %d chunks lost in stripe %d", err, failed, stripe)
+	}
+	var pbuf, qbuf []byte // the syndromes build in the parity read buffers
+	if useP {
+		pbuf = f.reqs[k].buf
+	}
+	if useQ {
+		qbuf = f.reqs[k+1].buf
+	}
+	var res [2][]byte
+	for i, c := range lost {
+		res[i] = f.reqs[c].buf
+	}
+	for c := 0; c < k; c++ {
+		if f.reqs[c].err == nil {
+			Fold(c, f.reqs[c].buf, pbuf, qbuf)
 		}
 	}
-	// Column 0 seeds a recomputed parity (its Q coefficient is g^0 = 1).
-	recomputeP := func() {
-		copy(pbuf, find(0))
-		xorCols(pbuf, 1, -1, -1)
-	}
-
-	switch {
-	case len(lostData) == 0:
-		// Only parity lost: recompute (needed for scrub/rebuild paths).
-		if lostP {
-			recomputeP()
-		}
-		if lostQ && qbuf != nil {
-			copy(qbuf, find(0))
-			mulCols(qbuf, 1, -1, -1)
-		}
-	case len(lostData) == 1 && !lostP:
-		// Single data loss with P available: XOR of everything else.
-		d := chunks[lostData[0]].data
-		copy(d, pbuf)
-		xorCols(d, 0, chunks[lostData[0]].col, -1)
-	case len(lostData) == 1 && lostP:
-		// Data + P lost: recover data via Q, then recompute P.
-		if qbuf == nil {
-			return ErrTooManyFailed
-		}
-		x := chunks[lostData[0]].col
-		d := chunks[lostData[0]].data
-		// Qx = Q ^ sum_{c != x} g^c * Dc ; Dx = Qx / g^x
-		copy(d, qbuf)
-		mulCols(d, 0, x, -1)
-		inv := gfInv(gfPow2(x))
-		for i := range d {
-			d[i] = gfMul(d[i], inv)
-		}
-		recomputeP()
-	case len(lostData) == 2:
-		// Two data chunks lost: solve 2x2 system with P and Q.
-		if qbuf == nil || lostP || lostQ {
-			return ErrTooManyFailed
-		}
-		x, y := chunks[lostData[0]].col, chunks[lostData[1]].col
-		dx, dy := chunks[lostData[0]].data, chunks[lostData[1]].data
-		// Pxy = P ^ sum_{c!=x,y} Dc is built in dy and
-		// Qxy = Q ^ sum_{c!=x,y} g^c Dc in dx; the solve is element-wise, so it
-		// runs in place.
-		copy(dy, pbuf)
-		xorCols(dy, 0, x, y)
-		copy(dx, qbuf)
-		mulCols(dx, 0, x, y)
-		// Dx = (g^y * Pxy ^ Qxy) / (g^x ^ g^y) ; Dy = Pxy ^ Dx
-		gx, gy := gfPow2(x), gfPow2(y)
-		denom := gfInv(gx ^ gy)
-		for i := range dx {
-			dx[i] = gfMul(gfMul(gy, dy[i])^dx[i], denom)
-		}
-		XorSlice(dx, dy)
-	default:
-		return ErrTooManyFailed
-	}
+	Solve(lost, pbuf, qbuf, res[:len(lost)])
+	copy(out, f.reqs[col].buf)
 	return nil
 }
 
@@ -883,21 +761,17 @@ func (a *Array) reconstructInto(p *sim.Proc, stripe int64, role int, out []byte)
 	if err := f.wait(p); err != nil {
 		return err
 	}
-	switch {
-	case role == -1: // P = XOR of data
-		copy(out, data[0].buf)
-		for _, r := range data[1:] {
-			XorSlice(r.buf, out)
-		}
-	case role == -2: // Q = sum g^c Dc, and g^0 = 1
-		copy(out, data[0].buf)
-		for _, r := range data[1:] {
-			mulSliceXor(gfPow2(r.col), r.buf, out)
-		}
-	default: // data chunk via P
-		for _, r := range data {
-			XorSlice(r.buf, out)
-		}
+	// P is the fold of every data column, Q likewise with g^c, and a data
+	// chunk is what is left of P once the others are folded out of it.
+	pacc, qacc := out, []byte(nil)
+	if role == -2 {
+		pacc, qacc = nil, out
+	}
+	if role < 0 {
+		clear(out)
+	}
+	for _, r := range data {
+		Fold(r.col, r.buf, pacc, qacc)
 	}
 	return nil
 }
@@ -923,24 +797,19 @@ func (a *Array) Scrub(p *sim.Proc) (ScrubResult, error) {
 		a.chunks.put(acc)
 		a.chunks.put(qacc)
 	}()
+	var q []byte // the Q accumulator, RAID-6 only
+	if a.level == RAID6 {
+		q = qacc
+	}
 	for s := int64(0); s < stripes; s++ {
 		soff := s * int64(su)
+		clear(acc)
+		clear(qacc)
 		for c := 0; c < k; c++ {
 			if err := a.devs[a.dataDev(s, c)].ReadAt(p, data, soff); err != nil {
 				return res, err
 			}
-			if c == 0 {
-				// Column 0 seeds both accumulators (its Q coefficient is 1).
-				copy(acc, data)
-				if a.level == RAID6 {
-					copy(qacc, data)
-				}
-				continue
-			}
-			XorSlice(data, acc)
-			if a.level == RAID6 {
-				mulSliceXor(gfPow2(c), data, qacc)
-			}
+			Fold(c, data, acc, q)
 		}
 		if err := a.devs[a.pDev(s)].ReadAt(p, data, soff); err != nil {
 			return res, err

@@ -125,7 +125,7 @@ func TestConcurrentWritersShareScratch(t *testing.T) {
 	}
 }
 
-// TestXorKernelMatchesByteLoop checks XorSlice and mulSliceXor against
+// TestXorKernelMatchesByteLoop checks xorSlice and mulSliceXor against
 // byte-at-a-time references over short and block-sized lengths, on sub-slices
 // that are not word-aligned, and with dst and src the same slice.
 func TestXorKernelMatchesByteLoop(t *testing.T) {
@@ -147,15 +147,15 @@ func TestXorKernelMatchesByteLoop(t *testing.T) {
 			for i := range want {
 				want[i] = dst[i] ^ src[i]
 			}
-			XorSlice(src, dst)
+			xorSlice(src, dst)
 			if !bytes.Equal(dst, want) {
-				t.Fatalf("XorSlice len=%d shift=%v differs from the byte loop", n, shift)
+				t.Fatalf("xorSlice len=%d shift=%v differs from the byte loop", n, shift)
 			}
 		}
 		same := backing()[1:][:n]
-		XorSlice(same, same)
+		xorSlice(same, same)
 		if !bytes.Equal(same, make([]byte, n)) {
-			t.Fatalf("XorSlice(x, x) len=%d is not zero", n)
+			t.Fatalf("xorSlice(x, x) len=%d is not zero", n)
 		}
 	}
 	for c := 0; c < 256; c++ {

@@ -84,7 +84,7 @@ func Wrap(env *sim.Env, inner vfs.FileSystem, opts Options) *FS {
 // xfer charges the wire time for n bytes plus one RTT.
 func (s *FS) xfer(p *sim.Proc, n int) {
 	t := s.opts.RTT
-	t += time.Duration(float64(n) / s.opts.NetRate * float64(time.Second))
+	t += sim.ByteTime(float64(n), s.opts.NetRate)
 	p.Sleep(t)
 }
 

@@ -471,6 +471,12 @@ func (p *Proc) SleepWeak(d time.Duration) {
 	p.park()
 }
 
+// ByteTime is the virtual time n bytes take at rate bytes per second: the one
+// conversion every byte-proportional charge makes.
+func ByteTime(n, rate float64) time.Duration {
+	return time.Duration(n / rate * float64(time.Second))
+}
+
 // Yield relinquishes control until all other events at the current instant
 // have run.
 func (p *Proc) Yield() { p.Sleep(0) }
