@@ -82,6 +82,8 @@ type Cluster struct {
 	queued  map[string]bool
 	stopped bool
 
+	writes []*replicaWrite // replicated-write tables not in use
+
 	m clusterMetrics
 }
 
@@ -350,12 +352,71 @@ func (c *Cluster) placeLimit() Health {
 // ---------------------------------------------------------------------------
 // Write path
 
-// WriteFile stores path on its replica set (placing it on first write),
-// failing over to substitute racks when a member drops mid-write. The write
-// is acknowledged when at least one replica holds it; a short set is
-// enqueued for background re-replication. When every target fails, the
-// error wraps the last rack's, so a write shed by admission control still
-// matches writepath.ErrOverload.
+// replicaWrite is the fan-out table of one replicated write: the racks of the
+// current round and one error slot per rack, which one sim.Proc.Fork fills,
+// rack i on child i. Tables come from the cluster's free list, so a write
+// allocates none once the list has grown to the peak number in flight.
+type replicaWrite struct {
+	c     *Cluster
+	path  string
+	data  []byte
+	racks []int                           // this round's targets
+	errs  []error                         // errs[i]: what writing racks[i] returned
+	run   func(sp *sim.Proc, i int) error // do, bound once
+}
+
+func (c *Cluster) replicaWrite(path string, data []byte) *replicaWrite {
+	var w *replicaWrite
+	if n := len(c.writes); n > 0 {
+		w, c.writes = c.writes[n-1], c.writes[:n-1]
+	} else {
+		w = &replicaWrite{c: c}
+		w.run = w.do
+	}
+	w.path, w.data = path, data
+	return w
+}
+
+// release puts w back on the cluster's list. Nothing it referenced stays
+// reachable from it.
+func (w *replicaWrite) release() {
+	clear(w.errs[:cap(w.errs)]) // an earlier, wider round's slots too
+	w.path, w.data, w.racks = "", nil, nil
+	w.c.writes = append(w.c.writes, w)
+}
+
+// round writes every rack of racks at once and waits for the slowest; each
+// rack's outcome is in w.errs.
+func (w *replicaWrite) round(p *sim.Proc, racks []int) {
+	w.racks = racks
+	if cap(w.errs) < len(racks) {
+		w.errs = make([]error, len(racks))
+	}
+	w.errs = w.errs[:len(racks)]
+	p.Fork("replica-write", len(racks), w.run)
+}
+
+// do writes the replica on rack i of the round.
+func (w *replicaWrite) do(sp *sim.Proc, i int) error {
+	err := w.c.routeTo(sp, "write", w.racks[i], func(r *Rack) error {
+		return r.FS.WriteFile(sp, w.path, w.data)
+	})
+	if err == nil {
+		w.c.m.replicaWrites.Add(1)
+	}
+	w.errs[i] = err
+	return err
+}
+
+// WriteFile stores path on its replica set (placing it on first write). The
+// replicas are written at once, so the write is acknowledged when the slowest
+// of them lands, not after their sum. A target that fails is replaced by a
+// substitute rack, and the substitutes of one round are written together in
+// the next, until a round has no failure or no substitute can be placed; so
+// every target is tried before WriteFile returns. The write succeeds when at
+// least one replica holds it, and a short set is enqueued for background
+// re-replication. When every target fails, the error wraps the last rack's,
+// so a write shed by admission control still matches writepath.ErrOverload.
 func (c *Cluster) WriteFile(p *sim.Proc, path string, data []byte) (err error) {
 	if c.stopped {
 		return ErrStopped
@@ -383,29 +444,32 @@ func (c *Cluster) WriteFile(p *sim.Proc, path string, data []byte) (err error) {
 	involved := targets[:len(targets):len(targets)]
 	var lost []int // involved racks whose write failed
 	var lastErr error
-	for i := 0; i < len(involved); i++ {
-		ri := involved[i]
-		werr := c.routeTo(p, "write", ri, func(r *Rack) error {
-			return r.FS.WriteFile(p, path, data)
-		})
-		if werr == nil {
-			c.m.replicaWrites.Add(1)
-			continue
-		}
-		lastErr = werr
-		lost = append(lost, ri)
-		// The target dropped out: release its load and try to move the
-		// replica to a live rack not yet involved in this write.
-		c.placer.unplace(ri)
-		limit := c.placeLimit()
-		sub := c.placer.place(path, 1, func(j int) bool {
-			return c.racks[j].health <= limit && !slices.Contains(involved, j)
-		})
-		if len(sub) == 1 {
-			c.noteFailover(p, "write", ri, sub[0], werr)
-			involved = append(involved, sub[0])
+	w := c.replicaWrite(path, data)
+	for next := 0; next < len(involved); {
+		racks := involved[next:]
+		next = len(involved)
+		w.round(p, racks)
+		for i, werr := range w.errs {
+			if werr == nil {
+				continue
+			}
+			ri := racks[i]
+			lastErr = werr
+			lost = append(lost, ri)
+			// The target dropped out: release its load and try to move the
+			// replica to a live rack not yet involved in this write.
+			c.placer.unplace(ri)
+			limit := c.placeLimit()
+			sub := c.placer.place(path, 1, func(j int) bool {
+				return c.racks[j].health <= limit && !slices.Contains(involved, j)
+			})
+			if len(sub) == 1 {
+				c.noteFailover(p, "write", ri, sub[0], werr)
+				involved = append(involved, sub[0])
+			}
 		}
 	}
+	w.release()
 	written := involved
 	if len(lost) > 0 {
 		written = slices.DeleteFunc(slices.Clone(involved), func(ri int) bool { return slices.Contains(lost, ri) })

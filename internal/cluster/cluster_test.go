@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -666,5 +668,187 @@ func TestClusterReadsFromFailedTrays(t *testing.T) {
 	})
 	if got := tb.cl.m.skipUnhealthy.Value(); got != 2 {
 		t.Errorf("skipped_unhealthy = %d, want 2 (both copies on failed trays)", got)
+	}
+}
+
+// elapsed runs fn as one simulation process, drains the clock and returns the
+// virtual time fn took.
+func (tb *testBed) elapsed(t *testing.T, fn func(p *sim.Proc) error) time.Duration {
+	t.Helper()
+	var d time.Duration
+	tb.run(t, func(p *sim.Proc) error {
+		start := p.Now()
+		err := fn(p)
+		d = p.Now() - start
+		return err
+	})
+	return d
+}
+
+// TestClusterReplicatedWriteAcksAtSlowestReplica: the replicas of a write are
+// written at once, so on idle racks the write takes as long as the slower of
+// the single-rack writes it is made of, not their sum.
+func TestClusterReplicatedWriteAcksAtSlowestReplica(t *testing.T) {
+	data := pat(300<<10, 7)
+	tb := newBed(t, 3, 2, nil)
+	defer tb.cl.Stop()
+	got := tb.elapsed(t, func(p *sim.Proc) error { return tb.cl.WriteFile(p, "/ack/f", data) })
+	set := tb.cl.ReplicasOf("/ack/f")
+	if len(set) != 2 {
+		t.Fatalf("replica set %v, want 2 racks", set)
+	}
+
+	// The same two writes, one rack at a time, on an identical idle
+	// federation.
+	solo := newBed(t, 3, 2, nil)
+	defer solo.cl.Stop()
+	var slowest, sum time.Duration
+	for _, ri := range set {
+		d := solo.elapsed(t, func(p *sim.Proc) error { return solo.cl.racks[ri].FS.WriteFile(p, "/ack/f", data) })
+		slowest, sum = max(slowest, d), sum+d
+	}
+	if slowest == 0 {
+		t.Fatal("test premise broken: a single-rack write took no virtual time")
+	}
+	if got != slowest {
+		t.Errorf("replicated write took %v, want the slower replica's %v (the sum is %v)", got, slowest, sum)
+	}
+	if n := tb.cl.m.replicaWrites.Value(); n != 2 {
+		t.Errorf("replica_writes = %d, want 2", n)
+	}
+}
+
+// failoverRun writes /fo/f on a fresh 3-rack, 2-replica federation with a
+// rack.offline fault armed on rack offline, and returns what the write left:
+// its replica set, the failover count, its virtual duration and every event
+// the simulation emitted.
+func failoverRun(t *testing.T, offline int, data []byte) (set []int, failovers int64, took time.Duration, events []string) {
+	t.Helper()
+	tb := newBed(t, 3, 2, nil)
+	defer tb.cl.Stop()
+	tb.env.AddEventSink(func(ev sim.TraceEvent) {
+		events = append(events, fmt.Sprintf("%d %s %s %s", ev.T, ev.Proc, ev.Kind, ev.Msg))
+	})
+	if _, err := tb.plane.ArmSpec(fmt.Sprintf("rack.offline@rack%d", offline)); err != nil {
+		t.Fatalf("ArmSpec: %v", err)
+	}
+	took = tb.elapsed(t, func(p *sim.Proc) error { return tb.cl.WriteFile(p, "/fo/f", data) })
+	tb.run(t, func(p *sim.Proc) error {
+		got, err := tb.cl.ReadFile(p, "/fo/f")
+		if err == nil && !bytes.Equal(got, data) {
+			err = errors.New("payload mismatch")
+		}
+		return err
+	})
+	return tb.cl.ReplicasOf("/fo/f"), tb.cl.m.failovers.Value(), took, events
+}
+
+// TestClusterWriteFailoverRound: a target that goes offline during a
+// replicated write is replaced, and the substitute is written in a second
+// round after the first one joins. The surviving target stays first in the
+// replica set, the substitute follows, one failover is counted, and the same
+// seed replays the same events.
+func TestClusterWriteFailoverRound(t *testing.T) {
+	data := pat(300<<10, 9)
+	clean := newBed(t, 3, 2, nil)
+	defer clean.cl.Stop()
+	clean.run(t, func(p *sim.Proc) error { return clean.cl.WriteFile(p, "/fo/f", data) })
+	placed := clean.cl.ReplicasOf("/fo/f")
+	if len(placed) != 2 {
+		t.Fatalf("clean replica set %v, want 2 racks", placed)
+	}
+	dead, survivor := placed[0], placed[1]
+	sub := 3 - dead - survivor // the one rack outside the placed set
+
+	set, failovers, took, events := failoverRun(t, dead, data)
+	if want := []int{survivor, sub}; !slices.Equal(set, want) {
+		t.Errorf("replica set %v, want %v (survivor, then substitute)", set, want)
+	}
+	if failovers != 1 {
+		t.Errorf("cluster.failovers = %d, want 1", failovers)
+	}
+	solo := newBed(t, 3, 2, nil)
+	defer solo.cl.Stop()
+	var rounds time.Duration
+	for _, ri := range []int{survivor, sub} {
+		rounds += solo.elapsed(t, func(p *sim.Proc) error { return solo.cl.racks[ri].FS.WriteFile(p, "/fo/f", data) })
+	}
+	if took != rounds {
+		t.Errorf("write took %v, want %v: the survivor's round, then the substitute's", took, rounds)
+	}
+
+	set2, failovers2, took2, events2 := failoverRun(t, dead, data)
+	if !slices.Equal(set, set2) || failovers != failovers2 || took != took2 || !slices.Equal(events, events2) {
+		t.Errorf("same-seed replay diverged: set %v/%v, failovers %d/%d, took %v/%v, %d/%d events",
+			set, set2, failovers, failovers2, took, took2, len(events), len(events2))
+	}
+}
+
+// TestClusterWriteFailsOnEveryTarget: when every target and every substitute
+// fails, the write reports the last rack's error, nothing is recorded, and a
+// write shed by admission control on every rack still matches ErrOverload.
+func TestClusterWriteFailsOnEveryTarget(t *testing.T) {
+	t.Run("offline", func(t *testing.T) {
+		tb := newBed(t, 3, 2, nil)
+		defer tb.cl.Stop()
+		if _, err := tb.plane.ArmSpec("rack.offline"); err != nil {
+			t.Fatalf("ArmSpec: %v", err)
+		}
+		var werr error
+		tb.run(t, func(p *sim.Proc) error {
+			werr = tb.cl.WriteFile(p, "/all/f", pat(64<<10, 1))
+			return nil
+		})
+		if werr == nil {
+			t.Fatal("write succeeded with every rack offline")
+		}
+		// Both placed targets fail in the first round; only the first finds a
+		// substitute (the third rack), which fails in the second round.
+		if n := tb.cl.m.failovers.Value(); n != 1 {
+			t.Errorf("cluster.failovers = %d, want 1", n)
+		}
+		placed := newBed(t, 3, 2, nil)
+		defer placed.cl.Stop()
+		placed.run(t, func(p *sim.Proc) error { return placed.cl.WriteFile(p, "/all/f", pat(64<<10, 1)) })
+		set := placed.cl.ReplicasOf("/all/f")
+		last := tb.cl.racks[3-set[0]-set[1]].Name
+		if !errors.Is(werr, faultinject.ErrInjected) || !strings.Contains(werr.Error(), last+" went offline") {
+			t.Errorf("error %q does not wrap the last rack's (%s) offline fault", werr, last)
+		}
+		if tb.cl.Entries() != 0 || tb.cl.ReplicasOf("/all/f") != nil {
+			t.Errorf("a failed write left an entry: %d entries, set %v", tb.cl.Entries(), tb.cl.ReplicasOf("/all/f"))
+		}
+	})
+	t.Run("shed", func(t *testing.T) {
+		tb := newBed(t, 3, 2, func(c *Config) {
+			c.Stack.FS.Write.Admission = writepath.AdmissionConfig{Enabled: true, CapacityBytes: 1 << 20}
+		})
+		defer tb.cl.Stop()
+		var werr error
+		tb.run(t, func(p *sim.Proc) error {
+			werr = tb.cl.WriteFile(p, "/all/big", pat(2<<20, 2))
+			return nil
+		})
+		if !errors.Is(werr, writepath.ErrOverload) {
+			t.Errorf("write shed on every rack: error %v does not match writepath.ErrOverload", werr)
+		}
+	})
+}
+
+// TestClusterSingleReplicaWriteAllocs: a Replicas=1 write runs its one target
+// on the caller (Fork's inline path) with a table from the free list, so the
+// federation adds at most 4 allocations to the rack's own write.
+func TestClusterSingleReplicaWriteAllocs(t *testing.T) {
+	tb := newBed(t, 1, 1, func(c *Config) { c.Stack.FS.AutoBurn = false })
+	defer tb.cl.Stop()
+	data := pat(4<<10, 5)
+	allocs := func(write func(p *sim.Proc) error) float64 {
+		return testing.AllocsPerRun(50, func() { tb.run(t, write) })
+	}
+	rack := allocs(func(p *sim.Proc) error { return tb.cl.racks[0].FS.WriteFile(p, "/allocs/rack", data) })
+	fed := allocs(func(p *sim.Proc) error { return tb.cl.WriteFile(p, "/allocs/fed", data) })
+	t.Logf("%.0f allocs per federation write, %.0f per rack write", fed, rack)
+	if fed-rack > 4 {
+		t.Errorf("a Replicas=1 write allocates %.0f more than the rack's own write, want at most 4", fed-rack)
 	}
 }

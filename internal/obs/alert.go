@@ -294,6 +294,9 @@ func (p alertPhase) String() string {
 	return "idle"
 }
 
+// alertKey names one (rule, source) state machine.
+type alertKey struct{ rule, label string }
+
 type alertState struct {
 	phase    alertPhase
 	since    time.Duration // entry time of the current phase
@@ -329,7 +332,7 @@ type AlertEngine struct {
 	env     *sim.Env
 	sampler *Sampler
 	rules   []Rule
-	states  map[string]*alertState // "<rule>\x00<label>"
+	states  map[alertKey]*alertState
 	log     []Incident
 
 	fired    *Counter
@@ -345,7 +348,7 @@ func NewAlertEngine(env *sim.Env, sampler *Sampler, reg *Registry) *AlertEngine 
 	e := &AlertEngine{
 		env:     env,
 		sampler: sampler,
-		states:  make(map[string]*alertState),
+		states:  make(map[alertKey]*alertState),
 		reg:     reg,
 	}
 	e.fired = reg.Counter("alert.fired")
@@ -378,16 +381,19 @@ func (e *AlertEngine) Attach() {
 	}
 }
 
-// Eval evaluates every rule against every source that carries its series.
+// Eval evaluates every rule against every source that carries its series,
+// sources in registration order.
 func (e *AlertEngine) Eval(t time.Duration) {
-	if e == nil {
+	if e == nil || e.sampler == nil {
 		return
 	}
 	for i := range e.rules {
 		r := &e.rules[i]
-		for _, sr := range e.sampler.Find(r.Series) {
-			bad, val := e.check(r, sr)
-			e.step(r, sr.Label, t, bad, val)
+		for _, src := range e.sampler.sources {
+			if sr, ok := src.series[r.Series]; ok {
+				bad, val := e.check(r, sr)
+				e.step(r, sr.Label, t, bad, val)
+			}
 		}
 	}
 }
@@ -459,7 +465,7 @@ func (e *AlertEngine) check(r *Rule, sr *Series) (bad bool, val float64) {
 
 // step advances the (rule, label) state machine.
 func (e *AlertEngine) step(r *Rule, label string, t time.Duration, bad bool, val float64) {
-	key := r.Name + "\x00" + label
+	key := alertKey{r.Name, label}
 	st, ok := e.states[key]
 	if !ok {
 		st = &alertState{incident: -1}
@@ -565,10 +571,9 @@ func (e *AlertEngine) active(keep func(alertPhase) bool) []ActiveAlert {
 		if !keep(st.phase) {
 			continue
 		}
-		rule, label, _ := strings.Cut(key, "\x00")
 		a := ActiveAlert{
-			Rule:    rule,
-			Label:   label,
+			Rule:    key.rule,
+			Label:   key.label,
 			State:   st.phase.String(),
 			SinceNS: int64(st.since),
 		}

@@ -513,7 +513,7 @@ func (s *Sampler) Each(fn func(sr *Series)) {
 }
 
 // Find returns every source's series for name (skipping sources without it),
-// in source registration order. The alert engine evaluates rules per label.
+// in source registration order.
 func (s *Sampler) Find(name string) []*Series {
 	if s == nil {
 		return nil
