@@ -51,6 +51,12 @@ func main() {
 		if _, err := c.Wait(p); err != nil {
 			return err
 		}
+		// The scan comes long after the burn: the burned arrays, which
+		// stay in their drives until a group is needed, are back in the
+		// roller by then.
+		if err := sys.FS.UnloadIdle(p); err != nil {
+			return err
+		}
 		snap := sys.Stats().Obs
 		fmt.Printf("ingested %d files, %d burn tasks, %d arm loads; archive on disc\n",
 			snap.Counter("olfs.files_written"), snap.Counter("olfs.burn_tasks"), snap.Counter("rack.loads"))

@@ -14,7 +14,6 @@ import (
 	"ros"
 	"ros/internal/image"
 	"ros/internal/mv"
-	"ros/internal/optical"
 	"ros/internal/rack"
 )
 
@@ -65,7 +64,7 @@ func main() {
 		// Disaster: one disc of the array is destroyed. (The scrub left the
 		// array loaded in a drive group, so find the disc there.)
 		victim := pickVictim(sys, tray)
-		disc := discAt(sys, tray, victim)
+		disc := sys.Library.Disc(tray, victim)
 		fmt.Printf("destroying disc %v (position %d of tray %v)\n", disc.ID, victim, tray)
 		disc.Fail()
 
@@ -131,18 +130,6 @@ func pickVictim(sys *ros.System, tray rack.TrayID) int {
 
 func imageAt(sys *ros.System, tray rack.TrayID, pos int) image.ID {
 	return sys.FS.Cat.ImagesOnTray(tray)[pos]
-}
-
-// discAt finds a disc of the tray whether it sits in the roller or in a
-// drive group.
-func discAt(sys *ros.System, tray rack.TrayID, pos int) *optical.Disc {
-	for _, g := range sys.Library.Groups {
-		if g.Source != nil && *g.Source == tray {
-			return g.Drives[pos].Disc()
-		}
-	}
-	tr, _ := sys.Library.Tray(tray)
-	return tr.Discs[pos]
 }
 
 func freshMVStore(sys *ros.System) mv.Backend {

@@ -58,7 +58,8 @@ func main() {
 		row("disc image (buffered)", p.Now()-t0)
 
 		// Burn it; the buffer copy is recycled, so the data now lives only
-		// on optical discs in the roller.
+		// on optical discs. The burned array stays in its drives until a
+		// group is needed; put it back in the roller.
 		if err := sys.FS.WriteFile(p, "/ladder/pad.bin", payload); err != nil {
 			return err
 		}
@@ -67,6 +68,9 @@ func main() {
 			return err
 		}
 		if _, err := c.Wait(p); err != nil {
+			return err
+		}
+		if err := sys.FS.UnloadIdle(p); err != nil {
 			return err
 		}
 

@@ -200,6 +200,10 @@ func AblationForepart() (Result, error) {
 			if _, err := c.Wait(p); err != nil {
 				return err
 			}
+			// A roller miss: the burned array back in its tray.
+			if err := fs.UnloadIdle(p); err != nil {
+				return err
+			}
 			start := p.Now()
 			if _, err := fs.ReadFirstByte(p, "/fp/f.dat"); err != nil {
 				return err
@@ -255,6 +259,11 @@ func AblationReadCache() (Result, error) {
 				return err
 			}
 			if _, err := c.Wait(p); err != nil {
+				return err
+			}
+			// Without RC the re-read is a roller miss: the burned array
+			// back in its tray.
+			if err := fs.UnloadIdle(p); err != nil {
 				return err
 			}
 			start := p.Now()

@@ -59,6 +59,12 @@ func AblationParallelRead() (Result, error) {
 				return fmt.Errorf("ablate-pread: no burned tray")
 			}
 			tray := trays[0]
+			// A scrub or recovery targets an archived tray: load it cold
+			// from the roller. The just-burned array is still loaded and
+			// spun up, so prefetching it in place would time warm drives.
+			if err := fs.UnloadIdle(p); err != nil {
+				return err
+			}
 			if err := fs.PrefetchTray(p, tray, 0); err != nil {
 				return err
 			}

@@ -77,7 +77,11 @@ func Table1() (Result, error) {
 		if _, err := c.Wait(p); err != nil {
 			return err
 		}
-		// Row 4: disc array in the roller, a drive group free (~70.5 s).
+		// Row 4: disc array in the roller, a drive group free (~70.5 s). The
+		// burned array stays in its drives until evicted; put it back first.
+		if err := fs.UnloadIdle(p); err != nil {
+			return err
+		}
 		start := p.Now()
 		if _, err := fs.ReadFile(p, "/t1/discA.dat"); err != nil {
 			return err
@@ -113,7 +117,10 @@ func Table1() (Result, error) {
 			}
 		}
 		// Occupy both groups with arrays that do NOT hold discA, so its read
-		// below must swap one of them out.
+		// below must swap one of them out. Start from every array home.
+		if err := fs.UnloadIdle(p); err != nil {
+			return err
+		}
 		ixA, ok := fs.MV.Lookup("/t1/discA.dat")
 		if !ok {
 			return fmt.Errorf("discA index missing")

@@ -21,7 +21,8 @@ const burnOrderPath = "testdata/burn_order.txt"
 // burn fault mid-track (tray Failed, fresh-tray retry) and one §4.8 interrupt
 // (requeue, append-mode resume). It returns the event-sink stream as one
 // "T<tab>Proc<tab>Kind<tab>Msg" line per event, then the span tree of every
-// burn-class trace (parity, claim wait, load, per-disc burn, unload).
+// burn-class trace (parity, claim wait, eviction unload, load, per-disc burn,
+// and the unload of a failed or interrupted run).
 func burnOrderRun(t *testing.T) string {
 	bed := testkit.New(t, testkit.Options{Faults: "optical.burn@g1-d01:once,after=200"})
 	var b strings.Builder
@@ -52,9 +53,10 @@ func burnOrderRun(t *testing.T) string {
 	return b.String()
 }
 
-// TestBurnOrderGolden pins the burn pipeline's event order to a stream
-// recorded at the last commit that had the multi-set burn-group fork (PR 18):
-// folding it into the one per-set pipeline must reproduce it byte for byte.
+// TestBurnOrderGolden pins the burn pipeline's event order byte for byte. The
+// stream was first recorded from the multi-set burn-group fork, which the one
+// per-set pipeline reproduced exactly; it was re-recorded when a burned array
+// began to stay in its drives until the next claimant of its group evicts it.
 func TestBurnOrderGolden(t *testing.T) {
 	got := burnOrderRun(t)
 	if *updateBurnOrder {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ros/internal/faultinject"
 	"ros/internal/faultinject/testkit"
 	"ros/internal/image"
 	"ros/internal/olfs"
@@ -206,9 +207,10 @@ func TestBurnInterruptThenHardFailure(t *testing.T) {
 }
 
 // TestBurnResumeRunHardFailure: an interrupt (run 1), then a hard failure
-// during the resume (run 2), then a fresh-tray retry (run 3). The stale
-// t.resumed flag used to survive the hard-failure reset, so run 3 was
-// miscounted as another resume; post-fix BurnResumes stays exactly 1.
+// during the resume (run 2: a burn error whose unload also fails), then a
+// fresh-tray retry (run 3). The stale t.resumed flag used to survive the
+// hard-failure reset, so run 3 was miscounted as another resume; post-fix
+// BurnResumes stays exactly 1.
 func TestBurnResumeRunHardFailure(t *testing.T) {
 	bed := testkit.New(t, testkit.Options{Config: noAutoBurn})
 	var burnErr error
@@ -217,8 +219,9 @@ func TestBurnResumeRunHardFailure(t *testing.T) {
 
 		// Phase 1: interrupt drive 0 mid-burn.
 		interruptFirstBurn(bed)
-		// Phase 2: once the resume run is burning, occupy its source tray so
-		// the resume's unload hard-fails.
+		// Phase 2: once the resume run is burning, fail its burn at the next
+		// chunk boundary and occupy its source tray, so the failed run's
+		// unload fails too and strands the array in the drives.
 		bed.Env.Go("saboteur", func(ip *sim.Proc) {
 			for i := 0; i < 20000; i++ {
 				g := burningGroup(bed)
@@ -229,6 +232,11 @@ func TestBurnResumeRunHardFailure(t *testing.T) {
 						return
 					}
 					tr.Discs = append(tr.Discs, optical.NewDisc("intruder2", optical.Media25))
+					for _, d := range g.Drives {
+						if d.State() == optical.StateBurning {
+							bed.Plane.Arm(faultinject.Rule{Point: faultinject.PointOpticalBurn, Match: d.ID, Count: 1})
+						}
+					}
 					return
 				}
 				ip.Sleep(time.Second)
@@ -249,7 +257,7 @@ func TestBurnResumeRunHardFailure(t *testing.T) {
 	if n := failedTrays(bed); n != 1 {
 		t.Errorf("failed trays = %d, want 1", n)
 	}
-	// The resume itself completed before the unload failed: the append-mode
+	// The resume opened its append-mode track before the burn failed: the
 	// continuation left a two-track disc stranded in the failed group's
 	// drives (post-fix; pre-fix the resume burn died instantly with
 	// ErrDiscFull and the disc kept a single partial track).

@@ -212,6 +212,11 @@ func TestCacheFillAbortsOnEviction(t *testing.T) {
 	tb.run(t, func(p *sim.Proc) {
 		tray := burnOne(t, tb, p, "/c/e", data)
 		other := burnOne(t, tb, p, "/c/o", pat(64*1024, 35))
+		// Both arrays home, so the read below loads the tray and the
+		// prefetch evicts it while the fill is still copying.
+		if err := tb.fs.UnloadIdle(p); err != nil {
+			t.Fatalf("UnloadIdle: %v", err)
+		}
 		id := imageOf(t, tb, p, "/c/e")
 		free := tb.fs.Buckets.FreeSlots()
 		readCheck(t, tb, p, "/c/e", data)

@@ -92,18 +92,9 @@ func TestScrubAndRepairSectorError(t *testing.T) {
 	})
 	tb.run(t, func(p *sim.Proc) {
 		tray := burnOneTray(t, tb, p, 1)
-		// Inject a latent sector error on a data disc.
-		tr, _ := tb.lib.Tray(tray)
-		var disc = tr.Discs[0]
-		if disc == nil || disc.Blank() {
-			// Array may still be in drives; locate it there.
-			for _, g := range tb.lib.Groups {
-				if g.Source != nil && *g.Source == tray {
-					disc = g.Drives[0].Disc()
-				}
-			}
-		}
-		disc.CorruptSector(8192)
+		// Inject a latent sector error on a data disc, in its tray or still
+		// in the drives that burned it.
+		tb.lib.Disc(tray, 0).CorruptSector(8192)
 
 		rep, err := tb.fs.ScrubAndRepair(p, tray)
 		if err != nil {

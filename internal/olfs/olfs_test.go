@@ -283,14 +283,13 @@ func TestBurnPipelineEndToEnd(t *testing.T) {
 	if len(tb.fs.Cat.DIL) < 3 { // 2+ data images + 1 parity
 		t.Errorf("DIL entries = %d, want >= 3", len(tb.fs.Cat.DIL))
 	}
-	// Discs physically burned.
-	tray, _ := tb.fs.Cat.FindEmptyTray(tb.lib)
-	_ = tray
+	// Discs physically burned, in their tray or still in the drives.
 	burnt := 0
 	for l := 0; l < rack.LayersPerRoller; l++ {
 		for s := 0; s < rack.SlotsPerLayer; s++ {
-			for _, d := range tb.lib.Rollers[0].Tray(l, s).Discs {
-				if !d.Blank() {
+			for pos := 0; pos < rack.DiscsPerTray; pos++ {
+				d := tb.lib.Disc(rack.TrayID{Layer: l, Slot: s}, pos)
+				if d != nil && !d.Blank() {
 					burnt++
 				}
 			}
@@ -318,6 +317,10 @@ func TestReadFromDiscAfterEviction(t *testing.T) {
 		}
 		if _, err := c.Wait(p); err != nil {
 			t.Fatalf("burn: %v", err)
+		}
+		// The burned array stays in its drives until evicted; put it back.
+		if err := tb.fs.UnloadIdle(p); err != nil {
+			t.Fatalf("UnloadIdle: %v", err)
 		}
 		start := p.Now()
 		got, err := tb.fs.ReadFile(p, "/cold/x.bin")
@@ -463,8 +466,7 @@ func TestRecoverImageFromParity(t *testing.T) {
 		if !ok {
 			t.Fatal("image not in DIL")
 		}
-		tray, _ := tb.lib.Tray(addr.Tray)
-		tray.Discs[addr.Pos].Fail()
+		tb.lib.Disc(addr.Tray, addr.Pos).Fail()
 
 		nb, err := tb.fs.RecoverImage(p, imgID)
 		if err != nil {

@@ -51,6 +51,10 @@ func TestStaleHandleAfterEviction(t *testing.T) {
 	tb.run(t, func(p *sim.Proc) {
 		trayA := burnOne(t, tb, p, "/sh/a.bin", data)
 		trayB := burnOne(t, tb, p, "/sh/b.bin", other)
+		// Both arrays home: the first read loads trayA.
+		if err := tb.fs.UnloadIdle(p); err != nil {
+			t.Fatalf("UnloadIdle: %v", err)
+		}
 
 		fr, err := tb.fs.OpenFile(p, "/sh/a.bin")
 		if err != nil {

@@ -168,14 +168,20 @@ func (fs *FS) runBurnTask(p *sim.Proc, t *burnTask) {
 		return
 	}
 	interrupted, burnErr := fs.burnDiscs(p, t, gi)
-	unloadErr := fs.unloadGroup(p, gi)
-	// The claim goes back right after the unload, before the outcome is
-	// handled: the next claimant need not wait out finishBurn's catalog
-	// save, and a requeued task arbitrates for a group like any other.
-	fs.sched.Release(gi)
-	if burnErr == nil {
-		burnErr = unloadErr
+	// A burned array stays in its drives: a read of the just-burned data is
+	// then an in-drive read (Table 1 row 3), not a reload, and whoever next
+	// needs the group unloads it through the scheduler's victim path. A
+	// failed or interrupted run puts its array back now: the retry needs a
+	// fresh tray and the resume reloads this one.
+	if burnErr != nil || interrupted {
+		if err := fs.unloadGroup(p, gi); burnErr == nil {
+			burnErr = err
+		}
 	}
+	// The claim goes back before the outcome is handled: the next claimant
+	// need not wait out finishBurn's catalog save, and a requeued task
+	// arbitrates for a group like any other.
+	fs.sched.Release(gi)
 	switch {
 	case burnErr != nil:
 		// Hard failure: mark the tray Failed and retry once on a new tray.
@@ -410,6 +416,25 @@ func (fs *FS) PrefetchTray(p *sim.Proc, tray rack.TrayID, gi int) error {
 		}
 	}
 	return fs.lib.LoadArray(p, tray, gi)
+}
+
+// UnloadIdle returns every idle array to its tray (maintenance interface):
+// each group that is unclaimed, not burning and holds no tray with pending
+// demand is claimed, unloaded and released in turn. A burned array stays in
+// its drives until something needs the group; this puts the library back in
+// the "array in roller" state on demand.
+func (fs *FS) UnloadIdle(p *sim.Proc) error {
+	for gi, g := range fs.lib.Groups {
+		if !g.Loaded() || g.AnyBurning() || fs.sched.Pinned(*g.Source) || !fs.sched.TryClaim(gi) {
+			continue
+		}
+		err := fs.unloadGroup(p, gi)
+		fs.sched.Release(gi)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // fetchTray brings the disc array holding requested data into a drive group

@@ -216,6 +216,30 @@ func (c *Controller) Exec(p *sim.Proc, cmd Command) (Sensors, error) {
 		m.Acquire(p)
 		defer m.Release()
 	}
+	return c.run(p, cmd)
+}
+
+// Start runs cmd in a new process named name and returns at once, dropping
+// the outcome. The instruction's motor is claimed before Start returns, so
+// the next instruction for that motor queues behind this motion even when it
+// is issued before the new process first runs. (If the motor is busy, the new
+// process queues for it like any Exec.)
+func (c *Controller) Start(name string, cmd Command) {
+	m := c.motor(cmd.Op)
+	held := m != nil && m.TryAcquire()
+	c.env.Go(name, func(p *sim.Proc) {
+		if m != nil {
+			if !held {
+				m.Acquire(p)
+			}
+			defer m.Release()
+		}
+		_, _ = c.run(p, cmd)
+	})
+}
+
+// run executes cmd with its motor already held.
+func (c *Controller) run(p *sim.Proc, cmd Command) (Sensors, error) {
 	c.Instructions++
 	if c.faulty && cmd.Op != OpStatus {
 		c.faulty = false

@@ -218,6 +218,26 @@ func (lib *Library) Tray(id TrayID) (*Tray, error) {
 	return lib.Rollers[id.Roller].trays[id.Layer][id.Slot], nil
 }
 
+// Disc returns the disc at position pos of tray id's array wherever the
+// array is: loaded in a drive group or home in its tray. It returns nil if
+// there is no such disc (a bad address or position, an empty tray, or an
+// array in transit).
+func (lib *Library) Disc(id TrayID, pos int) *optical.Disc {
+	for _, g := range lib.Groups {
+		if g.Source != nil && *g.Source == id {
+			if pos < 0 || pos >= len(g.Drives) {
+				return nil
+			}
+			return g.Drives[pos].Disc()
+		}
+	}
+	tray, err := lib.Tray(id)
+	if err != nil || pos < 0 || pos >= len(tray.Discs) {
+		return nil
+	}
+	return tray.Discs[pos]
+}
+
 // Group returns drive group gi.
 func (lib *Library) Group(gi int) (*DriveGroup, error) {
 	if gi < 0 || gi >= len(lib.Groups) {
@@ -512,11 +532,10 @@ func (lib *Library) UnloadArray(p *sim.Proc, gi int, into *TrayID) (err error) {
 	lib.unloads.Add(1)
 	// The arm returns to its start position atop the drives overlapped with
 	// whatever follows (§5.2: the arm's start position is the uppermost
-	// layer); a subsequent COLLECT queues behind this motion on the arm
-	// motor rather than failing its position precondition.
-	lib.env.Go("arm-return", func(fp *sim.Proc) {
-		_, _ = ctl.Exec(fp, plc.Command{Op: plc.OpArmTop})
-	})
+	// layer). Start claims the arm motor before it returns, so a COLLECT
+	// issued next, even by an unload that follows this one without yielding,
+	// queues behind the return rather than failing its position precondition.
+	ctl.Start("arm-return", plc.Command{Op: plc.OpArmTop})
 	return nil
 }
 

@@ -400,3 +400,47 @@ func TestParseTrayIDRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestBackToBackUnloadsShareOneArm is the regression test for two unloads on
+// one roller issued without a yield between them: the first unload's arm
+// return claims the arm motor before UnloadArray returns, so the second
+// unload's COLLECT waits for the arm to be back atop the drives instead of
+// failing that precondition.
+func TestBackToBackUnloadsShareOneArm(t *testing.T) {
+	env := sim.NewEnv()
+	lib, _ := New(env, Config{Rollers: 1, DriveGroups: 2, Media: optical.Media25, PopulateAll: true})
+	a := TrayID{Roller: 0, Layer: 84, Slot: 0}
+	b := TrayID{Roller: 0, Layer: 60, Slot: 3}
+	var second time.Duration
+	inSim(t, env, func(p *sim.Proc) {
+		if err := lib.LoadArray(p, a, 0); err != nil {
+			t.Fatalf("LoadArray(a): %v", err)
+		}
+		if err := lib.LoadArray(p, b, 1); err != nil {
+			t.Fatalf("LoadArray(b): %v", err)
+		}
+		if err := lib.UnloadArray(p, 0, nil); err != nil {
+			t.Fatalf("first unload: %v", err)
+		}
+		start := p.Now()
+		if err := lib.UnloadArray(p, 1, nil); err != nil {
+			t.Fatalf("back-to-back unload: %v", err)
+		}
+		second = p.Now() - start
+	})
+	for _, id := range []TrayID{a, b} {
+		if tr, _ := lib.Tray(id); !tr.Full() {
+			t.Errorf("tray %v holds %d discs after the unloads, want 12", id, len(tr.Discs))
+		}
+	}
+	if lib.Groups[0].Loaded() || lib.Groups[1].Loaded() {
+		t.Error("a group is still loaded")
+	}
+	// The second unload waits out the first one's arm return first.
+	if lift := plc.DefaultTiming().ArmLift; second < lift {
+		t.Errorf("second unload took %v, want at least the %v arm return it queues behind", second, lift)
+	}
+	if s := lib.Rollers[0].Ctl.Sensors(); s.ArmLayer != LayersPerRoller || s.ArmCarrying {
+		t.Errorf("arm at layer %d (carrying=%v) after the unloads, want atop the drives", s.ArmLayer, s.ArmCarrying)
+	}
+}

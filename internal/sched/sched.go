@@ -337,7 +337,8 @@ func (s *Scheduler) AcquireFetch(p *sim.Proc, class Class, tray rack.TrayID) Gra
 
 // AcquireBurn blocks until the scheduler grants a drive group for burning
 // onto the blank tray. The grant is never a Hit. The caller keeps the claim
-// for the whole burn and calls Release after the final unload.
+// for the whole burn and calls Release when it ends; a successful burn
+// leaves its array loaded, for a later claimant to evict.
 func (s *Scheduler) AcquireBurn(p *sim.Proc, tray rack.TrayID) Grant {
 	return s.acquire(p, &request{class: Burn, tray: &tray, burn: true})
 }
@@ -411,6 +412,10 @@ func (s *Scheduler) Unpin(tray rack.TrayID) {
 	}
 	s.dispatch()
 }
+
+// Pinned reports whether tray has outstanding demand (a queued fetch or a
+// Pin hold), which keeps victim selection from evicting it.
+func (s *Scheduler) Pinned(tray rack.TrayID) bool { return s.demand[demandKey(tray)] > 0 }
 
 // GroupIdle reports whether group gi is unclaimed and not burning — the
 // scrub daemon's "is there truly idle hardware" probe.

@@ -28,7 +28,11 @@ func runObsWorkload(t *testing.T) (Stats, []byte) {
 			}
 		}
 		p.Sleep(3 * time.Hour) // drain the auto-burn pipeline
-		// The recycled buckets force this read through the fetch path.
+		// The recycled buckets and the arrays put back in their trays force
+		// this read through the fetch path.
+		if err := sys.FS.UnloadIdle(p); err != nil {
+			return err
+		}
 		if _, err := sys.FS.ReadFile(p, "/data/part-a"); err != nil {
 			return err
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ros/internal/rack"
 	"ros/internal/sim"
 )
 
@@ -63,13 +64,15 @@ func TestSystemAutoBurnPipeline(t *testing.T) {
 	if sys.Stats().Obs.Counter("olfs.burn_tasks") == 0 {
 		t.Error("auto burn never triggered")
 	}
-	// Discs physically hold data now.
+	// Discs physically hold data now, in their trays or still in the drives
+	// that burned them.
 	burnt := 0
-	for _, r := range sys.Library.Rollers {
-		for l := 0; l < 85; l++ {
-			for s := 0; s < 6; s++ {
-				for _, d := range r.Tray(l, s).Discs {
-					if !d.Blank() {
+	for ri := range sys.Library.Rollers {
+		for l := 0; l < rack.LayersPerRoller; l++ {
+			for s := 0; s < rack.SlotsPerLayer; s++ {
+				for pos := 0; pos < rack.DiscsPerTray; pos++ {
+					d := sys.Library.Disc(rack.TrayID{Roller: ri, Layer: l, Slot: s}, pos)
+					if d != nil && !d.Blank() {
 						burnt++
 					}
 				}

@@ -121,7 +121,11 @@ func TestCrossRollerBurnAndFetch(t *testing.T) {
 		if addr.Tray.Roller != 1 {
 			t.Fatalf("burned to roller %d, want 1", addr.Tray.Roller)
 		}
-		// Cold read: mechanical fetch through roller 1's own arm.
+		// Cold read: mechanical fetch through roller 1's own arm, once the
+		// burned array is back in its tray.
+		if err := sys.FS.UnloadIdle(p); err != nil {
+			return err
+		}
 		start := p.Now()
 		got, err := sys.FS.ReadFile(p, "/r1/data.bin")
 		if err != nil {

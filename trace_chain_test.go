@@ -33,6 +33,11 @@ func TestColdReadTraceChain(t *testing.T) {
 			}
 		}
 		p.Sleep(3 * time.Hour) // drain the auto-burn pipeline
+		// Burned arrays stay in their drives; put them back so the read is
+		// cold.
+		if err := sys.FS.UnloadIdle(p); err != nil {
+			return err
+		}
 		if _, err := sys.FS.ReadFile(p, "/data/part-a"); err != nil {
 			return err
 		}
