@@ -14,8 +14,9 @@
 //	name: absence  <series> [above <value>] [window <dur>] [clear <dur>]
 //	name: burnrate <errSeries> / <totalSeries> [budget <frac>] [x <mult>] [for <dur>] [window <dur>] [clear <dur>]
 //
-// <value> accepts plain numbers or Go durations (converted to nanoseconds, the
-// unit of all histogram-derived series). threshold compares the aggregated
+// <value> accepts plain numbers other than NaN or Go durations (converted to
+// nanoseconds, the unit of all histogram-derived series); <dur> must not be
+// negative, and budget and x must be positive. threshold compares the aggregated
 // window value (default aggregation: last). absence fires when a series is
 // stuck: every sample in the window is above the floor and the window shows no
 // net decrease — e.g. a re-replication backlog that is not draining. burnrate
@@ -27,6 +28,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -82,7 +84,7 @@ func (r Rule) String() string {
 	switch r.Kind {
 	case RuleThreshold:
 		b.WriteString(r.Series)
-		if r.Agg != "" && r.Agg != "last" {
+		if r.Agg != "" {
 			b.WriteString(" " + r.Agg)
 		}
 		fmt.Fprintf(&b, " %s %s", r.Op, formatValue(r.Value))
@@ -93,7 +95,7 @@ func (r Rule) String() string {
 		}
 	case RuleBurnRate:
 		fmt.Fprintf(&b, "%s / %s", r.Series, r.TotalSeries)
-		if r.Budget != 0 {
+		if r.Budget != 0 && r.Budget != 0.01 {
 			fmt.Fprintf(&b, " budget %g", r.Budget)
 		}
 		if r.Mult != 0 && r.Mult != 1 {
@@ -221,7 +223,7 @@ func ParseRule(line string) (Rule, error) {
 		switch key {
 		case "for", "window", "clear":
 			d, err := time.ParseDuration(arg)
-			if err != nil {
+			if err != nil || d < 0 {
 				return r, fmt.Errorf("obs: rule %s: bad %s duration %q", r.Name, key, arg)
 			}
 			switch key {
@@ -245,9 +247,11 @@ func ParseRule(line string) (Rule, error) {
 			if r.Kind != RuleBurnRate {
 				return r, fmt.Errorf("obs: rule %s: %q only applies to burnrate rules", r.Name, key)
 			}
+			// Zero would read as the default (0.01 or 1), a negative budget
+			// or multiplier fires on every sample, and NaN never compares.
 			f, err := strconv.ParseFloat(arg, 64)
-			if err != nil {
-				return r, fmt.Errorf("obs: rule %s: bad %s %q", r.Name, key, arg)
+			if err != nil || !(f > 0) {
+				return r, fmt.Errorf("obs: rule %s: bad %s %q (want a positive number)", r.Name, key, arg)
 			}
 			if key == "budget" {
 				r.Budget = f
@@ -261,9 +265,11 @@ func ParseRule(line string) (Rule, error) {
 	return r, nil
 }
 
-// parseValue accepts a plain number or a Go duration (as nanoseconds).
+// parseValue accepts a plain number or a Go duration (as nanoseconds). NaN
+// is refused: it compares false with everything, so the rule could never
+// fire.
 func parseValue(s string) (float64, error) {
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
+	if f, err := strconv.ParseFloat(s, 64); err == nil && !math.IsNaN(f) {
 		return f, nil
 	}
 	if d, err := time.ParseDuration(s); err == nil {

@@ -160,7 +160,8 @@ type FS struct {
 	fetches    map[string]*sim.Completion[int]
 	fetchJoins map[string]int // waiters coalesced onto an in-flight fetch
 	mounted    map[*optical.Drive]*udf.Volume
-	strips     image.Strips // parity strip buffers, reused from burn task to burn task
+	mounting   map[*optical.Drive]mount // the one mount in flight per drive
+	strips     image.Strips             // parity strip buffers, reused from burn task to burn task
 
 	// groupEpoch[gi] increments every time group gi's tray is unloaded.
 	// fileReader sources and fs.mounted entries record the epoch they were
@@ -297,6 +298,7 @@ func New(env *sim.Env, cfg Config, lib *rack.Library, mvBackend mv.Backend, buff
 		fetches:    make(map[string]*sim.Completion[int]),
 		fetchJoins: make(map[string]int),
 		mounted:    make(map[*optical.Drive]*udf.Volume),
+		mounting:   make(map[*optical.Drive]mount),
 		groupEpoch: make([]uint64, len(lib.Groups)),
 		unloading:  make([]bool, len(lib.Groups)),
 		fills:      make(map[image.ID]bool),

@@ -406,24 +406,67 @@ func (fs *FS) holds(gi int, tray rack.TrayID) bool {
 	return !fs.unloading[gi] && g.Source != nil && *g.Source == tray
 }
 
+// mount is one disc mount in flight, stamped with the group epoch it began
+// under.
+type mount struct {
+	epoch uint64
+	done  *sim.Completion[*udf.Volume]
+}
+
 // mountDrive mounts the disc in drv into the local VFS (§5.4: ~220 ms,
-// charged once per inserted disc). The mount is cached only if the group's
-// epoch is unchanged across the mount delay, so an eviction racing the sleep
-// cannot resurrect a stale fs.mounted entry after unloadGroup cleared it.
+// charged once per inserted disc). One mount per disc is in flight at a
+// time: a caller that finds one begun under the group's current epoch waits
+// for its remainder instead of paying its own. The mount is cached only if
+// the group's epoch is unchanged across the mount delay, so an eviction
+// racing the sleep cannot resurrect a stale fs.mounted entry after
+// unloadGroup cleared it.
 func (fs *FS) mountDrive(p *sim.Proc, gi int, drv *optical.Drive) (*udf.Volume, error) {
-	if v, ok := fs.mounted[drv]; ok {
-		return v, nil
+	joinFailed := false
+	for {
+		if v, ok := fs.mounted[drv]; ok {
+			return v, nil
+		}
+		epoch := fs.groupEpoch[gi]
+		if m, ok := fs.mounting[drv]; ok && m.epoch == epoch {
+			vol, err := m.done.Wait(p)
+			if err == nil || joinFailed {
+				return vol, err
+			}
+			// As with a joined fetch, the failure is the mount owner's: mount
+			// once more before giving up.
+			joinFailed = true
+			continue
+		}
+		m := mount{epoch: epoch, done: sim.NewCompletion[*udf.Volume](fs.env)}
+		fs.mounting[drv] = m
+		p.Sleep(vfsMountTime)
+		vol, err := udf.Open(p, optical.ImageView{Drive: drv})
+		if fs.mounting[drv].done == m.done {
+			delete(fs.mounting, drv)
+		}
+		if err == nil && fs.groupEpoch[gi] == epoch {
+			fs.mounted[drv] = vol
+		}
+		m.done.Resolve(vol, err)
+		return vol, err
 	}
-	epoch := fs.groupEpoch[gi]
-	p.Sleep(vfsMountTime)
-	vol, err := udf.Open(p, optical.ImageView{Drive: drv})
-	if err != nil {
-		return nil, err
-	}
-	if fs.groupEpoch[gi] == epoch {
-		fs.mounted[drv] = vol
-	}
-	return vol, nil
+}
+
+// mountBurned mounts the data discs of the array a burn just left in group
+// gi, in the background, while the drives are otherwise idle: the next read
+// of that array then finds its disc mounted. A disc whose array has left the
+// group by then is skipped, and mountDrive's epoch check keeps a mount that
+// an eviction overtakes out of fs.mounted.
+func (fs *FS) mountBurned(gi int, tray rack.TrayID, discs int) {
+	fs.env.Go("olfs-mount", func(p *sim.Proc) {
+		_ = p.Fork("mount-"+tray.String()+"-d", discs, func(mp *sim.Proc, i int) error {
+			if !fs.holds(gi, tray) {
+				return nil
+			}
+			_, err := fs.mountDrive(mp, gi, fs.lib.Groups[gi].Drives[i])
+			return err
+		})
+	})
 }
 
 // unloadGroup puts group gi's array back in its tray. It first forgets the

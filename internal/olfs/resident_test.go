@@ -176,8 +176,10 @@ func TestPrefetchUnloadsBackToBack(t *testing.T) {
 }
 
 // TestFailedAndInterruptedRunsUnload: only a successful burn leaves its
-// array in the drives. A hard-failed run and an interrupted run put theirs
-// back before they report, so the retry or resume starts from an empty group.
+// array in the drives, and only it mounts the array's data discs. A
+// hard-failed run and an interrupted run put theirs back before they report,
+// so the retry or resume starts from an empty group, and mount nothing: no
+// disc is mounted, nor read, until the retry or the resume succeeds.
 func TestFailedAndInterruptedRunsUnload(t *testing.T) {
 	for _, tc := range []struct {
 		name, kind string
@@ -222,15 +224,40 @@ func TestFailedAndInterruptedRunsUnload(t *testing.T) {
 				if tr, _ := tb.lib.Tray(tray); !tr.Full() {
 					t.Errorf("%s reported with %v holding %d discs, want its full array home", ev.Kind, tray, len(tr.Discs))
 				}
+				reads := discReads(tb)
+				tb.env.Go("check-no-mount", func(cp *sim.Proc) {
+					// The retry or resume loads a tray first (~70 s), so
+					// nothing of its own reads a disc in this window.
+					cp.Sleep(vfsMountTime + time.Second)
+					if n := discReads(tb) - reads; n != 0 {
+						t.Errorf("%d disc reads after %s", n, ev.Kind)
+					}
+					if len(tb.fs.mounting) != 0 || len(tb.fs.mounted) != 0 {
+						t.Errorf("after %s: %d mounts in flight, %d mounted, want none",
+							ev.Kind, len(tb.fs.mounting), len(tb.fs.mounted))
+					}
+				})
 			})
 			tc.setup(t, tb)
+			var burned rack.TrayID
 			tb.run(t, func(p *sim.Proc) {
 				if _, err := writeBurnSetTB(t, tb, p).Wait(p); err != nil {
 					t.Fatalf("burn: %v", err)
 				}
+				trays := tb.fs.Cat.UsedTrays()
+				burned = trays[len(trays)-1]
 			})
 			if seen != 1 {
 				t.Errorf("%s events = %d, want 1", tc.kind, seen)
+			}
+			gi := tb.fs.groupHolding(burned)
+			if gi < 0 {
+				t.Fatalf("the successful run's array %v left its drives", burned)
+			}
+			for i, drv := range tb.lib.Groups[gi].Drives {
+				if _, ok := tb.fs.mounted[drv]; ok != (i < tb.fs.cfg.DataDiscs) {
+					t.Errorf("drive %s (position %d) mounted=%v, want %v", drv.ID, i, ok, !ok)
+				}
 			}
 		})
 	}
