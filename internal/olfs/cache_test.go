@@ -205,7 +205,9 @@ func TestCachedSlotReclaimedUnderOpenHandle(t *testing.T) {
 }
 
 // TestCacheFillAbortsOnEviction: a tray swapped out mid-copy aborts the fill,
-// which returns its slot.
+// which returns its slot. The fill pins the tray while it copies a chunk, and
+// PrefetchTray refuses to evict a pinned array, so the prefetch is retried
+// until it lands between two chunks.
 func TestCacheFillAbortsOnEviction(t *testing.T) {
 	tb := coldBed(t, func(c *Config) { c.BucketBytes = 4 << 20 })
 	data := pat(3<<20, 34) // a 3 MB image: several fill chunks
@@ -224,8 +226,16 @@ func TestCacheFillAbortsOnEviction(t *testing.T) {
 			t.Fatal("no fill in flight after the read")
 		}
 		gi := tb.fs.groupHolding(tray)
-		if err := tb.fs.PrefetchTray(p, other, gi); err != nil {
-			t.Fatalf("PrefetchTray: %v", err)
+		for {
+			pinned := tb.fs.sched.Pinned(tray)
+			err := tb.fs.PrefetchTray(p, other, gi)
+			if err == nil {
+				break
+			}
+			if !pinned || !tb.fs.fills[id] {
+				t.Fatalf("PrefetchTray: %v (tray pinned: %v)", err, pinned)
+			}
+			p.Sleep(time.Millisecond)
 		}
 		settle(p)
 		if tb.fs.fills[id] {

@@ -168,8 +168,8 @@ type FS struct {
 	// resolved under; a mismatch marks them stale so reads transparently
 	// re-resolve (via fetchTray) instead of reading the swapped-in tray.
 	groupEpoch []uint64
-	// unloading[gi] is set from the epoch bump until group gi's unload
-	// returns: the tray is in transit and the group is no source.
+	// unloading[gi] is set from the epoch bump until the unload or swap that
+	// made it returns: the tray is in transit and the group is no source.
 	unloading []bool
 
 	// Read-cache fills in flight, by image.

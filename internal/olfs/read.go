@@ -469,19 +469,36 @@ func (fs *FS) mountBurned(gi int, tray rack.TrayID, discs int) {
 	})
 }
 
-// unloadGroup puts group gi's array back in its tray. It first forgets the
+// unloadGroup puts group gi's array back in its tray.
+func (fs *FS) unloadGroup(p *sim.Proc, gi int) error {
+	fs.evict(gi)
+	defer func() { fs.unloading[gi] = false }()
+	return fs.lib.UnloadArray(p, gi, nil)
+}
+
+// swapGroup puts group gi's array, if any, back in its tray and loads tray in
+// its place (rack.SwapArray). Into an empty group it is a plain load, which
+// evicts nothing.
+func (fs *FS) swapGroup(p *sim.Proc, gi int, tray rack.TrayID) error {
+	if !fs.lib.Groups[gi].Loaded() {
+		return fs.lib.LoadArray(p, tray, gi)
+	}
+	fs.evict(gi)
+	defer func() { fs.unloading[gi] = false }()
+	return fs.lib.SwapArray(p, gi, tray)
+}
+
+// evict starts taking group gi's array out of its drives. It forgets the
 // group's mounts and advances its validity epoch, invalidating every
 // fileReader source resolved against the outgoing tray, and marks the group
-// in transit until the unload returns, so no reader resolves a new source on
-// it meanwhile; such a reader fetches the tray instead.
-func (fs *FS) unloadGroup(p *sim.Proc, gi int) error {
+// in transit until the caller clears fs.unloading[gi], so no reader resolves
+// a new source on it meanwhile; such a reader fetches the tray instead.
+func (fs *FS) evict(gi int) {
 	fs.groupEpoch[gi]++
 	for _, d := range fs.lib.Groups[gi].Drives {
 		delete(fs.mounted, d)
 	}
 	fs.unloading[gi] = true
-	defer func() { fs.unloading[gi] = false }()
-	return fs.lib.UnloadArray(p, gi, nil)
 }
 
 // ReadFile reads the whole current version of path (stat + reads + close).

@@ -60,6 +60,10 @@ func TestStaleHandleAfterEviction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("OpenFile: %v", err)
 		}
+		// No read-cache fill: its chunk pin would make PrefetchTray refuse
+		// the eviction, and a finished fill would serve the second half from
+		// the buffer instead of a fresh fetch.
+		fr.fill = false
 		buf := make([]byte, len(data))
 		h := len(buf) / 2
 		if n, err := fr.ReadAt(p, buf[:h], 0); err != nil || n != h {

@@ -1,12 +1,15 @@
 package olfs
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"ros/internal/faultinject"
+	"ros/internal/obs"
 	"ros/internal/optical"
 	"ros/internal/rack"
+	"ros/internal/sched"
 	"ros/internal/sim"
 )
 
@@ -260,5 +263,131 @@ func TestFailedAndInterruptedRunsUnload(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBurnSwapsDoNotInterleave: two burns queued together against two groups
+// that each hold an idle burned array each swap their group as one arm job
+// (rack.SwapArray). A burn's load starts the instant its own unload ends; the
+// other burn's unload, queued for the arm meanwhile, never slips between
+// them. The wait for the arm is charged to the waiting swap's unload span,
+// which opens as its claim is granted, not to olfs.
+func TestBurnSwapsDoNotInterleave(t *testing.T) {
+	tb := coldBed(t, nil)
+	tb.run(t, func(p *sim.Proc) {
+		burnTwo(t, tb, p)
+		var burns []*sim.Completion[error]
+		for i, path := range []string{"/ev/c", "/ev/d"} {
+			if err := tb.fs.WriteFile(p, path, pat(64*1024, 44+byte(i))); err != nil {
+				t.Fatalf("WriteFile %s: %v", path, err)
+			}
+			c, err := tb.fs.FlushAndBurn(p)
+			if err != nil {
+				t.Fatalf("FlushAndBurn: %v", err)
+			}
+			burns = append(burns, c)
+		}
+		for _, c := range burns {
+			if _, err := c.Wait(p); err != nil {
+				t.Fatalf("burn: %v", err)
+			}
+		}
+	})
+	type swap struct{ wait, unload, load *obs.TraceSpan }
+	var swaps []swap
+	for _, tr := range tb.fs.Tracer().Traces() {
+		if tr.Name != "olfs.burn" {
+			continue
+		}
+		var s swap
+		for _, sp := range tr.Spans() {
+			switch sp.Name {
+			case "sched.wait":
+				s.wait = sp
+			case "rack.tray_unload":
+				s.unload = sp
+			case "rack.tray_load":
+				s.load = sp
+			}
+		}
+		if s.unload != nil { // the first two burns loaded empty groups
+			swaps = append(swaps, s)
+		}
+	}
+	if len(swaps) != 2 {
+		t.Fatalf("%d burns evicted an array, want 2", len(swaps))
+	}
+	for i, s := range swaps {
+		if s.unload.Start != s.wait.Stop {
+			t.Errorf("burn %d: claim granted at %v, unload span opened at %v; want the arm wait inside the unload span",
+				i, s.wait.Stop, s.unload.Start)
+		}
+		if s.load == nil || s.load.Start != s.unload.Stop {
+			t.Fatalf("burn %d: unload ended at %v, load %+v; want the load to start at the unload's end", i, s.unload.Stop, s.load)
+		}
+	}
+	first, second := swaps[0], swaps[1]
+	if second.unload.Stop < first.unload.Stop {
+		first, second = second, first
+	}
+	// The second swap's unload span opens when it asks for the arm.
+	if second.unload.Start >= first.load.Stop {
+		t.Fatalf("the second swap asked for the arm at %v, after the first ended at %v: the burns never contended",
+			second.unload.Start, first.load.Stop)
+	}
+	if second.unload.Stop < first.load.Stop {
+		t.Errorf("the second burn's unload ended at %v, inside the first burn's load (%v-%v)",
+			second.unload.Stop, first.load.Start, first.load.Stop)
+	}
+}
+
+// TestPrefetchKeepsPinnedArray: PrefetchTray refuses to evict an array a
+// reader is mid-read on, whether it would swap the array out of its own group
+// or move it into another; the read finishes in its drives with no fetch.
+func TestPrefetchKeepsPinnedArray(t *testing.T) {
+	data := pat(600*1024, 45)
+	for _, move := range []bool{false, true} {
+		tb := coldBed(t, nil)
+		tb.run(t, func(p *sim.Proc) {
+			a := burnOne(t, tb, p, "/pf/a", data)
+			b := burnOne(t, tb, p, "/pf/b", pat(64*1024, 46))
+			ga, gb := tb.fs.groupHolding(a), tb.fs.groupHolding(b)
+			if ga < 0 || gb < 0 {
+				t.Fatalf("burned arrays not resident: a in %d, b in %d", ga, gb)
+			}
+			// Prefetch class: no cache fill, whose own pin would hide the
+			// reader's.
+			read := sim.NewCompletion[struct{}](tb.env)
+			tb.env.Go("reader", func(rp *sim.Proc) {
+				got, err := tb.fs.ReadFileClass(rp, "/pf/a", sched.Prefetch)
+				if err != nil || !bytes.Equal(got, data) {
+					t.Errorf("move=%v: read across the prefetch: %d bytes, err=%v", move, len(got), err)
+				}
+				read.Resolve(struct{}{}, nil)
+			})
+			for !tb.fs.sched.Pinned(a) {
+				p.Sleep(time.Millisecond)
+			}
+			var err error
+			if move {
+				err = tb.fs.PrefetchTray(p, a, gb) // a's array into b's group
+			} else {
+				err = tb.fs.PrefetchTray(p, b, ga) // b's array into a's group
+			}
+			if err == nil {
+				t.Errorf("move=%v: PrefetchTray evicted the array a reader is mid-read on", move)
+			}
+			read.Wait(p)
+			if tb.fs.groupHolding(a) != ga || tb.fs.groupHolding(b) != gb {
+				t.Errorf("move=%v: arrays moved: a in %d (was %d), b in %d (was %d)",
+					move, tb.fs.groupHolding(a), ga, tb.fs.groupHolding(b), gb)
+			}
+		})
+		if n := tb.fs.m.fetchTasks.Value(); n != 0 {
+			t.Errorf("move=%v: olfs.fetch_tasks = %d, want 0", move, n)
+		}
+		if n := tb.fs.m.staleSources.Value(); n != 0 {
+			t.Errorf("move=%v: olfs.stale_sources = %d, want 0", move, n)
+		}
 	}
 }

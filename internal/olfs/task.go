@@ -153,16 +153,10 @@ func (fs *FS) runBurnTask(p *sim.Proc, t *burnTask) {
 	}
 	op.Annotate("tray", t.tray.String())
 
-	g := fs.sched.AcquireBurn(p, *t.tray)
-	gi := g.Group
-	var err error
-	if g.Evict {
-		err = fs.unloadGroup(p, gi)
-	}
-	if err == nil {
-		err = fs.lib.LoadArray(p, *t.tray, gi)
-	}
-	if err != nil {
+	// An idle array in the granted group (the scheduler's victim) goes back
+	// in the same arm job that loads the blank tray.
+	gi := fs.sched.AcquireBurn(p, *t.tray).Group
+	if err := fs.swapGroup(p, gi, *t.tray); err != nil {
 		fs.sched.Release(gi)
 		abandon(err)
 		return
@@ -384,7 +378,9 @@ func (fs *FS) abandonBurn(t *burnTask, err error) {
 
 // PrefetchTray explicitly loads a tray into drive group gi (maintenance
 // interface), swapping out any idle array first. Fails if the group is
-// burning.
+// claimed or burning, or if the array it would evict (the group's own, or
+// tray's from another group) has pending demand: a reader mid-read on it,
+// or a fetch queued for it.
 func (fs *FS) PrefetchTray(p *sim.Proc, tray rack.TrayID, gi int) error {
 	g, err := fs.lib.Group(gi)
 	if err != nil {
@@ -393,7 +389,7 @@ func (fs *FS) PrefetchTray(p *sim.Proc, tray rack.TrayID, gi int) error {
 	if g.Source != nil && *g.Source == tray {
 		return nil
 	}
-	if g.AnyBurning() || !fs.sched.TryClaim(gi) {
+	if g.AnyBurning() || (g.Loaded() && fs.sched.Pinned(*g.Source)) || !fs.sched.TryClaim(gi) {
 		return fmt.Errorf("olfs: group %d busy", gi)
 	}
 	defer fs.sched.Release(gi)
@@ -402,7 +398,7 @@ func (fs *FS) PrefetchTray(p *sim.Proc, tray rack.TrayID, gi int) error {
 		if ogi == gi || og.Source == nil || *og.Source != tray {
 			continue
 		}
-		if og.AnyBurning() || !fs.sched.TryClaim(ogi) {
+		if og.AnyBurning() || fs.sched.Pinned(tray) || !fs.sched.TryClaim(ogi) {
 			return fmt.Errorf("olfs: tray %v pinned in busy group %d", tray, ogi)
 		}
 		err := fs.unloadGroup(p, ogi)
@@ -411,12 +407,7 @@ func (fs *FS) PrefetchTray(p *sim.Proc, tray rack.TrayID, gi int) error {
 			return err
 		}
 	}
-	if g.Loaded() {
-		if err := fs.unloadGroup(p, gi); err != nil {
-			return err
-		}
-	}
-	return fs.lib.LoadArray(p, tray, gi)
+	return fs.swapGroup(p, gi, tray)
 }
 
 // UnloadIdle returns every idle array to its tray (maintenance interface):
@@ -500,15 +491,9 @@ func (fs *FS) runFetch(p *sim.Proc, tray rack.TrayID, class sched.Class) (int, e
 		// Another task loaded the tray while we were queued.
 		return gi, nil
 	}
-	var err error
-	if g.Evict {
-		// Table 1 row 5, ~155 s: unload the victim, then load.
-		err = fs.unloadGroup(p, gi)
-	}
-	if err == nil {
-		// Table 1 row 4, ~70 s: plain load into the (now) empty group.
-		err = fs.lib.LoadArray(p, tray, gi)
-	}
+	// Table 1 row 4, ~70 s, into an empty group; row 5, ~155 s, as one arm
+	// job when the group holds the scheduler's victim.
+	err := fs.swapGroup(p, gi, tray)
 	fs.sched.Release(gi)
 	if err != nil {
 		return 0, err

@@ -37,6 +37,10 @@ const (
 	OpStatus   Op = "STATUS"   // STATUS               read all sensors
 )
 
+// ArrayDiscs is the number of discs in one disc array (one tray): the most a
+// SEPARATE or COLLECT can move.
+const ArrayDiscs = 12
+
 // PLC errors (sensor/feedback failures).
 var (
 	ErrBadCommand   = errors.New("plc: malformed command")
@@ -307,6 +311,9 @@ func (c *Controller) run(p *sim.Proc, cmd Command) (Sensors, error) {
 		c.armCarrying = false
 	case OpSeparate:
 		n := cmd.Args[0]
+		if n < 0 || n > ArrayDiscs {
+			return c.Sensors(), fmt.Errorf("%w: %d discs (0-%d)", ErrBadCommand, n, ArrayDiscs)
+		}
 		if !c.armCarrying {
 			return c.Sensors(), fmt.Errorf("%w: nothing to separate", ErrPrecondition)
 		}
@@ -318,6 +325,9 @@ func (c *Controller) run(p *sim.Proc, cmd Command) (Sensors, error) {
 		c.armCarrying = false
 	case OpCollect:
 		n := cmd.Args[0]
+		if n < 0 || n > ArrayDiscs {
+			return c.Sensors(), fmt.Errorf("%w: %d discs (0-%d)", ErrBadCommand, n, ArrayDiscs)
+		}
 		if c.armCarrying {
 			return c.Sensors(), fmt.Errorf("%w: arm already carrying", ErrPrecondition)
 		}

@@ -2,6 +2,7 @@ package plc
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -167,6 +168,50 @@ func TestRotateBlockedWhileTrayOut(t *testing.T) {
 		}
 		if _, err := c.Exec(p, Command{Op: OpRotate, Args: []int{1}}); err != nil {
 			t.Errorf("rotate after fanin: %v", err)
+		}
+	})
+}
+
+// TestDiscCountBounds: a SEPARATE or COLLECT of a negative count, or of more
+// discs than an array holds, is a malformed command, from the line protocol
+// or as a Command. It takes no time and moves no counter; the bounds
+// themselves are accepted.
+func TestDiscCountBounds(t *testing.T) {
+	env := sim.NewEnv()
+	c := newCtl(env)
+	inSim(t, env, func(p *sim.Proc) {
+		refuse := func(what string, exec func() (Sensors, error)) {
+			start := p.Now()
+			if _, err := exec(); !errors.Is(err, ErrBadCommand) {
+				t.Errorf("%s = %v, want ErrBadCommand", what, err)
+			}
+			if d := p.Now() - start; d != 0 {
+				t.Errorf("%s took %v", what, d)
+			}
+		}
+		for _, line := range []string{"SEPARATE -5", "SEPARATE 13", "COLLECT -1", "COLLECT 99999"} {
+			refuse(fmt.Sprintf("ExecLine(%q)", line), func() (Sensors, error) { return c.ExecLine(p, line) })
+		}
+		for _, cmd := range []Command{
+			{Op: OpCollect, Args: []int{-5}},
+			{Op: OpCollect, Args: []int{ArrayDiscs + 1}},
+			{Op: OpSeparate, Args: []int{-5}},
+		} {
+			refuse(fmt.Sprintf("Exec(%q)", cmd.Encode()), func() (Sensors, error) { return c.Exec(p, cmd) })
+		}
+		if c.CollectOps != 0 || c.SeparateOps != 0 {
+			t.Errorf("refused commands moved the counters: collect=%d separate=%d", c.CollectOps, c.SeparateOps)
+		}
+		if s := c.Sensors(); s.ArmCarrying {
+			t.Error("a refused COLLECT left the arm carrying")
+		}
+		for _, line := range []string{"ARMTOP", "COLLECT 12", "SEPARATE 0", "COLLECT 0", "SEPARATE 12"} {
+			if _, err := c.ExecLine(p, line); err != nil {
+				t.Errorf("ExecLine(%q): %v", line, err)
+			}
+		}
+		if c.CollectOps != ArrayDiscs || c.SeparateOps != ArrayDiscs {
+			t.Errorf("bounds moved collect=%d separate=%d, want %d each", c.CollectOps, c.SeparateOps, ArrayDiscs)
 		}
 	})
 }

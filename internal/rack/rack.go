@@ -25,7 +25,7 @@ import (
 const (
 	LayersPerRoller = 85
 	SlotsPerLayer   = 6
-	DiscsPerTray    = 12
+	DiscsPerTray    = plc.ArrayDiscs
 	TraysPerRoller  = LayersPerRoller * SlotsPerLayer // 510
 	DiscsPerRoller  = TraysPerRoller * DiscsPerTray   // 6120
 	DrivesPerGroup  = 12
@@ -327,6 +327,41 @@ func (lib *Library) exec(p *sim.Proc, ctl *plc.Controller, cmd plc.Command) erro
 	return nil
 }
 
+// composite is one load or unload choreography's latency span and trace
+// span; end closes both with the choreography's outcome.
+type composite struct {
+	sp   *obs.Span
+	tsp  *obs.TraceSpan
+	kind string // sim.KindRackLoad or sim.KindRackUnload, emitted on success
+	tray TrayID
+}
+
+func (lib *Library) startLoad(p *sim.Proc, tray TrayID, gi int) composite {
+	return lib.startComposite(p, "rack.load.latency", "rack.tray_load", sim.KindRackLoad, tray, gi)
+}
+
+func (lib *Library) startUnload(p *sim.Proc, tray TrayID, gi int) composite {
+	return lib.startComposite(p, "rack.unload.latency", "rack.tray_unload", sim.KindRackUnload, tray, gi)
+}
+
+func (lib *Library) startComposite(p *sim.Proc, span, trace, kind string, tray TrayID, gi int) composite {
+	c := composite{sp: lib.obs.StartSpan(span), tsp: obs.StartChild(p, trace), kind: kind, tray: tray}
+	c.tsp.Annotate("tray", tray.String())
+	c.tsp.AnnotateInt("group", int64(gi))
+	return c
+}
+
+func (lib *Library) end(p *sim.Proc, c composite, err error) {
+	if err != nil {
+		c.sp.Cancel() // failed composites don't pollute the latency distribution
+		c.tsp.Fail(p, err)
+		return
+	}
+	c.sp.End()
+	c.tsp.End(p)
+	lib.env.Emit(c.kind, p.Name(), c.tray.String())
+}
+
 // LoadArray moves the disc array in tray `id` into drive group gi:
 //
 //	ROTATE slot -> ARM layer -> FANOUT -> FETCH -> (FANIN || ARMTOP+SEPARATE)
@@ -342,29 +377,23 @@ func (lib *Library) LoadArray(p *sim.Proc, id TrayID, gi int) (err error) {
 	if err != nil {
 		return err
 	}
-	r := lib.Rollers[id.Roller]
-	sp := lib.obs.StartSpan("rack.load.latency")
-	tsp := obs.StartChild(p, "rack.tray_load")
-	tsp.Annotate("tray", id.String())
-	tsp.AnnotateInt("group", int64(gi))
-	defer func() {
-		if err != nil {
-			sp.Cancel() // failed composites don't pollute the latency distribution
-			tsp.Fail(p, err)
-			return
-		}
-		sp.End()
-		tsp.End(p)
-		lib.env.Emit(sim.KindRackLoad, p.Name(), id.String())
-	}()
-
+	c := lib.startLoad(p, id, gi)
+	defer func() { lib.end(p, c, err) }()
 	g.busy.Acquire(p)
 	defer g.busy.Release()
 	if g.Loaded() {
 		return fmt.Errorf("%w: group %d holds array from %v", ErrGroupBusy, gi, *g.Source)
 	}
+	r := lib.Rollers[id.Roller]
 	r.mech.Acquire(p)
 	defer r.mech.Release()
+	return lib.load(p, tray, g)
+}
+
+// load is LoadArray's choreography, run with g.busy and the tray's roller arm
+// held.
+func (lib *Library) load(p *sim.Proc, tray *Tray, g *DriveGroup) error {
+	id := tray.ID
 	if tray.Empty() {
 		return fmt.Errorf("%w: %v", ErrTrayEmpty, id)
 	}
@@ -378,7 +407,7 @@ func (lib *Library) LoadArray(p *sim.Proc, id TrayID, gi int) (err error) {
 		return fmt.Errorf("rack: tray load: %w", err)
 	}
 
-	ctl := r.Ctl
+	ctl := lib.Rollers[id.Roller].Ctl
 	if err := lib.exec(p, ctl, plc.Command{Op: plc.OpRotate, Args: []int{id.Slot}}); err != nil {
 		return err
 	}
@@ -433,8 +462,23 @@ func (lib *Library) UnloadArray(p *sim.Proc, gi int, into *TrayID) (err error) {
 	}
 	g.busy.Acquire(p)
 	defer g.busy.Release()
+	tray, err := lib.unloadTarget(g, into)
+	if err != nil {
+		return err
+	}
+	c := lib.startUnload(p, tray.ID, gi)
+	defer func() { lib.end(p, c, err) }()
+	r := lib.Rollers[tray.ID.Roller]
+	r.mech.Acquire(p)
+	defer r.mech.Release()
+	return lib.unload(p, g, tray)
+}
+
+// unloadTarget returns the empty tray group g's array goes back to: its
+// source tray, or `into` if non-nil.
+func (lib *Library) unloadTarget(g *DriveGroup, into *TrayID) (*Tray, error) {
 	if !g.Loaded() {
-		return fmt.Errorf("%w: group %d", ErrGroupEmpty, gi)
+		return nil, fmt.Errorf("%w: group %d", ErrGroupEmpty, g.Index)
 	}
 	dest := *g.Source
 	if into != nil {
@@ -442,29 +486,19 @@ func (lib *Library) UnloadArray(p *sim.Proc, gi int, into *TrayID) (err error) {
 	}
 	tray, err := lib.Tray(dest)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if !tray.Empty() {
-		return fmt.Errorf("%w: %v", ErrTrayOccupied, dest)
+		return nil, fmt.Errorf("%w: %v", ErrTrayOccupied, dest)
 	}
-	r := lib.Rollers[dest.Roller]
-	sp := lib.obs.StartSpan("rack.unload.latency")
-	tsp := obs.StartChild(p, "rack.tray_unload")
-	tsp.Annotate("tray", dest.String())
-	tsp.AnnotateInt("group", int64(gi))
-	defer func() {
-		if err != nil {
-			sp.Cancel()
-			tsp.Fail(p, err)
-			return
-		}
-		sp.End()
-		tsp.End(p)
-		lib.env.Emit(sim.KindRackUnload, p.Name(), dest.String())
-	}()
-	r.mech.Acquire(p)
-	defer r.mech.Release()
-	ctl := r.Ctl
+	return tray, nil
+}
+
+// unload is UnloadArray's choreography into tray, run with g.busy and the
+// tray's roller arm held.
+func (lib *Library) unload(p *sim.Proc, g *DriveGroup, tray *Tray) error {
+	dest := tray.ID
+	ctl := lib.Rollers[dest.Roller].Ctl
 
 	// Fault points fire at composite entry: injecting later (after ArmEject)
 	// would model discs vanishing mid-transfer, which real jams don't do.
@@ -539,17 +573,51 @@ func (lib *Library) UnloadArray(p *sim.Proc, gi int, into *TrayID) (err error) {
 	return nil
 }
 
-// SwapArray unloads the current array from group gi (back to its source
-// tray) and loads the array from tray id — the common fetch-task composite.
-func (lib *Library) SwapArray(p *sim.Proc, gi int, id TrayID) error {
+// SwapArray unloads group gi's array back to its source tray and loads the
+// array from tray id in its place (Table 1 row 5, the fetch and burn eviction
+// composite). It holds the group throughout and takes the home roller's arm
+// for the unload. When tray id is on the same roller it keeps that arm from
+// the unload's COLLECT to the load's SEPARATE, as one arm job: a second
+// group's swap on the roller waits for the whole of this one instead of
+// slipping its unload between this unload and this load. Otherwise it hands
+// the home arm back and takes the other roller's for the load, so it never
+// holds two arms. Each arm wait is charged to the spans of the choreography it
+// precedes, as UnloadArray and LoadArray charge it. Into an empty group,
+// SwapArray is LoadArray.
+func (lib *Library) SwapArray(p *sim.Proc, gi int, id TrayID) (err error) {
+	tray, err := lib.Tray(id)
+	if err != nil {
+		return err
+	}
 	g, err := lib.Group(gi)
 	if err != nil {
 		return err
 	}
-	if g.Loaded() {
-		if err := lib.UnloadArray(p, gi, nil); err != nil {
-			return err
-		}
+	if !g.Loaded() {
+		return lib.LoadArray(p, id, gi)
 	}
-	return lib.LoadArray(p, id, gi)
+	g.busy.Acquire(p)
+	defer g.busy.Release()
+	home, err := lib.unloadTarget(g, nil)
+	if err != nil {
+		return err
+	}
+	c := lib.startUnload(p, home.ID, gi)
+	arm := lib.Rollers[home.ID.Roller].mech
+	arm.Acquire(p)
+	defer func() { arm.Release() }()
+	err = lib.unload(p, g, home)
+	lib.end(p, c, err)
+	if err != nil {
+		return err
+	}
+	c = lib.startLoad(p, id, gi)
+	if id.Roller != home.ID.Roller {
+		arm.Release()
+		arm = lib.Rollers[id.Roller].mech
+		arm.Acquire(p)
+	}
+	err = lib.load(p, tray, g)
+	lib.end(p, c, err)
+	return err
 }

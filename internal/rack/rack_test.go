@@ -444,3 +444,137 @@ func TestBackToBackUnloadsShareOneArm(t *testing.T) {
 		t.Errorf("arm at layer %d (carrying=%v) after the unloads, want atop the drives", s.ArmLayer, s.ArmCarrying)
 	}
 }
+
+// TestSwapIsOneArmJob: two groups on one roller each hold an array, and both
+// are told to swap at the same instant. A swap holds the arm from its unload's
+// COLLECT to its load's SEPARATE, so the second swap's COLLECT starts only
+// after the first swap's SEPARATE has ended, and each swap, from the moment
+// it gets the arm, takes exactly as long as it does alone. Every tray sits in
+// slot 0, so no swap's roller rotation depends on which ran before it.
+func TestSwapIsOneArmJob(t *testing.T) {
+	held := [2]TrayID{{Roller: 0, Layer: 84}, {Roller: 0, Layer: 60}}
+	want := [2]TrayID{{Roller: 0, Layer: 40}, {Roller: 0, Layer: 10}}
+	bed := func() (*sim.Env, *Library) {
+		env := sim.NewEnv()
+		lib, _ := New(env, Config{Rollers: 1, DriveGroups: 2, Media: optical.Media25, PopulateAll: true})
+		inSim(t, env, func(p *sim.Proc) {
+			for gi, id := range held {
+				if err := lib.LoadArray(p, id, gi); err != nil {
+					t.Fatalf("LoadArray(%v, %d): %v", id, gi, err)
+				}
+			}
+		})
+		return env, lib
+	}
+	// Alone: each swap, and the unload it starts with, on an idle arm.
+	var swapAlone, unloadAlone [2]time.Duration
+	for gi := range held {
+		env, lib := bed()
+		inSim(t, env, func(p *sim.Proc) {
+			start := p.Now()
+			if err := lib.SwapArray(p, gi, want[gi]); err != nil {
+				t.Fatalf("SwapArray(%d): %v", gi, err)
+			}
+			swapAlone[gi] = p.Now() - start
+		})
+		env, lib = bed()
+		inSim(t, env, func(p *sim.Proc) {
+			start := p.Now()
+			if err := lib.UnloadArray(p, gi, nil); err != nil {
+				t.Fatalf("UnloadArray(%d): %v", gi, err)
+			}
+			unloadAlone[gi] = p.Now() - start
+		})
+	}
+
+	env, lib := bed()
+	t0 := env.Now()
+	unloaded := map[string]time.Duration{}
+	env.AddEventSink(func(ev sim.TraceEvent) {
+		if ev.Kind == sim.KindRackUnload {
+			unloaded[ev.Msg] = ev.T
+		}
+	})
+	var done [2]time.Duration
+	for gi := range held {
+		env.Go("swap", func(p *sim.Proc) {
+			if err := lib.SwapArray(p, gi, want[gi]); err != nil {
+				t.Errorf("SwapArray(%d): %v", gi, err)
+			}
+			done[gi] = p.Now()
+		})
+	}
+	env.Run()
+	for gi, id := range want {
+		if g := lib.Groups[gi]; g.Source == nil || *g.Source != id {
+			t.Errorf("group %d holds %v, want %v", gi, g.Source, id)
+		}
+	}
+	if got := done[0] - t0; got != swapAlone[0] {
+		t.Errorf("first swap took %v, want %v as alone", got, swapAlone[0])
+	}
+	if collect := unloaded[held[1].String()] - unloadAlone[1]; collect < done[0] {
+		t.Errorf("second swap's COLLECT began at %v, before the first swap ended at %v", collect, done[0])
+	}
+	if got := done[1] - done[0]; got != swapAlone[1] {
+		t.Errorf("second swap took %v from the first one's end, want %v as alone", got, swapAlone[1])
+	}
+}
+
+// TestCrossRollerSwapsOverlap: a swap whose array goes home to one roller and
+// whose next array comes from the other hands the home arm back after the
+// unload and takes the other roller's for the load, never holding two. Two
+// such swaps in opposite directions, queued behind a load on each roller,
+// run their unloads side by side and then their loads side by side: neither
+// deadlocks, and both end one load plus one swap after they were issued.
+func TestCrossRollerSwapsOverlap(t *testing.T) {
+	env := sim.NewEnv()
+	t.Cleanup(env.Close)
+	lib, _ := New(env, Config{Rollers: 2, DriveGroups: 4, Media: optical.Media25, PopulateAll: true})
+	inSim(t, env, func(p *sim.Proc) {
+		if err := lib.LoadArray(p, TrayID{Roller: 0, Layer: 84}, 0); err != nil {
+			t.Fatalf("LoadArray(0): %v", err)
+		}
+		if err := lib.LoadArray(p, TrayID{Roller: 1, Layer: 84}, 1); err != nil {
+			t.Fatalf("LoadArray(1): %v", err)
+		}
+	})
+	t0 := env.Now()
+	// Groups 2 and 3 load first, holding roller 0's and roller 1's arm; the
+	// swaps of groups 0 and 1 queue behind them.
+	for gi, id := range []TrayID{{Roller: 0, Layer: 70}, {Roller: 1, Layer: 70}} {
+		env.Go("load", func(p *sim.Proc) {
+			if err := lib.LoadArray(p, id, gi+2); err != nil {
+				t.Errorf("LoadArray(%d): %v", gi+2, err)
+			}
+		})
+	}
+	var done [2]time.Duration
+	for gi, id := range []TrayID{{Roller: 1, Layer: 50}, {Roller: 0, Layer: 50}} {
+		env.Go("swap", func(p *sim.Proc) {
+			if err := lib.SwapArray(p, gi, id); err != nil {
+				t.Errorf("SwapArray(%d, %v): %v", gi, id, err)
+			}
+			done[gi] = p.Now() - t0
+		})
+	}
+	env.Run()
+	if env.Deadlocked() {
+		t.Fatal("simulation deadlocked: a cross-roller swap waits for an arm it cannot get")
+	}
+	// A load is ~69 s and a swap ~150 s: each swap follows its roller's load,
+	// and neither waits for the other.
+	for gi, d := range done {
+		if d < 200*time.Second || d > 250*time.Second {
+			t.Errorf("swap %d ended at %v, want one load plus one swap", gi, d)
+		}
+	}
+	if gap := max(done[0], done[1]) - min(done[0], done[1]); gap > 20*time.Second {
+		t.Errorf("swaps ended at %v and %v, want them side by side", done[0], done[1])
+	}
+	for gi, id := range []TrayID{{Roller: 1, Layer: 50}, {Roller: 0, Layer: 50}} {
+		if g := lib.Groups[gi]; g.Source == nil || *g.Source != id {
+			t.Errorf("group %d holds %v, want %v", gi, g.Source, id)
+		}
+	}
+}

@@ -130,7 +130,7 @@ type Grant struct {
 	// mechanical work, no claim to release.
 	Hit bool
 	// Evict means Group currently holds another (idle) array; the caller
-	// must unload it before loading its own tray.
+	// swaps it out for its own tray (rack.SwapArray).
 	Evict bool
 }
 
