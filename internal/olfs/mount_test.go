@@ -5,8 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"ros/internal/bucket"
 	"ros/internal/faultinject"
 	"ros/internal/image"
+	"ros/internal/optical"
 	"ros/internal/sched"
 	"ros/internal/sim"
 )
@@ -196,5 +198,158 @@ func TestJoinedReaderOutlivesFailedMount(t *testing.T) {
 		if pl.Fires() != 1 {
 			t.Errorf("%d faults injected, want the background mount's one", pl.Fires())
 		}
+	})
+}
+
+// TestReadAfterBurnReadsOnlyItsData: a burn hands each data image's
+// namespace to the background mount of its disc, so a read of a file two
+// directories below the root of a just-burned image reaches the disc once,
+// for its data. It takes less than one short seek plus its transfer and the
+// op costs a buffer read of the file pays. Resolving the path on disc took
+// an entry read and a records read per directory, and the file's entry, each
+// a short seek: 8 reads and about 200 ms. An array fetched back from the
+// roller is mounted without the namespace, and its reads walk the path on
+// disc again.
+func TestReadAfterBurnReadsOnlyItsData(t *testing.T) {
+	const path = "/deep/d0001/f000001"
+	data := pat(64*1024, 67)
+	tb := coldBed(t, nil)
+	tb.run(t, func(p *sim.Proc) {
+		if err := tb.fs.WriteFile(p, path, data); err != nil {
+			t.Fatalf("WriteFile: %v", err)
+		}
+		buffered := timedRead(t, tb, p, path, data)
+		c, err := tb.fs.FlushAndBurn(p)
+		if err != nil {
+			t.Fatalf("FlushAndBurn: %v", err)
+		}
+		if _, err := c.Wait(p); err != nil {
+			t.Fatalf("burn: %v", err)
+		}
+		addr, ok := tb.fs.Cat.Locate(imageOf(t, tb, p, path))
+		if !ok {
+			t.Fatal("image not placed after its burn")
+		}
+		settle(p)
+		before := discReads(tb)
+		lat := timedRead(t, tb, p, path, data)
+		if n := discReads(tb) - before; n != 1 {
+			t.Errorf("read of the just-burned file made %d disc reads, want 1 (its data)", n)
+		}
+		// 25 GB media reads at 24.1 MB/s on a drive of its own.
+		bound := buffered + optical.SeekTime/4 + sim.ByteTime(float64(len(data)), 24.1e6)
+		if lat >= bound {
+			t.Errorf("read of the just-burned file took %v, want under %v (a buffer read %v, a short seek, the transfer)",
+				lat, bound, buffered)
+		}
+		t.Logf("buffered %v, just burned %v", buffered, lat)
+
+		if err := tb.fs.UnloadIdle(p); err != nil {
+			t.Fatalf("UnloadIdle: %v", err)
+		}
+		if err := tb.fs.PrefetchTray(p, addr.Tray, 0); err != nil {
+			t.Fatalf("PrefetchTray: %v", err)
+		}
+		timedRead(t, tb, p, path, data) // pays the mount
+		before = discReads(tb)
+		lat = timedRead(t, tb, p, path, data)
+		if n := discReads(tb) - before; n != 8 {
+			t.Errorf("read on the fetched array made %d disc reads, want 8 (the path walked on disc)", n)
+		}
+		t.Logf("fetched %v", lat)
+	})
+}
+
+// TestMetaNeverServesAnotherImage: a mount takes the namespace a burn hands
+// it only for its own image, on the array the burn left in the group. A
+// claimant that evicts the burned array while the burn is still taking the
+// namespace from the buffer leaves no mount behind, and the tray loaded in
+// its place reads its own bytes, walking its paths on disc. A namespace of
+// another image handed to a mount is dropped; the disc walks its own.
+func TestMetaNeverServesAnotherImage(t *testing.T) {
+	const pathA, pathB = "/guard/a/f", "/guard/b/f"
+	dataA, dataB := pat(100*1024, 68), pat(100*1024, 69)
+	// walk is the disc reads of a read of pathA or pathB on a mounted disc
+	// with no namespace in memory: the root's entry and records, those of
+	// the file's directory and of /guard, the file's entry, and the data.
+	const walk = 8
+	t.Run("evicted-during-meta", func(t *testing.T) {
+		tb := coldBed(t, nil)
+		tb.run(t, func(p *sim.Proc) {
+			b := burnOne(t, tb, p, pathB, dataB)
+			settle(p)
+			if err := tb.fs.UnloadIdle(p); err != nil {
+				t.Fatalf("UnloadIdle: %v", err)
+			}
+			// Pin an array in group 1, so a's burn takes group 0.
+			c := burnOne(t, tb, p, "/guard/c", pat(4096, 70))
+			if gi := tb.fs.groupHolding(c); gi != 0 {
+				t.Fatalf("c in group %d, want 0", gi)
+			}
+			if err := tb.fs.PrefetchTray(p, c, 1); err != nil {
+				t.Fatalf("PrefetchTray(c, 1): %v", err)
+			}
+			tb.fs.sched.Pin(c)
+			defer tb.fs.sched.Unpin(c)
+			swapped := sim.NewCompletion[error](tb.env)
+			tb.env.AddEventSink(func(ev sim.TraceEvent) {
+				if ev.Kind != sim.KindBurnFinish || swapped.Done() {
+					return
+				}
+				// The burn has released its group and is reading the
+				// namespace out of the buffer.
+				tb.env.Go("claimant", func(cp *sim.Proc) {
+					swapped.Resolve(nil, tb.fs.PrefetchTray(cp, b, 0))
+				})
+			})
+			burnOne(t, tb, p, pathA, dataA)
+			if err, _ := swapped.Wait(p); err != nil {
+				t.Fatalf("PrefetchTray(b, 0) at the burn's end: %v", err)
+			}
+			if tb.fs.groupHolding(b) != 0 {
+				t.Fatalf("b in group %d, want 0", tb.fs.groupHolding(b))
+			}
+			if len(tb.fs.mounting) != 0 || len(tb.fs.mounted) != 0 {
+				t.Errorf("after the swap: %d mounts in flight, %d mounted, want none", len(tb.fs.mounting), len(tb.fs.mounted))
+			}
+			before := discReads(tb)
+			timedRead(t, tb, p, pathB, dataB)
+			if n := discReads(tb) - before; n != 1+walk {
+				t.Errorf("read on b made %d disc reads, want %d: the mount's one and the path walked on disc", n, 1+walk)
+			}
+		})
+	})
+	t.Run("another-image", func(t *testing.T) {
+		tb := coldBed(t, nil)
+		tb.run(t, func(p *sim.Proc) {
+			a := burnOne(t, tb, p, pathA, dataA)
+			settle(p)
+			if err := tb.fs.UnloadIdle(p); err != nil {
+				t.Fatalf("UnloadIdle: %v", err)
+			}
+			if err := tb.fs.PrefetchTray(p, a, 0); err != nil {
+				t.Fatalf("PrefetchTray(a, 0): %v", err)
+			}
+			// A buffer-resident image whose namespace has pathB where a's
+			// has pathA.
+			if err := tb.fs.WriteFile(p, pathB, dataB); err != nil {
+				t.Fatalf("WriteFile: %v", err)
+			}
+			other, ok := tb.fs.Buckets.Resident(imageOf(t, tb, p, pathB))
+			if !ok {
+				t.Fatal("the unburned image is not resident")
+			}
+			tb.fs.mountBurned(p, 0, a, []*bucket.Bucket{other})
+			settle(p)
+			drv := tb.lib.Groups[0].Drives[0]
+			if vol, ok := tb.fs.mounted[drv]; !ok || vol.ImageID() != imageOf(t, tb, p, pathA) {
+				t.Fatalf("drive %s: mounted=%v, want a's image", drv.ID, ok)
+			}
+			before := discReads(tb)
+			timedRead(t, tb, p, pathA, dataA)
+			if n := discReads(tb) - before; n != walk {
+				t.Errorf("read on a made %d disc reads, want %d: the path walked on disc", n, walk)
+			}
+		})
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"ros/internal/bucket"
 	"ros/internal/image"
 	"ros/internal/mv"
 	"ros/internal/obs"
@@ -454,16 +455,31 @@ func (fs *FS) mountDrive(p *sim.Proc, gi int, drv *optical.Drive) (*udf.Volume, 
 
 // mountBurned mounts the data discs of the array a burn just left in group
 // gi, in the background, while the drives are otherwise idle: the next read
-// of that array then finds its disc mounted. A disc whose array has left the
-// group by then is skipped, and mountDrive's epoch check keeps a mount that
-// an eviction overtakes out of fs.mounted.
-func (fs *FS) mountBurned(gi int, tray rack.TrayID, discs int) {
+// of that array then finds its disc mounted. First, on p, it takes each data
+// image's namespace (udf.Meta) from its buffer copy, which must still be
+// resident: finishBurn recycles it. A mounted disc reads its entries and
+// directories from that Meta, so a read of a just-burned file reaches the
+// disc once, for its data. A disc whose array has left the group by then is
+// skipped, and mountDrive's epoch check keeps a mount that an eviction
+// overtakes out of fs.mounted. A Meta goes only to a volume of its own image,
+// on an array the group still held when its mount began; a walk that fails
+// leaves its disc walking paths on disc, as a fetched array's discs do.
+func (fs *FS) mountBurned(p *sim.Proc, gi int, tray rack.TrayID, images []*bucket.Bucket) {
+	ids := make([]image.ID, len(images))
+	metas := make([]*udf.Meta, len(images))
+	for i, b := range images {
+		ids[i] = b.ID
+		metas[i], _ = b.Vol.Meta(p)
+	}
 	fs.env.Go("olfs-mount", func(p *sim.Proc) {
-		_ = p.Fork("mount-"+tray.String()+"-d", discs, func(mp *sim.Proc, i int) error {
+		_ = p.Fork("mount-"+tray.String()+"-d", len(images), func(mp *sim.Proc, i int) error {
 			if !fs.holds(gi, tray) {
 				return nil
 			}
-			_, err := fs.mountDrive(mp, gi, fs.lib.Groups[gi].Drives[i])
+			vol, err := fs.mountDrive(mp, gi, fs.lib.Groups[gi].Drives[i])
+			if err == nil && image.ID(vol.ImageID()) == ids[i] {
+				vol.UseMeta(metas[i])
+			}
 			return err
 		})
 	})

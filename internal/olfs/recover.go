@@ -188,7 +188,9 @@ func (fs *FS) restoreFromMV(restored *mv.Volume) {
 }
 
 // scanDisc mounts one disc and walks its self-descriptive subtree, charging
-// real drive-read time for every directory and entry block touched.
+// real drive-read time for every directory and entry block it reads off the
+// disc. A just-burned disc's mount holds its namespace (mountBurned) and
+// reads none.
 func (fs *FS) scanDisc(p *sim.Proc, gi int, drv *optical.Drive, addr image.DiscAddr,
 	files map[string]map[string]*scannedFile, dirs map[string]bool,
 	snapParts map[string][]byte, bestSnap *string) error {

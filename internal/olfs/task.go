@@ -206,7 +206,7 @@ func (fs *FS) runBurnTask(p *sim.Proc, t *burnTask) {
 		fs.queueBurn(t)
 	default:
 		fs.env.Emit(sim.KindBurnFinish, p.Name(), t.tray.String())
-		fs.mountBurned(gi, *t.tray, len(t.images))
+		fs.mountBurned(p, gi, *t.tray, t.images)
 		fs.finishBurn(p, t)
 		t.done.Resolve(nil, nil)
 	}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"path"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ros/internal/sim"
@@ -125,6 +126,87 @@ func TestWalkDirectoryCycle(t *testing.T) {
 		t.Fatalf("Walk over a cycle = %v, want ErrCorrupt", err)
 	}
 	t.Log(err)
+	inSim(t, sim.NewEnv(), func(p *sim.Proc) {
+		v, err := Open(p, memImage(img))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, err := v.Meta(p); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("Meta over a cycle = %v, %v; want ErrCorrupt", m, err)
+		}
+	})
+}
+
+// countedImage is a memImage that counts the reads it serves.
+type countedImage struct {
+	memImage
+	reads int
+}
+
+func (c *countedImage) ReadAt(p *sim.Proc, buf []byte, off int64) error {
+	c.reads++
+	return c.memImage.ReadAt(p, buf, off)
+}
+
+// TestMetaResolvesPathsInMemory: a volume using its image's Meta reads a
+// file two directories below the root with one backend read, for its data,
+// where the plain volume reads an entry and a directory per level on the way
+// as well. Stat, ReadDir and Walk read nothing.
+func TestMetaResolvesPathsInMemory(t *testing.T) {
+	data := bytes.Repeat([]byte("meta"), 1500)
+	img := buildImage(t, func(p *sim.Proc, v *Volume) error {
+		for _, f := range []string{"/a/b/f", "/a/b/g", "/a/h", "/c/i"} {
+			if err := v.WriteFile(p, f, data); err != nil {
+				return err
+			}
+		}
+		return v.WriteLink(p, "/c/j", "/a/h")
+	})
+	inSim(t, sim.NewEnv(), func(p *sim.Proc) {
+		plain := &countedImage{memImage: img}
+		pv, err := Open(p, plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := pv.Meta(p)
+		if err != nil {
+			t.Fatalf("Meta: %v", err)
+		}
+		cached := &countedImage{memImage: img}
+		v, err := Open(p, cached)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.UseMeta(m)
+		for _, tc := range []struct {
+			vol   *Volume
+			img   *countedImage
+			reads int
+		}{{pv, plain, 8}, {v, cached, 1}} {
+			tc.img.reads = 0
+			got, err := tc.vol.ReadFile(p, "/a/b/f")
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("ReadFile /a/b/f: %d bytes, err %v", len(got), err)
+			}
+			if tc.img.reads != tc.reads {
+				t.Errorf("ReadFile /a/b/f made %d backend reads, want %d", tc.img.reads, tc.reads)
+			}
+		}
+		cached.reads = 0
+		if info, err := v.Stat(p, "/c/j"); err != nil || info.LinkTarget != "/a/h" {
+			t.Errorf("Stat /c/j = %+v, %v", info, err)
+		}
+		if ents, err := v.ReadDir(p, "/a"); err != nil || len(ents) != 2 {
+			t.Errorf("ReadDir /a = %v, %v", ents, err)
+		}
+		n := 0
+		if err := v.Walk(p, func(Info) error { n++; return nil }); err != nil || n != 8 {
+			t.Errorf("Walk visited %d entries (err %v), want 8", n, err)
+		}
+		if cached.reads != 0 {
+			t.Errorf("Stat, ReadDir and Walk made %d backend reads, want 0", cached.reads)
+		}
+	})
 }
 
 // Property: the clean-path fast path agrees with path.Clean("/"+s).
@@ -279,9 +361,12 @@ func TestConcurrentNamespaceSharesNoScratch(t *testing.T) {
 // FuzzVolume loads the input as a volume image, opens it, walks it and reads
 // every file the walk lists. Whatever the bytes, that must not panic, and no
 // step may allocate more than a few times the image per entry it visits: a
-// length read from the image never sizes an allocation by itself. The
-// committed corpus holds images built as the tests build them: nested
-// directories, a split file's link, a file of several extents.
+// length read from the image never sizes an allocation by itself. The same
+// holds for Meta, which must also end on a directory cycle. A second volume
+// over the same bytes that uses that Meta must list the same walk and read
+// the same bytes and errors as the first. The committed corpus holds images
+// built as the tests build them: nested directories, a split file's link, a
+// file of several extents, and a directory whose record points back at it.
 func FuzzVolume(f *testing.F) {
 	f.Fuzz(func(t *testing.T, img []byte) {
 		var ms runtime.MemStats
@@ -290,6 +375,34 @@ func FuzzVolume(f *testing.F) {
 			if got, budget := allocated()-since, uint64(entries)*(8*uint64(len(img))+64<<10); got > budget {
 				t.Fatalf("%s allocated %d bytes for a %d-byte image, budget %d", step, got, len(img), budget)
 			}
+		}
+		// scan walks v and reads every file it lists, returning what it
+		// saw as text and how many entries the walk visited; budget checks
+		// each step when set.
+		scan := func(p *sim.Proc, v *Volume, budget bool) ([]string, int) {
+			var list []Info
+			start := allocated()
+			err := v.Walk(p, func(info Info) error {
+				if list = append(list, info); len(list) == 1000 {
+					return errors.New("enough")
+				}
+				return nil
+			})
+			if budget {
+				check("Walk", len(list)+1, start)
+			}
+			out := []string{fmt.Sprintf("walk %+v: %v", list, err)}
+			for _, info := range list {
+				if !info.IsDir {
+					start = allocated()
+					data, err := v.ReadFile(p, info.Path)
+					if budget {
+						check("ReadFile "+info.Path, 1, start)
+					}
+					out = append(out, fmt.Sprintf("%s %x: %v", info.Path, data, err))
+				}
+			}
+			return out, len(list)
 		}
 		env := sim.NewEnv()
 		defer env.Close()
@@ -300,21 +413,20 @@ func FuzzVolume(f *testing.F) {
 			if err != nil {
 				return
 			}
-			var list []Info
+			plain, entries := scan(p, v, true)
 			start = allocated()
-			_ = v.Walk(p, func(info Info) error {
-				if list = append(list, info); len(list) == 1000 {
-					return errors.New("enough")
-				}
-				return nil
-			})
-			check("Walk", len(list)+1, start)
-			for _, info := range list {
-				if !info.IsDir {
-					start = allocated()
-					_, _ = v.ReadFile(p, info.Path)
-					check("ReadFile "+info.Path, 1, start)
-				}
+			m, err := v.Meta(p)
+			check("Meta", entries+1, start)
+			if err != nil {
+				return
+			}
+			mv, err := Open(p, memImage(img))
+			if err != nil {
+				t.Fatalf("second Open: %v", err)
+			}
+			mv.UseMeta(m)
+			if got, _ := scan(p, mv, false); !slices.Equal(got, plain) {
+				t.Fatalf("with its Meta the volume scans\n%q\nwithout it\n%q", got, plain)
 			}
 		})
 		env.Run()

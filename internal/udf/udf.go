@@ -16,6 +16,7 @@
 package udf
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -157,6 +158,9 @@ type Volume struct {
 	// takes its own, because a backend access can yield to another process
 	// using the volume; buffers come back with unspecified contents.
 	blocks [][]byte
+	// meta, when set, serves the entry and directory reads it holds in
+	// place of the backend (UseMeta).
+	meta *Meta
 }
 
 // getBlock takes a scratch block off the free list, or makes one.
@@ -377,7 +381,7 @@ func (v *Volume) readEntry(p *sim.Proc, block uint32, e *entry) error {
 		if block >= v.nextFree || hops >= v.nextFree {
 			return fmt.Errorf("%w: entry block %d out of range or looping", ErrCorrupt, block)
 		}
-		if err := v.backend.ReadAt(p, buf, int64(block)*BlockSize); err != nil {
+		if err := v.fetch(p, buf, int64(block)*BlockSize); err != nil {
 			return err
 		}
 		if buf[0] != magicEntry {
@@ -495,7 +499,7 @@ func (v *Volume) readDir(p *sim.Proc, e *entry) ([]byte, error) {
 	return v.readData(p, e, v.getBlock()[:0])
 }
 
-// readData appends the content of e to out, one backend read per extent.
+// readData appends the content of e to out, one fetch per extent.
 func (v *Volume) readData(p *sim.Proc, e *entry, out []byte) ([]byte, error) {
 	out = slices.Grow(out, int(e.size))
 	remaining := e.size
@@ -503,7 +507,7 @@ func (v *Volume) readData(p *sim.Proc, e *entry, out []byte) ([]byte, error) {
 		n := min(int64(ext.count)*BlockSize, remaining)
 		at := len(out)
 		out = out[:at+int(n)]
-		if err := v.backend.ReadAt(p, out[at:], int64(ext.start)*BlockSize); err != nil {
+		if err := v.fetch(p, out[at:], int64(ext.start)*BlockSize); err != nil {
 			return nil, err
 		}
 		if remaining -= n; remaining <= 0 {
@@ -752,19 +756,6 @@ func (v *Volume) ReadFile(p *sim.Proc, name string) ([]byte, error) {
 	return v.readData(p, &e, make([]byte, 0, e.size))
 }
 
-// ReadFileAt reads up to len(buf) bytes of the file at offset off, returning
-// the byte count (short reads at EOF).
-func (v *Volume) ReadFileAt(p *sim.Proc, name string, buf []byte, off int64) (int, error) {
-	data, err := v.ReadFile(p, name)
-	if err != nil {
-		return 0, err
-	}
-	if off >= int64(len(data)) {
-		return 0, nil
-	}
-	return copy(buf, data[off:]), nil
-}
-
 // Stat describes the entry at name.
 func (v *Volume) Stat(p *sim.Proc, name string) (Info, error) {
 	var e entry
@@ -856,6 +847,107 @@ func (v *Volume) walk(p *sim.Proc, block uint32, dir string, seen map[uint32]boo
 		seen[child] = true
 		return v.walk(p, child, info.Path, seen, fn)
 	})
+}
+
+// Meta is a volume's namespace held in memory: the bytes of every entry
+// block (with its continuation chain) and every directory's records, as a
+// walk of the volume reads them. A volume that uses it (UseMeta) resolves
+// paths and lists directories without touching its backend; file data still
+// comes from the backend.
+type Meta struct {
+	arena []byte
+	reads []metaRead // sorted by off
+}
+
+// metaRead is one backend read a Meta holds: n bytes at off, of which the
+// arena window [lo, hi) keeps all but the trailing zeros.
+type metaRead struct {
+	off    int64
+	n      int
+	lo, hi int
+}
+
+// Meta walks the volume once and returns its namespace. Every read is
+// charged to p as an ordinary backend read. A directory reached a second
+// time is ErrCorrupt, as in Walk.
+func (v *Volume) Meta(p *sim.Proc) (*Meta, error) {
+	// Room for the namespace of a small image: a few directories and a
+	// dozen file entries, each a few dozen bytes once trimmed.
+	m := &Meta{arena: make([]byte, 0, BlockSize/2), reads: make([]metaRead, 0, 16)}
+	w := &Volume{backend: metaRecorder{Backend: v.backend, m: m}, nextFree: v.nextFree, rootEntry: v.rootEntry}
+	var e entry
+	if err := w.readEntry(p, w.rootEntry, &e); err != nil {
+		return nil, err
+	}
+	if err := w.metaWalk(p, &e, map[uint32]bool{w.rootEntry: true}); err != nil {
+		return nil, err
+	}
+	slices.SortFunc(m.reads, func(a, b metaRead) int { return cmp.Compare(a.off, b.off) })
+	return m, nil
+}
+
+// metaWalk reads the records of directory e and the entry of every child,
+// and descends into each child directory; seen holds the directory blocks
+// visited so far. It reuses e: children decodes each child into it in turn.
+func (v *Volume) metaWalk(p *sim.Proc, e *entry, seen map[uint32]bool) error {
+	return v.children(p, e, func(_ []byte, child uint32) error {
+		if e.typ != typeDir {
+			return nil
+		}
+		if seen[child] {
+			return fmt.Errorf("%w: directory block %d reached before", ErrCorrupt, child)
+		}
+		seen[child] = true
+		return v.metaWalk(p, e, seen)
+	})
+}
+
+// metaRecorder is a Backend that keeps every read it serves in m, less the
+// read's trailing zeros, which Meta.read restores. An entry block is mostly
+// such zeros: writeEntry clears the block before it encodes the entry.
+type metaRecorder struct {
+	Backend
+	m *Meta
+}
+
+// ReadAt implements Backend.
+func (r metaRecorder) ReadAt(p *sim.Proc, buf []byte, off int64) error {
+	if err := r.Backend.ReadAt(p, buf, off); err != nil {
+		return err
+	}
+	kept := len(buf)
+	for kept > 0 && buf[kept-1] == 0 {
+		kept--
+	}
+	lo := len(r.m.arena)
+	r.m.arena = append(r.m.arena, buf[:kept]...)
+	r.m.reads = append(r.m.reads, metaRead{off: off, n: len(buf), lo: lo, hi: len(r.m.arena)})
+	return nil
+}
+
+// read fills buf with the bytes at off if m holds a read there that covers
+// buf, reporting whether it did.
+func (m *Meta) read(buf []byte, off int64) bool {
+	i, ok := slices.BinarySearchFunc(m.reads, off, func(r metaRead, off int64) int { return cmp.Compare(r.off, off) })
+	if !ok || len(buf) > m.reads[i].n {
+		return false
+	}
+	r := m.reads[i]
+	clear(buf[copy(buf, m.arena[r.lo:r.hi]):])
+	return true
+}
+
+// UseMeta has the volume read its entries and directories from m, which
+// must have come from a volume over the same image (Meta).
+func (v *Volume) UseMeta(m *Meta) { v.meta = m }
+
+// fetch fills buf from the volume's image at off: from its Meta when that
+// holds the read, else from the backend.
+func (v *Volume) fetch(p *sim.Proc, buf []byte, off int64) error {
+	if v.meta != nil && v.meta.read(buf, off) {
+		return nil
+	}
+	return v.backend.ReadAt(p, buf, off)
 }
 
 // FitBytes returns the volume space a file of the given size and path needs:

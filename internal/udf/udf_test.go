@@ -294,29 +294,6 @@ func TestLargeFileMultipleExtchain(t *testing.T) {
 	})
 }
 
-func TestReadFileAt(t *testing.T) {
-	env := sim.NewEnv()
-	v := newVol(t, env, 1<<20)
-	inSim(t, env, func(p *sim.Proc) {
-		if err := v.WriteFile(p, "/f", []byte("0123456789")); err != nil {
-			t.Fatalf("WriteFile: %v", err)
-		}
-		buf := make([]byte, 4)
-		n, err := v.ReadFileAt(p, "/f", buf, 3)
-		if err != nil || n != 4 || string(buf) != "3456" {
-			t.Errorf("ReadFileAt = %d %q %v", n, buf, err)
-		}
-		n, err = v.ReadFileAt(p, "/f", buf, 8)
-		if err != nil || n != 2 || string(buf[:n]) != "89" {
-			t.Errorf("short ReadFileAt = %d %q %v", n, buf[:n], err)
-		}
-		n, err = v.ReadFileAt(p, "/f", buf, 100)
-		if err != nil || n != 0 {
-			t.Errorf("past-EOF ReadFileAt = %d %v", n, err)
-		}
-	})
-}
-
 func TestWriteFileOverDirectoryFails(t *testing.T) {
 	env := sim.NewEnv()
 	v := newVol(t, env, 1<<20)
