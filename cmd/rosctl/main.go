@@ -348,7 +348,7 @@ func dispatch(sys *ros.System, p *sim.Proc, fields []string) error {
 			d := r.FS.Sched().Depths()
 			adm := r.FS.WritePath().Admission()
 			cap := adm.Config().CapacityBytes
-			inflight := fmt.Sprintf("%d/%d (%d%%)", adm.InflightBytes(), cap, adm.InflightBytes()*100/max64(cap, 1))
+			inflight := fmt.Sprintf("%d/%d (%d%%)", adm.InflightBytes(), cap, adm.InflightBytes()*100/max(cap, 1))
 			if adm.Congested() {
 				inflight += " CONGESTED"
 			}
@@ -633,11 +633,4 @@ func parseSize(s string) (int64, error) {
 		return 0, fmt.Errorf("bad size %q", s)
 	}
 	return n * mult, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

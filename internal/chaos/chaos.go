@@ -54,6 +54,9 @@ import (
 	"ros/internal/writepath"
 )
 
+// maxFileBytes caps the size of a campaign's written files.
+const maxFileBytes = 192 << 10
+
 // DefaultFaults is the campaign's default fault mix: transient read and burn
 // errors, latent sector error showers, a few arm jams, and tray load/unload
 // failures (so evictions racing open read handles exercise the validity-epoch
@@ -76,8 +79,6 @@ type Config struct {
 	Workers int
 	// Ops is the number of operations per worker (default 40).
 	Ops int
-	// FileBytes caps the size of written files (default 192 KiB).
-	FileBytes int
 	// Overload adds an overload phase after the chaos workload: closed-loop
 	// ingest workers flood the write path far past burn capacity against
 	// enabled admission control (small token bucket, deadline shedding). The
@@ -87,7 +88,8 @@ type Config struct {
 	// seeds replay unchanged.
 	Overload bool
 	// Opts overrides the system assembly; zero fields take chaos-friendly
-	// defaults (1 MB buckets, disc-backed reads after burn).
+	// defaults (1 MB buckets, 12 buffer slots). Opts.FS.RecycleAfterBurn is
+	// always set, so reads after a burn come from disc.
 	Opts ros.Options
 }
 
@@ -154,7 +156,7 @@ func (r *Report) String() string {
 	if len(r.AlertIncidents) > 0 {
 		fmt.Fprintf(&b, "  alerts: %d incidents\n", len(r.AlertIncidents))
 	}
-	for _, rule := range sortedKeysD(r.AlertDetection) {
+	for _, rule := range sortedKeys(r.AlertDetection) {
 		line := fmt.Sprintf("  alert %-22s detected in %v", rule, r.AlertDetection[rule])
 		if rec, ok := r.AlertRecovery[rule]; ok {
 			line += fmt.Sprintf(", recovered in %v", rec)
@@ -193,9 +195,6 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Ops <= 0 {
 		cfg.Ops = 40
 	}
-	if cfg.FileBytes <= 0 {
-		cfg.FileBytes = 192 << 10
-	}
 	spec := cfg.Faults
 	if spec == "" {
 		spec = DefaultFaults
@@ -210,12 +209,8 @@ func Run(cfg Config) (*Report, error) {
 	if opts.BufferSlots == 0 {
 		opts.BufferSlots = 12
 	}
-	if opts.FS.DataDiscs == 0 {
-		opts.FS.DataDiscs = 2
-		opts.FS.ParityDiscs = 1
-		// Burned buckets leave the buffer so reads exercise the optical path.
-		opts.FS.RecycleAfterBurn = true
-	}
+	// Burned buckets leave the buffer so reads exercise the optical path.
+	opts.FS.RecycleAfterBurn = true
 	opts.FaultSeed = cfg.Seed
 	opts.Faults = spec
 	if cfg.Overload && opts.Write == (ros.WriteConfig{}) {
@@ -333,7 +328,7 @@ func worker(sys *ros.System, p *sim.Proc, cfg Config, wi int, rep *Report) []ack
 		case pick < 40: // replicated write
 			rep.Ops["write"]++
 			path := fmt.Sprintf("/chaos/w%d/f%04d", wi, seq)
-			n := 1024 + rng.Intn(cfg.FileBytes-1023)
+			n := 1024 + rng.Intn(maxFileBytes-1023)
 			data := payload(n, cfg.Seed, wi, seq)
 			seq++
 			if err := cl.WriteFile(p, path, data); err != nil {
@@ -399,7 +394,7 @@ func worker(sys *ros.System, p *sim.Proc, cfg Config, wi int, rep *Report) []ack
 			}
 			rep.Ops["xrack"]++
 			path := fmt.Sprintf("/chaos/w%d/x%04d", wi, seq)
-			n := 1024 + rng.Intn(cfg.FileBytes-1023)
+			n := 1024 + rng.Intn(maxFileBytes-1023)
 			data := payload(n, cfg.Seed, wi, seq)
 			seq++
 			if err := cl.WriteFile(p, path, data); err != nil {
@@ -489,7 +484,7 @@ func overloadWorker(sys *ros.System, p *sim.Proc, cfg Config, wi int, rep *Repor
 	for op := 0; op < cfg.Ops; op++ {
 		rep.Ops["ingest"]++
 		path := fmt.Sprintf("/overload/w%d/f%04d", wi, op)
-		n := 1024 + rng.Intn(cfg.FileBytes-1023)
+		n := 1024 + rng.Intn(maxFileBytes-1023)
 		data := payload(n, cfg.Seed*3+1, wi, op)
 		err := sys.Cluster.WriteFile(p, path, data)
 		switch {
@@ -779,7 +774,7 @@ func alertOracle(sys *ros.System, p *sim.Proc, rep *Report) {
 	rep.AlertDetection = make(map[string]time.Duration)
 	rep.AlertRecovery = make(map[string]time.Duration)
 
-	for _, point := range sortedKeysS(faultAlerts) {
+	for _, point := range sortedKeys(faultAlerts) {
 		rule := faultAlerts[point]
 		// First injection of this point, if any.
 		t0 := time.Duration(-1)
@@ -893,25 +888,8 @@ func flatten(per [][]ackedFile) []ackedFile {
 	return out
 }
 
-func sortedKeys(m map[string]int64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeysD(m map[string]time.Duration) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeysS(m map[string]string) []string {
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

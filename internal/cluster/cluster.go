@@ -46,7 +46,8 @@ var (
 type Config struct {
 	// Racks is the initial member count (>= 1).
 	Racks int
-	// Replicas is the copies kept per file (clamped to Racks).
+	// Replicas is the copies kept per file: 0 means 2, and the count is
+	// clamped to Racks. A later AddRack does not raise it.
 	Replicas int
 	// Stack sizes every member rack. Stack.Obs is the system registry: the
 	// cluster.* metrics record there, while every member rack gets a private
@@ -118,7 +119,7 @@ func New(env *sim.Env, cfg Config) (*Cluster, error) {
 		cfg.Racks = 1
 	}
 	if cfg.Replicas < 1 {
-		cfg.Replicas = 1
+		cfg.Replicas = 2
 	}
 	if cfg.Replicas > cfg.Racks {
 		cfg.Replicas = cfg.Racks

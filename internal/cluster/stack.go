@@ -16,7 +16,9 @@ import (
 // StackConfig sizes one rack stack — the per-rack subset of the system
 // options. Every rack of a federation is built from the same config, each on
 // the shared simulation clock but with its own mechanical library, buffer
-// and OLFS instance.
+// and OLFS instance. Zero fields take NewRackStack's defaults (1 roller, 2
+// drive groups, 30 buffer slots of 8 MB buckets); FS's zero fields take
+// olfs.Config's.
 type StackConfig struct {
 	Rollers     int
 	DriveGroups int
@@ -28,7 +30,7 @@ type StackConfig struct {
 	BufferSlots int
 	BucketBytes int64
 	BurnCap     float64
-	// FS configures OLFS; NewRackStack sets its BucketBytes and Obs.
+	// FS configures OLFS; NewRackStack sets its BucketBytes.
 	FS olfs.Config
 
 	// Obs is the registry this rack's stack records into; nil gives the rack
@@ -89,6 +91,18 @@ func (r *Rack) Health() Health { return r.health }
 // page cache and OLFS. Cluster.New builds every member with it, and the
 // experiment and fault-injection test beds build a lone stack with it.
 func NewRackStack(env *sim.Env, idx int, cfg StackConfig) (*Rack, error) {
+	if cfg.Rollers == 0 {
+		cfg.Rollers = 1
+	}
+	if cfg.DriveGroups == 0 {
+		cfg.DriveGroups = 2
+	}
+	if cfg.BufferSlots == 0 {
+		cfg.BufferSlots = 30
+	}
+	if cfg.BucketBytes == 0 {
+		cfg.BucketBytes = 8 << 20
+	}
 	reg := cfg.Obs
 	if reg == nil {
 		reg = obs.New(env)
@@ -97,7 +111,6 @@ func NewRackStack(env *sim.Env, idx int, cfg StackConfig) (*Rack, error) {
 		Rollers:     cfg.Rollers,
 		DriveGroups: cfg.DriveGroups,
 		Media:       cfg.Media,
-		PopulateAll: true,
 		BurnCap:     cfg.BurnCap,
 		Obs:         reg,
 	})
@@ -125,7 +138,6 @@ func NewRackStack(env *sim.Env, idx int, cfg StackConfig) (*Rack, error) {
 	buffer.AttachObs(reg, "buffer")
 	fsCfg := cfg.FS
 	fsCfg.BucketBytes = cfg.BucketBytes
-	fsCfg.Obs = reg
 	fs, err := olfs.New(env, fsCfg, lib, mvArr, buffer)
 	if err != nil {
 		return nil, err

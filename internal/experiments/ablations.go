@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ros/internal/blockdev"
+	"ros/internal/cluster"
 	"ros/internal/extfs"
 	"ros/internal/fsbench"
 	"ros/internal/fuse"
@@ -23,7 +24,7 @@ import (
 // the client until the data is burned (minutes to hours).
 func AblationTieredBuffer() (Result, error) {
 	res := Result{ID: "ablate-buffer", Title: "Tiered disk buffer vs synchronous burn (§3.3)"}
-	bed, err := NewBed(BedOptions{OLFS: olfs.Config{
+	bed, err := NewBed(cluster.StackConfig{FS: olfs.Config{
 		DataDiscs: 2, ParityDiscs: 1, AutoBurn: false, BurnStagger: 5 * time.Second,
 	}})
 	if err != nil {
@@ -106,7 +107,7 @@ func AblationFuseChunk() (Result, error) {
 func AblationReadPolicy() (Result, error) {
 	res := Result{ID: "ablate-readpolicy", Title: "All-drives-burning read: wait vs interrupt-and-append (§4.8)"}
 	measure := func(policy olfs.ReadPolicy) (readLat float64, resumes int64, err error) {
-		bed, err := NewBed(BedOptions{Groups: 1, OLFS: olfs.Config{
+		bed, err := NewBed(cluster.StackConfig{DriveGroups: 1, FS: olfs.Config{
 			DataDiscs: 2, ParityDiscs: 1, AutoBurn: false,
 			RecycleAfterBurn: true, BurnStagger: 5 * time.Second,
 			ReadPolicy: policy,
@@ -178,7 +179,7 @@ func AblationReadPolicy() (Result, error) {
 func AblationForepart() (Result, error) {
 	res := Result{ID: "ablate-forepart", Title: "Forepart-in-MV first-byte latency (§4.8)"}
 	measure := func(forepart bool) (float64, error) {
-		bed, err := NewBed(BedOptions{OLFS: olfs.Config{
+		bed, err := NewBed(cluster.StackConfig{FS: olfs.Config{
 			DataDiscs: 2, ParityDiscs: 1, AutoBurn: false,
 			RecycleAfterBurn: true, BurnStagger: 5 * time.Second,
 			Forepart: forepart,
@@ -240,7 +241,7 @@ func AblationReadCache() (Result, error) {
 		Notes: "without RC the first re-read fetches the tray; that read copies the image back into the buffer, so later re-reads are buffer hits again",
 	}
 	measure := func(recycle bool) (float64, error) {
-		bed, err := NewBed(BedOptions{OLFS: olfs.Config{
+		bed, err := NewBed(cluster.StackConfig{FS: olfs.Config{
 			DataDiscs: 2, ParityDiscs: 1, AutoBurn: false,
 			RecycleAfterBurn: recycle, BurnStagger: 5 * time.Second,
 		}})
@@ -347,8 +348,7 @@ func AblationOverlapScheduling() (Result, error) {
 		env := sim.NewEnv()
 		defer env.Close()
 		lib, err := rack.New(env, rack.Config{
-			Rollers: 1, DriveGroups: 1, Media: optical.Media25,
-			PopulateAll: true, Overlap: overlap,
+			Rollers: 1, DriveGroups: 1, Media: optical.Media25, Overlap: overlap,
 		})
 		if err != nil {
 			return 0, err

@@ -39,13 +39,8 @@ func ClusterFailover() (Result, error) {
 		env := sim.NewEnv()
 		plane := faultinject.New(env, 1)
 		reg := obs.New(env)
-		replicas := 2
-		if racks < 2 {
-			replicas = 1
-		}
 		cl, err := cluster.New(env, cluster.Config{
-			Racks:    racks,
-			Replicas: replicas,
+			Racks: racks, // two replicas, one on a lone rack
 			Stack: cluster.StackConfig{
 				Rollers:     1,
 				DriveGroups: 2,

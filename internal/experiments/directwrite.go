@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"ros/internal/cluster"
 	"ros/internal/fsbench"
 	"ros/internal/fuse"
 	"ros/internal/olfs"
@@ -21,10 +22,10 @@ func AblationDirectWrite() (Result, error) {
 	const fileSize = 8 << 20
 
 	// Path A: samba+FUSE+OLFS (the Fig 6 NAS write path).
-	bedA, err := NewBed(BedOptions{
+	bedA, err := NewBed(cluster.StackConfig{
 		BufferSlots: 8,
 		BucketBytes: 64 << 20,
-		OLFS:        olfs.Config{DataDiscs: 2, ParityDiscs: 1, AutoBurn: false},
+		FS:          olfs.Config{DataDiscs: 2, ParityDiscs: 1, AutoBurn: false},
 	})
 	if err != nil {
 		return res, err
@@ -50,10 +51,10 @@ func AblationDirectWrite() (Result, error) {
 	}
 
 	// Path B: direct-writing mode.
-	bedB, err := NewBed(BedOptions{
+	bedB, err := NewBed(cluster.StackConfig{
 		BufferSlots: 8,
 		BucketBytes: 64 << 20,
-		OLFS:        olfs.Config{DataDiscs: 2, ParityDiscs: 1, AutoBurn: false},
+		FS:          olfs.Config{DataDiscs: 2, ParityDiscs: 1, AutoBurn: false},
 	})
 	if err != nil {
 		return res, err

@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"ros/internal/cluster"
-	"ros/internal/olfs"
-	"ros/internal/optical"
 	"ros/internal/sim"
 )
 
@@ -87,46 +85,11 @@ type Bed struct {
 	*cluster.Rack
 }
 
-// BedOptions size a Bed. Zero values take the listed defaults.
-type BedOptions struct {
-	Media       optical.MediaType // default Media25
-	Rollers     int               // default 1
-	Groups      int               // default 2
-	BufferSlots int               // default 30 (see cluster.StackConfig)
-	BucketBytes int64             // default 8 MB
-	BurnCap     float64           // aggregate per-group burn cap (0 = uncapped)
-	OLFS        olfs.Config       // DataDiscs etc. default 2+1 for speed
-}
-
-// NewBed assembles a rack + tiers + OLFS through cluster.NewRackStack.
-func NewBed(o BedOptions) (*Bed, error) {
+// NewBed assembles one rack stack on a fresh environment through
+// cluster.NewRackStack; zero fields of cfg take that function's defaults.
+func NewBed(cfg cluster.StackConfig) (*Bed, error) {
 	env := sim.NewEnv()
-	if o.Rollers == 0 {
-		o.Rollers = 1
-	}
-	if o.Groups == 0 {
-		o.Groups = 2
-	}
-	if o.BufferSlots == 0 {
-		o.BufferSlots = 30
-	}
-	if o.BucketBytes == 0 {
-		o.BucketBytes = 8 << 20
-	}
-	cfg := o.OLFS
-	if cfg.DataDiscs == 0 {
-		cfg.DataDiscs = 2
-		cfg.ParityDiscs = 1
-	}
-	r, err := cluster.NewRackStack(env, 0, cluster.StackConfig{
-		Rollers:     o.Rollers,
-		DriveGroups: o.Groups,
-		Media:       o.Media,
-		BufferSlots: o.BufferSlots,
-		BucketBytes: o.BucketBytes,
-		BurnCap:     o.BurnCap,
-		FS:          cfg,
-	})
+	r, err := cluster.NewRackStack(env, 0, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"ros/internal/cluster"
 	"ros/internal/image"
 	"ros/internal/mv"
 	"ros/internal/olfs"
@@ -54,10 +55,10 @@ func MVSize() (Result, error) {
 // of 11+1) and extrapolates linearly to the paper's 120 discs.
 func MVRecovery() (Result, error) {
 	res := Result{ID: "mvrecover", Title: "MV recovery from discs (§4.2)"}
-	bed, err := NewBed(BedOptions{
+	bed, err := NewBed(cluster.StackConfig{
 		BufferSlots: 16,
 		BucketBytes: 4 << 20,
-		OLFS: olfs.Config{
+		FS: olfs.Config{
 			DataDiscs:        11,
 			ParityDiscs:      1,
 			AutoBurn:         false,

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"ros/internal/blockdev"
+	"ros/internal/cluster"
 	"ros/internal/extfs"
 	"ros/internal/fsbench"
 	"ros/internal/fuse"
@@ -45,10 +46,10 @@ func newExt4(env *sim.Env) *extfs.FS {
 // newOLFSFig6 builds an OLFS bed tuned for throughput measurement (large
 // buckets so the stream stays in the PBW path).
 func newOLFSFig6() (*Bed, error) {
-	return NewBed(BedOptions{
+	return NewBed(cluster.StackConfig{
 		BufferSlots: 6,
 		BucketBytes: 256 << 20,
-		OLFS: olfs.Config{
+		FS: olfs.Config{
 			DataDiscs:   2,
 			ParityDiscs: 1,
 			AutoBurn:    false,

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"time"
 
+	"ros/internal/cluster"
 	"ros/internal/obs"
 	"ros/internal/olfs"
 	"ros/internal/samba"
@@ -20,8 +21,8 @@ func Fig7() (Result, error) {
 		ID:    "fig7",
 		Title: "OLFS internal operations and latencies (§5.3, Fig 7)",
 	}
-	bed, err := NewBed(BedOptions{
-		OLFS: olfs.Config{
+	bed, err := NewBed(cluster.StackConfig{
+		FS: olfs.Config{
 			DataDiscs:   2,
 			ParityDiscs: 1,
 			AutoBurn:    false,

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"ros/internal/cluster"
 	"ros/internal/olfs"
 	"ros/internal/sim"
 	"ros/internal/writepath"
@@ -95,12 +96,12 @@ func runIngest(batch writepath.BatchConfig, horizon time.Duration) (ingestRun, e
 		writeSize = 256 << 10
 		capacity  = 64 << 20
 	)
-	bed, err := NewBed(BedOptions{
-		Groups:      2,
+	bed, err := NewBed(cluster.StackConfig{
+		DriveGroups: 2,
 		BufferSlots: 60,
 		BucketBytes: 2 << 20,
 		BurnCap:     380e6,
-		OLFS: olfs.Config{
+		FS: olfs.Config{
 			DataDiscs:        2,
 			ParityDiscs:      1,
 			AutoBurn:         true,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"ros/internal/cluster"
 	"ros/internal/image"
 	"ros/internal/olfs"
 	"ros/internal/optical"
@@ -23,10 +24,10 @@ func AblationParallelRead() (Result, error) {
 	res := Result{ID: "ablate-pread", Title: "Tray-wide parallel strip reads vs single-drive walk (§4.7)"}
 	const fileBytes = 3 << 20
 	measure := func(serial bool) (scrub, recover float64, err error) {
-		bed, err := NewBed(BedOptions{
+		bed, err := NewBed(cluster.StackConfig{
 			BucketBytes: 4 << 20,
 			BufferSlots: 40,
-			OLFS: olfs.Config{
+			FS: olfs.Config{
 				DataDiscs: 11, ParityDiscs: 1, AutoBurn: false,
 				RecycleAfterBurn: true, BurnStagger: time.Second,
 			},

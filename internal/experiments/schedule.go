@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"ros/internal/cluster"
 	"ros/internal/image"
 	"ros/internal/obs"
 	"ros/internal/olfs"
@@ -43,7 +44,7 @@ func AblationScheduler() (Result, error) {
 	}
 	measure := func(policy sched.Policy) (outcome, error) {
 		var out outcome
-		bed, err := NewBed(BedOptions{Groups: 2, OLFS: olfs.Config{
+		bed, err := NewBed(cluster.StackConfig{DriveGroups: 2, FS: olfs.Config{
 			DataDiscs: 2, ParityDiscs: 1, AutoBurn: false,
 			RecycleAfterBurn: true, BurnStagger: 5 * time.Second,
 			Sched: sched.Config{Policy: policy},

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ros/internal/bucket"
+	"ros/internal/cluster"
 	"ros/internal/olfs"
 	"ros/internal/sim"
 )
@@ -78,12 +79,12 @@ func SustainedIngest() (Result, error) {
 // runSustained drives one rate for the horizon and samples the unburned
 // backlog; returns the backlog series and the observed drain rate (bytes/s).
 func runSustained(rate float64, horizon time.Duration) ([]Point, float64, error) {
-	bed, err := NewBed(BedOptions{
-		Groups:      2,
+	bed, err := NewBed(cluster.StackConfig{
+		DriveGroups: 2,
 		BufferSlots: 400,
 		BucketBytes: 4 << 20,
 		BurnCap:     380e6,
-		OLFS: olfs.Config{
+		FS: olfs.Config{
 			DataDiscs:        11,
 			ParityDiscs:      1,
 			AutoBurn:         true,

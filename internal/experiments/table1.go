@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"ros/internal/cluster"
 	"ros/internal/olfs"
 	"ros/internal/rack"
 	"ros/internal/sim"
@@ -20,8 +21,8 @@ func Table1() (Result, error) {
 		Title: "Read latency by file location (§5.2)",
 		Notes: "rows 1-3 isolate the data path (index already resolved), as in the paper's location-latency table; rows 4-6 include the mechanical fetch",
 	}
-	bed, err := NewBed(BedOptions{
-		OLFS: olfs.Config{
+	bed, err := NewBed(cluster.StackConfig{
+		FS: olfs.Config{
 			DataDiscs:        2,
 			ParityDiscs:      1,
 			AutoBurn:         false,

@@ -104,7 +104,7 @@ func Table3() (Result, error) {
 		env := sim.NewEnv()
 		defer env.Close()
 		lib, e := rack.New(env, rack.Config{
-			Rollers: 1, DriveGroups: 1, Media: optical.Media25, PopulateAll: true,
+			Rollers: 1, DriveGroups: 1, Media: optical.Media25,
 		})
 		if e != nil {
 			return 0, 0, e

@@ -1,8 +1,8 @@
 // Package testkit is the shared seed-replay regression harness for chaos and
 // fault-injection tests across olfs, raid and rack. It assembles the small
-// standard testbed (1 roller, 2 drive groups, 25 GB discs, 1 MB buckets,
-// 2+1 redundancy) with a fault plane pre-registered, so tests arm rules and
-// replay failing seeds instead of copy-pasting stack assembly.
+// standard testbed (cluster.NewRackStack's default library and redundancy,
+// 1 MB buckets, 1 s burn stagger) with a fault plane pre-registered, so tests
+// arm rules and replay failing seeds instead of copy-pasting stack assembly.
 package testkit
 
 import (
@@ -13,7 +13,6 @@ import (
 	"ros/internal/cluster"
 	"ros/internal/faultinject"
 	"ros/internal/olfs"
-	"ros/internal/optical"
 	"ros/internal/sim"
 )
 
@@ -36,8 +35,8 @@ type Options struct {
 	// BufferSlots sizes the write buffer as cluster.StackConfig does
 	// (default 48, which holds 96 one-megabyte buckets).
 	BufferSlots int
-	// Config mutates the olfs.Config after defaults are applied. The bucket
-	// size is the bed's (1 MB) and the registry the rack's.
+	// Config mutates the bed's olfs.Config (auto-burn on, 1 s burn stagger;
+	// zero fields take olfs's defaults). The bucket size is the bed's (1 MB).
 	Config func(*olfs.Config)
 }
 
@@ -58,8 +57,6 @@ func New(t *testing.T, opt Options) *Bed {
 		slots = 48
 	}
 	cfg := olfs.Config{
-		DataDiscs:   2,
-		ParityDiscs: 1,
 		AutoBurn:    true,
 		BurnStagger: time.Second, // keep multi-disc tests quick in virtual time
 	}
@@ -67,9 +64,6 @@ func New(t *testing.T, opt Options) *Bed {
 		opt.Config(&cfg)
 	}
 	r, err := cluster.NewRackStack(env, 0, cluster.StackConfig{
-		Rollers:     1,
-		DriveGroups: 2,
-		Media:       optical.Media25,
 		BufferSlots: slots,
 		BucketBytes: 1 << 20,
 		FS:          cfg,

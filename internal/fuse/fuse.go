@@ -6,7 +6,7 @@
 // Costs are calibrated from Fig 6: ext4+FUSE loses 24.1% read / 51.8% write
 // throughput against ext4 at 1 MB filebench I/O, which with 128 KB chunks
 // gives ~33 us per read chunk and ~134 us per write chunk of switch+copy
-// overhead. Metadata operations pay a full round trip (MetaSwitch).
+// overhead. Metadata operations pay a full round trip (metaSwitch).
 package fuse
 
 import (
@@ -16,39 +16,34 @@ import (
 	"ros/internal/vfs"
 )
 
+// Calibrated FUSE transport costs (Fig 6).
+const (
+	// maxRead is the read chunk size: the kernel readahead window.
+	maxRead = 128 << 10
+	// readSwitch / writeSwitch are the per-chunk mode-switch + copy costs.
+	readSwitch  = 25 * time.Microsecond
+	writeSwitch = 134 * time.Microsecond
+	// metaSwitch is the full user-kernel round trip for metadata requests.
+	metaSwitch = 600 * time.Microsecond
+)
+
 // Options configure the FUSE transport model.
 type Options struct {
 	// MaxWrite is the data chunk size (the big_writes mount option; §4.8:
 	// "OLFS sets the mount option big_writes to flush 128 KB data each
-	// time"). Default 128 KB; set 4096 for the no-big_writes ablation.
+	// time"); it must be positive.
 	MaxWrite int
-	// MaxRead is the read chunk size (default 128 KB).
-	MaxRead int
-	// ReadSwitch / WriteSwitch are the per-chunk mode-switch + copy costs.
-	ReadSwitch  time.Duration
-	WriteSwitch time.Duration
-	// MetaSwitch is the full user-kernel round trip for metadata requests.
-	MetaSwitch time.Duration
 }
 
 // DefaultOptions returns the calibrated big_writes configuration.
 func DefaultOptions() Options {
-	return Options{
-		MaxWrite:    128 << 10,
-		MaxRead:     128 << 10,
-		ReadSwitch:  25 * time.Microsecond,
-		WriteSwitch: 134 * time.Microsecond,
-		MetaSwitch:  600 * time.Microsecond,
-	}
+	return Options{MaxWrite: 128 << 10}
 }
 
 // SmallWriteOptions returns the default-mount (4 KB flush) configuration for
 // the §4.8 ablation.
 func SmallWriteOptions() Options {
-	o := DefaultOptions()
-	o.MaxWrite = 4 << 10
-	o.MaxRead = 128 << 10 // reads keep the kernel readahead window
-	return o
+	return Options{MaxWrite: 4 << 10}
 }
 
 // FS wraps an inner filesystem with FUSE transport costs.
@@ -67,10 +62,7 @@ var _ vfs.FileSystem = (*FS)(nil)
 // Wrap layers FUSE costs over inner.
 func Wrap(inner vfs.FileSystem, opts Options) *FS {
 	if opts.MaxWrite <= 0 {
-		opts.MaxWrite = 128 << 10
-	}
-	if opts.MaxRead <= 0 {
-		opts.MaxRead = 128 << 10
+		panic("fuse: Options.MaxWrite must be positive")
 	}
 	return &FS{inner: inner, opts: opts}
 }
@@ -80,7 +72,7 @@ func (f *FS) Inner() vfs.FileSystem { return f.inner }
 
 func (f *FS) meta(p *sim.Proc) {
 	f.MetaRequests++
-	p.Sleep(f.opts.MetaSwitch)
+	p.Sleep(metaSwitch)
 }
 
 // Create implements vfs.FileSystem.
@@ -142,7 +134,7 @@ func (fl *file) Write(p *sim.Proc, data []byte) (int, error) {
 			c = len(data) - n
 		}
 		fl.fs.WriteRequests++
-		p.Sleep(fl.fs.opts.WriteSwitch)
+		p.Sleep(writeSwitch)
 		w, err := fl.inner.Write(p, data[n:n+c])
 		total += w
 		if err != nil {
@@ -157,12 +149,12 @@ func (fl *file) Write(p *sim.Proc, data []byte) (int, error) {
 func (fl *file) Read(p *sim.Proc, buf []byte) (int, error) {
 	total := 0
 	for total < len(buf) {
-		c := fl.fs.opts.MaxRead
+		c := maxRead
 		if c > len(buf)-total {
 			c = len(buf) - total
 		}
 		fl.fs.ReadRequests++
-		p.Sleep(fl.fs.opts.ReadSwitch)
+		p.Sleep(readSwitch)
 		n, err := fl.inner.Read(p, buf[total:total+c])
 		total += n
 		if err != nil {

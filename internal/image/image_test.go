@@ -85,7 +85,7 @@ func TestCatalogSerialization(t *testing.T) {
 
 func TestFindEmptyTrayTopDown(t *testing.T) {
 	env := sim.NewEnv()
-	lib, err := rack.New(env, rack.Config{Rollers: 1, DriveGroups: 1, Media: 0, PopulateAll: true})
+	lib, err := rack.New(env, rack.Config{Rollers: 1, DriveGroups: 1, Media: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestPropertyParityRecovery(t *testing.T) {
 
 func TestFindEmptyTrayExhaustion(t *testing.T) {
 	env := sim.NewEnv()
-	lib, err := rack.New(env, rack.Config{Rollers: 1, DriveGroups: 1, PopulateAll: true})
+	lib, err := rack.New(env, rack.Config{Rollers: 1, DriveGroups: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func newStore(t *testing.T) (*sim.Env, *Store, *olfs.FS) {
 	t.Helper()
 	env := sim.NewEnv()
 	t.Cleanup(env.Close)
-	lib, err := rack.New(env, rack.Config{Rollers: 1, DriveGroups: 2, Media: optical.Media25, PopulateAll: true})
+	lib, err := rack.New(env, rack.Config{Rollers: 1, DriveGroups: 2, Media: optical.Media25})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,8 +54,10 @@ const (
 
 // Config tunes OLFS. Zero fields take the documented defaults.
 type Config struct {
-	// DataDiscs and ParityDiscs set the per-tray redundancy (§4.7):
-	// 11+1 (RAID-5-like, default) or 10+2 (RAID-6-like).
+	// DataDiscs and ParityDiscs set the per-tray redundancy (§4.7). Each
+	// zero field takes its default on its own: 2 data discs and 1 parity
+	// disc, a laptop-sized stripe. The paper's prototype runs 11+1
+	// (RAID-5-like) or 10+2 (RAID-6-like).
 	DataDiscs   int
 	ParityDiscs int
 
@@ -94,10 +96,6 @@ type Config struct {
 	// per-tray sensitivity switch.
 	Write writepath.Config
 
-	// Obs is the metrics registry to record into. Nil falls back to the
-	// rack library's registry, so the whole stack shares one snapshot.
-	Obs *obs.Registry
-
 	// Trace configures the causal request tracer (journal capacity, tail
 	// sampling). The zero value enables tracing with defaults; set
 	// Trace.Capacity negative to disable.
@@ -121,7 +119,7 @@ const (
 
 func (c Config) withDefaults() Config {
 	if c.DataDiscs == 0 {
-		c.DataDiscs = 11
+		c.DataDiscs = 2
 	}
 	if c.ParityDiscs == 0 {
 		c.ParityDiscs = 1
@@ -269,7 +267,9 @@ func (fs *FS) bindMetrics(r *obs.Registry) {
 
 // New assembles OLFS over a rack library, an MV backend (RAID-1 SSDs) and a
 // disk write buffer (the page cache over RAID-5 volumes). The bucket capacity
-// equals the library's disc capacity.
+// equals the library's disc capacity unless cfg.BucketBytes is set. OLFS, its
+// scheduler, MV and tracer record into the library's registry, so the whole
+// stack shares one snapshot.
 func New(env *sim.Env, cfg Config, lib *rack.Library, mvBackend mv.Backend, buffer *pagecache.Volume) (*FS, error) {
 	cfg = cfg.withDefaults()
 	discCap := cfg.BucketBytes
@@ -304,20 +304,12 @@ func New(env *sim.Env, cfg Config, lib *rack.Library, mvBackend mv.Backend, buff
 		fills:      make(map[image.ID]bool),
 		opNames:    make(map[string]string),
 	}
-	reg := cfg.Obs
-	if reg == nil {
-		reg = lib.Obs()
-	}
-	if reg == nil {
-		reg = obs.New(env)
-	}
+	reg := lib.Obs()
 	fs.bindMetrics(reg)
 	fs.tracer = obs.NewTracer(env, cfg.Trace)
 	reg.AttachTracer(fs.tracer)
 	fs.MV.AttachObs(reg)
-	scfg := cfg.Sched
-	scfg.Obs = reg
-	fs.sched = sched.New(env, scfg, lib)
+	fs.sched = sched.New(env, cfg.Sched, lib)
 	wcfg := cfg.Write
 	if wcfg.Admission.CapacityBytes <= 0 {
 		wcfg.Admission.CapacityBytes = int64(slots) * discCap

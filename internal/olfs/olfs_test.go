@@ -35,7 +35,7 @@ func newBed(t *testing.T, mod func(*Config)) *testbed {
 	env := sim.NewEnv()
 	t.Cleanup(env.Close)
 	lib, err := rack.New(env, rack.Config{
-		Rollers: 1, DriveGroups: 2, Media: optical.Media25, PopulateAll: true,
+		Rollers: 1, DriveGroups: 2, Media: optical.Media25,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -566,7 +566,7 @@ func TestForepartFirstByte(t *testing.T) {
 
 func TestCrashReopen(t *testing.T) {
 	env := sim.NewEnv()
-	lib, _ := rack.New(env, rack.Config{Rollers: 1, DriveGroups: 2, Media: optical.Media25, PopulateAll: true})
+	lib, _ := rack.New(env, rack.Config{Rollers: 1, DriveGroups: 2, Media: optical.Media25})
 	mvStore := blockdev.New(env, 1<<30, blockdev.SSDProfile())
 	bufStore := pagecache.New(env, blockdev.New(env, 64<<20, blockdev.SSDProfile()), pagecache.Ext4Rates())
 	cfg := Config{DataDiscs: 2, ParityDiscs: 1, AutoBurn: false, BucketBytes: 1 << 20, BurnStagger: time.Second}
@@ -617,7 +617,7 @@ func TestCrashReopen(t *testing.T) {
 func TestReopenKeepsCounting(t *testing.T) {
 	env := sim.NewEnv()
 	t.Cleanup(env.Close)
-	lib, _ := rack.New(env, rack.Config{Rollers: 1, DriveGroups: 2, Media: optical.Media25, PopulateAll: true})
+	lib, _ := rack.New(env, rack.Config{Rollers: 1, DriveGroups: 2, Media: optical.Media25})
 	mvStore := blockdev.New(env, 1<<30, blockdev.SSDProfile())
 	bufStore := pagecache.New(env, blockdev.New(env, 64<<20, blockdev.SSDProfile()), pagecache.Ext4Rates())
 	cfg := Config{DataDiscs: 2, ParityDiscs: 1, BucketBytes: 1 << 20, BurnStagger: time.Second}

@@ -124,7 +124,6 @@ type Config struct {
 	DriveGroups int               // 1-4 groups of 12
 	Media       optical.MediaType // disc generation to populate with
 	BurnCap     float64           // aggregate burn throughput cap per group (bytes/s); 0 = uncapped
-	PopulateAll bool              // fill every tray with blank discs
 	Overlap     bool              // overlap roller ops with arm ops during unload (§3.2 optimization, ~10 s saving)
 	Obs         *obs.Registry     // metrics registry; nil -> a fresh one is created
 }
@@ -136,7 +135,6 @@ func PrototypeConfig() Config {
 		Rollers:     2,
 		DriveGroups: 2,
 		Media:       optical.Media100,
-		PopulateAll: true,
 	}
 }
 
@@ -153,8 +151,8 @@ type Library struct {
 	unloads *obs.Counter // rack.unloads
 }
 
-// New assembles a library. With cfg.PopulateAll, every tray is filled with
-// blank discs of cfg.Media.
+// New assembles a library with every tray filled with blank discs of
+// cfg.Media.
 func New(env *sim.Env, cfg Config) (*Library, error) {
 	if cfg.Rollers < 1 || cfg.Rollers > 2 {
 		return nil, fmt.Errorf("rack: rollers must be 1 or 2, got %d", cfg.Rollers)
@@ -178,11 +176,9 @@ func New(env *sim.Env, cfg Config) (*Library, error) {
 		for l := 0; l < LayersPerRoller; l++ {
 			for s := 0; s < SlotsPerLayer; s++ {
 				t := &Tray{ID: TrayID{Roller: ri, Layer: l, Slot: s}}
-				if cfg.PopulateAll {
-					for d := 0; d < DiscsPerTray; d++ {
-						t.Discs = append(t.Discs, optical.NewDisc(
-							fmt.Sprintf("r%d-L%02d-S%d-D%02d", ri, l, s, d), cfg.Media))
-					}
+				for d := 0; d < DiscsPerTray; d++ {
+					t.Discs = append(t.Discs, optical.NewDisc(
+						fmt.Sprintf("r%d-L%02d-S%d-D%02d", ri, l, s, d), cfg.Media))
 				}
 				r.trays[l][s] = t
 			}

@@ -12,7 +12,7 @@ import (
 )
 
 func smallConfig() Config {
-	return Config{Rollers: 1, DriveGroups: 1, Media: optical.Media25, PopulateAll: true}
+	return Config{Rollers: 1, DriveGroups: 1, Media: optical.Media25}
 }
 
 func inSim(t *testing.T, env *sim.Env, fn func(p *sim.Proc)) {
@@ -212,6 +212,8 @@ func TestUnloadToDifferentTray(t *testing.T) {
 		src := TrayID{Roller: 0, Layer: 10, Slot: 1}
 		dst := TrayID{Roller: 0, Layer: 20, Slot: 2}
 		tray, _ := lib.Tray(src)
+		dtray, _ := lib.Tray(dst)
+		tray.Discs, dtray.Discs = nil, nil
 		for i := 0; i < 12; i++ {
 			tray.Discs = append(tray.Discs, optical.NewDisc("x", optical.Media25))
 		}
@@ -221,7 +223,6 @@ func TestUnloadToDifferentTray(t *testing.T) {
 		if err := lib.UnloadArray(p, 0, &dst); err != nil {
 			t.Fatalf("UnloadArray: %v", err)
 		}
-		dtray, _ := lib.Tray(dst)
 		if len(dtray.Discs) != 12 {
 			t.Errorf("destination tray has %d discs", len(dtray.Discs))
 		}
@@ -231,8 +232,11 @@ func TestUnloadToDifferentTray(t *testing.T) {
 func TestLoadEmptyTrayFails(t *testing.T) {
 	env := sim.NewEnv()
 	lib, _ := New(env, Config{Rollers: 1, DriveGroups: 1, Media: optical.Media25})
+	id := TrayID{Roller: 0, Layer: 0, Slot: 0}
+	tray, _ := lib.Tray(id)
+	tray.Discs = nil
 	inSim(t, env, func(p *sim.Proc) {
-		err := lib.LoadArray(p, TrayID{Roller: 0, Layer: 0, Slot: 0}, 0)
+		err := lib.LoadArray(p, id, 0)
 		if !errors.Is(err, ErrTrayEmpty) {
 			t.Errorf("load empty tray: %v", err)
 		}
@@ -313,7 +317,7 @@ func TestSwapArray(t *testing.T) {
 func TestTwoGroupsShareOneArm(t *testing.T) {
 	// Two groups loading from the same roller must serialize on the arm.
 	env := sim.NewEnv()
-	lib, _ := New(env, Config{Rollers: 1, DriveGroups: 2, Media: optical.Media25, PopulateAll: true})
+	lib, _ := New(env, Config{Rollers: 1, DriveGroups: 2, Media: optical.Media25})
 	for gi := 0; gi < 2; gi++ {
 		gi := gi
 		env.Go("loader", func(p *sim.Proc) {
@@ -332,7 +336,7 @@ func TestTwoGroupsShareOneArm(t *testing.T) {
 
 func TestTwoRollersLoadInParallel(t *testing.T) {
 	env := sim.NewEnv()
-	lib, _ := New(env, Config{Rollers: 2, DriveGroups: 2, Media: optical.Media25, PopulateAll: true})
+	lib, _ := New(env, Config{Rollers: 2, DriveGroups: 2, Media: optical.Media25})
 	for gi := 0; gi < 2; gi++ {
 		gi := gi
 		env.Go("loader", func(p *sim.Proc) {
@@ -408,7 +412,7 @@ func TestParseTrayIDRoundTrip(t *testing.T) {
 // failing that precondition.
 func TestBackToBackUnloadsShareOneArm(t *testing.T) {
 	env := sim.NewEnv()
-	lib, _ := New(env, Config{Rollers: 1, DriveGroups: 2, Media: optical.Media25, PopulateAll: true})
+	lib, _ := New(env, Config{Rollers: 1, DriveGroups: 2, Media: optical.Media25})
 	a := TrayID{Roller: 0, Layer: 84, Slot: 0}
 	b := TrayID{Roller: 0, Layer: 60, Slot: 3}
 	var second time.Duration
@@ -456,7 +460,7 @@ func TestSwapIsOneArmJob(t *testing.T) {
 	want := [2]TrayID{{Roller: 0, Layer: 40}, {Roller: 0, Layer: 10}}
 	bed := func() (*sim.Env, *Library) {
 		env := sim.NewEnv()
-		lib, _ := New(env, Config{Rollers: 1, DriveGroups: 2, Media: optical.Media25, PopulateAll: true})
+		lib, _ := New(env, Config{Rollers: 1, DriveGroups: 2, Media: optical.Media25})
 		inSim(t, env, func(p *sim.Proc) {
 			for gi, id := range held {
 				if err := lib.LoadArray(p, id, gi); err != nil {
@@ -530,7 +534,7 @@ func TestSwapIsOneArmJob(t *testing.T) {
 func TestCrossRollerSwapsOverlap(t *testing.T) {
 	env := sim.NewEnv()
 	t.Cleanup(env.Close)
-	lib, _ := New(env, Config{Rollers: 2, DriveGroups: 4, Media: optical.Media25, PopulateAll: true})
+	lib, _ := New(env, Config{Rollers: 2, DriveGroups: 4, Media: optical.Media25})
 	inSim(t, env, func(p *sim.Proc) {
 		if err := lib.LoadArray(p, TrayID{Roller: 0, Layer: 84}, 0); err != nil {
 			t.Fatalf("LoadArray(0): %v", err)

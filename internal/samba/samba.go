@@ -23,40 +23,37 @@ import (
 	"ros/internal/vfs"
 )
 
+// Calibrated 10 GbE NAS costs (Fig 6/7).
+const (
+	// netRate is the client link bandwidth (10 GbE, B/s).
+	netRate = 1.25e9
+	// rtt is the network round trip charged per request.
+	rtt = 400 * time.Microsecond
+	// metaProto is the SMB protocol/CPU cost per metadata operation.
+	metaProto = 1500 * time.Microsecond
+	// dataProtoRead / dataProtoWrite are per-data-request protocol costs.
+	dataProtoRead  = 700 * time.Microsecond
+	dataProtoWrite = 1900 * time.Microsecond
+	// statsBeforeCreate / statsAfterCreate are the CIFS metadata
+	// amplification on create: one stat before and five after the
+	// server-side create (Fig 7).
+	statsBeforeCreate = 1
+	statsAfterCreate  = 5
+)
+
 // Options configure the NAS model.
 type Options struct {
-	// NetRate is the client link bandwidth (10 GbE = 1.25e9 B/s).
-	NetRate float64
-	// RTT is the network round-trip charged per request.
-	RTT time.Duration
-	// MetaProto is the SMB protocol/CPU cost per metadata operation.
-	MetaProto time.Duration
-	// DataProtoRead / DataProtoWrite are per-data-request protocol costs.
-	DataProtoRead  time.Duration
-	DataProtoWrite time.Duration
 	// ReadRevalidate is an extra per-read attribute revalidation charge for
 	// user-space (FUSE) server filesystems.
 	ReadRevalidate time.Duration
-	// Pipeline enables asynchronous write-behind (default on).
+	// Pipeline enables asynchronous write-behind (on in DefaultOptions).
 	Pipeline bool
-	// ExtraCreateStats is the CIFS metadata amplification on create: one
-	// stat before and N stats after the server-side create (Fig 7: 1 + 5).
-	StatsBeforeCreate int
-	StatsAfterCreate  int
 }
 
-// DefaultOptions returns the calibrated 10 GbE configuration.
+// DefaultOptions returns the calibrated configuration: write-behind on, no
+// read revalidation.
 func DefaultOptions() Options {
-	return Options{
-		NetRate:           1.25e9,
-		RTT:               400 * time.Microsecond,
-		MetaProto:         1500 * time.Microsecond,
-		DataProtoRead:     700 * time.Microsecond,
-		DataProtoWrite:    1900 * time.Microsecond,
-		Pipeline:          true,
-		StatsBeforeCreate: 1,
-		StatsAfterCreate:  5,
-	}
+	return Options{Pipeline: true}
 }
 
 // FS wraps a server filesystem behind the NAS model.
@@ -75,22 +72,17 @@ var _ vfs.FileSystem = (*FS)(nil)
 
 // Wrap exports inner over the modeled network.
 func Wrap(env *sim.Env, inner vfs.FileSystem, opts Options) *FS {
-	if opts.NetRate <= 0 {
-		opts.NetRate = 1.25e9
-	}
 	return &FS{env: env, inner: inner, opts: opts}
 }
 
 // xfer charges the wire time for n bytes plus one RTT.
 func (s *FS) xfer(p *sim.Proc, n int) {
-	t := s.opts.RTT
-	t += sim.ByteTime(float64(n), s.opts.NetRate)
-	p.Sleep(t)
+	p.Sleep(rtt + sim.ByteTime(float64(n), netRate))
 }
 
 func (s *FS) metaReq(p *sim.Proc, n int) {
 	s.Requests++
-	p.Sleep(s.opts.MetaProto)
+	p.Sleep(metaProto)
 	s.xfer(p, n)
 }
 
@@ -99,7 +91,7 @@ func (s *FS) metaReq(p *sim.Proc, n int) {
 // create, each a full network round trip plus a server-side stat (the Fig 7
 // "stat*2, mknod, stat*6" amplification).
 func (s *FS) Create(p *sim.Proc, path string) (vfs.File, error) {
-	for i := 0; i < s.opts.StatsBeforeCreate; i++ {
+	for i := 0; i < statsBeforeCreate; i++ {
 		s.metaReq(p, 256)
 		_, _ = s.inner.Stat(p, path)
 	}
@@ -108,7 +100,7 @@ func (s *FS) Create(p *sim.Proc, path string) (vfs.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < s.opts.StatsAfterCreate; i++ {
+	for i := 0; i < statsAfterCreate; i++ {
 		s.metaReq(p, 256)
 		_, _ = s.inner.Stat(p, path)
 	}
@@ -202,7 +194,7 @@ func (f *file) writeback(p *sim.Proc) {
 func (f *file) Write(p *sim.Proc, data []byte) (int, error) {
 	f.s.Requests++
 	f.s.BytesFromWire += int64(len(data))
-	p.Sleep(f.s.opts.DataProtoWrite)
+	p.Sleep(dataProtoWrite)
 	f.s.xfer(p, len(data))
 	if f.q == nil {
 		return f.inner.Write(p, data)
@@ -221,7 +213,7 @@ func (f *file) Write(p *sim.Proc, data []byte) (int, error) {
 // Read implements vfs.File: synchronous request-response.
 func (f *file) Read(p *sim.Proc, buf []byte) (int, error) {
 	f.s.Requests++
-	p.Sleep(f.s.opts.DataProtoRead)
+	p.Sleep(dataProtoRead)
 	if f.s.opts.ReadRevalidate > 0 {
 		p.Sleep(f.s.opts.ReadRevalidate)
 	}

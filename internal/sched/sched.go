@@ -100,8 +100,6 @@ func (p Policy) String() string {
 type Config struct {
 	// Policy selects fifo (legacy order) or qos-scan.
 	Policy Policy
-	// Obs is the metrics registry for sched.* metrics (nil disables).
-	Obs *obs.Registry
 }
 
 // classWeight is each class's base priority under qos-scan (higher is
@@ -194,7 +192,6 @@ type Scheduler struct {
 	readWait [][]*readWaiter
 	readSeq  int64
 
-	obs        *obs.Registry
 	depthGauge *obs.Gauge
 	depthBy    [NumClasses]*obs.Gauge
 	waitBy     [NumClasses]*obs.Histogram
@@ -216,7 +213,7 @@ type readWaiter struct {
 }
 
 // New creates a scheduler over lib. Metrics are registered under sched.*
-// in cfg.Obs when non-nil.
+// in the library's registry.
 func New(env *sim.Env, cfg Config, lib *rack.Library) *Scheduler {
 	s := &Scheduler{
 		env:       env,
@@ -230,7 +227,6 @@ func New(env *sim.Env, cfg Config, lib *rack.Library) *Scheduler {
 		readUsed:  make([]int, len(lib.Groups)),
 		readCap:   make([]int, len(lib.Groups)),
 		readWait:  make([][]*readWaiter, len(lib.Groups)),
-		obs:       cfg.Obs,
 	}
 	for gi, g := range lib.Groups {
 		s.readCap[gi] = len(g.Drives)
@@ -239,7 +235,7 @@ func New(env *sim.Env, cfg Config, lib *rack.Library) *Scheduler {
 		s.scanDir[ri] = -1 // the arm starts atop the drives; natural direction is down
 		s.lastLayer[ri] = lib.ArmLayer(ri)
 	}
-	r := cfg.Obs
+	r := lib.Obs()
 	s.depthGauge = r.Gauge("sched.queue_depth")
 	for cl := Class(0); cl < NumClasses; cl++ {
 		s.depthBy[cl] = r.Gauge("sched.queue_depth." + cl.String())

@@ -14,7 +14,7 @@ func newLib(t *testing.T, groups int) (*sim.Env, *rack.Library) {
 	env := sim.NewEnv()
 	t.Cleanup(env.Close)
 	lib, err := rack.New(env, rack.Config{
-		Rollers: 1, DriveGroups: groups, Media: optical.Media25, PopulateAll: true,
+		Rollers: 1, DriveGroups: groups, Media: optical.Media25,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -949,17 +949,3 @@ func (v *Volume) fetch(p *sim.Proc, buf []byte, off int64) error {
 	}
 	return v.backend.ReadAt(p, buf, off)
 }
-
-// FitBytes returns the volume space a file of the given size and path needs:
-// data blocks (2 KB granularity) + one entry block + entry blocks for any
-// ancestor directories that do not exist yet. OLFS uses this to decide when
-// a bucket is full (§4.5). It over-estimates directory growth by one block
-// per missing ancestor plus one for the dirent rewrite.
-func FitBytes(size int64, missingAncestors int) int64 {
-	dataBlocks := (size + BlockSize - 1) / BlockSize
-	if size == 0 {
-		dataBlocks = 0
-	}
-	meta := int64(1 + missingAncestors*2 + 1)
-	return (dataBlocks + meta) * BlockSize
-}

@@ -373,18 +373,6 @@ func TestSmallFileCostsTwoBlocks(t *testing.T) {
 	})
 }
 
-func TestFitBytes(t *testing.T) {
-	if FitBytes(1, 0) < 2*BlockSize {
-		t.Error("FitBytes(1 byte) too small")
-	}
-	if FitBytes(0, 0) < BlockSize {
-		t.Error("FitBytes(empty) too small")
-	}
-	if FitBytes(BlockSize*10, 3) < BlockSize*11 {
-		t.Error("FitBytes(10 blocks) too small")
-	}
-}
-
 // Property: a set of files with distinct generated paths all round-trip and
 // Walk finds each of them.
 func TestPropertyManyFilesRoundTrip(t *testing.T) {

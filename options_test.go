@@ -7,9 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"ros/internal/obs"
-	"ros/internal/sched"
 )
 
 var updateSurface = flag.Bool("update", false, "rewrite testdata/config_surface.txt from Options")
@@ -66,33 +63,54 @@ func TestConfigSurface(t *testing.T) {
 	}
 }
 
-// TestNewRejectsOwnedFSFields: New fills these Options.FS fields itself, so
-// a value set there would be silently replaced. New refuses it and names the
-// field that carries the value.
-func TestNewRejectsOwnedFSFields(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		fs   FSConfig
-		want string
-	}{
-		{"AutoBurn", FSConfig{AutoBurn: true}, "Options.DisableAutoBurn"},
-		{"Sched.Policy", FSConfig{Sched: sched.Config{Policy: sched.PolicyQoSScan}}, "Options.SchedPolicy"},
-		{"Trace", FSConfig{Trace: obs.TracerConfig{Capacity: -1}}, "Options.TraceCapacity"},
-		{"BucketBytes", FSConfig{BucketBytes: 1 << 20}, "Options.BucketBytes"},
-		{"Obs", FSConfig{Obs: obs.New(nil)}, "System.Obs"},
-		{"Sched.Obs", FSConfig{Sched: sched.Config{Obs: obs.New(nil)}}, "System.Obs"},
-		{"Write", FSConfig{Write: WriteConfig{Admission: AdmissionConfig{Enabled: true}}}, "Options.Write"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sys, err := New(Options{FS: tc.fs})
-			if err == nil {
-				sys.Close()
-				t.Fatalf("New accepted Options.FS.%s, which it overwrites", tc.name)
-			}
-			if !strings.Contains(err.Error(), "Options.FS."+tc.name) || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error %q should name Options.FS.%s and %s", err, tc.name, tc.want)
-			}
-		})
+// TestFSConfigReachesOLFS gives every FSConfig field a non-zero value and
+// checks that the same-named olfs.Config field of the built System carries
+// it, so a field New forgets to map, or one olfs.Config lacks, fails here.
+func TestFSConfigReachesOLFS(t *testing.T) {
+	var in FSConfig
+	v := reflect.ValueOf(&in).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			// Distinct values, none of them a default, so a swapped or
+			// missing mapping shows; 1+2 discs fit the default buffer.
+			f.SetInt(int64(1 + i))
+		default:
+			t.Fatalf("FSConfig.%s: no test value for kind %s", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	sys, err := New(Options{FS: in, DisableAutoBurn: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	got := reflect.ValueOf(sys.FS.Config())
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		g := got.FieldByName(name)
+		if !g.IsValid() {
+			t.Errorf("FSConfig.%s has no olfs.Config field of that name", name)
+			continue
+		}
+		if g.Interface() != v.Field(i).Interface() {
+			t.Errorf("FSConfig.%s = %v reached olfs.Config as %v", name, v.Field(i), g)
+		}
+	}
+}
+
+// TestParityDiscsAloneIsKept: a caller who sets only ParityDiscs keeps it,
+// and DataDiscs alone takes its default.
+func TestParityDiscsAloneIsKept(t *testing.T) {
+	sys, err := New(Options{FS: FSConfig{ParityDiscs: 2}, DisableAutoBurn: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if c := sys.FS.Config(); c.DataDiscs != 2 || c.ParityDiscs != 2 {
+		t.Errorf("FS{ParityDiscs: 2} runs %d+%d, want 2+2", c.DataDiscs, c.ParityDiscs)
 	}
 }
 

@@ -48,8 +48,6 @@ type (
 	Proc = sim.Proc
 	// Env is the discrete-event simulation environment.
 	Env = sim.Env
-	// FSConfig tunes OLFS (redundancy, policies, overheads).
-	FSConfig = olfs.Config
 	// WriteConfig tunes the write path: admission control in front of the
 	// write buffer (see Options.Write).
 	WriteConfig = writepath.Config
@@ -97,6 +95,31 @@ const (
 	RackOffline  = cluster.HealthOffline
 )
 
+// FSConfig holds the OLFS settings a caller chooses. Zero fields take
+// olfs.Config's defaults; New builds the rest of the olfs.Config from the
+// other Options fields.
+type FSConfig struct {
+	// DataDiscs and ParityDiscs set the per-tray redundancy (§4.7); each
+	// zero field is defaulted on its own, to 2 data and 1 parity disc.
+	DataDiscs   int
+	ParityDiscs int
+	// DirectIO charges an MV op (journal sync) on every data write and
+	// read, the §5.2 tracing configuration for Fig 7.
+	DirectIO bool
+	// BurnStagger serializes drive burn starts within an array (default
+	// 43 s, so a 12x25GB array takes the paper's 1146 s, Fig 9).
+	BurnStagger time.Duration
+	// ReadPolicy picks what a fetch does when every drive group is burning
+	// (§4.8): WaitForBurn (default) or InterruptBurn.
+	ReadPolicy olfs.ReadPolicy
+	// Forepart stores the first 256 KB of each file in MV to bound
+	// first-byte latency on roller misses (§4.8).
+	Forepart bool
+	// RecycleAfterBurn frees a bucket slot as soon as its image is burned
+	// instead of keeping it as read cache.
+	RecycleAfterBurn bool
+}
+
 // Options size a System. The zero value builds a laptop-friendly instance:
 // one roller of 25 GB discs, two drive groups, 30 buffer slots of 8 MB
 // buckets and 2+1 redundancy. PrototypeOptions returns the paper's PB-scale
@@ -115,11 +138,7 @@ type Options struct {
 	// BurnCap caps a drive group's aggregate burn throughput (bytes/s);
 	// 380e6 reproduces the paper's Fig 9 pipeline. 0 = uncapped.
 	BurnCap float64
-	// FS tunes OLFS; zero fields take the paper-calibrated defaults. New
-	// owns FS.AutoBurn, FS.Sched.Policy, FS.Trace, FS.BucketBytes, FS.Write
-	// and the registries FS.Obs and FS.Sched.Obs, and rejects a value set
-	// there: set DisableAutoBurn, SchedPolicy, TraceCapacity/TraceSampleEvery,
-	// BucketBytes and Write instead (New builds the registries itself).
+	// FS tunes OLFS; zero fields take the paper-calibrated defaults.
 	FS FSConfig
 	// SchedPolicy selects the mechanical scheduler policy: "fifo" (legacy
 	// arrival-order arbitration, the default) or "qos-scan" (QoS classes with
@@ -236,22 +255,7 @@ func DefaultRules() []obs.Rule {
 
 // New assembles a System on a fresh simulation environment.
 func New(o Options) (*System, error) {
-	if err := checkOwnedFS(o.FS); err != nil {
-		return nil, err
-	}
 	env := sim.NewEnv()
-	if o.Rollers == 0 {
-		o.Rollers = 1
-	}
-	if o.DriveGroups == 0 {
-		o.DriveGroups = 2
-	}
-	if o.BufferSlots == 0 {
-		o.BufferSlots = 30
-	}
-	if o.BucketBytes == 0 {
-		o.BucketBytes = 8 << 20
-	}
 	reg := obs.New(env)
 	plane := faultinject.New(env, o.FaultSeed)
 	plane.AttachObs(reg)
@@ -260,19 +264,23 @@ func New(o Options) (*System, error) {
 			return nil, err
 		}
 	}
-	cfg := o.FS
-	if cfg.DataDiscs == 0 {
-		cfg.DataDiscs = 2
-		cfg.ParityDiscs = 1
-	}
-	cfg.AutoBurn = !o.DisableAutoBurn
-	cfg.Write = o.Write
 	pol, err := sched.ParsePolicy(o.SchedPolicy)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Sched.Policy = pol
-	cfg.Trace = obs.TracerConfig{Capacity: o.TraceCapacity, SampleEvery: o.TraceSampleEvery}
+	fsCfg := olfs.Config{
+		DataDiscs:        o.FS.DataDiscs,
+		ParityDiscs:      o.FS.ParityDiscs,
+		DirectIO:         o.FS.DirectIO,
+		AutoBurn:         !o.DisableAutoBurn,
+		BurnStagger:      o.FS.BurnStagger,
+		ReadPolicy:       o.FS.ReadPolicy,
+		Forepart:         o.FS.Forepart,
+		RecycleAfterBurn: o.FS.RecycleAfterBurn,
+		Sched:            sched.Config{Policy: pol},
+		Write:            o.Write,
+		Trace:            obs.TracerConfig{Capacity: o.TraceCapacity, SampleEvery: o.TraceSampleEvery},
+	}
 	var sampler *obs.Sampler
 	var alerts *obs.AlertEngine
 	if o.SampleEvery > 0 {
@@ -290,24 +298,20 @@ func New(o Options) (*System, error) {
 		alerts.Attach()
 		sampler.Start()
 	}
-	stack := cluster.StackConfig{
-		Rollers:     o.Rollers,
-		DriveGroups: o.DriveGroups,
-		Media:       o.Media,
-		BufferSlots: o.BufferSlots,
-		BucketBytes: o.BucketBytes,
-		BurnCap:     o.BurnCap,
-		FS:          cfg,
-		Obs:         reg,
-	}
-	if o.Replicas == 0 {
-		o.Replicas = 2
-	}
 	cl, err := cluster.New(env, cluster.Config{
 		Racks:    o.Racks, // cluster.New builds at least one
 		Replicas: o.Replicas,
-		Stack:    stack,
-		Sampler:  sampler,
+		Stack: cluster.StackConfig{
+			Rollers:     o.Rollers,
+			DriveGroups: o.DriveGroups,
+			Media:       o.Media,
+			BufferSlots: o.BufferSlots,
+			BucketBytes: o.BucketBytes,
+			BurnCap:     o.BurnCap,
+			FS:          fsCfg,
+			Obs:         reg,
+		},
+		Sampler: sampler,
 	})
 	if err != nil {
 		return nil, err
@@ -317,29 +321,6 @@ func New(o Options) (*System, error) {
 		Env: env, Library: r0.Lib, FS: r0.FS, Buffer: r0.Buffer,
 		Obs: reg, Faults: plane, Cluster: cl, Telemetry: sampler, Alerts: alerts,
 	}, nil
-}
-
-// checkOwnedFS rejects an Options.FS that sets a field New fills in itself,
-// naming the Options field that carries the value instead.
-func checkOwnedFS(fs FSConfig) error {
-	for _, c := range []struct {
-		set  bool
-		name string
-		use  string
-	}{
-		{fs.AutoBurn, "AutoBurn", "Options.DisableAutoBurn"},
-		{fs.Sched.Policy != 0, "Sched.Policy", "Options.SchedPolicy"},
-		{fs.Sched.Obs != nil, "Sched.Obs", "the registries New builds (System.Obs and each rack's Reg)"},
-		{fs.Trace != (obs.TracerConfig{}), "Trace", "Options.TraceCapacity and Options.TraceSampleEvery"},
-		{fs.BucketBytes != 0, "BucketBytes", "Options.BucketBytes"},
-		{fs.Obs != nil, "Obs", "the registries New builds (System.Obs and each rack's Reg)"},
-		{fs.Write != (WriteConfig{}), "Write", "Options.Write"},
-	} {
-		if c.set {
-			return fmt.Errorf("ros: Options.FS.%s is set by New; use %s", c.name, c.use)
-		}
-	}
-	return nil
 }
 
 // Do runs fn as a simulation process and drains the environment to
