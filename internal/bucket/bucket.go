@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"ros/internal/image"
+	"ros/internal/obs"
 	"ros/internal/pagecache"
 	"ros/internal/sim"
 	"ros/internal/udf"
@@ -65,6 +66,7 @@ type Bucket struct {
 	buffer     *pagecache.Volume
 	backend    *udf.Slice // the slot's window of buffer
 	lastAccess time.Duration
+	unread     bool // a cache fill no read has hit yet
 	// PayloadBytes for raw slots (parity length); UDF slots use Vol.UsedBytes.
 	PayloadBytes int64
 }
@@ -117,6 +119,8 @@ type Manager struct {
 	slots     []*Bucket
 	nextSeq   uint64
 	byID      map[image.ID]*Bucket
+
+	unreadEvicts *obs.Counter // cache fills the LRU reclaimed before any hit
 
 	// Stats.
 	Opens    int
@@ -192,6 +196,9 @@ func (m *Manager) takeSlot(p *sim.Proc) (*Bucket, error) {
 		return nil, ErrNoFreeSlot
 	}
 	m.Evicts++
+	if victim.unread {
+		m.unreadEvicts.Add(1)
+	}
 	m.release(victim)
 	victim.state = StateOpen
 	return victim, nil
@@ -207,6 +214,7 @@ func (m *Manager) release(b *Bucket) {
 	b.ID = image.ID{}
 	b.Vol = nil
 	b.Raw = false
+	b.unread = false
 	b.PayloadBytes = 0
 	b.state = StateFree
 }
@@ -330,10 +338,22 @@ func (m *Manager) Discard(b *Bucket) error {
 // or burning bucket, the only copy of unburned user data. fill lands the
 // image in the slot (Adopt) and returns the volume it parsed there; the
 // slot stays Open (invisible to readers, never a victim) until fill returns.
-// On success the copy is published as a burned image with a fresh access
-// time; if fill fails, or another copy of the image became resident
-// meanwhile, the slot is freed and an error returned.
+// On success the copy is published as a burned image last accessed now; if
+// fill fails, or another copy of the image became resident meanwhile, the
+// slot is freed and an error returned.
 func (m *Manager) Cache(p *sim.Proc, fill func(*Bucket) (*udf.Volume, error)) (*Bucket, error) {
+	return m.cache(p, fill, false)
+}
+
+// CacheAhead is Cache for an image no read has asked for yet (readahead). The
+// copy is published as last accessed when CacheAhead was called, before any
+// copy a read asked for at that time lands, so the LRU reclaims it first.
+func (m *Manager) CacheAhead(p *sim.Proc, fill func(*Bucket) (*udf.Volume, error)) (*Bucket, error) {
+	return m.cache(p, fill, true)
+}
+
+func (m *Manager) cache(p *sim.Proc, fill func(*Bucket) (*udf.Volume, error), ahead bool) (*Bucket, error) {
+	called := p.Now()
 	b, err := m.takeSlot(p)
 	if err != nil {
 		return nil, err
@@ -352,6 +372,10 @@ func (m *Manager) Cache(p *sim.Proc, fill func(*Bucket) (*udf.Volume, error)) (*
 	b.Vol = vol
 	b.state = StateBurned
 	b.lastAccess = p.Now()
+	if ahead {
+		b.lastAccess = called
+	}
+	b.unread = true
 	m.byID[id] = b
 	return b, nil
 }
@@ -385,7 +409,16 @@ func (m *Manager) Adopt(b *Bucket, v *udf.Volume) {
 }
 
 // Touch records a read-cache hit on a buffer-resident image.
-func (m *Manager) Touch(b *Bucket) { b.lastAccess = m.env.Now() }
+func (m *Manager) Touch(b *Bucket) {
+	b.lastAccess = m.env.Now()
+	b.unread = false
+}
+
+// AttachObs counts, as olfs.cache_fill_unread, the cache fills the LRU
+// reclaims without a read having hit them: the wasted share of the fills.
+func (m *Manager) AttachObs(r *obs.Registry) {
+	m.unreadEvicts = r.Counter("olfs.cache_fill_unread")
+}
 
 // Resident returns the buffer-resident bucket holding image id, if any.
 func (m *Manager) Resident(id image.ID) (*Bucket, bool) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ros/internal/blockdev"
+	"ros/internal/obs"
 	"ros/internal/pagecache"
 	"ros/internal/sim"
 	"ros/internal/udf"
@@ -425,6 +426,59 @@ func TestSupersededCacheCopyKeepsSuccessorResident(t *testing.T) {
 		}
 		if got, ok := m.Resident(id); !ok || got != holder {
 			t.Error("dropping the superseded cached copy unregistered the adopted one")
+		}
+	})
+}
+
+// TestUnreadCacheEvictionsAreCounted: the LRU reclaiming a cached image no
+// read has hit counts as olfs.cache_fill_unread; reclaiming one a read hit
+// does not. CacheAhead publishes its copy as accessed when it was called.
+func TestUnreadCacheEvictionsAreCounted(t *testing.T) {
+	env := sim.NewEnv()
+	m := newMgr(t, env, 4)
+	reg := obs.New(env)
+	m.AttachObs(reg)
+	unread := reg.Counter("olfs.cache_fill_unread")
+	inSim(t, env, func(p *sim.Proc) {
+		// Two burned images whose bytes outlive Recycle in raw slots.
+		var holders []*Bucket
+		for _, name := range []string{"/a", "/b"} {
+			img, _ := m.Open(p)
+			_ = img.Vol.WriteFile(p, name, []byte("payload"))
+			_ = m.Seal(p, img)
+			_ = m.MarkBurning(img)
+			_ = m.MarkBurned(img)
+			h, _ := m.OpenRaw(p, cap1)
+			buf := make([]byte, cap1)
+			_ = img.Backend().ReadAt(p, buf, 0)
+			_ = h.Backend().WriteAt(p, buf, 0)
+			_ = m.Recycle(p, img)
+			holders = append(holders, h)
+		}
+		hit, err := m.Cache(p, copyImageInto(p, holders[0]))
+		if err != nil {
+			t.Fatalf("Cache: %v", err)
+		}
+		called := p.Now()
+		ahead, err := m.CacheAhead(p, copyImageInto(p, holders[1]))
+		if err != nil {
+			t.Fatalf("CacheAhead: %v", err)
+		}
+		if ahead.lastAccess != called || p.Now() <= called {
+			t.Errorf("CacheAhead published at %v, called at %v, returned at %v", ahead.lastAccess, called, p.Now())
+		}
+		m.Touch(hit)
+		if b, _ := m.Open(p); b != ahead {
+			t.Fatalf("first Open took slot %d, want the never-hit copy's slot %d", b.Slot, ahead.Slot)
+		}
+		if unread.Value() != 1 {
+			t.Errorf("olfs.cache_fill_unread = %d after evicting a never-hit copy, want 1", unread.Value())
+		}
+		if b, _ := m.Open(p); b != hit {
+			t.Fatalf("second Open took slot %d, want the hit copy's slot %d", b.Slot, hit.Slot)
+		}
+		if unread.Value() != 1 {
+			t.Errorf("olfs.cache_fill_unread = %d after evicting a hit copy, want 1", unread.Value())
 		}
 	})
 }

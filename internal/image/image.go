@@ -107,10 +107,20 @@ type DiscAddr struct {
 func (a DiscAddr) String() string { return fmt.Sprintf("%v#%02d", a.Tray, a.Pos) }
 
 // Catalog holds the DAindex and DILindex. It is serialized into MV as system
-// state (§4.2: "all system running states ... are also stored in MV").
+// state (§4.2: "all system running states ... are also stored in MV"). DIL
+// changes only through Place, Forget and Restore, which keep a tray ->
+// position -> image index beside it, so ImagesOnTray costs one tray's
+// images, not a walk of the whole DIL.
 type Catalog struct {
 	DA  map[string]DAState  `json:"da"`  // TrayID.String() -> state
 	DIL map[string]DiscAddr `json:"dil"` // ID.String() -> physical location
+
+	trays map[uint64]map[int]ID // DIL by trayKey, then position; nil until first use
+}
+
+// trayKey packs a tray ID into the index's map key.
+func trayKey(t rack.TrayID) uint64 {
+	return uint64(t.Roller)<<42 | uint64(t.Layer)<<21 | uint64(t.Slot)
 }
 
 // NewCatalog returns an empty catalog.
@@ -124,8 +134,54 @@ func (c *Catalog) DAState(id rack.TrayID) DAState { return c.DA[id.String()] }
 // SetDAState records a tray state transition.
 func (c *Catalog) SetDAState(id rack.TrayID, s DAState) { c.DA[id.String()] = s }
 
-// Place records that image id lives on the disc at addr.
-func (c *Catalog) Place(id ID, addr DiscAddr) { c.DIL[id.String()] = addr }
+// index returns the tray index, building it from DIL after a decode or a
+// Restore.
+func (c *Catalog) index() map[uint64]map[int]ID {
+	if c.trays == nil {
+		c.trays = make(map[uint64]map[int]ID)
+		for k, addr := range c.DIL {
+			if id, err := Parse(k); err == nil {
+				c.indexAt(id, addr)
+			}
+		}
+	}
+	return c.trays
+}
+
+func (c *Catalog) indexAt(id ID, addr DiscAddr) {
+	k := trayKey(addr.Tray)
+	on := c.trays[k]
+	if on == nil {
+		on = make(map[int]ID)
+		c.trays[k] = on
+	}
+	on[addr.Pos] = id
+}
+
+func (c *Catalog) unindex(id ID, addr DiscAddr) {
+	k := trayKey(addr.Tray)
+	if on := c.trays[k]; on[addr.Pos] == id {
+		delete(on, addr.Pos)
+		if len(on) == 0 {
+			delete(c.trays, k)
+		}
+	}
+}
+
+// Place records that image id lives on the disc at addr. A disc holds one
+// image, so a record of another image on the same disc is dropped.
+func (c *Catalog) Place(id ID, addr DiscAddr) {
+	idx := c.index()
+	key := id.String()
+	if old, ok := c.DIL[key]; ok {
+		c.unindex(id, old)
+	}
+	if other, ok := idx[trayKey(addr.Tray)][addr.Pos]; ok && other != id {
+		delete(c.DIL, other.String())
+	}
+	c.DIL[key] = addr
+	c.indexAt(id, addr)
+}
 
 // Locate returns the physical location of an image, if burned.
 func (c *Catalog) Locate(id ID) (DiscAddr, bool) {
@@ -135,19 +191,35 @@ func (c *Catalog) Locate(id ID) (DiscAddr, bool) {
 
 // Forget removes an image's physical location (e.g. after its disc is lost
 // and the image recovered back to the buffer).
-func (c *Catalog) Forget(id ID) { delete(c.DIL, id.String()) }
+func (c *Catalog) Forget(id ID) {
+	key := id.String()
+	addr, ok := c.DIL[key]
+	if !ok {
+		return
+	}
+	delete(c.DIL, key)
+	c.unindex(id, addr)
+}
+
+// Restore adopts the tables of a catalog decoded from MV state; a nil table
+// leaves the current one in place.
+func (c *Catalog) Restore(saved *Catalog) {
+	if saved.DA != nil {
+		c.DA = saved.DA
+	}
+	if saved.DIL != nil {
+		c.DIL = saved.DIL
+		c.trays = nil
+	}
+}
 
 // ImagesOnTray returns position -> image ID for every image recorded on the
-// given tray.
+// given tray. The map is the caller's: Place and Forget do not change it.
 func (c *Catalog) ImagesOnTray(tray rack.TrayID) map[int]ID {
-	out := make(map[int]ID)
-	for idStr, addr := range c.DIL {
-		if addr.Tray != tray {
-			continue
-		}
-		if id, err := Parse(idStr); err == nil {
-			out[addr.Pos] = id
-		}
+	on := c.index()[trayKey(tray)]
+	out := make(map[int]ID, len(on))
+	for pos, id := range on {
+		out[pos] = id
 	}
 	return out
 }

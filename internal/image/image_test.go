@@ -3,6 +3,8 @@ package image
 import (
 	"bytes"
 	"errors"
+	"maps"
+	"math/rand/v2"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -422,6 +424,80 @@ func TestImagesOnTray(t *testing.T) {
 	c.Forget(NewID(2))
 	if len(c.ImagesOnTray(tray)) != 1 {
 		t.Error("Forget did not remove the entry")
+	}
+}
+
+// TestTrayIndexMatchesDILScan drives random Place, Forget, Restore and
+// Marshal+Unmarshal sequences and checks, after every step, that the tray
+// index equals a brute-force scan of DIL and that no two images share a disc.
+func TestTrayIndexMatchesDILScan(t *testing.T) {
+	for seed := uint64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0))
+		c := NewCatalog()
+		for step := 0; step < 200; step++ {
+			id := NewID(uint64(rng.IntN(12)))
+			addr := DiscAddr{Tray: rack.TrayID{Layer: rng.IntN(3)}, Pos: rng.IntN(4), Parity: rng.IntN(4) == 0}
+			switch op := rng.IntN(10); {
+			case op < 6:
+				c.Place(id, addr)
+			case op < 8:
+				c.Forget(id)
+			case op < 9:
+				b, err := c.Marshal()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c, err = UnmarshalCatalog(b); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				var saved Catalog
+				b, _ := c.Marshal()
+				if err := json.Unmarshal(b, &saved); err != nil {
+					t.Fatal(err)
+				}
+				c = NewCatalog()
+				c.Place(NewID(99), addr) // replaced by the restore
+				c.Restore(&saved)
+			}
+			scan := make(map[rack.TrayID]map[int]ID)
+			for k, a := range c.DIL {
+				on := scan[a.Tray]
+				if on == nil {
+					on = make(map[int]ID)
+					scan[a.Tray] = on
+				}
+				if prev, ok := on[a.Pos]; ok {
+					t.Fatalf("seed %d step %d: %s and %s both on %v", seed, step, prev, k, a)
+				}
+				on[a.Pos], _ = Parse(k)
+			}
+			for l := 0; l < 3; l++ {
+				tray := rack.TrayID{Layer: l}
+				if got, want := c.ImagesOnTray(tray), scan[tray]; !maps.Equal(got, want) {
+					t.Fatalf("seed %d step %d: ImagesOnTray(%v) = %v, scan %v", seed, step, tray, got, want)
+				}
+			}
+			if len(c.trays) != len(scan) {
+				t.Fatalf("seed %d step %d: index has %d trays, scan %d", seed, step, len(c.trays), len(scan))
+			}
+		}
+	}
+}
+
+// TestImagesOnTrayIsACopy: a caller may Forget the images it was handed
+// while it walks the map (scrub does), without the walk changing under it.
+func TestImagesOnTrayIsACopy(t *testing.T) {
+	c := NewCatalog()
+	tray := rack.TrayID{Layer: 2}
+	c.Place(NewID(1), DiscAddr{Tray: tray, Pos: 0})
+	c.Place(NewID(2), DiscAddr{Tray: tray, Pos: 1})
+	on := c.ImagesOnTray(tray)
+	for _, id := range on {
+		c.Forget(id)
+	}
+	if len(on) != 2 || len(c.ImagesOnTray(tray)) != 0 {
+		t.Errorf("held map %v, catalog %v after Forget", on, c.ImagesOnTray(tray))
 	}
 }
 

@@ -2,11 +2,13 @@ package olfs
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
 	"ros/internal/bucket"
 	"ros/internal/image"
+	"ros/internal/rack"
 	"ros/internal/sched"
 	"ros/internal/sim"
 )
@@ -256,5 +258,241 @@ func TestCacheFillAbortsOnEviction(t *testing.T) {
 	if tb.fs.m.fillAborts.Value() != 1 || tb.fs.m.cacheFills.Value() != 0 {
 		t.Errorf("fills=%d aborts=%d, want 0 and 1",
 			tb.fs.m.cacheFills.Value(), tb.fs.m.fillAborts.Value())
+	}
+}
+
+// burnArray writes one file per size, each sealed into an image of its own
+// (Sync), and burns them as one set. It returns the set's tray, the files and
+// their contents, and leaves every array home, so the next read of any of
+// them fetches the tray.
+func burnArray(t *testing.T, tb *testbed, p *sim.Proc, dir string, sizes ...int) (rack.TrayID, []string, [][]byte) {
+	t.Helper()
+	var paths []string
+	var datas [][]byte
+	for i, size := range sizes {
+		path := fmt.Sprintf("%s/f%d", dir, i)
+		data := pat(size, byte(len(dir)+i))
+		if err := tb.fs.WriteFile(p, path, data); err != nil {
+			t.Fatalf("WriteFile %s: %v", path, err)
+		}
+		if err := tb.fs.Sync(p); err != nil {
+			t.Fatalf("Sync: %v", err)
+		}
+		paths, datas = append(paths, path), append(datas, data)
+	}
+	c, err := tb.fs.FlushAndBurn(p)
+	if err != nil {
+		t.Fatalf("FlushAndBurn: %v", err)
+	}
+	if _, err := c.Wait(p); err != nil {
+		t.Fatalf("burn: %v", err)
+	}
+	if err := tb.fs.UnloadIdle(p); err != nil {
+		t.Fatalf("UnloadIdle: %v", err)
+	}
+	addr, _ := tb.fs.Cat.Locate(imageOf(t, tb, p, paths[0]))
+	if n := len(tb.fs.Cat.ImagesOnTray(addr.Tray)); n != len(sizes)+tb.fs.cfg.ParityDiscs {
+		t.Fatalf("tray %v holds %d images, want %d", addr.Tray, n, len(sizes)+tb.fs.cfg.ParityDiscs)
+	}
+	return addr.Tray, paths, datas
+}
+
+// TestReadFillsEveryDataImageOfItsArray: a read that fetches a 2+1 tray
+// leaves both data images resident and the parity image not, so a read of
+// the other image's file is a buffer hit that starts no fetch.
+func TestReadFillsEveryDataImageOfItsArray(t *testing.T) {
+	tb := coldBed(t, nil)
+	tb.run(t, func(p *sim.Proc) {
+		tray, paths, datas := burnArray(t, tb, p, "/arr", 300*1024, 300*1024)
+		fetches := tb.fs.m.fetchTasks.Value()
+		readCheck(t, tb, p, paths[0], datas[0])
+		if tb.fs.m.fetchTasks.Value() != fetches+1 {
+			t.Fatalf("first read: fetch_tasks %d -> %d, want +1", fetches, tb.fs.m.fetchTasks.Value())
+		}
+		settle(p)
+		for pos, id := range tb.fs.Cat.ImagesOnTray(tray) {
+			addr, _ := tb.fs.Cat.Locate(id)
+			b, ok := tb.fs.Buckets.Resident(id)
+			if addr.Parity && ok {
+				t.Errorf("parity image at position %d was cached", pos)
+			}
+			if !addr.Parity && (!ok || b.State() != bucket.StateBurned) {
+				t.Errorf("data image at position %d not cached (resident=%v)", pos, ok)
+			}
+		}
+		fetches, hits := tb.fs.m.fetchTasks.Value(), tb.fs.m.cacheHits.Value()
+		start := p.Now()
+		readCheck(t, tb, p, paths[1], datas[1])
+		if tb.fs.m.fetchTasks.Value() != fetches {
+			t.Errorf("sibling read fetched a tray: fetch_tasks %d -> %d", fetches, tb.fs.m.fetchTasks.Value())
+		}
+		if tb.fs.m.cacheHits.Value() != hits+1 {
+			t.Errorf("cache_hits %d -> %d, want +1", hits, tb.fs.m.cacheHits.Value())
+		}
+		if lat := p.Now() - start; lat > time.Second {
+			t.Errorf("sibling read took %v", lat)
+		}
+	})
+	if n := tb.fs.m.cacheFills.Value(); n != 2 {
+		t.Errorf("olfs.cache_fills = %d, want 2", n)
+	}
+}
+
+// TestArrayFillAbortsOnEviction: a tray swapped out while its siblings are
+// being copied aborts their fills. Their slots come back free, and no slot
+// that held unburned data changed hands. The read touches a one-chunk image,
+// whose own fill lands first; the 3+1 array's two 3 MB siblings copy in
+// lockstep, so the prefetch lands between two of their chunks.
+func TestArrayFillAbortsOnEviction(t *testing.T) {
+	tb := coldBed(t, func(c *Config) {
+		c.BucketBytes = 4 << 20
+		c.DataDiscs = 3
+	})
+	tb.run(t, func(p *sim.Proc) {
+		tray, paths, datas := burnArray(t, tb, p, "/ev", 64*1024, 3<<20, 3<<20)
+		other := burnOne(t, tb, p, "/ev/o", pat(64*1024, 36))
+		if err := tb.fs.UnloadIdle(p); err != nil {
+			t.Fatalf("UnloadIdle: %v", err)
+		}
+		// An unburned image the fills must not displace.
+		if err := tb.fs.WriteFile(p, "/ev/u", pat(64*1024, 37)); err != nil {
+			t.Fatalf("WriteFile: %v", err)
+		}
+		if err := tb.fs.Sync(p); err != nil {
+			t.Fatalf("Sync: %v", err)
+		}
+		unburned := imageOf(t, tb, p, "/ev/u")
+		before := make([]bucket.State, len(tb.fs.Buckets.Slots()))
+		for i, b := range tb.fs.Buckets.Slots() {
+			before[i] = b.State()
+		}
+		read := imageOf(t, tb, p, paths[0])
+		siblings := []image.ID{imageOf(t, tb, p, paths[1]), imageOf(t, tb, p, paths[2])}
+		readCheck(t, tb, p, paths[0], datas[0])
+		for _, id := range siblings {
+			if !tb.fs.fills[id] {
+				t.Fatalf("no fill of %s in flight after the read", id)
+			}
+		}
+		gi := tb.fs.groupHolding(tray)
+		for {
+			pinned := tb.fs.sched.Pinned(tray)
+			err := tb.fs.PrefetchTray(p, other, gi)
+			if err == nil {
+				break
+			}
+			if !pinned || !tb.fs.fills[siblings[0]] || !tb.fs.fills[siblings[1]] {
+				t.Fatalf("PrefetchTray: %v (tray pinned: %v)", err, pinned)
+			}
+			p.Sleep(time.Millisecond)
+		}
+		settle(p)
+		for _, id := range siblings {
+			if tb.fs.fills[id] {
+				t.Errorf("fill of %s still in flight after the eviction", id)
+			}
+			if _, ok := tb.fs.Buckets.Resident(id); ok {
+				t.Errorf("a fill that lost its tray published %s", id)
+			}
+		}
+		cached, ok := tb.fs.Buckets.Resident(read)
+		if !ok {
+			t.Fatal("the read image's one-chunk fill did not land")
+		}
+		for i, b := range tb.fs.Buckets.Slots() {
+			if b.State() != before[i] && b != cached {
+				t.Errorf("slot %d went %v -> %v across the aborted fills", i, before[i], b.State())
+			}
+		}
+		if b, ok := tb.fs.Buckets.Resident(unburned); !ok || b.State() != bucket.StateFilled {
+			t.Errorf("unburned image lost its slot (resident=%v)", ok)
+		}
+	})
+	if tb.fs.m.fillAborts.Value() != 2 || tb.fs.m.cacheFills.Value() != 1 {
+		t.Errorf("fills=%d aborts=%d, want 1 and 2",
+			tb.fs.m.cacheFills.Value(), tb.fs.m.fillAborts.Value())
+	}
+}
+
+// TestUnreadSiblingIsEvictedFirst: under slot pressure the LRU reclaims the
+// image filled ahead of any read before the image whose read filled the
+// array, and olfs.cache_fill_unread counts the cached images it reclaimed
+// without a hit.
+func TestUnreadSiblingIsEvictedFirst(t *testing.T) {
+	tb := coldBed(t, nil)
+	unread := tb.fs.obs.Counter("olfs.cache_fill_unread")
+	tb.run(t, func(p *sim.Proc) {
+		_, paths, datas := burnArray(t, tb, p, "/lru", 300*1024, 300*1024)
+		read, sibling := imageOf(t, tb, p, paths[0]), imageOf(t, tb, p, paths[1])
+		readCheck(t, tb, p, paths[0], datas[0])
+		settle(p)
+		sib, ok := tb.fs.Buckets.Resident(sibling)
+		if !ok {
+			t.Fatal("sibling not cached")
+		}
+		held := fillSlots(t, tb, p)
+		nb, err := tb.fs.Buckets.Open(p)
+		if err != nil {
+			t.Fatalf("Open under slot pressure: %v", err)
+		}
+		held = append(held, nb)
+		if nb != sib {
+			t.Errorf("Open took slot %d, want the unread sibling's slot %d", nb.Slot, sib.Slot)
+		}
+		if _, ok := tb.fs.Buckets.Resident(read); !ok {
+			t.Error("the image that was read went before its unread sibling")
+		}
+		if unread.Value() != 1 {
+			t.Errorf("olfs.cache_fill_unread = %d after the sibling's eviction, want 1", unread.Value())
+		}
+		// A hit on the cached copy of the read image: its eviction wastes nothing.
+		readCheck(t, tb, p, paths[0], datas[0])
+		nb, err = tb.fs.Buckets.Open(p)
+		if err != nil {
+			t.Fatalf("second Open under slot pressure: %v", err)
+		}
+		held = append(held, nb)
+		if _, ok := tb.fs.Buckets.Resident(read); ok {
+			t.Error("the read image was not reclaimed by the second Open")
+		}
+		if unread.Value() != 1 {
+			t.Errorf("olfs.cache_fill_unread = %d after evicting a hit image, want 1", unread.Value())
+		}
+		for _, b := range held {
+			_ = tb.fs.Buckets.Discard(b)
+		}
+	})
+}
+
+// TestArrayFillLeavesTheReadAlone: the read that fills its array takes as
+// long as the same read filling only its own image. The siblings copy from
+// their own drives, one prefetch-class read slot each, and the group has a
+// slot per drive.
+func TestArrayFillLeavesTheReadAlone(t *testing.T) {
+	latency := func(arrayFill bool) time.Duration {
+		tb := coldBed(t, func(c *Config) { c.BucketBytes = 4 << 20 })
+		var lat time.Duration
+		tb.run(t, func(p *sim.Proc) {
+			_, paths, datas := burnArray(t, tb, p, "/lat", 3<<20, 3<<20)
+			sibling := imageOf(t, tb, p, paths[1])
+			if !arrayFill {
+				tb.fs.fills[sibling] = true // as if already filling: fill() skips it
+			}
+			start := p.Now()
+			readCheck(t, tb, p, paths[0], datas[0])
+			lat = p.Now() - start
+			if !arrayFill {
+				delete(tb.fs.fills, sibling)
+			}
+			settle(p)
+			if _, ok := tb.fs.Buckets.Resident(sibling); ok != arrayFill {
+				t.Errorf("array fill %v: sibling resident = %v", arrayFill, ok)
+			}
+		})
+		return lat
+	}
+	alone, array := latency(false), latency(true)
+	if array != alone || alone <= 0 {
+		t.Errorf("triggering read took %v with the array fill, %v with its image's alone", array, alone)
 	}
 }

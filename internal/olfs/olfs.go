@@ -306,6 +306,7 @@ func New(env *sim.Env, cfg Config, lib *rack.Library, mvBackend mv.Backend, buff
 	}
 	reg := lib.Obs()
 	fs.bindMetrics(reg)
+	mgr.AttachObs(reg)
 	fs.tracer = obs.NewTracer(env, cfg.Trace)
 	reg.AttachTracer(fs.tracer)
 	fs.MV.AttachObs(reg)

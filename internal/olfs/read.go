@@ -326,7 +326,7 @@ func (fr *fileReader) source(p *sim.Proc, i int) (*partSource, error) {
 		}
 		fr.sources[i] = src
 		if src.group >= 0 && fr.fill && fr.class == sched.Interactive {
-			fs.startFill(src)
+			fs.fillArray(src)
 		}
 		return src, nil
 	}

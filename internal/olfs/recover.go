@@ -380,12 +380,7 @@ func Reopen(env *sim.Env, p *sim.Proc, cfg Config, lib *rack.Library, mvBackend 
 	fs.seedMVSnapSeq()
 	var cat image.Catalog
 	if err := vol.LoadState(p, "catalog", &cat); err == nil {
-		if cat.DA != nil {
-			fs.Cat.DA = cat.DA
-		}
-		if cat.DIL != nil {
-			fs.Cat.DIL = cat.DIL
-		}
+		fs.Cat.Restore(&cat)
 	}
 	// Probe buffer slots.
 	for _, b := range fs.Buckets.Slots() {
