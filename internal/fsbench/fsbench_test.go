@@ -1,15 +1,12 @@
 package fsbench
 
 import (
-	"errors"
 	"testing"
-	"time"
 
 	"ros/internal/blockdev"
 	"ros/internal/extfs"
 	"ros/internal/pagecache"
 	"ros/internal/sim"
-	"ros/internal/vfs"
 )
 
 func newFS(t *testing.T) (*sim.Env, *extfs.FS) {
@@ -83,98 +80,9 @@ func TestSingleStreamWriteUnalignedTail(t *testing.T) {
 	})
 }
 
-func TestSmallFileLatencies(t *testing.T) {
-	env, fs := newFS(t)
-	inSim(t, env, func(p *sim.Proc) {
-		w, err := SmallFileWrite(p, fs, "/small", 20, 1024)
-		if err != nil {
-			t.Fatalf("SmallFileWrite: %v", err)
-		}
-		if w.Ops != 20 || len(w.Latencies) != 20 {
-			t.Errorf("ops=%d latencies=%d", w.Ops, len(w.Latencies))
-		}
-		if w.MeanLatency() <= 0 {
-			t.Error("no mean latency")
-		}
-		r, err := SmallFileRead(p, fs, "/small", 20, 1024)
-		if err != nil {
-			t.Fatalf("SmallFileRead: %v", err)
-		}
-		if r.Bytes != 20*1024 {
-			t.Errorf("read %d bytes", r.Bytes)
-		}
-	})
-}
-
-func TestMultiStreamAggregates(t *testing.T) {
-	env, fs := newFS(t)
-	var agg Result
-	inSim(t, env, func(p *sim.Proc) {
-		var err error
-		agg, err = MultiStreamWrite(p, fs, "/multi", 4, 4<<20, 1<<20)
-		if err != nil {
-			t.Fatalf("MultiStreamWrite: %v", err)
-		}
-	})
-	if agg.Bytes != 16<<20 || agg.Ops != 16 {
-		t.Errorf("bytes=%d ops=%d", agg.Bytes, agg.Ops)
-	}
-	// Concurrent streams share the cached volume: elapsed must exceed a
-	// single stream's time but stay below 4x (overlap).
-	if agg.Elapsed <= 0 || agg.Elapsed > 200*time.Millisecond {
-		t.Errorf("elapsed = %v", agg.Elapsed)
-	}
-}
-
-func TestMeanLatencyEmpty(t *testing.T) {
+func TestZeroResultThroughput(t *testing.T) {
 	var r Result
-	if r.MeanLatency() != 0 || r.ThroughputMBps() != 0 {
-		t.Error("zero-value Result math wrong")
+	if r.ThroughputMBps() != 0 {
+		t.Error("zero-value Result throughput is not 0")
 	}
-}
-
-// refusingFS refuses to create one path and counts the files being created
-// or written and not yet closed.
-type refusingFS struct {
-	vfs.FileSystem
-	refuse string
-	open   int
-}
-
-func (f *refusingFS) Create(p *sim.Proc, path string) (vfs.File, error) {
-	if path == f.refuse {
-		return nil, errors.New("create refused")
-	}
-	f.open++
-	file, err := f.FileSystem.Create(p, path)
-	if err != nil {
-		f.open--
-		return nil, err
-	}
-	return closeCounter{File: file, fs: f}, nil
-}
-
-type closeCounter struct {
-	vfs.File
-	fs *refusingFS
-}
-
-func (c closeCounter) Close(p *sim.Proc) error {
-	c.fs.open--
-	return c.File.Close(p)
-}
-
-// TestMultiStreamWriteWaitsForEveryStream: a stream that fails at once must
-// not end the call while the other streams are still writing.
-func TestMultiStreamWriteWaitsForEveryStream(t *testing.T) {
-	env, fs := newFS(t)
-	rfs := &refusingFS{FileSystem: fs, refuse: "/multi/stream-0"}
-	inSim(t, env, func(p *sim.Proc) {
-		if _, err := MultiStreamWrite(p, rfs, "/multi", 4, 4<<20, 1<<20); err == nil {
-			t.Error("MultiStreamWrite with a refused stream returned no error")
-		}
-		if rfs.open != 0 {
-			t.Errorf("MultiStreamWrite returned with %d streams still writing", rfs.open)
-		}
-	})
 }

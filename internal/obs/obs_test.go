@@ -231,21 +231,6 @@ func TestEmitFeedsEventCounters(t *testing.T) {
 	}
 }
 
-func TestLogfFeedsSinksAndLegacyTrace(t *testing.T) {
-	env := sim.NewEnv()
-	r := New(env)
-	legacy := 0
-	env.SetTrace(func(tm time.Duration, name, msg string) { legacy++ })
-	env.Go("p", func(p *sim.Proc) { p.Logf("hello %d", 1) })
-	env.Run()
-	if legacy != 1 {
-		t.Fatalf("legacy trace calls = %d, want 1", legacy)
-	}
-	if got := r.Counter("events.log").Value(); got != 1 {
-		t.Fatalf("events.log = %d, want 1", got)
-	}
-}
-
 // TestSnapshotDeterministic runs the same simulated workload twice and
 // requires byte-identical snapshot JSON.
 func TestSnapshotDeterministic(t *testing.T) {

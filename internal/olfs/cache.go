@@ -26,18 +26,19 @@ import (
 // disc lends the image's chunks and the slot adopts them, so a fill is
 // charged as a disc read and a buffer write but copies no bytes.
 
-// fillChunk is the transfer unit. A fill pins the tray and holds a
-// prefetch-class read slot for one chunk at a time, so an interactive reader
-// of the same group waits out at most one chunk, and an eviction between
-// chunks aborts the fill instead of queueing behind it.
+// fillChunk is the transfer unit of a disc copy (a fill or a migration). A
+// copy pins the tray and holds a read slot of its class (prefetch or scrub)
+// for one chunk at a time, so an interactive reader of the same group waits
+// out at most one chunk, and an eviction between chunks aborts the copy
+// instead of queueing behind it.
 const fillChunk = 1 << 20
 
-// errFillEvicted aborts a fill whose tray started unloading mid-copy.
-var errFillEvicted = errors.New("olfs: cache fill lost its tray")
+// errCopyEvicted aborts a disc copy whose tray started unloading mid-copy.
+var errCopyEvicted = errors.New("olfs: disc copy lost its tray")
 
 // fillArray fills the read cache with every data image the catalog records
-// on src's tray, in position order: src's own image as startFill would, the
-// others ahead of any read of them (Buckets.CacheAhead), so under slot
+// on src's tray, in position order: src's own image as read (Buckets.Cache),
+// the others ahead of any read of them (Buckets.CacheAhead), so under slot
 // pressure an unread sibling goes before the image that was read.
 func (fs *FS) fillArray(src *partSource) {
 	onTray := fs.Cat.ImagesOnTray(src.tray)
@@ -49,9 +50,6 @@ func (fs *FS) fillArray(src *partSource) {
 	}
 	fs.fill(src, ids)
 }
-
-// startFill fills the read cache with src's image alone.
-func (fs *FS) startFill(src *partSource) { fs.fill(src, []image.ID{src.id}) }
 
 // fill launches one background process that copies, one Fork child each, the
 // images of ids that src's array holds and that are neither resident nor
@@ -88,7 +86,7 @@ func (fs *FS) fill(src *partSource, ids []image.ID) {
 			}
 			start := fp.Now()
 			if _, err := cache(fp, func(dst *bucket.Bucket) (*udf.Volume, error) {
-				return fs.copyImage(fp, src, id, addr, dst)
+				return openImage(fp, dst, id, "cached", fs.copyDisc(fp, src.group, src.epoch, addr, sched.Prefetch, dst))
 			}); err != nil {
 				fs.m.fillAborts.Add(1)
 				return nil
@@ -100,45 +98,53 @@ func (fs *FS) fill(src *partSource, ids []image.ID) {
 	})
 }
 
-// copyImage lands image id, at addr on src's array, in dst chunk by chunk
-// (the disc lends, the slot adopts), and parses the copy.
-// It gives up as soon as the group's epoch moves or its tray starts unloading
-// (the same predicate that keeps readers off a tray in transit).
-func (fs *FS) copyImage(p *sim.Proc, src *partSource, id image.ID, addr image.DiscAddr, dst *bucket.Bucket) (*udf.Volume, error) {
-	gi := src.group
-	live := func() bool { return fs.groupEpoch[gi] == src.epoch && fs.holds(gi, addr.Tray) }
+// copyDisc lands the image at addr, on the array group gi held at epoch, in
+// dst chunk by chunk (the disc lends, the slot adopts), holding one of the
+// group's read slots at class per chunk. It gives up as soon as the group's
+// epoch moves or its tray starts unloading (the same predicate that keeps
+// readers off a tray in transit).
+func (fs *FS) copyDisc(p *sim.Proc, gi int, epoch uint64, addr image.DiscAddr, class sched.Class, dst *bucket.Bucket) error {
+	live := func() bool { return fs.groupEpoch[gi] == epoch && fs.holds(gi, addr.Tray) }
 	view := optical.ImageView{Drive: fs.lib.Groups[gi].Drives[addr.Pos]}
 	var pieces [][]byte
 	for off := int64(0); off < addr.Len; off += fillChunk {
 		if !live() {
 			// Gone already: do not queue for a read slot on its group.
-			return nil, errFillEvicted
+			return errCopyEvicted
 		}
 		fs.sched.Pin(addr.Tray)
-		fs.sched.AcquireReadSlot(p, sched.Prefetch, gi)
-		err := errFillEvicted
+		fs.sched.AcquireReadSlot(p, class, gi)
+		err := errCopyEvicted
 		if live() {
 			pieces, err = view.Lend(p, off, min(fillChunk, addr.Len-off), pieces[:0])
 		}
 		fs.sched.ReleaseReadSlot(gi)
 		fs.sched.Unpin(addr.Tray)
 		if err == nil && !live() {
-			err = errFillEvicted
+			err = errCopyEvicted
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := dst.Adopt(p, off, pieces); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	vol, err := udf.Open(p, dst.Backend())
-	if err != nil {
-		return nil, err
+	return nil
+}
+
+// openImage parses b's bytes, copied there with the outcome copyErr, as the
+// UDF image id; how names the copy in errors.
+func openImage(p *sim.Proc, b *bucket.Bucket, id image.ID, how string, copyErr error) (*udf.Volume, error) {
+	if copyErr != nil {
+		return nil, copyErr
 	}
-	if image.ID(vol.ImageID()) != id {
-		return nil, fmt.Errorf("olfs: cached image identity mismatch: got %s want %s",
-			image.ID(vol.ImageID()), id)
+	vol, err := udf.Open(p, b.Backend())
+	if err != nil {
+		return nil, fmt.Errorf("olfs: %s image does not parse: %w", how, err)
+	}
+	if got := image.ID(vol.ImageID()); got != id {
+		return nil, fmt.Errorf("olfs: %s image identity mismatch: got %s want %s", how, got, id)
 	}
 	return vol, nil
 }

@@ -113,7 +113,7 @@ func TestCacheNeverFillsFromProbesOrBackgroundReads(t *testing.T) {
 		}
 		for _, pid := range tb.fs.Cat.ImagesOnTray(tray) {
 			if a, _ := tb.fs.Cat.Locate(pid); a.Parity {
-				tb.fs.startFill(&partSource{id: pid, group: gi, epoch: tb.fs.groupEpoch[gi], tray: tray})
+				tb.fs.fill(&partSource{id: pid, group: gi, epoch: tb.fs.groupEpoch[gi], tray: tray}, []image.ID{pid})
 			}
 		}
 		settle(p)
@@ -495,4 +495,42 @@ func TestArrayFillLeavesTheReadAlone(t *testing.T) {
 	if array != alone || alone <= 0 {
 		t.Errorf("triggering read took %v with the array fill, %v with its image's alone", array, alone)
 	}
+}
+
+// TestMigrationWaitsForReadSlots: migrating an image off a degraded tray is
+// a disc read like a fill, so it queues for its group's read slots and waits
+// while a reader holds all of them.
+func TestMigrationWaitsForReadSlots(t *testing.T) {
+	tb := coldBed(t, nil)
+	data := pat(300*1024, 41)
+	tb.run(t, func(p *sim.Proc) {
+		tray := burnOne(t, tb, p, "/m/a", data)
+		id := imageOf(t, tb, p, "/m/a")
+		gi, err := tb.fs.fetchTray(p, tray, sched.Interactive)
+		if err != nil {
+			t.Fatalf("fetchTray: %v", err)
+		}
+		slots := len(tb.lib.Groups[gi].Drives)
+		for i := 0; i < slots; i++ {
+			tb.fs.sched.AcquireReadSlot(p, sched.Interactive, gi)
+		}
+		const hold = time.Minute
+		released := p.Now() + hold
+		tb.env.Go("reader", func(rp *sim.Proc) {
+			rp.Sleep(hold)
+			for i := 0; i < slots; i++ {
+				tb.fs.sched.ReleaseReadSlot(gi)
+			}
+		})
+		if _, err := tb.fs.migrateImage(p, id); err != nil {
+			t.Fatalf("migrateImage: %v", err)
+		}
+		if p.Now() < released {
+			t.Errorf("migration ended at %v, before the reader released the group's read slots at %v", p.Now(), released)
+		}
+		if _, ok := tb.fs.Cat.Locate(id); ok {
+			t.Error("migrated image still has a disc location")
+		}
+		readCheck(t, tb, p, "/m/a", data)
+	})
 }

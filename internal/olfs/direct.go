@@ -43,6 +43,9 @@ func (fs *FS) DirectIngest(p *sim.Proc, path string, data []byte) error {
 	if fs.stopped {
 		return ErrStopped
 	}
+	if err := checkName(path); err != nil {
+		return err
+	}
 	fs.ensureMover()
 	// Wire + staging write at line rate.
 	p.Sleep(sim.ByteTime(float64(len(data)), directStageRate))

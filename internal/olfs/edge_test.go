@@ -71,6 +71,13 @@ func TestOpenVersionErrors(t *testing.T) {
 		if _, err := bed.FS.OpenFileVersion(p, "/v/none", 1); err == nil {
 			t.Error("nonexistent file version opened")
 		}
+		// Version 0 is not "the current one": objstore passes user versions.
+		if _, err := bed.FS.OpenFileVersion(p, "/v/f", 0); err == nil {
+			t.Error("version 0 opened")
+		}
+		if _, err := bed.FS.OpenFileVersion(p, "/v", 1); err == nil || !strings.Contains(err.Error(), "is a directory") {
+			t.Errorf("OpenFileVersion of a directory: %v, want an is-a-directory error", err)
+		}
 	})
 }
 

@@ -69,12 +69,7 @@ func (fs *FS) Open(p *sim.Proc, path string) (vfs.File, error) {
 
 // Stat implements vfs.FileSystem.
 func (fs *FS) Stat(p *sim.Proc, path string) (vfs.FileInfo, error) {
-	var ix *mv.Index
-	err := fs.op(p, "stat", func() error {
-		var err error
-		ix, err = fs.MV.Stat(p, path)
-		return err
-	})
+	ix, err := fs.stat(p, path)
 	if err != nil {
 		return vfs.FileInfo{}, mapErr(err)
 	}
@@ -89,6 +84,9 @@ func (fs *FS) Stat(p *sim.Proc, path string) (vfs.FileInfo, error) {
 
 // Mkdir implements vfs.FileSystem.
 func (fs *FS) Mkdir(p *sim.Proc, path string) error {
+	if err := checkName(path); err != nil {
+		return err
+	}
 	return mapErr(fs.op(p, "mkdir", func() error {
 		_, err := fs.MV.Mknod(p, path, true)
 		return err

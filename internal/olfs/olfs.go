@@ -135,6 +135,9 @@ var (
 	ErrNoBlankTray = errors.New("olfs: no empty tray with blank discs")
 	ErrPartMissing = errors.New("olfs: image holding file part is unavailable")
 	ErrStopped     = errors.New("olfs: filesystem stopped")
+	// ErrReservedName refuses a path that could alias a name OLFS itself
+	// writes inside disc images (see checkName).
+	ErrReservedName = errors.New("olfs: path uses a reserved name")
 )
 
 // FS is the optical library file system.

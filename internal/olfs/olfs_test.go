@@ -723,5 +723,8 @@ func TestStopRejectsNewWork(t *testing.T) {
 		if _, err := tb.fs.OpenFile(p, "/x"); !errors.Is(err, ErrStopped) {
 			t.Errorf("open after stop: %v", err)
 		}
+		if _, err := tb.fs.OpenFileVersion(p, "/x", 1); !errors.Is(err, ErrStopped) {
+			t.Errorf("open of a version after stop: %v", err)
+		}
 	})
 }

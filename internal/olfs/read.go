@@ -30,7 +30,6 @@ const maxSourceRetries = 4
 // evicted (group < 0 means the image was buffer-resident).
 type partSource struct {
 	rd    *udf.Reader
-	len   int64
 	id    image.ID
 	vol   *udf.Volume
 	group int
@@ -56,54 +55,62 @@ type fileReader struct {
 
 // OpenFile resolves path's current version (Fig 7 read prologue: stat).
 func (fs *FS) OpenFile(p *sim.Proc, path string) (*fileReader, error) {
-	if fs.stopped {
-		return nil, ErrStopped
-	}
-	var ix *mv.Index
-	if err := fs.op(p, "stat", func() error {
-		var err error
-		ix, err = fs.MV.Stat(p, path)
-		return err
-	}); err != nil {
+	ix, err := fs.statFile(p, path)
+	if err != nil {
 		return nil, err
 	}
-	if ix.Dir {
-		return nil, fmt.Errorf("olfs: %s is a directory", path)
-	}
-	cur := ix.Current()
-	if cur == nil {
-		return &fileReader{fs: fs, path: path}, nil // empty file
-	}
-	return &fileReader{
-		fs:      fs,
-		path:    path,
-		entry:   *cur,
-		fill:    true,
-		sources: make([]*partSource, len(cur.Parts)),
-	}, nil
+	return fs.newReader(path, ix.Current(), true), nil
 }
 
 // OpenFileVersion resolves a historical version (data provenance, §4.6).
 func (fs *FS) OpenFileVersion(p *sim.Proc, path string, version int) (*fileReader, error) {
-	var ix *mv.Index
-	if err := fs.op(p, "stat", func() error {
-		var err error
-		ix, err = fs.MV.Stat(p, path)
-		return err
-	}); err != nil {
+	ix, err := fs.statFile(p, path)
+	if err != nil {
 		return nil, err
 	}
 	ve := ix.VersionAt(version)
 	if ve == nil {
 		return nil, fmt.Errorf("olfs: %s has no retained version %d", path, version)
 	}
-	return &fileReader{
-		fs:      fs,
-		path:    path,
-		entry:   *ve,
-		fill:    true,
-		sources: make([]*partSource, len(ve.Parts)),
-	}, nil
+	return fs.newReader(path, ve, true), nil
+}
+
+// statFile is the prologue both opens share: after Stop it refuses, and
+// otherwise it stats path, which must name a file.
+func (fs *FS) statFile(p *sim.Proc, path string) (*mv.Index, error) {
+	if fs.stopped {
+		return nil, ErrStopped
+	}
+	ix, err := fs.stat(p, path)
+	if err != nil {
+		return nil, err
+	}
+	if ix.Dir {
+		return nil, fmt.Errorf("olfs: %s is a directory", path)
+	}
+	return ix, nil
+}
+
+// stat looks up path's index file as one OLFS op (Fig 7's stat).
+func (fs *FS) stat(p *sim.Proc, path string) (*mv.Index, error) {
+	var ix *mv.Index
+	err := fs.op(p, "stat", func() error {
+		var err error
+		ix, err = fs.MV.Stat(p, path)
+		return err
+	})
+	return ix, err
+}
+
+// newReader returns a handle on version ve of path; a nil ve reads as an
+// empty file. fill marks a client handle (see fileReader).
+func (fs *FS) newReader(path string, ve *mv.VersionEntry, fill bool) *fileReader {
+	fr := &fileReader{fs: fs, path: path, fill: fill}
+	if ve != nil {
+		fr.entry = *ve
+		fr.sources = make([]*partSource, len(ve.Parts))
+	}
+	return fr
 }
 
 // Size returns the file size of the opened version.
@@ -111,19 +118,8 @@ func (fr *fileReader) Size() int64 { return fr.entry.Size }
 
 // Read fills buf from the current offset (one data request).
 func (fr *fileReader) Read(p *sim.Proc, buf []byte) (int, error) {
-	fs := fr.fs
-	var n int
-	err := fs.dataOp(p, "read", func() error {
-		p.Sleep(readReqCost)
-		if fs.cfg.DirectIO {
-			fs.chargeMVOp(p)
-		}
-		var err error
-		n, err = fr.readAt(p, buf, fr.off)
-		return err
-	})
+	n, err := fr.ReadAt(p, buf, fr.off)
 	fr.off += int64(n)
-	fs.m.bytesRead.Add(int64(n))
 	return n, err
 }
 
@@ -312,7 +308,7 @@ func (fr *fileReader) source(p *sim.Proc, i int) (*partSource, error) {
 	var err error
 	for try := 0; try < maxSourceRetries; try++ {
 		var src *partSource
-		src, err = fs.resolveSource(p, fr.entry.Parts[i], name, fr.partLen(i), fr.class)
+		src, err = fs.resolveSource(p, fr.entry.Parts[i], name, fr.class)
 		if err != nil {
 			if errors.Is(err, errStaleSource) {
 				fs.m.staleSources.Add(1)
@@ -340,7 +336,7 @@ func (fr *fileReader) source(p *sim.Proc, i int) (*partSource, error) {
 // stamped with its location. The tray is pinned for the whole disc path so
 // the eviction window closes between the group lookup and the UDF open.
 // Mechanical fetches are admitted at class.
-func (fs *FS) resolveSource(p *sim.Proc, id image.ID, name string, plen int64, class sched.Class) (*partSource, error) {
+func (fs *FS) resolveSource(p *sim.Proc, id image.ID, name string, class sched.Class) (*partSource, error) {
 	// Tier 1/2: buffer-resident bucket or image (Table 1 rows 1-2).
 	if b, ok := fs.Buckets.Resident(id); ok && !b.Raw {
 		fs.Buckets.Touch(b)
@@ -349,7 +345,7 @@ func (fs *FS) resolveSource(p *sim.Proc, id image.ID, name string, plen int64, c
 		if err != nil {
 			return nil, err
 		}
-		return &partSource{rd: rd, len: plen, id: id, vol: b.Vol, group: -1}, nil
+		return &partSource{rd: rd, id: id, vol: b.Vol, group: -1}, nil
 	}
 	fs.m.cacheMisses.Add(1)
 	// Tier 3/4: on disc.
@@ -374,10 +370,7 @@ func (fs *FS) resolveSource(p *sim.Proc, id image.ID, name string, plen int64, c
 		var rd *udf.Reader
 		rd, err = vol.OpenReader(p, name)
 		if err == nil {
-			return &partSource{
-				rd: rd, len: plen, id: id, vol: vol,
-				group: gi, epoch: epoch, tray: addr.Tray,
-			}, nil
+			return &partSource{rd: rd, id: id, vol: vol, group: gi, epoch: epoch, tray: addr.Tray}, nil
 		}
 	}
 	if fs.groupEpoch[gi] != epoch {
@@ -558,12 +551,8 @@ func (fs *FS) ReadFileClass(p *sim.Proc, path string, class sched.Class) (data [
 // MV forepart when the data needs a mechanical fetch (§4.8). It reads one
 // byte; the caller can then ReadFile normally.
 func (fs *FS) ReadFirstByte(p *sim.Proc, path string) (byte, error) {
-	var ix *mv.Index
-	if err := fs.op(p, "stat", func() error {
-		var err error
-		ix, err = fs.MV.Stat(p, path)
-		return err
-	}); err != nil {
+	ix, err := fs.stat(p, path)
+	if err != nil {
 		return 0, err
 	}
 	cur := ix.Current()
@@ -575,9 +564,8 @@ func (fs *FS) ReadFirstByte(p *sim.Proc, path string) (byte, error) {
 		fs.m.forepartHits.Add(1)
 		return ix.Forepart[0], nil
 	}
-	fr := &fileReader{fs: fs, path: path, entry: *cur, sources: make([]*partSource, len(cur.Parts))}
 	buf := make([]byte, 1)
-	if _, err := fr.readAt(p, buf, 0); err != nil {
+	if _, err := fs.newReader(path, cur, false).readAt(p, buf, 0); err != nil {
 		return 0, err
 	}
 	return buf[0], nil
@@ -595,8 +583,7 @@ func (fs *FS) ReadLocated(p *sim.Proc, path string) ([]byte, error) {
 	if cur == nil {
 		return nil, nil
 	}
-	fr := &fileReader{fs: fs, path: path, entry: *cur, sources: make([]*partSource, len(cur.Parts))}
 	buf := make([]byte, cur.Size)
-	n, err := fr.readAt(p, buf, 0)
+	n, err := fs.newReader(path, cur, false).readAt(p, buf, 0)
 	return buf[:n], err
 }

@@ -1,7 +1,10 @@
 package olfs
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -73,11 +76,13 @@ func (fs *FS) seedMVSnapSeq() {
 	})
 }
 
-// scanResult accumulates namespace facts discovered on one image.
+// scannedFile is what one image holds of one internal name: its bytes'
+// length and which part of the file they are (the index of the image's link,
+// 0 without one).
 type scannedFile struct {
 	img  image.ID
 	size int64
-	prev map[int]image.ID // continuation order hints from link files
+	part int
 }
 
 // RecoverNamespace rebuilds the global namespace by mechanically loading the
@@ -91,7 +96,7 @@ type scannedFile struct {
 // is this path: trays load through the robotic arm (~70 s each), and all 12
 // discs of a tray are scanned in parallel through their drives.
 func (fs *FS) RecoverNamespace(p *sim.Proc, trays []rack.TrayID) error {
-	files := make(map[string]map[string]*scannedFile) // path -> imageID -> info
+	files := make(map[string]map[image.ID]*scannedFile) // internal name -> image -> info
 	dirs := make(map[string]bool)
 	var bestSnap string
 	snapParts := make(map[string][]byte)
@@ -154,9 +159,7 @@ func (fs *FS) RecoverNamespace(p *sim.Proc, trays []rack.TrayID) error {
 	perBase := make(map[string][]mv.VersionEntry)
 	for internal, imgs := range files {
 		base, ver := parseVersionName(internal)
-		ve := assembleParts(imgs)
-		ve.Version = ver
-		perBase[base] = append(perBase[base], ve)
+		perBase[base] = append(perBase[base], assembleParts(imgs, ver))
 	}
 	for base, entries := range perBase {
 		sort.Slice(entries, func(i, j int) bool { return entries[i].Version < entries[j].Version })
@@ -165,17 +168,15 @@ func (fs *FS) RecoverNamespace(p *sim.Proc, trays []rack.TrayID) error {
 	return nil
 }
 
-// parseVersionName splits an internal image path "<base>[.__v<k>]".
+// parseVersionName splits an internal image path "<base>[.__v<k>]" (see
+// internalName). Only decimal digits up to the end of the last path element
+// make a version suffix.
 func parseVersionName(internal string) (base string, version int) {
-	i := strings.LastIndex(internal, ".__v")
-	if i < 0 {
+	base, v, ok := cutNumber(internal, versionMark)
+	if !ok || v < 2 {
 		return internal, 1
 	}
-	var v int
-	if _, err := fmt.Sscanf(internal[i+len(".__v"):], "%d", &v); err != nil || v < 2 {
-		return internal, 1
-	}
-	return internal[:i], v
+	return base, v
 }
 
 // restoreFromMV swaps in a recovered namespace (keeping the live catalog,
@@ -192,7 +193,7 @@ func (fs *FS) restoreFromMV(restored *mv.Volume) {
 // disc. A just-burned disc's mount holds its namespace (mountBurned) and
 // reads none.
 func (fs *FS) scanDisc(p *sim.Proc, gi int, drv *optical.Drive, addr image.DiscAddr,
-	files map[string]map[string]*scannedFile, dirs map[string]bool,
+	files map[string]map[image.ID]*scannedFile, dirs map[string]bool,
 	snapParts map[string][]byte, bestSnap *string) error {
 	vol, err := fs.mountDrive(p, gi, drv)
 	if err != nil {
@@ -204,10 +205,9 @@ func (fs *FS) scanDisc(p *sim.Proc, gi int, drv *optical.Drive, addr image.DiscA
 
 // scanVolume walks one image's namespace subtree into the recovery maps.
 func (fs *FS) scanVolume(p *sim.Proc, vol *udf.Volume,
-	files map[string]map[string]*scannedFile, dirs map[string]bool,
+	files map[string]map[image.ID]*scannedFile, dirs map[string]bool,
 	snapParts map[string][]byte, bestSnap *string) error {
 	imgID := image.ID(vol.ImageID())
-	idStr := imgID.String()
 	return vol.Walk(p, func(info udf.Info) error {
 		switch {
 		case info.IsDir:
@@ -215,17 +215,10 @@ func (fs *FS) scanVolume(p *sim.Proc, vol *udf.Volume,
 				dirs[info.Path] = true
 			}
 		case info.IsLink:
-			// "<path>.__rosprev<k>" -> target "image:<32-hex-id><path>".
-			base, k, ok := parseLinkName(info.Path)
-			if !ok {
-				return nil
+			// The image holding link k of a split file holds its part k.
+			if base, k, ok := cutNumber(info.Path, linkMark); ok {
+				fileSlot(files, base, imgID).part = k
 			}
-			prevID, ok := parseLinkTarget(info.LinkTarget)
-			if !ok {
-				return nil
-			}
-			sf := fileSlot(files, base, idStr, imgID)
-			sf.prev[k] = prevID
 		case strings.HasPrefix(info.Path, MVSnapshotDir+"/"):
 			data, err := vol.ReadFile(p, info.Path)
 			if err != nil {
@@ -237,125 +230,40 @@ func (fs *FS) scanVolume(p *sim.Proc, vol *udf.Volume,
 				*bestSnap = dir
 			}
 		default:
-			sf := fileSlot(files, info.Path, idStr, imgID)
-			sf.size = info.Size
+			fileSlot(files, info.Path, imgID).size = info.Size
 		}
 		return nil
 	})
 }
 
-// fileSlot returns (creating) the scan record for path on image idStr.
-func fileSlot(files map[string]map[string]*scannedFile, path, idStr string, img image.ID) *scannedFile {
+// fileSlot returns (creating) the scan record for path on image img.
+func fileSlot(files map[string]map[image.ID]*scannedFile, path string, img image.ID) *scannedFile {
 	m := files[path]
 	if m == nil {
-		m = make(map[string]*scannedFile)
+		m = make(map[image.ID]*scannedFile)
 		files[path] = m
 	}
-	sf := m[idStr]
+	sf := m[img]
 	if sf == nil {
-		sf = &scannedFile{img: img, prev: make(map[int]image.ID)}
-		m[idStr] = sf
+		sf = &scannedFile{img: img}
+		m[img] = sf
 	}
 	return sf
 }
 
-// parseLinkName splits "<path>.__rosprev<k>".
-func parseLinkName(name string) (base string, k int, ok bool) {
-	i := strings.LastIndex(name, ".__rosprev")
-	if i < 0 {
-		return "", 0, false
+// assembleParts orders a path's subfiles into the given version's entry by
+// the part index each image's link carries, image ID breaking ties.
+func assembleParts(imgs map[image.ID]*scannedFile, version int) mv.VersionEntry {
+	order := make([]*scannedFile, 0, len(imgs))
+	for _, sf := range imgs {
+		order = append(order, sf)
 	}
-	var n int
-	if _, err := fmt.Sscanf(name[i+len(".__rosprev"):], "%d", &n); err != nil {
-		return "", 0, false
-	}
-	return name[:i], n, true
-}
-
-// parseLinkTarget extracts the predecessor image ID from
-// "image:<32-hex><path>".
-func parseLinkTarget(target string) (image.ID, bool) {
-	const pfx = "image:"
-	if !strings.HasPrefix(target, pfx) || len(target) < len(pfx)+32 {
-		return image.ID{}, false
-	}
-	id, err := image.Parse(target[len(pfx) : len(pfx)+32])
-	if err != nil {
-		return image.ID{}, false
-	}
-	return id, true
-}
-
-// assembleParts orders a path's subfiles into a version entry using the
-// continuation links.
-func assembleParts(imgs map[string]*scannedFile) mv.VersionEntry {
-	// Build prev-edges: image B's link names image A as its predecessor.
-	prevOf := make(map[string]string) // imageID -> predecessor imageID
-	for id, sf := range imgs {
-		for _, prev := range sf.prev {
-			prevOf[id] = prev.String()
-		}
-	}
-	// Find the head (no predecessor pointing to it from within the set);
-	// single-part files trivially have one entry.
-	isSuccessor := make(map[string]bool)
-	for id := range imgs {
-		if pred, ok := prevOf[id]; ok {
-			_ = pred
-			isSuccessor[id] = true
-		}
-	}
-	var order []string
-	var head string
-	for id := range imgs {
-		if !isSuccessor[id] {
-			head = id
-			break
-		}
-	}
-	if head == "" { // cycle or missing head: deterministic fallback
-		for id := range imgs {
-			if head == "" || id < head {
-				head = id
-			}
-		}
-	}
-	// Chain forward: successor is the image whose prev == current.
-	next := make(map[string]string)
-	for id, pred := range prevOf {
-		next[pred] = id
-	}
-	for id := head; id != ""; id = next[id] {
-		order = append(order, id)
-		if len(order) > len(imgs) {
-			break
-		}
-	}
-	// Include any unchained leftovers deterministically.
-	seen := make(map[string]bool)
-	for _, id := range order {
-		seen[id] = true
-	}
-	var rest []string
-	for id := range imgs {
-		if !seen[id] {
-			rest = append(rest, id)
-		}
-	}
-	sort.Strings(rest)
-	order = append(order, rest...)
-
-	ve := mv.VersionEntry{Version: 1}
-	for _, idStr := range order {
-		sf, ok := imgs[idStr]
-		if !ok {
-			continue
-		}
-		id, err := image.Parse(idStr)
-		if err != nil {
-			continue
-		}
-		ve.Parts = append(ve.Parts, id)
+	slices.SortFunc(order, func(a, b *scannedFile) int {
+		return cmp.Or(cmp.Compare(a.part, b.part), bytes.Compare(a.img[:], b.img[:]))
+	})
+	ve := mv.VersionEntry{Version: version}
+	for _, sf := range order {
+		ve.Parts = append(ve.Parts, sf.img)
 		ve.PartLens = append(ve.PartLens, sf.size)
 		ve.Size += sf.size
 	}

@@ -19,10 +19,9 @@ import (
 // be scheduled at idle times and can periodically scan all the burned disc
 // arrays").
 type ScrubReport struct {
-	Tray       rack.TrayID
-	Checked    int64   // bytes verified per disc
-	BadStrips  []int64 // strip offsets failing parity/readback
-	DiscErrors int     // discs with injected sector errors encountered
+	Tray      rack.TrayID
+	Checked   int64   // bytes verified per disc
+	BadStrips []int64 // strip offsets failing parity/readback
 }
 
 // trayLayout classifies a tray's cataloged images by role. Parity is burned
@@ -193,15 +192,7 @@ func (fs *FS) RecoverImage(p *sim.Proc, id image.ID) (nb *bucket.Bucket, err err
 // parse as the UDF image id, nb is discarded. Otherwise nb serves the image's
 // reads from now on and the old disc location is forgotten.
 func (fs *FS) adoptCopy(p *sim.Proc, nb *bucket.Bucket, id image.ID, how string, err error) (*bucket.Bucket, error) {
-	var vol *udf.Volume
-	if err == nil {
-		vol, err = udf.Open(p, nb.Backend())
-		if err != nil {
-			err = fmt.Errorf("olfs: %s image does not parse: %w", how, err)
-		} else if got := image.ID(vol.ImageID()); got != id {
-			err = fmt.Errorf("olfs: %s image identity mismatch: got %s want %s", how, got, id)
-		}
-	}
+	vol, err := openImage(p, nb, id, how, err)
 	if err != nil {
 		_ = fs.Buckets.Discard(nb)
 		return nil, err
@@ -212,9 +203,10 @@ func (fs *FS) adoptCopy(p *sim.Proc, nb *bucket.Bucket, id image.ID, how string,
 }
 
 // migrateImage copies a still-readable data image off a degraded tray into a
-// fresh buffer bucket by direct read (no parity math), verifying that the
-// copy parses as a UDF image with the same identity. The old disc location is
-// forgotten so the retired tray drops out of the catalog.
+// fresh buffer bucket as a fill does (no parity math), at scrub class,
+// verifying that the copy parses as a UDF image with the same identity. The
+// old disc location is forgotten so the retired tray drops out of the
+// catalog.
 func (fs *FS) migrateImage(p *sim.Proc, id image.ID) (nb *bucket.Bucket, err error) {
 	op := fs.tracer.StartOp(p, "olfs.migrate", "scrub")
 	op.Annotate("image", id.String())
@@ -229,18 +221,9 @@ func (fs *FS) migrateImage(p *sim.Proc, id image.ID) (nb *bucket.Bucket, err err
 	if err != nil {
 		return nil, err
 	}
-	view := optical.ImageView{Drive: fs.lib.Groups[gi].Drives[addr.Pos]}
 	nb, err = fs.Buckets.OpenRaw(p, addr.Len)
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 1<<20)
-	dst := nb.Backend()
-	for off := int64(0); off < addr.Len && err == nil; off += int64(len(buf)) {
-		n := min(int64(len(buf)), addr.Len-off)
-		if err = view.ReadAt(p, buf[:n], off); err == nil {
-			err = dst.WriteAt(p, buf[:n], off)
-		}
-	}
-	return fs.adoptCopy(p, nb, id, "migrated", err)
+	return fs.adoptCopy(p, nb, id, "migrated", fs.copyDisc(p, gi, fs.groupEpoch[gi], addr, sched.Scrub, nb))
 }

@@ -3,6 +3,7 @@ package olfs
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"ros/internal/image"
 	"ros/internal/mv"
@@ -30,6 +31,14 @@ type fileWriter struct {
 	closed   bool
 }
 
+// Name suffixes OLFS writes inside disc images. internalName appends
+// versionMark and a version number to a file's path; a split file's part k
+// (k >= 1) sits beside a link named by appending linkMark and k to that.
+const (
+	versionMark = ".__v"
+	linkMark    = ".__rosprev"
+)
+
 // internalName is the unique file path used inside disc images: version 1
 // keeps the global path verbatim (§4.4); updates append a version suffix so
 // every retained version remains independently readable and recoverable from
@@ -38,8 +47,49 @@ func internalName(path string, version int) string {
 	if version <= 1 {
 		return path
 	}
-	return path + ".__v" + strconv.Itoa(version)
+	return path + versionMark + strconv.Itoa(version)
 }
+
+// linkName is the name of the link beside part k of a file stored as
+// internal (an internalName).
+func linkName(internal string, k int) string {
+	return internal + linkMark + strconv.Itoa(k)
+}
+
+// checkName refuses a path that one of OLFS's own image names could alias:
+// one with an element that holds linkMark, or that ends in versionMark and
+// decimal digits. Without it, a file named "/report.__v2" would be stored
+// under the name of /report's version 2.
+func checkName(path string) error {
+	if strings.Contains(path, linkMark) {
+		return fmt.Errorf("%w: %s", ErrReservedName, path)
+	}
+	for rest := path; ; {
+		i := strings.Index(rest, versionMark)
+		if i < 0 {
+			return nil
+		}
+		rest = rest[i+len(versionMark):]
+		if digits, _, _ := strings.Cut(rest, "/"); isDigits(digits) {
+			return fmt.Errorf("%w: %s", ErrReservedName, path)
+		}
+	}
+}
+
+// cutNumber splits s at its last mark into what precedes the mark and the
+// number after it. ok reports whether everything after the mark is a
+// decimal number.
+func cutNumber(s, mark string) (before string, n int, ok bool) {
+	i := strings.LastIndex(s, mark)
+	if i < 0 || !isDigits(s[i+len(mark):]) {
+		return s, 0, false
+	}
+	n, err := strconv.Atoi(s[i+len(mark):])
+	return s[:i], n, err == nil
+}
+
+// isDigits reports whether s is one or more decimal digits.
+func isDigits(s string) bool { return s != "" && strings.Trim(s, "0123456789") == "" }
 
 // Create opens path for writing. Fig 7's write prologue: stat (lookup index
 // file), mknod (create index), stat (re-validate).
@@ -54,6 +104,9 @@ func (fs *FS) CreateFileClass(p *sim.Proc, path string, cl writepath.Class) (*fi
 	if fs.stopped {
 		return nil, ErrStopped
 	}
+	if err := checkName(path); err != nil {
+		return nil, err
+	}
 	var exists bool
 	_ = fs.op(p, "stat", func() error {
 		exists = fs.MV.Exists(p, path)
@@ -67,12 +120,8 @@ func (fs *FS) CreateFileClass(p *sim.Proc, path string, cl writepath.Class) (*fi
 			return nil, err
 		}
 	}
-	var ix *mv.Index
-	if err := fs.op(p, "stat", func() error {
-		var err error
-		ix, err = fs.MV.Stat(p, path)
-		return err
-	}); err != nil {
+	ix, err := fs.stat(p, path)
+	if err != nil {
 		return nil, err
 	}
 	if ix.Dir {
@@ -181,9 +230,8 @@ func (fw *fileWriter) writeLocked(p *sim.Proc, data []byte) (int64, error) {
 		if err != nil {
 			return landed, err
 		}
-		link := fmt.Sprintf("%s.__rosprev%d", fw.partName, len(fw.parts))
 		target := fmt.Sprintf("image:%s%s", fw.parts[len(fw.parts)-1], fw.partName)
-		if err := b.Vol.WriteLink(p, link, target); err != nil {
+		if err := b.Vol.WriteLink(p, linkName(fw.partName, len(fw.parts)), target); err != nil {
 			return landed, err
 		}
 		fs.m.splitFiles.Add(1)

@@ -14,7 +14,6 @@ import (
 // Drive-level errors.
 var (
 	ErrNoDisc       = errors.New("optical: no disc in drive")
-	ErrDriveBusy    = errors.New("optical: drive busy")
 	ErrDriveLoaded  = errors.New("optical: drive already holds a disc")
 	ErrBurnAborted  = errors.New("optical: burn interrupted")
 	ErrReadOnlyPath = errors.New("optical: discs are written only by burning")
@@ -66,7 +65,7 @@ const (
 // readSpeed returns the single-drive sustained read rate (Table 2).
 func readSpeed(m MediaType) float64 {
 	switch m {
-	case Media25, Media25RW:
+	case Media25:
 		return 24.1e6
 	case Media100:
 		return 18.0e6
@@ -366,31 +365,8 @@ func (dr *Drive) nominalSpeedX(pr float64, dip bool) float64 {
 			return 4.0
 		}
 		return 6.0
-	case Media25RW:
-		return 2.0 // §2.1: "re-write with relatively low burning speed (2X)"
 	}
 	return 1
-}
-
-// Erase blanks a rewritable disc (one full 2X pass over the media),
-// consuming one of its limited erase cycles (§2.1).
-func (dr *Drive) Erase(p *sim.Proc) error {
-	dr.busy.Acquire(p)
-	defer dr.busy.Release()
-	if err := dr.health(p); err != nil {
-		return err
-	}
-	if dr.disc == nil {
-		return fmt.Errorf("%w: %s", ErrNoDisc, dr.ID)
-	}
-	if err := dr.warmUp(p); err != nil {
-		return err
-	}
-	if !dr.disc.Type.Rewritable() {
-		return fmt.Errorf("%w: %s", ErrNotRewritable, dr.disc.Type)
-	}
-	p.Sleep(sim.ByteTime(float64(dr.disc.Capacity()), 2.0*BluRay1X))
-	return dr.disc.erase()
 }
 
 // dipProbability is the per-chunk probability of a fail-safe speed dip for
@@ -735,27 +711,4 @@ func (v ImageView) Size() int64 {
 		return 0
 	}
 	return v.Drive.disc.Capacity()
-}
-
-// Backend adapts a loaded drive to the udf.Backend interface so disc images
-// can be mounted and read directly off the disc. Writes are rejected: discs
-// change only by burning.
-type Backend struct{ Drive *Drive }
-
-// ReadAt implements udf.Backend.
-func (b Backend) ReadAt(p *sim.Proc, buf []byte, off int64) error {
-	return b.Drive.ReadAt(p, buf, off)
-}
-
-// WriteAt implements udf.Backend and always fails: WORM media.
-func (b Backend) WriteAt(p *sim.Proc, buf []byte, off int64) error {
-	return ErrReadOnlyPath
-}
-
-// Size implements udf.Backend.
-func (b Backend) Size() int64 {
-	if b.Drive.disc == nil {
-		return 0
-	}
-	return b.Drive.disc.Capacity()
 }

@@ -1,7 +1,8 @@
-// Package optical models Blu-ray discs and drives: WORM media with
-// pseudo-overwrite tracks, drive state machines (sleep / idle / loaded /
-// reading / burning), the paper's measured burn-speed curves (Fig 8-10) and
-// read speeds (Table 2), plus SATA/HBA contention across a 12-drive group.
+// Package optical models Blu-ray discs and drives: write-once media (BD-R
+// and BDXL; §2.1 rules out rewritable BD-RE) with pseudo-overwrite tracks,
+// drive state machines (sleep / idle / loaded / reading / burning), the
+// paper's measured burn-speed curves (Fig 8-10) and read speeds (Table 2),
+// plus SATA/HBA contention across a 12-drive group.
 //
 // Discs separate *logical* capacity (what the timing model charges: a 25 GB
 // or 100 GB burn takes its real minutes of virtual time) from *stored*
@@ -26,14 +27,7 @@ const (
 	// Media100 is a 100 GB BDXL (reference speed 4X, 6X on the dedicated
 	// Pioneer BDR-PR1AME the paper uses).
 	Media100
-	// Media25RW is a 25 GB BD-RE: rewritable "with relatively low burning
-	// speed (2X), limited erase cycle (at most 1000) and high cost" (§2.1).
-	// ROS prefers WORM media; RW support exists for completeness.
-	Media25RW
 )
-
-// MaxEraseCycles is the §2.1 erase-cycle bound for rewritable media.
-const MaxEraseCycles = 1000
 
 // BluRay1X is the Blu-ray 1X reference data rate (§2.1: 4.49 MB/s).
 const BluRay1X = 4.49e6
@@ -41,7 +35,7 @@ const BluRay1X = 4.49e6
 // Capacity returns the logical capacity in bytes.
 func (m MediaType) Capacity() int64 {
 	switch m {
-	case Media25, Media25RW:
+	case Media25:
 		return 25e9
 	case Media100:
 		return 100e9
@@ -49,17 +43,12 @@ func (m MediaType) Capacity() int64 {
 	return 0
 }
 
-// Rewritable reports whether the media supports erasing.
-func (m MediaType) Rewritable() bool { return m == Media25RW }
-
 func (m MediaType) String() string {
 	switch m {
 	case Media25:
 		return "BD-R 25GB"
 	case Media100:
 		return "BDXL 100GB"
-	case Media25RW:
-		return "BD-RE 25GB"
 	}
 	return fmt.Sprintf("media(%d)", int(m))
 }
@@ -70,8 +59,6 @@ var (
 	ErrDiscFull      = errors.New("optical: disc capacity exceeded")
 	ErrDiscFailed    = errors.New("optical: disc unreadable")
 	ErrBadSector     = errors.New("optical: unreadable disc sector")
-	ErrNotRewritable = errors.New("optical: media is write-once")
-	ErrEraseCycles   = errors.New("optical: erase-cycle limit reached")
 )
 
 // SectorSize is the Blu-ray sector (and UDF block) size.
@@ -101,7 +88,6 @@ type Disc struct {
 	written int64 // high-water mark including metadata zones
 	failed  bool
 	badSecs map[int64]bool
-	erases  int // completed erase cycles (RW media only)
 }
 
 // NewDisc creates a blank disc.
@@ -149,26 +135,6 @@ func (d *Disc) BadSectors() int { return len(d.badSecs) }
 // the disc shares with a buffer slot is copied first, so the fault stays on
 // the disc.
 func (d *Disc) FlipByte(off int64) { d.store.FlipByte(off) }
-
-// EraseCycles returns the number of completed erases (RW media).
-func (d *Disc) EraseCycles() int { return d.erases }
-
-// erase blanks a rewritable disc, consuming one erase cycle. Only the Drive
-// calls this (it charges the erase pass time).
-func (d *Disc) erase() error {
-	if !d.Type.Rewritable() {
-		return fmt.Errorf("%w: %s", ErrNotRewritable, d.Type)
-	}
-	if d.erases >= MaxEraseCycles {
-		return fmt.Errorf("%w: %s after %d cycles", ErrEraseCycles, d.ID, d.erases)
-	}
-	d.store = chunk.Store{}
-	d.tracks = nil
-	d.written = 0
-	d.badSecs = make(map[int64]bool)
-	d.erases++
-	return nil
-}
 
 // beginTrack reserves space for a new track of dataLen bytes, applying the
 // metadata-zone overhead for every track after the first. It returns the

@@ -43,7 +43,6 @@
 package sim
 
 import (
-	"fmt"
 	"math/rand"
 	"strconv"
 	"time"
@@ -59,7 +58,6 @@ type Env struct {
 	strong int // queued events that keep Run alive (everything but weak timers)
 	live   int // processes started and not yet finished
 	rng    *rand.Rand
-	trace  func(t time.Duration, name, msg string)
 	sinks  []func(TraceEvent)
 	faults any // environment-wide fault plane (owned by internal/faultinject)
 
@@ -85,10 +83,9 @@ type Stats struct {
 // Stats returns the engine's counters.
 func (e *Env) Stats() Stats { return e.stats }
 
-// TraceEvent is one structured simulation event: Logf lines (KindLog) and
-// subsystem events published with Emit. Sinks receive events in emission
-// order at the emitting process's virtual time, so event streams are as
-// deterministic as the simulation itself.
+// TraceEvent is one structured simulation event, published with Emit. Sinks
+// receive events in emission order at the emitting process's virtual time,
+// so event streams are as deterministic as the simulation itself.
 type TraceEvent struct {
 	T    time.Duration // virtual time of the event
 	Proc string        // emitting process name ("" for non-process emitters)
@@ -100,8 +97,6 @@ type TraceEvent struct {
 // engine and the ROS subsystems publish through Emit, so sinks can match on
 // constants instead of stringly-typed literals.
 const (
-	// KindLog is emitted by Proc.Logf for every trace line.
-	KindLog = "log"
 	// KindRackLoad / KindRackUnload mark completed array load/unload
 	// composites (internal/rack).
 	KindRackLoad   = "rack.load"
@@ -139,13 +134,9 @@ func (e *Env) Rand() *rand.Rand { return e.rng }
 // Now returns the current virtual time since the start of the simulation.
 func (e *Env) Now() time.Duration { return e.now }
 
-// SetTrace installs a trace hook invoked by Proc.Logf. A nil hook disables
-// tracing.
-func (e *Env) SetTrace(fn func(t time.Duration, name, msg string)) { e.trace = fn }
-
 // AddEventSink registers a structured-event subscriber. Sinks are invoked
-// synchronously, in registration order, for every Emit call and every Logf
-// line (as Kind "log"). Sinks cannot be removed; register once per Env.
+// synchronously, in registration order, for every Emit call. Sinks cannot be
+// removed; register once per Env.
 func (e *Env) AddEventSink(fn func(TraceEvent)) {
 	if fn != nil {
 		e.sinks = append(e.sinks, fn)
@@ -153,7 +144,7 @@ func (e *Env) AddEventSink(fn func(TraceEvent)) {
 }
 
 // Emit publishes a structured event to all registered sinks at the current
-// virtual time. Unlike Logf it does not feed the legacy SetTrace hook.
+// virtual time.
 func (e *Env) Emit(kind, proc, msg string) {
 	if len(e.sinks) == 0 {
 		return
@@ -480,20 +471,6 @@ func ByteTime(n, rate float64) time.Duration {
 // Yield relinquishes control until all other events at the current instant
 // have run.
 func (p *Proc) Yield() { p.Sleep(0) }
-
-// Logf emits a trace line through the environment's trace hook, if set, and
-// to any registered event sinks as a Kind "log" event.
-func (p *Proc) Logf(format string, args ...interface{}) {
-	if p.env.trace == nil && len(p.env.sinks) == 0 {
-		return
-	}
-	msg := fmt.Sprintf(format, args...)
-	name := p.Name()
-	if p.env.trace != nil {
-		p.env.trace(p.env.now, name, msg)
-	}
-	p.env.Emit(KindLog, name, msg)
-}
 
 // wake schedules an immediate resumption of a parked process.
 func (p *Proc) wake() { p.env.schedule(p.env.now, p) }

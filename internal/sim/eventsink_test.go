@@ -21,7 +21,7 @@ func sinkRun() (first, second []TraceEvent) {
 			p.Sleep(time.Duration(i%2) * time.Second)
 			env.Emit(KindRackLoad, p.Name(), fmt.Sprintf("load %d", i))
 			p.Sleep(time.Second)
-			p.Logf("step %d", i)
+			env.Emit("log", p.Name(), fmt.Sprintf("step %d", i))
 			env.Emit(KindBurnFinish, p.Name(), fmt.Sprintf("burn %d", i))
 		})
 	}
@@ -58,12 +58,12 @@ func TestEventSinkOrderDeterministic(t *testing.T) {
 		t.Errorf("event stream not deterministic across runs:\nrun1: %v\nrun2: %v", f1, f2)
 	}
 
-	// Logf feeds sinks as KindLog; Emit preserves the given kind.
+	// Emit preserves the given kind.
 	kinds := map[string]int{}
 	for _, ev := range f1 {
 		kinds[ev.Kind]++
 	}
-	if kinds[KindLog] != 5 || kinds[KindRackLoad] != 5 || kinds[KindBurnFinish] != 5 {
+	if kinds["log"] != 5 || kinds[KindRackLoad] != 5 || kinds[KindBurnFinish] != 5 {
 		t.Errorf("kind counts = %v, want 5 of each", kinds)
 	}
 }

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 	"time"
 )
@@ -48,30 +46,6 @@ func TestDaemonFlag(t *testing.T) {
 	if p1.Daemon() || !p2.Daemon() {
 		t.Error("Daemon() accessor wrong")
 	}
-}
-
-func TestTraceHook(t *testing.T) {
-	env := NewEnv()
-	var lines []string
-	env.SetTrace(func(at time.Duration, name, msg string) {
-		lines = append(lines, fmt.Sprintf("%v %s %s", at, name, msg))
-	})
-	env.Go("worker", func(p *Proc) {
-		p.Logf("starting")
-		p.Sleep(3 * time.Second)
-		p.Logf("value=%d", 42)
-	})
-	env.Run()
-	if len(lines) != 2 {
-		t.Fatalf("trace lines = %v", lines)
-	}
-	if !strings.Contains(lines[1], "worker") || !strings.Contains(lines[1], "value=42") {
-		t.Errorf("line = %q", lines[1])
-	}
-	// Nil hook disables logging without panicking.
-	env.SetTrace(nil)
-	env.Go("quiet", func(p *Proc) { p.Logf("ignored") })
-	env.Run()
 }
 
 func TestProcAccessors(t *testing.T) {

@@ -80,7 +80,7 @@ func goldenRun() string {
 					kids[k] = c
 					env.Go(fmt.Sprintf("burn-%d-d%d", v, k), func(cp *Proc) {
 						cp.Sleep(ms(100 * (1 + (v+k)%3)))
-						cp.Logf("burned job %d disc %d", v, k)
+						env.Emit("log", cp.Name(), fmt.Sprintf("burned job %d disc %d", v, k))
 						c.Resolve(k, nil)
 					})
 				}

@@ -15,7 +15,6 @@ const (
 	ticketWaiting ticketState = iota
 	ticketGranted
 	ticketShed
-	ticketCanceled
 )
 
 // Ticket is one admission request. Begin resolves it immediately (granted
@@ -36,8 +35,8 @@ type Ticket struct {
 // Granted reports whether the ticket's bytes were admitted.
 func (t *Ticket) Granted() bool { return t.state == ticketGranted }
 
-// Wait blocks until the ticket is granted, shed or canceled and returns
-// nil, ErrOverload or ErrCanceled respectively.
+// Wait blocks until the ticket is granted or shed and returns nil or
+// ErrOverload respectively.
 func (t *Ticket) Wait(p *sim.Proc) error {
 	if t.c != nil {
 		_, err := t.c.Wait(p)
@@ -157,19 +156,6 @@ func (a *Admission) Begin(c Class, n int64) *Ticket {
 		a.watch.Wake()
 	}
 	return t
-}
-
-// Cancel withdraws a still-queued ticket; its waiter unblocks with
-// ErrCanceled and no bytes are charged. It reports whether the ticket was
-// actually waiting (false if already granted, shed, or canceled).
-func (a *Admission) Cancel(t *Ticket) bool {
-	if t.state != ticketWaiting {
-		return false
-	}
-	a.remove(t)
-	t.state = ticketCanceled
-	t.c.Resolve(struct{}{}, ErrCanceled)
-	return true
 }
 
 // Release returns n bytes of class c to the bucket and drains the

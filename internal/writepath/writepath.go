@@ -33,9 +33,6 @@ var (
 	// the admission queue full, asked for more than the buffer can ever
 	// grant, or timed out waiting. The data was not acked and not stored.
 	ErrOverload = errors.New("writepath: write shed by admission control (write buffer overloaded)")
-	// ErrCanceled reports that an admission wait was canceled by its
-	// issuer before being granted.
-	ErrCanceled = errors.New("writepath: admission wait canceled")
 )
 
 // Class partitions write traffic for admission accounting and queue drain

@@ -79,7 +79,9 @@ const (
 // callers retry with backoff. Writes that were acknowledged are never shed.
 var ErrOverload = writepath.ErrOverload
 
-// Admission classes for WriteConfig.Admission.Reserve and per-class status.
+// Admission classes, for FS.WriteFileClass. Each holds a fixed floor of the
+// write buffer that admission grants it even while congested (10 % for
+// interactive, 5 % for archival writes).
 const (
 	// WriteInteractive — foreground ingest (default for WriteFile).
 	WriteInteractive = writepath.Interactive
