@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"time"
@@ -148,7 +149,7 @@ func dashboard(sys *ros.System, p *sim.Proc, filter string) string {
 // topCommand implements `top [filter]`: one dashboard frame over a fresh
 // sampling pass (so the frame reflects the current instant, not the last
 // periodic tick).
-func topCommand(sys *ros.System, p *sim.Proc, args []string) error {
+func topCommand(sys *ros.System, p *sim.Proc, w io.Writer, args []string) error {
 	if sys.Telemetry == nil {
 		return fmt.Errorf("telemetry disabled (rerun with -sample-every > 0)")
 	}
@@ -157,7 +158,7 @@ func topCommand(sys *ros.System, p *sim.Proc, args []string) error {
 		filter = args[0]
 	}
 	sys.Telemetry.SampleNow()
-	fmt.Print(dashboard(sys, p, filter))
+	fmt.Fprint(w, dashboard(sys, p, filter))
 	return nil
 }
 
@@ -165,7 +166,7 @@ func topCommand(sys *ros.System, p *sim.Proc, args []string) error {
 // frame advances virtual time by one sampling interval (the sampler daemon
 // ticks during the sleep), clears the screen and redraws — background work
 // (burn daemon, re-replication, auto-heal) visibly moves the series.
-func watchCommand(sys *ros.System, p *sim.Proc, args []string) error {
+func watchCommand(sys *ros.System, p *sim.Proc, w io.Writer, args []string) error {
 	if sys.Telemetry == nil {
 		return fmt.Errorf("telemetry disabled (rerun with -sample-every > 0)")
 	}
@@ -180,15 +181,15 @@ func watchCommand(sys *ros.System, p *sim.Proc, args []string) error {
 	interval := sys.Telemetry.Config().Interval
 	for f := 0; f < frames; f++ {
 		p.Sleep(interval)
-		fmt.Print("\033[2J\033[H") // clear screen, home cursor
-		fmt.Printf("[frame %d/%d]\n%s", f+1, frames, dashboard(sys, p, filter))
+		fmt.Fprint(w, "\033[2J\033[H") // clear screen, home cursor
+		fmt.Fprintf(w, "[frame %d/%d]\n%s", f+1, frames, dashboard(sys, p, filter))
 	}
 	return nil
 }
 
 // alertsCommand implements `alerts [--json]`: active alert states plus the
 // incident log with detection and recovery latencies.
-func alertsCommand(sys *ros.System, args []string) error {
+func alertsCommand(sys *ros.System, w io.Writer, args []string) error {
 	if sys.Alerts == nil {
 		return fmt.Errorf("alerting disabled (rerun with -sample-every > 0)")
 	}
@@ -197,35 +198,35 @@ func alertsCommand(sys *ros.System, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(string(js))
+		fmt.Fprintln(w, string(js))
 		return nil
 	}
-	fmt.Printf("  %d rule(s) loaded:\n", len(sys.Alerts.Rules()))
+	fmt.Fprintf(w, "  %d rule(s) loaded:\n", len(sys.Alerts.Rules()))
 	for _, r := range sys.Alerts.Rules() {
-		fmt.Printf("    %s\n", r.String())
+		fmt.Fprintf(w, "    %s\n", r.String())
 	}
 	states := sys.Alerts.States()
 	if len(states) == 0 {
-		fmt.Println("  all quiet: no pending, firing or clearing alerts")
+		fmt.Fprintln(w, "  all quiet: no pending, firing or clearing alerts")
 	}
 	for _, a := range states {
 		label := a.Label
 		if label == "" {
 			label = "system"
 		}
-		fmt.Printf("  %-8s %-24s [%s] state=%s since=%v value=%s\n",
+		fmt.Fprintf(w, "  %-8s %-24s [%s] state=%s since=%v value=%s\n",
 			label, a.Rule, label, a.State, time.Duration(a.SinceNS), fmtValue(a.Rule, a.Value))
 	}
 	incidents := sys.Alerts.Incidents()
 	if len(incidents) > 0 {
-		fmt.Printf("  incident log (%d):\n", len(incidents))
+		fmt.Fprintf(w, "  incident log (%d):\n", len(incidents))
 		for _, in := range incidents {
 			resolved := "open"
 			if !in.Open {
 				resolved = fmt.Sprintf("resolved at %v (recovery %v)",
 					time.Duration(in.ResolvedNS), time.Duration(in.ResolvedNS-in.FiredNS))
 			}
-			fmt.Printf("    %-24s fired at %v (detection %v), %s\n",
+			fmt.Fprintf(w, "    %-24s fired at %v (detection %v), %s\n",
 				in.Rule, time.Duration(in.FiredNS), time.Duration(in.FiredNS-in.OnsetNS), resolved)
 		}
 	}

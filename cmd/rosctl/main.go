@@ -1,5 +1,5 @@
-// Command rosctl is the maintenance interface (the paper's MI module): an
-// interactive shell over a simulated ROS rack. It assembles a System and
+// Command rosctl is the maintenance interface (the paper's MI module): a
+// console over a simulated ROS federation. It assembles a System and
 // executes commands against it, advancing virtual time as operations run.
 //
 // Usage:
@@ -10,15 +10,17 @@
 //	burn
 //	read /a
 //	status" | rosctl
+//	rosctl -serve :9876         # the same console for network clients (NAS mode)
 //
 // Commands:
 //
 //	write <path> <size>     write a file of synthetic data (size like 4KB, 2MB)
-//	                        through the federation namespace
 //	read <path>             read a file from its cheapest replica, report latency
+//	put <path> <n>          write a file whose n bytes follow the command line
+//	get <path>              read a file; the reply is its bytes
 //	stat <path>             show index metadata (size, version, parts)
 //	ls <path>               list a directory
-//	rm <path>               unlink a namespace entry
+//	rm <path>               unlink a file from every rack
 //	sync                    seal every rack's current bucket
 //	burn                    seal + burn every rack's sealed images, wait for all
 //	scrub <tray>            verify cross-disc parity of a burned tray (r0/L84/S0)
@@ -50,9 +52,10 @@
 //	clock                   virtual time
 //	help / quit
 //
-// The system is a federation of -racks racks (default 1): write/read route
-// through its namespace (replicated placement, replica-aware reads), the
-// other file commands act on rack 0, and the cluster command group manages
+// The system is a federation of -racks racks (default 1). The file commands
+// write, read, put, get, stat, ls and rm act on the whole federation
+// (replicated placement, replica-aware reads); ingest, drain, scrub, repair,
+// snapshot and trays act on rack 0; and the cluster command group manages
 // the federation:
 //
 //	cluster status [--json]   health, loads and backlog per rack
@@ -65,16 +68,32 @@
 // A single command can also be given as arguments for scripting:
 //
 //	rosctl -racks 3 -replicas 2 cluster status
+//
+// With -serve, rosctl listens on a TCP address and runs the same commands for
+// every client that connects: the paper's NAS mode (§3.3), where clients read
+// and write the archive over the network with no restore step. A client sends
+// one command per line (a put's n bytes right after its line) and reads one
+// reply per command:
+//
+//	OK <n>\n<the n bytes the command printed>
+//	ERR <message>\n
+//
+// Commands from all connections run one at a time, and quit closes the
+// connection.
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"ros"
@@ -94,67 +113,154 @@ func main() {
 	replicas := flag.Int("replicas", 0, "replicas per file (default min(2, racks))")
 	sampleEvery := flag.Duration("sample-every", 30*time.Second,
 		"telemetry sampling interval in virtual time (0 disables metrics/alerts/top)")
+	addr := flag.String("serve", "", "serve the console to TCP clients on this address")
 	flag.Parse()
 
-	// RecycleAfterBurn keeps burned buckets out of the read cache so a read
-	// after `burn` exercises the full mechanical chain — the interesting case
-	// for `trace show`.
-	sys, err := ros.New(ros.Options{
-		BucketBytes:     4 << 20,
-		DisableAutoBurn: true,
-		FS:              ros.FSConfig{RecycleAfterBurn: true},
-		Racks:           *racks,
-		Replicas:        *replicas,
-		SampleEvery:     *sampleEvery,
-	})
+	sys, err := newSystem(*racks, *replicas, *sampleEvery)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "assemble:", err)
 		os.Exit(1)
 	}
+	if *addr != "" {
+		ln, err := net.Listen("tcp", *addr)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "listen:", err)
+			os.Exit(1)
+		}
+		fmt.Println("rosctl serving on", ln.Addr())
+		serve(sys, ln)
+		return
+	}
 	if args := flag.Args(); len(args) > 0 {
 		// Single-command mode: run the argv command and exit.
-		runCommand(sys, args)
+		if err := run(sys, os.Stdout, args, nil); err != nil {
+			fmt.Println("error:", err)
+		}
 		return
 	}
 	fmt.Printf("ROS maintenance interface — %d-rack federation, %d replica(s). 'help' for commands.\n",
 		len(sys.Cluster.Racks()), sys.Cluster.Replicas())
-	sc := bufio.NewScanner(os.Stdin)
+	in := bufio.NewReader(os.Stdin)
 	for {
 		fmt.Print("ros> ")
-		if !sc.Scan() {
+		fields, body, err := readCommand(in)
+		if err != nil {
 			fmt.Println()
 			return
 		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		if len(fields) == 0 {
 			continue
 		}
-		fields := strings.Fields(line)
 		if fields[0] == "quit" || fields[0] == "exit" {
 			return
 		}
-		runCommand(sys, fields)
+		if err := run(sys, os.Stdout, fields, body); err != nil {
+			fmt.Println("error:", err)
+		}
 	}
 }
 
-// runCommand executes one command as a simulation process.
-func runCommand(sys *ros.System, fields []string) {
-	err := sys.Do(func(p *sim.Proc) error {
-		return dispatch(sys, p, fields)
+// newSystem builds the console's System: explicit `burn`, and burned
+// buckets kept out of the read cache so a read after `burn` exercises the
+// full mechanical chain — the interesting case for `trace show`.
+func newSystem(racks, replicas int, sampleEvery time.Duration) (*ros.System, error) {
+	return ros.New(ros.Options{
+		BucketBytes:     4 << 20,
+		DisableAutoBurn: true,
+		FS:              ros.FSConfig{RecycleAfterBurn: true},
+		Racks:           racks,
+		Replicas:        replicas,
+		SampleEvery:     sampleEvery,
 	})
-	if err != nil {
-		fmt.Println("error:", err)
+}
+
+// maxPut bounds the bytes one put may carry, so a bad length from a client
+// cannot make the console allocate without limit.
+const maxPut = 1 << 30
+
+// readCommand reads one command line from r. A put's n bytes follow its line
+// and come back as body; a put whose n is not a count up to maxPut gets a nil
+// body, which dispatch rejects.
+func readCommand(r *bufio.Reader) (fields []string, body []byte, err error) {
+	line, err := r.ReadString('\n')
+	if line == "" {
+		return nil, nil, err
+	}
+	fields = strings.Fields(line)
+	if len(fields) == 3 && fields[0] == "put" {
+		if n, perr := strconv.Atoi(fields[2]); perr == nil && n >= 0 && n <= maxPut {
+			body = make([]byte, n)
+			_, err = io.ReadFull(r, body)
+			return fields, body, err
+		}
+	}
+	return fields, nil, nil
+}
+
+// serve runs the console for every client ln accepts until ln closes, then
+// waits for the open connections to end. One mutex runs the commands of all
+// connections one at a time: the simulation is single-threaded, as the
+// rack's one storage controller is.
+func serve(sys *ros.System, ln net.Listener) {
+	var mu sync.Mutex
+	var conns sync.WaitGroup
+	defer conns.Wait()
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		conns.Add(1)
+		go func() {
+			defer conns.Done()
+			defer conn.Close()
+			in := bufio.NewReader(conn)
+			out := bufio.NewWriter(conn)
+			var reply bytes.Buffer
+			for {
+				fields, body, err := readCommand(in)
+				if err != nil {
+					return
+				}
+				if len(fields) == 0 {
+					continue
+				}
+				if fields[0] == "quit" || fields[0] == "exit" {
+					return
+				}
+				reply.Reset()
+				mu.Lock()
+				err = run(sys, &reply, fields, body)
+				mu.Unlock()
+				if err != nil {
+					fmt.Fprintf(out, "ERR %s\n", strings.ReplaceAll(err.Error(), "\n", " "))
+				} else {
+					fmt.Fprintf(out, "OK %d\n", reply.Len())
+					out.Write(reply.Bytes())
+				}
+				if out.Flush() != nil {
+					return
+				}
+			}
+		}()
 	}
 }
 
-func dispatch(sys *ros.System, p *sim.Proc, fields []string) error {
+// run executes one command as a simulation process, printing to w.
+func run(sys *ros.System, w io.Writer, fields []string, body []byte) error {
+	return sys.Do(func(p *sim.Proc) error {
+		return dispatch(sys, p, w, fields, body)
+	})
+}
+
+func dispatch(sys *ros.System, p *sim.Proc, w io.Writer, fields []string, body []byte) error {
 	fs := sys.FS
 	switch fields[0] {
 	case "help":
-		fmt.Println("write read stat ls rm sync burn ingest drain scrub repair snapshot trays status stats metrics alerts top watch trace faults power clock quit")
-		fmt.Println("cluster status|placement|kill|revive|addrack")
+		fmt.Fprintln(w, "write read put get stat ls rm sync burn ingest drain scrub repair snapshot trays status stats metrics alerts top watch trace faults power clock quit")
+		fmt.Fprintln(w, "cluster status|placement|kill|revive|addrack")
 	case "cluster":
-		return clusterCommand(sys, p, fields[1:])
+		return clusterCommand(sys, w, fields[1:])
 	case "ingest":
 		// Direct-writing mode (§4.8): wire-speed staging, async delivery.
 		if len(fields) != 3 {
@@ -172,14 +278,14 @@ func dispatch(sys *ros.System, p *sim.Proc, fields []string) error {
 		if err := fs.DirectIngest(p, fields[1], data); err != nil {
 			return err
 		}
-		fmt.Printf("staged %s (%d bytes) in %v; delivery continues in background\n",
+		fmt.Fprintf(w, "staged %s (%d bytes) in %v; delivery continues in background\n",
 			fields[1], n, p.Now()-start)
 	case "drain":
 		start := p.Now()
 		if err := fs.DirectDrain(p); err != nil {
 			return err
 		}
-		fmt.Printf("staging drained in %v\n", p.Now()-start)
+		fmt.Fprintf(w, "staging drained in %v\n", p.Now()-start)
 	case "repair":
 		if len(fields) != 2 {
 			return fmt.Errorf("usage: repair r<r>/L<l>/S<s>")
@@ -192,77 +298,86 @@ func dispatch(sys *ros.System, p *sim.Proc, fields []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("scrub: %d bad strips; bad discs %v; %d image(s) recovered, %d migrated\n",
+		fmt.Fprintf(w, "scrub: %d bad strips; bad discs %v; %d image(s) recovered, %d migrated\n",
 			len(rep.Scrub.BadStrips), rep.BadDiscs, len(rep.Recovered), len(rep.Migrated))
 		if rep.ReBurn != nil {
 			if _, err := rep.ReBurn.Wait(p); err != nil {
 				return fmt.Errorf("re-burn: %w", err)
 			}
-			fmt.Println("recovered images re-burned to a fresh array")
+			fmt.Fprintln(w, "recovered images re-burned to a fresh array")
 		}
 	case "snapshot":
 		seq, err := fs.BurnMVSnapshot(p)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("MV snapshot %d written into the namespace (burns with the next array)\n", seq)
+		fmt.Fprintf(w, "MV snapshot %d written into the namespace (burns with the next array)\n", seq)
 	case "clock":
-		fmt.Println("virtual time:", p.Now())
-	case "write":
+		fmt.Fprintln(w, "virtual time:", p.Now())
+	case "write", "put":
 		if len(fields) != 3 {
-			return fmt.Errorf("usage: write <path> <size>")
+			return fmt.Errorf("usage: %s <path> <size>", fields[0])
 		}
-		n, err := parseSize(fields[2])
-		if err != nil {
-			return err
-		}
-		data := make([]byte, n)
-		for i := range data {
-			data[i] = byte(i*7 + 1)
+		data := body
+		if fields[0] == "write" {
+			n, err := parseSize(fields[2])
+			if err != nil {
+				return err
+			}
+			data = make([]byte, n)
+			for i := range data {
+				data[i] = byte(i*7 + 1)
+			}
+		} else if data == nil {
+			return fmt.Errorf("bad length %q (want 0 to %d bytes)", fields[2], maxPut)
 		}
 		start := p.Now()
 		if err := sys.Cluster.WriteFile(p, fields[1], data); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s (%d bytes) to racks %v in %v\n",
-			fields[1], n, sys.Cluster.ReplicasOf(fields[1]), p.Now()-start)
-	case "read":
+		fmt.Fprintf(w, "wrote %s (%d bytes) to racks %v in %v\n",
+			fields[1], len(data), sys.Cluster.ReplicasOf(fields[1]), p.Now()-start)
+	case "read", "get":
 		if len(fields) != 2 {
-			return fmt.Errorf("usage: read <path>")
+			return fmt.Errorf("usage: %s <path>", fields[0])
 		}
 		start := p.Now()
 		data, err := sys.Cluster.ReadFile(p, fields[1])
 		if err != nil {
 			return err
 		}
-		fmt.Printf("read %d bytes in %v\n", len(data), p.Now()-start)
+		if fields[0] == "get" {
+			_, err = w.Write(data)
+			return err
+		}
+		fmt.Fprintf(w, "read %d bytes in %v\n", len(data), p.Now()-start)
 	case "stat":
 		if len(fields) != 2 {
 			return fmt.Errorf("usage: stat <path>")
 		}
-		ix, err := fs.MV.Stat(p, fields[1])
+		ix, r, err := sys.Cluster.Stat(p, fields[1])
 		if err != nil {
 			return err
 		}
 		if ix.Dir {
-			fmt.Println(ix.Path, "(directory)")
+			fmt.Fprintln(w, ix.Path, "(directory)")
 			return nil
 		}
 		for _, e := range ix.Entries {
 			loc := "buffer"
 			if len(e.Parts) > 0 {
-				if addr, ok := fs.Cat.Locate(e.Parts[0]); ok {
+				if addr, ok := r.FS.Cat.Locate(e.Parts[0]); ok {
 					loc = addr.String()
 				}
 			}
-			fmt.Printf("  v%d: %d bytes, %d part(s), first at %s\n", e.Version, e.Size, len(e.Parts), loc)
+			fmt.Fprintf(w, "  v%d: %d bytes, %d part(s), first at %s\n", e.Version, e.Size, len(e.Parts), loc)
 		}
 	case "ls":
 		path := "/"
 		if len(fields) > 1 {
 			path = fields[1]
 		}
-		des, err := fs.ReadDir(p, path)
+		des, err := sys.Cluster.ReadDir(p, path)
 		if err != nil {
 			return err
 		}
@@ -271,13 +386,13 @@ func dispatch(sys *ros.System, p *sim.Proc, fields []string) error {
 			if de.IsDir {
 				kind = "dir "
 			}
-			fmt.Printf("  %s %10d  %s\n", kind, de.Size, de.Name)
+			fmt.Fprintf(w, "  %s %10d  %s\n", kind, de.Size, de.Name)
 		}
 	case "rm":
 		if len(fields) != 2 {
 			return fmt.Errorf("usage: rm <path>")
 		}
-		return fs.Unlink(p, fields[1])
+		return sys.Cluster.Unlink(p, fields[1])
 	case "sync":
 		for _, r := range sys.Cluster.Racks() {
 			if err := r.FS.Sync(p); err != nil {
@@ -301,7 +416,7 @@ func dispatch(sys *ros.System, p *sim.Proc, fields []string) error {
 				return fmt.Errorf("%s: %w", sys.Cluster.Racks()[i].Name, err)
 			}
 		}
-		fmt.Printf("burned in %v (virtual)\n", p.Now()-start)
+		fmt.Fprintf(w, "burned in %v (virtual)\n", p.Now()-start)
 	case "scrub":
 		if len(fields) != 2 {
 			return fmt.Errorf("usage: scrub r<r>/L<l>/S<s>")
@@ -314,7 +429,7 @@ func dispatch(sys *ros.System, p *sim.Proc, fields []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("scrubbed %v: %d bytes/disc checked, %d bad strips\n",
+		fmt.Fprintf(w, "scrubbed %v: %d bytes/disc checked, %d bad strips\n",
 			rep.Tray, rep.Checked, len(rep.BadStrips))
 	case "trays":
 		used, failed := 0, 0
@@ -322,27 +437,27 @@ func dispatch(sys *ros.System, p *sim.Proc, fields []string) error {
 			switch st {
 			case image.DAUsed:
 				used++
-				fmt.Println("  used  ", k)
+				fmt.Fprintln(w, "  used  ", k)
 			case image.DAFailed:
 				failed++
-				fmt.Println("  failed", k)
+				fmt.Fprintln(w, "  failed", k)
 			}
 		}
-		fmt.Printf("  %d used, %d failed, %d images on disc\n", used, failed, len(fs.Cat.DIL))
+		fmt.Fprintf(w, "  %d used, %d failed, %d images on disc\n", used, failed, len(fs.Cat.DIL))
 	case "status":
 		// The summary lines count the whole system; the table has one row
 		// per rack.
 		st := sys.Stats()
 		c := st.Obs.Counter
-		fmt.Printf("  files: %d written, %d read; bytes: %d written, %d read\n",
+		fmt.Fprintf(w, "  files: %d written, %d read; bytes: %d written, %d read\n",
 			c("olfs.files_written"), c("olfs.files_read"), c("olfs.bytes_written"), c("olfs.bytes_read"))
-		fmt.Printf("  burns: %d tasks; fetches: %d; cache: %d hits / %d misses\n",
+		fmt.Fprintf(w, "  burns: %d tasks; fetches: %d; cache: %d hits / %d misses\n",
 			c("olfs.burn_tasks"), c("olfs.fetch_tasks"), c("olfs.cache_hits"), c("olfs.cache_misses"))
-		fmt.Printf("  mechanics: %d loads, %d unloads; discs resident: %d\n",
+		fmt.Fprintf(w, "  mechanics: %d loads, %d unloads; discs resident: %d\n",
 			c("rack.loads"), c("rack.unloads"), st.TotalDiscs)
-		fmt.Printf("  scheduler: %s (sched queue: interactive/prefetch/burn/scrub)\n",
+		fmt.Fprintf(w, "  scheduler: %s (sched queue: interactive/prefetch/burn/scrub)\n",
 			fs.Sched().Config().Policy)
-		fmt.Printf("  %-6s %-8s %-10s %-12s %-6s %-26s %-6s %-5s %-10s %s\n", "rack", "health",
+		fmt.Fprintf(w, "  %-6s %-8s %-10s %-12s %-6s %-26s %-6s %-5s %-10s %s\n", "rack", "health",
 			"free slots", "sched queue", "burns", "admission inflight", "queued", "shed", "peak", "drive groups")
 		for _, r := range sys.Cluster.Racks() {
 			d := r.FS.Sched().Depths()
@@ -364,7 +479,7 @@ func dispatch(sys *ros.System, p *sim.Proc, fields []string) error {
 				}
 				groups = append(groups, "["+src+"]"+string(states))
 			}
-			fmt.Printf("  %-6s %-8s %-10s %-12s %-6d %-26s %-6d %-5d %-10d %s\n", r.Name, r.Health(),
+			fmt.Fprintf(w, "  %-6s %-8s %-10s %-12s %-6d %-26s %-6d %-5d %-10d %s\n", r.Name, r.Health(),
 				fmt.Sprintf("%d/%d", r.FS.Buckets.FreeSlots(), len(r.FS.Buckets.Slots())),
 				fmt.Sprintf("%d/%d/%d/%d", d[sched.Interactive], d[sched.Prefetch], d[sched.Burn], d[sched.Scrub]),
 				r.Reg.Counter("olfs.burn_tasks").Value(), inflight,
@@ -396,22 +511,22 @@ func dispatch(sys *ros.System, p *sim.Proc, fields []string) error {
 			if err != nil {
 				return err
 			}
-			fmt.Println(string(js))
+			fmt.Fprintln(w, string(js))
 			return nil
 		}
-		fmt.Print(snap)
+		fmt.Fprint(w, snap)
 	case "metrics":
-		fmt.Print(sys.PrometheusText())
+		fmt.Fprint(w, sys.PrometheusText())
 	case "alerts":
-		return alertsCommand(sys, fields[1:])
+		return alertsCommand(sys, w, fields[1:])
 	case "top":
-		return topCommand(sys, p, fields[1:])
+		return topCommand(sys, p, w, fields[1:])
 	case "watch":
-		return watchCommand(sys, p, fields[1:])
+		return watchCommand(sys, p, w, fields[1:])
 	case "trace":
-		return traceCommand(fs.Tracer(), fields[1:])
+		return traceCommand(fs.Tracer(), w, fields[1:])
 	case "faults":
-		return faultsCommand(sys.Faults, fields[1:])
+		return faultsCommand(sys.Faults, w, fields[1:])
 	case "power":
 		burning, idleDr := 0, 0
 		for _, g := range sys.Library.Groups {
@@ -426,7 +541,7 @@ func dispatch(sys *ros.System, p *sim.Proc, fields []string) error {
 		}
 		cfg := power.PrototypeConfig()
 		draw := cfg.Draw(power.State{BurningDrives: burning, IdleDrives: idleDr})
-		fmt.Printf("  modeled draw: %.0f W (idle %.0f W, peak %.0f W)\n", draw, cfg.Idle(), cfg.Peak())
+		fmt.Fprintf(w, "  modeled draw: %.0f W (idle %.0f W, peak %.0f W)\n", draw, cfg.Idle(), cfg.Peak())
 	default:
 		return fmt.Errorf("unknown command %q (try help)", fields[0])
 	}
@@ -434,7 +549,7 @@ func dispatch(sys *ros.System, p *sim.Proc, fields []string) error {
 }
 
 // clusterCommand implements the `cluster` group over the federation layer.
-func clusterCommand(sys *ros.System, p *sim.Proc, args []string) error {
+func clusterCommand(sys *ros.System, w io.Writer, args []string) error {
 	cl := sys.Cluster
 	if len(args) == 0 {
 		return fmt.Errorf("usage: cluster status [--json] | placement [<path>] | kill <i> | revive <i> | addrack")
@@ -447,13 +562,13 @@ func clusterCommand(sys *ros.System, p *sim.Proc, args []string) error {
 			if err != nil {
 				return err
 			}
-			fmt.Println(string(js))
+			fmt.Fprintln(w, string(js))
 			return nil
 		}
-		fmt.Printf("  replicas=%d entries=%d backlog=%d imbalance=%.1f%%\n",
+		fmt.Fprintf(w, "  replicas=%d entries=%d backlog=%d imbalance=%.1f%%\n",
 			st.Replicas, st.Entries, st.Backlog, st.ImbalancePct)
 		for _, rs := range st.Racks {
-			fmt.Printf("  %-8s %-9s load=%-6d discs=%-5d tray-loads=%-4d burns=%d\n",
+			fmt.Fprintf(w, "  %-8s %-9s load=%-6d discs=%-5d tray-loads=%-4d burns=%d\n",
 				rs.Name, rs.Health, rs.Load, rs.Discs, rs.Loads, rs.Burns)
 		}
 	case "placement":
@@ -462,14 +577,14 @@ func clusterCommand(sys *ros.System, p *sim.Proc, args []string) error {
 			if set == nil {
 				return fmt.Errorf("no placement recorded for %s", args[1])
 			}
-			fmt.Printf("  %s -> racks %v (primary rack%d)\n", args[1], set, set[0])
+			fmt.Fprintf(w, "  %s -> racks %v (primary rack%d)\n", args[1], set, set[0])
 			return nil
 		}
-		fmt.Println("  sequential checking (reallocation-free: growth never moves an image)")
+		fmt.Fprintln(w, "  sequential checking (reallocation-free: growth never moves an image)")
 		for ri, load := range cl.Loads() {
-			fmt.Printf("  rack%d: %d replica(s) placed\n", ri, load)
+			fmt.Fprintf(w, "  rack%d: %d replica(s) placed\n", ri, load)
 		}
-		fmt.Printf("  imbalance: %.1f%% worst deviation from mean\n", cl.ImbalancePct())
+		fmt.Fprintf(w, "  imbalance: %.1f%% worst deviation from mean\n", cl.ImbalancePct())
 	case "kill", "revive":
 		if len(args) != 2 {
 			return fmt.Errorf("usage: cluster %s <rack-index>", args[0])
@@ -480,17 +595,17 @@ func clusterCommand(sys *ros.System, p *sim.Proc, args []string) error {
 		}
 		if args[0] == "kill" {
 			cl.SetHealth(ri, cluster.HealthOffline)
-			fmt.Printf("  rack%d marked offline; %d file(s) queued for re-replication\n", ri, cl.Backlog())
+			fmt.Fprintf(w, "  rack%d marked offline; %d file(s) queued for re-replication\n", ri, cl.Backlog())
 		} else {
 			cl.SetHealth(ri, cluster.HealthUp)
-			fmt.Printf("  rack%d marked up\n", ri)
+			fmt.Fprintf(w, "  rack%d marked up\n", ri)
 		}
 	case "addrack":
 		r, err := cl.AddRack()
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  added %s (%d racks now); existing placements untouched\n", r.Name, len(cl.Racks()))
+		fmt.Fprintf(w, "  added %s (%d racks now); existing placements untouched\n", r.Name, len(cl.Racks()))
 	default:
 		return fmt.Errorf("unknown cluster subcommand %q (status, placement, kill, revive, addrack)", args[0])
 	}
@@ -499,7 +614,7 @@ func clusterCommand(sys *ros.System, p *sim.Proc, args []string) error {
 
 // traceCommand implements `trace list|show <id>|export --perfetto [<id>]`
 // over the FS's causal-trace journal.
-func traceCommand(tr *obs.Tracer, args []string) error {
+func traceCommand(tr *obs.Tracer, w io.Writer, args []string) error {
 	if tr == nil {
 		return fmt.Errorf("tracing is disabled (TraceCapacity < 0)")
 	}
@@ -510,7 +625,7 @@ func traceCommand(tr *obs.Tracer, args []string) error {
 	case "list":
 		traces := tr.Traces()
 		if len(traces) == 0 {
-			fmt.Println("  no captured traces (run some requests first)")
+			fmt.Fprintln(w, "  no captured traces (run some requests first)")
 			return nil
 		}
 		for _, t := range traces {
@@ -521,7 +636,7 @@ func traceCommand(tr *obs.Tracer, args []string) error {
 			if t.Retries > 0 {
 				flags += fmt.Sprintf(" retries=%d", t.Retries)
 			}
-			fmt.Printf("  %4d %-12s %-11s start=%-14v dur=%-14v spans=%d%s\n",
+			fmt.Fprintf(w, "  %4d %-12s %-11s start=%-14v dur=%-14v spans=%d%s\n",
 				t.ID, t.Name, t.Class, t.Start, t.Duration(), len(t.Spans()), flags)
 		}
 	case "show":
@@ -536,7 +651,7 @@ func traceCommand(tr *obs.Tracer, args []string) error {
 		if t == nil {
 			return fmt.Errorf("no captured trace %d (see trace list)", id)
 		}
-		fmt.Print(t.Format())
+		fmt.Fprint(w, t.Format())
 	case "export":
 		traces := tr.Traces()
 		rest := args[1:]
@@ -560,7 +675,7 @@ func traceCommand(tr *obs.Tracer, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(string(js))
+		fmt.Fprintln(w, string(js))
 	default:
 		return fmt.Errorf("unknown trace subcommand %q (list, show, export)", args[0])
 	}
@@ -571,7 +686,7 @@ func traceCommand(tr *obs.Tracer, args []string) error {
 // deterministic fault plane. Armed rules affect every subsequent command in
 // the session, so a scripted run can arm faults, exercise the stack, and
 // inspect the injection schedule.
-func faultsCommand(pl *faultinject.Plane, args []string) error {
+func faultsCommand(pl *faultinject.Plane, w io.Writer, args []string) error {
 	if pl == nil {
 		return fmt.Errorf("no fault plane registered")
 	}
@@ -580,18 +695,18 @@ func faultsCommand(pl *faultinject.Plane, args []string) error {
 	}
 	switch args[0] {
 	case "list":
-		fmt.Printf("  fault plane seed %d, %d fault(s) injected\n", pl.Seed(), pl.Fires())
+		fmt.Fprintf(w, "  fault plane seed %d, %d fault(s) injected\n", pl.Seed(), pl.Fires())
 		rules := pl.Rules()
 		if len(rules) == 0 {
-			fmt.Println("  no rules armed (faults arm <spec>; points: " +
-				strings.Join(faultinject.Points, " ") + ")")
+			fmt.Fprintln(w, "  no rules armed (faults arm <spec>; points: "+
+				strings.Join(faultinject.Points, " ")+")")
 		}
 		for _, r := range rules {
-			fmt.Printf("  rule#%-3d %-40s evals=%d fires=%d\n", r.ID, r.Spec, r.Evals, r.Fires)
+			fmt.Fprintf(w, "  rule#%-3d %-40s evals=%d fires=%d\n", r.ID, r.Spec, r.Evals, r.Fires)
 		}
 		if evs := pl.Events(); len(evs) > 0 {
-			fmt.Println("  schedule:")
-			fmt.Print(pl.ScheduleString())
+			fmt.Fprintln(w, "  schedule:")
+			fmt.Fprint(w, pl.ScheduleString())
 		}
 	case "arm":
 		if len(args) < 2 {
@@ -603,11 +718,11 @@ func faultsCommand(pl *faultinject.Plane, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  armed %d rule(s): ids %v\n", len(ids), ids)
+		fmt.Fprintf(w, "  armed %d rule(s): ids %v\n", len(ids), ids)
 	case "clear":
 		n := len(pl.Rules())
 		pl.Clear()
-		fmt.Printf("  disarmed %d rule(s); schedule and counters kept\n", n)
+		fmt.Fprintf(w, "  disarmed %d rule(s); schedule and counters kept\n", n)
 	default:
 		return fmt.Errorf("unknown faults subcommand %q (list, arm, clear)", args[0])
 	}

@@ -33,6 +33,7 @@ import (
 	"ros/internal/obs"
 	"ros/internal/sched"
 	"ros/internal/sim"
+	"ros/internal/vfs"
 	"ros/internal/writepath"
 )
 
@@ -520,6 +521,97 @@ func (c *Cluster) ReplicasOf(path string) []int {
 		return nil
 	}
 	return append([]int(nil), e.replicas...)
+}
+
+// Unlink removes path from the federation: every live rack whose namespace
+// holds it unlinks it, then the cluster forgets the entry and releases its
+// replicas' placement loads, so ReadFile fails with mv.ErrNotFound and
+// re-replication never brings it back. Burned copies stay on their WORM
+// discs (§4.6); only the names go.
+func (c *Cluster) Unlink(p *sim.Proc, path string) error {
+	if c.stopped {
+		return ErrStopped
+	}
+	held := false
+	for _, r := range c.racks {
+		if r.health == HealthOffline {
+			continue
+		}
+		if _, ok := r.FS.MV.Lookup(path); !ok {
+			continue
+		}
+		held = true
+		if err := r.FS.Unlink(p, path); err != nil {
+			return fmt.Errorf("%s: %w", r.Name, err)
+		}
+	}
+	e := c.entries[path]
+	if e == nil && !held {
+		return fmt.Errorf("%w: %s", mv.ErrNotFound, path)
+	}
+	if e != nil {
+		for _, ri := range e.replicas {
+			c.placer.unplace(ri)
+		}
+		delete(c.entries, path)
+		c.paths = slices.DeleteFunc(c.paths, func(q string) bool { return q == path })
+		c.m.entries.Set(int64(len(c.entries)))
+		c.m.imbalance.Set(int64(c.placer.imbalancePct()))
+	}
+	return nil
+}
+
+// Stat returns path's index from the first live rack whose namespace holds
+// it, path's primary replica first and then the others in index order, and
+// that rack, whose catalog locates the index's parts.
+func (c *Cluster) Stat(p *sim.Proc, path string) (*mv.Index, *Rack, error) {
+	order := c.racks
+	if ri, ok := c.PrimaryOf(path); ok {
+		order = append([]*Rack{c.racks[ri]}, c.racks...)
+	}
+	for _, r := range order {
+		if r.health == HealthOffline {
+			continue
+		}
+		if _, ok := r.FS.MV.Lookup(path); ok {
+			ix, err := r.FS.MV.Stat(p, path)
+			return ix, r, err
+		}
+	}
+	return nil, nil, fmt.Errorf("%w: %s", mv.ErrNotFound, path)
+}
+
+// ReadDir lists directory path across the federation: the union of every
+// live rack's listing, one entry per name (the lowest-indexed rack's), sorted
+// by name. It fails with vfs.ErrNotFound only when no live rack has path.
+func (c *Cluster) ReadDir(p *sim.Proc, path string) ([]vfs.DirEntry, error) {
+	var out []vfs.DirEntry
+	seen := make(map[string]bool)
+	found := false
+	for _, r := range c.racks {
+		if r.health == HealthOffline {
+			continue
+		}
+		des, err := r.FS.ReadDir(p, path)
+		if errors.Is(err, vfs.ErrNotFound) {
+			continue
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", r.Name, err)
+		}
+		found = true
+		for _, de := range des {
+			if !seen[de.Name] {
+				seen[de.Name] = true
+				out = append(out, de)
+			}
+		}
+	}
+	if !found {
+		return nil, fmt.Errorf("%w: %s", vfs.ErrNotFound, path)
+	}
+	slices.SortFunc(out, func(a, b vfs.DirEntry) int { return cmp.Compare(a.Name, b.Name) })
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ import (
 
 	"ros/internal/faultinject"
 	"ros/internal/image"
+	"ros/internal/mv"
 	"ros/internal/obs"
 	"ros/internal/olfs"
 	"ros/internal/sched"
 	"ros/internal/sim"
+	"ros/internal/vfs"
 	"ros/internal/writepath"
 )
 
@@ -851,4 +853,133 @@ func TestClusterSingleReplicaWriteAllocs(t *testing.T) {
 	if fed-rack > 4 {
 		t.Errorf("a Replicas=1 write allocates %.0f more than the rack's own write, want at most 4", fed-rack)
 	}
+}
+
+// writeSpread writes n files under dir on a 3-rack, 2-replica bed. Each file
+// misses one rack, so a listing or lookup that asks only one rack misses
+// some of them.
+func (tb *testBed) writeSpread(t *testing.T, dir string, n int) []string {
+	t.Helper()
+	var paths []string
+	tb.run(t, func(p *sim.Proc) error {
+		for i := 0; i < n; i++ {
+			path := fmt.Sprintf("%s/f%d", dir, i)
+			if err := tb.cl.WriteFile(p, path, pat(64<<10, byte(i))); err != nil {
+				return err
+			}
+			paths = append(paths, path)
+		}
+		return nil
+	})
+	for _, path := range paths {
+		if !slices.Contains(tb.cl.ReplicasOf(path), 0) {
+			return paths
+		}
+	}
+	t.Fatalf("every file of %s has a replica on rack0; the bed cannot tell one rack from the federation", dir)
+	return nil
+}
+
+// TestClusterUnlinkRemovesEveryReplica: Unlink drops the name from every
+// rack that held it and from the federation, so no replica serves it, its
+// placement loads are released, and re-replication never brings it back.
+func TestClusterUnlinkRemovesEveryReplica(t *testing.T) {
+	tb := newBed(t, 3, 2, nil)
+	defer tb.cl.Stop()
+	paths := tb.writeSpread(t, "/rm", 4)
+	victim := paths[0]
+	set := tb.cl.ReplicasOf(victim)
+	tb.run(t, func(p *sim.Proc) error { return tb.cl.Unlink(p, victim) })
+	for _, r := range tb.cl.Racks() {
+		if _, ok := r.FS.MV.Lookup(victim); ok {
+			t.Errorf("%s still holds %s after Unlink", r.Name, victim)
+		}
+	}
+	if tb.cl.ReplicasOf(victim) != nil || tb.cl.Entries() != len(paths)-1 {
+		t.Errorf("federation still knows %s: replicas %v, %d entries", victim, tb.cl.ReplicasOf(victim), tb.cl.Entries())
+	}
+	var load int64
+	for _, l := range tb.cl.Loads() {
+		load += l
+	}
+	if want := int64(2 * (len(paths) - 1)); load != want {
+		t.Errorf("placed load = %d after Unlink, want %d", load, want)
+	}
+	// Losing one of the victim's racks must not resurrect it.
+	tb.cl.SetHealth(set[0], HealthOffline)
+	tb.cl.RequeueUnderReplicated()
+	tb.run(t, func(p *sim.Proc) error {
+		if _, err := tb.cl.ReadFile(p, victim); !errors.Is(err, mv.ErrNotFound) {
+			return fmt.Errorf("ReadFile(%s) after Unlink: %v, want mv.ErrNotFound", victim, err)
+		}
+		if err := tb.cl.Unlink(p, victim); !errors.Is(err, mv.ErrNotFound) {
+			return fmt.Errorf("second Unlink(%s): %v, want mv.ErrNotFound", victim, err)
+		}
+		return nil
+	})
+	for _, r := range tb.cl.Racks() {
+		if _, ok := r.FS.MV.Lookup(victim); ok {
+			t.Errorf("re-replication put %s back on %s", victim, r.Name)
+		}
+	}
+}
+
+// TestClusterStatFindsEveryFile: Stat answers for a file rack0 does not
+// hold, from its primary replica, and from a secondary once the primary is
+// offline.
+func TestClusterStatFindsEveryFile(t *testing.T) {
+	tb := newBed(t, 3, 2, nil)
+	defer tb.cl.Stop()
+	paths := tb.writeSpread(t, "/stat", 4)
+	tb.run(t, func(p *sim.Proc) error {
+		for _, path := range paths {
+			ix, r, err := tb.cl.Stat(p, path)
+			if err != nil {
+				return fmt.Errorf("Stat(%s): %w", path, err)
+			}
+			if primary, _ := tb.cl.PrimaryOf(path); r.Index != primary {
+				return fmt.Errorf("Stat(%s) read %s, want its primary rack%d", path, r.Name, primary)
+			}
+			if cur := ix.Current(); cur == nil || cur.Size != 64<<10 {
+				return fmt.Errorf("Stat(%s): current version %+v, want 64 KB", path, cur)
+			}
+		}
+		set := tb.cl.ReplicasOf(paths[0])
+		tb.cl.SetHealth(set[0], HealthOffline)
+		if _, r, err := tb.cl.Stat(p, paths[0]); err != nil || r.Index != set[1] {
+			return fmt.Errorf("Stat(%s) with its primary offline: rack %v, %v; want rack%d", paths[0], r, err, set[1])
+		}
+		if _, _, err := tb.cl.Stat(p, "/stat/missing"); !errors.Is(err, mv.ErrNotFound) {
+			return fmt.Errorf("Stat of a missing path: %v, want mv.ErrNotFound", err)
+		}
+		return nil
+	})
+}
+
+// TestClusterReadDirIsTheUnion: a listing holds every file of the directory
+// once, sorted, whichever racks hold it.
+func TestClusterReadDirIsTheUnion(t *testing.T) {
+	tb := newBed(t, 3, 2, nil)
+	defer tb.cl.Stop()
+	paths := tb.writeSpread(t, "/ls", 5)
+	tb.run(t, func(p *sim.Proc) error {
+		des, err := tb.cl.ReadDir(p, "/ls")
+		if err != nil {
+			return err
+		}
+		var got []string
+		for _, de := range des {
+			got = append(got, "/ls/"+de.Name)
+			if de.IsDir || de.Size != 64<<10 {
+				return fmt.Errorf("entry %+v, want a 64 KB file", de)
+			}
+		}
+		if !slices.Equal(got, paths) {
+			return fmt.Errorf("ReadDir(/ls) = %v, want %v", got, paths)
+		}
+		if _, err := tb.cl.ReadDir(p, "/nowhere"); !errors.Is(err, vfs.ErrNotFound) {
+			return fmt.Errorf("ReadDir of a missing directory: %v, want vfs.ErrNotFound", err)
+		}
+		return nil
+	})
 }

@@ -3,7 +3,7 @@
 // systems emit one sample per rack with a rack="rackN" label plus the global
 // (unlabeled) system registry. Histograms export cumulative le-buckets at the
 // power-of-two nanosecond boundaries alongside _sum and _count, so a real
-// Prometheus server scraping a rosfsd can recompute quantiles natively.
+// Prometheus server scraping rosctl -serve can recompute quantiles natively.
 package obs
 
 import (

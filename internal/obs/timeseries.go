@@ -15,7 +15,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"time"
@@ -378,7 +377,7 @@ func (s *Sampler) Passes() int64 {
 }
 
 // SampleNow scrapes every source immediately at the current virtual time and
-// runs the OnSample hooks. Tests and the rosfsd SERIES verb call it directly.
+// runs the OnSample hooks. Tests and rosctl's top call it directly.
 func (s *Sampler) SampleNow() {
 	if s == nil {
 		return
@@ -548,15 +547,6 @@ func (s *Sampler) Dump(tail int) []SeriesDump {
 		})
 	})
 	return out
-}
-
-// DumpJSON renders Dump(tail) as indented deterministic JSON.
-func (s *Sampler) DumpJSON(tail int) ([]byte, error) {
-	d := s.Dump(tail)
-	if d == nil {
-		d = []SeriesDump{}
-	}
-	return json.MarshalIndent(d, "", "  ")
 }
 
 // String summarizes the sampler state (for rosctl debugging).

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -114,7 +115,7 @@ func TestSamplerDeterministicDump(t *testing.T) {
 			}
 		})
 		env.Run()
-		b, err := s.DumpJSON(0)
+		b, err := json.Marshal(s.Dump(0))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,4 +1,4 @@
-// Package raid implements software RAID levels 0, 1, 5 and 6 over simulated
+// Package raid implements software RAID levels 1, 5 and 6 over simulated
 // block devices, with real parity mathematics: XOR (P) for RAID-5 and
 // GF(2^8) Reed-Solomon coefficients (Q) for RAID-6. Degraded reads
 // reconstruct lost chunks, scrubbing verifies parity, and rebuild
@@ -25,16 +25,13 @@ type Level int
 
 // Supported RAID levels.
 const (
-	RAID0 Level = iota
-	RAID1
+	RAID1 Level = iota
 	RAID5
 	RAID6
 )
 
 func (l Level) String() string {
 	switch l {
-	case RAID0:
-		return "RAID-0"
 	case RAID1:
 		return "RAID-1"
 	case RAID5:
@@ -184,21 +181,16 @@ func (f *fanout) do(sp *sim.Proc, i int) error {
 	return r.err
 }
 
-// addChunks adds one request per data chunk that [off, off+len(buf)) touches,
-// for that chunk's piece of buf: opReadChunk, or for RAID-0, opWrite to the
-// chunk's member.
-func (f *fanout) addChunks(op memberOp, buf []byte, off int64) {
+// addChunks adds one opReadChunk per data chunk that [off, off+len(buf))
+// touches, for that chunk's piece of buf.
+func (f *fanout) addChunks(buf []byte, off int64) {
 	a := f.a
 	su := int64(a.stripeUnit)
 	for n := 0; n < len(buf); {
 		co := (off + int64(n)) % su
 		run := int(min(su-co, int64(len(buf)-n)))
 		stripe, col := a.chunkLoc((off + int64(n)) / su)
-		r := memberIO{op: op, stripe: stripe, col: col, off: co, buf: buf[n : n+run]}
-		if op == opWrite {
-			r.dev, r.off = a.devs[a.dataDev(stripe, col)], stripe*su+co
-		}
-		f.add(r)
+		f.add(memberIO{op: opReadChunk, stripe: stripe, col: col, off: co, buf: buf[n : n+run]})
 		n += run
 	}
 }
@@ -242,8 +234,6 @@ func (a *Array) Devices() []blockdev.Device { return a.devs }
 // dataPerStripe returns the number of data chunks per stripe.
 func (a *Array) dataPerStripe() int {
 	switch a.level {
-	case RAID0:
-		return len(a.devs)
 	case RAID1:
 		return 1
 	case RAID5:
@@ -282,10 +272,7 @@ func (a *Array) dataDev(stripe int64, col int) int {
 	}
 	idx := 0
 	for d := 0; d < len(a.devs); d++ {
-		if d == p && a.level >= RAID5 {
-			continue
-		}
-		if d == q {
+		if d == p || d == q {
 			continue
 		}
 		if idx == col {
@@ -313,7 +300,7 @@ func (a *Array) ReadAt(p *sim.Proc, buf []byte, off int64) error {
 	}
 	f := a.fanout()
 	defer f.release()
-	f.addChunks(opReadChunk, buf, off)
+	f.addChunks(buf, off)
 	return f.wait(p)
 }
 
@@ -323,9 +310,6 @@ func (a *Array) readChunk(p *sim.Proc, stripe int64, col int, dst []byte, coff i
 	err := dev.ReadAt(p, dst, stripe*int64(a.stripeUnit)+coff)
 	if err == nil {
 		return nil
-	}
-	if a.level < RAID5 {
-		return err
 	}
 	// Degraded path: reconstruct the whole chunk.
 	full := a.chunks.get()
@@ -382,12 +366,8 @@ func (a *Array) write(p *sim.Proc, buf []byte, s *chunk.Store, off, n int64) err
 	}
 	f := a.fanout()
 	defer f.release()
-	if a.level == RAID0 {
-		f.addChunks(opWrite, buf, off)
-	} else {
-		for _, d := range a.devs {
-			f.add(memberIO{op: opWrite, dev: d, buf: buf, off: off})
-		}
+	for _, d := range a.devs {
+		f.add(memberIO{op: opWrite, dev: d, buf: buf, off: off})
 	}
 	return f.wait(p)
 }
@@ -684,9 +664,6 @@ func (a *Array) reconstructChunk(p *sim.Proc, stripe int64, col int, out []byte)
 func (a *Array) Rebuild(p *sim.Proc, idx int, replacement blockdev.Device) error {
 	if replacement.Size() != a.devSize {
 		return ErrUnevenDevices
-	}
-	if a.level == RAID0 {
-		return errors.New("raid: RAID-0 cannot be rebuilt")
 	}
 	if a.level == RAID1 {
 		buf := make([]byte, 1<<20)

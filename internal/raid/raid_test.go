@@ -84,7 +84,7 @@ func TestLevelRoundTrips(t *testing.T) {
 		level Level
 		n     int
 	}{
-		{RAID0, 4}, {RAID1, 2}, {RAID5, 3}, {RAID5, 7}, {RAID6, 4}, {RAID6, 12},
+		{RAID1, 2}, {RAID5, 3}, {RAID5, 7}, {RAID6, 4}, {RAID6, 12},
 	} {
 		t.Run(tc.level.String(), func(t *testing.T) {
 			env := sim.NewEnv()
@@ -289,7 +289,6 @@ func TestUsableSize(t *testing.T) {
 		n     int
 		want  int64
 	}{
-		{RAID0, 4, 4 << 20},
 		{RAID1, 2, 1 << 20},
 		{RAID5, 7, 6 << 20},
 		{RAID6, 12, 10 << 20},

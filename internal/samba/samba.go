@@ -46,14 +46,12 @@ type Options struct {
 	// ReadRevalidate is an extra per-read attribute revalidation charge for
 	// user-space (FUSE) server filesystems.
 	ReadRevalidate time.Duration
-	// Pipeline enables asynchronous write-behind (on in DefaultOptions).
-	Pipeline bool
 }
 
-// DefaultOptions returns the calibrated configuration: write-behind on, no
-// read revalidation.
+// DefaultOptions returns the calibrated configuration: no read
+// revalidation.
 func DefaultOptions() Options {
-	return Options{Pipeline: true}
+	return Options{}
 }
 
 // FS wraps a server filesystem behind the NAS model.
@@ -141,7 +139,7 @@ func (s *FS) Unlink(p *sim.Proc, path string) error {
 	return s.inner.Unlink(p, path)
 }
 
-// file is a client-side SMB handle with optional write-behind.
+// file is a client-side SMB handle with write-behind.
 type file struct {
 	s     *FS
 	inner vfs.File
@@ -154,13 +152,9 @@ type file struct {
 }
 
 func (s *FS) newFile(inner vfs.File) *file {
-	f := &file{s: s, inner: inner}
-	if s.opts.Pipeline {
-		f.q = sim.NewQueue[queuedWrite](s.env)
-		f.drained = sim.NewSignal(s.env)
-		f.drained.Broadcast()
-		f.wb = sim.NewDaemon(s.env, "smb-writeback", f.writeback)
-	}
+	f := &file{s: s, inner: inner, q: sim.NewQueue[queuedWrite](s.env), drained: sim.NewSignal(s.env)}
+	f.drained.Broadcast()
+	f.wb = sim.NewDaemon(s.env, "smb-writeback", f.writeback)
 	return f
 }
 
@@ -196,9 +190,6 @@ func (f *file) Write(p *sim.Proc, data []byte) (int, error) {
 	f.s.BytesFromWire += int64(len(data))
 	p.Sleep(dataProtoWrite)
 	f.s.xfer(p, len(data))
-	if f.q == nil {
-		return f.inner.Write(p, data)
-	}
 	if f.werr != nil {
 		return 0, f.werr
 	}
@@ -226,12 +217,10 @@ func (f *file) Read(p *sim.Proc, buf []byte) (int, error) {
 // Close implements vfs.File: waits for write-behind to drain (SMB flush on
 // close), then closes the server handle.
 func (f *file) Close(p *sim.Proc) error {
-	if f.q != nil {
-		f.drained.Wait(p)
-		f.q.Close()
-		if f.werr != nil {
-			return f.werr
-		}
+	f.drained.Wait(p)
+	f.q.Close()
+	if f.werr != nil {
+		return f.werr
 	}
 	f.s.metaReq(p, 64)
 	return f.inner.Close(p)

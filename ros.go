@@ -67,12 +67,6 @@ const (
 	Media100GB = optical.Media100
 )
 
-// Read policies for the all-drives-burning case (§4.8 of the paper).
-const (
-	WaitForBurn   = olfs.WaitForBurn
-	InterruptBurn = olfs.InterruptBurn
-)
-
 // ErrOverload is returned by writes shed by admission control: the write
 // buffer is over its high-water mark and the request could not be queued
 // (queue full) or waited past its deadline. The data was never accepted —
@@ -105,15 +99,9 @@ type FSConfig struct {
 	// zero field is defaulted on its own, to 2 data and 1 parity disc.
 	DataDiscs   int
 	ParityDiscs int
-	// DirectIO charges an MV op (journal sync) on every data write and
-	// read, the §5.2 tracing configuration for Fig 7.
-	DirectIO bool
 	// BurnStagger serializes drive burn starts within an array (default
 	// 43 s, so a 12x25GB array takes the paper's 1146 s, Fig 9).
 	BurnStagger time.Duration
-	// ReadPolicy picks what a fetch does when every drive group is burning
-	// (§4.8): WaitForBurn (default) or InterruptBurn.
-	ReadPolicy olfs.ReadPolicy
 	// Forepart stores the first 256 KB of each file in MV to bound
 	// first-byte latency on roller misses (§4.8).
 	Forepart bool
@@ -273,10 +261,8 @@ func New(o Options) (*System, error) {
 	fsCfg := olfs.Config{
 		DataDiscs:        o.FS.DataDiscs,
 		ParityDiscs:      o.FS.ParityDiscs,
-		DirectIO:         o.FS.DirectIO,
 		AutoBurn:         !o.DisableAutoBurn,
 		BurnStagger:      o.FS.BurnStagger,
-		ReadPolicy:       o.FS.ReadPolicy,
 		Forepart:         o.FS.Forepart,
 		RecycleAfterBurn: o.FS.RecycleAfterBurn,
 		Sched:            sched.Config{Policy: pol},

@@ -160,7 +160,7 @@ func TestStatsCountEveryRack(t *testing.T) {
 // pins a finished System: the goroutine count returns to where it started and
 // the heap after a collection does not grow from one System to the next.
 func TestClosedSystemIsFreed(t *testing.T) {
-	goroutines := runtime.NumGoroutine()
+	goroutines := settledGoroutines()
 	var first uint64
 	for i := 0; i < 6; i++ {
 		sys, err := New(Options{})

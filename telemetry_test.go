@@ -2,6 +2,7 @@ package ros
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -100,7 +101,7 @@ func TestTelemetryAlertLifecycle(t *testing.T) {
 func TestTelemetryDeterminism(t *testing.T) {
 	run := func() ([]byte, []obs.Incident) {
 		sys := telemetryWorkload(t, 7)
-		dump, err := sys.Telemetry.DumpJSON(0)
+		dump, err := json.Marshal(sys.Telemetry.Dump(0))
 		if err != nil {
 			t.Fatal(err)
 		}
