@@ -530,7 +530,10 @@ const maxHealRounds = 6
 // states clear with the plane), requeues under-replicated files, flushes
 // everything to disc, scrubs and repairs used trays until a full pass finds
 // no damage, and drains the re-replication backlog before the oracle holds
-// reads to the durability contract.
+// reads to the durability contract. Damage is a disc that fails readback: no
+// fault point changes a burned byte silently, so parity that does not match
+// discs which all read is a software bug (bytes written into an image after
+// its parity was computed) and a violation, not something to repair.
 func heal(sys *ros.System, p *sim.Proc, rep *Report) {
 	// Hold the damage visible for one sampling pass before repairing it: a
 	// fault injected in the campaign's last moments must still be scraped (and
@@ -557,7 +560,7 @@ func heal(sys *ros.System, p *sim.Proc, rep *Report) {
 	for round := 1; ; round++ {
 		rep.HealRounds = round
 		clean := true
-		for _, r := range cl.Racks() {
+		for ri, r := range cl.Racks() {
 			fs := r.FS
 			for _, tray := range usedTrays(fs.Cat) {
 				rr, err := fs.ScrubAndRepair(p, tray)
@@ -566,8 +569,13 @@ func heal(sys *ros.System, p *sim.Proc, rep *Report) {
 						fmt.Sprintf("heal: repair of %v failed: %v", tray, err))
 					return
 				}
-				if len(rr.Scrub.BadStrips) > 0 || len(rr.BadDiscs) > 0 {
+				switch {
+				case len(rr.BadDiscs) > 0:
 					clean = false
+				case len(rr.Scrub.BadStrips) > 0:
+					rep.Violations = append(rep.Violations,
+						fmt.Sprintf("heal: rack %d %v: %d bad strips with every disc readable (parity does not match the burned bytes)",
+							ri, tray, len(rr.Scrub.BadStrips)))
 				}
 				if rr.ReBurn != nil {
 					if _, err := rr.ReBurn.Wait(p); err != nil {

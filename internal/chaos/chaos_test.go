@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
@@ -8,6 +9,10 @@ import (
 	"time"
 
 	"ros"
+	"ros/internal/image"
+	"ros/internal/optical"
+	"ros/internal/rack"
+	"ros/internal/sim"
 )
 
 // chaosSeeds are the fixed seeds the CI chaos-smoke job sweeps. Eight seeds
@@ -305,4 +310,68 @@ func TestChaosClusterDeterministicReplay(t *testing.T) {
 	if !reflect.DeepEqual(a.Violations, b.Violations) {
 		t.Errorf("violations differ: %v vs %v", a.Violations, b.Violations)
 	}
+}
+
+// TestHealFlagsParityMismatchOnReadableDiscs: no fault point changes a burned
+// byte silently, so a tray whose parity does not match discs that all read
+// can only come from a software bug (bytes written into an image after its
+// parity was computed). The heal reports it as a violation instead of
+// repairing it as one more round of damage.
+func TestHealFlagsParityMismatchOnReadableDiscs(t *testing.T) {
+	opts := ros.Options{BucketBytes: 1 << 20, BufferSlots: 12}
+	opts.FS.RecycleAfterBurn = true
+	sys, err := ros.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	rep := &Report{}
+	err = sys.Do(func(p *sim.Proc) error {
+		for i := 0; i < 4; i++ {
+			if err := sys.Cluster.WriteFile(p, fmt.Sprintf("/heal/f%d", i), bytes.Repeat([]byte{byte(i + 1)}, 400<<10)); err != nil {
+				return err
+			}
+		}
+		r := sys.Cluster.Racks()[0]
+		drainBurns(r.FS, p, rep)
+		trays := usedTrays(r.FS.Cat)
+		if len(trays) == 0 {
+			return fmt.Errorf("nothing burned")
+		}
+		var parity *optical.Disc
+		for _, id := range r.FS.Cat.ImagesOnTray(trays[0]) {
+			if addr, _ := r.FS.Cat.Locate(id); addr.Parity {
+				parity = discAt(r.Lib, addr)
+			}
+		}
+		if parity == nil {
+			return fmt.Errorf("no parity disc on %v", trays[0])
+		}
+		parity.FlipByte(8192)
+		heal(sys, p, rep)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, v := range rep.Violations {
+		found = found || strings.Contains(v, "with every disc readable")
+	}
+	if !found {
+		t.Errorf("heal reported %v after %d rounds, want a parity-mismatch violation", rep.Violations, rep.HealRounds)
+	}
+}
+
+// discAt finds the disc at addr, in its tray or in the drives holding it.
+func discAt(lib *rack.Library, addr image.DiscAddr) *optical.Disc {
+	if d := lib.Disc(addr.Tray, addr.Pos); d != nil {
+		return d
+	}
+	for _, g := range lib.Groups {
+		if g.Source != nil && *g.Source == addr.Tray && addr.Pos < len(g.Drives) {
+			return g.Drives[addr.Pos].Disc()
+		}
+	}
+	return nil
 }

@@ -73,12 +73,17 @@ type TraceSpan struct {
 
 	tr   *Trace
 	prev *TraceSpan // span that was current on the proc when this one started
+	op   Op         // the handle StartOp returns for an op this span carries
 	done bool
 }
 
-// Annotate attaches a key=value attribute. Nil-safe.
+// Annotate attaches a key=value attribute. Nil-safe. The first makes room
+// for two: most annotated spans carry a pair.
 func (s *TraceSpan) Annotate(key, value string) {
 	if s != nil {
+		if s.Annots == nil {
+			s.Annots = make([]Annotation, 0, 2)
+		}
 		s.Annots = append(s.Annots, Annotation{Key: key, Value: value})
 	}
 }
@@ -276,7 +281,8 @@ type Op struct {
 // trace is active.
 func (t *Tracer) StartOp(p *sim.Proc, name, class string) *Op {
 	if sp := StartChild(p, name); sp != nil {
-		return &Op{sp: sp}
+		sp.op = Op{sp: sp}
+		return &sp.op
 	}
 	if t == nil {
 		return nil
@@ -288,7 +294,8 @@ func (t *Tracer) StartOp(p *sim.Proc, name, class string) *Op {
 	tr.root = tr.newSpan(name, 0)
 	tr.root.prev, _ = p.TraceContext().(*TraceSpan) // nil: entry from untraced proc
 	p.SetTraceContext(tr.root)
-	return &Op{tr: tr, sp: tr.root}
+	tr.root.op = Op{tr: tr, sp: tr.root}
+	return &tr.root.op
 }
 
 // Annotate attaches a key=value attribute to the op's span. Nil-safe.

@@ -151,8 +151,9 @@ type FS struct {
 	Buckets *bucket.Manager
 	Cat     *image.Catalog
 
-	cur   *bucket.Bucket // open bucket receiving writes
-	curMu *sim.Resource  // serializes bucket writes (one PBW stream)
+	cur     *bucket.Bucket // open bucket receiving writes
+	curMu   *sim.Resource  // serializes bucket writes (one PBW stream)
+	writers []*fileWriter  // writers with a subfile open in cur, in creation order
 
 	burnQ      *sim.Queue[*burnTask]
 	btm        *sim.Daemon           // starts a process per queued burn task
@@ -431,10 +432,18 @@ func (fs *FS) ensureBucket(p *sim.Proc) (*bucket.Bucket, error) {
 }
 
 // sealCurrent seals the open bucket into an image and triggers the BTM if
-// enough images are ready. Caller holds curMu.
+// enough images are ready. Every writer still streaming into the bucket
+// closes its subfile there first, so nothing lands in the image once it is
+// sealed; such a writer continues in the next bucket on its next Write, as a
+// split file does (§4.5). Caller holds curMu.
 func (fs *FS) sealCurrent(p *sim.Proc) error {
 	if fs.cur == nil || fs.cur.State() != bucket.StateOpen {
 		return nil
+	}
+	for len(fs.writers) > 0 {
+		if err := fs.writers[0].finishSubfile(p); err != nil {
+			return err
+		}
 	}
 	if err := fs.Buckets.Seal(p, fs.cur); err != nil {
 		return err

@@ -2,6 +2,7 @@ package olfs
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -19,8 +20,9 @@ type fileWriter struct {
 	fs   *FS
 	path string
 
-	w        *udf.Writer     // writer into the current bucket, nil before first byte
+	w        *udf.Writer     // writer into the current bucket, nil between subfiles
 	curID    image.ID        // bucket receiving the current subfile
+	linkedIn image.ID        // bucket holding the next subfile's link, once written
 	parts    []image.ID      // completed subfile locations
 	partLens []int64         // completed subfile lengths
 	partName string          // unique path used inside images (versioned for updates)
@@ -193,6 +195,16 @@ func (fw *fileWriter) writeLocked(p *sim.Proc, data []byte) (int64, error) {
 			if err != nil {
 				return landed, err
 			}
+			// A subfile after the first sits beside a link back to the one
+			// before it (§4.5).
+			if k := len(fw.parts); k > 0 && fw.linkedIn != b.ID {
+				target := fmt.Sprintf("image:%s%s", fw.parts[k-1], fw.partName)
+				if err := b.Vol.WriteLink(p, linkName(fw.partName, k), target); err != nil {
+					return landed, err
+				}
+				fw.linkedIn = b.ID
+				fs.m.splitFiles.Add(1)
+			}
 			w, err := b.Vol.CreateWriter(p, fw.partName)
 			if err != nil {
 				if err == udf.ErrNoSpace {
@@ -206,6 +218,7 @@ func (fw *fileWriter) writeLocked(p *sim.Proc, data []byte) (int64, error) {
 			}
 			fw.w = w
 			fw.curID = b.ID
+			fs.writers = append(fs.writers, fw)
 		}
 		n, err := fw.w.Write(p, data)
 		fs.wp.ChargeBucket(fw.curID, fw.class, int64(n))
@@ -218,28 +231,19 @@ func (fw *fileWriter) writeLocked(p *sim.Proc, data []byte) (int64, error) {
 			return landed, err
 		}
 		// Current bucket full: finish this subfile, seal the bucket, and
-		// continue in a new one with a link back to the previous subfile
-		// (§4.5).
+		// continue in a new one (§4.5).
 		if cerr := fw.finishSubfile(p); cerr != nil {
 			return landed, cerr
 		}
 		if serr := fs.sealCurrent(p); serr != nil {
 			return landed, serr
 		}
-		b, err := fs.ensureBucket(p)
-		if err != nil {
-			return landed, err
-		}
-		target := fmt.Sprintf("image:%s%s", fw.parts[len(fw.parts)-1], fw.partName)
-		if err := b.Vol.WriteLink(p, linkName(fw.partName, len(fw.parts)), target); err != nil {
-			return landed, err
-		}
-		fs.m.splitFiles.Add(1)
 	}
 	return landed, nil
 }
 
-// finishSubfile closes the current UDF writer and records the part.
+// finishSubfile closes the current UDF writer and records the part. Caller
+// holds curMu.
 func (fw *fileWriter) finishSubfile(p *sim.Proc) error {
 	if fw.w == nil {
 		return nil
@@ -250,7 +254,16 @@ func (fw *fileWriter) finishSubfile(p *sim.Proc) error {
 	fw.parts = append(fw.parts, fw.curID)
 	fw.partLens = append(fw.partLens, fw.w.Written())
 	fw.w = nil
+	fw.linkedIn = image.ID{}
+	fw.fs.dropWriter(fw)
 	return nil
+}
+
+// dropWriter forgets fw as a writer into the open bucket.
+func (fs *FS) dropWriter(fw *fileWriter) {
+	if i := slices.Index(fs.writers, fw); i >= 0 {
+		fs.writers = slices.Delete(fs.writers, i, i+1)
+	}
 }
 
 // Close commits the file: the final subfile is closed, the version entry is
@@ -309,7 +322,10 @@ func (fs *FS) WriteFileClass(p *sim.Proc, path string, data []byte, cl writepath
 	}
 	if len(data) > 0 {
 		if _, err := fw.Write(p, data); err != nil {
+			// The file is abandoned: what landed is never committed, and no
+			// seal closes its subfile either.
 			fw.closed = true
+			fs.dropWriter(fw)
 			return err
 		}
 	}

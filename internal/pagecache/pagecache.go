@@ -11,13 +11,17 @@
 // flush traffic competes with parity generation and burn reads on the same
 // array.
 //
-// Write-back happens when Linux would do it: when the oldest dirty chunk is
-// one write-back interval old, when a flush segment's worth of data is dirty,
-// or when Sync asks. A drain then writes everything dirty in ascending order,
-// so a region filled by small sequential writes reaches a RAID backend as
-// full stripes, each byte once. The interval is a strong sleep: Env.Run does
-// not return while data is dirty, so a simulation that has run to quiescence
-// has an array that holds what the cache holds.
+// Dirtiness is kept per chunk as the page-aligned hull of the bytes written
+// into it, so write-back moves dirty 4 KB pages, as Linux does, not whole
+// chunks: a 2 KB UDF entry update flushes one page. Write-back happens when
+// Linux would do it: when the oldest dirty chunk is one write-back interval
+// old, when a flush segment's worth of chunks is dirty, or when Sync asks. A
+// drain then writes everything dirty in ascending order, one backend write
+// per run of contiguous dirty bytes, so a region filled by small sequential
+// writes reaches a RAID backend as full stripes, each byte once. The
+// interval is a strong sleep: Env.Run does not return while data is dirty, so
+// a simulation that has run to quiescence has an array that holds what the
+// cache holds.
 package pagecache
 
 import (
@@ -35,9 +39,10 @@ import (
 // its chunk store: it copies or borrows (chunk.Store.Lend) every byte before
 // it first yields, so the flusher can clear the dirty marks before the call
 // and a write that lands while the backend is busy changes nothing it writes
-// (the cache copies a lent chunk before writing it). raid.Array lends a full
-// stripe's columns to its members and copies partial stripes; a blockdev.Disk
-// adopts everything.
+// (the cache copies a lent chunk before writing it). The range is page
+// aligned (but for the end of the volume) and may cover part of a chunk.
+// raid.Array lends a full stripe's columns to its members and copies partial
+// stripes; a blockdev.Disk adopts whole chunks and copies partial ones.
 type Backend interface {
 	ReadAt(p *sim.Proc, buf []byte, off int64) error
 	WriteFrom(p *sim.Proc, s *chunk.Store, off, n int64) error
@@ -58,8 +63,12 @@ func Ext4Rates() Rates {
 	return Rates{Read: 1.2e9, Write: 1.0e9, PerOp: 10 * time.Microsecond}
 }
 
-// chunkSize is the write-back granularity: one chunk of the store.
-const chunkSize = chunk.Size
+// chunkSize is the unit dirtiness is tracked in: one chunk of the store.
+// pageSize is the write-back granularity within it.
+const (
+	chunkSize = chunk.Size
+	pageSize  = 4 << 10
+)
 
 const (
 	// writebackInterval is how old a dirty chunk may get before the flusher
@@ -83,9 +92,9 @@ type Volume struct {
 
 	// Write-back state. A chunk is dirty from the write that marks it until the
 	// flusher hands it to a backend write; a write that lands after that marks
-	// it again. flushIdle is set while nothing is dirty and no backend write is
-	// in flight.
-	dirty      map[int64]bool
+	// it again. dirty holds each dirty chunk's page-aligned hull. flushIdle is
+	// set while nothing is dirty and no backend write is in flight.
+	dirty      map[int64]extent
 	oldest     time.Duration // when the first chunk no drain has taken was marked; -1 if none
 	flusher    *sim.Daemon   // woken to look at the triggers
 	timer      *sim.Daemon   // sleeps towards oldest + writebackInterval while timerArmed
@@ -102,6 +111,9 @@ type Volume struct {
 	bytesFlushed *obs.Counter
 	dirtyGauge   *obs.Gauge
 }
+
+// extent is the dirty part [lo, hi) of one chunk, in bytes from its start.
+type extent struct{ lo, hi int64 }
 
 // AttachObs connects the volume to a metrics registry under the given name
 // prefix (e.g. "buffer"): <prefix>.bytes_read / bytes_written / bytes_flushed
@@ -121,7 +133,7 @@ func New(env *sim.Env, backend Backend, rates Rates) *Volume {
 		backend:   backend,
 		rates:     rates,
 		size:      backend.Size(),
-		dirty:     make(map[int64]bool),
+		dirty:     make(map[int64]extent),
 		oldest:    -1,
 		flushIdle: sim.NewSignal(env),
 	}
@@ -201,20 +213,25 @@ func (v *Volume) Adopt(p *sim.Proc, off int64, pieces [][]byte) error {
 	return nil
 }
 
-// markDirty counts n bytes written at off and marks their chunks dirty,
-// waking the flusher when a segment's worth is dirty.
+// markDirty counts n bytes written at off and widens the dirty hulls of
+// their chunks to the pages they touch, waking the flusher when a segment's
+// worth of chunks is dirty.
 func (v *Volume) markDirty(p *sim.Proc, off, n int64) {
 	v.bytesWritten.Add(n)
-	first := off / chunkSize
-	last := (off + n - 1) / chunkSize
-	for ci := first; ci <= last; ci++ {
-		if !v.dirty[ci] {
-			v.dirty[ci] = true
+	lo := off / pageSize * pageSize
+	hi := (off + n + pageSize - 1) / pageSize * pageSize
+	for ci := lo / chunkSize; ci*chunkSize < hi; ci++ {
+		base := ci * chunkSize
+		e := extent{max(lo-base, 0), min(hi-base, chunkSize)}
+		if d, ok := v.dirty[ci]; ok {
+			e = extent{min(d.lo, e.lo), max(d.hi, e.hi)}
+		} else {
 			v.flushIdle.Clear()
 			if v.oldest < 0 {
 				v.oldest = p.Now()
 			}
 		}
+		v.dirty[ci] = e
 	}
 	v.dirtyGauge.Set(int64(len(v.dirty)))
 	if len(v.dirty)*chunkSize >= flushSegment {
@@ -252,7 +269,7 @@ func (v *Volume) due(now time.Duration) bool {
 		len(v.dirty)*chunkSize >= flushSegment || now-v.oldest >= writebackInterval
 }
 
-// flush is the flusher's body: it writes dirty chunks back while a trigger
+// flush is the flusher's body: it writes dirty pages back while a trigger
 // holds, then arms the timer for what is left.
 func (v *Volume) flush(p *sim.Proc) {
 	for v.due(p.Now()) {
@@ -266,14 +283,22 @@ func (v *Volume) flush(p *sim.Proc) {
 		v.batch = batch
 		v.oldest = -1
 		for i := 0; i < len(batch); {
-			// One backend write per run of adjacent chunks, a segment at most.
+			// One backend write per run of contiguous dirty bytes, a segment
+			// of chunks at most: a chunk joins the run only if the run reaches
+			// its start and it is dirty from there.
 			first, n := batch[i], 1
+			e := v.dirty[first]
+			start, end := first*chunkSize+e.lo, first*chunkSize+e.hi
 			for i+n < len(batch) && batch[i+n] == first+int64(n) && (n+1)*chunkSize <= flushSegment {
+				next := v.dirty[batch[i+n]]
+				if end%chunkSize != 0 || next.lo != 0 {
+					break
+				}
+				end = batch[i+n]*chunkSize + next.hi
 				n++
 			}
 			i += n
-			start := first * chunkSize
-			length := min(int64(n)*chunkSize, v.size-start)
+			length := min(end, v.size) - start
 			// The chunks are clean from here: the backend takes their bytes
 			// before it first yields, and a write that lands while it is busy
 			// marks them again.

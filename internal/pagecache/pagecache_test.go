@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -272,9 +273,9 @@ func TestWriteBackWaitsForTheInterval(t *testing.T) {
 			t.Errorf("before the interval: %d backend ops, %d dirty chunks, want 0 and 2", disk.Ops, v.DirtyChunks())
 		}
 		p.Sleep(100 * time.Millisecond)
-		if disk.BytesWritten != 2*chunkSize || v.DirtyChunks() != 0 {
+		if disk.BytesWritten != 2*pageSize || v.DirtyChunks() != 0 {
 			t.Errorf("after the interval: %d bytes on the backend, %d dirty chunks, want %d and 0",
-				disk.BytesWritten, v.DirtyChunks(), 2*chunkSize)
+				disk.BytesWritten, v.DirtyChunks(), 2*pageSize)
 		}
 		// Nothing is dirty now, so the next write waits a whole interval again.
 		if err := v.WriteAt(p, bytes.Repeat([]byte{9}, 4096), 0); err != nil {
@@ -283,7 +284,7 @@ func TestWriteBackWaitsForTheInterval(t *testing.T) {
 		wrote = p.Now()
 	})
 	env.Run()
-	if v.DirtyChunks() != 0 || disk.BytesWritten != 3*chunkSize {
+	if v.DirtyChunks() != 0 || disk.BytesWritten != 3*pageSize {
 		t.Errorf("Env.Run returned with %d dirty chunks and %d bytes on the backend", v.DirtyChunks(), disk.BytesWritten)
 	}
 	if env.Now() < wrote+writebackInterval {
@@ -343,8 +344,9 @@ func TestSyncStartsWriteBack(t *testing.T) {
 		if took := p.Now() - start; took > 100*time.Millisecond {
 			t.Errorf("Sync on a dirty cache took %v: it waited for the timer", took)
 		}
-		if disk.BytesWritten != chunkSize || v.DirtyChunks() != 0 {
-			t.Errorf("after Sync: %d bytes on the backend, %d dirty chunks", disk.BytesWritten, v.DirtyChunks())
+		if disk.BytesWritten != pageSize || v.DirtyChunks() != 0 {
+			t.Errorf("after Sync: %d bytes on the backend, %d dirty chunks, want %d and 0",
+				disk.BytesWritten, v.DirtyChunks(), pageSize)
 		}
 		start = p.Now()
 		v.Sync(p)
@@ -364,6 +366,55 @@ type recordingBackend struct {
 func (r *recordingBackend) WriteFrom(p *sim.Proc, s *chunk.Store, off, n int64) error {
 	r.writes = append(r.writes, [2]int64{off, n})
 	return r.Backend.WriteFrom(p, s, off, n)
+}
+
+// TestWriteBackMovesDirtyPages: write-back moves the page-aligned hull of
+// what was written into each chunk, not the whole chunk, and dirty bytes that
+// run on across a chunk boundary go to the backend as one write.
+func TestWriteBackMovesDirtyPages(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		writes [][2]int64 // off, len
+		want   [][2]int64 // backend writes: off, len
+	}{
+		{"one page", [][2]int64{{5 * chunkSize, pageSize}}, [][2]int64{{5 * chunkSize, pageSize}}},
+		{"sub-page write", [][2]int64{{pageSize + 100, 2000}}, [][2]int64{{pageSize, pageSize}}},
+		{"pages 0 and 15 of a chunk", [][2]int64{{chunkSize, pageSize}, {chunkSize + 15*pageSize, 100}},
+			[][2]int64{{chunkSize, chunkSize}}},
+		{"pages 2 and 5 of a chunk", [][2]int64{{chunkSize + 5*pageSize, 10}, {chunkSize + 2*pageSize, 10}},
+			[][2]int64{{chunkSize + 2*pageSize, 4 * pageSize}}},
+		{"across a chunk boundary", [][2]int64{{2*chunkSize - 3000, 6000}},
+			[][2]int64{{2*chunkSize - pageSize, 2 * pageSize}}},
+		{"two chunks, not contiguous", [][2]int64{{pageSize, pageSize}, {chunkSize, pageSize}},
+			[][2]int64{{pageSize, pageSize}, {chunkSize, pageSize}}},
+	} {
+		env := sim.NewEnv()
+		disk := blockdev.New(env, 1<<24, blockdev.SSDProfile())
+		rec := &recordingBackend{Backend: disk}
+		v := New(env, rec, Ext4Rates())
+		reg := obs.New(env)
+		v.AttachObs(reg, "buffer")
+		env.Go("t", func(p *sim.Proc) {
+			for _, w := range tc.writes {
+				if err := v.WriteAt(p, bytes.Repeat([]byte{5}, int(w[1])), w[0]); err != nil {
+					t.Errorf("%s: WriteAt: %v", tc.name, err)
+				}
+			}
+			v.Sync(p)
+		})
+		env.Run()
+		if !slices.Equal(rec.writes, tc.want) {
+			t.Errorf("%s: backend writes %v, want %v", tc.name, rec.writes, tc.want)
+		}
+		var want int64
+		for _, w := range tc.want {
+			want += w[1]
+		}
+		if got := reg.Counter("buffer.bytes_flushed").Value(); got != want || disk.BytesWritten != want {
+			t.Errorf("%s: flushed %d bytes, backend wrote %d, want %d", tc.name, got, disk.BytesWritten, want)
+		}
+		env.Close()
+	}
 }
 
 // TestSequentialFillReachesArrayAsFullStripes fills a region the way a bucket

@@ -342,12 +342,14 @@ func (a *Array) WriteAt(p *sim.Proc, buf []byte, off int64) error {
 }
 
 // WriteFrom writes s's bytes [off, off+n) at logical offset off, for a page
-// cache flushing its store (pagecache.Backend). It takes every byte before it
+// cache flushing its store (pagecache.Backend). The range is any run of dirty
+// pages, down to one 4 KB page inside a column. It takes every byte before it
 // first yields: a full stripe's columns are lent by s to the data members,
-// which keep them (blockdev.Device.Adopt), and everything else is copied out
-// of s. A partial stripe is never lent, because it is a region still being
-// written, and a lent chunk makes each later small write to it copy the whole
-// chunk.
+// which keep them (blockdev.Device.Adopt), and everything else, a sub-chunk
+// run included, is copied out of s into stripe scratch and written through
+// writePartialStripe, which reads only what its parity plan needs. A partial
+// stripe is never lent, because it is a region still being written, and a
+// lent chunk makes each later small write to it copy the whole chunk.
 func (a *Array) WriteFrom(p *sim.Proc, s *chunk.Store, off, n int64) error {
 	return a.write(p, nil, s, off, n)
 }

@@ -46,10 +46,13 @@ func (w *Writer) Written() int64 { return w.size }
 
 // Write appends data, returning how many bytes fit. A short count means the
 // volume is full (err == ErrNoSpace); the accepted prefix is durable after
-// Close.
+// Close. A finalized volume takes nothing (ErrFinalized).
 func (w *Writer) Write(p *sim.Proc, data []byte) (int, error) {
 	if w.closed {
 		return 0, fmt.Errorf("udf: write to closed writer")
+	}
+	if w.v.finalized {
+		return 0, ErrFinalized
 	}
 	written := 0
 	// Fill the partial tail block first.
@@ -142,10 +145,15 @@ func (w *Writer) appendExtent(e extent) {
 	w.extents = append(w.extents, e)
 }
 
-// Close flushes the tail and commits the entry (size + extents).
+// Close flushes the tail and commits the entry (size + extents). On a
+// finalized volume it writes nothing and returns ErrFinalized: the image's
+// bytes are fixed, its parity may be computed and its disc burning.
 func (w *Writer) Close(p *sim.Proc) error {
 	if w.closed {
 		return nil
+	}
+	if w.v.finalized {
+		return ErrFinalized
 	}
 	w.closed = true
 	if err := w.flushTail(p); err != nil {

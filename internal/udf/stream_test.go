@@ -210,3 +210,44 @@ func TestPropertyStreamEqualsWriteFile(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWriterRefusesFinalizedVolume: a writer left open when its volume is
+// finalized neither writes nor closes into it, so the image keeps the bytes
+// it had at Finalize.
+func TestWriterRefusesFinalizedVolume(t *testing.T) {
+	env := sim.NewEnv()
+	d := blockdev.New(env, 1<<20, blockdev.SSDProfile())
+	inSim(t, env, func(p *sim.Proc) {
+		v, err := Format(p, d, [16]byte{4}, "sealed")
+		if err != nil {
+			t.Fatalf("Format: %v", err)
+		}
+		w, err := v.CreateWriter(p, "/open")
+		if err != nil {
+			t.Fatalf("CreateWriter: %v", err)
+		}
+		if _, err := w.Write(p, bytes.Repeat([]byte{7}, 1914)); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+		if err := v.Finalize(p); err != nil {
+			t.Fatalf("Finalize: %v", err)
+		}
+		before := make([]byte, d.Size())
+		if err := d.ReadAt(p, before, 0); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := w.Write(p, []byte("late")); n != 0 || !errors.Is(err, ErrFinalized) {
+			t.Errorf("Write after Finalize = %d, %v; want 0, ErrFinalized", n, err)
+		}
+		if err := w.Close(p); !errors.Is(err, ErrFinalized) {
+			t.Errorf("Close after Finalize = %v, want ErrFinalized", err)
+		}
+		after := make([]byte, d.Size())
+		if err := d.ReadAt(p, after, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Error("the finalized volume changed")
+		}
+	})
+}
