@@ -24,7 +24,11 @@
 //	sync                    seal every rack's current bucket
 //	burn                    seal + burn every rack's sealed images, wait for all
 //	scrub <tray>            verify cross-disc parity of a burned tray (r0/L84/S0)
-//	trays                   show used/failed trays
+//	                        on every rack that holds it
+//	repair <tray>           scrub a tray and recover the images of its bad
+//	                        discs, on every rack that holds it
+//	snapshot                write an MV snapshot into every rack's namespace
+//	trays                   every rack's used, then failed trays, in fill order
 //	status                  system counters, then one row per rack: health,
 //	                        buffer, scheduler queues, admission, drive states
 //	stats [--json] [--rack <i>]
@@ -41,22 +45,23 @@
 //	                        sampled series with sparklines (filter = substring)
 //	watch [frames] [filter] live dashboard: redraw every sampling interval of
 //	                        virtual time while daemons run
-//	trace list              captured request traces (tail-sampled journal)
+//	trace list              captured federation request traces (tail-sampled)
 //	trace show <id>         one trace as a span tree + critical-path breakdown
 //	trace export --perfetto [<id>]
 //	                        Chrome/Perfetto trace_event JSON (ui.perfetto.dev)
 //	faults list             armed fault rules, fire counts, injection schedule
 //	faults arm <spec>       arm fault rules (optical.read:p=0.05;media.lse:once)
 //	faults clear            disarm all fault rules (schedule is kept)
-//	power                   current modeled power draw
+//	power                   current modeled power draw, summed over every rack
 //	clock                   virtual time
 //	help / quit
 //
 // The system is a federation of -racks racks (default 1). The file commands
 // write, read, put, get, stat, ls and rm act on the whole federation
-// (replicated placement, replica-aware reads); ingest, drain, scrub, repair,
-// snapshot and trays act on rack 0; and the cluster command group manages
-// the federation:
+// (replicated placement, replica-aware reads); sync, burn, snapshot, trays,
+// status, stats and power act on every rack, and scrub and repair on every
+// rack that holds the tray; and the cluster command group manages the
+// federation:
 //
 //	cluster status [--json]   health, loads and backlog per rack
 //	cluster placement [<path>] per-rack placement loads, or one
@@ -254,64 +259,40 @@ func run(sys *ros.System, w io.Writer, fields []string, body []byte) error {
 }
 
 func dispatch(sys *ros.System, p *sim.Proc, w io.Writer, fields []string, body []byte) error {
-	fs := sys.FS
 	switch fields[0] {
 	case "help":
-		fmt.Fprintln(w, "write read put get stat ls rm sync burn ingest drain scrub repair snapshot trays status stats metrics alerts top watch trace faults power clock quit")
+		fmt.Fprintln(w, "write read put get stat ls rm sync burn scrub repair snapshot trays status stats metrics alerts top watch trace faults power clock quit")
 		fmt.Fprintln(w, "cluster status|placement|kill|revive|addrack")
 	case "cluster":
 		return clusterCommand(sys, w, fields[1:])
-	case "ingest":
-		// Direct-writing mode (§4.8): wire-speed staging, async delivery.
-		if len(fields) != 3 {
-			return fmt.Errorf("usage: ingest <path> <size>")
-		}
-		n, err := parseSize(fields[2])
-		if err != nil {
-			return err
-		}
-		data := make([]byte, n)
-		for i := range data {
-			data[i] = byte(i*11 + 3)
-		}
-		start := p.Now()
-		if err := fs.DirectIngest(p, fields[1], data); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "staged %s (%d bytes) in %v; delivery continues in background\n",
-			fields[1], n, p.Now()-start)
-	case "drain":
-		start := p.Now()
-		if err := fs.DirectDrain(p); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "staging drained in %v\n", p.Now()-start)
 	case "repair":
-		if len(fields) != 2 {
-			return fmt.Errorf("usage: repair r<r>/L<l>/S<s>")
-		}
-		id, err := rack.ParseTrayID(fields[1])
+		racks, id, err := trayHolders(sys, fields)
 		if err != nil {
 			return err
 		}
-		rep, err := fs.ScrubAndRepair(p, id)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "scrub: %d bad strips; bad discs %v; %d image(s) recovered, %d migrated\n",
-			len(rep.Scrub.BadStrips), rep.BadDiscs, len(rep.Recovered), len(rep.Migrated))
-		if rep.ReBurn != nil {
-			if _, err := rep.ReBurn.Wait(p); err != nil {
-				return fmt.Errorf("re-burn: %w", err)
+		for _, r := range racks {
+			rep, err := r.FS.ScrubAndRepair(p, id)
+			if err != nil {
+				return fmt.Errorf("%s: %w", r.Name, err)
 			}
-			fmt.Fprintln(w, "recovered images re-burned to a fresh array")
+			reburn := ""
+			if rep.ReBurn != nil {
+				if _, err := rep.ReBurn.Wait(p); err != nil {
+					return fmt.Errorf("%s: re-burn: %w", r.Name, err)
+				}
+				reburn = "; re-burned to a fresh array"
+			}
+			fmt.Fprintf(w, "  %s repaired %v: %d bad strips; bad discs %v; %d image(s) recovered, %d migrated%s\n",
+				r.Name, id, len(rep.Scrub.BadStrips), rep.BadDiscs, len(rep.Recovered), len(rep.Migrated), reburn)
 		}
 	case "snapshot":
-		seq, err := fs.BurnMVSnapshot(p)
-		if err != nil {
-			return err
+		for _, r := range sys.Cluster.Racks() {
+			seq, err := r.FS.BurnMVSnapshot(p)
+			if err != nil {
+				return fmt.Errorf("%s: %w", r.Name, err)
+			}
+			fmt.Fprintf(w, "  %s: MV snapshot %d written into the namespace (burns with the next array)\n", r.Name, seq)
 		}
-		fmt.Fprintf(w, "MV snapshot %d written into the namespace (burns with the next array)\n", seq)
 	case "clock":
 		fmt.Fprintln(w, "virtual time:", p.Now())
 	case "write", "put":
@@ -418,32 +399,30 @@ func dispatch(sys *ros.System, p *sim.Proc, w io.Writer, fields []string, body [
 		}
 		fmt.Fprintf(w, "burned in %v (virtual)\n", p.Now()-start)
 	case "scrub":
-		if len(fields) != 2 {
-			return fmt.Errorf("usage: scrub r<r>/L<l>/S<s>")
-		}
-		id, err := rack.ParseTrayID(fields[1])
+		racks, id, err := trayHolders(sys, fields)
 		if err != nil {
 			return err
 		}
-		rep, err := fs.ScrubTray(p, id)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "scrubbed %v: %d bytes/disc checked, %d bad strips\n",
-			rep.Tray, rep.Checked, len(rep.BadStrips))
-	case "trays":
-		used, failed := 0, 0
-		for k, st := range fs.Cat.DA {
-			switch st {
-			case image.DAUsed:
-				used++
-				fmt.Fprintln(w, "  used  ", k)
-			case image.DAFailed:
-				failed++
-				fmt.Fprintln(w, "  failed", k)
+		for _, r := range racks {
+			rep, err := r.FS.ScrubTray(p, id)
+			if err != nil {
+				return fmt.Errorf("%s: %w", r.Name, err)
 			}
+			fmt.Fprintf(w, "  %s scrubbed %v: %d bytes/disc checked, %d bad strips\n",
+				r.Name, rep.Tray, rep.Checked, len(rep.BadStrips))
 		}
-		fmt.Fprintf(w, "  %d used, %d failed, %d images on disc\n", used, failed, len(fs.Cat.DIL))
+	case "trays":
+		for _, r := range sys.Cluster.Racks() {
+			used, failed := r.FS.Cat.Trays(image.DAUsed), r.FS.Cat.Trays(image.DAFailed)
+			for _, id := range used {
+				fmt.Fprintf(w, "  %s used   %v\n", r.Name, id)
+			}
+			for _, id := range failed {
+				fmt.Fprintf(w, "  %s failed %v\n", r.Name, id)
+			}
+			fmt.Fprintf(w, "  %s: %d used, %d failed, %d images on disc\n",
+				r.Name, len(used), len(failed), len(r.FS.Cat.DIL))
+		}
 	case "status":
 		// The summary lines count the whole system; the table has one row
 		// per rack.
@@ -456,7 +435,7 @@ func dispatch(sys *ros.System, p *sim.Proc, w io.Writer, fields []string, body [
 		fmt.Fprintf(w, "  mechanics: %d loads, %d unloads; discs resident: %d\n",
 			c("rack.loads"), c("rack.unloads"), st.TotalDiscs)
 		fmt.Fprintf(w, "  scheduler: %s (sched queue: interactive/prefetch/burn/scrub)\n",
-			fs.Sched().Config().Policy)
+			sys.Cluster.Racks()[0].FS.Sched().Config().Policy)
 		fmt.Fprintf(w, "  %-6s %-8s %-10s %-12s %-6s %-26s %-6s %-5s %-10s %s\n", "rack", "health",
 			"free slots", "sched queue", "burns", "admission inflight", "queued", "shed", "peak", "drive groups")
 		for _, r := range sys.Cluster.Racks() {
@@ -524,28 +503,56 @@ func dispatch(sys *ros.System, p *sim.Proc, w io.Writer, fields []string, body [
 	case "watch":
 		return watchCommand(sys, p, w, fields[1:])
 	case "trace":
-		return traceCommand(fs.Tracer(), w, fields[1:])
+		return traceCommand(sys.Cluster.Tracer(), w, fields[1:])
 	case "faults":
 		return faultsCommand(sys.Faults, w, fields[1:])
 	case "power":
-		burning, idleDr := 0, 0
-		for _, g := range sys.Library.Groups {
-			for _, d := range g.Drives {
-				switch d.State() {
-				case optical.StateBurning:
-					burning++
-				case optical.StateIdle:
-					idleDr++
+		// Every rack draws its own controller, disks and drives.
+		cfg := power.PrototypeConfig()
+		racks := sys.Cluster.Racks()
+		draw := 0.0
+		for _, r := range racks {
+			var st power.State
+			for _, g := range r.Lib.Groups {
+				for _, d := range g.Drives {
+					switch d.State() {
+					case optical.StateBurning:
+						st.BurningDrives++
+					case optical.StateIdle:
+						st.IdleDrives++
+					}
 				}
 			}
+			draw += cfg.Draw(st)
 		}
-		cfg := power.PrototypeConfig()
-		draw := cfg.Draw(power.State{BurningDrives: burning, IdleDrives: idleDr})
-		fmt.Fprintf(w, "  modeled draw: %.0f W (idle %.0f W, peak %.0f W)\n", draw, cfg.Idle(), cfg.Peak())
+		n := float64(len(racks))
+		fmt.Fprintf(w, "  modeled draw: %.0f W (idle %.0f W, peak %.0f W)\n", draw, n*cfg.Idle(), n*cfg.Peak())
 	default:
 		return fmt.Errorf("unknown command %q (try help)", fields[0])
 	}
 	return nil
+}
+
+// trayHolders parses a `<verb> <tray>` command and returns the racks whose
+// catalog marks that tray Used; it is an error when no rack does.
+func trayHolders(sys *ros.System, fields []string) ([]*cluster.Rack, rack.TrayID, error) {
+	if len(fields) != 2 {
+		return nil, rack.TrayID{}, fmt.Errorf("usage: %s r<r>/L<l>/S<s>", fields[0])
+	}
+	id, err := rack.ParseTrayID(fields[1])
+	if err != nil {
+		return nil, id, err
+	}
+	var holders []*cluster.Rack
+	for _, r := range sys.Cluster.Racks() {
+		if r.FS.Cat.DAState(id) == image.DAUsed {
+			holders = append(holders, r)
+		}
+	}
+	if len(holders) == 0 {
+		return nil, id, fmt.Errorf("no rack holds a used tray %v (see trays)", id)
+	}
+	return holders, id, nil
 }
 
 // clusterCommand implements the `cluster` group over the federation layer.
@@ -613,7 +620,7 @@ func clusterCommand(sys *ros.System, w io.Writer, args []string) error {
 }
 
 // traceCommand implements `trace list|show <id>|export --perfetto [<id>]`
-// over the FS's causal-trace journal.
+// over the journal federation requests are traced into.
 func traceCommand(tr *obs.Tracer, w io.Writer, args []string) error {
 	if tr == nil {
 		return fmt.Errorf("tracing is disabled (TraceCapacity < 0)")

@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"ros"
+	"ros/internal/image"
+	"ros/internal/power"
 )
 
 // newConsole builds the console's System for a test and closes it after.
@@ -85,6 +87,107 @@ func TestRmUnlinksEveryReplica(t *testing.T) {
 	}
 	if out, _ := exec(t, sys, "ls /"); strings.Contains(out, " a\n") {
 		t.Errorf("ls / after rm /a still lists it:\n%s", out)
+	}
+}
+
+func TestIngestIsGone(t *testing.T) {
+	sys := newConsole(t, 1, 0)
+	if _, err := exec(t, sys, "ingest /x 1MB"); err == nil || !strings.Contains(err.Error(), "unknown command") {
+		t.Errorf("ingest: %v, want an unknown command", err)
+	}
+}
+
+// rack1Only runs spread, burns every rack, then burns 16 MB more on rack 1
+// alone and returns a tray that only rack 1's catalog marks Used.
+func rack1Only(t *testing.T) (*ros.System, string) {
+	t.Helper()
+	sys := spread(t)
+	if _, err := exec(t, sys, "burn"); err != nil {
+		t.Fatal(err)
+	}
+	racks := sys.Cluster.Racks()
+	err := sys.Do(func(p *ros.Proc) error {
+		if err := racks[1].FS.WriteFile(p, "/rack1/only", make([]byte, 16<<20)); err != nil {
+			return err
+		}
+		c, err := racks[1].FS.FlushAndBurn(p)
+		if err != nil {
+			return err
+		}
+		_, err = c.Wait(p)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range racks[1].FS.Cat.Trays(image.DAUsed) {
+		if racks[0].FS.Cat.DAState(id) != image.DAUsed && racks[2].FS.Cat.DAState(id) != image.DAUsed {
+			return sys, id.String()
+		}
+	}
+	t.Fatal("no tray is Used on rack1 alone")
+	return nil, ""
+}
+
+func TestTraysListsEveryRackInFillOrder(t *testing.T) {
+	sys, _ := rack1Only(t)
+	out, err := exec(t, sys, "trays")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	for _, r := range sys.Cluster.Racks() {
+		used := r.FS.Cat.Trays(image.DAUsed)
+		for _, id := range used {
+			fmt.Fprintf(&want, "  %s used   %v\n", r.Name, id)
+		}
+		fmt.Fprintf(&want, "  %s: %d used, 0 failed, %d images on disc\n", r.Name, len(used), len(r.FS.Cat.DIL))
+	}
+	if out != want.String() {
+		t.Errorf("trays printed\n%s\nwant\n%s", out, want.String())
+	}
+	if again, _ := exec(t, sys, "trays"); again != out {
+		t.Errorf("a second trays printed\n%s\nafter\n%s", again, out)
+	}
+}
+
+func TestTrayVerbsReachRack1(t *testing.T) {
+	sys, tray := rack1Only(t)
+	for verb, want := range map[string]string{
+		"scrub " + tray:  "  rack1 scrubbed " + tray + ":",
+		"repair " + tray: "  rack1 repaired " + tray + ":",
+	} {
+		out, err := exec(t, sys, verb)
+		if err != nil {
+			t.Errorf("%s: %v", verb, err)
+		} else if !strings.HasPrefix(out, want) || strings.Count(out, "\n") != 1 {
+			t.Errorf("%s printed %q, want one line starting %q", verb, out, want)
+		}
+	}
+	out, err := exec(t, sys, "snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range sys.Cluster.Racks() {
+		if !strings.Contains(out, "  "+r.Name+": MV snapshot ") {
+			t.Errorf("snapshot printed\n%s\nwith no line for %s", out, r.Name)
+		}
+	}
+	if _, err := exec(t, sys, "scrub r1/L01/S1"); err == nil {
+		t.Error("scrub of a tray no rack holds succeeded")
+	}
+}
+
+func TestPowerSumsEveryRack(t *testing.T) {
+	sys := newConsole(t, 3, 0)
+	out, err := exec(t, sys, "power")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := power.PrototypeConfig()
+	want := fmt.Sprintf("  modeled draw: %.0f W (idle %.0f W, peak %.0f W)\n", 3*cfg.Idle(), 3*cfg.Idle(), 3*cfg.Peak())
+	if out != want {
+		t.Errorf("power at rest on 3 racks printed %q, want %q", out, want)
 	}
 }
 

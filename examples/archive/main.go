@@ -64,7 +64,7 @@ func main() {
 		// Disaster: one disc of the array is destroyed. (The scrub left the
 		// array loaded in a drive group, so find the disc there.)
 		victim := pickVictim(sys, tray)
-		disc := sys.Library.Disc(tray, victim)
+		disc := sys.Cluster.Racks()[0].Lib.Disc(tray, victim)
 		fmt.Printf("destroying disc %v (position %d of tray %v)\n", disc.ID, victim, tray)
 		disc.Fail()
 
@@ -115,7 +115,7 @@ func main() {
 }
 
 func firstUsedTray(sys *ros.System) rack.TrayID {
-	if trays := sys.FS.Cat.UsedTrays(); len(trays) > 0 {
+	if trays := sys.FS.Cat.Trays(image.DAUsed); len(trays) > 0 {
 		return trays[0]
 	}
 	return rack.TrayID{}

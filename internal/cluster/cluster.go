@@ -207,6 +207,10 @@ func (c *Cluster) Racks() []*Rack { return c.racks }
 // Replicas returns the configured replica count.
 func (c *Cluster) Replicas() int { return c.replicas }
 
+// Tracer returns the journal federation requests (cluster.write,
+// cluster.read, cluster.rereplicate) are traced into: rack 0's tracer.
+func (c *Cluster) Tracer() *obs.Tracer { return c.tracer }
+
 // Loads returns the per-rack replica counts the placer tracks.
 func (c *Cluster) Loads() []int64 {
 	return append([]int64(nil), c.placer.loads...)

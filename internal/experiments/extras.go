@@ -93,7 +93,7 @@ func MVRecovery() (Result, error) {
 				return err
 			}
 		}
-		trays := fs.Cat.UsedTrays()
+		trays := fs.Cat.Trays(image.DAUsed)
 		if len(trays) < arrays {
 			return fmt.Errorf("expected >= %d used trays, got %d", arrays, len(trays))
 		}

@@ -55,7 +55,7 @@ func AblationParallelRead() (Result, error) {
 			if _, err := c.Wait(p); err != nil {
 				return err
 			}
-			trays := fs.Cat.UsedTrays()
+			trays := fs.Cat.Trays(image.DAUsed)
 			if len(trays) == 0 {
 				return fmt.Errorf("ablate-pread: no burned tray")
 			}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ros/internal/cluster"
+	"ros/internal/image"
 	"ros/internal/olfs"
 	"ros/internal/rack"
 	"ros/internal/sim"
@@ -132,7 +133,7 @@ func Table1() (Result, error) {
 			return fmt.Errorf("discA not burned")
 		}
 		var others []rack.TrayID
-		for _, tr := range fs.Cat.UsedTrays() {
+		for _, tr := range fs.Cat.Trays(image.DAUsed) {
 			if tr != addrA.Tray {
 				others = append(others, tr)
 			}

@@ -67,9 +67,6 @@ func Wrap(inner vfs.FileSystem, opts Options) *FS {
 	return &FS{inner: inner, opts: opts}
 }
 
-// Inner returns the wrapped filesystem.
-func (f *FS) Inner() vfs.FileSystem { return f.inner }
-
 func (f *FS) meta(p *sim.Proc) {
 	f.MetaRequests++
 	p.Sleep(metaSwitch)

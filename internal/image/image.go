@@ -245,12 +245,13 @@ func (c *Catalog) FindEmptyTray(lib *rack.Library) (rack.TrayID, bool) {
 	return rack.TrayID{}, false
 }
 
-// UsedTrays returns the trays marked Used in FindEmptyTray's (roller, layer
-// descending, slot) order, the order they fill in and the scrubber's rotation.
-func (c *Catalog) UsedTrays() []rack.TrayID {
+// Trays returns the trays in state want, in FindEmptyTray's (roller, layer
+// descending, slot) order: the order they fill in and the scrubber's
+// rotation.
+func (c *Catalog) Trays(want DAState) []rack.TrayID {
 	var out []rack.TrayID
 	for k, st := range c.DA {
-		if st != DAUsed {
+		if st != want {
 			continue
 		}
 		if id, err := rack.ParseTrayID(k); err == nil {

@@ -501,8 +501,8 @@ func TestImagesOnTrayIsACopy(t *testing.T) {
 	}
 }
 
-// TestUsedTraysOrder checks that UsedTrays lists only Used trays, in
-// (roller, layer descending, slot) order.
+// TestUsedTraysOrder checks that Trays lists only the trays in the state
+// asked for, in (roller, layer descending, slot) order.
 func TestUsedTraysOrder(t *testing.T) {
 	c := NewCatalog()
 	want := []rack.TrayID{
@@ -515,9 +515,14 @@ func TestUsedTraysOrder(t *testing.T) {
 	for _, i := range []int{3, 1, 4, 0, 2} {
 		c.SetDAState(want[i], DAUsed)
 	}
-	c.SetDAState(rack.TrayID{Roller: 0, Layer: 50, Slot: 0}, DAFailed)
+	failed := []rack.TrayID{{Roller: 0, Layer: 50, Slot: 0}, {Roller: 1, Layer: 60, Slot: 3}}
+	c.SetDAState(failed[1], DAFailed)
+	c.SetDAState(failed[0], DAFailed)
 	c.SetDAState(rack.TrayID{Roller: 0, Layer: 40, Slot: 0}, DAEmpty)
-	if got := c.UsedTrays(); !slices.Equal(got, want) {
-		t.Errorf("UsedTrays = %v, want %v", got, want)
+	if got := c.Trays(DAUsed); !slices.Equal(got, want) {
+		t.Errorf("Trays(DAUsed) = %v, want %v", got, want)
+	}
+	if got := c.Trays(DAFailed); !slices.Equal(got, failed) {
+		t.Errorf("Trays(DAFailed) = %v, want %v", got, failed)
 	}
 }

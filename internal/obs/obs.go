@@ -40,22 +40,14 @@ type Registry struct {
 	tracer   *Tracer // optional causal request tracer (see trace.go)
 }
 
-// New creates a registry bound to env and subscribes it to the environment's
-// structured event stream: every emitted event increments an
-// "events.<kind>" counter, so trace activity shows up in snapshots.
+// New creates a registry bound to env's virtual clock.
 func New(env *sim.Env) *Registry {
-	r := &Registry{
+	return &Registry{
 		env:      env,
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
-	if env != nil {
-		env.AddEventSink(func(ev sim.TraceEvent) {
-			r.Counter("events." + ev.Kind).Add(1)
-		})
-	}
-	return r
 }
 
 // Env returns the simulation environment the registry is bound to (nil for a
@@ -463,24 +455,47 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, g := range r.gauges {
 		s.Gauges = append(s.Gauges, GaugeSnapshot{Name: name, Value: g.Value()})
 	}
-	for name, h := range r.hists {
-		s.Histograms = append(s.Histograms, HistogramSnapshot{
-			Name:    name,
-			Count:   h.Count(),
-			Sum:     h.Sum(),
-			Min:     h.Min(),
-			Max:     h.Max(),
-			Mean:    h.Mean(),
-			P50:     h.Quantile(0.50),
-			P95:     h.Quantile(0.95),
-			P99:     h.Quantile(0.99),
-			Buckets: trimBuckets(h.buckets[:]),
-		})
+	for _, h := range r.hists {
+		s.Histograms = append(s.Histograms, h.snapshot())
 	}
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
+}
+
+// snapshot exports the histogram, quantiles derived from its buckets.
+func (h *Histogram) snapshot() HistogramSnapshot {
+	return HistogramSnapshot{
+		Name:    h.name,
+		Count:   h.Count(),
+		Sum:     h.Sum(),
+		Min:     h.Min(),
+		Max:     h.Max(),
+		Mean:    h.Mean(),
+		P50:     h.Quantile(0.50),
+		P95:     h.Quantile(0.95),
+		P99:     h.Quantile(0.99),
+		Buckets: trimBuckets(h.buckets[:]),
+	}
+}
+
+// merge adds a snapshot's samples to the histogram: bucket counts, count and
+// sum add up, and min and max widen.
+func (h *Histogram) merge(s HistogramSnapshot) {
+	if h.count == 0 || s.Min < h.min {
+		h.min = s.Min
+	}
+	if h.count == 0 || s.Max > h.max {
+		h.max = s.Max
+	}
+	for i, n := range s.Buckets {
+		if i < histBuckets {
+			h.buckets[i] += n
+		}
+	}
+	h.count += s.Count
+	h.sum += s.Sum
 }
 
 // Counter returns the value of the named counter, or 0 when the snapshot has
@@ -525,13 +540,7 @@ func MergeSnapshots(snaps ...Snapshot) Snapshot {
 	var out Snapshot
 	counters := map[string]int64{}
 	gauges := map[string]int64{}
-	type histAcc struct {
-		buckets  [histBuckets]int64
-		count    int64
-		sum      int64
-		min, max int64
-	}
-	hists := map[string]*histAcc{}
+	hists := map[string]*Histogram{}
 	for _, s := range snaps {
 		if s.Now > out.Now {
 			out.Now = s.Now
@@ -550,22 +559,10 @@ func MergeSnapshots(snaps ...Snapshot) Snapshot {
 			}
 			a, ok := hists[h.Name]
 			if !ok {
-				a = &histAcc{min: h.Min, max: h.Max}
+				a = NewHistogram(h.Name)
 				hists[h.Name] = a
 			}
-			for i, n := range h.Buckets {
-				if i < histBuckets {
-					a.buckets[i] += n
-				}
-			}
-			a.count += h.Count
-			a.sum += h.Sum
-			if h.Min < a.min {
-				a.min = h.Min
-			}
-			if h.Max > a.max {
-				a.max = h.Max
-			}
+			a.merge(h)
 		}
 	}
 	for name, v := range counters {
@@ -574,29 +571,8 @@ func MergeSnapshots(snaps ...Snapshot) Snapshot {
 	for name, v := range gauges {
 		out.Gauges = append(out.Gauges, GaugeSnapshot{Name: name, Value: v})
 	}
-	clamp := func(v, lo, hi int64) int64 {
-		if v < lo {
-			return lo
-		}
-		if v > hi {
-			return hi
-		}
-		return v
-	}
-	for name, a := range hists {
-		hs := HistogramSnapshot{
-			Name:    name,
-			Count:   a.count,
-			Sum:     a.sum,
-			Min:     a.min,
-			Max:     a.max,
-			Mean:    float64(a.sum) / float64(a.count),
-			P50:     clamp(BucketQuantile(a.buckets[:], a.count, 0.50), a.min, a.max),
-			P95:     clamp(BucketQuantile(a.buckets[:], a.count, 0.95), a.min, a.max),
-			P99:     clamp(BucketQuantile(a.buckets[:], a.count, 0.99), a.min, a.max),
-			Buckets: trimBuckets(a.buckets[:]),
-		}
-		out.Histograms = append(out.Histograms, hs)
+	for _, h := range hists {
+		out.Histograms = append(out.Histograms, h.snapshot())
 	}
 	sort.Slice(out.Counters, func(i, j int) bool { return out.Counters[i].Name < out.Counters[j].Name })
 	sort.Slice(out.Gauges, func(i, j int) bool { return out.Gauges[i].Name < out.Gauges[j].Name })

@@ -217,20 +217,6 @@ func TestSpanBalanceUnderRequeue(t *testing.T) {
 	}
 }
 
-func TestEmitFeedsEventCounters(t *testing.T) {
-	env := sim.NewEnv()
-	r := New(env)
-	env.Emit("olfs.burn.interrupt", "burner", "g0")
-	env.Emit("olfs.burn.interrupt", "burner", "g1")
-	env.Emit("rack.load", "arm", "")
-	if got := r.Counter("events.olfs.burn.interrupt").Value(); got != 2 {
-		t.Fatalf("events.olfs.burn.interrupt = %d, want 2", got)
-	}
-	if got := r.Counter("events.rack.load").Value(); got != 1 {
-		t.Fatalf("events.rack.load = %d, want 1", got)
-	}
-}
-
 // TestSnapshotDeterministic runs the same simulated workload twice and
 // requires byte-identical snapshot JSON.
 func TestSnapshotDeterministic(t *testing.T) {

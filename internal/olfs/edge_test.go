@@ -209,22 +209,6 @@ func TestVersionRingWrapUnderOLFS(t *testing.T) {
 	})
 }
 
-func TestStopWithPendingMoverRejectsIngest(t *testing.T) {
-	bed := testkit.New(t, testkit.Options{Config: noAutoBurn})
-	bed.Run(t, func(p *sim.Proc) {
-		if err := bed.FS.DirectIngest(p, "/s/f", testkit.Pat(1024, 1)); err != nil {
-			t.Fatal(err)
-		}
-		if err := bed.FS.DirectDrain(p); err != nil {
-			t.Fatal(err)
-		}
-		bed.FS.Stop()
-		if err := bed.FS.DirectIngest(p, "/s/g", testkit.Pat(10, 2)); !errors.Is(err, olfs.ErrStopped) {
-			t.Errorf("ingest after stop: %v", err)
-		}
-	})
-}
-
 func TestTraceCapturesDurations(t *testing.T) {
 	bed := testkit.New(t, testkit.Options{Config: noAutoBurn})
 	bed.Run(t, func(p *sim.Proc) {

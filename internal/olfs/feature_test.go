@@ -12,57 +12,6 @@ import (
 	"ros/internal/sim"
 )
 
-func TestDirectIngestMode(t *testing.T) {
-	tb := newBed(t, func(c *Config) { c.AutoBurn = false })
-	data := pat(8<<20, 3) // 8 MB across multiple 1 MB buckets
-	var ackLatency time.Duration
-	tb.run(t, func(p *sim.Proc) {
-		start := p.Now()
-		if err := tb.fs.DirectIngest(p, "/direct/big.bin", data); err != nil {
-			t.Fatalf("DirectIngest: %v", err)
-		}
-		ackLatency = p.Now() - start
-		if err := tb.fs.DirectDrain(p); err != nil {
-			t.Fatalf("DirectDrain: %v", err)
-		}
-		got, err := tb.fs.ReadFile(p, "/direct/big.bin")
-		if err != nil {
-			t.Fatalf("ReadFile: %v", err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Error("direct-ingested data mismatch")
-		}
-	})
-	// §4.8: "at full external bandwidth": 8 MB at ~1.15 GB/s ≈ 7 ms — far
-	// below the FUSE+OLFS path for the same bytes.
-	if ackLatency > 20*time.Millisecond {
-		t.Errorf("direct ack = %v, want wire-speed (~7ms)", ackLatency)
-	}
-	if tb.fs.m.directIngests.Value() != 1 || tb.fs.m.directBytes.Value() != int64(len(data)) {
-		t.Errorf("stats: ingests=%d bytes=%d", tb.fs.m.directIngests.Value(), tb.fs.m.directBytes.Value())
-	}
-}
-
-func TestDirectIngestManyFilesKeepOrderAndAll(t *testing.T) {
-	tb := newBed(t, func(c *Config) { c.AutoBurn = false })
-	tb.run(t, func(p *sim.Proc) {
-		for i := 0; i < 20; i++ {
-			if err := tb.fs.DirectIngest(p, fmt.Sprintf("/d/f%02d", i), pat(10*1024, byte(i))); err != nil {
-				t.Fatalf("ingest %d: %v", i, err)
-			}
-		}
-		if err := tb.fs.DirectDrain(p); err != nil {
-			t.Fatalf("drain: %v", err)
-		}
-		for i := 0; i < 20; i++ {
-			got, err := tb.fs.ReadFile(p, fmt.Sprintf("/d/f%02d", i))
-			if err != nil || !bytes.Equal(got, pat(10*1024, byte(i))) {
-				t.Errorf("file %d wrong after drain: %v", i, err)
-			}
-		}
-	})
-}
-
 // burnOneTray writes and burns a small dataset, returning its tray.
 func burnOneTray(t *testing.T, tb *testbed, p *sim.Proc, seed byte) rack.TrayID {
 	t.Helper()
@@ -81,7 +30,7 @@ func burnOneTray(t *testing.T, tb *testbed, p *sim.Proc, seed byte) rack.TrayID 
 	if _, err := c.Wait(p); err != nil {
 		t.Fatalf("burn: %v", err)
 	}
-	trays := tb.fs.Cat.UsedTrays()
+	trays := tb.fs.Cat.Trays(image.DAUsed)
 	return trays[len(trays)-1]
 }
 

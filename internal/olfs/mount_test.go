@@ -138,7 +138,7 @@ func TestConcurrentReadersShareOneMount(t *testing.T) {
 			if _, err := c.Wait(p); err != nil {
 				t.Fatalf("burn: %v", err)
 			}
-			trays := tb.fs.Cat.UsedTrays()
+			trays := tb.fs.Cat.Trays(image.DAUsed)
 			tray := trays[len(trays)-1]
 			settle(p)
 			// Put the array home and load it again: a fetch-load mounts

@@ -32,9 +32,6 @@ func TestReservedNamesRefused(t *testing.T) {
 			if err := tb.fs.Mkdir(p, path); !errors.Is(err, ErrReservedName) {
 				t.Errorf("Mkdir %s: %v, want ErrReservedName", path, err)
 			}
-			if err := tb.fs.DirectIngest(p, path, pat(100, 9)); !errors.Is(err, ErrReservedName) {
-				t.Errorf("DirectIngest %s: %v, want ErrReservedName", path, err)
-			}
 		}
 		readCheck(t, tb, p, "/report", v2)
 		// Names that only look alike are ordinary files.
@@ -74,7 +71,7 @@ func TestRecoverSplitFileFromDiscs(t *testing.T) {
 		if _, err := c.Wait(p); err != nil {
 			t.Fatalf("burn: %v", err)
 		}
-		trays := tb.fs.Cat.UsedTrays()
+		trays := tb.fs.Cat.Trays(image.DAUsed)
 		tb.fs.MV = mv.New(tb.env, tb.mvS, mv.DefaultOpCost)
 		tb.fs.Cat = image.NewCatalog()
 		if err := tb.fs.RecoverNamespace(p, trays); err != nil {

@@ -180,13 +180,6 @@ type FS struct {
 	stopped bool
 	snapSeq int64 // the last MV snapshot's number (snap-NNNNNN); see seedMVSnapSeq
 
-	// Direct-writing mode staging (§4.8).
-	moverQ       *sim.Queue[directItem]
-	mover        *sim.Daemon
-	moverIdle    *sim.Signal
-	moverPending int
-	moverErr     error
-
 	obs     *obs.Registry
 	tracer  *obs.Tracer
 	m       fsMetrics
@@ -208,8 +201,6 @@ type fsMetrics struct {
 	cacheHits     *obs.Counter
 	cacheMisses   *obs.Counter
 	interruptedBs *obs.Counter
-	directIngests *obs.Counter
-	directBytes   *obs.Counter
 	scrubs        *obs.Counter
 	repairs       *obs.Counter
 	mvSnapshots   *obs.Counter
@@ -248,8 +239,6 @@ func (fs *FS) bindMetrics(r *obs.Registry) {
 		cacheHits:     r.Counter("olfs.cache_hits"),
 		cacheMisses:   r.Counter("olfs.cache_misses"),
 		interruptedBs: r.Counter("olfs.interrupted_burns"),
-		directIngests: r.Counter("olfs.direct_ingests"),
-		directBytes:   r.Counter("olfs.direct_bytes"),
 		scrubs:        r.Counter("olfs.scrubs"),
 		repairs:       r.Counter("olfs.repairs"),
 		mvSnapshots:   r.Counter("olfs.mv_snapshots"),
@@ -363,16 +352,13 @@ func (fs *FS) Obs() *obs.Registry { return fs.obs }
 // Tracer returns the causal request tracer (nil when tracing is disabled).
 func (fs *FS) Tracer() *obs.Tracer { return fs.tracer }
 
-// Stop refuses new work (for tests, after draining): writes and direct
-// ingests fail with ErrStopped and queueing a burn panics. Work already
+// Stop refuses new work (for tests, after draining): writes fail with
+// ErrStopped and queueing a burn panics. Work already
 // queued still runs.
 func (fs *FS) Stop() {
 	if !fs.stopped {
 		fs.stopped = true
 		fs.burnQ.Close()
-		if fs.moverQ != nil {
-			fs.moverQ.Close()
-		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"ros/internal/mv"
 	"ros/internal/sim"
+	"ros/internal/writepath"
 )
 
 // oracleFile is the reference model of one file: its full version history.
@@ -18,9 +19,9 @@ type oracleFile struct {
 
 // TestOracleRandomWorkload drives OLFS with a long randomized operation
 // sequence — writes, updates, reads, syncs, burns, historical reads, unlinks
-// and direct ingests — and checks every observable result against a simple
-// in-memory reference model. The burn pipeline, bucket splitting, version
-// rings and the read tier ladder are all in play.
+// and archival-class writes — and checks every observable result against a
+// simple in-memory reference model. The burn pipeline, bucket splitting,
+// version rings and the read tier ladder are all in play.
 func TestOracleRandomWorkload(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
@@ -145,17 +146,14 @@ func runOracle(t *testing.T, seed int64, steps int) {
 					t.Fatalf("step %d burn: %v", step, err)
 				}
 
-			case op < 90: // direct ingest
+			case op < 90: // archival-class write (direct-writing delivery, re-replication)
 				path := newPath()
 				for model[path] != nil {
 					path = newPath()
 				}
 				data := payload()
-				if err := tb.fs.DirectIngest(p, path, data); err != nil {
-					t.Fatalf("step %d ingest: %v", step, err)
-				}
-				if err := tb.fs.DirectDrain(p); err != nil {
-					t.Fatalf("step %d drain: %v", step, err)
+				if err := tb.fs.WriteFileClass(p, path, data, writepath.Archival); err != nil {
+					t.Fatalf("step %d archival write: %v", step, err)
 				}
 				model[path] = &oracleFile{versions: [][]byte{data}}
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ros/internal/faultinject"
+	"ros/internal/image"
 	"ros/internal/obs"
 	"ros/internal/optical"
 	"ros/internal/rack"
@@ -247,7 +248,7 @@ func TestFailedAndInterruptedRunsUnload(t *testing.T) {
 				if _, err := writeBurnSetTB(t, tb, p).Wait(p); err != nil {
 					t.Fatalf("burn: %v", err)
 				}
-				trays := tb.fs.Cat.UsedTrays()
+				trays := tb.fs.Cat.Trays(image.DAUsed)
 				burned = trays[len(trays)-1]
 			})
 			if seen != 1 {

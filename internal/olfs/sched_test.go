@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ros/internal/image"
 	"ros/internal/sched"
 	"ros/internal/sim"
 )
@@ -38,7 +39,7 @@ func TestEvictionSkipsTrayWithQueuedWaiters(t *testing.T) {
 				return
 			}
 		}
-		trays := fs.Cat.UsedTrays()
+		trays := fs.Cat.Trays(image.DAUsed)
 		if len(trays) != 2 {
 			t.Errorf("expected 2 burned trays, got %v", trays)
 			return
@@ -148,7 +149,7 @@ func TestCoalescingUnderConcurrentMixedLoad(t *testing.T) {
 				return
 			}
 		}
-		trays := fs.Cat.UsedTrays()
+		trays := fs.Cat.Trays(image.DAUsed)
 		if len(trays) != 2 {
 			t.Errorf("expected 2 burned trays, got %v", trays)
 			return

@@ -203,7 +203,7 @@ func (fs *FS) StartScrubber(interval time.Duration) func() {
 			if !idle {
 				continue
 			}
-			trays := fs.Cat.UsedTrays()
+			trays := fs.Cat.Trays(image.DAUsed)
 			if len(trays) == 0 {
 				continue
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"ros/internal/image"
 	"ros/internal/obs"
 	"ros/internal/optical"
 	"ros/internal/rack"
@@ -78,7 +79,7 @@ func TestTraceSpanBalanceMixedWorkload(t *testing.T) {
 		}
 
 		// Scrub a burned tray (verify spans, nested scrub ops).
-		trays := tb.fs.Cat.UsedTrays()
+		trays := tb.fs.Cat.Trays(image.DAUsed)
 		if len(trays) == 0 {
 			t.Fatal("no burned trays to scrub")
 		}

@@ -100,8 +100,8 @@ func (fs *FS) CreateFile(p *sim.Proc, path string) (*fileWriter, error) {
 }
 
 // CreateFileClass opens path for writing under an explicit admission class.
-// Archival writers (mover traffic, re-replication) draw from the archival
-// token reservation instead of competing with interactive ingest.
+// Archival writers (direct-writing delivery, re-replication) draw from the
+// archival token reservation instead of competing with interactive ingest.
 func (fs *FS) CreateFileClass(p *sim.Proc, path string, cl writepath.Class) (*fileWriter, error) {
 	if fs.stopped {
 		return nil, ErrStopped

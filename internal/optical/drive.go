@@ -221,11 +221,6 @@ func (dr *Drive) Idle() bool {
 	return dr.disc == nil && (dr.state == StateSleep || dr.state == StateEmpty)
 }
 
-// Dead reports whether the drive has suffered a (fault-injected) permanent
-// hardware failure. A dead drive fails every electronic operation; the
-// robotic arm can still extract its disc (ArmEject is mechanical).
-func (dr *Drive) Dead() bool { return dr.dead }
-
 // health fails the operation if the drive is already dead, and consults the
 // drive-death fault point: a firing rule kills the drive permanently.
 func (dr *Drive) health(p *sim.Proc) error {

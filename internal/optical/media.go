@@ -126,9 +126,6 @@ func (d *Disc) Failed() bool { return d.failed }
 // plus inter-disc RAID recovers these.
 func (d *Disc) CorruptSector(off int64) { d.badSecs[off&^(SectorSize-1)] = true }
 
-// BadSectors returns the number of injected sector errors.
-func (d *Disc) BadSectors() int { return len(d.badSecs) }
-
 // FlipByte silently corrupts the stored byte at off: unlike CorruptSector
 // the sector still reads without error, so only parity verification can
 // detect the damage (bit rot below the drive's error correction). A chunk

@@ -2,6 +2,7 @@ package ros
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -90,5 +91,62 @@ func TestStatsSnapshotDeterministic(t *testing.T) {
 	}
 	if st1.Obs.OpenSpans != 0 {
 		t.Errorf("open spans at quiescence = %d, want 0", st1.Obs.OpenSpans)
+	}
+}
+
+// TestEventCountersCountEachEventOnce: every rack shares one clock, so an
+// event emitted on it is counted once, in the system registry, and a merged
+// view's events.rack.load equals the racks' tray loads.
+func TestEventCountersCountEachEventOnce(t *testing.T) {
+	sys, err := New(Options{
+		Racks:           3,
+		BucketBytes:     4 << 20,
+		DisableAutoBurn: true,
+		FS:              FSConfig{RecycleAfterBurn: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	err = sys.Do(func(p *Proc) error {
+		for _, path := range []string{"/a", "/b"} {
+			if err := sys.Cluster.WriteFile(p, path, make([]byte, 20<<20)); err != nil {
+				return err
+			}
+		}
+		for _, r := range sys.Cluster.Racks() {
+			c, err := r.FS.FlushAndBurn(p)
+			if err != nil {
+				return err
+			}
+			if _, err := c.Wait(p); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Env.Emit("olfs.burn.interrupt", "burner", "g0")
+	sys.Env.Emit("olfs.burn.interrupt", "burner", "g1")
+
+	merged := sys.MergedObs()
+	loads := merged.Counter("rack.loads")
+	if loads == 0 {
+		t.Fatal("the burns loaded no tray")
+	}
+	if got := merged.Counter("events.rack.load"); got != loads {
+		t.Errorf("merged events.rack.load = %d, want rack.loads = %d", got, loads)
+	}
+	if got := merged.Counter("events.olfs.burn.interrupt"); got != 2 {
+		t.Errorf("merged events.olfs.burn.interrupt = %d, want 2", got)
+	}
+	for i := range sys.Cluster.Racks() {
+		for _, c := range sys.RackObs(i).Counters {
+			if strings.HasPrefix(c.Name, "events.") {
+				t.Errorf("rack%d carries %s = %d; events are counted in the system registry only", i, c.Name, c.Value)
+			}
+		}
 	}
 }

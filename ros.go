@@ -79,7 +79,8 @@ var ErrOverload = writepath.ErrOverload
 const (
 	// WriteInteractive — foreground ingest (default for WriteFile).
 	WriteInteractive = writepath.Interactive
-	// WriteArchival — background traffic: direct-mode mover, re-replication.
+	// WriteArchival — background traffic: direct-writing delivery,
+	// re-replication.
 	WriteArchival = writepath.Archival
 )
 
@@ -194,12 +195,12 @@ func PrototypeOptions() Options {
 // System is an assembled ROS instance.
 type System struct {
 	Env *Env
-	// Library, FS and Buffer are rack 0's stack. Files written through FS
-	// live on rack 0 only and bypass the federation catalog, so
-	// Cluster.ReadFile and the re-replication daemon do not see them.
-	Library *rack.Library
-	FS      *olfs.FS
-	Buffer  *pagecache.Volume
+	// FS and Buffer are rack 0's OLFS and write buffer. Files written
+	// through FS live on rack 0 only and bypass the federation catalog, so
+	// Cluster.ReadFile and the re-replication daemon do not see them. Every
+	// other per-rack handle is in Cluster.Racks().
+	FS     *olfs.FS
+	Buffer *pagecache.Volume
 	// Obs is the system registry: the federation's cluster.* metrics, the
 	// fault plane's fault.* and the alert engine's alert.*. Every rack
 	// records into its own registry; Stats, MergedObs and RackObs read them.
@@ -247,6 +248,11 @@ func DefaultRules() []obs.Rule {
 func New(o Options) (*System, error) {
 	env := sim.NewEnv()
 	reg := obs.New(env)
+	// The shared clock's structured events are counted once, here: every
+	// emitted event increments the system registry's "events.<kind>".
+	env.AddEventSink(func(ev sim.TraceEvent) {
+		reg.Counter("events." + ev.Kind).Add(1)
+	})
 	plane := faultinject.New(env, o.FaultSeed)
 	plane.AttachObs(reg)
 	if o.Faults != "" {
@@ -306,7 +312,7 @@ func New(o Options) (*System, error) {
 	}
 	r0 := cl.Racks()[0]
 	return &System{
-		Env: env, Library: r0.Lib, FS: r0.FS, Buffer: r0.Buffer,
+		Env: env, FS: r0.FS, Buffer: r0.Buffer,
 		Obs: reg, Faults: plane, Cluster: cl, Telemetry: sampler, Alerts: alerts,
 	}, nil
 }

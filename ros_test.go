@@ -67,11 +67,12 @@ func TestSystemAutoBurnPipeline(t *testing.T) {
 	// Discs physically hold data now, in their trays or still in the drives
 	// that burned them.
 	burnt := 0
-	for ri := range sys.Library.Rollers {
+	lib := sys.Cluster.Racks()[0].Lib
+	for ri := range lib.Rollers {
 		for l := 0; l < rack.LayersPerRoller; l++ {
 			for s := 0; s < rack.SlotsPerLayer; s++ {
 				for pos := 0; pos < rack.DiscsPerTray; pos++ {
-					d := sys.Library.Disc(rack.TrayID{Roller: ri, Layer: l, Slot: s}, pos)
+					d := lib.Disc(rack.TrayID{Roller: ri, Layer: l, Slot: s}, pos)
 					if d != nil && !d.Blank() {
 						burnt++
 					}
@@ -264,13 +265,6 @@ func TestDroppedSystemIsFreed(t *testing.T) {
 			}
 		}
 		if _, err := sys.Cluster.ReadFile(p, "/fleet/f00"); err != nil {
-			return err
-		}
-		// The direct-writing mode's mover, too.
-		if err := sys.FS.DirectIngest(p, "/fleet/direct", bytes.Repeat([]byte{7}, 64<<10)); err != nil {
-			return err
-		}
-		if err := sys.FS.DirectDrain(p); err != nil {
 			return err
 		}
 		p.Sleep(3 * time.Hour)

@@ -26,7 +26,7 @@ func TestPrototypeScale(t *testing.T) {
 		t.Fatalf("TotalDiscs = %d, want 12240 (§5.1)", got)
 	}
 	var raw int64
-	for _, r := range sys.Library.Rollers {
+	for _, r := range sys.Cluster.Racks()[0].Lib.Rollers {
 		for l := 0; l < rack.LayersPerRoller; l++ {
 			for s := 0; s < rack.SlotsPerLayer; s++ {
 				for _, d := range r.Tray(l, s).Discs {

@@ -38,7 +38,7 @@ func telemetryWorkload(t *testing.T, seed int64) *System {
 			return err
 		}
 		p.Sleep(3 * time.Minute) // let the drive-dead alert fire
-		for _, g := range sys.Library.Groups {
+		for _, g := range sys.Cluster.Racks()[0].Lib.Groups {
 			for _, d := range g.Drives {
 				d.Replace()
 			}
