@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-var updateSurface = flag.Bool("update", false, "rewrite testdata/config_surface.txt from Options")
+var update = flag.Bool("update", false, "rewrite the goldens under testdata (config_surface.txt, dumps/) from this tree")
 
 const configSurfacePath = "testdata/config_surface.txt"
 
@@ -46,7 +46,7 @@ func surface(prefix string, t reflect.Type) []string {
 // (regenerate with go test -run TestConfigSurface -update).
 func TestConfigSurface(t *testing.T) {
 	got := strings.Join(surface("", reflect.TypeOf(Options{})), "\n") + "\n"
-	if *updateSurface {
+	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
