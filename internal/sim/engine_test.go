@@ -333,6 +333,26 @@ func TestAllocBudget(t *testing.T) {
 		}
 	})
 
+	t.Run("SleepInPlace", func(t *testing.T) {
+		// A lone sleeper under RunUntil is always the next event: its
+		// wakeups are delivered in place, with no push, pop or switch.
+		env := NewEnv()
+		defer env.Close()
+		env.Go("sleeper", func(p *Proc) {
+			for {
+				p.Sleep(time.Second)
+			}
+		})
+		minute := func() { env.RunUntil(env.Now() + time.Minute) }
+		minute()
+		if n := testing.AllocsPerRun(100, minute); n != 0 {
+			t.Errorf("%v allocs per minute of in-place wakeups, want 0", n)
+		}
+		if st := env.Stats(); st.InPlace < 100*59 {
+			t.Errorf("%d wakeups in place of %d events, want most", st.InPlace, st.Events)
+		}
+	})
+
 	t.Run("QueueHandoff", func(t *testing.T) {
 		env := NewEnv()
 		defer env.Close()
