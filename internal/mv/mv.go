@@ -377,12 +377,18 @@ func (v *Volume) Remove(p *sim.Proc, name string) error {
 }
 
 // Restore inserts an index without charging — used by bulk namespace
-// recovery from scanned discs (§4.4).
-func (v *Volume) Restore(ix Index) {
+// recovery from scanned discs (§4.4). Missing ancestors become directories;
+// an index below a file is refused with ErrNotDir and changes nothing.
+func (v *Volume) Restore(ix Index) error {
 	name := clean(ix.Path)
 	ix.Path = name
 	if name == "/" {
-		return
+		return nil
+	}
+	for dir := path.Dir(name); dir != "/"; dir = path.Dir(dir) {
+		if anc, ok := v.nodes[dir]; ok && !anc.Dir {
+			return fmt.Errorf("%w: %s is below the file %s", ErrNotDir, name, dir)
+		}
 	}
 	// Ensure ancestors.
 	parts := strings.Split(name[1:], "/")
@@ -408,7 +414,7 @@ func (v *Volume) Restore(ix Index) {
 				}
 			}
 		}
-		return
+		return nil
 	}
 	cp := ix
 	cp.Entries = append([]VersionEntry(nil), ix.Entries...)
@@ -417,6 +423,7 @@ func (v *Volume) Restore(ix Index) {
 		v.children[name] = make(map[string]bool)
 	}
 	v.children[path.Dir(name)][path.Base(name)] = true
+	return nil
 }
 
 // SaveState stores a JSON system-state blob under key (DAindex, bucket
@@ -563,7 +570,9 @@ func Restore(env *sim.Env, store Backend, opCost time.Duration, body []byte) (*V
 	}
 	v := New(env, store, opCost)
 	for _, ix := range ck.Nodes {
-		v.Restore(ix)
+		if err := v.Restore(ix); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
 	}
 	if ck.State != nil {
 		v.state = ck.State

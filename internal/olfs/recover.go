@@ -146,14 +146,15 @@ func (fs *FS) RecoverNamespace(p *sim.Proc, trays []rack.TrayID) error {
 		}
 		restored, err := mv.Restore(fs.env, fs.mvStore, mv.DefaultOpCost, body)
 		if err == nil {
-			fs.restoreFromMV(restored)
-			return nil
+			return fs.restoreFromMV(restored)
 		}
 		// Fall through to structural recovery on a corrupt snapshot.
 	}
 
 	for d := range dirs {
-		fs.MV.Restore(mv.Index{Path: d, Dir: true})
+		if err := fs.MV.Restore(mv.Index{Path: d, Dir: true}); err != nil {
+			return err
+		}
 	}
 	// Internal names carry version suffixes; regroup per base path.
 	perBase := make(map[string][]mv.VersionEntry)
@@ -163,7 +164,9 @@ func (fs *FS) RecoverNamespace(p *sim.Proc, trays []rack.TrayID) error {
 	}
 	for base, entries := range perBase {
 		sort.Slice(entries, func(i, j int) bool { return entries[i].Version < entries[j].Version })
-		fs.MV.Restore(mv.Index{Path: base, Entries: entries})
+		if err := fs.MV.Restore(mv.Index{Path: base, Entries: entries}); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -181,11 +184,8 @@ func parseVersionName(internal string) (base string, version int) {
 
 // restoreFromMV swaps in a recovered namespace (keeping the live catalog,
 // which RecoverNamespace already rebuilt from disc positions).
-func (fs *FS) restoreFromMV(restored *mv.Volume) {
-	_ = restored.Walk(func(ix *mv.Index) error {
-		fs.MV.Restore(*ix)
-		return nil
-	})
+func (fs *FS) restoreFromMV(restored *mv.Volume) error {
+	return restored.Walk(func(ix *mv.Index) error { return fs.MV.Restore(*ix) })
 }
 
 // scanDisc mounts one disc and walks its self-descriptive subtree, charging
