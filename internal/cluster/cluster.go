@@ -136,12 +136,16 @@ func New(env *sim.Env, cfg Config) (*Cluster, error) {
 	}
 	reg := cfg.Stack.Obs
 	c.bindMetrics(reg)
+	// One tracer for the federation: every rack records into it, so trace
+	// IDs are unique and trace.* is counted once, in the federation's own
+	// registry.
+	c.tracer = obs.NewTracer(env, cfg.Stack.FS.Trace)
+	reg.AttachTracer(c.tracer)
 	for i := 0; i < cfg.Racks; i++ {
 		if _, err := c.addRack(); err != nil {
 			return nil, err
 		}
 	}
-	c.tracer = c.racks[0].FS.Tracer()
 	c.rerepl = sim.NewDaemon(env, "cluster-rerepl", c.drainRerepl)
 	return c, nil
 }
@@ -177,6 +181,7 @@ func (c *Cluster) bindMetrics(r *obs.Registry) {
 func (c *Cluster) addRack() (*Rack, error) {
 	scfg := c.cfg.Stack
 	scfg.Obs = nil
+	scfg.FS.Tracer = c.tracer
 	r, err := NewRackStack(c.env, len(c.racks), scfg)
 	if err != nil {
 		return nil, err
@@ -207,8 +212,9 @@ func (c *Cluster) Racks() []*Rack { return c.racks }
 // Replicas returns the configured replica count.
 func (c *Cluster) Replicas() int { return c.replicas }
 
-// Tracer returns the journal federation requests (cluster.write,
-// cluster.read, cluster.rereplicate) are traced into: rack 0's tracer.
+// Tracer returns the federation's one tracer: federation requests
+// (cluster.write, cluster.read, cluster.rereplicate) and every rack's own
+// operations (olfs.burn, olfs.fetch, ...) are traced into it.
 func (c *Cluster) Tracer() *obs.Tracer { return c.tracer }
 
 // Loads returns the per-rack replica counts the placer tracks.

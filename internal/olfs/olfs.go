@@ -100,6 +100,10 @@ type Config struct {
 	// sampling). The zero value enables tracing with defaults; set
 	// Trace.Capacity negative to disable.
 	Trace obs.TracerConfig
+	// Tracer, when set, is the tracer this stack records into instead of
+	// one built from Trace: a federation shares one across its racks, and
+	// its owner attaches it to a registry.
+	Tracer *obs.Tracer
 }
 
 // Calibrated OLFS costs. Every index-file operation costs mv.DefaultOpCost
@@ -300,8 +304,10 @@ func New(env *sim.Env, cfg Config, lib *rack.Library, mvBackend mv.Backend, buff
 	reg := lib.Obs()
 	fs.bindMetrics(reg)
 	mgr.AttachObs(reg)
-	fs.tracer = obs.NewTracer(env, cfg.Trace)
-	reg.AttachTracer(fs.tracer)
+	if fs.tracer = cfg.Tracer; fs.tracer == nil {
+		fs.tracer = obs.NewTracer(env, cfg.Trace)
+		reg.AttachTracer(fs.tracer)
+	}
 	fs.MV.AttachObs(reg)
 	fs.sched = sched.New(env, cfg.Sched, lib)
 	wcfg := cfg.Write

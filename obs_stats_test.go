@@ -150,3 +150,74 @@ func TestEventCountersCountEachEventOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestOneTracerPerSystem: every rack records into the federation's one
+// tracer, so each rack's olfs.burn shows in Cluster.Tracer() (what `rosctl
+// trace` lists), trace IDs never repeat, and trace.* is counted once, in the
+// system registry.
+func TestOneTracerPerSystem(t *testing.T) {
+	sys, err := New(Options{
+		Racks:           3,
+		BucketBytes:     4 << 20,
+		DisableAutoBurn: true,
+		FS:              FSConfig{RecycleAfterBurn: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	tr := sys.Cluster.Tracer()
+	burns := int64(0)
+	err = sys.Do(func(p *Proc) error {
+		for _, path := range []string{"/a", "/b"} {
+			if err := sys.Cluster.WriteFile(p, path, make([]byte, 20<<20)); err != nil {
+				return err
+			}
+		}
+		for _, r := range sys.Cluster.Racks() {
+			if r.FS.Tracer() != tr {
+				t.Errorf("%s records into its own tracer", r.Name)
+			}
+			c, err := r.FS.FlushAndBurn(p)
+			if err != nil {
+				return err
+			}
+			if _, err := c.Wait(p); err != nil {
+				return err
+			}
+			if n := r.Reg.Counter("olfs.burn_tasks").Value(); n == 0 {
+				t.Errorf("%s burned nothing", r.Name)
+			} else {
+				burns += n
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := map[int64]bool{}
+	traced := int64(0)
+	for _, x := range tr.Traces() {
+		if ids[x.ID] {
+			t.Errorf("trace ID %d repeats", x.ID)
+		}
+		ids[x.ID] = true
+		if x.Name == "olfs.burn" {
+			traced++
+		}
+	}
+	if traced != burns {
+		t.Errorf("Cluster.Tracer() holds %d olfs.burn traces, the racks ran %d burns", traced, burns)
+	}
+	if got := sys.MergedObs().Counter("trace.started"); got != int64(len(ids)) {
+		t.Errorf("merged trace.started = %d, want %d (one per trace)", got, len(ids))
+	}
+	for i := range sys.Cluster.Racks() {
+		for _, c := range sys.RackObs(i).Counters {
+			if strings.HasPrefix(c.Name, "trace.") {
+				t.Errorf("rack%d carries %s = %d; traces are counted in the system registry only", i, c.Name, c.Value)
+			}
+		}
+	}
+}
