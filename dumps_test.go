@@ -1,7 +1,6 @@
 package ros
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
@@ -9,7 +8,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -55,12 +53,9 @@ var dumps = []struct {
 // move shows in its own diff.
 func TestDeterminismDumps(t *testing.T) {
 	bin := t.TempDir()
-	gotool, err := exec.LookPath("go")
-	if err != nil {
-		gotool = filepath.Join(runtime.GOROOT(), "bin", "go")
-	}
 	for _, cmd := range []string{"rosbench", "rosctl"} {
-		build := exec.Command(gotool, "build", "-o", filepath.Join(bin, cmd), "./cmd/"+cmd)
+		// go test puts its own toolchain first on the PATH.
+		build := exec.Command("go", "build", "-o", filepath.Join(bin, cmd), "./cmd/"+cmd)
 		if out, err := build.CombinedOutput(); err != nil {
 			t.Fatalf("go build ./cmd/%s: %v\n%s", cmd, err, out)
 		}
@@ -164,7 +159,7 @@ func checkDump(t *testing.T, name, got string) {
 	if err != nil {
 		t.Fatalf("%v (record the goldens with -update)", err)
 	}
-	if bytes.Equal([]byte(got), want) {
+	if got == string(want) {
 		return
 	}
 	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")

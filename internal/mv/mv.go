@@ -571,7 +571,7 @@ func Restore(env *sim.Env, store Backend, opCost time.Duration, body []byte) (*V
 	v := New(env, store, opCost)
 	for _, ix := range ck.Nodes {
 		if err := v.Restore(ix); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+			return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 		}
 	}
 	if ck.State != nil {

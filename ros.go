@@ -169,8 +169,8 @@ type Options struct {
 	// DefaultRules pack. Only meaningful with SampleEvery > 0.
 	Rules string
 
-	// TraceCapacity bounds the causal-trace journal (0 = default 256;
-	// negative disables request tracing entirely).
+	// TraceCapacity bounds the causal-trace journal, one for the whole
+	// System (0 = default 256; negative disables request tracing entirely).
 	TraceCapacity int
 	// TraceSampleEvery keeps 1 of every N error-free traces (<=1 keeps
 	// all). Error/retry traces are always captured.
