@@ -225,46 +225,3 @@ func TestInPlaceStopsAtLimit(t *testing.T) {
 		t.Fatalf("after Run: now %v, %d in place of %d events; want 7s, 2 of 4", env.Now(), st.InPlace, st.Events)
 	}
 }
-
-// TestInPlaceNeverUnderStep: Step runs exactly one event, so a lone sleeper
-// parks at every Sleep and each Step moves the clock by one nap.
-func TestInPlaceNeverUnderStep(t *testing.T) {
-	env := NewEnv()
-	defer env.Close()
-	env.Go("sleeper", func(p *Proc) {
-		for range 3 {
-			p.Sleep(time.Second)
-		}
-	})
-	for i := 0; env.Step(); i++ {
-		if env.Now() != time.Duration(i)*time.Second {
-			t.Fatalf("step %d: now %v, want %v", i+1, env.Now(), time.Duration(i)*time.Second)
-		}
-	}
-	if st := env.Stats(); st.InPlace != 0 || st.Events != 4 {
-		t.Fatalf("%d in place of %d events, want 0 of 4", st.InPlace, st.Events)
-	}
-}
-
-// TestInPlaceYieldsToQueuedEvents: a sleeper parks whenever any event, weak
-// or strong, is due at or before its wakeup, so ties keep schedule order.
-func TestInPlaceYieldsToQueuedEvents(t *testing.T) {
-	env := NewEnv()
-	defer env.Close()
-	var order []string
-	env.Go("b", func(p *Proc) {
-		p.SleepWeak(time.Second)
-		order = append(order, "b")
-	})
-	env.Go("a", func(p *Proc) {
-		p.Sleep(time.Second) // b's weak wakeup at 1s was queued first: parks
-		order = append(order, "a")
-	})
-	env.Run()
-	if want := []string{"b", "a"}; !slices.Equal(order, want) {
-		t.Fatalf("order %v, want %v", order, want)
-	}
-	if st := env.Stats(); st.InPlace != 0 {
-		t.Fatalf("%d wakeups in place, want 0", st.InPlace)
-	}
-}
