@@ -305,6 +305,46 @@ func TestCloseUnwindsEveryProcess(t *testing.T) {
 	mustPanic(t, "Step", closed, func() { env.Step() })
 }
 
+// A process that sleeps while Close unwinds it parks and is unwound again,
+// however the last run ended: the Sleep is never delivered in place.
+func TestCloseUnwindsASleepingDefer(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(env *Env)
+	}{
+		{"Run", func(env *Env) { env.Run() }},
+		{"RunUntil", func(env *Env) { env.RunUntil(time.Hour) }},
+		{"ProcPanic", func(env *Env) {
+			env.Go("panicker", func(*Proc) { explodeForTest() })
+			defer func() { recover() }()
+			env.Run()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := settledGoroutines()
+			env := NewEnv()
+			sig := NewSignal(env)
+			unwound := 0
+			env.Go("stubborn", func(p *Proc) {
+				defer func() {
+					unwound++
+					p.Sleep(time.Second)
+					t.Error("Sleep returned during Close")
+				}()
+				sig.Wait(p)
+			})
+			tc.run(env)
+			env.Close()
+			if unwound != 1 || env.Now() != 0 || env.Stats().InPlace != 0 {
+				t.Fatalf("unwound %d times, clock %v, %d in place; want 1, 0s, 0", unwound, env.Now(), env.Stats().InPlace)
+			}
+			if got := runtime.NumGoroutine(); got != before {
+				t.Fatalf("NumGoroutine = %d after Close, want the starting %d", got, before)
+			}
+		})
+	}
+}
+
 func TestCloseFromInsideProcessPanics(t *testing.T) {
 	env := NewEnv()
 	defer env.Close()

@@ -79,8 +79,9 @@ type Env struct {
 	stats   Stats
 
 	// horizon is the latest wakeup Sleep may deliver in place: the limit of
-	// the running RunUntil (Run's is unbounded), and -1 under Step, which
-	// delivers exactly one event.
+	// the running RunUntil (Run's is unbounded), and -1 otherwise: Step
+	// delivers exactly one event, and a process that sleeps while Close
+	// unwinds it must park to be unwound again.
 	horizon time.Duration
 }
 
@@ -126,7 +127,7 @@ const (
 // NewEnv returns a fresh environment with virtual time zero and a
 // deterministic random source.
 func NewEnv() *Env {
-	return &Env{rng: rand.New(rand.NewSource(1))}
+	return &Env{rng: rand.New(rand.NewSource(1)), horizon: -1}
 }
 
 // Seed reseeds the environment's deterministic random source.
@@ -276,6 +277,7 @@ func (e *Env) RunUntil(limit time.Duration) {
 	if limit < 0 {
 		e.horizon = math.MaxInt64
 	}
+	defer func() { e.horizon = -1 }()
 	for len(e.events) > 0 {
 		if limit >= 0 && e.events[0].t > limit {
 			e.now = limit
@@ -297,7 +299,6 @@ func (e *Env) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	e.horizon = -1
 	e.step()
 	return true
 }
