@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -64,8 +65,25 @@ func TestDeterminismDumps(t *testing.T) {
 		work := t.TempDir()
 		got := runDump(t, filepath.Join(bin, d.bin), work, d.args, d.stdin)
 		checkDump(t, d.name+".txt", got)
-		if js, err := os.ReadFile(filepath.Join(work, "chaos.json")); err == nil {
+		jsonFile := ""
+		if i := slices.Index(d.args, "-json"); i >= 0 {
+			jsonFile = d.args[i+1]
+			js, err := os.ReadFile(filepath.Join(work, jsonFile))
+			if err != nil {
+				t.Fatalf("%s: %v", d.name, err)
+			}
 			checkDump(t, d.name+".json-summary.txt", summarizeChaosJSON(t, js))
+		}
+		// A dump leaves no file but the JSON it was asked for: any other
+		// would go unchecked.
+		left, err := os.ReadDir(work)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range left {
+			if f.Name() != jsonFile {
+				t.Errorf("%s left %s behind", d.name, f.Name())
+			}
 		}
 	}
 }
