@@ -138,8 +138,13 @@ func New(env *sim.Env, cfg Config) (*Cluster, error) {
 	c.bindMetrics(reg)
 	// One tracer for the federation: every rack records into it, so trace
 	// IDs are unique and trace.* is counted once, in the federation's own
-	// registry.
-	c.tracer = obs.NewTracer(env, cfg.Stack.FS.Trace)
+	// registry. Its default journal holds the default per rack it starts
+	// with, what as many journals of their own would hold between them.
+	tcfg := cfg.Stack.FS.Trace
+	if tcfg.Capacity == 0 {
+		tcfg.Capacity = obs.DefaultTraceCapacity * cfg.Racks
+	}
+	c.tracer = obs.NewTracer(env, tcfg)
 	reg.AttachTracer(c.tracer)
 	for i := 0; i < cfg.Racks; i++ {
 		if _, err := c.addRack(); err != nil {

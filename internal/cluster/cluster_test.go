@@ -84,6 +84,27 @@ func pat(n int, seed byte) []byte {
 // count reads one of rack r's counters from its registry.
 func count(r *Rack, name string) int64 { return r.Reg.Counter(name).Value() }
 
+// TestTracerHoldsTheDefaultPerRack: the federation's one journal keeps by
+// default what each rack's own journal kept, and an explicit capacity is
+// taken as given.
+func TestTracerHoldsTheDefaultPerRack(t *testing.T) {
+	for _, tc := range []struct {
+		capacity, want int
+	}{{0, 3 * obs.DefaultTraceCapacity}, {10, 10}} {
+		tb := newBed(t, 3, 2, func(c *Config) { c.Stack.FS.Trace.Capacity = tc.capacity })
+		tr := tb.cl.Tracer()
+		tb.run(t, func(p *sim.Proc) error {
+			for i := 0; i < 4*obs.DefaultTraceCapacity; i++ {
+				tr.StartOp(p, "op", "interactive").Finish(p, nil)
+			}
+			return nil
+		})
+		if got := len(tr.Traces()); got != tc.want {
+			t.Errorf("Capacity %d on 3 racks: journal holds %d traces, want %d", tc.capacity, got, tc.want)
+		}
+	}
+}
+
 // TestClusterReplicatedWriteRead: writes land on Replicas distinct racks and
 // read back byte-identical through the federation namespace.
 func TestClusterReplicatedWriteRead(t *testing.T) {

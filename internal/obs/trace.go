@@ -30,8 +30,9 @@ import (
 // TracerConfig tunes a Tracer. The zero value enables tracing with the
 // documented defaults; Capacity < 0 disables tracing entirely.
 type TracerConfig struct {
-	// Capacity bounds the completed-trace journal. 0 means the default
-	// (256); negative disables tracing (NewTracer returns nil).
+	// Capacity bounds the completed-trace journal. 0 means
+	// DefaultTraceCapacity; negative disables tracing (NewTracer returns
+	// nil).
 	Capacity int
 	// SampleEvery keeps 1 of every N error-free traces (<=1 keeps all).
 	// Error/retry traces bypass sampling: the decision is made at Finish
@@ -39,13 +40,16 @@ type TracerConfig struct {
 	SampleEvery int
 }
 
+// DefaultTraceCapacity is the journal bound a zero Capacity means.
+const DefaultTraceCapacity = 256
+
 // keepSlowest is how many of the slowest traces per QoS class are protected
 // from journal eviction (tail-based capture).
 const keepSlowest = 8
 
 func (c TracerConfig) withDefaults() TracerConfig {
 	if c.Capacity == 0 {
-		c.Capacity = 256
+		c.Capacity = DefaultTraceCapacity
 	}
 	if c.SampleEvery < 1 {
 		c.SampleEvery = 1

@@ -170,7 +170,8 @@ type Options struct {
 	Rules string
 
 	// TraceCapacity bounds the causal-trace journal, one for the whole
-	// System (0 = default 256; negative disables request tracing entirely).
+	// System (0 = default 256 per rack the System starts with; negative
+	// disables request tracing entirely).
 	TraceCapacity int
 	// TraceSampleEvery keeps 1 of every N error-free traces (<=1 keeps
 	// all). Error/retry traces are always captured.
