@@ -121,12 +121,14 @@ func (e Event) String() string {
 type Plane struct {
 	env    *sim.Env
 	seed   int64
-	rng    *rand.Rand
+	rng    *rand.Rand // seeded on the first draw
 	rules  []*Rule
 	nextID int
 	events []Event
 	fires  int64
 	obs    *obs.Registry
+	// watchers are told of every rule armed (see Watch).
+	watchers []func(Rule)
 }
 
 // maxEvents bounds the recorded schedule so endless campaigns don't grow
@@ -135,11 +137,44 @@ const maxEvents = 65536
 
 // New creates a fault plane seeded with its own deterministic random source
 // and registers it on env. At most one plane is active per environment; a
-// second New replaces the first.
+// second New replaces the first and keeps its watchers.
 func New(env *sim.Env, seed int64) *Plane {
-	pl := &Plane{env: env, seed: seed, rng: rand.New(rand.NewSource(seed))}
+	pl := &Plane{env: env, seed: seed}
+	if old := At(env); old != nil {
+		pl.watchers = old.watchers
+	}
 	env.SetFaultPlane(pl)
 	return pl
+}
+
+// Watch has fn called with every rule armed on env from now on, on this
+// plane or on one a later New installs; it installs an empty plane (seed 0)
+// if env has none. A layer that skips a fault point's evaluations while no
+// armed rule matches them learns here when one starts to.
+func Watch(env *sim.Env, fn func(Rule)) {
+	pl := At(env)
+	if pl == nil {
+		pl = New(env, 0)
+	}
+	pl.watchers = append(pl.watchers, fn)
+}
+
+// Armed reports whether a rule armed on env's plane matches the fault point
+// and detail: while none does, Check there is inert.
+func Armed(env *sim.Env, point, detail string) bool {
+	if pl := At(env); pl != nil {
+		for _, r := range pl.rules {
+			if r.Matches(point, detail) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Matches reports whether the rule arms the fault point for detail.
+func (r *Rule) Matches(point, detail string) bool {
+	return r.Point == point && strings.Contains(detail, r.Match)
 }
 
 // At returns the plane registered on env, or nil.
@@ -164,6 +199,9 @@ func (pl *Plane) Arm(r Rule) int {
 	pl.nextID++
 	r.id = pl.nextID
 	pl.rules = append(pl.rules, &r)
+	for _, fn := range pl.watchers {
+		fn(r)
+	}
 	return r.id
 }
 
@@ -238,10 +276,7 @@ func Check(p *sim.Proc, point, detail string) error {
 func (pl *Plane) check(p *sim.Proc, point, detail string) error {
 	now := pl.env.Now()
 	for _, r := range pl.rules {
-		if r.Point != point {
-			continue
-		}
-		if r.Match != "" && !strings.Contains(detail, r.Match) {
+		if !r.Matches(point, detail) {
 			continue
 		}
 		if now < r.From || (r.To > 0 && now > r.To) {
@@ -256,6 +291,9 @@ func (pl *Plane) check(p *sim.Proc, point, detail string) error {
 		}
 		fire := true
 		if r.Prob > 0 {
+			if pl.rng == nil {
+				pl.rng = rand.New(rand.NewSource(pl.seed))
+			}
 			fire = pl.rng.Float64() < r.Prob
 		}
 		if fire && r.Nth > 1 {

@@ -82,11 +82,11 @@ const contentionLoss = 0.0023
 // per-active-drive efficiency loss for reads, and an aggregate bandwidth cap
 // for burning (the buffer-to-drive pipeline that shapes Fig 9).
 type Sharer struct {
-	env         *sim.Env
-	BurnCap     float64 // aggregate burn bytes/sec; 0 = uncapped
-	activeRead  int
-	burnDemand  float64 // sum of nominal demands of active burners
-	burnerCount int
+	env        *sim.Env
+	BurnCap    float64 // aggregate burn bytes/sec; 0 = uncapped
+	activeRead int
+	burnDemand float64 // sum of nominal demands of active burners, kept while capBinds
+	drives     int     // drives attached by NewDrive
 }
 
 // NewSharer creates a controller path model. burnCap of 0 disables the
@@ -103,6 +103,14 @@ func (s *Sharer) readFactor() float64 {
 		f = 0.5
 	}
 	return f
+}
+
+// capBinds reports whether the burn cap can throttle at all: whether every
+// drive of the group burning at the top speed of any media would exceed it.
+// While it cannot, burnFactor is 1 whatever the demand, so burners register
+// none.
+func (s *Sharer) capBinds() bool {
+	return s.BurnCap > 0 && float64(s.drives)*maxSpeedX*BluRay1X > s.BurnCap
 }
 
 // burnFactor returns the throttle multiplier for burning drives.
@@ -152,8 +160,12 @@ type Drive struct {
 	cold   bool  // disc inserted by the arm but not yet spun up
 	dead   bool  // hardware failure (fault-injected); every operation fails
 
-	// interrupt is set by InterruptBurn and checked at chunk boundaries.
-	interrupt bool
+	// inBurn is set while a Burn holds the drive; interrupt is set by
+	// InterruptBurn while it is, and checked at quantum boundaries.
+	inBurn, interrupt bool
+	// st is the burn's current sleep; arming a rule that matches the drive's
+	// optical.burn point cuts it (faultinject.Watch).
+	st stretch
 	// lent collects the pieces one burn quantum borrows from its source;
 	// reused from quantum to quantum.
 	lent [][]byte
@@ -203,7 +215,10 @@ func NewDrive(env *sim.Env, id string, sharer *Sharer) *Drive {
 	if sharer == nil {
 		sharer = NewSharer(env, 0)
 	}
-	return &Drive{env: env, ID: id, sharer: sharer, state: StateSleep, busy: sim.NewResource(env, 1)}
+	sharer.drives++
+	dr := &Drive{env: env, ID: id, sharer: sharer, state: StateSleep, busy: sim.NewResource(env, 1)}
+	faultinject.Watch(env, dr.ruleArmed)
+	return dr
 }
 
 // State returns the drive's current state.
@@ -353,7 +368,7 @@ func (dr *Drive) Sleep() {
 func (dr *Drive) nominalSpeedX(pr float64, dip bool) float64 {
 	switch dr.disc.Type {
 	case Media25:
-		const v0, v1 = 4.4, 12.0
+		const v0, v1 = 4.4, maxSpeedX
 		return math.Sqrt(v0*v0 + pr*(v1*v1-v0*v0))
 	case Media100:
 		if dip {
@@ -364,12 +379,18 @@ func (dr *Drive) nominalSpeedX(pr float64, dip bool) float64 {
 	return 1
 }
 
+// maxSpeedX is the fastest any media records: 25 GB at its outer edge.
+const maxSpeedX = 12.0
+
 // dipProbability is the per-chunk probability of a fail-safe speed dip for
 // 100 GB media, calibrated to a 5.9X average.
 const dipProbability = 0.034
 
-// burnChunks is the number of quanta a burn is divided into; each quantum
-// re-samples speed, the group throttle and the interrupt flag.
+// burnChunks is the number of quanta a burn is divided into. At each quantum
+// boundary the burn re-samples speed and the group throttle and looks at its
+// interrupt flag and the optical.burn fault point; one sleep covers every
+// quantum after the current one whose timing that cannot change (see
+// decided).
 const burnChunks = 500
 
 // shortSeekWindow is the head-travel distance served by a short hop instead
@@ -394,6 +415,8 @@ type BurnOptions struct {
 func (dr *Drive) Burn(p *sim.Proc, src BurnSource, opts BurnOptions) (rep BurnReport, err error) {
 	dr.busy.Acquire(p)
 	defer dr.busy.Release()
+	dr.inBurn = true
+	defer func() { dr.inBurn, dr.interrupt = false, false }()
 	sp := obs.StartChild(p, "optical.burn")
 	sp.Annotate("drive", dr.ID)
 	defer func() {
@@ -412,6 +435,11 @@ func (dr *Drive) Burn(p *sim.Proc, src BurnSource, opts BurnOptions) (rep BurnRe
 	}
 	if err = dr.warmUp(p); err != nil {
 		return rep, err
+	}
+	if dr.interrupt {
+		// Interrupted while it waited to spin up: the burn never starts.
+		rep.Interrupted = true
+		return rep, ErrBurnAborted
 	}
 	if dr.disc.Blank() == false && !opts.Append {
 		return rep, fmt.Errorf("%w: disc %s already burned (use Append)", ErrWORMViolation, dr.disc.ID)
@@ -435,22 +463,22 @@ func (dr *Drive) Burn(p *sim.Proc, src BurnSource, opts BurnOptions) (rep BurnRe
 	}
 	dr.state = StateBurning
 	defer func() { dr.state = StateIdle }()
-	dr.interrupt = false
 	if opts.Append && len(dr.disc.tracks) > 1 {
 		p.Sleep(AppendFormatTime)
 	}
 	start := p.Now()
-	dr.sharer.burnerCount++
+	throttled := dr.sharer.capBinds()
 	myDemand := 0.0
+	defer func() { dr.sharer.burnDemand -= myDemand }()
 	defer func() {
-		dr.sharer.burnerCount--
-		dr.sharer.burnDemand -= myDemand
+		if dr.st.p != nil {
+			// Close unwound the burner in its sleep.
+			dr.settle(p.Now())
+			dr.st.p = nil
+		}
 	}()
 
-	chunkLogical := logical / burnChunks
-	if chunkLogical < 1 {
-		chunkLogical = 1
-	}
+	chunk := max(logical/burnChunks, 1)
 	var burnedLogical, copied int64
 	rng := dr.env.Rand()
 	for burnedLogical < logical {
@@ -458,32 +486,27 @@ func (dr *Drive) Burn(p *sim.Proc, src BurnSource, opts BurnOptions) (rep BurnRe
 			rep.Interrupted = true
 			break
 		}
-		// Chunk-boundary fault points: a burn error aborts the session (the
-		// caller's burn task fails the tray and retries on fresh media).
+		// Quantum-boundary fault points: a burn error aborts the session
+		// (the caller's burn task fails the tray and retries on fresh media).
 		if err = faultinject.Check(p, faultinject.PointOpticalBurn, dr.ID); err != nil {
 			return rep, err
 		}
-		n := chunkLogical
-		if burnedLogical+n > logical {
-			n = logical - burnedLogical
-		}
+		n := min(chunk, logical-burnedLogical)
 		pr := float64(burnedLogical) / float64(logical)
 		dip := dr.disc.Type == Media100 && rng.Float64() < dipProbability
-		vx := dr.nominalSpeedX(pr, dip)
-		demand := vx * BluRay1X
+		demand := dr.nominalSpeedX(pr, dip) * BluRay1X
 		// Update this drive's registered demand and apply the group throttle.
-		dr.sharer.burnDemand += demand - myDemand
-		myDemand = demand
+		if throttled {
+			dr.sharer.burnDemand += demand - myDemand
+			myDemand = demand
+		}
 		eff := demand * dr.sharer.burnFactor()
 		if opts.OnSample != nil {
 			opts.OnSample(SpeedSample{T: p.Now() - start, Progress: pr, SpeedX: eff / BluRay1X})
 		}
 		// Stream the corresponding payload range from the buffer.
 		if copied < payload {
-			cn := n
-			if copied+cn > payload {
-				cn = payload - copied
-			}
+			cn := min(n, payload-copied)
 			// The disc keeps what the source lends: nothing is copied.
 			dr.lent, err = src.Lend(p, copied, cn, dr.lent[:0])
 			if err != nil {
@@ -505,9 +528,20 @@ func (dr *Drive) Burn(p *sim.Proc, src BurnSource, opts BurnOptions) (rep BurnRe
 				return rep, err
 			}
 		}
-		p.Sleep(sim.ByteTime(float64(n), eff))
-		burnedLogical += n
-		dr.BytesBurned += n
+		// One sleep covers this quantum and, when their timing is decided,
+		// all that follow it.
+		to := burnedLogical + n
+		if copied == payload && dr.decided(opts) {
+			to = logical
+		}
+		dr.st = stretch{p: p, start: p.Now(), first: sim.ByteTime(float64(n), eff),
+			from: burnedLogical, to: to, logical: logical, chunk: chunk}
+		_, _, dr.st.end = dr.after(math.MaxInt64)
+		p.Sleep(dr.st.end - p.Now())
+		dr.st.p = nil
+		if burnedLogical, err = dr.settle(p.Now()); err != nil {
+			return rep, err
+		}
 	}
 	rep.Duration = p.Now() - start
 	rep.LogicalBytes = burnedLogical
@@ -525,11 +559,107 @@ func (dr *Drive) Burn(p *sim.Proc, src BurnSource, opts BurnOptions) (rep BurnRe
 	return rep, nil
 }
 
-// InterruptBurn requests that an in-progress burn stop at the next chunk
+// stretch is one sleep of a burn: the quanta from byte from up to byte to of
+// a track of logical bytes cut into chunk-byte quanta, begun at start and
+// ending at end. The first quantum lasts first; every later one's timing is
+// decided.
+type stretch struct {
+	p                        *sim.Proc // the burner while it sleeps
+	start, first, end        time.Duration
+	from, to, logical, chunk int64
+}
+
+// decided reports whether the quanta after the current one are already timed
+// — nothing they look at can change unless a cut says so: their payload has
+// been lent (the caller's check), the 25 GB speed curve draws no random
+// numbers, no sample is taken, the group cap cannot bind, no interrupt is
+// pending and no armed optical.burn rule matches the drive. InterruptBurn
+// and arming a matching rule cut the stretch.
+func (dr *Drive) decided(opts BurnOptions) bool {
+	return dr.disc.Type == Media25 && opts.OnSample == nil && !dr.interrupt && !dr.sharer.capBinds() &&
+		!faultinject.Armed(dr.env, faultinject.PointOpticalBurn, dr.ID)
+}
+
+// quantum returns the size and end time of the stretch's quantum at byte pos,
+// which begins at time at.
+func (dr *Drive) quantum(pos int64, at time.Duration) (int64, time.Duration) {
+	st := &dr.st
+	n := min(st.chunk, st.logical-pos)
+	if pos == st.from {
+		return n, st.start + st.first
+	}
+	pr := float64(pos) / float64(st.logical)
+	return n, at + sim.ByteTime(float64(n), dr.nominalSpeedX(pr, false)*BluRay1X)
+}
+
+// after walks the stretch's quantum boundaries up to the first one later
+// than t, or to its end. It returns the bytes burned at the last boundary at
+// or before t, and where and when the next one falls.
+func (dr *Drive) after(t time.Duration) (done, pos int64, at time.Duration) {
+	st := &dr.st
+	pos, at = st.from, st.start
+	for at <= t {
+		done = pos
+		if pos == st.to {
+			break
+		}
+		var n int64
+		n, at = dr.quantum(pos, at)
+		pos += n
+	}
+	return done, pos, at
+}
+
+// settle moves the burn over the stretch's quanta that have ended by now,
+// as a burn stepping one quantum at a time would have: BytesBurned, and the
+// watermark of every quantum begun (the first took its own before the
+// sleep). It returns the bytes burned. A burner wakes at the stretch's end;
+// before it, Close is unwinding it mid-quantum.
+func (dr *Drive) settle(now time.Duration) (int64, error) {
+	st := &dr.st
+	done, begun := st.to, st.to
+	if now != st.end {
+		done, begun, _ = dr.after(now)
+	}
+	first, _ := dr.quantum(st.from, st.start)
+	dr.BytesBurned += done - st.from
+	return done, dr.disc.extendWatermark(begun - st.from - first)
+}
+
+// cut ends a sleeping stretch at its first quantum boundary after now: where
+// a burn stepping one quantum at a time would next look at its interrupt
+// flag and the optical.burn fault point.
+func (dr *Drive) cut() {
+	st := &dr.st
+	if st.p == nil {
+		return
+	}
+	if _, pos, at := dr.after(dr.env.Now()); pos < st.to {
+		st.to, st.end = pos, at
+		st.p.Hasten(at)
+	}
+}
+
+// ruleArmed cuts a sleeping stretch when a rule armed on the fault plane
+// matches the drive's optical.burn point.
+func (dr *Drive) ruleArmed(r faultinject.Rule) {
+	if r.Matches(faultinject.PointOpticalBurn, dr.ID) {
+		dr.cut()
+	}
+}
+
+// InterruptBurn requests that an in-progress burn stop at the next quantum
 // boundary — the §4.8 "immediately interrupt the current disc array burning"
 // read policy. The burn returns ErrBurnAborted; the disc keeps its partial
-// track and can later be resumed with Append mode.
-func (dr *Drive) InterruptBurn() { dr.interrupt = true }
+// track and can later be resumed with Append mode. A burn still waiting to
+// spin up does not start: it returns ErrBurnAborted with the disc untouched.
+// With no burn in progress it does nothing.
+func (dr *Drive) InterruptBurn() {
+	if dr.inBurn {
+		dr.interrupt = true
+		dr.cut()
+	}
+}
 
 // ReadAt reads from the loaded disc at the media's sustained rate, charging
 // a head seek for non-sequential access and the group contention factor.

@@ -8,6 +8,16 @@
 // or 100 GB burn takes its real minutes of virtual time) from *stored*
 // payload (sparse, only written bytes occupy host memory), so PB-scale
 // experiments run in-process while still moving real file data.
+//
+// A burn advances in 500 quanta. At each quantum boundary it re-samples the
+// speed curve and the group throttle, and looks at its interrupt flag and
+// the optical.burn fault point. Where none of that can change the quanta
+// still to come (their payload is lent, the media draws no speed dips, no
+// samples are taken, the group cap cannot bind, no matching fault rule is
+// armed and no interrupt is pending), one sleep covers all of them, and
+// InterruptBurn or arming a matching rule cuts it at the boundary a
+// quantum-by-quantum burn would stop at. Virtual time is the same either
+// way; the host pays one engine event instead of hundreds.
 package optical
 
 import (

@@ -372,18 +372,22 @@ func (a event) before(b event) bool {
 type eventHeap []event
 
 func (h *eventHeap) push(ev event) {
-	s := append(*h, ev)
-	i := len(s) - 1
+	*h = append(*h, ev)
+	h.up(len(*h) - 1)
+}
+
+// up moves the event at i toward the root until its parent is due first.
+func (h eventHeap) up(i int) {
+	ev := h[i]
 	for i > 0 {
 		up := (i - 1) / 2
-		if !ev.before(s[up]) {
+		if !ev.before(h[up]) {
 			break
 		}
-		s[i] = s[up]
+		h[i] = h[up]
 		i = up
 	}
-	s[i] = ev
-	*h = s
+	h[i] = ev
 }
 
 func (h *eventHeap) pop() event {
@@ -478,6 +482,30 @@ func (p *Proc) Sleep(d time.Duration) {
 	}
 	e.schedule(t, p)
 	p.park()
+}
+
+// Hasten moves the wakeup of p, parked in Sleep, earlier: to t, or to the
+// current time if t is earlier still. The wakeup keeps the sequence number its
+// Sleep gave it, so among the events due at t it fires where a Sleep that had
+// asked for t would have put it. Its old time leaves the queue with it: no
+// clock, RunUntil limit, Pending, Deadlocked or Stats count ever sees it.
+// Hasten reports whether it moved a wakeup; it does nothing to a process that
+// is not parked in Sleep, or whose wakeup is due at t or sooner. It may be
+// called from a process or from outside the simulation.
+func (p *Proc) Hasten(t time.Duration) bool {
+	e := p.env
+	t = max(t, e.now)
+	for i, ev := range e.events {
+		if ev.p == p && ev.gen == p.gen && !ev.weak {
+			if ev.t <= t {
+				return false
+			}
+			e.events[i].t = t
+			e.events.up(i)
+			return true
+		}
+	}
+	return false
 }
 
 // SleepWeak suspends the process for d of virtual time on a weak timer: the
