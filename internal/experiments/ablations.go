@@ -106,63 +106,11 @@ func AblationFuseChunk() (Result, error) {
 // resume in append mode.
 func AblationReadPolicy() (Result, error) {
 	res := Result{ID: "ablate-readpolicy", Title: "All-drives-burning read: wait vs interrupt-and-append (§4.8)"}
-	measure := func(policy olfs.ReadPolicy) (readLat float64, resumes int64, err error) {
-		bed, err := NewBed(cluster.StackConfig{DriveGroups: 1, FS: olfs.Config{
-			DataDiscs: 2, ParityDiscs: 1, AutoBurn: false,
-			RecycleAfterBurn: true, BurnStagger: 5 * time.Second,
-			ReadPolicy: policy,
-		}})
-		if err != nil {
-			return 0, 0, err
-		}
-		defer bed.Env.Close()
-		fs := bed.FS
-		err = bed.Run(func(p *sim.Proc) error {
-			// Burn an array holding the target file.
-			if err := fs.WriteFile(p, "/rp/cold.dat", pat(256<<10, 1)); err != nil {
-				return err
-			}
-			c, err := fs.FlushAndBurn(p)
-			if err != nil {
-				return err
-			}
-			if _, err := c.Wait(p); err != nil {
-				return err
-			}
-			// Start another burn occupying the single group.
-			for i := 0; i < 2; i++ {
-				if err := fs.WriteFile(p, fmt.Sprintf("/rp/next%d.dat", i), pat(256<<10, byte(i+2))); err != nil {
-					return err
-				}
-				if err := fs.Sync(p); err != nil {
-					return err
-				}
-			}
-			burnDone, err := fs.FlushAndBurn(p)
-			if err != nil {
-				return err
-			}
-			for !allGroupsBurning(fs.Library()) {
-				p.Sleep(time.Second)
-			}
-			p.Sleep(30 * time.Second) // mid-burn
-			start := p.Now()
-			if _, err := fs.ReadFile(p, "/rp/cold.dat"); err != nil {
-				return err
-			}
-			readLat = (p.Now() - start).Seconds()
-			if _, err := burnDone.Wait(p); err != nil {
-				return err
-			}
-			return nil
-		})
-		return readLat, fs.Obs().Counter("olfs.burn_resumes").Value(), err
-	}
-	waitLat, _, err := measure(olfs.WaitForBurn)
+	waitLat, _, err := readDuringBurn(olfs.WaitForBurn, 5*time.Second, 30*time.Second)
 	if err != nil {
 		return res, err
 	}
-	intLat, resumes, err := measure(olfs.InterruptBurn)
+	intLat, resumes, err := readDuringBurn(olfs.InterruptBurn, 5*time.Second, 30*time.Second)
 	if err != nil {
 		return res, err
 	}
@@ -172,6 +120,63 @@ func AblationReadPolicy() (Result, error) {
 		{Name: "interrupted burns resumed in append mode", Paper: 1, Measured: float64(resumes), Unit: ""},
 	}
 	return res, nil
+}
+
+// readDuringBurn times, under policy, a read of a burned array that arrives
+// while a second 2+1 array burns on the only drive group: after the given
+// time from its first disc starting, with discs starting stagger apart (0 is
+// olfs's default). It also returns olfs.burn_resumes.
+func readDuringBurn(policy olfs.ReadPolicy, stagger, after time.Duration) (readLat float64, resumes int64, err error) {
+	bed, err := NewBed(cluster.StackConfig{DriveGroups: 1, FS: olfs.Config{
+		DataDiscs: 2, ParityDiscs: 1, AutoBurn: false,
+		RecycleAfterBurn: true, BurnStagger: stagger,
+		ReadPolicy: policy,
+	}})
+	if err != nil {
+		return 0, 0, err
+	}
+	defer bed.Env.Close()
+	fs := bed.FS
+	err = bed.Run(func(p *sim.Proc) error {
+		// Burn an array holding the target file.
+		if err := fs.WriteFile(p, "/rp/cold.dat", pat(256<<10, 1)); err != nil {
+			return err
+		}
+		c, err := fs.FlushAndBurn(p)
+		if err != nil {
+			return err
+		}
+		if _, err := c.Wait(p); err != nil {
+			return err
+		}
+		// Start another burn occupying the single group.
+		for i := 0; i < 2; i++ {
+			if err := fs.WriteFile(p, fmt.Sprintf("/rp/next%d.dat", i), pat(256<<10, byte(i+2))); err != nil {
+				return err
+			}
+			if err := fs.Sync(p); err != nil {
+				return err
+			}
+		}
+		burnDone, err := fs.FlushAndBurn(p)
+		if err != nil {
+			return err
+		}
+		for !allGroupsBurning(fs.Library()) {
+			p.Sleep(time.Second)
+		}
+		p.Sleep(after)
+		start := p.Now()
+		if _, err := fs.ReadFile(p, "/rp/cold.dat"); err != nil {
+			return err
+		}
+		readLat = (p.Now() - start).Seconds()
+		if _, err := burnDone.Wait(p); err != nil {
+			return err
+		}
+		return nil
+	})
+	return readLat, fs.Obs().Counter("olfs.burn_resumes").Value(), err
 }
 
 // AblationForepart measures §4.8's forepart-data-stored mechanism: time to

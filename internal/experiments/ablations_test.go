@@ -1,6 +1,11 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+	"time"
+
+	"ros/internal/olfs"
+)
 
 func TestAblationTieredBuffer(t *testing.T) {
 	r, err := AblationTieredBuffer()
@@ -49,6 +54,32 @@ func TestAblationReadPolicy(t *testing.T) {
 	}
 	if res := metric(r, "interrupted burns resumed in append mode"); res.Measured < 1 {
 		t.Error("no burn resume recorded")
+	}
+}
+
+// TestInterruptReachesDiscsNotYetBurning: a read 10 s into a 2+1 burn with
+// the default 43 s stagger finds one disc burning and two still waiting to
+// start. The interrupt must stop those two as well; it used to reach only
+// the burning disc, so they started later, burned whole discs and the read
+// waited out the entire burn as if the policy were WaitForBurn.
+func TestInterruptReachesDiscsNotYetBurning(t *testing.T) {
+	if testing.Short() {
+		t.Skip("burns multiple arrays")
+	}
+	wait, _, err := readDuringBurn(olfs.WaitForBurn, 0, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	intr, resumes, err := readDuringBurn(olfs.InterruptBurn, 0, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("read latency: wait %.1f s, interrupt %.1f s; %d resumes", wait, intr, resumes)
+	if intr > wait/3 {
+		t.Errorf("interrupt policy read took %.1f s, wait policy %.1f s: the interrupt missed the discs not yet burning", intr, wait)
+	}
+	if resumes != 1 {
+		t.Errorf("olfs.burn_resumes = %d, want 1", resumes)
 	}
 }
 

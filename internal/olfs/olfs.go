@@ -177,6 +177,8 @@ type FS struct {
 	// unloading[gi] is set from the epoch bump until the unload or swap that
 	// made it returns: the tray is in transit and the group is no source.
 	unloading []bool
+	// burning[gi] is the task burning its array in group gi, nil when none.
+	burning []*burnTask
 
 	// Read-cache fills in flight, by image.
 	fills map[image.ID]bool
@@ -298,6 +300,7 @@ func New(env *sim.Env, cfg Config, lib *rack.Library, mvBackend mv.Backend, buff
 		mounting:   make(map[*optical.Drive]mount),
 		groupEpoch: make([]uint64, len(lib.Groups)),
 		unloading:  make([]bool, len(lib.Groups)),
+		burning:    make([]*burnTask, len(lib.Groups)),
 		fills:      make(map[image.ID]bool),
 		opNames:    make(map[string]string),
 	}
@@ -316,22 +319,12 @@ func New(env *sim.Env, cfg Config, lib *rack.Library, mvBackend mv.Backend, buff
 	}
 	fs.wp = writepath.New(env, wcfg, reg)
 	// The §4.8 interrupt-burn read policy: when a fetch is starved because
-	// every group is claimed or burning, abort one burning array at its
-	// next chunk boundary; the burn task unloads, requeues itself in
-	// append mode and releases its group claim.
+	// every group is claimed or burning, abort one burning array; the burn
+	// task unloads, requeues itself in append mode and releases its group
+	// claim.
 	fs.sched.SetStarvedHook(func() {
-		if fs.cfg.ReadPolicy != InterruptBurn {
-			return
-		}
-		for _, g := range fs.lib.Groups {
-			if g.AnyBurning() {
-				for _, d := range g.Drives {
-					if d.State() == optical.StateBurning {
-						d.InterruptBurn()
-					}
-				}
-				break
-			}
+		if fs.cfg.ReadPolicy == InterruptBurn {
+			fs.interruptBurn()
 		}
 	})
 	fs.btm = sim.NewDaemon(env, "olfs-btm", fs.startBurns)

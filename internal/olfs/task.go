@@ -25,6 +25,11 @@ type burnTask struct {
 	resumed  bool
 	attempts int
 	done     *sim.Completion[error]
+
+	// interrupted is set when a read preempts this run (§4.8); waiting[i]
+	// is disc i's process while it sleeps out its start stagger.
+	interrupted bool
+	waiting     []*sim.Proc
 }
 
 type burnProg struct {
@@ -224,14 +229,27 @@ func (fs *FS) burnDiscs(p *sim.Proc, t *burnTask, gi int) (bool, error) {
 	// Each disc's outcome lands in its own slot: an interrupt on one disc and
 	// a hard error on another must both be seen.
 	errs := make([]error, len(all))
+	if t.waiting == nil {
+		t.waiting = make([]*sim.Proc, len(all))
+	}
+	t.interrupted = false
+	fs.burning[gi] = t
+	defer func() { fs.burning[gi] = nil }()
 	// The per-disc processes start with the burn trace: their optical.burn
 	// spans nest under this task's olfs.burn span, and Fork awaits every one
 	// of them, so no span outlives the trace.
 	_ = p.Fork("burn-"+t.tray.String()+"-d", len(all), func(bp *sim.Proc, i int) error {
+		t.waiting[i] = bp
 		bp.Sleep(time.Duration(i) * fs.cfg.BurnStagger)
+		t.waiting[i] = nil
 		pr := &t.progress[i]
 		if pr.done {
 			return nil // this disc already finished pre-interrupt
+		}
+		if t.interrupted {
+			// Preempted before it started: the resumed run burns it fresh.
+			errs[i] = optical.ErrBurnAborted
+			return nil
 		}
 		img := all[i]
 		payload := usedBytes(img)
@@ -265,6 +283,30 @@ func (fs *FS) burnDiscs(p *sim.Proc, t *burnTask, gi int) (bool, error) {
 		}
 	}
 	return interrupted, firstErr
+}
+
+// interruptBurn preempts the first group burning an array (§4.8): every disc
+// of it stops at its next quantum boundary, and a disc still waiting out its
+// stagger or spinning up does not start.
+func (fs *FS) interruptBurn() {
+	for gi, g := range fs.lib.Groups {
+		t := fs.burning[gi]
+		if t == nil && !g.AnyBurning() {
+			continue
+		}
+		if t != nil {
+			t.interrupted = true
+			for _, bp := range t.waiting {
+				if bp != nil {
+					bp.Hasten(fs.env.Now())
+				}
+			}
+		}
+		for _, d := range g.Drives {
+			d.InterruptBurn()
+		}
+		return
+	}
 }
 
 // generateParity allocates parity slots and computes P (and Q) across the
