@@ -412,8 +412,9 @@ func BenchmarkUDFWriteFile(b *testing.B) {
 }
 
 // BenchmarkBurn25GB measures host cost of simulating one full 25 GB burn
-// (675 virtual seconds).
+// (675 virtual seconds), and the engine events it takes.
 func BenchmarkBurn25GB(b *testing.B) {
+	var events int64
 	for i := 0; i < b.N; i++ {
 		env := sim.NewEnv()
 		dr := optical.NewDrive(env, "d0", nil)
@@ -428,8 +429,10 @@ func BenchmarkBurn25GB(b *testing.B) {
 			}
 		})
 		env.Run()
+		events += env.Stats().Events
 		env.Close()
 	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
 
 // BenchmarkOLFSWriteSmall measures the full OLFS write path for 4 KB files.
