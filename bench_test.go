@@ -153,10 +153,10 @@ func BenchmarkAblationFuseChunk(b *testing.B) {
 	benchExperiment(b, experiments.AblationFuseChunk, "big_writes speedup")
 }
 
-// BenchmarkAblationParity is the delayed-parity path: parity generation cost
-// per image set, measured inside the read-policy/burn pipeline ablation.
-func BenchmarkAblationReadPolicy(b *testing.B) {
-	benchExperiment(b, experiments.AblationReadPolicy,
+// BenchmarkAblationReadDuringBurn: a read while every group burns, waiting
+// out the burn vs interrupting it (§4.8), plus the arrival sweep.
+func BenchmarkAblationReadDuringBurn(b *testing.B) {
+	benchExperiment(b, experiments.AblationReadDuringBurn,
 		"read latency, wait policy", "read latency, interrupt policy")
 }
 

@@ -61,7 +61,7 @@ var registry = map[string]func() (experiments.Result, error){
 	"reliability":        experiments.Reliability,
 	"ablate-buffer":      experiments.AblationTieredBuffer,
 	"ablate-fusechunk":   experiments.AblationFuseChunk,
-	"ablate-readpolicy":  experiments.AblationReadPolicy,
+	"ablate-readpolicy":  experiments.AblationReadDuringBurn,
 	"ablate-forepart":    experiments.AblationForepart,
 	"ablate-readcache":   experiments.AblationReadCache,
 	"ablate-uniquepath":  experiments.AblationUniquePath,

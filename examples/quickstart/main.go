@@ -93,10 +93,3 @@ func main() {
 		snap.Counter("olfs.files_written"), snap.Counter("olfs.files_read"), snap.Counter("olfs.burn_tasks"),
 		snap.Counter("rack.loads"), sys.Env.Now().Round(time.Second))
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -44,11 +44,7 @@ func AblationTieredBuffer() (Result, error) {
 		if err := fs.WriteFile(p, "/ab/sync.dat", pat(1<<20, 2)); err != nil {
 			return err
 		}
-		c, err := fs.FlushAndBurn(p)
-		if err != nil {
-			return err
-		}
-		if _, err := c.Wait(p); err != nil {
+		if err := burnAll(p, fs); err != nil {
 			return err
 		}
 		synchronous = p.Now() - start
@@ -101,129 +97,165 @@ func AblationFuseChunk() (Result, error) {
 	return res, nil
 }
 
-// AblationReadPolicy compares §4.8's two policies for a read that arrives
-// while every drive group is burning: wait for the burn vs interrupt it and
-// resume in append mode.
-func AblationReadPolicy() (Result, error) {
+// AblationReadDuringBurn is §4.8's read that arrives while every drive
+// group is burning: waiting out the burn against interrupting it and
+// resuming in append mode. The first three lines are one read, 30 s after
+// the discs of a 2+1 array with a 5 s stagger start. The sweep lines move
+// the read's arrival across a whole burn (parity, blank-tray load, start
+// stagger, burn) at the default stagger, on 1 and 2 groups at 2+1 and 11+1.
+func AblationReadDuringBurn() (Result, error) {
 	res := Result{ID: "ablate-readpolicy", Title: "All-drives-burning read: wait vs interrupt-and-append (§4.8)"}
-	waitLat, _, err := readDuringBurn(olfs.WaitForBurn, 5*time.Second, 30*time.Second)
+	c := burnRead{groups: 1, data: 2, stagger: 5 * time.Second}
+	life, err := readDuringBurn(c, -1)
 	if err != nil {
 		return res, err
 	}
-	intLat, resumes, err := readDuringBurn(olfs.InterruptBurn, 5*time.Second, 30*time.Second)
+	intr, err := readDuringBurn(c, life.burning+30*time.Second)
+	if err != nil {
+		return res, err
+	}
+	c.wait = true
+	wait, err := readDuringBurn(c, life.burning+30*time.Second)
 	if err != nil {
 		return res, err
 	}
 	res.Metrics = []Metric{
-		{Name: "read latency, wait policy", Paper: 800, Measured: waitLat, Unit: "s (residual burn + swap; paper: 'minutes to more than an hour')"},
-		{Name: "read latency, interrupt policy", Paper: 160, Measured: intLat, Unit: "s (unload + load + read)"},
-		{Name: "interrupted burns resumed in append mode", Paper: 1, Measured: float64(resumes), Unit: ""},
+		{Name: "read latency, wait policy", Paper: 800, Measured: seconds(wait.read), Unit: "s (residual burn + swap; paper: 'minutes to more than an hour')"},
+		{Name: "read latency, interrupt policy", Paper: 160, Measured: seconds(intr.read), Unit: "s (unload + load + read)"},
+		{Name: "interrupted burns resumed in append mode", Paper: 1, Measured: float64(intr.resumes), Unit: ""},
+	}
+	for _, c := range []burnRead{{groups: 1, data: 2}, {groups: 2, data: 2}, {groups: 1, data: 11}, {groups: 2, data: 11}} {
+		ms, err := sweepReadDuringBurn(c)
+		if err != nil {
+			return res, err
+		}
+		res.Metrics = append(res.Metrics, ms...)
 	}
 	return res, nil
 }
 
-// readDuringBurn times, under policy, a read of a burned array that arrives
-// while a second 2+1 array burns on the only drive group: after the given
-// time from its first disc starting, with discs starting stagger apart (0 is
-// olfs's default). It also returns olfs.burn_resumes.
-func readDuringBurn(policy olfs.ReadPolicy, stagger, after time.Duration) (readLat float64, resumes int64, err error) {
-	bed, err := NewBed(cluster.StackConfig{DriveGroups: 1, FS: olfs.Config{
-		DataDiscs: 2, ParityDiscs: 1, AutoBurn: false,
-		RecycleAfterBurn: true, BurnStagger: stagger,
-		ReadPolicy: policy,
+// burnRead is a read-during-burn bed: groups drive groups, each burning a
+// fresh data+1 array while a read of an earlier array arrives.
+type burnRead struct {
+	groups, data int
+	stagger      time.Duration // between disc starts; 0 is olfs's default
+	wait         bool          // no §4.8 interrupt: the read waits out the burn
+}
+
+// burnReadTrial is one trial's outcome; burning and burnEnd count from
+// FlushAndBurn.
+type burnReadTrial struct {
+	read    time.Duration // the read's latency
+	burning time.Duration // every group burning, polled each second
+	burnEnd time.Duration // every burn finished
+	resumes int64         // olfs.burn_resumes
+}
+
+// sweepPoints is how many read arrivals a sweep spreads over one burn.
+const sweepPoints = 12
+
+// sweepReadDuringBurn spreads the read's arrival evenly from FlushAndBurn to
+// the end of c's burn without a read. It reports the worst and mean read,
+// waiting and interrupting, and how much each interrupt delays the burn.
+func sweepReadDuringBurn(c burnRead) ([]Metric, error) {
+	life, err := readDuringBurn(c, -1)
+	if err != nil {
+		return nil, err
+	}
+	var worst, sum [2]time.Duration // waiting, interrupting
+	var delay time.Duration
+	var interrupts int64
+	for i := 0; i < sweepPoints; i++ {
+		for k, wait := range []bool{true, false} {
+			c.wait = wait
+			tr, err := readDuringBurn(c, life.burnEnd*time.Duration(i)/sweepPoints)
+			if err != nil {
+				return nil, err
+			}
+			worst[k], sum[k] = max(worst[k], tr.read), sum[k]+tr.read
+			if tr.resumes > 0 {
+				delay, interrupts = delay+tr.burnEnd-life.burnEnd, interrupts+tr.resumes
+			}
+		}
+	}
+	name := fmt.Sprintf("%d group(s), %d+1: ", c.groups, c.data)
+	return []Metric{
+		{Name: name + "worst read, wait", Measured: seconds(worst[0]), Unit: "s"},
+		{Name: name + "mean read, wait", Measured: seconds(sum[0] / sweepPoints), Unit: "s"},
+		{Name: name + "worst read, interrupt", Measured: seconds(worst[1]), Unit: "s"},
+		{Name: name + "mean read, interrupt", Measured: seconds(sum[1] / sweepPoints), Unit: "s"},
+		{Name: name + "burn delay per interrupt", Measured: seconds(delay) / float64(max(interrupts, 1)), Unit: "s"},
+	}, nil
+}
+
+// readDuringBurn burns an array holding /rp/cold.dat, fills one more array
+// per group and burns them all, and reads /rp/cold.dat at after
+// FlushAndBurn; a negative at reads nothing.
+func readDuringBurn(c burnRead, at time.Duration) (burnReadTrial, error) {
+	var tr burnReadTrial
+	bed, err := NewBed(cluster.StackConfig{DriveGroups: c.groups, FS: olfs.Config{
+		DataDiscs: c.data, ParityDiscs: 1, AutoBurn: false,
+		RecycleAfterBurn: true, BurnStagger: c.stagger,
 	}})
 	if err != nil {
-		return 0, 0, err
+		return tr, err
 	}
 	defer bed.Env.Close()
 	fs := bed.FS
+	if c.wait {
+		fs.Sched().SetStarvedHook(nil)
+	}
 	err = bed.Run(func(p *sim.Proc) error {
-		// Burn an array holding the target file.
 		if err := fs.WriteFile(p, "/rp/cold.dat", pat(256<<10, 1)); err != nil {
 			return err
 		}
-		c, err := fs.FlushAndBurn(p)
-		if err != nil {
+		if err := burnAll(p, fs); err != nil {
 			return err
 		}
-		if _, err := c.Wait(p); err != nil {
-			return err
-		}
-		// Start another burn occupying the single group.
-		for i := 0; i < 2; i++ {
-			if err := fs.WriteFile(p, fmt.Sprintf("/rp/next%d.dat", i), pat(256<<10, byte(i+2))); err != nil {
-				return err
-			}
-			if err := fs.Sync(p); err != nil {
+		for i := 0; i < c.groups*c.data; i++ {
+			if err := writeImage(p, fs, fmt.Sprintf("/rp/next%d.dat", i), pat(256<<10, byte(i+2))); err != nil {
 				return err
 			}
 		}
-		burnDone, err := fs.FlushAndBurn(p)
+		t0 := p.Now()
+		burns, err := fs.FlushAndBurn(p)
 		if err != nil {
 			return err
 		}
-		for !allGroupsBurning(fs.Library()) {
-			p.Sleep(time.Second)
-		}
-		p.Sleep(after)
-		start := p.Now()
-		if _, err := fs.ReadFile(p, "/rp/cold.dat"); err != nil {
-			return err
-		}
-		readLat = (p.Now() - start).Seconds()
-		if _, err := burnDone.Wait(p); err != nil {
-			return err
-		}
-		return nil
+		ended := false
+		return p.Fork("rp", 3, func(fp *sim.Proc, k int) error {
+			switch {
+			case k == 0:
+				_, err := burns.Wait(fp)
+				tr.burnEnd, ended = fp.Now()-t0, true
+				return err
+			case k == 1:
+				for !ended && !allGroupsBurning(fs.Library()) {
+					fp.Sleep(time.Second)
+				}
+				tr.burning = fp.Now() - t0
+			case at >= 0:
+				fp.Sleep(at)
+				_, err := fs.ReadFile(fp, "/rp/cold.dat")
+				tr.read = fp.Now() - t0 - at
+				return err
+			}
+			return nil
+		})
 	})
-	return readLat, fs.Obs().Counter("olfs.burn_resumes").Value(), err
+	tr.resumes = fs.Obs().Counter("olfs.burn_resumes").Value()
+	return tr, err
 }
 
 // AblationForepart measures §4.8's forepart-data-stored mechanism: time to
 // first byte on a roller miss with and without the 256 KB forepart in MV.
 func AblationForepart() (Result, error) {
 	res := Result{ID: "ablate-forepart", Title: "Forepart-in-MV first-byte latency (§4.8)"}
-	measure := func(forepart bool) (float64, error) {
-		bed, err := NewBed(cluster.StackConfig{FS: olfs.Config{
-			DataDiscs: 2, ParityDiscs: 1, AutoBurn: false,
-			RecycleAfterBurn: true, BurnStagger: 5 * time.Second,
-			Forepart: forepart,
-		}})
-		if err != nil {
-			return 0, err
-		}
-		defer bed.Env.Close()
-		fs := bed.FS
-		var lat float64
-		err = bed.Run(func(p *sim.Proc) error {
-			if err := fs.WriteFile(p, "/fp/f.dat", pat(512<<10, 3)); err != nil {
-				return err
-			}
-			c, err := fs.FlushAndBurn(p)
-			if err != nil {
-				return err
-			}
-			if _, err := c.Wait(p); err != nil {
-				return err
-			}
-			// A roller miss: the burned array back in its tray.
-			if err := fs.UnloadIdle(p); err != nil {
-				return err
-			}
-			start := p.Now()
-			if _, err := fs.ReadFirstByte(p, "/fp/f.dat"); err != nil {
-				return err
-			}
-			lat = (p.Now() - start).Seconds()
-			return nil
-		})
-		return lat, err
-	}
-	with, err := measure(true)
+	with, err := readAfterUnload(olfs.Config{RecycleAfterBurn: true, Forepart: true}, "/fp/f.dat", pat(512<<10, 3), true)
 	if err != nil {
 		return res, err
 	}
-	without, err := measure(false)
+	without, err := readAfterUnload(olfs.Config{RecycleAfterBurn: true}, "/fp/f.dat", pat(512<<10, 3), true)
 	if err != nil {
 		return res, err
 	}
@@ -245,47 +277,11 @@ func AblationReadCache() (Result, error) {
 		Title: "Read cache of burned images (§4.1)",
 		Notes: "without RC the first re-read fetches the tray; that read copies the image back into the buffer, so later re-reads are buffer hits again",
 	}
-	measure := func(recycle bool) (float64, error) {
-		bed, err := NewBed(cluster.StackConfig{FS: olfs.Config{
-			DataDiscs: 2, ParityDiscs: 1, AutoBurn: false,
-			RecycleAfterBurn: recycle, BurnStagger: 5 * time.Second,
-		}})
-		if err != nil {
-			return 0, err
-		}
-		defer bed.Env.Close()
-		fs := bed.FS
-		var lat float64
-		err = bed.Run(func(p *sim.Proc) error {
-			if err := fs.WriteFile(p, "/rc/f.dat", pat(256<<10, 4)); err != nil {
-				return err
-			}
-			c, err := fs.FlushAndBurn(p)
-			if err != nil {
-				return err
-			}
-			if _, err := c.Wait(p); err != nil {
-				return err
-			}
-			// Without RC the re-read is a roller miss: the burned array
-			// back in its tray.
-			if err := fs.UnloadIdle(p); err != nil {
-				return err
-			}
-			start := p.Now()
-			if _, err := fs.ReadFile(p, "/rc/f.dat"); err != nil {
-				return err
-			}
-			lat = (p.Now() - start).Seconds()
-			return nil
-		})
-		return lat, err
-	}
-	cached, err := measure(false)
+	cached, err := readAfterUnload(olfs.Config{}, "/rc/f.dat", pat(256<<10, 4), false)
 	if err != nil {
 		return res, err
 	}
-	evicted, err := measure(true)
+	evicted, err := readAfterUnload(olfs.Config{RecycleAfterBurn: true}, "/rc/f.dat", pat(256<<10, 4), false)
 	if err != nil {
 		return res, err
 	}
@@ -294,6 +290,41 @@ func AblationReadCache() (Result, error) {
 		{Name: "re-read without RC (mechanical fetch)", Paper: 70.5, Measured: evicted, Unit: "s"},
 	}
 	return res, nil
+}
+
+// readAfterUnload times a read of path, written with data on a 2+1 bed
+// with cfg's switches and burned, once its array is back in its tray: the
+// whole file, or only its first byte.
+func readAfterUnload(cfg olfs.Config, path string, data []byte, firstByte bool) (float64, error) {
+	cfg.DataDiscs, cfg.ParityDiscs, cfg.BurnStagger = 2, 1, 5*time.Second
+	bed, err := NewBed(cluster.StackConfig{FS: cfg})
+	if err != nil {
+		return 0, err
+	}
+	defer bed.Env.Close()
+	fs := bed.FS
+	var lat float64
+	err = bed.Run(func(p *sim.Proc) error {
+		if err := fs.WriteFile(p, path, data); err != nil {
+			return err
+		}
+		if err := burnAll(p, fs); err != nil {
+			return err
+		}
+		if err := fs.UnloadIdle(p); err != nil {
+			return err
+		}
+		start := p.Now()
+		var err error
+		if firstByte {
+			_, err = fs.ReadFirstByte(p, path)
+		} else {
+			_, err = fs.ReadFile(p, path)
+		}
+		lat = (p.Now() - start).Seconds()
+		return err
+	})
+	return lat, err
 }
 
 // AblationUniquePath measures §4.4's trade-off: embedding the full ancestor
@@ -464,19 +495,10 @@ func AblationStreamIsolation() (Result, error) {
 
 // Ablations runs all ablation experiments.
 func Ablations() ([]Result, error) {
-	runs := []func() (Result, error){
-		AblationTieredBuffer, AblationFuseChunk, AblationReadPolicy,
+	return runAll(
+		AblationTieredBuffer, AblationFuseChunk, AblationReadDuringBurn,
 		AblationForepart, AblationReadCache, AblationUniquePath,
 		AblationOverlapScheduling, AblationStreamIsolation,
 		AblationDirectWrite, AblationScheduler, AblationParallelRead,
-	}
-	var out []Result
-	for _, fn := range runs {
-		r, err := fn()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
+	)
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ros/internal/cluster"
+	"ros/internal/olfs"
 	"ros/internal/sim"
 )
 
@@ -109,6 +110,26 @@ func (b *Bed) Run(fn func(p *sim.Proc) error) error {
 	return err
 }
 
+// burnAll seals the open image and burns every buffered one, waiting for
+// the burns to end.
+func burnAll(p *sim.Proc, fs *olfs.FS) error {
+	c, err := fs.FlushAndBurn(p)
+	if err != nil {
+		return err
+	}
+	_, err = c.Wait(p)
+	return err
+}
+
+// writeImage writes path and seals the open image, so the file ends an
+// image of its own.
+func writeImage(p *sim.Proc, fs *olfs.FS, path string, data []byte) error {
+	if err := fs.WriteFile(p, path, data); err != nil {
+		return err
+	}
+	return fs.Sync(p)
+}
+
 // pat fills deterministic non-zero data.
 func pat(n int, seed byte) []byte {
 	b := make([]byte, n)
@@ -123,20 +144,22 @@ func seconds(d time.Duration) float64 { return d.Seconds() }
 
 // All runs the complete experiment suite in order.
 func All() ([]Result, error) {
-	runs := []func() (Result, error){
+	return runAll(
 		Table1, Table2, Table3,
 		Fig6, Fig7, Fig8, Fig9, Fig10,
 		MVSize, MVRecovery, TCO, Power, Reliability,
-	}
+	)
+}
+
+// runAll runs experiments in order, stopping at the first that fails.
+func runAll(runs ...func() (Result, error)) ([]Result, error) {
 	var out []Result
 	for _, fn := range runs {
 		r, err := fn()
 		if err != nil {
-			return out, fmt.Errorf("%s failed: %w", funcName(fn), err)
+			return out, fmt.Errorf("%s failed: %w", r.ID, err)
 		}
 		out = append(out, r)
 	}
 	return out, nil
 }
-
-func funcName(fn interface{}) string { return fmt.Sprintf("%T", fn) }

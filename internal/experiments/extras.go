@@ -85,11 +85,7 @@ func MVRecovery() (Result, error) {
 				}
 				wantFiles++
 			}
-			c, err := fs.FlushAndBurn(p)
-			if err != nil {
-				return err
-			}
-			if _, err := c.Wait(p); err != nil {
+			if err := burnAll(p, fs); err != nil {
 				return err
 			}
 		}

@@ -41,18 +41,11 @@ func AblationParallelRead() (Result, error) {
 			// One bucket per data disc: an 11+1 tray burns in one batch.
 			for i := 0; i < 11; i++ {
 				name := fmt.Sprintf("/pr/f%02d", i)
-				if err := fs.WriteFile(p, name, pat(fileBytes, byte(i+1))); err != nil {
-					return err
-				}
-				if err := fs.Sync(p); err != nil {
+				if err := writeImage(p, fs, name, pat(fileBytes, byte(i+1))); err != nil {
 					return err
 				}
 			}
-			c, err := fs.FlushAndBurn(p)
-			if err != nil {
-				return err
-			}
-			if _, err := c.Wait(p); err != nil {
+			if err := burnAll(p, fs); err != nil {
 				return err
 			}
 			trays := fs.Cat.Trays(image.DAUsed)

@@ -76,11 +76,7 @@ func AblationScheduler() (Result, error) {
 				if err := fs.WriteFile(p, fmt.Sprintf("/sc/read%d.dat", i), pat(256<<10, byte(i+1))); err != nil {
 					return err
 				}
-				c, err := fs.FlushAndBurn(p)
-				if err != nil {
-					return err
-				}
-				if _, err := c.Wait(p); err != nil {
+				if err := burnAll(p, fs); err != nil {
 					return err
 				}
 				mask(l+1, l-1) // close the target layer's remaining slots
@@ -89,10 +85,7 @@ func AblationScheduler() (Result, error) {
 			// Mixed phase: four background burn tasks (8 sealed buckets at
 			// 2 data discs each) compete with the eight readers.
 			for i := 0; i < 8; i++ {
-				if err := fs.WriteFile(p, fmt.Sprintf("/sc/burn%d.dat", i), pat(256<<10, byte(0x40+i))); err != nil {
-					return err
-				}
-				if err := fs.Sync(p); err != nil {
+				if err := writeImage(p, fs, fmt.Sprintf("/sc/burn%d.dat", i), pat(256<<10, byte(0x40+i))); err != nil {
 					return err
 				}
 			}

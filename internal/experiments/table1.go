@@ -29,7 +29,6 @@ func Table1() (Result, error) {
 			AutoBurn:         false,
 			RecycleAfterBurn: true,
 			BurnStagger:      5 * time.Second,
-			ReadPolicy:       olfs.WaitForBurn,
 		},
 	})
 	if err != nil {
@@ -37,6 +36,9 @@ func Table1() (Result, error) {
 	}
 	defer bed.Env.Close()
 	fs := bed.FS
+	// Row 6 is the paper's "minutes": the read waits out the burn instead
+	// of interrupting it (ablate-readpolicy compares the two).
+	fs.Sched().SetStarvedHook(nil)
 	var latBucket, latImage, latDrive, latFree, latSwap, latBusy time.Duration
 	err = bed.Run(func(p *sim.Proc) error {
 		measure := func(path string) (time.Duration, error) {
@@ -63,20 +65,13 @@ func Table1() (Result, error) {
 		}
 
 		// Burn a first array holding two files on different discs.
-		if err := fs.WriteFile(p, "/t1/discA.dat", pat(1024, 2)); err != nil {
-			return err
-		}
-		if err := fs.Sync(p); err != nil {
+		if err := writeImage(p, fs, "/t1/discA.dat", pat(1024, 2)); err != nil {
 			return err
 		}
 		if err := fs.WriteFile(p, "/t1/discB.dat", pat(1024, 3)); err != nil {
 			return err
 		}
-		c, err := fs.FlushAndBurn(p)
-		if err != nil {
-			return err
-		}
-		if _, err := c.Wait(p); err != nil {
+		if err := burnAll(p, fs); err != nil {
 			return err
 		}
 		// Row 4: disc array in the roller, a drive group free (~70.5 s). The
@@ -103,18 +98,11 @@ func Table1() (Result, error) {
 		// occupied, then read from the first (now back in the roller).
 		for set := 0; set < 2; set++ {
 			for i := 0; i < 2; i++ {
-				if err := fs.WriteFile(p, fmt.Sprintf("/t1/set%d-%d.dat", set, i), pat(2048, byte(set*2+i+4))); err != nil {
-					return err
-				}
-				if err := fs.Sync(p); err != nil {
+				if err := writeImage(p, fs, fmt.Sprintf("/t1/set%d-%d.dat", set, i), pat(2048, byte(set*2+i+4))); err != nil {
 					return err
 				}
 			}
-			c, err := fs.FlushAndBurn(p)
-			if err != nil {
-				return err
-			}
-			if _, err := c.Wait(p); err != nil {
+			if err := burnAll(p, fs); err != nil {
 				return err
 			}
 		}
@@ -164,10 +152,7 @@ func Table1() (Result, error) {
 		// for both groups to be burning, then read cold data.
 		for set := 2; set < 4; set++ {
 			for i := 0; i < 2; i++ {
-				if err := fs.WriteFile(p, fmt.Sprintf("/t1/set%d-%d.dat", set, i), pat(2048, byte(set*2+i+8))); err != nil {
-					return err
-				}
-				if err := fs.Sync(p); err != nil {
+				if err := writeImage(p, fs, fmt.Sprintf("/t1/set%d-%d.dat", set, i), pat(2048, byte(set*2+i+8))); err != nil {
 					return err
 				}
 			}

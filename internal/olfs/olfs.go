@@ -39,19 +39,6 @@ import (
 	"ros/internal/writepath"
 )
 
-// ReadPolicy selects what a fetch does when every drive group is burning
-// (§4.8's two policies).
-type ReadPolicy int
-
-// Read policies for the all-drives-busy case.
-const (
-	// WaitForBurn waits for a burning group to finish (minutes to an hour).
-	WaitForBurn ReadPolicy = iota
-	// InterruptBurn aborts a burning array, services the read, then reloads
-	// and resumes the burn in append mode.
-	InterruptBurn
-)
-
 // Config tunes OLFS. Zero fields take the documented defaults.
 type Config struct {
 	// DataDiscs and ParityDiscs set the per-tray redundancy (§4.7). Each
@@ -71,8 +58,6 @@ type Config struct {
 	// area formatting + task dispatch); calibrated so a 12x25GB array takes
 	// the paper's 1146 s (Fig 9).
 	BurnStagger time.Duration
-	// ReadPolicy picks the all-drives-burning behaviour (§4.8).
-	ReadPolicy ReadPolicy
 	// Forepart stores the first 256 KB of each file in MV to bound first-
 	// byte latency on roller misses (§4.8).
 	Forepart bool
@@ -177,7 +162,8 @@ type FS struct {
 	// unloading[gi] is set from the epoch bump until the unload or swap that
 	// made it returns: the tray is in transit and the group is no source.
 	unloading []bool
-	// burning[gi] is the task burning its array in group gi, nil when none.
+	// burning[gi] is the burn task holding group gi, from its blank tray being
+	// in until the task releases the group; nil when none.
 	burning []*burnTask
 
 	// Read-cache fills in flight, by image.
@@ -318,15 +304,10 @@ func New(env *sim.Env, cfg Config, lib *rack.Library, mvBackend mv.Backend, buff
 		wcfg.Admission.CapacityBytes = int64(slots) * discCap
 	}
 	fs.wp = writepath.New(env, wcfg, reg)
-	// The §4.8 interrupt-burn read policy: when a fetch is starved because
-	// every group is claimed or burning, abort one burning array; the burn
-	// task unloads, requeues itself in append mode and releases its group
-	// claim.
-	fs.sched.SetStarvedHook(func() {
-		if fs.cfg.ReadPolicy == InterruptBurn {
-			fs.interruptBurn()
-		}
-	})
+	// §4.8: when a fetch is starved because every group is claimed or
+	// burning, abort one burning array; the burn task unloads, requeues
+	// itself in append mode and releases its group claim.
+	fs.sched.SetStarvedHook(fs.interruptBurn)
 	fs.btm = sim.NewDaemon(env, "olfs-btm", fs.startBurns)
 	return fs, nil
 }

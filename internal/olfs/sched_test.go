@@ -15,13 +15,20 @@ import (
 // while a coalesced waiter (A2) is still queued on an in-flight fetch of
 // trayA, a competing fetch of trayB must not pick trayA's group as its
 // eviction victim — doing so would swap the array out from under A2 and
-// force a second mechanical fetch (the legacy first-idle-loaded victim did
-// exactly that: 4 loads instead of 3).
+// force a second mechanical fetch of trayA (the legacy first-idle-loaded
+// victim did exactly that).
 func TestEvictionSkipsTrayWithQueuedWaiters(t *testing.T) {
 	tb := newBed(t, func(c *Config) {
 		c.AutoBurn = false
 	})
 	fs := tb.fs
+	// Array loads by tray, once the fetches below start.
+	var loads map[string]int
+	tb.env.AddEventSink(func(ev sim.TraceEvent) {
+		if loads != nil && ev.Kind == sim.KindRackLoad {
+			loads[ev.Msg]++
+		}
+	})
 	tb.run(t, func(p *sim.Proc) {
 		// Two burned arrays to fetch later.
 		for i := 0; i < 2; i++ {
@@ -65,6 +72,7 @@ func TestEvictionSkipsTrayWithQueuedWaiters(t *testing.T) {
 		// A1 fetches trayA; A2 coalesces onto it mid-flight; C then fetches
 		// trayB, which can only be served by evicting something.
 		var a2SawTray bool
+		loads = map[string]int{}
 		a1 := sim.NewCompletion[int](tb.env)
 		a2 := sim.NewCompletion[int](tb.env)
 		cc := sim.NewCompletion[int](tb.env)
@@ -107,24 +115,27 @@ func TestEvictionSkipsTrayWithQueuedWaiters(t *testing.T) {
 		if got := fs.Obs().Counter("sched.eviction_skips_demand").Value(); got < 1 {
 			t.Errorf("eviction demand-skips = %d, want >=1 (trayA was victimized while waiters were queued)", got)
 		}
-		// 2 setup burns + 1 background burn + trayA fetch + trayB fetch.
-		// The legacy victim choice evicted trayA for trayB and paid a 6th
-		// load to fetch trayA back for A2.
-		if loads := tb.lib.Obs().Counter("rack.loads").Value(); loads != 5 {
-			t.Errorf("total array loads = %d, want 5 (no double fetch of %v)", loads, trayA)
+		// The legacy victim choice evicted trayA for trayB and fetched
+		// trayA back for A2.
+		if n := loads[trayA.String()]; n != 1 {
+			t.Errorf("trayA %v loaded %d times, want 1 (no double fetch)", trayA, n)
+		}
+		// C found both groups claimed, one of them by the background burn,
+		// which the §4.8 interrupt preempted and resumed in append mode.
+		if got := fs.m.burnResumes.Value(); got != 1 {
+			t.Errorf("burn resumes = %d, want 1 (C's fetch interrupts the background burn)", got)
 		}
 	})
 }
 
-// Concurrent mixed workload under qos-scan with the §4.8 interrupt-burn read
-// policy: same-tray reads coalesce into one mechanical fetch, reads preempt
-// the burns occupying all groups (the burns resume in append mode), and every
-// read returns correct data. Run with -race in CI.
+// Concurrent mixed workload under qos-scan: same-tray reads coalesce into
+// one mechanical fetch, reads preempt the burns occupying all groups (§4.8;
+// the burns resume in append mode), and every read returns correct data.
+// Run with -race in CI.
 func TestCoalescingUnderConcurrentMixedLoad(t *testing.T) {
 	tb := newBed(t, func(c *Config) {
 		c.AutoBurn = false
 		c.RecycleAfterBurn = true
-		c.ReadPolicy = InterruptBurn
 		c.Sched = sched.Config{Policy: sched.PolicyQoSScan}
 	})
 	fs := tb.fs
@@ -227,7 +238,7 @@ func TestCoalescingUnderConcurrentMixedLoad(t *testing.T) {
 			t.Error(err)
 		}
 		if fs.m.burnResumes.Value() < 1 {
-			t.Errorf("burn resumes = %d, want >=1 (interrupt-burn policy should have preempted a burn)", fs.m.burnResumes.Value())
+			t.Errorf("burn resumes = %d, want >=1 (a read should have preempted a burn)", fs.m.burnResumes.Value())
 		}
 		if got := fs.Obs().Counter("sched.coalesced_fetches").Value(); got < 1 {
 			t.Errorf("coalesced fetches = %d, want >=1 (same-tray readers should share one fetch)", got)

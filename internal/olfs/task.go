@@ -166,6 +166,12 @@ func (fs *FS) runBurnTask(p *sim.Proc, t *burnTask) {
 		abandon(err)
 		return
 	}
+	// From here until the claim goes back, the §4.8 interrupt can reach this
+	// run. A fetch that queued while the blank tray was loading found
+	// nothing to interrupt, so starvation is checked again now.
+	t.interrupted = false
+	fs.burning[gi] = t
+	fs.sched.CheckStarved()
 	interrupted, burnErr := fs.burnDiscs(p, t, gi)
 	// A burned array stays in its drives: a read of the just-burned data is
 	// then an in-drive read (Table 1 row 3), not a reload, and whoever next
@@ -177,19 +183,20 @@ func (fs *FS) runBurnTask(p *sim.Proc, t *burnTask) {
 			burnErr = err
 		}
 	}
+	fs.burning[gi] = nil
 	// The claim goes back before the outcome is handled: the next claimant
 	// need not wait out finishBurn's catalog save, and a requeued task
 	// arbitrates for a group like any other.
 	fs.sched.Release(gi)
+	if interrupted {
+		fs.m.interruptedBs.Add(1)
+	}
 	switch {
 	case burnErr != nil:
 		// Hard failure: mark the tray Failed and retry once on a new tray.
 		// An interrupt observed in the same run still counts (the
 		// preemption happened), but the fresh tray restarts every disc
 		// from scratch.
-		if interrupted {
-			fs.m.interruptedBs.Add(1)
-		}
 		fs.Cat.SetDAState(*t.tray, image.DAFailed)
 		fs.env.Emit(sim.KindBurnFail, p.Name(), t.tray.String())
 		t.tray = nil
@@ -202,9 +209,8 @@ func (fs *FS) runBurnTask(p *sim.Proc, t *burnTask) {
 		}
 		abandon(burnErr)
 	case interrupted:
-		// A fetch preempted us (§4.8 interrupt policy): requeue to
-		// resume with append-mode burning on the same tray.
-		fs.m.interruptedBs.Add(1)
+		// A fetch preempted us (§4.8): requeue to resume with
+		// append-mode burning on the same tray.
 		fs.env.Emit(sim.KindBurnInterrupt, p.Name(), t.tray.String())
 		op.Retry()
 		t.resumed = true
@@ -232,16 +238,15 @@ func (fs *FS) burnDiscs(p *sim.Proc, t *burnTask, gi int) (bool, error) {
 	if t.waiting == nil {
 		t.waiting = make([]*sim.Proc, len(all))
 	}
-	t.interrupted = false
-	fs.burning[gi] = t
-	defer func() { fs.burning[gi] = nil }()
 	// The per-disc processes start with the burn trace: their optical.burn
 	// spans nest under this task's olfs.burn span, and Fork awaits every one
 	// of them, so no span outlives the trace.
 	_ = p.Fork("burn-"+t.tray.String()+"-d", len(all), func(bp *sim.Proc, i int) error {
-		t.waiting[i] = bp
-		bp.Sleep(time.Duration(i) * fs.cfg.BurnStagger)
-		t.waiting[i] = nil
+		if !t.interrupted {
+			t.waiting[i] = bp
+			bp.Sleep(time.Duration(i) * fs.cfg.BurnStagger)
+			t.waiting[i] = nil
+		}
 		pr := &t.progress[i]
 		if pr.done {
 			return nil // this disc already finished pre-interrupt
@@ -287,22 +292,26 @@ func (fs *FS) burnDiscs(p *sim.Proc, t *burnTask, gi int) (bool, error) {
 
 // interruptBurn preempts the first group burning an array (§4.8): every disc
 // of it stops at its next quantum boundary, and a disc still waiting out its
-// stagger or spinning up does not start.
+// stagger or spinning up does not start. While an interrupted run still
+// holds its group, that group is about to come free, so no second burn is
+// preempted for the same starved fetch.
 func (fs *FS) interruptBurn() {
-	for gi, g := range fs.lib.Groups {
-		t := fs.burning[gi]
-		if t == nil && !g.AnyBurning() {
+	for _, t := range fs.burning {
+		if t != nil && t.interrupted {
+			return
+		}
+	}
+	for gi, t := range fs.burning {
+		if t == nil {
 			continue
 		}
-		if t != nil {
-			t.interrupted = true
-			for _, bp := range t.waiting {
-				if bp != nil {
-					bp.Hasten(fs.env.Now())
-				}
+		t.interrupted = true
+		for _, bp := range t.waiting {
+			if bp != nil {
+				bp.Hasten(fs.env.Now())
 			}
 		}
-		for _, d := range g.Drives {
+		for _, d := range fs.lib.Groups[gi].Drives {
 			d.InterruptBurn()
 		}
 		return

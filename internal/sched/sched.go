@@ -177,7 +177,7 @@ type Scheduler struct {
 
 	// starved is invoked when a fetch request is pending and every group
 	// is claimed or burning (the §4.8 all-drives-burning case); olfs hooks
-	// the interrupt-burn policy here.
+	// its burn interrupt here.
 	starved func()
 
 	// Read-slot admission: per-group concurrent strip-reader capacity (one
@@ -318,10 +318,37 @@ func (s *Scheduler) takeReadWaiter(gi int) *readWaiter {
 // Config returns the effective configuration.
 func (s *Scheduler) Config() Config { return s.cfg }
 
-// SetStarvedHook installs the callback invoked (at most once per dispatch
-// round) when a fetch request is pending and every group is claimed or
-// burning. olfs uses it for the §4.8 interrupt-burn read policy.
+// SetStarvedHook installs the callback CheckStarved fires. olfs wires it to
+// the §4.8 burn interrupt; with nil, a starved fetch waits for a release.
 func (s *Scheduler) SetStarvedHook(fn func()) { s.starved = fn }
+
+// CheckStarved fires the starved hook if a fetch request is pending while
+// every group is claimed or burning. Every dispatch round ends with it. A
+// claim holder calls it when what it holds becomes interruptible (olfs: a
+// burn task whose blank tray is in), so that a fetch that queued while
+// there was nothing to interrupt does not wait out the whole burn.
+func (s *Scheduler) CheckStarved() {
+	if s.starved == nil {
+		return
+	}
+	hasFetch := false
+	for _, r := range s.pending {
+		if r.tray != nil && !r.burn {
+			hasFetch = true
+			break
+		}
+	}
+	if !hasFetch {
+		return
+	}
+	for gi, g := range s.lib.Groups {
+		if !s.busy[gi] && !g.AnyBurning() {
+			return
+		}
+	}
+	s.starveKick.Add(1)
+	s.starved()
+}
 
 // AcquireFetch blocks until the scheduler grants a drive group for loading
 // tray. A Hit grant means the tray is already loaded (nothing to release);
@@ -451,10 +478,7 @@ func (s *Scheduler) dispatch() {
 			break
 		}
 	}
-	if s.starved != nil && s.fetchStarved() {
-		s.starveKick.Add(1)
-		s.starved()
-	}
+	s.CheckStarved()
 }
 
 // serviceOrder returns pending requests in the order they should be
@@ -591,25 +615,4 @@ func (s *Scheduler) grant(r *request, g Grant) {
 	s.grantsBy[r.class].Add(1)
 	s.waitBy[r.class].ObserveSince(r.enq, s.env.Now())
 	r.c.Resolve(g, nil)
-}
-
-// fetchStarved reports whether a fetch request is pending while every group
-// is claimed or burning — the legacy trigger for the interrupt-burn policy.
-func (s *Scheduler) fetchStarved() bool {
-	hasFetch := false
-	for _, r := range s.pending {
-		if r.tray != nil && !r.burn {
-			hasFetch = true
-			break
-		}
-	}
-	if !hasFetch {
-		return false
-	}
-	for gi, g := range s.lib.Groups {
-		if !s.busy[gi] && !g.AnyBurning() {
-			return false
-		}
-	}
-	return true
 }

@@ -246,3 +246,40 @@ func TestStarvationHookAndDepths(t *testing.T) {
 	})
 	run(t, env)
 }
+
+// CheckStarved re-runs the starvation check outside a dispatch round: it
+// fires the hook again for a fetch that is still starved, does nothing once
+// a group is free or no fetch is pending, and nothing with the hook cleared.
+func TestCheckStarvedIsLevelTriggered(t *testing.T) {
+	env, lib := newLib(t, 1)
+	s := New(env, Config{}, lib)
+	kicks := 0
+	s.SetStarvedHook(func() { kicks++ })
+	env.Go("ctl", func(p *sim.Proc) {
+		s.CheckStarved()
+		if kicks != 0 {
+			t.Errorf("hook fired %d times with no fetch pending", kicks)
+		}
+		s.TryClaim(0)
+		p.Sleep(time.Second) // the fetch queues and starves once
+		s.CheckStarved()
+		if kicks != 2 {
+			t.Errorf("hook fired %d times, want 2: the queued fetch is still starved", kicks)
+		}
+		s.SetStarvedHook(nil)
+		s.CheckStarved()
+		if kicks != 2 {
+			t.Errorf("hook fired after it was cleared (%d kicks)", kicks)
+		}
+		s.Release(0)
+	})
+	env.Go("w", func(p *sim.Proc) {
+		p.Sleep(10 * time.Millisecond)
+		g := s.AcquireFetch(p, Interactive, tray(80, 0))
+		s.Release(g.Group)
+	})
+	run(t, env)
+	if got := lib.Obs().Counter("sched.starvation_kicks").Value(); got != 2 {
+		t.Errorf("sched.starvation_kicks = %d, want 2", got)
+	}
+}
