@@ -25,17 +25,27 @@ var (
 // Device is the interface ROS tiers are built on. Read/Write charge virtual
 // time on the calling process and move real bytes.
 //
-// Buffer ownership: a WriteAt callee must copy buf before it returns and may
-// not retain it, so the caller may reuse buf once WriteAt returns; a ReadAt
-// callee fills all of buf or returns an error. The layers above keep and
-// reuse their scratch buffers on the strength of this.
+// A device is a clock: one FIFO server whose service times are decided as
+// requests arrive. Book serves an access without blocking and returns when it
+// ends; a Disk's ReadAt, WriteAt, Adopt and Lend are that plus one sleep.
+// Bytes move when an access is booked, which is exact because no later
+// access is served first. Device failure and bad sectors are checked then too,
+// and a failed access holds the device for no time. Counters count an access
+// when it is booked by Book, whose caller sleeps until its end, and when it
+// ends otherwise.
+//
+// Buffer ownership: a WriteAt or Book callee must copy buf before it returns
+// and may not retain it, so the caller may reuse buf once the call returns; a
+// ReadAt callee fills all of buf or returns an error. The layers above keep
+// and reuse their scratch buffers on the strength of this.
 //
 // Bytes that should not be copied at all move by reference instead, through
 // a Lend method where a tier has one (Disk, pagecache.Volume, optical.Drive):
 // it charges what ReadAt would and hands out read-only pieces of the tier's
 // chunk store, which the receiver may keep — an optical.Disc burning them, a
 // buffer slot adopting them (pagecache.Volume.Adopt), or a RAID member
-// adopting the columns of a flushed full stripe (Adopt, charged as WriteAt).
+// adopting the columns of a flushed full stripe (an Access with Pieces,
+// charged as a write).
 // Both sides copy a shared chunk before they write to it (chunk.Store), so
 // neither ever sees the other's later writes.
 type Device interface {
@@ -43,11 +53,21 @@ type Device interface {
 	ReadAt(p *sim.Proc, buf []byte, off int64) error
 	// WriteAt stores buf to the device starting at off.
 	WriteAt(p *sim.Proc, buf []byte, off int64) error
-	// Adopt stores lent pieces back to back from off, keeping whole aligned
-	// chunks by reference (chunk.Store.Adopt).
-	Adopt(p *sim.Proc, off int64, pieces [][]byte) error
+	// Book serves access a, arriving now, and returns when it ends or, if it
+	// fails, when it would have started.
+	Book(a Access) (time.Duration, error)
 	// Size returns the device capacity in bytes.
 	Size() int64
+}
+
+// Access is one request as Book takes it: a read fills Buf; a write stores
+// Buf, or, if Pieces is set, stores the lent pieces back to back, keeping
+// whole aligned chunks by reference (chunk.Store.Adopt).
+type Access struct {
+	Write  bool
+	Off    int64
+	Buf    []byte
+	Pieces [][]byte
 }
 
 // Profile describes a device's performance envelope.
@@ -56,7 +76,6 @@ type Profile struct {
 	SeqThroughput float64       // bytes/second for sequential transfer
 	SeekTime      time.Duration // charged when the access is not sequential
 	PerOpOverhead time.Duration // controller/command overhead per request
-	QueueDepth    int           // concurrent requests serviced (min 1)
 }
 
 // HDDProfile models the paper's 4 TB 150 MB/s hard disks.
@@ -66,7 +85,6 @@ func HDDProfile() Profile {
 		SeqThroughput: 150e6,
 		SeekTime:      8 * time.Millisecond,
 		PerOpOverhead: 100 * time.Microsecond,
-		QueueDepth:    1,
 	}
 }
 
@@ -78,7 +96,6 @@ func SSDProfile() Profile {
 		SeqThroughput: 500e6,
 		SeekTime:      50 * time.Microsecond,
 		PerOpOverhead: 20 * time.Microsecond,
-		QueueDepth:    8,
 	}
 }
 
@@ -86,14 +103,14 @@ func SSDProfile() Profile {
 // supports fault injection: whole-device failure and per-sector latent
 // errors, which the RAID layer and the disc scrubber exercise.
 type Disk struct {
-	env     *sim.Env
-	profile Profile
-	size    int64
-	store   chunk.Store
-	svc     *sim.Resource // serializes access per QueueDepth
-	lastEnd int64         // detects sequential access
-	failed  bool
-	badSecs map[int64]bool // offsets (sector-aligned) that return ErrBadSector
+	env       *sim.Env
+	profile   Profile
+	size      int64
+	store     chunk.Store
+	busyUntil time.Duration // when the last access booked ends
+	lastEnd   int64         // where it ends on the device: detects sequential access
+	failed    bool
+	badSecs   map[int64]bool // offsets (sector-aligned) that return ErrBadSector; nil until the first
 
 	// Stats counters.
 	BytesRead    int64
@@ -103,18 +120,7 @@ type Disk struct {
 
 // New creates a disk of the given size with the given profile.
 func New(env *sim.Env, size int64, profile Profile) *Disk {
-	qd := profile.QueueDepth
-	if qd < 1 {
-		qd = 1
-	}
-	return &Disk{
-		env:     env,
-		profile: profile,
-		size:    size,
-		svc:     sim.NewResource(env, qd),
-		badSecs: make(map[int64]bool),
-		lastEnd: -1,
-	}
+	return &Disk{env: env, profile: profile, size: size, lastEnd: -1}
 }
 
 // Size returns the device capacity in bytes.
@@ -134,7 +140,12 @@ func (d *Disk) Failed() bool { return d.failed }
 func (d *Disk) Repair() { d.failed = false }
 
 // CorruptSector marks the 4 KB-aligned sector containing off unreadable.
-func (d *Disk) CorruptSector(off int64) { d.badSecs[off&^4095] = true }
+func (d *Disk) CorruptSector(off int64) {
+	if d.badSecs == nil {
+		d.badSecs = make(map[int64]bool)
+	}
+	d.badSecs[off&^4095] = true
+}
 
 // HealSector clears a latent sector error.
 func (d *Disk) HealSector(off int64) { delete(d.badSecs, off&^4095) }
@@ -166,62 +177,111 @@ func (d *Disk) transferTime(off int64, n int) time.Duration {
 	return t
 }
 
-// access charges one access of n bytes at off and, if it succeeds, runs move,
-// the store side of it: the range, device and sector checks, a service slot
-// for the transfer time, and the head position and counters.
-func (d *Disk) access(p *sim.Proc, off, n int64, write bool, move func()) error {
+// book times an access of n bytes at off arriving now. It starts when the
+// access booked before it ends. If the device has failed, or a sector it
+// reads is bad, as it arrives, it fails at that start and holds the device
+// for no time. book returns when the access ends, or when it fails.
+func (d *Disk) book(off, n int64, write bool) (time.Duration, error) {
+	now := d.env.Now()
 	if off < 0 || off+n > d.size {
-		return fmt.Errorf("%w: off=%d len=%d size=%d", ErrOutOfRange, off, n, d.size)
+		return now, fmt.Errorf("%w: off=%d len=%d size=%d", ErrOutOfRange, off, n, d.size)
 	}
-	d.svc.Acquire(p)
-	defer d.svc.Release()
+	start := max(now, d.busyUntil)
 	if d.failed {
-		return ErrFailed
+		return start, ErrFailed
 	}
-	if !write {
-		for s := off &^ 4095; s < off+n; s += 4096 {
-			if d.badSecs[s] {
-				return fmt.Errorf("%w: offset %d", ErrBadSector, s)
-			}
+	for s := off &^ 4095; !write && len(d.badSecs) > 0 && s < off+n; s += 4096 {
+		if d.badSecs[s] {
+			return start, fmt.Errorf("%w: offset %d", ErrBadSector, s)
 		}
 	}
-	p.Sleep(d.transferTime(off, int(n)))
+	d.busyUntil = start + d.transferTime(off, int(n))
 	d.lastEnd = off + n
+	return d.busyUntil, nil
+}
+
+// serve books a and moves its bytes; it returns a's length too.
+func (d *Disk) serve(a Access) (time.Duration, int64, error) {
+	n := int64(len(a.Buf))
+	for _, pc := range a.Pieces {
+		n += int64(len(pc))
+	}
+	t, err := d.book(a.Off, n, a.Write)
+	switch {
+	case err != nil:
+		return t, n, err
+	case !a.Write:
+		d.store.ReadAt(a.Buf, a.Off)
+	case a.Pieces != nil:
+		d.store.Adopt(a.Off, a.Pieces)
+	default:
+		d.store.WriteAt(a.Buf, a.Off)
+	}
+	return t, n, nil
+}
+
+// wait sleeps p until t, the end of an access booked now or the start of a
+// failed one, and counts a successful access there.
+func (d *Disk) wait(p *sim.Proc, t time.Duration, n int64, write bool, err error) error {
+	if err == nil || t > p.Now() {
+		p.Sleep(t - p.Now())
+	}
+	if err == nil {
+		d.count(n, write)
+	}
+	return err
+}
+
+// count adds a completed access of n bytes to the counters.
+func (d *Disk) count(n int64, write bool) {
 	if write {
 		d.BytesWritten += n
 	} else {
 		d.BytesRead += n
 	}
 	d.Ops++
-	move()
-	return nil
+}
+
+// Book implements Device.
+func (d *Disk) Book(a Access) (time.Duration, error) {
+	t, n, err := d.serve(a)
+	if err == nil {
+		d.count(n, a.Write)
+	}
+	return t, err
+}
+
+// do serves a on p: Book and the sleep until a ends.
+func (d *Disk) do(p *sim.Proc, a Access) error {
+	t, n, err := d.serve(a)
+	return d.wait(p, t, n, a.Write, err)
 }
 
 // ReadAt implements Device.
 func (d *Disk) ReadAt(p *sim.Proc, buf []byte, off int64) error {
-	return d.access(p, off, int64(len(buf)), false, func() { d.store.ReadAt(buf, off) })
+	return d.do(p, Access{Off: off, Buf: buf})
 }
 
 // Lend is ReadAt without the copy: it charges the same read of [off, off+n)
 // and appends read-only pieces of the stored bytes to dst (chunk.Store.Lend),
 // so a disc can burn straight from the disk.
 func (d *Disk) Lend(p *sim.Proc, off, n int64, dst [][]byte) ([][]byte, error) {
-	err := d.access(p, off, n, false, func() { dst = d.store.Lend(dst, off, n) })
-	return dst, err
+	t, err := d.book(off, n, false)
+	if err == nil {
+		dst = d.store.Lend(dst, off, n)
+	}
+	return dst, d.wait(p, t, n, false, err)
 }
 
 // WriteAt implements Device.
 func (d *Disk) WriteAt(p *sim.Proc, buf []byte, off int64) error {
-	return d.access(p, off, int64(len(buf)), true, func() { d.store.WriteAt(buf, off) })
+	return d.do(p, Access{Write: true, Off: off, Buf: buf})
 }
 
-// Adopt implements Device.
+// Adopt stores lent pieces back to back from off, keeping whole aligned
+// chunks by reference (chunk.Store.Adopt).
 func (d *Disk) Adopt(p *sim.Proc, off int64, pieces [][]byte) error {
-	n := int64(0)
-	for _, pc := range pieces {
-		n += int64(len(pc))
-	}
-	return d.access(p, off, n, true, func() { d.store.Adopt(off, pieces) })
+	return d.do(p, Access{Write: true, Off: off, Pieces: pieces})
 }
 
 // WriteFrom implements pagecache.Backend for a cache straight over one disk:

@@ -97,16 +97,12 @@ type Disc struct {
 	tracks  []Track
 	written int64 // high-water mark including metadata zones
 	failed  bool
-	badSecs map[int64]bool
+	badSecs map[int64]bool // nil until the first CorruptSector
 }
 
 // NewDisc creates a blank disc.
 func NewDisc(id string, m MediaType) *Disc {
-	return &Disc{
-		ID:      id,
-		Type:    m,
-		badSecs: make(map[int64]bool),
-	}
+	return &Disc{ID: id, Type: m}
 }
 
 // Capacity returns the disc's logical capacity in bytes.
@@ -134,7 +130,12 @@ func (d *Disc) Failed() bool { return d.failed }
 // CorruptSector injects a latent sector error at the sector containing off.
 // The paper (§4.7) cites a 1e-16 archival-disc sector error rate; scrubbing
 // plus inter-disc RAID recovers these.
-func (d *Disc) CorruptSector(off int64) { d.badSecs[off&^(SectorSize-1)] = true }
+func (d *Disc) CorruptSector(off int64) {
+	if d.badSecs == nil {
+		d.badSecs = make(map[int64]bool)
+	}
+	d.badSecs[off&^(SectorSize-1)] = true
+}
 
 // FlipByte silently corrupts the stored byte at off: unlike CorruptSector
 // the sector still reads without error, so only parity verification can
@@ -200,7 +201,7 @@ func (d *Disc) readable(off, n int64) error {
 	if off < 0 || off+n > d.Capacity() {
 		return fmt.Errorf("optical: read out of range (off=%d len=%d)", off, n)
 	}
-	for s := off &^ (SectorSize - 1); s < off+n; s += SectorSize {
+	for s := off &^ (SectorSize - 1); len(d.badSecs) > 0 && s < off+n; s += SectorSize {
 		if d.badSecs[s] {
 			return fmt.Errorf("%w: disc %s offset %d", ErrBadSector, d.ID, s)
 		}

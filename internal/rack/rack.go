@@ -12,6 +12,7 @@ package rack
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"ros/internal/faultinject"
@@ -52,6 +53,11 @@ type TrayID struct {
 
 func (id TrayID) String() string {
 	return fmt.Sprintf("r%d/L%02d/S%d", id.Roller, id.Layer, id.Slot)
+}
+
+// pad2 appends v >= 0 as %02d formats it.
+func pad2(b []byte, v int) []byte {
+	return strconv.AppendInt(strconv.AppendInt(b, int64(v/10), 10), int64(v%10), 10)
 }
 
 // ParseTrayID is the inverse of TrayID.String: it reads "r<roller>/L<layer>/
@@ -176,9 +182,11 @@ func New(env *sim.Env, cfg Config) (*Library, error) {
 		for l := 0; l < LayersPerRoller; l++ {
 			for s := 0; s < SlotsPerLayer; s++ {
 				t := &Tray{ID: TrayID{Roller: ri, Layer: l, Slot: s}}
+				// Disc d is named "r%d-L%02d-S%d-D%02d" of ri, l, s, d.
+				id := append(strconv.AppendInt([]byte{'r'}, int64(ri), 10), "-L"...)
+				id = append(strconv.AppendInt(append(pad2(id, l), "-S"...), int64(s), 10), "-D"...)
 				for d := 0; d < DiscsPerTray; d++ {
-					t.Discs = append(t.Discs, optical.NewDisc(
-						fmt.Sprintf("r%d-L%02d-S%d-D%02d", ri, l, s, d), cfg.Media))
+					t.Discs = append(t.Discs, optical.NewDisc(string(pad2(id, d)), cfg.Media))
 				}
 				r.trays[l][s] = t
 			}

@@ -2,6 +2,7 @@ package rack
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -30,6 +31,38 @@ func TestGeometryConstants(t *testing.T) {
 	}
 	if DiscsPerRoller != 6120 {
 		t.Errorf("DiscsPerRoller = %d, want 6120 (§3.2)", DiscsPerRoller)
+	}
+}
+
+// TestDiscIDsKeepTheirFormat: New names every disc of the prototype exactly
+// as fmt.Sprintf("r%d-L%02d-S%d-D%02d") did. The names are hashed
+// (optical's latent-error placement), so a byte that moved would move
+// injected faults.
+func TestDiscIDsKeepTheirFormat(t *testing.T) {
+	lib, err := New(sim.NewEnv(), PrototypeConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for ri, r := range lib.Rollers {
+		for l := 0; l < LayersPerRoller; l++ {
+			for s := 0; s < SlotsPerLayer; s++ {
+				for d, disc := range r.Tray(l, s).Discs {
+					if want := fmt.Sprintf("r%d-L%02d-S%d-D%02d", ri, l, s, d); disc.ID != want {
+						t.Fatalf("disc %s, want %s", disc.ID, want)
+					}
+					n++
+				}
+			}
+		}
+	}
+	if n != 12240 {
+		t.Fatalf("checked %d discs, want 12240", n)
+	}
+	for _, v := range []int{0, 7, 10, 99, 100, 1234} {
+		if got, want := string(pad2(nil, v)), fmt.Sprintf("%02d", v); got != want {
+			t.Errorf("pad2(%d) = %q, want %q", v, got, want)
+		}
 	}
 }
 

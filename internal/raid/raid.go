@@ -14,6 +14,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
+	"time"
 
 	"ros/internal/blockdev"
 	"ros/internal/chunk"
@@ -31,13 +33,8 @@ const (
 )
 
 func (l Level) String() string {
-	switch l {
-	case RAID1:
-		return "RAID-1"
-	case RAID5:
-		return "RAID-5"
-	case RAID6:
-		return "RAID-6"
+	if RAID1 <= l && l <= RAID6 {
+		return [...]string{"RAID-1", "RAID-5", "RAID-6"}[l]
 	}
 	return fmt.Sprintf("RAID(%d)", int(l))
 }
@@ -53,20 +50,19 @@ var (
 // Array is a RAID volume over equal-sized devices. All methods must be
 // called from simulation processes.
 type Array struct {
-	env        *sim.Env
 	level      Level
 	devs       []blockdev.Device
 	stripeUnit int
 	devSize    int64
 
 	// Scratch for parity, partial-stripe writes (and what WriteFrom copies for
-	// them) and reconstruction. Member devices copy a WriteAt buffer before
+	// them) and reconstruction. Member devices copy a booked buffer before
 	// returning (blockdev.Device), so a buffer goes back on its list as soon
 	// as the I/O that used it is done.
 	chunks  bufList // stripeUnit bytes each
 	stripes bufList // stripeUnit * dataPerStripe bytes each
 
-	fanouts []*fanout // member-request tables not in use
+	tables []*stripeTable // writeParity's tables not in use
 }
 
 // bufList is a free list of equally sized scratch buffers. Exactly one
@@ -88,111 +84,137 @@ func (l *bufList) get() []byte {
 
 func (l *bufList) put(b []byte) { l.free = append(l.free, b) }
 
-// memberOp is what one request of a fan-out does.
-type memberOp uint8
+// batch is one fan-out of member I/Os. A member is a clock
+// (blockdev.Device.Book), so the legs are booked in index order and the
+// caller sleeps once, until the last of them ends; a leg that fails ends
+// when it would have started. A data-chunk read booked by read that fails is
+// not an error yet: wait rebuilds the chunk from the other members, from the
+// moment the read would have started.
+type batch struct {
+	a    *Array
+	end  time.Duration
+	err  error      // the lowest-index leg's that failed
+	lost []lostRead // read's reads that failed, in index order
+}
 
-const (
-	opRead          memberOp = iota // dev.ReadAt(buf, off)
-	opWrite                         // dev.WriteAt(buf, off)
-	opAdopt                         // dev.Adopt(off, pieces)
-	opReadChunk                     // readChunk(stripe, col, buf, off): a data chunk read that reconstructs
-	opFullStripe                    // writeFullStripe(stripe, pieces, lent), a fan-out of its own
-	opPartialStripe                 // writePartialStripe(stripe, off, buf), a fan-out of its own
-)
-
-// memberIO is one request of a fan-out, held by value: an I/O on one member,
-// or a whole- or part-stripe write that fans out to the members in turn.
-type memberIO struct {
-	op     memberOp
-	lent   bool // opFullStripe: pieces are lent by a chunk store
-	owned  bool // opPartialStripe: buf is stripe scratch, put back when done
-	col    int
+// lostRead is a read of dst at offset coff of data chunk (stripe, col) that
+// failed with err at at.
+type lostRead struct {
 	stripe int64
-	off    int64 // device offset; opReadChunk: offset in the chunk; opPartialStripe: offset in the stripe
-	dev    blockdev.Device
+	col    int
+	coff   int64
+	dst    []byte
+	at     time.Duration
+	err    error
+}
+
+// batch opens a batch of n legs on p. A batch of two or more yields once
+// first, so that its legs arrive behind the events already due now, as a
+// fan-out's children do (sim.Proc.Fork starts them as such events): that
+// keeps the order in which accesses reach each member, and with it every
+// service time.
+func (a *Array) batch(p *sim.Proc, n int) batch {
+	if n > 1 {
+		p.Yield()
+	}
+	return batch{a: a, end: p.Now()}
+}
+
+// book books one leg and returns its error.
+func (b *batch) book(dev blockdev.Device, acc blockdev.Access) error {
+	t, err := dev.Book(acc)
+	b.end = max(b.end, t)
+	if b.err == nil {
+		b.err = err
+	}
+	return err
+}
+
+// read books a read of dst at offset coff of data chunk (stripe, col).
+func (b *batch) read(stripe int64, col int, coff int64, dst []byte) {
+	a := b.a
+	t, err := a.devs[a.dataDev(stripe, col)].Book(blockdev.Access{Off: stripe*int64(a.stripeUnit) + coff, Buf: dst})
+	if err != nil {
+		b.lost = append(b.lost, lostRead{stripe, col, coff, dst, t, err})
+	}
+	b.end = max(b.end, t)
+}
+
+// wait sleeps until the last leg ends and returns the error of the
+// lowest-index leg that failed or could not be rebuilt (rebuild).
+func (b *batch) wait(p *sim.Proc) error {
+	if len(b.lost) > 0 {
+		b.err = b.a.rebuild(p, b.lost)
+	}
+	if b.end > p.Now() {
+		p.Sleep(b.end - p.Now())
+	}
+	return b.err
+}
+
+// rebuild reconstructs each lost read's chunk on a child of its own and
+// fills the read's dst. A reconstruction books its reads when its read
+// failed: as its child wakes there if that is later than now, else one yield
+// from now, like any fan-out that starts now (the children start one yield
+// after p, and a lone one, run on p, yields first).
+func (a *Array) rebuild(p *sim.Proc, lost []lostRead) error {
+	if len(lost) == 1 && lost[0].at <= p.Now() {
+		p.Yield()
+	}
+	return p.Fork("raid-degraded", len(lost), func(sp *sim.Proc, i int) error {
+		l, full := &lost[i], a.chunks.get()
+		defer a.chunks.put(full)
+		if l.at > sp.Now() {
+			sp.Sleep(l.at - sp.Now())
+		}
+		b := batch{a: a, end: sp.Now()}
+		err := a.reconstructChunk(&b, l.stripe, l.col, full)
+		b.wait(sp)
+		if err != nil {
+			// Wrap the reconstruction error (not the device error) so callers
+			// can match ErrTooManyFailed on beyond-bound loss.
+			return fmt.Errorf("degraded read failed: %w (original: %v)", err, l.err)
+		}
+		copy(l.dst, full[l.coff:])
+		return nil
+	})
+}
+
+// stripeWrite is one stripe of a write: the columns of a full stripe, or the
+// bytes of a partial one and their offset in the stripe. lent says they came
+// from a chunk store: lent columns, or a partial stripe's copy in stripe
+// scratch.
+type stripeWrite struct {
+	stripe int64
+	off    int64
 	buf    []byte
 	pieces [][]byte
-	err    error // what the request returned
+	lent   bool
 }
 
-// fanout is a table of member requests that one sim.Proc.Fork runs
-// concurrently, request i on child i. Tables come from the array's free list,
-// like its buffers, so a fan-out allocates nothing once the list has grown to
-// the peak number in flight.
-type fanout struct {
+// stripeTable holds the stripes of one write, which a sim.Proc.Fork runs
+// concurrently, stripe i on child i: a stripe is a fan-out of its own, and a
+// partial stripe's writes wait for its reads. Tables come from the array's
+// free list, like its buffers, so a write allocates nothing once the list has
+// grown to the peak number in flight.
+type stripeTable struct {
 	a      *Array
-	reqs   []memberIO
-	pieces [][]byte                        // the full stripes' columns of one write, back to back
-	run    func(sp *sim.Proc, i int) error // do, bound once
+	ws     []stripeWrite
+	pieces [][]byte                        // the full stripes' columns, back to back
+	run    func(sp *sim.Proc, i int) error // write, bound once
 }
 
-func (a *Array) fanout() *fanout {
-	if n := len(a.fanouts); n > 0 {
-		f := a.fanouts[n-1]
-		a.fanouts = a.fanouts[:n-1]
-		return f
+// write writes stripe i on sp.
+func (t *stripeTable) write(sp *sim.Proc, i int) error {
+	a, w := t.a, &t.ws[i]
+	if w.pieces != nil {
+		return a.writeFullStripe(sp, w.stripe, w.pieces, w.lent)
 	}
-	f := &fanout{a: a}
-	f.run = f.do
-	return f
-}
-
-func (f *fanout) add(r memberIO) { f.reqs = append(f.reqs, r) }
-
-// wait runs every request and returns the error of the lowest-index one that
-// failed; each request's own error stays in its err.
-func (f *fanout) wait(p *sim.Proc) error { return p.Fork("raid-io", len(f.reqs), f.run) }
-
-// reset empties the table for another fan-out.
-func (f *fanout) reset() {
-	clear(f.reqs)
-	f.reqs = f.reqs[:0]
-}
-
-// release empties the table and puts it back on the array's list. Nothing it
-// referenced stays reachable from it.
-func (f *fanout) release() {
-	f.reset()
-	clear(f.pieces)
-	f.pieces = f.pieces[:0]
-	f.a.fanouts = append(f.a.fanouts, f)
-}
-
-// do runs request i on sp.
-func (f *fanout) do(sp *sim.Proc, i int) error {
-	a, r := f.a, &f.reqs[i]
-	switch r.op {
-	case opRead:
-		r.err = r.dev.ReadAt(sp, r.buf, r.off)
-	case opWrite:
-		r.err = r.dev.WriteAt(sp, r.buf, r.off)
-	case opAdopt:
-		r.err = r.dev.Adopt(sp, r.off, r.pieces)
-	case opReadChunk:
-		r.err = a.readChunk(sp, r.stripe, r.col, r.buf, r.off)
-	case opFullStripe:
-		r.err = a.writeFullStripe(sp, r.stripe, r.pieces, r.lent)
-	case opPartialStripe:
-		r.err = a.writePartialStripe(sp, r.stripe, r.off, r.buf)
-		if r.owned {
-			a.stripes.put(r.buf[:cap(r.buf)])
-		}
+	err := a.writePartialStripe(sp, w.stripe, w.off, w.buf)
+	if w.lent {
+		a.stripes.put(w.buf[:cap(w.buf)])
 	}
-	return r.err
-}
-
-// addChunks adds one opReadChunk per data chunk that [off, off+len(buf))
-// touches, for that chunk's piece of buf.
-func (f *fanout) addChunks(buf []byte, off int64) {
-	a := f.a
-	su := int64(a.stripeUnit)
-	for n := 0; n < len(buf); {
-		co := (off + int64(n)) % su
-		run := int(min(su-co, int64(len(buf)-n)))
-		stripe, col := a.chunkLoc((off + int64(n)) / su)
-		f.add(memberIO{op: opReadChunk, stripe: stripe, col: col, off: co, buf: buf[n : n+run]})
-		n += run
-	}
+	return err
 }
 
 // New assembles an array. stripeUnit is the per-device chunk size (ignored
@@ -219,7 +241,7 @@ func New(env *sim.Env, level Level, devs []blockdev.Device, stripeUnit int) (*Ar
 	if stripeUnit <= 0 {
 		stripeUnit = 64 << 10
 	}
-	a := &Array{env: env, level: level, devs: devs, stripeUnit: stripeUnit, devSize: size}
+	a := &Array{level: level, devs: devs, stripeUnit: stripeUnit, devSize: size}
 	a.chunks.size = stripeUnit
 	a.stripes.size = stripeUnit * a.dataPerStripe()
 	return a, nil
@@ -298,39 +320,24 @@ func (a *Array) ReadAt(p *sim.Proc, buf []byte, off int64) error {
 	if a.level == RAID1 {
 		return a.readMirror(p, buf, off)
 	}
-	f := a.fanout()
-	defer f.release()
-	f.addChunks(buf, off)
-	return f.wait(p)
-}
-
-// readChunk reads part of one data chunk, falling back to reconstruction.
-func (a *Array) readChunk(p *sim.Proc, stripe int64, col int, dst []byte, coff int64) error {
-	dev := a.devs[a.dataDev(stripe, col)]
-	err := dev.ReadAt(p, dst, stripe*int64(a.stripeUnit)+coff)
-	if err == nil {
-		return nil
+	su := int64(a.stripeUnit)
+	b := a.batch(p, int((off+int64(len(buf))-1)/su-off/su+1))
+	for n := 0; n < len(buf); {
+		co := (off + int64(n)) % su
+		run := int(min(su-co, int64(len(buf)-n)))
+		stripe, col := a.chunkLoc((off + int64(n)) / su)
+		b.read(stripe, col, co, buf[n:n+run])
+		n += run
 	}
-	// Degraded path: reconstruct the whole chunk.
-	full := a.chunks.get()
-	defer a.chunks.put(full)
-	// Wrap the reconstruction error (not the device error) so callers can
-	// match ErrTooManyFailed on beyond-bound loss.
-	if rerr := a.reconstructChunk(p, stripe, col, full); rerr != nil {
-		return fmt.Errorf("degraded read failed: %w (original: %v)", rerr, err)
-	}
-	copy(dst, full[coff:])
-	return nil
+	return b.wait(p)
 }
 
 // readMirror serves RAID-1 reads from the first healthy device.
 func (a *Array) readMirror(p *sim.Proc, buf []byte, off int64) error {
 	var last error
 	for _, d := range a.devs {
-		if err := d.ReadAt(p, buf, off); err == nil {
+		if last = d.ReadAt(p, buf, off); last == nil {
 			return nil
-		} else {
-			last = err
 		}
 	}
 	return fmt.Errorf("%w: all mirrors failed: %v", ErrTooManyFailed, last)
@@ -345,7 +352,7 @@ func (a *Array) WriteAt(p *sim.Proc, buf []byte, off int64) error {
 // cache flushing its store (pagecache.Backend). The range is any run of dirty
 // pages, down to one 4 KB page inside a column. It takes every byte before it
 // first yields: a full stripe's columns are lent by s to the data members,
-// which keep them (blockdev.Device.Adopt), and everything else, a sub-chunk
+// which keep them (blockdev.Access.Pieces), and everything else, a sub-chunk
 // run included, is copied out of s into stripe scratch and written through
 // writePartialStripe, which reads only what its parity plan needs. A partial
 // stripe is never lent, because it is a region still being written, and a
@@ -366,12 +373,11 @@ func (a *Array) write(p *sim.Proc, buf []byte, s *chunk.Store, off, n int64) err
 		buf = make([]byte, n)
 		s.ReadAt(buf, off)
 	}
-	f := a.fanout()
-	defer f.release()
+	b := a.batch(p, len(a.devs))
 	for _, d := range a.devs {
-		f.add(memberIO{op: opWrite, dev: d, buf: buf, off: off})
+		b.book(d, blockdev.Access{Write: true, Off: off, Buf: buf})
 	}
-	return f.wait(p)
+	return b.wait(p)
 }
 
 // writeParity handles RAID-5/6 writes of [off, off+n) from buf or s stripe
@@ -383,41 +389,50 @@ func (a *Array) writeParity(p *sim.Proc, buf []byte, s *chunk.Store, off, n int6
 	su := int64(a.stripeUnit)
 	k := int64(a.dataPerStripe())
 	stripeBytes := su * k
-	f := a.fanout()
-	defer f.release()
+	var t *stripeTable
+	if m := len(a.tables); m > 0 {
+		t, a.tables = a.tables[m-1], a.tables[:m-1]
+	} else {
+		t = &stripeTable{a: a}
+		t.run = t.write
+	}
 	for pos := int64(0); pos < n; {
 		loff := off + pos
-		stripe, so := loff/stripeBytes, loff%stripeBytes
-		run := min(stripeBytes-so, n-pos)
+		w := stripeWrite{stripe: loff / stripeBytes, off: loff % stripeBytes, lent: s != nil}
+		run := min(stripeBytes-w.off, n-pos)
 		switch {
 		case run == stripeBytes:
-			first := len(f.pieces)
+			first := len(t.pieces)
 			for c := int64(0); c < k; c++ {
 				if s != nil {
-					f.pieces = s.Lend(f.pieces, loff+c*su, su)
+					t.pieces = s.Lend(t.pieces, loff+c*su, su)
 				} else {
-					f.pieces = append(f.pieces, buf[pos+c*su:pos+(c+1)*su])
+					t.pieces = append(t.pieces, buf[pos+c*su:pos+(c+1)*su])
 				}
 			}
-			cols := f.pieces[first:len(f.pieces):len(f.pieces)]
-			f.add(memberIO{op: opFullStripe, stripe: stripe, pieces: cols, lent: s != nil})
+			w.pieces = t.pieces[first:len(t.pieces):len(t.pieces)]
 		case s != nil:
-			scratch := a.stripes.get()[:run]
-			s.ReadAt(scratch, loff)
-			f.add(memberIO{op: opPartialStripe, stripe: stripe, off: so, buf: scratch, owned: true})
+			w.buf = a.stripes.get()[:run]
+			s.ReadAt(w.buf, loff)
 		default:
-			f.add(memberIO{op: opPartialStripe, stripe: stripe, off: so, buf: buf[pos : pos+run]})
+			w.buf = buf[pos : pos+run]
 		}
+		t.ws = append(t.ws, w)
 		pos += run
 	}
-	return f.wait(p)
+	err := p.Fork("raid-stripe", len(t.ws), t.run)
+	clear(t.ws)
+	clear(t.pieces)
+	t.ws, t.pieces = t.ws[:0], t.pieces[:0]
+	a.tables = append(a.tables, t)
+	return err
 }
 
 // writeFullStripe writes a whole stripe and computes fresh parity. pieces are
 // the stripe's bytes back to back, none crossing a column boundary: one slice
 // of a WriteAt caller's buffer per column, which the data members copy, or,
 // if lent, pieces lent by a chunk store, which they keep
-// (blockdev.Device.Adopt).
+// (blockdev.Access.Pieces).
 func (a *Array) writeFullStripe(p *sim.Proc, stripe int64, pieces [][]byte, lent bool) error {
 	su := a.stripeUnit
 	soff := stripe * int64(su)
@@ -428,8 +443,7 @@ func (a *Array) writeFullStripe(p *sim.Proc, stripe int64, pieces [][]byte, lent
 		qbuf = a.chunks.get()
 		defer a.chunks.put(qbuf)
 	}
-	f := a.fanout()
-	defer f.release()
+	b := a.batch(p, len(a.devs))
 	for col := 0; len(pieces) > 0; col++ {
 		// Column col is pieces[:i]. Column 0 seeds both parities (its Q
 		// coefficient is g^0 = 1).
@@ -446,18 +460,18 @@ func (a *Array) writeFullStripe(p *sim.Proc, stripe int64, pieces [][]byte, lent
 			}
 			at += len(pc)
 		}
-		r := memberIO{op: opWrite, dev: a.devs[a.dataDev(stripe, col)], buf: pieces[0], off: soff}
+		acc := blockdev.Access{Write: true, Off: soff, Buf: pieces[0]}
 		if lent {
-			r.op, r.buf, r.pieces = opAdopt, nil, pieces[:i]
+			acc.Buf, acc.Pieces = nil, pieces[:i]
 		}
-		f.add(r)
+		b.book(a.devs[a.dataDev(stripe, col)], acc)
 		pieces = pieces[i:]
 	}
-	f.add(memberIO{op: opWrite, dev: a.devs[a.pDev(stripe)], buf: pbuf, off: soff})
+	b.book(a.devs[a.pDev(stripe)], blockdev.Access{Write: true, Off: soff, Buf: pbuf})
 	if qbuf != nil {
-		f.add(memberIO{op: opWrite, dev: a.devs[a.qDev(stripe)], buf: qbuf, off: soff})
+		b.book(a.devs[a.qDev(stripe)], blockdev.Access{Write: true, Off: soff, Buf: qbuf})
 	}
-	return f.wait(p)
+	return b.wait(p)
 }
 
 // writePartialStripe stores a sub-stripe write and brings parity up to date
@@ -524,140 +538,128 @@ func (a *Array) writePartialStripe(p *sim.Proc, stripe int64, so int64, src []by
 		qbuf = a.chunks.get()
 		defer a.chunks.put(qbuf)
 	}
-	// fresh is src's part for touched column c.
-	fresh := func(c int) []byte {
-		lo, hi := span(c)
-		return src[c*su+lo-int(so) : c*su+hi-int(so)]
-	}
-	f := a.fanout()
-	defer f.release()
-	// parityIO adds one op (opRead or opWrite) of the parity range per parity
-	// member.
-	parityIO := func(op memberOp) {
-		f.add(memberIO{op: op, dev: a.devs[a.pDev(stripe)], buf: pbuf[plo:phi], off: soff + int64(plo)})
+	// parity books one access of the parity range per parity member.
+	parity := func(b *batch, write bool) {
+		b.book(a.devs[a.pDev(stripe)], blockdev.Access{Write: write, Off: soff + int64(plo), Buf: pbuf[plo:phi]})
 		if qbuf != nil {
-			f.add(memberIO{op: op, dev: a.devs[a.qDev(stripe)], buf: qbuf[plo:phi], off: soff + int64(plo)})
+			b.book(a.devs[a.qDev(stripe)], blockdev.Access{Write: write, Off: soff + int64(plo), Buf: qbuf[plo:phi]})
 		}
 	}
 
 	rmw := rmwReads <= rcwReads
 	if rmw {
+		b := a.batch(p, rmwReads)
 		for c := first; c <= last; c++ {
 			lo, hi := span(c)
-			f.add(memberIO{op: opRead, dev: a.devs[a.dataDev(stripe, c)], buf: old[c*su+lo : c*su+hi], off: soff + int64(lo)})
+			b.book(a.devs[a.dataDev(stripe, c)], blockdev.Access{Off: soff + int64(lo), Buf: old[c*su+lo : c*su+hi]})
 		}
-		parityIO(opRead)
+		parity(&b, false)
 		// A member this plan needs is failed or unreadable: reconstruct instead.
-		rmw = f.wait(p) == nil
-		f.reset()
+		rmw = b.wait(p) == nil
 	}
 	if rmw {
+		xorSlice(src, old[so:end]) // old ^ new, column c at c*su as in the stripe
 		for c := first; c <= last; c++ {
 			lo, hi := span(c)
-			delta := old[c*su+lo : c*su+hi]
-			xorSlice(fresh(c), delta)
-			fold(c, lo, delta, pbuf, qbuf)
+			fold(c, lo, old[c*su+lo:c*su+hi], pbuf, qbuf)
 		}
 	} else {
-		// Read the ranges inside the hull that the request leaves as they are;
-		// parity is rebuilt from them and the fresh data.
-		keep := func(c, lo, hi int) {
-			f.add(memberIO{op: opReadChunk, stripe: stripe, col: c, off: int64(lo), buf: old[c*su+lo : c*su+hi]})
-		}
+		// Read the ranges inside the hull that the request leaves as they are,
+		// lay the fresh data beside them and rebuild parity over the hull.
+		r := a.batch(p, rcwReads)
 		for c := 0; c < k; c++ {
 			lo, hi := plo, plo
 			if first <= c && c <= last {
 				lo, hi = span(c)
 			}
 			if plo < lo {
-				keep(c, plo, lo)
+				r.read(stripe, c, int64(plo), old[c*su+plo:c*su+lo])
 			}
 			if hi < phi {
-				keep(c, hi, phi)
+				r.read(stripe, c, int64(hi), old[c*su+hi:c*su+phi])
 			}
 		}
-		if err := f.wait(p); err != nil {
+		if err := r.wait(p); err != nil {
 			return err
 		}
+		copy(old[so:end], src)
 		clear(pbuf[plo:phi])
 		if qbuf != nil {
 			clear(qbuf[plo:phi])
 		}
-		for _, r := range f.reqs {
-			fold(r.col, int(r.off), r.buf, pbuf, qbuf)
-		}
-		f.reset()
-		for c := first; c <= last; c++ {
-			lo, _ := span(c)
-			fold(c, lo, fresh(c), pbuf, qbuf)
+		for c := 0; c < k; c++ {
+			fold(c, plo, old[c*su+plo:c*su+phi], pbuf, qbuf)
 		}
 	}
 
+	b := a.batch(p, last-first+1+len(a.devs)-k)
 	for c := first; c <= last; c++ {
-		lo, _ := span(c)
-		f.add(memberIO{op: opWrite, dev: a.devs[a.dataDev(stripe, c)], buf: fresh(c), off: soff + int64(lo)})
+		lo, hi := span(c)
+		b.book(a.devs[a.dataDev(stripe, c)], blockdev.Access{Write: true, Off: soff + int64(lo), Buf: src[c*su+lo-int(so) : c*su+hi-int(so)]})
 	}
-	parityIO(opWrite)
-	return f.wait(p)
+	parity(&b, true)
+	return b.wait(p)
 }
 
 // reconstructChunk rebuilds the data chunk at (stripe, col) from the surviving
-// devices into out (len = stripeUnit). It reads the whole stripe, treats a
-// failed read as an erasure, and decodes in the read buffers with the parity
-// Plan picks.
-func (a *Array) reconstructChunk(p *sim.Proc, stripe int64, col int, out []byte) error {
+// devices into out (len = stripeUnit). It books a read of the whole stripe
+// into b, treats a failed read as an erasure and folds each read into the
+// syndromes as it is booked, then decodes with the parity Plan picks: the
+// bytes are there once booked, and the caller sleeps until b ends.
+func (a *Array) reconstructChunk(b *batch, stripe int64, col int, out []byte) error {
 	soff := stripe * int64(a.stripeUnit)
 	k := a.dataPerStripe()
-	f := a.fanout()
-	defer f.release()
-	for c := 0; c < k; c++ {
-		f.add(memberIO{op: opRead, dev: a.devs[a.dataDev(stripe, c)]})
-	}
-	f.add(memberIO{op: opRead, dev: a.devs[a.pDev(stripe)]})
+	buf, syn := a.chunks.get(), [2][]byte{a.chunks.get()} // syn: P's, then Q's
+	defer a.chunks.put(buf)
+	defer a.chunks.put(syn[0])
 	if a.level == RAID6 {
-		f.add(memberIO{op: opRead, dev: a.devs[a.qDev(stripe)]})
+		syn[1] = a.chunks.get()
+		defer a.chunks.put(syn[1])
 	}
-	for i := range f.reqs {
-		f.reqs[i].buf, f.reqs[i].off = a.chunks.get(), soff
-	}
-	defer func() {
-		for _, r := range f.reqs {
-			a.chunks.put(r.buf)
-		}
-	}()
-	f.wait(p) // a failed read is an erasure, decoded below
+	clear(syn[0])
+	clear(syn[1])
 	var lost []int
+	var have [2]bool
 	failed := 0
-	for i, r := range f.reqs {
-		if r.err != nil {
-			failed++
+	for i := range a.devs { // the data columns, then P, then Q
+		dev := a.devs[a.pDev(stripe)]
+		switch {
+		case i < k:
+			dev = a.devs[a.dataDev(stripe, i)]
+		case i > k:
+			dev = a.devs[a.qDev(stripe)]
+		}
+		switch {
+		case b.book(dev, blockdev.Access{Off: soff, Buf: buf}) != nil:
+			failed++ // an erasure
 			if i < k {
 				lost = append(lost, i)
 			}
+		case i < k:
+			Fold(i, buf, syn[0], syn[1])
+			if i == col {
+				copy(out, buf)
+			}
+		default:
+			have[i-k] = true
+			xorSlice(buf, syn[i-k])
 		}
 	}
-	useP, useQ, err := Plan(lost, f.reqs[k].err == nil, a.level == RAID6 && f.reqs[k+1].err == nil)
+	useP, useQ, err := Plan(lost, have[0], have[1])
 	if err != nil {
 		return fmt.Errorf("%w: %d chunks lost in stripe %d", err, failed, stripe)
 	}
-	var pbuf, qbuf []byte // the syndromes build in the parity read buffers
-	if useP {
-		pbuf = f.reqs[k].buf
-	}
-	if useQ {
-		qbuf = f.reqs[k+1].buf
-	}
-	var res [2][]byte
-	for i, c := range lost {
-		res[i] = f.reqs[c].buf
-	}
-	for c := 0; c < k; c++ {
-		if f.reqs[c].err == nil {
-			Fold(c, f.reqs[c].buf, pbuf, qbuf)
+	if i := slices.Index(lost, col); i >= 0 {
+		if !useP {
+			syn[0] = nil
 		}
+		if !useQ {
+			syn[1] = nil
+		}
+		res := [2][]byte{buf, buf}
+		res[i] = out
+		Solve(lost, syn[0], syn[1], res[:len(lost)])
 	}
-	Solve(lost, pbuf, qbuf, res[:len(lost)])
-	copy(out, f.reqs[col].buf)
 	return nil
 }
 
@@ -687,8 +689,9 @@ func (a *Array) Rebuild(p *sim.Proc, idx int, replacement blockdev.Device) error
 	su := int64(a.stripeUnit)
 	stripes := a.devSize / su
 	k := a.dataPerStripe()
-	buf := a.chunks.get()
+	buf, col := a.chunks.get(), a.chunks.get()
 	defer a.chunks.put(buf)
+	defer a.chunks.put(col)
 	for s := int64(0); s < stripes; s++ {
 		// What does device idx hold in stripe s?
 		role := -3
@@ -704,7 +707,7 @@ func (a *Array) Rebuild(p *sim.Proc, idx int, replacement blockdev.Device) error
 				}
 			}
 		}
-		if err := a.reconstructInto(p, s, role, buf); err != nil {
+		if err := a.reconstructInto(p, s, role, buf, col); err != nil {
 			return err
 		}
 		if err := replacement.WriteAt(p, buf, s*su); err != nil {
@@ -716,43 +719,28 @@ func (a *Array) Rebuild(p *sim.Proc, idx int, replacement blockdev.Device) error
 }
 
 // reconstructInto rebuilds the chunk with the given role (data column, -1=P,
-// -2=Q) of a stripe, reading from all other devices.
-func (a *Array) reconstructInto(p *sim.Proc, stripe int64, role int, out []byte) error {
+// -2=Q) of a stripe into out, reading from all other devices into col and
+// folding each read into out as it is booked.
+func (a *Array) reconstructInto(p *sim.Proc, stripe int64, role int, out, col []byte) error {
 	k := a.dataPerStripe()
 	soff := stripe * int64(a.stripeUnit)
-	f := a.fanout()
-	defer f.release()
-	for c := 0; c < k; c++ {
-		if c != role {
-			f.add(memberIO{op: opRead, dev: a.devs[a.dataDev(stripe, c)], buf: a.chunks.get(), off: soff, col: c})
-		}
-	}
-	data := f.reqs[:len(f.reqs):len(f.reqs)] // the data columns read, in column order
-	defer func() {
-		for _, r := range data {
-			a.chunks.put(r.buf)
-		}
-	}()
-	if role >= 0 {
-		// A data chunk is P XOR the other data chunks: read P straight into out.
-		f.add(memberIO{op: opRead, dev: a.devs[a.pDev(stripe)], buf: out, off: soff})
-	}
-	if err := f.wait(p); err != nil {
-		return err
-	}
 	// P is the fold of every data column, Q likewise with g^c, and a data
 	// chunk is what is left of P once the others are folded out of it.
 	pacc, qacc := out, []byte(nil)
 	if role == -2 {
 		pacc, qacc = nil, out
 	}
-	if role < 0 {
-		clear(out)
+	clear(out)
+	b := a.batch(p, k)
+	for c := 0; c < k; c++ {
+		if c != role && b.book(a.devs[a.dataDev(stripe, c)], blockdev.Access{Off: soff, Buf: col}) == nil {
+			Fold(c, col, pacc, qacc)
+		}
 	}
-	for _, r := range data {
-		Fold(r.col, r.buf, pacc, qacc)
+	if role >= 0 && b.book(a.devs[a.pDev(stripe)], blockdev.Access{Off: soff, Buf: col}) == nil {
+		xorSlice(col, out)
 	}
-	return nil
+	return b.wait(p)
 }
 
 // ScrubResult summarizes a parity scrub.

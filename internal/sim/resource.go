@@ -1,8 +1,11 @@
 package sim
 
 // Resource is a counted resource (semaphore) with a FIFO wait queue, used to
-// model exclusive or limited hardware: the robotic arm (capacity 1), a group
-// of 12 optical drives (capacity 12), a RAID volume's service slots, etc.
+// model exclusive or limited hardware whose holding time is not known when a
+// request arrives: the robotic arm (capacity 1), an optical drive, a file
+// read's fan-out over a drive group (capacity 12), etc. A FIFO server whose
+// service time is decided on arrival is a clock instead
+// (blockdev.Device.Book).
 type Resource struct {
 	env      *Env
 	capacity int
