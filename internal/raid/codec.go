@@ -2,12 +2,13 @@ package raid
 
 import "crypto/subtle"
 
-// The P/Q erasure code, shared by the block-level RAID-5/6 here and by the
-// parity disc images across a tray (internal/image, §4.7: 11+1 or 10+2).
-// Data column c contributes D_c to P and g^c·D_c to Q, in GF(2^8). Every
-// recovery runs the same three steps: Plan picks the parity a loss needs,
-// Fold adds each surviving column to that parity, which leaves the syndromes
-// of the lost columns, and Solve turns the syndromes into the lost bytes.
+// The P/Q erasure code of the parity disc images across a tray
+// (internal/image, §4.7: 11+1 or 10+2). Data column c contributes D_c to P
+// and g^c·D_c to Q, in GF(2^8). Every recovery runs the same three steps:
+// Plan picks the parity a loss needs, Fold adds each surviving column to that
+// parity, which leaves the syndromes of the lost columns, and Solve turns the
+// syndromes into the lost bytes. The block-level RAID-5 here needs only P,
+// whose kernel is xorSlice.
 
 // xorSlice computes dst[i] ^= src[i] a machine word at a time. It is the one
 // XOR kernel of the code. dst must be at least as long as src and may be the
@@ -25,14 +26,6 @@ func Fold(col int, src, p, q []byte) {
 	if q != nil {
 		mulSliceXor(gfPow2(col), src, q)
 	}
-}
-
-// fold is Fold at offset at of both accumulators; p is never nil here.
-func fold(col, at int, src, p, q []byte) {
-	if q != nil {
-		q = q[at:]
-	}
-	Fold(col, src, p[at:], q)
 }
 
 // Plan is the one rule for which parity recovers the lost data columns: one

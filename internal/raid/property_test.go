@@ -12,10 +12,10 @@ import (
 	"ros/internal/sim"
 )
 
-// Property sweep for the erasure code: every combination of device loss and
-// sector corruption up to the level's correction bound must decode
-// byte-for-byte, and every combination beyond the bound must be detected
-// (ErrTooManyFailed), never silently mis-decoded.
+// Property sweeps for RAID-5's parity and for the P+Q tray codec laid out as
+// RAID-6: every combination of device loss and sector corruption up to the
+// code's bound must decode byte-for-byte, and every combination beyond it
+// must be detected (ErrTooManyFailed), never silently mis-decoded.
 
 // faultMode is one way a device can go bad mid-life.
 type faultMode int
@@ -34,14 +34,18 @@ func (m faultMode) String() string {
 
 // sweepCase damages the given devices and checks the decode property.
 type sweepCase struct {
-	level Level
 	n     int
 	devs  []int       // devices to damage
 	modes []faultMode // parallel to devs
+	pq    bool        // the P+Q tray codec laid out as RAID-6, not the array
 }
 
 func (c sweepCase) name() string {
-	s := fmt.Sprintf("%s-%ddevs", c.level, c.n)
+	code := RAID5.String()
+	if c.pq {
+		code = "RAID-6"
+	}
+	s := fmt.Sprintf("%s-%ddevs", code, c.n)
 	for i, d := range c.devs {
 		s += fmt.Sprintf("-%s%d", c.modes[i], d)
 	}
@@ -55,7 +59,7 @@ func runSweepCase(t *testing.T, c sweepCase, withinBound bool) {
 	const su = 4 << 10
 	env := sim.NewEnv()
 	t.Cleanup(env.Close)
-	a, disks := newArray(t, env, c.level, c.n, 256<<10, su)
+	a, disks := newArray(t, env, RAID5, c.n, 256<<10, su)
 	// Enough rotations that every device serves data and parity roles, plus
 	// a partial trailing stripe to cover the short-read path.
 	data := patterned(su*c.n*6+su/2, byte(c.n))
@@ -115,7 +119,7 @@ func TestRAID5SweepWithinBound(t *testing.T) {
 	const n = 5
 	for d := 0; d < n; d++ {
 		for _, m := range []faultMode{modeFail, modeCorrupt} {
-			c := sweepCase{level: RAID5, n: n, devs: []int{d}, modes: []faultMode{m}}
+			c := sweepCase{n: n, devs: []int{d}, modes: []faultMode{m}}
 			t.Run(c.name(), func(t *testing.T) { runSweepCase(t, c, true) })
 		}
 	}
@@ -126,44 +130,115 @@ func TestRAID5SweepBeyondBound(t *testing.T) {
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			for _, modes := range modeCombos(2) {
-				c := sweepCase{level: RAID5, n: n, devs: []int{i, j}, modes: modes}
+				c := sweepCase{n: n, devs: []int{i, j}, modes: modes}
 				t.Run(c.name(), func(t *testing.T) { runSweepCase(t, c, false) })
 			}
 		}
 	}
 }
 
-func TestRAID6SweepWithinBound(t *testing.T) {
-	const n = 6
-	// Single losses.
-	for d := 0; d < n; d++ {
-		for _, m := range []faultMode{modeFail, modeCorrupt} {
-			c := sweepCase{level: RAID6, n: n, devs: []int{d}, modes: []faultMode{m}}
-			t.Run(c.name(), func(t *testing.T) { runSweepCase(t, c, true) })
+// runPQSweepCase is runSweepCase for the P+Q code of the tray parity images
+// (Plan, Fold, Solve), laid out over n members as a RAID-6 set would: in
+// stripe s, P and Q rotate and the other n-2 members hold data columns
+// 0..n-3. A failed member loses its column in every stripe, a corrupt one in
+// stripe 0 only. Within the bound every stripe must decode byte-for-byte.
+// Beyond it stripe 0 must fail with ErrTooManyFailed, never mis-decode, and
+// every other stripe, which lost only the failed members, must still decode.
+func runPQSweepCase(t *testing.T, c sweepCase, withinBound bool) {
+	t.Helper()
+	const su = 512
+	k := c.n - 2
+	rng := rand.New(rand.NewSource(int64(c.n)))
+	for s := 0; s < 2*c.n; s++ {
+		pDev := c.n - 1 - s%c.n
+		qDev := (pDev + 1) % c.n
+		dev := func(col int) int { return (qDev + 1 + col) % c.n }
+		down := make([]bool, c.n)
+		for i, d := range c.devs {
+			down[d] = down[d] || c.modes[i] == modeFail || s == 0
 		}
-	}
-	// Every pair, every fail/corrupt combination: the two-loss P+Q solve.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			for _, modes := range modeCombos(2) {
-				c := sweepCase{level: RAID6, n: n, devs: []int{i, j}, modes: modes}
-				t.Run(c.name(), func(t *testing.T) { runSweepCase(t, c, true) })
+		data := make([][]byte, k)
+		P, Q := make([]byte, su), make([]byte, su)
+		var lost []int
+		for col := range data {
+			data[col] = make([]byte, su)
+			rng.Read(data[col])
+			Fold(col, data[col], P, Q)
+			if down[dev(col)] {
+				lost = append(lost, col)
+			}
+		}
+		useP, useQ, err := Plan(lost, !down[pDev], !down[qDev])
+		if !withinBound && s == 0 {
+			if !errors.Is(err, ErrTooManyFailed) {
+				t.Fatalf("%s: beyond-bound stripe 0 (lost %v, P %v, Q %v): Plan err = %v, want ErrTooManyFailed",
+					c.name(), lost, !down[pDev], !down[qDev], err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: stripe %d: decode within bound failed: %v", c.name(), s, err)
+		}
+		var p, q []byte
+		if useP {
+			p = bytes.Clone(P)
+		}
+		if useQ {
+			q = bytes.Clone(Q)
+		}
+		for col := range data {
+			if !down[dev(col)] {
+				Fold(col, data[col], p, q)
+			}
+		}
+		out := make([][]byte, len(lost))
+		for i := range out {
+			out[i] = make([]byte, su)
+		}
+		Solve(lost, p, q, out)
+		for i, col := range lost {
+			if !bytes.Equal(out[i], data[col]) {
+				t.Fatalf("%s: stripe %d: column %d decoded to wrong data", c.name(), s, col)
 			}
 		}
 	}
 }
 
+// TestRAID6SweepWithinBound damages one or two of six members of the P+Q
+// code, every position and fail/corrupt combination: the two-loss solve that
+// image's 10+2 trays rely on.
+func TestRAID6SweepWithinBound(t *testing.T) {
+	const n = 6
+	// Single losses.
+	for d := 0; d < n; d++ {
+		for _, m := range []faultMode{modeFail, modeCorrupt} {
+			c := sweepCase{n: n, devs: []int{d}, modes: []faultMode{m}, pq: true}
+			t.Run(c.name(), func(t *testing.T) { runPQSweepCase(t, c, true) })
+		}
+	}
+	// Every pair, every fail/corrupt combination.
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			for _, modes := range modeCombos(2) {
+				c := sweepCase{n: n, devs: []int{i, j}, modes: modes, pq: true}
+				t.Run(c.name(), func(t *testing.T) { runPQSweepCase(t, c, true) })
+			}
+		}
+	}
+}
+
+// TestRAID6SweepBeyondBound damages three of six members of the P+Q code.
 func TestRAID6SweepBeyondBound(t *testing.T) {
 	const n = 6
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			for k := j + 1; k < n; k++ {
 				c := sweepCase{
-					level: RAID6, n: n,
-					devs:  []int{i, j, k},
+					n: n, devs: []int{i, j, k},
 					modes: []faultMode{modeFail, modeCorrupt, modeFail},
+					pq:    true,
 				}
-				t.Run(c.name(), func(t *testing.T) { runSweepCase(t, c, false) })
+				t.Run(c.name(), func(t *testing.T) { runPQSweepCase(t, c, false) })
 			}
 		}
 	}
@@ -185,7 +260,6 @@ func TestPropertyWriteFromMatchesWriteAt(t *testing.T) {
 		// A column is one chunk (kept by reference), part of one (copied), or
 		// two chunks (two pieces).
 		{RAID5, 5, chunk.Size}, {RAID5, 5, chunk.Size / 4}, {RAID5, 4, 2 * chunk.Size},
-		{RAID6, 6, chunk.Size},
 	} {
 		t.Run(fmt.Sprintf("%s/su=%dK", tc.level, tc.su>>10), func(t *testing.T) {
 			for seed := int64(1); seed <= 4; seed++ {
@@ -331,7 +405,7 @@ func runWriteFromTwins(t *testing.T, level Level, n, su int, seed int64) {
 func TestPropertyPartialWriteDegraded(t *testing.T) {
 	const (
 		su = 4096
-		// Both arrays have four data columns. The narrow write sits in column 1
+		// The array has four data columns. The narrow write sits in column 1
 		// (read-modify-write); the wide one runs from column 0 into column 2
 		// (reconstruct-write) and leaves column 3 alone.
 		touchedCol, untouchedCol = 1, 3
@@ -349,7 +423,6 @@ func TestPropertyPartialWriteDegraded(t *testing.T) {
 		roles []string
 	}{
 		{RAID5, 5, []string{"P", "touched", "untouched", "unreadable"}},
-		{RAID6, 6, []string{"P", "Q", "touched", "untouched", "unreadable"}},
 	} {
 		for _, role := range lv.roles {
 			for _, plan := range plans {
@@ -359,7 +432,7 @@ func TestPropertyPartialWriteDegraded(t *testing.T) {
 						a, disks := newArray(t, env, lv.level, lv.n, int64(lv.n*su), su)
 						ref := patterned(int(a.Size()), byte(stripe))
 						victim := map[string]int{
-							"P": a.pDev(int64(stripe)), "Q": a.qDev(int64(stripe)),
+							"P":          a.pDev(int64(stripe)),
 							"touched":    a.dataDev(int64(stripe), touchedCol),
 							"unreadable": a.dataDev(int64(stripe), touchedCol),
 							"untouched":  a.dataDev(int64(stripe), untouchedCol),
@@ -380,7 +453,7 @@ func TestPropertyPartialWriteDegraded(t *testing.T) {
 							copy(ref[off:], data)
 							// Only a write to the lost member fails: parity and the
 							// touched column are written, the untouched one is not.
-							if role == "P" || role == "Q" || role == "touched" {
+							if role == "P" || role == "touched" {
 								if !errors.Is(err, blockdev.ErrFailed) {
 									t.Fatalf("stripe %d: WriteAt = %v, want the failed member's error", stripe, err)
 								}

@@ -1,20 +1,18 @@
-// Package raid implements software RAID levels 1, 5 and 6 over simulated
-// block devices, with real parity mathematics: XOR (P) for RAID-5 and
-// GF(2^8) Reed-Solomon coefficients (Q) for RAID-6. Degraded reads
-// reconstruct lost chunks, scrubbing verifies parity, and rebuild
-// re-populates a replacement device.
+// Package raid implements software RAID-1 and RAID-5 over simulated block
+// devices, with real XOR parity. Degraded reads reconstruct lost chunks,
+// scrubbing verifies parity, and rebuild re-populates a replacement device.
 //
 // ROS uses a RAID-1 SSD pair for the metadata volume and RAID-5 HDD sets for
-// the disc-image write buffer / read cache (§3.3 of the paper). The same
-// P/Q math is reused by internal/image to build parity *disc images* across
-// the 12 discs of a tray (§4.7).
+// the disc-image write buffer / read cache (§3.3 of the paper). The package
+// also holds the P/Q erasure code (codec.go, over GF(2^8) in gf256.go) with
+// which internal/image builds parity *disc images* across the 12 discs of a
+// tray (§4.7).
 package raid
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"ros/internal/blockdev"
@@ -29,22 +27,20 @@ type Level int
 const (
 	RAID1 Level = iota
 	RAID5
-	RAID6
 )
 
 func (l Level) String() string {
-	if RAID1 <= l && l <= RAID6 {
-		return [...]string{"RAID-1", "RAID-5", "RAID-6"}[l]
+	if l == RAID1 || l == RAID5 {
+		return [...]string{"RAID-1", "RAID-5"}[l]
 	}
 	return fmt.Sprintf("RAID(%d)", int(l))
 }
 
 // Array-level errors.
 var (
-	ErrTooFewDevices  = errors.New("raid: too few devices for level")
-	ErrUnevenDevices  = errors.New("raid: devices must have equal size")
-	ErrTooManyFailed  = errors.New("raid: too many failed devices")
-	ErrParityMismatch = errors.New("raid: parity mismatch")
+	ErrTooFewDevices = errors.New("raid: too few devices for level")
+	ErrUnevenDevices = errors.New("raid: devices must have equal size")
+	ErrTooManyFailed = errors.New("raid: too many failed devices")
 )
 
 // Array is a RAID volume over equal-sized devices. All methods must be
@@ -97,11 +93,11 @@ type batch struct {
 	lost []lostRead // read's reads that failed, in index order
 }
 
-// lostRead is a read of dst at offset coff of data chunk (stripe, col) that
-// failed with err at at.
+// lostRead is a read of dst at offset coff of member dev's chunk of a stripe
+// that failed with err at at.
 type lostRead struct {
 	stripe int64
-	col    int
+	dev    int
 	coff   int64
 	dst    []byte
 	at     time.Duration
@@ -132,10 +128,10 @@ func (b *batch) book(dev blockdev.Device, acc blockdev.Access) error {
 
 // read books a read of dst at offset coff of data chunk (stripe, col).
 func (b *batch) read(stripe int64, col int, coff int64, dst []byte) {
-	a := b.a
-	t, err := a.devs[a.dataDev(stripe, col)].Book(blockdev.Access{Off: stripe*int64(a.stripeUnit) + coff, Buf: dst})
+	a, dev := b.a, b.a.dataDev(stripe, col)
+	t, err := a.devs[dev].Book(blockdev.Access{Off: stripe*int64(a.stripeUnit) + coff, Buf: dst})
 	if err != nil {
-		b.lost = append(b.lost, lostRead{stripe, col, coff, dst, t, err})
+		b.lost = append(b.lost, lostRead{stripe, dev, coff, dst, t, err})
 	}
 	b.end = max(b.end, t)
 }
@@ -168,7 +164,7 @@ func (a *Array) rebuild(p *sim.Proc, lost []lostRead) error {
 			sp.Sleep(l.at - sp.Now())
 		}
 		b := batch{a: a, end: sp.Now()}
-		err := a.reconstructChunk(&b, l.stripe, l.col, full)
+		err := a.reconstruct(&b, l.stripe, l.dev, full)
 		b.wait(sp)
 		if err != nil {
 			// Wrap the reconstruction error (not the device error) so callers
@@ -220,14 +216,14 @@ func (t *stripeTable) write(sp *sim.Proc, i int) error {
 // New assembles an array. stripeUnit is the per-device chunk size (ignored
 // for RAID-1); 64 KB if zero.
 func New(env *sim.Env, level Level, devs []blockdev.Device, stripeUnit int) (*Array, error) {
-	min := 1
+	var min int
 	switch level {
 	case RAID1:
 		min = 2
 	case RAID5:
 		min = 3
-	case RAID6:
-		min = 4
+	default:
+		return nil, fmt.Errorf("raid: unsupported level %s", level)
 	}
 	if len(devs) < min {
 		return nil, fmt.Errorf("%w: %s needs >= %d, got %d", ErrTooFewDevices, level, min, len(devs))
@@ -255,15 +251,10 @@ func (a *Array) Devices() []blockdev.Device { return a.devs }
 
 // dataPerStripe returns the number of data chunks per stripe.
 func (a *Array) dataPerStripe() int {
-	switch a.level {
-	case RAID1:
+	if a.level == RAID1 {
 		return 1
-	case RAID5:
-		return len(a.devs) - 1
-	case RAID6:
-		return len(a.devs) - 2
 	}
-	return 0
+	return len(a.devs) - 1
 }
 
 // Size returns the usable capacity in bytes.
@@ -280,29 +271,13 @@ func (a *Array) pDev(stripe int64) int {
 	return int((n - 1 - stripe%n) % n)
 }
 
-// qDev returns the device index holding Q parity for a stripe (RAID-6).
-func (a *Array) qDev(stripe int64) int {
-	return (a.pDev(stripe) + 1) % len(a.devs)
-}
-
-// dataDev maps the col-th data chunk of a stripe to a device index.
+// dataDev maps the col-th data chunk of a stripe to a device index: the
+// devices in order, less the parity device.
 func (a *Array) dataDev(stripe int64, col int) int {
-	p := a.pDev(stripe)
-	q := -1
-	if a.level == RAID6 {
-		q = a.qDev(stripe)
+	if col >= a.pDev(stripe) {
+		return col + 1
 	}
-	idx := 0
-	for d := 0; d < len(a.devs); d++ {
-		if d == p || d == q {
-			continue
-		}
-		if idx == col {
-			return d
-		}
-		idx++
-	}
-	panic("raid: data column out of range")
+	return col
 }
 
 // chunkLoc converts a logical chunk index to (stripe, column).
@@ -366,7 +341,7 @@ func (a *Array) write(p *sim.Proc, buf []byte, s *chunk.Store, off, n int64) err
 	if off < 0 || off+n > a.Size() {
 		return fmt.Errorf("%w: off=%d len=%d size=%d", blockdev.ErrOutOfRange, off, n, a.Size())
 	}
-	if a.level >= RAID5 {
+	if a.level == RAID5 {
 		return a.writeParity(p, buf, s, off, n)
 	}
 	if s != nil {
@@ -380,7 +355,7 @@ func (a *Array) write(p *sim.Proc, buf []byte, s *chunk.Store, off, n int64) err
 	return b.wait(p)
 }
 
-// writeParity handles RAID-5/6 writes of [off, off+n) from buf or s stripe
+// writeParity handles RAID-5 writes of [off, off+n) from buf or s stripe
 // by stripe: full-stripe writes compute parity directly; partial writes read
 // only what their plan needs (writePartialStripe). From s, a full stripe's
 // columns are lent and a partial stripe is copied into stripe scratch, all
@@ -438,25 +413,16 @@ func (a *Array) writeFullStripe(p *sim.Proc, stripe int64, pieces [][]byte, lent
 	soff := stripe * int64(su)
 	pbuf := a.chunks.get()
 	defer a.chunks.put(pbuf)
-	var qbuf []byte
-	if a.level == RAID6 {
-		qbuf = a.chunks.get()
-		defer a.chunks.put(qbuf)
-	}
 	b := a.batch(p, len(a.devs))
 	for col := 0; len(pieces) > 0; col++ {
-		// Column col is pieces[:i]. Column 0 seeds both parities (its Q
-		// coefficient is g^0 = 1).
+		// Column col is pieces[:i]. Column 0 seeds the parity.
 		i := 0
 		for at := 0; at < su; i++ {
 			pc := pieces[i]
 			if col == 0 {
 				copy(pbuf[at:], pc)
-				if qbuf != nil {
-					copy(qbuf[at:], pc)
-				}
 			} else {
-				fold(col, at, pc, pbuf, qbuf)
+				xorSlice(pc, pbuf[at:])
 			}
 			at += len(pc)
 		}
@@ -468,9 +434,6 @@ func (a *Array) writeFullStripe(p *sim.Proc, stripe int64, pieces [][]byte, lent
 		pieces = pieces[i:]
 	}
 	b.book(a.devs[a.pDev(stripe)], blockdev.Access{Write: true, Off: soff, Buf: pbuf})
-	if qbuf != nil {
-		b.book(a.devs[a.qDev(stripe)], blockdev.Access{Write: true, Off: soff, Buf: qbuf})
-	}
 	return b.wait(p)
 }
 
@@ -480,14 +443,14 @@ func (a *Array) writeFullStripe(p *sim.Proc, stripe int64, pieces [][]byte, lent
 // members:
 //
 //   - read-modify-write: read the old data the request overwrites and the old
-//     parity over the same range, then P ^= old ^ new and Q ^= g^col (old ^ new);
+//     parity over the same range, then P ^= old ^ new;
 //   - reconstruct-write: read what the request does not overwrite and compute
 //     parity afresh.
 //
 // Both write only the touched data ranges and the parity range. The
 // read-modify-write reads go straight to the members; when one of them is
 // failed or unreadable the write falls back to reconstruct-write, whose reads
-// go through readChunk and so reconstruct. A write to a failed member then
+// go through batch.read and so reconstruct. A write to a failed member then
 // fails and is reported, while everything else is stored.
 func (a *Array) writePartialStripe(p *sim.Proc, stripe int64, so int64, src []byte) error {
 	su := a.stripeUnit
@@ -516,9 +479,9 @@ func (a *Array) writePartialStripe(p *sim.Proc, stripe int64, so int64, src []by
 		plo, phi = head, tail
 	}
 	// Member reads of each plan. Read-modify-write: the touched spans and the
-	// parities. Reconstruct-write: the untouched columns, plus what the first
+	// parity. Reconstruct-write: the untouched columns, plus what the first
 	// and last columns keep inside the hull.
-	rmwReads := last - first + 1 + len(a.devs) - k
+	rmwReads := last - first + 2
 	rcwReads := k - (last - first + 1)
 	if first != last && head > 0 {
 		rcwReads++
@@ -528,23 +491,13 @@ func (a *Array) writePartialStripe(p *sim.Proc, stripe int64, so int64, src []by
 	}
 
 	// old receives what is read of the data columns, column c at c*su; the
-	// parity ranges are read into (or built in) pbuf and qbuf.
+	// parity range is read into (or built in) pbuf, by the access par.
 	old := a.stripes.get()
 	defer a.stripes.put(old)
 	pbuf := a.chunks.get()
 	defer a.chunks.put(pbuf)
-	var qbuf []byte
-	if a.level == RAID6 {
-		qbuf = a.chunks.get()
-		defer a.chunks.put(qbuf)
-	}
-	// parity books one access of the parity range per parity member.
-	parity := func(b *batch, write bool) {
-		b.book(a.devs[a.pDev(stripe)], blockdev.Access{Write: write, Off: soff + int64(plo), Buf: pbuf[plo:phi]})
-		if qbuf != nil {
-			b.book(a.devs[a.qDev(stripe)], blockdev.Access{Write: write, Off: soff + int64(plo), Buf: qbuf[plo:phi]})
-		}
-	}
+	pdev := a.devs[a.pDev(stripe)]
+	par := blockdev.Access{Off: soff + int64(plo), Buf: pbuf[plo:phi]}
 
 	rmw := rmwReads <= rcwReads
 	if rmw {
@@ -553,7 +506,7 @@ func (a *Array) writePartialStripe(p *sim.Proc, stripe int64, so int64, src []by
 			lo, hi := span(c)
 			b.book(a.devs[a.dataDev(stripe, c)], blockdev.Access{Off: soff + int64(lo), Buf: old[c*su+lo : c*su+hi]})
 		}
-		parity(&b, false)
+		b.book(pdev, par)
 		// A member this plan needs is failed or unreadable: reconstruct instead.
 		rmw = b.wait(p) == nil
 	}
@@ -561,7 +514,7 @@ func (a *Array) writePartialStripe(p *sim.Proc, stripe int64, so int64, src []by
 		xorSlice(src, old[so:end]) // old ^ new, column c at c*su as in the stripe
 		for c := first; c <= last; c++ {
 			lo, hi := span(c)
-			fold(c, lo, old[c*su+lo:c*su+hi], pbuf, qbuf)
+			xorSlice(old[c*su+lo:c*su+hi], pbuf[lo:])
 		}
 	} else {
 		// Read the ranges inside the hull that the request leaves as they are,
@@ -584,87 +537,51 @@ func (a *Array) writePartialStripe(p *sim.Proc, stripe int64, so int64, src []by
 		}
 		copy(old[so:end], src)
 		clear(pbuf[plo:phi])
-		if qbuf != nil {
-			clear(qbuf[plo:phi])
-		}
 		for c := 0; c < k; c++ {
-			fold(c, plo, old[c*su+plo:c*su+phi], pbuf, qbuf)
+			xorSlice(old[c*su+plo:c*su+phi], pbuf[plo:])
 		}
 	}
 
-	b := a.batch(p, last-first+1+len(a.devs)-k)
+	b := a.batch(p, last-first+2)
 	for c := first; c <= last; c++ {
 		lo, hi := span(c)
 		b.book(a.devs[a.dataDev(stripe, c)], blockdev.Access{Write: true, Off: soff + int64(lo), Buf: src[c*su+lo-int(so) : c*su+hi-int(so)]})
 	}
-	parity(&b, true)
+	par.Write = true
+	b.book(pdev, par)
 	return b.wait(p)
 }
 
-// reconstructChunk rebuilds the data chunk at (stripe, col) from the surviving
-// devices into out (len = stripeUnit). It books a read of the whole stripe
-// into b, treats a failed read as an erasure and folds each read into the
-// syndromes as it is booked, then decodes with the parity Plan picks: the
-// bytes are there once booked, and the caller sleeps until b ends.
-func (a *Array) reconstructChunk(b *batch, stripe int64, col int, out []byte) error {
+// reconstruct rebuilds member lost's chunk of a stripe into out (len =
+// stripeUnit). With one parity member, that chunk is the XOR of every other
+// member's: reconstruct books a read of each into b and XORs it into out as
+// it is booked (the bytes are there once booked, and the caller sleeps until
+// b ends). A read that fails is a second loss, beyond the code.
+func (a *Array) reconstruct(b *batch, stripe int64, lost int, out []byte) error {
 	soff := stripe * int64(a.stripeUnit)
-	k := a.dataPerStripe()
-	buf, syn := a.chunks.get(), [2][]byte{a.chunks.get()} // syn: P's, then Q's
+	buf := a.chunks.get()
 	defer a.chunks.put(buf)
-	defer a.chunks.put(syn[0])
-	if a.level == RAID6 {
-		syn[1] = a.chunks.get()
-		defer a.chunks.put(syn[1])
-	}
-	clear(syn[0])
-	clear(syn[1])
-	var lost []int
-	var have [2]bool
-	failed := 0
-	for i := range a.devs { // the data columns, then P, then Q
-		dev := a.devs[a.pDev(stripe)]
+	clear(out)
+	failed := 1
+	for d, dev := range a.devs {
 		switch {
-		case i < k:
-			dev = a.devs[a.dataDev(stripe, i)]
-		case i > k:
-			dev = a.devs[a.qDev(stripe)]
-		}
-		switch {
+		case d == lost:
 		case b.book(dev, blockdev.Access{Off: soff, Buf: buf}) != nil:
-			failed++ // an erasure
-			if i < k {
-				lost = append(lost, i)
-			}
-		case i < k:
-			Fold(i, buf, syn[0], syn[1])
-			if i == col {
-				copy(out, buf)
-			}
+			failed++
 		default:
-			have[i-k] = true
-			xorSlice(buf, syn[i-k])
+			xorSlice(buf, out)
 		}
 	}
-	useP, useQ, err := Plan(lost, have[0], have[1])
-	if err != nil {
-		return fmt.Errorf("%w: %d chunks lost in stripe %d", err, failed, stripe)
-	}
-	if i := slices.Index(lost, col); i >= 0 {
-		if !useP {
-			syn[0] = nil
-		}
-		if !useQ {
-			syn[1] = nil
-		}
-		res := [2][]byte{buf, buf}
-		res[i] = out
-		Solve(lost, syn[0], syn[1], res[:len(lost)])
+	if failed > 1 {
+		return fmt.Errorf("%w: %d chunks lost in stripe %d", ErrTooManyFailed, failed, stripe)
 	}
 	return nil
 }
 
 // Rebuild reconstructs the content of member device idx onto replacement
-// (same size), then swaps it into the array.
+// (same size), then swaps it into the array. A RAID-5 member is rebuilt
+// stripe by stripe (reconstruct); another member that cannot be read fails it
+// with ErrTooManyFailed.
 func (a *Array) Rebuild(p *sim.Proc, idx int, replacement blockdev.Device) error {
 	if replacement.Size() != a.devSize {
 		return ErrUnevenDevices
@@ -687,27 +604,13 @@ func (a *Array) Rebuild(p *sim.Proc, idx int, replacement blockdev.Device) error
 		return nil
 	}
 	su := int64(a.stripeUnit)
-	stripes := a.devSize / su
-	k := a.dataPerStripe()
-	buf, col := a.chunks.get(), a.chunks.get()
+	buf := a.chunks.get()
 	defer a.chunks.put(buf)
-	defer a.chunks.put(col)
-	for s := int64(0); s < stripes; s++ {
-		// What does device idx hold in stripe s?
-		role := -3
-		if a.pDev(s) == idx {
-			role = -1
-		} else if a.level == RAID6 && a.qDev(s) == idx {
-			role = -2
-		} else {
-			for c := 0; c < k; c++ {
-				if a.dataDev(s, c) == idx {
-					role = c
-					break
-				}
-			}
-		}
-		if err := a.reconstructInto(p, s, role, buf, col); err != nil {
+	for s := int64(0); s < a.devSize/su; s++ {
+		b := a.batch(p, len(a.devs)-1)
+		err := a.reconstruct(&b, s, idx, buf)
+		b.wait(p)
+		if err != nil {
 			return err
 		}
 		if err := replacement.WriteAt(p, buf, s*su); err != nil {
@@ -718,78 +621,38 @@ func (a *Array) Rebuild(p *sim.Proc, idx int, replacement blockdev.Device) error
 	return nil
 }
 
-// reconstructInto rebuilds the chunk with the given role (data column, -1=P,
-// -2=Q) of a stripe into out, reading from all other devices into col and
-// folding each read into out as it is booked.
-func (a *Array) reconstructInto(p *sim.Proc, stripe int64, role int, out, col []byte) error {
-	k := a.dataPerStripe()
-	soff := stripe * int64(a.stripeUnit)
-	// P is the fold of every data column, Q likewise with g^c, and a data
-	// chunk is what is left of P once the others are folded out of it.
-	pacc, qacc := out, []byte(nil)
-	if role == -2 {
-		pacc, qacc = nil, out
-	}
-	clear(out)
-	b := a.batch(p, k)
-	for c := 0; c < k; c++ {
-		if c != role && b.book(a.devs[a.dataDev(stripe, c)], blockdev.Access{Off: soff, Buf: col}) == nil {
-			Fold(c, col, pacc, qacc)
-		}
-	}
-	if role >= 0 && b.book(a.devs[a.pDev(stripe)], blockdev.Access{Off: soff, Buf: col}) == nil {
-		xorSlice(col, out)
-	}
-	return b.wait(p)
-}
-
 // ScrubResult summarizes a parity scrub.
 type ScrubResult struct {
 	StripesChecked int64
 	Mismatches     []int64 // stripe numbers with bad parity
 }
 
-// Scrub verifies P (and Q) parity of every stripe.
+// Scrub verifies the parity of every stripe.
 func (a *Array) Scrub(p *sim.Proc) (ScrubResult, error) {
 	var res ScrubResult
-	if a.level < RAID5 {
-		return res, errors.New("raid: scrub requires RAID-5/6")
+	if a.level != RAID5 {
+		return res, errors.New("raid: scrub requires RAID-5")
 	}
 	su := a.stripeUnit
 	k := a.dataPerStripe()
 	stripes := a.devSize / int64(su)
-	data, acc, qacc := a.chunks.get(), a.chunks.get(), a.chunks.get()
-	defer func() {
-		a.chunks.put(data)
-		a.chunks.put(acc)
-		a.chunks.put(qacc)
-	}()
-	var q []byte // the Q accumulator, RAID-6 only
-	if a.level == RAID6 {
-		q = qacc
-	}
+	data, acc := a.chunks.get(), a.chunks.get()
+	defer a.chunks.put(data)
+	defer a.chunks.put(acc)
 	for s := int64(0); s < stripes; s++ {
 		soff := s * int64(su)
 		clear(acc)
-		clear(qacc)
 		for c := 0; c < k; c++ {
 			if err := a.devs[a.dataDev(s, c)].ReadAt(p, data, soff); err != nil {
 				return res, err
 			}
-			Fold(c, data, acc, q)
+			xorSlice(data, acc)
 		}
 		if err := a.devs[a.pDev(s)].ReadAt(p, data, soff); err != nil {
 			return res, err
 		}
-		bad := !bytes.Equal(acc, data)
-		if !bad && a.level == RAID6 {
-			if err := a.devs[a.qDev(s)].ReadAt(p, data, soff); err != nil {
-				return res, err
-			}
-			bad = !bytes.Equal(qacc, data)
-		}
 		res.StripesChecked++
-		if bad {
+		if !bytes.Equal(acc, data) {
 			res.Mismatches = append(res.Mismatches, s)
 		}
 	}

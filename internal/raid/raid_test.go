@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"ros/internal/blockdev"
 	"ros/internal/sim"
@@ -84,7 +85,7 @@ func TestLevelRoundTrips(t *testing.T) {
 		level Level
 		n     int
 	}{
-		{RAID1, 2}, {RAID5, 3}, {RAID5, 7}, {RAID6, 4}, {RAID6, 12},
+		{RAID1, 2}, {RAID5, 3}, {RAID5, 7},
 	} {
 		t.Run(tc.level.String(), func(t *testing.T) {
 			env := sim.NewEnv()
@@ -129,31 +130,6 @@ func TestRAID5DegradedRead(t *testing.T) {
 	})
 }
 
-func TestRAID6DoubleFailure(t *testing.T) {
-	env := sim.NewEnv()
-	a, disks := newArray(t, env, RAID6, 12, 1<<20, 4096)
-	data := patterned(200000, 9)
-	inSim(t, env, func(p *sim.Proc) {
-		if err := a.WriteAt(p, data, 4096); err != nil {
-			t.Fatalf("WriteAt: %v", err)
-		}
-		// Every pair of failures must be survivable.
-		pairs := [][2]int{{0, 1}, {3, 7}, {10, 11}, {0, 11}, {5, 6}}
-		for _, pr := range pairs {
-			disks[pr[0]].Fail()
-			disks[pr[1]].Fail()
-			got := make([]byte, len(data))
-			if err := a.ReadAt(p, got, 4096); err != nil {
-				t.Errorf("double-degraded read (%v) failed: %v", pr, err)
-			} else if !bytes.Equal(got, data) {
-				t.Errorf("double-degraded read (%v) wrong data", pr)
-			}
-			disks[pr[0]].Repair()
-			disks[pr[1]].Repair()
-		}
-	})
-}
-
 func TestRAID5TripleFailureFails(t *testing.T) {
 	env := sim.NewEnv()
 	a, disks := newArray(t, env, RAID5, 5, 1<<20, 4096)
@@ -193,6 +169,68 @@ func TestRAID1MirrorRead(t *testing.T) {
 	})
 }
 
+// TestDegradedReadSkipsLostMember: a read that fails on a bad sector of
+// member x rebuilds its chunk from the other members alone, from the moment
+// the read would have started (when a 4 MB write already holding x ends).
+// A 16 MB write queued on x after the read arrived does not delay it.
+func TestDegradedReadSkipsLostMember(t *testing.T) {
+	const su = 64 << 10
+	env := sim.NewEnv()
+	t.Cleanup(env.Close)
+	a, disks := newArray(t, env, RAID5, 3, 64<<20, su)
+	data := patterned(su, 6)
+	x := a.dataDev(0, 0)
+	var queued time.Duration // when x's queue ends
+	inSim(t, env, func(p *sim.Proc) {
+		if err := a.WriteAt(p, data, 0); err != nil {
+			t.Fatalf("WriteAt: %v", err)
+		}
+		disks[x].CorruptSector(0)
+		start := p.Now()
+		held, err := disks[x].Book(blockdev.Access{Write: true, Off: 32 << 20, Buf: make([]byte, 4<<20)})
+		if err != nil {
+			t.Fatalf("holding write: %v", err)
+		}
+		env.Go("queue", func(qp *sim.Proc) {
+			qp.Sleep(time.Millisecond)
+			var err error
+			if queued, err = disks[x].Book(blockdev.Access{Write: true, Off: 40 << 20, Buf: make([]byte, 16<<20)}); err != nil {
+				t.Errorf("queued write: %v", err)
+			}
+		})
+		got := make([]byte, su)
+		if err := a.ReadAt(p, got, 0); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("degraded read: err=%v, bytes match %v", err, bytes.Equal(got, data))
+		}
+		end := p.Now()
+		t.Logf("x held until %v, queued until %v; the read ends at %v", held-start, queued-start, end-start)
+		if end < held || end >= queued {
+			t.Errorf("degraded read ends at %v, want after x's held write (%v) and before x's queue ends (%v)",
+				end-start, held-start, queued-start)
+		}
+	})
+}
+
+// TestRebuildSecondFailureFails: Rebuild of one member while another is
+// failed is beyond RAID-5 and returns ErrTooManyFailed.
+func TestRebuildSecondFailureFails(t *testing.T) {
+	env := sim.NewEnv()
+	a, disks := newArray(t, env, RAID5, 4, 256<<10, 4096)
+	inSim(t, env, func(p *sim.Proc) {
+		if err := a.WriteAt(p, patterned(150000, 5), 0); err != nil {
+			t.Fatalf("WriteAt: %v", err)
+		}
+		disks[1].Fail()
+		disks[2].Fail()
+		repl := blockdev.New(env, 256<<10, blockdev.SSDProfile())
+		if err := a.Rebuild(p, 2, repl); !errors.Is(err, ErrTooManyFailed) {
+			t.Errorf("Rebuild with a second failed member = %v, want ErrTooManyFailed", err)
+		}
+	})
+}
+
+// TestRebuildRAID5 rebuilds every member in turn: each holds parity in some
+// stripes and data in the others.
 func TestRebuildRAID5(t *testing.T) {
 	env := sim.NewEnv()
 	a, disks := newArray(t, env, RAID5, 4, 256<<10, 4096)
@@ -201,44 +239,13 @@ func TestRebuildRAID5(t *testing.T) {
 		if err := a.WriteAt(p, data, 0); err != nil {
 			t.Fatalf("WriteAt: %v", err)
 		}
-		disks[2].Fail()
-		repl := blockdev.New(env, 256<<10, blockdev.SSDProfile())
-		if err := a.Rebuild(p, 2, repl); err != nil {
-			t.Fatalf("Rebuild: %v", err)
-		}
-		// All disks healthy again (old failed one replaced): full read.
-		got := make([]byte, len(data))
-		if err := a.ReadAt(p, got, 0); err != nil {
-			t.Fatalf("ReadAt after rebuild: %v", err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Error("data mismatch after rebuild")
-		}
-		// Parity must also be consistent.
-		res, err := a.Scrub(p)
-		if err != nil {
-			t.Fatalf("Scrub: %v", err)
-		}
-		if len(res.Mismatches) != 0 {
-			t.Errorf("scrub found %d mismatches after rebuild", len(res.Mismatches))
-		}
-	})
-}
-
-func TestRebuildRAID6EveryPosition(t *testing.T) {
-	env := sim.NewEnv()
-	a, disks := newArray(t, env, RAID6, 5, 64<<10, 4096)
-	data := patterned(60000, 8)
-	inSim(t, env, func(p *sim.Proc) {
-		if err := a.WriteAt(p, data, 0); err != nil {
-			t.Fatalf("WriteAt: %v", err)
-		}
-		for idx := 0; idx < 5; idx++ {
-			disks[idx].Fail()
-			repl := blockdev.New(env, 64<<10, blockdev.SSDProfile())
+		for idx, d := range disks {
+			d.Fail()
+			repl := blockdev.New(env, 256<<10, blockdev.SSDProfile())
 			if err := a.Rebuild(p, idx, repl); err != nil {
 				t.Fatalf("Rebuild(%d): %v", idx, err)
 			}
+			// All disks healthy again (the failed one replaced): full read.
 			got := make([]byte, len(data))
 			if err := a.ReadAt(p, got, 0); err != nil {
 				t.Fatalf("ReadAt after rebuild(%d): %v", idx, err)
@@ -247,9 +254,13 @@ func TestRebuildRAID6EveryPosition(t *testing.T) {
 				t.Errorf("data mismatch after rebuilding disk %d", idx)
 			}
 		}
+		// Parity must also be consistent.
 		res, err := a.Scrub(p)
-		if err != nil || len(res.Mismatches) != 0 {
-			t.Errorf("scrub after rebuilds: %v mismatches=%d", err, len(res.Mismatches))
+		if err != nil {
+			t.Fatalf("Scrub: %v", err)
+		}
+		if len(res.Mismatches) != 0 {
+			t.Errorf("scrub found %d mismatches after rebuild", len(res.Mismatches))
 		}
 	})
 }
@@ -291,7 +302,6 @@ func TestUsableSize(t *testing.T) {
 	}{
 		{RAID1, 2, 1 << 20},
 		{RAID5, 7, 6 << 20},
-		{RAID6, 12, 10 << 20},
 	} {
 		a, _ := newArray(t, env, tc.level, tc.n, 1<<20, 64<<10)
 		if a.Size() != tc.want {
@@ -306,8 +316,11 @@ func TestTooFewDevices(t *testing.T) {
 	if _, err := New(env, RAID5, []blockdev.Device{d, d}, 0); !errors.Is(err, ErrTooFewDevices) {
 		t.Errorf("RAID5 with 2 devices: %v", err)
 	}
-	if _, err := New(env, RAID6, []blockdev.Device{d, d, d}, 0); !errors.Is(err, ErrTooFewDevices) {
-		t.Errorf("RAID6 with 3 devices: %v", err)
+	// Only RAID-1 and RAID-5 are built; Level(2) was RAID-6.
+	for _, l := range []Level{-1, 2, 3} {
+		if a, err := New(env, l, []blockdev.Device{d, d, d}, 0); err == nil {
+			t.Errorf("New(%s) = array of size %d, want an error", l, a.Size())
+		}
 	}
 }
 
@@ -463,13 +476,6 @@ func TestPartialWriteMemberTraffic(t *testing.T) {
 			{"5 chunks: reconstruct, 1 + 6", 0, 5 * su, traffic{7, su, 6 * su}},
 			{"5 chunks less 4K at each end: reconstruct, 3 + 6", 4096, 5*su - 8192, traffic{9, su + 8192, 6*su - 8192}},
 			{"full stripe: 0 + 7", 0, 6 * su, traffic{7, 0, 7 * su}},
-		}},
-		{RAID6, 6, []write{
-			{"4K: rmw on the tie, 3 + 3", 8192, 4096, traffic{6, 3 * 4096, 3 * 4096}},
-			{"one aligned chunk: rmw, 3 + 3", su, su, traffic{6, 3 * su, 3 * su}},
-			{"2 chunks: reconstruct, 2 + 4", 0, 2 * su, traffic{6, 2 * su, 4 * su}},
-			{"3 chunks: reconstruct, 1 + 5", su, 3 * su, traffic{6, su, 5 * su}},
-			{"full stripe: 0 + 6", 0, 4 * su, traffic{6, 0, 6 * su}},
 		}},
 	} {
 		t.Run(tc.level.String(), func(t *testing.T) {

@@ -13,10 +13,10 @@
 //
 //	sys, _ := ros.New(ros.Options{})
 //	sys.Do(func(p *sim.Proc) error {
-//	    if err := sys.FS.WriteFile(p, "/archive/report.pdf", data); err != nil {
+//	    if err := sys.Cluster.WriteFile(p, "/archive/report.pdf", data); err != nil {
 //	        return err
 //	    }
-//	    got, err := sys.FS.ReadFile(p, "/archive/report.pdf")
+//	    got, err := sys.Cluster.ReadFile(p, "/archive/report.pdf")
 //	    ...
 //	})
 //
