@@ -62,12 +62,12 @@ type Device interface {
 
 // Access is one request as Book takes it: a read fills Buf; a write stores
 // Buf, or, if Pieces is set, stores the lent pieces back to back, keeping
-// whole aligned chunks by reference (chunk.Store.Adopt).
+// whole aligned chunks, recipes among them, by reference (chunk.Store.Adopt).
 type Access struct {
 	Write  bool
 	Off    int64
 	Buf    []byte
-	Pieces [][]byte
+	Pieces []chunk.Piece
 }
 
 // Profile describes a device's performance envelope.
@@ -204,7 +204,7 @@ func (d *Disk) book(off, n int64, write bool) (time.Duration, error) {
 func (d *Disk) serve(a Access) (time.Duration, int64, error) {
 	n := int64(len(a.Buf))
 	for _, pc := range a.Pieces {
-		n += int64(len(pc))
+		n += int64(pc.Len())
 	}
 	t, err := d.book(a.Off, n, a.Write)
 	switch {
@@ -265,7 +265,7 @@ func (d *Disk) ReadAt(p *sim.Proc, buf []byte, off int64) error {
 // Lend is ReadAt without the copy: it charges the same read of [off, off+n)
 // and appends read-only pieces of the stored bytes to dst (chunk.Store.Lend),
 // so a disc can burn straight from the disk.
-func (d *Disk) Lend(p *sim.Proc, off, n int64, dst [][]byte) ([][]byte, error) {
+func (d *Disk) Lend(p *sim.Proc, off, n int64, dst []chunk.Piece) ([]chunk.Piece, error) {
 	t, err := d.book(off, n, false)
 	if err == nil {
 		dst = d.store.Lend(dst, off, n)
@@ -280,7 +280,7 @@ func (d *Disk) WriteAt(p *sim.Proc, buf []byte, off int64) error {
 
 // Adopt stores lent pieces back to back from off, keeping whole aligned
 // chunks by reference (chunk.Store.Adopt).
-func (d *Disk) Adopt(p *sim.Proc, off int64, pieces [][]byte) error {
+func (d *Disk) Adopt(p *sim.Proc, off int64, pieces []chunk.Piece) error {
 	return d.do(p, Access{Write: true, Off: off, Pieces: pieces})
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"ros/internal/chunk"
 	"ros/internal/sim"
 )
 
@@ -48,15 +49,15 @@ func (r *refDisk) WriteAt(p *sim.Proc, buf []byte, off int64) error {
 	return r.access(p, off, int64(len(buf)), true, func() { r.store.WriteAt(buf, off) })
 }
 
-func (r *refDisk) Adopt(p *sim.Proc, off int64, pieces [][]byte) error {
+func (r *refDisk) Adopt(p *sim.Proc, off int64, pieces []chunk.Piece) error {
 	n := int64(0)
 	for _, pc := range pieces {
-		n += int64(len(pc))
+		n += int64(pc.Len())
 	}
 	return r.access(p, off, n, true, func() { r.store.Adopt(off, pieces) })
 }
 
-func (r *refDisk) Lend(p *sim.Proc, off, n int64, dst [][]byte) ([][]byte, error) {
+func (r *refDisk) Lend(p *sim.Proc, off, n int64, dst []chunk.Piece) ([]chunk.Piece, error) {
 	err := r.access(p, off, n, false, func() { dst = r.store.Lend(dst, off, n) })
 	return dst, err
 }
@@ -65,8 +66,8 @@ func (r *refDisk) Lend(p *sim.Proc, off, n int64, dst [][]byte) ([][]byte, error
 type streamDev interface {
 	ReadAt(p *sim.Proc, buf []byte, off int64) error
 	WriteAt(p *sim.Proc, buf []byte, off int64) error
-	Adopt(p *sim.Proc, off int64, pieces [][]byte) error
-	Lend(p *sim.Proc, off, n int64, dst [][]byte) ([][]byte, error)
+	Adopt(p *sim.Proc, off int64, pieces []chunk.Piece) error
+	Lend(p *sim.Proc, off, n int64, dst []chunk.Piece) ([]chunk.Piece, error)
 }
 
 // clockStream runs a seeded op stream on an HDD and an SSD built by mk and
@@ -110,10 +111,12 @@ func clockStream(seed int64, mk func(env *sim.Env, size int64, prof Profile) (st
 						err = devs[d].ReadAt(sp, buf, off)
 						sum = crc32.ChecksumIEEE(buf)
 					case "lend":
-						var pieces [][]byte
+						var pieces []chunk.Piece
 						pieces, err = devs[d].Lend(sp, off, int64(size), nil)
 						for _, pc := range pieces {
-							sum = crc32.Update(sum, crc32.IEEETable, pc)
+							b := make([]byte, pc.Len())
+							pc.CopyTo(b)
+							sum = crc32.Update(sum, crc32.IEEETable, b)
 						}
 					default:
 						buf := make([]byte, size)
@@ -122,7 +125,7 @@ func clockStream(seed int64, mk func(env *sim.Env, size int64, prof Profile) (st
 							err = devs[d].WriteAt(sp, buf, off)
 						} else {
 							cut := rng.Intn(size)
-							err = devs[d].Adopt(sp, off, [][]byte{buf[:cut], buf[cut:]})
+							err = devs[d].Adopt(sp, off, []chunk.Piece{chunk.PieceOf(buf[:cut]), chunk.PieceOf(buf[cut:])})
 						}
 					}
 					lines[i] = append(lines[i], fmt.Sprintf("r%d p%d %s d%d %d+%d: end %v err %v sum %08x", round, i, kind, d, off, size, sp.Now(), err, sum))

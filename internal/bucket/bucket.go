@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"time"
 
+	"ros/internal/chunk"
 	"ros/internal/image"
 	"ros/internal/obs"
 	"ros/internal/pagecache"
@@ -80,7 +81,7 @@ func (b *Bucket) Backend() udf.Backend { return b.backend }
 
 // Lend hands out the slot's bytes [off, off+n) by reference
 // (pagecache.Volume.Lend), charged as a read: the burn source.
-func (b *Bucket) Lend(p *sim.Proc, off, n int64, dst [][]byte) ([][]byte, error) {
+func (b *Bucket) Lend(p *sim.Proc, off, n int64, dst []chunk.Piece) ([]chunk.Piece, error) {
 	if off < 0 || off+n > b.backend.Len {
 		return dst, fmt.Errorf("bucket: lend out of range (off=%d len=%d size=%d)", off, n, b.backend.Len)
 	}
@@ -89,11 +90,12 @@ func (b *Bucket) Lend(p *sim.Proc, off, n int64, dst [][]byte) ([][]byte, error)
 
 // Adopt stores pieces another store lent at slot offset off, keeping whole
 // chunks by reference (pagecache.Volume.Adopt), charged as a write: how a
-// cache fill lands a disc image.
-func (b *Bucket) Adopt(p *sim.Proc, off int64, pieces [][]byte) error {
+// cache fill lands a disc image, and how a parity slot takes P's recipes
+// (image.Adopter).
+func (b *Bucket) Adopt(p *sim.Proc, off int64, pieces []chunk.Piece) error {
 	n := int64(0)
 	for _, pc := range pieces {
-		n += int64(len(pc))
+		n += int64(pc.Len())
 	}
 	if off < 0 || off+n > b.backend.Len {
 		return fmt.Errorf("bucket: adopt out of range (off=%d len=%d size=%d)", off, n, b.backend.Len)

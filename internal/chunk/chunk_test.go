@@ -2,126 +2,290 @@ package chunk
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 )
 
-// held is a lend someone kept: the pieces, and the bytes they read as when
-// lent.
+// held is a lend or a recipe someone kept: the pieces, and the bytes they
+// read as when made.
 type held struct {
-	pieces [][]byte
+	pieces []Piece
 	want   []byte
 }
 
-func (h held) bytes() []byte { return bytes.Join(h.pieces, nil) }
+// reads reports whether the pieces read as want, using buf.
+func (h held) reads(buf []byte) bool {
+	at := 0
+	for _, pc := range h.pieces {
+		b := buf[:pc.Len()]
+		pc.CopyTo(b)
+		if !bytes.Equal(b, h.want[at:at+len(b)]) {
+			return false
+		}
+		at += len(b)
+	}
+	return at == len(h.want)
+}
+
+// picker draws the choices of an op sequence: from a seeded generator in
+// TestPropertyCopyOnWrite, from the fuzz input in FuzzCopyOnWrite.
+type picker interface{ intn(n int) int }
+
+type rngPicker struct{ *rand.Rand }
+
+func (r rngPicker) intn(n int) int { return r.Intn(n) }
+
+// bytePicker takes each choice from the next three bytes, zeros once they
+// run out.
+type bytePicker []byte
+
+func (b *bytePicker) intn(n int) int {
+	v := 0
+	for i := 0; i < 3 && len(*b) > 0; i++ {
+		v = v<<8 | int((*b)[0])
+		*b = (*b)[1:]
+	}
+	return v % n
+}
+
+const cowSize = 5 * Size
+
+// cow is the copy-on-write property's state: three stores, one plain slice
+// per store that it must read as, and the lends and recipes held.
+type cow struct {
+	pick   picker
+	stores []*Store
+	models [][]byte
+	holds  []held
+	buf    []byte // check's
+}
+
+func newCow(pick picker) *cow {
+	c := &cow{pick: pick, buf: make([]byte, cowSize)}
+	for range 3 {
+		c.stores, c.models = append(c.stores, &Store{}), append(c.models, make([]byte, cowSize))
+	}
+	return c
+}
+
+// span picks a range: a whole aligned chunk or more half the time,
+// otherwise anything.
+func (c *cow) span() (int64, int64) {
+	if c.pick.intn(2) == 0 {
+		first, n := c.pick.intn(cowSize/Size), 1+c.pick.intn(2)
+		n = min(n, cowSize/Size-first)
+		return int64(first) * Size, int64(n) * Size
+	}
+	n := 1 + c.pick.intn(2*Size)
+	return int64(c.pick.intn(cowSize - n + 1)), int64(n)
+}
+
+// at picks where n bytes go: a chunk boundary two times in three, else
+// anywhere they fit.
+func (c *cow) at(n int) int64 {
+	if c.pick.intn(3) > 0 {
+		return int64(c.pick.intn((cowSize-n)/Size+1)) * Size
+	}
+	return int64(c.pick.intn(cowSize - n + 1))
+}
+
+// fill returns n bytes: zeros one time in four (which a fresh chunk does not
+// store), else a seeded pattern.
+func (c *cow) fill(n int64) []byte {
+	b := make([]byte, n)
+	if c.pick.intn(4) > 0 {
+		x := uint64(c.pick.intn(1<<24)) | 1
+		for i := range b {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			b[i] = byte(x)
+		}
+	}
+	return b
+}
+
+func (c *cow) hold(h held) {
+	if len(c.holds) == 12 {
+		c.holds = c.holds[1:]
+	}
+	c.holds = append(c.holds, h)
+}
+
+// lend lends [off, off+n) of store i and what it must read as.
+func (c *cow) lend(i int, off, n int64) held {
+	return held{pieces: c.stores[i].Lend(nil, off, n), want: append([]byte(nil), c.models[i][off:off+n]...)}
+}
+
+func (c *cow) adopt(o int, off int64, h held) {
+	if off+int64(len(h.want)) > cowSize {
+		off = cowSize - int64(len(h.want))
+	}
+	c.stores[o].Adopt(off, h.pieces)
+	copy(c.models[o][off:], h.want)
+}
+
+// recipe builds a recipe of n bytes over one to three sources, each lent by
+// a store other than o (whole or short, from a chunk boundary or not) or a
+// zero piece, and what it must read as: their XOR, each zero-extended.
+func (c *cow) recipe(o int) held {
+	n := Size
+	switch c.pick.intn(4) {
+	case 0:
+		n = 1 + c.pick.intn(Size)
+	case 1:
+		n = 2 * Size
+	}
+	want := make([]byte, n)
+	srcs := make([][]Piece, 1+c.pick.intn(3))
+	for i := range srcs {
+		m := n
+		if c.pick.intn(2) == 0 {
+			m = 1 + c.pick.intn(n)
+		}
+		if c.pick.intn(4) == 0 {
+			srcs[i] = new(Store).Lend(nil, 0, int64(m))
+			continue
+		}
+		h := c.lend((o+1+c.pick.intn(len(c.stores)-1))%len(c.stores), c.at(m), int64(m))
+		for j, v := range h.want {
+			want[j] ^= v
+		}
+		srcs[i] = h.pieces
+	}
+	return held{pieces: XOR(nil, n, srcs), want: want}
+}
+
+// step runs one op on a store and returns the op's name and the store's
+// index.
+func (c *cow) step() (string, int) {
+	o := c.pick.intn(len(c.stores))
+	s, m := c.stores[o], c.models[o]
+	switch r := c.pick.intn(15); {
+	case r < 3:
+		off, n := c.span()
+		b := c.fill(n)
+		s.WriteAt(b, off)
+		copy(m[off:], b)
+		return "write", o
+	case r < 5:
+		off, n := c.span()
+		c.hold(c.lend(o, off, n))
+		return "lend and hold", o
+	case r < 7:
+		src := c.pick.intn(len(c.stores))
+		off, n := c.span()
+		h := c.lend(src, off, n)
+		dst := off // the same alignment as the lender's
+		if c.pick.intn(3) == 0 {
+			dst = int64(c.pick.intn(cowSize))
+		}
+		c.adopt(o, dst, h)
+		return "adopt a fresh lend", o
+	case r < 8 && len(c.holds) > 0:
+		c.adopt(o, int64(c.pick.intn(cowSize/Size))*Size, c.holds[c.pick.intn(len(c.holds))])
+		return "adopt a held lend", o
+	case r < 10:
+		off := int64(c.pick.intn(cowSize))
+		s.FlipByte(off)
+		m[off] ^= 0xFF
+		return "flip", o
+	case r < 11:
+		off := int64(c.pick.intn(cowSize))
+		s.Truncate(off)
+		clear(m[off:])
+		return "truncate", o
+	case r < 12:
+		s.Truncate(0)
+		clear(m)
+		off, n := c.span()
+		b := c.fill(n)
+		s.WriteAt(b, off)
+		copy(m[off:], b)
+		return "recycle and rewrite", o
+	case r < 14:
+		h := c.recipe(o)
+		c.hold(h)
+		c.adopt(o, c.at(len(h.want)), h)
+		return "adopt a recipe", o
+	default:
+		// Lend a recipe chunk of another store on, whole or a window of it.
+		src := (o + 1 + c.pick.intn(len(c.stores)-1)) % len(c.stores)
+		var recipes []int64
+		for ci := int64(0); ci < cowSize/Size; ci++ {
+			if c.stores[src].chunks[ci].r != nil {
+				recipes = append(recipes, ci)
+			}
+		}
+		if len(recipes) == 0 {
+			return "pass no recipe on", o
+		}
+		off, n := recipes[c.pick.intn(len(recipes))]*Size, int64(Size)
+		if c.pick.intn(3) == 0 {
+			lo := int64(c.pick.intn(Size))
+			off, n = off+lo, 1+int64(c.pick.intn(Size-int(lo)))
+		}
+		h := c.lend(src, off, n)
+		c.hold(h)
+		c.adopt(o, c.at(int(n)), h)
+		return "pass a recipe on", o
+	}
+}
+
+// check reports the first store that differs from its model, or held lend
+// or recipe that no longer reads as it did when made.
+func (c *cow) check() error {
+	for i, s := range c.stores {
+		s.ReadAt(c.buf, 0)
+		if !bytes.Equal(c.buf, c.models[i]) {
+			return fmt.Errorf("store %d differs from its model", i)
+		}
+	}
+	for i, h := range c.holds {
+		if !h.reads(c.buf) {
+			return fmt.Errorf("held lend or recipe %d changed", i)
+		}
+	}
+	return nil
+}
 
 // TestPropertyCopyOnWrite drives three stores through random writes, lends
 // that are held, adoptions (whole chunks by reference, other pieces by copy),
+// recipes over pieces the other stores lend (short and zero pieces among
+// them) that are held and adopted, recipes lent on and adopted elsewhere,
 // flips, truncations and recycle-then-rewrite, against one plain slice per
 // store. After every step each store reads exactly its slice, and every held
-// lend still reads as it did when lent: no owner ever sees another owner's
-// later write or flip.
+// lend and recipe still reads as it did when made: no owner ever sees
+// another owner's later write or flip, and a recipe reads the bytes it was
+// made from, zero-extended, whatever its sources' stores do afterwards.
 func TestPropertyCopyOnWrite(t *testing.T) {
-	const size = 5 * Size
 	for seed := int64(1); seed <= 4; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		stores := make([]*Store, 3)
-		models := make([][]byte, 3)
-		for i := range stores {
-			stores[i], models[i] = &Store{}, make([]byte, size)
-		}
-		var holds []held
-		// span picks a range: a whole aligned chunk or more half the time,
-		// otherwise anything.
-		span := func() (int64, int64) {
-			if rng.Intn(2) == 0 {
-				first, n := rng.Intn(size/Size), 1+rng.Intn(2)
-				n = min(n, size/Size-first)
-				return int64(first) * Size, int64(n) * Size
-			}
-			n := 1 + rng.Intn(2*Size)
-			return int64(rng.Intn(size - n + 1)), int64(n)
-		}
-		fill := func(n int64) []byte {
-			b := make([]byte, n)
-			if rng.Intn(4) > 0 { // else zeros, which a fresh chunk does not store
-				rng.Read(b)
-			}
-			return b
-		}
-		adopt := func(o int, off int64, h held) {
-			if off+int64(len(h.want)) > size {
-				off = size - int64(len(h.want))
-			}
-			stores[o].Adopt(off, h.pieces)
-			copy(models[o][off:], h.want)
-		}
-		for op := 0; op < 300; op++ {
-			o := rng.Intn(len(stores))
-			s, m := stores[o], models[o]
-			what := ""
-			switch r := rng.Intn(12); {
-			case r < 3:
-				what = "write"
-				off, n := span()
-				b := fill(n)
-				s.WriteAt(b, off)
-				copy(m[off:], b)
-			case r < 5:
-				what = "lend and hold"
-				off, n := span()
-				h := held{pieces: s.Lend(nil, off, n), want: append([]byte(nil), m[off:off+n]...)}
-				if len(holds) == 8 {
-					holds = holds[1:]
-				}
-				holds = append(holds, h)
-			case r < 7:
-				what = "adopt a fresh lend"
-				src := rng.Intn(len(stores))
-				off, n := span()
-				h := held{pieces: stores[src].Lend(nil, off, n), want: append([]byte(nil), models[src][off:off+n]...)}
-				dst := off // the same alignment as the lender's
-				if rng.Intn(3) == 0 {
-					dst = int64(rng.Intn(size))
-				}
-				adopt(o, dst, h)
-			case r < 8 && len(holds) > 0:
-				what = "adopt a held lend"
-				adopt(o, int64(rng.Intn(size/Size))*Size, holds[rng.Intn(len(holds))])
-			case r < 10:
-				what = "flip"
-				off := int64(rng.Intn(size))
-				s.FlipByte(off)
-				m[off] ^= 0xFF
-			case r < 11:
-				what = "truncate"
-				off := int64(rng.Intn(size))
-				s.Truncate(off)
-				clear(m[off:])
-			default:
-				what = "recycle and rewrite"
-				s.Truncate(0)
-				clear(m)
-				off, n := span()
-				b := fill(n)
-				s.WriteAt(b, off)
-				copy(m[off:], b)
-			}
-			got := make([]byte, size)
-			for i := range stores {
-				stores[i].ReadAt(got, 0)
-				if !bytes.Equal(got, models[i]) {
-					t.Fatalf("seed %d, op %d (%s on store %d): store %d differs from its model", seed, op, what, o, i)
-				}
-			}
-			for i, h := range holds {
-				if !bytes.Equal(h.bytes(), h.want) {
-					t.Fatalf("seed %d, op %d (%s on store %d): held lend %d changed", seed, op, what, o, i)
-				}
+		c := newCow(rngPicker{rand.New(rand.NewSource(seed))})
+		for op := 0; op < 400; op++ {
+			what, o := c.step()
+			if err := c.check(); err != nil {
+				t.Fatalf("seed %d, op %d (%s on store %d): %v", seed, op, what, o, err)
 			}
 		}
 	}
+}
+
+// FuzzCopyOnWrite is the property with its choices taken from the input.
+func FuzzCopyOnWrite(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0, 0, 13, 0, 0, 1}, 20))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		pick := bytePicker(in)
+		c := newCow(&pick)
+		for op := 0; len(pick) > 0 && op < 100; op++ {
+			what, o := c.step()
+			if err := c.check(); err != nil {
+				t.Fatalf("op %d (%s on store %d): %v", op, what, o, err)
+			}
+		}
+	})
 }
 
 // TestAdoptSharesWholeChunks pins what the property cannot see: adopting
@@ -140,5 +304,32 @@ func TestAdoptSharesWholeChunks(t *testing.T) {
 	}
 	if b.Bytes() != 3*Size {
 		t.Errorf("store holds %d bytes after adopting 3 chunks and a zero one, want %d", b.Bytes(), 3*Size)
+	}
+}
+
+// TestRecipeCostsNoChunk pins the other half: a recipe is kept, lent on and
+// adopted again without a chunk of bytes, and reading it allocates nothing.
+func TestRecipeCostsNoChunk(t *testing.T) {
+	var a, b, par, next Store
+	a.WriteAt(bytes.Repeat([]byte{0x0F}, 4*Size), 0)
+	b.WriteAt(bytes.Repeat([]byte{0xF0}, 3*Size+100), 0) // one whole chunk short, then 100 bytes
+	srcs := [][]Piece{a.Lend(nil, 0, 4*Size), b.Lend(nil, 0, 3*Size+100)}
+	buf := make([]byte, 4*Size)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	par.Adopt(0, XOR(nil, 4*Size, srcs))
+	next.Adopt(Size, par.Lend(nil, 0, 4*Size)[:3])
+	next.ReadAt(buf[:3*Size], Size)
+	par.ReadAt(buf, 0)
+	runtime.ReadMemStats(&m1)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got >= Size {
+		t.Errorf("a 4-chunk recipe, lent on and read, allocated %d bytes", got)
+	}
+	if par.Bytes() != 0 || next.Bytes() != 0 {
+		t.Errorf("recipe stores hold %d and %d bytes of chunks, want none", par.Bytes(), next.Bytes())
+	}
+	want := append(bytes.Repeat([]byte{0xFF}, 3*Size+100), bytes.Repeat([]byte{0x0F}, Size-100)...)
+	if !bytes.Equal(buf, want) {
+		t.Error("the recipe does not read as its sources' XOR, the short one zero-extended")
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"slices"
 
+	"ros/internal/chunk"
 	"ros/internal/rack"
 	"ros/internal/raid"
 	"ros/internal/sim"
@@ -300,12 +301,28 @@ var (
 
 const parityChunk = 1 << 20
 
-// Strips is a free list of the 1 MB strip buffers GenerateParity works in,
-// for a caller that runs it again and again (olfs keeps one per FS). The zero
-// value is ready to use. Calls on one sim.Env may overlap — exactly one
-// process runs at a time, and a buffer goes back on the list only when its
-// call is done with it (see Backend for why that is at return) — but a Strips
-// must not be shared between environments.
+// Lender is a data image as GenerateParity takes it: Lend appends read-only
+// pieces of bytes [off, off+n) to dst at the charge of a ReadAt of the same
+// range (chunk.Store.Lend), and the image reads as zeros from Size on.
+type Lender interface {
+	Lend(p *sim.Proc, off, n int64, dst []chunk.Piece) ([]chunk.Piece, error)
+	Size() int64
+}
+
+// Adopter is the P image as GenerateParity writes it: Adopt stores pieces
+// back to back from off at the charge of a WriteAt of the same range,
+// keeping whole aligned chunks, recipes among them, by reference
+// (chunk.Store.Adopt).
+type Adopter interface {
+	Adopt(p *sim.Proc, off int64, pieces []chunk.Piece) error
+}
+
+// Strips is a free list of the 1 MB strip buffers GenerateParity computes a
+// Q image in, for a caller that runs it again and again (olfs keeps one per
+// FS). The zero value is ready to use. Calls on one sim.Env may overlap —
+// exactly one process runs at a time, and a buffer goes back on the list
+// only when its call is done with it (see Backend for why that is at return)
+// — but a Strips must not be shared between environments.
 type Strips struct{ free [][]byte }
 
 func (s *Strips) get() []byte {
@@ -317,14 +334,88 @@ func (s *Strips) get() []byte {
 	return make([]byte, parityChunk)
 }
 
-// put takes strips back; a nil one (the Q accumulator of a RAID-5 call) is
-// skipped.
-func (s *Strips) put(strips ...[]byte) {
-	for _, b := range strips {
-		if b != nil {
-			s.free = append(s.free, b)
+// GenerateParity builds parity image(s) from data images (§4.7, delayed
+// parity generation). One parity image gives RAID-5 (P = XOR); two give
+// RAID-6 (P + Q with GF(2^8) coefficients g^col). length is the image size;
+// each data image is lent in 1 MB strips up to its own size, past which it
+// reads as zeros (a shorter image lends nothing there and is charged
+// nothing), and P is written by adopting chunk.XOR's recipes over the lent
+// pieces, so no P byte is computed until something reads it. Q is computed
+// from the same pieces into a strip and written by WriteAt. Each strip
+// charges one read per data image and one write per parity image, as ReadAt
+// and WriteAt would (the four-stream interference of §4.7).
+func (s *Strips) GenerateParity(p *sim.Proc, data []Lender, pImg Adopter, qImg Backend, length int64) error {
+	// What each data image lends of a strip, and the strip's P: one piece a
+	// chunk when the images are chunk aligned.
+	const per = parityChunk / chunk.Size
+	cols := make([][]chunk.Piece, len(data))
+	for i := range cols {
+		cols[i] = make([]chunk.Piece, 0, per)
+	}
+	pcs := make([]chunk.Piece, 0, per)
+	var buf, qAcc []byte
+	if qImg != nil {
+		buf, qAcc = s.get(), s.get()
+		defer func() { s.free = append(s.free, buf, qAcc) }()
+	}
+	for off := int64(0); off < length; off += parityChunk {
+		n := min(parityChunk, length-off)
+		for col, d := range data {
+			cols[col] = cols[col][:0]
+			if m := min(n, d.Size()-off); m > 0 {
+				var err error
+				if cols[col], err = d.Lend(p, off, m, cols[col]); err != nil {
+					return fmt.Errorf("image: parity read col %d: %w", col, err)
+				}
+			}
+		}
+		pcs = chunk.XOR(pcs[:0], int(n), cols)
+		if err := pImg.Adopt(p, off, pcs); err != nil {
+			return fmt.Errorf("image: parity write P: %w", err)
+		}
+		if qImg == nil {
+			continue
+		}
+		clear(qAcc[:n])
+		for col, pieces := range cols {
+			at := 0
+			for _, pc := range pieces {
+				pc.CopyTo(buf[at:])
+				at += pc.Len()
+			}
+			raid.Fold(col, buf[:at], nil, qAcc)
+		}
+		if err := qImg.WriteAt(p, qAcc[:n], off); err != nil {
+			return fmt.Errorf("image: parity write Q: %w", err)
 		}
 	}
+	return nil
+}
+
+// GenerateParity is Strips.GenerateParity on a one-shot Strips, for data
+// images that lend (Lender) and a P image that adopts (Adopter), such as
+// blockdev.Disk.
+func GenerateParity(p *sim.Proc, data []Backend, parity []Backend, length int64) error {
+	if len(parity) < 1 || len(parity) > 2 {
+		return ErrParityCount
+	}
+	src := make([]Lender, len(data))
+	for i, d := range data {
+		l, ok := d.(Lender)
+		if !ok {
+			return fmt.Errorf("image: data image %d does not lend", i)
+		}
+		src[i] = l
+	}
+	pImg, ok := parity[0].(Adopter)
+	if !ok {
+		return errors.New("image: P image does not adopt")
+	}
+	var qImg Backend
+	if len(parity) == 2 {
+		qImg = parity[1]
+	}
+	return new(Strips).GenerateParity(p, src, pImg, qImg, length)
 }
 
 // accumulate reads strip [off, off+n) of every data image and leaves P in
@@ -354,43 +445,6 @@ func accumulate(p *sim.Proc, data []Backend, off int64, n int, buf, pAcc, qAcc [
 		raid.Fold(col, buf[:n], pAcc, qAcc)
 	}
 	return 0, nil
-}
-
-// GenerateParity builds parity image(s) from data images (§4.7, delayed
-// parity generation). One parity image gives RAID-5 (P = XOR); two give
-// RAID-6 (P + Q with GF(2^8) coefficients g^col). length is the image size;
-// the data backends are read and parity backends written in 1 MB strips,
-// charging real I/O time on both (the four-stream interference of §4.7).
-func (s *Strips) GenerateParity(p *sim.Proc, data []Backend, parity []Backend, length int64) error {
-	if len(parity) < 1 || len(parity) > 2 {
-		return ErrParityCount
-	}
-	buf, pAcc := s.get(), s.get()
-	var qAcc []byte
-	if len(parity) == 2 {
-		qAcc = s.get()
-	}
-	defer s.put(buf, pAcc, qAcc)
-	for off := int64(0); off < length; off += parityChunk {
-		n := int(min(parityChunk, length-off))
-		if col, err := accumulate(p, data, off, n, buf, pAcc, qAcc); err != nil {
-			return fmt.Errorf("image: parity read col %d: %w", col, err)
-		}
-		if err := parity[0].WriteAt(p, pAcc[:n], off); err != nil {
-			return fmt.Errorf("image: parity write P: %w", err)
-		}
-		if qAcc != nil {
-			if err := parity[1].WriteAt(p, qAcc[:n], off); err != nil {
-				return fmt.Errorf("image: parity write Q: %w", err)
-			}
-		}
-	}
-	return nil
-}
-
-// GenerateParity is Strips.GenerateParity on one-shot strip buffers.
-func GenerateParity(p *sim.Proc, data []Backend, parity []Backend, length int64) error {
-	return new(Strips).GenerateParity(p, data, parity, length)
 }
 
 // VerifyParity re-reads all images one column at a time and checks P (and

@@ -2,9 +2,11 @@ package image
 
 import (
 	"bytes"
+	"crypto/subtle"
 	"errors"
 	"maps"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -12,7 +14,9 @@ import (
 	"encoding/json"
 
 	"ros/internal/blockdev"
+	"ros/internal/chunk"
 	"ros/internal/rack"
+	"ros/internal/raid"
 	"ros/internal/sim"
 )
 
@@ -525,4 +529,97 @@ func TestUsedTraysOrder(t *testing.T) {
 	if got := c.Trays(DAFailed); !slices.Equal(got, failed) {
 		t.Errorf("Trays(DAFailed) = %v, want %v", got, failed)
 	}
+}
+
+// TestGenerateParityAllocBudget: P is adopted as recipes over the chunks the
+// data images lend (chunk.XOR), so generating it over two chunk-aligned 4 MB
+// images allocates less than one chunk. Computing it would allocate at least
+// the 4 MB of parity.
+func TestGenerateParityAllocBudget(t *testing.T) {
+	const size = 4 << 20
+	env := sim.NewEnv()
+	rng := rand.New(rand.NewPCG(1, 2))
+	data := []Backend{mem(env, size), mem(env, size)}
+	pty := mem(env, size)
+	var before, after runtime.MemStats
+	env.Go("t", func(p *sim.Proc) {
+		want := make([]byte, size)
+		for _, d := range data {
+			b := make([]byte, size)
+			for i := range b {
+				b[i] = byte(rng.Uint32())
+			}
+			subtle.XORBytes(want, want, b)
+			if err := d.WriteAt(p, b, 0); err != nil {
+				t.Fatalf("seed: %v", err)
+			}
+		}
+		runtime.ReadMemStats(&before)
+		if err := GenerateParity(p, data, []Backend{pty}, size); err != nil {
+			t.Fatalf("GenerateParity: %v", err)
+		}
+		runtime.ReadMemStats(&after)
+		got := make([]byte, size)
+		if err := pty.ReadAt(p, got, 0); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("P does not read as the XOR of the data images (err %v)", err)
+		}
+	})
+	env.Run()
+	if got := after.TotalAlloc - before.TotalAlloc; got >= chunk.Size {
+		t.Errorf("GenerateParity over two 4 MB images allocated %d B, budget is under one chunk (%d B)", got, chunk.Size)
+	} else {
+		t.Logf("GenerateParity over two 4 MB images: %d B", got)
+	}
+}
+
+// usedRange is a data image of n bytes over a larger disk, whose bytes past
+// n are stale: a shorter image in a recycled buffer slot.
+type usedRange struct {
+	*blockdev.Disk
+	n int64
+}
+
+func (u usedRange) Size() int64 { return u.n }
+
+// TestGenerateParityZeroExtends: a data image shorter than the parity length
+// reads as zeros past its Size, whatever its backing store holds there, and
+// is lent (and charged) only up to it. That holds for P, whose last partial
+// chunk is computed, and for Q.
+func TestGenerateParityZeroExtends(t *testing.T) {
+	const length, short = 3<<20 + 4096, 1<<20 + 70000
+	env := sim.NewEnv()
+	long, stale := mem(env, length), mem(env, length)
+	pP, pQ := mem(env, length), mem(env, length)
+	env.Go("t", func(p *sim.Proc) {
+		a, b := bytes.Repeat([]byte{0x5A}, length), bytes.Repeat([]byte{0xC3}, length)
+		if err := long.WriteAt(p, a, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := stale.WriteAt(p, b, 0); err != nil {
+			t.Fatal(err)
+		}
+		readBefore := stale.BytesRead
+		data := []Lender{long, usedRange{stale, short}}
+		if err := new(Strips).GenerateParity(p, data, pP, pQ, length); err != nil {
+			t.Fatalf("GenerateParity: %v", err)
+		}
+		if got := stale.BytesRead - readBefore; got != short {
+			t.Errorf("the short image was charged %d bytes of reads, want %d", got, short)
+		}
+		clear(b[short:])
+		wantP, wantQ := make([]byte, length), make([]byte, length)
+		raid.Fold(0, a, wantP, wantQ)
+		raid.Fold(1, b, wantP, wantQ)
+		for _, c := range []struct {
+			name string
+			d    *blockdev.Disk
+			want []byte
+		}{{"P", pP, wantP}, {"Q", pQ, wantQ}} {
+			got := make([]byte, length)
+			if err := c.d.ReadAt(p, got, 0); err != nil || !bytes.Equal(got, c.want) {
+				t.Errorf("%s is not computed over the short image zero-extended (err %v)", c.name, err)
+			}
+		}
+	})
+	env.Run()
 }

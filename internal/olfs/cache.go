@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"ros/internal/bucket"
+	"ros/internal/chunk"
 	"ros/internal/image"
 	"ros/internal/optical"
 	"ros/internal/sched"
@@ -106,7 +107,7 @@ func (fs *FS) fill(src *partSource, ids []image.ID) {
 func (fs *FS) copyDisc(p *sim.Proc, gi int, epoch uint64, addr image.DiscAddr, class sched.Class, dst *bucket.Bucket) error {
 	live := func() bool { return fs.groupEpoch[gi] == epoch && fs.holds(gi, addr.Tray) }
 	view := optical.ImageView{Drive: fs.lib.Groups[gi].Drives[addr.Pos]}
-	var pieces [][]byte
+	var pieces []chunk.Piece
 	for off := int64(0); off < addr.Len; off += fillChunk {
 		if !live() {
 			// Gone already: do not queue for a read slot on its group.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ros/internal/bucket"
+	"ros/internal/chunk"
 	"ros/internal/image"
 	"ros/internal/optical"
 	"ros/internal/rack"
@@ -38,50 +39,23 @@ type burnProg struct {
 	done    bool  // this position's burn completed
 }
 
-// offsetSource lends a bucket's payload to a burn, continuing at base.
+// offsetSource lends a bucket's bytes [base, base+size): the payload a burn
+// continues at base, or, from 0, the data image parity is generated over. A
+// recycled slot can hold stale bytes from its previous tenant past the
+// image's payload, but the burned disc reads zeros past its watermark, so
+// neither the burn nor parity may see them: parity reads zeros past Size
+// (image.Lender), or scrub of any mixed-length set would flag phantom
+// mismatches forever.
 type offsetSource struct {
 	b    *bucket.Bucket
 	base int64
 	size int64
 }
 
-func (s offsetSource) Lend(p *sim.Proc, off, n int64, dst [][]byte) ([][]byte, error) {
+func (s offsetSource) Lend(p *sim.Proc, off, n int64, dst []chunk.Piece) ([]chunk.Piece, error) {
 	return s.b.Lend(p, s.base+off, n, dst)
 }
 func (s offsetSource) Size() int64 { return s.size }
-
-// zeroTail views a bucket backend as exactly limit payload bytes: reads past
-// the limit return zeros. A recycled buffer slot can hold stale bytes from
-// its previous tenant beyond the current image's payload, but the burned
-// disc reads zeros past the image's watermark — so parity must be computed
-// over zeros there too, or scrub verification of any mixed-length set would
-// flag phantom mismatches forever.
-type zeroTail struct {
-	b     image.Backend
-	limit int64
-}
-
-func (z zeroTail) ReadAt(p *sim.Proc, buf []byte, off int64) error {
-	n := int64(len(buf))
-	keep := int64(0)
-	if off < z.limit {
-		keep = z.limit - off
-		if keep > n {
-			keep = n
-		}
-		if err := z.b.ReadAt(p, buf[:keep], off); err != nil {
-			return err
-		}
-	}
-	clear(buf[keep:])
-	return nil
-}
-
-func (z zeroTail) WriteAt(p *sim.Proc, buf []byte, off int64) error {
-	return z.b.WriteAt(p, buf, off)
-}
-
-func (z zeroTail) Size() int64 { return z.limit }
 
 // usedBytes returns the payload size of an image bucket, 2 KB aligned.
 func usedBytes(b *bucket.Bucket) int64 {
@@ -326,12 +300,11 @@ func (fs *FS) generateParity(p *sim.Proc, t *burnTask) (err error) {
 	op := fs.tracer.StartOp(p, "olfs.parity", "burn")
 	defer func() { op.Finish(p, err) }()
 	length := int64(0)
-	data := make([]image.Backend, len(t.images))
+	data := make([]image.Lender, len(t.images))
 	for i, b := range t.images {
-		data[i] = zeroTail{b: b.Backend(), limit: usedBytes(b)}
-		if u := usedBytes(b); u > length {
-			length = u
-		}
+		u := usedBytes(b)
+		data[i] = offsetSource{b: b, size: u}
+		length = max(length, u)
 	}
 	if length == 0 {
 		length = udf.BlockSize
@@ -344,6 +317,9 @@ func (fs *FS) generateParity(p *sim.Proc, t *burnTask) (err error) {
 		}
 		t.parity = nil
 	}
+	if fs.cfg.ParityDiscs > 2 {
+		return image.ErrParityCount
+	}
 	for i := 0; i < fs.cfg.ParityDiscs; i++ {
 		pb, err := fs.Buckets.OpenRaw(p, length)
 		if err != nil {
@@ -352,11 +328,11 @@ func (fs *FS) generateParity(p *sim.Proc, t *burnTask) (err error) {
 		}
 		t.parity = append(t.parity, pb)
 	}
-	par := make([]image.Backend, len(t.parity))
-	for i, b := range t.parity {
-		par[i] = b.Backend()
+	var q image.Backend
+	if len(t.parity) == 2 {
+		q = t.parity[1].Backend()
 	}
-	if err := fs.strips.GenerateParity(p, data, par, length); err != nil {
+	if err := fs.strips.GenerateParity(p, data, t.parity[0], q, length); err != nil {
 		discard()
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	"ros/internal/chunk"
 	"ros/internal/faultinject"
 	"ros/internal/obs"
 	"ros/internal/sim"
@@ -143,7 +144,7 @@ type BurnReport struct {
 // that cover image bytes [off, off+n) in order; the disc keeps them
 // (chunk.Store.Adopt), and the source must not write to them afterwards.
 type BurnSource interface {
-	Lend(p *sim.Proc, off, n int64, dst [][]byte) ([][]byte, error)
+	Lend(p *sim.Proc, off, n int64, dst []chunk.Piece) ([]chunk.Piece, error)
 	Size() int64
 }
 
@@ -168,7 +169,7 @@ type Drive struct {
 	st stretch
 	// lent collects the pieces one burn quantum borrows from its source;
 	// reused from quantum to quantum.
-	lent [][]byte
+	lent []chunk.Piece
 
 	// Stats.
 	BytesBurned int64
@@ -670,7 +671,7 @@ func (dr *Drive) ReadAt(p *sim.Proc, buf []byte, off int64) error {
 // Lend is ReadAt without the copy: the same charges and fault points, then
 // read-only pieces of the disc's bytes [off, off+n) are appended to dst
 // (chunk.Store.Lend). A cache fill lends a disc image into a buffer slot.
-func (dr *Drive) Lend(p *sim.Proc, off, n int64, dst [][]byte) ([][]byte, error) {
+func (dr *Drive) Lend(p *sim.Proc, off, n int64, dst []chunk.Piece) ([]chunk.Piece, error) {
 	err := dr.read(p, off, n, func(d *Disc) (err error) {
 		dst, err = d.lend(dst, off, n)
 		return err
@@ -814,7 +815,7 @@ func (v ImageView) ReadAt(p *sim.Proc, buf []byte, off int64) error {
 
 // Lend lends image bytes [off, off+n) through Drive.Lend, track by track.
 // The range must lie on burned tracks.
-func (v ImageView) Lend(p *sim.Proc, off, n int64, dst [][]byte) ([][]byte, error) {
+func (v ImageView) Lend(p *sim.Proc, off, n int64, dst []chunk.Piece) ([]chunk.Piece, error) {
 	done, err := v.tracks(off, n, func(discOff, _, m int64) (err error) {
 		dst, err = v.Drive.Lend(p, discOff, m, dst)
 		return err

@@ -164,7 +164,7 @@ func (d *Disc) beginTrack(dataLen int64) (int64, error) {
 // burnBytes appends n bytes of lent pieces at the current watermark and
 // keeps them (chunk.Store.Adopt). Only the Drive calls this; WORM is enforced
 // by construction (no overwrite API exists).
-func (d *Disc) burnBytes(pieces [][]byte, n int64) error {
+func (d *Disc) burnBytes(pieces []chunk.Piece, n int64) error {
 	if d.written+n > d.Capacity() {
 		return ErrDiscFull
 	}
@@ -219,7 +219,7 @@ func (d *Disc) readAt(buf []byte, off int64) error {
 }
 
 // lend appends read-only pieces of [off, off+n) to dst, under readAt's checks.
-func (d *Disc) lend(dst [][]byte, off, n int64) ([][]byte, error) {
+func (d *Disc) lend(dst []chunk.Piece, off, n int64) ([]chunk.Piece, error) {
 	if err := d.readable(off, n); err != nil {
 		return dst, err
 	}

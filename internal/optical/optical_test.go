@@ -27,13 +27,13 @@ func patterned(n int, seed byte) []byte {
 	return b
 }
 
-func (m memSource) Lend(p *sim.Proc, off, n int64, dst [][]byte) ([][]byte, error) {
+func (m memSource) Lend(p *sim.Proc, off, n int64, dst []chunk.Piece) ([]chunk.Piece, error) {
 	if off+n > int64(len(m)) {
 		return dst, errors.New("memSource: out of range")
 	}
 	for end := off + n; off < end; {
 		next := min((off/chunk.Size+1)*chunk.Size, end)
-		dst = append(dst, m[off:next:next])
+		dst = append(dst, chunk.PieceOf(m[off:next:next]))
 		off = next
 	}
 	return dst, nil
@@ -468,7 +468,7 @@ type diskSource struct {
 	n int64
 }
 
-func (s diskSource) Lend(p *sim.Proc, off, n int64, dst [][]byte) ([][]byte, error) {
+func (s diskSource) Lend(p *sim.Proc, off, n int64, dst []chunk.Piece) ([]chunk.Piece, error) {
 	return s.d.Lend(p, off, n, dst)
 }
 func (s diskSource) Size() int64 { return s.n }

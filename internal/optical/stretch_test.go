@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ros/internal/chunk"
 	"ros/internal/faultinject"
 	"ros/internal/sim"
 )
@@ -18,7 +19,7 @@ type slowSource struct {
 	cost time.Duration
 }
 
-func (s slowSource) Lend(p *sim.Proc, off, n int64, dst [][]byte) ([][]byte, error) {
+func (s slowSource) Lend(p *sim.Proc, off, n int64, dst []chunk.Piece) ([]chunk.Piece, error) {
 	p.Sleep(s.cost)
 	return s.memSource.Lend(p, off, n, dst)
 }

@@ -176,7 +176,7 @@ func (v *Volume) ReadAt(p *sim.Proc, buf []byte, off int64) error {
 // Lend is ReadAt without the copy: it charges the same read of [off, off+n)
 // and appends read-only pieces of the cached bytes to dst
 // (chunk.Store.Lend). A burn lends its bucket slot to the disc this way.
-func (v *Volume) Lend(p *sim.Proc, off, n int64, dst [][]byte) ([][]byte, error) {
+func (v *Volume) Lend(p *sim.Proc, off, n int64, dst []chunk.Piece) ([]chunk.Piece, error) {
 	if err := v.charge(p, off, n, v.rates.Read); err != nil {
 		return dst, err
 	}
@@ -199,11 +199,11 @@ func (v *Volume) WriteAt(p *sim.Proc, buf []byte, off int64) error {
 // Adopt is WriteAt for pieces lent by another store: it charges the same
 // write of their total length at off and marks the chunks dirty, but keeps
 // whole chunks by reference (chunk.Store.Adopt). A cache fill adopts what a
-// disc lends.
-func (v *Volume) Adopt(p *sim.Proc, off int64, pieces [][]byte) error {
+// disc lends, and a parity slot the recipes parity generation makes.
+func (v *Volume) Adopt(p *sim.Proc, off int64, pieces []chunk.Piece) error {
 	n := int64(0)
 	for _, pc := range pieces {
-		n += int64(len(pc))
+		n += int64(pc.Len())
 	}
 	if err := v.charge(p, off, n, v.rates.Write); err != nil {
 		return err

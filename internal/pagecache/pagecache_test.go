@@ -208,43 +208,71 @@ func TestWriteFlushAllocBudget(t *testing.T) {
 // reference, so once the array's scratch lists are warm the flush allocates
 // one chunk per stripe, for its parity, plus bookkeeping. Staging the data
 // and copying it into the members cost seven chunks per stripe and more.
+// Stripes of recipes (chunk.XOR, as an image parity slot holds) cost the
+// same: the members keep the recipes, and the stripe parity is computed from
+// their sources.
 func TestFlushFullStripesAllocBudget(t *testing.T) {
 	const (
 		stripes = 16
 		region  = stripes * 6 * chunkSize
 	)
-	env := sim.NewEnv()
-	t.Cleanup(env.Close)
-	devs := make([]blockdev.Device, 7)
-	for i := range devs {
-		devs[i] = blockdev.New(env, 16<<20, blockdev.HDDProfile())
-	}
-	arr, err := raid.New(env, raid.RAID5, devs, chunkSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := New(env, arr, Ext4Rates())
+	rng := rand.New(rand.NewSource(1))
 	data := make([]byte, region)
-	rand.New(rand.NewSource(1)).Read(data) // parity of equal columns would be zero, and not stored
-	var before, after runtime.MemStats
-	env.Go("t", func(p *sim.Proc) {
-		for i, off := range []int64{0, region} { // the first flush warms the scratch lists
-			if err := v.WriteAt(p, data, off); err != nil {
-				t.Errorf("WriteAt: %v", err)
-			}
-			if i == 1 {
-				runtime.ReadMemStats(&before)
-			}
-			v.Sync(p)
+	rng.Read(data) // parity of equal columns would be zero, and not stored
+	var srcs [2]chunk.Store
+	for i := range srcs {
+		b := make([]byte, region)
+		rng.Read(b)
+		srcs[i].WriteAt(b, 0)
+	}
+	for _, fill := range []struct {
+		name  string
+		write func(p *sim.Proc, v *Volume, off int64) error
+	}{
+		{"bytes", func(p *sim.Proc, v *Volume, off int64) error { return v.WriteAt(p, data, off) }},
+		{"recipes", func(p *sim.Proc, v *Volume, off int64) error {
+			return v.Adopt(p, off, chunk.XOR(nil, region, [][]chunk.Piece{srcs[0].Lend(nil, 0, region), srcs[1].Lend(nil, 0, region)}))
+		}},
+	} {
+		env := sim.NewEnv()
+		t.Cleanup(env.Close)
+		devs := make([]blockdev.Device, 7)
+		for i := range devs {
+			devs[i] = blockdev.New(env, 16<<20, blockdev.HDDProfile())
 		}
-		runtime.ReadMemStats(&after)
-	})
-	env.Run()
-	got, budget := after.TotalAlloc-before.TotalAlloc, uint64(stripes*(chunkSize+8<<10))
-	if got > budget {
-		t.Errorf("flushing %d fresh full stripes allocated %d B, budget is %d (one chunk and 8 KB a stripe)", stripes, got, budget)
-	} else {
-		t.Logf("flushing %d fresh full stripes: %d B", stripes, got)
+		arr, err := raid.New(env, raid.RAID5, devs, chunkSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := New(env, arr, Ext4Rates())
+		var before, after runtime.MemStats
+		env.Go("t", func(p *sim.Proc) {
+			for i, off := range []int64{0, region} { // the first flush warms the scratch lists
+				if err := fill.write(p, v, off); err != nil {
+					t.Errorf("%s: %v", fill.name, err)
+				}
+				if i == 1 {
+					runtime.ReadMemStats(&before)
+				}
+				v.Sync(p)
+			}
+			runtime.ReadMemStats(&after)
+			want, got := make([]byte, 2*region), make([]byte, 2*region)
+			v.store.ReadAt(want, 0)
+			if err := arr.ReadAt(p, got, 0); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%s: the array does not read what the cache holds (err %v)", fill.name, err)
+			}
+			if res, err := arr.Scrub(p); err != nil || len(res.Mismatches) > 0 {
+				t.Errorf("%s: the array's parity is wrong in stripes %v (err %v)", fill.name, res.Mismatches, err)
+			}
+		})
+		env.Run()
+		got, budget := after.TotalAlloc-before.TotalAlloc, uint64(stripes*(chunkSize+8<<10))
+		if got > budget {
+			t.Errorf("flushing %d fresh full stripes of %s allocated %d B, budget is %d (one chunk and 8 KB a stripe)", stripes, fill.name, got, budget)
+		} else {
+			t.Logf("flushing %d fresh full stripes of %s: %d B", stripes, fill.name, got)
+		}
 	}
 }
 

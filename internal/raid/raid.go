@@ -176,15 +176,15 @@ func (a *Array) rebuild(p *sim.Proc, lost []lostRead) error {
 	})
 }
 
-// stripeWrite is one stripe of a write: the columns of a full stripe, or the
-// bytes of a partial one and their offset in the stripe. lent says they came
-// from a chunk store: lent columns, or a partial stripe's copy in stripe
-// scratch.
+// stripeWrite is one stripe of a write: its bytes and their offset in the
+// stripe, or, for a full stripe a chunk store lent, its columns. lent says
+// they came from a chunk store: lent columns, or a partial stripe's copy in
+// stripe scratch.
 type stripeWrite struct {
 	stripe int64
 	off    int64
 	buf    []byte
-	pieces [][]byte
+	pieces []chunk.Piece
 	lent   bool
 }
 
@@ -196,15 +196,15 @@ type stripeWrite struct {
 type stripeTable struct {
 	a      *Array
 	ws     []stripeWrite
-	pieces [][]byte                        // the full stripes' columns, back to back
+	pieces []chunk.Piece                   // the lent full stripes' columns, back to back
 	run    func(sp *sim.Proc, i int) error // write, bound once
 }
 
 // write writes stripe i on sp.
 func (t *stripeTable) write(sp *sim.Proc, i int) error {
 	a, w := t.a, &t.ws[i]
-	if w.pieces != nil {
-		return a.writeFullStripe(sp, w.stripe, w.pieces, w.lent)
+	if w.pieces != nil || len(w.buf) == a.stripes.size {
+		return a.writeFullStripe(sp, w.stripe, w.buf, w.pieces)
 	}
 	err := a.writePartialStripe(sp, w.stripe, w.off, w.buf)
 	if w.lent {
@@ -376,14 +376,10 @@ func (a *Array) writeParity(p *sim.Proc, buf []byte, s *chunk.Store, off, n int6
 		w := stripeWrite{stripe: loff / stripeBytes, off: loff % stripeBytes, lent: s != nil}
 		run := min(stripeBytes-w.off, n-pos)
 		switch {
-		case run == stripeBytes:
+		case run == stripeBytes && s != nil:
 			first := len(t.pieces)
 			for c := int64(0); c < k; c++ {
-				if s != nil {
-					t.pieces = s.Lend(t.pieces, loff+c*su, su)
-				} else {
-					t.pieces = append(t.pieces, buf[pos+c*su:pos+(c+1)*su])
-				}
+				t.pieces = s.Lend(t.pieces, loff+c*su, su)
 			}
 			w.pieces = t.pieces[first:len(t.pieces):len(t.pieces)]
 		case s != nil:
@@ -403,35 +399,42 @@ func (a *Array) writeParity(p *sim.Proc, buf []byte, s *chunk.Store, off, n int6
 	return err
 }
 
-// writeFullStripe writes a whole stripe and computes fresh parity. pieces are
-// the stripe's bytes back to back, none crossing a column boundary: one slice
-// of a WriteAt caller's buffer per column, which the data members copy, or,
-// if lent, pieces lent by a chunk store, which they keep
-// (blockdev.Access.Pieces).
-func (a *Array) writeFullStripe(p *sim.Proc, stripe int64, pieces [][]byte, lent bool) error {
+// writeFullStripe writes a whole stripe and computes fresh parity. The
+// stripe is buf, a WriteAt caller's bytes, which the data members copy, or,
+// if buf is nil, pieces lent by a chunk store, none crossing a column
+// boundary, which they keep (blockdev.Access.Pieces). Parity is XORed from
+// the columns, a lent recipe from its sources, and written by copy.
+func (a *Array) writeFullStripe(p *sim.Proc, stripe int64, buf []byte, pieces []chunk.Piece) error {
 	su := a.stripeUnit
 	soff := stripe * int64(su)
 	pbuf := a.chunks.get()
 	defer a.chunks.put(pbuf)
 	b := a.batch(p, len(a.devs))
-	for col := 0; len(pieces) > 0; col++ {
-		// Column col is pieces[:i]. Column 0 seeds the parity.
-		i := 0
-		for at := 0; at < su; i++ {
-			pc := pieces[i]
+	for col := 0; col < a.dataPerStripe(); col++ {
+		// Column 0 seeds the parity.
+		acc := blockdev.Access{Write: true, Off: soff}
+		if buf != nil {
+			acc.Buf = buf[col*su : (col+1)*su]
 			if col == 0 {
-				copy(pbuf[at:], pc)
+				copy(pbuf, acc.Buf)
 			} else {
-				xorSlice(pc, pbuf[at:])
+				xorSlice(acc.Buf, pbuf)
 			}
-			at += len(pc)
-		}
-		acc := blockdev.Access{Write: true, Off: soff, Buf: pieces[0]}
-		if lent {
-			acc.Buf, acc.Pieces = nil, pieces[:i]
+		} else {
+			// Column col is pieces[:i].
+			i := 0
+			for at := 0; at < su; i++ {
+				pc := pieces[i]
+				if col == 0 {
+					pc.CopyTo(pbuf[at:])
+				} else {
+					pc.XORInto(pbuf[at:])
+				}
+				at += pc.Len()
+			}
+			acc.Pieces, pieces = pieces[:i], pieces[i:]
 		}
 		b.book(a.devs[a.dataDev(stripe, col)], acc)
-		pieces = pieces[i:]
 	}
 	b.book(a.devs[a.pDev(stripe)], blockdev.Access{Write: true, Off: soff, Buf: pbuf})
 	return b.wait(p)
