@@ -64,7 +64,6 @@ type Config struct {
 // entry is one namespace file: its replica set, primary first.
 type entry struct {
 	replicas []int
-	size     int64
 }
 
 // Cluster is the federation.
@@ -509,7 +508,6 @@ func (c *Cluster) WriteFile(p *sim.Proc, path string, data []byte) (err error) {
 		c.m.entries.Set(int64(len(c.entries)))
 	}
 	e.replicas = written
-	e.size = int64(len(data))
 	c.m.imbalance.Set(int64(c.placer.imbalancePct()))
 	if len(written) < c.replicas {
 		c.enqueue(path)
@@ -1078,14 +1076,13 @@ func (c *Cluster) rereplicate(p *sim.Proc, path string) {
 
 // RackStatus is one rack's row in Status.
 type RackStatus struct {
-	Index    int    `json:"index"`
-	Name     string `json:"name"`
-	Health   string `json:"health"`
-	Load     int64  `json:"load"` // replicas placed by the placer
-	Discs    int    `json:"discs"`
-	Loads    int64  `json:"tray_loads"`
-	Burns    int64  `json:"burn_tasks"`
-	Failures int64  `json:"-"`
+	Index  int    `json:"index"`
+	Name   string `json:"name"`
+	Health string `json:"health"`
+	Load   int64  `json:"load"` // replicas placed by the placer
+	Discs  int    `json:"discs"`
+	Loads  int64  `json:"tray_loads"`
+	Burns  int64  `json:"burn_tasks"`
 
 	// Write-path admission state (per-rack token bucket).
 	WriteInflight int64 `json:"write_inflight_bytes"`

@@ -1,7 +1,7 @@
-// Package obs is ROS's unified observability layer: counters, gauges,
-// log-bucketed latency histograms and spans for long-running mechanical work,
-// all keyed off the simulation's virtual clock (sim.Env.Now) so that every
-// metric is exactly reproducible under a fixed seed.
+// Package obs is ROS's unified observability layer: counters, gauges and
+// log-bucketed latency histograms, all keyed off the simulation's virtual
+// clock (sim.Env.Now) so that every metric is exactly reproducible under a
+// fixed seed.
 //
 // Design constraints, in order:
 //
@@ -9,8 +9,9 @@
 //     output: Snapshot sorts every section by name, so two same-seed runs
 //     produce byte-identical JSON.
 //  2. Zero-cost opt-out. Every handle method is nil-safe: a subsystem that
-//     was never attached to a Registry can call Counter.Add or Span.End on
-//     nil handles freely. Unit tests of leaf packages need no obs setup.
+//     was never attached to a Registry can call Counter.Add or
+//     Histogram.ObserveSince on nil handles freely. Unit tests of leaf
+//     packages need no obs setup.
 //
 // The registry is the only store of a count: components hold *Counter
 // handles and keep no copy of their own, and readers go through a handle's
@@ -36,7 +37,6 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	gen      int     // bumped whenever a name is registered (the sampler's cache key)
-	open     int     // spans started and not yet ended/cancelled
 	tracer   *Tracer // optional causal request tracer (see trace.go)
 }
 
@@ -316,54 +316,13 @@ func BucketQuantile(buckets []int64, count int64, q float64) int64 {
 	return last
 }
 
-// Span measures one long-running operation (a burn, a fetch, an arm move).
-// StartSpan captures the virtual start time; End records the elapsed time
-// into the span's histogram exactly once. Cancel closes the span without
-// recording a sample — use it on precondition failures so instant errors
-// don't pollute latency distributions.
-type Span struct {
-	r     *Registry
-	h     *Histogram
-	start time.Duration
-	done  bool
-}
-
-// StartSpan opens a span whose End will observe into Histogram(name).
-func (r *Registry) StartSpan(name string) *Span {
-	if r == nil {
-		return nil
-	}
-	r.open++
-	return &Span{r: r, h: r.Histogram(name), start: r.now()}
-}
-
-// End closes the span, recording elapsed virtual time. Idempotent.
-func (s *Span) End() {
-	if s == nil || s.done {
-		return
-	}
-	s.done = true
-	s.r.open--
-	s.h.ObserveSince(s.start, s.r.now())
-}
-
-// Cancel closes the span without recording a sample. Idempotent with End.
-func (s *Span) Cancel() {
-	if s == nil || s.done {
-		return
-	}
-	s.done = true
-	s.r.open--
-}
-
-// OpenSpans returns the number of spans started but not yet ended/cancelled,
-// including unfinished trace spans from an attached Tracer — the figure leak
-// tests assert is zero after a workload drains.
+// OpenSpans returns the number of unfinished trace spans of the attached
+// Tracer — the figure leak tests assert is zero after a workload drains.
 func (r *Registry) OpenSpans() int {
 	if r == nil {
 		return 0
 	}
-	return r.open + r.tracer.OpenSpans()
+	return r.tracer.OpenSpans()
 }
 
 // AttachTracer binds a Tracer to the registry: its open trace spans count
@@ -430,9 +389,9 @@ type Snapshot struct {
 	Histograms []HistogramSnapshot `json:"histograms"`
 	OpenSpans  int                 `json:"open_spans"`
 	// Warnings flags observability-health problems visible at snapshot time —
-	// currently span leaks (OpenSpans > 0 means some operation started a
-	// metric or trace span and never closed it, e.g. an orphaned requeue
-	// path). Empty on a healthy registry, omitted from JSON when empty.
+	// currently trace span leaks (OpenSpans > 0 means some operation started
+	// a trace span and never closed it, e.g. an orphaned requeue path).
+	// Empty on a healthy registry, omitted from JSON when empty.
 	Warnings []string `json:"warnings,omitempty"`
 }
 
@@ -446,8 +405,7 @@ func (r *Registry) Snapshot() Snapshot {
 	s.OpenSpans = r.OpenSpans()
 	if s.OpenSpans > 0 {
 		s.Warnings = append(s.Warnings, fmt.Sprintf(
-			"span leak: %d span(s) still open (%d metric, %d trace)",
-			s.OpenSpans, r.open, r.tracer.OpenSpans()))
+			"span leak: %d trace span(s) still open", s.OpenSpans))
 	}
 	for name, c := range r.counters {
 		s.Counters = append(s.Counters, CounterSnapshot{Name: name, Value: c.Value()})

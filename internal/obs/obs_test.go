@@ -52,8 +52,7 @@ func TestNilSafety(t *testing.T) {
 	r.Counter("x").Add(1)
 	r.Gauge("y").Set(2)
 	r.Histogram("z").Observe(3)
-	r.StartSpan("w").End()
-	r.StartSpan("w").Cancel()
+	r.Histogram("w").ObserveSince(0, time.Second)
 	if r.OpenSpans() != 0 || r.Counter("x").Value() != 0 {
 		t.Fatal("nil registry must be inert")
 	}
@@ -139,81 +138,20 @@ func TestHistogramNegativeClamped(t *testing.T) {
 	}
 }
 
-func TestSpanVirtualTime(t *testing.T) {
+// TestObserveSinceVirtualTime: a latency is the virtual time between the
+// caller's start and its end, however long the host took.
+func TestObserveSinceVirtualTime(t *testing.T) {
 	env := sim.NewEnv()
 	r := New(env)
-	env.Go("worker", func(p *sim.Proc) {
-		sp := r.StartSpan("work.latency")
-		p.Sleep(42 * time.Second)
-		sp.End()
-		sp.End() // idempotent
-	})
-	env.Run()
-	if r.OpenSpans() != 0 {
-		t.Fatalf("open spans = %d, want 0", r.OpenSpans())
-	}
 	h := r.Histogram("work.latency")
-	if h.Count() != 1 || h.Max() != int64(42*time.Second) {
-		t.Fatalf("span observed n=%d max=%d, want 1 sample of 42s", h.Count(), h.Max())
-	}
-}
-
-func TestSpanCancelRecordsNothing(t *testing.T) {
-	env := sim.NewEnv()
-	r := New(env)
-	sp := r.StartSpan("x")
-	if r.OpenSpans() != 1 {
-		t.Fatalf("open = %d, want 1", r.OpenSpans())
-	}
-	sp.Cancel()
-	sp.End() // after Cancel, End must be a no-op
-	if r.OpenSpans() != 0 || r.Histogram("x").Count() != 0 {
-		t.Fatalf("cancelled span must not observe: open=%d n=%d", r.OpenSpans(), r.Histogram("x").Count())
-	}
-}
-
-// TestSpanBalanceUnderRequeue models the burn-task pattern: a task is
-// started, interrupted (span ends with the partial duration), requeued and
-// resumed under a fresh span. Opens and closes must balance and both run
-// segments must be recorded.
-func TestSpanBalanceUnderRequeue(t *testing.T) {
-	env := sim.NewEnv()
-	r := New(env)
-	q := sim.NewQueue[int](env)
-	done := false
-	var runner *sim.Daemon
-	runner = sim.NewDaemon(env, "runner", func(p *sim.Proc) {
-		for q.Len() > 0 {
-			attempt, _ := q.Pop(p)
-			sp := r.StartSpan("task.latency")
-			p.Sleep(10 * time.Second)
-			if attempt == 0 {
-				sp.End() // interrupted: partial run still measured
-				q.Push(attempt + 1)
-				runner.Wake()
-				continue
-			}
-			p.Sleep(5 * time.Second)
-			sp.End()
-			done = true
-		}
+	env.Go("worker", func(p *sim.Proc) {
+		start := p.Now()
+		p.Sleep(42 * time.Second)
+		h.ObserveSince(start, p.Now())
 	})
-	q.Push(0) // attempt number
-	runner.Wake()
 	env.Run()
-	if !done {
-		t.Fatal("task did not finish")
-	}
-	if r.OpenSpans() != 0 {
-		t.Fatalf("open spans = %d, want 0 after requeue cycle", r.OpenSpans())
-	}
-	h := r.Histogram("task.latency")
-	if h.Count() != 2 {
-		t.Fatalf("segments = %d, want 2", h.Count())
-	}
-	if h.Min() != int64(10*time.Second) || h.Max() != int64(15*time.Second) {
-		t.Fatalf("min/max = %v/%v, want 10s/15s",
-			time.Duration(h.Min()), time.Duration(h.Max()))
+	if h.Count() != 1 || h.Max() != int64(42*time.Second) {
+		t.Fatalf("observed n=%d max=%d, want 1 sample of 42s", h.Count(), h.Max())
 	}
 }
 
@@ -227,9 +165,9 @@ func TestSnapshotDeterministic(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			i := i
 			env.Go("w", func(p *sim.Proc) {
-				sp := r.StartSpan("op.latency")
+				start := p.Now()
 				p.Sleep(time.Duration(env.Rand().Intn(1000)+i) * time.Millisecond)
-				sp.End()
+				r.Histogram("op.latency").ObserveSince(start, p.Now())
 				r.Counter("ops").Add(1)
 				r.Gauge("depth").Set(int64(i))
 				env.Emit("tick", p.Name(), "")

@@ -138,6 +138,10 @@ func TestBurnResumeAfterInterrupt(t *testing.T) {
 	if open := bed.FS.Obs().OpenSpans(); open != 0 {
 		t.Errorf("open spans = %d, want 0", open)
 	}
+	// One latency sample per run segment: the interrupted run and the resume.
+	if n := bed.FS.Obs().Histogram("olfs.burn.latency").Count(); n != 2 {
+		t.Errorf("olfs.burn.latency samples = %d, want 2 (one per run segment)", n)
+	}
 }
 
 // TestBurnInterruptThenHardFailure covers the satellite bugfix: a run that is

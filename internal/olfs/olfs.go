@@ -44,7 +44,8 @@ type Config struct {
 	// DataDiscs and ParityDiscs set the per-tray redundancy (§4.7). Each
 	// zero field takes its default on its own: 2 data discs and 1 parity
 	// disc, a laptop-sized stripe. The paper's prototype runs 11+1
-	// (RAID-5-like) or 10+2 (RAID-6-like).
+	// (RAID-5-like) or 10+2 (RAID-6-like). New refuses a set that does not
+	// fit one drive group, or other than 1 or 2 parity discs.
 	DataDiscs   int
 	ParityDiscs int
 
@@ -204,6 +205,9 @@ type fsMetrics struct {
 	cacheFills    *obs.Counter   // images copied from disc into the read cache
 	fillAborts    *obs.Counter   // fills given up (tray evicted, read error, no slot)
 	fillLatency   *obs.Histogram // fill start to publication
+	burnLatency   *obs.Histogram // one burn task run segment
+	parityLatency *obs.Histogram // one parity generation
+	fetchLatency  *obs.Histogram // one mechanical fetch
 
 	// One task is one set under one claim, so writepath.burn_sets and
 	// writepath.burn_groups always equal burn_tasks. They stay because
@@ -213,9 +217,9 @@ type fsMetrics struct {
 	burnGroups *obs.Counter
 }
 
-// bindMetrics takes the registry handles for OLFS's counters and creates the
-// task-latency histograms eagerly so they appear in snapshots even before
-// the first task completes.
+// bindMetrics takes the registry handles for OLFS's counters and histograms.
+// The task-latency histograms are created here, eagerly, so they appear in
+// snapshots even before the first task completes.
 func (fs *FS) bindMetrics(r *obs.Registry) {
 	fs.obs = r
 	fs.m = fsMetrics{
@@ -242,12 +246,12 @@ func (fs *FS) bindMetrics(r *obs.Registry) {
 		cacheFills:    r.Counter("olfs.cache_fills"),
 		fillAborts:    r.Counter("olfs.cache_fill_aborts"),
 		fillLatency:   r.Histogram("olfs.cache_fill.latency"),
+		burnLatency:   r.Histogram("olfs.burn.latency"),
+		fetchLatency:  r.Histogram("olfs.fetch.latency"),
+		parityLatency: r.Histogram("olfs.parity.latency"),
 		burnSets:      r.Counter("writepath.burn_sets"),
 		burnGroups:    r.Counter("writepath.burn_groups"),
 	}
-	r.Histogram("olfs.burn.latency")
-	r.Histogram("olfs.fetch.latency")
-	r.Histogram("olfs.parity.latency")
 }
 
 // New assembles OLFS over a rack library, an MV backend (RAID-1 SSDs) and a
@@ -257,6 +261,12 @@ func (fs *FS) bindMetrics(r *obs.Registry) {
 // stack shares one snapshot.
 func New(env *sim.Env, cfg Config, lib *rack.Library, mvBackend mv.Backend, buffer *pagecache.Volume) (*FS, error) {
 	cfg = cfg.withDefaults()
+	// A set burns one disc per drive of a group, and the codec (§4.7) makes
+	// one (RAID-5) or two (RAID-6) parity images.
+	if k, m := cfg.DataDiscs, cfg.ParityDiscs; k < 1 || m < 1 || m > 2 || k+m > rack.DrivesPerGroup {
+		return nil, fmt.Errorf("olfs: %d data + %d parity discs: need at least 1 data disc, 1 or 2 parity discs, and at most %d discs in all",
+			k, m, rack.DrivesPerGroup)
+	}
 	discCap := cfg.BucketBytes
 	if discCap <= 0 {
 		discCap = lib.Config().Media.Capacity()

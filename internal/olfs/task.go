@@ -85,11 +85,11 @@ func (fs *FS) startBurns(p *sim.Proc) {
 
 // runBurnTask drives one burn task to completion (or failure), re-queueing
 // itself after an interrupt. Each run segment (initial, resumed, retried) is
-// one olfs.burn.latency span, so the histogram records real drive-group
+// one olfs.burn.latency sample, so the histogram records real drive-group
 // occupancy rather than end-to-end task age.
 func (fs *FS) runBurnTask(p *sim.Proc, t *burnTask) {
-	sp := fs.obs.StartSpan("olfs.burn.latency")
-	defer sp.End()
+	start := p.Now()
+	defer func() { fs.m.burnLatency.ObserveSince(start, p.Now()) }()
 	// Each run segment is its own trace; segments that end in a requeue
 	// (interrupt resume, hard-fail retry) are marked as retried so tail
 	// sampling always captures them.
@@ -112,7 +112,7 @@ func (fs *FS) runBurnTask(p *sim.Proc, t *burnTask) {
 
 	// Parity and the blank-tray reservation come before the drive-group
 	// claim, so a task waiting for a group holds everything else it needs.
-	if t.parity == nil && fs.cfg.ParityDiscs > 0 {
+	if t.parity == nil {
 		if err := fs.generateParity(p, t); err != nil {
 			abandon(err)
 			return
@@ -295,8 +295,8 @@ func (fs *FS) interruptBurn() {
 // generateParity allocates parity slots and computes P (and Q) across the
 // data images (DIM, §4.7).
 func (fs *FS) generateParity(p *sim.Proc, t *burnTask) (err error) {
-	sp := fs.obs.StartSpan("olfs.parity.latency")
-	defer sp.End()
+	start := p.Now()
+	defer func() { fs.m.parityLatency.ObserveSince(start, p.Now()) }()
 	op := fs.tracer.StartOp(p, "olfs.parity", "burn")
 	defer func() { op.Finish(p, err) }()
 	length := int64(0)
@@ -316,9 +316,6 @@ func (fs *FS) generateParity(p *sim.Proc, t *burnTask) (err error) {
 			_ = fs.Buckets.Discard(b)
 		}
 		t.parity = nil
-	}
-	if fs.cfg.ParityDiscs > 2 {
-		return image.ErrParityCount
 	}
 	for i := 0; i < fs.cfg.ParityDiscs; i++ {
 		pb, err := fs.Buckets.OpenRaw(p, length)
@@ -509,8 +506,8 @@ func (fs *FS) fetchTray(p *sim.Proc, tray rack.TrayID, class sched.Class) (gi in
 // scheduler's starvation hook.
 func (fs *FS) runFetch(p *sim.Proc, tray rack.TrayID, class sched.Class) (int, error) {
 	fs.m.fetchTasks.Add(1)
-	sp := fs.obs.StartSpan("olfs.fetch.latency")
-	defer sp.End()
+	start := p.Now()
+	defer func() { fs.m.fetchLatency.ObserveSince(start, p.Now()) }()
 	defer fs.env.Emit(sim.KindFetch, p.Name(), tray.String())
 	g := fs.sched.AcquireFetch(p, class, tray)
 	gi := g.Group

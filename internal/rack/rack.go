@@ -305,14 +305,15 @@ func (lib *Library) TotalDiscs() int {
 }
 
 // exec runs one PLC instruction, failing the whole composite on error. Arm
-// motions (the dominant mechanical cost, Table 3) are measured as
-// rack.arm.move.latency spans; failed motions are cancelled rather than
-// observed so errors don't skew the travel distribution.
+// motions (the dominant mechanical cost, Table 3) are observed into
+// rack.arm.move.latency; failed motions record nothing so errors don't skew
+// the travel distribution.
 func (lib *Library) exec(p *sim.Proc, ctl *plc.Controller, cmd plc.Command) error {
-	var sp *obs.Span
+	var h *obs.Histogram
 	var tsp *obs.TraceSpan
+	start := p.Now()
 	if cmd.Op == plc.OpArm || cmd.Op == plc.OpArmTop {
-		sp = lib.obs.StartSpan("rack.arm.move.latency")
+		h = lib.obs.Histogram("rack.arm.move.latency")
 		tsp = obs.StartChild(p, "rack.arm_move")
 		if cmd.Op == plc.OpArm && len(cmd.Args) > 0 {
 			tsp.AnnotateInt("layer", int64(cmd.Args[0]))
@@ -322,22 +323,22 @@ func (lib *Library) exec(p *sim.Proc, ctl *plc.Controller, cmd plc.Command) erro
 	}
 	_, err := ctl.Exec(p, cmd)
 	if err != nil {
-		sp.Cancel()
 		tsp.Fail(p, err)
 		return err
 	}
-	sp.End()
+	h.ObserveSince(start, p.Now())
 	tsp.End(p)
 	return nil
 }
 
-// composite is one load or unload choreography's latency span and trace
-// span; end closes both with the choreography's outcome.
+// composite is one load or unload choreography's latency histogram, start
+// time and trace span; end closes them with the choreography's outcome.
 type composite struct {
-	sp   *obs.Span
-	tsp  *obs.TraceSpan
-	kind string // sim.KindRackLoad or sim.KindRackUnload, emitted on success
-	tray TrayID
+	h     *obs.Histogram
+	start time.Duration
+	tsp   *obs.TraceSpan
+	kind  string // sim.KindRackLoad or sim.KindRackUnload, emitted on success
+	tray  TrayID
 }
 
 func (lib *Library) startLoad(p *sim.Proc, tray TrayID, gi int) composite {
@@ -348,8 +349,8 @@ func (lib *Library) startUnload(p *sim.Proc, tray TrayID, gi int) composite {
 	return lib.startComposite(p, "rack.unload.latency", "rack.tray_unload", sim.KindRackUnload, tray, gi)
 }
 
-func (lib *Library) startComposite(p *sim.Proc, span, trace, kind string, tray TrayID, gi int) composite {
-	c := composite{sp: lib.obs.StartSpan(span), tsp: obs.StartChild(p, trace), kind: kind, tray: tray}
+func (lib *Library) startComposite(p *sim.Proc, hist, trace, kind string, tray TrayID, gi int) composite {
+	c := composite{h: lib.obs.Histogram(hist), start: p.Now(), tsp: obs.StartChild(p, trace), kind: kind, tray: tray}
 	c.tsp.Annotate("tray", tray.String())
 	c.tsp.AnnotateInt("group", int64(gi))
 	return c
@@ -357,11 +358,11 @@ func (lib *Library) startComposite(p *sim.Proc, span, trace, kind string, tray T
 
 func (lib *Library) end(p *sim.Proc, c composite, err error) {
 	if err != nil {
-		c.sp.Cancel() // failed composites don't pollute the latency distribution
+		// No sample: failed composites don't pollute the latency distribution.
 		c.tsp.Fail(p, err)
 		return
 	}
-	c.sp.End()
+	c.h.ObserveSince(c.start, p.Now())
 	c.tsp.End(p)
 	lib.env.Emit(c.kind, p.Name(), c.tray.String())
 }

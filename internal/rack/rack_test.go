@@ -274,6 +274,9 @@ func TestLoadEmptyTrayFails(t *testing.T) {
 			t.Errorf("load empty tray: %v", err)
 		}
 	})
+	if n := lib.Obs().Histogram("rack.load.latency").Count(); n != 0 {
+		t.Errorf("rack.load.latency samples = %d after a failed load, want 0", n)
+	}
 }
 
 func TestLoadIntoLoadedGroupFails(t *testing.T) {

@@ -114,6 +114,32 @@ func TestParityDiscsAloneIsKept(t *testing.T) {
 	}
 }
 
+// TestNewRefusesRedundancyItCannotBurn: a set burns one disc per drive of a
+// group, with one or two parity discs, so New refuses 11+2 (13 discs for 12
+// drives), 2+3 and negative counts instead of failing at the first burn.
+func TestNewRefusesRedundancyItCannotBurn(t *testing.T) {
+	for _, fs := range []FSConfig{
+		{DataDiscs: 11, ParityDiscs: 2},
+		{DataDiscs: 2, ParityDiscs: 3},
+		{DataDiscs: -1},
+		{ParityDiscs: -1},
+	} {
+		sys, err := New(Options{FS: fs, DisableAutoBurn: true})
+		if err == nil {
+			sys.Close()
+			t.Errorf("New(FS{%d+%d}) = nil error, want a refusal", fs.DataDiscs, fs.ParityDiscs)
+		}
+	}
+	for _, fs := range []FSConfig{{DataDiscs: 11, ParityDiscs: 1}, {DataDiscs: 10, ParityDiscs: 2}} {
+		sys, err := New(Options{FS: fs, DisableAutoBurn: true})
+		if err != nil {
+			t.Errorf("New(FS{%d+%d}): %v", fs.DataDiscs, fs.ParityDiscs, err)
+			continue
+		}
+		sys.Close()
+	}
+}
+
 // TestBufferSlotsMapping pins how many bucket slots Options.BufferSlots
 // yields: about twice the number, because each RAID-5 HDD is sized at
 // (slots·bucket/6 + 64 KB)·2. The standing bench's workloads rest on these
