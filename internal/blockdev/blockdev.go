@@ -150,6 +150,10 @@ func (d *Disk) CorruptSector(off int64) {
 // HealSector clears a latent sector error.
 func (d *Disk) HealSector(off int64) { delete(d.badSecs, off&^4095) }
 
+// FlipByte silently inverts the stored byte at off: unlike CorruptSector,
+// reads succeed and return the flipped byte. It takes no virtual time.
+func (d *Disk) FlipByte(off int64) { d.store.FlipByte(off) }
+
 // nearWindow is the distance (bytes) within which a non-contiguous access is
 // charged a short settle time rather than a full seek: drive readahead and
 // elevator scheduling absorb short hops, which matters for stripe-interleaved

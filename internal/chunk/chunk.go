@@ -78,15 +78,6 @@ func (pc Piece) Len() int {
 // CopyTo copies the piece's bytes into dst, which is at least Len long.
 func (pc Piece) CopyTo(dst []byte) { pc.readAt(dst[:pc.Len()], 0) }
 
-// XORInto xors the piece's bytes into dst, which is at least Len long.
-func (pc Piece) XORInto(dst []byte) {
-	if pc.r != nil {
-		pc.r.xorAt(dst[:pc.n], pc.lo)
-	} else {
-		subtle.XORBytes(dst, dst[:len(pc.b)], pc.b)
-	}
-}
-
 // readAt copies the piece's bytes [pos, pos+len(dst)) into dst. A recipe's
 // first term seeds dst by copy where it covers it, else dst starts zero.
 func (pc Piece) readAt(dst []byte, pos int) {
@@ -114,7 +105,7 @@ func (pc Piece) zero() bool { return len(pc.b) > 0 && &pc.b[0] == &zeros[0] }
 // shorter chunk makes a shorter piece. A recipe among the sources is folded
 // in by its own terms, so recipes never nest.
 func XOR(dst []Piece, n int, srcs [][]Piece) []Piece {
-	terms := make([]term, 0, (n+Size-1)/Size*len(srcs))
+	terms := make([]term, 0, xorTerms(n, srcs))
 	for lo := 0; lo < n; lo += Size {
 		hi, first := min(lo+Size, n), len(terms)
 		for _, src := range srcs {
@@ -134,6 +125,23 @@ func XOR(dst []Piece, n int, srcs [][]Piece) []Piece {
 		}
 	}
 	return dst
+}
+
+// xorTerms bounds the number of terms XOR makes of srcs over n bytes: one
+// per piece and result chunk it reaches, times a recipe's terms (a zero
+// piece makes none).
+func xorTerms(n int, srcs [][]Piece) int {
+	m := 0
+	for _, src := range srcs {
+		at := 0
+		for _, pc := range src {
+			if e := min(at+pc.Len(), n); at < e {
+				m += ((e-1)/Size - at/Size + 1) * max(1, len(pc.r))
+			}
+			at += pc.Len()
+		}
+	}
+	return m
 }
 
 // terms appends the terms that place the piece's bytes [pos, pos+n) at

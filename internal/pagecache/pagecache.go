@@ -41,7 +41,8 @@ import (
 // and a write that lands while the backend is busy changes nothing it writes
 // (the cache copies a lent chunk before writing it). The range is page
 // aligned (but for the end of the volume) and may cover part of a chunk.
-// raid.Array lends a full stripe's columns to its members and copies partial
+// raid.Array lends a full stripe's columns to its data members, gives its
+// parity member the recipe of their XOR (chunk.XOR), and copies partial
 // stripes; a blockdev.Disk adopts whole chunks and copies partial ones.
 type Backend interface {
 	ReadAt(p *sim.Proc, buf []byte, off int64) error

@@ -205,12 +205,13 @@ func TestWriteFlushAllocBudget(t *testing.T) {
 
 // TestFlushFullStripesAllocBudget flushes whole stripes that the paper's
 // 7-disk RAID-5 has never stored: the data members keep the cache's chunks by
-// reference, so once the array's scratch lists are warm the flush allocates
-// one chunk per stripe, for its parity, plus bookkeeping. Staging the data
-// and copying it into the members cost seven chunks per stripe and more.
-// Stripes of recipes (chunk.XOR, as an image parity slot holds) cost the
-// same: the members keep the recipes, and the stripe parity is computed from
-// their sources.
+// reference, and the parity member a recipe over them (chunk.XOR), so once
+// the array's scratch lists are warm the flush allocates no chunk at all,
+// only bookkeeping and each stripe's recipe terms. Staging the data and
+// copying it into the members cost seven chunks per stripe and more; a
+// parity chunk computed and written by copy cost one. Stripes of recipes (as
+// an image parity slot holds) cost the same: the members keep the recipes,
+// and the stripe parity is a recipe over their sources.
 func TestFlushFullStripesAllocBudget(t *testing.T) {
 	const (
 		stripes = 16
@@ -267,9 +268,9 @@ func TestFlushFullStripesAllocBudget(t *testing.T) {
 			}
 		})
 		env.Run()
-		got, budget := after.TotalAlloc-before.TotalAlloc, uint64(stripes*(chunkSize+8<<10))
+		got, budget := after.TotalAlloc-before.TotalAlloc, uint64(stripes*8<<10)
 		if got > budget {
-			t.Errorf("flushing %d fresh full stripes of %s allocated %d B, budget is %d (one chunk and 8 KB a stripe)", stripes, fill.name, got, budget)
+			t.Errorf("flushing %d fresh full stripes of %s allocated %d B, budget is %d (8 KB a stripe)", stripes, fill.name, got, budget)
 		} else {
 			t.Logf("flushing %d fresh full stripes of %s: %d B", stripes, fill.name, got)
 		}

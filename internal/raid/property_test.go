@@ -247,7 +247,10 @@ func TestRAID6SweepBeyondBound(t *testing.T) {
 // TestPropertyWriteFromMatchesWriteAt feeds random writes, with partial head
 // and tail stripes, through WriteFrom from a chunk store on one array and
 // through WriteAt on a twin. After every write the two must agree on the
-// virtual time and on every member's ops and bytes; at the end the members
+// virtual time and on every member's ops and bytes, and each array must
+// scrub clean and read the stripes written as the writes so far with any
+// one member lost, which a lent full stripe's parity recipe must rebuild; at
+// the end the members
 // must hold the same bytes, although the source store was overwritten while
 // each WriteFrom was in flight and again after it. Then one member of the
 // WriteFrom array fails: degraded reads, a rebuild and a scrub must go as on
@@ -320,7 +323,7 @@ func runWriteFromTwins(t *testing.T, level Level, n, su int, seed int64) {
 			// write first yields (on both twins alike); the other half stays
 			// lent, and nothing the array does may write into it.
 			var src chunk.Store
-			srcRef := make([]byte, size)
+			srcRef, shadow := make([]byte, size), make([]byte, size)
 			for _, w := range writes {
 				if w.zero {
 					src = chunk.Store{}
@@ -347,6 +350,10 @@ func runWriteFromTwins(t *testing.T, level Level, n, su int, seed int64) {
 					line += fmt.Sprintf(" %d/%d/%d", d.Ops, d.BytesRead, d.BytesWritten)
 				}
 				tw.trace = append(tw.trace, line)
+				copy(shadow[w.off:], w.data)
+				lo := w.off - w.off%stripeBytes
+				hi := min((w.off+int64(len(w.data))+stripeBytes-1)/stripeBytes*stripeBytes, size)
+				checkStripes(t, p, tw.a, tw.disks, shadow[lo:hi], lo)
 			}
 			got := make([]byte, size)
 			if src.ReadAt(got, 0); !bytes.Equal(got, srcRef) {
@@ -393,6 +400,25 @@ func runWriteFromTwins(t *testing.T, level Level, n, su int, seed int64) {
 			t.Fatalf("seed %d: content differs from the reference after rebuild (err=%v)", seed, err)
 		}
 	})
+}
+
+// checkStripes fails t unless the array scrubs clean and, with each member
+// in turn failed, reads as want at off. It leaves every member as it found
+// it.
+func checkStripes(t *testing.T, p *sim.Proc, a *Array, disks []*blockdev.Disk, want []byte, off int64) {
+	t.Helper()
+	if res, err := a.Scrub(p); err != nil || len(res.Mismatches) != 0 {
+		t.Fatalf("Scrub: err=%v, bad stripes %v", err, res.Mismatches)
+	}
+	got := make([]byte, len(want))
+	for m, d := range disks {
+		d.Fail()
+		err := a.ReadAt(p, got, off)
+		d.Repair()
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("member %d lost: the degraded read at %d differs from the writes (err=%v)", m, off, err)
+		}
+	}
 }
 
 // TestPropertyPartialWriteDegraded runs both partial-stripe plans on every

@@ -1,6 +1,9 @@
 // Package raid implements software RAID-1 and RAID-5 over simulated block
-// devices, with real XOR parity. Degraded reads reconstruct lost chunks,
-// scrubbing verifies parity, and rebuild re-populates a replacement device.
+// devices, with XOR parity. A full stripe that a page cache flushes
+// (WriteFrom) keeps its parity as a recipe over the columns it lent
+// (chunk.XOR), computed only when something reads it; every other write
+// stores parity bytes. Degraded reads reconstruct lost chunks, scrubbing
+// verifies parity, and rebuild re-populates a replacement device.
 //
 // ROS uses a RAID-1 SSD pair for the metadata volume and RAID-5 HDD sets for
 // the disc-image write buffer / read cache (§3.3 of the paper). The package
@@ -177,14 +180,15 @@ func (a *Array) rebuild(p *sim.Proc, lost []lostRead) error {
 }
 
 // stripeWrite is one stripe of a write: its bytes and their offset in the
-// stripe, or, for a full stripe a chunk store lent, its columns. lent says
-// they came from a chunk store: lent columns, or a partial stripe's copy in
-// stripe scratch.
+// stripe, or, for a full stripe a chunk store lent, its columns and the
+// recipe of its parity. lent says they came from a chunk store: lent columns,
+// or a partial stripe's copy in stripe scratch.
 type stripeWrite struct {
 	stripe int64
 	off    int64
 	buf    []byte
-	pieces []chunk.Piece
+	cols   [][]chunk.Piece
+	parity []chunk.Piece
 	lent   bool
 }
 
@@ -192,19 +196,21 @@ type stripeWrite struct {
 // concurrently, stripe i on child i: a stripe is a fan-out of its own, and a
 // partial stripe's writes wait for its reads. Tables come from the array's
 // free list, like its buffers, so a write allocates nothing once the list has
-// grown to the peak number in flight.
+// grown to the peak number in flight, but the terms of its parity recipes.
 type stripeTable struct {
 	a      *Array
 	ws     []stripeWrite
 	pieces []chunk.Piece                   // the lent full stripes' columns, back to back
+	cols   [][]chunk.Piece                 // the same, one run per column
+	parity []chunk.Piece                   // their parity recipes, back to back
 	run    func(sp *sim.Proc, i int) error // write, bound once
 }
 
 // write writes stripe i on sp.
 func (t *stripeTable) write(sp *sim.Proc, i int) error {
 	a, w := t.a, &t.ws[i]
-	if w.pieces != nil || len(w.buf) == a.stripes.size {
-		return a.writeFullStripe(sp, w.stripe, w.buf, w.pieces)
+	if w.cols != nil || len(w.buf) == a.stripes.size {
+		return a.writeFullStripe(sp, w.stripe, w.buf, w.cols, w.parity)
 	}
 	err := a.writePartialStripe(sp, w.stripe, w.off, w.buf)
 	if w.lent {
@@ -327,11 +333,14 @@ func (a *Array) WriteAt(p *sim.Proc, buf []byte, off int64) error {
 // cache flushing its store (pagecache.Backend). The range is any run of dirty
 // pages, down to one 4 KB page inside a column. It takes every byte before it
 // first yields: a full stripe's columns are lent by s to the data members,
-// which keep them (blockdev.Access.Pieces), and everything else, a sub-chunk
-// run included, is copied out of s into stripe scratch and written through
-// writePartialStripe, which reads only what its parity plan needs. A partial
-// stripe is never lent, because it is a region still being written, and a
-// lent chunk makes each later small write to it copy the whole chunk.
+// which keep them (blockdev.Access.Pieces), and the parity member keeps the
+// recipe of their XOR; everything else, a sub-chunk run included, is copied
+// out of s into stripe scratch and written through writePartialStripe, which
+// reads only what its parity plan needs (a recipe parity's window computed
+// into scratch) and then stores parity bytes. A partial stripe is never
+// lent, not even its whole-chunk columns, because it is a region still being
+// written, and a lent chunk makes each later small write to it copy the
+// whole chunk.
 func (a *Array) WriteFrom(p *sim.Proc, s *chunk.Store, off, n int64) error {
 	return a.write(p, nil, s, off, n)
 }
@@ -356,10 +365,10 @@ func (a *Array) write(p *sim.Proc, buf []byte, s *chunk.Store, off, n int64) err
 }
 
 // writeParity handles RAID-5 writes of [off, off+n) from buf or s stripe
-// by stripe: full-stripe writes compute parity directly; partial writes read
-// only what their plan needs (writePartialStripe). From s, a full stripe's
-// columns are lent and a partial stripe is copied into stripe scratch, all
-// before the first yield.
+// by stripe: full-stripe writes compute parity directly, or, from s, as a
+// recipe over the lent columns; partial writes read only what their plan
+// needs (writePartialStripe). From s, a full stripe's columns are lent and a
+// partial stripe is copied into stripe scratch, all before the first yield.
 func (a *Array) writeParity(p *sim.Proc, buf []byte, s *chunk.Store, off, n int64) error {
 	su := int64(a.stripeUnit)
 	k := int64(a.dataPerStripe())
@@ -377,11 +386,16 @@ func (a *Array) writeParity(p *sim.Proc, buf []byte, s *chunk.Store, off, n int6
 		run := min(stripeBytes-w.off, n-pos)
 		switch {
 		case run == stripeBytes && s != nil:
-			first := len(t.pieces)
+			first := len(t.cols)
 			for c := int64(0); c < k; c++ {
+				at := len(t.pieces)
 				t.pieces = s.Lend(t.pieces, loff+c*su, su)
+				t.cols = append(t.cols, t.pieces[at:len(t.pieces):len(t.pieces)])
 			}
-			w.pieces = t.pieces[first:len(t.pieces):len(t.pieces)]
+			w.cols = t.cols[first:len(t.cols):len(t.cols)]
+			at := len(t.parity)
+			t.parity = chunk.XOR(t.parity, int(su), w.cols)
+			w.parity = t.parity[at:len(t.parity):len(t.parity)]
 		case s != nil:
 			w.buf = a.stripes.get()[:run]
 			s.ReadAt(w.buf, loff)
@@ -394,49 +408,43 @@ func (a *Array) writeParity(p *sim.Proc, buf []byte, s *chunk.Store, off, n int6
 	err := p.Fork("raid-stripe", len(t.ws), t.run)
 	clear(t.ws)
 	clear(t.pieces)
-	t.ws, t.pieces = t.ws[:0], t.pieces[:0]
+	clear(t.cols)
+	clear(t.parity)
+	t.ws, t.pieces, t.cols, t.parity = t.ws[:0], t.pieces[:0], t.cols[:0], t.parity[:0]
 	a.tables = append(a.tables, t)
 	return err
 }
 
-// writeFullStripe writes a whole stripe and computes fresh parity. The
-// stripe is buf, a WriteAt caller's bytes, which the data members copy, or,
-// if buf is nil, pieces lent by a chunk store, none crossing a column
-// boundary, which they keep (blockdev.Access.Pieces). Parity is XORed from
-// the columns, a lent recipe from its sources, and written by copy.
-func (a *Array) writeFullStripe(p *sim.Proc, stripe int64, buf []byte, pieces []chunk.Piece) error {
+// writeFullStripe writes a whole stripe and fresh parity. The stripe is
+// buf, a WriteAt caller's bytes, which the data members copy and whose parity
+// is XORed into scratch and written by copy; or, if buf is nil, cols, pieces
+// lent by a chunk store, one run per column, which the data members keep
+// (blockdev.Access.Pieces), as the parity member keeps parity, the recipe of
+// their XOR (chunk.XOR): its bytes are computed only when something reads
+// them.
+func (a *Array) writeFullStripe(p *sim.Proc, stripe int64, buf []byte, cols [][]chunk.Piece, parity []chunk.Piece) error {
 	su := a.stripeUnit
 	soff := stripe * int64(su)
-	pbuf := a.chunks.get()
-	defer a.chunks.put(pbuf)
+	par := blockdev.Access{Write: true, Off: soff, Pieces: parity}
+	if buf != nil {
+		par.Buf = a.chunks.get()
+		defer a.chunks.put(par.Buf)
+		copy(par.Buf, buf[:su])
+		for col := 1; col < a.dataPerStripe(); col++ {
+			xorSlice(buf[col*su:(col+1)*su], par.Buf)
+		}
+	}
 	b := a.batch(p, len(a.devs))
 	for col := 0; col < a.dataPerStripe(); col++ {
-		// Column 0 seeds the parity.
 		acc := blockdev.Access{Write: true, Off: soff}
 		if buf != nil {
 			acc.Buf = buf[col*su : (col+1)*su]
-			if col == 0 {
-				copy(pbuf, acc.Buf)
-			} else {
-				xorSlice(acc.Buf, pbuf)
-			}
 		} else {
-			// Column col is pieces[:i].
-			i := 0
-			for at := 0; at < su; i++ {
-				pc := pieces[i]
-				if col == 0 {
-					pc.CopyTo(pbuf[at:])
-				} else {
-					pc.XORInto(pbuf[at:])
-				}
-				at += pc.Len()
-			}
-			acc.Pieces, pieces = pieces[:i], pieces[i:]
+			acc.Pieces = cols[col]
 		}
 		b.book(a.devs[a.dataDev(stripe, col)], acc)
 	}
-	b.book(a.devs[a.pDev(stripe)], blockdev.Access{Write: true, Off: soff, Buf: pbuf})
+	b.book(a.devs[a.pDev(stripe)], par)
 	return b.wait(p)
 }
 
