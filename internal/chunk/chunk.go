@@ -7,20 +7,23 @@
 // Chunks can be passed between stores by reference. Lend hands out read-only
 // pieces of a store's chunks and marks those chunks shared; Adopt installs a
 // piece that is exactly one chunk at a chunk boundary by reference (and
-// shared), and copies any other piece. A shared chunk is never written in
-// place: WriteAt, FlipByte and Truncate copy it first. So a burned disc image
-// and the buffer slot it was burned from hold one copy of their bytes, and no
-// later write or media fault on either side reaches the other.
+// shared). A shorter piece at a chunk boundary, onto a chunk the store does
+// not hold, is kept by reference too, as a recipe that reads as the piece
+// zero-extended (an image's last partial chunk); any other piece is copied.
+// A shared chunk is never written in place: WriteAt, FlipByte and Truncate
+// copy it first. So a burned disc image and the buffer slot it was burned
+// from hold one copy of their bytes, and no later write or media fault on
+// either side reaches the other.
 //
 // A chunk can also be a recipe: a whole chunk whose bytes are the XOR of a
 // few lent pieces, each placed from the chunk's start and zero past its end
-// (XOR builds them; an image parity chunk is one). A store keeps a recipe by
-// reference and computes its bytes only when they are read: ReadAt computes
-// into the caller's buffer, Lend passes the recipe on as a recipe, and a
-// write, flip or mid-chunk truncation first materialises the chunk. A recipe
-// occupies a few dozen bytes of references, and it keeps the chunks it
-// refers to alive, which their own stores (the data images) normally do
-// anyway.
+// (XOR builds them; an image parity chunk is one, and an adopted short piece
+// is a recipe of the piece's own terms). A store keeps a recipe by reference
+// and computes its bytes only when they are read: ReadAt computes into the
+// caller's buffer, Lend passes the recipe on as a recipe, and a write, flip
+// or mid-chunk truncation first materialises the chunk. A recipe occupies a
+// few dozen bytes of references, and it keeps the chunks it refers to alive,
+// which their own stores (the data images) normally do anyway.
 //
 // A Store is not safe for concurrent use; its zero value is empty and ready.
 package chunk
@@ -63,8 +66,9 @@ type Piece struct {
 	lo, n int
 }
 
-// PieceOf makes a piece of b. Adopt keeps a whole aligned chunk of it by
-// reference, so nothing may write to b afterwards.
+// PieceOf makes a piece of b. Adopt may keep it by reference (a whole
+// aligned chunk of it, or all of a short b at a chunk boundary), so nothing
+// may write to b afterwards.
 func PieceOf(b []byte) Piece { return Piece{b: b} }
 
 // Len returns the piece's length in bytes.
@@ -260,14 +264,27 @@ func (s *Store) Lend(dst []Piece, off, n int64) []Piece {
 
 // Adopt stores pieces back to back from off. A piece that is exactly one
 // chunk at a chunk boundary is installed by reference and marked shared (a
-// lent zero chunk leaves the chunk unallocated, a recipe stays a recipe); any
-// other piece is copied in as by WriteAt, a recipe's window computed.
+// lent zero chunk leaves the chunk unallocated, a recipe stays a recipe). A
+// shorter piece at a chunk boundary onto a chunk the store does not hold,
+// which reads as zeros, is kept by reference too (an image's last partial
+// chunk): as a recipe of the piece's own terms, which reads as the piece
+// zero-extended. A zero piece, or a recipe window no term reaches, leaves
+// that chunk absent. Any other piece is copied in as by WriteAt, a recipe's
+// window computed.
 func (s *Store) Adopt(off int64, pieces []Piece) {
 	for _, pc := range pieces {
 		l := pc.Len()
 		switch {
-		case off%Size != 0 || l != Size:
+		case off%Size != 0 || l == 0 || l > Size:
 			s.write(pc, off)
+		case l < Size:
+			if _, ok := s.chunks[off/Size]; ok {
+				s.write(pc, off)
+			} else if !pc.zero() {
+				if r := recipe(pc.terms(nil, 0, l, 0)); len(r) > 0 {
+					s.set(off/Size, entry{r: r, shared: true})
+				}
+			}
 		case pc.r != nil:
 			s.set(off/Size, entry{r: pc.r, shared: true})
 		case pc.zero():

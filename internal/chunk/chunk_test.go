@@ -333,3 +333,139 @@ func TestRecipeCostsNoChunk(t *testing.T) {
 		t.Error("the recipe does not read as its sources' XOR, the short one zero-extended")
 	}
 }
+
+// tailSources returns a store of bytes, a store of recipes over it and the
+// short pieces an image's last partial chunk can be: bytes, a recipe window,
+// a zero piece and a recipe window no term reaches, each with what it reads
+// as.
+func tailSources() (a, par *Store, tails []held) {
+	a, par = &Store{}, &Store{}
+	a.WriteAt(bytes.Repeat([]byte{0x3C, 0x5A, 0x99}, Size), 0)
+	var short, shortPar Store
+	short.WriteAt(bytes.Repeat([]byte{0xA5}, 100), 0)
+	par.Adopt(0, XOR(nil, 2*Size, [][]Piece{a.Lend(nil, 0, 2*Size), short.Lend(nil, 0, 100)}))
+	shortPar.Adopt(0, XOR(nil, Size, [][]Piece{short.Lend(nil, 0, 100)}))
+	for _, pieces := range [][]Piece{
+		a.Lend(nil, Size, 3000),
+		par.Lend(nil, 50, 5000),
+		new(Store).Lend(nil, 0, 4000),
+		shortPar.Lend(nil, 200, 800),
+	} {
+		h := held{pieces: pieces, want: make([]byte, pieces[0].Len())}
+		pieces[0].CopyTo(h.want)
+		tails = append(tails, h)
+	}
+	return a, par, tails
+}
+
+// TestAdoptKeepsShortTailByReference: a piece shorter than a chunk, adopted
+// at a chunk boundary onto a chunk the store does not hold (an image's last
+// partial chunk), is kept by reference as a recipe of its own terms. No chunk
+// is allocated and Bytes does not grow; the chunk reads as the piece
+// zero-extended and is lent on as a recipe. A zero piece, or a recipe window
+// no term reaches, leaves the chunk absent.
+func TestAdoptKeepsShortTailByReference(t *testing.T) {
+	_, _, tails := tailSources()
+	buf := make([]byte, Size)
+	for i, h := range tails {
+		var s Store
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		s.Adopt(2*Size, h.pieces)
+		runtime.ReadMemStats(&m1)
+		if got := m1.TotalAlloc - m0.TotalAlloc; got >= Size {
+			t.Errorf("tail %d: adopting %d bytes allocated %d bytes", i, len(h.want), got)
+		}
+		if s.Bytes() != 0 {
+			t.Errorf("tail %d: store holds %d bytes of chunks, want none", i, s.Bytes())
+		}
+		s.ReadAt(buf, 2*Size)
+		if want := append(append([]byte(nil), h.want...), make([]byte, Size-len(h.want))...); !bytes.Equal(buf, want) {
+			t.Errorf("tail %d does not read as the piece zero-extended", i)
+		}
+		lent := s.Lend(nil, 2*Size, Size)
+		switch _, ok := s.chunks[2]; {
+		case allZero(h.want) && ok:
+			t.Errorf("tail %d reads as zeros but its chunk is stored", i)
+		case !allZero(h.want) && lent[0].r == nil:
+			t.Errorf("tail %d is not lent on as a recipe", i)
+		}
+		if !(held{pieces: lent, want: buf}).reads(make([]byte, Size)) {
+			t.Errorf("tail %d's lend does not read as the chunk", i)
+		}
+	}
+}
+
+// TestShortTailMaterialisesOnWrite: a write, a flip or a truncation inside
+// an adopted tail computes it into exactly one chunk of the adopter's own,
+// and reaches neither the lender nor a lend of the tail held from before.
+func TestShortTailMaterialisesOnWrite(t *testing.T) {
+	for _, op := range []struct {
+		name string
+		do   func(s *Store, m []byte)
+	}{
+		{"write", func(s *Store, m []byte) { s.WriteAt([]byte{1, 2, 3}, 10); copy(m[10:], []byte{1, 2, 3}) }},
+		{"flip", func(s *Store, m []byte) { s.FlipByte(20); m[20] ^= 0xFF }},
+		{"truncate", func(s *Store, m []byte) { s.Truncate(1500); clear(m[1500:]) }},
+	} {
+		a, par, tails := tailSources()
+		before := make([]byte, 4*Size)
+		a.ReadAt(before[:2*Size], 0)
+		par.ReadAt(before[2*Size:], 0)
+		for i, h := range tails[:2] {
+			var s Store
+			s.Adopt(0, h.pieces)
+			kept := held{pieces: s.Lend(nil, 0, Size), want: make([]byte, Size)}
+			copy(kept.want, h.want)
+			m := append([]byte(nil), kept.want...)
+			n := s.Bytes()
+			op.do(&s, m)
+			if grew := s.Bytes() - n; grew != Size {
+				t.Errorf("%s on tail %d: store grew %d bytes of chunks, want one chunk", op.name, i, grew)
+			}
+			got := make([]byte, Size)
+			s.ReadAt(got, 0)
+			if !bytes.Equal(got, m) {
+				t.Errorf("%s on tail %d: store does not read as written", op.name, i)
+			}
+			if !kept.reads(got) {
+				t.Errorf("%s on tail %d reached a lend of the tail held from before", op.name, i)
+			}
+		}
+		after := make([]byte, 4*Size)
+		a.ReadAt(after[:2*Size], 0)
+		par.ReadAt(after[2*Size:], 0)
+		if !bytes.Equal(before, after) {
+			t.Errorf("%s on a tail reached its lender", op.name)
+		}
+	}
+}
+
+// TestShortTailOntoHeldChunkIsCopied: a short piece at a chunk boundary onto
+// a chunk the store already holds is copied over the chunk's first bytes,
+// which keeps the rest of the chunk; onto a chunk of bytes that costs no
+// chunk, onto a recipe it computes one.
+func TestShortTailOntoHeldChunkIsCopied(t *testing.T) {
+	_, par, tails := tailSources()
+	h := tails[0]
+	var s Store
+	s.WriteAt(bytes.Repeat([]byte{0x11}, Size), 0)
+	s.Adopt(Size, par.Lend(nil, 0, Size)) // a recipe chunk
+	for ci := int64(0); ci < 2; ci++ {
+		want := make([]byte, Size)
+		s.ReadAt(want, ci*Size)
+		copy(want, h.want)
+		s.Adopt(ci*Size, h.pieces)
+		got := make([]byte, Size)
+		s.ReadAt(got, ci*Size)
+		if !bytes.Equal(got, want) {
+			t.Errorf("chunk %d does not read as the tail over its old bytes", ci)
+		}
+		if c := s.chunks[ci]; c.r != nil || c.shared {
+			t.Errorf("chunk %d keeps the tail by reference", ci)
+		}
+	}
+	if s.Bytes() != 2*Size {
+		t.Errorf("store holds %d bytes of chunks, want two chunks", s.Bytes())
+	}
+}

@@ -532,43 +532,47 @@ func TestUsedTraysOrder(t *testing.T) {
 }
 
 // TestGenerateParityAllocBudget: P is adopted as recipes over the chunks the
-// data images lend (chunk.XOR), so generating it over two chunk-aligned 4 MB
-// images allocates less than one chunk. Computing it would allocate at least
-// the 4 MB of parity.
+// data images lend (chunk.XOR), so generating it over two 4 MB images
+// allocates less than one chunk. Computing it would allocate at least the
+// 4 MB of parity. That holds for images of unaligned lengths too: P's last
+// partial chunk is kept as a recipe like the rest (chunk.Store.Adopt).
 func TestGenerateParityAllocBudget(t *testing.T) {
 	const size = 4 << 20
-	env := sim.NewEnv()
-	rng := rand.New(rand.NewPCG(1, 2))
-	data := []Backend{mem(env, size), mem(env, size)}
-	pty := mem(env, size)
-	var before, after runtime.MemStats
-	env.Go("t", func(p *sim.Proc) {
-		want := make([]byte, size)
-		for _, d := range data {
-			b := make([]byte, size)
-			for i := range b {
-				b[i] = byte(rng.Uint32())
+	for _, lens := range [][2]int64{{size, size}, {size - 1000, size - 70000}} {
+		env := sim.NewEnv()
+		rng := rand.New(rand.NewPCG(1, 2))
+		data := []Backend{usedRange{mem(env, size), lens[0]}, usedRange{mem(env, size), lens[1]}}
+		pty := mem(env, size)
+		length := max(lens[0], lens[1])
+		var before, after runtime.MemStats
+		env.Go("t", func(p *sim.Proc) {
+			want := make([]byte, length)
+			for i, d := range data {
+				b := make([]byte, lens[i])
+				for j := range b {
+					b[j] = byte(rng.Uint32())
+				}
+				subtle.XORBytes(want, want, b)
+				if err := d.WriteAt(p, b, 0); err != nil {
+					t.Fatalf("seed: %v", err)
+				}
 			}
-			subtle.XORBytes(want, want, b)
-			if err := d.WriteAt(p, b, 0); err != nil {
-				t.Fatalf("seed: %v", err)
+			runtime.ReadMemStats(&before)
+			if err := GenerateParity(p, data, []Backend{pty}, length); err != nil {
+				t.Fatalf("GenerateParity: %v", err)
 			}
+			runtime.ReadMemStats(&after)
+			got := make([]byte, length)
+			if err := pty.ReadAt(p, got, 0); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("images of %v B: P does not read as the XOR of the data images (err %v)", lens, err)
+			}
+		})
+		env.Run()
+		if got := after.TotalAlloc - before.TotalAlloc; got >= chunk.Size {
+			t.Errorf("GenerateParity over images of %v B allocated %d B, budget is under one chunk (%d B)", lens, got, chunk.Size)
+		} else {
+			t.Logf("GenerateParity over images of %v B: %d B", lens, got)
 		}
-		runtime.ReadMemStats(&before)
-		if err := GenerateParity(p, data, []Backend{pty}, size); err != nil {
-			t.Fatalf("GenerateParity: %v", err)
-		}
-		runtime.ReadMemStats(&after)
-		got := make([]byte, size)
-		if err := pty.ReadAt(p, got, 0); err != nil || !bytes.Equal(got, want) {
-			t.Errorf("P does not read as the XOR of the data images (err %v)", err)
-		}
-	})
-	env.Run()
-	if got := after.TotalAlloc - before.TotalAlloc; got >= chunk.Size {
-		t.Errorf("GenerateParity over two 4 MB images allocated %d B, budget is under one chunk (%d B)", got, chunk.Size)
-	} else {
-		t.Logf("GenerateParity over two 4 MB images: %d B", got)
 	}
 }
 
@@ -584,7 +588,7 @@ func (u usedRange) Size() int64 { return u.n }
 // TestGenerateParityZeroExtends: a data image shorter than the parity length
 // reads as zeros past its Size, whatever its backing store holds there, and
 // is lent (and charged) only up to it. That holds for P, whose last partial
-// chunk is computed, and for Q.
+// chunk is kept as a recipe like the rest, and for Q.
 func TestGenerateParityZeroExtends(t *testing.T) {
 	const length, short = 3<<20 + 4096, 1<<20 + 70000
 	env := sim.NewEnv()

@@ -162,8 +162,10 @@ func (d *Disc) beginTrack(dataLen int64) (int64, error) {
 }
 
 // burnBytes appends n bytes of lent pieces at the current watermark and
-// keeps them (chunk.Store.Adopt). Only the Drive calls this; WORM is enforced
-// by construction (no overwrite API exists).
+// keeps them by reference (chunk.Store.Adopt): whole chunks, and an image's
+// last partial chunk, which lands on a chunk the disc does not hold yet. A
+// piece that starts inside a chunk is copied. Only the Drive calls this;
+// WORM is enforced by construction (no overwrite API exists).
 func (d *Disc) burnBytes(pieces []chunk.Piece, n int64) error {
 	if d.written+n > d.Capacity() {
 		return ErrDiscFull

@@ -519,6 +519,45 @@ func TestReadSurvivesEjectDuringSpinUp(t *testing.T) {
 	}
 }
 
+// TestBurnKeepsImageTailByReference: an image whose length is not a
+// multiple of a chunk burns without a private chunk for its last partial
+// chunk; the disc keeps that piece by reference too, reads it zero-extended,
+// and a flip in it copies one chunk without reaching the source.
+func TestBurnKeepsImageTailByReference(t *testing.T) {
+	env := sim.NewEnv()
+	t.Cleanup(env.Close)
+	dr := NewDrive(env, "d0", nil)
+	const payload = 1<<20 + 3000
+	pristine := patterned(payload, 9)
+	src := memSource(append([]byte(nil), pristine...))
+	d := NewDisc("tail", Media25)
+	inSim(t, env, func(p *sim.Proc) {
+		if err := dr.Load(p, d); err != nil {
+			t.Fatalf("Load: %v", err)
+		}
+		if _, err := dr.Burn(p, src, BurnOptions{}); err != nil {
+			t.Fatalf("Burn: %v", err)
+		}
+		if got, want := d.store.Bytes(), int64(payload/chunk.Size*chunk.Size); got != want {
+			t.Errorf("disc holds %d bytes of chunks after burning %d, want %d (the whole chunks only)", got, payload, want)
+		}
+		got := make([]byte, payload+5000)
+		if err := d.readAt(got, 0); err != nil || !bytes.Equal(got, append(append([]byte(nil), pristine...), make([]byte, 5000)...)) {
+			t.Fatalf("the burned image does not read as its source zero-extended (err=%v)", err)
+		}
+		d.FlipByte(payload - 1)
+		if err := d.readAt(got[:1], payload-1); err != nil || got[0] != ^pristine[payload-1] {
+			t.Errorf("flipped tail byte reads %#x (err=%v), want %#x", got[0], err, ^pristine[payload-1])
+		}
+		if got, want := d.store.Bytes(), int64(payload/chunk.Size+1)*chunk.Size; got != want {
+			t.Errorf("disc holds %d bytes of chunks after a flip in the tail, want %d", got, want)
+		}
+		if !bytes.Equal(src, pristine) {
+			t.Error("a flip on the disc reached the burn source's bytes")
+		}
+	})
+}
+
 // TestDiscAdoptsBurnPayload: a disc keeps the chunks its burn source lends,
 // so burning whole chunks allocates next to nothing, while a burn in quanta
 // smaller than a chunk copies them in. Reads find the payload across quantum
