@@ -524,9 +524,6 @@ func (c *Cluster) PrimaryOf(path string) (int, bool) {
 	return e.replicas[0], true
 }
 
-// Entries returns the namespace size.
-func (c *Cluster) Entries() int { return len(c.entries) }
-
 // ReplicasOf returns path's replica set (primary first), or nil.
 func (c *Cluster) ReplicasOf(path string) []int {
 	e := c.entries[path]
@@ -861,17 +858,6 @@ func (f *File) reopen(p *sim.Proc, cause error) error {
 	}
 	return lastErr
 }
-
-// Size returns the file size at the handle's current replica.
-func (f *File) Size() int64 {
-	if f.h == nil {
-		return 0
-	}
-	return f.h.Size()
-}
-
-// Rack returns the index of the rack currently serving the handle.
-func (f *File) Rack() int { return f.ri }
 
 // ReadAt reads at an absolute offset, failing over to another replica once
 // if the current rack errors or has gone offline.

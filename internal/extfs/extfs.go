@@ -11,7 +11,6 @@ package extfs
 import (
 	"fmt"
 	"path"
-	"sort"
 	"strings"
 	"time"
 
@@ -49,7 +48,6 @@ type FS struct {
 	metaCost time.Duration
 	next     int64 // bump allocator
 	nodes    map[string]*node
-	children map[string]map[string]bool
 
 	// Stats.
 	Ops          int64
@@ -66,7 +64,6 @@ func New(env *sim.Env, store Backend) *FS {
 		store:    store,
 		metaCost: MetaOpCost,
 		nodes:    map[string]*node{"/": {dir: true}},
-		children: map[string]map[string]bool{"/": {}},
 	}
 	return fs
 }
@@ -83,10 +80,6 @@ func (fs *FS) mkParents(name string) error {
 	parts := strings.Split(strings.TrimPrefix(name, "/"), "/")
 	cur := ""
 	for _, comp := range parts[:len(parts)-1] {
-		parent := cur
-		if parent == "" {
-			parent = "/"
-		}
 		cur += "/" + comp
 		if n, ok := fs.nodes[cur]; ok {
 			if !n.dir {
@@ -95,8 +88,6 @@ func (fs *FS) mkParents(name string) error {
 			continue
 		}
 		fs.nodes[cur] = &node{dir: true}
-		fs.children[cur] = map[string]bool{}
-		fs.children[parent][comp] = true
 	}
 	return nil
 }
@@ -130,7 +121,6 @@ func (fs *FS) Create(p *sim.Proc, name string) (vfs.File, error) {
 	} else {
 		n = &node{}
 		fs.nodes[name] = n
-		fs.children[path.Dir(name)][path.Base(name)] = true
 	}
 	n.mtime = fs.env.Now()
 	return &file{fs: fs, n: n, writing: true}, nil
@@ -157,67 +147,6 @@ func (fs *FS) Stat(p *sim.Proc, name string) (vfs.FileInfo, error) {
 		return vfs.FileInfo{}, fmt.Errorf("%w: %s", vfs.ErrNotFound, name)
 	}
 	return vfs.FileInfo{Path: clean(name), IsDir: n.dir, Size: n.size, ModTime: n.mtime}, nil
-}
-
-// Mkdir implements vfs.FileSystem.
-func (fs *FS) Mkdir(p *sim.Proc, name string) error {
-	fs.meta(p)
-	name = clean(name)
-	if _, ok := fs.nodes[name]; ok {
-		return fmt.Errorf("%w: %s", vfs.ErrExist, name)
-	}
-	if err := fs.mkParents(name); err != nil {
-		return err
-	}
-	fs.nodes[name] = &node{dir: true}
-	fs.children[name] = map[string]bool{}
-	fs.children[path.Dir(name)][path.Base(name)] = true
-	return nil
-}
-
-// ReadDir implements vfs.FileSystem.
-func (fs *FS) ReadDir(p *sim.Proc, name string) ([]vfs.DirEntry, error) {
-	fs.meta(p)
-	name = clean(name)
-	n, ok := fs.nodes[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", vfs.ErrNotFound, name)
-	}
-	if !n.dir {
-		return nil, vfs.ErrNotDir
-	}
-	var names []string
-	for c := range fs.children[name] {
-		names = append(names, c)
-	}
-	sort.Strings(names)
-	base := name
-	if base == "/" {
-		base = ""
-	}
-	out := make([]vfs.DirEntry, 0, len(names))
-	for _, c := range names {
-		cn := fs.nodes[base+"/"+c]
-		out = append(out, vfs.DirEntry{Name: c, IsDir: cn.dir, Size: cn.size})
-	}
-	return out, nil
-}
-
-// Unlink implements vfs.FileSystem.
-func (fs *FS) Unlink(p *sim.Proc, name string) error {
-	fs.meta(p)
-	name = clean(name)
-	n, ok := fs.nodes[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", vfs.ErrNotFound, name)
-	}
-	if n.dir && len(fs.children[name]) > 0 {
-		return fmt.Errorf("extfs: directory not empty: %s", name)
-	}
-	delete(fs.nodes, name)
-	delete(fs.children, name)
-	delete(fs.children[path.Dir(name)], path.Base(name))
-	return nil
 }
 
 // Write implements vfs.File: appends at the current offset.

@@ -57,7 +57,7 @@ func TestCreateTruncates(t *testing.T) {
 	})
 }
 
-func TestStatAndReadDir(t *testing.T) {
+func TestStat(t *testing.T) {
 	env := sim.NewEnv()
 	fs := newFS(env)
 	inSim(t, env, func(p *sim.Proc) {
@@ -67,29 +67,8 @@ func TestStatAndReadDir(t *testing.T) {
 		if err != nil || fi.Size != 4 || fi.IsDir {
 			t.Errorf("Stat = %+v %v", fi, err)
 		}
-		des, err := fs.ReadDir(p, "/a")
-		if err != nil || len(des) != 2 || des[0].Name != "x" {
-			t.Errorf("ReadDir = %+v %v", des, err)
-		}
 		if _, err := fs.Stat(p, "/missing"); !errors.Is(err, vfs.ErrNotFound) {
 			t.Errorf("missing stat: %v", err)
-		}
-	})
-}
-
-func TestUnlink(t *testing.T) {
-	env := sim.NewEnv()
-	fs := newFS(env)
-	inSim(t, env, func(p *sim.Proc) {
-		_ = vfs.WriteFile(p, fs, "/d/f", []byte("x"), 0)
-		if err := fs.Unlink(p, "/d"); err == nil {
-			t.Error("unlinked non-empty dir")
-		}
-		if err := fs.Unlink(p, "/d/f"); err != nil {
-			t.Fatalf("Unlink: %v", err)
-		}
-		if err := fs.Unlink(p, "/d"); err != nil {
-			t.Fatalf("Unlink dir: %v", err)
 		}
 	})
 }

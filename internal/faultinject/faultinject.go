@@ -219,17 +219,6 @@ func (pl *Plane) ArmSpec(spec string) ([]int, error) {
 	return ids, nil
 }
 
-// Disarm removes the rule with the given id, reporting whether it existed.
-func (pl *Plane) Disarm(id int) bool {
-	for i, r := range pl.rules {
-		if r.id == id {
-			pl.rules = append(pl.rules[:i], pl.rules[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
 // Clear disarms every rule. The recorded schedule and counters are kept.
 func (pl *Plane) Clear() { pl.rules = nil }
 

@@ -172,23 +172,13 @@ func TestCountersAndEmit(t *testing.T) {
 	}
 }
 
-func TestClearAndDisarm(t *testing.T) {
+func TestClear(t *testing.T) {
 	env := sim.NewEnv()
 	pl := New(env, 1)
-	id := pl.Arm(Rule{Point: PointOpticalRead})
 	pl.Arm(Rule{Point: PointOpticalBurn})
-	if !pl.Disarm(id) {
-		t.Fatal("Disarm of armed rule failed")
-	}
-	if pl.Disarm(id) {
-		t.Fatal("Disarm of removed rule succeeded")
-	}
 	drive(t, env, func(p *sim.Proc) {
-		if err := Check(p, PointOpticalRead, "d"); err != nil {
-			t.Fatalf("disarmed rule fired: %v", err)
-		}
 		if err := Check(p, PointOpticalBurn, "d"); !errors.Is(err, ErrInjected) {
-			t.Fatalf("remaining rule did not fire: %v", err)
+			t.Fatalf("armed rule did not fire: %v", err)
 		}
 	})
 	pl.Clear()

@@ -98,24 +98,6 @@ func (f *FS) Stat(p *sim.Proc, path string) (vfs.FileInfo, error) {
 	return f.inner.Stat(p, path)
 }
 
-// Mkdir implements vfs.FileSystem.
-func (f *FS) Mkdir(p *sim.Proc, path string) error {
-	f.meta(p)
-	return f.inner.Mkdir(p, path)
-}
-
-// ReadDir implements vfs.FileSystem.
-func (f *FS) ReadDir(p *sim.Proc, path string) ([]vfs.DirEntry, error) {
-	f.meta(p)
-	return f.inner.ReadDir(p, path)
-}
-
-// Unlink implements vfs.FileSystem.
-func (f *FS) Unlink(p *sim.Proc, path string) error {
-	f.meta(p)
-	return f.inner.Unlink(p, path)
-}
-
 // file chunks data requests and charges per-chunk switches.
 type file struct {
 	fs    *FS

@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -263,24 +262,6 @@ func (c *Catalog) Trays(want DAState) []rack.TrayID {
 		return cmp.Or(cmp.Compare(a.Roller, b.Roller), cmp.Compare(b.Layer, a.Layer), cmp.Compare(a.Slot, b.Slot))
 	})
 	return out
-}
-
-// MarshalJSON/Unmarshal round-trip the catalog for MV state storage.
-func (c *Catalog) Marshal() ([]byte, error) { return json.Marshal(c) }
-
-// UnmarshalCatalog decodes a catalog from MV state bytes.
-func UnmarshalCatalog(b []byte) (*Catalog, error) {
-	c := NewCatalog()
-	if err := json.Unmarshal(b, c); err != nil {
-		return nil, err
-	}
-	if c.DA == nil {
-		c.DA = make(map[string]DAState)
-	}
-	if c.DIL == nil {
-		c.DIL = make(map[string]DiscAddr)
-	}
-	return c, nil
 }
 
 // Backend is a readable/writable byte range (udf.Backend shape, and its

@@ -475,17 +475,6 @@ func (v *Volume) FileCount() int {
 	return n
 }
 
-// DirCount returns the number of directory indexes (including root).
-func (v *Volume) DirCount() int {
-	n := 0
-	for _, ix := range v.nodes {
-		if ix.Dir {
-			n++
-		}
-	}
-	return n
-}
-
 // EstimateBytes returns the MV capacity needed for the given namespace size
 // under the paper's sizing (1 KB block + 128 B inode per index file):
 // 1e9 files + 1e9 dirs -> ~2.3 TB (§4.2).

@@ -50,15 +50,6 @@ func New(env *sim.Env) *Registry {
 	}
 }
 
-// Env returns the simulation environment the registry is bound to (nil for a
-// detached registry).
-func (r *Registry) Env() *sim.Env {
-	if r == nil {
-		return nil
-	}
-	return r.env
-}
-
 // now returns the registry's virtual time, or zero when detached.
 func (r *Registry) now() time.Duration {
 	if r == nil || r.env == nil {
@@ -340,14 +331,6 @@ func (r *Registry) AttachTracer(t *Tracer) {
 		t.sampled = r.Counter("trace.sampled_out")
 		t.evicted = r.Counter("trace.evicted")
 	}
-}
-
-// Tracer returns the attached tracer, or nil.
-func (r *Registry) Tracer() *Tracer {
-	if r == nil {
-		return nil
-	}
-	return r.tracer
 }
 
 // CounterSnapshot is one counter in a Snapshot.

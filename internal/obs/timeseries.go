@@ -15,7 +15,6 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -547,15 +546,4 @@ func (s *Sampler) Dump(tail int) []SeriesDump {
 		})
 	})
 	return out
-}
-
-// String summarizes the sampler state (for rosctl debugging).
-func (s *Sampler) String() string {
-	if s == nil {
-		return "sampler: disabled"
-	}
-	total := 0
-	s.Each(func(*Series) { total++ })
-	return fmt.Sprintf("sampler: every=%s window=%s sources=%d series=%d passes=%d",
-		s.cfg.Interval, sampleWindow, len(s.sources), total, s.passes)
 }

@@ -117,7 +117,11 @@ func TestBurnResumeAfterInterrupt(t *testing.T) {
 	twoTrack := 0
 	for l := 0; l < rack.LayersPerRoller; l++ {
 		for s := 0; s < rack.SlotsPerLayer; s++ {
-			for _, d := range bed.Lib.Rollers[0].Tray(l, s).Discs {
+			tray, err := bed.Lib.Tray(rack.TrayID{Layer: l, Slot: s})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range tray.Discs {
 				if len(d.Tracks()) == 2 {
 					twoTrack++
 				}

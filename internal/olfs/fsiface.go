@@ -82,7 +82,7 @@ func (fs *FS) Stat(p *sim.Proc, path string) (vfs.FileInfo, error) {
 	return fi, nil
 }
 
-// Mkdir implements vfs.FileSystem.
+// Mkdir creates the directory path in the MV namespace.
 func (fs *FS) Mkdir(p *sim.Proc, path string) error {
 	if err := checkName(path); err != nil {
 		return err
@@ -93,7 +93,7 @@ func (fs *FS) Mkdir(p *sim.Proc, path string) error {
 	}))
 }
 
-// ReadDir implements vfs.FileSystem.
+// ReadDir lists the directory at path, sorted by name.
 func (fs *FS) ReadDir(p *sim.Proc, path string) ([]vfs.DirEntry, error) {
 	var names []string
 	err := fs.op(p, "readdir", func() error {
@@ -122,7 +122,7 @@ func (fs *FS) ReadDir(p *sim.Proc, path string) ([]vfs.DirEntry, error) {
 	return out, nil
 }
 
-// Unlink implements vfs.FileSystem. Only the namespace entry is removed;
+// Unlink removes path from the namespace. Only the namespace entry goes;
 // burned data remains on WORM discs (§4.6).
 func (fs *FS) Unlink(p *sim.Proc, path string) error {
 	return mapErr(fs.op(p, "unlink", func() error {

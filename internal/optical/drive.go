@@ -231,12 +231,6 @@ func (dr *Drive) Disc() *Disc { return dr.disc }
 // Loaded reports whether a disc is present.
 func (dr *Drive) Loaded() bool { return dr.disc != nil }
 
-// Idle reports whether the drive holds no disc and is not operating — i.e.
-// it can accept a new disc.
-func (dr *Drive) Idle() bool {
-	return dr.disc == nil && (dr.state == StateSleep || dr.state == StateEmpty)
-}
-
 // health fails the operation if the drive is already dead, and consults the
 // drive-death fault point: a firing rule kills the drive permanently.
 func (dr *Drive) health(p *sim.Proc) error {
@@ -344,15 +338,6 @@ func (dr *Drive) Eject(p *sim.Proc) (*Disc, error) {
 	dr.disc = nil
 	dr.state = StateEmpty
 	return d, nil
-}
-
-// Sleep powers the drive down (next Load pays spin-up).
-func (dr *Drive) Sleep() {
-	if dr.state == StateEmpty || dr.state == StateIdle {
-		if dr.disc == nil {
-			dr.state = StateSleep
-		}
-	}
 }
 
 // nominalSpeedX returns the drive's instantaneous recording speed in X units

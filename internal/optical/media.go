@@ -108,10 +108,6 @@ func NewDisc(id string, m MediaType) *Disc {
 // Capacity returns the disc's logical capacity in bytes.
 func (d *Disc) Capacity() int64 { return d.Type.Capacity() }
 
-// Written returns the high-water mark of burned bytes (incl. track metadata
-// zones).
-func (d *Disc) Written() int64 { return d.written }
-
 // Remaining returns the burnable bytes left.
 func (d *Disc) Remaining() int64 { return d.Capacity() - d.written }
 
@@ -123,9 +119,6 @@ func (d *Disc) Tracks() []Track { return d.tracks }
 
 // Fail marks the whole disc unreadable (scratched/lost).
 func (d *Disc) Fail() { d.failed = true }
-
-// Failed reports whether the disc is unreadable.
-func (d *Disc) Failed() bool { return d.failed }
 
 // CorruptSector injects a latent sector error at the sector containing off.
 // The paper (§4.7) cites a 1e-16 archival-disc sector error rate; scrubbing

@@ -336,9 +336,6 @@ func (v *Volume) Sync(p *sim.Proc) {
 	v.syncing--
 }
 
-// DirtyChunks returns the number of chunks awaiting flush.
-func (v *Volume) DirtyChunks() int { return len(v.dirty) }
-
 // Close has the flusher drain everything dirty now, whatever its age (call
 // Sync first to wait for it).
 func (v *Volume) Close() {

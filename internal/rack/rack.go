@@ -95,9 +95,6 @@ type Roller struct {
 	mech *sim.Resource
 }
 
-// Tray returns the tray at (layer, slot).
-func (r *Roller) Tray(layer, slot int) *Tray { return r.trays[layer][slot] }
-
 // DriveGroup is a set of 12 drives that load/unload together as one disc
 // array (§3.2).
 type DriveGroup struct {

@@ -47,7 +47,7 @@ func TestDiscIDsKeepTheirFormat(t *testing.T) {
 	for ri, r := range lib.Rollers {
 		for l := 0; l < LayersPerRoller; l++ {
 			for s := 0; s < SlotsPerLayer; s++ {
-				for d, disc := range r.Tray(l, s).Discs {
+				for d, disc := range r.trays[l][s].Discs {
 					if want := fmt.Sprintf("r%d-L%02d-S%d-D%02d", ri, l, s, d); disc.ID != want {
 						t.Fatalf("disc %s, want %s", disc.ID, want)
 					}
@@ -80,7 +80,7 @@ func TestPrototypePopulation(t *testing.T) {
 	for _, r := range lib.Rollers {
 		for l := 0; l < LayersPerRoller; l++ {
 			for s := 0; s < SlotsPerLayer; s++ {
-				for _, d := range r.Tray(l, s).Discs {
+				for _, d := range r.trays[l][s].Discs {
 					raw += d.Capacity()
 				}
 			}

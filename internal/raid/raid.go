@@ -249,9 +249,6 @@ func New(env *sim.Env, level Level, devs []blockdev.Device, stripeUnit int) (*Ar
 	return a, nil
 }
 
-// Level returns the array's RAID level.
-func (a *Array) Level() Level { return a.level }
-
 // Devices returns the member devices (index order matters for rebuild).
 func (a *Array) Devices() []blockdev.Device { return a.devs }
 

@@ -121,24 +121,6 @@ func (s *FS) Stat(p *sim.Proc, path string) (vfs.FileInfo, error) {
 	return s.inner.Stat(p, path)
 }
 
-// Mkdir implements vfs.FileSystem.
-func (s *FS) Mkdir(p *sim.Proc, path string) error {
-	s.metaReq(p, 256)
-	return s.inner.Mkdir(p, path)
-}
-
-// ReadDir implements vfs.FileSystem.
-func (s *FS) ReadDir(p *sim.Proc, path string) ([]vfs.DirEntry, error) {
-	s.metaReq(p, 4096)
-	return s.inner.ReadDir(p, path)
-}
-
-// Unlink implements vfs.FileSystem.
-func (s *FS) Unlink(p *sim.Proc, path string) error {
-	s.metaReq(p, 256)
-	return s.inner.Unlink(p, path)
-}
-
 // file is a client-side SMB handle with write-behind.
 type file struct {
 	s     *FS

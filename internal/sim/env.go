@@ -178,16 +178,6 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	return e.spawn(name, fn, false)
 }
 
-// GoDaemon spawns a background service process that is expected to outlive
-// the workload: it is excluded from Live and Deadlocked accounting, so a
-// simulation that quiesces with only daemons parked is considered cleanly
-// finished. A daemon parked at quiescence keeps its coroutine, and so the
-// Env, alive until Close; services outside this package use Daemon and
-// AfterWeak instead, which park nothing between jobs.
-func (e *Env) GoDaemon(name string, fn func(p *Proc)) *Proc {
-	return e.spawn(name, fn, true)
-}
-
 func (e *Env) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 	p := &Proc{env: e}
 	e.start(p, name, fn, daemon)
@@ -442,10 +432,6 @@ func (p *Proc) TraceContext() any { return p.tctx }
 
 // SetTraceContext installs (or clears, with nil) the trace context.
 func (p *Proc) SetTraceContext(v any) { p.tctx = v }
-
-// Daemon reports whether the process is a background service: spawned with
-// GoDaemon, or the body of a Daemon.
-func (p *Proc) Daemon() bool { return p.daemon }
 
 // Name returns the process name given to Env.Go. A Fork child's is Fork's
 // name followed by the child's index, formatted here so that a fan-out whose

@@ -59,22 +59,6 @@ func (r *Resource) Release() {
 	r.inUse--
 }
 
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// Capacity returns the total number of units.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// Waiting returns the number of processes queued on the resource.
-func (r *Resource) Waiting() int { return len(r.waiters) }
-
-// WithHold runs fn while holding one unit of the resource.
-func (r *Resource) WithHold(p *Proc, fn func()) {
-	r.Acquire(p)
-	defer r.Release()
-	fn()
-}
-
 // Signal is a broadcast condition: processes park on Wait and all of them
 // are released by Broadcast. It is level-triggered once Set: Waits after a
 // Set return immediately until Clear is called.

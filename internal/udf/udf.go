@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"path"
 	"slices"
-	"sort"
 	"strings"
 
 	"ros/internal/sim"
@@ -117,16 +116,6 @@ const maxExtentsPerEntry = 180
 type extent struct {
 	start uint32 // block number
 	count uint32
-}
-
-// DirEntry is one directory listing element.
-type DirEntry struct {
-	Name  string
-	IsDir bool
-	Size  int64
-	// LinkTarget is non-empty for link files (split-file continuation
-	// markers, §4.5).
-	LinkTarget string
 }
 
 // Info describes a file or directory.
@@ -256,9 +245,6 @@ func (v *Volume) flushDescriptor(p *sim.Proc) error {
 // ImageID returns the volume's unique image identifier.
 func (v *Volume) ImageID() [16]byte { return v.imageID }
 
-// Label returns the volume label.
-func (v *Volume) Label() string { return v.label }
-
 // Finalized reports whether the volume has been sealed into an immutable
 // disc image.
 func (v *Volume) Finalized() bool { return v.finalized }
@@ -273,16 +259,8 @@ func (v *Volume) Finalize(p *sim.Proc) error {
 	return v.flushDescriptor(p)
 }
 
-// FreeBytes returns the space not yet allocated.
-func (v *Volume) FreeBytes() int64 {
-	return int64(v.totalBlocks-v.nextFree) * BlockSize
-}
-
 // UsedBytes returns the space consumed including metadata blocks.
 func (v *Volume) UsedBytes() int64 { return int64(v.nextFree) * BlockSize }
-
-// CapacityBytes returns the total formatted capacity.
-func (v *Volume) CapacityBytes() int64 { return int64(v.totalBlocks) * BlockSize }
 
 // entry is the in-memory form of a file-entry block.
 type entry struct {
@@ -572,13 +550,6 @@ func (v *Volume) lookup(p *sim.Proc, name string, e *entry) (uint32, error) {
 	return block, nil
 }
 
-// MkdirAll creates the directory path and all missing ancestors — the
-// "unique file path" redundant-directory mechanism (§4.4).
-func (v *Volume) MkdirAll(p *sim.Proc, name string) error {
-	var pa parent
-	return v.mkdirAll(p, name, &pa)
-}
-
 // parent is a directory that gains an entry: the parent of a new file, as
 // openParent finds it, or each directory on a path mkdirAll walks.
 type parent struct {
@@ -589,9 +560,10 @@ type parent struct {
 	existing uint32 // base's entry block, 0 if absent
 }
 
-// mkdirAll is MkdirAll, working in pa: each directory on the path is decoded
-// into pa.e and its records read into pa.data in turn. It leaves pa.e named
-// for the last one.
+// mkdirAll creates the directory path and all missing ancestors, the
+// "unique file path" redundant-directory mechanism (§4.4), working in pa:
+// each directory on the path is decoded into pa.e and its records read into
+// pa.data in turn. It leaves pa.e named for the last one.
 func (v *Volume) mkdirAll(p *sim.Proc, name string, pa *parent) error {
 	if v.finalized {
 		return ErrFinalized
@@ -756,22 +728,6 @@ func (v *Volume) ReadFile(p *sim.Proc, name string) ([]byte, error) {
 	return v.readData(p, &e, make([]byte, 0, e.size))
 }
 
-// Stat describes the entry at name.
-func (v *Volume) Stat(p *sim.Proc, name string) (Info, error) {
-	var e entry
-	if _, err := v.lookup(p, name, &e); err != nil {
-		return Info{}, err
-	}
-	clean, _ := cleanPath(name)
-	return Info{
-		Path:       clean,
-		IsDir:      e.typ == typeDir,
-		IsLink:     e.typ == typeLink,
-		Size:       e.size,
-		LinkTarget: e.target,
-	}, nil
-}
-
 // children reads directory e's records and, for each in turn, decodes the
 // child's entry into e and calls fn with the child's name and entry block.
 // The name aliases the records buffer, which is put back on return.
@@ -794,24 +750,6 @@ func (v *Volume) children(p *sim.Proc, e *entry, fn func(name []byte, block uint
 			return err
 		}
 	}
-}
-
-// ReadDir lists the directory at name, sorted by entry name.
-func (v *Volume) ReadDir(p *sim.Proc, name string) ([]DirEntry, error) {
-	var e entry
-	if _, err := v.lookup(p, name, &e); err != nil {
-		return nil, err
-	}
-	var out []DirEntry
-	err := v.children(p, &e, func(name []byte, _ uint32) error {
-		out = append(out, DirEntry{Name: string(name), IsDir: e.typ == typeDir, Size: e.size, LinkTarget: e.target})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
 }
 
 // Walk visits every entry in the volume depth-first, calling fn with the

@@ -54,9 +54,6 @@ type FileSystem interface {
 	Create(p *sim.Proc, path string) (File, error)
 	Open(p *sim.Proc, path string) (File, error)
 	Stat(p *sim.Proc, path string) (FileInfo, error)
-	Mkdir(p *sim.Proc, path string) error
-	ReadDir(p *sim.Proc, path string) ([]DirEntry, error)
-	Unlink(p *sim.Proc, path string) error
 }
 
 // WriteFile creates path and writes data through it in chunkSize pieces

@@ -51,18 +51,6 @@ func (m *memFS) Stat(p *sim.Proc, path string) (FileInfo, error) {
 	return FileInfo{Path: path, Size: int64(len(data))}, nil
 }
 
-func (m *memFS) Mkdir(p *sim.Proc, path string) error { return nil }
-func (m *memFS) ReadDir(p *sim.Proc, path string) ([]DirEntry, error) {
-	return nil, nil
-}
-func (m *memFS) Unlink(p *sim.Proc, path string) error {
-	if _, ok := m.files[path]; !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, path)
-	}
-	delete(m.files, path)
-	return nil
-}
-
 func (f *memFile) Write(p *sim.Proc, data []byte) (int, error) {
 	if f.closed {
 		return 0, ErrClosed

@@ -32,9 +32,6 @@ type Ticket struct {
 	err      error
 }
 
-// Granted reports whether the ticket's bytes were admitted.
-func (t *Ticket) Granted() bool { return t.state == ticketGranted }
-
 // Wait blocks until the ticket is granted or shed and returns nil or
 // ErrOverload respectively.
 func (t *Ticket) Wait(p *sim.Proc) error {
@@ -182,9 +179,6 @@ func (a *Admission) InflightBytes() int64 {
 	}
 	return t
 }
-
-// InflightClass returns the admitted-but-unburned bytes of one class.
-func (a *Admission) InflightClass(c Class) int64 { return a.inflight[c] }
 
 // MaxInflightBytes returns the high-tide watermark of InflightBytes.
 func (a *Admission) MaxInflightBytes() int64 { return a.maxInflight }

@@ -32,13 +32,6 @@ func New(env *sim.Env, cfg Config, r *obs.Registry) *Controller {
 // Admission returns the token bucket (status, tests).
 func (c *Controller) Admission() *Admission { return c.adm }
 
-// Config returns the controller's configuration (admission effective).
-func (c *Controller) Config() Config {
-	cfg := c.cfg
-	cfg.Admission = c.adm.Config()
-	return cfg
-}
-
 // Admit charges n bytes of class cl against the token bucket, blocking on
 // the admission queue while congested; the wait is recorded as a
 // writepath.admit child span on the caller's trace. Returns ErrOverload

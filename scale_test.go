@@ -26,10 +26,15 @@ func TestPrototypeScale(t *testing.T) {
 		t.Fatalf("TotalDiscs = %d, want 12240 (§5.1)", got)
 	}
 	var raw int64
-	for _, r := range sys.Cluster.Racks()[0].Lib.Rollers {
+	lib := sys.Cluster.Racks()[0].Lib
+	for ri := range lib.Rollers {
 		for l := 0; l < rack.LayersPerRoller; l++ {
 			for s := 0; s < rack.SlotsPerLayer; s++ {
-				for _, d := range r.Tray(l, s).Discs {
+				tray, err := lib.Tray(rack.TrayID{Roller: ri, Layer: l, Slot: s})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range tray.Discs {
 					raw += d.Capacity()
 				}
 			}
