@@ -125,10 +125,7 @@ type Manager struct {
 	unreadEvicts *obs.Counter // cache fills the LRU reclaimed before any hit
 
 	// Stats.
-	Opens    int
-	Seals    int
-	Recycles int
-	Evicts   int
+	Evicts int
 }
 
 // NewManager carves nSlots buckets of bucketCap bytes out of buffer.
@@ -241,7 +238,6 @@ func (m *Manager) Open(p *sim.Proc) (*Bucket, error) {
 	b.state = StateOpen
 	b.lastAccess = p.Now()
 	m.byID[id] = b
-	m.Opens++
 	return b, nil
 }
 
@@ -261,7 +257,6 @@ func (m *Manager) OpenRaw(p *sim.Proc, length int64) (*Bucket, error) {
 	b.state = StateOpen
 	b.lastAccess = p.Now()
 	m.byID[b.ID] = b
-	m.Opens++
 	return b, nil
 }
 
@@ -278,7 +273,6 @@ func (m *Manager) Seal(p *sim.Proc, b *Bucket) error {
 		}
 	}
 	b.state = StateFilled
-	m.Seals++
 	return nil
 }
 
@@ -318,7 +312,6 @@ func (m *Manager) Recycle(p *sim.Proc, b *Bucket) error {
 		return fmt.Errorf("%w: recycle from %v", ErrBadState, b.state)
 	}
 	m.release(b)
-	m.Recycles++
 	return nil
 }
 

@@ -48,11 +48,6 @@ type FS struct {
 	metaCost time.Duration
 	next     int64 // bump allocator
 	nodes    map[string]*node
-
-	// Stats.
-	Ops          int64
-	BytesRead    int64
-	BytesWritten int64
 }
 
 var _ vfs.FileSystem = (*FS)(nil)
@@ -69,7 +64,6 @@ func New(env *sim.Env, store Backend) *FS {
 }
 
 func (fs *FS) meta(p *sim.Proc) {
-	fs.Ops++
 	p.Sleep(fs.metaCost)
 }
 
@@ -173,7 +167,6 @@ func (f *file) Write(p *sim.Proc, data []byte) (int, error) {
 	}
 	f.n.size += int64(len(data))
 	f.off += int64(len(data))
-	f.fs.BytesWritten += int64(len(data))
 	return len(data), nil
 }
 
@@ -206,7 +199,6 @@ func (f *file) Read(p *sim.Proc, buf []byte) (int, error) {
 		pos += e.len
 	}
 	f.off += read
-	f.fs.BytesRead += read
 	return int(read), nil
 }
 

@@ -52,8 +52,6 @@ type FS struct {
 	opts  Options
 
 	// Stats.
-	MetaRequests  int64
-	ReadRequests  int64
 	WriteRequests int64
 }
 
@@ -68,7 +66,6 @@ func Wrap(inner vfs.FileSystem, opts Options) *FS {
 }
 
 func (f *FS) meta(p *sim.Proc) {
-	f.MetaRequests++
 	p.Sleep(metaSwitch)
 }
 
@@ -132,7 +129,6 @@ func (fl *file) Read(p *sim.Proc, buf []byte) (int, error) {
 		if c > len(buf)-total {
 			c = len(buf) - total
 		}
-		fl.fs.ReadRequests++
 		p.Sleep(readSwitch)
 		n, err := fl.inner.Read(p, buf[total:total+c])
 		total += n

@@ -282,7 +282,7 @@ var (
 
 const parityChunk = 1 << 20
 
-// Lender is a data image as GenerateParity takes it: Lend appends read-only
+// Lender is a data image as GenerateParityFrom takes it: Lend appends read-only
 // pieces of bytes [off, off+n) to dst at the charge of a ReadAt of the same
 // range (chunk.Store.Lend), and the image reads as zeros from Size on.
 type Lender interface {
@@ -290,7 +290,7 @@ type Lender interface {
 	Size() int64
 }
 
-// Adopter is the P image as GenerateParity writes it: Adopt stores pieces
+// Adopter is the P image as GenerateParityFrom writes it: Adopt stores pieces
 // back to back from off at the charge of a WriteAt of the same range,
 // keeping whole aligned chunks, recipes among them, by reference
 // (chunk.Store.Adopt).
@@ -298,34 +298,18 @@ type Adopter interface {
 	Adopt(p *sim.Proc, off int64, pieces []chunk.Piece) error
 }
 
-// Strips is a free list of the 1 MB strip buffers GenerateParity computes a
-// Q image in, for a caller that runs it again and again (olfs keeps one per
-// FS). The zero value is ready to use. Calls on one sim.Env may overlap —
-// exactly one process runs at a time, and a buffer goes back on the list
-// only when its call is done with it (see Backend for why that is at return)
-// — but a Strips must not be shared between environments.
-type Strips struct{ free [][]byte }
-
-func (s *Strips) get() []byte {
-	if n := len(s.free); n > 0 {
-		b := s.free[n-1]
-		s.free = s.free[:n-1]
-		return b
-	}
-	return make([]byte, parityChunk)
-}
-
-// GenerateParity builds parity image(s) from data images (§4.7, delayed
+// GenerateParityFrom builds parity image(s) from data images (§4.7, delayed
 // parity generation). One parity image gives RAID-5 (P = XOR); two give
 // RAID-6 (P + Q with GF(2^8) coefficients g^col). length is the image size;
 // each data image is lent in 1 MB strips up to its own size, past which it
 // reads as zeros (a shorter image lends nothing there and is charged
 // nothing), and P is written by adopting chunk.XOR's recipes over the lent
 // pieces, so no P byte is computed until something reads it. Q is computed
-// from the same pieces into a strip and written by WriteAt. Each strip
-// charges one read per data image and one write per parity image, as ReadAt
-// and WriteAt would (the four-stream interference of §4.7).
-func (s *Strips) GenerateParity(p *sim.Proc, data []Lender, pImg Adopter, qImg Backend, length int64) error {
+// from the same pieces into a 1 MB strip, allocated per call, and written by
+// WriteAt. Each strip charges one read per data image and one write per
+// parity image, as ReadAt and WriteAt would (the four-stream interference of
+// §4.7).
+func GenerateParityFrom(p *sim.Proc, data []Lender, pImg Adopter, qImg Backend, length int64) error {
 	// What each data image lends of a strip, and the strip's P: one piece a
 	// chunk when the images are chunk aligned.
 	const per = parityChunk / chunk.Size
@@ -336,8 +320,7 @@ func (s *Strips) GenerateParity(p *sim.Proc, data []Lender, pImg Adopter, qImg B
 	pcs := make([]chunk.Piece, 0, per)
 	var buf, qAcc []byte
 	if qImg != nil {
-		buf, qAcc = s.get(), s.get()
-		defer func() { s.free = append(s.free, buf, qAcc) }()
+		buf, qAcc = make([]byte, parityChunk), make([]byte, parityChunk)
 	}
 	for off := int64(0); off < length; off += parityChunk {
 		n := min(parityChunk, length-off)
@@ -373,9 +356,8 @@ func (s *Strips) GenerateParity(p *sim.Proc, data []Lender, pImg Adopter, qImg B
 	return nil
 }
 
-// GenerateParity is Strips.GenerateParity on a one-shot Strips, for data
-// images that lend (Lender) and a P image that adopts (Adopter), such as
-// blockdev.Disk.
+// GenerateParity is GenerateParityFrom for data images that lend (Lender)
+// and a P image that adopts (Adopter), such as blockdev.Disk.
 func GenerateParity(p *sim.Proc, data []Backend, parity []Backend, length int64) error {
 	if len(parity) < 1 || len(parity) > 2 {
 		return ErrParityCount
@@ -396,7 +378,7 @@ func GenerateParity(p *sim.Proc, data []Backend, parity []Backend, length int64)
 	if len(parity) == 2 {
 		qImg = parity[1]
 	}
-	return new(Strips).GenerateParity(p, src, pImg, qImg, length)
+	return GenerateParityFrom(p, src, pImg, qImg, length)
 }
 
 // accumulate reads strip [off, off+n) of every data image and leaves P in

@@ -604,7 +604,7 @@ func TestGenerateParityZeroExtends(t *testing.T) {
 		}
 		readBefore := stale.BytesRead
 		data := []Lender{long, usedRange{stale, short}}
-		if err := new(Strips).GenerateParity(p, data, pP, pQ, length); err != nil {
+		if err := GenerateParityFrom(p, data, pP, pQ, length); err != nil {
 			t.Fatalf("GenerateParity: %v", err)
 		}
 		if got := stale.BytesRead - readBefore; got != short {

@@ -528,7 +528,6 @@ func (e *AlertEngine) fire(r *Rule, label string, st *alertState, t time.Duratio
 		Open:       true,
 	})
 	e.fired.Add(1)
-	e.reg.Counter("alert.fired." + r.Name).Add(1)
 	e.firing.Add(1)
 	e.reg.Histogram("alert.detection").Observe(int64(t - st.onset))
 	if e.env != nil {

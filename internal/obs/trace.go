@@ -108,7 +108,6 @@ func (s *TraceSpan) End(p *sim.Proc) {
 	}
 	s.done = true
 	s.Stop = s.tr.tracer.now()
-	s.tr.open--
 	s.tr.tracer.openSpans--
 	if cur, _ := p.TraceContext().(*TraceSpan); cur == s {
 		p.SetTraceContext(s.prev)
@@ -142,7 +141,6 @@ type Trace struct {
 	tracer   *Tracer
 	spans    []*TraceSpan
 	root     *TraceSpan
-	open     int // spans started and not yet ended
 	errSpans int
 	done     bool
 }
@@ -188,7 +186,6 @@ func (t *Trace) newSpan(name string, parent int64) *TraceSpan {
 		tr:     t,
 	}
 	t.spans = append(t.spans, sp)
-	t.open++
 	t.tracer.openSpans++
 	return sp
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"ros/internal/faultinject/testkit"
 	"ros/internal/olfs"
 	"ros/internal/sim"
 )
@@ -24,7 +23,7 @@ const burnOrderPath = "testdata/burn_order.txt"
 // burn-class trace (parity, claim wait, eviction unload, load, per-disc burn,
 // and the unload of a failed or interrupted run).
 func burnOrderRun(t *testing.T) string {
-	bed := testkit.New(t, testkit.Options{Faults: "optical.burn@g1-d01:once,after=200"})
+	bed := newRackBed(t, rackBedOptions{Faults: "optical.burn@g1-d01:once,after=200"})
 	var b strings.Builder
 	bed.Env.AddEventSink(func(ev sim.TraceEvent) {
 		fmt.Fprintf(&b, "%d\t%s\t%s\t%s\n", int64(ev.T), ev.Proc, ev.Kind, ev.Msg)
@@ -33,7 +32,7 @@ func burnOrderRun(t *testing.T) string {
 		interruptFirstBurn(bed) // group 0 loads first; the fault is on group 1
 		for i := 0; i < 14; i++ {
 			name := fmt.Sprintf("/arch/f%02d", i)
-			if err := bed.FS.WriteFile(p, name, testkit.Pat(400*1024, byte(i+1))); err != nil {
+			if err := bed.FS.WriteFile(p, name, pat(400*1024, byte(i+1))); err != nil {
 				t.Fatalf("WriteFile: %v", err)
 			}
 		}
@@ -100,12 +99,12 @@ func TestBurnSetSize(t *testing.T) {
 		{"single-image", true, 5, 0, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			bed := testkit.New(t, testkit.Options{Config: func(c *olfs.Config) {
+			bed := newRackBed(t, rackBedOptions{Config: func(c *olfs.Config) {
 				c.Write.Batch.SingleImage = tc.singleImage
 			}})
 			bed.Run(t, func(p *sim.Proc) {
 				for i := 0; i < images; i++ {
-					if err := bed.FS.WriteFile(p, fmt.Sprintf("/set/f%d", i), testkit.Pat(64*1024, byte(i+1))); err != nil {
+					if err := bed.FS.WriteFile(p, fmt.Sprintf("/set/f%d", i), pat(64*1024, byte(i+1))); err != nil {
 						t.Fatalf("WriteFile: %v", err)
 					}
 					if err := bed.FS.Sync(p); err != nil { // seals one image

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ros/internal/faultinject"
-	"ros/internal/faultinject/testkit"
 	"ros/internal/image"
 	"ros/internal/olfs"
 	"ros/internal/optical"
@@ -17,11 +16,11 @@ import (
 
 // writeBurnSet writes 4 x 400 KB files (two 1 MB buckets -> 2 data images +
 // 1 parity) and returns the burn completion.
-func writeBurnSet(t *testing.T, bed *testkit.Bed, p *sim.Proc) *sim.Completion[error] {
+func writeBurnSet(t *testing.T, bed *rackBed, p *sim.Proc) *sim.Completion[error] {
 	t.Helper()
 	for i := 0; i < 4; i++ {
 		name := fmt.Sprintf("/arch/f%02d", i)
-		if err := bed.FS.WriteFile(p, name, testkit.Pat(400*1024, byte(i+1))); err != nil {
+		if err := bed.FS.WriteFile(p, name, pat(400*1024, byte(i+1))); err != nil {
 			t.Fatalf("WriteFile: %v", err)
 		}
 	}
@@ -33,7 +32,7 @@ func writeBurnSet(t *testing.T, bed *testkit.Bed, p *sim.Proc) *sim.Completion[e
 }
 
 // burningGroup returns the drive group currently burning, if any.
-func burningGroup(bed *testkit.Bed) *rack.DriveGroup {
+func burningGroup(bed *rackBed) *rack.DriveGroup {
 	for _, g := range bed.Lib.Groups {
 		if g.AnyBurning() {
 			return g
@@ -45,7 +44,7 @@ func burningGroup(bed *testkit.Bed) *rack.DriveGroup {
 // interruptFirstBurn starts a process that waits for the first drive group to
 // start burning and interrupts its drive 0 fifty seconds later — mid-track,
 // while the other discs run to completion.
-func interruptFirstBurn(bed *testkit.Bed) {
+func interruptFirstBurn(bed *rackBed) {
 	bed.Env.Go("interrupter", func(ip *sim.Proc) {
 		for i := 0; i < 10000; i++ {
 			if g := burningGroup(bed); g != nil {
@@ -61,7 +60,7 @@ func interruptFirstBurn(bed *testkit.Bed) {
 }
 
 // failedTrays counts catalog trays in the Failed state.
-func failedTrays(bed *testkit.Bed) int {
+func failedTrays(bed *rackBed) int {
 	n := 0
 	for _, st := range bed.FS.Cat.DA {
 		if st == image.DAFailed {
@@ -78,12 +77,12 @@ func failedTrays(bed *testkit.Bed) int {
 // was silently marked Failed, and the one-shot fresh-tray retry masked the
 // bug. Post-fix the resumed disc carries two tracks and no tray fails.
 func TestBurnResumeAfterInterrupt(t *testing.T) {
-	bed := testkit.New(t, testkit.Options{Config: func(c *olfs.Config) {
+	bed := newRackBed(t, rackBedOptions{Config: func(c *olfs.Config) {
 		c.AutoBurn = false
 		c.RecycleAfterBurn = true // force the post-resume read to hit the disc
 	}})
 	var burnErr error
-	var data0 = testkit.Pat(400*1024, 1)
+	var data0 = pat(400*1024, 1)
 	bed.Run(t, func(p *sim.Proc) {
 		c := writeBurnSet(t, bed, p)
 
@@ -153,7 +152,7 @@ func TestBurnResumeAfterInterrupt(t *testing.T) {
 // finds it occupied) must still count the interrupt, must not leak resume
 // bookkeeping into the fresh-tray retry, and the retry must succeed.
 func TestBurnInterruptThenHardFailure(t *testing.T) {
-	bed := testkit.New(t, testkit.Options{Config: noAutoBurn})
+	bed := newRackBed(t, rackBedOptions{Config: noAutoBurn})
 	var burnErr error
 	bed.Run(t, func(p *sim.Proc) {
 		c := writeBurnSet(t, bed, p)
@@ -220,7 +219,7 @@ func TestBurnInterruptThenHardFailure(t *testing.T) {
 // hard-failure reset, so run 3 was miscounted as another resume; post-fix
 // BurnResumes stays exactly 1.
 func TestBurnResumeRunHardFailure(t *testing.T) {
-	bed := testkit.New(t, testkit.Options{Config: noAutoBurn})
+	bed := newRackBed(t, rackBedOptions{Config: noAutoBurn})
 	var burnErr error
 	bed.Run(t, func(p *sim.Proc) {
 		c := writeBurnSet(t, bed, p)
@@ -287,7 +286,7 @@ func TestBurnResumeRunHardFailure(t *testing.T) {
 
 // usedWithoutImages lists catalog trays that are Used yet hold no placed
 // image — the footprint of a blank array leaked by an abandoned burn.
-func usedWithoutImages(bed *testkit.Bed) []string {
+func usedWithoutImages(bed *rackBed) []string {
 	var out []string
 	for l := 0; l < rack.LayersPerRoller; l++ {
 		for s := 0; s < rack.SlotsPerLayer; s++ {
@@ -307,7 +306,7 @@ func usedWithoutImages(bed *testkit.Bed) []string {
 // The load fails before any disc moves, so the tray must go back to Empty and
 // the next burn must reuse it.
 func TestAbandonedBurnReleasesTray(t *testing.T) {
-	bed := testkit.New(t, testkit.Options{Faults: "rack.tray.load:once", Config: noAutoBurn})
+	bed := newRackBed(t, rackBedOptions{Faults: "rack.tray.load:once", Config: noAutoBurn})
 	bed.Run(t, func(p *sim.Proc) {
 		reserved, ok := bed.FS.Cat.FindEmptyTray(bed.Lib)
 		if !ok {
@@ -344,7 +343,7 @@ func TestAbandonedBurnReleasesTray(t *testing.T) {
 // tracks, so it must end Failed — neither leaked as Used nor handed out again
 // as blank.
 func TestAbandonedResumeFailsTray(t *testing.T) {
-	bed := testkit.New(t, testkit.Options{Faults: "rack.tray.load:once,after=1", Config: noAutoBurn})
+	bed := newRackBed(t, rackBedOptions{Faults: "rack.tray.load:once,after=1", Config: noAutoBurn})
 	bed.Run(t, func(p *sim.Proc) {
 		c := writeBurnSet(t, bed, p)
 		interruptFirstBurn(bed)

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"ros/internal/faultinject/testkit"
 	"ros/internal/mv"
 	"ros/internal/olfs"
 	"ros/internal/sim"
@@ -18,7 +17,7 @@ import (
 func noAutoBurn(c *olfs.Config) { c.AutoBurn = false }
 
 func TestEmptyFileSemantics(t *testing.T) {
-	bed := testkit.New(t, testkit.Options{Config: noAutoBurn})
+	bed := newRackBed(t, rackBedOptions{Config: noAutoBurn})
 	bed.Run(t, func(p *sim.Proc) {
 		if err := bed.FS.WriteFile(p, "/e/empty", nil); err != nil {
 			t.Fatalf("write empty: %v", err)
@@ -38,7 +37,7 @@ func TestEmptyFileSemantics(t *testing.T) {
 }
 
 func TestWriteToClosedHandle(t *testing.T) {
-	bed := testkit.New(t, testkit.Options{Config: noAutoBurn})
+	bed := newRackBed(t, rackBedOptions{Config: noAutoBurn})
 	bed.Run(t, func(p *sim.Proc) {
 		fw, err := bed.FS.CreateFile(p, "/h/f")
 		if err != nil {
@@ -60,7 +59,7 @@ func TestWriteToClosedHandle(t *testing.T) {
 }
 
 func TestOpenVersionErrors(t *testing.T) {
-	bed := testkit.New(t, testkit.Options{Config: noAutoBurn})
+	bed := newRackBed(t, rackBedOptions{Config: noAutoBurn})
 	bed.Run(t, func(p *sim.Proc) {
 		if err := bed.FS.WriteFile(p, "/v/f", []byte("only")); err != nil {
 			t.Fatal(err)
@@ -82,7 +81,7 @@ func TestOpenVersionErrors(t *testing.T) {
 }
 
 func TestDirectoryErrors(t *testing.T) {
-	bed := testkit.New(t, testkit.Options{Config: noAutoBurn})
+	bed := newRackBed(t, rackBedOptions{Config: noAutoBurn})
 	bed.Run(t, func(p *sim.Proc) {
 		if err := bed.FS.Mkdir(p, "/d"); err != nil {
 			t.Fatal(err)
@@ -117,12 +116,12 @@ func TestDirectoryErrors(t *testing.T) {
 }
 
 func TestPartMissingAfterCatalogLoss(t *testing.T) {
-	bed := testkit.New(t, testkit.Options{Config: func(c *olfs.Config) {
+	bed := newRackBed(t, rackBedOptions{Config: func(c *olfs.Config) {
 		c.AutoBurn = false
 		c.RecycleAfterBurn = true
 	}})
 	bed.Run(t, func(p *sim.Proc) {
-		if err := bed.FS.WriteFile(p, "/pm/f", testkit.Pat(100*1024, 1)); err != nil {
+		if err := bed.FS.WriteFile(p, "/pm/f", pat(100*1024, 1)); err != nil {
 			t.Fatal(err)
 		}
 		c, _ := bed.FS.FlushAndBurn(p)
@@ -143,14 +142,14 @@ func TestBufferExhaustion(t *testing.T) {
 	// must produce a clean "buffer full" error rather than corruption or a
 	// deadlock. Two buffer slots per cluster.StackConfig size each RAID-5
 	// disk at 768 KB: 4.5 MB usable = 4 slots of 1 MB.
-	bed := testkit.New(t, testkit.Options{
+	bed := newRackBed(t, rackBedOptions{
 		BufferSlots: 2,
 		Config:      noAutoBurn,
 	})
 	bed.Run(t, func(p *sim.Proc) {
 		var werr error
 		for i := 0; i < 10 && werr == nil; i++ {
-			werr = bed.FS.WriteFile(p, fmt.Sprintf("/x/f%d", i), testkit.Pat(900*1024, byte(i)))
+			werr = bed.FS.WriteFile(p, fmt.Sprintf("/x/f%d", i), pat(900*1024, byte(i)))
 			if werr == nil {
 				werr = bed.FS.Sync(p)
 			}
@@ -166,7 +165,7 @@ func TestBufferExhaustion(t *testing.T) {
 }
 
 func TestUnlinkDirectoryRules(t *testing.T) {
-	bed := testkit.New(t, testkit.Options{Config: noAutoBurn})
+	bed := newRackBed(t, rackBedOptions{Config: noAutoBurn})
 	bed.Run(t, func(p *sim.Proc) {
 		if err := bed.FS.WriteFile(p, "/ud/a/f", []byte("x")); err != nil {
 			t.Fatal(err)
@@ -187,10 +186,10 @@ func TestUnlinkDirectoryRules(t *testing.T) {
 }
 
 func TestVersionRingWrapUnderOLFS(t *testing.T) {
-	bed := testkit.New(t, testkit.Options{Config: noAutoBurn})
+	bed := newRackBed(t, rackBedOptions{Config: noAutoBurn})
 	bed.Run(t, func(p *sim.Proc) {
 		for i := 1; i <= mv.MaxVersionEntries+5; i++ {
-			if err := bed.FS.WriteFile(p, "/wrap/f", testkit.Pat(100, byte(i))); err != nil {
+			if err := bed.FS.WriteFile(p, "/wrap/f", pat(100, byte(i))); err != nil {
 				t.Fatalf("v%d: %v", i, err)
 			}
 		}
@@ -210,10 +209,10 @@ func TestVersionRingWrapUnderOLFS(t *testing.T) {
 }
 
 func TestTraceCapturesDurations(t *testing.T) {
-	bed := testkit.New(t, testkit.Options{Config: noAutoBurn})
+	bed := newRackBed(t, rackBedOptions{Config: noAutoBurn})
 	bed.Run(t, func(p *sim.Proc) {
 		for _, path := range []string{"/tr/f", "/tr/g"} {
-			if err := bed.FS.WriteFile(p, path, testkit.Pat(1024, 1)); err != nil {
+			if err := bed.FS.WriteFile(p, path, pat(1024, 1)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"ros/internal/faultinject/testkit"
 	"ros/internal/olfs"
 	"ros/internal/rack"
 	"ros/internal/sim"
@@ -19,17 +18,17 @@ import (
 // back (queueing behind the unload on the roller) and returns the bytes.
 func TestReadDuringUnloadFetchesInsteadOfReadingEmptyDrive(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		bed := testkit.New(t, testkit.Options{Seed: seed, Config: func(c *olfs.Config) {
+		bed := newRackBed(t, rackBedOptions{Seed: seed, Config: func(c *olfs.Config) {
 			c.AutoBurn = false
 			c.RecycleAfterBurn = true
 		}})
-		data := testkit.Pat(200*1024, byte(seed))
+		data := pat(200*1024, byte(seed))
 		var got []byte
 		var readErr error
 		bed.Run(t, func(p *sim.Proc) {
 			trays := make([]rack.TrayID, 2)
 			for i, path := range []string{"/nd/a", "/nd/b"} {
-				if err := bed.FS.WriteFile(p, path, testkit.Pat(200*1024, byte(seed)+byte(i))); err != nil {
+				if err := bed.FS.WriteFile(p, path, pat(200*1024, byte(seed)+byte(i))); err != nil {
 					t.Fatalf("WriteFile %s: %v", path, err)
 				}
 				c, err := bed.FS.FlushAndBurn(p)

@@ -153,7 +153,6 @@ type FS struct {
 	fetchJoins map[string]int // waiters coalesced onto an in-flight fetch
 	mounted    map[*optical.Drive]*udf.Volume
 	mounting   map[*optical.Drive]mount // the one mount in flight per drive
-	strips     image.Strips             // parity strip buffers, reused from burn task to burn task
 
 	// groupEpoch[gi] increments every time group gi's tray is unloaded.
 	// fileReader sources and fs.mounted entries record the epoch they were

@@ -1,9 +1,4 @@
-// Package testkit is the shared seed-replay regression harness for chaos and
-// fault-injection tests across olfs, raid and rack. It assembles the small
-// standard testbed (cluster.NewRackStack's default library and redundancy,
-// 1 MB buckets, 1 s burn stagger) with a fault plane pre-registered, so tests
-// arm rules and replay failing seeds instead of copy-pasting stack assembly.
-package testkit
+package olfs_test
 
 import (
 	"strconv"
@@ -16,16 +11,19 @@ import (
 	"ros/internal/sim"
 )
 
-// Bed is one assembled test stack: a cluster.Rack (library, MV array, write
-// buffer, OLFS) on its own environment, with the fault plane.
-type Bed struct {
+// rackBed is the seed-replay harness of this package's fault-injection
+// tests: one cluster.Rack (library, MV array, write buffer, OLFS) on its own
+// environment, assembled as cluster.NewRackStack's small standard testbed
+// (its default library and redundancy, 1 MB buckets, 1 s burn stagger) with
+// a fault plane attached, so tests arm rules and replay failing seeds.
+type rackBed struct {
 	Env *sim.Env
 	*cluster.Rack
 	Plane *faultinject.Plane
 }
 
-// Options tune the bed away from the standard small configuration.
-type Options struct {
+// rackBedOptions tune the bed away from the standard small configuration.
+type rackBedOptions struct {
 	// Seed seeds both the environment's workload source and the fault plane
 	// (0 keeps the engine default of 1 and a plane seed of 1).
 	Seed int64
@@ -40,9 +38,9 @@ type Options struct {
 	Config func(*olfs.Config)
 }
 
-// New assembles a Bed through cluster.NewRackStack. Failures during assembly
-// abort the test.
-func New(t *testing.T, opt Options) *Bed {
+// newRackBed assembles a rackBed through cluster.NewRackStack. Failures
+// during assembly abort the test.
+func newRackBed(t *testing.T, opt rackBedOptions) *rackBed {
 	t.Helper()
 	env := sim.NewEnv()
 	t.Cleanup(env.Close)
@@ -74,16 +72,16 @@ func New(t *testing.T, opt Options) *Bed {
 	plane.AttachObs(r.Reg)
 	if opt.Faults != "" {
 		if _, err := plane.ArmSpec(opt.Faults); err != nil {
-			t.Fatalf("testkit: arming faults %q: %v", opt.Faults, err)
+			t.Fatalf("arming faults %q: %v", opt.Faults, err)
 		}
 	}
-	return &Bed{Env: env, Rack: r, Plane: plane}
+	return &rackBed{Env: env, Rack: r, Plane: plane}
 }
 
 // Run executes fn as a simulation process and drains the environment. A
 // deadlock fails the test with the seed and the injected fault schedule, so
 // the failure replays exactly.
-func (b *Bed) Run(t *testing.T, fn func(p *sim.Proc)) {
+func (b *rackBed) Run(t *testing.T, fn func(p *sim.Proc)) {
 	t.Helper()
 	b.Env.Go("test", fn)
 	b.Env.Run()
@@ -94,13 +92,13 @@ func (b *Bed) Run(t *testing.T, fn func(p *sim.Proc)) {
 
 // Replay formats the bed's seed and injected fault schedule for failure
 // messages: re-running with the same seed and spec reproduces the run.
-func (b *Bed) Replay() string {
+func (b *rackBed) Replay() string {
 	return "replay: seed=" + strconv.FormatInt(b.Plane.Seed(), 10) +
 		"\ninjected faults:\n" + b.Plane.ScheduleString()
 }
 
-// Pat returns the standard deterministic test pattern: byte(i)*3 + seed.
-func Pat(n int, seed byte) []byte {
+// pat returns the standard deterministic test pattern: byte(i)*3 + seed.
+func pat(n int, seed byte) []byte {
 	b := make([]byte, n)
 	for i := range b {
 		b[i] = byte(i)*3 + seed

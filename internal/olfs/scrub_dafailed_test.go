@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"ros/internal/faultinject/testkit"
 	"ros/internal/image"
 	"ros/internal/olfs"
 	"ros/internal/rack"
@@ -35,7 +34,7 @@ func usedTrays(fs *olfs.FS) []rack.TrayID {
 // still-readable data images must be migrated off it — previously survivors
 // were stranded on the failed tray with stale parity coverage.
 func TestDAFailedTrayExcludedAndMigrated(t *testing.T) {
-	bed := testkit.New(t, testkit.Options{Config: func(c *olfs.Config) {
+	bed := newRackBed(t, rackBedOptions{Config: func(c *olfs.Config) {
 		c.AutoBurn = false
 		c.RecycleAfterBurn = true // reads must come off disc, not the buffer
 	}})
@@ -44,7 +43,7 @@ func TestDAFailedTrayExcludedAndMigrated(t *testing.T) {
 		var files []string
 		for i := 0; i < 4; i++ {
 			name := fmt.Sprintf("/mig/f%d", i)
-			if err := bed.FS.WriteFile(p, name, testkit.Pat(400*1024, byte(i+1))); err != nil {
+			if err := bed.FS.WriteFile(p, name, pat(400*1024, byte(i+1))); err != nil {
 				t.Fatalf("WriteFile: %v", err)
 			}
 			files = append(files, name)
@@ -130,7 +129,7 @@ func TestDAFailedTrayExcludedAndMigrated(t *testing.T) {
 			if err != nil {
 				t.Fatalf("read %s after migration: %v", name, err)
 			}
-			if !bytes.Equal(got, testkit.Pat(400*1024, byte(i+1))) {
+			if !bytes.Equal(got, pat(400*1024, byte(i+1))) {
 				t.Fatalf("%s corrupt after migration", name)
 			}
 		}
@@ -147,13 +146,13 @@ func TestDAFailedTrayExcludedAndMigrated(t *testing.T) {
 // readable-disc failure (silent corruption on the parity disc) must also
 // retire the tray and move every data image off it.
 func TestDAFailedSilentCorruptionMigratesAll(t *testing.T) {
-	bed := testkit.New(t, testkit.Options{Config: func(c *olfs.Config) {
+	bed := newRackBed(t, rackBedOptions{Config: func(c *olfs.Config) {
 		c.AutoBurn = false
 		c.RecycleAfterBurn = true
 	}})
 	bed.Run(t, func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
-			if err := bed.FS.WriteFile(p, fmt.Sprintf("/sil/f%d", i), testkit.Pat(400*1024, byte(i+1))); err != nil {
+			if err := bed.FS.WriteFile(p, fmt.Sprintf("/sil/f%d", i), pat(400*1024, byte(i+1))); err != nil {
 				t.Fatalf("WriteFile: %v", err)
 			}
 		}
@@ -212,7 +211,7 @@ func TestDAFailedSilentCorruptionMigratesAll(t *testing.T) {
 			if err != nil {
 				t.Fatalf("read %s: %v", name, err)
 			}
-			if !bytes.Equal(got, testkit.Pat(400*1024, byte(i+1))) {
+			if !bytes.Equal(got, pat(400*1024, byte(i+1))) {
 				t.Fatalf("%s corrupt", name)
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"ros/internal/faultinject/testkit"
 	"ros/internal/sim"
 )
 
@@ -15,8 +14,8 @@ import (
 // bucket to its last free block behind both stashes, and the second Close
 // failed. A stash now reserves its block.
 func TestStashedTailsCannotOversubscribeBucket(t *testing.T) {
-	bed := testkit.New(t, testkit.Options{Config: noAutoBurn})
-	a, b, c := testkit.Pat(1000, 1), testkit.Pat(3000, 2), testkit.Pat(2<<20, 3)
+	bed := newRackBed(t, rackBedOptions{Config: noAutoBurn})
+	a, b, c := pat(1000, 1), pat(3000, 2), pat(2<<20, 3)
 	bed.Run(t, func(p *sim.Proc) {
 		wa, errA := bed.FS.CreateFile(p, "/tail/a")
 		wb, errB := bed.FS.CreateFile(p, "/tail/b")

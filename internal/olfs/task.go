@@ -329,7 +329,7 @@ func (fs *FS) generateParity(p *sim.Proc, t *burnTask) (err error) {
 	if len(t.parity) == 2 {
 		q = t.parity[1].Backend()
 	}
-	if err := fs.strips.GenerateParity(p, data, t.parity[0], q, length); err != nil {
+	if err := image.GenerateParityFrom(p, data, t.parity[0], q, length); err != nil {
 		discard()
 		return err
 	}

@@ -173,9 +173,6 @@ type Drive struct {
 
 	// Stats.
 	BytesBurned int64
-	BytesRead   int64
-	Burns       int
-	Loads       int
 
 	// m holds obs handles shared across all drives attached to the same
 	// registry (aggregate metrics). Zero value (nil handles) is inert, so
@@ -276,7 +273,6 @@ func (dr *Drive) Load(p *sim.Proc, d *Disc) error {
 	dr.disc = d
 	dr.state = StateIdle
 	dr.head = 0
-	dr.Loads++
 	return nil
 }
 
@@ -292,7 +288,6 @@ func (dr *Drive) ArmLoad(d *Disc) error {
 	dr.state = StateIdle
 	dr.head = 0
 	dr.cold = true
-	dr.Loads++
 	return nil
 }
 
@@ -535,7 +530,6 @@ func (dr *Drive) Burn(p *sim.Proc, src BurnSource, opts BurnOptions) (rep BurnRe
 	if rep.Duration > 0 {
 		rep.AvgSpeedX = float64(burnedLogical) / rep.Duration.Seconds() / BluRay1X
 	}
-	dr.Burns++
 	dr.m.burns.Add(1)
 	dr.m.bytesBurned.Add(burnedLogical)
 	dr.m.burnLatency.Observe(int64(rep.Duration))
@@ -710,7 +704,6 @@ func (dr *Drive) read(p *sim.Proc, off, n int64, move func(*Disc) error) error {
 		return err
 	}
 	dr.head = off + n
-	dr.BytesRead += n
 	dr.m.bytesRead.Add(n)
 	dr.m.readLatency.Observe(int64(t))
 	// Media fault points mutate the disc and let its read path surface the

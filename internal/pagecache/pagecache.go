@@ -85,7 +85,6 @@ const (
 // sized for that); writes are mirrored asynchronously to the backend by a
 // flusher process.
 type Volume struct {
-	env     *sim.Env
 	backend Backend
 	rates   Rates
 	store   chunk.Store
@@ -130,7 +129,6 @@ func (v *Volume) AttachObs(r *obs.Registry, prefix string) {
 // write-back trigger may hold, and parks nothing in between.
 func New(env *sim.Env, backend Backend, rates Rates) *Volume {
 	v := &Volume{
-		env:       env,
 		backend:   backend,
 		rates:     rates,
 		size:      backend.Size(),

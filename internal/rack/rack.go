@@ -100,7 +100,6 @@ type Roller struct {
 type DriveGroup struct {
 	Index  int
 	Drives []*optical.Drive
-	Sharer *optical.Sharer
 	// Source is the tray the currently-loaded array came from (nil if the
 	// group is empty).
 	Source *TrayID
@@ -192,7 +191,7 @@ func New(env *sim.Env, cfg Config) (*Library, error) {
 	}
 	for gi := 0; gi < cfg.DriveGroups; gi++ {
 		sharer := optical.NewSharer(env, cfg.BurnCap)
-		g := &DriveGroup{Index: gi, Sharer: sharer, busy: sim.NewResource(env, 1)}
+		g := &DriveGroup{Index: gi, busy: sim.NewResource(env, 1)}
 		for d := 0; d < DrivesPerGroup; d++ {
 			dr := optical.NewDrive(env, fmt.Sprintf("g%d-d%02d", gi, d), sharer)
 			dr.AttachObs(reg)

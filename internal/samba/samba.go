@@ -59,11 +59,6 @@ type FS struct {
 	env   *sim.Env
 	inner vfs.FileSystem
 	opts  Options
-
-	// Stats.
-	Requests      int64
-	BytesToWire   int64
-	BytesFromWire int64
 }
 
 var _ vfs.FileSystem = (*FS)(nil)
@@ -79,7 +74,6 @@ func (s *FS) xfer(p *sim.Proc, n int) {
 }
 
 func (s *FS) metaReq(p *sim.Proc, n int) {
-	s.Requests++
 	p.Sleep(metaProto)
 	s.xfer(p, n)
 }
@@ -168,8 +162,6 @@ func (f *file) writeback(p *sim.Proc) {
 // Write implements vfs.File: the client pays protocol + wire time; the
 // server-side write proceeds asynchronously (write-behind).
 func (f *file) Write(p *sim.Proc, data []byte) (int, error) {
-	f.s.Requests++
-	f.s.BytesFromWire += int64(len(data))
 	p.Sleep(dataProtoWrite)
 	f.s.xfer(p, len(data))
 	if f.werr != nil {
@@ -185,13 +177,11 @@ func (f *file) Write(p *sim.Proc, data []byte) (int, error) {
 
 // Read implements vfs.File: synchronous request-response.
 func (f *file) Read(p *sim.Proc, buf []byte) (int, error) {
-	f.s.Requests++
 	p.Sleep(dataProtoRead)
 	if f.s.opts.ReadRevalidate > 0 {
 		p.Sleep(f.s.opts.ReadRevalidate)
 	}
 	n, err := f.inner.Read(p, buf)
-	f.s.BytesToWire += int64(n)
 	f.s.xfer(p, n)
 	return n, err
 }

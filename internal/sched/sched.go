@@ -138,7 +138,6 @@ type request struct {
 	tray  *rack.TrayID // fetch target; nil for a specific-group claim
 	burn  bool         // burn request: never a Hit (its tray is blank)
 	enq   time.Duration
-	seq   int64
 	c     *sim.Completion[Grant]
 }
 
@@ -160,7 +159,6 @@ type Scheduler struct {
 	busy    []bool          // group claimed by a granted request
 	lastUse []time.Duration // virtual time of last grant/release per group (LRU)
 	pending []*request      // arrival order; service order is policy-derived
-	seq     int64
 
 	// demand counts outstanding interest per tray: queued fetch requests
 	// plus explicit Pin holds (olfs pins a tray for the lifetime of a
@@ -190,12 +188,10 @@ type Scheduler struct {
 	readUsed []int
 	readCap  []int
 	readWait [][]*readWaiter
-	readSeq  int64
 
 	depthGauge *obs.Gauge
 	depthBy    [NumClasses]*obs.Gauge
 	waitBy     [NumClasses]*obs.Histogram
-	grantsBy   [NumClasses]*obs.Counter
 	evictions  *obs.Counter
 	evictSkips *obs.Counter
 	travel     *obs.Counter
@@ -208,7 +204,6 @@ type Scheduler struct {
 type readWaiter struct {
 	class Class
 	enq   time.Duration
-	seq   int64
 	c     *sim.Completion[struct{}]
 }
 
@@ -240,7 +235,6 @@ func New(env *sim.Env, cfg Config, lib *rack.Library) *Scheduler {
 	for cl := Class(0); cl < NumClasses; cl++ {
 		s.depthBy[cl] = r.Gauge("sched.queue_depth." + cl.String())
 		s.waitBy[cl] = r.Histogram("sched.wait." + cl.String())
-		s.grantsBy[cl] = r.Counter("sched.grants." + cl.String())
 	}
 	s.evictions = r.Counter("sched.evictions")
 	s.evictSkips = r.Counter("sched.eviction_skips_demand")
@@ -266,9 +260,7 @@ func (s *Scheduler) AcquireReadSlot(p *sim.Proc, class Class, gi int) {
 		s.stripWait.Observe(0)
 		return
 	}
-	s.readSeq++
-	w := &readWaiter{class: class, enq: enq, seq: s.readSeq,
-		c: sim.NewCompletion[struct{}](s.env)}
+	w := &readWaiter{class: class, enq: enq, c: sim.NewCompletion[struct{}](s.env)}
 	s.readWait[gi] = append(s.readWait[gi], w)
 	w.c.Wait(p)
 	s.stripWait.ObserveSince(enq, s.env.Now())
@@ -373,8 +365,6 @@ func (s *Scheduler) acquire(p *sim.Proc, r *request) Grant {
 	if r.tray != nil && sp != nil {
 		sp.Annotate("tray", r.tray.String())
 	}
-	s.seq++
-	r.seq = s.seq
 	r.enq = s.env.Now()
 	r.c = sim.NewCompletion[Grant](s.env)
 	s.pending = append(s.pending, r)
@@ -612,7 +602,6 @@ func (s *Scheduler) grant(r *request, g Grant) {
 	s.lastUse[g.Group] = s.env.Now()
 	s.depthGauge.Add(-1)
 	s.depthBy[r.class].Add(-1)
-	s.grantsBy[r.class].Add(1)
 	s.waitBy[r.class].ObserveSince(r.enq, s.env.Now())
 	r.c.Resolve(g, nil)
 }

@@ -283,3 +283,47 @@ func TestCheckStarvedIsLevelTriggered(t *testing.T) {
 		t.Errorf("sched.starvation_kicks = %d, want 2", got)
 	}
 }
+
+// Every grant is observed once in its class's wait histogram: after a mix of
+// fetch, burn and scrub requests contending for two groups, each
+// sched.wait.<class> count equals the grants issued to that class, and every
+// queue-depth gauge is back at 0.
+func TestWaitCountsEachGrantOnce(t *testing.T) {
+	for _, pol := range []Policy{PolicyFIFO, PolicyQoSScan} {
+		env, lib := newLib(t, 2)
+		s := New(env, Config{Policy: pol}, lib)
+		var grants [NumClasses]int64
+		for i := 0; i < 12; i++ {
+			cl := []Class{Interactive, Burn, Scrub}[i%3]
+			at := time.Duration(i) * 100 * time.Millisecond
+			env.Go("req", func(p *sim.Proc) {
+				p.Sleep(at)
+				var g Grant
+				if cl == Burn {
+					g = s.AcquireBurn(p, tray(10+i, 1))
+				} else {
+					g = s.AcquireFetch(p, cl, tray(40+i, 0))
+				}
+				grants[cl]++
+				p.Sleep(time.Second)
+				s.Release(g.Group)
+			})
+		}
+		run(t, env)
+		r := lib.Obs()
+		for cl := Class(0); cl < NumClasses; cl++ {
+			if got := r.Histogram("sched.wait." + cl.String()).Count(); got != grants[cl] {
+				t.Errorf("%v: sched.wait.%v count = %d, want the %d grants issued", pol, cl, got, grants[cl])
+			}
+			if d := r.Gauge("sched.queue_depth." + cl.String()).Value(); d != 0 {
+				t.Errorf("%v: sched.queue_depth.%v = %d at quiescence, want 0", pol, cl, d)
+			}
+		}
+		if grants[Interactive] != 4 || grants[Burn] != 4 || grants[Scrub] != 4 {
+			t.Errorf("%v: grants by class = %v, want 4 of each of interactive, burn and scrub", pol, grants)
+		}
+		if d := r.Gauge("sched.queue_depth").Value(); d != 0 {
+			t.Errorf("%v: sched.queue_depth = %d at quiescence, want 0", pol, d)
+		}
+	}
+}

@@ -138,7 +138,6 @@ type Volume struct {
 	finalized   bool
 	imageID     [16]byte
 	label       string
-	dirty       bool
 	// reserved counts blocks promised to writers' stashed partial tails
 	// (Writer.Write): allocatable to nobody else, but not yet used.
 	reserved uint32
@@ -238,7 +237,6 @@ func (v *Volume) flushDescriptor(p *sim.Proc) error {
 	}
 	buf[37] = byte(len(v.label))
 	copy(buf[38:], v.label)
-	v.dirty = false
 	return v.backend.WriteAt(p, buf, 0)
 }
 
@@ -282,7 +280,6 @@ func (v *Volume) alloc(n uint32) (uint32, error) {
 	}
 	b := v.nextFree
 	v.nextFree += n
-	v.dirty = true
 	return b, nil
 }
 

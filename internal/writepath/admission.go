@@ -26,7 +26,6 @@ type Ticket struct {
 	bytes    int64
 	enq      time.Duration
 	deadline time.Duration // 0 = no deadline
-	seq      int64
 	state    ticketState
 	c        *sim.Completion[struct{}]
 	err      error
@@ -53,7 +52,6 @@ type Admission struct {
 	maxInflight int64 // high-tide watermark (soak-test observability)
 	congested   bool
 	queue       []*Ticket
-	seq         int64
 	watch       *sim.Daemon // sheds tickets past their deadline; nil without MaxWait
 
 	m admMetrics
@@ -140,9 +138,7 @@ func (a *Admission) Begin(c Class, n int64) *Ticket {
 		a.noteShed(n)
 		return t
 	}
-	a.seq++
 	t.state = ticketWaiting
-	t.seq = a.seq
 	if a.cfg.MaxWait > 0 {
 		t.deadline = now + a.cfg.MaxWait
 	}

@@ -11,7 +11,6 @@ import (
 // bucket and attributes admitted bytes to the buckets that absorbed them, so
 // the burn pipeline can return them.
 type Controller struct {
-	cfg Config
 	adm *Admission
 
 	// charges maps each data image to the admitted bytes it absorbed, per
@@ -23,7 +22,6 @@ type Controller struct {
 // New creates a write-path controller; r receives the writepath.* metrics.
 func New(env *sim.Env, cfg Config, r *obs.Registry) *Controller {
 	return &Controller{
-		cfg:     cfg,
 		adm:     NewAdmission(env, cfg.Admission, sched.Config{}, r),
 		charges: make(map[image.ID]*[NumClasses]int64),
 	}

@@ -94,63 +94,6 @@ func TestStatsSnapshotDeterministic(t *testing.T) {
 	}
 }
 
-// TestEventCountersCountEachEventOnce: every rack shares one clock, so an
-// event emitted on it is counted once, in the system registry, and a merged
-// view's events.rack.load equals the racks' tray loads.
-func TestEventCountersCountEachEventOnce(t *testing.T) {
-	sys, err := New(Options{
-		Racks:           3,
-		BucketBytes:     4 << 20,
-		DisableAutoBurn: true,
-		FS:              FSConfig{RecycleAfterBurn: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(sys.Close)
-	err = sys.Do(func(p *Proc) error {
-		for _, path := range []string{"/a", "/b"} {
-			if err := sys.Cluster.WriteFile(p, path, make([]byte, 20<<20)); err != nil {
-				return err
-			}
-		}
-		for _, r := range sys.Cluster.Racks() {
-			c, err := r.FS.FlushAndBurn(p)
-			if err != nil {
-				return err
-			}
-			if _, err := c.Wait(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Env.Emit("olfs.burn.interrupt", "burner", "g0")
-	sys.Env.Emit("olfs.burn.interrupt", "burner", "g1")
-
-	merged := sys.MergedObs()
-	loads := merged.Counter("rack.loads")
-	if loads == 0 {
-		t.Fatal("the burns loaded no tray")
-	}
-	if got := merged.Counter("events.rack.load"); got != loads {
-		t.Errorf("merged events.rack.load = %d, want rack.loads = %d", got, loads)
-	}
-	if got := merged.Counter("events.olfs.burn.interrupt"); got != 2 {
-		t.Errorf("merged events.olfs.burn.interrupt = %d, want 2", got)
-	}
-	for i := range sys.Cluster.Racks() {
-		for _, c := range sys.RackObs(i).Counters {
-			if strings.HasPrefix(c.Name, "events.") {
-				t.Errorf("rack%d carries %s = %d; events are counted in the system registry only", i, c.Name, c.Value)
-			}
-		}
-	}
-}
-
 // TestOneTracerPerSystem: every rack records into the federation's one
 // tracer, so each rack's olfs.burn shows in Cluster.Tracer() (what `rosctl
 // trace` lists), trace IDs never repeat, and trace.* is counted once, in the

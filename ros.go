@@ -249,11 +249,6 @@ func DefaultRules() []obs.Rule {
 func New(o Options) (*System, error) {
 	env := sim.NewEnv()
 	reg := obs.New(env)
-	// The shared clock's structured events are counted once, here: every
-	// emitted event increments the system registry's "events.<kind>".
-	env.AddEventSink(func(ev sim.TraceEvent) {
-		reg.Counter("events." + ev.Kind).Add(1)
-	})
 	plane := faultinject.New(env, o.FaultSeed)
 	plane.AttachObs(reg)
 	if o.Faults != "" {
