@@ -93,23 +93,17 @@ type clusterMetrics struct {
 	writes         *obs.Counter
 	reads          *obs.Counter
 	replicaWrites  *obs.Counter
-	replicaReads   *obs.Counter
 	secondaryReads *obs.Counter
 	failovers      *obs.Counter
 	routeErrors    *obs.Counter
 	transitions    *obs.Counter
 	skipUnhealthy  *obs.Counter
 	rereplDone     *obs.Counter
-	rereplFailed   *obs.Counter
-	rereplSkipped  *obs.Counter
 
-	racks         *obs.Gauge
-	racksUp       *obs.Gauge
-	racksDegraded *obs.Gauge
-	racksOffline  *obs.Gauge
-	entries       *obs.Gauge
-	backlog       *obs.Gauge
-	imbalance     *obs.Gauge // worst per-rack deviation from mean load, percent
+	racksUp      *obs.Gauge
+	racksOffline *obs.Gauge
+	backlog      *obs.Gauge
+	imbalance    *obs.Gauge // worst per-rack deviation from mean load, percent
 }
 
 // New assembles a federation of cfg.Racks identical rack stacks on env and
@@ -159,20 +153,14 @@ func (c *Cluster) bindMetrics(r *obs.Registry) {
 		writes:         r.Counter("cluster.writes"),
 		reads:          r.Counter("cluster.reads"),
 		replicaWrites:  r.Counter("cluster.replica_writes"),
-		replicaReads:   r.Counter("cluster.replica_reads"),
 		secondaryReads: r.Counter("cluster.secondary_reads"),
 		failovers:      r.Counter("cluster.failovers"),
 		routeErrors:    r.Counter("cluster.route_errors"),
 		transitions:    r.Counter("cluster.health_transitions"),
 		skipUnhealthy:  r.Counter("cluster.skipped_unhealthy"),
 		rereplDone:     r.Counter("cluster.rerepl_done"),
-		rereplFailed:   r.Counter("cluster.rerepl_failed"),
-		rereplSkipped:  r.Counter("cluster.rerepl_skipped"),
-		racks:          r.Gauge("cluster.racks"),
 		racksUp:        r.Gauge("cluster.racks_up"),
-		racksDegraded:  r.Gauge("cluster.racks_degraded"),
 		racksOffline:   r.Gauge("cluster.racks_offline"),
-		entries:        r.Gauge("cluster.entries"),
 		backlog:        r.Gauge("cluster.rerepl_backlog"),
 		imbalance:      r.Gauge("cluster.imbalance_pct"),
 	}
@@ -192,7 +180,6 @@ func (c *Cluster) addRack() (*Rack, error) {
 	}
 	c.racks = append(c.racks, r)
 	c.placer.grow()
-	c.m.racks.Set(int64(len(c.racks)))
 	c.refreshHealthGauges()
 	if c.cfg.Sampler != nil {
 		c.cfg.Sampler.AddSource(r.Name, r.Reg)
@@ -255,7 +242,7 @@ func (c *Cluster) setHealth(r *Rack, h Health) {
 	r.health = h
 	c.m.transitions.Add(1)
 	c.refreshHealthGauges()
-	c.env.Emit("cluster.health", r.Name, from.String()+"->"+h.String())
+	c.env.Emit("cluster.health", r.Name, func() string { return from.String() + "->" + h.String() })
 	if h == HealthOffline {
 		c.enqueueScan(r.Index)
 	}
@@ -270,19 +257,16 @@ func (c *Cluster) SetHealth(ri int, h Health) {
 }
 
 func (c *Cluster) refreshHealthGauges() {
-	var up, deg, off int64
+	var up, off int64
 	for _, r := range c.racks {
 		switch r.health {
 		case HealthUp:
 			up++
-		case HealthDegraded:
-			deg++
 		case HealthOffline:
 			off++
 		}
 	}
 	c.m.racksUp.Set(up)
-	c.m.racksDegraded.Set(deg)
 	c.m.racksOffline.Set(off)
 }
 
@@ -350,7 +334,7 @@ func (c *Cluster) noteFailover(p *sim.Proc, opName string, from, to int, cause e
 		sp.Annotate("cause", cause.Error())
 	}
 	sp.End(p)
-	c.env.Emit("cluster.failover", opName, c.racks[from].Name+"->"+c.racks[to].Name)
+	c.env.Emit("cluster.failover", opName, func() string { return c.racks[from].Name + "->" + c.racks[to].Name })
 }
 
 // placeLimit is the worst health a rack may have to receive a new replica:
@@ -505,7 +489,6 @@ func (c *Cluster) WriteFile(p *sim.Proc, path string, data []byte) (err error) {
 		e = &entry{}
 		c.entries[path] = e
 		c.paths = append(c.paths, path)
-		c.m.entries.Set(int64(len(c.entries)))
 	}
 	e.replicas = written
 	c.m.imbalance.Set(int64(c.placer.imbalancePct()))
@@ -565,7 +548,6 @@ func (c *Cluster) Unlink(p *sim.Proc, path string) error {
 		}
 		delete(c.entries, path)
 		c.paths = slices.DeleteFunc(c.paths, func(q string) bool { return q == path })
-		c.m.entries.Set(int64(len(c.entries)))
 		c.m.imbalance.Set(int64(c.placer.imbalancePct()))
 	}
 	return nil
@@ -773,7 +755,6 @@ func (c *Cluster) ReadFile(p *sim.Proc, path string) (data []byte, err error) {
 		}
 		data, lastErr = c.readVia(p, cand.ri, path, sched.Interactive)
 		if lastErr == nil {
-			c.m.replicaReads.Add(1)
 			if cand.ri != e.replicas[0] {
 				c.m.secondaryReads.Add(1)
 			}
@@ -986,13 +967,11 @@ func (c *Cluster) rereplicate(p *sim.Proc, path string) {
 	}
 	if len(live) >= c.replicas || len(live) == len(e.replicas) {
 		// The rack came back (or nothing is actually missing): no copy needed.
-		c.m.rereplSkipped.Add(1)
 		return
 	}
 	if len(live) == 0 {
 		// Every replica is dark; nothing to copy from. A later Probe/requeue
 		// retries when a rack returns.
-		c.m.rereplFailed.Add(1)
 		return
 	}
 	op := c.tracer.StartOp(p, "cluster.rereplicate", "scrub")
@@ -1013,7 +992,6 @@ func (c *Cluster) rereplicate(p *sim.Proc, path string) {
 		}
 	}
 	if err != nil {
-		c.m.rereplFailed.Add(1)
 		return
 	}
 	// Target: a fresh Up rack outside the current set.
@@ -1023,7 +1001,6 @@ func (c *Cluster) rereplicate(p *sim.Proc, path string) {
 	})
 	if len(target) == 0 {
 		err = fmt.Errorf("cluster: no eligible target rack for %s", path)
-		c.m.rereplFailed.Add(1)
 		return
 	}
 	// Re-replication is background repair traffic: it draws from the
@@ -1033,7 +1010,6 @@ func (c *Cluster) rereplicate(p *sim.Proc, path string) {
 	})
 	if err != nil {
 		c.placer.unplace(target[0])
-		c.m.rereplFailed.Add(1)
 		return
 	}
 	// Swap one dead member out for the new copy.

@@ -314,6 +314,6 @@ func (pl *Plane) fired(p *sim.Proc, r *Rule, point, detail string) error {
 	sp.Annotate("detail", detail)
 	sp.Annotate("rule", r.Spec())
 	sp.Fail(p, ErrInjected)
-	pl.env.Emit("fault.inject", p.Name(), point+" "+detail)
+	pl.env.Emit("fault.inject", p.Name(), func() string { return point + " " + detail })
 	return fmt.Errorf("%w: %s@%s (rule #%d)", ErrInjected, point, detail, r.id)
 }

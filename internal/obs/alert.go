@@ -531,7 +531,7 @@ func (e *AlertEngine) fire(r *Rule, label string, st *alertState, t time.Duratio
 	e.firing.Add(1)
 	e.reg.Histogram("alert.detection").Observe(int64(t - st.onset))
 	if e.env != nil {
-		e.env.Emit("alert.fire", "", alertMsg(r.Name, label, val))
+		e.env.Emit("alert.fire", "", func() string { return alertMsg(r.Name, label, val) })
 	}
 }
 
@@ -545,7 +545,7 @@ func (e *AlertEngine) resolve(r *Rule, label string, st *alertState, t time.Dura
 	e.firing.Add(-1)
 	e.reg.Histogram("alert.recovery").Observe(int64(t - st.firedAt))
 	if e.env != nil {
-		e.env.Emit("alert.resolve", "", alertMsg(r.Name, label, 0))
+		e.env.Emit("alert.resolve", "", func() string { return alertMsg(r.Name, label, 0) })
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"strings"
 	"time"
 
 	"ros/internal/sim"
@@ -472,8 +473,10 @@ func trimBuckets(b []int64) []int64 {
 }
 
 // MergeSnapshots combines per-rack snapshots into one cluster-wide view:
-// counters and gauges with the same name sum; histograms merge by combining
-// raw bucket counts and re-deriving quantiles from the combined distribution.
+// counters and gauges with the same name sum, except that a percentage gauge
+// (a name ending in _pct) takes the maximum, the fullest rack, since a sum
+// of per-rack fills means nothing; histograms merge by combining raw bucket
+// counts and re-deriving quantiles from the combined distribution.
 // Averaging per-rack percentiles would be wrong — a rack with 10 slow reads
 // and a rack with 10000 fast ones would report a p99 near the midpoint
 // instead of near the fast mass. Now is the max of the inputs' Now.
@@ -492,7 +495,11 @@ func MergeSnapshots(snaps ...Snapshot) Snapshot {
 			counters[c.Name] += c.Value
 		}
 		for _, g := range s.Gauges {
-			gauges[g.Name] += g.Value
+			if v, ok := gauges[g.Name]; ok && strings.HasSuffix(g.Name, "_pct") {
+				gauges[g.Name] = max(v, g.Value)
+			} else {
+				gauges[g.Name] += g.Value
+			}
 		}
 		for _, h := range s.Histograms {
 			if h.Count == 0 {

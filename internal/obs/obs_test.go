@@ -170,7 +170,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 				r.Histogram("op.latency").ObserveSince(start, p.Now())
 				r.Counter("ops").Add(1)
 				r.Gauge("depth").Set(int64(i))
-				env.Emit("tick", p.Name(), "")
+				env.Emit("tick", p.Name(), func() string { return "" })
 			})
 		}
 		env.Run()

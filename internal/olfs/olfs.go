@@ -145,14 +145,13 @@ type FS struct {
 	curMu   *sim.Resource  // serializes bucket writes (one PBW stream)
 	writers []*fileWriter  // writers with a subfile open in cur, in creation order
 
-	burnQ      *sim.Queue[*burnTask]
-	btm        *sim.Daemon           // starts a process per queued burn task
-	sched      *sched.Scheduler      // arbitrates drive groups and arm demand
-	wp         *writepath.Controller // admission control + charge ledger
-	fetches    map[string]*sim.Completion[int]
-	fetchJoins map[string]int // waiters coalesced onto an in-flight fetch
-	mounted    map[*optical.Drive]*udf.Volume
-	mounting   map[*optical.Drive]mount // the one mount in flight per drive
+	burnQ    *sim.Queue[*burnTask]
+	btm      *sim.Daemon           // starts a process per queued burn task
+	sched    *sched.Scheduler      // arbitrates drive groups and arm demand
+	wp       *writepath.Controller // admission control + charge ledger
+	fetches  map[string]*sim.Completion[int]
+	mounted  map[*optical.Drive]*udf.Volume
+	mounting map[*optical.Drive]mount // the one mount in flight per drive
 
 	// groupEpoch[gi] increments every time group gi's tray is unloaded.
 	// fileReader sources and fs.mounted entries record the epoch they were
@@ -197,7 +196,6 @@ type fsMetrics struct {
 	repairs       *obs.Counter
 	mvSnapshots   *obs.Counter
 	coalesced     *obs.Counter   // fetch waiters that joined an in-flight fetch
-	batchSize     *obs.Histogram // consumers served per mechanical fetch
 	mvCharges     *obs.Counter   // MV index-op costs charged (DirectIO data path)
 	staleSources  *obs.Counter   // read-handle sources invalidated by tray eviction
 	joinRetries   *obs.Counter   // joined fetches retried after the winner failed
@@ -205,7 +203,6 @@ type fsMetrics struct {
 	fillAborts    *obs.Counter   // fills given up (tray evicted, read error, no slot)
 	fillLatency   *obs.Histogram // fill start to publication
 	burnLatency   *obs.Histogram // one burn task run segment
-	parityLatency *obs.Histogram // one parity generation
 	fetchLatency  *obs.Histogram // one mechanical fetch
 
 	// One task is one set under one claim, so writepath.burn_sets and
@@ -238,7 +235,6 @@ func (fs *FS) bindMetrics(r *obs.Registry) {
 		repairs:       r.Counter("olfs.repairs"),
 		mvSnapshots:   r.Counter("olfs.mv_snapshots"),
 		coalesced:     r.Counter("sched.coalesced_fetches"),
-		batchSize:     r.Histogram("sched.batch_size"),
 		mvCharges:     r.Counter("olfs.mv_charges"),
 		staleSources:  r.Counter("olfs.stale_sources"),
 		joinRetries:   r.Counter("olfs.join_retries"),
@@ -247,7 +243,6 @@ func (fs *FS) bindMetrics(r *obs.Registry) {
 		fillLatency:   r.Histogram("olfs.cache_fill.latency"),
 		burnLatency:   r.Histogram("olfs.burn.latency"),
 		fetchLatency:  r.Histogram("olfs.fetch.latency"),
-		parityLatency: r.Histogram("olfs.parity.latency"),
 		burnSets:      r.Counter("writepath.burn_sets"),
 		burnGroups:    r.Counter("writepath.burn_groups"),
 	}
@@ -290,7 +285,6 @@ func New(env *sim.Env, cfg Config, lib *rack.Library, mvBackend mv.Backend, buff
 		curMu:      sim.NewResource(env, 1),
 		burnQ:      sim.NewQueue[*burnTask](env),
 		fetches:    make(map[string]*sim.Completion[int]),
-		fetchJoins: make(map[string]int),
 		mounted:    make(map[*optical.Drive]*udf.Volume),
 		mounting:   make(map[*optical.Drive]mount),
 		groupEpoch: make([]uint64, len(lib.Groups)),

@@ -172,7 +172,7 @@ func (fs *FS) runBurnTask(p *sim.Proc, t *burnTask) {
 		// preemption happened), but the fresh tray restarts every disc
 		// from scratch.
 		fs.Cat.SetDAState(*t.tray, image.DAFailed)
-		fs.env.Emit(sim.KindBurnFail, p.Name(), t.tray.String())
+		fs.env.Emit(sim.KindBurnFail, p.Name(), t.tray.String)
 		t.tray = nil
 		t.progress = nil
 		t.attempts++
@@ -185,12 +185,12 @@ func (fs *FS) runBurnTask(p *sim.Proc, t *burnTask) {
 	case interrupted:
 		// A fetch preempted us (§4.8): requeue to resume with
 		// append-mode burning on the same tray.
-		fs.env.Emit(sim.KindBurnInterrupt, p.Name(), t.tray.String())
+		fs.env.Emit(sim.KindBurnInterrupt, p.Name(), t.tray.String)
 		op.Retry()
 		t.resumed = true
 		fs.queueBurn(t)
 	default:
-		fs.env.Emit(sim.KindBurnFinish, p.Name(), t.tray.String())
+		fs.env.Emit(sim.KindBurnFinish, p.Name(), t.tray.String)
 		fs.mountBurned(p, gi, *t.tray, t.images)
 		fs.finishBurn(p, t)
 		t.done.Resolve(nil, nil)
@@ -295,8 +295,6 @@ func (fs *FS) interruptBurn() {
 // generateParity allocates parity slots and computes P (and Q) across the
 // data images (DIM, §4.7).
 func (fs *FS) generateParity(p *sim.Proc, t *burnTask) (err error) {
-	start := p.Now()
-	defer func() { fs.m.parityLatency.ObserveSince(start, p.Now()) }()
 	op := fs.tracer.StartOp(p, "olfs.parity", "burn")
 	defer func() { op.Finish(p, err) }()
 	length := int64(0)
@@ -474,7 +472,6 @@ func (fs *FS) fetchTray(p *sim.Proc, tray rack.TrayID, class sched.Class) (gi in
 		}
 		if c, ok := fs.fetches[key]; ok {
 			// Coalesce with the in-flight fetch, then re-verify.
-			fs.fetchJoins[key]++
 			fs.m.coalesced.Add(1)
 			if _, err := c.Wait(p); err != nil {
 				// The winner's mechanical load failed, but that error is the
@@ -492,8 +489,6 @@ func (fs *FS) fetchTray(p *sim.Proc, tray rack.TrayID, class sched.Class) (gi in
 		c := sim.NewCompletion[int](fs.env)
 		fs.fetches[key] = c
 		gi, err = fs.runFetch(p, tray, class)
-		fs.m.batchSize.Observe(int64(1 + fs.fetchJoins[key]))
-		delete(fs.fetchJoins, key)
 		delete(fs.fetches, key)
 		c.Resolve(gi, err)
 		return gi, err
@@ -508,7 +503,7 @@ func (fs *FS) runFetch(p *sim.Proc, tray rack.TrayID, class sched.Class) (int, e
 	fs.m.fetchTasks.Add(1)
 	start := p.Now()
 	defer func() { fs.m.fetchLatency.ObserveSince(start, p.Now()) }()
-	defer fs.env.Emit(sim.KindFetch, p.Name(), tray.String())
+	defer fs.env.Emit(sim.KindFetch, p.Name(), tray.String)
 	g := fs.sched.AcquireFetch(p, class, tray)
 	gi := g.Group
 	if g.Hit {

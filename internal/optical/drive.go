@@ -186,7 +186,6 @@ type driveMetrics struct {
 	bytesBurned *obs.Counter
 	bytesRead   *obs.Counter
 	burns       *obs.Counter
-	burnLatency *obs.Histogram
 	readLatency *obs.Histogram
 	drivesDead  *obs.Gauge
 }
@@ -194,14 +193,13 @@ type driveMetrics struct {
 // AttachObs connects the drive to a metrics registry. Drives attached to the
 // same registry share one set of aggregate counters/histograms
 // (optical.bytes_burned, optical.bytes_read, optical.burns,
-// optical.burn.latency, optical.read.latency); per-drive struct fields keep
+// optical.read.latency, optical.drives_dead); per-drive struct fields keep
 // their exact per-drive meaning.
 func (dr *Drive) AttachObs(r *obs.Registry) {
 	dr.m = driveMetrics{
 		bytesBurned: r.Counter("optical.bytes_burned"),
 		bytesRead:   r.Counter("optical.bytes_read"),
 		burns:       r.Counter("optical.burns"),
-		burnLatency: r.Histogram("optical.burn.latency"),
 		readLatency: r.Histogram("optical.read.latency"),
 		drivesDead:  r.Gauge("optical.drives_dead"),
 	}
@@ -253,7 +251,7 @@ func (dr *Drive) Replace() {
 	dr.dead = false
 	dr.m.drivesDead.Add(-1)
 	if dr.env != nil {
-		dr.env.Emit("optical.drive.replace", dr.ID, "FRU swap")
+		dr.env.Emit("optical.drive.replace", dr.ID, func() string { return "FRU swap" })
 	}
 }
 
@@ -532,7 +530,6 @@ func (dr *Drive) Burn(p *sim.Proc, src BurnSource, opts BurnOptions) (rep BurnRe
 	}
 	dr.m.burns.Add(1)
 	dr.m.bytesBurned.Add(burnedLogical)
-	dr.m.burnLatency.Observe(int64(rep.Duration))
 	if rep.Interrupted {
 		return rep, ErrBurnAborted
 	}

@@ -107,22 +107,18 @@ type Volume struct {
 
 	// Metric handles, nil (and inert) until AttachObs.
 	bytesRead    *obs.Counter
-	bytesWritten *obs.Counter
 	bytesFlushed *obs.Counter
-	dirtyGauge   *obs.Gauge
 }
 
 // extent is the dirty part [lo, hi) of one chunk, in bytes from its start.
 type extent struct{ lo, hi int64 }
 
 // AttachObs connects the volume to a metrics registry under the given name
-// prefix (e.g. "buffer"): <prefix>.bytes_read / bytes_written / bytes_flushed
-// counters, plus a <prefix>.dirty_chunks gauge tracking the flush backlog.
+// prefix (e.g. "buffer"): the <prefix>.bytes_read and <prefix>.bytes_flushed
+// counters.
 func (v *Volume) AttachObs(r *obs.Registry, prefix string) {
 	v.bytesRead = r.Counter(prefix + ".bytes_read")
-	v.bytesWritten = r.Counter(prefix + ".bytes_written")
 	v.bytesFlushed = r.Counter(prefix + ".bytes_flushed")
-	v.dirtyGauge = r.Gauge(prefix + ".dirty_chunks")
 }
 
 // New creates a cached volume over backend. Its flusher runs when a
@@ -212,11 +208,10 @@ func (v *Volume) Adopt(p *sim.Proc, off int64, pieces []chunk.Piece) error {
 	return nil
 }
 
-// markDirty counts n bytes written at off and widens the dirty hulls of
-// their chunks to the pages they touch, waking the flusher when a segment's
-// worth of chunks is dirty.
+// markDirty widens the dirty hulls of the chunks that n bytes written at off
+// touch to the pages they cover, waking the flusher when a segment's worth of
+// chunks is dirty.
 func (v *Volume) markDirty(p *sim.Proc, off, n int64) {
-	v.bytesWritten.Add(n)
 	lo := off / pageSize * pageSize
 	hi := (off + n + pageSize - 1) / pageSize * pageSize
 	for ci := lo / chunkSize; ci*chunkSize < hi; ci++ {
@@ -232,7 +227,6 @@ func (v *Volume) markDirty(p *sim.Proc, off, n int64) {
 		}
 		v.dirty[ci] = e
 	}
-	v.dirtyGauge.Set(int64(len(v.dirty)))
 	if len(v.dirty)*chunkSize >= flushSegment {
 		v.flusher.Wake()
 	}
@@ -304,7 +298,6 @@ func (v *Volume) flush(p *sim.Proc) {
 			for c := first; c < first+int64(n); c++ {
 				delete(v.dirty, c)
 			}
-			v.dirtyGauge.Set(int64(len(v.dirty)))
 			// A failed write-back is not retried or reported: Sync has no
 			// error path and the marks are gone, so the bytes live on only in
 			// this never-evicting cache and the backend's copy is stale (the

@@ -360,7 +360,7 @@ func (lib *Library) end(p *sim.Proc, c composite, err error) {
 	}
 	c.h.ObserveSince(c.start, p.Now())
 	c.tsp.End(p)
-	lib.env.Emit(c.kind, p.Name(), c.tray.String())
+	lib.env.Emit(c.kind, p.Name(), c.tray.String)
 }
 
 // LoadArray moves the disc array in tray `id` into drive group gi:

@@ -196,8 +196,6 @@ type Scheduler struct {
 	evictSkips *obs.Counter
 	travel     *obs.Counter
 	starveKick *obs.Counter
-	readPar    *obs.Gauge     // read.parallelism: strip readers holding a slot
-	stripWait  *obs.Histogram // read.strip_wait: time from slot request to grant
 }
 
 // readWaiter is one parked strip reader waiting for a group read slot.
@@ -240,8 +238,6 @@ func New(env *sim.Env, cfg Config, lib *rack.Library) *Scheduler {
 	s.evictSkips = r.Counter("sched.eviction_skips_demand")
 	s.travel = r.Counter("sched.arm_travel_layers")
 	s.starveKick = r.Counter("sched.starvation_kicks")
-	s.readPar = r.Gauge("read.parallelism")
-	s.stripWait = r.Histogram("read.strip_wait")
 	return s
 }
 
@@ -253,17 +249,13 @@ func (s *Scheduler) AcquireReadSlot(p *sim.Proc, class Class, gi int) {
 	if gi < 0 || gi >= len(s.readUsed) {
 		return
 	}
-	enq := s.env.Now()
 	if s.readUsed[gi] < s.readCap[gi] {
 		s.readUsed[gi]++
-		s.readPar.Add(1)
-		s.stripWait.Observe(0)
 		return
 	}
-	w := &readWaiter{class: class, enq: enq, c: sim.NewCompletion[struct{}](s.env)}
+	w := &readWaiter{class: class, enq: s.env.Now(), c: sim.NewCompletion[struct{}](s.env)}
 	s.readWait[gi] = append(s.readWait[gi], w)
 	w.c.Wait(p)
-	s.stripWait.ObserveSince(enq, s.env.Now())
 }
 
 // ReleaseReadSlot returns a strip-reader slot to group gi and hands it to
@@ -276,12 +268,11 @@ func (s *Scheduler) ReleaseReadSlot(gi int) {
 		panic(fmt.Sprintf("sched: ReleaseReadSlot of unheld slot in group %d", gi))
 	}
 	if w := s.takeReadWaiter(gi); w != nil {
-		// Slot transfers directly; readUsed and the gauge are unchanged.
+		// Slot transfers directly; readUsed is unchanged.
 		w.c.Resolve(struct{}{}, nil)
 		return
 	}
 	s.readUsed[gi]--
-	s.readPar.Add(-1)
 }
 
 // takeReadWaiter removes and returns the next read-slot waiter for group gi:

@@ -159,12 +159,13 @@ func (e *Env) AddEventSink(fn func(TraceEvent)) {
 }
 
 // Emit publishes a structured event to all registered sinks at the current
-// virtual time.
-func (e *Env) Emit(kind, proc, msg string) {
+// virtual time. msg builds the event's detail and runs only when a sink
+// listens, so an event nobody subscribes to costs no formatting.
+func (e *Env) Emit(kind, proc string, msg func() string) {
 	if len(e.sinks) == 0 {
 		return
 	}
-	ev := TraceEvent{T: e.now, Proc: proc, Kind: kind, Msg: msg}
+	ev := TraceEvent{T: e.now, Proc: proc, Kind: kind, Msg: msg()}
 	for _, s := range e.sinks {
 		s(ev)
 	}

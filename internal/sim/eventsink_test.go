@@ -19,10 +19,10 @@ func sinkRun() (first, second []TraceEvent) {
 			// same virtual instant, so ordering relies on the scheduler's
 			// deterministic FIFO tie-break.
 			p.Sleep(time.Duration(i%2) * time.Second)
-			env.Emit(KindRackLoad, p.Name(), fmt.Sprintf("load %d", i))
+			env.Emit(KindRackLoad, p.Name(), func() string { return fmt.Sprintf("load %d", i) })
 			p.Sleep(time.Second)
-			env.Emit("log", p.Name(), fmt.Sprintf("step %d", i))
-			env.Emit(KindBurnFinish, p.Name(), fmt.Sprintf("burn %d", i))
+			env.Emit("log", p.Name(), func() string { return fmt.Sprintf("step %d", i) })
+			env.Emit(KindBurnFinish, p.Name(), func() string { return fmt.Sprintf("burn %d", i) })
 		})
 	}
 	env.Run()

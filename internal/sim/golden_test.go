@@ -27,7 +27,7 @@ func goldenRun() string {
 		fmt.Fprintf(&b, "%d\t%s\t%s\t%s\n", int64(ev.T), ev.Proc, ev.Kind, ev.Msg)
 	})
 	note := func(p *Proc, format string, args ...interface{}) {
-		env.Emit("golden", p.Name(), fmt.Sprintf(format, args...))
+		env.Emit("golden", p.Name(), func() string { return fmt.Sprintf(format, args...) })
 	}
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
@@ -80,7 +80,7 @@ func goldenRun() string {
 					kids[k] = c
 					env.Go(fmt.Sprintf("burn-%d-d%d", v, k), func(cp *Proc) {
 						cp.Sleep(ms(100 * (1 + (v+k)%3)))
-						env.Emit("log", cp.Name(), fmt.Sprintf("burned job %d disc %d", v, k))
+						env.Emit("log", cp.Name(), func() string { return fmt.Sprintf("burned job %d disc %d", v, k) })
 						c.Resolve(k, nil)
 					})
 				}

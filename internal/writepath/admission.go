@@ -58,16 +58,10 @@ type Admission struct {
 }
 
 type admMetrics struct {
-	inflight   *obs.Gauge
-	inflightBy [NumClasses]*obs.Gauge
-	pct        *obs.Gauge
-	congested  *obs.Gauge
-	queue      *obs.Gauge
-	admitted   *obs.Counter
-	admittedB  *obs.Counter
-	sheds      *obs.Counter
-	shedB      *obs.Counter
-	waitBy     [NumClasses]*obs.Histogram
+	pct      *obs.Gauge
+	admitted *obs.Counter
+	sheds    *obs.Counter
+	waitBy   [NumClasses]*obs.Histogram
 }
 
 // NewAdmission creates the token bucket, which drains its queue in
@@ -79,16 +73,10 @@ func NewAdmission(env *sim.Env, cfg AdmissionConfig, _ sched.Config, r *obs.Regi
 		env: env,
 		cfg: cfg.withDefaults(),
 	}
-	a.m.inflight = r.Gauge("writepath.inflight_bytes")
 	a.m.pct = r.Gauge("writepath.buffer_pct")
-	a.m.congested = r.Gauge("writepath.congested")
-	a.m.queue = r.Gauge("writepath.admit_queue")
 	a.m.admitted = r.Counter("writepath.admitted")
-	a.m.admittedB = r.Counter("writepath.admitted_bytes")
 	a.m.sheds = r.Counter("writepath.shed_writes")
-	a.m.shedB = r.Counter("writepath.shed_bytes")
 	for cl := Class(0); cl < NumClasses; cl++ {
-		a.m.inflightBy[cl] = r.Gauge("writepath.inflight." + cl.String())
 		a.m.waitBy[cl] = r.Histogram("writepath.admit_wait." + cl.String())
 	}
 	if a.cfg.Enabled && a.cfg.MaxWait > 0 {
@@ -128,14 +116,13 @@ func (a *Admission) Begin(c Class, n int64) *Ticket {
 	if (len(a.queue) == 0 && a.fits(c, n)) || a.withinFloor(c, n) {
 		a.grantBytes(c, n)
 		a.m.admitted.Add(1)
-		a.m.admittedB.Add(n)
 		a.m.waitBy[c].Observe(0)
 		return t
 	}
 	if n > a.maxAdmissible(c) || len(a.queue) >= maxQueue {
 		t.state = ticketShed
 		t.err = ErrOverload
-		a.noteShed(n)
+		a.m.sheds.Add(1)
 		return t
 	}
 	t.state = ticketWaiting
@@ -144,7 +131,6 @@ func (a *Admission) Begin(c Class, n int64) *Ticket {
 	}
 	t.c = sim.NewCompletion[struct{}](a.env)
 	a.queue = append(a.queue, t)
-	a.m.queue.Set(int64(len(a.queue)))
 	if a.watch != nil {
 		a.watch.Wake()
 	}
@@ -195,7 +181,7 @@ func (a *Admission) grantBytes(c Class, n int64) {
 	a.afterChange()
 }
 
-// afterChange refreshes the watermark, hysteresis state and gauges after
+// afterChange refreshes the watermark, hysteresis state and fill gauge after
 // any inflight mutation.
 func (a *Admission) afterChange() {
 	total := a.InflightBytes()
@@ -211,15 +197,6 @@ func (a *Admission) afterChange() {
 			a.congested = false
 		}
 		a.m.pct.Set(total * 100 / cap)
-	}
-	a.m.inflight.Set(total)
-	for cl := Class(0); cl < NumClasses; cl++ {
-		a.m.inflightBy[cl].Set(a.inflight[cl])
-	}
-	if a.congested {
-		a.m.congested.Set(1)
-	} else {
-		a.m.congested.Set(0)
 	}
 }
 
@@ -291,11 +268,9 @@ func (a *Admission) dispatch() {
 			return
 		}
 		a.queue = append(a.queue[:i], a.queue[i+1:]...)
-		a.m.queue.Set(int64(len(a.queue)))
 		a.grantBytes(t.class, t.bytes)
 		t.state = ticketGranted
 		a.m.admitted.Add(1)
-		a.m.admittedB.Add(t.bytes)
 		a.m.waitBy[t.class].ObserveSince(t.enq, a.env.Now())
 		t.c.Resolve(struct{}{}, nil)
 	}
@@ -325,12 +300,6 @@ func (a *Admission) remove(t *Ticket) {
 			break
 		}
 	}
-	a.m.queue.Set(int64(len(a.queue)))
-}
-
-func (a *Admission) noteShed(n int64) {
-	a.m.sheds.Add(1)
-	a.m.shedB.Add(n)
 }
 
 // watchdog is the deadline daemon's body: it sheds queued tickets whose
@@ -358,7 +327,7 @@ func (a *Admission) watchdog(p *sim.Proc) {
 		for _, t := range expired {
 			a.remove(t)
 			t.state = ticketShed
-			a.noteShed(t.bytes)
+			a.m.sheds.Add(1)
 			t.c.Resolve(struct{}{}, ErrOverload)
 		}
 		if len(expired) == 0 {

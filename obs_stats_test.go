@@ -2,6 +2,7 @@ package ros
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -162,5 +163,57 @@ func TestOneTracerPerSystem(t *testing.T) {
 				t.Errorf("rack%d carries %s = %d; traces are counted in the system registry only", i, c.Name, c.Value)
 			}
 		}
+	}
+}
+
+// gauge returns the named gauge of s, or false when s has none.
+func gauge(s obs.Snapshot, name string) (int64, bool) {
+	for _, g := range s.Gauges {
+		if g.Name == name {
+			return g.Value, true
+		}
+	}
+	return 0, false
+}
+
+// TestMergedBufferPctIsFullestRack: the merged view reports a per-rack
+// percentage as the fullest rack's (what write-buffer-full alerts on), not
+// as the sum over the racks.
+func TestMergedBufferPctIsFullestRack(t *testing.T) {
+	sys, err := New(Options{Racks: 2, Replicas: 1, BufferSlots: 4, BucketBytes: 1 << 20, DisableAutoBurn: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	err = sys.Do(func(p *Proc) error {
+		for i, kb := range []int{1200, 200, 200} {
+			if err := sys.Cluster.WriteFile(p, fmt.Sprintf("/f%d", i), make([]byte, kb<<10)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const name = "writepath.buffer_pct"
+	var fullest int64
+	var per []int64
+	for i := range sys.Cluster.Racks() {
+		v, ok := gauge(sys.RackObs(i), name)
+		if !ok {
+			t.Fatalf("rack%d has no %s", i, name)
+		}
+		per = append(per, v)
+		fullest = max(fullest, v)
+	}
+	if per[0] == per[1] || min(per[0], per[1]) == 0 {
+		t.Fatalf("test premise broken: want two different non-zero fills, got %v", per)
+	}
+	if got, _ := gauge(sys.MergedObs(), name); got != fullest {
+		t.Errorf("merged %s = %d, want the fullest rack's %d (racks: %v)", name, got, fullest, per)
+	}
+	if got, _ := gauge(sys.Stats().Obs, name); got != fullest {
+		t.Errorf("Stats().Obs %s = %d, want %d", name, got, fullest)
 	}
 }
