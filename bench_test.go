@@ -206,6 +206,21 @@ func BenchmarkSustainedIngest(b *testing.B) {
 
 // --- Substrate micro-benchmarks (host-time performance of the library) ---
 
+// BenchmarkNew builds a System in fleet-mix's shape with 1 and 4 racks.
+func BenchmarkNew(b *testing.B) {
+	for _, racks := range []int{1, 4} {
+		b.Run(fmt.Sprintf("racks=%d", racks), func(b *testing.B) {
+			o := fleetShape(racks)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(o); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSimSleep is the engine's unit cost: one process, one timed wakeup
 // per iteration (a switch into the process and a switch back).
 func BenchmarkSimSleep(b *testing.B) {

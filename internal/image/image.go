@@ -226,17 +226,18 @@ func (c *Catalog) ImagesOnTray(tray rack.TrayID) map[int]ID {
 
 // FindEmptyTray scans trays of a library in (roller, layer desc, slot) order
 // and returns the first Empty one that physically holds a full blank array.
-// Layers are scanned top-down because the arm starts at the top (§5.2).
+// Layers are scanned top-down because the arm starts at the top (§5.2). It
+// reads the catalog before the tray, so the only blank tray it builds
+// (rack.Library.Tray) is the one it returns.
 func (c *Catalog) FindEmptyTray(lib *rack.Library) (rack.TrayID, bool) {
 	for ri := range lib.Rollers {
 		for l := rack.LayersPerRoller - 1; l >= 0; l-- {
 			for s := 0; s < rack.SlotsPerLayer; s++ {
 				id := rack.TrayID{Roller: ri, Layer: l, Slot: s}
-				tray, err := lib.Tray(id)
-				if err != nil {
+				if c.DAState(id) != DAEmpty {
 					continue
 				}
-				if c.DAState(id) == DAEmpty && tray.Full() {
+				if tray, err := lib.Tray(id); err == nil && tray.Full() {
 					return id, true
 				}
 			}

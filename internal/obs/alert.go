@@ -341,10 +341,11 @@ type AlertEngine struct {
 	states  map[alertKey]*alertState
 	log     []Incident
 
-	fired    *Counter
-	resolved *Counter
-	firing   *Gauge
-	reg      *Registry
+	fired     *Counter
+	resolved  *Counter
+	firing    *Gauge
+	detection *Histogram // onset to fire
+	recovery  *Histogram // fire to resolve
 }
 
 // NewAlertEngine creates an engine over sampler, recording alert.* metrics
@@ -355,11 +356,12 @@ func NewAlertEngine(env *sim.Env, sampler *Sampler, reg *Registry) *AlertEngine 
 		env:     env,
 		sampler: sampler,
 		states:  make(map[alertKey]*alertState),
-		reg:     reg,
 	}
 	e.fired = reg.Counter("alert.fired")
 	e.resolved = reg.Counter("alert.resolved")
 	e.firing = reg.Gauge("alert.firing")
+	e.detection = reg.Histogram("alert.detection")
+	e.recovery = reg.Histogram("alert.recovery")
 	return e
 }
 
@@ -529,7 +531,7 @@ func (e *AlertEngine) fire(r *Rule, label string, st *alertState, t time.Duratio
 	})
 	e.fired.Add(1)
 	e.firing.Add(1)
-	e.reg.Histogram("alert.detection").Observe(int64(t - st.onset))
+	e.detection.Observe(int64(t - st.onset))
 	if e.env != nil {
 		e.env.Emit("alert.fire", "", func() string { return alertMsg(r.Name, label, val) })
 	}
@@ -543,7 +545,7 @@ func (e *AlertEngine) resolve(r *Rule, label string, st *alertState, t time.Dura
 	st.phase, st.incident = phaseIdle, -1
 	e.resolved.Add(1)
 	e.firing.Add(-1)
-	e.reg.Histogram("alert.recovery").Observe(int64(t - st.firedAt))
+	e.recovery.Observe(int64(t - st.firedAt))
 	if e.env != nil {
 		e.env.Emit("alert.resolve", "", func() string { return alertMsg(r.Name, label, 0) })
 	}

@@ -98,7 +98,9 @@ func (fs *FS) trayBackends(p *sim.Proc, tray rack.TrayID) (int, []image.Backend,
 // through the drives. Sector errors surface as bad strips.
 func (fs *FS) ScrubTray(p *sim.Proc, tray rack.TrayID) (rep ScrubReport, err error) {
 	op := fs.tracer.StartOp(p, "olfs.scrub", "scrub")
-	op.Annotate("tray", tray.String())
+	if op != nil {
+		op.Annotate("tray", tray.String())
+	}
 	defer func() { op.Finish(p, err) }()
 	rep = ScrubReport{Tray: tray}
 	if fs.Cat.DAState(tray) != image.DAUsed {
@@ -148,7 +150,9 @@ func (fs *FS) ScrubTray(p *sim.Proc, tray rack.TrayID) (rep ScrubReport, err err
 // disc location is forgotten.
 func (fs *FS) RecoverImage(p *sim.Proc, id image.ID) (nb *bucket.Bucket, err error) {
 	op := fs.tracer.StartOp(p, "olfs.recover", "scrub")
-	op.Annotate("image", id.String())
+	if op != nil {
+		op.Annotate("image", id.String())
+	}
 	defer func() { op.Finish(p, err) }()
 	addr, ok := fs.Cat.Locate(id)
 	if !ok {
@@ -209,7 +213,9 @@ func (fs *FS) adoptCopy(p *sim.Proc, nb *bucket.Bucket, id image.ID, how string,
 // catalog.
 func (fs *FS) migrateImage(p *sim.Proc, id image.ID) (nb *bucket.Bucket, err error) {
 	op := fs.tracer.StartOp(p, "olfs.migrate", "scrub")
-	op.Annotate("image", id.String())
+	if op != nil {
+		op.Annotate("image", id.String())
+	}
 	defer func() { op.Finish(p, err) }()
 	addr, ok := fs.Cat.Locate(id)
 	if !ok {

@@ -34,7 +34,9 @@ type RepairReport struct {
 // array.
 func (fs *FS) ScrubAndRepair(p *sim.Proc, tray rack.TrayID) (rep RepairReport, err error) {
 	op := fs.tracer.StartOp(p, "olfs.scrub", "scrub")
-	op.Annotate("tray", tray.String())
+	if op != nil {
+		op.Annotate("tray", tray.String())
+	}
 	defer func() { op.Finish(p, err) }()
 	scrub, err := fs.ScrubTray(p, tray)
 	rep.Scrub = scrub

@@ -130,7 +130,9 @@ func (fs *FS) runBurnTask(p *sim.Proc, t *burnTask) {
 		// it too.
 		fs.Cat.SetDAState(tray, image.DAUsed)
 	}
-	op.Annotate("tray", t.tray.String())
+	if op != nil {
+		op.Annotate("tray", t.tray.String())
+	}
 
 	// An idle array in the granted group (the scheduler's victim) goes back
 	// in the same arm job that loads the blank tray.
@@ -459,9 +461,9 @@ func (fs *FS) UnloadIdle(p *sim.Proc) error {
 // index now holding the tray.
 func (fs *FS) fetchTray(p *sim.Proc, tray rack.TrayID, class sched.Class) (gi int, err error) {
 	op := fs.tracer.StartOp(p, "olfs.fetch", class.String())
-	op.Annotate("tray", tray.String())
-	defer func() { op.Finish(p, err) }()
 	key := tray.String()
+	op.Annotate("tray", key)
+	defer func() { op.Finish(p, err) }()
 	fs.sched.Pin(tray)
 	defer fs.sched.Unpin(tray)
 	joinFails := 0

@@ -105,6 +105,18 @@ func NewDisc(id string, m MediaType) *Disc {
 	return &Disc{ID: id, Type: m}
 }
 
+// NewDiscs creates one blank disc of media m per id, all in one slab: a
+// tray's array costs two allocations, not one per disc.
+func NewDiscs(ids []string, m MediaType) []*Disc {
+	slab := make([]Disc, len(ids))
+	discs := make([]*Disc, len(ids))
+	for i, id := range ids {
+		slab[i] = Disc{ID: id, Type: m}
+		discs[i] = &slab[i]
+	}
+	return discs
+}
+
 // Capacity returns the disc's logical capacity in bytes.
 func (d *Disc) Capacity() int64 { return d.Type.Capacity() }
 

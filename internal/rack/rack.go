@@ -72,24 +72,35 @@ func ParseTrayID(s string) (TrayID, error) {
 	return id, nil
 }
 
-// Tray holds up to 12 discs (a disc array).
+// Tray holds up to 12 discs (a disc array). A tray starts blank: it holds a
+// factory-fresh array of the library's media whose discs Library.Tray builds
+// on first touch, so a library costs what it has touched.
 type Tray struct {
 	ID    TrayID
 	Discs []*optical.Disc // nil-free; len <= DiscsPerTray
+	built bool            // ID and Discs are set; until then the tray is blank
+}
+
+// held returns the number of discs in the tray, a blank one's included.
+func (t *Tray) held() int {
+	if !t.built {
+		return DiscsPerTray
+	}
+	return len(t.Discs)
 }
 
 // Full reports whether the tray holds a complete 12-disc array.
-func (t *Tray) Full() bool { return len(t.Discs) == DiscsPerTray }
+func (t *Tray) Full() bool { return t.held() == DiscsPerTray }
 
 // Empty reports whether the tray holds no discs.
-func (t *Tray) Empty() bool { return len(t.Discs) == 0 }
+func (t *Tray) Empty() bool { return t.held() == 0 }
 
 // Roller is one rotatable cylinder of trays plus its robotic arm and PLC
 // channel.
 type Roller struct {
 	Index int
 	Ctl   *plc.Controller
-	trays [LayersPerRoller][SlotsPerLayer]*Tray
+	trays [LayersPerRoller][SlotsPerLayer]Tray
 	// mech serializes composite load/unload choreographies: there is one
 	// arm, so one array movement at a time per roller.
 	mech *sim.Resource
@@ -151,10 +162,13 @@ type Library struct {
 
 	loads   *obs.Counter // rack.loads
 	unloads *obs.Counter // rack.unloads
+	// The latency histograms, each bound on its first observation so the
+	// name registers exactly when something records into it.
+	armMove, loadLat, unloadLat *obs.Histogram
 }
 
-// New assembles a library with every tray filled with blank discs of
-// cfg.Media.
+// New assembles a library with every tray holding a blank array of
+// cfg.Media; a tray's discs are built when Tray first reaches them.
 func New(env *sim.Env, cfg Config) (*Library, error) {
 	if cfg.Rollers < 1 || cfg.Rollers > 2 {
 		return nil, fmt.Errorf("rack: rollers must be 1 or 2, got %d", cfg.Rollers)
@@ -170,24 +184,11 @@ func New(env *sim.Env, cfg Config) (*Library, error) {
 	lib := &Library{env: env, cfg: cfg, timing: timing, obs: reg,
 		loads: reg.Counter("rack.loads"), unloads: reg.Counter("rack.unloads")}
 	for ri := 0; ri < cfg.Rollers; ri++ {
-		r := &Roller{
+		lib.Rollers = append(lib.Rollers, &Roller{
 			Index: ri,
 			Ctl:   plc.NewController(env, timing, LayersPerRoller, SlotsPerLayer),
 			mech:  sim.NewResource(env, 1),
-		}
-		for l := 0; l < LayersPerRoller; l++ {
-			for s := 0; s < SlotsPerLayer; s++ {
-				t := &Tray{ID: TrayID{Roller: ri, Layer: l, Slot: s}}
-				// Disc d is named "r%d-L%02d-S%d-D%02d" of ri, l, s, d.
-				id := append(strconv.AppendInt([]byte{'r'}, int64(ri), 10), "-L"...)
-				id = append(strconv.AppendInt(append(pad2(id, l), "-S"...), int64(s), 10), "-D"...)
-				for d := 0; d < DiscsPerTray; d++ {
-					t.Discs = append(t.Discs, optical.NewDisc(string(pad2(id, d)), cfg.Media))
-				}
-				r.trays[l][s] = t
-			}
-		}
-		lib.Rollers = append(lib.Rollers, r)
+		})
 	}
 	for gi := 0; gi < cfg.DriveGroups; gi++ {
 		sharer := optical.NewSharer(env, cfg.BurnCap)
@@ -215,7 +216,30 @@ func (lib *Library) Tray(id TrayID) (*Tray, error) {
 		id.Slot < 0 || id.Slot >= SlotsPerLayer {
 		return nil, fmt.Errorf("%w: %v", ErrBadAddress, id)
 	}
-	return lib.Rollers[id.Roller].trays[id.Layer][id.Slot], nil
+	t := &lib.Rollers[id.Roller].trays[id.Layer][id.Slot]
+	if !t.built {
+		lib.build(t, id)
+	}
+	return t, nil
+}
+
+// build gives blank tray t its address and its array of cfg.Media: disc d is
+// named "r%d-L%02d-S%d-D%02d" of the roller, layer, slot and d. The twelve
+// names share one string and the discs one slab (optical.NewDiscs).
+func (lib *Library) build(t *Tray, id TrayID) {
+	var buf [(DiscsPerTray + 1) * 16]byte
+	prefix := append(strconv.AppendInt(append(buf[:0], 'r'), int64(id.Roller), 10), "-L"...)
+	prefix = append(strconv.AppendInt(append(pad2(prefix, id.Layer), "-S"...), int64(id.Slot), 10), "-D"...)
+	b := prefix
+	for d := 0; d < DiscsPerTray; d++ {
+		b = pad2(append(b, prefix...), d)
+	}
+	names, n := string(b[len(prefix):]), len(prefix)+2
+	var ids [DiscsPerTray]string
+	for d := range ids {
+		ids[d] = names[d*n : (d+1)*n]
+	}
+	t.ID, t.Discs, t.built = id, optical.NewDiscs(ids[:], lib.cfg.Media), true
 }
 
 // Disc returns the disc at position pos of tray id's array wherever the
@@ -291,9 +315,9 @@ func (lib *Library) ArmTime() time.Duration {
 func (lib *Library) TotalDiscs() int {
 	n := 0
 	for _, r := range lib.Rollers {
-		for l := 0; l < LayersPerRoller; l++ {
-			for s := 0; s < SlotsPerLayer; s++ {
-				n += len(r.trays[l][s].Discs)
+		for l := range r.trays {
+			for s := range r.trays[l] {
+				n += r.trays[l][s].held()
 			}
 		}
 	}
@@ -309,7 +333,7 @@ func (lib *Library) exec(p *sim.Proc, ctl *plc.Controller, cmd plc.Command) erro
 	var tsp *obs.TraceSpan
 	start := p.Now()
 	if cmd.Op == plc.OpArm || cmd.Op == plc.OpArmTop {
-		h = lib.obs.Histogram("rack.arm.move.latency")
+		h = lib.hist(&lib.armMove, "rack.arm.move.latency")
 		tsp = obs.StartChild(p, "rack.arm_move")
 		if cmd.Op == plc.OpArm && len(cmd.Args) > 0 {
 			tsp.AnnotateInt("layer", int64(cmd.Args[0]))
@@ -337,17 +361,28 @@ type composite struct {
 	tray  TrayID
 }
 
+// hist returns *h, binding it to the registry's histogram name first if it
+// is unbound.
+func (lib *Library) hist(h **obs.Histogram, name string) *obs.Histogram {
+	if *h == nil {
+		*h = lib.obs.Histogram(name)
+	}
+	return *h
+}
+
 func (lib *Library) startLoad(p *sim.Proc, tray TrayID, gi int) composite {
-	return lib.startComposite(p, "rack.load.latency", "rack.tray_load", sim.KindRackLoad, tray, gi)
+	return lib.startComposite(p, lib.hist(&lib.loadLat, "rack.load.latency"), "rack.tray_load", sim.KindRackLoad, tray, gi)
 }
 
 func (lib *Library) startUnload(p *sim.Proc, tray TrayID, gi int) composite {
-	return lib.startComposite(p, "rack.unload.latency", "rack.tray_unload", sim.KindRackUnload, tray, gi)
+	return lib.startComposite(p, lib.hist(&lib.unloadLat, "rack.unload.latency"), "rack.tray_unload", sim.KindRackUnload, tray, gi)
 }
 
-func (lib *Library) startComposite(p *sim.Proc, hist, trace, kind string, tray TrayID, gi int) composite {
-	c := composite{h: lib.obs.Histogram(hist), start: p.Now(), tsp: obs.StartChild(p, trace), kind: kind, tray: tray}
-	c.tsp.Annotate("tray", tray.String())
+func (lib *Library) startComposite(p *sim.Proc, h *obs.Histogram, trace, kind string, tray TrayID, gi int) composite {
+	c := composite{h: h, start: p.Now(), tsp: obs.StartChild(p, trace), kind: kind, tray: tray}
+	if c.tsp != nil {
+		c.tsp.Annotate("tray", tray.String())
+	}
 	c.tsp.AnnotateInt("group", int64(gi))
 	return c
 }

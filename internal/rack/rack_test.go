@@ -34,20 +34,24 @@ func TestGeometryConstants(t *testing.T) {
 	}
 }
 
-// TestDiscIDsKeepTheirFormat: New names every disc of the prototype exactly
-// as fmt.Sprintf("r%d-L%02d-S%d-D%02d") did. The names are hashed
-// (optical's latent-error placement), so a byte that moved would move
-// injected faults.
+// TestDiscIDsKeepTheirFormat: every disc of the prototype, built when Tray
+// first reaches its tray, is named exactly as fmt.Sprintf("r%d-L%02d-S%d-D%02d")
+// named it. The names are hashed (optical's latent-error placement), so a
+// byte that moved would move injected faults.
 func TestDiscIDsKeepTheirFormat(t *testing.T) {
 	lib, err := New(sim.NewEnv(), PrototypeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := 0
-	for ri, r := range lib.Rollers {
+	for ri := range lib.Rollers {
 		for l := 0; l < LayersPerRoller; l++ {
 			for s := 0; s < SlotsPerLayer; s++ {
-				for d, disc := range r.trays[l][s].Discs {
+				tray, err := lib.Tray(TrayID{Roller: ri, Layer: l, Slot: s})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for d, disc := range tray.Discs {
 					if want := fmt.Sprintf("r%d-L%02d-S%d-D%02d", ri, l, s, d); disc.ID != want {
 						t.Fatalf("disc %s, want %s", disc.ID, want)
 					}
@@ -77,10 +81,14 @@ func TestPrototypePopulation(t *testing.T) {
 		t.Errorf("TotalDiscs = %d, want 12240", got)
 	}
 	var raw int64
-	for _, r := range lib.Rollers {
+	for ri := range lib.Rollers {
 		for l := 0; l < LayersPerRoller; l++ {
 			for s := 0; s < SlotsPerLayer; s++ {
-				for _, d := range r.trays[l][s].Discs {
+				tray, err := lib.Tray(TrayID{Roller: ri, Layer: l, Slot: s})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range tray.Discs {
 					raw += d.Capacity()
 				}
 			}
@@ -91,6 +99,100 @@ func TestPrototypePopulation(t *testing.T) {
 	}
 	if len(lib.Groups) != 2 || len(lib.Groups[0].Drives) != 12 {
 		t.Errorf("drive layout: %d groups", len(lib.Groups))
+	}
+}
+
+// TestBlankTrayBuildsOnce: a tray nothing has touched builds its discs on
+// the first Tray and returns the same discs, pointer for pointer, after.
+func TestBlankTrayBuildsOnce(t *testing.T) {
+	lib, err := New(sim.NewEnv(), PrototypeConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := TrayID{Roller: 1, Layer: 7, Slot: 3}
+	first, err := lib.Tray(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.ID != id || len(first.Discs) != DiscsPerTray || !first.Full() {
+		t.Fatalf("first touch: tray %v with %d discs", first.ID, len(first.Discs))
+	}
+	want := append([]*optical.Disc(nil), first.Discs...)
+	again, _ := lib.Tray(id)
+	if again != first {
+		t.Error("a second Tray returned another *Tray")
+	}
+	for d, disc := range again.Discs {
+		if disc != want[d] {
+			t.Errorf("disc %d rebuilt on the second touch", d)
+		}
+		if name := fmt.Sprintf("r1-L07-S3-D%02d", d); disc.ID != name || disc.Type != optical.Media100 || !disc.Blank() {
+			t.Errorf("disc %d: %s %v blank=%v, want a blank %s", d, disc.ID, disc.Type, disc.Blank(), name)
+		}
+	}
+	if got := lib.BuiltTrays(); len(got) != 1 || got[0] != id {
+		t.Errorf("built trays %v, want only %v", got, id)
+	}
+}
+
+// TestBlankTrayLoadRoundTrips: loading a tray nothing has touched moves its
+// freshly built discs into the drives, and unloading puts the same discs
+// back.
+func TestBlankTrayLoadRoundTrips(t *testing.T) {
+	env := sim.NewEnv()
+	lib, _ := New(env, smallConfig())
+	id := TrayID{Roller: 0, Layer: 40, Slot: 5}
+	inSim(t, env, func(p *sim.Proc) {
+		if err := lib.LoadArray(p, id, 0); err != nil {
+			t.Fatalf("LoadArray: %v", err)
+		}
+		var want []*optical.Disc
+		for d, dr := range lib.Groups[0].Drives {
+			disc := dr.Disc()
+			if name := fmt.Sprintf("r0-L40-S5-D%02d", d); disc == nil || disc.ID != name {
+				t.Fatalf("drive %d holds %v, want disc %s", d, disc, name)
+			}
+			if lib.Disc(id, d) != disc {
+				t.Errorf("Disc(%v, %d) is not the loaded disc", id, d)
+			}
+			want = append(want, disc)
+		}
+		if err := lib.UnloadArray(p, 0, nil); err != nil {
+			t.Fatalf("UnloadArray: %v", err)
+		}
+		tray, _ := lib.Tray(id)
+		if len(tray.Discs) != DiscsPerTray {
+			t.Fatalf("tray holds %d discs after unload", len(tray.Discs))
+		}
+		for d := range want {
+			if tray.Discs[d] != want[d] {
+				t.Errorf("disc %d changed identity", d)
+			}
+		}
+	})
+}
+
+// TestTotalDiscsBuildsNothing: the count covers blank trays without building
+// them, and follows discs that leave a built tray.
+func TestTotalDiscsBuildsNothing(t *testing.T) {
+	env := sim.NewEnv()
+	lib, _ := New(env, PrototypeConfig())
+	if got := lib.TotalDiscs(); got != 2*DiscsPerRoller {
+		t.Errorf("TotalDiscs = %d, want %d", got, 2*DiscsPerRoller)
+	}
+	if got := lib.BuiltTrays(); len(got) != 0 {
+		t.Errorf("TotalDiscs built trays %v", got)
+	}
+	inSim(t, env, func(p *sim.Proc) {
+		if err := lib.LoadArray(p, TrayID{Roller: 0, Layer: 84, Slot: 0}, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := lib.TotalDiscs(); got != 2*DiscsPerRoller-DiscsPerTray {
+		t.Errorf("TotalDiscs with one array in the drives = %d, want %d", got, 2*DiscsPerRoller-DiscsPerTray)
+	}
+	if got := lib.BuiltTrays(); len(got) != 1 {
+		t.Errorf("built trays %v, want the loaded one alone", got)
 	}
 }
 

@@ -236,14 +236,17 @@ const DefaultRuleSpec = `
 	write-buffer-full: threshold writepath.buffer_pct > 90 for 5m
 `
 
-// DefaultRules parses DefaultRuleSpec.
-func DefaultRules() []obs.Rule {
+// defaultRules is DefaultRuleSpec parsed once per process.
+var defaultRules = func() []obs.Rule {
 	rules, err := obs.ParseRules(DefaultRuleSpec)
 	if err != nil {
 		panic("ros: invalid DefaultRuleSpec: " + err.Error())
 	}
 	return rules
-}
+}()
+
+// DefaultRules returns DefaultRuleSpec parsed, in a slice the caller owns.
+func DefaultRules() []obs.Rule { return append([]obs.Rule(nil), defaultRules...) }
 
 // New assembles a System on a fresh simulation environment.
 func New(o Options) (*System, error) {

@@ -156,6 +156,36 @@ func TestStatsCountEveryRack(t *testing.T) {
 	}
 }
 
+// fleetShape is the bench's fleet-mix System untraced: 4 racks, 2 replicas,
+// 512 KB buckets, telemetry on and recycling after each burn.
+func fleetShape(racks int) Options {
+	return Options{Racks: racks, Replicas: min(racks, 2), BucketBytes: 512 << 10, SampleEvery: time.Minute,
+		FS: FSConfig{RecycleAfterBurn: true}, TraceCapacity: -1}
+}
+
+// TestNewBuildsNoDiscs: building a System costs what it touches, not what
+// its racks hold. A blank tray builds its discs on first use, so a 4-rack
+// System takes under 2,000 allocations (66,975 when New built all 24,480
+// discs) and still counts every disc.
+func TestNewBuildsNoDiscs(t *testing.T) {
+	o := fleetShape(4)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := New(o); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 2000 {
+		t.Errorf("a 4-rack New makes %.0f allocations, want under 2,000", allocs)
+	}
+	sys, err := New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sys.Stats().TotalDiscs, 4*sys.Cluster.Racks()[0].Lib.Config().Rollers*rack.DiscsPerRoller; got != want {
+		t.Errorf("TotalDiscs = %d, want %d", got, want)
+	}
+}
+
 // TestClosedSystemIsFreed builds, runs and closes six default Systems that
 // each write 50 MB and burn it. Close must end every coroutine, so nothing
 // pins a finished System: the goroutine count returns to where it started and

@@ -52,6 +52,30 @@ func telemetryWorkload(t *testing.T, seed int64) *System {
 	return sys
 }
 
+// TestAlertHistogramsExistFromStart: the alert engine registers
+// alert.detection and alert.recovery beside its counters, so a fresh
+// System's registry and Prometheus text carry both before any alert fires.
+func TestAlertHistogramsExistFromStart(t *testing.T) {
+	sys, err := New(Options{SampleEvery: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := sys.Obs.Snapshot()
+	prom := sys.PrometheusText()
+	for _, name := range []string{"alert.detection", "alert.recovery"} {
+		found := false
+		for _, h := range snap.Histograms {
+			found = found || h.Name == name
+		}
+		if !found {
+			t.Errorf("a fresh System's registry lacks %s", name)
+		}
+		if fam := "# TYPE ros_" + strings.ReplaceAll(name, ".", "_") + " histogram"; !strings.Contains(prom, fam) {
+			t.Errorf("Prometheus text lacks %q", fam)
+		}
+	}
+}
+
 func TestTelemetryAlertLifecycle(t *testing.T) {
 	sys := telemetryWorkload(t, 7)
 	if sys.Faults.Fires() == 0 {
