@@ -173,8 +173,12 @@ func TestTrayVerbsReachRack1(t *testing.T) {
 			t.Errorf("snapshot printed\n%s\nwith no line for %s", out, r.Name)
 		}
 	}
-	if _, err := exec(t, sys, "scrub r1/L01/S1"); err == nil {
-		t.Error("scrub of a tray no rack holds succeeded")
+	// A tray no rack holds is refused, as is a name that parses but lies
+	// outside every library (a third roller, layer 85, slot 6).
+	for _, line := range []string{"scrub r1/L01/S1", "scrub r2/L85/S6", "repair r2/L85/S6", "scrub r0/L85/S0"} {
+		if _, err := exec(t, sys, line); err == nil || !strings.Contains(err.Error(), "no rack holds") {
+			t.Errorf("%s: err = %v, want a refusal saying no rack holds the tray", line, err)
+		}
 	}
 }
 

@@ -34,9 +34,11 @@ package chaos
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -859,21 +861,12 @@ func usedTrays(cat *image.Catalog) []rack.TrayID {
 }
 
 // reservedTrays returns every tray the catalog marks Used, burned or only
-// reserved, in deterministic order.
+// reserved, in (roller, layer, slot) ascending order.
 func reservedTrays(cat *image.Catalog) []rack.TrayID {
-	keys := make([]string, 0, len(cat.DA))
-	for k, st := range cat.DA {
-		if st == image.DAUsed {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	out := make([]rack.TrayID, 0, len(keys))
-	for _, k := range keys {
-		if id, err := rack.ParseTrayID(k); err == nil {
-			out = append(out, id)
-		}
-	}
+	out := cat.Trays(image.DAUsed)
+	slices.SortFunc(out, func(a, b rack.TrayID) int {
+		return cmp.Or(cmp.Compare(a.Roller, b.Roller), cmp.Compare(a.Layer, b.Layer), cmp.Compare(a.Slot, b.Slot))
+	})
 	return out
 }
 

@@ -276,11 +276,11 @@ func (c *Cluster) refreshHealthGauges() {
 // nothing re-checks them), which is why heal phases probe explicitly.
 func (c *Cluster) Probe(p *sim.Proc) {
 	for _, r := range c.racks {
-		if err := faultinject.Check(p, faultinject.PointRackOffline, r.Name); err != nil {
+		if err := faultinject.Check(p, faultinject.PointRackOffline, func() string { return r.Name }); err != nil {
 			c.setHealth(r, HealthOffline)
 			continue
 		}
-		if err := faultinject.Check(p, faultinject.PointRackDegraded, r.Name); err != nil {
+		if err := faultinject.Check(p, faultinject.PointRackDegraded, func() string { return r.Name }); err != nil {
 			c.setHealth(r, HealthDegraded)
 			continue
 		}
@@ -295,11 +295,11 @@ func (c *Cluster) routeCheck(p *sim.Proc, r *Rack) error {
 	if r.health == HealthOffline {
 		return fmt.Errorf("cluster: %s is offline", r.Name)
 	}
-	if err := faultinject.Check(p, faultinject.PointRackOffline, r.Name); err != nil {
+	if err := faultinject.Check(p, faultinject.PointRackOffline, func() string { return r.Name }); err != nil {
 		c.setHealth(r, HealthOffline)
 		return fmt.Errorf("cluster: %s went offline: %w", r.Name, err)
 	}
-	if err := faultinject.Check(p, faultinject.PointRackDegraded, r.Name); err != nil {
+	if err := faultinject.Check(p, faultinject.PointRackDegraded, func() string { return r.Name }); err != nil {
 		c.setHealth(r, HealthDegraded)
 	}
 	return nil

@@ -250,16 +250,17 @@ func (pl *Plane) ScheduleString() string {
 }
 
 // Check consults the plane registered on p's environment at the named fault
-// point. It returns a non-nil error (wrapping ErrInjected, or the matched
-// rule's semantics) when a fault must be injected, nil otherwise. With no
-// plane or no armed rules the call is inert, so production paths can consult
-// fault points unconditionally.
-func Check(p *sim.Proc, point, detail string) error {
+// point for the detail that detail returns. It returns a non-nil error
+// (wrapping ErrInjected, or the matched rule's semantics) when a fault must
+// be injected, nil otherwise. With no plane or no armed rules the call is
+// inert and detail is not called, so production paths can consult fault
+// points unconditionally and format their detail only when a rule is armed.
+func Check(p *sim.Proc, point string, detail func() string) error {
 	pl := At(p.Env())
 	if pl == nil || len(pl.rules) == 0 {
 		return nil
 	}
-	return pl.check(p, point, detail)
+	return pl.check(p, point, detail())
 }
 
 func (pl *Plane) check(p *sim.Proc, point, detail string) error {

@@ -22,13 +22,18 @@ func drive(t *testing.T, env *sim.Env, fn func(p *sim.Proc)) {
 func TestCheckWithoutPlaneIsInert(t *testing.T) {
 	env := sim.NewEnv()
 	drive(t, env, func(p *sim.Proc) {
-		if err := Check(p, PointOpticalRead, "g0-d00"); err != nil {
+		if err := Check(p, PointOpticalRead, func() string { return "g0-d00" }); err != nil {
 			t.Fatalf("no plane: got %v", err)
 		}
 	})
 	if At(env) != nil {
 		t.Fatal("At on plane-less env should be nil")
 	}
+	// Nor is the detail formatted, with no plane or with no rule armed.
+	unformatted := func() string { t.Error("detail formatted with no rule armed"); return "" }
+	drive(t, env, func(p *sim.Proc) { Check(p, PointTrayLoad, unformatted) })
+	New(env, 7)
+	drive(t, env, func(p *sim.Proc) { Check(p, PointTrayLoad, unformatted) })
 }
 
 func TestOneShotAndMatch(t *testing.T) {
@@ -36,17 +41,17 @@ func TestOneShotAndMatch(t *testing.T) {
 	pl := New(env, 7)
 	pl.Arm(Rule{Point: PointOpticalBurn, Match: "g0-d03", Count: 1})
 	drive(t, env, func(p *sim.Proc) {
-		if err := Check(p, PointOpticalBurn, "g0-d01"); err != nil {
+		if err := Check(p, PointOpticalBurn, func() string { return "g0-d01" }); err != nil {
 			t.Fatalf("non-matching detail fired: %v", err)
 		}
-		if err := Check(p, PointOpticalRead, "g0-d03"); err != nil {
+		if err := Check(p, PointOpticalRead, func() string { return "g0-d03" }); err != nil {
 			t.Fatalf("non-matching point fired: %v", err)
 		}
-		err := Check(p, PointOpticalBurn, "g0-d03")
+		err := Check(p, PointOpticalBurn, func() string { return "g0-d03" })
 		if !errors.Is(err, ErrInjected) {
 			t.Fatalf("matching check: got %v, want ErrInjected", err)
 		}
-		if err := Check(p, PointOpticalBurn, "g0-d03"); err != nil {
+		if err := Check(p, PointOpticalBurn, func() string { return "g0-d03" }); err != nil {
 			t.Fatalf("one-shot fired twice: %v", err)
 		}
 	})
@@ -67,12 +72,12 @@ func TestEveryNthAfterAndWindow(t *testing.T) {
 	var jamFires, lseFires []int
 	drive(t, env, func(p *sim.Proc) {
 		for i := 1; i <= 12; i++ {
-			if Check(p, PointArmJam, "r0") != nil {
+			if Check(p, PointArmJam, func() string { return "r0" }) != nil {
 				jamFires = append(jamFires, i)
 			}
 		}
 		for i := 0; i < 30; i++ {
-			if Check(p, PointMediaLSE, "disc") != nil {
+			if Check(p, PointMediaLSE, func() string { return "disc" }) != nil {
 				lseFires = append(lseFires, int(p.Now()/time.Second))
 			}
 			p.Sleep(time.Second)
@@ -106,7 +111,7 @@ func TestProbabilityDeterministicAcrossRuns(t *testing.T) {
 		pl.Arm(Rule{Point: PointOpticalRead, Prob: 0.3})
 		drive(t, env, func(p *sim.Proc) {
 			for i := 0; i < 200; i++ {
-				Check(p, PointOpticalRead, "g0-d00")
+				Check(p, PointOpticalRead, func() string { return "g0-d00" })
 				p.Sleep(time.Millisecond)
 			}
 		})
@@ -153,7 +158,7 @@ func TestCountersAndEmit(t *testing.T) {
 	})
 	drive(t, env, func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
-			Check(p, PointTrayLoad, "r0/L1/S2")
+			Check(p, PointTrayLoad, func() string { return "r0/L1/S2" })
 		}
 	})
 	snap := reg.Snapshot()
@@ -177,7 +182,7 @@ func TestClear(t *testing.T) {
 	pl := New(env, 1)
 	pl.Arm(Rule{Point: PointOpticalBurn})
 	drive(t, env, func(p *sim.Proc) {
-		if err := Check(p, PointOpticalBurn, "d"); !errors.Is(err, ErrInjected) {
+		if err := Check(p, PointOpticalBurn, func() string { return "d" }); !errors.Is(err, ErrInjected) {
 			t.Fatalf("armed rule did not fire: %v", err)
 		}
 	})
@@ -186,7 +191,7 @@ func TestClear(t *testing.T) {
 		t.Fatal("Clear left rules armed")
 	}
 	drive(t, env, func(p *sim.Proc) {
-		if err := Check(p, PointOpticalBurn, "d"); err != nil {
+		if err := Check(p, PointOpticalBurn, func() string { return "d" }); err != nil {
 			t.Fatalf("cleared plane fired: %v", err)
 		}
 	})

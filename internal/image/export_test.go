@@ -11,11 +11,5 @@ func UnmarshalCatalog(b []byte) (*Catalog, error) {
 	if err := json.Unmarshal(b, c); err != nil {
 		return nil, err
 	}
-	if c.DA == nil {
-		c.DA = make(map[string]DAState)
-	}
-	if c.DIL == nil {
-		c.DIL = make(map[string]DiscAddr)
-	}
 	return c, nil
 }

@@ -10,11 +10,9 @@ package image
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"slices"
 
 	"ros/internal/chunk"
 	"ros/internal/rack"
@@ -108,79 +106,70 @@ func (a DiscAddr) String() string { return fmt.Sprintf("%v#%02d", a.Tray, a.Pos)
 
 // Catalog holds the DAindex and DILindex. It is serialized into MV as system
 // state (§4.2: "all system running states ... are also stored in MV"). DIL
-// changes only through Place, Forget and Restore, which keep a tray ->
-// position -> image index beside it, so ImagesOnTray costs one tray's
-// images, not a walk of the whole DIL.
+// changes only through Place and Forget, which keep a tray -> position ->
+// image table beside it (rebuilt from DIL after a decode), so ImagesOnTray
+// costs one tray's twelve discs, not a walk of the whole DIL.
 type Catalog struct {
-	DA  map[string]DAState  `json:"da"`  // TrayID.String() -> state
-	DIL map[string]DiscAddr `json:"dil"` // ID.String() -> physical location
+	DA  [rack.MaxTrays]DAState `json:"da"`  // by rack.TrayID.Number
+	DIL map[string]DiscAddr    `json:"dil"` // ID.String() -> physical location
 
-	trays map[uint64]map[int]ID // DIL by trayKey, then position; nil until first use
-}
-
-// trayKey packs a tray ID into the index's map key.
-func trayKey(t rack.TrayID) uint64 {
-	return uint64(t.Roller)<<42 | uint64(t.Layer)<<21 | uint64(t.Slot)
+	discs *[rack.MaxTrays][rack.DiscsPerTray]ID // DIL by tray number, then position; nil until first use
 }
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
-	return &Catalog{DA: make(map[string]DAState), DIL: make(map[string]DiscAddr)}
+	return &Catalog{DIL: make(map[string]DiscAddr)}
 }
 
-// DAState returns the state of a tray (Empty if never recorded).
-func (c *Catalog) DAState(id rack.TrayID) DAState { return c.DA[id.String()] }
+// DAState returns the state of a tray (Empty if never recorded, or if no
+// library has the tray).
+func (c *Catalog) DAState(id rack.TrayID) DAState {
+	if n := id.Number(); n >= 0 {
+		return c.DA[n]
+	}
+	return DAEmpty
+}
 
 // SetDAState records a tray state transition.
-func (c *Catalog) SetDAState(id rack.TrayID, s DAState) { c.DA[id.String()] = s }
+func (c *Catalog) SetDAState(id rack.TrayID, s DAState) {
+	n := id.Number()
+	if n < 0 {
+		panic(fmt.Sprintf("image: no tray %v", id))
+	}
+	c.DA[n] = s
+}
 
-// index returns the tray index, building it from DIL after a decode or a
-// Restore.
-func (c *Catalog) index() map[uint64]map[int]ID {
-	if c.trays == nil {
-		c.trays = make(map[uint64]map[int]ID)
-		for k, addr := range c.DIL {
-			if id, err := Parse(k); err == nil {
-				c.indexAt(id, addr)
+// disc returns the table entry for the disc at a, nil if no library has it,
+// building the table from DIL on first use.
+func (c *Catalog) disc(a DiscAddr) *ID {
+	n := a.Tray.Number()
+	if n < 0 || a.Pos < 0 || a.Pos >= rack.DiscsPerTray {
+		return nil
+	}
+	if c.discs == nil {
+		c.discs = new([rack.MaxTrays][rack.DiscsPerTray]ID)
+		for k, at := range c.DIL {
+			if e := c.disc(at); e != nil {
+				*e, _ = Parse(k) // an unparsable key stays out of the table
 			}
 		}
 	}
-	return c.trays
-}
-
-func (c *Catalog) indexAt(id ID, addr DiscAddr) {
-	k := trayKey(addr.Tray)
-	on := c.trays[k]
-	if on == nil {
-		on = make(map[int]ID)
-		c.trays[k] = on
-	}
-	on[addr.Pos] = id
-}
-
-func (c *Catalog) unindex(id ID, addr DiscAddr) {
-	k := trayKey(addr.Tray)
-	if on := c.trays[k]; on[addr.Pos] == id {
-		delete(on, addr.Pos)
-		if len(on) == 0 {
-			delete(c.trays, k)
-		}
-	}
+	return &c.discs[n][a.Pos]
 }
 
 // Place records that image id lives on the disc at addr. A disc holds one
 // image, so a record of another image on the same disc is dropped.
 func (c *Catalog) Place(id ID, addr DiscAddr) {
-	idx := c.index()
-	key := id.String()
-	if old, ok := c.DIL[key]; ok {
-		c.unindex(id, old)
+	e := c.disc(addr)
+	if e == nil {
+		panic(fmt.Sprintf("image: no disc %v", addr))
 	}
-	if other, ok := idx[trayKey(addr.Tray)][addr.Pos]; ok && other != id {
-		delete(c.DIL, other.String())
+	c.Forget(id)
+	if !e.IsZero() {
+		delete(c.DIL, e.String())
 	}
-	c.DIL[key] = addr
-	c.indexAt(id, addr)
+	c.DIL[id.String()] = addr
+	*e = id
 }
 
 // Locate returns the physical location of an image, if burned.
@@ -198,28 +187,19 @@ func (c *Catalog) Forget(id ID) {
 		return
 	}
 	delete(c.DIL, key)
-	c.unindex(id, addr)
-}
-
-// Restore adopts the tables of a catalog decoded from MV state; a nil table
-// leaves the current one in place.
-func (c *Catalog) Restore(saved *Catalog) {
-	if saved.DA != nil {
-		c.DA = saved.DA
-	}
-	if saved.DIL != nil {
-		c.DIL = saved.DIL
-		c.trays = nil
+	if e := c.disc(addr); e != nil && *e == id {
+		*e = ID{}
 	}
 }
 
 // ImagesOnTray returns position -> image ID for every image recorded on the
 // given tray. The map is the caller's: Place and Forget do not change it.
 func (c *Catalog) ImagesOnTray(tray rack.TrayID) map[int]ID {
-	on := c.index()[trayKey(tray)]
-	out := make(map[int]ID, len(on))
-	for pos, id := range on {
-		out[pos] = id
+	out := make(map[int]ID)
+	for pos := range rack.DiscsPerTray {
+		if e := c.disc(DiscAddr{Tray: tray, Pos: pos}); e != nil && !e.IsZero() {
+			out[pos] = *e
+		}
 	}
 	return out
 }
@@ -248,20 +228,19 @@ func (c *Catalog) FindEmptyTray(lib *rack.Library) (rack.TrayID, bool) {
 
 // Trays returns the trays in state want, in FindEmptyTray's (roller, layer
 // descending, slot) order: the order they fill in and the scrubber's
-// rotation.
+// rotation. A tray never recorded is Empty, so Trays(DAEmpty) lists every
+// such tray number on both rollers.
 func (c *Catalog) Trays(want DAState) []rack.TrayID {
 	var out []rack.TrayID
-	for k, st := range c.DA {
-		if st != want {
-			continue
-		}
-		if id, err := rack.ParseTrayID(k); err == nil {
-			out = append(out, id)
+	for r := range rack.MaxRollers {
+		for l := rack.LayersPerRoller - 1; l >= 0; l-- {
+			for s := range rack.SlotsPerLayer {
+				if id := (rack.TrayID{Roller: r, Layer: l, Slot: s}); c.DAState(id) == want {
+					out = append(out, id)
+				}
+			}
 		}
 	}
-	slices.SortFunc(out, func(a, b rack.TrayID) int {
-		return cmp.Or(cmp.Compare(a.Roller, b.Roller), cmp.Compare(b.Layer, a.Layer), cmp.Compare(a.Slot, b.Slot))
-	})
 	return out
 }
 

@@ -71,7 +71,9 @@ func TestCatalogStateTransitions(t *testing.T) {
 
 func TestCatalogSerialization(t *testing.T) {
 	c := NewCatalog()
+	failed := rack.TrayID{Roller: 1, Layer: 84, Slot: 5}
 	c.SetDAState(rack.TrayID{Layer: 1}, DAUsed)
+	c.SetDAState(failed, DAFailed)
 	c.Place(NewID(3), DiscAddr{Tray: rack.TrayID{Layer: 1}, Pos: 3})
 	b, err := c.Marshal()
 	if err != nil {
@@ -84,8 +86,14 @@ func TestCatalogSerialization(t *testing.T) {
 	if c2.DAState(rack.TrayID{Layer: 1}) != DAUsed {
 		t.Error("DA state lost")
 	}
+	if c2.DAState(failed) != DAFailed {
+		t.Errorf("roller-1 tray %v = %v after decode, want Failed", failed, c2.DAState(failed))
+	}
 	if _, ok := c2.Locate(NewID(3)); !ok {
 		t.Error("DIL entry lost")
+	}
+	if on := c2.ImagesOnTray(rack.TrayID{Layer: 1}); len(on) != 1 || on[3] != NewID(3) {
+		t.Errorf("ImagesOnTray after decode = %v, want position 3 -> %v", on, NewID(3))
 	}
 }
 
@@ -398,6 +406,37 @@ func TestFindEmptyTrayExhaustion(t *testing.T) {
 	}
 }
 
+// TestDAindexAllocs: the DAindex is a table by tray number, so finding a
+// blank tray past 300 used ones allocates nothing and listing them
+// allocates no more than the list's growth, not once per tray.
+func TestDAindexAllocs(t *testing.T) {
+	env := sim.NewEnv()
+	lib, err := rack.New(env, rack.Config{Rollers: 1, DriveGroups: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCatalog()
+	const used = 300
+	for n := 0; n < used; n++ {
+		l, s := rack.LayersPerRoller-1-n/rack.SlotsPerLayer, n%rack.SlotsPerLayer
+		c.SetDAState(rack.TrayID{Layer: l, Slot: s}, DAUsed)
+	}
+	if got := testing.AllocsPerRun(10, func() {
+		if _, ok := c.FindEmptyTray(lib); !ok {
+			t.Fatal("no empty tray")
+		}
+	}); got != 0 {
+		t.Errorf("FindEmptyTray with %d used trays: %.0f allocations, want 0", used, got)
+	}
+	if got := testing.AllocsPerRun(10, func() {
+		if n := len(c.Trays(DAUsed)); n != used {
+			t.Fatalf("Trays(DAUsed) lists %d, want %d", n, used)
+		}
+	}); got > 16 {
+		t.Errorf("Trays(DAUsed) with %d used trays: %.0f allocations, want at most 16", used, got)
+	}
+}
+
 func TestIDJSONMapKey(t *testing.T) {
 	// IDs must survive use as JSON map keys (the DIL serialization).
 	in := map[ID]int{NewID(5): 7}
@@ -431,7 +470,7 @@ func TestImagesOnTray(t *testing.T) {
 	}
 }
 
-// TestTrayIndexMatchesDILScan drives random Place, Forget, Restore and
+// TestTrayIndexMatchesDILScan drives random Place, Forget and
 // Marshal+Unmarshal sequences and checks, after every step, that the tray
 // index equals a brute-force scan of DIL and that no two images share a disc.
 func TestTrayIndexMatchesDILScan(t *testing.T) {
@@ -446,7 +485,7 @@ func TestTrayIndexMatchesDILScan(t *testing.T) {
 				c.Place(id, addr)
 			case op < 8:
 				c.Forget(id)
-			case op < 9:
+			default:
 				b, err := c.Marshal()
 				if err != nil {
 					t.Fatal(err)
@@ -454,15 +493,6 @@ func TestTrayIndexMatchesDILScan(t *testing.T) {
 				if c, err = UnmarshalCatalog(b); err != nil {
 					t.Fatal(err)
 				}
-			default:
-				var saved Catalog
-				b, _ := c.Marshal()
-				if err := json.Unmarshal(b, &saved); err != nil {
-					t.Fatal(err)
-				}
-				c = NewCatalog()
-				c.Place(NewID(99), addr) // replaced by the restore
-				c.Restore(&saved)
 			}
 			scan := make(map[rack.TrayID]map[int]ID)
 			for k, a := range c.DIL {
@@ -482,8 +512,16 @@ func TestTrayIndexMatchesDILScan(t *testing.T) {
 					t.Fatalf("seed %d step %d: ImagesOnTray(%v) = %v, scan %v", seed, step, tray, got, want)
 				}
 			}
-			if len(c.trays) != len(scan) {
-				t.Fatalf("seed %d step %d: index has %d trays, scan %d", seed, step, len(c.trays), len(scan))
+			held := 0
+			if c.discs != nil {
+				for _, on := range c.discs {
+					if on != [rack.DiscsPerTray]ID{} {
+						held++
+					}
+				}
+			}
+			if held != len(scan) {
+				t.Fatalf("seed %d step %d: index has %d trays, scan %d", seed, step, held, len(scan))
 			}
 		}
 	}

@@ -60,15 +60,7 @@ func interruptFirstBurn(bed *rackBed) {
 }
 
 // failedTrays counts catalog trays in the Failed state.
-func failedTrays(bed *rackBed) int {
-	n := 0
-	for _, st := range bed.FS.Cat.DA {
-		if st == image.DAFailed {
-			n++
-		}
-	}
-	return n
-}
+func failedTrays(bed *rackBed) int { return len(bed.FS.Cat.Trays(image.DAFailed)) }
 
 // TestBurnResumeAfterInterrupt is the regression test for the §4.8
 // interrupt-resume path. Before the fix, every resume requested

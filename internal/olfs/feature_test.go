@@ -214,13 +214,7 @@ func TestBurnFailureRetriesOnFreshTray(t *testing.T) {
 		if tb.fs.Cat.DAState(tray) != image.DAFailed {
 			t.Errorf("sabotaged tray state = %v, want Failed", tb.fs.Cat.DAState(tray))
 		}
-		used := 0
-		for _, st := range tb.fs.Cat.DA {
-			if st == image.DAUsed {
-				used++
-			}
-		}
-		if used == 0 {
+		if len(tb.fs.Cat.Trays(image.DAUsed)) == 0 {
 			t.Error("no tray Used after retry")
 		}
 		// Data remains readable.

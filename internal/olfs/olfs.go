@@ -146,10 +146,10 @@ type FS struct {
 	writers []*fileWriter  // writers with a subfile open in cur, in creation order
 
 	burnQ    *sim.Queue[*burnTask]
-	btm      *sim.Daemon           // starts a process per queued burn task
-	sched    *sched.Scheduler      // arbitrates drive groups and arm demand
-	wp       *writepath.Controller // admission control + charge ledger
-	fetches  map[string]*sim.Completion[int]
+	btm      *sim.Daemon                  // starts a process per queued burn task
+	sched    *sched.Scheduler             // arbitrates drive groups and arm demand
+	wp       *writepath.Controller        // admission control + charge ledger
+	fetches  map[int]*sim.Completion[int] // by rack.TrayID.Number
 	mounted  map[*optical.Drive]*udf.Volume
 	mounting map[*optical.Drive]mount // the one mount in flight per drive
 
@@ -284,7 +284,7 @@ func New(env *sim.Env, cfg Config, lib *rack.Library, mvBackend mv.Backend, buff
 		Cat:        image.NewCatalog(),
 		curMu:      sim.NewResource(env, 1),
 		burnQ:      sim.NewQueue[*burnTask](env),
-		fetches:    make(map[string]*sim.Completion[int]),
+		fetches:    make(map[int]*sim.Completion[int]),
 		mounted:    make(map[*optical.Drive]*udf.Volume),
 		mounting:   make(map[*optical.Drive]mount),
 		groupEpoch: make([]uint64, len(lib.Groups)),

@@ -271,13 +271,7 @@ func TestBurnPipelineEndToEnd(t *testing.T) {
 		}
 	})
 	// Catalog must show a Used tray and placed images.
-	used := 0
-	for _, st := range tb.fs.Cat.DA {
-		if st == image.DAUsed {
-			used++
-		}
-	}
-	if used != 1 {
+	if used := len(tb.fs.Cat.Trays(image.DAUsed)); used != 1 {
 		t.Errorf("used trays = %d, want 1", used)
 	}
 	if len(tb.fs.Cat.DIL) < 3 { // 2+ data images + 1 parity
@@ -385,13 +379,7 @@ func TestAutoBurnTriggers(t *testing.T) {
 	if tb.fs.m.burnTasks.Value() == 0 {
 		t.Fatal("auto burn never triggered")
 	}
-	used := 0
-	for _, st := range tb.fs.Cat.DA {
-		if st == image.DAUsed {
-			used++
-		}
-	}
-	if used == 0 {
+	if len(tb.fs.Cat.Trays(image.DAUsed)) == 0 {
 		t.Error("no tray marked Used after auto burn")
 	}
 }
@@ -429,13 +417,11 @@ func TestScrubCleanTray(t *testing.T) {
 		if _, err := c.Wait(p); err != nil {
 			t.Fatalf("burn: %v", err)
 		}
-		var tray rack.TrayID
-		for k, st := range tb.fs.Cat.DA {
-			if st == image.DAUsed {
-				fmt.Sscanf(k, "r%d/L%d/S%d", &tray.Roller, &tray.Layer, &tray.Slot)
-			}
+		trays := tb.fs.Cat.Trays(image.DAUsed)
+		if len(trays) != 1 {
+			t.Fatalf("used trays = %v, want one", trays)
 		}
-		rep, err := tb.fs.ScrubTray(p, tray)
+		rep, err := tb.fs.ScrubTray(p, trays[0])
 		if err != nil {
 			t.Fatalf("ScrubTray: %v", err)
 		}
@@ -611,6 +597,55 @@ func TestCrashReopen(t *testing.T) {
 	}
 }
 
+// TestReopenRefusesUndecodableCatalog: a checkpoint without catalog state
+// reopens with an empty catalog, but one whose catalog does not decode (a
+// mistyped DIL, or a DAindex keyed by tray name) makes Reopen fail rather
+// than open empty and hide every burned image and Used tray.
+func TestReopenRefusesUndecodableCatalog(t *testing.T) {
+	env := sim.NewEnv()
+	t.Cleanup(env.Close)
+	lib, _ := rack.New(env, rack.Config{Rollers: 1, DriveGroups: 2, Media: optical.Media25})
+	mvStore := blockdev.New(env, 1<<30, blockdev.SSDProfile())
+	bufStore := pagecache.New(env, blockdev.New(env, 64<<20, blockdev.SSDProfile()), pagecache.Ext4Rates())
+	cfg := Config{DataDiscs: 2, ParityDiscs: 1, BucketBytes: 1 << 20, BurnStagger: time.Second}
+	fs1, err := New(env, cfg, lib, mvStore, bufStore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Go("test", func(p *sim.Proc) {
+		if _, err := fs1.MV.Checkpoint(p); err != nil {
+			t.Errorf("Checkpoint: %v", err)
+			return
+		}
+		fs2, err := Reopen(env, p, cfg, lib, mvStore, bufStore)
+		if err != nil {
+			t.Errorf("Reopen without catalog state: %v", err)
+			return
+		}
+		if used := fs2.Cat.Trays(image.DAUsed); len(used) != 0 || len(fs2.Cat.DIL) != 0 {
+			t.Errorf("catalog after Reopen without catalog state: used %v, %d images", used, len(fs2.Cat.DIL))
+		}
+		fs2.Stop()
+		for _, bad := range []map[string]any{
+			{"dil": 7},
+			{"da": map[string]image.DAState{"r0/L84/S0": image.DAUsed}, "dil": map[string]image.DiscAddr{}},
+		} {
+			if err := fs2.MV.SaveState(p, "catalog", bad); err != nil {
+				t.Errorf("SaveState: %v", err)
+				return
+			}
+			if _, err := fs2.MV.Checkpoint(p); err != nil {
+				t.Errorf("Checkpoint: %v", err)
+				return
+			}
+			if _, err := Reopen(env, p, cfg, lib, mvStore, bufStore); err == nil {
+				t.Errorf("Reopen accepted catalog state %v, which does not decode", bad)
+			}
+		}
+	})
+	env.Run()
+}
+
 // TestReopenKeepsCounting: a controller restart through Reopen on the same
 // registry continues every count rather than restarting it, and the MV
 // volume Reopen loads records its index operations like the one it replaces.
@@ -687,14 +722,7 @@ func TestNamespaceRecoveryFromDiscs(t *testing.T) {
 			t.Fatalf("burn: %v", err)
 		}
 		// Record which trays were used, then simulate total MV loss.
-		var trays []rack.TrayID
-		for k, st := range tb.fs.Cat.DA {
-			if st == image.DAUsed {
-				var id rack.TrayID
-				fmt.Sscanf(k, "r%d/L%d/S%d", &id.Roller, &id.Layer, &id.Slot)
-				trays = append(trays, id)
-			}
-		}
+		trays := tb.fs.Cat.Trays(image.DAUsed)
 		tb.fs.MV = mv.New(tb.env, tb.mvS, mv.DefaultOpCost)
 		tb.fs.Cat = image.NewCatalog()
 		if err := tb.fs.RecoverNamespace(p, trays); err != nil {

@@ -3,6 +3,7 @@ package olfs
 import (
 	"bytes"
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -286,9 +287,15 @@ func Reopen(env *sim.Env, p *sim.Proc, cfg Config, lib *rack.Library, mvBackend 
 	vol.AttachObs(fs.obs)
 	fs.MV = vol
 	fs.seedMVSnapSeq()
-	var cat image.Catalog
-	if err := vol.LoadState(p, "catalog", &cat); err == nil {
-		fs.Cat.Restore(&cat)
+	// A checkpoint without a catalog opens empty; one whose catalog does not
+	// decode is refused, since an empty catalog would hide every burned
+	// image and every Used tray.
+	cat := image.NewCatalog()
+	switch err := vol.LoadState(p, "catalog", cat); {
+	case err == nil:
+		fs.Cat = cat
+	case !errors.Is(err, mv.ErrNotFound):
+		return nil, fmt.Errorf("olfs: reopen catalog: %w", err)
 	}
 	// Probe buffer slots.
 	for _, b := range fs.Buckets.Slots() {

@@ -125,7 +125,7 @@ func (fs *FS) ScrubTray(p *sim.Proc, tray rack.TrayID) (rep ScrubReport, err err
 	parity := fs.parityColumns(backends, dataN, parityPos)
 	vsp := obs.StartChild(p, "optical.verify")
 	vsp.AnnotateInt("bytes", length)
-	if ferr := faultinject.Check(p, faultinject.PointOpticalVerify, tray.String()); ferr != nil {
+	if ferr := faultinject.Check(p, faultinject.PointOpticalVerify, tray.String); ferr != nil {
 		vsp.Fail(p, ferr)
 		return rep, ferr
 	}

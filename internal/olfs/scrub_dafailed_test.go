@@ -7,27 +7,11 @@ import (
 
 	"ros/internal/image"
 	"ros/internal/olfs"
-	"ros/internal/rack"
 	"ros/internal/sim"
 )
 
 // count reads one of fs's counters from its registry.
 func count(fs *olfs.FS, name string) int64 { return fs.Obs().Counter(name).Value() }
-
-// usedTrays scans the catalog for trays in the Used state.
-func usedTrays(fs *olfs.FS) []rack.TrayID {
-	var out []rack.TrayID
-	for k, st := range fs.Cat.DA {
-		if st != image.DAUsed {
-			continue
-		}
-		var id rack.TrayID
-		if _, err := fmt.Sscanf(k, "r%d/L%d/S%d", &id.Roller, &id.Layer, &id.Slot); err == nil {
-			out = append(out, id)
-		}
-	}
-	return out
-}
 
 // TestDAFailedTrayExcludedAndMigrated covers the scrub.go DAFailed path: when
 // a scrub finds a bad disc, the tray must be retired from placement AND its
@@ -55,7 +39,7 @@ func TestDAFailedTrayExcludedAndMigrated(t *testing.T) {
 		if _, err := c.Wait(p); err != nil {
 			t.Fatalf("burn: %v", err)
 		}
-		trays := usedTrays(bed.FS)
+		trays := bed.FS.Cat.Trays(image.DAUsed)
 		if len(trays) != 1 {
 			t.Fatalf("used trays = %v, want exactly 1", trays)
 		}
@@ -163,7 +147,7 @@ func TestDAFailedSilentCorruptionMigratesAll(t *testing.T) {
 		if _, err := c.Wait(p); err != nil {
 			t.Fatalf("burn: %v", err)
 		}
-		tray := usedTrays(bed.FS)[0]
+		tray := bed.FS.Cat.Trays(image.DAUsed)[0]
 
 		// Flip payload bytes on the parity disc without marking the sector
 		// bad: parity verification fails, but every disc reads fine.

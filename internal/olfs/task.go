@@ -461,8 +461,9 @@ func (fs *FS) UnloadIdle(p *sim.Proc) error {
 // index now holding the tray.
 func (fs *FS) fetchTray(p *sim.Proc, tray rack.TrayID, class sched.Class) (gi int, err error) {
 	op := fs.tracer.StartOp(p, "olfs.fetch", class.String())
-	key := tray.String()
-	op.Annotate("tray", key)
+	if op != nil {
+		op.Annotate("tray", tray.String())
+	}
 	defer func() { op.Finish(p, err) }()
 	fs.sched.Pin(tray)
 	defer fs.sched.Unpin(tray)
@@ -472,7 +473,7 @@ func (fs *FS) fetchTray(p *sim.Proc, tray rack.TrayID, class sched.Class) (gi in
 		if gi := fs.groupHolding(tray); gi >= 0 {
 			return gi, nil
 		}
-		if c, ok := fs.fetches[key]; ok {
+		if c, ok := fs.fetches[tray.Number()]; ok {
 			// Coalesce with the in-flight fetch, then re-verify.
 			fs.m.coalesced.Add(1)
 			if _, err := c.Wait(p); err != nil {
@@ -489,9 +490,9 @@ func (fs *FS) fetchTray(p *sim.Proc, tray rack.TrayID, class sched.Class) (gi in
 			continue
 		}
 		c := sim.NewCompletion[int](fs.env)
-		fs.fetches[key] = c
+		fs.fetches[tray.Number()] = c
 		gi, err = fs.runFetch(p, tray, class)
-		delete(fs.fetches, key)
+		delete(fs.fetches, tray.Number())
 		c.Resolve(gi, err)
 		return gi, err
 	}

@@ -232,7 +232,7 @@ func (dr *Drive) health(p *sim.Proc) error {
 	if dr.dead {
 		return fmt.Errorf("%w: %s", ErrDriveDead, dr.ID)
 	}
-	if err := faultinject.Check(p, faultinject.PointDriveDead, dr.ID); err != nil {
+	if err := faultinject.Check(p, faultinject.PointDriveDead, func() string { return dr.ID }); err != nil {
 		dr.dead = true
 		dr.m.drivesDead.Add(1)
 		return fmt.Errorf("%w: %s (%v)", ErrDriveDead, dr.ID, err)
@@ -467,7 +467,7 @@ func (dr *Drive) Burn(p *sim.Proc, src BurnSource, opts BurnOptions) (rep BurnRe
 		}
 		// Quantum-boundary fault points: a burn error aborts the session
 		// (the caller's burn task fails the tray and retries on fresh media).
-		if err = faultinject.Check(p, faultinject.PointOpticalBurn, dr.ID); err != nil {
+		if err = faultinject.Check(p, faultinject.PointOpticalBurn, func() string { return dr.ID }); err != nil {
 			return rep, err
 		}
 		n := min(chunk, logical-burnedLogical)
@@ -706,10 +706,10 @@ func (dr *Drive) read(p *sim.Proc, off, n int64, move func(*Disc) error) error {
 	// Media fault points mutate the disc and let its read path surface the
 	// typed error (ErrDiscFailed / ErrBadSector); optical.read injects a
 	// transient drive-side read failure directly.
-	if err := faultinject.Check(p, faultinject.PointMediaAged, dr.disc.ID); err != nil {
+	if err := faultinject.Check(p, faultinject.PointMediaAged, func() string { return dr.disc.ID }); err != nil {
 		dr.disc.Fail()
 	}
-	if err := faultinject.Check(p, faultinject.PointMediaLSE, dr.disc.ID); err != nil {
+	if err := faultinject.Check(p, faultinject.PointMediaLSE, func() string { return dr.disc.ID }); err != nil {
 		// The head sweeps [off, off+len) during the transfer, so the latent
 		// error can develop anywhere in the range. Derive the sector from the
 		// disc identity: parallel parity scans read identical offsets on every
@@ -718,7 +718,7 @@ func (dr *Drive) read(p *sim.Proc, off, n int64, move func(*Disc) error) error {
 		// manufacturing beyond-redundancy loss out of independent faults.
 		dr.disc.CorruptSector(off + lseOffset(dr.disc.ID, int(n)))
 	}
-	err := faultinject.Check(p, faultinject.PointOpticalRead, dr.ID)
+	err := faultinject.Check(p, faultinject.PointOpticalRead, func() string { return dr.ID })
 	if err == nil {
 		err = move(dr.disc)
 	}

@@ -24,11 +24,13 @@ import (
 
 // Geometry constants (§3.2).
 const (
+	MaxRollers      = 2 // rollers a library may have
 	LayersPerRoller = 85
 	SlotsPerLayer   = 6
 	DiscsPerTray    = plc.ArrayDiscs
 	TraysPerRoller  = LayersPerRoller * SlotsPerLayer // 510
 	DiscsPerRoller  = TraysPerRoller * DiscsPerTray   // 6120
+	MaxTrays        = MaxRollers * TraysPerRoller     // tray numbers a library may use
 	DrivesPerGroup  = 12
 )
 
@@ -54,6 +56,21 @@ type TrayID struct {
 func (id TrayID) String() string {
 	return fmt.Sprintf("r%d/L%02d/S%d", id.Roller, id.Layer, id.Slot)
 }
+
+// Number returns the tray's number, (Roller·LayersPerRoller + Layer)·
+// SlotsPerLayer + Slot, in [0, MaxTrays), or -1 when no library has the tray.
+// An integer key also keeps the runtime's variable-length struct hash out of
+// the binary.
+func (id TrayID) Number() int {
+	if id.Roller < 0 || id.Roller >= MaxRollers || id.Layer < 0 || id.Layer >= LayersPerRoller ||
+		id.Slot < 0 || id.Slot >= SlotsPerLayer {
+		return -1
+	}
+	return (id.Roller*LayersPerRoller+id.Layer)*SlotsPerLayer + id.Slot
+}
+
+// rollerName is the arm-jam fault point's detail for the tray's roller.
+func (id TrayID) rollerName() string { return "r" + strconv.Itoa(id.Roller) }
 
 // pad2 appends v >= 0 as %02d formats it.
 func pad2(b []byte, v int) []byte {
@@ -170,8 +187,8 @@ type Library struct {
 // New assembles a library with every tray holding a blank array of
 // cfg.Media; a tray's discs are built when Tray first reaches them.
 func New(env *sim.Env, cfg Config) (*Library, error) {
-	if cfg.Rollers < 1 || cfg.Rollers > 2 {
-		return nil, fmt.Errorf("rack: rollers must be 1 or 2, got %d", cfg.Rollers)
+	if cfg.Rollers < 1 || cfg.Rollers > MaxRollers {
+		return nil, fmt.Errorf("rack: rollers must be 1-%d, got %d", MaxRollers, cfg.Rollers)
 	}
 	if cfg.DriveGroups < 1 || cfg.DriveGroups > 4 {
 		return nil, fmt.Errorf("rack: drive groups must be 1-4, got %d", cfg.DriveGroups)
@@ -436,10 +453,10 @@ func (lib *Library) load(p *sim.Proc, tray *Tray, g *DriveGroup) error {
 
 	// Fault points fire at composite entry, before any disc moves: a jam or
 	// load failure aborts with tray and drives in their pre-call state.
-	if err := faultinject.Check(p, faultinject.PointArmJam, fmt.Sprintf("r%d", id.Roller)); err != nil {
+	if err := faultinject.Check(p, faultinject.PointArmJam, id.rollerName); err != nil {
 		return fmt.Errorf("rack: arm jam: %w", err)
 	}
-	if err := faultinject.Check(p, faultinject.PointTrayLoad, id.String()); err != nil {
+	if err := faultinject.Check(p, faultinject.PointTrayLoad, id.String); err != nil {
 		return fmt.Errorf("rack: tray load: %w", err)
 	}
 
@@ -538,10 +555,10 @@ func (lib *Library) unload(p *sim.Proc, g *DriveGroup, tray *Tray) error {
 
 	// Fault points fire at composite entry: injecting later (after ArmEject)
 	// would model discs vanishing mid-transfer, which real jams don't do.
-	if err := faultinject.Check(p, faultinject.PointArmJam, fmt.Sprintf("r%d", dest.Roller)); err != nil {
+	if err := faultinject.Check(p, faultinject.PointArmJam, dest.rollerName); err != nil {
 		return fmt.Errorf("rack: arm jam: %w", err)
 	}
-	if err := faultinject.Check(p, faultinject.PointTrayUnload, dest.String()); err != nil {
+	if err := faultinject.Check(p, faultinject.PointTrayUnload, dest.String); err != nil {
 		return fmt.Errorf("rack: tray unload: %w", err)
 	}
 

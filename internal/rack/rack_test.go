@@ -519,9 +519,12 @@ func TestColdDiscSpinUpOnFirstRead(t *testing.T) {
 }
 
 // TestParseTrayIDRoundTrip checks that ParseTrayID inverts TrayID.String over
-// the whole geometry and rejects what String never prints.
+// the whole geometry and rejects what String never prints, and that Number
+// gives every tray a distinct number below MaxTrays and -1 to any other
+// address.
 func TestParseTrayIDRoundTrip(t *testing.T) {
-	for r := 0; r < 2; r++ {
+	seen := make(map[int]TrayID)
+	for r := 0; r < MaxRollers; r++ {
 		for l := 0; l < LayersPerRoller; l++ {
 			for s := 0; s < SlotsPerLayer; s++ {
 				id := TrayID{Roller: r, Layer: l, Slot: s}
@@ -529,7 +532,17 @@ func TestParseTrayIDRoundTrip(t *testing.T) {
 				if err != nil || got != id {
 					t.Fatalf("ParseTrayID(%q) = %v, %v; want %v", id.String(), got, err, id)
 				}
+				n := id.Number()
+				if prev, dup := seen[n]; dup || n < 0 || n >= MaxTrays {
+					t.Fatalf("%v numbered %d (%v had it: %v)", id, n, prev, dup)
+				}
+				seen[n] = id
 			}
+		}
+	}
+	for _, id := range []TrayID{{Roller: 2}, {Layer: LayersPerRoller}, {Slot: SlotsPerLayer}, {Roller: 1, Slot: -1}} {
+		if n := id.Number(); n != -1 {
+			t.Errorf("%v numbered %d, want -1", id, n)
 		}
 	}
 	if got, err := ParseTrayID("r0/L7/S2"); err != nil || got != (TrayID{Layer: 7, Slot: 2}) {

@@ -141,13 +141,6 @@ type request struct {
 	c     *sim.Completion[Grant]
 }
 
-// demandKey packs a tray's coordinates into its key in Scheduler.demand, so
-// counting demand formats nothing. An integer key also keeps the runtime's
-// variable-length struct hash out of the binary.
-func demandKey(id rack.TrayID) uint64 {
-	return uint64(uint32(id.Roller))<<32 | uint64(uint16(id.Layer))<<16 | uint64(uint16(id.Slot))
-}
-
 // Scheduler arbitrates drive groups and (through grant ordering) the
 // robotic arm for one rack library. It is driven entirely by the
 // cooperative simulation — no locking needed.
@@ -164,7 +157,7 @@ type Scheduler struct {
 	// plus explicit Pin holds (olfs pins a tray for the lifetime of a
 	// coalesced fetch, covering waiters between grant and consumption).
 	// Victim selection never evicts a tray with demand.
-	demand map[uint64]int // by demandKey
+	demand map[int]int // by rack.TrayID.Number
 
 	// scanDir is the per-roller elevator direction (+1 up, -1 down).
 	scanDir []int
@@ -214,7 +207,7 @@ func New(env *sim.Env, cfg Config, lib *rack.Library) *Scheduler {
 		lib:       lib,
 		busy:      make([]bool, len(lib.Groups)),
 		lastUse:   make([]time.Duration, len(lib.Groups)),
-		demand:    make(map[uint64]int),
+		demand:    make(map[int]int),
 		scanDir:   make([]int, len(lib.Rollers)),
 		lastLayer: make([]int, len(lib.Rollers)),
 		readUsed:  make([]int, len(lib.Groups)),
@@ -360,7 +353,7 @@ func (s *Scheduler) acquire(p *sim.Proc, r *request) Grant {
 	r.c = sim.NewCompletion[Grant](s.env)
 	s.pending = append(s.pending, r)
 	if r.tray != nil && !r.burn {
-		s.demand[demandKey(*r.tray)]++
+		s.demand[r.tray.Number()]++
 	}
 	s.depthGauge.Add(1)
 	s.depthBy[r.class].Add(1)
@@ -401,12 +394,12 @@ func (s *Scheduler) Release(gi int) {
 // Pin registers outstanding interest in a tray beyond the queued request —
 // olfs holds a pin for the lifetime of a coalesced fetch so the tray cannot
 // be victimized between the mechanical load and the waiters' reads.
-func (s *Scheduler) Pin(tray rack.TrayID) { s.demand[demandKey(tray)]++ }
+func (s *Scheduler) Pin(tray rack.TrayID) { s.demand[tray.Number()]++ }
 
 // Unpin drops a Pin hold and re-dispatches (a victim-seeker may have been
 // waiting for the demand to clear).
 func (s *Scheduler) Unpin(tray rack.TrayID) {
-	k := demandKey(tray)
+	k := tray.Number()
 	if s.demand[k] <= 0 {
 		panic("sched: Unpin without Pin for " + tray.String())
 	}
@@ -419,7 +412,7 @@ func (s *Scheduler) Unpin(tray rack.TrayID) {
 
 // Pinned reports whether tray has outstanding demand (a queued fetch or a
 // Pin hold), which keeps victim selection from evicting it.
-func (s *Scheduler) Pinned(tray rack.TrayID) bool { return s.demand[demandKey(tray)] > 0 }
+func (s *Scheduler) Pinned(tray rack.TrayID) bool { return s.demand[tray.Number()] > 0 }
 
 // GroupIdle reports whether group gi is unclaimed and not burning — the
 // scrub daemon's "is there truly idle hardware" probe.
@@ -535,7 +528,7 @@ func (s *Scheduler) groupFor(r *request) (Grant, bool) {
 		if s.busy[gi] || !g.Loaded() || g.AnyBurning() {
 			continue
 		}
-		if s.demand[demandKey(*g.Source)] > 0 {
+		if s.demand[g.Source.Number()] > 0 {
 			s.evictSkips.Add(1)
 			continue
 		}
@@ -565,7 +558,7 @@ func (s *Scheduler) grant(r *request, g Grant) {
 		}
 	}
 	if r.tray != nil && !r.burn {
-		k := demandKey(*r.tray)
+		k := r.tray.Number()
 		s.demand[k]--
 		if s.demand[k] <= 0 {
 			delete(s.demand, k)
